@@ -1,9 +1,9 @@
 """Micro-benchmark of the vectorized execution kernels and CSR tracker.
 
-Times each hot-path kernel — equi-join, stable distinct, group-by, and
-the CoverageTracker batch add/remove/probe operations — on seeded
-synthetic data, against the retained pre-vectorization reference
-implementations (``repro.db.kernels.reference_*`` and
+Times each hot-path kernel — equi-join, stable distinct, group-by, the
+CoverageIndex build and the CoverageTracker batch add/remove/probe
+operations — on seeded synthetic data, against the retained
+pre-vectorization reference implementations (``repro.db.kernels.reference_*`` and
 ``repro.core.reward.DictCoverageTracker``). Writes ``BENCH_kernels.json``
 so the performance trajectory of these kernels is tracked in-repo.
 
@@ -35,7 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.core.reward import CoverageTracker, DictCoverageTracker, QueryCoverage
+from repro.core.reward import (
+    CoverageIndex,
+    CoverageTracker,
+    DictCoverageTracker,
+    QueryCoverage,
+)
 from repro.db import kernels
 from repro.db import parallel as db_parallel
 
@@ -222,7 +227,24 @@ def run_benchmarks(profile: str) -> dict:
     )
 
     coverages, batches, candidates = _coverage_fixture(rng)
-    csr = CoverageTracker(coverages)
+    # The incidence is built once per coverage list and shared: the first
+    # row is that one build (against the legacy tracker's own), the second
+    # what each further tracker costs with the index against without it.
+    n_requirement_rows = sum(len(c.requirements) for c in coverages)
+    measure(
+        "coverage_index_build",
+        lambda: DictCoverageTracker(coverages),
+        lambda: CoverageIndex(coverages),
+        units=n_requirement_rows,
+    )
+    index = CoverageIndex(coverages)
+    measure(
+        "coverage_tracker_from_index",
+        lambda: CoverageTracker(coverages),
+        lambda: CoverageTracker(coverages, index),
+        units=n_requirement_rows,
+    )
+    csr = CoverageTracker(coverages, index)
     legacy = DictCoverageTracker(coverages)
     n_batch_keys = sum(len(a) + len(r) for a, r in batches)
     measure(

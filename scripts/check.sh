@@ -48,6 +48,12 @@
 #                              answer-quality pipeline (auditor, quality
 #                              SLOs, drift detector) is exercised end to
 #                              end on every PR (DESIGN.md §14).
+# 11. end-to-end benchmark      — the benchmark's own tests (recorder,
+#                              speed probe, declaration vs. output) and
+#                              one --smoke pass of all four workloads
+#                              with every output check on
+#                              (benchmarks/e2e/README.md); timings are
+#                              not gated here.
 #
 # Benchmark gates (kernel regressions, instrumentation + contract
 # overhead) live in scripts/bench_smoke.sh.
@@ -141,5 +147,10 @@ python -m repro audit --smoke --dir "$audit_dir" > "$audit_dir/audit.out"
 grep -q "Calibration" "$audit_dir/audit.out"
 rm -rf "$audit_dir"
 echo "audit smoke: OK"
+
+echo "== end-to-end benchmark (own tests + --smoke suite, output checks on)"
+python -m pytest benchmarks/e2e -q
+python3 benchmarks/e2e/run.py --smoke > /dev/null
+echo "e2e smoke: OK"
 
 echo "check: OK"

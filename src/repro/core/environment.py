@@ -27,7 +27,7 @@ from ..rl.parallel import Environment
 from .action_space import ActionSpace
 from .approximation import ApproximationSet
 from .config import ASQPConfig
-from .reward import CoverageTracker, QueryCoverage
+from .reward import CoverageIndex, CoverageTracker, QueryCoverage
 
 
 class _BaseTabularEnv(Environment):
@@ -40,11 +40,12 @@ class _BaseTabularEnv(Environment):
         config: ASQPConfig,
         rng: np.random.Generator,
         query_batch: Optional[Sequence[int]] = None,
+        coverage_index: Optional[CoverageIndex] = None,
     ) -> None:
         self.action_space = action_space
         self.config = config
         self.rng = rng
-        self.tracker = CoverageTracker(coverages)
+        self.tracker = CoverageTracker(coverages, coverage_index)
         self._fixed_batch = list(query_batch) if query_batch is not None else None
         self._weights = np.asarray(
             [max(c.weight, 1e-12) for c in coverages], dtype=np.float64
@@ -241,12 +242,20 @@ def make_environment(
     config: ASQPConfig,
     rng: np.random.Generator,
     query_batch: Optional[Sequence[int]] = None,
+    coverage_index: Optional[CoverageIndex] = None,
 ):
-    """Factory by ablation name ("gsl", "drp", "drp+gsl")."""
+    """Factory by ablation name ("gsl", "drp", "drp+gsl").
+
+    ``coverage_index`` lets several environments over the same requirement
+    rows share one immutable incidence structure.
+    """
     try:
         cls = _ENVIRONMENTS[name]
     except KeyError:
         raise ValueError(
             f"unknown environment {name!r}; choose from {sorted(_ENVIRONMENTS)}"
         ) from None
-    return cls(action_space, coverages, config, rng, query_batch=query_batch)
+    return cls(
+        action_space, coverages, config, rng,
+        query_batch=query_batch, coverage_index=coverage_index,
+    )

@@ -25,6 +25,7 @@ import numpy as np
 from ..obs.clock import perf_counter
 from ..db.database import Database
 from ..db.executor import execute
+from ..db.kernels import distinct_positions, factorize_key_pair
 from ..db.query import SPJQuery
 from ..db.sampling import variational_subsample
 from ..db.statistics import TableStats, compute_database_stats
@@ -65,21 +66,24 @@ class PreprocessResult:
         return len(self.representatives)
 
 
-def provenance_rows(db: Database, query: SPJQuery) -> list[tuple[TupleKey, ...]]:
-    """Distinct provenance requirements of a query's result on ``db``."""
+def provenance_ids(db: Database, query: SPJQuery) -> tuple[list[str], np.ndarray]:
+    """Distinct provenance of a query's result, columnar: the sorted table
+    names and an ``int64`` matrix of base row ids, one column per table and
+    one row per distinct result row (first occurrences, in result order)."""
     result = execute(db, query)
     tables = sorted(result.row_ids)
-    seen: set[tuple[TupleKey, ...]] = set()
-    rows: list[tuple[TupleKey, ...]] = []
     arrays = [result.row_ids[t] for t in tables]
-    for i in range(len(result)):
-        requirement = tuple(
-            (tables[j], int(arrays[j][i])) for j in range(len(tables))
-        )
-        if requirement not in seen:
-            seen.add(requirement)
-            rows.append(requirement)
-    return rows
+    keep = distinct_positions(arrays)
+    return tables, np.column_stack([array[keep] for array in arrays])
+
+
+def _as_rows(tables: list[str], ids: np.ndarray) -> list[tuple[TupleKey, ...]]:
+    return [tuple(zip(tables, row)) for row in ids.tolist()]
+
+
+def provenance_rows(db: Database, query: SPJQuery) -> list[tuple[TupleKey, ...]]:
+    """Distinct provenance requirements of a query's result on ``db``."""
+    return _as_rows(*provenance_ids(db, query))
 
 
 def build_coverage(
@@ -90,19 +94,60 @@ def build_coverage(
     rng: Optional[np.random.Generator] = None,
 ) -> QueryCoverage:
     """Execute ``query`` on the full data and record its Eq. 1 inputs."""
-    rows = provenance_rows(db, query)
-    denominator = min(frame_size, len(rows))
-    if len(rows) > MAX_REQUIREMENT_ROWS:
+    tables, ids = provenance_ids(db, query)
+    denominator = min(frame_size, len(ids))
+    if len(ids) > MAX_REQUIREMENT_ROWS:
         if rng is None:
             rng = np.random.default_rng(0)
-        picks = rng.choice(len(rows), size=MAX_REQUIREMENT_ROWS, replace=False)
-        rows = [rows[p] for p in sorted(picks)]
+        picks = rng.choice(len(ids), size=MAX_REQUIREMENT_ROWS, replace=False)
+        ids = ids[np.sort(picks)]
     return QueryCoverage(
         name=query.name or query.to_sql()[:60],
         weight=weight,
         denominator=denominator,
-        requirements=rows,
+        requirements=_as_rows(tables, ids),
     )
+
+
+class RowPool:
+    """Candidate action rows, columnar until :meth:`take` picks some: per
+    executed query, its :func:`provenance_ids` and its rows' source code."""
+
+    def __init__(self) -> None:
+        self._blocks: list[tuple[list[str], np.ndarray, int]] = []
+
+    def add(self, tables: list[str], ids: np.ndarray, source: int) -> None:
+        self._blocks.append((tables, ids, source))
+
+    def sources(self) -> np.ndarray:
+        """The source code of every pooled row."""
+        return np.repeat(
+            np.asarray([source for _, _, source in self._blocks], dtype=np.int64),
+            [len(ids) for _, ids, _ in self._blocks],
+        )
+
+    def take(
+        self, positions: np.ndarray
+    ) -> tuple[list[tuple[TupleKey, ...]], list[int]]:
+        """Rows and sources at ascending pool ``positions``, as tuples."""
+        rows: list[tuple[TupleKey, ...]] = []
+        sources: list[int] = []
+        start = 0
+        for tables, ids, source in self._blocks:
+            lo, hi = np.searchsorted(positions, [start, start + len(ids)])
+            rows += _as_rows(tables, ids[positions[lo:hi] - start])
+            sources += [source] * int(hi - lo)
+            start += len(ids)
+        return rows, sources
+
+
+def _rows_among(ids: np.ndarray, rows: Sequence[tuple[TupleKey, ...]]) -> np.ndarray:
+    """Mask of the ``ids`` rows found among ``rows`` (tuples over the same tables)."""
+    known = np.asarray([[row_id for _, row_id in row] for row in rows], dtype=np.int64)
+    codes, known_codes, _ = factorize_key_pair(
+        list(ids.T), list(known.reshape(-1, ids.shape[1]).T)
+    )
+    return np.isin(codes, known_codes)
 
 
 class _RowPositionIndex:
@@ -210,35 +255,36 @@ def preprocess(
     t0 = perf_counter()
     exact_rows: list[tuple[TupleKey, ...]] = []
     exact_sources: list[int] = []
-    extension_rows: list[tuple[TupleKey, ...]] = []
-    extension_sources: list[int] = []
+    extension = RowPool()
     for q, relaxed in enumerate(relaxed_reps):
+        # Set order, as ever: it decides which rows share an action.
         exact_set = set(coverages[q].requirements)
-        for row in exact_set:
-            exact_rows.append(row)
-            exact_sources.append(q)
-        for row in provenance_rows(db, relaxed):
-            if row not in exact_set:
-                extension_rows.append(row)
-                extension_sources.append(q)
+        exact_rows.extend(exact_set)
+        exact_sources.extend([q] * len(exact_set))
+        # Relaxation only rewrites the predicate, so both results span the
+        # same tables. Odd source codes keep extension rows grouped apart
+        # from exact rows of the same query, so one action is either "known
+        # result rows" or "generalization rows", never a dilution of both.
+        tables, ids = provenance_ids(db, relaxed)
+        extension.add(
+            tables, ids[~_rows_among(ids, coverages[q].requirements)], 2 * q + 1
+        )
     timings["execute_relaxed"] = perf_counter() - t0
 
     t0 = perf_counter()
     target_rows = config.action_space_target * config.group_size
     exact_target = int(round(target_rows * config.exact_row_share))
-    exact_sample = variational_subsample(exact_sources, exact_target, rng)
+    exact_sample = variational_subsample(
+        np.asarray(exact_sources, dtype=np.int64), exact_target, rng
+    )
     extension_sample = variational_subsample(
-        extension_sources, max(0, target_rows - len(exact_sample)), rng
+        extension.sources(), max(0, target_rows - len(exact_sample)), rng
     )
     kept_rows = [exact_rows[p] for p in exact_sample.positions]
     kept_sources = [2 * exact_sources[p] for p in exact_sample.positions]
-    kept_rows += [extension_rows[p] for p in extension_sample.positions]
-    # Odd source codes keep extension rows grouped separately from exact
-    # rows of the same query, so one action is either "known result rows"
-    # or "generalization rows", never a dilution of both.
-    kept_sources += [
-        2 * extension_sources[p] + 1 for p in extension_sample.positions
-    ]
+    extension_rows, extension_sources = extension.take(extension_sample.positions)
+    kept_rows += extension_rows
+    kept_sources += extension_sources
     actions = group_rows_into_actions(
         kept_rows, kept_sources, config.group_size, rng
     )

@@ -11,16 +11,16 @@ approximation set for that row to appear in ``q(S)``.
 leave the candidate set, how many result rows of each query are covered,
 and evaluates the Eq. 1 score over any batch of queries in O(1) per query.
 
-The tracker stores the key → result-row incidence as a **CSR structure**:
-all distinct keys are interned to dense ids, the incidence lists are
-flattened into one contiguous ``int64`` array indexed by per-key offsets,
-and the per-row missing counts / per-query covered counts / per-key
-refcounts live in flat numpy arrays. Batch :meth:`add_keys` /
-:meth:`remove_keys` updates are vectorized (``np.unique`` over the batch,
-``np.add.at`` scatter into the missing counts), an episode
-:meth:`reset` is an array copy, and :meth:`score_with_keys` restores the
-prior state from an array snapshot instead of replaying refcounts one key
-at a time. The pre-vectorization dict-of-lists implementation is retained
+The key → result-row incidence is an immutable **CSR structure**
+(:class:`CoverageIndex`, shareable between trackers): all distinct keys are
+interned to dense ids and the incidence lists are flattened into one
+contiguous ``int64`` array indexed by per-key offsets. A tracker's per-row
+missing counts / per-query covered counts / per-key refcounts live in flat
+numpy arrays. Batch :meth:`add_keys` / :meth:`remove_keys` updates are
+vectorized (``np.unique`` over the batch, ``np.add.at`` scatter into the
+missing counts), an episode :meth:`reset` is an array copy, and
+:meth:`score_with_keys` restores the prior state from an array snapshot
+instead of replaying refcounts one key at a time. The pre-vectorization dict-of-lists implementation is retained
 below as :class:`DictCoverageTracker` for differential testing and
 benchmarking.
 
@@ -75,60 +75,85 @@ class QueryCoverage:
         return self.denominator <= 0
 
 
-class CoverageTracker:
-    """Incremental covered-row counts for a set of query representatives.
+class CoverageIndex:
+    """Immutable CSR key → result-row incidence of a coverage list, shared
+    by every tracker over the same ``requirements`` (weights and
+    denominators are tracker state):
 
-    CSR incidence layout (built once in ``__init__``):
-
-    * ``_key_index`` interns every distinct tuple key to a dense id;
-    * ``_inc_rows[_inc_offsets[k]:_inc_offsets[k + 1]]`` lists the global
+    * ``key_index`` interns every distinct tuple key to a dense id;
+    * ``inc_rows[inc_offsets[k]:inc_offsets[k + 1]]`` lists the global
       result-row ids requiring key ``k`` (rows are numbered contiguously
-      across queries; ``_row_query`` maps a row back to its query);
-    * ``_missing[row]`` counts the row's absent required keys,
-      ``_covered[q]`` the rows of query ``q`` with nothing missing, and
-      ``_present[k]`` the refcount of key ``k`` (DRP removes tuples).
+      across queries; ``row_query`` maps a row back to its query);
+    * ``initial_missing[row]`` counts the row's distinct required keys and
+      ``initial_covered[q]`` the rows of query ``q`` requiring none.
     """
 
     def __init__(self, coverages: Sequence[QueryCoverage]) -> None:
-        self.coverages = list(coverages)
-        n_queries = len(self.coverages)
-        row_counts = np.asarray(
-            [len(c.requirements) for c in self.coverages], dtype=np.int64
+        n_queries = len(coverages)
+        self.row_counts = np.asarray(
+            [len(c.requirements) for c in coverages], dtype=np.int64
         )
-        self._row_query = np.repeat(np.arange(n_queries, dtype=np.int64), row_counts)
-        row_offsets = np.concatenate([[0], np.cumsum(row_counts)])
+        self.row_query = np.repeat(np.arange(n_queries, dtype=np.int64), self.row_counts)
+        row_offsets = np.concatenate([[0], np.cumsum(self.row_counts)])
 
-        self._key_index: dict[TupleKey, int] = {}
+        self.key_index: dict[TupleKey, int] = {}
         inc_keys: list[int] = []
         inc_rows: list[int] = []
         initial_missing = np.zeros(int(row_offsets[-1]), dtype=np.int64)
-        for q, coverage in enumerate(self.coverages):
+        for q, coverage in enumerate(coverages):
             base = int(row_offsets[q])
             for r, requirement in enumerate(coverage.requirements):
                 distinct = set(requirement)
                 initial_missing[base + r] = len(distinct)
                 for key in distinct:
-                    kid = self._key_index.setdefault(key, len(self._key_index))
+                    kid = self.key_index.setdefault(key, len(self.key_index))
                     inc_keys.append(kid)
                     inc_rows.append(base + r)
 
-        n_keys = len(self._key_index)
+        n_keys = len(self.key_index)
         inc_key_arr = np.asarray(inc_keys, dtype=np.int64)
         inc_row_arr = np.asarray(inc_rows, dtype=np.int64)
         order = np.argsort(inc_key_arr, kind="stable")
-        self._inc_rows = inc_row_arr[order]
-        self._inc_offsets = np.concatenate(
+        self.inc_rows = inc_row_arr[order]
+        self.inc_offsets = np.concatenate(
             [[0], np.cumsum(np.bincount(inc_key_arr, minlength=n_keys))]
         ).astype(np.int64)
 
-        self._initial_missing = initial_missing
-        self._missing = initial_missing.copy()
+        self.initial_missing = initial_missing
         # Rows with no requirements (shouldn't happen) start covered.
-        self._initial_covered = np.bincount(
-            self._row_query[initial_missing == 0], minlength=n_queries
+        self.initial_covered = np.bincount(
+            self.row_query[initial_missing == 0], minlength=n_queries
         ).astype(np.int64)
-        self._covered = self._initial_covered.copy()
-        self._present = np.zeros(n_keys, dtype=np.int64)
+
+
+class CoverageTracker:
+    """Incremental covered-row counts for a set of query representatives.
+
+    Owns only the mutable state over a :class:`CoverageIndex` (built here
+    unless the caller shares one): ``_missing[row]`` counts the row's absent
+    required keys, ``_covered[q]`` the rows of query ``q`` with nothing
+    missing, ``_present[k]`` the refcount of key ``k`` (DRP removes tuples);
+    plus the Eq. 1 weights and denominators of *its* ``coverages``.
+    """
+
+    def __init__(
+        self,
+        coverages: Sequence[QueryCoverage],
+        index: Optional[CoverageIndex] = None,
+    ) -> None:
+        self.coverages = list(coverages)
+        if index is None:
+            index = CoverageIndex(self.coverages)
+        elif [len(c.requirements) for c in self.coverages] != index.row_counts.tolist():
+            raise ValueError("coverage index was built for other coverages")
+        self.index = index
+        self._key_index = index.key_index
+        self._inc_rows = index.inc_rows
+        self._inc_offsets = index.inc_offsets
+        self._row_query = index.row_query
+        self._missing = index.initial_missing.copy()
+        self._covered = index.initial_covered.copy()
+        self._present = np.zeros(len(index.key_index), dtype=np.int64)
 
         self._weights = np.asarray([c.weight for c in self.coverages], dtype=np.float64)
         denoms = np.asarray([c.denominator for c in self.coverages], dtype=np.float64)
@@ -146,13 +171,10 @@ class CoverageTracker:
     def reset(self) -> None:
         """Remove all present tuples (start of an episode)."""
         self._present[:] = 0
-        self._missing[:] = self._initial_missing
-        self._covered[:] = self._initial_covered
+        self._missing[:] = self.index.initial_missing
+        self._covered[:] = self.index.initial_covered
 
     # -------------------------------------------------------------- #
-    def _key_id(self, key: TupleKey) -> Optional[int]:
-        return self._key_index.get(key)
-
     def add_key(self, key: TupleKey) -> None:
         kid = self._key_index.get(key)
         if kid is None:

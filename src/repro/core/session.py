@@ -99,7 +99,7 @@ class ASQPSession:
         estimator = AnswerabilityEstimator(
             embedder=prep.query_embedder,
             representative_embeddings=prep.representative_embeddings,
-            training_scores=self.model.training_scores(),
+            training_scores=self.model.training_scores(self.approximation_set),
             threshold=self.config.answerable_threshold,
             calibration_embeddings=prep.training_embeddings,
         )

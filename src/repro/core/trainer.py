@@ -35,12 +35,13 @@ from .environment import make_environment
 from .inference import generate_approximation_set
 from .preprocess import (
     PreprocessResult,
+    RowPool,
     build_coverage,
     embed_actions,
     preprocess,
-    provenance_rows,
+    provenance_ids,
 )
-from .reward import QueryCoverage
+from .reward import CoverageIndex, CoverageTracker, QueryCoverage
 
 
 @dataclass
@@ -101,6 +102,20 @@ class TrainedModel:
     history: list[IterationRecord] = field(default_factory=list)
     setup_seconds: float = 0.0
     fine_tune_count: int = 0
+    _coverage_index: Optional[CoverageIndex] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def coverage_index(self) -> CoverageIndex:
+        """The CSR incidence of ``coverages``, built once and shared.
+
+        Training environments, :meth:`approximation_set` and
+        :meth:`training_scores` all track the same requirement rows;
+        :meth:`fine_tune` drops the index when it extends ``coverages``.
+        """
+        if self._coverage_index is None:
+            self._coverage_index = CoverageIndex(self.coverages)
+        return self._coverage_index
 
     # -------------------------------------------------------------- #
     def approximation_set(
@@ -142,9 +157,7 @@ class TrainedModel:
                 )
         if len(candidates) == 1:
             return candidates[0]
-        from .reward import CoverageTracker
-
-        tracker = CoverageTracker(self.coverages)
+        tracker = CoverageTracker(self.coverages, self.coverage_index())
         best = candidates[0]
         best_score = -1.0
         for candidate in candidates:
@@ -159,16 +172,20 @@ class TrainedModel:
     ) -> Database:
         return self.approximation_set(requested_size).to_database(self.db)
 
-    def training_scores(self) -> np.ndarray:
+    def training_scores(
+        self, approximation_set: Optional[ApproximationSet] = None
+    ) -> np.ndarray:
         """Eq. 1 term of each training representative under the final set.
 
         Feeds the answerability estimator: the model's observed quality on
-        the queries it was trained on.
+        the queries it was trained on. Callers that already generated
+        :meth:`approximation_set` pass it in; it reseeds on every call, so
+        regenerating it here would roll out the same set again.
         """
-        from .reward import CoverageTracker
-
-        tracker = CoverageTracker(self.coverages)
-        tracker.add_keys(self.approximation_set().keys())
+        if approximation_set is None:
+            approximation_set = self.approximation_set()
+        tracker = CoverageTracker(self.coverages, self.coverage_index())
+        tracker.add_keys(approximation_set.keys())
         return np.asarray(
             [tracker.query_score(q) for q in range(tracker.n_queries)]
         )
@@ -228,26 +245,24 @@ class TrainedModel:
         ]
         weight = 1.0 / max(1, len(self.coverages))
 
-        pool_rows, pool_sources = [], []
+        pool = RowPool()
         new_coverages: list[QueryCoverage] = []
         base_query_index = len(self.coverages)
         for offset, query in enumerate(spj_queries):
-            relaxed = relaxer.relax(query)
-            rows = provenance_rows(self.db, relaxed)
-            pool_rows.extend(rows)
-            pool_sources.extend([base_query_index + offset] * len(rows))
+            tables, ids = provenance_ids(self.db, relaxer.relax(query))
+            pool.add(tables, ids, base_query_index + offset)
             new_coverages.append(
                 build_coverage(self.db, query, weight, config.frame_size, rng)
             )
 
-        if pool_rows:
+        pool_sources = pool.sources()
+        if pool_sources.size:
             target = max(
                 config.group_size,
                 int(config.action_space_target * config.group_size * 0.25),
             )
             sample = variational_subsample(pool_sources, target, rng)
-            kept_rows = [pool_rows[p] for p in sample.positions]
-            kept_sources = [pool_sources[p] for p in sample.positions]
+            kept_rows, kept_sources = pool.take(sample.positions)
             new_actions = group_rows_into_actions(
                 kept_rows, kept_sources, config.group_size, rng
             )
@@ -257,6 +272,7 @@ class TrainedModel:
                 self.agent.expand_action_space(len(self.action_space))
 
         self.coverages.extend(new_coverages)
+        self._coverage_index = None  # built for the shorter list
         new_indices = list(range(base_query_index, len(self.coverages)))
         # Extend the estimator inputs too.
         new_embeddings = prep.query_embedder.embed_workload(spj_queries)
@@ -314,6 +330,9 @@ def run_training_loop(
                 boosted.append(coverage)
         coverages = boosted
 
+    # The x4 boost changes weights only, so boosted and plain coverages (and
+    # all n_actors environments) share the model's one incidence index.
+    coverage_index = model.coverage_index()
     env_seed_sequence = np.random.SeedSequence(int(rng.integers(0, 2**31)))
     env_seeds = iter(env_seed_sequence.spawn(1024))
 
@@ -324,6 +343,7 @@ def run_training_loop(
             coverages,
             config,
             np.random.default_rng(next(env_seeds)),
+            coverage_index=coverage_index,
         )
 
     specs = make_actor_specs(config.n_actors, seed=int(rng.integers(0, 2**31)))

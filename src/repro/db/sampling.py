@@ -11,6 +11,7 @@ baseline) can rescale aggregate answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -90,36 +91,43 @@ def variational_subsample(
             inclusion_probability=np.ones(n, dtype=np.float64),
         )
 
-    strata: dict[Hashable, list[int]] = {}
-    for position, key in enumerate(keys):
-        strata.setdefault(key, []).append(position)
-
+    if not (isinstance(keys, np.ndarray) and keys.dtype.kind in "iu"):
+        # Intern to first positions with Python's ==/hash; map() runs the
+        # dict lookups at C level, without a frame per key.
+        first: dict[Hashable, int] = {}
+        keys = np.fromiter(map(first.setdefault, keys, count()), dtype=np.int64, count=n)
+    # Strata: ascending member positions, in first-occurrence order (the
+    # order the rng.choice calls below are issued in).
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    strata = sorted(
+        np.split(order, np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1),
+        key=lambda members: members[0],
+    )
     # Allocate the budget proportionally to sqrt(stratum size): small strata
     # are over-represented relative to their population share, which is the
     # behaviour the paper relies on (tuples from small query results matter
     # more, challenge C3).
-    sizes = {key: len(positions) for key, positions in strata.items()}
-    weights = {key: np.sqrt(size) for key, size in sizes.items()}
-    total_weight = sum(weights.values())
+    weights = [np.sqrt(len(members)) for members in strata]
+    total_weight = sum(weights)
 
-    positions_out: list[int] = []
-    probabilities: list[float] = []
-    for key, members in strata.items():
+    picked: list[np.ndarray] = []
+    probabilities: list[np.ndarray] = []
+    for members, weight in zip(strata, weights):
+        size = len(members)
         quota = max(
-            min(min_per_stratum, sizes[key]),
-            int(round(target_size * weights[key] / total_weight)),
+            min(min_per_stratum, size),
+            int(round(target_size * weight / total_weight)),
         )
-        quota = min(quota, sizes[key])
-        member_array = np.asarray(members, dtype=np.int64)
-        picked = rng.choice(member_array, size=quota, replace=False)
-        probability = quota / sizes[key]
-        positions_out.extend(int(p) for p in picked)
-        probabilities.extend([probability] * quota)
+        quota = min(quota, size)
+        picked.append(rng.choice(members, size=quota, replace=False))
+        probabilities.append(np.full(quota, quota / size))
 
-    order = np.argsort(positions_out)
+    positions = np.concatenate(picked)
+    order = np.argsort(positions)
     return SubsampleResult(
-        positions=np.asarray(positions_out, dtype=np.int64)[order],
-        inclusion_probability=np.asarray(probabilities, dtype=np.float64)[order],
+        positions=positions[order],
+        inclusion_probability=np.concatenate(probabilities)[order],
     )
 
 

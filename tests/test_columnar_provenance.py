@@ -1,0 +1,214 @@
+"""Columnar provenance must reproduce the per-row pipeline exactly.
+
+``provenance_rows`` / ``build_coverage`` / ``variational_subsample`` were
+per-row Python loops; the loop versions live on here as the references the
+vectorized ones are compared against — same rows, same order, same rng
+draws — and a golden hash pins a whole seeded ``preprocess()`` run.
+"""
+
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import repro
+from repro.core import ASQPConfig, build_coverage, preprocess, provenance_rows
+from repro.db import execute, sql, variational_subsample
+
+# ``repro.core.preprocess`` the attribute is the function of that name.
+preprocess_module = sys.modules["repro.core.preprocess"]
+
+
+# ------------------------------------------------------------------ #
+# references: the loops as they were before the columnar rewrite
+# ------------------------------------------------------------------ #
+def reference_provenance_rows(db, query):
+    result = execute(db, query)
+    tables = sorted(result.row_ids)
+    arrays = [result.row_ids[t] for t in tables]
+    seen, rows = set(), []
+    for i in range(len(result)):
+        requirement = tuple((tables[j], int(arrays[j][i])) for j in range(len(tables)))
+        if requirement not in seen:
+            seen.add(requirement)
+            rows.append(requirement)
+    return rows
+
+
+def reference_capped_rows(db, query, cap, rng):
+    rows = reference_provenance_rows(db, query)
+    if len(rows) > cap:
+        picks = rng.choice(len(rows), size=cap, replace=False)
+        rows = [rows[p] for p in sorted(picks)]
+    return rows
+
+
+def reference_subsample(keys, target_size, rng):
+    n = len(keys)
+    if n == 0 or target_size <= 0:
+        return [], []
+    if target_size >= n:
+        return list(range(n)), [1.0] * n
+    strata = {}
+    for position, key in enumerate(keys):
+        strata.setdefault(key, []).append(position)
+    weights = {key: np.sqrt(len(members)) for key, members in strata.items()}
+    total_weight = sum(weights.values())
+    positions, probabilities = [], []
+    for key, members in strata.items():
+        quota = max(
+            min(1, len(members)), int(round(target_size * weights[key] / total_weight))
+        )
+        quota = min(quota, len(members))
+        picked = rng.choice(np.asarray(members, dtype=np.int64), size=quota, replace=False)
+        positions.extend(int(p) for p in picked)
+        probabilities.extend([quota / len(members)] * quota)
+    order = np.argsort(positions)
+    return [positions[i] for i in order], [probabilities[i] for i in order]
+
+
+# ------------------------------------------------------------------ #
+EXTRA_SQL = {
+    "tiny_imdb": [
+        # duplicate-producing projections, multi-way joins, empty results
+        "SELECT DISTINCT title.production_year FROM title, cast_info "
+        "WHERE title.id = cast_info.movie_id",
+        "SELECT company.country_code FROM title, movie_companies, company "
+        "WHERE title.id = movie_companies.movie_id "
+        "AND movie_companies.company_id = company.id LIMIT 40",
+        "SELECT * FROM title WHERE title.production_year > 9999",
+    ],
+    "tiny_mas": [
+        "SELECT DISTINCT venue.area FROM publication, venue "
+        "WHERE publication.venue_id = venue.id",
+        "SELECT * FROM publication, venue WHERE publication.venue_id = venue.id "
+        "AND publication.year > 9999",
+    ],
+    "tiny_flights": [
+        "SELECT DISTINCT flights.origin FROM flights, carriers "
+        "WHERE flights.carrier = carriers.code",
+        "SELECT * FROM flights WHERE flights.distance < 0",
+    ],
+}
+
+
+@pytest.mark.parametrize("bundle_name", sorted(EXTRA_SQL))
+def test_provenance_rows_match_per_row_reference(bundle_name, request):
+    bundle = request.getfixturevalue(bundle_name)
+    queries = list(bundle.workload.spj_only().queries)
+    queries += [sql(text) for text in EXTRA_SQL[bundle_name]]
+    assert max(len(q.tables) for q in queries) >= 2
+    sizes = []
+    for query in queries:
+        rows = provenance_rows(bundle.db, query)
+        assert rows == reference_provenance_rows(bundle.db, query), query.to_sql()
+        assert all(type(row_id) is int for row in rows for _, row_id in row)
+        sizes.append(len(rows))
+    assert 0 in sizes and max(sizes) > 20
+
+
+def test_duplicate_provenance_keeps_first_occurrences(monkeypatch, mini_db):
+    """Repeated (table, row id) combinations collapse, first one wins."""
+    rng = np.random.default_rng(5)
+    row_ids = {
+        "movies": rng.integers(0, 4, size=200),
+        "cast_info": rng.integers(0, 3, size=200),
+    }
+    monkeypatch.setattr(
+        preprocess_module, "execute", lambda db, query: SimpleNamespace(row_ids=row_ids)
+    )
+    seen, expected = set(), []
+    for cast, movie in zip(row_ids["cast_info"].tolist(), row_ids["movies"].tolist()):
+        if (cast, movie) not in seen:
+            seen.add((cast, movie))
+            expected.append((("cast_info", cast), ("movies", movie)))
+    assert len(expected) == 12
+    assert provenance_rows(mini_db, sql("SELECT * FROM movies")) == expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_build_coverage_cap_draws_the_same_rows(monkeypatch, tiny_imdb, seed):
+    monkeypatch.setattr(preprocess_module, "MAX_REQUIREMENT_ROWS", 7)
+    for query in tiny_imdb.workload.spj_only().queries:
+        coverage = build_coverage(
+            tiny_imdb.db, query, 0.5, frame_size=10, rng=np.random.default_rng(seed)
+        )
+        expected = reference_capped_rows(
+            tiny_imdb.db, query, 7, np.random.default_rng(seed)
+        )
+        assert coverage.requirements == expected
+        full = len(reference_provenance_rows(tiny_imdb.db, query))
+        assert coverage.denominator == min(10, full)
+        assert len(coverage.requirements) == min(7, full)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_subsample_int_array_matches_list_and_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    keys = rng.integers(0, int(rng.integers(1, 12)), size=n) * 2 + (seed % 2)
+    target = int(rng.integers(0, n + 5))
+    from_array = variational_subsample(keys, target, np.random.default_rng(seed))
+    from_list = variational_subsample(keys.tolist(), target, np.random.default_rng(seed))
+    positions, probabilities = reference_subsample(
+        keys.tolist(), target, np.random.default_rng(seed)
+    )
+    for result in (from_array, from_list):
+        assert result.positions.dtype == np.int64
+        assert result.positions.tolist() == positions
+        assert result.inclusion_probability.tolist() == probabilities
+    # ... and both leave the generator in the same state.
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    variational_subsample(keys, target, a)
+    reference_subsample(keys.tolist(), target, b)
+    assert a.integers(0, 2**31) == b.integers(0, 2**31)
+
+
+# ------------------------------------------------------------------ #
+GOLDEN_SCRIPT = """
+import hashlib
+from repro.core import ASQPConfig, preprocess
+from repro.datasets import load_imdb
+bundle = load_imdb(scale=0.1, n_queries=20, n_aggregate_queries=8)
+config = ASQPConfig(memory_budget=60, action_space_target=40,
+                    n_query_representatives=5, seed=3)
+prep = preprocess(bundle.db, bundle.workload, config)
+keys = [(action.keys, action.source_query) for action in prep.action_space]
+print(hashlib.sha1(repr(keys).encode()).hexdigest())
+"""
+
+#: SHA-1 of the action space of the commit before the columnar rewrite, per
+#: hash seed (the exact rows are still iterated in ``set`` order).
+GOLDEN_ACTION_KEYS = {
+    "0": "1d9f2c740b8b849a58ac3dcf286bce66a2f66043",
+    "1": "8fca948828f71b7dd516fb5c634d92cdb4296faa",
+}
+
+
+@pytest.mark.parametrize("hash_seed", sorted(GOLDEN_ACTION_KEYS))
+def test_preprocess_action_space_golden(hash_seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", GOLDEN_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == GOLDEN_ACTION_KEYS[hash_seed]
+
+
+def test_preprocess_work_is_inside_a_timed_stage(tiny_imdb):
+    """The benchmark cross-checks the stage sum against its own span."""
+    config = ASQPConfig(
+        memory_budget=60, action_space_target=40, n_query_representatives=5, seed=3
+    )
+    start = preprocess_module.perf_counter()
+    prep = preprocess(tiny_imdb.db, tiny_imdb.workload, config)
+    total = preprocess_module.perf_counter() - start
+    assert set(prep.timings) == {
+        "stats", "query_preprocessing", "coverage", "execute_relaxed",
+        "build_action_space",
+    }
+    assert sum(prep.timings.values()) == pytest.approx(total, rel=0.1)

@@ -204,6 +204,25 @@ class TestFineTune:
         assert model.agent.n_actions == len(model.action_space)
         assert model.fine_tune_count == 1
 
+    def test_fine_tune_rebuilds_the_coverage_index(self, tiny_imdb):
+        """A stale index (built for the shorter list) must not survive."""
+        config = _tiny_config(fine_tune_iterations=1)
+        model = ASQPTrainer(tiny_imdb.db, tiny_imdb.workload, config).train()
+        before = model.coverage_index()
+        assert model.coverage_index() is before  # one index, reused
+        assert len(model.training_scores()) == len(model.coverages)
+        model.fine_tune([sql("SELECT * FROM person WHERE person.gender = 'f'")])
+        after = model.coverage_index()
+        assert after is not before
+        assert len(after.row_counts) == len(model.coverages) == len(before.row_counts) + 1
+        # Scores over the shared index equal a from-scratch tracker's.
+        approx = model.approximation_set()
+        fresh = CoverageTracker(model.coverages)
+        fresh.add_keys(approx.keys())
+        expected = [fresh.query_score(q) for q in range(fresh.n_queries)]
+        assert model.training_scores(approx).tolist() == expected
+        assert model.training_scores().tolist() == expected
+
     def test_fine_tune_empty_noop(self, trained):
         count = trained.fine_tune_count
         trained.fine_tune([])

@@ -15,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reward import CoverageTracker, DictCoverageTracker, QueryCoverage
+from repro.core.reward import (
+    CoverageIndex,
+    CoverageTracker,
+    DictCoverageTracker,
+    QueryCoverage,
+)
 from repro.db import kernels
 
 # ------------------------------------------------------------------ #
@@ -186,11 +191,7 @@ def _assert_trackers_agree(csr: CoverageTracker, ref: DictCoverageTracker):
         assert csr.query_score(q) == pytest.approx(ref.query_score(q))
 
 
-@given(coverages=_coverages(), program=_PROGRAM_OPS)
-@settings(max_examples=120, deadline=None)
-def test_csr_tracker_matches_dict_tracker(coverages, program):
-    csr = CoverageTracker(coverages)
-    ref = DictCoverageTracker(coverages)
+def _run_program(csr: CoverageTracker, ref: DictCoverageTracker, program):
     for op, keys in program:
         if op == "add":
             for key in keys:
@@ -224,6 +225,60 @@ def test_csr_tracker_matches_dict_tracker(coverages, program):
             )
             assert probe == pytest.approx(ref_probe)
         _assert_trackers_agree(csr, ref)
+
+
+@given(coverages=_coverages(), program=_PROGRAM_OPS)
+@settings(max_examples=120, deadline=None)
+def test_csr_tracker_matches_dict_tracker(coverages, program):
+    _run_program(CoverageTracker(coverages), DictCoverageTracker(coverages), program)
+
+
+@given(coverages=_coverages(), program=_PROGRAM_OPS, other=_PROGRAM_OPS)
+@settings(max_examples=120, deadline=None)
+def test_shared_index_trackers_are_independent(coverages, program, other):
+    """Trackers over one CoverageIndex each behave like a tracker alone:
+    running another program on a sibling in between changes nothing."""
+    index = CoverageIndex(coverages)
+    first = CoverageTracker(coverages, index)
+    second = CoverageTracker(coverages, index)
+    assert first.index is second.index is index
+    second_ref = DictCoverageTracker(coverages)
+    _run_program(second, second_ref, other)
+    _run_program(first, DictCoverageTracker(coverages), program)
+    _assert_trackers_agree(second, second_ref)
+    second.reset()
+    first.reset()
+    np.testing.assert_array_equal(index.initial_missing, first._missing)
+    np.testing.assert_array_equal(first.covered_counts(), index.initial_covered)
+
+
+@given(coverages=_coverages(), keys=st.lists(st.sampled_from(_KEYS), max_size=15),
+       boosted=st.sets(st.integers(0, 3)))
+@settings(max_examples=80, deadline=None)
+def test_boosted_weights_on_shared_index(coverages, keys, boosted):
+    """The fine-tune weight boost is tracker state: sharing the plain
+    coverages' index scores exactly like rebuilding from the boosted ones."""
+    lifted = [
+        QueryCoverage(c.name, c.weight * 4.0, c.denominator, c.requirements)
+        if q in boosted else c
+        for q, c in enumerate(coverages)
+    ]
+    shared = CoverageTracker(lifted, CoverageIndex(coverages))
+    rebuilt = CoverageTracker(lifted)
+    plain = CoverageTracker(coverages, shared.index)
+    for tracker in (shared, rebuilt, plain):
+        tracker.add_keys(keys)
+    assert shared.batch_score() == rebuilt.batch_score()
+    assert shared.batch_score([0]) == rebuilt.batch_score([0])
+    np.testing.assert_array_equal(shared.covered_counts(), plain.covered_counts())
+    assert plain.batch_score() == CoverageTracker(coverages).score_with_keys(keys)
+
+
+def test_index_for_other_coverages_is_refused():
+    one = [QueryCoverage("q", 1.0, 1, [(("t", 1),)])]
+    two = one + [QueryCoverage("r", 1.0, 1, [(("t", 2),)])]
+    with pytest.raises(ValueError, match="other coverages"):
+        CoverageTracker(two, CoverageIndex(one))
 
 
 @given(coverages=_coverages(), batch=st.lists(st.sampled_from(_KEYS), max_size=15))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.core.trainer as trainer_module
 from repro.core import (
     ASQPConfig,
+    ASQPSession,
     ASQPSystem,
     WorkloadGenerator,
     generate_workload,
@@ -117,6 +119,29 @@ class TestSession:
         approx_keys = set(run(session.approx_db, query).tuple_keys())
         full_keys = set(run(session.model.db, query).tuple_keys())
         assert approx_keys <= full_keys
+
+
+class TestSessionRollouts:
+    def test_open_and_refresh_roll_the_policy_out_once(self, session, monkeypatch):
+        """The estimator scores the set the session already generated."""
+        rollouts = []
+        generate = trainer_module.generate_approximation_set
+
+        def counting(*args, **kwargs):
+            rollouts.append(kwargs["greedy"])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "generate_approximation_set", counting)
+        model = session.model
+        per_set = model.config.n_candidate_rollouts + 1
+        opened = ASQPSession(model, auto_fine_tune=False)
+        assert len(rollouts) == per_set
+        opened.refresh()
+        assert len(rollouts) == 2 * per_set
+        assert opened.approximation_set.keys() == model.approximation_set().keys()
+        np.testing.assert_array_equal(
+            opened.estimator.scores, model.training_scores()
+        )
 
 
 class TestSessionDrift:
