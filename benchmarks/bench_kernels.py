@@ -4,7 +4,10 @@ Times each hot-path kernel — equi-join, stable distinct, group-by, the
 CoverageIndex build and the CoverageTracker batch add/remove/probe
 operations — on seeded synthetic data, against the retained
 pre-vectorization reference implementations (``repro.db.kernels.reference_*`` and
-``repro.core.reward.DictCoverageTracker``). Writes ``BENCH_kernels.json``
+``repro.core.reward.DictCoverageTracker``), plus the two halves of a
+training iteration at figure scale (|A| = 800): the lock-step rollout
+collector against one actor at a time, and the PPO minibatch update (no
+retained reference). Writes ``BENCH_kernels.json``
 so the performance trajectory of these kernels is tracked in-repo.
 
 Usage::
@@ -35,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.core import Action, ActionSpace, ASQPConfig, GSLEnvironment
 from repro.core.reward import (
     CoverageIndex,
     CoverageTracker,
@@ -43,6 +47,15 @@ from repro.core.reward import (
 )
 from repro.db import kernels
 from repro.db import parallel as db_parallel
+from repro.rl import (
+    ActorNetwork,
+    CriticNetwork,
+    MultiActorCollector,
+    PPOUpdater,
+    RolloutBatch,
+    RolloutBuffer,
+    make_actor_specs,
+)
 
 #: Speedups the tentpole must hold at the 10k-row profile (join and the
 #: coverage hot paths are the acceptance-gated kernels; distinct/group and
@@ -66,6 +79,9 @@ PROFILES = {
 }
 
 N_ROWS = 10_000
+
+#: Action-space size of the rl rows: the figure-scale fit's (|A| = 828).
+N_ACTIONS = 800
 
 #: Row count for the column-store / parallel-scaling sections — big enough
 #: to clear the morsel floor (``REPRO_PARALLEL_MIN_ROWS``, default 32768)
@@ -186,18 +202,77 @@ def _run_coverage_probes(tracker, batches) -> None:
         tracker.score_with_keys(added)
 
 
+def _rollout_fixture(coverages, rng: np.random.Generator) -> MultiActorCollector:
+    """8 logical actors on a GSL environment of ``N_ACTIONS`` 8-tuple groups
+    sharing one coverage index, the way ``run_training_loop`` builds them;
+    the budget ends an episode after ~50 steps."""
+    universe = sorted({key for c in coverages for row in c.requirements for key in row})
+    actions = [
+        Action(
+            keys=tuple(universe[int(p)] for p in rng.integers(0, len(universe), size=8)),
+            source_query=a % len(coverages),
+        )
+        for a in range(N_ACTIONS)
+    ]
+    space = ActionSpace(actions, embedding_dim=8)
+    config = ASQPConfig(memory_budget=400, query_batch_size=16, seed=0)
+    index = CoverageIndex(coverages)
+    env_seeds = iter(np.random.SeedSequence(3).spawn(8))
+    return MultiActorCollector(
+        lambda: GSLEnvironment(
+            space, coverages, config, np.random.default_rng(next(env_seeds)),
+            coverage_index=index,
+        ),
+        ActorNetwork(N_ACTIONS, rng),
+        CriticNetwork(N_ACTIONS, rng),
+        make_actor_specs(8, seed=5),
+    )
+
+
+def _collect_one_actor_at_a_time(collector: MultiActorCollector) -> None:
+    """The collector before it was batched: every actor in turn, one forward
+    pass of each network and one draw per step."""
+    for env, spec in zip(collector.environments, collector.specs):
+        state, mask = env.reset()
+        done = False
+        while not done and mask.any():
+            decision = collector.actor.sample(state, mask, spec.rng, spec.temperature)
+            collector.critic.value(state[None, :])
+            state, _, done, mask = env.step(decision.action)
+
+
+def _update_fixture(rng: np.random.Generator) -> tuple[PPOUpdater, RolloutBatch]:
+    """Actor + critic (hidden 128/64) and one 64-row batch of mid-episode
+    states (~11% of the actions taken, those masked), so ``update`` is its
+    four epochs of exactly one minibatch each."""
+    actor, critic = ActorNetwork(N_ACTIONS, rng), CriticNetwork(N_ACTIONS, rng)
+    taken = rng.random((64, N_ACTIONS)) < 0.11
+    actions = np.asarray([int(rng.choice(np.flatnonzero(~row))) for row in taken])
+    states = taken.astype(np.float64)
+    batch = RolloutBatch(
+        states=states,
+        actions=actions,
+        old_log_probs=actor.log_probs(states, ~taken)[np.arange(64), actions],
+        returns=rng.standard_normal(64),
+        advantages=rng.standard_normal(64),
+        masks=~taken,
+    )
+    return PPOUpdater(actor, critic, rng=rng), batch
+
+
 # ------------------------------------------------------------------ #
 def run_benchmarks(profile: str) -> dict:
     repeats = PROFILES[profile]["repeats"]
     record: dict = {"profile": profile, "rows": N_ROWS, "kernels": {}}
 
     def measure(name: str, reference, vectorized, units: int) -> None:
-        ref_s = _best_of(reference, repeats)
+        """``reference`` is None for a row with no retained reference."""
+        ref_s = _best_of(reference, repeats) if reference is not None else None
         vec_s = _best_of(vectorized, repeats)
         record["kernels"][name] = {
             "reference_s": ref_s,
             "vectorized_s": vec_s,
-            "speedup": ref_s / vec_s if vec_s > 0 else float("inf"),
+            "speedup": ref_s / vec_s if ref_s is not None and vec_s > 0 else None,
             "units_per_s": units / vec_s if vec_s > 0 else float("inf"),
         }
 
@@ -269,6 +344,23 @@ def run_benchmarks(profile: str) -> dict:
         lambda: _run_coverage_probes(legacy, batches),
         lambda: _run_coverage_probes(csr, batches),
         units=sum(len(a) for a, _ in batches),
+    )
+
+    collector = _rollout_fixture(coverages, rng)
+    buffer = RolloutBuffer()
+    collector.collect(1, buffer)  # also warms the shared interned-action memo
+    measure(
+        "rollout_collect",
+        lambda: _collect_one_actor_at_a_time(collector),
+        lambda: collector.collect(1, RolloutBuffer()),
+        units=len(buffer),
+    )
+    updater, batch = _update_fixture(rng)
+    measure(
+        "ppo_minibatch_update",
+        None,
+        lambda: updater.update(batch),
+        units=len(batch) * updater.config.update_epochs,
     )
     return record
 
@@ -904,6 +996,9 @@ def main(argv=None) -> int:
     width = max(len(name) for name in record["kernels"])
     print(f"{'kernel'.ljust(width)}  reference    vectorized   speedup")
     for name, entry in record["kernels"].items():
+        if entry["reference_s"] is None:
+            print(f"{name.ljust(width)}  {'-':>12}  {entry['vectorized_s'] * 1e3:9.3f} ms")
+            continue
         print(
             f"{name.ljust(width)}  {entry['reference_s'] * 1e3:9.3f} ms"
             f"  {entry['vectorized_s'] * 1e3:9.3f} ms"

@@ -80,13 +80,13 @@ class _BaseTabularEnv(Environment):
         self.selected[action] = True
         keys = self.action_space.keys_of(action)
         self.approx.add_keys(keys)
-        self.tracker.add_keys(keys)
+        self.tracker.add_keys(self.tracker.index.interned(keys))
 
     def _apply_remove(self, action: int) -> None:
         self.selected[action] = False
         keys = self.action_space.keys_of(action)
         self.approx.remove_keys(keys)
-        self.tracker.remove_keys(keys)
+        self.tracker.remove_keys(self.tracker.index.interned(keys))
 
     def _reset_selection(self) -> None:
         self.selected[:] = False

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,6 +73,14 @@ class QueryCoverage:
     @property
     def is_empty(self) -> bool:
         return self.denominator <= 0
+
+
+class InternedKeys(NamedTuple):
+    """A key batch as a :class:`CoverageIndex` sees it: the distinct dense
+    ids of its known keys and each one's multiplicity."""
+
+    ids: np.ndarray
+    counts: np.ndarray
 
 
 class CoverageIndex:
@@ -124,6 +132,32 @@ class CoverageIndex:
         self.initial_covered = np.bincount(
             self.row_query[initial_missing == 0], minlength=n_queries
         ).astype(np.int64)
+        self._interned: dict[tuple[TupleKey, ...], InternedKeys] = {}
+
+    def intern(self, keys: Sequence[TupleKey]) -> InternedKeys:
+        """Distinct interned key ids of a batch with their multiplicities.
+
+        Unknown keys are dropped. The C-level ``map(dict.get, keys,
+        repeat(-1))`` avoids a Python frame per key; everything after is
+        sized by the batch, not the key universe.
+        """
+        ids = np.fromiter(
+            map(self.key_index.get, keys, repeat(-1)),
+            dtype=np.int64,
+            count=len(keys),
+        )
+        uniq, counts = np.unique(ids, return_counts=True)
+        if uniq.size and uniq[0] == -1:
+            uniq, counts = uniq[1:], counts[1:]
+        return InternedKeys(uniq, counts)
+
+    def interned(self, keys: tuple[TupleKey, ...]) -> InternedKeys:
+        """:meth:`intern` of an action's key tuple, done once for all the
+        environments over this index (the memo is dropped with it)."""
+        found = self._interned.get(keys)
+        if found is None:
+            found = self._interned[keys] = self.intern(keys)
+        return found
 
 
 class CoverageTracker:
@@ -208,23 +242,6 @@ class CoverageTracker:
             missing[row] += 1
 
     # -------------------------------------------------------------- #
-    def _batch_key_counts(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct interned key ids of a batch with their multiplicities.
-
-        Unknown keys are dropped. The C-level ``map(dict.get, keys,
-        repeat(-1))`` avoids a Python frame per key; everything after is
-        sized by the batch, not the key universe.
-        """
-        ids = np.fromiter(
-            map(self._key_index.get, keys, repeat(-1)),
-            dtype=np.int64,
-            count=len(keys),
-        )
-        uniq, counts = np.unique(ids, return_counts=True)
-        if uniq.size and uniq[0] == -1:
-            uniq, counts = uniq[1:], counts[1:]
-        return uniq, counts
-
     def _incidence_rows(self, key_ids: np.ndarray) -> np.ndarray:
         """Concatenated incidence rows of a batch of key ids (CSR gather)."""
         starts = self._inc_offsets[key_ids]
@@ -236,13 +253,16 @@ class CoverageTracker:
         within = np.arange(total, dtype=np.int64) - np.repeat(group_starts, counts)
         return self._inc_rows[np.repeat(starts, counts) + within]
 
-    def add_keys(self, keys: Iterable[TupleKey]) -> None:
-        keys = keys if isinstance(keys, list) else list(keys)
-        if len(keys) <= _SCALAR_BATCH_LIMIT:
-            for key in keys:
-                self.add_key(key)
-            return
-        uniq, counts = self._batch_key_counts(keys)
+    def add_keys(self, keys: Union[Iterable[TupleKey], InternedKeys]) -> None:
+        """Add a batch of keys — or one the index has already interned."""
+        if not isinstance(keys, InternedKeys):
+            keys = keys if isinstance(keys, list) else list(keys)
+            if len(keys) <= _SCALAR_BATCH_LIMIT:
+                for key in keys:
+                    self.add_key(key)
+                return
+            keys = self.index.intern(keys)
+        uniq, counts = keys
         if uniq.size == 0:
             return
         newly = uniq[self._present[uniq] == 0]
@@ -271,13 +291,15 @@ class CoverageTracker:
                 self._row_query[became_covered], minlength=self.n_queries
             )
 
-    def remove_keys(self, keys: Iterable[TupleKey]) -> None:
-        keys = keys if isinstance(keys, list) else list(keys)
-        if len(keys) <= _SCALAR_BATCH_LIMIT:
-            for key in keys:
-                self.remove_key(key)
-            return
-        uniq, counts = self._batch_key_counts(keys)
+    def remove_keys(self, keys: Union[Iterable[TupleKey], InternedKeys]) -> None:
+        if not isinstance(keys, InternedKeys):
+            keys = keys if isinstance(keys, list) else list(keys)
+            if len(keys) <= _SCALAR_BATCH_LIMIT:
+                for key in keys:
+                    self.remove_key(key)
+                return
+            keys = self.index.intern(keys)
+        uniq, counts = keys
         if uniq.size == 0:
             return
         present = self._present[uniq]

@@ -82,7 +82,8 @@ class MLP:
         bias_grads: list[Optional[np.ndarray]] = [None] * self.n_layers
         for i in reversed(range(self.n_layers)):
             if i != self.n_layers - 1:
-                grad = grad * (1.0 - np.tanh(cache.pre_activations[i]) ** 2)
+                # The next layer's input is this layer's tanh output.
+                grad = grad * (1.0 - cache.inputs[i + 1] ** 2)
             weight_grads[i] = cache.inputs[i].T @ grad
             bias_grads[i] = grad.sum(axis=0)
             if i > 0:
@@ -128,21 +129,38 @@ class Adam:
         self._v = [np.zeros_like(p) for p in self.parameters]
         self._t = 0
 
-    def step(self, gradients: Sequence[np.ndarray]) -> None:
-        """One descent step given gradients aligned with ``parameters``."""
+    def step(
+        self, gradients: Sequence[np.ndarray], scratch: Optional[np.ndarray] = None
+    ) -> None:
+        """One descent step given gradients aligned with ``parameters``.
+
+        In place through ``scratch`` (two rows of at least the largest
+        parameter's size), in the textbook expression's arithmetic order.
+        """
         if len(gradients) != len(self.parameters):
             raise ValueError(
                 f"{len(gradients)} gradients for {len(self.parameters)} parameters"
             )
+        if scratch is None:
+            scratch = np.empty((2, max(p.size for p in self.parameters)))
         self._t += 1
         correction1 = 1.0 - self.beta1 ** self._t
         correction2 = 1.0 - self.beta2 ** self._t
         for param, grad, m, v in zip(self.parameters, gradients, self._m, self._v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * grad
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            m_hat = m / correction1
-            v_hat = v / correction2
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            step, work = scratch[:, : param.size].reshape(2, *param.shape)
+            m *= self.beta1
+            m += np.multiply(grad, 1.0 - self.beta1, out=work)
+            v *= self.beta2
+            np.multiply(grad, 1.0 - self.beta2, out=work)
+            work *= grad
+            v += work
+            np.divide(v, correction2, out=work)
+            np.sqrt(work, out=work)
+            work += self.epsilon
+            np.divide(m, correction1, out=step)
+            step *= self.learning_rate
+            step /= work
+            param -= step
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -152,17 +170,26 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / np.sum(exp, axis=axis, keepdims=True)
 
 
-def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Log-probabilities with invalid actions forced to ``-inf``.
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(log-probabilities, probabilities)`` of a stack of rows, invalid
+    actions at ``-inf`` / exactly 0 (``-inf`` survives the shift, ``exp``
+    maps it to 0).
 
     ``mask`` is boolean, True = valid. Rows with no valid action raise.
     """
     logits = np.atleast_2d(logits)
-    mask = np.atleast_2d(mask).astype(bool)
+    mask = np.atleast_2d(np.asarray(mask, dtype=bool))
     if not mask.any(axis=1).all():
         raise ValueError("at least one row has no valid action")
-    masked = np.where(mask, logits, -np.inf)
-    shifted = masked - np.max(masked, axis=1, keepdims=True)
-    exp = np.where(mask, np.exp(shifted), 0.0)
-    log_norm = np.log(np.sum(exp, axis=1, keepdims=True))
-    return np.where(mask, shifted - log_norm, -np.inf)
+    log_probs = np.where(mask, logits, -np.inf)
+    log_probs -= np.max(log_probs, axis=1, keepdims=True)
+    probs = np.exp(log_probs)
+    norm = np.sum(probs, axis=1, keepdims=True)
+    probs /= norm
+    log_probs -= np.log(norm)
+    return log_probs, probs
+
+
+def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Log-probabilities with invalid actions forced to ``-inf``."""
+    return masked_softmax(logits, mask)[0]

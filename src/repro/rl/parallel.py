@@ -4,9 +4,10 @@ The paper trains "32 actor and critic networks, asynchronously" with
 distinct exploration policies per actor (§5.1). Asynchrony there buys
 wall-clock speed on a GPU server; the algorithmically relevant part —
 *multiple actors exploring with different policies between updates* — is
-reproduced here synchronously: each logical actor runs episodes against
-its own environment instance with its own sampling temperature and RNG
-stream, and all trajectories feed one shared update.
+reproduced here in lock-step: each logical actor has its own environment
+instance, sampling temperature and RNG stream, every round runs the shared
+networks once over the stacked states of all actors mid-episode, and all
+trajectories feed one shared update.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .policy import ActorNetwork, CriticNetwork
+from .policy import ActorNetwork, CriticNetwork, draw_actions
 from .rollout import RolloutBuffer, Trajectory
 
 
@@ -102,38 +103,57 @@ class MultiActorCollector:
         self.max_episode_steps = max_episode_steps
 
     def collect(self, episodes_per_actor: int, buffer: RolloutBuffer) -> float:
-        """Run episodes for every actor; returns the mean episode reward."""
-        rewards: list[float] = []
-        for env, spec in zip(self.environments, self.specs):
-            for _ in range(episodes_per_actor):
-                trajectory = self._run_episode(env, spec)
-                if len(trajectory) > 0:
-                    buffer.add(trajectory)
-                    rewards.append(trajectory.total_reward)
-        return float(np.mean(rewards)) if rewards else 0.0
+        """Run episodes for every actor; returns the mean episode reward.
 
-    def _run_episode(self, env: Environment, spec: ActorSpec) -> Trajectory:
-        trajectory = Trajectory()
-        state, mask = env.reset()
-        for _ in range(self.max_episode_steps):
-            if not mask.any():
-                break
-            decision = self.actor.sample(state, mask, spec.rng, spec.temperature)
-            value = (
-                float(self.critic.value(state[None, :])[0])
-                if self.critic is not None
-                else 0.0
+        Each round is one actor forward, one critic forward and one masked
+        softmax for all actors mid-episode; each then draws from its own
+        generator and steps its own environment, and resets and rejoins
+        when its episode ends. Trajectories enter ``buffer`` actor by
+        actor, episodes in order.
+        """
+        envs, specs, cap = self.environments, self.specs, self.max_episode_steps
+        temperatures = np.asarray([spec.temperature for spec in specs])
+        episodes: list[list[Trajectory]] = [[] for _ in specs]
+        states: list = [None] * len(specs)
+        masks: list = [None] * len(specs)
+        over = [True] * len(specs)  # no episode yet: every actor starts by resetting
+
+        def awaits_action(i: int) -> bool:
+            """Close actor ``i``'s finished episodes; False once all are run."""
+            while over[i] or len(episodes[i][-1]) >= cap or not masks[i].any():
+                if len(episodes[i]) == episodes_per_actor:
+                    return False
+                states[i], masks[i] = envs[i].reset()
+                episodes[i].append(Trajectory())
+                over[i] = False
+            return True
+
+        live = [i for i in range(len(specs)) if awaits_action(i)]
+        while live:
+            stacked_states = np.stack([states[i] for i in live])
+            log_probs, probabilities = self.actor.distribution(
+                stacked_states, np.stack([masks[i] for i in live]), temperatures[live]
             )
-            next_state, reward, done, next_mask = env.step(decision.action)
-            trajectory.append(
-                state=state,
-                action=decision.action,
-                reward=reward,
-                log_prob=decision.log_prob,
-                value=value,
-                mask=mask,
-            )
-            state, mask = next_state, next_mask
-            if done:
-                break
-        return trajectory
+            values = np.zeros(len(live))
+            if self.critic is not None:
+                values = self.critic.value(stacked_states)
+            actions = draw_actions(probabilities, [specs[i].rng for i in live])
+            for row, i in enumerate(live):
+                action = int(actions[row])
+                next_state, reward, over[i], next_mask = envs[i].step(action)
+                episodes[i][-1].append(
+                    state=states[i],
+                    action=action,
+                    reward=reward,
+                    log_prob=float(log_probs[row, action]),
+                    value=float(values[row]),
+                    mask=masks[i],
+                )
+                states[i], masks[i] = next_state, next_mask
+            live = [i for i in live if awaits_action(i)]
+
+        rewards: list[float] = []
+        for trajectory in (t for actor in episodes for t in actor if len(t) > 0):
+            buffer.add(trajectory)
+            rewards.append(trajectory.total_reward)
+        return float(np.mean(rewards)) if rewards else 0.0

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .nn import MLP, masked_log_softmax, softmax
+from .nn import MLP, masked_softmax
 
 DEFAULT_HIDDEN = (128, 64)
 
@@ -53,11 +53,18 @@ class ActorNetwork:
     def logits(self, states: np.ndarray) -> np.ndarray:
         return self.net.predict(states)
 
+    def distribution(
+        self, states: np.ndarray, masks: np.ndarray, temperature=1.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Masked ``(log π, π)`` for a stack of states; ``temperature`` is
+        one value or one per row (actors explore at different ones)."""
+        scale = np.maximum(np.asarray(temperature, dtype=np.float64), 1e-6)
+        return masked_softmax(self.logits(states) / scale.reshape(-1, 1), masks)
+
     def log_probs(
         self, states: np.ndarray, masks: np.ndarray, temperature: float = 1.0
     ) -> np.ndarray:
-        logits = self.logits(states) / max(temperature, 1e-6)
-        return masked_log_softmax(logits, masks)
+        return self.distribution(states, masks, temperature)[0]
 
     def sample(
         self,
@@ -67,21 +74,19 @@ class ActorNetwork:
         temperature: float = 1.0,
     ) -> PolicyDecision:
         """Sample one masked action from π(a|s)."""
-        log_probs = self.log_probs(state[None, :], mask[None, :], temperature)[0]
-        probabilities = np.exp(np.where(np.isfinite(log_probs), log_probs, -np.inf))
-        probabilities = np.where(np.isfinite(log_probs), probabilities, 0.0)
-        probabilities /= probabilities.sum()
-        action = int(rng.choice(self.n_actions, p=probabilities))
+        log_probs, probabilities = self.distribution(
+            state[None, :], mask[None, :], temperature
+        )
+        action = int(draw_actions(probabilities, [rng])[0])
         return PolicyDecision(
             action=action,
-            log_prob=float(log_probs[action]),
-            probabilities=probabilities,
+            log_prob=float(log_probs[0, action]),
+            probabilities=probabilities[0],
         )
 
     def greedy(self, state: np.ndarray, mask: np.ndarray) -> int:
         """The highest-probability valid action (used at inference)."""
-        log_probs = self.log_probs(state[None, :], mask[None, :])[0]
-        return int(np.argmax(log_probs))
+        return int(np.argmax(self.log_probs(state[None, :], mask[None, :])[0]))
 
     # -------------------------------------------------------------- #
     def clone(self) -> "ActorNetwork":
@@ -117,6 +122,21 @@ class CriticNetwork:
         )
         copy.net.copy_from(self.net)
         return copy
+
+
+def draw_actions(
+    probabilities: np.ndarray, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """One action per row of ``probabilities``, row ``i`` drawn from ``rngs[i]``.
+
+    Consumes each generator exactly as ``rng.choice(n, p=row)`` does — one
+    ``random()`` bisected to the right into the row's normalised cumulative
+    sum — so a stack of actors samples what each would sample alone.
+    """
+    cdf = np.cumsum(probabilities, axis=1)
+    cdf /= cdf[:, -1:]
+    uniforms = np.asarray([rng.random() for rng in rngs])
+    return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 
 
 def entropy_of(probabilities: np.ndarray) -> float:

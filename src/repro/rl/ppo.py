@@ -24,7 +24,7 @@ import numpy as np
 from ..contracts import STATE as _STRICT
 from ..contracts import assert_finite
 from ..obs import metrics as _metrics
-from .nn import Adam, masked_log_softmax
+from .nn import Adam, masked_softmax
 from .policy import ActorNetwork, CriticNetwork
 from .rollout import RolloutBatch
 
@@ -75,15 +75,18 @@ class UpdateStats:
     n_samples: int = 0
 
 
-def _clip_gradients(
-    gradients: list[np.ndarray], max_norm: float
-) -> tuple[list[np.ndarray], float]:
-    """Global-norm clip; returns the clipped list and the pre-clip norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in gradients))
+#: Floor of ``log p`` in the entropy and KL terms (``p`` clamped at 1e-12).
+_LOG_FLOOR = float(np.log(1e-12))
+
+
+def _clip_gradients(gradients: list[np.ndarray], max_norm: float) -> float:
+    """Global-norm clip, in place; returns the pre-clip norm."""
+    total = float(np.sqrt(sum(float(np.vdot(g, g)) for g in gradients)))
     if total > max_norm > 0:
         scale = max_norm / (total + 1e-12)
-        return [g * scale for g in gradients], total
-    return gradients, total
+        for g in gradients:
+            g *= scale
+    return total
 
 
 class PPOUpdater:
@@ -127,16 +130,20 @@ class PPOUpdater:
                 old_log_probs=batch.old_log_probs,
             )
 
-        # Snapshot π_old for ratios and the KL penalty.
-        old_actor = self.actor.clone()
-        old_log_dist = old_actor.log_probs(batch.states, batch.masks)
+        # π_old for ratios and the KL penalty, before any step moves π.
+        old_log_dist = self.actor.log_probs(batch.states, batch.masks)
+        # One Adam work buffer for both optimizers, released with this call.
+        optimizers = filter(None, (self.actor_optimizer, self.critic_optimizer))
+        scratch = np.empty((2, max(p.size for o in optimizers for p in o.parameters)))
 
         n_updates = 0
         for _epoch in range(config.update_epochs):
             order = self.rng.permutation(n)
             for start in range(0, n, config.minibatch_size):
                 idx = order[start : start + config.minibatch_size]
-                mb_stats = self._minibatch_update(batch, idx, old_log_dist[idx])
+                mb_stats = self._minibatch_update(
+                    batch, idx, old_log_dist[idx], scratch
+                )
                 stats.policy_loss += mb_stats.policy_loss
                 stats.value_loss += mb_stats.value_loss
                 stats.entropy += mb_stats.entropy
@@ -177,28 +184,25 @@ class PPOUpdater:
         batch: RolloutBatch,
         idx: np.ndarray,
         old_log_dist: np.ndarray,
+        scratch: np.ndarray,
     ) -> UpdateStats:
+        """One gradient step; ``old_log_dist`` is this minibatch's own copy
+        of π_old's rows and is overwritten as work space."""
         config = self.config
         states = batch.states[idx]
         actions = batch.actions[idx]
-        old_log_probs = batch.old_log_probs[idx]
         advantages = batch.advantages[idx]
-        returns = batch.returns[idx]
-        masks = batch.masks[idx]
         m = len(idx)
+        rows = np.arange(m)
 
         logits, cache = self.actor.net.forward(states)
-        log_dist = masked_log_softmax(logits, masks)
-        probs = np.where(masks, np.exp(log_dist), 0.0)
-        log_pi = log_dist[np.arange(m), actions]
-
-        one_hot = np.zeros_like(probs)
-        one_hot[np.arange(m), actions] = 1.0
-        # d log π(a|s) / d logits = onehot(a) − p   (masked softmax identity)
-        dlogpi_dlogits = one_hot - probs
+        # Masked entries: log_dist = -inf, probs = 0 — every |A|-wide term
+        # below is a multiple of probs or old_probs, so it is 0 there too.
+        log_dist, probs = masked_softmax(logits, batch.masks[idx])
+        log_pi = log_dist[rows, actions]
 
         if config.use_clip:
-            ratio = np.exp(log_pi - old_log_probs)
+            ratio = np.exp(log_pi - batch.old_log_probs[idx])
             if _STRICT.enabled:
                 assert_finite("ppo.minibatch", ratio=ratio)
             clipped = np.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
@@ -214,46 +218,49 @@ class PPOUpdater:
             clip_fraction = 0.0
             g = -advantages
 
-        grad_logits = (g[:, None] * dlogpi_dlogits) / m
+        # d log π(a|s) / d logits = onehot(a) − p   (masked softmax identity)
+        g = g / m
+        grad_logits = probs * -g[:, None]
+        grad_logits[rows, actions] += g
 
         # Entropy bonus: L −= c_ent · H;  dH/dz_j = −p_j (log p_j + H).
-        safe_log = np.where(probs > 0, np.log(np.maximum(probs, 1e-12)), 0.0)
-        entropy = -np.sum(probs * safe_log, axis=1)
-        dH_dlogits = -probs * (safe_log + entropy[:, None])
-        grad_logits -= config.entropy_coef * dH_dlogits / m
+        safe_log = np.maximum(log_dist, _LOG_FLOOR, out=log_dist)
+        p_log_p = probs * safe_log
+        entropy = -np.sum(p_log_p, axis=1)
+        p_log_p += probs * entropy[:, None]
+        p_log_p *= config.entropy_coef / m
+        grad_logits += p_log_p
 
         # KL(π_old ‖ π) penalty (PPO variant only): dKL/dz = p − p_old.
         kl = 0.0
         if config.use_clip and config.kl_coef > 0:
-            old_probs = np.where(masks, np.exp(old_log_dist), 0.0)
-            valid = masks & (old_probs > 0) & (probs > 0)
-            kl_terms = np.where(
-                valid, old_probs * (np.log(np.maximum(old_probs, 1e-12)) - safe_log), 0.0
-            )
-            kl = float(np.mean(np.sum(kl_terms, axis=1)))
-            grad_logits += config.kl_coef * (probs - old_probs) / m
+            old_probs = np.exp(old_log_dist)
+            np.maximum(old_log_dist, _LOG_FLOOR, out=old_log_dist)
+            old_log_dist -= safe_log
+            old_log_dist *= old_probs
+            kl = float(np.mean(np.sum(np.where(probs > 0, old_log_dist, 0.0), axis=1)))
+            probs -= old_probs
+            probs *= config.kl_coef / m
+            grad_logits += probs
 
-        grad_logits = np.where(masks, grad_logits, 0.0)
         weight_grads, bias_grads = self.actor.net.backward(cache, grad_logits)
-        gradients, grad_norm = _clip_gradients(
-            weight_grads + bias_grads, config.max_grad_norm
-        )
-        self.actor_optimizer.step(gradients)
+        gradients = weight_grads + bias_grads
+        grad_norm = _clip_gradients(gradients, config.max_grad_norm)
+        self.actor_optimizer.step(gradients, scratch)
 
         value_loss = 0.0
         if config.use_critic and self.critic is not None:
             values_out, value_cache = self.critic.net.forward(states)
-            errors = values_out[:, 0] - returns
+            errors = values_out[:, 0] - batch.returns[idx]
             value_loss = float(np.mean(errors ** 2))
             grad_values = (2.0 * errors / m)[:, None] * self.config.value_coef
             v_weight_grads, v_bias_grads = self.critic.net.backward(
                 value_cache, grad_values
             )
-            v_gradients, _ = _clip_gradients(
-                v_weight_grads + v_bias_grads, config.max_grad_norm
-            )
+            v_gradients = v_weight_grads + v_bias_grads
+            _clip_gradients(v_gradients, config.max_grad_norm)
             assert self.critic_optimizer is not None
-            self.critic_optimizer.step(v_gradients)
+            self.critic_optimizer.step(v_gradients, scratch)
 
         if _STRICT.enabled:
             assert_finite(

@@ -14,6 +14,7 @@ from repro.core import (
     group_rows_into_actions,
     make_environment,
 )
+from repro.core.reward import CoverageIndex, CoverageTracker
 
 
 @pytest.fixture
@@ -104,6 +105,31 @@ class TestGroupRows:
         actions = group_rows_into_actions(rows, [0] * 10, group_size=3, rng=rng)
         keys = {key for action in actions for key in action.keys}
         assert keys == {("t", i) for i in range(10)}
+
+
+class TestInternedActions:
+    def test_environments_over_one_index_intern_an_action_once(
+        self, space, coverages, rng
+    ):
+        index = CoverageIndex(coverages)
+        config = _config(memory_budget=3)
+        gsl = GSLEnvironment(space, coverages, config, rng, coverage_index=index)
+        drp = DropOneEnvironment(space, coverages, config, rng, coverage_index=index)
+        gsl.reset()
+        gsl.step(0)
+        assert list(index._interned) == [space.keys_of(0)]
+        first = index._interned[space.keys_of(0)]
+        drp.reset()  # fills to the budget, then every step swaps a group
+        for _ in range(4):
+            drp.step(int(np.flatnonzero(~drp.selected)[0]))
+        assert index._interned[space.keys_of(0)] is first
+        assert set(index._interned) <= {action.keys for action in space}
+        # Interned adds and removes leave the tracker where plain keys would.
+        plain = CoverageTracker(coverages)
+        for action in np.flatnonzero(drp.selected):
+            plain.add_keys(list(space.keys_of(int(action))))
+        assert drp.tracker.covered_counts().tolist() == plain.covered_counts().tolist()
+        assert drp.current_score() == plain.batch_score()
 
 
 class TestGSLEnvironment:

@@ -199,6 +199,43 @@ def test_preprocess_action_space_golden(hash_seed):
     assert out.stdout.strip() == GOLDEN_ACTION_KEYS[hash_seed]
 
 
+TRAINING_GOLDEN_SCRIPT = """
+import hashlib
+from repro.core import ASQPConfig, ASQPTrainer
+from repro.datasets import load_imdb
+from repro.db import sql
+bundle = load_imdb(scale=0.1, n_queries=20, n_aggregate_queries=8)
+config = ASQPConfig(memory_budget=80, n_iterations=3, n_actors=3,
+                    episodes_per_actor=2, action_space_target=50,
+                    n_query_representatives=6, n_candidate_rollouts=2,
+                    learning_rate=1e-3, fine_tune_iterations=2, seed=7)
+model = ASQPTrainer(bundle.db, bundle.workload, config).train()
+model.fine_tune([sql("SELECT * FROM person WHERE person.gender = 'f'")])
+keys = sorted(model.approximation_set().keys())
+rewards = [round(r.mean_episode_reward, 10) for r in model.history]
+print(hashlib.sha1(repr(keys).encode()).hexdigest())
+print(hashlib.sha1(repr(rewards).encode()).hexdigest())
+"""
+
+#: Recorded at the commit before the rollout collector went lock-step and
+#: the PPO update in-place: every sampled action, reward and early-stopping
+#: decision of a seeded train + fine-tune, and the set finally selected.
+GOLDEN_TRAINING = [
+    "b32e610e1c16d67dfc27c9f92e8a3637bc9125a1",  # approximation-set keys
+    "8c9ebd2745f0ed4cb6c0db78dc0fe692794e05ba",  # mean_episode_reward history
+]
+
+
+def test_training_trajectory_golden():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", TRAINING_GOLDEN_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.split() == GOLDEN_TRAINING
+
+
 def test_preprocess_work_is_inside_a_timed_stage(tiny_imdb):
     """The benchmark cross-checks the stage sum against its own span."""
     config = ASQPConfig(

@@ -176,6 +176,7 @@ def _coverages(draw):
 _PROGRAM_OPS = st.lists(
     st.tuples(
         st.sampled_from(["add", "remove", "add_batch", "remove_batch",
+                         "add_interned", "remove_interned",
                          "reset", "score_with", "probe"]),
         st.lists(st.sampled_from(_KEYS + [("zz", 99)]), min_size=0, max_size=12),
     ),
@@ -206,6 +207,14 @@ def _run_program(csr: CoverageTracker, ref: DictCoverageTracker, program):
             ref.add_keys(keys)
         elif op == "remove_batch":
             csr.remove_keys(keys)
+            ref.remove_keys(keys)
+        elif op == "add_interned":
+            # What an environment does: the action's key tuple, interned
+            # once per index (unknown keys dropped, duplicates counted).
+            csr.add_keys(csr.index.interned(tuple(keys)))
+            ref.add_keys(keys)
+        elif op == "remove_interned":
+            csr.remove_keys(csr.index.interned(tuple(keys)))
             ref.remove_keys(keys)
         elif op == "reset":
             csr.reset()

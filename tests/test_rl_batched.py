@@ -1,0 +1,353 @@
+"""The batched actor-critic hot path against its sequential / textbook forms.
+
+The lock-step collector must take every decision the one-actor-at-a-time
+loop took (kept here as the reference), the stacked sampler must consume a
+generator exactly as ``Generator.choice`` does, the in-place Adam must be
+the textbook update bit for bit, and the hand-derived PPO / A2C /
+REINFORCE gradient must match a finite difference of the loss it claims to
+descend.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    ASQPConfig,
+    Action,
+    ActionSpace,
+    QueryCoverage,
+    make_environment,
+)
+from repro.core.reward import CoverageIndex
+from repro.rl import (
+    ActorNetwork,
+    Adam,
+    CriticNetwork,
+    Environment,
+    MultiActorCollector,
+    PPOConfig,
+    PPOUpdater,
+    RolloutBatch,
+    RolloutBuffer,
+    Trajectory,
+    make_actor_specs,
+)
+from repro.rl.nn import masked_softmax
+from repro.rl.policy import draw_actions
+
+N_ACTIONS = 40
+
+
+# ------------------------------------------------------------------ #
+# reference: the collector as it was before the lock-step rewrite
+# ------------------------------------------------------------------ #
+def reference_episode(env, spec, actor, critic, max_episode_steps):
+    trajectory = Trajectory()
+    state, mask = env.reset()
+    for _ in range(max_episode_steps):
+        if not mask.any():
+            break
+        log_probs = actor.log_probs(state[None, :], mask[None, :], spec.temperature)[0]
+        probabilities = np.exp(log_probs)
+        probabilities /= probabilities.sum()
+        action = int(spec.rng.choice(actor.n_actions, p=probabilities))
+        value = float(critic.value(state[None, :])[0]) if critic is not None else 0.0
+        next_state, reward, done, next_mask = env.step(action)
+        trajectory.append(
+            state=state, action=action, reward=reward,
+            log_prob=float(log_probs[action]), value=value, mask=mask,
+        )
+        state, mask = next_state, next_mask
+        if done:
+            break
+    return trajectory
+
+
+def reference_collect(collector, episodes_per_actor, buffer):
+    rewards = []
+    for env, spec in zip(collector.environments, collector.specs):
+        for _ in range(episodes_per_actor):
+            trajectory = reference_episode(
+                env, spec, collector.actor, collector.critic,
+                collector.max_episode_steps,
+            )
+            if len(trajectory) > 0:
+                buffer.add(trajectory)
+                rewards.append(trajectory.total_reward)
+    return float(np.mean(rewards)) if rewards else 0.0
+
+
+# ------------------------------------------------------------------ #
+def _synthetic_problem(seed=5):
+    """Actions of 1-6 tuples, so a budget of 30 is hit after a different
+    number of steps depending on what each actor happens to pick."""
+    rng = np.random.default_rng(seed)
+    actions = [
+        Action(
+            keys=tuple(
+                (f"t{int(rng.integers(3))}", int(rng.integers(60)))
+                for _ in range(int(rng.integers(1, 7)))
+            ),
+            source_query=a % 12,
+        )
+        for a in range(N_ACTIONS)
+    ]
+    coverages = [
+        QueryCoverage(
+            name=f"q{q}", weight=float(rng.uniform(0.5, 2.0)), denominator=6,
+            requirements=[
+                tuple(
+                    actions[int(rng.integers(N_ACTIONS))].keys[0]
+                    for _ in range(int(rng.integers(1, 3)))
+                )
+                for _ in range(8)
+            ],
+        )
+        for q in range(12)
+    ]
+    return ActionSpace(actions, embedding_dim=8), coverages
+
+
+class _DeadStartEnv(Environment):
+    """Every other ``reset()`` offers no valid action at all."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rng = inner.rng
+        self.resets = 0
+
+    @property
+    def n_actions(self):
+        return self.inner.n_actions
+
+    def reset(self):
+        state, mask = self.inner.reset()
+        self.resets += 1
+        return state, mask & (self.resets % 2 == 0)
+
+    def step(self, action):
+        return self.inner.step(action)
+
+
+def _collector(environment, with_critic, max_episode_steps, dead_start, n_actors=4):
+    """A freshly seeded collector; two calls build identical twins."""
+    space, coverages = _synthetic_problem()
+    config = ASQPConfig(
+        memory_budget=30, query_batch_size=5, drp_horizon=7,
+        environment=environment, seed=0,
+    )
+    index = CoverageIndex(coverages)
+    env_seeds = iter(np.random.SeedSequence(11).spawn(n_actors))
+
+    def env_factory():
+        env = make_environment(
+            environment, space, coverages, config,
+            np.random.default_rng(next(env_seeds)), coverage_index=index,
+        )
+        return _DeadStartEnv(env) if dead_start else env
+
+    net_rng = np.random.default_rng(3)
+    actor = ActorNetwork(N_ACTIONS, net_rng, hidden=(16, 8))
+    critic = CriticNetwork(N_ACTIONS, net_rng, hidden=(16, 8)) if with_critic else None
+    return MultiActorCollector(
+        env_factory, actor, critic, make_actor_specs(n_actors, seed=17),
+        max_episode_steps=max_episode_steps,
+    )
+
+
+SCENARIOS = {
+    "gsl": dict(environment="gsl"),
+    "gsl-no-critic": dict(environment="gsl", with_critic=False),
+    "gsl-step-cap": dict(environment="gsl", max_episode_steps=3),
+    "gsl-dead-start": dict(environment="gsl", dead_start=True),
+    "drp": dict(environment="drp"),
+    "drp+gsl": dict(environment="drp+gsl"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_lock_step_collect_takes_the_sequential_decisions(scenario):
+    settings = {
+        "with_critic": True, "max_episode_steps": 10_000, "dead_start": False,
+        **SCENARIOS[scenario],
+    }
+    reference, lock_step = _collector(**settings), _collector(**settings)
+    expected, actual = RolloutBuffer(), RolloutBuffer()
+    expected_reward = reference_collect(reference, 2, expected)
+    actual_reward = lock_step.collect(2, actual)
+
+    assert actual_reward == expected_reward
+    assert actual.n_trajectories == expected.n_trajectories > 0
+    for got, want in zip(actual._trajectories, expected._trajectories):
+        assert got.actions == want.actions
+        assert got.rewards == want.rewards
+        assert np.allclose(got.log_probs, want.log_probs, rtol=0, atol=1e-12)
+        assert np.allclose(got.values, want.values, rtol=0, atol=1e-12)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.masks, want.masks)
+    # Every generator was consumed exactly as far as the reference's.
+    for ours, theirs in zip(lock_step.specs, reference.specs):
+        assert ours.rng.random() == theirs.rng.random()
+    for ours, theirs in zip(lock_step.environments, reference.environments):
+        assert ours.rng.random() == theirs.rng.random()
+
+    lengths = [len(t) for t in expected._trajectories]
+    if scenario == "gsl":
+        assert len(set(lengths)) > 1, "actors must finish at different steps"
+        assert expected.n_trajectories == 8
+    if scenario == "gsl-step-cap":
+        assert lengths == [3] * 8
+    if scenario == "gsl-dead-start":
+        assert expected.n_trajectories == 4  # each actor's first episode is empty
+    if scenario == "gsl-no-critic":
+        assert all(v == 0.0 for t in actual._trajectories for v in t.values)
+
+
+def test_batch_rows_keep_actor_major_order():
+    """``RolloutBatch`` rows: actor 0's episodes, then actor 1's, ..."""
+    collector = _collector("gsl", True, 10_000, False)
+    buffer = RolloutBuffer()
+    collector.collect(2, buffer)
+    first_states = [t.states[0] for t in buffer._trajectories]
+    assert all(state.sum() == 0 for state in first_states)  # each starts empty
+    batch = buffer.build()
+    assert len(batch) == sum(len(t) for t in buffer._trajectories)
+    assert np.array_equal(
+        batch.actions, np.concatenate([t.actions for t in buffer._trajectories])
+    )
+
+
+def test_stacked_sampler_equals_generator_choice():
+    """Pins the numpy stream contract the lock-step design relies on."""
+    rng = np.random.default_rng(23)
+    n_rows, n = 200, 37
+    logits = rng.standard_normal((n_rows, n)) * 3.0
+    masks = rng.random((n_rows, n)) < 0.6
+    masks[np.arange(n_rows), rng.integers(n, size=n_rows)] = True
+    temperatures = rng.uniform(0.5, 2.0, size=n_rows)
+    _, probabilities = masked_softmax(logits / temperatures[:, None], masks)
+
+    drawn = draw_actions(
+        probabilities, [np.random.default_rng(1000 + i) for i in range(n_rows)]
+    )
+    for i in range(n_rows):
+        generator = np.random.default_rng(1000 + i)
+        assert drawn[i] == generator.choice(n, p=probabilities[i])
+        assert masks[i, drawn[i]]
+    # One generator shared by all rows is advanced row by row.
+    shared, alone = np.random.default_rng(5), np.random.default_rng(5)
+    assert draw_actions(probabilities[:10], [shared] * 10).tolist() == [
+        alone.choice(n, p=probabilities[i]) for i in range(10)
+    ]
+    assert shared.random() == alone.random()
+
+
+# ------------------------------------------------------------------ #
+def test_in_place_adam_is_the_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(2)
+    shapes = [(7, 5), (5,), (5, 11), (11,)], [(3, 4), (4,), (4, 1), (1,)]
+    parameter_sets = [[rng.standard_normal(s) for s in group] for group in shapes]
+    optimizers = [Adam(ps, learning_rate=1e-2 * (k + 1)) for k, ps in enumerate(parameter_sets)]
+    scratch = np.empty((2, 55))  # the largest parameter; shared by both
+
+    expected = [[p.copy() for p in ps] for ps in parameter_sets]
+    moments = [[(np.zeros_like(p), np.zeros_like(p)) for p in ps] for ps in parameter_sets]
+    for t in range(1, 51):
+        for k, optimizer in enumerate(optimizers):
+            gradients = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                         for p in parameter_sets[k]]
+            optimizer.step(gradients, scratch)
+            b1, b2, eps, lr = 0.9, 0.999, 1e-8, optimizer.learning_rate
+            for p, g, (m, v) in zip(expected[k], gradients, moments[k]):
+                m[...] = b1 * m + (1.0 - b1) * g
+                v[...] = b2 * v + (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1 ** t)
+                v_hat = v / (1.0 - b2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for ours, theirs in zip(parameter_sets[k], expected[k]):
+                assert np.array_equal(ours, theirs), f"step {t}"
+
+    # Without a caller's buffer the step allocates its own: same bits.
+    twin = [p.copy() for p in parameter_sets[0]]
+    gradients = [rng.standard_normal(p.shape) for p in twin]
+    a, b = Adam(parameter_sets[0]), Adam(twin)
+    a.step(gradients, scratch)
+    b.step(gradients)
+    assert all(np.array_equal(x, y) for x, y in zip(parameter_sets[0], twin))
+
+
+VARIANTS = {
+    "ppo": PPOConfig(entropy_coef=0.05, kl_coef=0.3, max_grad_norm=0.0),
+    "a2c": PPOConfig(entropy_coef=0.05, use_clip=False, max_grad_norm=0.0),
+    "reinforce": PPOConfig(
+        entropy_coef=0.05, use_clip=False, use_critic=False, max_grad_norm=0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_policy_loss_gradient_matches_finite_differences(variant):
+    """The analytic gradient handed to Adam is d(loss)/d(actor parameters)."""
+    config = VARIANTS[variant]
+    rng = np.random.default_rng(9)
+    n, n_actions = 12, 7
+    actor = ActorNetwork(n_actions, rng, hidden=(6,))
+    critic = CriticNetwork(n_actions, rng, hidden=(6,)) if config.use_critic else None
+    behaviour = actor.clone()  # π_old: a perturbed copy, so ratios != 1 and KL > 0
+    for parameter in behaviour.net.parameters():
+        parameter += 0.3 * rng.standard_normal(parameter.shape)
+
+    states = (rng.random((n, n_actions)) < 0.3).astype(np.float64)
+    masks = rng.random((n, n_actions)) < 0.7
+    actions = rng.integers(n_actions, size=n)
+    masks[np.arange(n), actions] = True
+    old_log_dist = behaviour.log_probs(states, masks)
+    batch = RolloutBatch(
+        states=states, actions=actions,
+        old_log_probs=old_log_dist[np.arange(n), actions],
+        returns=rng.standard_normal(n), advantages=rng.standard_normal(n),
+        masks=masks,
+    )
+
+    def loss() -> float:
+        log_dist = actor.log_probs(states, masks)
+        probs = np.exp(log_dist)
+        log_pi = log_dist[np.arange(n), actions]
+        if config.use_clip:
+            ratio = np.exp(log_pi - batch.old_log_probs)
+            clipped = np.clip(ratio, 1 - config.clip_epsilon, 1 + config.clip_epsilon)
+            total = -np.mean(np.minimum(ratio * batch.advantages, clipped * batch.advantages))
+        else:
+            total = -np.mean(log_pi * batch.advantages)
+        plogp = np.where(masks, probs * np.where(masks, log_dist, 0.0), 0.0)
+        total -= config.entropy_coef * np.mean(-plogp.sum(axis=1))
+        if config.use_clip:
+            log_ratio = np.where(masks, old_log_dist - np.where(masks, log_dist, 0.0), 0.0)
+            total += config.kl_coef * np.mean((np.exp(old_log_dist) * log_ratio).sum(axis=1))
+        return float(total)
+
+    updater = PPOUpdater(actor, critic, config)
+    captured: list[np.ndarray] = []
+    updater.actor_optimizer.step = lambda gradients, scratch=None: captured.extend(
+        g.copy() for g in gradients
+    )
+    stats = updater._minibatch_update(
+        batch, np.arange(n), old_log_dist.copy(), np.empty((2, 64))
+    )
+    assert len(captured) == len(actor.net.parameters())
+    if config.use_clip:
+        assert 0.0 < stats.clip_fraction < 1.0, "both surrogate branches must be active"
+        assert stats.kl_divergence > 0.0
+
+    epsilon = 1e-6
+    for parameter, gradient in zip(actor.net.parameters(), captured):
+        for _ in range(6):
+            at = np.unravel_index(int(rng.integers(parameter.size)), parameter.shape)
+            original = parameter[at]
+            parameter[at] = original + epsilon
+            up = loss()
+            parameter[at] = original - epsilon
+            down = loss()
+            parameter[at] = original
+            numeric = (up - down) / (2 * epsilon)
+            assert abs(numeric - gradient[at]) < 1e-6, (variant, at)
