@@ -19,7 +19,8 @@ Usage::
 
 ``--check`` compares the freshly measured vectorized timings against a
 committed baseline file and exits non-zero if any kernel regressed by
-more than ``--max-regression`` (see ``scripts/bench_smoke.sh``).
+more than ``--max-regression``, or if the serial encoded scan costs more
+than 1.25x the plain scan (see ``scripts/bench_smoke.sh``).
 
 This file is not a pytest benchmark: it is a standalone script so CI can
 run it without the pytest-benchmark plugin.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,7 +46,6 @@ from repro.core.reward import (
     QueryCoverage,
 )
 from repro.db import kernels
-from repro.db import parallel as db_parallel
 from repro.rl import (
     ActorNetwork,
     CriticNetwork,
@@ -83,13 +82,13 @@ N_ROWS = 10_000
 #: Action-space size of the rl rows: the figure-scale fit's (|A| = 828).
 N_ACTIONS = 800
 
-#: Row count for the column-store / parallel-scaling sections — big enough
-#: to clear the morsel floor (``REPRO_PARALLEL_MIN_ROWS``, default 32768)
-#: several times over, identical between profiles for comparability.
+#: Row count for the column-store section — many zone-map blocks,
+#: identical between profiles for comparability.
 COLUMNSTORE_ROWS = 120_000
 
-#: Worker counts on the parallel-scaling curve (0 = serial baseline).
-PARALLEL_WORKER_COUNTS = (0, 1, 2, 4, 8)
+#: ``--check`` also fails when the serial encoded scan costs more than
+#: this multiple of the plain (decoded) scan.
+MAX_SERIAL_SCAN_RATIO = 1.25
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -440,76 +439,6 @@ def run_obs_overhead(repeats: int) -> dict:
     return {
         "kernels": entries,
         "median_overhead_fraction": float(np.median(overheads)),
-    }
-
-
-def run_parallel_obs_overhead(repeats: int) -> dict:
-    """Instrumentation overhead of the morsel-parallel path (workers=4).
-
-    Same paired-interleaved-batch scheme as :func:`run_obs_overhead`,
-    but the workload is the end-to-end 120k-row columnstore scan
-    dispatched over a 4-worker pool, so the measured delta is exactly
-    the parent-side stitching cost: worker-span lane recording, the
-    per-dispatch ``MetricsRegistry.merge``, and per-query accounting.
-    Worker-side recording and heartbeats are always on (both paths pay
-    them), so they cancel in the enabled/disabled ratio by design —
-    the gate holds the *observability* of the parallel path to the same
-    <2% budget as the serial kernels.
-    """
-    from repro.db import execute
-
-    db, _table, query = _columnstore_fixture()
-    db_parallel.set_workers(4)
-    rounds = max(5 * repeats, 10)
-    batch = 3
-    # Enabled arm = full causal tracing: the executor opens a root span
-    # under an active request context, context rides the task envelopes
-    # into the workers, worker lanes stitch back under the trace id, and
-    # the tail sampler sees every finished root — all inside the gate.
-    request = obs.context.new_context(fingerprint="bench_parallel_obs")
-    obs.sampling.configure()
-    try:
-        # Warm both paths (pool spawn + first shared-memory round trip
-        # on the disabled side, histogram allocation on the enabled one).
-        obs.disable()
-        execute(db, query)
-        obs.enable()
-        with obs.context.activate(request):
-            execute(db, query)
-        ratios = []
-        disabled_best = enabled_best = np.inf
-        for _ in range(rounds):
-            obs.disable()
-            start = time.perf_counter()
-            for _ in range(batch):
-                execute(db, query)
-            disabled_t = time.perf_counter() - start
-            obs.enable()
-            with obs.context.activate(request):
-                start = time.perf_counter()
-                for _ in range(batch):
-                    execute(db, query)
-                enabled_t = time.perf_counter() - start
-            ratios.append(enabled_t / disabled_t)
-            disabled_best = min(disabled_best, disabled_t / batch)
-            enabled_best = min(enabled_best, enabled_t / batch)
-        overhead = float(np.median(ratios)) - 1.0
-    finally:
-        obs.disable()
-        obs.sampling.clear()
-        obs.metrics.reset()
-        obs.trace.reset()
-        db_parallel.set_workers(0)
-        db_parallel.shutdown()
-    return {
-        "kernels": {
-            "parallel_scan_4w": {
-                "disabled_s": disabled_best,
-                "enabled_s": enabled_best,
-                "overhead_fraction": overhead,
-            }
-        },
-        "median_overhead_fraction": overhead,
     }
 
 
@@ -870,63 +799,6 @@ def run_columnstore(repeats: int) -> dict:
     return record
 
 
-def run_parallel_scaling(repeats: int) -> dict:
-    """End-to-end scan plus join-probe and group-by at each worker count.
-
-    Numbers are honest for the machine they ran on: ``cpu_count`` is
-    recorded alongside the curve, and on single-core runners the curve
-    simply shows the dispatch overhead instead of a speedup.
-    """
-    from repro.db import execute
-
-    db, _table, query = _columnstore_fixture()
-    rng = np.random.default_rng(17)
-    n = COLUMNSTORE_ROWS
-    build = [rng.integers(0, n // 4, size=n), rng.integers(0, 64, size=n)]
-    probe = [rng.integers(0, n // 4, size=n), rng.integers(0, 64, size=n)]
-    group_arrays = [rng.integers(0, 2_000, size=n), rng.integers(0, 16, size=n)]
-
-    record: dict = {
-        "rows": n,
-        "cpu_count": os.cpu_count(),
-        "min_parallel_rows": db_parallel.min_parallel_rows(),
-        "workers": {},
-    }
-    try:
-        for workers in PARALLEL_WORKER_COUNTS:
-            db_parallel.set_workers(workers)
-            # Warm once per count: pool creation (and the first shared-
-            # memory round trip) must not land inside the timed region.
-            execute(db, query)
-            kernels.join_positions(build, probe)
-            kernels.group_by_positions(group_arrays)
-            entry = {
-                "scan_s": _best_of(lambda: execute(db, query), repeats),
-                "join_s": _best_of(
-                    lambda: kernels.join_positions(build, probe), repeats
-                ),
-                "group_by_s": _best_of(
-                    lambda: kernels.group_by_positions(group_arrays), repeats
-                ),
-            }
-            record["workers"][str(workers)] = entry
-    finally:
-        db_parallel.set_workers(0)
-        db_parallel.shutdown()
-
-    serial = record["workers"].get("0")
-    if serial:
-        for workers, entry in record["workers"].items():
-            if workers == "0":
-                continue
-            for op in ("scan", "join", "group_by"):
-                base = serial[f"{op}_s"]
-                entry[f"{op}_speedup"] = (
-                    base / entry[f"{op}_s"] if entry[f"{op}_s"] > 0 else float("inf")
-                )
-    return record
-
-
 def check_regressions(record: dict, baseline_path: Path, max_regression: float) -> list[str]:
     baseline = json.loads(baseline_path.read_text())
     failures = []
@@ -978,17 +850,6 @@ def main(argv=None) -> int:
     parser.add_argument("--strict-tolerance", type=float, default=0.02,
                         help="maximum tolerated median overhead fraction "
                              "of disabled contract wrappers (default 2%%)")
-    parser.add_argument("--parallel-check", action="store_true",
-                        help="gate the serial encoded-scan ratio and the "
-                             "4-worker scan speedup (speedup auto-skipped "
-                             "when cpu_count < 4 or "
-                             "REPRO_SKIP_PARALLEL_CHECK is set)")
-    parser.add_argument("--max-serial-regression", type=float, default=1.25,
-                        help="maximum tolerated encoded/plain serial scan "
-                             "ratio (default 1.25)")
-    parser.add_argument("--parallel-speedup", type=float, default=1.5,
-                        help="required 4-worker scan speedup over serial "
-                             "(default 1.5)")
     args = parser.parse_args(argv)
 
     record = run_benchmarks(args.profile)
@@ -1040,51 +901,6 @@ def main(argv=None) -> int:
             print(f"FAIL: median observability overhead {median * 100:.2f}% "
                   f"exceeds {args.obs_tolerance * 100:.0f}%")
             status = 1
-
-        # The same gate over the morsel-parallel path: workers=4 under
-        # instrumentation (worker-record stitching + watchdog polling)
-        # must stay within the identical tolerance. Skipped where the
-        # parallel speedup gate would be meaningless too.
-        cpu_count = os.cpu_count() or 1
-        if os.environ.get("REPRO_SKIP_PARALLEL_CHECK"):
-            skip_reason = "REPRO_SKIP_PARALLEL_CHECK set"
-        elif cpu_count < 4:
-            skip_reason = f"cpu_count={cpu_count} < 4"
-        else:
-            skip_reason = None
-        if skip_reason is not None:
-            print(f"parallel observability gate skipped: {skip_reason}")
-            record["observability"]["parallel"] = {
-                "skipped": True,
-                "reason": skip_reason,
-            }
-        else:
-            par_overhead = run_parallel_obs_overhead(
-                PROFILES[args.profile]["repeats"]
-            )
-            entry = par_overhead["kernels"]["parallel_scan_4w"]
-            par_median = par_overhead["median_overhead_fraction"]
-            ok = par_median <= args.obs_tolerance
-            record["observability"]["parallel"] = {
-                **par_overhead,
-                "tolerance": args.obs_tolerance,
-                "ok": ok,
-                "skipped": False,
-            }
-            print(
-                f"{'parallel_scan_4w'.ljust(width)}"
-                f"  {entry['disabled_s'] * 1e3:9.3f} ms"
-                f"  {entry['enabled_s'] * 1e3:9.3f} ms"
-                f"  {entry['overhead_fraction'] * 100:+7.2f}%"
-            )
-            print(f"parallel-path instrumentation overhead: "
-                  f"{par_median * 100:+.2f}% "
-                  f"(tolerance {args.obs_tolerance * 100:.0f}%)")
-            if not ok:
-                print(f"FAIL: parallel-path observability overhead "
-                      f"{par_median * 100:.2f}% exceeds "
-                      f"{args.obs_tolerance * 100:.0f}%")
-                status = 1
 
     if args.profile_check:
         overhead = run_profile_overhead(PROFILES[args.profile]["repeats"])
@@ -1184,51 +1000,10 @@ def main(argv=None) -> int:
         f"(ratio {scan['serial_ratio']:.2f}x)"
     )
 
-    parallel = run_parallel_scaling(repeats)
-    record["parallel"] = parallel
-    print(f"\nparallel scaling ({parallel['rows']} rows, "
-          f"cpu_count={parallel['cpu_count']}):")
-    print("workers   scan         join         group-by")
-    for workers in PARALLEL_WORKER_COUNTS:
-        entry = parallel["workers"][str(workers)]
-        cells = []
-        for op in ("scan", "join", "group_by"):
-            cell = f"{entry[f'{op}_s'] * 1e3:8.2f} ms"
-            if f"{op}_speedup" in entry:
-                cell += f" ({entry[f'{op}_speedup']:.2f}x)"
-            cells.append(cell.ljust(20))
-        print(f"{workers:>7}   {''.join(cells)}")
-
-    if args.parallel_check:
-        ratio = scan["serial_ratio"]
-        if ratio > args.max_serial_regression:
-            print(f"FAIL: serial encoded scan is {ratio:.2f}x plain "
-                  f"(allowed {args.max_serial_regression:.2f}x)")
-            status = 1
-        cpu_count = os.cpu_count() or 1
-        skip_env = os.environ.get("REPRO_SKIP_PARALLEL_CHECK")
-        if skip_env:
-            reason = "REPRO_SKIP_PARALLEL_CHECK set"
-        elif cpu_count < 4:
-            reason = f"cpu_count={cpu_count} < 4"
-        else:
-            reason = None
-        if reason is not None:
-            print(f"parallel speedup gate skipped: {reason}")
-            record["parallel"]["check"] = {"skipped": True, "reason": reason}
-        else:
-            speedup = parallel["workers"]["4"]["scan_speedup"]
-            ok = speedup >= args.parallel_speedup
-            record["parallel"]["check"] = {
-                "skipped": False,
-                "scan_speedup_4_workers": speedup,
-                "required": args.parallel_speedup,
-                "ok": ok,
-            }
-            if not ok:
-                print(f"FAIL: 4-worker scan speedup {speedup:.2f}x < "
-                      f"required {args.parallel_speedup:.2f}x")
-                status = 1
+    if args.check is not None and scan["serial_ratio"] > MAX_SERIAL_SCAN_RATIO:
+        print(f"FAIL: serial encoded scan is {scan['serial_ratio']:.2f}x plain "
+              f"(allowed {MAX_SERIAL_SCAN_RATIO:.2f}x)")
+        status = 1
 
     if args.output is None:
         args.output = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"

@@ -16,11 +16,8 @@
 #    the kernels (--profile-check). --audit-check gates shadow auditing
 #    on end-to-end serving: directly-attributed per-query accounting
 #    plus audit re-execution time must stay under 2% at the default
-#    sample rate. --parallel-check additionally gates
-#    the column store: the serial encoded scan must stay within 1.25x
-#    of the plain scan, and the 4-worker morsel scan must reach 1.5x
-#    over serial — the speedup half auto-skips on runners with fewer
-#    than 4 CPUs or when REPRO_SKIP_PARALLEL_CHECK is set.
+#    sample rate. --check also gates the column store: the serial
+#    encoded scan must stay within 1.25x of the plain scan.
 set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro lint src
@@ -32,5 +29,4 @@ PYTHONPATH=src python benchmarks/bench_kernels.py \
   --strict-check \
   --profile-check \
   --audit-check \
-  --parallel-check \
   --output -

@@ -1,22 +1,14 @@
 #!/bin/sh
 # Full per-PR check: tests + static analysis + strict-mode smoke.
 #
-# 1. tier-1 pytest           — the repo's own test suite (ROADMAP.md),
-#                              pinned to REPRO_WORKERS=0 so the serial
-#                              execution path is what CI certifies; the
-#                              column-store/parallel differential files
-#                              then re-run with REPRO_WORKERS=4 and a
-#                              low morsel floor so the worker-pool path
-#                              (shared memory, morsel merge) is also
-#                              exercised end to end.
-# 2. repro lint              — the two-phase analyzer (per-file rules +
-#                              whole-program fork-safety/lifecycle pack)
-#                              over src+tests+benchmarks with an empty
-#                              committed baseline: errors fail, warns
-#                              report (--strict-severity); a second
-#                              warm-cache run must finish under the 5s
-#                              budget so lint never becomes the slow
-#                              step (DESIGN.md §12).
+# 1. tier-1 pytest           — the repo's own test suite (ROADMAP.md).
+# 2. repro lint              — the per-file rule pack over
+#                              src+tests+benchmarks with an empty
+#                              committed baseline; a second warm-cache
+#                              run must finish under the 5s budget so
+#                              lint never becomes the slow step
+#                              (DESIGN.md §12), and the cold (--no-cache)
+#                              time is printed next to it.
 # 3. strict-mode smoke train — a micro fit+query run with the runtime
 #                              shape/dtype/NaN contracts enabled
 #                              (REPRO_STRICT=1), so a contract that
@@ -38,17 +30,13 @@
 #                              `repro analyze --slowest 1`, and diffs
 #                              the run against itself (must report no
 #                              regressions).
-# 9. watchdog smoke            — REPRO_TEST_HANG_MORSEL wedges a morsel;
-#                              the pool watchdog must cancel it and the
-#                              serial fallback must return the identical
-#                              result (tests/test_worker_obs.py).
-# 10. repro audit --smoke      — records a run with shadow auditing at
+# 9. repro audit --smoke       — records a run with shadow auditing at
 #                              rate 1.0 and prints the predicted-vs-
 #                              observed calibration table, so the
 #                              answer-quality pipeline (auditor, quality
 #                              SLOs, drift detector) is exercised end to
 #                              end on every PR (DESIGN.md §14).
-# 11. end-to-end benchmark      — the benchmark's own tests (recorder,
+# 10. end-to-end benchmark      — the benchmark's own tests (recorder,
 #                              speed probe, declaration vs. output) and
 #                              one --smoke pass of all four workloads
 #                              with every output check on
@@ -63,15 +51,11 @@ cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
 
-echo "== tier-1 tests (serial execution path, REPRO_WORKERS=0)"
-REPRO_WORKERS=0 python -m pytest -x -q
+echo "== tier-1 tests"
+python -m pytest -x -q
 
-echo "== parallel differential (REPRO_WORKERS=4 through the morsel pool)"
-REPRO_WORKERS=4 REPRO_PARALLEL_MIN_ROWS=1024 \
-  python -m pytest tests/test_columnstore.py tests/test_parallel.py -q
-
-echo "== repro lint (whole-program pass, strict severity)"
-python -m repro lint --strict-severity --baseline lint_baseline.json
+echo "== repro lint"
+python -m repro lint --baseline lint_baseline.json
 
 echo "== repro lint timing budget (<5s warm cache)"
 python - <<'EOF'
@@ -79,7 +63,12 @@ import sys, time
 from repro.lint import cli
 
 start = time.perf_counter()
-code, text = cli.run(strict_severity=True, baseline="lint_baseline.json")
+cli.run(baseline="lint_baseline.json", no_cache=True)
+sys.stdout.write(
+    f"cold (--no-cache) full-tree lint: {time.perf_counter() - start:.2f}s\n"
+)
+start = time.perf_counter()
+code, text = cli.run(baseline="lint_baseline.json")
 elapsed = time.perf_counter() - start
 sys.stdout.write(f"warm-cache full-tree lint: {elapsed:.2f}s\n")
 if code != 0:
@@ -137,9 +126,6 @@ python -m repro analyze --dir "$analyze_dir" --trace "$trace_id" > /dev/null
 python -m repro diff "$analyze_dir" "$analyze_dir" \
   | grep -q "no regressions"
 rm -rf "$analyze_dir"
-
-echo "== pool watchdog smoke (forced-hang morsel, serial fallback)"
-python -m pytest tests/test_worker_obs.py -q -k "watchdog or hung"
 
 echo "== repro audit --smoke (shadow auditing + calibration table)"
 audit_dir="$(mktemp -d)"

@@ -16,8 +16,7 @@ memory.json, slo.json land in the run directory).
 ``top``    — live-refreshing terminal view of a (possibly still running)
 profiled run: SLO burn, hot functions, span attribution, memory.
 ``watch``  — live ops console over a run directory: rolling QPS/p50/p95,
-worker utilization bars, shed/fallback counts, answer quality, active
-SLO burn alerts.
+answer quality, trace keep reasons, active SLO burn alerts.
 ``audit``  — shadow-audit view of a recorded run: audit accounting and
 the predicted-vs-observed calibration table (see repro.obs.quality).
 ``lint``   — run the AST rule pack over source paths (see repro.lint).
@@ -472,7 +471,7 @@ def cmd_top(args) -> int:
 
 
 def cmd_watch(args) -> int:
-    """Live ops console over a run directory (QPS, workers, SLO burn)."""
+    """Live ops console over a run directory (QPS, quality, SLO burn)."""
     import time
 
     from .obs.watch import render_watch
@@ -774,7 +773,7 @@ def main(argv=None) -> int:
 
     watch = commands.add_parser(
         "watch",
-        help="live ops console: QPS/p95, worker utilization, SLO burn",
+        help="live ops console: QPS/p95, answer quality, SLO burn",
     )
     watch.add_argument("--dir", default=DEFAULT_OBS_DIR,
                        help="run directory a live run is writing into")

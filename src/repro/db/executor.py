@@ -20,7 +20,6 @@ import numpy as np
 
 from ..obs.clock import perf_counter, process_time
 from . import kernels
-from . import parallel as _parallel
 from ..obs import context as _context
 from ..obs import memory as _memory
 from ..obs import metrics as _metrics
@@ -58,28 +57,14 @@ class QueryStats:
     """Per-query resource accounting envelope (DESIGN.md §11).
 
     Attached to :attr:`ResultSet.stats` by the observed execution path
-    and surfaced in EXPLAIN ANALYZE and the ``repro report`` parallel
-    section. ``cpu_seconds`` is the parent's ``process_time`` delta plus
-    summed worker busy time — child CPU is invisible to the parent's
-    clock, and morsel tasks are CPU-bound, so worker wall≈cpu.
-    ``skew_ratio`` is max/mean per-worker busy time (1.0 when the query
-    never dispatched); a straggler is a morsel task whose busy time
-    exceeded twice the query's mean task time.
+    and surfaced in EXPLAIN ANALYZE. ``cpu_seconds`` is the process's
+    ``process_time`` delta over the query.
     """
 
     wall_seconds: float = 0.0
     cpu_seconds: float = 0.0
     rows_scanned: int = 0
     rows_produced: int = 0
-    dispatches: int = 0
-    morsels: int = 0
-    fallbacks: int = 0
-    fallback_reasons: dict[str, int] = field(default_factory=dict)
-    watchdog_timeouts: int = 0
-    worker_busy: dict[str, float] = field(default_factory=dict)
-    worker_busy_seconds: float = 0.0
-    skew_ratio: float = 1.0
-    stragglers: int = 0
     #: 128-bit request trace id (repro.obs.context) — the handle that
     #: resolves this query in `repro analyze --trace`.
     trace_id: Optional[str] = None
@@ -99,15 +84,6 @@ class QueryStats:
             "cpu_seconds": self.cpu_seconds,
             "rows_scanned": self.rows_scanned,
             "rows_produced": self.rows_produced,
-            "dispatches": self.dispatches,
-            "morsels": self.morsels,
-            "fallbacks": self.fallbacks,
-            "fallback_reasons": dict(self.fallback_reasons),
-            "watchdog_timeouts": self.watchdog_timeouts,
-            "worker_busy": dict(self.worker_busy),
-            "worker_busy_seconds": self.worker_busy_seconds,
-            "skew_ratio": self.skew_ratio,
-            "stragglers": self.stragglers,
         }
 
 
@@ -335,18 +311,12 @@ def _predicate_context(
 def _filter_positions(result: ResultSet, predicate: Expression) -> np.ndarray:
     """Positions of rows satisfying the predicate (physical-space eval).
 
-    Rewrites into code space when possible, then tries the morsel-parallel
-    scan (only ever on non-object arrays); any fallback evaluates the
-    appropriate form serially.
+    Evaluates in code space when the predicate rewrites, else on decoded
+    values.
     """
     rewritten = _rewrite_predicate(predicate, result)
     if rewritten is None:
         return np.flatnonzero(predicate.evaluate(result.decoded_context()))
-    context = _predicate_context(result, rewritten)
-    if context is not None and context:
-        positions = _parallel.maybe_parallel_filter(rewritten, context)
-        if positions is not None:
-            return positions
     return np.flatnonzero(rewritten.evaluate(result.columns))
 
 
@@ -650,7 +620,7 @@ def execute(db: Database, query: SPJQuery) -> ResultSet:
 
 
 def _query_fingerprint(query) -> str:
-    """Short stable query id — attributes fallback/watchdog telemetry."""
+    """Short stable query id — names the request context and root span."""
     digest = hashlib.sha1(query.to_sql().encode("utf-8"))
     return digest.hexdigest()[:12]
 
@@ -663,54 +633,16 @@ def _rows_scanned(db: Database, query) -> int:
 
 
 def _finish_query_stats(
-    db: Database, query, wall: float, cpu: float, rows_out: int
+    db: Database, query, wall: float, cpu: float, rows_out: int, trace_id: str
 ) -> QueryStats:
-    """Close parallel accounting and build the QueryStats envelope.
-
-    Emits one ``parallel`` telemetry record per query that touched the
-    pool (dispatched or fell back) — the stream ``repro watch`` renders
-    worker-utilization bars from.
-    """
-    summary = _parallel.end_query_accounting() or {}
-    stats = QueryStats(
+    """Build the QueryStats envelope for one observed query."""
+    return QueryStats(
         wall_seconds=wall,
-        cpu_seconds=cpu + summary.get("worker_busy_seconds", 0.0),
+        cpu_seconds=cpu,
         rows_scanned=_rows_scanned(db, query),
         rows_produced=rows_out,
-        dispatches=summary.get("dispatches", 0),
-        morsels=summary.get("morsels", 0),
-        fallbacks=summary.get("fallbacks", 0),
-        fallback_reasons=summary.get("fallback_reasons", {}),
-        watchdog_timeouts=summary.get("watchdog_timeouts", 0),
-        worker_busy=summary.get("worker_busy", {}),
-        worker_busy_seconds=summary.get("worker_busy_seconds", 0.0),
-        skew_ratio=summary.get("skew_ratio", 1.0),
-        stragglers=summary.get("stragglers", 0),
+        trace_id=trace_id,
     )
-    if stats.dispatches or stats.fallbacks:
-        _telemetry.emit(
-            "parallel",
-            event="query",
-            query=summary.get("fingerprint"),
-            wall_seconds=stats.wall_seconds,
-            cpu_seconds=stats.cpu_seconds,
-            rows_scanned=stats.rows_scanned,
-            rows_produced=stats.rows_produced,
-            dispatches=stats.dispatches,
-            morsels=stats.morsels,
-            fallbacks=stats.fallbacks,
-            watchdog_timeouts=stats.watchdog_timeouts,
-            workers=len(stats.worker_busy),
-            worker_busy=stats.worker_busy,
-            worker_busy_seconds=stats.worker_busy_seconds,
-            skew_ratio=stats.skew_ratio,
-            stragglers=stats.stragglers,
-        )
-        registry = _metrics.registry()
-        registry.observe("parallel.query.skew_ratio", stats.skew_ratio)
-        if stats.stragglers:
-            registry.add("parallel.stragglers", float(stats.stragglers))
-    return stats
 
 
 def _execute_observed(db: Database, query: SPJQuery) -> ResultSet:
@@ -726,25 +658,13 @@ def _execute_observed(db: Database, query: SPJQuery) -> ResultSet:
     with _context.ensure(fingerprint=fingerprint) as request, \
             _trace.span("execute") as sp:
         sp.set(tables=list(query.tables), fingerprint=fingerprint)
-        _parallel.begin_query_accounting(fingerprint)
         start = perf_counter()
         cpu_start = process_time()
-        try:
-            result = _execute_impl(db, query)
-        except BaseException:
-            _parallel.end_query_accounting()
-            raise
+        result = _execute_impl(db, query)
         wall = perf_counter() - start
         result.stats = _finish_query_stats(
-            db, query, wall, process_time() - cpu_start, result.n_rows
-        )
-        result.stats.trace_id = request.trace_id
-        # Stamp dispatch/fallback tallies onto the root span: the tail
-        # sampler's keep decision (repro.obs.sampling) reads them.
-        sp.set(
-            fallbacks=result.stats.fallbacks,
-            watchdog_timeouts=result.stats.watchdog_timeouts,
-            dispatches=result.stats.dispatches,
+            db, query, wall, process_time() - cpu_start, result.n_rows,
+            request.trace_id,
         )
         sp.count("rows_out", result.n_rows)
         registry = _metrics.registry()
@@ -1077,27 +997,17 @@ def explain(
             request = stack.enter_context(
                 _context.ensure(fingerprint=fingerprint)
             )
-            _parallel.begin_query_accounting(fingerprint)
         start = perf_counter()
         cpu_start = process_time()
         with _trace.span("execute.explain_analyze") as sp:
-            try:
-                result = _execute_impl(db, query, capture)
-            except BaseException:
-                _parallel.end_query_accounting()
-                raise
+            result = _execute_impl(db, query, capture)
             wall = perf_counter() - start
             if _OBS.enabled:
                 result.stats = _finish_query_stats(
-                    db, query, wall, process_time() - cpu_start, result.n_rows
+                    db, query, wall, process_time() - cpu_start, result.n_rows,
+                    request.trace_id,
                 )
-                result.stats.trace_id = request.trace_id
-                sp.set(
-                    fingerprint=fingerprint,
-                    fallbacks=result.stats.fallbacks,
-                    watchdog_timeouts=result.stats.watchdog_timeouts,
-                    dispatches=result.stats.dispatches,
-                )
+                sp.set(fingerprint=fingerprint)
             if sp:
                 sp.count("rows_out", result.n_rows)
     plan = QueryPlan(

@@ -266,10 +266,7 @@ def probe_factorized(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe a prebuilt join index with factorized codes.
 
-    Pure function of its inputs and independent across probe rows, which
-    is what makes the morsel-parallel probe in
-    :mod:`repro.db.parallel` exact: each morsel probes its slice and the
-    concatenation in morsel order reproduces the serial output.
+    Pure function of its inputs and independent across probe rows.
     """
     counts = code_counts[probe_codes]
     total = int(counts.sum())
@@ -295,21 +292,12 @@ def join_positions(
     Returns ``(probe_idx, build_idx)``: one entry per match, ordered by
     probe row, then ascending build row within each key group — exactly
     the order the per-row ``buckets.setdefault(...)`` implementation
-    emits. Large probe sides are split into morsels across the worker
-    pool when one is configured (see :mod:`repro.db.parallel`).
+    emits.
     """
     if _FORCE_REFERENCE:
         return reference_join_positions(build_keys, probe_keys)
     build_codes, probe_codes, n_codes = factorize_key_pair(build_keys, probe_keys)
     order, code_starts, code_counts = build_join_index(build_codes, n_codes)
-
-    from . import parallel as _parallel
-
-    result = _parallel.maybe_parallel_probe(
-        probe_codes, order, code_starts, code_counts
-    )
-    if result is not None:
-        return result
     return probe_factorized(probe_codes, order, code_starts, code_counts)
 
 
@@ -390,13 +378,7 @@ def group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     n = len(arrays[0]) if arrays else 0
     if n == 0:
         return []
-    codes, n_codes = factorize_keys(arrays)
-
-    from . import parallel as _parallel
-
-    result = _parallel.maybe_parallel_group_by(codes, n_codes)
-    if result is not None:
-        return result
+    codes, _ = factorize_keys(arrays)
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
     boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1

@@ -88,7 +88,7 @@ class QueryPlan:
     total_seconds: Optional[float] = None
     result: Optional[object] = None      # ResultSet / AggregateResult (ANALYZE)
     #: QueryStats.to_dict() from the executed run (ANALYZE under obs):
-    #: wall vs cpu time, morsel/dispatch counts, per-worker busy, skew.
+    #: wall vs cpu time, rows scanned → produced, trace id.
     query_stats: Optional[dict[str, Any]] = None
 
     def operators(self) -> list[PlanNode]:
@@ -176,25 +176,4 @@ class QueryPlan:
                 f" scanned={stats.get('rows_scanned', 0)}"
                 f" produced={stats.get('rows_produced', 0)}"
             )
-            if stats.get("dispatches"):
-                lines.append(
-                    "parallel:"
-                    f" dispatches={stats.get('dispatches', 0)}"
-                    f" morsels={stats.get('morsels', 0)}"
-                    f" workers={len(stats.get('worker_busy') or {})}"
-                    f" busy={stats.get('worker_busy_seconds', 0.0) * 1e3:.2f} ms"
-                    f" skew={stats.get('skew_ratio', 1.0):.2f}"
-                    f" stragglers={stats.get('stragglers', 0)}"
-                )
-            if stats.get("fallbacks"):
-                reasons = ", ".join(
-                    f"{reason}×{count}"
-                    for reason, count in sorted(
-                        (stats.get("fallback_reasons") or {}).items()
-                    )
-                )
-                lines.append(
-                    f"parallel fallbacks: {stats.get('fallbacks', 0)}"
-                    + (f" ({reasons})" if reasons else "")
-                )
         return "\n".join(lines)

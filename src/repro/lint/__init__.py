@@ -2,9 +2,8 @@
 
 Machine-checks the repo invariants that the reproduction's correctness
 rests on — seeded randomness, the closed dependency surface, structured
-output/timing, surfaced failures, and (whole-program) fork-safety,
-resource lifecycles, and the telemetry-sink chokepoint — instead of
-trusting convention. See DESIGN.md §12 for the two-phase architecture
+output/timing, surfaced failures, and the telemetry-sink chokepoints —
+instead of trusting convention. See DESIGN.md §12 for the architecture
 and each rule's rationale, and :mod:`repro.lint.rules` for the
 implementations.
 
@@ -25,8 +24,6 @@ never churn it). ``repro lint --explain RULE`` prints a rule's full
 documentation.
 """
 
-from .callgraph import CallGraph
-from .effects import summarize_module
 from .engine import (
     DEFAULT_BASELINE,
     Baseline,
@@ -40,17 +37,15 @@ from .engine import (
 )
 from .formats import to_html, to_sarif
 from .index import DEFAULT_CACHE, LintCache
-from .rules import RULES, ProjectRule, Rule, UnknownRuleError
+from .rules import RULES, Rule, UnknownRuleError
 
 __all__ = [
     "Baseline",
-    "CallGraph",
     "DEFAULT_BASELINE",
     "DEFAULT_CACHE",
     "Finding",
     "LintCache",
     "LintReport",
-    "ProjectRule",
     "RULES",
     "Rule",
     "UnknownRuleError",
@@ -58,7 +53,6 @@ __all__ = [
     "load_baseline",
     "profile_for",
     "run_lint",
-    "summarize_module",
     "to_html",
     "to_sarif",
     "write_baseline",

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import engine, formats
 from .engine import DEFAULT_BASELINE
 from .index import DEFAULT_CACHE
-from .rules import RULES, ProjectRule, UnknownRuleError
+from .rules import RULES, UnknownRuleError
 
 #: Default path set: the library plus the relaxed-profile trees.
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
@@ -64,18 +64,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
              "severity) and exit",
     )
     parser.add_argument(
-        "--strict-severity", action="store_true",
-        help="exit nonzero only on error-severity findings "
-             "(warnings are reported but don't fail)",
-    )
-    parser.add_argument(
         "--cache", default=DEFAULT_CACHE, metavar="FILE",
-        help="phase-1 result cache keyed on content hashes "
+        help="per-file result cache keyed on content hashes "
              f"(default: {DEFAULT_CACHE})",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the phase-1 cache for this run",
+        help="disable the result cache for this run",
     )
 
 
@@ -94,9 +89,8 @@ def _explain_text(name: str) -> tuple[int, str]:
             f"lint: error: unknown rule {name!r}; "
             f"available: {', '.join(sorted(RULES))}"
         )
-    scope = "whole-program" if isinstance(rule, ProjectRule) else "per-file"
     lines = [
-        f"{rule.name} ({rule.severity}, {scope})",
+        f"{rule.name} ({rule.severity})",
         f"  rationale: {rule.rationale}",
     ]
     if rule.skip_profiles:
@@ -129,15 +123,13 @@ def run(
     list_rules: bool = False,
     output_format: str = "text",
     explain: Optional[str] = None,
-    strict_severity: bool = False,
     cache: Optional[str] = DEFAULT_CACHE,
     no_cache: bool = False,
 ) -> tuple[int, str]:
     """Run the linter; returns ``(exit_code, text_to_print)``.
 
-    Exit codes: 0 clean, 1 new findings (errors only under
-    ``strict_severity``), 2 usage error (unknown rule, unreadable
-    baseline).
+    Exit codes: 0 clean, 1 new findings, 2 usage error (unknown rule,
+    unreadable baseline).
     """
     if list_rules:
         return 0, _list_rules_text()
@@ -172,10 +164,7 @@ def run(
             f"lint: wrote {len(report.findings)} finding(s) to {target}"
         )
 
-    return (
-        report.exit_code_for(strict_severity),
-        _render(report, output_format),
-    )
+    return report.exit_code, _render(report, output_format)
 
 
 def run_args(args: argparse.Namespace) -> tuple[int, str]:
@@ -189,7 +178,6 @@ def run_args(args: argparse.Namespace) -> tuple[int, str]:
         list_rules=args.list_rules,
         output_format=args.output_format,
         explain=args.explain,
-        strict_severity=args.strict_severity,
         cache=args.cache,
         no_cache=args.no_cache,
     )

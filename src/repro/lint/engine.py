@@ -1,13 +1,9 @@
 """Core of the project linter: findings, suppressions, baselines, reports.
 
-The engine runs in two phases (DESIGN.md §12). Phase 1 walks Python
-files, parses each one once with :mod:`ast`, hands the tree to every
-per-file :class:`~repro.lint.rules.Rule`, and builds the module effect
-summary (:mod:`repro.lint.effects`); all phase-1 outputs are cached in
+The engine (DESIGN.md §12) walks Python files, parses each one once
+with :mod:`ast`, and hands the tree to every
+:class:`~repro.lint.rules.Rule`; each file's findings are cached in
 ``.lint_cache.json`` keyed on content hashes (:mod:`repro.lint.index`).
-Phase 2 assembles the summaries into a
-:class:`~repro.lint.callgraph.CallGraph` and runs the whole-program
-:class:`~repro.lint.rules.ProjectRule` pack over it.
 
 Four layers filter what a rule reports before it becomes a *new*
 finding:
@@ -276,12 +272,6 @@ class LintReport:
     def exit_code(self) -> int:
         return 1 if self.findings else 0
 
-    def exit_code_for(self, strict_severity: bool = False) -> int:
-        """Exit status; under ``--strict-severity`` only errors fail."""
-        if strict_severity:
-            return 1 if self.errors else 0
-        return self.exit_code
-
     def to_json(self) -> dict:
         return {
             "version": BASELINE_VERSION,
@@ -344,7 +334,7 @@ def _attach_line_hash(finding: Finding, hashes: Sequence[str]) -> Finding:
     return finding
 
 
-def _phase1_entry(
+def _file_entry(
     display: str,
     source: str,
     profile: str,
@@ -352,19 +342,9 @@ def _phase1_entry(
     sha: str,
     key: str,
 ) -> dict[str, Any]:
-    """Parse + per-file rules + effect summary for one file (cacheable)."""
-    from .effects import summarize_module
-
+    """Parse one file and run the rules over it (the cacheable unit)."""
     hashes = line_hashes(source)
-    entry: dict[str, Any] = {
-        "sha": sha,
-        "rules_key": key,
-        "profile": profile,
-        "line_hashes": hashes,
-        "summary": None,
-        "suppressions": {},
-        "findings": [],
-    }
+    entry: dict[str, Any] = {"sha": sha, "rules_key": key, "findings": []}
     try:
         tree = ast.parse(source, filename=display)
     except SyntaxError as exc:
@@ -379,10 +359,6 @@ def _phase1_entry(
         return entry
 
     context = FileContext(display, source, profile)
-    entry["suppressions"] = {
-        str(line): sorted(names)
-        for line, names in context.suppressions.items()
-    }
     findings: list[Finding] = []
     for rule in rules:
         if rule.skip(display, profile):
@@ -392,7 +368,6 @@ def _phase1_entry(
                 findings.append(_attach_line_hash(finding, hashes))
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
     entry["findings"] = [f.to_json() for f in findings]
-    entry["summary"] = summarize_module(tree, display)
     return entry
 
 
@@ -406,16 +381,11 @@ def lint_file(path: str, rules: Sequence) -> list[Finding]:
         return [
             Finding(PARSE_ERROR_RULE, display, 1, 1, f"cannot read file: {exc}")
         ]
-    entry = _phase1_entry(
+    entry = _file_entry(
         display, source, profile_for(display), rules,
         content_hash(source), rules_key([r.name for r in rules]),
     )
     return [Finding(**f) for f in entry["findings"]]
-
-
-def _entry_suppressed(entry: dict[str, Any], rule: str, line: int) -> bool:
-    names = entry.get("suppressions", {}).get(str(line))
-    return names is not None and (ALL_RULES in names or rule in names)
 
 
 def run_lint(
@@ -429,25 +399,18 @@ def run_lint(
     ``rule_names`` restricts the rule pack (default: every registered
     rule); unknown names raise :class:`~repro.lint.rules.UnknownRuleError`.
     ``baseline_path`` filters out grandfathered fingerprints.
-    ``cache_path`` enables the phase-1 cache (``None``, the library
+    ``cache_path`` enables the per-file result cache (``None``, the library
     default, never touches disk; the CLI defaults to ``.lint_cache.json``).
     """
-    from .callgraph import CallGraph
-    from .rules import ProjectRule, get_rules
+    from .rules import get_rules
 
     rules = get_rules(rule_names)
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    key = rules_key([r.name for r in file_rules])
+    key = rules_key([r.name for r in rules])
     cache = LintCache(cache_path)
     baseline = load_baseline(baseline_path) if baseline_path else Baseline()
     report = LintReport(rules=[rule.name for rule in rules])
 
-    entries: dict[str, dict[str, Any]] = {}
-    summaries: dict[str, dict[str, Any]] = {}
     raw_findings: list[Finding] = []
-
-    # ---- phase 1: per-file rules + effect summaries (cached) ---- #
     for path in discover_files(paths):
         report.files_checked += 1
         display = _display_path(path)
@@ -462,30 +425,11 @@ def run_lint(
         sha = content_hash(source)
         entry = cache.lookup(display, sha, key)
         if entry is None:
-            entry = _phase1_entry(
-                display, source, profile_for(display), file_rules, sha, key
+            entry = _file_entry(
+                display, source, profile_for(display), rules, sha, key
             )
             cache.store(display, key, entry)
-        entries[display] = entry
-        if entry.get("summary") is not None:
-            summaries[display] = entry["summary"]
         raw_findings.extend(Finding(**f) for f in entry["findings"])
-
-    # ---- phase 2: whole-program rules over the call graph ---- #
-    if project_rules and summaries:
-        graph = CallGraph(summaries)
-        for rule in project_rules:
-            for finding in rule.check_project(graph):
-                entry = entries.get(finding.path)
-                if entry is None:
-                    continue  # anchored outside the linted file set
-                if rule.skip(finding.path, entry["profile"]):
-                    continue
-                if _entry_suppressed(entry, finding.rule, finding.line):
-                    continue
-                raw_findings.append(
-                    _attach_line_hash(finding, entry["line_hashes"])
-                )
 
     raw_findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     for finding in raw_findings:

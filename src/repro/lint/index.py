@@ -1,21 +1,17 @@
-"""Project index: cached per-file summaries + findings for incremental lint.
+"""Content-hash cache of per-file lint results for incremental runs.
 
-``repro lint`` is a two-phase analyzer (DESIGN.md §12): phase 1 parses
-every file once, runs the per-file rules, and builds the module effect
-summary (:mod:`repro.lint.effects`); phase 2 runs the whole-program
-rules over the assembled :class:`~repro.lint.callgraph.CallGraph`.
-Phase 1 dominates the cost, and its outputs depend only on the file's
-bytes and the active rule pack — so they are cached here.
+``repro lint`` (DESIGN.md §12) parses every file once and runs the rule
+pack over it. That result depends only on the file's bytes and the
+active rule pack — so it is cached here.
 
 The cache file (``.lint_cache.json`` by default, git-ignored) maps each
-display path to ``{sha, rules_key, findings, summary, suppressions,
-line_hashes}``. A file whose content hash and rules key match is never
-re-parsed: its per-file findings, suppression map, per-line content
-hashes (baseline fingerprints), and effect summary all come from the
-cache, and only the cheap phase-2 pass runs fresh. Any mismatch —
-edited file, different rule subset, bumped ``CACHE_SCHEMA`` — recomputes
-that file alone. Writes are atomic (temp file + rename) so concurrent
-lint runs can only ever see a complete cache.
+display path to ``{sha, rules_key, findings}``. A file whose content
+hash and rules key match is never re-parsed: its findings (already
+filtered by inline suppressions, carrying their baseline fingerprints)
+come from the cache. Any mismatch — edited file, different rule subset,
+bumped ``CACHE_SCHEMA`` — recomputes that file alone. Writes are atomic
+(temp file + rename) so concurrent lint runs can only ever see a
+complete cache.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import os
 import tempfile
 from typing import Any, Optional
 
-#: Bump to invalidate every cached entry (summary/finding shape change).
+#: Bump to invalidate every cached entry (finding shape change).
 CACHE_SCHEMA = 1
 
 #: Default cache filename, resolved against the working directory.
@@ -53,7 +49,7 @@ def analyzer_fingerprint() -> str:
     """Content hash of the lint package's own sources.
 
     Folded into every cache key so upgrading the analyzer (new rule
-    logic, changed summary shape) invalidates stale entries without
+    logic, changed finding shape) invalidates stale entries without
     anyone remembering to bump :data:`CACHE_SCHEMA` by hand.
     """
     global _ANALYZER_FINGERPRINT
@@ -74,13 +70,13 @@ def analyzer_fingerprint() -> str:
 
 
 def rules_key(rule_names: list[str]) -> str:
-    """Cache key component: active per-file rule pack + analyzer version."""
+    """Cache key component: active rule pack + analyzer version."""
     joined = ",".join(sorted(rule_names)) + "@" + analyzer_fingerprint()
     return hashlib.sha1(joined.encode("utf-8")).hexdigest()[:12]
 
 
 class LintCache:
-    """Content-hash-keyed store of per-file phase-1 results."""
+    """Content-hash-keyed store of per-file lint results."""
 
     def __init__(self, path: Optional[str]) -> None:
         self.path = path

@@ -45,10 +45,16 @@ def _dotted_name(node: ast.AST, imports: "ImportMap") -> Optional[str]:
 
 
 class ImportMap(ast.NodeVisitor):
-    """Local name → dotted import origin, for resolving call targets."""
+    """Local name → dotted import origin, for resolving call targets.
 
-    def __init__(self) -> None:
+    Relative imports resolve against the importing file's directory:
+    ``from . import telemetry as _telemetry`` in ``src/repro/obs/slo.py``
+    binds ``_telemetry`` to ``src.repro.obs.telemetry``.
+    """
+
+    def __init__(self, path: str) -> None:
         self.names: dict[str, str] = {}
+        self._package = [part for part in _path_parts(path)[:-1] if part]
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -59,16 +65,20 @@ class ImportMap(ast.NodeVisitor):
                 self.names[top] = top
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.level or not node.module:
-            return  # relative import: in-package, never an external origin
+        base = node.module or ""
+        if node.level:
+            keep = len(self._package) - (node.level - 1)
+            if keep <= 0:
+                return  # climbs above the linted tree: unresolvable
+            base = ".".join(self._package[:keep] + ([base] if base else []))
+        if not base:
+            return
         for alias in node.names:
-            self.names[alias.asname or alias.name] = (
-                f"{node.module}.{alias.name}"
-            )
+            self.names[alias.asname or alias.name] = f"{base}.{alias.name}"
 
 
-def _build_import_map(tree: ast.AST) -> ImportMap:
-    imports = ImportMap()
+def _build_import_map(context: FileContext, tree: ast.AST) -> ImportMap:
+    imports = ImportMap(context.path)
     imports.visit(tree)
     return imports
 
@@ -105,38 +115,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A whole-program rule: runs once over the project call graph.
-
-    Project rules never see a single file's AST — they consume the
-    :class:`~repro.lint.callgraph.CallGraph` assembled from every module
-    summary (phase 2). Path exemptions, tree profiles, and inline
-    suppressions still apply per finding, handled by the engine.
-    """
-
-    def check(self, context: FileContext, tree: ast.AST) -> list[Finding]:
-        return []
-
-    def check_project(self, graph) -> list[Finding]:
-        raise NotImplementedError
-
-    def project_finding(
-        self,
-        path: str,
-        line: int,
-        message: str,
-        severity: Optional[str] = None,
-    ) -> Finding:
-        return Finding(
-            rule=self.name,
-            path=path,
-            line=line,
-            col=1,
-            message=message,
-            severity=severity or self.severity,
-        )
-
-
 def _walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -166,7 +144,7 @@ class NoGlobalNumpyRandom(Rule):
     })
 
     def check(self, context: FileContext, tree: ast.AST) -> list[Finding]:
-        imports = _build_import_map(tree)
+        imports = _build_import_map(context, tree)
         findings = []
         for call in _walk_calls(tree):
             dotted = _dotted_name(call.func, imports)
@@ -362,7 +340,7 @@ class NoWallclockInLibrary(Rule):
         return bool(self.EXEMPT_PARTS.intersection(_path_parts(path)[:-1]))
 
     def check(self, context: FileContext, tree: ast.AST) -> list[Finding]:
-        imports = _build_import_map(tree)
+        imports = _build_import_map(context, tree)
         findings = []
         for call in _walk_calls(tree):
             dotted = _dotted_name(call.func, imports)
@@ -420,136 +398,27 @@ class NoMutableDefaultArg(Rule):
 
 
 # ------------------------------------------------------------------ #
-# whole-program rules (phase 2, over the project call graph)
+# sink chokepoints
 # ------------------------------------------------------------------ #
-class ForkUnsafeWorkerReachable(ProjectRule):
-    """Invariant: code reachable from fork-pool workers touches no parent
-    state.
-
-    ``db/parallel.py`` forks workers that share the parent's memory
-    image; a transitive callee that writes a module global, mutates
-    imported-module state, acquires a parent-created lock, spawns a
-    thread, opens an fd, or draws from the global numpy RNG corrupts the
-    parent silently (fork) or diverges from it (spawn). The walk is
-    seeded from every function handed to a pool fan-out call
-    (``map_async``/``apply_async``/…, ``Pool(initializer=...)``,
-    ``Process(target=...)``), including ones passed through dispatcher
-    parameters, and follows resolved call edges across modules.
-    """
-
-    name = "fork-unsafe-worker-reachable"
-    rationale = (
-        "functions reachable from fork-pool workers must not mutate "
-        "parent-process state (globals, locks, threads, fds, global RNG)"
-    )
-
-    #: Tests/benchmarks monkeypatch globals and fake pools on purpose.
-    skip_profiles = frozenset({"tests", "benchmarks"})
-
-    HAZARD_TEXT = {
-        "global_write": "writes module global '{0}'",
-        "attr_write": "mutates imported/module-level state '{0}'",
-        "lock_acquire": "acquires a lock ({0})",
-        "thread_create": "starts a thread ({0})",
-        "fd_open": "opens an OS handle via {0}",
-        "global_rng": "calls the global numpy RNG '{0}'",
-    }
-
-    def check_project(self, graph) -> list[Finding]:
-        findings = []
-        for gid in graph.worker_reachable():
-            record = graph.get(gid)
-            path = graph.path_of(gid)
-            if record is None or not path:
-                continue
-            for category, sites in record["hazards"].items():
-                template = self.HAZARD_TEXT[category]
-                for description, lineno in sites:
-                    findings.append(self.project_finding(
-                        path, int(lineno),
-                        f"'{graph.display_name(gid)}' runs inside fork-pool "
-                        f"workers (reached via {graph.chain_text(gid)}) and "
-                        f"{template.format(description)}; worker-reachable "
-                        "code must not touch parent-process state",
-                    ))
-        return findings
-
-
-class ShmLifecycle(ProjectRule):
-    """Invariant: every shared-memory/pool resource is released on all
-    paths.
-
-    A ``SharedMemory`` block that is created but not unlinked leaks a
-    ``/dev/shm`` segment past process exit; a worker pool that is never
-    terminated leaks processes. A creation must be released on every
-    exit — including exception paths — unless ownership escapes (the
-    resource is returned, stored on an object, or handed to another
-    call). Classes whose ``__init__`` creates a raw resource (e.g.
-    ``_ShmArrays``) are tracked at their construction sites too.
-    """
-
-    name = "shm-lifecycle"
-    rationale = (
-        "shared-memory/pool creations must be released on every exit "
-        "path (finally/with), or ownership must escape"
-    )
-
-    #: Test fixtures create deliberately-leaky resources.
-    skip_profiles = frozenset({"tests", "benchmarks"})
-
-    KIND_TEXT = {"shm": "shared-memory block", "pool": "worker pool"}
-
-    def check_project(self, graph) -> list[Finding]:
-        findings = []
-        resource_inits = graph.resource_class_inits()
-        for gid, record, summary in graph.functions():
-            for resource in record["resources"]:
-                kind = resource["kind"]
-                if kind.startswith("project:"):
-                    if graph.resolve(kind[len("project:"):]) not in resource_inits:
-                        continue
-                    what = "resource-owning object"
-                elif kind in self.KIND_TEXT:
-                    what = self.KIND_TEXT[kind]
-                else:
-                    continue
-                if resource["escapes"]:
-                    continue
-                owner = f"'{resource['var']}' in " \
-                        f"'{graph.display_name(gid)}'"
-                if not resource["released"]:
-                    findings.append(self.project_finding(
-                        summary["path"], int(resource["lineno"]),
-                        f"{what} {owner} is never released/closed on any "
-                        "path; call close()/unlink()/terminate() in a "
-                        "finally block or transfer ownership",
-                    ))
-                elif not resource["release_safe"]:
-                    findings.append(self.project_finding(
-                        summary["path"], int(resource["lineno"]),
-                        f"{what} {owner} is released only on the normal "
-                        "path; an exception between creation and release "
-                        "leaks it — move the release into a finally block",
-                        severity="warn",
-                    ))
-        return findings
-
-
-class TelemetrySinkOnly(ProjectRule):
+class TelemetrySinkOnly(Rule):
     """Invariant: all append-mode writes flow through the telemetry sink.
 
     ``obs/telemetry.py`` owns the single ``O_APPEND`` chokepoint whose
     one-``os.write``-per-record discipline makes concurrent appends
-    atomic (DESIGN.md §11). A direct ``os.write``, append-mode
-    ``open(..., "a")``, or ``os.open(..., O_APPEND)`` anywhere else can
-    interleave partial lines with the sink and corrupt the JSONL streams
-    every replay/report tool parses.
+    atomic (DESIGN.md §11) — two ``repro`` processes pointed at one run
+    directory (a ``repro profile`` recorder and a ``repro watch --once``
+    recorder, say) interleave whole records, never partial lines. A
+    direct ``os.write``, append-mode ``open(..., "a")``, or
+    ``os.open(..., O_APPEND)`` anywhere else can interleave partial
+    lines with the sink and corrupt the JSONL streams every
+    replay/report tool parses.
     """
 
     name = "telemetry-sink-only"
     rationale = (
         "append-mode writes outside obs/telemetry.py bypass the atomic "
-        "O_APPEND sink chokepoint"
+        "O_APPEND sink chokepoint that lets two repro processes share a "
+        "run directory"
     )
 
     skip_profiles = frozenset({"tests", "benchmarks"})
@@ -558,12 +427,40 @@ class TelemetrySinkOnly(ProjectRule):
     def exempt(self, path: str) -> bool:
         return path.replace("\\", "/").endswith(self.EXEMPT_SUFFIXES)
 
-    def check_project(self, graph) -> list[Finding]:
+    @staticmethod
+    def _append_site(call: ast.Call, imports: ImportMap) -> Optional[str]:
+        """Describe the append-mode write ``call`` performs, if any."""
+        dotted = _dotted_name(call.func, imports)
+        if dotted == "os.write":
+            return "os.write"
+        if dotted == "os.open" and any(
+            (isinstance(sub, ast.Attribute) and sub.attr == "O_APPEND")
+            or (isinstance(sub, ast.Name) and sub.id == "O_APPEND")
+            for flags in call.args[1:2]
+            for sub in ast.walk(flags)
+        ):
+            return "os.open(O_APPEND)"
+        if isinstance(call.func, ast.Name) and call.func.id == "open":
+            mode = call.args[1] if len(call.args) >= 2 else None
+            for keyword in call.keywords:
+                if keyword.arg == "mode":
+                    mode = keyword.value
+            if (
+                isinstance(mode, ast.Constant)
+                and isinstance(mode.value, str)
+                and "a" in mode.value
+            ):
+                return f"open(..., {mode.value!r})"
+        return None
+
+    def check(self, context: FileContext, tree: ast.AST) -> list[Finding]:
+        imports = _build_import_map(context, tree)
         findings = []
-        for gid, record, summary in graph.functions():
-            for description, lineno in record["raw_appends"]:
-                findings.append(self.project_finding(
-                    summary["path"], int(lineno),
+        for call in _walk_calls(tree):
+            description = self._append_site(call, imports)
+            if description is not None:
+                findings.append(self.finding(
+                    context, call,
                     f"direct append-mode write ({description}) outside the "
                     "telemetry sink; emit through repro.obs.telemetry so "
                     "cross-process appends stay atomic",
@@ -571,7 +468,7 @@ class TelemetrySinkOnly(ProjectRule):
         return findings
 
 
-class QualityTelemetrySinkOnly(ProjectRule):
+class QualityTelemetrySinkOnly(Rule):
     """Invariant: the ``quality`` telemetry stream has one producer.
 
     Replay (:func:`repro.obs.health.replay`) and ``repro audit`` treat
@@ -595,69 +492,24 @@ class QualityTelemetrySinkOnly(ProjectRule):
     def exempt(self, path: str) -> bool:
         return path.replace("\\", "/").endswith(self.EXEMPT_SUFFIXES)
 
-    def check_project(self, graph) -> list[Finding]:
+    def check(self, context: FileContext, tree: ast.AST) -> list[Finding]:
+        imports = _build_import_map(context, tree)
         findings = []
-        for gid, record, summary in graph.functions():
-            for call in record["calls"]:
-                resolved = call.get("resolved") or ""
-                if (
-                    resolved.endswith(".obs.telemetry.emit")
-                    and call.get("arg0") == "quality"
-                ):
-                    findings.append(self.project_finding(
-                        summary["path"], int(call["lineno"]),
-                        "emit on the 'quality' telemetry stream outside "
-                        "repro.obs.quality; report measurements through "
-                        "the QualityMonitor so replay and `repro audit` "
-                        "stay trustworthy",
-                    ))
-        return findings
-
-
-class FallbackOnWorkerError(ProjectRule):
-    """Invariant: every parallel dispatch call site handles the serial
-    fallback.
-
-    Parallelism is strictly an optimization (DESIGN.md §10): dispatch
-    wrappers (``maybe_parallel_*`` over ``_dispatch``) signal any pool
-    failure by returning ``None``, and the caller must run the serial
-    path. A call site that uses the result without a ``None`` check (and
-    outside any try/except) turns a recoverable pool failure into a
-    crash or — worse — a silently wrong result.
-    """
-
-    name = "fallback-on-worker-error"
-    rationale = (
-        "dispatch-wrapper call sites must None-check the result (serial "
-        "fallback) or sit under an exception handler"
-    )
-
-    skip_profiles = frozenset({"tests", "benchmarks"})
-
-    def check_project(self, graph) -> list[Finding]:
-        findings = []
-        wrappers = graph.fallback_wrappers()
-        if not wrappers:
-            return findings
-        for gid, record, summary in graph.functions():
-            for call in record["calls"]:
-                callee = graph.resolve(call.get("resolved"))
-                if callee is None or callee not in wrappers:
-                    continue
-                assigned = call.get("assigned")
-                handled = (
-                    call.get("in_try")
-                    or (assigned is not None
-                        and assigned in record["none_checked"])
-                )
-                if not handled:
-                    findings.append(self.project_finding(
-                        summary["path"], int(call["lineno"]),
-                        f"call to dispatch wrapper "
-                        f"'{graph.display_name(callee)}' does not handle "
-                        "the None fallback; check the result against None "
-                        "and run the serial path (or wrap in try/except)",
-                    ))
+        for call in _walk_calls(tree):
+            dotted = _dotted_name(call.func, imports) or ""
+            if (
+                dotted.endswith(".obs.telemetry.emit")
+                and call.args
+                and isinstance(call.args[0], ast.Constant)
+                and call.args[0].value == "quality"
+            ):
+                findings.append(self.finding(
+                    context, call,
+                    "emit on the 'quality' telemetry stream outside "
+                    "repro.obs.quality; report measurements through "
+                    "the QualityMonitor so replay and `repro audit` "
+                    "stay trustworthy",
+                ))
         return findings
 
 
@@ -669,11 +521,8 @@ _ALL_RULES = (
     NoSilentExcept(),
     NoWallclockInLibrary(),
     NoMutableDefaultArg(),
-    ForkUnsafeWorkerReachable(),
-    ShmLifecycle(),
     TelemetrySinkOnly(),
     QualityTelemetrySinkOnly(),
-    FallbackOnWorkerError(),
 )
 
 RULES: dict[str, Rule] = {rule.name: rule for rule in _ALL_RULES}

@@ -4,11 +4,11 @@ Dependency-free instrumentation substrate for the whole system
 (DESIGN.md §Observability):
 
 * :mod:`repro.obs.context`   — request-scoped causal context: 128-bit
-  trace ids + baggage in a context-local, propagated into fork workers;
+  trace ids + baggage in a context-local;
 * :mod:`repro.obs.trace`     — nestable spans with a thread-local stack,
   exported as a JSON tree or a Chrome-trace file;
 * :mod:`repro.obs.sampling`  — tail-based trace retention: keep slow /
-  errored / fallback / watchdog traces, head-sample the rest;
+  errored / low-quality traces, head-sample the rest;
 * :mod:`repro.obs.analyze`   — offline span-tree reconstruction,
   critical-path analysis, and run-vs-run latency diffs (import it
   directly — kept out of this package's eager imports);
@@ -134,7 +134,8 @@ def start_run(
     stay bounded on disk. ``audit_rate`` sets the shadow-audit sample
     rate (default: ``REPRO_AUDIT_RATE`` or
     :data:`repro.obs.quality.DEFAULT_AUDIT_RATE`; values outside
-    [0, 1] are rejected with a ValueError). Returns the directory path.
+    [0, 1] are rejected with a ValueError, as is a malformed
+    ``REPRO_TRACE_HEAD_RATE``). Returns the directory path.
     """
     os.makedirs(directory, exist_ok=True)
     trace.reset()
@@ -143,19 +144,18 @@ def start_run(
     health.reset()
     # Tail-based trace retention: every finished root span is offered to
     # the sampler, which keeps the interesting tail (slow / errored /
-    # fallback / watchdog traces) and head-samples the rest.
-    # REPRO_TRACE_HEAD_RATE overrides the baseline keep rate.
+    # low-quality traces) and head-samples the rest.
+    # REPRO_TRACE_HEAD_RATE overrides the baseline keep rate; like the
+    # audit rate below it is outside input, so a malformed value raises.
     head_rate = sampling.DEFAULT_HEAD_RATE
     raw_rate = os.environ.get("REPRO_TRACE_HEAD_RATE")
     if raw_rate:
-        try:
-            head_rate = min(1.0, max(0.0, float(raw_rate)))
-        except ValueError:
-            pass
+        head_rate = quality.validate_rate(
+            raw_rate, source="REPRO_TRACE_HEAD_RATE"
+        )
     sampling.configure(head_rate=head_rate)
-    # Answer-quality accounting + shadow auditing. Unlike the head rate
-    # above, a bad audit rate raises (quality.validate_rate): silently
-    # disabling ground-truth audits would be a correctness bug.
+    # Answer-quality accounting + shadow auditing (a bad audit rate
+    # raises too: quality.validate_rate).
     quality.configure(sample_rate=audit_rate)
     telemetry.configure(
         os.path.join(directory, TELEMETRY_FILE),

@@ -1,18 +1,18 @@
 """Trace analysis: span-tree reconstruction, critical paths, run diffs.
 
 Reads the artifacts a run directory holds — ``traces.json`` (the tail
-sampler's store of complete traces with worker lanes stitched in) and
+sampler's store of complete traces) and
 ``trace.json`` (every retained root span) — and answers the questions
 an operator asks after an SLO alert hands them a trace id:
 
 * :func:`load_traces` / :func:`find_trace` — reconstruct the span tree
-  (parent spans + worker-lane spans) for a trace id or the slowest N;
+  for a trace id or the slowest N;
 * :func:`critical_path` — walk the longest-duration child chain from
   the root, attributing *self time* at each hop as the node's duration
   minus the union of its children's intervals. Using the interval
-  union (not the sum) collapses parallel lanes to their max: four
-  workers covering the same 10 ms charge the parent 10 ms once, so
-  self time is the part of a span no child (or worker) accounts for;
+  union (not the sum) collapses overlapping children to their max:
+  four children covering the same 10 ms charge the parent 10 ms once,
+  so self time is the part of a span no child accounts for;
 * :func:`aggregate_spans` — per-span-name count/total/self rollup;
 * :func:`diff_runs` — per-span-name p50/p95 deltas between two run
   dirs with a regression verdict (``repro diff RUN_A RUN_B``).
@@ -51,9 +51,9 @@ def _load_json(path: str) -> Optional[Any]:
 def load_traces(run_dir: str) -> list[dict[str, Any]]:
     """Retained traces of a run, oldest first.
 
-    Prefers ``traces.json`` (tail-sampled store, worker lanes already
-    stitched per trace). Falls back to grouping ``trace.json`` roots by
-    their trace id for runs recorded before the sampler existed.
+    Prefers ``traces.json`` (the tail-sampled store). Falls back to
+    grouping ``trace.json`` roots by their trace id for runs recorded
+    before the sampler existed.
     """
     document = _load_json(os.path.join(run_dir, TRACES_FILE))
     if isinstance(document, dict) and isinstance(document.get("traces"), list):
@@ -69,7 +69,6 @@ def load_traces(run_dir: str) -> list[dict[str, Any]]:
                     "reason": "retained",
                     "duration_s": float(node.get("seconds", 0.0)),
                     "root": node,
-                    "worker_spans": [],
                 }
             )
     return entries
@@ -129,75 +128,34 @@ def _union_length(
     return covered
 
 
-def _attach_workers(
-    root: dict[str, Any], worker_spans: list[dict[str, Any]]
-) -> dict[int, list[dict[str, Any]]]:
-    """Map ``id(node) -> worker spans`` at the deepest containing node.
-
-    Worker-lane spans ship flat (no parent pointers); time containment
-    recovers the causal parent — the dispatching operator span whose
-    interval covers the worker span.
-    """
-    attached: dict[int, list[dict[str, Any]]] = {}
-    for span in worker_spans:
-        lo, hi = _interval(span)
-        node = root
-        while True:
-            candidates = [
-                child
-                for child in node.get("children", [])
-                if _interval(child)[0] <= lo and hi <= _interval(child)[1]
-            ]
-            if not candidates:
-                break
-            node = candidates[0]
-        attached.setdefault(id(node), []).append(span)
-    return attached
-
-
-def critical_path(
-    root: dict[str, Any],
-    worker_spans: Optional[list[dict[str, Any]]] = None,
-) -> list[dict[str, Any]]:
+def critical_path(root: dict[str, Any]) -> list[dict[str, Any]]:
     """Longest-child-chain walk from ``root`` with self-time attribution.
 
-    Returns one row per hop: ``{"name", "seconds", "self_s", "pid"?}``.
-    At each node the walk descends into the child (parent span or
-    attached worker span) with the largest duration; ``self_s`` is the
-    node's duration minus the union of *all* its children's intervals —
-    parallel lanes collapse to their max instead of summing.
+    Returns one row per hop: ``{"name", "seconds", "self_s"}``. At each
+    node the walk descends into the child with the largest duration;
+    ``self_s`` is the node's duration minus the union of *all* its
+    children's intervals — overlapping children collapse to their max
+    instead of summing.
     """
-    attached = _attach_workers(root, worker_spans or [])
     path: list[dict[str, Any]] = []
     node: Optional[dict[str, Any]] = root
     while node is not None:
-        children = list(node.get("children", [])) + attached.get(id(node), [])
+        children = list(node.get("children", []))
         lo, hi = _interval(node)
         covered = _union_length([_interval(child) for child in children], lo, hi)
-        row: dict[str, Any] = {
-            "name": node.get("name", "?"),
-            "seconds": float(node.get("seconds", 0.0)),
-            "self_s": max(0.0, float(node.get("seconds", 0.0)) - covered),
-        }
-        if node.get("pid") is not None:
-            row["pid"] = int(node["pid"])
-        path.append(row)
+        path.append(
+            {
+                "name": node.get("name", "?"),
+                "seconds": float(node.get("seconds", 0.0)),
+                "self_s": max(0.0, float(node.get("seconds", 0.0)) - covered),
+            }
+        )
         node = (
             max(children, key=lambda child: float(child.get("seconds", 0.0)))
             if children
             else None
         )
     return path
-
-
-def worker_pids(entry: dict[str, Any]) -> list[int]:
-    """Distinct worker pids contributing spans to one trace entry."""
-    pids: list[int] = []
-    for span in entry.get("worker_spans", []):
-        pid = int(span.get("pid", 0))
-        if pid and pid not in pids:
-            pids.append(pid)
-    return pids
 
 
 # ------------------------------------------------------------------ #
@@ -216,8 +174,7 @@ def aggregate_spans(
     rollup: dict[str, dict[str, float]] = {}
     for entry in entries:
         root = entry.get("root") or {}
-        spans = list(_walk(root)) + list(entry.get("worker_spans", []))
-        for node in spans:
+        for node in _walk(root):
             children = list(node.get("children", []))
             lo, hi = _interval(node)
             covered = _union_length(
@@ -311,9 +268,8 @@ def format_critical_path(path: list[dict[str, Any]]) -> list[str]:
     lines = ["critical path:"]
     for depth, row in enumerate(path):
         arrow = "-> " if depth else ""
-        pid = f" [pid {row['pid']}]" if "pid" in row else ""
         lines.append(
-            f"  {'  ' * depth}{arrow}{row['name']}{pid}"
+            f"  {'  ' * depth}{arrow}{row['name']}"
             f"  {row['seconds'] * 1e3:9.3f} ms"
             f"  (self {row['self_s'] * 1e3:.3f} ms)"
         )
@@ -329,18 +285,7 @@ def format_trace_entry(entry: dict[str, Any]) -> str:
         f"  {float(entry.get('duration_s', 0.0)) * 1e3:.3f} ms"
         f"  kept: {entry.get('reason', '?')}"
     ]
-    pids = worker_pids(entry)
-    if pids:
-        lines.append(
-            f"worker lanes: {len(pids)} pids"
-            f" ({', '.join(str(pid) for pid in pids)}),"
-            f" {len(entry.get('worker_spans', []))} spans"
-        )
     root = entry.get("root") or {}
     lines.append(trace_mod.format_tree([root]))
-    lines.extend(
-        format_critical_path(
-            critical_path(root, entry.get("worker_spans"))
-        )
-    )
+    lines.extend(format_critical_path(critical_path(root)))
     return "\n".join(lines)

@@ -14,12 +14,6 @@ Propagation rules (DESIGN.md §13):
 * :func:`ensure` is the executor's entry point — it reuses an already
   active context (a session that opened one query-scoped context keeps
   one trace across nested executes) or activates a fresh one;
-* :func:`current_wire` snapshots the active context as a plain dict
-  that ``db/parallel.py`` ships inside task payloads; worker-side
-  :class:`repro.obs.worker.TaskRecorder` carries it back verbatim so
-  stitched worker spans land under the originating query's trace id
-  (workers never *activate* a context — they only relay the wire form,
-  which keeps this module free of worker-side global writes);
 * :func:`repro.obs.telemetry.emit` and :class:`repro.obs.trace.Span`
   read the context-local on their enabled paths and stamp ``trace_id``
   into everything they record; ``metrics.observe`` uses it to capture
@@ -53,14 +47,9 @@ class RequestContext:
 
     __slots__ = ("trace_id", "span_id", "baggage", "_span_counter")
 
-    def __init__(
-        self,
-        trace_id: Optional[str] = None,
-        span_id: Optional[str] = None,
-        baggage: Optional[dict[str, Any]] = None,
-    ) -> None:
-        self.trace_id = trace_id or new_trace_id()
-        self.span_id = span_id or "0000000000000001"
+    def __init__(self, baggage: Optional[dict[str, Any]] = None) -> None:
+        self.trace_id = new_trace_id()
+        self.span_id = "0000000000000001"
         self.baggage: dict[str, Any] = dict(baggage or {})
         self._span_counter = 1
 
@@ -68,22 +57,6 @@ class RequestContext:
         """A fresh span id, unique within this trace (16 hex chars)."""
         self._span_counter += 1
         return f"{self._span_counter:016x}"
-
-    def to_wire(self) -> dict[str, Any]:
-        """Plain-dict form shipped across process boundaries."""
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "baggage": dict(self.baggage),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "RequestContext":
-        return cls(
-            trace_id=wire.get("trace_id"),
-            span_id=wire.get("span_id"),
-            baggage=wire.get("baggage"),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RequestContext(trace_id={self.trace_id!r})"
@@ -111,12 +84,6 @@ def current_trace_id() -> Optional[str]:
     """Trace id of the active context (one ContextVar read), or None."""
     context = _ACTIVE.get()
     return context.trace_id if context is not None else None
-
-
-def current_wire() -> Optional[dict[str, Any]]:
-    """Wire form of the active context for task payloads, or None."""
-    context = _ACTIVE.get()
-    return context.to_wire() if context is not None else None
 
 
 @contextmanager

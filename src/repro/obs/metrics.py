@@ -31,8 +31,7 @@ DEFAULT_BUCKETS = tuple(10.0 ** (e / 2.0) for e in range(-12, 5))
 
 #: Exemplars retained per bucket. Replacement keeps the largest values
 #: (deterministic "worst-value reservoir"): an SLO burn alert wants the
-#: trace ids of the *slowest* requests in the offending buckets, and a
-#: value-ordered policy makes merge_dump commutative/associative.
+#: trace ids of the *slowest* requests in the offending buckets.
 EXEMPLARS_PER_BUCKET = 2
 
 
@@ -43,9 +42,7 @@ class Histogram:
     active may carry the request's trace id; those become per-bucket
     *exemplars* — ``(value, trace_id, ts)`` triples linking the bucket
     back to concrete requests. Exemplar storage is bounded
-    (``EXEMPLARS_PER_BUCKET`` per bucket, largest values win) and rides
-    along in :meth:`dump`/:meth:`merge_dump`, so worker-side histograms
-    keep their request attribution across the process boundary.
+    (``EXEMPLARS_PER_BUCKET`` per bucket, largest values win).
     """
 
     __slots__ = (
@@ -154,67 +151,6 @@ class Histogram:
             "p99": self.percentile(99.0) if self.total else None,
         }
 
-    # -- cross-process transport ------------------------------------ #
-    def dump(self) -> dict[str, Any]:
-        """Lossless, picklable state — the shape :meth:`merge_dump` eats.
-
-        Unlike :meth:`snapshot` (percentile summaries), a dump keeps the
-        raw bucket counts so histograms recorded in worker processes can
-        be merged into the parent registry without losing resolution.
-        """
-        record = {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "overflow": self.overflow,
-            "total": self.total,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-        }
-        if self.exemplars:
-            record["exemplars"] = {
-                str(index): [list(triple) for triple in bucket]
-                for index, bucket in self.exemplars.items()
-            }
-        return record
-
-    def merge_dump(self, dump: dict[str, Any]) -> None:
-        """Fold another histogram's :meth:`dump` into this one.
-
-        Same bucket ladder merges exactly (bucket-wise adds). A foreign
-        ladder degrades gracefully: its observations are re-observed at
-        their mean, preserving count/sum/min/max but not the shape.
-        """
-        total = int(dump.get("total", 0))
-        if total == 0:
-            return
-        same_ladder = tuple(dump.get("bounds", ())) == self.bounds
-        if same_ladder:
-            for index, count in enumerate(dump["counts"]):
-                self.counts[index] += int(count)
-            self.overflow += int(dump.get("overflow", 0))
-            self.total += total
-            self.sum += float(dump.get("sum", 0.0))
-            self.min = min(self.min, float(dump.get("min", self.min)))
-            self.max = max(self.max, float(dump.get("max", self.max)))
-        else:
-            mean = float(dump.get("sum", 0.0)) / total
-            for _ in range(total):
-                self.observe(mean)
-            self.min = min(self.min, float(dump.get("min", self.min)))
-            self.max = max(self.max, float(dump.get("max", self.max)))
-        for key, bucket in (dump.get("exemplars") or {}).items():
-            for triple in bucket:
-                value, trace_id, ts = triple
-                # Same ladder: keep the recorded bucket. Foreign ladder:
-                # re-bucket the exemplar value on this ladder, so request
-                # attribution survives even a degraded merge.
-                index = (
-                    int(key) if same_ladder
-                    else bisect_left(self.bounds, float(value))
-                )
-                self._note_exemplar(index, float(value), str(trace_id), float(ts))
-
 
 class MetricsRegistry:
     """Thread-safe registry of named counters, gauges, and histograms."""
@@ -246,28 +182,6 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._histograms[name] = Histogram()
             histogram.observe(value, trace_id=trace_id, ts=ts)
-
-    def merge(self, dump: dict[str, Any]) -> None:
-        """Fold a worker-side metrics dump into this registry.
-
-        ``dump`` is ``{"counters": {name: value}, "gauges": {name: value},
-        "histograms": {name: Histogram.dump()}}`` (any key may be
-        absent). Counters add, gauges overwrite (last writer wins — they
-        are point-in-time readings), histograms merge bucket-wise via
-        :meth:`Histogram.merge_dump`. This is how per-morsel records
-        captured inside pool workers land in the parent's registry.
-        """
-        with self._lock:
-            for name, value in (dump.get("counters") or {}).items():
-                self._counters[name] = self._counters.get(name, 0.0) + float(value)
-            for name, value in (dump.get("gauges") or {}).items():
-                self._gauges[name] = float(value)
-            for name, hist_dump in (dump.get("histograms") or {}).items():
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    bounds = tuple(hist_dump.get("bounds", DEFAULT_BUCKETS))
-                    histogram = self._histograms[name] = Histogram(bounds)
-                histogram.merge_dump(hist_dump)
 
     # -- read paths -------------------------------------------------- #
     def counter(self, name: str) -> float:

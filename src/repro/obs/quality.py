@@ -80,12 +80,11 @@ QUALITY_OBJECTIVES = (
 
 
 def validate_rate(rate: Any, source: str = "audit sample rate") -> float:
-    """Contract check for the audit sample rate: a number in [0, 1].
+    """Contract check for a sample rate: a number in [0, 1].
 
-    Unlike ``REPRO_TRACE_HEAD_RATE`` (which clamps silently — dropping
-    traces is harmless), a bad audit rate silently disabling ground
-    truth would be a correctness bug, so out-of-range values are
-    rejected loudly.
+    A bad audit rate silently disabling ground truth would be a
+    correctness bug, so out-of-range values are rejected loudly;
+    ``REPRO_TRACE_HEAD_RATE`` is validated through here too.
     """
     try:
         value = float(rate)

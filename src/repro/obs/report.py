@@ -381,107 +381,22 @@ def _section_quality(
     return lines
 
 
-def _section_storage(
-    snapshot: Optional[dict], records: Optional[list[dict]] = None
-) -> list[str]:
-    """Zone-map pruning and morsel-parallelism counters, interpreted.
-
-    With telemetry records available, also attributes serial fallbacks
-    to their reasons and summarizes per-worker busy time / skew from the
-    per-query ``parallel`` stream (the worker-lane half of DESIGN.md
-    §11).
-    """
-    lines = ["## Column store & parallel execution", ""]
+def _section_storage(snapshot: Optional[dict]) -> list[str]:
+    """Zone-map pruning counters, interpreted."""
+    lines = ["## Column store", ""]
     counters = (snapshot or {}).get("counters", {})
-    histograms = (snapshot or {}).get("histograms", {})
     blocks_total = counters.get("scan.blocks_total", 0)
     blocks_pruned = counters.get("scan.blocks_pruned", 0)
-    dispatches = counters.get("parallel.dispatches", 0)
-    fallbacks = counters.get("parallel.fallbacks", 0)
-    morsels = histograms.get("parallel.morsels")
-    if not blocks_total and not dispatches and not fallbacks:
+    if not blocks_total:
         lines.append(
-            "No scan/parallel metrics in this run — they appear once "
-            "queries execute against zone-mapped tables (and, for the "
-            "parallel rows, with `REPRO_WORKERS` >= 2)."
+            "No scan metrics in this run — they appear once queries "
+            "execute against zone-mapped tables."
         )
         return lines
-    if blocks_total:
-        lines.append(
-            f"- zone-map pruning: {blocks_pruned:.0f} of {blocks_total:.0f} "
-            f"scan blocks skipped ({blocks_pruned / blocks_total:.1%})"
-        )
-    if dispatches:
-        rows = counters.get("parallel.rows", 0)
-        lines.append(
-            f"- parallel dispatches: {dispatches:.0f} "
-            f"({rows:.0f} rows through the worker pool), "
-            f"{fallbacks:.0f} serial fallbacks"
-        )
-    elif fallbacks:
-        lines.append(
-            f"- parallel execution: 0 dispatches, {fallbacks:.0f} serial "
-            "fallbacks (pool unavailable or inputs below the morsel floor)"
-        )
-    reason_counts = {
-        name[len("parallel.fallbacks."):]: count
-        for name, count in counters.items()
-        if name.startswith("parallel.fallbacks.")
-    }
-    if reason_counts:
-        reasons = ", ".join(
-            f"{reason} ×{count:.0f}"
-            for reason, count in sorted(reason_counts.items())
-        )
-        lines.append(f"- fallback reasons: {reasons}")
-    if morsels:
-        lines.append(
-            f"- morsels per dispatch: mean {morsels.get('mean', 0):.1f}, "
-            f"p95 {morsels.get('p95', 0):.0f}, max {morsels.get('max', 0):.0f}"
-        )
-    task_seconds = histograms.get("parallel.worker.task.seconds")
-    if task_seconds and task_seconds.get("count"):
-        lines.append(
-            f"- worker tasks: {task_seconds['count']} "
-            f"(p50 {task_seconds.get('p50', 0) * 1e3:.2f} ms, "
-            f"p95 {task_seconds.get('p95', 0) * 1e3:.2f} ms, "
-            f"max {task_seconds.get('max', 0) * 1e3:.2f} ms busy)"
-        )
-    skew = histograms.get("parallel.query.skew_ratio")
-    if skew and skew.get("count"):
-        stragglers = counters.get("parallel.stragglers", 0)
-        lines.append(
-            f"- worker skew (max/mean busy per query): "
-            f"mean {skew.get('mean', 0):.2f}, max {skew.get('max', 0):.2f}; "
-            f"{stragglers:.0f} straggler tasks"
-        )
-    watchdog = counters.get("parallel.watchdog.timeouts", 0)
-    if watchdog:
-        lines.append(
-            f"- **watchdog**: {watchdog:.0f} hung dispatch(es) cancelled; "
-            "the pool was recycled and the queries completed serially"
-        )
-    parallel_queries = [
-        record
-        for record in records or []
-        if record.get("stream") == "parallel" and record.get("event") == "query"
-    ]
-    if parallel_queries:
-        last = parallel_queries[-1]
-        busy = last.get("worker_busy") or {}
-        if busy:
-            rows_out = [
-                (pid, f"{seconds * 1e3:.2f}")
-                for pid, seconds in sorted(busy.items())
-            ]
-            lines.append("")
-            lines.append(
-                f"Last parallel query (`{last.get('query')}`): "
-                f"{last.get('morsels', 0)} morsels over {len(busy)} workers, "
-                f"skew {last.get('skew_ratio', 1.0):.2f}."
-            )
-            lines.append("")
-            lines.append(_md_table(["worker pid", "busy ms"], rows_out))
+    lines.append(
+        f"- zone-map pruning: {blocks_pruned:.0f} of {blocks_total:.0f} "
+        f"scan blocks skipped ({blocks_pruned / blocks_total:.1%})"
+    )
     return lines
 
 
@@ -561,21 +476,17 @@ def _section_slowest_traces(run_dir: str) -> list[str]:
         return lines
     rows = []
     for entry in analyze_mod.slowest(entries, 5):
-        path = analyze_mod.critical_path(
-            entry.get("root") or {}, entry.get("worker_spans") or []
-        )
+        path = analyze_mod.critical_path(entry.get("root") or {})
         hottest = max(path, key=lambda row: row.get("self_s", 0.0)) if path else {}
-        pids = analyze_mod.worker_pids(entry)
         rows.append([
             f"`{str(entry.get('trace_id', '?'))[:16]}`",
             1e3 * float(entry.get("duration_s", 0.0)),
             entry.get("reason", "?"),
-            len(pids),
             hottest.get("name", "-"),
             1e3 * float(hottest.get("self_s", 0.0)),
         ])
     lines.append(_md_table(
-        ["trace", "total ms", "kept", "workers", "critical span", "self ms"],
+        ["trace", "total ms", "kept", "critical span", "self ms"],
         rows,
     ))
     summary = analyze_mod.sampler_summary(run_dir)
@@ -822,7 +733,7 @@ def render_markdown(run_dir: str, bench_dir: Optional[str] = None) -> str:
         _section_plans(records),
         _section_queries(records),
         _section_quality(records, quality_doc),
-        _section_storage(snapshot, records),
+        _section_storage(snapshot),
         _section_metrics(snapshot),
         _section_trace(nodes),
         _section_slowest_traces(run_dir),

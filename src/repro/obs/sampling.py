@@ -6,9 +6,7 @@ interesting tails. This module implements the standard fix — decide
 *after* the request completes (tail-based sampling):
 
 * **always keep** a query's trace when it was slow (duration above the
-  rolling p95 of recent root spans), errored anywhere in its tree, fell
-  back to the serial path, tripped the pool watchdog (the last two read
-  the stats the executor stamps onto the root span's attrs), or was
+  rolling p95 of recent root spans), errored anywhere in its tree, or was
   shadow-audited to low answer quality (the ``low_quality`` attr the
   session stamps from :mod:`repro.obs.quality` audit results);
 * **head-sample** the unremarkable rest at a configurable rate, decided
@@ -22,15 +20,12 @@ Accounting is exact: every offered root increments exactly one of the
 ``kept_*`` / ``dropped_head`` counters, and evictions from the bounded
 store are tallied separately (``evicted``), so
 ``offered == sum(kept) + dropped_head`` always holds. Eviction prefers
-head-kept traces, then slow, then errored — watchdog/fallback traces
-are evicted only when the store holds nothing else (they are the
-post-mortem evidence the watchdog path exists for).
+head-kept traces, then slow, then low-quality, then errored.
 
 The sampler attaches to :func:`repro.obs.trace.set_root_hook`;
 ``obs.start_run`` installs one per run and ``finish_run`` persists the
-store as ``traces.json`` with each trace's worker-lane spans stitched
-in by trace id — the artifact ``repro analyze`` reconstructs span trees
-from.
+store as ``traces.json`` — the artifact ``repro analyze`` reconstructs
+span trees from.
 """
 
 from __future__ import annotations
@@ -60,11 +55,9 @@ DEFAULT_WINDOW = 256
 DEFAULT_MIN_WINDOW = 20
 
 #: Eviction priority: lower leaves the store first. Low-quality traces
-#: outrank slow ones (the audit evidence is rarer) but yield to hard
-#: failure evidence (errors, fallbacks, watchdog timeouts).
+#: outrank slow ones (the audit evidence is rarer) but yield to errors.
 _EVICTION_ORDER = {
     "head": 0, "warmup": 1, "slow": 2, "low_quality": 3, "error": 4,
-    "fallback": 5, "watchdog": 6,
 }
 
 
@@ -107,8 +100,6 @@ class TailSampler:
             "offered": 0,
             "kept_slow": 0,
             "kept_error": 0,
-            "kept_fallback": 0,
-            "kept_watchdog": 0,
             "kept_low_quality": 0,
             "kept_head": 0,
             "kept_warmup": 0,
@@ -135,11 +126,7 @@ class TailSampler:
         with self._lock:
             self.counts["offered"] += 1
             reason = None
-            if int(attrs.get("watchdog_timeouts") or 0) > 0:
-                reason = "watchdog"
-            elif int(attrs.get("fallbacks") or 0) > 0:
-                reason = "fallback"
-            elif _has_error(root):
+            if _has_error(root):
                 reason = "error"
             elif int(attrs.get("low_quality") or 0) > 0:
                 reason = "low_quality"
@@ -202,32 +189,15 @@ class TailSampler:
             "dropped": counts["dropped_head"],
         }
 
-    def export(
-        self, worker_spans: Optional[list[dict[str, Any]]] = None
-    ) -> dict[str, Any]:
-        """The ``traces.json`` document: store + exact drop accounting.
-
-        ``worker_spans`` (from :func:`repro.obs.trace.worker_spans`)
-        are stitched onto each retained trace by trace id, so a trace
-        entry is self-contained: root tree plus its worker lanes.
-        """
-        by_trace: dict[str, list[dict[str, Any]]] = {}
-        for record in worker_spans or []:
-            trace_id = record.get("trace_id")
-            if trace_id:
-                by_trace.setdefault(trace_id, []).append(record)
+    def export(self) -> dict[str, Any]:
+        """The ``traces.json`` document: store + exact drop accounting."""
         document = self.summary()
-        document["traces"] = [
-            {**entry, "worker_spans": by_trace.get(entry["trace_id"], [])}
-            for entry in self.entries()
-        ]
+        document["traces"] = self.entries()
         return document
 
-    def write_json(
-        self, path: str, worker_spans: Optional[list[dict[str, Any]]] = None
-    ) -> None:
+    def write_json(self, path: str) -> None:
         with open(path, "w") as handle:
-            json.dump(self.export(worker_spans), handle, indent=2, default=str)
+            json.dump(self.export(), handle, indent=2, default=str)
 
 
 # ------------------------------------------------------------------ #
@@ -272,4 +242,4 @@ def clear() -> None:
 
 def write_json(path: str) -> None:
     if _ACTIVE:
-        _ACTIVE[0].write_json(path, _trace.worker_spans())
+        _ACTIVE[0].write_json(path)

@@ -23,11 +23,11 @@ first), so ``health.replay()`` and ``repro report`` see every retained
 record regardless of how many times the sink rolled.
 
 Sink appends are one ``os.write`` on an ``O_APPEND`` descriptor —
-atomic under POSIX — so multiple processes appending to the same
-stream (a fork child that inherited the configured sink, a wrapper
-process) can interleave whole records but never partial lines. This
-file is the *only* module allowed to perform raw append-mode writes:
-``repro lint``'s whole-program ``telemetry-sink-only`` rule flags
+atomic under POSIX — so two ``repro`` processes pointed at one run
+directory (e.g. a ``repro profile`` recorder and a ``repro watch
+--once`` recorder) can interleave whole records but never partial
+lines. This file is the *only* module allowed to perform raw
+append-mode writes: ``repro lint``'s ``telemetry-sink-only`` rule flags
 ``os.write``/``open(..., "a")``/``O_APPEND`` anywhere else, so the
 atomicity argument above stays true for every stream in the repo.
 
@@ -148,8 +148,8 @@ def emit(stream: str, **fields: Any) -> None:
             if over_bytes or over_lines:
                 _rotate_locked()
             # One os.write on an O_APPEND fd: POSIX appends are atomic
-            # per write call, so two processes sharing the sink (e.g. a
-            # fork child that inherited the configured path) can never
+            # per write call, so two processes sharing the sink (e.g. two
+            # `repro` recorders pointed at one run directory) can never
             # interleave partial lines — a buffered text-file append
             # would split records larger than the IO buffer.
             encoded = data.encode("utf-8")

@@ -156,13 +156,6 @@ _LOCAL = threading.local()
 _ROOTS: list[Span] = []
 _ROOTS_LOCK = threading.Lock()
 
-#: Cap on retained worker-lane spans (oldest dropped first). Worker
-#: spans arrive as plain dicts shipped back from pool workers (see
-#: repro.obs.worker) — one per morsel task, so a few thousand covers
-#: hundreds of dispatches.
-MAX_WORKER_SPANS = 4096
-_WORKER_SPANS: list[dict[str, Any]] = []
-
 #: Cross-thread view of every thread's active-span stack, so the
 #: sampling profiler can attribute a sample taken *of* thread T to T's
 #: innermost span without touching T. Keyed by thread ident; entries of
@@ -263,45 +256,10 @@ def roots() -> list[Span]:
         return list(_ROOTS)
 
 
-def record_worker_spans(
-    pid: int, spans: list[dict[str, Any]], trace_id: Optional[str] = None
-) -> None:
-    """Stitch spans captured inside worker ``pid`` into the trace.
-
-    ``spans`` are :meth:`repro.obs.worker.WorkerSpan.to_dict` payloads.
-    They share the parent's ``perf_counter`` epoch (fork children keep
-    CLOCK_MONOTONIC), so they drop straight into the timeline; the pid
-    becomes a distinct process lane in :func:`chrome_trace`.
-
-    ``trace_id`` (the originating request's, relayed through the task
-    envelope — see :mod:`repro.obs.context`) stitches each worker span
-    under that request's trace; when absent, the active context at
-    stitch time is used, so parent-side dispatch always attributes.
-    """
-    if trace_id is None:
-        trace_id = _context.current_trace_id()
-    with _ROOTS_LOCK:
-        for span_dict in spans:
-            record = dict(span_dict)
-            record["pid"] = int(pid)
-            if trace_id and not record.get("trace_id"):
-                record["trace_id"] = trace_id
-            _WORKER_SPANS.append(record)
-        if len(_WORKER_SPANS) > MAX_WORKER_SPANS:
-            del _WORKER_SPANS[: len(_WORKER_SPANS) - MAX_WORKER_SPANS]
-
-
-def worker_spans() -> list[dict[str, Any]]:
-    """Stitched worker-lane spans, oldest first (each carries ``pid``)."""
-    with _ROOTS_LOCK:
-        return [dict(record) for record in _WORKER_SPANS]
-
-
 def reset() -> None:
     """Drop all finished root spans (active stacks are untouched)."""
     with _ROOTS_LOCK:
         _ROOTS.clear()
-        _WORKER_SPANS.clear()
 
 
 def tree() -> list[dict[str, Any]]:
@@ -312,10 +270,7 @@ def tree() -> list[dict[str, Any]]:
 def chrome_trace() -> dict[str, Any]:
     """Chrome-trace-format ("complete event") view of the finished spans.
 
-    Parent-process spans render under ``pid=1`` (one ``tid`` row per
-    thread); spans stitched from pool workers render under their real
-    worker pid, giving each worker its own process lane next to the
-    parent timeline (both clocks are the same CLOCK_MONOTONIC epoch).
+    Spans render under ``pid=1``, one ``tid`` row per thread.
     Load the written file in ``chrome://tracing`` or
     https://ui.perfetto.dev.
     """
@@ -345,25 +300,6 @@ def chrome_trace() -> dict[str, Any]:
     for root in roots():
         emit(root)
 
-    worker_pids: list[int] = []
-    for record in worker_spans():
-        pid = int(record["pid"])
-        if pid not in worker_pids:
-            worker_pids.append(pid)
-        args = dict(record.get("attrs") or {})
-        args.update(record.get("counters") or {})
-        events.append(
-            {
-                "name": record["name"],
-                "ph": "X",
-                "ts": record.get("start_s", 0.0) * 1e6,
-                "dur": record.get("seconds", 0.0) * 1e6,
-                "pid": pid,
-                "tid": 1,
-                "args": args,
-            }
-        )
-
     metadata: list[dict[str, Any]] = [
         {
             "name": "process_name",
@@ -372,15 +308,6 @@ def chrome_trace() -> dict[str, Any]:
             "args": {"name": "repro (parent)"},
         }
     ]
-    for pid in worker_pids:
-        metadata.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "args": {"name": f"repro worker {pid}"},
-            }
-        )
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 

@@ -1,16 +1,12 @@
 """``repro watch`` — a dependency-free live ops console for a run dir.
 
 Tails the artifacts a live run flushes periodically (the telemetry
-JSONL and its rotated set, ``metrics.json``, ``slo.json``) and renders
+JSONL and its rotated set, ``quality.json``, ``traces.json``,
+``slo.json``) and renders
 one operator-facing text frame:
 
 * rolling throughput — QPS plus p50/p95 latency over the trailing
   window of ``query`` telemetry records;
-* worker utilization — one bar per pool worker, busy time over query
-  wall time, from the per-query ``parallel`` stream (DESIGN.md §11),
-  with the skew ratio and straggler count beside it;
-* shed/fallback counts — serial fallbacks by reason, watchdog
-  timeouts, admission sheds (once the serving front end exists);
 * answer quality — shadow-audit accounting from ``quality.json``
   (audited recall, calibration bias, audit overhead);
 * tail-sampler keep reasons from ``traces.json`` — why retained traces
@@ -30,7 +26,7 @@ import json
 import os
 from typing import Any, Optional
 
-from . import METRICS_FILE, QUALITY_FILE, SLO_FILE, TELEMETRY_FILE, TRACES_FILE
+from . import QUALITY_FILE, SLO_FILE, TELEMETRY_FILE, TRACES_FILE
 from . import health as health_mod
 from . import telemetry as telemetry_mod
 
@@ -39,11 +35,6 @@ QPS_WINDOW_S = 60.0
 
 #: Trailing query records for the latency percentiles.
 LATENCY_WINDOW = 100
-
-#: Trailing parallel-query records for the worker utilization bars.
-UTILIZATION_WINDOW = 20
-
-_BAR_WIDTH = 24
 
 
 def _load_json(path: str) -> Optional[Any]:
@@ -63,12 +54,6 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-def _bar(fraction: float, width: int = _BAR_WIDTH) -> str:
-    fraction = min(1.0, max(0.0, fraction))
-    filled = round(fraction * width)
-    return "█" * filled + "░" * (width - filled)
-
-
 def render_watch(run_dir: str, width: int = 78) -> str:
     """One text frame of the ops view ``repro watch`` refreshes."""
 
@@ -76,21 +61,7 @@ def render_watch(run_dir: str, width: int = 78) -> str:
         return f"── {title} " + "─" * max(0, width - len(title) - 4)
 
     records = telemetry_mod.load_run(os.path.join(run_dir, TELEMETRY_FILE))
-    snapshot = _load_json(os.path.join(run_dir, METRICS_FILE)) or {}
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-
-    pool_workers = gauges.get("parallel.pool.workers")
-    generation = gauges.get("parallel.pool.generation")
-    pool_note = ""
-    if generation is not None:
-        state = (
-            f"{pool_workers:.0f} workers"
-            if pool_workers
-            else "pool down"
-        )
-        pool_note = f"  [pool gen {generation:.0f}: {state}]"
-    lines = [f"repro watch — {run_dir}{pool_note}"]
+    lines = [f"repro watch — {run_dir}"]
     lines.append(f"telemetry: {len(records)} records")
 
     # -- rolling throughput ------------------------------------------ #
@@ -114,62 +85,6 @@ def render_watch(run_dir: str, width: int = 78) -> str:
         )
     else:
         lines.append("  (no query records yet)")
-
-    # -- worker utilization ------------------------------------------ #
-    lines.append(rule("worker utilization"))
-    parallel_queries = [
-        r
-        for r in records
-        if r.get("stream") == "parallel" and r.get("event") == "query"
-    ][-UTILIZATION_WINDOW:]
-    busy_by_pid: dict[str, float] = {}
-    wall_total = 0.0
-    for record in parallel_queries:
-        wall_total += float(record.get("wall_seconds", 0.0))
-        for pid, busy in (record.get("worker_busy") or {}).items():
-            busy_by_pid[pid] = busy_by_pid.get(pid, 0.0) + float(busy)
-    if busy_by_pid and wall_total > 0.0:
-        for pid, busy in sorted(busy_by_pid.items()):
-            fraction = busy / wall_total
-            lines.append(
-                f"  pid {pid:>8} {_bar(fraction)} {fraction:6.1%} "
-                f"({busy * 1e3:.1f} ms busy)"
-            )
-        last = parallel_queries[-1]
-        lines.append(
-            f"  last query: skew {last.get('skew_ratio', 1.0):.2f}, "
-            f"{last.get('stragglers', 0)} stragglers, "
-            f"{last.get('morsels', 0)} morsels "
-            f"(trailing {len(parallel_queries)} parallel queries)"
-        )
-    else:
-        lines.append("  (no parallel queries yet)")
-
-    # -- shed / fallback counts -------------------------------------- #
-    lines.append(rule("shed & fallbacks"))
-    dispatches = counters.get("parallel.dispatches", 0)
-    fallbacks = counters.get("parallel.fallbacks", 0)
-    watchdog = counters.get("parallel.watchdog.timeouts", 0)
-    shed = counters.get("serve.shed", 0)
-    reasons = {
-        name[len("parallel.fallbacks."):]: count
-        for name, count in counters.items()
-        if name.startswith("parallel.fallbacks.")
-    }
-    reason_note = (
-        " ("
-        + ", ".join(
-            f"{reason} ×{count:.0f}" for reason, count in sorted(reasons.items())
-        )
-        + ")"
-        if reasons
-        else ""
-    )
-    lines.append(
-        f"  dispatches {dispatches:.0f} | fallbacks {fallbacks:.0f}"
-        f"{reason_note} | watchdog timeouts {watchdog:.0f} | "
-        f"shed {shed:.0f}"
-    )
 
     # -- answer quality ---------------------------------------------- #
     lines.append(rule("answer quality"))

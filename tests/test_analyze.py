@@ -2,7 +2,7 @@
 
 Exercises :mod:`repro.obs.analyze` on synthetic span trees where the
 right answers are computable by hand — in particular the interval-union
-self-time attribution that collapses parallel worker lanes to their max
+self-time attribution that collapses overlapping children to their max
 instead of summing them — plus the ``traces.json``/``trace.json``
 loading paths and the ``diff_runs`` regression verdict.
 """
@@ -29,15 +29,6 @@ def node(name, start, seconds, children=(), **extra):
     return record
 
 
-def worker(name, start, seconds, pid):
-    return {
-        "name": name,
-        "start_s": float(start),
-        "seconds": float(seconds),
-        "pid": pid,
-    }
-
-
 # ------------------------------------------------------------------ #
 # critical path
 # ------------------------------------------------------------------ #
@@ -55,32 +46,22 @@ class TestCriticalPath:
         assert path[2]["self_s"] == pytest.approx(4.0)
 
     def test_parallel_lanes_collapse_to_max_not_sum(self):
-        # Four workers covering the same window charge the parent once:
+        # Four children covering the same window charge the parent once:
         # self time is 10 - union([2,8]) = 4, not 10 - 4*6 (negative).
-        root = node("dispatch", 0.0, 10.0)
-        lanes = [worker("morsel", 2.0, 6.0, pid=100 + i) for i in range(4)]
-        path = analyze.critical_path(root, lanes)
-        assert [row["name"] for row in path] == ["dispatch", "morsel"]
+        lanes = [node("actor", 2.0, 6.0) for _ in range(4)]
+        root = node("dispatch", 0.0, 10.0, lanes)
+        path = analyze.critical_path(root)
+        assert [row["name"] for row in path] == ["dispatch", "actor"]
         assert path[0]["self_s"] == pytest.approx(4.0)
-        assert path[1]["pid"] in (100, 101, 102, 103)
 
     def test_staggered_lanes_union_not_sum(self):
-        root = node("dispatch", 0.0, 10.0)
         lanes = [
-            worker("morsel", 1.0, 4.0, pid=1),   # [1, 5]
-            worker("morsel", 3.0, 4.0, pid=2),   # [3, 7] → union [1, 7]
+            node("actor", 1.0, 4.0),   # [1, 5]
+            node("actor", 3.0, 4.0),   # [3, 7] → union [1, 7]
         ]
-        path = analyze.critical_path(root, lanes)
+        root = node("dispatch", 0.0, 10.0, lanes)
+        path = analyze.critical_path(root)
         assert path[0]["self_s"] == pytest.approx(10.0 - 6.0)
-
-    def test_worker_spans_attach_to_deepest_containing_node(self):
-        inner = node("scan", 2.0, 6.0)
-        root = node("execute", 0.0, 10.0, [inner])
-        lanes = [worker("morsel", 3.0, 2.0, pid=9)]
-        path = analyze.critical_path(root, lanes)
-        # morsel lives inside scan, so the path goes through scan.
-        assert [row["name"] for row in path] == ["execute", "scan", "morsel"]
-        assert path[1]["self_s"] == pytest.approx(4.0)
 
     def test_single_node_path(self):
         path = analyze.critical_path(node("only", 0.0, 1.5))
@@ -97,13 +78,11 @@ class TestAggregate:
         entries = [{
             "trace_id": "a" * 32,
             "root": node("execute", 0.0, 10.0, [node("scan", 1.0, 4.0)]),
-            "worker_spans": [worker("morsel", 2.0, 1.0, pid=5)],
         }]
         rollup = analyze.aggregate_spans(entries)
         assert rollup["execute"]["count"] == 1
         assert rollup["execute"]["self_s"] == pytest.approx(6.0)
         assert rollup["scan"]["total_s"] == pytest.approx(4.0)
-        assert rollup["morsel"]["count"] == 1
 
 
 # ------------------------------------------------------------------ #
@@ -116,7 +95,6 @@ class TestLoading:
             "traces": [{
                 "trace_id": "b" * 32, "reason": "slow",
                 "duration_s": 0.5, "root": node("execute", 0.0, 0.5),
-                "worker_spans": [],
             }],
         }
         (tmp_path / "traces.json").write_text(json.dumps(document))
@@ -214,26 +192,14 @@ class TestDiffRuns:
 # rendering
 # ------------------------------------------------------------------ #
 class TestRendering:
-    def test_format_trace_entry_mentions_lanes_and_path(self):
+    def test_format_trace_entry_mentions_reason_and_path(self):
         entry = {
             "trace_id": "d" * 32,
             "reason": "slow",
             "duration_s": 0.25,
             "root": node("execute", 0.0, 0.25, trace_id="d" * 32),
-            "worker_spans": [
-                worker("morsel", 0.05, 0.1, pid=11),
-                worker("morsel", 0.05, 0.1, pid=12),
-            ],
         }
         text = analyze.format_trace_entry(entry)
         assert "d" * 32 in text
         assert "kept: slow" in text
-        assert "worker lanes: 2 pids" in text
         assert "critical path:" in text
-
-    def test_worker_pids_distinct_in_order(self):
-        entry = {"worker_spans": [
-            worker("m", 0, 1, pid=3), worker("m", 0, 1, pid=1),
-            worker("m", 0, 1, pid=3),
-        ]}
-        assert analyze.worker_pids(entry) == [3, 1]

@@ -2,15 +2,13 @@
 
 Covers the identity pipeline end to end (DESIGN.md §13):
 
-* :mod:`repro.obs.context` — trace ids, activation, wire round trip;
+* :mod:`repro.obs.context` — trace ids, activation, reuse;
 * trace-id stamping into spans, telemetry records, ``QueryStats`` and
-  the EXPLAIN ANALYZE footer, including across the fork-pool boundary
-  (worker spans from ≥2 pids stitched under the originating trace);
+  the EXPLAIN ANALYZE footer;
 * metric exemplars — capture under an active context, bounded per
-  bucket, and a merge algebra (``Histogram.merge_dump``) that is
-  commutative and associative so cross-process merges are order-free;
-* the tail sampler — watchdog/fallback traces are never head-dropped
-  and outlive eviction pressure, accounting is exact;
+  bucket;
+* the tail sampler — errored traces are never head-dropped and outlive
+  eviction pressure, accounting is exact;
 * deterministic ``telemetry.load_run`` ordering across rotated parts
   with colliding timestamps;
 * ``Histogram.percentile`` interpolating inside the winning bucket
@@ -25,7 +23,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.db import Database, execute, explain, parallel, sql
+from repro.db import Database, execute, explain, sql
 from repro.obs import context, metrics, sampling, slo, telemetry, trace
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -40,10 +38,7 @@ N_ROWS = 6_000
 
 
 @pytest.fixture(autouse=True)
-def clean_obs(monkeypatch):
-    monkeypatch.delenv("REPRO_TEST_HANG_MORSEL", raising=False)
-    monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-
+def clean_obs():
     def scrub():
         obs.disable()
         trace.reset()
@@ -52,8 +47,6 @@ def clean_obs(monkeypatch):
         telemetry.configure(None)
         sampling.clear()
         slo.clear()
-        parallel.set_workers(0)
-        parallel.shutdown()
 
     scrub()
     yield
@@ -90,14 +83,6 @@ class TestRequestContext:
             assert context.current_trace_id() == request.trace_id
         assert context.current() is None
         assert context.current_trace_id() is None
-
-    def test_wire_round_trip(self):
-        request = context.new_context(fingerprint="fp", extra=1)
-        with context.activate(request):
-            wire = context.current_wire()
-        revived = context.RequestContext.from_wire(wire)
-        assert revived.trace_id == request.trace_id
-        assert revived.baggage == {"fingerprint": "fp", "extra": 1}
 
     def test_ensure_reuses_active_context_without_clobbering(self):
         outer = context.new_context(fingerprint="outer")
@@ -202,63 +187,6 @@ class TestExemplars:
             "count", "sum", "min", "max", "mean", "p50", "p95", "p99",
         }
 
-    def _random_histogram(self, rng, bounds=DEFAULT_BUCKETS):
-        hist = Histogram(bounds)
-        for _ in range(rng.randrange(0, 30)):
-            value = 10.0 ** rng.uniform(-6, 2)
-            if rng.random() < 0.7:
-                hist.observe(value, trace_id=f"{rng.getrandbits(128):032x}",
-                             ts=rng.random())
-            else:
-                hist.observe(value)
-        return hist
-
-    @staticmethod
-    def _canon(hist):
-        dump = hist.dump()
-        dump["exemplars"] = {
-            key: sorted(map(tuple, bucket))
-            for key, bucket in (dump.get("exemplars") or {}).items()
-        }
-        dump["sum"] = pytest.approx(dump["sum"])
-        return dump
-
-    def test_merge_dump_with_exemplars_is_commutative(self):
-        rng = random.Random(1234)
-        for _ in range(25):
-            a, b = self._random_histogram(rng), self._random_histogram(rng)
-            ab, ba = Histogram(), Histogram()
-            ab.merge_dump(a.dump()); ab.merge_dump(b.dump())
-            ba.merge_dump(b.dump()); ba.merge_dump(a.dump())
-            assert self._canon(ab) == self._canon(ba)
-
-    def test_merge_dump_with_exemplars_is_associative(self):
-        rng = random.Random(99)
-        for _ in range(25):
-            parts = [self._random_histogram(rng) for _ in range(3)]
-            left, right = Histogram(), Histogram()
-            # (a + b) + c
-            inner = Histogram()
-            inner.merge_dump(parts[0].dump())
-            inner.merge_dump(parts[1].dump())
-            left.merge_dump(inner.dump())
-            left.merge_dump(parts[2].dump())
-            # a + (b + c)
-            inner = Histogram()
-            inner.merge_dump(parts[1].dump())
-            inner.merge_dump(parts[2].dump())
-            right.merge_dump(parts[0].dump())
-            right.merge_dump(inner.dump())
-            assert self._canon(left) == self._canon(right)
-
-    def test_foreign_ladder_merge_rebuckets_exemplars(self):
-        foreign = Histogram(bounds=(0.5, 5.0))
-        foreign.observe(2.0, trace_id="cd" * 16, ts=3.0)
-        ours = Histogram()
-        ours.merge_dump(foreign.dump())
-        worst = ours.worst_exemplars()
-        assert worst and worst[0]["trace_id"] == "cd" * 16
-
 
 # ------------------------------------------------------------------ #
 # satellite pins: percentile interpolation, load_run ordering
@@ -327,31 +255,15 @@ class TestTailSampler:
         assert sampler.offer(trace.Span("anon")) is None
         assert sampler.counts["offered"] == 0
 
-    def test_watchdog_and_fallback_never_dropped(self):
-        # Zero head rate, saturated window: the only survivors must be
-        # the watchdog/fallback traces.
-        sampler = TailSampler(head_rate=0.0, min_window=5)
-        for i in range(50):
-            sampler.offer(_root(f"{i:032x}", duration=0.01))
-        for i in range(50, 60):
-            reason = sampler.offer(
-                _root(f"{i:032x}", duration=0.0,
-                      watchdog_timeouts=1 if i % 2 else 0,
-                      fallbacks=1)
-            )
-            assert reason in ("watchdog", "fallback")
-        counts = sampler.counts
-        assert counts["kept_watchdog"] == 5
-        assert counts["kept_fallback"] == 5
-
-    def test_watchdog_survives_eviction_pressure(self):
+    def test_error_survives_eviction_pressure(self):
         sampler = TailSampler(max_traces=4, head_rate=1.0, min_window=1)
-        watchdog_id = "f" * 32
-        sampler.offer(_root(watchdog_id, watchdog_timeouts=1))
+        failed = _root("f" * 32)
+        failed.error = "ValueError: boom"
+        sampler.offer(failed)
         for i in range(40):
             sampler.offer(_root(f"{i:032x}", duration=0.01 + i * 1e-4))
         kept_ids = {entry["trace_id"] for entry in sampler.entries()}
-        assert watchdog_id in kept_ids
+        assert failed.trace_id in kept_ids
         assert len(kept_ids) == 4
         assert sampler.counts["evicted"] == 37
 
@@ -377,7 +289,7 @@ class TestTailSampler:
         for i in range(200):
             sampler.offer(_root(f"{rng.getrandbits(128):032x}",
                                 duration=rng.random() * 0.02,
-                                fallbacks=1 if i % 31 == 0 else 0))
+                                low_quality=1 if i % 31 == 0 else 0))
         counts = sampler.counts
         kept = sum(v for k, v in counts.items() if k.startswith("kept_"))
         assert counts["offered"] == 200
@@ -414,68 +326,11 @@ class TestTailSampler:
 
 
 # ------------------------------------------------------------------ #
-# propagation across the pool + serial fallback
+# propagation
 # ------------------------------------------------------------------ #
 class TestPropagation:
-    def test_parallel_trace_stitches_worker_spans_from_two_pids(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "256")
-        run_dir = str(tmp_path / "run")
-        obs.start_run(run_dir)
-        parallel.set_workers(4)
-        try:
-            result = run_scan(seed=61)
-            trace_id = result.stats.trace_id
-            assert trace_id and result.stats.dispatches >= 1
-            lanes = [
-                record for record in trace.worker_spans()
-                if record.get("trace_id") == trace_id
-            ]
-            pids = {record["pid"] for record in lanes}
-            assert len(pids) >= 2
-        finally:
-            parallel.set_workers(0)
-            obs.finish_run(run_dir)
-
-        # The run artifact resolves the same trace with its worker lanes.
-        from repro.obs import analyze
-
-        entries = analyze.load_traces(run_dir)
-        entry = analyze.find_trace(entries, trace_id)
-        assert entry is not None
-        assert len(analyze.worker_pids(entry)) >= 2
-
-    def test_watchdog_fallback_preserves_trace_and_results(
-        self, monkeypatch
-    ):
-        obs.enable()
-        sampler = sampling.configure(head_rate=0.0, min_window=1)
-        reference = run_scan(seed=45)
-
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "256")
-        parallel.set_workers(4)
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.0")
-        monkeypatch.setenv("REPRO_TEST_HANG_MORSEL", "1")
-        hung = run_scan(seed=45)
-        monkeypatch.delenv("REPRO_TEST_HANG_MORSEL")
-
-        # Byte-identical results through the serial fallback...
-        assert normalize(reference.to_rows()) == normalize(hung.to_rows())
-        # ...still stamped with a trace id, with no worker lanes under it
-        trace_id = hung.stats.trace_id
-        assert trace_id and hung.stats.fallbacks >= 1
-        assert not [
-            record for record in trace.worker_spans()
-            if record.get("trace_id") == trace_id
-        ]
-        # ...and the tail sampler kept it despite head_rate=0.
-        kept = {entry["trace_id"]: entry for entry in sampler.entries()}
-        assert kept[trace_id]["reason"] == "watchdog"
-
     def test_serial_execution_ignores_context_free_path(self):
-        # Context-free + disabled obs: parallel payloads carry wire=None
-        # without perturbing results.
+        # An active request context does not perturb results.
         reference = run_scan(seed=52)
         obs.enable()
         with context.ensure(fingerprint="serial"):

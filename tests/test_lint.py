@@ -316,7 +316,7 @@ class TestRepoIsClean:
             "import numpy as np\n"                       # 1
             "import time\n"                              # 2
             "import torch\n"                             # 3  forbidden-import
-            "\n"
+            "from .obs import telemetry as _telemetry\n" # 4  relative alias
             "def f(xs=[]):\n"                            # 5  mutable default
             "    print(np.random.rand(2))\n"             # 6  print + global rng
             "    started = time.perf_counter()\n"        # 7  wallclock
@@ -324,6 +324,8 @@ class TestRepoIsClean:
             "        return started\n"
             "    except Exception:\n"                    # 10 silent except
             "        pass\n"
+            "    _telemetry.emit('quality', kind='x')\n" # 12 quality sink
+            "    open('log.jsonl', 'a')\n"               # 13 telemetry sink
         )
         report = lint_source(tmp_path, source)
         by_rule = {f.rule: f.line for f in report.findings}
@@ -334,5 +336,8 @@ class TestRepoIsClean:
             "no-global-numpy-random": 6,
             "no-wallclock-in-library": 7,
             "no-silent-except": 10,
+            "quality-telemetry-sink-only": 12,
+            "telemetry-sink-only": 13,
         }
+        assert set(by_rule) == set(RULES)
         assert report.exit_code == 1

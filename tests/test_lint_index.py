@@ -1,21 +1,16 @@
-"""Tests for the whole-program analyzer (repro.lint phase 2).
+"""Tests for the lint engine around the rule pack (repro.lint).
 
-Covers the project index and call graph (cross-module resolution,
-dispatcher fix-point, fork reachability), each of the four project
-rules against a deliberately-violating fixture package, the content-hash
-cache (hit/invalidate-on-edit), the v2 baseline fingerprints with v1
-migration, the relaxed tests/benchmarks profiles, and the sarif/html
-output formats.
+Covers the two sink-chokepoint rules against deliberately-violating
+fixture packages, the content-hash cache (hit/invalidate-on-edit), the
+v2 baseline fingerprints with v1 migration, the relaxed
+tests/benchmarks profiles, and the sarif/html output formats.
 """
 
-import ast
 import json
 from pathlib import Path
 
 from repro.lint import run_lint
-from repro.lint.callgraph import CallGraph
 from repro.lint.cli import run as lint_cli_run
-from repro.lint.effects import summarize_module
 from repro.lint.engine import load_baseline, write_baseline
 from repro.lint.index import LintCache, line_hash
 
@@ -31,292 +26,37 @@ def write_package(root, modules):
     return root
 
 
-def graph_for(root):
-    summaries = {}
-    for path in sorted(root.rglob("*.py")):
-        display = str(path)
-        tree = ast.parse(path.read_text())
-        summaries[display] = summarize_module(tree, display)
-    return CallGraph(summaries)
-
-
 def findings_for(root, rule):
     report = run_lint([str(root)], None)
     return [f for f in report.findings if f.rule == rule]
 
 
-#: A worker pool package with one violation per project rule. The
-#: dispatcher lives in a different module from the task, the task's
-#: hazard sits one call deeper, so every finding requires cross-module
-#: call-graph resolution.
+#: A four-module package whose one violation (an append-mode open
+#: outside the telemetry sink) sits in ``helpers.py``.
 FIXTURE = {
-    "proj/pool.py": (
-        "import multiprocessing as mp\n"
+    "proj/driver.py": (
+        "from .tasks import run_task\n"
         "\n"
-        "def dispatch(task, payloads):\n"
-        "    pool = mp.Pool(2)\n"
-        "    result = pool.map_async(task, payloads)\n"
-        "    return result.get()\n"
+        "def run(payloads):\n"
+        "    return [run_task(payload) for payload in payloads]\n"
     ),
     "proj/tasks.py": (
         "from . import helpers\n"
         "\n"
-        "def worker_task(payload):\n"
+        "def run_task(payload):\n"
         "    return helpers.accumulate(payload)\n"
     ),
     "proj/helpers.py": (
-        "_TOTALS = {}\n"
-        "\n"
         "def accumulate(payload):\n"
-        "    global _TOTALS\n"
-        "    _TOTALS = dict(payload)\n"
-        "    return _TOTALS\n"
+        "    with open('totals.log', 'a') as handle:\n"
+        "        handle.write(str(payload))\n"
+        "    return dict(payload)\n"
     ),
-    "proj/driver.py": (
-        "from .pool import dispatch\n"
-        "from .tasks import worker_task\n"
-        "\n"
-        "def run(payloads):\n"
-        "    results = dispatch(worker_task, payloads)\n"
-        "    return results\n"
+    "proj/obs/telemetry.py": (
+        "def emit(stream, **fields):\n"
+        "    return stream\n"
     ),
 }
-
-
-class TestCallGraph:
-    def test_cross_module_resolution_through_dispatcher(self, tmp_path):
-        graph = graph_for(write_package(tmp_path, FIXTURE))
-        entries = {
-            graph.display_name(gid) for gid in graph.worker_entries()
-        }
-        # worker_task enters workers only via the dispatcher in pool.py,
-        # referenced from a third module (driver.py).
-        assert any(name.endswith("tasks.worker_task") for name in entries)
-        reachable = {
-            graph.display_name(gid) for gid in graph.worker_reachable()
-        }
-        # ...and the hazard one call deeper is reached across modules.
-        assert any(
-            name.endswith("helpers.accumulate") for name in reachable
-        )
-
-    def test_chain_text_names_the_path(self, tmp_path):
-        graph = graph_for(write_package(tmp_path, FIXTURE))
-        target = next(
-            gid for gid in graph.worker_reachable()
-            if graph.display_name(gid).endswith("helpers.accumulate")
-        )
-        chain = graph.chain_text(target)
-        assert "worker_task" in chain and "accumulate" in chain
-
-    def test_unresolved_calls_produce_no_edges(self, tmp_path):
-        root = write_package(tmp_path, {
-            "mod.py": (
-                "def f(callback):\n"
-                "    return callback()\n"
-            ),
-        })
-        graph = graph_for(root)
-        assert graph.edges()[next(iter(graph.edges()))] == []
-
-    def test_method_dispatch_via_self(self, tmp_path):
-        root = write_package(tmp_path, {
-            "mod.py": (
-                "class Runner:\n"
-                "    def outer(self):\n"
-                "        return self.inner()\n"
-                "    def inner(self):\n"
-                "        return 1\n"
-            ),
-        })
-        graph = graph_for(root)
-        edges = {
-            graph.display_name(gid): [
-                graph.display_name(t) for t in targets
-            ]
-            for gid, targets in graph.edges().items()
-        }
-        (outer_edges,) = [
-            targets for name, targets in edges.items()
-            if name.endswith("Runner.outer")
-        ]
-        assert any(t.endswith("Runner.inner") for t in outer_edges)
-
-
-class TestForkUnsafeRule:
-    def test_transitive_global_write_is_flagged(self, tmp_path):
-        root = write_package(tmp_path, FIXTURE)
-        findings = findings_for(root, "fork-unsafe-worker-reachable")
-        assert findings, "global write two calls below the pool must flag"
-        (finding,) = [
-            f for f in findings if f.path.endswith("helpers.py")
-        ]
-        assert "_TOTALS" in finding.message
-        assert finding.severity == "error"
-        assert "worker" in finding.message
-
-    def test_each_hazard_kind_is_flagged(self, tmp_path):
-        hazards = {
-            "lock": (
-                "import threading\n"
-                "_LOCK = threading.Lock()\n"
-                "def task(x):\n"
-                "    with _LOCK:\n"
-                "        return x\n"
-            ),
-            "thread": (
-                "import threading\n"
-                "def task(x):\n"
-                "    t = threading.Thread(target=print)\n"
-                "    t.start()\n"
-                "    return x\n"
-            ),
-            "fd": (
-                "def task(x):\n"
-                "    handle = open('/tmp/x')\n"
-                "    return handle.read()\n"
-            ),
-            "rng": (
-                "import numpy as np\n"
-                "def task(x):\n"
-                "    return np.random.rand(x)"
-                "  # lint: disable=no-global-numpy-random\n"
-            ),
-        }
-        pool = (
-            "import multiprocessing as mp\n"
-            "from .work import task\n"
-            "def go(items):\n"
-            "    with mp.Pool(2) as pool:\n"
-            "        return pool.map_async(task, items).get()\n"
-        )
-        for name, work_source in hazards.items():
-            root = write_package(tmp_path / name, {
-                "pkg/pool.py": pool,
-                "pkg/work.py": work_source,
-            })
-            findings = findings_for(root, "fork-unsafe-worker-reachable")
-            assert findings, f"hazard kind {name!r} must be flagged"
-            assert all(f.path.endswith("work.py") for f in findings)
-
-    def test_clean_worker_is_not_flagged(self, tmp_path):
-        root = write_package(tmp_path, {
-            "pkg/pool.py": (
-                "import multiprocessing as mp\n"
-                "from .work import task\n"
-                "def go(items):\n"
-                "    with mp.Pool(2) as pool:\n"
-                "        return pool.map_async(task, items).get()\n"
-            ),
-            "pkg/work.py": (
-                "def task(x):\n"
-                "    total = 0\n"
-                "    for value in x:\n"
-                "        total += value\n"
-                "    return total\n"
-            ),
-        })
-        assert not findings_for(root, "fork-unsafe-worker-reachable")
-
-    def test_inline_suppression_applies(self, tmp_path):
-        fixture = dict(FIXTURE)
-        fixture["proj/helpers.py"] = (
-            "_TOTALS = {}\n"
-            "\n"
-            "def accumulate(payload):\n"
-            "    global _TOTALS\n"
-            "    _TOTALS = dict(payload)"
-            "  # lint: disable=fork-unsafe-worker-reachable\n"
-            "    return _TOTALS\n"
-        )
-        root = write_package(tmp_path, fixture)
-        assert not findings_for(root, "fork-unsafe-worker-reachable")
-
-
-class TestShmLifecycleRule:
-    def test_never_released_is_error(self, tmp_path):
-        root = write_package(tmp_path, {
-            "mod.py": (
-                "from multiprocessing import shared_memory\n"
-                "\n"
-                "def leak(n):\n"
-                "    block = shared_memory.SharedMemory(create=True, size=n)\n"
-                "    return None\n"
-            ),
-        })
-        (finding,) = findings_for(root, "shm-lifecycle")
-        assert finding.severity == "error"
-        assert "never released" in finding.message
-
-    def test_release_outside_finally_is_warn(self, tmp_path):
-        root = write_package(tmp_path, {
-            "mod.py": (
-                "from multiprocessing import shared_memory\n"
-                "\n"
-                "def risky(n):\n"
-                "    block = shared_memory.SharedMemory(create=True, size=n)\n"
-                "    value = bytes(block.buf[:4])\n"
-                "    block.close()\n"
-                "    block.unlink()\n"
-                "    return value\n"
-            ),
-        })
-        (finding,) = findings_for(root, "shm-lifecycle")
-        assert finding.severity == "warn"
-        assert "exception" in finding.message
-
-    def test_finally_release_is_clean(self, tmp_path):
-        root = write_package(tmp_path, {
-            "mod.py": (
-                "from multiprocessing import shared_memory\n"
-                "\n"
-                "def safe(n):\n"
-                "    block = shared_memory.SharedMemory(create=True, size=n)\n"
-                "    try:\n"
-                "        return bytes(block.buf[:4])\n"
-                "    finally:\n"
-                "        block.close()\n"
-                "        block.unlink()\n"
-            ),
-        })
-        assert not findings_for(root, "shm-lifecycle")
-
-    def test_escaping_ownership_is_clean(self, tmp_path):
-        root = write_package(tmp_path, {
-            "mod.py": (
-                "from multiprocessing import shared_memory\n"
-                "\n"
-                "def make(n):\n"
-                "    block = shared_memory.SharedMemory(create=True, size=n)\n"
-                "    return block\n"
-            ),
-        })
-        assert not findings_for(root, "shm-lifecycle")
-
-    def test_attach_without_create_is_not_tracked(self, tmp_path):
-        root = write_package(tmp_path, {
-            "mod.py": (
-                "from multiprocessing import shared_memory\n"
-                "\n"
-                "def attach(name):\n"
-                "    block = shared_memory.SharedMemory(name=name)\n"
-                "    return bytes(block.buf[:4])\n"
-            ),
-        })
-        assert not findings_for(root, "shm-lifecycle")
-
-    def test_unterminated_pool_is_flagged(self, tmp_path):
-        root = write_package(tmp_path, {
-            "mod.py": (
-                "import multiprocessing as mp\n"
-                "\n"
-                "def leak(items):\n"
-                "    pool = mp.Pool(2)\n"
-                "    return pool.map(len, items)\n"
-            ),
-        })
-        findings = findings_for(root, "shm-lifecycle")
-        assert findings and "pool" in findings[0].message
 
 
 class TestTelemetrySinkRule:
@@ -331,12 +71,18 @@ class TestTelemetrySinkRule:
                 "    fd = os.open(path, os.O_WRONLY | os.O_APPEND)\n"
                 "    os.write(fd, text.encode())\n"
                 "    os.close(fd)\n"
+                "\n"
+                "def outer(path):\n"
+                "    def inner(text):\n"
+                "        return open(path, mode='ab').write(text)\n"
+                "    return inner\n"
             ),
         })
         findings = findings_for(root, "telemetry-sink-only")
         kinds = sorted(f.message.split("(")[1].split(")")[0]
                        for f in findings)
-        assert len(findings) == 3  # open-a, os.open(O_APPEND), os.write
+        # open-a, os.open(O_APPEND), os.write, and the nested open-ab
+        assert [f.line for f in findings] == [4, 6, 7, 12]
         assert any("os.write" in k for k in kinds)
 
     def test_telemetry_module_itself_is_exempt(self, tmp_path):
@@ -377,11 +123,19 @@ class TestQualityTelemetrySinkRule:
                 "def report(recall):\n"
                 "    telemetry.emit('quality', kind='audit', recall=recall)\n"
             ),
+            # The package-relative alias form the obs modules use.
+            "proj/obs/slo.py": (
+                "from . import telemetry as _telemetry\n"
+                "\n"
+                "def publish(recall):\n"
+                "    _telemetry.emit('quality', kind='audit', recall=recall)\n"
+            ),
         })
         findings = findings_for(root, "quality-telemetry-sink-only")
-        assert len(findings) == 1
         assert "quality" in findings[0].message
-        assert findings[0].path.endswith("serving.py")
+        assert [f.path.rsplit("/", 1)[1] for f in findings] == [
+            "slo.py", "serving.py",
+        ]
 
     def test_quality_module_itself_is_exempt(self, tmp_path):
         root = write_package(tmp_path, {
@@ -411,105 +165,6 @@ class TestQualityTelemetrySinkRule:
         })
         assert not findings_for(root, "quality-telemetry-sink-only")
 
-    def test_effects_capture_string_arg0(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(
-            "def f(emit):\n"
-            "    emit('quality', x=1)\n"
-            "    emit(2, x=1)\n"
-            "    emit()\n"
-        )
-        summary = summarize_module(ast.parse(path.read_text()), str(path))
-        (record,) = [
-            f for name, f in summary["functions"].items()
-            if name.endswith(".f") or name == "f"
-        ]
-        arg0s = [call.get("arg0") for call in record["calls"]]
-        assert "quality" in arg0s
-        # Non-string and argument-less calls carry no arg0 key.
-        assert sum(a is not None for a in arg0s) == 1
-
-
-class TestFallbackRule:
-    WRAPPER = (
-        "import multiprocessing as mp\n"
-        "\n"
-        "def maybe_parallel(task, items):\n"
-        "    try:\n"
-        "        with mp.Pool(2) as pool:\n"
-        "            return pool.map_async(task, items).get()\n"
-        "    except OSError:\n"
-        "        return None\n"
-    )
-
-    def test_unchecked_call_site_is_flagged(self, tmp_path):
-        root = write_package(tmp_path, {
-            "pkg/wrap.py": self.WRAPPER,
-            "pkg/use.py": (
-                "from .wrap import maybe_parallel\n"
-                "\n"
-                "def total(items):\n"
-                "    results = maybe_parallel(len, items)\n"
-                "    return sum(results)\n"
-            ),
-        })
-        (finding,) = findings_for(root, "fallback-on-worker-error")
-        assert finding.path.endswith("use.py")
-        assert "None" in finding.message
-
-    def test_none_checked_call_site_is_clean(self, tmp_path):
-        root = write_package(tmp_path, {
-            "pkg/wrap.py": self.WRAPPER,
-            "pkg/use.py": (
-                "from .wrap import maybe_parallel\n"
-                "\n"
-                "def total(items):\n"
-                "    results = maybe_parallel(len, items)\n"
-                "    if results is None:\n"
-                "        results = [len(i) for i in items]\n"
-                "    return sum(results)\n"
-            ),
-        })
-        assert not findings_for(root, "fallback-on-worker-error")
-
-    def test_try_except_call_site_is_clean(self, tmp_path):
-        root = write_package(tmp_path, {
-            "pkg/wrap.py": self.WRAPPER,
-            "pkg/use.py": (
-                "from .wrap import maybe_parallel\n"
-                "\n"
-                "def total(items):\n"
-                "    try:\n"
-                "        return sum(maybe_parallel(len, items))\n"
-                "    except TypeError:\n"
-                "        return sum(len(i) for i in items)\n"
-            ),
-        })
-        assert not findings_for(root, "fallback-on-worker-error")
-
-    def test_wrapper_of_wrapper_is_tracked(self, tmp_path):
-        root = write_package(tmp_path, {
-            "pkg/wrap.py": self.WRAPPER,
-            "pkg/outer.py": (
-                "from .wrap import maybe_parallel\n"
-                "\n"
-                "def maybe_outer(items):\n"
-                "    result = maybe_parallel(len, items)\n"
-                "    if result is None:\n"
-                "        return None\n"
-                "    return result\n"
-            ),
-            "pkg/use.py": (
-                "from .outer import maybe_outer\n"
-                "\n"
-                "def total(items):\n"
-                "    values = maybe_outer(items)\n"
-                "    return sum(values)\n"
-            ),
-        })
-        findings = findings_for(root, "fallback-on-worker-error")
-        assert any(f.path.endswith("use.py") for f in findings)
-
 
 class TestCache:
     def test_warm_cache_hits_and_invalidation_on_edit(self, tmp_path):
@@ -518,6 +173,9 @@ class TestCache:
 
         cold = run_lint([str(root)], cache_path=str(cache_path))
         assert cold.cache_hits == 0
+        assert [(f.rule, f.path.rsplit("/", 1)[1]) for f in cold.findings] == [
+            ("telemetry-sink-only", "helpers.py")
+        ]
         assert cache_path.exists()
 
         warm = run_lint([str(root)], cache_path=str(cache_path))
@@ -534,11 +192,7 @@ class TestCache:
         )
         edited = run_lint([str(root)], cache_path=str(cache_path))
         assert edited.cache_hits == 3
-        assert not [
-            f for f in edited.findings
-            if f.rule == "fork-unsafe-worker-reachable"
-            and f.path.endswith("helpers.py")
-        ]
+        assert not edited.findings
 
     def test_cache_respects_rule_subset(self, tmp_path):
         path = tmp_path / "mod.py"
@@ -665,7 +319,7 @@ class TestOutputFormats:
         assert sarif["version"] == "2.1.0"
         (run,) = sarif["runs"]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "fork-unsafe-worker-reachable" in rule_ids
+        assert "telemetry-sink-only" in rule_ids
         (result,) = run["results"]
         assert result["ruleId"] == "no-bare-print"
         assert result["level"] == "error"
@@ -685,59 +339,21 @@ class TestOutputFormats:
         assert "src=" not in text and "href=" not in text  # no external assets
 
     def test_explain_prints_rule_documentation(self):
-        code, text = lint_cli_run([], explain="fork-unsafe-worker-reachable")
+        code, text = lint_cli_run([], explain="telemetry-sink-only")
         assert code == 0
-        assert "whole-program" in text
+        assert "telemetry-sink-only (error)" in text
         assert "rationale:" in text
-        assert "fork" in text.lower()
+        assert "O_APPEND" in text
 
     def test_explain_unknown_rule_is_usage_error(self):
         code, text = lint_cli_run([], explain="bogus")
         assert code == 2
 
-    def test_strict_severity_passes_on_warn_only(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(
-            "from multiprocessing import shared_memory\n"
-            "\n"
-            "def risky(n):\n"
-            "    block = shared_memory.SharedMemory(create=True, size=n)\n"
-            "    value = bytes(block.buf[:4])\n"
-            "    block.close()\n"
-            "    block.unlink()\n"
-            "    return value\n"
-        )
-        strict_code, _ = lint_cli_run(
-            [str(path)], strict_severity=True, no_cache=True
-        )
-        default_code, _ = lint_cli_run([str(path)], no_cache=True)
-        assert strict_code == 0  # the warn is reported but doesn't fail
-        assert default_code == 1
-
 
 class TestRepoAcceptance:
-    def test_injected_global_write_fails_the_build(self, tmp_path):
-        """Acceptance: copying db/parallel.py and injecting a global
-        write into a worker task makes fork-unsafe-worker-reachable
-        fire."""
-        source = (REPO_ROOT / "src/repro/db/parallel.py").read_text()
-        needle = "def _filter_task(payload):\n"
-        assert needle in source
-        injected = source.replace(
-            needle,
-            "_SEEN = {}\n\n\n"
-            + needle
-            + "    global _SEEN\n    _SEEN = dict(payload)\n",
-        )
-        root = tmp_path / "db"
-        root.mkdir()
-        (root / "parallel.py").write_text(injected)
-        findings = findings_for(tmp_path, "fork-unsafe-worker-reachable")
-        assert any("_SEEN" in f.message for f in findings)
-
     def test_whole_tree_lint_is_clean(self):
         """Acceptance: src+tests+benchmarks clean under the full pack
-        including the project rules, with an empty baseline."""
+        with an empty baseline."""
         paths = [
             str(REPO_ROOT / name)
             for name in ("src", "tests", "benchmarks")

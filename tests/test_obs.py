@@ -147,8 +147,7 @@ class TestSpans:
         json.dumps(tree)  # JSON-serializable
 
         chrome = trace.chrome_trace()
-        # Duration events plus one process_name metadata record for the
-        # parent lane (worker lanes add theirs per pid; DESIGN.md §11).
+        # Duration events plus one process_name metadata record.
         events = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
         assert {e["name"] for e in events} == {"parent", "child"}
         for event in events:

@@ -1,6 +1,10 @@
 """Tests for EXPLAIN / EXPLAIN ANALYZE operator trees (repro.db.plan)."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +12,7 @@ from repro import obs
 from repro.db import (
     ExecutionError,
     PlanNode,
+    QueryStats,
     execute,
     execute_aggregate,
     explain,
@@ -223,6 +228,24 @@ class TestPlanRendering:
         root = PlanNode("filter", "p", children=[leaf])
         assert [n.op for n in root.walk()] == ["filter", "scan"]
 
+    def test_query_stats_keys_and_analyze_footer_shape(self, mini_db):
+        obs.enable()
+        plan = explain(mini_db, sql(JOIN_SQL), analyze=True)
+        assert set(plan.query_stats) == set(QueryStats().to_dict()) == {
+            "trace_id", "audited", "audit_recall", "audit_agg_rel_error",
+            "wall_seconds", "cpu_seconds", "rows_scanned", "rows_produced",
+        }
+        footer = plan.format().splitlines()[-3:]
+        assert re.fullmatch(r"total: [0-9.]+ ms", footer[0])
+        assert footer[1] == f"trace: {plan.query_stats['trace_id']}"
+        assert re.fullmatch(
+            r"timing: wall=[0-9.]+ ms cpu=[0-9.]+ ms"
+            rf" scanned={plan.query_stats['rows_scanned']}"
+            rf" produced={plan.result.n_rows}",
+            footer[2],
+        )
+        assert "parallel" not in plan.format()
+
 
 # ------------------------------------------------------------------ #
 # telemetry integration
@@ -254,6 +277,36 @@ class TestPlanTelemetry:
         assert metrics.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {}
         }
+
+
+# ------------------------------------------------------------------ #
+# single-process execution
+# ------------------------------------------------------------------ #
+def test_execution_never_imports_multiprocessing():
+    """Scans, joins and group-bys over a 40k-row table run in-process."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import repro\n"
+        "from repro.db import (Column, ColumnType, Database, Table,\n"
+        "                      TableSchema, execute, execute_aggregate, sql)\n"
+        "n = 40_000\n"
+        "schema = TableSchema('t', (Column('k', ColumnType.INT),\n"
+        "                           Column('v', ColumnType.INT)))\n"
+        "table = Table(schema, {'k': np.arange(n) % 64, 'v': np.arange(n)})\n"
+        "db = Database([table])\n"
+        "assert execute(db, sql('SELECT v FROM t WHERE v >= 100')).n_rows"
+        " == n - 100\n"
+        "groups = execute_aggregate(\n"
+        "    db, sql('SELECT k, COUNT(*) FROM t GROUP BY k'))\n"
+        "assert len(groups.rows) == 64\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    subprocess.run(
+        [sys.executable, "-c", script], check=True, env=env, timeout=120
+    )
 
 
 # ------------------------------------------------------------------ #

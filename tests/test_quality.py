@@ -84,6 +84,15 @@ class TestValidateRate:
         with pytest.raises(ValueError, match="REPRO_AUDIT_RATE"):
             quality.rate_from_env()
 
+    @pytest.mark.parametrize("raw", ["ten percent", "1.5", "-0.1", "nan"])
+    def test_malformed_trace_head_rate_env_raises(
+        self, tmp_path, monkeypatch, raw
+    ):
+        monkeypatch.setenv("REPRO_TRACE_HEAD_RATE", raw)
+        with pytest.raises(ValueError, match="REPRO_TRACE_HEAD_RATE") as info:
+            obs.start_run(str(tmp_path / "run"))
+        assert raw in str(info.value)
+
     def test_cli_rejects_bad_rate_with_exit_2(self, tmp_path, capsys):
         code = main([
             "audit", "--dir", str(tmp_path), "--sample-rate", "1.5",

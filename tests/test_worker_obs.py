@@ -1,22 +1,14 @@
-"""Cross-process observability for morsel-parallel execution (DESIGN.md §11).
+"""Per-query accounting and the ``repro watch`` console (DESIGN.md §11).
 
-Covers the capture → ship → stitch pipeline end to end: worker-side
-``TaskRecorder`` spans arriving in the parent's Chrome trace as distinct
-per-pid lanes, worker counters/histograms folded into the parent
-registry via ``MetricsRegistry.merge``, the per-query ``QueryStats``
-envelope (wall vs cpu, skew, per-worker busy) on ``ResultSet`` and in
-EXPLAIN ANALYZE, the pool watchdog (forced hang → cancel → recycle →
-byte-identical serial fallback → CRIT health alert), fallback telemetry
-events, pool-generation gauges across ``shutdown()``, and the
-``repro watch`` ops console.
+Covers the ``QueryStats`` envelope (wall vs cpu, rows scanned →
+produced) on ``ResultSet`` and in EXPLAIN ANALYZE, the ``repro watch``
+ops console, and the Chrome-trace export.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -25,24 +17,19 @@ from repro.db import (
     QueryStats,
     execute,
     explain,
-    parallel,
     sql,
 )
 from repro.obs import health, metrics, telemetry, trace
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.watch import render_watch
-from repro.obs.worker import TaskRecorder, busy_by_pid, combine_metrics
 
-from tests.test_columnstore import _comparable, make_table
+from tests.test_columnstore import make_table
 
 N_ROWS = 6_000
 
 
 @pytest.fixture(autouse=True)
-def clean_obs(monkeypatch):
-    """Every test: obs off, empty state, serial workers, no stray hang env."""
-    monkeypatch.delenv("REPRO_TEST_HANG_MORSEL", raising=False)
-    monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
+def clean_obs():
+    """Every test: obs off, empty state."""
 
     def scrub():
         obs.disable()
@@ -51,162 +38,16 @@ def clean_obs(monkeypatch):
         telemetry.reset()
         telemetry.configure(None)
         health.reset()
-        parallel.set_workers(0)
-        parallel.shutdown()
 
     scrub()
     yield
     scrub()
-
-
-@pytest.fixture
-def pool4(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "256")
-    parallel.set_workers(4)
-    yield
 
 
 def run_scan(seed=41, where="score > 10 AND city != 'drab'"):
     table = make_table(seed=seed, n=N_ROWS)
     db = Database([table])
     return execute(db, sql(f"SELECT city, score, temp FROM t WHERE {where}"))
-
-
-# ------------------------------------------------------------------ #
-# histogram dumps + registry merge (the ship/stitch transport)
-# ------------------------------------------------------------------ #
-class TestMetricsMerge:
-    def test_dump_merge_same_bounds_is_lossless(self):
-        a, b = Histogram(), Histogram()
-        for value in (0.001, 0.002, 0.5):
-            a.observe(value)
-        for value in (0.003, 4.0):
-            b.observe(value)
-        a.merge_dump(b.dump())
-        assert a.total == 5
-        assert a.sum == pytest.approx(0.001 + 0.002 + 0.5 + 0.003 + 4.0)
-        assert a.min == pytest.approx(0.001) and a.max == pytest.approx(4.0)
-        # Bucket-wise add, not re-observation: counts sum exactly.
-        reference = Histogram()
-        for value in (0.001, 0.002, 0.5, 0.003, 4.0):
-            reference.observe(value)
-        assert a.counts == reference.counts and a.overflow == reference.overflow
-
-    def test_merge_foreign_bounds_preserves_count_sum_min_max(self):
-        a = Histogram()
-        b = Histogram(bounds=(1.0, 10.0))
-        for value in (2.0, 6.0):
-            b.observe(value)
-        a.merge_dump(b.dump())
-        assert a.total == 2
-        assert a.sum == pytest.approx(8.0)
-        assert a.min == pytest.approx(2.0) and a.max == pytest.approx(6.0)
-
-    def test_merge_empty_dump_is_noop(self):
-        a = Histogram()
-        a.observe(1.0)
-        a.merge_dump(Histogram().dump())
-        assert a.total == 1
-
-    def test_registry_merge_counters_gauges_histograms(self):
-        registry = MetricsRegistry()
-        registry.add("parallel.worker.rows", 10.0)
-        hist = Histogram()
-        hist.observe(0.25)
-        registry.merge(
-            {
-                "counters": {"parallel.worker.rows": 5.0, "new.counter": 1.0},
-                "gauges": {"pool.size": 4.0},
-                "histograms": {"task.seconds": hist.dump()},
-            }
-        )
-        assert registry.counter("parallel.worker.rows") == 15.0
-        assert registry.counter("new.counter") == 1.0
-        assert registry.gauge("pool.size") == 4.0
-        merged = registry.histogram("task.seconds")
-        assert merged is not None and merged.total == 1
-        assert merged.bounds == DEFAULT_BUCKETS
-
-
-# ------------------------------------------------------------------ #
-# worker-side recorder
-# ------------------------------------------------------------------ #
-class TestTaskRecorder:
-    def test_export_envelope_shape(self):
-        recorder = TaskRecorder()
-        with recorder.span("parallel.filter_morsel", start=0, stop=100) as sp:
-            sp.count("rows_in", 100)
-            sp.count("rows_out", 40)
-        recorder.add("parallel.worker.morsels")
-        recorder.observe("morsel.seconds", 0.01)
-        export = recorder.export()
-        assert export["pid"] == os.getpid()
-        assert export["busy_s"] > 0.0
-        (span,) = export["spans"]
-        assert span["name"] == "parallel.filter_morsel"
-        assert span["counters"]["rows_out"] == 40
-        assert export["counters"]["parallel.worker.morsels"] == 1.0
-        assert export["histograms"]["morsel.seconds"]["total"] == 1
-
-    def test_combine_and_busy_by_pid(self):
-        def record(pid, busy):
-            recorder = TaskRecorder()
-            recorder.add("parallel.worker.morsels")
-            recorder.observe("t", busy)
-            export = recorder.export()
-            export["pid"], export["busy_s"] = pid, busy
-            return export
-
-        records = [record(100, 0.5), record(100, 0.25), record(200, 1.0)]
-        combined = combine_metrics(records)
-        assert combined["counters"]["parallel.worker.morsels"] == 3.0
-        assert combined["histograms"]["t"]["total"] == 3
-        assert busy_by_pid(records) == {100: 0.75, 200: 1.0}
-
-
-# ------------------------------------------------------------------ #
-# worker lanes + merged metrics (acceptance: ≥2 distinct pid lanes)
-# ------------------------------------------------------------------ #
-class TestWorkerLanes:
-    def test_chrome_trace_has_worker_lanes_with_morsel_spans(self, pool4):
-        obs.enable()
-        run_scan()
-        doc = trace.chrome_trace()
-        worker_pids = {
-            event["pid"]
-            for event in doc["traceEvents"]
-            if event.get("ph") == "X"
-            and event["pid"] != 1
-            and "morsel" in event["name"]
-        }
-        assert len(worker_pids) >= 2
-        assert os.getpid() not in worker_pids
-        # Each lane is labelled as a worker process in the metadata.
-        names = {
-            event["pid"]: event["args"]["name"]
-            for event in doc["traceEvents"]
-            if event.get("ph") == "M" and event.get("name") == "process_name"
-        }
-        assert names[1] == "repro (parent)"
-        for pid in worker_pids:
-            assert names[pid] == f"repro worker {pid}"
-
-    def test_worker_counters_and_histograms_merged_into_parent(self, pool4):
-        obs.enable()
-        result = run_scan()
-        snap = metrics.snapshot()
-        assert snap["counters"]["parallel.worker.morsels"] >= 4
-        assert snap["counters"]["parallel.worker.rows"] == N_ROWS
-        task_hist = snap["histograms"]["parallel.worker.task.seconds"]
-        assert task_hist["count"] == snap["counters"]["parallel.worker.morsels"]
-        assert result.stats is not None and result.stats.dispatches >= 1
-
-    def test_trace_reset_clears_worker_lanes(self, pool4):
-        obs.enable()
-        run_scan()
-        assert trace.worker_spans()
-        trace.reset()
-        assert trace.worker_spans() == []
 
 
 # ------------------------------------------------------------------ #
@@ -221,163 +62,21 @@ class TestQueryStats:
         assert stats.wall_seconds > 0.0
         assert stats.rows_scanned == N_ROWS
         assert stats.rows_produced == result.n_rows
-        assert stats.dispatches == 0 and stats.worker_busy == {}
-        assert stats.skew_ratio == 1.0
-
-    def test_stats_parallel_fields(self, pool4):
-        obs.enable()
-        result = run_scan()
-        stats = result.stats
-        assert stats.dispatches >= 1 and stats.morsels >= 4
-        assert len(stats.worker_busy) >= 2
-        assert stats.worker_busy_seconds == pytest.approx(
-            sum(stats.worker_busy.values())
-        )
-        assert stats.skew_ratio >= 1.0
-        # Child CPU is invisible to the parent's process clock, so the
-        # envelope folds worker busy time into cpu_seconds.
-        assert stats.cpu_seconds >= stats.worker_busy_seconds
+        assert 0.0 <= stats.cpu_seconds
         assert result.decode_all().stats is stats
 
-    def test_query_telemetry_event_carries_worker_busy(self, pool4):
-        obs.enable()
-        run_scan()
-        events = [
-            r
-            for r in telemetry.records("parallel")
-            if r.get("event") == "query"
-        ]
-        assert events
-        event = events[-1]
-        assert len(event["query"]) == 12  # sha1 fingerprint prefix
-        assert event["dispatches"] >= 1
-        assert len(event["worker_busy"]) >= 2
-        assert event["skew_ratio"] >= 1.0
-
-    def test_explain_analyze_renders_stats_footer(self, pool4):
+    def test_explain_analyze_renders_stats_footer(self):
         obs.enable()
         table = make_table(seed=44, n=N_ROWS)
         db = Database([table])
         plan = explain(db, sql("SELECT city FROM t WHERE score > 10"), analyze=True)
         assert plan.query_stats is not None
-        assert plan.query_stats["dispatches"] >= 1
-        text = plan.format()
-        assert "timing: wall=" in text
-        assert "parallel: dispatches=" in text
-        assert "skew=" in text
+        assert plan.query_stats["rows_scanned"] == N_ROWS
+        assert "timing: wall=" in plan.format()
 
-    def test_stats_without_obs_are_not_collected(self, pool4):
+    def test_stats_without_obs_are_not_collected(self):
         result = run_scan()
         assert result.stats is None
-
-
-# ------------------------------------------------------------------ #
-# fallback + shutdown satellites
-# ------------------------------------------------------------------ #
-class TestFallbackTelemetry:
-    def test_fallback_emits_reason_and_fingerprint(self, pool4):
-        obs.enable()
-        parallel.begin_query_accounting(fingerprint="deadbeef0123")
-        try:
-            values = np.asarray(["a"] * N_ROWS, dtype=object)
-            query = sql("SELECT city FROM t WHERE city = 'a'")
-            assert (
-                parallel.maybe_parallel_filter(query.predicate, {"city": values})
-                is None
-            )
-        finally:
-            summary = parallel.end_query_accounting()
-        assert summary["fallbacks"] == 1
-        assert summary["fallback_reasons"] == {"object_dtype": 1}
-        (event,) = telemetry.records("parallel")
-        assert event["event"] == "fallback"
-        assert event["reason"] == "object_dtype"
-        assert event["query"] == "deadbeef0123"
-        assert metrics.snapshot()["counters"]["parallel.fallbacks.object_dtype"] == 1
-
-    def test_shutdown_marks_pool_gauges(self, pool4):
-        obs.enable()
-        run_scan()
-        snap = metrics.snapshot()["gauges"]
-        assert snap["parallel.pool.workers"] == 4.0
-        generation = snap["parallel.pool.generation"]
-        assert generation >= 1.0
-        parallel.shutdown()
-        snap = metrics.snapshot()["gauges"]
-        assert snap["parallel.pool.workers"] == 0.0
-        # Generation survives shutdown so dashboards can count recycles.
-        assert snap["parallel.pool.generation"] == generation
-
-
-# ------------------------------------------------------------------ #
-# pool watchdog (acceptance: hung morsel cancelled, serial fallback
-# byte-identical, CRIT health alert)
-# ------------------------------------------------------------------ #
-class TestWatchdog:
-    def test_task_timeout_env_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        assert parallel.task_timeout() == parallel.DEFAULT_TASK_TIMEOUT
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
-        assert parallel.task_timeout() == 2.5
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0")
-        assert parallel.task_timeout() == 0.0
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "junk")
-        assert parallel.task_timeout() == parallel.DEFAULT_TASK_TIMEOUT
-
-    def test_hung_morsel_cancelled_with_identical_serial_fallback(
-        self, pool4, monkeypatch
-    ):
-        obs.enable()
-        parallel.set_workers(0)
-        reference = run_scan(seed=45)
-        parallel.set_workers(4)
-
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.0")
-        monkeypatch.setenv("REPRO_TEST_HANG_MORSEL", "1")
-        hung = run_scan(seed=45)
-        monkeypatch.delenv("REPRO_TEST_HANG_MORSEL")
-
-        # The query still completed — serially — with identical output.
-        assert reference.row_ids.keys() == hung.row_ids.keys()
-        for table, ids in reference.row_ids.items():
-            np.testing.assert_array_equal(ids, hung.row_ids[table])
-        normalize = lambda rows: [
-            {key: _comparable(value) for key, value in row.items()} for row in rows
-        ]
-        assert normalize(reference.to_rows()) == normalize(hung.to_rows())
-
-        snap = metrics.snapshot()
-        assert snap["counters"]["parallel.watchdog.timeouts"] == 1
-        assert snap["counters"]["parallel.fallbacks.watchdog_timeout"] == 1
-        assert hung.stats.watchdog_timeouts == 1
-        assert hung.stats.fallback_reasons["watchdog_timeout"] == 1
-
-        # The hung pool was torn down; the health pipeline saw a CRIT.
-        assert parallel._POOL is None
-        alerts = health.active_monitor().alerts
-        assert any(
-            a.rule == "parallel.watchdog.hung_task" and a.severity == health.CRIT
-            for a in alerts
-        )
-        events = telemetry.records("parallel")
-        timeout_events = [
-            r for r in events if r.get("event") == "watchdog_timeout"
-        ]
-        assert len(timeout_events) == 1
-        assert timeout_events[0]["timeout_s"] == 1.0
-
-    def test_pool_recycles_with_new_generation_after_timeout(
-        self, pool4, monkeypatch
-    ):
-        obs.enable()
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.0")
-        monkeypatch.setenv("REPRO_TEST_HANG_MORSEL", "1")
-        run_scan(seed=46)
-        monkeypatch.delenv("REPRO_TEST_HANG_MORSEL")
-        first_generation = parallel.pool_generation()
-        result = run_scan(seed=46)
-        assert result.stats.dispatches >= 1  # fresh pool served the query
-        assert parallel.pool_generation() == first_generation + 1
 
 
 # ------------------------------------------------------------------ #
@@ -389,32 +88,25 @@ class TestWatchConsole:
         telemetry.configure(str(tmp_path / "telemetry.jsonl"))
         run_scan()
         telemetry.emit("query", elapsed_seconds=0.01, n_rows=10)
-        metrics.write_json(str(tmp_path / "metrics.json"))
         return str(tmp_path)
 
-    def test_render_watch_frames_parallel_traffic(self, pool4, tmp_path):
+    def test_render_watch_frames_traffic(self, tmp_path):
         run_dir = self._run_dir_with_traffic(tmp_path)
         frame = render_watch(run_dir)
-        assert "worker utilization" in frame
-        assert "pid " in frame and "█" in frame
-        assert "skew" in frame
-        assert "dispatches 1" in frame
-        assert "watchdog timeouts 0" in frame
+        assert "1 queries" in frame
         assert "(no slo.json yet)" in frame
         assert "0 CRIT, 0 WARN" in frame
 
-    def test_render_watch_is_deterministic_for_a_finished_run(
-        self, pool4, tmp_path
-    ):
+    def test_render_watch_is_deterministic_for_a_finished_run(self, tmp_path):
         run_dir = self._run_dir_with_traffic(tmp_path)
         assert render_watch(run_dir) == render_watch(run_dir)
 
     def test_render_watch_empty_dir(self, tmp_path):
         frame = render_watch(str(tmp_path))
         assert "(no query records yet)" in frame
-        assert "(no parallel queries yet)" in frame
+        assert "(no traces.json yet)" in frame
 
-    def test_cli_watch_once(self, pool4, tmp_path, capsys):
+    def test_cli_watch_once(self, tmp_path, capsys):
         run_dir = self._run_dir_with_traffic(tmp_path)
         # Scrub module state before re-entering via the CLI path.
         obs.disable()
@@ -422,7 +114,7 @@ class TestWatchConsole:
 
         assert main(["watch", "--dir", run_dir, "--once"]) == 0
         out = capsys.readouterr().out
-        assert "repro watch" in out and "worker utilization" in out
+        assert "repro watch" in out and "throughput" in out
 
     def test_cli_watch_missing_dir(self, tmp_path, capsys):
         assert main_watch_missing(str(tmp_path / "nope"), capsys) != 0
@@ -440,17 +132,7 @@ def main_watch_missing(run_dir, capsys):
 # repro report / stats surface
 # ------------------------------------------------------------------ #
 class TestReportSurface:
-    def test_report_mentions_worker_tasks_and_skew(self, pool4):
-        obs.enable()
-        run_scan()
-        from repro.obs.report import _section_storage
-
-        text = "\n".join(_section_storage(metrics.snapshot(), telemetry.records()))
-        assert "worker tasks" in text
-        assert "skew" in text
-        assert "Last parallel query" in text
-
-    def test_chrome_trace_roundtrips_through_json(self, pool4):
+    def test_chrome_trace_roundtrips_through_json(self):
         obs.enable()
         run_scan()
         doc = json.loads(json.dumps(trace.chrome_trace()))
