@@ -4,44 +4,46 @@
 # 1. tier-1 pytest           — the repo's own test suite (ROADMAP.md).
 # 2. repro lint              — the per-file rule pack over
 #                              src+tests+benchmarks with an empty
-#                              committed baseline; a second warm-cache
-#                              run must finish under the 5s budget so
-#                              lint never becomes the slow step
-#                              (DESIGN.md §12), and the cold (--no-cache)
-#                              time is printed next to it.
-# 3. strict-mode smoke train — a micro fit+query run with the runtime
+#                              committed baseline.
+# 3. lint timing budget      — a second warm-cache run must finish
+#                              under the 5s budget so lint never becomes
+#                              the slow step (DESIGN.md §12); the cold
+#                              (--no-cache) time is printed next to it.
+# 4. strict-mode smoke train — a micro fit+query run with the runtime
 #                              shape/dtype/NaN contracts enabled
 #                              (REPRO_STRICT=1), so a contract that
 #                              would fire on the real pipeline fails CI
 #                              rather than a user.
-# 4. repro explain --analyze  — the EXPLAIN ANALYZE path on a 3-table
+# 5. repro explain --analyze  — the EXPLAIN ANALYZE path on a 3-table
 #                              IMDB join (per-operator est/act/q-error).
-# 5. repro report --smoke     — records a tiny end-to-end run and fuses
+# 6. repro report --smoke     — records a tiny end-to-end run and fuses
 #                              it into the markdown diagnostic artifact.
-# 6. repro profile + top       — profiles a micro demo run (sampling
+# 7. repro profile + top       — profiles a micro demo run (sampling
 #                              profiler + memory tracker + SLOs) and
 #                              renders one frame of the live view from
 #                              the recorded artifacts.
-# 7. repro watch --once        — one frame of the ops console over the
+# 8. repro watch --once        — one frame of the ops console over the
 #                              same profiled run dir (DESIGN.md §11).
-# 8. analyze/diff smoke        — records an EXPLAIN ANALYZE run with
+# 9. analyze/diff smoke        — records an EXPLAIN ANALYZE run with
 #                              telemetry, asserts the trace id printed
 #                              in the plan footer resolves through
 #                              `repro analyze --slowest 1`, and diffs
 #                              the run against itself (must report no
 #                              regressions).
-# 9. repro audit --smoke       — records a run with shadow auditing at
+# 10. repro audit --smoke      — records a run with shadow auditing at
 #                              rate 1.0 and prints the predicted-vs-
 #                              observed calibration table, so the
 #                              answer-quality pipeline (auditor, quality
 #                              SLOs, drift detector) is exercised end to
 #                              end on every PR (DESIGN.md §14).
-# 10. end-to-end benchmark      — the benchmark's own tests (recorder,
+# 11. end-to-end benchmark     — the benchmark's own tests (recorder,
 #                              speed probe, declaration vs. output) and
 #                              one --smoke pass of all four workloads
 #                              with every output check on
 #                              (benchmarks/e2e/README.md); timings are
 #                              not gated here.
+# 12. scripts/loc.sh           — lines per package, the size number
+#                              ROADMAP.md tracks; informational.
 #
 # Benchmark gates (kernel regressions, instrumentation + contract
 # overhead) live in scripts/bench_smoke.sh.
@@ -138,5 +140,8 @@ echo "== end-to-end benchmark (own tests + --smoke suite, output checks on)"
 python -m pytest benchmarks/e2e -q
 python3 benchmarks/e2e/run.py --smoke > /dev/null
 echo "e2e smoke: OK"
+
+echo "== lines per package (informational)"
+sh scripts/loc.sh
 
 echo "check: OK"

@@ -12,7 +12,6 @@ sub-databases, which is what Eq. 1 of the paper compares.
 from __future__ import annotations
 
 import hashlib
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -293,21 +292,6 @@ def _rewrite_predicate(predicate: Expression, result: ResultSet):
     return rewrite_for_codes(predicate, result.encodings, list(result.columns))
 
 
-def _predicate_context(
-    result: ResultSet, predicate: Expression
-) -> Optional[dict[str, np.ndarray]]:
-    """The subset of physical columns a predicate touches, or None when a
-    ref cannot be uniquely resolved (evaluation will raise the error)."""
-    context: dict[str, np.ndarray] = {}
-    for ref in predicate.columns():
-        try:
-            key = result.resolve(ref)
-        except QueryError:
-            return None
-        context[key] = result.columns[key]
-    return context
-
-
 def _filter_positions(result: ResultSet, predicate: Expression) -> np.ndarray:
     """Positions of rows satisfying the predicate (physical-space eval).
 
@@ -324,78 +308,71 @@ def _filter_positions(result: ResultSet, predicate: Expression) -> np.ndarray:
 #: mask costs more than the scan it saves.
 _PRUNE_MIN_ROWS = 4096
 
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
-def _scan_filter(
+
+def _zone_map_prune(
     table, context: ResultSet, predicate: Expression
-) -> tuple[ResultSet, dict]:
-    """Filter a base-table scan, consulting zone maps to skip blocks.
+) -> tuple[dict, Optional[np.ndarray]]:
+    """Consult the zone maps for a scan predicate, touching no row.
 
-    Returns the filtered context plus a detail dict (blocks total/pruned,
-    selectivity cap) surfaced by EXPLAIN and the scan metrics. Pruning is
-    strictly conservative: a pruned block provably contains no matching
-    row, so the result is identical to the unpruned scan.
+    Returns ``(detail, block_mask)``: the blocks total/pruned EXPLAIN
+    shows (and the filter estimate is capped by) and the keep-mask
+    :func:`_scan_filter` skips blocks with — ``({}, None)`` when the
+    table is too small to bother or the predicate has no code-space form.
     """
-    detail: dict = {}
+    if len(context) < _PRUNE_MIN_ROWS:
+        return {}, None
     rewritten = _rewrite_predicate(predicate, context)
-    if rewritten is None or len(context) < _PRUNE_MIN_ROWS:
-        return context.take(_filter_positions(context, predicate)), detail
-
+    if rewritten is None:
+        return {}, None
     zmaps = table.zone_maps()
     column_maps = {
         f"{table.name}.{name}": zone for name, zone in zmaps.columns.items()
     }
     block_mask = zone_map_block_mask(rewritten, column_maps, zmaps.n_blocks)
+    detail = {
+        "blocks_total": zmaps.n_blocks,
+        "blocks_pruned": zmaps.n_blocks - int(block_mask.sum()),
+    }
+    return detail, block_mask
+
+
+def _scan_filter(
+    table, context: ResultSet, predicate: Expression, block_mask: Optional[np.ndarray]
+) -> ResultSet:
+    """Filter a base-table scan, skipping the blocks the zone maps pruned.
+
+    ``block_mask`` is :func:`_zone_map_prune`'s answer for this scan.
+    Pruning is strictly conservative: a pruned block provably contains no
+    matching row, so the result is identical to the unpruned scan.
+    """
+    if block_mask is None:
+        return context.take(_filter_positions(context, predicate))
     kept_blocks = int(block_mask.sum())
-    detail["blocks_total"] = zmaps.n_blocks
-    detail["blocks_pruned"] = zmaps.n_blocks - kept_blocks
     if _OBS.enabled:
         registry = _metrics.registry()
-        registry.add("scan.blocks_total", zmaps.n_blocks)
-        registry.add("scan.blocks_pruned", zmaps.n_blocks - kept_blocks)
-
+        registry.add("scan.blocks_total", len(block_mask))
+        registry.add("scan.blocks_pruned", len(block_mask) - kept_blocks)
     if kept_blocks == 0:
-        return context.take(np.zeros(0, dtype=np.int64)), detail
-    if kept_blocks == zmaps.n_blocks:
-        return context.take(_filter_positions(context, predicate)), detail
+        return context.take(_NO_ROWS)
+    if kept_blocks == len(block_mask):
+        return context.take(_filter_positions(context, predicate))
 
     # Evaluate only the candidate rows of the surviving blocks.
-    blocks = np.flatnonzero(block_mask)
-    starts = blocks * zmaps.block_rows
+    zmaps = table.zone_maps()
+    starts = np.flatnonzero(block_mask) * zmaps.block_rows
     stops = np.minimum(starts + zmaps.block_rows, zmaps.n_rows)
     candidates = np.concatenate(
         [np.arange(a, b, dtype=np.int64) for a, b in zip(starts, stops)]
     )
-    eval_context = _predicate_context(context, rewritten)
-    if eval_context is None:
-        return context.take(_filter_positions(context, predicate)), detail
-    sliced = {key: array[candidates] for key, array in eval_context.items()}
-    mask = rewritten.evaluate(sliced)
-    return context.take(candidates[np.flatnonzero(mask)]), detail
-
-
-def _zone_map_detail(
-    table, context: ResultSet, predicate: Expression
-) -> dict:
-    """Blocks total/pruned for a scan predicate, without executing it.
-
-    The estimate-only EXPLAIN path: same zone-map consultation as
-    :func:`_scan_filter`, surfacing pruning in the plan before any data
-    is touched (and tightening the filter's cardinality estimate).
-    """
-    detail: dict = {}
+    # A block mask exists only for a predicate with a code-space form,
+    # whose every ref the rewrite already resolved.
     rewritten = _rewrite_predicate(predicate, context)
-    if rewritten is None or len(context) < _PRUNE_MIN_ROWS:
-        return detail
-    zmaps = table.zone_maps()
-    if zmaps.n_blocks == 0:
-        return detail
-    column_maps = {
-        f"{table.name}.{name}": zone for name, zone in zmaps.columns.items()
-    }
-    block_mask = zone_map_block_mask(rewritten, column_maps, zmaps.n_blocks)
-    detail["blocks_total"] = zmaps.n_blocks
-    detail["blocks_pruned"] = zmaps.n_blocks - int(block_mask.sum())
-    return detail
+    keys = [context.resolve(ref) for ref in rewritten.columns()]
+    sliced = {key: context.columns[key][candidates] for key in keys}
+    mask = rewritten.evaluate(sliced)
+    return context.take(candidates[np.flatnonzero(mask)])
 
 
 def _scan_selectivity(
@@ -448,43 +425,25 @@ def _pushdown(predicate: Expression, tables: Sequence[str]) -> tuple[dict[str, E
 def _join_order(
     tables: Sequence[str],
     joins: Sequence[JoinCondition],
-    contexts: Optional[dict[str, "ResultSet"]] = None,
-    sizes: Optional[dict[str, float]] = None,
+    contexts: dict[str, "ResultSet"],
+    sizes: dict[str, float],
 ) -> tuple[list[str], dict[str, float]]:
     """Statistics-driven greedy connected ordering over the join graph.
 
-    With per-table ``contexts`` (post-pushdown), starts from the smallest
-    input and repeatedly expands to the connected table with the smallest
-    estimated output cardinality (the classic ``|L|·|R| / max(NDV)``
-    equi-join estimate). Without contexts, falls back to the listed-order
-    greedy connected walk.
+    Starts from the smallest input and repeatedly expands to the
+    connected table with the smallest estimated output cardinality (the
+    classic ``|L|·|R| / max(NDV)`` equi-join estimate). ``sizes`` are the
+    per-table input cardinalities — materialized post-pushdown lengths
+    when the query runs, estimated post-filter sizes under plain EXPLAIN —
+    and ``contexts`` the per-table columns the NDVs are sampled from.
 
     Returns ``(order, estimates)`` where ``estimates[table]`` is the
     estimated intermediate cardinality after that table joins — the same
     numbers the ordering decision used, re-surfaced by EXPLAIN and the
-    passive per-join q-error metric. ``sizes`` overrides the per-table
-    input cardinalities (the estimate-only planner passes estimated
-    post-filter sizes instead of materialized context lengths).
+    passive per-join q-error metric.
     """
     if len(tables) <= 1:
         return list(tables), {}
-    adjacency: dict[str, set[str]] = {t: set() for t in tables}
-    for join in joins:
-        adjacency[join.left_table].add(join.right_table)
-        adjacency[join.right_table].add(join.left_table)
-
-    if contexts is None:
-        order = [tables[0]]
-        remaining = [t for t in tables[1:]]
-        while remaining:
-            connected = [t for t in remaining if any(n in order for n in adjacency[t])]
-            nxt = connected[0] if connected else remaining[0]
-            order.append(nxt)
-            remaining.remove(nxt)
-        return order, {}
-
-    if sizes is None:
-        sizes = {t: float(len(contexts[t])) for t in tables}
     ndv_cache: dict[str, int] = {}
 
     def _ndv(ref: str) -> int:
@@ -526,20 +485,6 @@ def _join_order(
     return order, estimates
 
 
-def _hash_join(left: ResultSet, right: ResultSet, conditions: Sequence[JoinCondition]) -> ResultSet:
-    """Inner equi-join of two contexts on one or more conditions."""
-    with _trace.span("execute.hash_join") as sp:
-        if sp:
-            sp.set(conditions=[c.to_sql() for c in conditions])
-            sp.count("rows_in", len(left) + len(right))
-        out = _hash_join_impl(left, right, conditions)
-        if sp:
-            sp.count("rows_out", len(out))
-            _metrics.registry().add("executor.join.rows_in", len(left) + len(right))
-            _metrics.registry().add("executor.join.rows_out", len(out))
-    return out
-
-
 def _aligned_key_pair(
     left: ResultSet, left_ref: str, right: ResultSet, right_ref: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -564,7 +509,8 @@ def _aligned_key_pair(
     return left_array, right_array
 
 
-def _hash_join_impl(left: ResultSet, right: ResultSet, conditions: Sequence[JoinCondition]) -> ResultSet:
+def _hash_join(left: ResultSet, right: ResultSet, conditions: Sequence[JoinCondition]) -> ResultSet:
+    """Inner equi-join of two contexts on one or more conditions."""
     left_keys = []
     right_keys = []
     for cond in conditions:
@@ -582,32 +528,383 @@ def _hash_join_impl(left: ResultSet, right: ResultSet, conditions: Sequence[Join
     # Build on the smaller side, probe with the larger (as the per-row
     # hash join did); the kernel preserves its bucket emission order.
     swap = len(right) < len(left)
-    build, probe = (right, left) if swap else (left, right)
-    build_keys = right_keys if swap else left_keys
-    probe_keys = left_keys if swap else right_keys
-
+    build_keys, probe_keys = (right_keys, left_keys) if swap else (left_keys, right_keys)
     probe_idx, build_idx = kernels.join_positions(build_keys, probe_keys)
-    probe_part = probe.take(probe_idx)
-    build_part = build.take(build_idx)
-    left_part, right_part = (build_part, probe_part) if swap else (probe_part, build_part)
+    left_idx, right_idx = (probe_idx, build_idx) if swap else (build_idx, probe_idx)
+    return _merge(right.take(right_idx), left.take(left_idx))
 
-    columns = dict(left_part.columns)
-    columns.update(right_part.columns)
-    row_ids = dict(left_part.row_ids)
-    row_ids.update(right_part.row_ids)
-    encodings = dict(left_part.encodings)
-    encodings.update(right_part.encodings)
+
+def _cross_join(left: ResultSet, right: ResultSet) -> ResultSet:
+    left_idx = np.repeat(np.arange(len(left)), len(right))
+    right_idx = np.tile(np.arange(len(right)), len(left))
+    return _merge(left.take(left_idx), right.take(right_idx))
+
+
+def _merge(left: ResultSet, right: ResultSet) -> ResultSet:
+    """Two row-aligned results side by side — the output of every join."""
     return ResultSet(
-        columns=columns, row_ids=row_ids, n_rows=len(probe_idx),
-        encodings=encodings,
+        columns={**left.columns, **right.columns},
+        row_ids={**left.row_ids, **right.row_ids},
+        n_rows=len(left),
+        encodings={**left.encodings, **right.encodings},
     )
 
 
-def _distinct_positions(result: ResultSet, refs: Sequence[str]) -> np.ndarray:
+def _join(
+    left: ResultSet, right: ResultSet, conditions: Sequence[JoinCondition], estimate: float
+) -> ResultSet:
+    """Hash-join on the conditions linking the two inputs, else cross-join."""
+    if not conditions:
+        out = _cross_join(left, right)
+    else:
+        with _trace.span("execute.hash_join") as sp:
+            out = _hash_join(left, right, conditions)
+            if sp:
+                sp.set(conditions=[c.to_sql() for c in conditions])
+                sp.count("rows_in", len(left) + len(right))
+                sp.count("rows_out", len(out))
+                _metrics.registry().add("executor.join.rows_in", len(left) + len(right))
+                _metrics.registry().add("executor.join.rows_out", len(out))
+    if _OBS.enabled:
+        # Passive estimator-accuracy tracking: one q-error sample per
+        # executed join, independent of EXPLAIN mode (`repro stats`
+        # surfaces the histogram).
+        _metrics.observe("executor.join.q_error", q_error(estimate, len(out)))
+    return out
+
+
+def _resolve_refs(result: ResultSet, predicate: Expression) -> None:
+    """Raise what filtering ``result`` would for a ref it cannot resolve,
+    touching no row (plain EXPLAIN never evaluates the predicate itself)."""
+    _filter_positions(result.take(_NO_ROWS), predicate)
+
+
+def _order_ref(query: SPJQuery) -> str:
+    ref = query.order_by
+    assert ref is not None
+    if "." in ref or len(query.tables) > 1:
+        return ref
+    return f"{query.tables[0]}.{ref}"
+
+
+def _sort(result: ResultSet, key_ref: str, descending: bool) -> ResultSet:
+    # Sorted dictionaries make code order equal value order, so ORDER BY
+    # on an encoded column argsorts the int32 codes directly.
+    key = result.columns[key_ref]
+    if key.dtype == object:
+        key = np.asarray([str(v) for v in key], dtype="U")
+    positions = np.argsort(key, kind="stable")
+    if descending:
+        positions = positions[::-1]
+    return result.take(positions)
+
+
+def _project(result: ResultSet, resolved: dict[str, str]) -> ResultSet:
+    """Keep ``resolved``'s columns: {output ref: key in ``result``}."""
+    return ResultSet(
+        columns={ref: result.columns[key] for ref, key in resolved.items()},
+        row_ids=result.row_ids,
+        n_rows=len(result),
+        encodings={
+            ref: result.encodings[key]
+            for ref, key in resolved.items()
+            if key in result.encodings
+        },
+    )
+
+
+def _distinct(result: ResultSet) -> ResultSet:
     # Physical arrays: codes have the same equality structure as their
     # values, so DISTINCT never needs to materialize strings.
-    arrays = [result.internal_column(ref) for ref in refs]
-    return kernels.distinct_positions(arrays)
+    return result.take(kernels.distinct_positions(list(result.columns.values())))
+
+
+def _ndv_product(arrays, cap: float) -> float:
+    """Estimated distinct combinations of some columns: the product of
+    their NDVs, within ``[1, cap]`` (``cap`` = the rows they come from)."""
+    product = 1.0
+    for array in arrays:
+        product *= max(estimate_ndv(array), 1)
+        if product >= cap:
+            break
+    return float(max(min(product, cap), 1.0))
+
+
+# ------------------------------------------------------------------ #
+# the one pass: execute, EXPLAIN ANALYZE, EXPLAIN
+# ------------------------------------------------------------------ #
+_EXECUTE, _ANALYZE, _ESTIMATE = "execute", "analyze", "estimate"
+
+
+class _Rel(NamedTuple):
+    """What one operator hands the next."""
+
+    data: object                      # ResultSet (AggregateResult after aggregate)
+    node: Optional[PlanNode] = None   # only when explaining
+    estimate: Optional[float] = None  # only under plain EXPLAIN, which ran nothing
+
+    @property
+    def rows(self) -> float:
+        """Rows flowing out: counted when the pass runs, estimated when not."""
+        return float(len(self.data)) if self.estimate is None else self.estimate
+
+
+class _Pass:
+    """One walk over a query's operators, in one of three modes.
+
+    ``scan → pushdown filter → join order → hash/cross joins → residual
+    filter → sort → project → distinct → limit (→ aggregate)`` is written
+    once, below; every operator goes through :meth:`step`, the only place
+    the modes differ:
+
+    * *execute* runs the operator and builds nothing else — no label, no
+      estimate, no :class:`PlanNode`, no timer;
+    * *analyze* (EXPLAIN ANALYZE) runs it and records a plan node with
+      the actual row count and the wall time taken at the operator
+      boundary;
+    * *estimate* (plain EXPLAIN) records the node without running it. A
+      scan still opens its table (that copies nothing); every other
+      operator hands on its input — the unfiltered rows the estimates
+      sample from — and a join the zero-row union of its inputs' columns,
+      so later refs resolve exactly as they would at run time.
+    """
+
+    def __init__(self, db: Database, mode: str) -> None:
+        self.db = db
+        self.running = mode != _ESTIMATE
+        self.explaining = mode != _EXECUTE
+
+    def step(self, op: str, inputs: Sequence[_Rel], run, describe) -> _Rel:
+        """Apply one operator to ``inputs``.
+
+        ``run()`` produces its output; ``describe()`` returns its
+        ``(label, estimated_rows, detail)`` from the inputs and is called
+        only when explaining.
+        """
+        if not self.explaining:
+            return _Rel(run())
+        start = perf_counter()
+        if self.running or not inputs:
+            data = run()
+        elif len(inputs) == 1:
+            data = inputs[0].data
+        else:
+            data = _merge(*(rel.data.take(_NO_ROWS) for rel in inputs))
+        seconds = perf_counter() - start
+        label, estimate, detail = describe()
+        node = PlanNode(
+            op, label, estimated_rows=estimate, detail=detail,
+            children=[rel.node for rel in inputs],
+        )
+        if not self.running:
+            return _Rel(data, node, max(estimate, 1.0))
+        node.actual_rows, node.seconds = len(data), seconds
+        return _Rel(data, node)
+
+    def span(self, name: str):
+        """An execution span — none under plain EXPLAIN, which executes nothing."""
+        return _trace.span(name) if self.running else _trace.NULL_SPAN
+
+    # -- SPJ --------------------------------------------------------- #
+    def spj(self, query: SPJQuery) -> _Rel:
+        db = self.db
+        for table in query.tables:
+            if not db.has_table(table):
+                raise ExecutionError(
+                    f"query references unknown table {table!r}; database has {db.table_names}"
+                )
+
+        with self.span("execute.pushdown") as sp:
+            per_table, residual = _pushdown(query.predicate, query.tables)
+            leaves = {t: self._leaf(t, per_table[t]) for t in query.tables}
+            if sp:
+                sp.count("rows_in", sum(len(db.table(t)) for t in query.tables))
+                sp.count("rows_out", sum(len(leaf.data) for leaf in leaves.values()))
+
+        # A running pass orders joins from materialized post-pushdown
+        # cardinalities, plain EXPLAIN from the sampled estimates.
+        with self.span("execute.join_order") as sp:
+            order, estimates = _join_order(
+                query.tables, query.joins,
+                {t: leaf.data for t, leaf in leaves.items()},
+                {t: leaf.rows for t, leaf in leaves.items()},
+            )
+            if sp:
+                sp.set(order=list(order))
+        current = leaves[order[0]]
+        joined = {order[0]}
+        for table in order[1:]:
+            right = leaves[table]
+            conditions = joins_between(query.joins, table, joined)
+            estimate = estimates[table]
+            current = self.step(
+                "hash_join" if conditions else "cross_join", [current, right],
+                lambda: _join(current.data, right.data, conditions, estimate),
+                lambda: (" AND ".join(j.to_sql() for j in conditions), estimate, {}),
+            )
+            joined.add(table)
+
+        if not isinstance(residual, TrueExpr):
+
+            def describe_residual():
+                if self.running:
+                    selectivity = _scan_selectivity(current.data, residual, {})
+                    return residual.to_sql(), selectivity * current.rows, {}
+                # No joined rows to sample: a fixed guess per conjunct.
+                _resolve_refs(current.data, residual)
+                selectivity = DEFAULT_CONJUNCT_SELECTIVITY ** len(conjuncts(residual))
+                return residual.to_sql(), max(selectivity * current.rows, 1.0), {}
+
+            with self.span("execute.residual_filter") as sp:
+                if sp:
+                    sp.count("rows_in", len(current.data))
+                current = self.step(
+                    "filter", [current],
+                    lambda: current.data.take(_filter_positions(current.data, residual)),
+                    describe_residual,
+                )
+                if sp:
+                    sp.count("rows_out", len(current.data))
+
+        # Sort on the full context (ORDER BY may reference non-projected
+        # columns), then project, then dedupe (stable, keeps sort order).
+        # Refs resolve outside `run`, so every mode raises alike.
+        if query.order_by:
+            key_ref = current.data.resolve(_order_ref(query))
+            current = self.step(
+                "sort", [current],
+                lambda: _sort(current.data, key_ref, query.descending),
+                lambda: (query.order_by + (" DESC" if query.descending else ""), current.rows, {}),
+            )
+
+        projection = query.qualified_projection()
+        if projection:
+            resolved = {ref: current.data.resolve(ref) for ref in projection}
+            current = self.step(
+                "project", [current],
+                lambda: _project(current.data, resolved),
+                lambda: (", ".join(projection), current.rows, {}),
+            )
+
+        if query.distinct:
+
+            def describe_distinct():
+                if not self.running:  # no projected rows to count NDVs on
+                    return "", current.rows, {}
+                estimate = _ndv_product(current.data.columns.values(), current.rows)
+                return ", ".join(current.data.columns), estimate, {}
+
+            with self.span("execute.distinct") as sp:
+                if sp:
+                    sp.count("rows_in", len(current.data))
+                current = self.step(
+                    "distinct", [current], lambda: _distinct(current.data), describe_distinct
+                )
+                if sp:
+                    sp.count("rows_out", len(current.data))
+
+        if query.limit is not None:
+            current = self.step(
+                "limit", [current],
+                lambda: current.data.take(np.arange(min(query.limit, len(current.data)))),
+                lambda: (str(query.limit), min(float(query.limit), current.rows), {}),
+            )
+        return current
+
+    def _leaf(self, table_name: str, predicate: Expression) -> _Rel:
+        """Scan one table and apply its pushed-down conjuncts."""
+        table = self.db.table(table_name)
+        leaf = self.step(
+            "scan", (),
+            lambda: _base_context(self.db, table_name),
+            lambda: (table_name, float(len(table)), {}),
+        )
+        if isinstance(predicate, TrueExpr):
+            return leaf
+        unfiltered = leaf.data
+        detail, block_mask = _zone_map_prune(table, unfiltered, predicate)
+
+        def describe():
+            if not self.running:
+                _resolve_refs(unfiltered, predicate)
+            selectivity = _scan_selectivity(unfiltered, predicate, detail)
+            return predicate.to_sql(), selectivity * len(unfiltered), detail
+
+        return self.step(
+            "filter", [leaf],
+            lambda: _scan_filter(table, unfiltered, predicate, block_mask),
+            describe,
+        )
+
+    def observed(self, query: SPJQuery) -> _Rel:
+        """The SPJ pass plus observability, returning the encoded result.
+
+        Opens (or joins) a request context for the query, so every span,
+        telemetry record, and histogram exemplar recorded underneath shares
+        one trace id — the causal handle ``repro analyze`` resolves later.
+        EXPLAIN ANALYZE differs only in the root span's name.
+        """
+        if not (self.running and _OBS.enabled):
+            return self.spj(query)
+        fingerprint = _query_fingerprint(query)
+        root = "execute.explain_analyze" if self.explaining else "execute"
+        with _context.ensure(fingerprint=fingerprint) as request, \
+                _trace.span(root) as sp:
+            sp.set(tables=list(query.tables), fingerprint=fingerprint)
+            start = perf_counter()
+            cpu_start = process_time()
+            rel = self.spj(query)
+            wall = perf_counter() - start
+            result = rel.data
+            result.stats = QueryStats(
+                wall_seconds=wall,
+                cpu_seconds=process_time() - cpu_start,
+                # Base rows entering the scans (pre-filter cardinalities).
+                rows_scanned=sum(len(self.db.table(t)) for t in query.tables),
+                rows_produced=result.n_rows,
+                trace_id=request.trace_id,
+            )
+            sp.count("rows_out", result.n_rows)
+            registry = _metrics.registry()
+            registry.add("executor.queries")
+            registry.add("executor.rows_out", result.n_rows)
+            # Module-level observe, not registry.observe: the SLO tracker's
+            # sample hook taps the former, and `executor.p95 < ...`
+            # objectives must see every execution.
+            _metrics.observe("executor.query.seconds", wall)
+            _memory.mark_epoch("executor.query")
+        return rel
+
+    # -- aggregation ------------------------------------------------- #
+    def aggregate(self, query: AggregateQuery) -> _Rel:
+        """Hash aggregation over the (observed) SPJ core."""
+        core = SPJQuery(tables=query.tables, predicate=query.predicate, joins=query.joins)
+
+        with self.span("execute.aggregate") as sp:
+            flat = self.observed(core)
+            group_keys = [flat.data.resolve(_qualify_ref(ref, query)) for ref in query.group_by]
+            value_keys = [_aggregate_input(flat.data, spec, query) for spec in query.aggregates]
+
+            def describe():
+                label = ", ".join(spec.to_sql() for spec in query.aggregates)
+                if query.group_by:
+                    label += " GROUP BY " + ", ".join(query.group_by)
+                # Whole base columns: dictionary codes have their values' NDV.
+                arrays = (
+                    self.db.table(table).raw_column(column)
+                    for table, column in (key.split(".", 1) for key in group_keys)
+                )
+                return label, _ndv_product(arrays, flat.rows), {}
+
+            grouped = self.step(
+                "aggregate", [flat],
+                lambda: _aggregate(flat.data, query, group_keys, value_keys),
+                describe,
+            )
+            if sp:
+                sp.count("groups_out", len(grouped.data))
+                _metrics.registry().add("executor.aggregate_queries")
+        return grouped
 
 
 def execute(db: Database, query: SPJQuery) -> ResultSet:
@@ -616,347 +913,18 @@ def execute(db: Database, query: SPJQuery) -> ResultSet:
     The returned result is fully materialized — encoded columns decode at
     this boundary (the aggregate path keeps the encoded form internally).
     """
-    return _execute_observed(db, query).decode_all()
+    return _Pass(db, _EXECUTE).observed(query).data.decode_all()
+
+
+def execute_aggregate(db: Database, query: AggregateQuery) -> AggregateResult:
+    """Execute an aggregate query (hash aggregation over the SPJ core)."""
+    return _Pass(db, _EXECUTE).aggregate(query).data
 
 
 def _query_fingerprint(query) -> str:
     """Short stable query id — names the request context and root span."""
     digest = hashlib.sha1(query.to_sql().encode("utf-8"))
     return digest.hexdigest()[:12]
-
-
-def _rows_scanned(db: Database, query) -> int:
-    """Base rows entering the scans (pre-filter table cardinalities)."""
-    return sum(
-        len(db.table(table)) for table in query.tables if db.has_table(table)
-    )
-
-
-def _finish_query_stats(
-    db: Database, query, wall: float, cpu: float, rows_out: int, trace_id: str
-) -> QueryStats:
-    """Build the QueryStats envelope for one observed query."""
-    return QueryStats(
-        wall_seconds=wall,
-        cpu_seconds=cpu,
-        rows_scanned=_rows_scanned(db, query),
-        rows_produced=rows_out,
-        trace_id=trace_id,
-    )
-
-
-def _execute_observed(db: Database, query: SPJQuery) -> ResultSet:
-    """Execution plus observability, returning the encoded result.
-
-    Opens (or joins) a request context for the query, so every span,
-    telemetry record, and histogram exemplar recorded underneath shares
-    one trace id — the causal handle ``repro analyze`` resolves later.
-    """
-    if not _OBS.enabled:
-        return _execute_impl(db, query)
-    fingerprint = _query_fingerprint(query)
-    with _context.ensure(fingerprint=fingerprint) as request, \
-            _trace.span("execute") as sp:
-        sp.set(tables=list(query.tables), fingerprint=fingerprint)
-        start = perf_counter()
-        cpu_start = process_time()
-        result = _execute_impl(db, query)
-        wall = perf_counter() - start
-        result.stats = _finish_query_stats(
-            db, query, wall, process_time() - cpu_start, result.n_rows,
-            request.trace_id,
-        )
-        sp.count("rows_out", result.n_rows)
-        registry = _metrics.registry()
-        registry.add("executor.queries")
-        registry.add("executor.rows_out", result.n_rows)
-        # Module-level observe, not registry.observe: the SLO tracker's
-        # sample hook taps the former, and `executor.p95 < ...`
-        # objectives must see every execution.
-        _metrics.observe("executor.query.seconds", wall)
-        _memory.mark_epoch("executor.query")
-    return result
-
-
-class _PlanCapture:
-    """Mutable holder threaded through ``_execute_impl`` in ANALYZE mode.
-
-    When present, every execution stage appends a :class:`PlanNode` with
-    its estimate, actual row count, and wall time; ``root`` ends up as
-    the full operator tree. The normal execution path passes ``None``
-    and pays one ``is None`` check per stage.
-    """
-
-    __slots__ = ("root",)
-
-    def __init__(self) -> None:
-        self.root: Optional[PlanNode] = None
-
-
-def _execute_impl(
-    db: Database, query: SPJQuery, capture: Optional[_PlanCapture] = None
-) -> ResultSet:
-    for table in query.tables:
-        if not db.has_table(table):
-            raise ExecutionError(
-                f"query references unknown table {table!r}; database has {db.table_names}"
-            )
-
-    table_nodes: dict[str, PlanNode] = {}
-    with _trace.span("execute.pushdown") as sp:
-        per_table, residual = _pushdown(query.predicate, query.tables)
-        contexts: dict[str, ResultSet] = {}
-        rows_in = 0
-        for table in query.tables:
-            stage_start = perf_counter() if capture is not None else 0.0
-            context = _base_context(db, table)
-            base_rows = len(context)
-            rows_in += base_rows
-            predicate = per_table.get(table, TrueExpr())
-            if capture is not None:
-                node = PlanNode(
-                    op="scan",
-                    label=table,
-                    estimated_rows=float(base_rows),
-                    actual_rows=base_rows,
-                    seconds=perf_counter() - stage_start,
-                )
-            if not isinstance(predicate, TrueExpr):
-                unfiltered = context
-                stage_start = perf_counter() if capture is not None else 0.0
-                context, scan_detail = _scan_filter(
-                    db.table(table), context, predicate
-                )
-                if capture is not None:
-                    selectivity = _scan_selectivity(
-                        unfiltered, predicate, scan_detail
-                    )
-                    node = PlanNode(
-                        op="filter",
-                        label=predicate.to_sql(),
-                        estimated_rows=selectivity * base_rows,
-                        actual_rows=len(context),
-                        seconds=perf_counter() - stage_start,
-                        detail=scan_detail,
-                        children=[node],
-                    )
-            contexts[table] = context
-            if capture is not None:
-                table_nodes[table] = node
-        if sp:
-            sp.count("rows_in", rows_in)
-            sp.count("rows_out", sum(len(c) for c in contexts.values()))
-
-    with _trace.span("execute.join_order") as sp:
-        order, join_estimates = _join_order(query.tables, query.joins, contexts)
-        if sp:
-            sp.set(order=list(order))
-    current = contexts[order[0]]
-    current_node = table_nodes.get(order[0])
-    joined = {order[0]}
-    pending = list(query.joins)
-    track_joins = capture is not None or _OBS.enabled
-    for table in order[1:]:
-        usable = joins_between(pending, table, joined)
-        estimate = join_estimates.get(table) if track_joins else None
-        stage_start = perf_counter() if capture is not None else 0.0
-        if usable:
-            current = _hash_join(current, contexts[table], usable)
-            for j in usable:
-                pending.remove(j)
-            op, label = "hash_join", " AND ".join(j.to_sql() for j in usable)
-        else:
-            current = _cross_join(current, contexts[table])
-            op, label = "cross_join", ""
-        if estimate is not None and _OBS.enabled:
-            # Passive estimator-accuracy tracking: one q-error sample per
-            # executed join, independent of EXPLAIN mode (`repro stats`
-            # surfaces the histogram).
-            _metrics.observe(
-                "executor.join.q_error", q_error(estimate, len(current))
-            )
-        if capture is not None:
-            current_node = PlanNode(
-                op=op,
-                label=label,
-                estimated_rows=estimate,
-                actual_rows=len(current),
-                seconds=perf_counter() - stage_start,
-                children=[n for n in (current_node, table_nodes.get(table)) if n],
-            )
-        joined.add(table)
-        # Apply any join condition that became fully available.
-        newly = [
-            j
-            for j in pending
-            if j.left_table in joined and j.right_table in joined
-        ]
-        for j in newly:
-            stage_start = perf_counter() if capture is not None else 0.0
-            rows_before = len(current)
-            left_key, right_key = _aligned_key_pair(
-                current, j.left, current, j.right
-            )
-            mask = left_key == right_key
-            current = current.take(np.flatnonzero(mask))
-            pending.remove(j)
-            if capture is not None:
-                ndv = max(
-                    estimate_ndv(current.columns[j.left]) if len(current) else 1, 1
-                )
-                current_node = PlanNode(
-                    op="join_filter",
-                    label=j.to_sql(),
-                    estimated_rows=rows_before / ndv,
-                    actual_rows=len(current),
-                    seconds=perf_counter() - stage_start,
-                    children=[n for n in (current_node,) if n],
-                )
-
-    if not isinstance(residual, TrueExpr):
-        with _trace.span("execute.residual_filter") as sp:
-            if sp:
-                sp.count("rows_in", len(current))
-            if capture is not None:
-                selectivity = _scan_selectivity(current, residual, {})
-            stage_start = perf_counter() if capture is not None else 0.0
-            rows_before = len(current)
-            current = current.take(_filter_positions(current, residual))
-            if capture is not None:
-                current_node = PlanNode(
-                    op="filter",
-                    label=residual.to_sql(),
-                    estimated_rows=selectivity * rows_before,
-                    actual_rows=len(current),
-                    seconds=perf_counter() - stage_start,
-                    children=[n for n in (current_node,) if n],
-                )
-            if sp:
-                sp.count("rows_out", len(current))
-
-    # Sort on the full context (ORDER BY may reference non-projected
-    # columns), then project, then dedupe (stable, keeps sort order).
-    if query.order_by:
-        stage_start = perf_counter() if capture is not None else 0.0
-        # Sorted dictionaries make code order equal value order, so ORDER
-        # BY on an encoded column argsorts the int32 codes directly.
-        key = current.internal_column(_order_ref(query, current))
-        if key.dtype == object:
-            key = np.asarray([str(v) for v in key], dtype="U")
-        positions = np.argsort(key, kind="stable")
-        if query.descending:
-            positions = positions[::-1]
-        current = current.take(positions)
-        if capture is not None:
-            current_node = PlanNode(
-                op="sort",
-                label=query.order_by + (" DESC" if query.descending else ""),
-                estimated_rows=float(len(current)),
-                actual_rows=len(current),
-                seconds=perf_counter() - stage_start,
-                children=[n for n in (current_node,) if n],
-            )
-
-    projection = query.qualified_projection()
-    if projection:
-        stage_start = perf_counter() if capture is not None else 0.0
-        resolved = {ref: current.resolve(ref) for ref in projection}
-        current = ResultSet(
-            columns={
-                ref: current.columns[key] for ref, key in resolved.items()
-            },
-            row_ids=current.row_ids,
-            n_rows=len(current),
-            encodings={
-                ref: current.encodings[key]
-                for ref, key in resolved.items()
-                if key in current.encodings
-            },
-        )
-        if capture is not None:
-            current_node = PlanNode(
-                op="project",
-                label=", ".join(projection),
-                estimated_rows=float(len(current)),
-                actual_rows=len(current),
-                seconds=perf_counter() - stage_start,
-                children=[n for n in (current_node,) if n],
-            )
-
-    if query.distinct:
-        with _trace.span("execute.distinct") as sp:
-            if sp:
-                sp.count("rows_in", len(current))
-            refs = list(current.columns)
-            if capture is not None:
-                estimate = _estimate_distinct(current, refs, len(current))
-            stage_start = perf_counter() if capture is not None else 0.0
-            current = current.take(_distinct_positions(current, refs))
-            if capture is not None:
-                current_node = PlanNode(
-                    op="distinct",
-                    label=", ".join(refs),
-                    estimated_rows=estimate,
-                    actual_rows=len(current),
-                    seconds=perf_counter() - stage_start,
-                    children=[n for n in (current_node,) if n],
-                )
-            if sp:
-                sp.count("rows_out", len(current))
-
-    if query.limit is not None:
-        estimate = min(query.limit, len(current))
-        current = current.take(np.arange(min(query.limit, len(current))))
-        if capture is not None:
-            current_node = PlanNode(
-                op="limit",
-                label=str(query.limit),
-                estimated_rows=float(estimate),
-                actual_rows=len(current),
-                children=[n for n in (current_node,) if n],
-            )
-
-    if capture is not None:
-        capture.root = current_node
-    return current
-
-
-def _estimate_distinct(
-    result: ResultSet, refs: Sequence[str], rows_in: int
-) -> float:
-    """NDV-product estimate of a distinct output, capped at the input."""
-    product = 1.0
-    for ref in refs:
-        if ref in result.columns:
-            product *= max(estimate_ndv(result.columns[ref]), 1)
-        if product >= rows_in:
-            return float(max(rows_in, 1))
-    return float(max(min(product, rows_in), 1))
-
-
-def _order_ref(query: SPJQuery, result: ResultSet) -> str:
-    ref = query.order_by
-    assert ref is not None
-    if "." in ref or len(query.tables) > 1:
-        return ref
-    return f"{query.tables[0]}.{ref}"
-
-
-def _cross_join(left: ResultSet, right: ResultSet) -> ResultSet:
-    left_idx = np.repeat(np.arange(len(left)), len(right))
-    right_idx = np.tile(np.arange(len(right)), len(left))
-    left_part = left.take(left_idx)
-    right_part = right.take(right_idx)
-    columns = dict(left_part.columns)
-    columns.update(right_part.columns)
-    row_ids = dict(left_part.row_ids)
-    row_ids.update(right_part.row_ids)
-    encodings = dict(left_part.encodings)
-    encodings.update(right_part.encodings)
-    return ResultSet(
-        columns=columns, row_ids=row_ids, n_rows=len(left_idx),
-        encodings=encodings,
-    )
 
 
 # ------------------------------------------------------------------ #
@@ -971,11 +939,12 @@ def explain(
 
     Plain EXPLAIN estimates every operator's cardinality from statistics
     (sampled filter selectivities, NDV-based join estimates) without
-    running joins or materializing intermediates. EXPLAIN ANALYZE runs
-    the query through the normal execution path while recording each
-    operator's actual row count, q-error, and wall time; the executed
-    result rides along on :attr:`QueryPlan.result`, and one ``plan``
-    telemetry record is emitted when observability is enabled.
+    running joins or materializing intermediates; a query that could not
+    run raises what running it would. EXPLAIN ANALYZE runs the query
+    through the normal execution path while recording each operator's
+    actual row count, q-error, and wall time; the executed result rides
+    along on :attr:`QueryPlan.result`, and one ``plan`` telemetry record
+    is emitted when observability is enabled.
 
     The two modes can pick different join orders on the margin: ANALYZE
     orders joins from materialized post-pushdown cardinalities (what the
@@ -983,246 +952,76 @@ def explain(
     sampled selectivity estimates — the plan the optimizer would commit
     to before touching any data.
     """
+    walk = _Pass(db, _ANALYZE if analyze else _ESTIMATE)
+    start = perf_counter()
     if isinstance(query, AggregateQuery):
-        return _explain_aggregate(db, query, analyze)
+        root = walk.aggregate(query)
+    else:
+        root = walk.observed(query)
     if not analyze:
-        return QueryPlan(query.to_sql(), _estimate_only_plan(db, query))
-    capture = _PlanCapture()
-    fingerprint = _query_fingerprint(query)
-    with ExitStack() as stack:
-        request = None
-        if _OBS.enabled:
-            # Same identity layer as _execute_observed: one request
-            # context per ANALYZE run, trace id into stats and footer.
-            request = stack.enter_context(
-                _context.ensure(fingerprint=fingerprint)
-            )
-        start = perf_counter()
-        cpu_start = process_time()
-        with _trace.span("execute.explain_analyze") as sp:
-            result = _execute_impl(db, query, capture)
-            wall = perf_counter() - start
-            if _OBS.enabled:
-                result.stats = _finish_query_stats(
-                    db, query, wall, process_time() - cpu_start, result.n_rows,
-                    request.trace_id,
-                )
-                sp.set(fingerprint=fingerprint)
-            if sp:
-                sp.count("rows_out", result.n_rows)
+        return QueryPlan(query.to_sql(), root.node)
+    total = perf_counter() - start
+    result, stats = root.data, None
+    if isinstance(result, ResultSet):
+        result, stats = result.decode_all(), result.stats
     plan = QueryPlan(
         query.to_sql(),
-        capture.root,
+        root.node,
         analyze=True,
-        total_seconds=wall,
-        result=result.decode_all(),
-        query_stats=result.stats.to_dict() if result.stats else None,
+        total_seconds=total,
+        result=result,
+        query_stats=stats.to_dict() if stats else None,
     )
-    _emit_plan_telemetry(plan)
+    if _OBS.enabled:
+        _telemetry.emit(
+            "plan",
+            sql=plan.query_sql[:200],
+            total_seconds=plan.total_seconds,
+            max_q_error=plan.max_q_error(),
+            operators=plan.operator_stats(),
+        )
+        _metrics.add("executor.explain_analyze")
     return plan
-
-
-def _estimate_only_plan(db: Database, query: SPJQuery) -> PlanNode:
-    """The estimated operator tree, built without executing any operator."""
-    for table in query.tables:
-        if not db.has_table(table):
-            raise ExecutionError(
-                f"query references unknown table {table!r}; database has {db.table_names}"
-            )
-    per_table, residual = _pushdown(query.predicate, query.tables)
-    contexts: dict[str, ResultSet] = {}
-    table_nodes: dict[str, PlanNode] = {}
-    est_sizes: dict[str, float] = {}
-    for table in query.tables:
-        context = _base_context(db, table)
-        base_rows = len(context)
-        node = PlanNode("scan", table, estimated_rows=float(base_rows))
-        estimate = float(base_rows)
-        predicate = per_table.get(table, TrueExpr())
-        if not isinstance(predicate, TrueExpr):
-            detail = _zone_map_detail(db.table(table), context, predicate)
-            selectivity = _scan_selectivity(context, predicate, detail)
-            estimate = selectivity * base_rows
-            node = PlanNode(
-                "filter", predicate.to_sql(), estimated_rows=estimate,
-                detail=detail, children=[node],
-            )
-        contexts[table] = context
-        table_nodes[table] = node
-        est_sizes[table] = max(estimate, 1.0)
-
-    order, estimates = _join_order(
-        query.tables, query.joins, contexts, sizes=est_sizes
-    )
-    current_node = table_nodes[order[0]]
-    est_rows = est_sizes[order[0]]
-    joined = {order[0]}
-    pending = list(query.joins)
-    for table in order[1:]:
-        usable = joins_between(pending, table, joined)
-        est_rows = max(estimates.get(table, est_rows * est_sizes[table]), 1.0)
-        if usable:
-            for j in usable:
-                pending.remove(j)
-            op, label = "hash_join", " AND ".join(j.to_sql() for j in usable)
-        else:
-            op, label = "cross_join", ""
-        current_node = PlanNode(
-            op, label, estimated_rows=est_rows,
-            children=[current_node, table_nodes[table]],
-        )
-        joined.add(table)
-        newly = [
-            j for j in pending
-            if j.left_table in joined and j.right_table in joined
-        ]
-        for j in newly:
-            pending.remove(j)
-            ndv = max(
-                estimate_ndv(contexts[j.left_table].columns[j.left]),
-                estimate_ndv(contexts[j.right_table].columns[j.right]),
-                1,
-            )
-            est_rows = max(est_rows / ndv, 1.0)
-            current_node = PlanNode(
-                "join_filter", j.to_sql(), estimated_rows=est_rows,
-                children=[current_node],
-            )
-
-    if not isinstance(residual, TrueExpr):
-        est_rows *= DEFAULT_CONJUNCT_SELECTIVITY ** len(conjuncts(residual))
-        est_rows = max(est_rows, 1.0)
-        current_node = PlanNode(
-            "filter", residual.to_sql(), estimated_rows=est_rows,
-            children=[current_node],
-        )
-    if query.order_by:
-        current_node = PlanNode(
-            "sort",
-            query.order_by + (" DESC" if query.descending else ""),
-            estimated_rows=est_rows,
-            children=[current_node],
-        )
-    projection = query.qualified_projection()
-    if projection:
-        current_node = PlanNode(
-            "project", ", ".join(projection), estimated_rows=est_rows,
-            children=[current_node],
-        )
-    if query.distinct:
-        current_node = PlanNode(
-            "distinct", estimated_rows=est_rows, children=[current_node]
-        )
-    if query.limit is not None:
-        est_rows = min(float(query.limit), est_rows)
-        current_node = PlanNode(
-            "limit", str(query.limit), estimated_rows=est_rows,
-            children=[current_node],
-        )
-    return current_node
-
-
-def _explain_aggregate(
-    db: Database, query: AggregateQuery, analyze: bool
-) -> QueryPlan:
-    core = SPJQuery(
-        tables=query.tables, predicate=query.predicate, joins=query.joins
-    )
-    label = ", ".join(spec.to_sql() for spec in query.aggregates)
-    if query.group_by:
-        label += " GROUP BY " + ", ".join(query.group_by)
-    if not analyze:
-        child = _estimate_only_plan(db, core)
-        cap = child.estimated_rows if child.estimated_rows is not None else np.inf
-        root = PlanNode(
-            "aggregate", label,
-            estimated_rows=_estimate_groups(db, query, cap),
-            children=[child],
-        )
-        return QueryPlan(query.to_sql(), root)
-    capture = _PlanCapture()
-    start = perf_counter()
-    with _trace.span("execute.explain_analyze"):
-        result = _execute_aggregate_impl(db, query, capture)
-    total = perf_counter() - start
-    child = capture.root
-    child_seconds = sum(
-        node.seconds or 0.0 for node in (child.walk() if child else ())
-    )
-    cap = child.actual_rows if child and child.actual_rows is not None else np.inf
-    root = PlanNode(
-        "aggregate", label,
-        estimated_rows=_estimate_groups(db, query, cap),
-        actual_rows=len(result),
-        seconds=max(total - child_seconds, 0.0),
-        children=[child] if child else [],
-    )
-    plan = QueryPlan(
-        query.to_sql(), root, analyze=True, total_seconds=total, result=result
-    )
-    _emit_plan_telemetry(plan)
-    return plan
-
-
-def _estimate_groups(db: Database, query: AggregateQuery, cap: float) -> float:
-    """Estimated group count: NDV product of the grouping columns."""
-    if not query.group_by:
-        return 1.0
-    product = 1.0
-    for ref in query.group_by:
-        qualified = _qualify_ref(ref, query)
-        table, column = qualified.split(".", 1)
-        # Physical arrays: dictionary codes have the same NDV as values.
-        product *= max(estimate_ndv(db.table(table).raw_column(column)), 1)
-    return float(max(min(product, cap), 1.0))
-
-
-def _emit_plan_telemetry(plan: QueryPlan) -> None:
-    if not _OBS.enabled:
-        return
-    _telemetry.emit(
-        "plan",
-        sql=plan.query_sql[:200],
-        total_seconds=plan.total_seconds,
-        max_q_error=plan.max_q_error(),
-        operators=plan.operator_stats(),
-    )
-    _metrics.add("executor.explain_analyze")
 
 
 # ------------------------------------------------------------------ #
 # aggregation
 # ------------------------------------------------------------------ #
-def execute_aggregate(db: Database, query: AggregateQuery) -> AggregateResult:
-    """Execute an aggregate query (hash aggregation over the SPJ core)."""
-    if not _OBS.enabled:
-        return _execute_aggregate_impl(db, query)
-    with _trace.span("execute.aggregate") as sp:
-        result = _execute_aggregate_impl(db, query)
-        sp.count("groups_out", len(result))
-        _metrics.registry().add("executor.aggregate_queries")
-    return result
+def _qualify_ref(ref: str, query: AggregateQuery) -> str:
+    if "." in ref:
+        return ref
+    if len(query.tables) == 1:
+        return f"{query.tables[0]}.{ref}"
+    raise QueryError(f"aggregate ref {ref!r} must be qualified")
 
 
-def _execute_aggregate_impl(
-    db: Database, query: AggregateQuery, capture: Optional[_PlanCapture] = None
+def _aggregate_input(flat: ResultSet, spec, query: AggregateQuery) -> Optional[str]:
+    """The column of ``flat`` an aggregate reads (None for ``COUNT(*)``)."""
+    if spec.column is None:
+        return None
+    key = flat.resolve(_qualify_ref(spec.column, query))
+    if spec.func is not AggFunc.COUNT and key in flat.encodings:
+        raise QueryError(
+            f"{spec.func.value}({spec.column}) needs a numeric column; "
+            f"{key} holds strings"
+        )
+    return key
+
+
+def _aggregate(
+    flat: ResultSet,
+    query: AggregateQuery,
+    group_keys: Sequence[str],
+    value_keys: Sequence[Optional[str]],
 ) -> AggregateResult:
-    core = SPJQuery(tables=query.tables, predicate=query.predicate, joins=query.joins)
-    if capture is not None:
-        flat = _execute_impl(db, core, capture)
-    else:
-        flat = _execute_observed(db, core)
-
-    group_refs = tuple(_qualify_ref(ref, query) for ref in query.group_by)
     agg_names = tuple(spec.output_name() for spec in query.aggregates)
     result = AggregateResult(group_columns=query.group_by, agg_names=agg_names)
 
-    if group_refs:
+    if group_keys:
         # Group on the physical arrays (codes group exactly like their
         # values); only each group's representative key decodes.
-        keys = [flat.resolve(ref) for ref in group_refs]
-        key_arrays = [flat.columns[key] for key in keys]
-        dictionaries = [flat.encodings.get(key) for key in keys]
+        key_arrays = [flat.columns[key] for key in group_keys]
+        dictionaries = [flat.encodings.get(key) for key in group_keys]
         # Positions within each group are ascending, so group[0] is the
         # first occurrence and yields the representative key values.
         groups = []
@@ -1240,41 +1039,32 @@ def _execute_aggregate_impl(
         row: dict[str, object] = {
             col: key[j] for j, col in enumerate(query.group_by)
         }
-        for spec, name in zip(query.aggregates, agg_names):
-            row[name] = _compute_aggregate(flat, spec, idx, query)
+        for spec, name, value_key in zip(query.aggregates, agg_names, value_keys):
+            row[name] = _compute_aggregate(flat, spec.func, value_key, idx)
         result.rows.append(row)
     return result
 
 
-def _qualify_ref(ref: str, query: AggregateQuery) -> str:
-    if "." in ref:
-        return ref
-    if len(query.tables) == 1:
-        return f"{query.tables[0]}.{ref}"
-    raise QueryError(f"aggregate ref {ref!r} must be qualified")
-
-
 def _compute_aggregate(
-    flat: ResultSet, spec, idx: np.ndarray, query: AggregateQuery
+    flat: ResultSet, func: AggFunc, value_key: Optional[str], idx: np.ndarray
 ) -> float:
-    if spec.func is AggFunc.COUNT and spec.column is None:
+    if value_key is None:
         return float(len(idx))
-    ref = _qualify_ref(spec.column, query)
-    values = flat.column(ref)[idx]
-    if spec.func is AggFunc.COUNT:
+    values = flat.column(value_key)[idx]
+    if func is AggFunc.COUNT:
         return float(len(values))
     if len(values) == 0:
         return float("nan")
     values = np.asarray(values, dtype=np.float64)
-    if spec.func is AggFunc.SUM:
+    if func is AggFunc.SUM:
         return float(np.sum(values))
-    if spec.func is AggFunc.AVG:
+    if func is AggFunc.AVG:
         return float(np.mean(values))
-    if spec.func is AggFunc.MIN:
+    if func is AggFunc.MIN:
         return float(np.min(values))
-    if spec.func is AggFunc.MAX:
+    if func is AggFunc.MAX:
         return float(np.max(values))
-    raise QueryError(f"unsupported aggregate {spec.func}")
+    raise QueryError(f"unsupported aggregate {func}")
 
 
 # ------------------------------------------------------------------ #

@@ -1,14 +1,15 @@
 """Query plans: the operator tree behind EXPLAIN / EXPLAIN ANALYZE.
 
-The executor assembles an explicit operator tree for every query it can
-run — scan → pushdown filter → ordered hash joins → residual filter →
-sort/project/distinct/limit, with an aggregate node on top for GROUP BY
-queries. Each :class:`PlanNode` carries the *estimated* output
-cardinality (from :mod:`repro.db.statistics`: NDV-based equi-join
-estimates and sampled predicate selectivities) and, in ANALYZE mode, the
-*actual* row count and per-operator wall time, so the classic AQP
-diagnostic — the q-error between estimate and reality — is visible per
-operator (cf. DeepDB-style per-operator cardinality accounting).
+The executor's one pass over a query's operators — scan → pushdown filter
+→ ordered hash joins → residual filter → sort/project/distinct/limit,
+with an aggregate on top for GROUP BY queries — records one
+:class:`PlanNode` per operator when it explains. Each node carries the
+*estimated* output cardinality (from :mod:`repro.db.statistics`:
+NDV-based equi-join estimates and sampled predicate selectivities) and,
+in ANALYZE mode, the *actual* row count and per-operator wall time, so
+the classic AQP diagnostic — the q-error between estimate and reality —
+is visible per operator (cf. DeepDB-style per-operator cardinality
+accounting).
 
 Rendering mirrors PostgreSQL's ``EXPLAIN``: one line per operator,
 children indented under an ``->`` arrow, with a ``(est=… act=… q=… t=…)``
@@ -59,7 +60,7 @@ class PlanNode:
         for child in self.children:
             yield from child.walk()
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self, children: bool = True) -> dict[str, Any]:
         record: dict[str, Any] = {"op": self.op}
         if self.label:
             record["label"] = self.label
@@ -73,7 +74,7 @@ class PlanNode:
             record["seconds"] = self.seconds
         if self.detail:
             record["detail"] = dict(self.detail)
-        if self.children:
+        if children and self.children:
             record["children"] = [child.to_dict() for child in self.children]
         return record
 
@@ -114,19 +115,7 @@ class QueryPlan:
 
     def operator_stats(self) -> list[dict[str, Any]]:
         """Flat per-operator rows (the ``plan`` telemetry payload)."""
-        rows = []
-        for node in self.root.walk():
-            row: dict[str, Any] = {"op": node.op, "label": node.label}
-            if node.estimated_rows is not None:
-                row["estimated_rows"] = round(float(node.estimated_rows), 2)
-            if node.actual_rows is not None:
-                row["actual_rows"] = int(node.actual_rows)
-            if node.q is not None:
-                row["q_error"] = round(node.q, 3)
-            if node.seconds is not None:
-                row["seconds"] = node.seconds
-            rows.append(row)
-        return rows
+        return [node.to_dict(children=False) for node in self.root.walk()]
 
     # -- rendering --------------------------------------------------- #
     def format(self) -> str:

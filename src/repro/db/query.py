@@ -93,6 +93,11 @@ class SPJQuery:
         if len(set(self.tables)) != len(self.tables):
             raise QueryError(f"duplicate tables in FROM clause: {self.tables}")
         for join in self.joins:
+            if join.left_table == join.right_table:
+                raise QueryError(
+                    f"join condition {join.to_sql()!r} has both sides in one "
+                    "table; write it as a predicate"
+                )
             for table in (join.left_table, join.right_table):
                 if table not in self.tables:
                     raise QueryError(

@@ -20,7 +20,10 @@ workloads are written).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import Optional, Union
+
+import numpy as np
 
 from .expressions import (
     Between,
@@ -33,6 +36,7 @@ from .expressions import (
     Not,
     Or,
     TrueExpr,
+    _context_column,
     conjoin,
     conjuncts,
 )
@@ -324,17 +328,31 @@ class _Parser:
         raise SQLSyntaxError(f"expected literal, got {token!r}")
 
 
-class _JoinAtom(Comparison):
-    """Marker for ``ref = ref`` atoms, lifted into JoinConditions later."""
+@dataclass(frozen=True)
+class _JoinAtom(Expression):
+    """A ``ref = ref`` atom.
 
-    def __init__(self, left: str, right: str) -> None:
-        super().__init__(left, "=", right)
-        self.right_ref = right
+    :func:`_lift_joins` turns a top-level one between two tables into a
+    :class:`JoinCondition`; anywhere else (same table, under OR / NOT) it
+    stays in the predicate and compares the two columns row by row.
+    """
 
-    def evaluate(self, context):  # pragma: no cover - lifted before evaluation
-        left = context[self.column]
-        right = context[self.right_ref]
-        return left == right
+    column: str
+    right_ref: str
+
+    def evaluate(self, context):
+        left = _context_column(context, self.column)
+        right = _context_column(context, self.right_ref)
+        return np.asarray(left == right, dtype=bool)
+
+    def to_sql(self) -> str:
+        return f"{self.column} = {self.right_ref}"
+
+    def columns(self) -> list[str]:
+        return list(dict.fromkeys((self.column, self.right_ref)))
+
+    def tokens(self) -> list[str]:
+        return [f"pred:{self.column}={self.right_ref}"]
 
 
 def _lift_joins(

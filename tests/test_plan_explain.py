@@ -1,5 +1,7 @@
 """Tests for EXPLAIN / EXPLAIN ANALYZE operator trees (repro.db.plan)."""
 
+import functools
+import hashlib
 import json
 import os
 import re
@@ -331,3 +333,263 @@ class TestSplitExplain:
         rest, is_explain, analyze = split_explain("  Explain   Analyze  SELECT 1")
         assert rest == "SELECT 1"
         assert is_explain and analyze
+
+
+# ------------------------------------------------------------------ #
+# golden: results, EXPLAIN and EXPLAIN ANALYZE trees of whole workloads
+# ------------------------------------------------------------------ #
+_HAND_QUERIES = {
+    "imdb": (
+        "SELECT title.title, title.votes FROM title WHERE title.votes > 1000"
+        " ORDER BY title.votes DESC LIMIT 7",
+        "SELECT DISTINCT title.kind FROM title ORDER BY title.kind",
+        "SELECT DISTINCT company.country_code FROM company, movie_companies"
+        " WHERE company.id = movie_companies.company_id LIMIT 3",
+        "SELECT title.id FROM title WHERE title.title LIKE '%a%'"
+        " ORDER BY title.id LIMIT 20",
+        "SELECT title.id, company.id FROM title, movie_companies, company"
+        " WHERE title.id = movie_companies.movie_id"
+        " AND movie_companies.company_id = company.id"
+        " AND (title.votes > 50000 OR company.country_code = 'us')",
+        "SELECT title.id, company.id FROM title, company"
+        " WHERE title.votes > 12000 AND company.id < 5",
+        "SELECT * FROM company ORDER BY name LIMIT 5",
+        "SELECT title.kind, COUNT(*), AVG(title.votes)"
+        " FROM title, movie_companies"
+        " WHERE title.id = movie_companies.movie_id"
+        " AND title.production_year > 1990 GROUP BY title.kind",
+        "SELECT COUNT(*) FROM title, company"
+        " WHERE company.id < 3 AND title.votes > 12000",
+    ),
+    # Sorted id columns are what zone maps can prune: partly, wholly,
+    # and under an aggregate.
+    "imdb_large": (
+        "SELECT cast_info.role FROM cast_info, title"
+        " WHERE cast_info.movie_id = title.id AND cast_info.id < 3000"
+        " AND title.id BETWEEN 100 AND 4500",
+        "SELECT title.title FROM title WHERE title.id > 999999",
+        "SELECT movie_info.info, COUNT(*) FROM movie_info"
+        " WHERE movie_info.id >= 9000 AND movie_info.info_type = 'genre'"
+        " GROUP BY movie_info.info",
+    ),
+}
+
+# SHA-1 of (results, EXPLAIN trees, EXPLAIN ANALYZE trees minus seconds)
+# over each dataset's generator workloads + the hand-written queries
+# above, recorded at the commit before the executor's walkers were merged.
+_GOLDEN = {
+    "imdb": (
+        93,
+        "5d1d630263184d0384cb0c08d0f77c2c9bfac13a",
+        "2f69fb76793136e77df02260a12be5c83e7f5ba2",
+        "755a610be0edbc4a91a0d590452cbd9cc91f9ca9",
+    ),
+    "mas": (
+        70,
+        "b3477207d8ec2c340952519606cee62ae608d262",
+        "be40bf9e2c63c835be5404d198bd969e0df17858",
+        "98e9967e07a2aeaa5adf402731e0da985fc1eecd",
+    ),
+    "flights": (
+        108,
+        "3b2aa4ce4b67bc62f30722c0f1cd11cae233e928",
+        "e52ef8fcdd4eb1928a121aacee077207f4ab949c",
+        "f7f974ba341d4f89f70b8138300e7a310f7f1bd4",
+    ),
+    "imdb_large": (
+        87,
+        "308dfe98a54286e86c41ac430f7277ab3a0fe14d",
+        "70837bb6e3c66ea89f4f6fd2c4fe941bc88ae046",
+        "e77ee448685481daea758f4fee3106d6eb817952",
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_queries(name):
+    from repro.datasets import load_flights, load_imdb, load_mas
+
+    loader, scale = {
+        "imdb": (load_imdb, 0.3),
+        "mas": (load_mas, 0.3),
+        "flights": (load_flights, 0.3),
+        "imdb_large": (load_imdb, 3.0),
+    }[name]
+    bundle = loader(scale=scale)
+    queries = list(bundle.workload) + list(bundle.aggregate_workload)
+    queries += [sql(text) for text in _HAND_QUERIES.get(name, ())]
+    return bundle.db, queries
+
+
+def _run(db, query):
+    if query.is_aggregate:
+        return execute_aggregate(db, query)
+    return execute(db, query)
+
+
+def _result_record(result):
+    """Everything a caller can read off a result, JSON-able."""
+    if hasattr(result, "rows"):
+        return [sorted((k, repr(v)) for k, v in row.items()) for row in result.rows]
+    return {
+        "columns": {ref: result.column(ref).tolist() for ref in result.columns},
+        "row_ids": {t: ids.tolist() for t, ids in sorted(result.row_ids.items())},
+    }
+
+
+def _tree_record(plan):
+    def strip(node):
+        node.pop("seconds", None)
+        for child in node.get("children", ()):
+            strip(child)
+        return node
+
+    return strip(plan.root.to_dict())
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_workload_plans_and_results_golden(name):
+    db, queries = _golden_queries(name)
+    n_queries, *expected = _GOLDEN[name]
+    assert len(queries) == n_queries
+    digests = [hashlib.sha1() for _ in range(3)]
+    for query in queries:
+        records = (
+            _result_record(_run(db, query)),
+            _tree_record(explain(db, query)),
+            _tree_record(explain(db, query, analyze=True)),
+        )
+        for digest, record in zip(digests, records):
+            digest.update(
+                json.dumps(record, sort_keys=True, default=repr).encode()
+            )
+    assert [d.hexdigest() for d in digests] == expected
+
+
+# ------------------------------------------------------------------ #
+# one pass, three modes
+# ------------------------------------------------------------------ #
+THREE_TABLE_SQL = (
+    "SELECT title.title FROM title, movie_companies, company "
+    "WHERE title.id = movie_companies.movie_id "
+    "AND movie_companies.company_id = company.id "
+    "AND title.production_year > 1990"
+)
+THREE_TABLE_GROUP_SQL = (
+    "SELECT company.country_code, COUNT(*), AVG(title.votes) "
+    "FROM title, movie_companies, company "
+    "WHERE title.id = movie_companies.movie_id "
+    "AND movie_companies.company_id = company.id "
+    "AND title.production_year > 1990 GROUP BY company.country_code"
+)
+
+
+def _raiser(name):
+    def raising(*args, **kwargs):
+        raise AssertionError(f"{name} reached")
+
+    return raising
+
+
+def test_hot_path_pays_nothing_for_explaining(tiny_imdb, monkeypatch):
+    from repro.db import And, Comparison, JoinCondition, executor
+
+    db = tiny_imdb.db
+    expected = _result_record(execute(db, sql(THREE_TABLE_SQL)))
+    expected_groups = execute_aggregate(db, sql(THREE_TABLE_GROUP_SQL)).rows
+    monkeypatch.setattr(PlanNode, "__init__", _raiser("PlanNode"))
+    monkeypatch.setattr(executor, "_scan_selectivity", _raiser("_scan_selectivity"))
+    for node_type in (And, Comparison, JoinCondition):
+        monkeypatch.setattr(node_type, "to_sql", _raiser("to_sql"))
+    assert _result_record(execute(db, sql(THREE_TABLE_SQL))) == expected
+    assert execute_aggregate(db, sql(THREE_TABLE_GROUP_SQL)).rows == expected_groups
+    assert expected["columns"]["title.title"] and expected_groups
+
+
+def test_plain_explain_executes_nothing(tiny_imdb, monkeypatch):
+    from repro.db import kernels
+
+    for kernel in ("join_positions", "distinct_positions", "group_by_positions"):
+        monkeypatch.setattr(kernels, kernel, _raiser(kernel))
+    distinct_sql = THREE_TABLE_SQL.replace("SELECT", "SELECT DISTINCT")
+    ops = [n.op for n in explain(tiny_imdb.db, sql(distinct_sql)).operators()]
+    assert ops == [
+        "distinct", "project", "hash_join", "hash_join",
+        "scan", "scan", "filter", "scan",
+    ]
+    plan = explain(tiny_imdb.db, sql(THREE_TABLE_GROUP_SQL))
+    assert [n.op for n in plan.operators()][:3] == [
+        "aggregate", "hash_join", "hash_join",
+    ]
+    assert all(n.actual_rows is None for n in plan.operators())
+    with pytest.raises(AssertionError, match="join_positions reached"):
+        execute(tiny_imdb.db, sql(THREE_TABLE_SQL))
+
+
+@pytest.mark.parametrize("name", ["imdb", "mas", "flights"])
+def test_analyze_result_is_the_executed_result(name):
+    db, queries = _golden_queries(name)
+    for query in queries:
+        plan = explain(db, query, analyze=True)
+        assert _result_record(plan.result) == _result_record(_run(db, query))
+        assert plan.root.actual_rows == len(plan.result)
+
+
+@pytest.mark.parametrize("tables", [("movies",), ("movies", "cast_info")])
+def test_same_table_join_condition_rejected(tables):
+    from repro.db import AggFunc, AggregateQuery, AggregateSpec, JoinCondition
+    from repro.db import QueryError, SPJQuery
+
+    joins = (JoinCondition("movies.id", "movies.year"),)
+    with pytest.raises(QueryError, match="one table"):
+        SPJQuery(tables=tables, joins=joins)
+    with pytest.raises(QueryError, match="one table"):
+        AggregateQuery(
+            tables=tables, joins=joins,
+            aggregates=(AggregateSpec(AggFunc.COUNT),),
+        )
+
+
+def test_analyze_and_execute_share_the_observed_path(mini_db):
+    obs.enable()
+    query = sql(JOIN_SQL)
+    executed = execute(mini_db, query).stats.to_dict()
+    analyzed = explain(mini_db, query, analyze=True).query_stats
+    assert set(analyzed) == set(executed)
+    for key in ("rows_scanned", "rows_produced"):
+        assert analyzed[key] == executed[key]
+    assert analyzed["rows_scanned"] == 13 and analyzed["rows_produced"] > 0
+    counters = metrics.snapshot()["counters"]
+    assert counters["executor.queries"] == 2
+    assert [root.name for root in trace.roots()] == [
+        "execute", "execute.explain_analyze",
+    ]
+
+
+_UNRUNNABLE = [
+    "SELECT title.id FROM title ORDER BY title.nope",
+    "SELECT title.nope FROM title",
+    "SELECT title.id FROM title WHERE title.nope > 3",
+    "SELECT title.kind, AVG(title.nope) FROM title GROUP BY title.kind",
+    "SELECT title.id FROM title, company ORDER BY id",
+    "SELECT SUM(title.title) FROM title",
+]
+
+
+@pytest.mark.parametrize("text", _UNRUNNABLE)
+def test_every_mode_refuses_a_query_that_cannot_run(tiny_imdb, text):
+    from repro.db import ExpressionError, QueryError
+
+    query = sql(text)
+    raised = []
+    for attempt in (
+        lambda: _run(tiny_imdb.db, query),
+        lambda: explain(tiny_imdb.db, query),
+        lambda: explain(tiny_imdb.db, query, analyze=True),
+    ):
+        with pytest.raises((QueryError, ExpressionError)) as caught:
+            attempt()
+        raised.append(caught.type)
+    assert len(set(raised)) == 1
+    if "SUM" in text:
+        assert "SUM(title.title)" in str(caught.value)

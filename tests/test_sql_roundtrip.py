@@ -6,10 +6,14 @@ round-trip must hold for everything the workload generators can emit.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import load_imdb
 from repro.db import (
     Between,
     Column,
@@ -148,3 +152,34 @@ def test_aggregate_roundtrip(mini_db):
     assert reparsed.is_aggregate
     assert execute_aggregate(mini_db, query).as_mapping() == \
         execute_aggregate(mini_db, reparsed).as_mapping()
+
+
+# ------------------------------------------------------------------ #
+# `col = col` atoms that are not lifted to a join compare the columns
+# ------------------------------------------------------------------ #
+@pytest.mark.parametrize(
+    "text, n_rows",
+    [
+        ("SELECT title.id FROM title WHERE title.kind = title.kind", 900),
+        ("SELECT title.id FROM title WHERE title.votes = title.id", 0),
+        (
+            "SELECT title.id FROM title, movie_companies"
+            " WHERE title.id = movie_companies.movie_id"
+            " OR title.votes > 100000000",
+            1350,
+        ),
+    ],
+)
+def test_column_equality_atom_compares_columns(text, n_rows):
+    db = load_imdb(scale=0.3).db
+    query = sql(text)
+    assert not query.joins
+    assert "'" not in query.to_sql()
+    assert sorted(query.predicate.columns()) == sorted(
+        set(re.findall(r"[a-z_]+\.[a-z_]+", text.split("WHERE")[1]))
+    )
+    assert query.predicate.tokens()
+    assert len(execute(db, query)) == n_rows
+    reparsed = sql(query.to_sql())
+    assert reparsed == query
+    assert len(execute(db, reparsed)) == n_rows
