@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the end-to-end benchmark's driver form.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 | all] --pairs N
 
 Each pair runs ``benchmarks/e2e/run.py --workload W --seed S --seconds 10
 --trace 0`` once in each checkout with the same seed, alternating which
 side goes first (this host drifts over minutes, so back-to-back runs share
-its state and the order must not favour a side). Per end-to-end metric it
-prints both medians, the parent's inter-quartile range, the ratio
-change/parent, wins/ties/losses of the change in the metric's own
-direction and the total ``failed``. The rule for claiming a gain
+its state and the order must not favour a side). Per (workload, end-to-end
+metric) it prints both medians, the parent's inter-quartile range, the
+ratio change/parent, wins/ties/losses of the change in the metric's own
+direction, and the no-regression verdict against the metric's ``bound`` in
+BENCHMARK.json — ``ok`` / ``regressed`` / ``unresolved``, the rule
+``run.py --compare`` applies (choosing-metrics §6.5: runs spread wider than
+the bound resolve nothing unless they separate cleanly) — then the total
+``failed``. Exit status 1 on any ``regressed`` row or if the change fails
+more operations than the parent. The rule for claiming a gain
 (choosing-metrics §8): the change wins at least nine tenths of the pairs
 and the medians differ by more than the parent's IQR.
 """
@@ -17,11 +22,14 @@ and the medians differ by more than the parent's IQR.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
 import subprocess
 import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_once(checkout: str, workload: str, seed: int, extra: list[str]) -> dict:
@@ -37,15 +45,21 @@ def run_once(checkout: str, workload: str, seed: int, extra: list[str]) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def directions(checkout: str) -> dict[str, str]:
-    """``{end-to-end metric: "lower" | "higher"}`` from BENCHMARK.json."""
-    with open(os.path.join(checkout, "BENCHMARK.json")) as handle:
-        declared = json.load(handle)["end_to_end"]
-    return {metric["name"]: metric["better"] for metric in declared}
+def compare_verdict():
+    """``run.py --compare``'s verdict function, so both tools share one rule."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_run", os.path.join(REPO, "benchmarks", "e2e", "run.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.verdict
 
 
-def summarize(name: str, better: str, parent: list[float], change: list[float]) -> str:
-    sign = -1.0 if better == "lower" else 1.0
+def summarize(
+    metric: dict, parent: list[float], change: list[float], verdict
+) -> tuple[str, str]:
+    """One table row and its verdict."""
+    sign = -1.0 if metric["better"] == "lower" else 1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
@@ -55,55 +69,77 @@ def summarize(name: str, better: str, parent: list[float], change: list[float]) 
         q1 = q3 = p_med
     ratio = c_med / p_med if p_med else float("nan")
     beyond = "yes" if abs(c_med - p_med) > q3 - q1 else "no"
-    return (
-        f"{name:15s} {p_med:10.4f} [{q1:9.4f} {q3:9.4f}] {c_med:10.4f} "
-        f"{ratio:7.3f}  {wins:2d}/{ties:2d}/{len(parent) - wins - ties:2d}  {beyond}"
+    call = verdict(parent, change, metric["better"], metric["bound"])
+    row = (
+        f"{metric['name']:15s} {p_med:10.4f} [{q1:9.4f} {q3:9.4f}] {c_med:10.4f} "
+        f"{ratio:7.3f}  {wins:2d}/{ties:2d}/{len(parent) - wins - ties:2d}  {beyond:6s}"
+        f"  {metric['bound']:5.2f}  {call}"
     )
+    return row, call
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a BENCHMARK.json workload; may repeat, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=100)
     parser.add_argument("--input-seed", type=int, default=None,
                         help="passed through to run.py (moves data and model seeds)")
     parser.add_argument("--out", default="",
-                        help="also write every run's result line here as JSON")
+                        help="also write every run's result line here as JSON, "
+                             "{workload: {parent: [...], change: [...]}}")
     args = parser.parse_args(argv)
     extra = [] if args.input_seed is None else ["--input-seed", str(args.input_seed)]
     sides = {"parent": os.path.abspath(args.parent_dir),
              "change": os.path.abspath(args.change_dir)}
+    with open(os.path.join(sides["change"], "BENCHMARK.json")) as handle:
+        declared = json.load(handle)
+    workloads = args.workload
+    if "all" in workloads:
+        workloads = [workload["name"] for workload in declared["workloads"]]
+    verdict = compare_verdict()
 
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args.workload, args.first_seed + pair, extra)
-            runs[side].append(result)
-            fit = result["metrics"]["fit_s"]["value"]
-            print(f"pair {pair} {side:6s} fit_s={fit:.3f} failed={result['failed']}",
-                  file=sys.stderr, flush=True)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump({"workload": args.workload, **runs}, handle)
-
-    print(f"{args.workload}: {args.pairs} alternating pairs "
-          f"(wins/ties/losses are the change's; 'beyond' = medians differ by "
-          f"more than the parent's IQR)")
-    print(f"{'metric':15s} {'parent':>10s} [{'q1':>9s} {'q3':>9s}] {'change':>10s} "
-          f"{'ratio':>7s}  {'w/t/l':>8s}  beyond")
-    for name, better in directions(sides["change"]).items():
-        values = {
-            side: [run["metrics"][name]["value"] for run in runs[side]]
-            for side in runs
+    print("wins/ties/losses are the change's; 'beyond' = medians differ by more "
+          "than the parent's IQR; verdict = no worse than 'bound' (choosing-metrics §6.5)")
+    runs: dict[str, dict[str, list[dict]]] = {}
+    regressed = 0
+    for workload in workloads:
+        runs[workload] = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(sides[side], workload, args.first_seed + pair, extra)
+                runs[workload][side].append(result)
+                fit = result["metrics"]["fit_s"]["value"]
+                print(f"{workload} pair {pair} {side:6s} fit_s={fit:.3f} "
+                      f"failed={result['failed']}", file=sys.stderr, flush=True)
+        if args.out:  # rewritten after every workload: a long matrix can be read early
+            with open(args.out, "w") as handle:
+                json.dump(runs, handle)
+        print(f"\n{workload}: {args.pairs} alternating pairs")
+        print(
+            f"{'metric':15s} {'parent':>10s} [{'q1':>9s} {'q3':>9s}] {'change':>10s} "
+            f"{'ratio':>7s}  {'w/t/l':>8s}  {'beyond':6s}  {'bound':>5s}  verdict"
+        )
+        for metric in declared["end_to_end"]:
+            values = {
+                side: [run["metrics"][metric["name"]]["value"] for run in side_runs]
+                for side, side_runs in runs[workload].items()
+            }
+            row, call = summarize(metric, values["parent"], values["change"], verdict)
+            regressed += call == "regressed"
+            print(row)
+        failed = {
+            side: sum(run["failed"] for run in side_runs)
+            for side, side_runs in runs[workload].items()
         }
-        print(summarize(name, better, values["parent"], values["change"]))
-    failed = {side: sum(run["failed"] for run in runs[side]) for side in runs}
-    print(f"failed: parent {failed['parent']}, change {failed['change']}")
-    return 1 if failed["change"] > failed["parent"] else 0
+        print(f"failed: parent {failed['parent']}, change {failed['change']}", flush=True)
+        regressed += failed["change"] > failed["parent"]
+    print(f"\nregressed rows: {regressed}")
+    return 1 if regressed else 0
 
 
 if __name__ == "__main__":

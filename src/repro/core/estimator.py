@@ -44,6 +44,11 @@ class AnswerabilityEstimate:
     competence: float       # similarity-weighted training score
     answerable: bool
 
+    @property
+    def deviation(self) -> float:
+        """How confidently the query deviates from the training workload."""
+        return float(np.clip(1.0 - self.familiarity, 0.0, 1.0))
+
 
 class AnswerabilityEstimator:
     """Predicts per-query answerability from the approximation set."""
@@ -165,9 +170,8 @@ class AnswerabilityEstimator:
         return float(sum(self._outcome_errors) / len(self._outcome_errors))
 
     def deviation_confidence(self, query: Union[SPJQuery, AggregateQuery]) -> float:
-        """How confidently the query deviates from the training workload."""
-        estimate = self.estimate(query)
-        return float(np.clip(1.0 - estimate.familiarity, 0.0, 1.0))
+        """:attr:`AnswerabilityEstimate.deviation` of a query not yet estimated."""
+        return self.estimate(query).deviation
 
     def calibration_error(self) -> float:
         """Self-assessed calibration: mean |confidence − training score|.

@@ -151,8 +151,10 @@ class ASQPSession:
 
             start = perf_counter()
             target = self.approx_db if use_approx else self.model.db
-            cache_key = (query.to_sql(), use_approx)
-            cached = self._result_cache.get(cache_key)
+            cached = None
+            if self._result_cache_size:
+                cache_key = (query.to_sql(), use_approx)
+                cached = self._result_cache.get(cache_key)
             if cached is not None:
                 self.cache_hits += 1
                 metrics.add("session.result_cache.hits")
@@ -169,9 +171,7 @@ class ASQPSession:
                 self._result_cache[cache_key] = result
             elapsed = perf_counter() - start
 
-            drift_event = self.drift_detector.observe(
-                query, self.estimator.deviation_confidence(query)
-            )
+            drift_event = self.drift_detector.observe(query, estimate.deviation)
             fine_tuned = False
             if drift_event is not None and self.auto_fine_tune:
                 with trace.span("session.fine_tune"):

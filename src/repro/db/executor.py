@@ -29,6 +29,7 @@ from .database import Database
 from .expressions import (
     Expression,
     TrueExpr,
+    _resolve_ref,
     conjoin,
     conjuncts,
     rewrite_for_codes,
@@ -339,25 +340,32 @@ def _zone_map_prune(
 
 
 def _scan_filter(
-    table, context: ResultSet, predicate: Expression, block_mask: Optional[np.ndarray]
+    table,
+    context: ResultSet,
+    carried: ResultSet,
+    predicate: Expression,
+    block_mask: Optional[np.ndarray],
 ) -> ResultSet:
     """Filter a base-table scan, skipping the blocks the zone maps pruned.
 
+    The predicate reads ``context`` — every column of the table, none of
+    them copied — and the rows it keeps are gathered from ``carried``, the
+    same scan narrowed to the columns the query goes on to read.
     ``block_mask`` is :func:`_zone_map_prune`'s answer for this scan.
     Pruning is strictly conservative: a pruned block provably contains no
     matching row, so the result is identical to the unpruned scan.
     """
     if block_mask is None:
-        return context.take(_filter_positions(context, predicate))
+        return carried.take(_filter_positions(context, predicate))
     kept_blocks = int(block_mask.sum())
     if _OBS.enabled:
         registry = _metrics.registry()
         registry.add("scan.blocks_total", len(block_mask))
         registry.add("scan.blocks_pruned", len(block_mask) - kept_blocks)
     if kept_blocks == 0:
-        return context.take(_NO_ROWS)
+        return carried.take(_NO_ROWS)
     if kept_blocks == len(block_mask):
-        return context.take(_filter_positions(context, predicate))
+        return carried.take(_filter_positions(context, predicate))
 
     # Evaluate only the candidate rows of the surviving blocks.
     zmaps = table.zone_maps()
@@ -372,7 +380,7 @@ def _scan_filter(
     keys = [context.resolve(ref) for ref in rewritten.columns()]
     sliced = {key: context.columns[key][candidates] for key in keys}
     mask = rewritten.evaluate(sliced)
-    return context.take(candidates[np.flatnonzero(mask)])
+    return carried.take(candidates[np.flatnonzero(mask)])
 
 
 def _scan_selectivity(
@@ -422,11 +430,44 @@ def _pushdown(predicate: Expression, tables: Sequence[str]) -> tuple[dict[str, E
     )
 
 
+def _columns_read(
+    query: SPJQuery,
+    residual: Expression,
+    outputs: Optional[Sequence[str]],
+    scanned: Sequence[ResultSet],
+) -> Optional[set[str]]:
+    """The columns a query reads after its scans, or None for all of them.
+
+    Join keys, the residual predicate's refs, the ORDER BY ref and
+    ``outputs`` — what an aggregate reads of its core query, by default
+    the projection — each resolved against every column of the
+    ``scanned`` tables. ``SELECT *`` reads them all. So does a query with a
+    ref that is not exactly one column: it runs unpruned and fails where
+    and how it always did (the messages list the columns available).
+    """
+    if outputs is None:
+        outputs = query.projection
+        if not outputs:
+            return None
+    filtered = residual.columns()
+    if not filtered and not isinstance(residual, TrueExpr):
+        return None  # a constant predicate takes its row count from a column
+    refs = [*outputs, *filtered]
+    if query.order_by:
+        refs.append(query.order_by)
+    for join in query.joins:
+        refs += (join.left, join.right)
+    keys = {key for context in scanned for key in context.columns}
+    read = {_resolve_ref(ref, keys) for ref in refs}
+    return None if None in read else read
+
+
 def _join_order(
     tables: Sequence[str],
     joins: Sequence[JoinCondition],
     contexts: dict[str, "ResultSet"],
     sizes: dict[str, float],
+    observed: bool,
 ) -> tuple[list[str], dict[str, float]]:
     """Statistics-driven greedy connected ordering over the join graph.
 
@@ -440,7 +481,10 @@ def _join_order(
     Returns ``(order, estimates)`` where ``estimates[table]`` is the
     estimated intermediate cardinality after that table joins — the same
     numbers the ordering decision used, re-surfaced by EXPLAIN and the
-    passive per-join q-error metric.
+    passive per-join q-error metric. An estimate (and the NDVs under it)
+    is computed only where it is read: up to the last step at which two
+    connected tables compete, and throughout when ``observed``. A chain
+    nobody watches is ordered by its join graph alone.
     """
     if len(tables) <= 1:
         return list(tables), {}
@@ -453,35 +497,48 @@ def _join_order(
             ndv_cache[ref] = estimate_ndv(array) if array is not None else 1
         return ndv_cache[ref]
 
+    def _estimate(rows: float, table: str, usable: Sequence[JoinCondition]) -> float:
+        if not usable:  # disconnected: a cross product
+            return rows * max(sizes[table], 1)
+        first = usable[0]
+        est = estimated_join_cardinality(
+            rows, _ndv(first.left), sizes[table], _ndv(first.right)
+        )
+        for j in usable[1:]:  # extra equi-conditions filter further
+            est /= max(_ndv(j.left), _ndv(j.right), 1)
+        return est
+
     start = min(tables, key=lambda t: sizes[t])
     order = [start]
     joined = {start}
     remaining = [t for t in tables if t != start]
     est_rows = float(sizes[start])
     estimates: dict[str, float] = {}
+    pending: list[tuple[str, Sequence[JoinCondition]]] = []  # joined, not yet estimated
+
+    def settle() -> None:
+        nonlocal est_rows
+        for table, usable in pending:
+            est_rows = estimates[table] = max(_estimate(est_rows, table, usable), 1.0)
+        pending.clear()
+
     while remaining:
-        best: Optional[str] = None
-        best_est = np.inf
-        for t in remaining:
-            usable = joins_between(joins, t, joined)
-            if not usable:
-                continue
-            first = usable[0]
-            est = estimated_join_cardinality(
-                est_rows, _ndv(first.left), sizes[t], _ndv(first.right)
-            )
-            for j in usable[1:]:  # extra equi-conditions filter further
-                est /= max(_ndv(j.left), _ndv(j.right), 1)
-            if est < best_est:
-                best, best_est = t, est
-        if best is None:  # disconnected: cheapest cross product
-            best = min(remaining, key=lambda t: sizes[t])
-            best_est = est_rows * max(sizes[best], 1)
-        order.append(best)
-        joined.add(best)
-        remaining.remove(best)
-        est_rows = max(best_est, 1.0)
-        estimates[best] = est_rows
+        connected = [
+            (t, usable) for t in remaining if (usable := joins_between(joins, t, joined))
+        ]
+        if len(connected) > 1:  # a choice, made on the rows estimated so far
+            settle()
+            step = min(connected, key=lambda c: _estimate(est_rows, *c))
+        elif connected:
+            step = connected[0]
+        else:  # disconnected: cheapest cross product
+            step = min(remaining, key=lambda t: sizes[t]), ()
+        pending.append(step)
+        order.append(step[0])
+        joined.add(step[0])
+        remaining.remove(step[0])
+    if observed:
+        settle()
     return order, estimates
 
 
@@ -706,7 +763,9 @@ class _Pass:
         return _trace.span(name) if self.running else _trace.NULL_SPAN
 
     # -- SPJ --------------------------------------------------------- #
-    def spj(self, query: SPJQuery) -> _Rel:
+    def spj(self, query: SPJQuery, outputs: Optional[Sequence[str]] = None) -> _Rel:
+        """The SPJ operators; ``outputs`` are the refs an enclosing
+        aggregate reads of the result (default: the projection)."""
         db = self.db
         for table in query.tables:
             if not db.has_table(table):
@@ -716,7 +775,15 @@ class _Pass:
 
         with self.span("execute.pushdown") as sp:
             per_table, residual = _pushdown(query.predicate, query.tables)
-            leaves = {t: self._leaf(t, per_table[t]) for t in query.tables}
+            scans = {t: self._scan(t) for t in query.tables}
+            # Refs resolve against every column of the scanned tables;
+            # only then does each leaf drop the columns nothing reads.
+            read = _columns_read(
+                query, residual, outputs, [scan.data for scan in scans.values()]
+            )
+            leaves = {
+                t: self._leaf(t, scans[t], per_table[t], read) for t in query.tables
+            }
             if sp:
                 sp.count("rows_in", sum(len(db.table(t)) for t in query.tables))
                 sp.count("rows_out", sum(len(leaf.data) for leaf in leaves.values()))
@@ -728,6 +795,7 @@ class _Pass:
                 query.tables, query.joins,
                 {t: leaf.data for t, leaf in leaves.items()},
                 {t: leaf.rows for t, leaf in leaves.items()},
+                observed=self.explaining or _OBS.enabled,
             )
             if sp:
                 sp.set(order=list(order))
@@ -736,7 +804,7 @@ class _Pass:
         for table in order[1:]:
             right = leaves[table]
             conditions = joins_between(query.joins, table, joined)
-            estimate = estimates[table]
+            estimate = estimates.get(table)  # None when nothing will read it
             current = self.step(
                 "hash_join" if conditions else "cross_join", [current, right],
                 lambda: _join(current.data, right.data, conditions, estimate),
@@ -811,17 +879,26 @@ class _Pass:
             )
         return current
 
-    def _leaf(self, table_name: str, predicate: Expression) -> _Rel:
-        """Scan one table and apply its pushed-down conjuncts."""
+    def _scan(self, table_name: str) -> _Rel:
         table = self.db.table(table_name)
-        leaf = self.step(
+        return self.step(
             "scan", (),
             lambda: _base_context(self.db, table_name),
             lambda: (table_name, float(len(table)), {}),
         )
+
+    def _leaf(
+        self, table_name: str, scan: _Rel, predicate: Expression, read: Optional[set[str]]
+    ) -> _Rel:
+        """Narrow one scan to the columns ``read`` (None: all of them) and
+        apply its pushed-down conjuncts, which see every column."""
+        unfiltered = scan.data
+        if read is not None:
+            kept = {key: key for key in unfiltered.columns if key in read}
+            scan = scan._replace(data=_project(unfiltered, kept))
         if isinstance(predicate, TrueExpr):
-            return leaf
-        unfiltered = leaf.data
+            return scan
+        table = self.db.table(table_name)
         detail, block_mask = _zone_map_prune(table, unfiltered, predicate)
 
         def describe():
@@ -831,12 +908,12 @@ class _Pass:
             return predicate.to_sql(), selectivity * len(unfiltered), detail
 
         return self.step(
-            "filter", [leaf],
-            lambda: _scan_filter(table, unfiltered, predicate, block_mask),
+            "filter", [scan],
+            lambda: _scan_filter(table, unfiltered, scan.data, predicate, block_mask),
             describe,
         )
 
-    def observed(self, query: SPJQuery) -> _Rel:
+    def observed(self, query: SPJQuery, outputs: Optional[Sequence[str]] = None) -> _Rel:
         """The SPJ pass plus observability, returning the encoded result.
 
         Opens (or joins) a request context for the query, so every span,
@@ -845,7 +922,7 @@ class _Pass:
         EXPLAIN ANALYZE differs only in the root span's name.
         """
         if not (self.running and _OBS.enabled):
-            return self.spj(query)
+            return self.spj(query, outputs)
         fingerprint = _query_fingerprint(query)
         root = "execute.explain_analyze" if self.explaining else "execute"
         with _context.ensure(fingerprint=fingerprint) as request, \
@@ -853,7 +930,7 @@ class _Pass:
             sp.set(tables=list(query.tables), fingerprint=fingerprint)
             start = perf_counter()
             cpu_start = process_time()
-            rel = self.spj(query)
+            rel = self.spj(query, outputs)
             wall = perf_counter() - start
             result = rel.data
             result.stats = QueryStats(
@@ -879,9 +956,10 @@ class _Pass:
     def aggregate(self, query: AggregateQuery) -> _Rel:
         """Hash aggregation over the (observed) SPJ core."""
         core = SPJQuery(tables=query.tables, predicate=query.predicate, joins=query.joins)
+        inputs = [spec.column for spec in query.aggregates if spec.column is not None]
 
         with self.span("execute.aggregate") as sp:
-            flat = self.observed(core)
+            flat = self.observed(core, [*query.group_by, *inputs])
             group_keys = [flat.data.resolve(_qualify_ref(ref, query)) for ref in query.group_by]
             value_keys = [_aggregate_input(flat.data, spec, query) for spec in query.aggregates]
 

@@ -91,14 +91,18 @@ def use_reference_kernels() -> Iterator[None]:
 # ------------------------------------------------------------------ #
 # key factorization
 # ------------------------------------------------------------------ #
+#: Codes allowed per row before a code range counts as sparse.
+_CODES_PER_ROW = 8
+
+
 def _code_limit(n: int) -> int:
     """Largest code range we allow before re-densifying.
 
-    Bounded ranges keep the ``bincount`` arrays used by the join kernel
-    small; 8 codes per row (min 64k) is cheap in memory and avoids the
-    sort that densification costs.
+    8 codes per row (min 64k) is cheap in memory and avoids the sort that
+    densification costs. Distinct and group-by never scan the range;
+    :func:`join_positions`, whose index does, drops the floor.
     """
-    return max(1 << 16, 8 * n)
+    return max(1 << 16, _CODES_PER_ROW * n)
 
 
 def _encode_column(values: np.ndarray) -> tuple[np.ndarray, int, np.ndarray | None]:
@@ -297,6 +301,12 @@ def join_positions(
     if _FORCE_REFERENCE:
         return reference_join_positions(build_keys, probe_keys)
     build_codes, probe_codes, n_codes = factorize_key_pair(build_keys, probe_keys)
+    n_build = len(build_codes)
+    if n_codes > _CODES_PER_ROW * (n_build + len(probe_codes)):
+        # The index is n_codes wide: size it by its input, not by the
+        # span of a few sparse ids (the 64k floor of `_code_limit`).
+        codes, n_codes = _redensify(np.concatenate([build_codes, probe_codes]))
+        build_codes, probe_codes = codes[:n_build], codes[n_build:]
     order, code_starts, code_counts = build_join_index(build_codes, n_codes)
     return probe_factorized(probe_codes, order, code_starts, code_counts)
 

@@ -121,6 +121,43 @@ def test_nan_keys_never_join_and_stay_distinct():
     assert len(kernels.group_by_positions(keys)) == 3
 
 
+def _spread_keys(kind: str, ids: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    if kind == "int":
+        return [ids]
+    if kind == "two":
+        return [ids, rng.integers(0, 3, len(ids))]
+    if kind == "float_nan":
+        values = ids.astype(np.float64)
+        values[rng.random(len(ids)) < 0.1] = np.nan
+        return [values]
+    return [np.asarray([f"k{i}" for i in ids], dtype=object)]
+
+
+@pytest.mark.parametrize("kind", ["int", "two", "float_nan", "object"])
+@pytest.mark.parametrize("span", [None, 60_000, 400_000], ids=["dense", "6e4", "4e5"])
+@pytest.mark.parametrize("n", [0, 1, 50, 300, 5000])
+def test_join_positions_at_approximation_set_sizes(n, span, kind):
+    """Few rows over a wide id span — the join index is sized by its input."""
+    from repro import contracts
+
+    rng = np.random.default_rng(n + (span or 0))
+    build_ids = rng.integers(0, span or max(n, 1), n)
+    # Half the probe rows hit a build key, whatever the span.
+    probe_ids = np.concatenate(
+        [rng.choice(build_ids, n), rng.integers(0, span or max(n, 1), n)]
+    )
+    build = _spread_keys(kind, build_ids, rng)
+    probe = _spread_keys(kind, probe_ids, rng)
+    ref_probe, ref_build = kernels.reference_join_positions(build, probe)
+    assert len(ref_probe) >= (n if kind == "int" else n // 4)
+    for strict in (False, True):
+        with contracts.strict(strict):
+            got_probe, got_build = kernels.join_positions(build, probe)
+        np.testing.assert_array_equal(got_probe, ref_probe)
+        np.testing.assert_array_equal(got_build, ref_build)
+        assert got_probe.dtype == got_build.dtype == np.int64
+
+
 def test_use_reference_kernels_toggles_and_restores():
     keys = [np.asarray([1, 2, 1])]
     assert not kernels._FORCE_REFERENCE

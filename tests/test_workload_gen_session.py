@@ -144,6 +144,40 @@ class TestSessionRollouts:
         )
 
 
+class TestOneEstimatePerRequest:
+    def test_embeds_once_and_hands_drift_the_same_deviation(
+        self, session, tiny_flights, monkeypatch
+    ):
+        """The drift deviation comes from the estimate already in hand."""
+        from repro.core import ASQPSession
+        from repro.core.drift import DriftDetector
+        from repro.embedding import QueryEmbedder
+
+        opened = ASQPSession(session.model, auto_fine_tune=False)
+        embeds, observed = [], []
+        embed, observe = QueryEmbedder.embed, DriftDetector.observe
+
+        def counting_embed(self, query):
+            embeds.append(query)
+            return embed(self, query)
+
+        def recording_observe(self, query, deviation):
+            observed.append(deviation)
+            return observe(self, query, deviation)
+
+        monkeypatch.setattr(QueryEmbedder, "embed", counting_embed)
+        monkeypatch.setattr(DriftDetector, "observe", recording_observe)
+        queries = [*tiny_flights.workload, *tiny_flights.aggregate_workload]
+        queries.append(sql("SELECT * FROM carriers WHERE carriers.low_cost = 1"))
+        for query in queries:
+            opened.query(query)
+        assert embeds == queries
+        monkeypatch.undo()
+        expected = [opened.estimator.deviation_confidence(q) for q in queries]
+        assert observed == expected  # float equality: bit for bit
+        assert len(set(observed)) > 1
+
+
 class TestSessionDrift:
     def test_drift_triggers_fine_tune(self, tiny_flights):
         config = _session_config(drift_trigger_count=2, seed=13)
