@@ -7,7 +7,9 @@ pre-vectorization reference implementations (``repro.db.kernels.reference_*`` an
 ``repro.core.reward.DictCoverageTracker``), plus the two halves of a
 training iteration at figure scale (|A| = 800): the lock-step rollout
 collector against one actor at a time, and the PPO minibatch update (no
-retained reference). Writes ``BENCH_kernels.json``
+retained reference); and the two per-distinct-value kernels of a fit's
+pre-processing, ``embed_actions`` and ``compute_table_stats``, against the
+per-row loops the tests retain. Writes ``BENCH_kernels.json``
 so the performance trajectory of these kernels is tracked in-repo.
 
 Usage::
@@ -37,15 +39,21 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # for ``tests``
+
 from repro import obs
 from repro.core import Action, ActionSpace, ASQPConfig, GSLEnvironment
+from repro.core.preprocess import embed_actions, preprocess
 from repro.core.reward import (
     CoverageIndex,
     CoverageTracker,
     DictCoverageTracker,
     QueryCoverage,
 )
-from repro.db import kernels
+from repro.datasets import load_imdb
+from repro.db import Column, ColumnType, Table, TableSchema, kernels
+from repro.db.statistics import compute_table_stats
+from repro.embedding import TupleEmbedder
 from repro.rl import (
     ActorNetwork,
     CriticNetwork,
@@ -240,6 +248,26 @@ def _collect_one_actor_at_a_time(collector: MultiActorCollector) -> None:
             state, _, done, mask = env.step(decision.action)
 
 
+def _embed_fixture():
+    """A seeded figure-scale IMDB action space (~800 actions) and what
+    embeds it: the database, the actions, the statistics."""
+    bundle = load_imdb(scale=0.35, n_queries=50)
+    config = ASQPConfig(action_space_target=N_ACTIONS, seed=7)
+    prep = preprocess(bundle.db, bundle.workload, config)
+    return bundle.db, list(prep.action_space), prep.stats
+
+
+def _str_table() -> Table:
+    """One 120k-row STR column: 20 000 distinct values (past the
+    ``max_distinct`` cut-off), a tenth of the rows NULL."""
+    rng = np.random.default_rng(23)
+    words = np.asarray([""] + [f"word {i}" for i in range(20_000)], dtype=object)
+    picks = rng.integers(1, len(words), size=COLUMNSTORE_ROWS)
+    picks[rng.random(COLUMNSTORE_ROWS) < 0.1] = 0
+    schema = TableSchema("words", (Column("word", ColumnType.STR, nullable=True),))
+    return Table(schema, {"word": words[picks]})
+
+
 def _update_fixture(rng: np.random.Generator) -> tuple[PPOUpdater, RolloutBatch]:
     """Actor + critic (hidden 128/64) and one 64-row batch of mid-episode
     states (~11% of the actions taken, those masked), so ``update`` is its
@@ -384,6 +412,27 @@ def run_benchmarks(profile: str) -> dict:
         None,
         lambda: updater.update(batch),
         units=len(batch) * updater.config.update_epochs,
+    )
+
+    # Per-distinct-value pre-processing against the per-row loops the
+    # tests keep as references. A fresh embedder per call: hashing each
+    # distinct token once is part of what a fit pays.
+    from tests.test_statistics_sampling_cache import reference_table_stats
+    from tests.test_tuple_embed_kernel import reference_embed_actions
+
+    db, actions, stats = _embed_fixture()
+    measure(
+        "embed_actions_imdb",
+        lambda: reference_embed_actions(db, actions, TupleEmbedder(stats=stats)),
+        lambda: embed_actions(db, actions, TupleEmbedder(stats=stats)),
+        units=len(actions),
+    )
+    words = _str_table()
+    measure(
+        "table_stats_str",
+        lambda: reference_table_stats(words),
+        lambda: compute_table_stats(words),
+        units=len(words),
     )
     return record
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the end-to-end benchmark's driver form.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 | all] --pairs N
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 | all] --pairs N [--layers]
 
 Each pair runs ``benchmarks/e2e/run.py --workload W --seed S --seconds 10
 --trace 0`` once in each checkout with the same seed, alternating which
@@ -17,6 +17,11 @@ the bound resolve nothing unless they separate cleanly) — then the total
 more operations than the parent. The rule for claiming a gain
 (choosing-metrics §8): the change wins at least nine tenths of the pairs
 and the medians differ by more than the parent's IQR.
+
+``--layers`` then makes one ``--trace 1`` run per side with the same seed
+and prints every count metric that differs and every per-layer seconds
+metric more than 5% apart: whether the trace places the saving where the
+claim put it (choosing-metrics §6.6) is the same command as the pairs.
 """
 
 from __future__ import annotations
@@ -32,12 +37,14 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_once(checkout: str, workload: str, seed: int, extra: list[str]) -> dict:
+def run_once(
+    checkout: str, workload: str, seed: int, extra: list[str], trace: int = 0
+) -> dict:
     """One driver-form run in ``checkout``; its result line as a dict."""
     command = [
         sys.executable, os.path.join(checkout, "benchmarks", "e2e", "run.py"),
         "--workload", workload, "--seed", str(seed),
-        "--seconds", "10", "--trace", "0", *extra,
+        "--seconds", "10", "--trace", str(trace), *extra,
     ]
     proc = subprocess.run(
         command, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True
@@ -78,6 +85,21 @@ def summarize(
     return row, call
 
 
+def layer_differences(parent: dict, change: dict) -> list[str]:
+    """Rows for the per-layer metrics of two traced runs that moved: every
+    count that differs, every seconds metric more than 5% apart."""
+    rows = []
+    for name, entry in parent.items():
+        if name not in change or entry["unit"] not in ("count", "s"):
+            continue
+        p, c = entry["value"], change[name]["value"]
+        moved = p != c if entry["unit"] == "count" else abs(c - p) > 0.05 * abs(p)
+        if moved:
+            ratio = f"{c / p:7.3f}" if p else "      -"
+            rows.append(f"{name:34s} {p:14.4f} {c:14.4f} {ratio}  {entry['unit']}")
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_dir")
@@ -88,6 +110,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--first-seed", type=int, default=100)
     parser.add_argument("--input-seed", type=int, default=None,
                         help="passed through to run.py (moves data and model seeds)")
+    parser.add_argument("--layers", action="store_true",
+                        help="after the pairs, one traced run per side with the "
+                             "first seed: the counts that differ and the per-layer "
+                             "seconds more than 5%% apart")
     parser.add_argument("--out", default="",
                         help="also write every run's result line here as JSON, "
                              "{workload: {parent: [...], change: [...]}}")
@@ -138,6 +164,16 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(f"failed: parent {failed['parent']}, change {failed['change']}", flush=True)
         regressed += failed["change"] > failed["parent"]
+        if args.layers:
+            traced = {
+                side: run_once(checkout, workload, args.first_seed, extra, trace=1)
+                for side, checkout in sides.items()
+            }
+            print(f"\n{workload}: one traced run per side (seed {args.first_seed}); "
+                  f"counts that differ, per-layer seconds more than 5% apart")
+            print(f"{'per-layer metric':34s} {'parent':>14s} {'change':>14s} {'ratio':>7s}  unit")
+            rows = layer_differences(traced["parent"]["metrics"], traced["change"]["metrics"])
+            print("\n".join(rows) if rows else "(none)", flush=True)
     print(f"\nregressed rows: {regressed}")
     return 1 if regressed else 0
 

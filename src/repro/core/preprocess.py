@@ -150,23 +150,17 @@ def _rows_among(ids: np.ndarray, rows: Sequence[tuple[TupleKey, ...]]) -> np.nda
     return np.isin(codes, known_codes)
 
 
-class _RowPositionIndex:
-    """Lazy per-table map from base row id to row position."""
-
-    def __init__(self, db: Database) -> None:
-        self.db = db
-        self._maps: dict[str, dict[int, int]] = {}
-
-    def position(self, table_name: str, row_id: int) -> int:
-        mapping = self._maps.get(table_name)
-        if mapping is None:
-            table = self.db.table(table_name)
-            mapping = {int(rid): pos for pos, rid in enumerate(table.row_ids)}
-            self._maps[table_name] = mapping
-        return mapping[row_id]
-
-    def table(self, table_name: str) -> Table:
-        return self.db.table(table_name)
+def _row_positions(table: Table, row_ids: np.ndarray) -> np.ndarray:
+    """Positions in ``table`` of base row ids (which ascend in a base table
+    and come in any order after a ``take``)."""
+    missing = row_ids[~np.isin(row_ids, table.row_ids)]
+    if len(missing):
+        raise KeyError(
+            f"table {table.name!r} has no row with id {missing[:5].tolist()}"
+            f"{' ...' if len(missing) > 5 else ''}: the actions come from other data"
+        )
+    order = np.argsort(table.row_ids, kind="stable")
+    return order[np.searchsorted(table.row_ids, row_ids, sorter=order)]
 
 
 def embed_actions(
@@ -174,16 +168,20 @@ def embed_actions(
     actions: Sequence[Action],
     embedder: TupleEmbedder,
 ) -> np.ndarray:
-    """``Emb_tab`` over the tuples of each action (normalized group mean)."""
-    index = _RowPositionIndex(db)
-    vectors = np.zeros((len(actions), embedder.dim))
-    for i, action in enumerate(actions):
-        rows = [
-            (index.table(table), index.position(table, row_id))
-            for table, row_id in action.keys
-        ]
-        vectors[i] = embedder.embed_group(rows)
-    return vectors
+    """``Emb_tab`` over the tuples of each action (normalized group mean):
+    every distinct base row is embedded once, a table at a time, and each
+    action gathers its members' vectors in key order."""
+    keys = [key for action in actions for key in action.keys]
+    names = np.array([name for name, _ in keys])
+    row_ids = np.array([row_id for _, row_id in keys], dtype=np.int64)
+    vectors = np.zeros((len(keys), embedder.dim))
+    for name in dict.fromkeys(names.tolist()):
+        table = db.table(name)
+        slots = np.flatnonzero(names == name)
+        distinct, inverse = np.unique(row_ids[slots], return_inverse=True)
+        rows = embedder.embed_table(table, _row_positions(table, distinct))
+        vectors[slots] = rows[inverse]
+    return embedder.embed_groups(vectors, [len(action.keys) for action in actions])
 
 
 def preprocess(

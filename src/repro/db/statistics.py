@@ -80,33 +80,37 @@ def compute_table_stats(table: Table, max_distinct: int = 10_000) -> TableStats:
     """Scan a table once and summarize every column."""
     stats = TableStats(table_name=table.name, n_rows=len(table))
     for column in table.schema.columns:
-        array = table.column(column.name)
-        nulls = column.null_mask(array)
+        nulls = table.null_mask(column.name)
         n_null = int(nulls.sum())
         if column.ctype.is_numeric:
-            values = np.asarray(array[~nulls], dtype=np.float64)
+            values = np.asarray(table.column(column.name)[~nulls], dtype=np.float64)
             if len(values) == 0:
                 values = np.zeros(1)
+            quantiles = np.quantile(values, _DEFAULT_QUANTILES)
             stats.numeric[column.name] = NumericStats(
-                count=len(array) - n_null,
+                count=len(table) - n_null,
                 n_null=n_null,
                 mean=float(values.mean()),
                 std=float(values.std()),
                 minimum=float(values.min()),
                 maximum=float(values.max()),
-                quantiles={
-                    q: float(np.quantile(values, q)) for q in _DEFAULT_QUANTILES
-                },
+                quantiles=dict(zip(_DEFAULT_QUANTILES, quantiles.tolist())),
             )
         else:
-            frequencies: dict[str, int] = {}
-            for value in array[~nulls]:
-                key = str(value)
-                frequencies[key] = frequencies.get(key, 0) + 1
-                if len(frequencies) > max_distinct:
-                    break
+            # By dictionary code, in first-occurrence order; counting stops at
+            # the row where distinct value ``max_distinct + 1`` first appears.
+            dictionary = table.dictionary(column.name)
+            codes = table.raw_column(column.name)[~nulls]
+            first = np.full(len(dictionary), len(codes))
+            np.minimum.at(first, codes, np.arange(len(codes)))
+            seen = np.flatnonzero(first < len(codes))
+            seen = seen[np.argsort(first[seen])][: max_distinct + 1]
+            if len(seen) > max_distinct:
+                codes = codes[: first[seen[-1]] + 1]
+            counts = np.bincount(codes)[seen]
+            frequencies = dict(zip(dictionary[seen].tolist(), counts.tolist()))
             stats.categorical[column.name] = CategoricalStats(
-                count=len(array) - n_null,
+                count=len(table) - n_null,
                 n_null=n_null,
                 n_distinct=len(frequencies),
                 frequencies=frequencies,

@@ -331,8 +331,11 @@ class Table:
             yield self.row(index)
 
     def null_mask(self, name: str) -> np.ndarray:
-        column = self.schema.column(name)
-        return column.null_mask(self.column(name))
+        dictionary = self.dictionary(name)
+        if dictionary is None:
+            return self.schema.column(name).null_mask(self.column(name))
+        # The NULL string "" sorts first: it is code 0 iff present.
+        return (self.raw_column(name) == 0) & (dictionary[:1] == "").any()
 
     # ------------------------------------------------------------------ #
     # storage accounting / zone maps

@@ -48,13 +48,19 @@ class TokenHasher:
         cached = self._cache.get(token)
         if cached is not None:
             return cached
-        rng = np.random.default_rng(_token_seed(token))
+        # The stream of ``default_rng(seed)``, built without its seed dispatch.
+        rng = np.random.Generator(np.random.PCG64(_token_seed(token)))
         vector = rng.standard_normal(self.dim)
         vector /= np.linalg.norm(vector)
         if len(self._cache) >= self._cache_size:
             self._cache.clear()
         self._cache[token] = vector
         return vector
+
+    def token_vectors(self, tokens: Sequence[str]) -> np.ndarray:
+        """The directions of ``tokens``, one per row."""
+        rows = [self.token_vector(token) for token in tokens]
+        return np.array(rows).reshape(len(rows), self.dim)
 
     def embed(self, tokens: Sequence[str], weights: Sequence[float] = ()) -> np.ndarray:
         """L2-normalized weighted sum of token directions.
@@ -80,6 +86,15 @@ class TokenHasher:
         if not rows:
             return np.zeros((0, self.dim))
         return np.vstack(rows)
+
+
+def normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Divide each row by its L2 norm, in place (zero rows stay): the norm is
+    ``sqrt(row · row)``, what ``np.linalg.norm`` computes for one vector (an
+    ``axis=1`` reduction sums pairwise and differs in the last bit)."""
+    squares = np.fromiter((row.dot(row) for row in matrix), np.float64, len(matrix))
+    matrix /= np.sqrt(np.where(squares > 0, squares, 1.0))[:, None]
+    return matrix
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

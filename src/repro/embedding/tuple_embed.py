@@ -17,7 +17,7 @@ from ..db.schema import ColumnType
 from ..db.statistics import TableStats
 from ..db.table import Table
 from .query_embed import N_VALUE_BUCKETS
-from .text import DEFAULT_DIM, TokenHasher
+from .text import DEFAULT_DIM, TokenHasher, normalize_rows
 
 
 class TupleEmbedder:
@@ -37,45 +37,85 @@ class TupleEmbedder:
 
     # -------------------------------------------------------------- #
     def row_tokens(self, table: Table, position: int) -> list[str]:
-        """Tokens of one row: table, column names, and column=value pairs."""
+        """Tokens of one row: table, column names, and column=value pairs (a
+        NULL numeric keeps its value token and gets no bucket). The row embeds
+        as the normalized sum of their directions, added in this order."""
         tokens = [f"table:{table.name}"]
         for column in table.schema.columns:
-            value = table.column(column.name)[position]
+            cell = table.column(column.name)[position : position + 1]
             tokens.append(f"col:{table.name}.{column.name}")
-            if column.ctype is ColumnType.STR:
-                tokens.append(f"val:{table.name}.{column.name}={value}")
-            else:
-                tokens.append(f"val:{table.name}.{column.name}={value}")
-                bucket = self._bucket(table.name, column.name, float(value))
+            tokens.append(f"val:{table.name}.{column.name}={cell[0]}")
+            if column.ctype is not ColumnType.STR and not column.null_mask(cell)[0]:
+                bucket = self._bucket(table.name, column.name, float(cell[0]))
                 if bucket is not None:
                     tokens.append(f"bucket:{table.name}.{column.name}@{bucket}")
         return tokens
 
     def embed_row(self, table: Table, position: int) -> np.ndarray:
-        return self.hasher.embed(self.row_tokens(table, position))
+        return self.embed_table(table, [position])[0]
 
     def embed_table(self, table: Table, positions: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Embedding matrix for ``positions`` (default: all rows)."""
+        """Embedding matrix for ``positions`` (default: all rows): a token's
+        direction is looked up once per distinct value at ``positions`` and
+        gathered to the rows, column by column, so every row's sum gets the
+        additions of :meth:`row_tokens` in its order."""
         if positions is None:
-            positions = range(len(table))
-        return self.hasher.embed_many(self.row_tokens(table, p) for p in positions)
+            positions = np.arange(len(table))
+        positions = np.asarray(positions, dtype=np.int64)
+        directions = self.hasher.token_vectors
+        total = np.zeros((len(positions), self.dim))
+        total += self.hasher.token_vector(f"table:{table.name}")
+        for column in table.schema.columns:
+            name = f"{table.name}.{column.name}"
+            total += self.hasher.token_vector(f"col:{name}")
+            if column.ctype is ColumnType.STR:
+                keys = table.raw_column(column.name)[positions]
+            else:  # by bit pattern, as a number's text is: -0.0 is not 0.0
+                keys = table.column(column.name)[positions].view(np.int64)
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            if column.ctype is ColumnType.STR:
+                values = table.dictionary(column.name)[distinct]
+            else:
+                values = distinct.view(column.ctype.dtype)
+            total += directions([f"val:{name}={v}" for v in values])[inverse]
+            if column.ctype is ColumnType.STR:
+                continue
+            rows = np.flatnonzero(~column.null_mask(values)[inverse])
+            known = values[inverse[rows]].astype(np.float64)
+            buckets = self._bucket(table.name, column.name, known)
+            if buckets is not None:
+                ids, slots = np.unique(buckets, return_inverse=True)
+                total[rows] += directions([f"bucket:{name}@{b}" for b in ids])[slots]
+        return normalize_rows(total)
+
+    def embed_groups(self, vectors: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+        """Embeddings of *join groups*, the normalized mean of each one's rows:
+        group ``g`` owns the next ``sizes[g]`` rows of ``vectors`` and sums them
+        in that order, as ``np.mean`` does; a group of none embeds as zero."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        total = np.zeros((len(sizes), self.dim))
+        for nth in range(int(sizes.max(initial=0))):
+            groups = np.flatnonzero(sizes > nth)
+            total[groups] += vectors[starts[groups] + nth]
+        total /= np.maximum(sizes, 1)[:, None]
+        return normalize_rows(total)
 
     def embed_group(self, rows: Sequence[tuple[Table, int]]) -> np.ndarray:
-        """Embedding of a *join group*: the normalized mean of its rows.
+        """Embedding of one join group (:meth:`embed_groups` of one).
 
         Actions in ASQP-RL bundle one row per joined table; the group
         embedding is what the action-space vector representation
         (Alg. 1 line 4) stores per action.
         """
-        if not rows:
-            return np.zeros(self.dim)
-        vectors = [self.embed_row(table, position) for table, position in rows]
-        mean = np.mean(vectors, axis=0)
-        norm = np.linalg.norm(mean)
-        return mean / norm if norm > 0 else mean
+        vectors = np.zeros((len(rows), self.dim))
+        for i, (table, position) in enumerate(rows):
+            vectors[i] = self.embed_row(table, position)
+        return self.embed_groups(vectors, [len(rows)])[0]
 
     # -------------------------------------------------------------- #
-    def _bucket(self, table_name: str, column: str, value: float) -> Optional[int]:
+    def _bucket(self, table_name: str, column: str, value: float | np.ndarray):
+        """Bucket id of a non-NULL float or of each one in an array."""
         table_stats = self.stats.get(table_name)
         if table_stats is None:
             return None
@@ -83,4 +123,4 @@ class TupleEmbedder:
         if numeric is None or numeric.value_range <= 0:
             return None
         fraction = (value - numeric.minimum) / numeric.value_range
-        return int(np.clip(fraction * N_VALUE_BUCKETS, 0, N_VALUE_BUCKETS - 1))
+        return np.clip(fraction * N_VALUE_BUCKETS, 0, N_VALUE_BUCKETS - 1).astype(np.int64)
