@@ -1,9 +1,8 @@
 #!/bin/sh
 # CI smoke run: lint + vectorized-kernel micro-benchmark.
 #
-# 1. repro lint src — the full AST rule pack (subsumes the old
-#    check_no_print grep; scripts/check_no_print.sh remains as a thin
-#    wrapper over the no-bare-print rule).
+# 1. repro lint src — the full AST rule pack (its no-bare-print rule is
+#    the old check_no_print grep).
 # 2. benchmarks/bench_kernels.py (fast profile) — fails if any kernel's
 #    vectorized throughput regressed by more than 25% against the
 #    committed BENCH_kernels.json baseline (override the tolerance with

@@ -7,6 +7,7 @@ test output so EXPERIMENTS.md numbers can be traced to a run.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -122,6 +123,21 @@ def save_results(
     with open(path, "w") as handle:
         json.dump(record, handle, indent=2, default=str)
     return path
+
+
+def load_results(pattern: str) -> list[tuple[str, dict]]:
+    """``(path, record)`` of every JSON-object file matching ``pattern``.
+
+    Reads back what :func:`save_results` (and ``bench_kernels.py``)
+    wrote, for the report's bench-trajectory section.
+    """
+    found = []
+    for path in sorted(glob.glob(pattern)):
+        with open(path) as handle:
+            record = json.load(handle)
+        if isinstance(record, dict):
+            found.append((path, record))
+    return found
 
 
 def bench_scale(default: float = 0.5) -> float:

@@ -28,7 +28,10 @@ Dependency-free instrumentation substrate for the whole system
 * :mod:`repro.obs.health`    — rolling-window WARN/CRIT rules over the
   diagnostic streams;
 * :mod:`repro.obs.log`       — the sanctioned console/structured-log
-  channels for library code.
+  channels for library code;
+* :mod:`repro.obs.rundir`    — the run-directory format: artifact names,
+  the one atomic writer, and ``load(directory) -> Run``, the one reader
+  every ``repro`` view (report / stats / audit / watch / …) renders from.
 
 Everything is off by default and *zero-overhead when disabled*: each
 instrumentation site checks one module-level flag before allocating
@@ -63,24 +66,13 @@ from . import (
     metrics,
     profiler,
     quality,
+    rundir,
     sampling,
     slo,
     telemetry,
     trace,
 )
 from .runtime import STATE, disable, enable, is_enabled, observed
-
-#: File names written into a run directory by :func:`finish_run`.
-TELEMETRY_FILE = "telemetry.jsonl"
-TRACE_FILE = "trace.json"
-CHROME_TRACE_FILE = "trace_chrome.json"
-METRICS_FILE = "metrics.json"
-PROFILE_COLLAPSED_FILE = profiler.COLLAPSED_FILE
-FLAMEGRAPH_FILE = profiler.FLAMEGRAPH_FILE
-MEMORY_FILE = memory.MEMORY_FILE
-SLO_FILE = slo.SLO_FILE
-TRACES_FILE = sampling.TRACES_FILE
-QUALITY_FILE = quality.QUALITY_FILE
 
 __all__ = [
     "STATE",
@@ -95,6 +87,7 @@ __all__ = [
     "metrics",
     "profiler",
     "quality",
+    "rundir",
     "sampling",
     "slo",
     "telemetry",
@@ -103,36 +96,21 @@ __all__ = [
     "run",
     "start_run",
     "finish_run",
-    "TELEMETRY_FILE",
-    "TRACE_FILE",
-    "CHROME_TRACE_FILE",
-    "METRICS_FILE",
-    "PROFILE_COLLAPSED_FILE",
-    "FLAMEGRAPH_FILE",
-    "MEMORY_FILE",
-    "SLO_FILE",
-    "TRACES_FILE",
-    "QUALITY_FILE",
 ]
 
 #: Re-export of the most-used entry point.
 span = trace.span
 
 
-def start_run(
-    directory: str,
-    max_telemetry_bytes: Optional[int] = telemetry.DEFAULT_MAX_BYTES,
-    telemetry_rotations: int = telemetry.DEFAULT_MAX_FILES,
-    audit_rate: Optional[float] = None,
-) -> str:
+def start_run(directory: str, audit_rate: Optional[float] = None) -> str:
     """Enable observability with a JSONL telemetry sink under ``directory``.
 
     Clears any state left from a previous run so the directory captures
     exactly one run. The telemetry sink rotates at
-    ``max_telemetry_bytes`` per file keeping ``telemetry_rotations``
-    rotated files (None disables rotation), so unattended long runs
-    stay bounded on disk. ``audit_rate`` sets the shadow-audit sample
-    rate (default: ``REPRO_AUDIT_RATE`` or
+    :data:`telemetry.DEFAULT_MAX_BYTES` per file keeping
+    :data:`telemetry.DEFAULT_MAX_FILES` rotated files, so unattended
+    long runs stay bounded on disk. ``audit_rate`` sets the shadow-audit
+    sample rate (default: ``REPRO_AUDIT_RATE`` or
     :data:`repro.obs.quality.DEFAULT_AUDIT_RATE`; values outside
     [0, 1] are rejected with a ValueError, as is a malformed
     ``REPRO_TRACE_HEAD_RATE``). Returns the directory path.
@@ -158,80 +136,71 @@ def start_run(
     # raises too: quality.validate_rate).
     quality.configure(sample_rate=audit_rate)
     telemetry.configure(
-        os.path.join(directory, TELEMETRY_FILE),
-        max_bytes=max_telemetry_bytes,
-        max_files=telemetry_rotations,
+        rundir.telemetry_sink(directory),
+        max_bytes=telemetry.DEFAULT_MAX_BYTES,
     )
     enable()
     return directory
 
 
-def _flush_continuous(directory: str) -> None:
-    """Periodic artifact flush for live watching (``repro top``).
+def _flush_continuous(directory: str) -> dict[str, str]:
+    """Write the artifact of every active component; key → path.
 
-    Wired as the profiler's ``on_flush`` callback: alongside the
-    collapsed stacks / flamegraph the profiler itself rewrites, this
-    refreshes the metrics snapshot, the SLO status, and the memory
-    summary, and lets SLO escalations alert mid-run.
+    Wired as the profiler's ``on_flush`` callback so ``repro watch`` can
+    follow a live run: refreshes the collapsed stacks / flamegraph, the
+    SLO, quality and memory summaries and the metrics snapshot, and lets
+    SLO escalations alert mid-run. :func:`finish_run` makes the same
+    pass one last time.
     """
-    metrics.write_json(os.path.join(directory, METRICS_FILE))
+    documents: dict[str, object] = {}
+    running = profiler.active()
+    if running is not None:
+        documents["profile"] = running.collapsed()
+        documents["flamegraph"] = running.flamegraph_html()
     if slo.is_active():
-        slo.publish()
-        slo.write_json(os.path.join(directory, SLO_FILE))
+        slo.publish()  # escalations land in telemetry/health
+        documents["slo"] = slo.active().summary()
     if quality.is_active():
-        quality.write_json(os.path.join(directory, QUALITY_FILE))
+        documents["quality"] = quality.active().summary()
     if memory.is_active():
-        memory.write_json(os.path.join(directory, MEMORY_FILE))
+        documents["memory"] = memory.active().summary()
+    documents["metrics"] = metrics.snapshot()
+    return {
+        artifact: rundir.write(directory, artifact, document)
+        for artifact, document in documents.items()
+    }
 
 
 def finish_run(directory: str) -> dict[str, str]:
     """Flush every artifact into ``directory`` and disable.
 
-    Returns a name → path map of everything written (the telemetry JSONL
-    has been streaming there since :func:`start_run`). Teardown —
-    disabling instrumentation, detaching the telemetry sink and the SLO
-    hook, stopping the profiler and memory tracker — is guaranteed even
-    if an artifact write fails, so :func:`run` never leaks an enabled
-    observability state out of a crashed block.
+    Returns an artifact key → path map of everything written (the
+    telemetry JSONL has been streaming there since :func:`start_run`).
+    Teardown — disabling instrumentation, detaching the telemetry sink
+    and the SLO hook, stopping the profiler and memory tracker — is
+    guaranteed even if an artifact write fails, so :func:`run` never
+    leaks an enabled observability state out of a crashed block.
     """
-    paths = {
-        "telemetry": os.path.join(directory, TELEMETRY_FILE),
-        "trace": os.path.join(directory, TRACE_FILE),
-        "chrome_trace": os.path.join(directory, CHROME_TRACE_FILE),
-        "metrics": os.path.join(directory, METRICS_FILE),
-    }
+    paths = {"telemetry": rundir.telemetry_sink(directory)}
     try:
-        finished = profiler.stop()
-        if finished is not None:
-            paths["profile_collapsed"] = os.path.join(
-                directory, PROFILE_COLLAPSED_FILE
-            )
-            paths["flamegraph"] = os.path.join(directory, FLAMEGRAPH_FILE)
-            finished.write_collapsed(paths["profile_collapsed"])
-            finished.write_flamegraph(paths["flamegraph"])
-            for name, samples in finished.span_samples().items():
+        running = profiler.active()
+        if running is not None:
+            running.stop()  # no more samples; the artifacts are final
+            for name, samples in running.span_samples().items():
                 metrics.registry().set_gauge(
                     f"profile.span_samples.{name}", float(samples)
                 )
-        if slo.is_active():
-            slo.publish()  # final escalations land in telemetry/health
-            paths["slo"] = os.path.join(directory, SLO_FILE)
-            slo.write_json(paths["slo"])
-        if memory.is_active():
-            # Write while tracemalloc is still tracing: the allocator
-            # tables and traced-bytes figures vanish once it stops.
-            paths["memory"] = os.path.join(directory, MEMORY_FILE)
-            memory.write_json(paths["memory"])
-            memory.stop()
+        # Memory is written while tracemalloc is still tracing: the
+        # allocator tables and traced-bytes figures vanish once it stops.
+        paths.update(_flush_continuous(directory))
+        documents = {
+            "trace": trace.tree(),
+            "chrome_trace": trace.chrome_trace(),
+        }
         if sampling.is_active():
-            paths["traces"] = os.path.join(directory, TRACES_FILE)
-            sampling.write_json(paths["traces"])
-        if quality.is_active():
-            paths["quality"] = os.path.join(directory, QUALITY_FILE)
-            quality.write_json(paths["quality"])
-        trace.write_trace(paths["trace"])
-        trace.write_chrome_trace(paths["chrome_trace"])
-        metrics.write_json(paths["metrics"])
+            documents["traces"] = sampling.active().export()
+        for artifact, document in documents.items():
+            paths[artifact] = rundir.write(directory, artifact, document)
     finally:
         profiler.stop()
         memory.stop()
@@ -250,8 +219,6 @@ def run(
     profile_hz: float = 100.0,
     memory_tracking: bool = False,
     slo_objectives: Optional[Iterable[str]] = None,
-    max_telemetry_bytes: Optional[int] = telemetry.DEFAULT_MAX_BYTES,
-    telemetry_rotations: int = telemetry.DEFAULT_MAX_FILES,
     audit_rate: Optional[float] = None,
 ) -> Iterator[str]:
     """One observability run as a context manager.
@@ -260,25 +227,18 @@ def run(
     profiler/memory/SLO artifacts are flushed and instrumentation is
     torn down even when the wrapped block raises. ``profile`` starts the
     continuous sampling profiler (collapsed stacks + flamegraph,
-    refreshed live for ``repro top``), ``memory_tracking`` starts the
+    refreshed live for ``repro watch``), ``memory_tracking`` starts the
     tracemalloc tracker, and ``slo_objectives`` installs declarative
     objectives (e.g. ``obs.slo.DEFAULT_OBJECTIVES``).
     """
-    start_run(
-        directory,
-        max_telemetry_bytes=max_telemetry_bytes,
-        telemetry_rotations=telemetry_rotations,
-        audit_rate=audit_rate,
-    )
+    start_run(directory, audit_rate=audit_rate)
     if slo_objectives:
         slo.configure(slo_objectives)
     if memory_tracking:
         memory.start()
     if profile:
         profiler.start(
-            hz=profile_hz,
-            output_dir=directory,
-            on_flush=lambda: _flush_continuous(directory),
+            hz=profile_hz, on_flush=lambda: _flush_continuous(directory)
         )
     try:
         yield directory

@@ -1,34 +1,33 @@
 """Trace analysis: span-tree reconstruction, critical paths, run diffs.
 
-Reads the artifacts a run directory holds — ``traces.json`` (the tail
-sampler's store of complete traces) and
-``trace.json`` (every retained root span) — and answers the questions
-an operator asks after an SLO alert hands them a trace id:
+Works on a loaded :class:`~repro.obs.rundir.Run` — ``run.traces`` (the
+tail sampler's store of complete traces) and ``run.trace`` (every
+retained root span) — and answers the questions an operator asks after
+an SLO alert hands them a trace id:
 
-* :func:`load_traces` / :func:`find_trace` — reconstruct the span tree
-  for a trace id or the slowest N;
+* :func:`retained_traces` / :func:`find_trace` — reconstruct the span
+  tree for a trace id or the slowest N;
 * :func:`critical_path` — walk the longest-duration child chain from
   the root, attributing *self time* at each hop as the node's duration
   minus the union of its children's intervals. Using the interval
   union (not the sum) collapses overlapping children to their max:
   four children covering the same 10 ms charge the parent 10 ms once,
   so self time is the part of a span no child accounts for;
-* :func:`aggregate_spans` — per-span-name count/total/self rollup;
-* :func:`diff_runs` — per-span-name p50/p95 deltas between two run
-  dirs with a regression verdict (``repro diff RUN_A RUN_B``).
-
-Everything here only *reads* files — like ``repro top``/``watch`` it
-can analyze a run owned by another process.
+* :func:`aggregate_spans` — per-span-name count/total/self rollup (the
+  report's "Hottest spans" uses it too);
+* :func:`diff_runs` — per-span-name p50/p95 deltas between two runs
+  with a regression verdict (``repro diff RUN_A RUN_B``);
+* :func:`render_analysis` / :func:`render_diff` — what ``repro analyze``
+  and ``repro diff`` print.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Optional
 
-from . import TRACE_FILE
-from .sampling import TRACES_FILE
+from . import metrics as _metrics
+from . import trace as trace_mod
+from .rundir import Run
 
 #: A span-name p95 must worsen by both this factor and this floor
 #: (seconds) before `diff_runs` calls it a regression — tiny absolute
@@ -37,30 +36,20 @@ REGRESSION_FACTOR = 1.25
 REGRESSION_FLOOR_S = 0.5e-3
 
 
-def _load_json(path: str) -> Optional[Any]:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
 # ------------------------------------------------------------------ #
 # trace loading
 # ------------------------------------------------------------------ #
-def load_traces(run_dir: str) -> list[dict[str, Any]]:
+def retained_traces(run: Run) -> list[dict[str, Any]]:
     """Retained traces of a run, oldest first.
 
     Prefers ``traces.json`` (the tail-sampled store). Falls back to
     grouping ``trace.json`` roots by their trace id for runs recorded
     before the sampler existed.
     """
-    document = _load_json(os.path.join(run_dir, TRACES_FILE))
-    if isinstance(document, dict) and isinstance(document.get("traces"), list):
-        return document["traces"]
-    nodes = _load_json(os.path.join(run_dir, TRACE_FILE))
+    if run.traces and isinstance(run.traces.get("traces"), list):
+        return run.traces["traces"]
     entries = []
-    for node in nodes or []:
+    for node in run.trace or []:
         trace_id = node.get("trace_id")
         if trace_id:
             entries.append(
@@ -74,12 +63,26 @@ def load_traces(run_dir: str) -> list[dict[str, Any]]:
     return entries
 
 
-def sampler_summary(run_dir: str) -> Optional[dict[str, Any]]:
-    """The tail sampler's accounting from ``traces.json``, if present."""
-    document = _load_json(os.path.join(run_dir, TRACES_FILE))
-    if not isinstance(document, dict) or "counts" not in document:
+def format_sampler_counts(run: Run) -> Optional[str]:
+    """The tail sampler's accounting as one line (None: not recorded)."""
+    counts = (run.traces or {}).get("counts") or {}
+    if not counts:
         return None
-    return {key: document[key] for key in document if key != "traces"}
+    kept = {
+        name[len("kept_"):]: count
+        for name, count in counts.items()
+        if name.startswith("kept_") and count
+    }
+    reasons = ", ".join(
+        f"{reason} ×{count}"
+        for reason, count in sorted(kept.items(), key=lambda kv: -kv[1])
+    )
+    return (
+        f"tail sampler: {counts.get('offered', 0)} offered, "
+        f"{sum(kept.values())} kept{f' ({reasons})' if reasons else ''}, "
+        f"{counts.get('dropped_head', 0)} head-dropped, "
+        f"{counts.get('evicted', 0)} evicted"
+    )
 
 
 def find_trace(
@@ -168,12 +171,16 @@ def _walk(node: dict[str, Any]):
 
 
 def aggregate_spans(
-    entries: list[dict[str, Any]]
-) -> dict[str, dict[str, float]]:
-    """Per-span-name rollup across traces: count, total and self time."""
-    rollup: dict[str, dict[str, float]] = {}
-    for entry in entries:
-        root = entry.get("root") or {}
+    roots: list[dict[str, Any]]
+) -> dict[str, dict[str, Any]]:
+    """Per-span-name rollup over span trees.
+
+    ``count``, ``total_s``, ``self_s`` and every duration (``seconds``,
+    in walk order) — the one pass the report, ``analyze`` and ``diff``
+    all read.
+    """
+    rollup: dict[str, dict[str, Any]] = {}
+    for root in roots:
         for node in _walk(root):
             children = list(node.get("children", []))
             lo, hi = _interval(node)
@@ -183,31 +190,16 @@ def aggregate_spans(
             seconds = float(node.get("seconds", 0.0))
             row = rollup.setdefault(
                 node.get("name", "?"),
-                {"count": 0, "total_s": 0.0, "self_s": 0.0},
+                {"count": 0, "total_s": 0.0, "self_s": 0.0, "seconds": []},
             )
             row["count"] += 1
+            row["seconds"].append(seconds)
             row["total_s"] += seconds
             row["self_s"] += max(0.0, seconds - covered)
     return rollup
 
 
-def _percentile(ordered: list[float], q: float) -> float:
-    index = min(len(ordered) - 1, max(0, round(q * len(ordered)) - 1))
-    return ordered[index]
-
-
-def span_durations(run_dir: str) -> dict[str, list[float]]:
-    """All span durations by name from a run's ``trace.json``."""
-    durations: dict[str, list[float]] = {}
-    for root in _load_json(os.path.join(run_dir, TRACE_FILE)) or []:
-        for node in _walk(root):
-            durations.setdefault(node.get("name", "?"), []).append(
-                float(node.get("seconds", 0.0))
-            )
-    return durations
-
-
-def diff_runs(run_a: str, run_b: str) -> dict[str, Any]:
+def diff_runs(run_a: Run, run_b: Run) -> dict[str, Any]:
     """Per-span-name p50/p95 deltas between two runs, with a verdict.
 
     A span name REGRESSED when B's p95 exceeds A's by both
@@ -215,19 +207,22 @@ def diff_runs(run_a: str, run_b: str) -> dict[str, Any]:
     the mirrored condition; otherwise it is ok. Names present in only
     one run are reported but never change the verdict.
     """
-    a, b = span_durations(run_a), span_durations(run_b)
+    a, b = (aggregate_spans(run.trace or []) for run in (run_a, run_b))
     rows: list[dict[str, Any]] = []
     regressions = 0
     for name in sorted(set(a) | set(b)):
-        in_a, in_b = sorted(a.get(name, [])), sorted(b.get(name, []))
+        in_a, in_b = (
+            sorted(rollup[name]["seconds"]) if name in rollup else []
+            for rollup in (a, b)
+        )
         row: dict[str, Any] = {
             "name": name,
             "count_a": len(in_a),
             "count_b": len(in_b),
         }
         if in_a and in_b:
-            p50_a, p95_a = _percentile(in_a, 0.50), _percentile(in_a, 0.95)
-            p50_b, p95_b = _percentile(in_b, 0.50), _percentile(in_b, 0.95)
+            p50_a, p95_a = (_metrics.percentile(in_a, q) for q in (0.5, 0.95))
+            p50_b, p95_b = (_metrics.percentile(in_b, q) for q in (0.5, 0.95))
             row.update(
                 p50_a=p50_a, p50_b=p50_b, p95_a=p95_a, p95_b=p95_b,
                 p50_delta_s=p50_b - p50_a, p95_delta_s=p95_b - p95_a,
@@ -249,8 +244,8 @@ def diff_runs(run_a: str, run_b: str) -> dict[str, Any]:
             row["verdict"] = "only_a" if in_a else "only_b"
         rows.append(row)
     return {
-        "run_a": run_a,
-        "run_b": run_b,
+        "run_a": run_a.directory,
+        "run_b": run_b.directory,
         "spans": rows,
         "regressions": regressions,
         "verdict": (
@@ -278,8 +273,6 @@ def format_critical_path(path: list[dict[str, Any]]) -> list[str]:
 
 def format_trace_entry(entry: dict[str, Any]) -> str:
     """Operator-facing rendering of one retained trace."""
-    from . import trace as trace_mod
-
     lines = [
         f"trace {entry.get('trace_id')}"
         f"  {float(entry.get('duration_s', 0.0)) * 1e3:.3f} ms"
@@ -288,4 +281,70 @@ def format_trace_entry(entry: dict[str, Any]) -> str:
     root = entry.get("root") or {}
     lines.append(trace_mod.format_tree([root]))
     lines.extend(format_critical_path(critical_path(root)))
+    return "\n".join(lines)
+
+
+def render_analysis(
+    run: Run, trace_id: Optional[str] = None, n_slowest: int = 5
+) -> tuple[int, str]:
+    """``repro analyze``: ``(exit code, text)`` for one run.
+
+    One trace by id (or unique prefix), else the ``n_slowest`` retained
+    traces with their critical paths and a per-span self-time rollup.
+    """
+    entries = retained_traces(run)
+    if not entries:
+        return 1, (
+            f"no retained traces under {run.directory}/ — traces need ids; "
+            "record the run with observability enabled"
+        )
+    if trace_id:
+        entry = find_trace(entries, trace_id)
+        if entry is None:
+            return 1, (
+                f"trace {trace_id!r} not found in {run.directory}/ "
+                f"({len(entries)} retained traces; try --slowest)"
+            )
+        return 0, format_trace_entry(entry)
+
+    lines = []
+    sampler = format_sampler_counts(run)
+    if sampler:
+        lines += [sampler, ""]
+    shown = slowest(entries, n_slowest)
+    lines += [f"slowest {len(shown)} of {len(entries)} retained traces:", ""]
+    for entry in shown:
+        lines += [format_trace_entry(entry), ""]
+    rollup = aggregate_spans([entry.get("root") or {} for entry in shown])
+    ranked = sorted(rollup.items(), key=lambda kv: -kv[1]["self_s"])[:10]
+    if ranked:
+        lines.append("per-span self time across shown traces:")
+        for name, row in ranked:
+            lines.append(
+                f"  {name:<44} ×{row['count']:<4.0f}"
+                f" total {row['total_s'] * 1e3:9.3f} ms"
+                f"  self {row['self_s'] * 1e3:9.3f} ms"
+            )
+    return 0, "\n".join(lines)
+
+
+def render_diff(run_a: Run, run_b: Run) -> str:
+    """``repro diff``: the per-span latency table of :func:`diff_runs`."""
+    diff = diff_runs(run_a, run_b)
+    lines = [
+        f"span latency diff: {diff['run_a']} -> {diff['run_b']}",
+        f"  {'span':<44} {'n(a)':>5} {'n(b)':>5} "
+        f"{'p50 a→b ms':>21} {'p95 a→b ms':>21}  verdict",
+    ]
+    for row in diff["spans"]:
+        if "p95_a" in row:
+            p50 = f"{row['p50_a'] * 1e3:9.3f}→{row['p50_b'] * 1e3:9.3f}"
+            p95 = f"{row['p95_a'] * 1e3:9.3f}→{row['p95_b'] * 1e3:9.3f}"
+        else:
+            p50 = p95 = "-"
+        lines.append(
+            f"  {row['name']:<44} {row['count_a']:>5} {row['count_b']:>5} "
+            f"{p50:>21} {p95:>21}  {row['verdict']}"
+        )
+    lines.append(f"verdict: {diff['verdict']}")
     return "\n".join(lines)

@@ -1,7 +1,7 @@
 """Console output and structured logging for library code.
 
-Library modules must not call bare ``print`` (enforced by
-``scripts/check_no_print.sh``); the two sanctioned channels are:
+Library modules must not call bare ``print`` (enforced by ``repro
+lint``'s ``no-bare-print`` rule); the two sanctioned channels are:
 
 * :func:`console` — human-facing console output (benchmark tables, CLI
   helpers). A thin ``sys.stdout`` wrapper, so ``capsys``/redirection

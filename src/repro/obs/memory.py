@@ -12,7 +12,7 @@ memory go" over a long run. A started tracker
   leak-checked: monotone growth across the trailing epochs of one phase
   is the smoking gun a single snapshot cannot show;
 * reports top allocators by ``file:line`` and growth-vs-baseline diffs
-  for ``repro report`` / ``repro top``.
+  for ``repro report`` / ``repro watch``.
 
 Everything is inert until :func:`start` is called (``repro profile``,
 ``obs.run(memory=True)``): :func:`mark_epoch` on the disabled path is a
@@ -23,16 +23,12 @@ tracing, which is why this is opt-in per run rather than always-on.
 
 from __future__ import annotations
 
-import json
 import os
 import tracemalloc
 from collections import deque
 from typing import Any, Optional
 
 from . import metrics as _metrics
-
-#: Artifact name inside a run directory.
-MEMORY_FILE = "memory.json"
 
 #: Epoch history retained per phase name (ring; week-long runs stay flat).
 EPOCH_HISTORY = 128
@@ -169,10 +165,6 @@ class MemoryTracker:
             },
         }
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.summary(), handle, indent=2, default=str)
-
 
 # ------------------------------------------------------------------ #
 # module-level singleton (one tracker per process)
@@ -213,8 +205,3 @@ def mark_epoch(name: str) -> int:
     if not _ACTIVE:
         return 0
     return _ACTIVE[0].mark_epoch(name)
-
-
-def write_json(path: str) -> None:
-    if _ACTIVE:
-        _ACTIVE[0].write_json(path)

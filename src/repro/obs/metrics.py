@@ -5,8 +5,7 @@ The registry is deliberately simple — names are flat dotted strings
 floats, and histograms use a fixed exponential bucket ladder so
 ``observe`` is one bisect plus two adds. :meth:`MetricsRegistry.snapshot`
 returns a JSON-ready dict (histograms include approximate p50/p95/p99
-interpolated within buckets); :func:`write_jsonl` exports one metric per
-line for downstream tooling.
+interpolated within buckets) — the ``metrics.json`` document of a run.
 
 All module-level helpers (:func:`add`, :func:`set_gauge`,
 :func:`observe`) check ``STATE.enabled`` first, so instrumented call
@@ -16,10 +15,9 @@ is off.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from . import context as _context
 from .clock import perf_counter
@@ -268,29 +266,18 @@ def snapshot() -> dict[str, Any]:
     return _REGISTRY.snapshot()
 
 
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 1]) of a sorted sample.
+
+    The one definition for raw samples — SLO windows, the tail
+    sampler's slow cut, ``repro diff`` and ``repro watch`` all use it
+    (a :class:`Histogram` interpolates inside buckets instead).
+    """
+    if not ordered:
+        return float("nan")
+    index = min(len(ordered) - 1, max(0, round(q * len(ordered)) - 1))
+    return ordered[index]
+
+
 def reset() -> None:
     _REGISTRY.reset()
-
-
-def write_json(path: str) -> None:
-    """Write the full snapshot as one JSON document."""
-    with open(path, "w") as handle:
-        json.dump(snapshot(), handle, indent=2, default=str)
-
-
-def write_jsonl(path: str) -> None:
-    """Write one ``{"kind", "name", ...}`` JSON line per metric."""
-    snap = snapshot()
-    with open(path, "w") as handle:
-        for name, value in sorted(snap["counters"].items()):
-            handle.write(
-                json.dumps({"kind": "counter", "name": name, "value": value}) + "\n"
-            )
-        for name, value in sorted(snap["gauges"].items()):
-            handle.write(
-                json.dumps({"kind": "gauge", "name": name, "value": value}) + "\n"
-            )
-        for name, stats in sorted(snap["histograms"].items()):
-            handle.write(
-                json.dumps({"kind": "histogram", "name": name, **stats}) + "\n"
-            )

@@ -13,11 +13,11 @@ Exports:
 
 * :meth:`SamplingProfiler.collapsed` — collapsed-stack text
   (``speedscope``, ``flamegraph.pl``, and ``inferno`` all read it);
-* :meth:`SamplingProfiler.write_flamegraph` — a self-contained HTML
+* :meth:`SamplingProfiler.flamegraph_html` — a self-contained HTML
   flamegraph (inline CSS/JS, click-to-zoom, no network access);
 * :meth:`SamplingProfiler.hot_functions` /
-  :meth:`SamplingProfiler.span_samples` — the tables ``repro top`` and
-  ``repro report`` render.
+  :meth:`SamplingProfiler.span_samples` — the tables ``repro watch``
+  and ``repro report`` render.
 
 The profiler is independent of the ``STATE.enabled`` observability
 flag: it costs nothing unless explicitly started (``repro profile``,
@@ -68,14 +68,12 @@ class SamplingProfiler:
         hz: float = 100.0,
         max_depth: int = 64,
         max_unique_stacks: int = 20_000,
-        output_dir: Optional[str] = None,
         flush_every_s: float = 2.0,
         on_flush: Optional[Callable[[], None]] = None,
     ) -> None:
         self.hz = float(min(max(hz, 1.0), 1000.0))
         self.max_depth = max_depth
         self.max_unique_stacks = max_unique_stacks
-        self.output_dir = output_dir
         self.flush_every_s = flush_every_s
         self.on_flush = on_flush
         self.sample_count = 0
@@ -107,12 +105,9 @@ class SamplingProfiler:
         thread.join(timeout=5.0)
         self._thread = None
         self.stopped_s = time.perf_counter()
-        if self.output_dir:
-            self._flush_artifacts()
+        if self.on_flush:
+            self.on_flush()  # the artifacts now hold every sample taken
         return self
-
-    def is_running(self) -> bool:
-        return self._thread is not None
 
     # -- sampling ---------------------------------------------------- #
     def _sample_loop(self) -> None:
@@ -121,8 +116,8 @@ class SamplingProfiler:
         next_flush = time.perf_counter() + self.flush_every_s
         while not self._stop.wait(interval):
             self._take_sample(own_ident)
-            if self.output_dir and time.perf_counter() >= next_flush:
-                self._flush_artifacts()
+            if self.on_flush and time.perf_counter() >= next_flush:
+                self.on_flush()  # the run rewrites its live artifacts
                 next_flush = time.perf_counter() + self.flush_every_s
 
     def _take_sample(self, own_ident: int) -> None:
@@ -152,14 +147,6 @@ class SamplingProfiler:
                     self.dropped_stacks += 1
                     key = (OVERFLOW_FRAME,)
                 self._counts[key] = self._counts.get(key, 0) + 1
-
-    def _flush_artifacts(self) -> None:
-        """Write the live artifacts so ``repro top`` can watch a run."""
-        assert self.output_dir is not None
-        self.write_collapsed(os.path.join(self.output_dir, COLLAPSED_FILE))
-        self.write_flamegraph(os.path.join(self.output_dir, FLAMEGRAPH_FILE))
-        if self.on_flush is not None:
-            self.on_flush()
 
     # -- views ------------------------------------------------------- #
     def stack_counts(self) -> dict[tuple[str, ...], int]:
@@ -205,14 +192,8 @@ class SamplingProfiler:
             "span_samples": self.span_samples(),
         }
 
-    # -- artifacts ---------------------------------------------------- #
-    def write_collapsed(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.collapsed())
-
-    def write_flamegraph(self, path: str, title: str = "repro profile") -> None:
-        with open(path, "w") as handle:
-            handle.write(render_flamegraph_html(self.flame_tree(), title))
+    def flamegraph_html(self, title: str = "repro profile") -> str:
+        return render_flamegraph_html(self.flame_tree(), title)
 
 
 # ------------------------------------------------------------------ #
@@ -221,8 +202,8 @@ class SamplingProfiler:
 def parse_collapsed(text: str) -> dict[tuple[str, ...], int]:
     """Parse collapsed-stack text back into a ``{stack: count}`` dict.
 
-    Inverse of :meth:`SamplingProfiler.collapsed`, so ``repro top`` and
-    ``repro report`` can aggregate a run's profile from the artifact
+    Inverse of :meth:`SamplingProfiler.collapsed`, so ``repro watch``
+    and ``repro report`` can aggregate a run's profile from the artifact
     alone (including a live run's periodically flushed file).
     """
     counts: dict[tuple[str, ...], int] = {}
@@ -383,27 +364,17 @@ def render_flamegraph_html(tree: dict[str, Any], title: str) -> str:
 # ------------------------------------------------------------------ #
 # module-level singleton (one continuous profiler per process)
 # ------------------------------------------------------------------ #
-#: Artifact names inside a run directory.
-COLLAPSED_FILE = "profile.collapsed.txt"
-FLAMEGRAPH_FILE = "flamegraph.html"
-
 #: Bounded: holds at most the one active profiler (see `stop`).
 _ACTIVE: list[SamplingProfiler] = []
 
 
 def start(
-    hz: float = 100.0,
-    output_dir: Optional[str] = None,
-    flush_every_s: float = 2.0,
-    on_flush: Optional[Callable[[], None]] = None,
+    hz: float = 100.0, on_flush: Optional[Callable[[], None]] = None
 ) -> SamplingProfiler:
     """Start (or return) the process-wide continuous profiler."""
     if _ACTIVE:
         return _ACTIVE[0]
-    profiler = SamplingProfiler(
-        hz=hz, output_dir=output_dir,
-        flush_every_s=flush_every_s, on_flush=on_flush,
-    )
+    profiler = SamplingProfiler(hz=hz, on_flush=on_flush)
     _ACTIVE.append(profiler)
     profiler.start()
     return profiler

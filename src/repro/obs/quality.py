@@ -36,7 +36,6 @@ enforces that.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -46,9 +45,6 @@ from . import context as _context
 from . import health as _health
 from . import metrics as _metrics
 from . import telemetry as _telemetry
-
-#: Artifact name inside a run directory.
-QUALITY_FILE = "quality.json"
 
 #: Fraction of approximation-set answers shadow-audited by default.
 DEFAULT_AUDIT_RATE = 0.1
@@ -370,10 +366,6 @@ class QualityMonitor:
             "audit_log": list(self.audit_log),
         }
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.summary(), handle, indent=2, default=str)
-
 
 # ------------------------------------------------------------------ #
 # module-level singleton (one monitor per observability run)
@@ -418,8 +410,3 @@ def is_active() -> bool:
 
 def clear() -> None:
     _ACTIVE.clear()
-
-
-def write_json(path: str) -> None:
-    if _ACTIVE:
-        _ACTIVE[0].write_json(path)

@@ -1,13 +1,14 @@
-"""``repro report``: fuse one recorded run into a single diagnostic artifact.
+"""The report sections: every table over a recorded run, once.
 
-Reads the files an observability run leaves behind (``telemetry.jsonl``,
-``metrics.json``, ``trace.json``) plus the benchmark trajectory
-(``bench_results/*.json`` and the committed ``BENCH_*.json`` baselines)
-and renders one self-contained markdown — or, with inline CSS, HTML —
-document: run summary, health verdict with every alert, training
-trajectory, query-plan statistics, estimator calibration, metrics
-tables, the hottest trace spans, and the bench trajectory with its
-provenance. No network access, no dependencies beyond the stdlib.
+Each ``section_*`` function takes a :class:`~repro.obs.rundir.Run` and
+returns markdown lines; the CLI verbs are views of them — ``repro
+report`` renders :data:`SECTIONS` (run summary, health verdict with
+every alert, SLOs, training trajectory, query plans, estimator
+calibration, answer quality, metrics, the hottest trace spans, the
+slowest traces, the CPU/memory profile, the bench trajectory) into one
+self-contained markdown document, ``repro stats`` prints
+:data:`STATS_SECTIONS` and ``repro audit`` the answer-quality section.
+No network access, no dependencies beyond the stdlib.
 
 Health alerts are *re-derived* by replaying the recorded telemetry
 through :mod:`repro.obs.health`, so reports work on runs recorded
@@ -16,27 +17,13 @@ before the monitor existed and always reflect the current rule pack.
 
 from __future__ import annotations
 
-import glob
-import json
 import os
-import re
-from html import escape
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import (
-    CHROME_TRACE_FILE,
-    FLAMEGRAPH_FILE,
-    MEMORY_FILE,
-    METRICS_FILE,
-    PROFILE_COLLAPSED_FILE,
-    QUALITY_FILE,
-    SLO_FILE,
-    TELEMETRY_FILE,
-    TRACE_FILE,
-)
+from . import analyze as analyze_mod
 from . import health as health_mod
 from . import profiler as profiler_mod
-from . import telemetry as telemetry_mod
+from .rundir import Run, load
 
 #: How many trailing entries the tables show.
 _LAST_UPDATES = 10
@@ -49,6 +36,8 @@ _TOP_SPANS = 12
 # ------------------------------------------------------------------ #
 def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     def cell(value: object) -> str:
+        if value is None:
+            return "-"
         if isinstance(value, float):
             return f"{value:.4g}"
         return str(value).replace("|", "\\|")  # keep pipes out of the grid
@@ -62,61 +51,55 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def _load_json(path: str) -> Optional[Any]:
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        return json.load(handle)
+def _replayed_health(run: Run) -> health_mod.HealthMonitor:
+    """The run's alerts under the *current* rule pack.
+
+    :func:`health_mod.replay` re-derives the training / calibration /
+    quality-drift rules from the raw streams. Burn-rate alerts depend on
+    the rolling sample windows of the live run and cannot be re-derived,
+    so the recorded ``health`` stream is authoritative for them and they
+    are folded back in (folding the others in too would double-count).
+    """
+    monitor = health_mod.replay(run.records)
+    recorded = [
+        health_mod.Alert(
+            severity=str(record.get("severity", health_mod.WARN)),
+            rule=str(record.get("rule", "slo")),
+            message=str(record.get("message", "")),
+            value=record.get("value"),
+            threshold=record.get("threshold"),
+        )
+        for record in run.stream("health")
+        if str(record.get("rule", "")).startswith("slo")
+    ]
+    if recorded:
+        monitor.publish(recorded)
+    return monitor
 
 
 # ------------------------------------------------------------------ #
 # sections
 # ------------------------------------------------------------------ #
-def _section_summary(
-    run_dir: str,
-    records: list[dict],
-    monitor: health_mod.HealthMonitor,
-) -> list[str]:
-    updates = [r for r in records if r.get("stream") == "train.update"]
-    queries = [r for r in records if r.get("stream") == "query"]
-    plans = [r for r in records if r.get("stream") == "plan"]
+def section_summary(run: Run) -> list[str]:
+    monitor = _replayed_health(run)
     counts = monitor.counts()
     verdict = monitor.worst_severity() or "HEALTHY"
-    lines = [
+    return [
         "## Run summary",
         "",
-        f"- run directory: `{run_dir}`",
+        f"- run directory: `{run.directory}`",
         f"- health verdict: **{verdict}** "
         f"({counts.get('CRIT', 0)} CRIT, {counts.get('WARN', 0)} WARN)",
-        f"- telemetry records: {len(records)} "
-        f"({len(updates)} training updates, {len(queries)} queries, "
-        f"{len(plans)} captured plans)",
+        f"- telemetry records: {len(run.records)} "
+        f"({len(run.stream('train.update'))} training updates, "
+        f"{len(run.stream('query'))} queries, "
+        f"{len(run.stream('plan'))} captured plans)",
+        f"- artifacts read: {', '.join(f'`{p}`' for p in run.artifacts)}",
     ]
-    present = [
-        name
-        for name in (
-            TELEMETRY_FILE,
-            METRICS_FILE,
-            TRACE_FILE,
-            CHROME_TRACE_FILE,
-            PROFILE_COLLAPSED_FILE,
-            FLAMEGRAPH_FILE,
-            MEMORY_FILE,
-            SLO_FILE,
-            QUALITY_FILE,
-        )
-        if os.path.exists(os.path.join(run_dir, name))
-    ]
-    rotated = telemetry_mod.rotated_paths(os.path.join(run_dir, TELEMETRY_FILE))
-    if len(rotated) > 1:
-        lines.append(
-            f"- telemetry sink rotated: {len(rotated)} files in the set"
-        )
-    lines.append(f"- artifacts read: {', '.join(f'`{p}`' for p in present)}")
-    return lines
 
 
-def _section_health(monitor: health_mod.HealthMonitor) -> list[str]:
+def section_health(run: Run) -> list[str]:
+    monitor = _replayed_health(run)
     lines = ["## Health alerts", ""]
     if not monitor.alerts:
         lines.append("No alerts — every rule stayed inside its thresholds.")
@@ -138,8 +121,8 @@ def _section_health(monitor: health_mod.HealthMonitor) -> list[str]:
     return lines
 
 
-def _section_training(records: list[dict]) -> list[str]:
-    updates = [r for r in records if r.get("stream") == "train.update"]
+def section_training(run: Run) -> list[str]:
+    updates = run.stream("train.update")
     lines = ["## Training trajectory", ""]
     if not updates:
         lines.append("No `train.update` records in this run.")
@@ -159,17 +142,22 @@ def _section_training(records: list[dict]) -> list[str]:
             "",
         ]
     tail = updates[-_LAST_UPDATES:]
+    lines += [f"Last {len(tail)} of {len(updates)} updates:", ""]
     lines.append(_md_table(
-        ["iter", "reward", "kl", "entropy", "clip%", "expl.var", "grad norm"],
+        ["iter", "reward", "policy", "value", "entropy", "kl", "clip%",
+         "expl.var", "grad norm", "steps/s"],
         [
             [
                 u.get("iteration"),
                 float(u.get("mean_episode_reward", 0.0)),
-                float(u.get("kl_divergence", 0.0)),
+                float(u.get("policy_loss") or 0.0),
+                float(u.get("value_loss") or 0.0),
                 float(u.get("entropy", 0.0)),
+                float(u.get("kl_divergence", 0.0)),
                 100.0 * float(u.get("clip_fraction", 0.0)),
                 float(u.get("explained_variance", 0.0)),
                 float(u.get("grad_norm", 0.0)),
+                float(u.get("steps_per_second") or 0.0),
             ]
             for u in tail
         ],
@@ -177,8 +165,8 @@ def _section_training(records: list[dict]) -> list[str]:
     return lines
 
 
-def _section_plans(records: list[dict]) -> list[str]:
-    plans = [r for r in records if r.get("stream") == "plan"]
+def section_plans(run: Run) -> list[str]:
+    plans = run.stream("plan")
     lines = ["## Query plans", ""]
     if not plans:
         lines.append(
@@ -217,8 +205,8 @@ def _section_plans(records: list[dict]) -> list[str]:
     return lines
 
 
-def _section_queries(records: list[dict]) -> list[str]:
-    queries = [r for r in records if r.get("stream") == "query"]
+def section_queries(run: Run) -> list[str]:
+    queries = run.stream("query")
     lines = ["## Queries & estimator calibration", ""]
     if not queries:
         lines.append("No routed queries in this run.")
@@ -239,6 +227,22 @@ def _section_queries(records: list[dict]) -> list[str]:
         "- no calibration pairs recorded",
         f"- drift events observed: {drifts}",
     ]
+    tail = queries[-_LAST_UPDATES:]
+    lines += ["", f"Last {len(tail)} of {len(queries)} outcomes:", ""]
+    lines.append(_md_table(
+        ["source", "conf", "realized", "rows", "ms", "drift"],
+        [
+            [
+                "approx" if q.get("used_approximation") else "full",
+                q.get("confidence"),
+                q.get("realized_frame_score"),
+                q.get("rows"),
+                1e3 * float(q.get("elapsed_seconds") or 0.0),
+                "DRIFT" if q.get("drift") else "",
+            ]
+            for q in tail
+        ],
+    ))
     return lines
 
 
@@ -246,9 +250,7 @@ def _section_queries(records: list[dict]) -> list[str]:
 _CALIBRATION_BINS = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.01))
 
 
-def _section_quality(
-    records: list[dict], quality_doc: Optional[dict]
-) -> list[str]:
+def section_quality(run: Run) -> list[str]:
     """Answer quality: shadow audits, calibration, and drift.
 
     Per-audit rows come from the recorded ``quality`` telemetry stream
@@ -257,7 +259,8 @@ def _section_quality(
     section says so explicitly — a run without ground-truth audits
     should read as "unverified", not render as silently healthy.
     """
-    quality_records = [r for r in records if r.get("stream") == "quality"]
+    quality_doc = run.quality
+    quality_records = run.stream("quality")
     audits = [r for r in quality_records if r.get("kind") == "audit"]
     drifts = [
         r for r in quality_records if r.get("kind") == "calibration_drift"
@@ -266,8 +269,9 @@ def _section_quality(
     if not quality_records and not quality_doc:
         lines.append(
             "No audit data recorded in this run — answer quality is "
-            "unverified. Enable shadow auditing with `repro audit "
-            "--smoke`, `obs.run(audit_rate=...)`, or `REPRO_AUDIT_RATE`."
+            "unverified. Enable shadow auditing with "
+            "`obs.run(audit_rate=...)` or `REPRO_AUDIT_RATE` (`repro "
+            "report --smoke` records a run audited at rate 1.0)."
         )
         return lines
     counts = (quality_doc or {}).get("counts", {})
@@ -308,7 +312,7 @@ def _section_quality(
                 f"{float(bias):+.3f} over the rolling window; "
                 f"{counts.get('drift_events', 0)} drift escalations"
             )
-    for record in drifts[-2:]:
+    for record in drifts:
         lines.append(
             f"- **calibration drift ({record.get('severity', '?')})**: "
             f"bias {float(record.get('bias', 0.0)):+.2f} over "
@@ -381,10 +385,10 @@ def _section_quality(
     return lines
 
 
-def _section_storage(snapshot: Optional[dict]) -> list[str]:
+def section_storage(run: Run) -> list[str]:
     """Zone-map pruning counters, interpreted."""
     lines = ["## Column store", ""]
-    counters = (snapshot or {}).get("counters", {})
+    counters = (run.metrics or {}).get("counters", {})
     blocks_total = counters.get("scan.blocks_total", 0)
     blocks_pruned = counters.get("scan.blocks_pruned", 0)
     if not blocks_total:
@@ -400,8 +404,9 @@ def _section_storage(snapshot: Optional[dict]) -> list[str]:
     return lines
 
 
-def _section_metrics(snapshot: Optional[dict]) -> list[str]:
+def section_metrics(run: Run) -> list[str]:
     lines = ["## Metrics", ""]
+    snapshot = run.metrics
     if not snapshot:
         lines.append("No `metrics.json` in this run.")
         return lines
@@ -431,42 +436,47 @@ def _section_metrics(snapshot: Optional[dict]) -> list[str]:
     return lines
 
 
-def _aggregate_spans(nodes: list[dict]) -> dict[str, tuple[int, float]]:
-    totals: dict[str, tuple[int, float]] = {}
-    stack = list(nodes)
-    while stack:
-        node = stack.pop()
-        count, seconds = totals.get(node.get("name", "?"), (0, 0.0))
-        totals[node.get("name", "?")] = (
-            count + 1,
-            seconds + float(node.get("seconds", 0.0)),
-        )
-        stack.extend(node.get("children", []))
-    return totals
-
-
-def _section_trace(nodes: Optional[list]) -> list[str]:
+def section_trace(run: Run) -> list[str]:
+    """Where the wall time went: per span name, then per pipeline layer."""
     lines = ["## Hottest spans", ""]
-    if not nodes:
+    if not run.trace:
         lines.append("No `trace.json` in this run.")
         return lines
-    totals = _aggregate_spans(nodes)
-    ranked = sorted(totals.items(), key=lambda kv: -kv[1][1])[:_TOP_SPANS]
+    rollup = analyze_mod.aggregate_spans(run.trace)
+    ranked = sorted(rollup.items(), key=lambda kv: -kv[1]["total_s"])
     lines.append(_md_table(
-        ["span", "count", "total ms"],
-        [[name, count, 1e3 * seconds] for name, (count, seconds) in ranked],
+        ["span", "count", "total ms", "self ms"],
+        [
+            [name, row["count"], 1e3 * row["total_s"], 1e3 * row["self_s"]]
+            for name, row in ranked[:_TOP_SPANS]
+        ],
+    ))
+    # Self time charges every moment to the innermost span covering it,
+    # so it adds up: the share per layer (the span-name prefix) splits
+    # the traced time instead of counting nested spans twice.
+    layers: dict[str, list[float]] = {}
+    for name, row in rollup.items():
+        layer = layers.setdefault(name.split(".")[0], [0, 0.0])
+        layer[0] += row["count"]
+        layer[1] += row["self_s"]
+    total = sum(self_s for _, self_s in layers.values()) or 1.0
+    lines += ["", "### Self time by layer", ""]
+    lines.append(_md_table(
+        ["layer", "spans", "self ms", "share"],
+        [
+            [layer, count, 1e3 * self_s, f"{self_s / total:.1%}"]
+            for layer, (count, self_s) in sorted(
+                layers.items(), key=lambda kv: -kv[1][1]
+            )
+        ],
     ))
     return lines
 
 
-def _section_slowest_traces(run_dir: str) -> list[str]:
+def section_slowest_traces(run: Run) -> list[str]:
     """Top retained traces with their critical paths (tail sampler)."""
-    # Imported lazily: analyze pulls artifact-name constants from this
-    # package, so an eager import would cycle.
-    from . import analyze as analyze_mod
-
     lines = ["## Slowest traces", ""]
-    entries = analyze_mod.load_traces(run_dir)
+    entries = analyze_mod.retained_traces(run)
     if not entries:
         lines.append(
             "No retained traces in this run — record one with "
@@ -489,22 +499,18 @@ def _section_slowest_traces(run_dir: str) -> list[str]:
         ["trace", "total ms", "kept", "critical span", "self ms"],
         rows,
     ))
-    summary = analyze_mod.sampler_summary(run_dir)
-    counts = (summary or {}).get("counts") or {}
-    if counts:
-        kept = sum(v for k, v in counts.items() if k.startswith("kept_"))
+    sampler = analyze_mod.format_sampler_counts(run)
+    if sampler:
         lines += [
             "",
-            f"Tail sampler: {counts.get('offered', 0)} traces offered, "
-            f"{kept} kept, {counts.get('dropped_head', 0)} head-dropped, "
-            f"{counts.get('evicted', 0)} evicted. Inspect one with "
-            "`repro analyze --trace <id>`.",
+            f"{sampler}. Inspect one with `repro analyze --trace <id>`.",
         ]
     return lines
 
 
-def _section_slo(slo_doc: Optional[dict]) -> list[str]:
+def section_slo(run: Run) -> list[str]:
     lines = ["## Service-level objectives", ""]
+    slo_doc = run.slo
     if not slo_doc or not slo_doc.get("objectives"):
         lines.append(
             "No `slo.json` in this run — record one with "
@@ -536,12 +542,9 @@ def _section_slo(slo_doc: Optional[dict]) -> list[str]:
     return lines
 
 
-def _section_profile(
-    run_dir: str,
-    counts: Optional[dict],
-    memory_doc: Optional[dict],
-) -> list[str]:
+def section_profile(run: Run) -> list[str]:
     lines = ["## CPU & memory profile", ""]
+    counts, memory_doc = run.profile, run.memory
     if not counts and not memory_doc:
         lines.append(
             "No profile in this run — record one with "
@@ -550,9 +553,10 @@ def _section_profile(
         return lines
     if counts:
         total = sum(counts.values())
+        flamegraph = run.path("flamegraph")
         lines.append(
-            f"{total} samples across {len(counts)} unique stacks — "
-            f"interactive view: `{os.path.join(run_dir, FLAMEGRAPH_FILE)}`"
+            f"{total} samples across {len(counts)} unique stacks"
+            + (f" — interactive view: `{flamegraph}`" if flamegraph else "")
         )
         lines.append("")
         hot = profiler_mod.hot_functions_of(counts, n=_TOP_SPANS)
@@ -621,24 +625,14 @@ def _section_profile(
     return lines
 
 
-def _load_profile_counts(run_dir: str) -> Optional[dict]:
-    path = os.path.join(run_dir, PROFILE_COLLAPSED_FILE)
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        return profiler_mod.parse_collapsed(handle.read())
+def section_bench(run: Run) -> list[str]:
+    """Not from the run: the recorded experiments it sits next to."""
+    from ..bench.reporting import load_results, results_dir
 
-
-def _section_bench(bench_dir: Optional[str]) -> list[str]:
-    from ..bench.reporting import results_dir
-
-    directory = bench_dir or results_dir()
+    directory = results_dir()
     lines = ["## Bench trajectory", ""]
     rows = []
-    for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
-        record = _load_json(path)
-        if not isinstance(record, dict):
-            continue
+    for path, record in load_results(os.path.join(directory, "*.json")):
         provenance = record.get("provenance", {})
         rows.append([
             record.get("experiment", os.path.basename(path)),
@@ -656,10 +650,8 @@ def _section_bench(bench_dir: Optional[str]) -> list[str]:
         lines.append(f"No recorded experiments under `{directory}/`.")
         lines.append("")
 
-    baselines = sorted(glob.glob("BENCH_*.json"))
-    for path in baselines:
-        record = _load_json(path)
-        if not isinstance(record, dict) or "kernels" not in record:
+    for path, record in load_results("BENCH_*.json"):
+        if "kernels" not in record:
             continue
         lines.append(f"### Kernel baseline `{path}`")
         lines.append("")
@@ -682,321 +674,42 @@ def _section_bench(bench_dir: Optional[str]) -> list[str]:
 # ------------------------------------------------------------------ #
 # assembly
 # ------------------------------------------------------------------ #
-def _merge_recorded_slo_alerts(
-    monitor: health_mod.HealthMonitor, records: list[dict]
-) -> None:
-    """Fold recorded SLO alerts into a replayed monitor.
+#: ``repro report``: every section, in reading order.
+SECTIONS = (
+    section_summary,
+    section_health,
+    section_slo,
+    section_training,
+    section_plans,
+    section_queries,
+    section_quality,
+    section_storage,
+    section_metrics,
+    section_trace,
+    section_slowest_traces,
+    section_profile,
+    section_bench,
+)
 
-    :func:`health_mod.replay` re-derives the *training/calibration* rules
-    from the raw streams, but burn-rate alerts depend on the rolling
-    sample windows of the live run — they cannot be re-derived, so the
-    recorded ``health`` stream is authoritative for them. Quality
-    calibration-drift alerts are *not* merged: :func:`health_mod.replay`
-    re-derives them from the recorded ``quality`` stream, so folding the
-    recorded health records in as well would double-count each one.
-    """
-    recorded = [
-        health_mod.Alert(
-            severity=str(record.get("severity", health_mod.WARN)),
-            rule=str(record.get("rule", "slo")),
-            message=str(record.get("message", "")),
-            value=record.get("value"),
-            threshold=record.get("threshold"),
-        )
-        for record in records
-        if record.get("stream") == "health"
-        and str(record.get("rule", "")).startswith("slo")
-    ]
-    if recorded:
-        monitor.publish(recorded)
+#: ``repro stats``.
+STATS_SECTIONS = (section_metrics, section_training, section_queries)
 
 
-def render_markdown(run_dir: str, bench_dir: Optional[str] = None) -> str:
+def render_sections(run: Run, sections=SECTIONS) -> str:
+    """The given sections of one run as markdown text."""
+    return "\n".join("\n".join(section(run)) + "\n" for section in sections)
+
+
+def render_markdown(run: Run) -> str:
     """The full report as one markdown document."""
-    telemetry_path = os.path.join(run_dir, TELEMETRY_FILE)
-    records = telemetry_mod.load_run(telemetry_path)
-    monitor = health_mod.replay(records)
-    _merge_recorded_slo_alerts(monitor, records)
-    snapshot = _load_json(os.path.join(run_dir, METRICS_FILE))
-    nodes = _load_json(os.path.join(run_dir, TRACE_FILE))
-    slo_doc = _load_json(os.path.join(run_dir, SLO_FILE))
-    memory_doc = _load_json(os.path.join(run_dir, MEMORY_FILE))
-    quality_doc = _load_json(os.path.join(run_dir, QUALITY_FILE))
-    profile_counts = _load_profile_counts(run_dir)
-
-    sections = [
-        ["# repro diagnostic report", ""],
-        _section_summary(run_dir, records, monitor),
-        _section_health(monitor),
-        _section_slo(slo_doc),
-        _section_training(records),
-        _section_plans(records),
-        _section_queries(records),
-        _section_quality(records, quality_doc),
-        _section_storage(snapshot),
-        _section_metrics(snapshot),
-        _section_trace(nodes),
-        _section_slowest_traces(run_dir),
-        _section_profile(run_dir, profile_counts, memory_doc),
-        _section_bench(bench_dir),
-    ]
-    return "\n".join("\n".join(section) + "\n" for section in sections)
+    return "# repro diagnostic report\n\n" + render_sections(run)
 
 
-_HTML_CSS = """
-body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
-       max-width: 64rem; margin: 2rem auto; padding: 0 1rem; color: #1a1a2e; }
-h1 { border-bottom: 2px solid #4a4e69; padding-bottom: .3rem; }
-h2 { border-bottom: 1px solid #c9cad9; padding-bottom: .2rem; margin-top: 2rem; }
-table { border-collapse: collapse; margin: .5rem 0; font-size: .9rem; }
-th, td { border: 1px solid #c9cad9; padding: .25rem .6rem; text-align: left; }
-th { background: #f2f2f7; }
-code { background: #f2f2f7; padding: .1rem .3rem; border-radius: 3px; }
-pre { background: #f6f8fa; padding: .8rem; overflow-x: auto;
-      border-radius: 6px; line-height: 1.2; }
-pre code { background: none; padding: 0; }
-"""
-
-
-def _inline_html(text: str) -> str:
-    """Escape one markdown text run, rendering `code` spans and **bold**."""
-    out: list[str] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] == "`":
-            end = text.find("`", pos + 1)
-            if end > pos:
-                out.append(f"<code>{escape(text[pos + 1:end])}</code>")
-                pos = end + 1
-                continue
-        if text.startswith("**", pos):
-            end = text.find("**", pos + 2)
-            if end > pos:
-                out.append(f"<strong>{escape(text[pos + 2:end])}</strong>")
-                pos = end + 2
-                continue
-        out.append(escape(text[pos]))
-        pos += 1
-    return "".join(out)
-
-
-def markdown_to_html(markdown: str, title: str = "repro report") -> str:
-    """A deliberately small markdown → HTML renderer.
-
-    Covers exactly what :func:`render_markdown` emits — headings, pipe
-    tables, fenced code blocks, bullet lists, paragraphs, inline code
-    and bold — so the HTML artifact needs no external converter.
-    """
-    lines = markdown.splitlines()
-    out = [
-        "<!DOCTYPE html>",
-        "<html><head><meta charset='utf-8'>",
-        f"<title>{escape(title)}</title>",
-        f"<style>{_HTML_CSS}</style>",
-        "</head><body>",
-    ]
-    i = 0
-    in_list = False
-
-    def close_list() -> None:
-        nonlocal in_list
-        if in_list:
-            out.append("</ul>")
-            in_list = False
-
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("```"):
-            close_list()
-            block: list[str] = []
-            i += 1
-            while i < len(lines) and not lines[i].startswith("```"):
-                block.append(lines[i])
-                i += 1
-            out.append("<pre><code>" + escape("\n".join(block)) + "</code></pre>")
-            i += 1
-            continue
-        if line.startswith("|"):
-            close_list()
-            table: list[str] = []
-            while i < len(lines) and lines[i].startswith("|"):
-                table.append(lines[i])
-                i += 1
-            out.append("<table>")
-            for r, row in enumerate(table):
-                if r == 1:  # separator row
-                    continue
-                cells = [
-                    c.strip().replace("\\|", "|")
-                    for c in re.split(r"(?<!\\)\|", row.strip("|"))
-                ]
-                tag = "th" if r == 0 else "td"
-                out.append(
-                    "<tr>"
-                    + "".join(f"<{tag}>{_inline_html(c)}</{tag}>" for c in cells)
-                    + "</tr>"
-                )
-            out.append("</table>")
-            continue
-        if line.startswith("#"):
-            close_list()
-            level = len(line) - len(line.lstrip("#"))
-            out.append(
-                f"<h{level}>{_inline_html(line[level:].strip())}</h{level}>"
-            )
-        elif line.startswith("- "):
-            if not in_list:
-                out.append("<ul>")
-                in_list = True
-            out.append(f"<li>{_inline_html(line[2:])}</li>")
-        elif line.strip():
-            close_list()
-            out.append(f"<p>{_inline_html(line)}</p>")
-        else:
-            close_list()
-        i += 1
-    close_list()
-    out.append("</body></html>")
-    return "\n".join(out)
-
-
-def build_report(
-    run_dir: str,
-    out_path: Optional[str] = None,
-    html: bool = False,
-    bench_dir: Optional[str] = None,
-) -> str:
-    """Render the report and write it; returns the output path."""
-    markdown = render_markdown(run_dir, bench_dir=bench_dir)
+def build_report(run_dir: str, out_path: Optional[str] = None) -> str:
+    """Render the report of a run directory and write it; returns the path."""
+    markdown = render_markdown(load(run_dir))
     if out_path is None:
-        out_path = os.path.join(run_dir, "report.html" if html else "report.md")
-    content = markdown_to_html(markdown) if html else markdown
+        out_path = os.path.join(run_dir, "report.md")
     with open(out_path, "w") as handle:
-        handle.write(content)
+        handle.write(markdown)
     return out_path
-
-
-def render_top(run_dir: str, width: int = 78) -> str:
-    """One text frame of the live-run view ``repro top`` refreshes.
-
-    Reads only the artifacts a profiled run flushes periodically
-    (collapsed stacks, ``slo.json``, ``memory.json``, the telemetry
-    JSONL), so it can watch a run owned by another process.
-    """
-
-    def rule(title: str) -> str:
-        return f"── {title} " + "─" * max(0, width - len(title) - 4)
-
-    lines = [f"repro top — {run_dir}"]
-    records = telemetry_mod.load_run(os.path.join(run_dir, TELEMETRY_FILE))
-    health_records = [r for r in records if r.get("stream") == "health"]
-    crit = sum(1 for r in health_records if r.get("severity") == health_mod.CRIT)
-    warn = sum(1 for r in health_records if r.get("severity") == health_mod.WARN)
-    lines.append(
-        f"telemetry: {len(records)} records | health: "
-        f"{crit} CRIT, {warn} WARN"
-    )
-
-    slo_doc = _load_json(os.path.join(run_dir, SLO_FILE))
-    lines.append(rule("SLO burn"))
-    if slo_doc and slo_doc.get("objectives"):
-        for status in slo_doc["objectives"]:
-            value = status.get("value")
-            shown = "-" if value is None else f"{value:.4g}"
-            burn = (
-                f"burn {status.get('burn_rate', 0.0):5.1f}x"
-                if status.get("kind") != "gauge"
-                else "gauge      "
-            )
-            marker = status.get("severity") or (
-                "ok" if status.get("ok") else "!!"
-            )
-            lines.append(
-                f"  {status.get('spec', '?'):<38} {shown:>10}  {burn}  {marker}"
-            )
-    else:
-        lines.append("  (no slo.json yet)")
-
-    counts = _load_profile_counts(run_dir)
-    lines.append(rule("hot functions (self time)"))
-    if counts:
-        for frame, samples, fraction in profiler_mod.hot_functions_of(
-            counts, n=8
-        ):
-            lines.append(f"  {fraction:6.1%} {samples:>6}  {frame}")
-        lines.append(rule("samples by span"))
-        total = sum(counts.values())
-        spans = sorted(
-            profiler_mod.span_samples_of(counts).items(), key=lambda kv: -kv[1]
-        )
-        for name, samples in spans[:6]:
-            lines.append(f"  {samples / total:6.1%} {samples:>6}  {name}")
-    else:
-        lines.append("  (no collapsed stacks yet)")
-
-    memory_doc = _load_json(os.path.join(run_dir, MEMORY_FILE))
-    lines.append(rule("memory"))
-    if memory_doc:
-        lines.append(
-            f"  traced {memory_doc.get('current_kb', 0.0):,.0f} KiB "
-            f"(peak {memory_doc.get('peak_kb', 0.0):,.0f}) | "
-            f"RSS {memory_doc.get('rss_kb', 0.0):,.0f} KiB"
-        )
-        for check in (memory_doc.get("epochs") or {}).values():
-            if check.get("suspect"):
-                lines.append(
-                    f"  LEAK? {check['phase']}: +{check.get('growth_bytes', 0)}"
-                    " bytes over trailing epochs"
-                )
-    else:
-        lines.append("  (no memory.json yet)")
-
-    if records:
-        lines.append(rule("last events"))
-        for record in records[-5:]:
-            lines.append(
-                f"  #{record.get('seq', '?'):>5} {record.get('stream', '?')}"
-            )
-    return "\n".join(lines)
-
-
-def run_smoke(directory: str, audit_rate: Optional[float] = None) -> str:
-    """Record a tiny end-to-end run into ``directory`` and return it.
-
-    Micro pipeline — flights at scale 0.12, ASQP-Light, two iterations,
-    a few routed queries, and one EXPLAIN ANALYZE — sized for CI: it
-    exercises every telemetry stream the report renders in seconds.
-    The whole pipeline runs under :func:`repro.obs.run` with the
-    profiler, the memory tracker, and the default SLOs enabled, so the
-    report's profile/SLO sections render from real artifacts.
-    ``audit_rate`` sets the shadow-audit sample rate (``repro audit
-    --smoke`` passes 1.0 so every routed query is audited); when set,
-    the quality SLOs join the default objectives.
-    """
-    from .. import obs
-    from ..core import ASQPConfig, ASQPSession, ASQPTrainer
-    from ..datasets import load_flights
-    from ..db import explain
-
-    objectives = list(obs.slo.DEFAULT_OBJECTIVES)
-    if audit_rate:
-        objectives += list(obs.quality.QUALITY_OBJECTIVES)
-    with obs.run(
-        directory,
-        profile=True,
-        memory_tracking=True,
-        slo_objectives=objectives,
-        audit_rate=audit_rate,
-    ):
-        bundle = load_flights(scale=0.12, n_queries=6, n_aggregate_queries=2)
-        config = ASQPConfig.light(
-            memory_budget=120, frame_size=20, n_iterations=2,
-            learning_rate=1e-3,  # the CLI's demo/train lr, not light's 0.1
-            seed=0,
-        )
-        model = ASQPTrainer(bundle.db, bundle.workload, config).train()
-        session = ASQPSession(model, auto_fine_tune=False)
-        for query in list(bundle.workload)[:3]:
-            session.query(query)
-        explain(bundle.db, list(bundle.workload)[0], analyze=True)
-    return directory

@@ -30,7 +30,6 @@ span trees from.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from typing import Any, Optional
@@ -38,9 +37,6 @@ from typing import Any, Optional
 from . import metrics as _metrics
 from . import trace as _trace
 from .runtime import STATE
-
-#: Artifact name inside a run directory.
-TRACES_FILE = "traces.json"
 
 #: Default bound on retained complete traces.
 DEFAULT_MAX_TRACES = 64
@@ -108,11 +104,6 @@ class TailSampler:
         }
 
     # -- decision ----------------------------------------------------- #
-    def _rolling_p95(self) -> float:
-        ordered = sorted(self._durations)
-        index = min(len(ordered) - 1, max(0, round(0.95 * len(ordered)) - 1))
-        return ordered[index]
-
     def offer(self, root: _trace.Span) -> Optional[str]:
         """Decide for one finished root span; the keep reason or None.
 
@@ -132,7 +123,8 @@ class TailSampler:
                 reason = "low_quality"
             elif (
                 len(self._durations) >= self.min_window
-                and duration > self._rolling_p95()
+                and duration
+                > _metrics.percentile(sorted(self._durations), 0.95)
             ):
                 reason = "slow"
             elif len(self._durations) < self.min_window:
@@ -176,7 +168,8 @@ class TailSampler:
         with self._lock:
             return [dict(entry) for entry in self._entries]
 
-    def summary(self) -> dict[str, Any]:
+    def export(self) -> dict[str, Any]:
+        """The ``traces.json`` document: store + exact drop accounting."""
         with self._lock:
             counts = dict(self.counts)
         kept = sum(v for k, v in counts.items() if k.startswith("kept_"))
@@ -187,17 +180,8 @@ class TailSampler:
             "counts": counts,
             "kept": kept,
             "dropped": counts["dropped_head"],
+            "traces": self.entries(),
         }
-
-    def export(self) -> dict[str, Any]:
-        """The ``traces.json`` document: store + exact drop accounting."""
-        document = self.summary()
-        document["traces"] = self.entries()
-        return document
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.export(), handle, indent=2, default=str)
 
 
 # ------------------------------------------------------------------ #
@@ -207,20 +191,10 @@ class TailSampler:
 _ACTIVE: list[TailSampler] = []
 
 
-def configure(
-    max_traces: int = DEFAULT_MAX_TRACES,
-    head_rate: float = DEFAULT_HEAD_RATE,
-    window: int = DEFAULT_WINDOW,
-    min_window: int = DEFAULT_MIN_WINDOW,
-) -> TailSampler:
+def configure(head_rate: float = DEFAULT_HEAD_RATE) -> TailSampler:
     """Install a sampler and hook it onto finished root spans."""
     clear()
-    sampler = TailSampler(
-        max_traces=max_traces,
-        head_rate=head_rate,
-        window=window,
-        min_window=min_window,
-    )
+    sampler = TailSampler(head_rate=head_rate)
     _ACTIVE.append(sampler)
     _trace.set_root_hook(sampler.offer)
     return sampler
@@ -238,8 +212,3 @@ def clear() -> None:
     """Drop the sampler and detach the root-span hook."""
     _ACTIVE.clear()
     _trace.set_root_hook(None)
-
-
-def write_json(path: str) -> None:
-    if _ACTIVE:
-        _ACTIVE[0].write_json(path)

@@ -30,7 +30,6 @@ a live run does not spam the alert history.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -39,9 +38,6 @@ from typing import Any, Iterable, Optional, Union
 from . import health as _health
 from . import metrics as _metrics
 from . import telemetry as _telemetry
-
-#: Artifact name inside a run directory.
-SLO_FILE = "slo.json"
 
 #: Multi-window burn-rate thresholds (both windows must exceed).
 WARN_BURN_RATE = 2.0
@@ -136,10 +132,8 @@ def _aggregate(samples: list[float], agg: str) -> float:
         return sum(samples) / len(samples)
     if agg == "max":
         return max(samples)
-    ordered = sorted(samples)
     q = {"p10": 0.10, "p50": 0.50, "p95": 0.95, "p99": 0.99}[agg]
-    index = min(len(ordered) - 1, max(0, round(q * len(ordered)) - 1))
-    return ordered[index]
+    return _metrics.percentile(sorted(samples), q)
 
 
 class SLOTracker:
@@ -161,9 +155,6 @@ class SLOTracker:
         if objective.windowed and objective.metric not in self._samples:
             self._samples[objective.metric] = deque(maxlen=self.window)
         return objective
-
-    def watched_metrics(self) -> frozenset[str]:
-        return frozenset(self._samples)
 
     # -- feed --------------------------------------------------------- #
     def record(self, metric: str, value: float) -> None:
@@ -330,10 +321,6 @@ class SLOTracker:
             "objectives": self.evaluate(),
         }
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.summary(), handle, indent=2, default=str)
-
 
 #: Objectives ``repro profile`` / ``repro report --smoke`` install by
 #: default: the paper's interactive-latency pitch plus estimator quality.
@@ -351,14 +338,10 @@ DEFAULT_OBJECTIVES = (
 _ACTIVE: list[SLOTracker] = []
 
 
-def configure(
-    objectives: Iterable[Union[str, Objective]],
-    window: int = 256,
-    fast_window: int = 32,
-) -> SLOTracker:
+def configure(objectives: Iterable[Union[str, Objective]]) -> SLOTracker:
     """Install a tracker for ``objectives`` and hook it into metrics."""
     clear()
-    tracker = SLOTracker(window=window, fast_window=fast_window)
+    tracker = SLOTracker()
     for spec in objectives:
         tracker.add(spec)
     _ACTIVE.append(tracker)
@@ -385,8 +368,3 @@ def publish() -> list[_health.Alert]:
     if not _ACTIVE:
         return []
     return _ACTIVE[0].publish()
-
-
-def write_json(path: str) -> None:
-    if _ACTIVE:
-        _ACTIVE[0].write_json(path)

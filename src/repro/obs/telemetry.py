@@ -96,11 +96,8 @@ def configure(
         if path is not None:
             with open(path, "w"):
                 pass
-            root, ext = os.path.splitext(path)
-            for stale in glob.glob(f"{root}.*{ext}"):
-                suffix = stale[len(root) + 1: len(stale) - len(ext)]
-                if suffix.isdigit():
-                    os.remove(stale)
+            for stale in rotated_paths(path)[:-1]:
+                os.remove(stale)
 
 
 def _rotate_locked() -> None:
@@ -181,19 +178,10 @@ def reset() -> None:
         _SEQUENCE = 0
 
 
-def write_jsonl(path: str) -> None:
-    """Dump the in-memory records to ``path`` (one JSON object per line)."""
-    with _LOCK:
-        out = list(_RECORDS)
-    with open(path, "w") as handle:
-        for record in out:
-            handle.write(json.dumps(record, default=str) + "\n")
-
-
 def load_jsonl(path: str) -> list[dict[str, Any]]:
     """Parse one telemetry JSONL file back into records.
 
-    Unparseable lines are skipped rather than fatal: ``repro top``
+    Unparseable lines are skipped rather than fatal: ``repro watch``
     reads files that a live run is still appending to, so the last
     line may be half-written.
     """

@@ -26,7 +26,6 @@ Callers attach attributes allocation-free via::
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import Any, Optional
@@ -309,18 +308,6 @@ def chrome_trace() -> dict[str, Any]:
         }
     ]
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
-
-
-def write_trace(path: str) -> None:
-    """Write the JSON span tree to ``path``."""
-    with open(path, "w") as handle:
-        json.dump(tree(), handle, indent=2, default=str)
-
-
-def write_chrome_trace(path: str) -> None:
-    """Write the Chrome-trace-format file to ``path``."""
-    with open(path, "w") as handle:
-        json.dump(chrome_trace(), handle, default=str)
 
 
 def format_tree(

@@ -1,9 +1,10 @@
 """``repro watch`` — a dependency-free live ops console for a run dir.
 
-Tails the artifacts a live run flushes periodically (the telemetry
-JSONL and its rotated set, ``quality.json``, ``traces.json``,
-``slo.json``) and renders
-one operator-facing text frame:
+Renders one operator-facing text frame from a loaded
+:class:`~repro.obs.rundir.Run` — the artifacts a live run flushes
+periodically (the telemetry JSONL and its rotated set, ``quality.json``,
+``traces.json``, ``slo.json`` and, for a profiled run, the collapsed
+stacks and ``memory.json``):
 
 * rolling throughput — QPS plus p50/p95 latency over the trailing
   window of ``query`` telemetry records;
@@ -11,24 +12,26 @@ one operator-facing text frame:
   (audited recall, calibration bias, audit overhead);
 * tail-sampler keep reasons from ``traces.json`` — why retained traces
   were kept (error / low_quality / slow / …) and how many were shed;
-* active SLO burn alerts from ``slo.json``.
+* SLO burn — every objective's value and burn rate, alerting ones with
+  their worst trace ids;
+* for a profiled run: hot functions (self time), samples by enclosing
+  span, traced memory and leak suspects;
+* health counts and the last alerts.
 
-Like ``repro top``, this module only *reads* files, so it can watch a
-run owned by another process; the CLI refreshes the frame in place
-(``--once`` prints a single snapshot for CI). "Now" is taken from the
-newest record timestamp rather than the wall clock, so a snapshot of a
-finished run renders the same frame every time.
+The frame only *reads* what :func:`repro.obs.rundir.load` returns, so it
+can watch a run owned by another process; the CLI reloads and refreshes
+the frame in place (``--once`` prints a single snapshot for CI). "Now"
+is taken from the newest record timestamp rather than the wall clock,
+so a snapshot of a finished run renders the same frame every time.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Any, Optional
-
-from . import QUALITY_FILE, SLO_FILE, TELEMETRY_FILE, TRACES_FILE
+from . import analyze as analyze_mod
 from . import health as health_mod
-from . import telemetry as telemetry_mod
+from . import metrics as metrics_mod
+from . import profiler as profiler_mod
+from .rundir import Run
 
 #: Trailing window (seconds of record time) for the QPS rate.
 QPS_WINDOW_S = 60.0
@@ -37,36 +40,18 @@ QPS_WINDOW_S = 60.0
 LATENCY_WINDOW = 100
 
 
-def _load_json(path: str) -> Optional[Any]:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return float("nan")
-    index = min(
-        len(sorted_values) - 1, max(0, round(q / 100.0 * (len(sorted_values) - 1)))
-    )
-    return sorted_values[index]
-
-
-def render_watch(run_dir: str, width: int = 78) -> str:
+def render_watch(run: Run, width: int = 78) -> str:
     """One text frame of the ops view ``repro watch`` refreshes."""
 
     def rule(title: str) -> str:
         return f"── {title} " + "─" * max(0, width - len(title) - 4)
 
-    records = telemetry_mod.load_run(os.path.join(run_dir, TELEMETRY_FILE))
-    lines = [f"repro watch — {run_dir}"]
-    lines.append(f"telemetry: {len(records)} records")
+    lines = [f"repro watch — {run.directory}"]
+    lines.append(f"telemetry: {len(run.records)} records")
 
     # -- rolling throughput ------------------------------------------ #
     lines.append(rule("throughput"))
-    query_records = [r for r in records if r.get("stream") == "query"]
+    query_records = run.stream("query")
     if query_records:
         timestamps = [float(r.get("ts", 0.0)) for r in query_records]
         now = max(timestamps)
@@ -79,8 +64,8 @@ def render_watch(run_dir: str, width: int = 78) -> str:
         lines.append(
             f"  {len(query_records)} queries | last {QPS_WINDOW_S:.0f}s: "
             f"{in_window} ({qps:.2f} qps) | "
-            f"p50 {_percentile(latencies, 50.0) * 1e3:.1f} ms  "
-            f"p95 {_percentile(latencies, 95.0) * 1e3:.1f} ms "
+            f"p50 {metrics_mod.percentile(latencies, 0.50) * 1e3:.1f} ms  "
+            f"p95 {metrics_mod.percentile(latencies, 0.95) * 1e3:.1f} ms "
             f"(trailing {len(latencies)})"
         )
     else:
@@ -88,7 +73,7 @@ def render_watch(run_dir: str, width: int = 78) -> str:
 
     # -- answer quality ---------------------------------------------- #
     lines.append(rule("answer quality"))
-    quality_doc = _load_json(os.path.join(run_dir, QUALITY_FILE))
+    quality_doc = run.quality
     if quality_doc:
         qcounts = quality_doc.get("counts", {})
         recall = quality_doc.get("mean_recall")
@@ -110,62 +95,64 @@ def render_watch(run_dir: str, width: int = 78) -> str:
 
     # -- tail-sampler keep reasons ------------------------------------ #
     lines.append(rule("trace keep reasons"))
-    traces_doc = _load_json(os.path.join(run_dir, TRACES_FILE))
-    tcounts = (traces_doc or {}).get("counts") or {}
-    kept_by_reason = {
-        name[len("kept_"):]: count
-        for name, count in tcounts.items()
-        if name.startswith("kept_") and count
-    }
-    if tcounts:
-        kept_note = (
-            ", ".join(
-                f"{reason} ×{count}"
-                for reason, count in sorted(
-                    kept_by_reason.items(), key=lambda kv: -kv[1]
-                )
-            )
-            or "none kept"
-        )
-        lines.append(
-            f"  kept {sum(kept_by_reason.values())}"
-            f"/{tcounts.get('offered', 0)} offered ({kept_note}) | "
-            f"head-dropped {tcounts.get('dropped_head', 0)} | "
-            f"evicted {tcounts.get('evicted', 0)}"
-        )
-    else:
-        lines.append("  (no traces.json yet)")
+    sampler = analyze_mod.format_sampler_counts(run)
+    lines.append(f"  {sampler}" if sampler else "  (no traces.json yet)")
 
     # -- SLO burn ---------------------------------------------------- #
     lines.append(rule("SLO burn"))
-    slo_doc = _load_json(os.path.join(run_dir, SLO_FILE))
-    active = [
-        status
-        for status in (slo_doc or {}).get("objectives", [])
-        if status.get("severity")
-    ]
-    if active:
-        for status in active:
-            value = status.get("value")
-            shown = "-" if value is None else f"{value:.4g}"
+    objectives = (run.slo or {}).get("objectives") or []
+    for status in objectives:
+        value = status.get("value")
+        shown = "-" if value is None else f"{value:.4g}"
+        burn = (
+            f"burn {status.get('burn_rate', 0.0):5.1f}x"
+            if status.get("kind") != "gauge"
+            else "gauge      "
+        )
+        marker = status.get("severity") or ("ok" if status.get("ok") else "!!")
+        lines.append(
+            f"  {status.get('spec', '?'):<38} {shown:>10}  {burn}  {marker}"
+        )
+        exemplars = status.get("exemplar_trace_ids") or []
+        if status.get("severity") and exemplars:
+            shown_ids = ", ".join(tid[:16] for tid in exemplars[:3])
             lines.append(
-                f"  {status.get('severity')}: {status.get('spec', '?'):<38} "
-                f"{shown:>10}  burn {status.get('burn_rate', 0.0):.1f}x"
+                f"    worst traces: {shown_ids}  (repro analyze --trace <id>)"
             )
-            exemplars = status.get("exemplar_trace_ids") or []
-            if exemplars:
-                shown_ids = ", ".join(tid[:16] for tid in exemplars[:3])
-                lines.append(
-                    f"    worst traces: {shown_ids}"
-                    "  (repro analyze --trace <id>)"
-                )
-    elif slo_doc and slo_doc.get("objectives"):
-        lines.append("  all objectives within budget")
-    else:
+    if not objectives:
         lines.append("  (no slo.json yet)")
 
+    # -- CPU profile + memory (profiled runs only) -------------------- #
+    if run.profile:
+        lines.append(rule("hot functions (self time)"))
+        for frame, samples, fraction in profiler_mod.hot_functions_of(
+            run.profile, n=8
+        ):
+            lines.append(f"  {fraction:6.1%} {samples:>6}  {frame}")
+        lines.append(rule("samples by span"))
+        total = sum(run.profile.values())
+        spans = sorted(
+            profiler_mod.span_samples_of(run.profile).items(),
+            key=lambda kv: -kv[1],
+        )
+        for name, samples in spans[:6]:
+            lines.append(f"  {samples / total:6.1%} {samples:>6}  {name}")
+    if run.memory:
+        lines.append(rule("memory"))
+        lines.append(
+            f"  traced {run.memory.get('current_kb', 0.0):,.0f} KiB "
+            f"(peak {run.memory.get('peak_kb', 0.0):,.0f}) | "
+            f"RSS {run.memory.get('rss_kb', 0.0):,.0f} KiB"
+        )
+        for check in (run.memory.get("epochs") or {}).values():
+            if check.get("suspect"):
+                lines.append(
+                    f"  LEAK? {check['phase']}: +{check.get('growth_bytes', 0)}"
+                    " bytes over trailing epochs"
+                )
+
     # -- recent health ------------------------------------------------ #
-    health_records = [r for r in records if r.get("stream") == "health"]
+    health_records = run.stream("health")
     crit = sum(
         1 for r in health_records if r.get("severity") == health_mod.CRIT
     )
@@ -179,4 +166,10 @@ def render_watch(run_dir: str, width: int = 78) -> str:
             f"  {record.get('severity', '?'):>4} {record.get('rule', '?')}: "
             f"{record.get('message', '')}"
         )
+    if run.records:
+        lines.append(rule("last events"))
+        for record in run.records[-5:]:
+            lines.append(
+                f"  #{record.get('seq', '?'):>5} {record.get('stream', '?')}"
+            )
     return "\n".join(lines)

@@ -4,7 +4,7 @@ Exercises :mod:`repro.obs.analyze` on synthetic span trees where the
 right answers are computable by hand — in particular the interval-union
 self-time attribution that collapses overlapping children to their max
 instead of summing them — plus the ``traces.json``/``trace.json``
-loading paths and the ``diff_runs`` regression verdict.
+paths of ``retained_traces`` and the ``diff_runs`` regression verdict.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.obs import analyze
+from repro.obs.rundir import Run, load
 
 
 def node(name, start, seconds, children=(), **extra):
@@ -79,7 +80,7 @@ class TestAggregate:
             "trace_id": "a" * 32,
             "root": node("execute", 0.0, 10.0, [node("scan", 1.0, 4.0)]),
         }]
-        rollup = analyze.aggregate_spans(entries)
+        rollup = analyze.aggregate_spans([e["root"] for e in entries])
         assert rollup["execute"]["count"] == 1
         assert rollup["execute"]["self_s"] == pytest.approx(6.0)
         assert rollup["scan"]["total_s"] == pytest.approx(4.0)
@@ -98,10 +99,10 @@ class TestLoading:
             }],
         }
         (tmp_path / "traces.json").write_text(json.dumps(document))
-        entries = analyze.load_traces(str(tmp_path))
+        run = load(str(tmp_path))
+        entries = analyze.retained_traces(run)
         assert len(entries) == 1 and entries[0]["reason"] == "slow"
-        summary = analyze.sampler_summary(str(tmp_path))
-        assert summary["counts"]["offered"] == 2
+        assert "2 offered" in analyze.format_sampler_counts(run)
 
     def test_load_falls_back_to_trace_json(self, tmp_path):
         roots = [
@@ -109,14 +110,15 @@ class TestLoading:
             node("anon", 0.0, 0.1),  # no id → not a trace entry
         ]
         (tmp_path / "trace.json").write_text(json.dumps(roots))
-        entries = analyze.load_traces(str(tmp_path))
+        entries = analyze.retained_traces(load(str(tmp_path)))
         assert len(entries) == 1
         assert entries[0]["trace_id"] == "c" * 32
         assert entries[0]["reason"] == "retained"
 
     def test_empty_dir_loads_nothing(self, tmp_path):
-        assert analyze.load_traces(str(tmp_path)) == []
-        assert analyze.sampler_summary(str(tmp_path)) is None
+        run = Run(str(tmp_path))  # nothing recorded
+        assert analyze.retained_traces(run) == []
+        assert analyze.format_sampler_counts(run) is None
 
     def test_find_trace_exact_prefix_and_ambiguous(self):
         entries = [
@@ -155,7 +157,7 @@ class TestDiffRuns:
     def test_identical_runs_have_no_regressions(self, tmp_path):
         a = str(tmp_path / "a")
         write_run(a, {"execute": [0.01, 0.02, 0.03]})
-        diff = analyze.diff_runs(a, a)
+        diff = analyze.diff_runs(load(a), load(a))
         assert diff["verdict"] == "no regressions"
         assert all(row["verdict"] == "ok" for row in diff["spans"])
 
@@ -169,7 +171,7 @@ class TestDiffRuns:
             "big": [0.020] * 10,
             "tiny": [0.0002] * 10,
         })
-        diff = analyze.diff_runs(a, b)
+        diff = analyze.diff_runs(load(a), load(b))
         by_name = {row["name"]: row for row in diff["spans"]}
         assert by_name["big"]["verdict"] == "REGRESSED"
         assert by_name["tiny"]["verdict"] == "ok"
@@ -180,7 +182,7 @@ class TestDiffRuns:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         write_run(a, {"hot": [0.1] * 5, "gone": [0.01]})
         write_run(b, {"hot": [0.01] * 5, "new": [0.01]})
-        diff = analyze.diff_runs(a, b)
+        diff = analyze.diff_runs(load(a), load(b))
         by_name = {row["name"]: row for row in diff["spans"]}
         assert by_name["hot"]["verdict"] == "improved"
         assert by_name["gone"]["verdict"] == "only_a"

@@ -366,7 +366,7 @@ class TestSLOExemplars:
             "value": 0.5, "burn_rate": 50.0,
             "exemplar_trace_ids": [trace_id],
         }]}))
-        frame = render_watch(str(tmp_path))
+        frame = render_watch(obs.rundir.load(str(tmp_path)))
         assert f"worst traces: {trace_id[:16]}" in frame
         assert "repro analyze --trace" in frame
 

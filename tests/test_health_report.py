@@ -17,7 +17,8 @@ from repro.obs.health import (
     active_monitor,
     replay,
 )
-from repro.obs.report import build_report, markdown_to_html, render_markdown
+from repro.obs.report import build_report, render_markdown
+from repro.obs.rundir import Run, load
 
 
 @pytest.fixture(autouse=True)
@@ -287,9 +288,9 @@ def recorded_run(tmp_path):
 
 
 class TestReport:
-    def test_markdown_sections(self, recorded_run, tmp_path):
-        bench_dir = str(tmp_path / "bench")
-        markdown = render_markdown(recorded_run, bench_dir=bench_dir)
+    def test_markdown_sections(self, recorded_run, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "bench"))
+        markdown = render_markdown(load(recorded_run))
         for heading in (
             "# repro diagnostic report",
             "## Run summary",
@@ -313,24 +314,11 @@ class TestReport:
         with open(path) as handle:
             assert "# repro diagnostic report" in handle.read()
 
-    def test_build_report_html_self_contained(self, recorded_run):
-        path = build_report(recorded_run, html=True)
-        assert path.endswith("report.html")
-        with open(path) as handle:
-            html = handle.read()
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<style>" in html          # inline CSS, nothing fetched
-        assert "http://" not in html and "https://" not in html
-        assert "<table>" in html
-        # The escaped pipe in the plan SQL renders back as a literal pipe.
-        assert "SELECT a | b FROM t" in html
-
-    def test_report_on_empty_dir(self, tmp_path):
-        empty = str(tmp_path / "nothing")
-        import os
-
-        os.makedirs(empty)
-        markdown = render_markdown(empty, bench_dir=str(tmp_path / "nobench"))
+    def test_report_on_empty_dir(self, tmp_path, monkeypatch):
+        # A run that recorded nothing yet (rundir.load refuses a
+        # directory with no artifact at all — see tests/test_rundir.py).
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "nobench"))
+        markdown = render_markdown(Run(str(tmp_path / "nothing")))
         assert "No `train.update` records" in markdown
         assert "HEALTHY" in markdown
 
@@ -338,14 +326,9 @@ class TestReport:
         bench_dir = tmp_path / "bench"
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(bench_dir))
         save_results("fig9", {"value": 1.0}, duration_seconds=2.5)
-        markdown = render_markdown(recorded_run, bench_dir=str(bench_dir))
+        markdown = render_markdown(load(recorded_run))
         assert "fig9" in markdown
         assert "2.5" in markdown
-
-    def test_markdown_to_html_escapes(self):
-        html = markdown_to_html("## A <b>title\n\n- item `x<1`\n")
-        assert "&lt;b&gt;" in html
-        assert "<code>x&lt;1</code>" in html
 
 
 # ------------------------------------------------------------------ #

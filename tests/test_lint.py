@@ -1,10 +1,10 @@
 """Tests for the AST project linter (repro.lint).
 
 Each rule gets an inline-source fixture: a positive hit (correct rule
-id, file and line), plus checks that inline suppressions, the baseline
-file, JSON output, and exit codes behave as documented. The final test
-pins the acceptance invariant: the repo's own ``src/`` tree is clean
-under the full rule pack with an empty baseline.
+id, file and line), plus checks that inline suppressions, JSON output,
+and exit codes behave as documented. The final test pins the acceptance
+invariant: the repo's own ``src/`` tree is clean under the full rule
+pack.
 """
 
 import json
@@ -12,13 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    RULES,
-    UnknownRuleError,
-    engine,
-    run_lint,
-    write_baseline,
-)
+from repro.lint import RULES, UnknownRuleError, run_lint
 from repro.lint.cli import run as lint_cli_run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -188,34 +182,6 @@ class TestEngine:
         )
         assert rule_lines(report, "no-bare-print") == [("no-bare-print", 1)]
 
-    def test_baseline_filters_grandfathered_findings(self, tmp_path):
-        path = tmp_path / "legacy.py"
-        path.write_text("print('grandfathered')\n")
-        first = run_lint([str(path)])
-        assert first.exit_code == 1
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), first.findings)
-        second = run_lint([str(path)], baseline_path=str(baseline))
-        assert second.exit_code == 0
-        assert second.findings == []
-        assert second.baselined == 1
-
-    def test_baseline_does_not_hide_new_findings(self, tmp_path):
-        path = tmp_path / "legacy.py"
-        path.write_text("print('old')\n")
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), run_lint([str(path)]).findings)
-        path.write_text("print('old')\nprint('new')\n")
-        report = run_lint([str(path)], baseline_path=str(baseline))
-        assert [f.line for f in report.findings] == [2]
-        assert report.baselined == 1
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        baseline = tmp_path / "bad.json"
-        baseline.write_text("[1, 2, 3]")
-        with pytest.raises(engine.BaselineError):
-            run_lint([str(tmp_path)], baseline_path=str(baseline))
-
     def test_unknown_rule_raises(self, tmp_path):
         with pytest.raises(UnknownRuleError):
             run_lint([str(tmp_path)], ["no-such-rule"])
@@ -238,35 +204,33 @@ class TestCliLayer:
     def test_json_output_schema(self, tmp_path):
         path = tmp_path / "bad.py"
         path.write_text("print('x')\n")
-        code, text = lint_cli_run([str(path)], as_json=True, no_cache=True)
+        code, text = lint_cli_run([str(path)], as_json=True)
         assert code == 1
         payload = json.loads(text)
         assert set(payload) == {
-            "version", "rules", "files_checked", "baselined",
-            "errors", "warnings", "findings",
+            "rules", "files_checked", "errors", "warnings", "findings",
         }
         assert payload["errors"] == 1
         assert payload["warnings"] == 0
         (finding,) = payload["findings"]
         assert set(finding) == {
-            "rule", "path", "line", "col", "message", "severity", "line_hash"
+            "rule", "path", "line", "col", "message", "severity"
         }
         assert finding["rule"] == "no-bare-print"
         assert finding["line"] == 1
-        assert finding["line_hash"]
         assert finding["path"].endswith("bad.py")
 
     def test_human_output_has_file_line_rule(self, tmp_path):
         path = tmp_path / "bad.py"
         path.write_text("\nprint('x')\n")
-        code, text = lint_cli_run([str(path)], no_cache=True)
+        code, text = lint_cli_run([str(path)])
         assert code == 1
         assert "bad.py:2:1: no-bare-print error:" in text
 
     def test_exit_zero_on_clean_tree(self, tmp_path):
         path = tmp_path / "clean.py"
         path.write_text("import numpy as np\n")
-        code, text = lint_cli_run([str(path)], no_cache=True)
+        code, text = lint_cli_run([str(path)])
         assert code == 0
         assert "OK" in text
 
@@ -274,20 +238,6 @@ class TestCliLayer:
         code, text = lint_cli_run([str(tmp_path)], rules="bogus-rule")
         assert code == 2
         assert "bogus-rule" in text
-
-    def test_write_baseline_then_clean(self, tmp_path):
-        path = tmp_path / "legacy.py"
-        path.write_text("print('x')\n")
-        baseline = tmp_path / "baseline.json"
-        code, _ = lint_cli_run(
-            [str(path)], baseline=str(baseline), write_baseline=True,
-            no_cache=True,
-        )
-        assert code == 0
-        code, _ = lint_cli_run(
-            [str(path)], baseline=str(baseline), no_cache=True
-        )
-        assert code == 0
 
     def test_list_rules_mentions_full_pack(self):
         code, text = lint_cli_run([], list_rules=True)
@@ -298,16 +248,10 @@ class TestCliLayer:
 
 class TestRepoIsClean:
     def test_src_tree_has_no_findings(self):
-        """Acceptance: the merged tree lints clean with an empty baseline."""
+        """Acceptance: the merged tree lints clean."""
         report = run_lint([str(REPO_ROOT / "src")])
         assert report.findings == []
         assert report.files_checked > 70
-
-    def test_committed_baseline_is_empty(self):
-        baseline = engine.load_baseline(
-            str(REPO_ROOT / "lint_baseline.json")
-        )
-        assert baseline.empty
 
     def test_one_violation_of_each_rule_is_caught(self, tmp_path):
         """Acceptance: a fixture seeding one violation per shipped rule

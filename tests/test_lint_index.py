@@ -1,18 +1,13 @@
 """Tests for the lint engine around the rule pack (repro.lint).
 
 Covers the two sink-chokepoint rules against deliberately-violating
-fixture packages, the content-hash cache (hit/invalidate-on-edit), the
-v2 baseline fingerprints with v1 migration, the relaxed
-tests/benchmarks profiles, and the sarif/html output formats.
+fixture packages, the relaxed tests/benchmarks profiles, and ``--explain``.
 """
 
-import json
 from pathlib import Path
 
 from repro.lint import run_lint
 from repro.lint.cli import run as lint_cli_run
-from repro.lint.engine import load_baseline, write_baseline
-from repro.lint.index import LintCache, line_hash
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -166,126 +161,6 @@ class TestQualityTelemetrySinkRule:
         assert not findings_for(root, "quality-telemetry-sink-only")
 
 
-class TestCache:
-    def test_warm_cache_hits_and_invalidation_on_edit(self, tmp_path):
-        root = write_package(tmp_path / "proj", FIXTURE)
-        cache_path = tmp_path / "cache.json"
-
-        cold = run_lint([str(root)], cache_path=str(cache_path))
-        assert cold.cache_hits == 0
-        assert [(f.rule, f.path.rsplit("/", 1)[1]) for f in cold.findings] == [
-            ("telemetry-sink-only", "helpers.py")
-        ]
-        assert cache_path.exists()
-
-        warm = run_lint([str(root)], cache_path=str(cache_path))
-        assert warm.cache_hits == warm.files_checked == 4
-        assert [f.fingerprint for f in warm.findings] == [
-            f.fingerprint for f in cold.findings
-        ]
-
-        # Edit one file: only that file recomputes, findings update.
-        helpers = root / "proj" / "helpers.py"
-        helpers.write_text(
-            "def accumulate(payload):\n"
-            "    return dict(payload)\n"
-        )
-        edited = run_lint([str(root)], cache_path=str(cache_path))
-        assert edited.cache_hits == 3
-        assert not edited.findings
-
-    def test_cache_respects_rule_subset(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("print('x')\n")
-        cache_path = tmp_path / "cache.json"
-        full = run_lint([str(path)], cache_path=str(cache_path))
-        assert full.findings
-        subset = run_lint(
-            [str(path)], ["no-silent-except"], cache_path=str(cache_path)
-        )
-        assert subset.cache_hits == 0  # different rules key
-        assert not subset.findings
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("print('x')\n")
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json")
-        report = run_lint([str(path)], cache_path=str(cache_path))
-        assert [f.rule for f in report.findings] == ["no-bare-print"]
-
-    def test_cached_run_still_reports_suppressions(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("print('x')  # lint: disable=no-bare-print\n")
-        cache_path = tmp_path / "cache.json"
-        run_lint([str(path)], cache_path=str(cache_path))
-        warm = run_lint([str(path)], cache_path=str(cache_path))
-        assert warm.cache_hits == 1
-        assert not warm.findings
-
-
-class TestBaselineFingerprints:
-    def test_edits_above_do_not_churn_the_baseline(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("print('grandfathered')\n")
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), run_lint([str(path)]).findings)
-
-        # Insert 5 lines above: the finding moves, its hash does not.
-        path.write_text(
-            "import os\n\n\nVALUE = 3\n\n" "print('grandfathered')\n"
-        )
-        report = run_lint([str(path)], baseline_path=str(baseline))
-        assert report.findings == []
-        assert report.baselined == 1
-
-    def test_duplicate_lines_consume_one_entry_each(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("print('dup')\nprint('dup')\n")
-        baseline = tmp_path / "baseline.json"
-        first = run_lint([str(path)])
-        assert len(first.findings) == 2
-        # Baseline only the first: the identical second line must still
-        # be reported (multiset, not set, semantics).
-        write_baseline(str(baseline), first.findings[:1])
-        report = run_lint([str(path)], baseline_path=str(baseline))
-        assert report.baselined == 1
-        assert len(report.findings) == 1
-
-    def test_v1_baseline_is_migrated_by_line_content(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        path = tmp_path / "mod.py"
-        path.write_text("x = 1\nprint('legacy')\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "findings": [
-                {"path": "mod.py", "rule": "no-bare-print", "line": 2},
-                {"path": "gone.py", "rule": "no-bare-print", "line": 9},
-            ],
-        }))
-        loaded = load_baseline(str(baseline))
-        legacy_hash = line_hash("print('legacy')")
-        expected = f"mod.py:no-bare-print:{legacy_hash}"
-        assert loaded.counts[expected] == 1
-        # The entry for the deleted file is dropped, not an error.
-        assert sum(loaded.counts.values()) == 1
-        report = run_lint(["mod.py"], baseline_path=str(baseline))
-        assert report.findings == []
-        assert report.baselined == 1
-
-    def test_written_baseline_is_v2(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("print('x')\n")
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), run_lint([str(path)]).findings)
-        payload = json.loads(baseline.read_text())
-        assert payload["version"] == 2
-        (entry,) = payload["findings"]
-        assert set(entry) == {"path", "rule", "line_hash", "line"}
-        assert entry["line_hash"] == line_hash("print('x')")
-
-
 class TestProfiles:
     def test_pytest_import_allowed_under_tests(self, tmp_path):
         source = "import pytest\nimport torch\n"
@@ -308,36 +183,6 @@ class TestProfiles:
 
 
 class TestOutputFormats:
-    def test_sarif_structure(self, tmp_path):
-        path = tmp_path / "bad.py"
-        path.write_text("print('x')\n")
-        code, text = lint_cli_run(
-            [str(path)], output_format="sarif", no_cache=True
-        )
-        assert code == 1
-        sarif = json.loads(text)
-        assert sarif["version"] == "2.1.0"
-        (run,) = sarif["runs"]
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "telemetry-sink-only" in rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "no-bare-print"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("bad.py")
-        assert location["region"]["startLine"] == 1
-
-    def test_html_is_self_contained(self, tmp_path):
-        path = tmp_path / "bad.py"
-        path.write_text("print('x')\n")
-        code, text = lint_cli_run(
-            [str(path)], output_format="html", no_cache=True
-        )
-        assert code == 1
-        assert text.startswith("<!DOCTYPE html>")
-        assert "<style>" in text and "no-bare-print" in text
-        assert "src=" not in text and "href=" not in text  # no external assets
-
     def test_explain_prints_rule_documentation(self):
         code, text = lint_cli_run([], explain="telemetry-sink-only")
         assert code == 0
@@ -352,8 +197,7 @@ class TestOutputFormats:
 
 class TestRepoAcceptance:
     def test_whole_tree_lint_is_clean(self):
-        """Acceptance: src+tests+benchmarks clean under the full pack
-        with an empty baseline."""
+        """Acceptance: src+tests+benchmarks clean under the full pack."""
         paths = [
             str(REPO_ROOT / name)
             for name in ("src", "tests", "benchmarks")

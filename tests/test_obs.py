@@ -161,9 +161,11 @@ class TestSpans:
         parent = next(e for e in events if e["name"] == "parent")
         assert parent["args"]["rows_out"] == 12
 
-        path = tmp_path / "chrome.json"
-        trace.write_chrome_trace(str(path))
-        assert json.loads(path.read_text())["traceEvents"]
+        path = obs.rundir.write(
+            str(tmp_path), "chrome_trace", trace.chrome_trace()
+        )
+        with open(path) as handle:
+            assert json.load(handle)["traceEvents"]
 
     def test_format_tree_renders_depth_limited(self):
         obs.enable()
@@ -258,21 +260,6 @@ class TestMetrics:
             "counters": {}, "gauges": {}, "histograms": {},
         }
 
-    def test_jsonl_export(self, tmp_path):
-        obs.enable()
-        metrics.add("a.calls", 4)
-        metrics.set_gauge("a.gauge", 1.5)
-        metrics.observe("a.seconds", 0.25)
-        path = tmp_path / "metrics.jsonl"
-        metrics.write_jsonl(str(path))
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        kinds = {(l["kind"], l["name"]) for l in lines}
-        assert kinds == {
-            ("counter", "a.calls"),
-            ("gauge", "a.gauge"),
-            ("histogram", "a.seconds"),
-        }
-
 
 # ------------------------------------------------------------------ #
 # telemetry
@@ -302,10 +289,8 @@ class TestTelemetry:
         loaded = telemetry.load_jsonl(str(path))
         assert [r["stream"] for r in loaded] == ["query", "log"]
         assert loaded[0]["rows"] == 3
-        # write_jsonl dumps the in-memory copy identically.
-        dump = tmp_path / "dump.jsonl"
-        telemetry.write_jsonl(str(dump))
-        assert telemetry.load_jsonl(str(dump)) == loaded
+        # The in-memory ring holds the identical records.
+        assert telemetry.records() == loaded
 
 
 # ------------------------------------------------------------------ #
@@ -370,10 +355,8 @@ class TestEndToEnd:
                 outcome = session.query(query)
                 assert outcome.elapsed_seconds >= 0
         paths = {
-            "telemetry": str(run_dir / obs.TELEMETRY_FILE),
-            "trace": str(run_dir / obs.TRACE_FILE),
-            "chrome_trace": str(run_dir / obs.CHROME_TRACE_FILE),
-            "metrics": str(run_dir / obs.METRICS_FILE),
+            key: str(run_dir / obs.rundir.FILES[key])
+            for key in ("telemetry", "trace", "chrome_trace", "metrics")
         }
         assert run_path == str(run_dir)
 

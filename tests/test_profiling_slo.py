@@ -96,12 +96,7 @@ class TestSamplingProfiler:
         # The busy loop's own frame shows up somewhere.
         assert "_busy_loop" in collapsed
 
-        collapsed_path = tmp_path / "p.txt"
-        flame_path = tmp_path / "f.html"
-        prof.write_collapsed(str(collapsed_path))
-        prof.write_flamegraph(str(flame_path))
-        assert collapsed_path.read_text() == collapsed
-        html = flame_path.read_text()
+        html = prof.flamegraph_html()
         assert html.startswith("<!DOCTYPE html>")
         assert "const DATA" in html and "_busy_loop" in html
 
@@ -237,10 +232,8 @@ class TestMemoryTracker:
         tracker.start()
         data = [bytes(8192) for _ in range(8)]
         tracker.mark_epoch("phase")
-        path = tmp_path / "memory.json"
-        tracker.write_json(str(path))
+        doc = json.loads(json.dumps(tracker.summary(), default=str))
         tracker.stop()
-        doc = json.loads(path.read_text())
         assert doc["tracing"] is True
         assert doc["current_kb"] > 0
         assert "phase" in doc["epochs"]
@@ -372,9 +365,9 @@ class TestSLOTracker:
         obs.enable()
         slo.configure(["query.p95 < 250ms"])
         metrics.observe("session.query.seconds", 0.01)
-        path = tmp_path / "slo.json"
-        slo.write_json(str(path))
-        doc = json.loads(path.read_text())
+        path = obs.rundir.write(str(tmp_path), "slo", slo.active().summary())
+        with open(path) as handle:
+            doc = json.load(handle)
         assert doc["objectives"][0]["spec"] == "query.p95 < 250ms"
         assert doc["objectives"][0]["n_samples"] == 1
 
@@ -550,14 +543,10 @@ class TestRunContextManager:
                     raise RuntimeError("boom")
         # Everything the run recorded before the crash is on disk.
         assert not obs.is_enabled()
-        records = telemetry.load_run(os.path.join(run_dir, obs.TELEMETRY_FILE))
-        assert any(r.get("stream") == "unit" for r in records)
-        with open(os.path.join(run_dir, obs.METRICS_FILE)) as handle:
-            snap = json.load(handle)
-        assert snap["counters"]["unit.counter"] == 1.0
-        with open(os.path.join(run_dir, obs.TRACE_FILE)) as handle:
-            tree = json.load(handle)
-        doomed = next(n for n in tree if n["name"] == "doomed.work")
+        recorded = obs.rundir.load(run_dir)
+        assert recorded.stream("unit")
+        assert recorded.metrics["counters"]["unit.counter"] == 1.0
+        doomed = next(n for n in recorded.trace if n["name"] == "doomed.work")
         assert "RuntimeError" in doomed.get("error", "")
 
     def test_run_tears_down_profiler_memory_slo_on_exception(self, tmp_path):
@@ -577,7 +566,7 @@ class TestRunContextManager:
         assert not memory.is_active()
         assert not slo.is_active()
         assert not obs.is_enabled()
-        for name in (obs.PROFILE_COLLAPSED_FILE, obs.MEMORY_FILE, obs.SLO_FILE):
+        for name in ("profile.collapsed.txt", "memory.json", "slo.json"):
             assert os.path.exists(os.path.join(run_dir, name))
 
     def test_profiled_session_run_attributes_executor_work(self, tiny_flights):

@@ -1,0 +1,286 @@
+"""The run-directory format has one module, and the verbs are its views.
+
+Pins what ``repro.obs.rundir`` promises (DESIGN.md §6, "Run directory"):
+
+* one answer for a damaged run — every reading verb × every corrupt JSON
+  artifact exits 1 with one line naming the file; an empty or missing
+  directory gives the one "record a run with" message; a telemetry line
+  cut mid-record costs only that record;
+* atomic artifacts — a failed write leaves the previous document whole
+  and a finished run leaves no ``*.tmp`` behind;
+* the views are the sections — ``stats`` / ``audit`` print report
+  sections verbatim, ``watch`` carries the panes ``top`` had, no module
+  but ``rundir`` knows a file name, and one ``percentile`` serves
+  ``watch``, ``diff``, the SLO windows and the tail sampler.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+
+import pytest
+
+from repro import obs
+from repro.__main__ import main, run_smoke
+from repro.obs import analyze, metrics, rundir, slo
+from repro.obs.sampling import TailSampler
+from repro.obs.watch import render_watch
+
+JSON_ARTIFACTS = ("metrics", "trace", "traces", "slo", "memory", "quality")
+
+
+def reading_verbs(run_dir):
+    """argv of every verb that reads a run directory."""
+    return {
+        "report": ["report", "--dir", run_dir],
+        "stats": ["stats", "--dir", run_dir],
+        "trace": ["trace", "--dir", run_dir],
+        "analyze": ["analyze", "--dir", run_dir],
+        "diff": ["diff", run_dir, run_dir],
+        "audit": ["audit", "--dir", run_dir],
+        "watch": ["watch", "--dir", run_dir, "--once"],
+    }
+
+
+VERBS = sorted(reading_verbs(""))
+
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    """One profiled, audited micro run every test below reads (or copies)."""
+    obs.disable()
+    return run_smoke(str(tmp_path_factory.mktemp("smoke")))
+
+
+@pytest.fixture
+def run_copy(smoke_run, tmp_path):
+    target = str(tmp_path / "run")
+    shutil.copytree(smoke_run, target)
+    return target
+
+
+# ------------------------------------------------------------------ #
+# one answer for a damaged run
+# ------------------------------------------------------------------ #
+class TestDamagedRun:
+    @pytest.mark.parametrize("artifact", JSON_ARTIFACTS)
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_corrupt_artifact_exits_1_naming_the_file(
+        self, run_copy, capsys, verb, artifact
+    ):
+        path = os.path.join(run_copy, rundir.FILES[artifact])
+        with open(path, "w") as handle:
+            handle.write("{broken")
+        assert main(reading_verbs(run_copy)[verb]) == 1
+        out = capsys.readouterr().out.strip()
+        assert len(out.splitlines()) == 1
+        assert out.startswith(f"unreadable run artifact {path}")
+        assert "Traceback" not in out
+
+    @pytest.mark.parametrize("exists", [True, False])
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_no_run_here_is_one_message(self, tmp_path, capsys, verb, exists):
+        run_dir = str(tmp_path / "nothing")
+        if exists:
+            os.makedirs(run_dir)
+        assert main(reading_verbs(run_dir)[verb]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"no observability run under {run_dir}/")
+        assert "record a run with" in out
+
+    def test_cut_last_telemetry_line_keeps_every_complete_record(
+        self, run_copy
+    ):
+        whole = rundir.load(run_copy).records
+        with open(rundir.telemetry_sink(run_copy), "a") as handle:
+            handle.write('{"stream": "query", "seq": 99, "elapsed_sec')
+        assert rundir.load(run_copy).records == whole
+
+    def test_wrong_shape_names_the_expectation(self, run_copy):
+        with open(os.path.join(run_copy, "slo.json"), "w") as handle:
+            handle.write("[1, 2]")
+        with pytest.raises(rundir.RunError, match="expected a JSON object"):
+            rundir.load(run_copy)
+
+
+# ------------------------------------------------------------------ #
+# atomic artifacts
+# ------------------------------------------------------------------ #
+class TestAtomicArtifacts:
+    def test_failed_flush_keeps_the_previous_documents(
+        self, tmp_path, monkeypatch
+    ):
+        run_dir = str(tmp_path / "run")
+        flushed = ("slo", "metrics", "quality", "memory")
+        obs.start_run(run_dir, audit_rate=1.0)
+        try:
+            slo.configure(["query.p95 < 250ms"])
+            obs.memory.start()
+            obs._flush_continuous(run_dir)
+            before = {
+                key: open(os.path.join(run_dir, rundir.FILES[key])).read()
+                for key in flushed
+            }
+
+            def refuse(source, target):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(os, "replace", refuse)
+            metrics.add("unit.counter")  # the next snapshot would differ
+            with pytest.raises(OSError, match="disk full"):
+                obs._flush_continuous(run_dir)
+            monkeypatch.undo()
+            for key in flushed:
+                path = os.path.join(run_dir, rundir.FILES[key])
+                with open(path) as handle:
+                    text = handle.read()
+                assert text == before[key]
+                json.loads(text)  # still one complete document
+        finally:
+            obs.finish_run(run_dir)
+        assert not [n for n in os.listdir(run_dir) if n.endswith(".tmp")]
+
+    def test_finished_run_leaves_no_partial_files(self, smoke_run):
+        names = os.listdir(smoke_run)
+        assert not [name for name in names if name.endswith(".tmp")]
+        assert set(rundir.FILES.values()) <= set(names)
+
+
+# ------------------------------------------------------------------ #
+# the views are the sections
+# ------------------------------------------------------------------ #
+def report_sections(run_dir):
+    """``{heading: text}`` of a freshly built report, split at ``## ``.
+
+    Each text ends with its last line's newline; the blank line between
+    two sections belongs to neither.
+    """
+    from repro.obs.report import build_report
+
+    with open(build_report(run_dir)) as handle:
+        body = handle.read()
+    sections = {}
+    for chunk in body.split("\n## ")[1:]:
+        sections[chunk.splitlines()[0]] = "## " + chunk
+    return sections
+
+
+class TestViewsAreSections:
+    def test_stats_is_the_metrics_training_and_queries_sections(
+        self, smoke_run, capsys
+    ):
+        sections = report_sections(smoke_run)
+        capsys.readouterr()
+        assert main(["stats", "--dir", smoke_run]) == 0
+        expected = "\n".join(
+            sections[heading]
+            for heading in (
+                "Metrics",
+                "Training trajectory",
+                "Queries & estimator calibration",
+            )
+        )
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_audit_is_the_answer_quality_section(self, smoke_run, capsys):
+        sections = report_sections(smoke_run)
+        capsys.readouterr()
+        assert main(["audit", "--dir", smoke_run]) == 0
+        out = capsys.readouterr().out
+        assert out == sections["Answer quality"] + "\n"
+        assert "Calibration (predicted vs audited)" in out
+
+    def test_watch_has_the_panes_top_printed(self, smoke_run, capsys):
+        assert main(["watch", "--dir", smoke_run, "--once"]) == 0
+        frame = capsys.readouterr().out
+        for pane in (
+            "SLO burn", "hot functions (self time)", "samples by span",
+            "memory", "last events", "throughput", "answer quality",
+        ):
+            assert f"── {pane} " in frame
+        memory_doc = rundir.load(smoke_run).memory
+        assert f"peak {memory_doc['peak_kb']:,.0f}" in frame
+
+    def test_hottest_spans_show_self_time_and_layers(self, smoke_run):
+        text = report_sections(smoke_run)["Hottest spans"]
+        assert "| span | count | total ms | self ms |" in text
+        assert "### Self time by layer" in text
+        assert "| train |" in text and "| execute |" in text
+
+    def test_only_rundir_knows_a_file_name(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setitem(rundir.FILES, "slo", "x.json")
+        monkeypatch.setitem(rundir.FILES, "trace", "y.json")
+        monkeypatch.setitem(rundir.FILES, "telemetry", "z.jsonl")
+        run_dir = run_smoke(str(tmp_path / "renamed"))
+        names = set(os.listdir(run_dir))
+        assert {"x.json", "y.json", "z.jsonl"} <= names
+        assert not names & {"slo.json", "trace.json", "telemetry.jsonl"}
+
+        for verb, argv in reading_verbs(run_dir).items():
+            assert main(argv) == 0, verb
+        out = capsys.readouterr().out
+        # Content that can only have come from the renamed artifacts.
+        assert "estimator.calibration_error < 0.1" in out      # x.json
+        assert "train.update" in out and "no regressions" in out  # y.json
+        assert "3 queries" in out                                # z.jsonl
+        run = rundir.load(run_dir)
+        assert run.slo["objectives"] and run.trace and run.records
+
+
+# ------------------------------------------------------------------ #
+# one percentile
+# ------------------------------------------------------------------ #
+#: (n, q) → nearest-rank value of the sample 1..n.
+PERCENTILES = {
+    (1, 0.1): 1, (1, 0.5): 1, (1, 0.95): 1,
+    (3, 0.1): 1, (3, 0.5): 2, (3, 0.95): 3,
+    (4, 0.1): 1, (4, 0.5): 2, (4, 0.95): 4,
+    (21, 0.1): 2, (21, 0.5): 10, (21, 0.95): 20,
+}
+
+
+class TestOnePercentile:
+    @pytest.mark.parametrize("n,q", sorted(PERCENTILES))
+    def test_nearest_rank_table(self, n, q):
+        sample = [float(v) for v in range(1, n + 1)]
+        assert metrics.percentile(sample, q) == PERCENTILES[n, q]
+
+    def test_empty_sample_is_nan(self):
+        assert metrics.percentile([], 0.5) != metrics.percentile([], 0.5)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 21])
+    def test_watch_diff_slo_and_sampler_agree_with_the_table(self, n):
+        sample = [float(v) for v in range(1, n + 1)]
+        p50, p95 = PERCENTILES[n, 0.5], PERCENTILES[n, 0.95]
+
+        # watch: latencies in seconds, printed in ms with one decimal
+        run = rundir.Run("synthetic", records=[
+            {"stream": "query", "ts": 1.0, "elapsed_seconds": v / 1e3}
+            for v in sample
+        ], trace=[
+            {"name": "work", "start_s": 0.0, "seconds": v} for v in sample
+        ])
+        assert f"p50 {p50:.1f} ms  p95 {p95:.1f} ms" in render_watch(run)
+
+        # diff: p50/p95 per span name
+        (row,) = analyze.diff_runs(run, run)["spans"]
+        assert (row["p50_a"], row["p95_b"]) == (p50, p95)
+
+        # SLO windows
+        assert slo._aggregate(sample, "p50") == p50
+        assert slo._aggregate(sample, "p10") == PERCENTILES[n, 0.1]
+
+        # tail sampler: "slow" is strictly above the rolling p95
+        sampler = TailSampler(min_window=n, head_rate=0.0)
+        for value in sample:
+            sampler._durations.append(value)
+        root = obs.trace.Span("probe")
+        root.trace_id = "a" * 32
+        root.duration_s = p95
+        assert sampler.offer(root) is None
+        root.duration_s = p95 + 0.5
+        assert sampler.offer(root) == "slow"

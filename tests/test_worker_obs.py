@@ -92,17 +92,19 @@ class TestWatchConsole:
 
     def test_render_watch_frames_traffic(self, tmp_path):
         run_dir = self._run_dir_with_traffic(tmp_path)
-        frame = render_watch(run_dir)
+        frame = render_watch(obs.rundir.load(run_dir))
         assert "1 queries" in frame
         assert "(no slo.json yet)" in frame
         assert "0 CRIT, 0 WARN" in frame
 
     def test_render_watch_is_deterministic_for_a_finished_run(self, tmp_path):
         run_dir = self._run_dir_with_traffic(tmp_path)
-        assert render_watch(run_dir) == render_watch(run_dir)
+        frames = [render_watch(obs.rundir.load(run_dir)) for _ in range(2)]
+        assert frames[0] == frames[1]
 
     def test_render_watch_empty_dir(self, tmp_path):
-        frame = render_watch(str(tmp_path))
+        # Nothing recorded yet: every pane says so instead of failing.
+        frame = render_watch(obs.rundir.Run(str(tmp_path)))
         assert "(no query records yet)" in frame
         assert "(no traces.json yet)" in frame
 
