@@ -576,78 +576,6 @@ def run_profile_overhead(repeats: int, hz: float = 100.0) -> dict:
     }
 
 
-def _unwrap(fn):
-    """Peel decorator layers (``functools.wraps`` chains) off a kernel."""
-    while hasattr(fn, "__wrapped__"):
-        fn = fn.__wrapped__
-    return fn
-
-
-def run_strict_overhead(repeats: int) -> dict:
-    """Measure the cost of *disabled* strict-mode contract wrappers.
-
-    ``repro.contracts`` promises that with strict mode off (the default)
-    a ``@shape_contract``/``@dtype_contract`` site costs one attribute
-    check. This times each public kernel (whose wrapper stack includes
-    the contract decorators) against the raw unwrapped implementation
-    with the same paired-interleaved-batch scheme as
-    :func:`run_obs_overhead`, and reports the median per-round ratio —
-    ``--strict-check`` gates it with the same tolerance as ``--obs-check``.
-    """
-    from repro import contracts
-
-    rng = np.random.default_rng(7)
-    build, probe = _join_workload(rng)
-    distinct_arrays = _distinct_workload(rng)
-    group_arrays = _group_workload(rng)
-    cases = {
-        "join_10k": (kernels.join_positions, (build, probe)),
-        "distinct_10k": (kernels.distinct_positions, (distinct_arrays,)),
-        "group_by_10k": (kernels.group_by_positions, (group_arrays,)),
-        "factorize_10k": (kernels.factorize_keys, (distinct_arrays,)),
-    }
-    entries: dict = {}
-    overheads = []
-    rounds = max(5 * repeats, 10)
-    batch = 3
-    was_strict = contracts.is_enabled()
-    contracts.disable()
-    obs.disable()
-    try:
-        for name, (wrapped, args) in cases.items():
-            raw = _unwrap(wrapped)
-            wrapped(*args)
-            raw(*args)
-            ratios = []
-            raw_best = wrapped_best = np.inf
-            for _ in range(rounds):
-                start = time.perf_counter()
-                for _ in range(batch):
-                    raw(*args)
-                raw_t = time.perf_counter() - start
-                start = time.perf_counter()
-                for _ in range(batch):
-                    wrapped(*args)
-                wrapped_t = time.perf_counter() - start
-                ratios.append(wrapped_t / raw_t)
-                raw_best = min(raw_best, raw_t / batch)
-                wrapped_best = min(wrapped_best, wrapped_t / batch)
-            overhead = float(np.median(ratios)) - 1.0
-            overheads.append(overhead)
-            entries[name] = {
-                "raw_s": raw_best,
-                "wrapped_s": wrapped_best,
-                "overhead_fraction": overhead,
-            }
-    finally:
-        if was_strict:
-            contracts.enable()
-    return {
-        "kernels": entries,
-        "median_overhead_fraction": float(np.median(overheads)),
-    }
-
-
 def run_audit_overhead(repeats: int) -> dict:
     """Measure the cost of shadow auditing on end-to-end query serving.
 
@@ -765,7 +693,6 @@ def run_audit_overhead(repeats: int) -> dict:
         obs.disable()
         obs.metrics.reset()
         obs.trace.reset()
-        obs.health.reset()
     disabled_best = baseline_t / serves
     enabled_best = monitored_t / serves
     overhead = accounting + audit_fraction
@@ -916,13 +843,6 @@ def main(argv=None) -> int:
     parser.add_argument("--audit-tolerance", type=float, default=0.02,
                         help="maximum tolerated median serving overhead "
                              "fraction of shadow auditing (default 2%%)")
-    parser.add_argument("--strict-check", action="store_true",
-                        help="also measure disabled strict-mode contract "
-                             "wrapper overhead (wrapped vs raw kernels) "
-                             "and gate the median")
-    parser.add_argument("--strict-tolerance", type=float, default=0.02,
-                        help="maximum tolerated median overhead fraction "
-                             "of disabled contract wrappers (default 2%%)")
     args = parser.parse_args(argv)
 
     record = run_benchmarks(args.profile)
@@ -1028,29 +948,6 @@ def main(argv=None) -> int:
             print(f"FAIL: attributed shadow-audit overhead "
                   f"{median * 100:.2f}% "
                   f"exceeds {args.audit_tolerance * 100:.0f}%")
-            status = 1
-
-    if args.strict_check:
-        overhead = run_strict_overhead(PROFILES[args.profile]["repeats"])
-        record["contracts"] = {
-            **overhead,
-            "tolerance": args.strict_tolerance,
-            "ok": overhead["median_overhead_fraction"] <= args.strict_tolerance,
-        }
-        print(f"\n{'kernel'.ljust(width)}  raw          wrapped      overhead")
-        for name, entry in overhead["kernels"].items():
-            print(
-                f"{name.ljust(width)}  {entry['raw_s'] * 1e3:9.3f} ms"
-                f"  {entry['wrapped_s'] * 1e3:9.3f} ms"
-                f"  {entry['overhead_fraction'] * 100:+7.2f}%"
-            )
-        median = overhead["median_overhead_fraction"]
-        print(f"median disabled-contract overhead: {median * 100:+.2f}% "
-              f"(tolerance {args.strict_tolerance * 100:.0f}%)")
-        if not record["contracts"]["ok"]:
-            print(f"FAIL: median disabled-contract overhead "
-                  f"{median * 100:.2f}% exceeds "
-                  f"{args.strict_tolerance * 100:.0f}%")
             status = 1
 
     repeats = PROFILES[args.profile]["repeats"]

@@ -9,10 +9,8 @@
 #    BENCH_MAX_REGRESSION for noisy CI machines), if a required speedup
 #    over the reference implementations no longer holds, if the median
 #    observability-instrumentation overhead (enabled vs disabled)
-#    exceeds 2% (--obs-check), if the disabled strict-mode contract
-#    wrappers cost more than 2% over the raw kernels (--strict-check),
-#    or if the running 100hz sampling profiler costs more than 5% on
-#    the kernels (--profile-check). --audit-check gates shadow auditing
+#    exceeds 2% (--obs-check), or if the running 100hz sampling
+#    profiler costs more than 5% on the kernels (--profile-check). --audit-check gates shadow auditing
 #    on end-to-end serving: directly-attributed per-query accounting
 #    plus audit re-execution time must stay under 2% at the default
 #    sample rate. --check also gates the column store: the serial
@@ -25,7 +23,6 @@ PYTHONPATH=src python benchmarks/bench_kernels.py \
   --check BENCH_kernels.json \
   --max-regression "${BENCH_MAX_REGRESSION:-1.25}" \
   --obs-check \
-  --strict-check \
   --profile-check \
   --audit-check \
   --output -

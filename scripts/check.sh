@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full per-PR check: tests + static analysis + strict-mode smoke.
+# Full per-PR check: tests + static analysis + end-to-end smokes.
 #
 # 1. tier-1 pytest           — the repo's own test suite (ROADMAP.md).
 # 2. repro lint              — the per-file rule pack over
@@ -7,38 +7,35 @@
 #                              is no cache), which must finish under a
 #                              10 s budget so lint never becomes the slow
 #                              step (DESIGN.md §12).
-# 3. strict-mode smoke train — a micro fit+query run with the runtime
-#                              shape/dtype/NaN contracts enabled
-#                              (REPRO_STRICT=1), so a contract that
-#                              would fire on the real pipeline fails CI
-#                              rather than a user.
-# 4. repro explain --analyze  — the EXPLAIN ANALYZE path on a 3-table
+# 3. repro explain --analyze  — the EXPLAIN ANALYZE path on a 3-table
 #                              IMDB join (per-operator est/act/q-error).
-# 5. repro profile -> watch    — profiles a micro demo run (sampling
+# 4. repro profile -> watch    — profiles a micro demo run (sampling
 #                              profiler + memory tracker + SLOs) and
 #                              renders one frame of the ops console from
 #                              the recorded artifacts, hot-function and
 #                              memory panes included (DESIGN.md §6).
-# 6. repro report --smoke      — records one tiny end-to-end run (profiled,
+# 5. repro report --smoke      — records one tiny end-to-end run (profiled,
 #                              shadow-audited at rate 1.0) and fuses it
 #                              into the markdown report; the same run
 #                              feeds the answer-quality check (the
 #                              predicted-vs-observed Calibration table),
-#                              `repro analyze` (a trace id from the
-#                              report resolves to its span tree) and
-#                              `repro diff` of the run against itself
-#                              (must report no regressions).
-# 7. end-to-end benchmark     — the benchmark's own tests (recorder,
+#                              the one-source check (the report's health
+#                              verdict counts equal `repro watch
+#                              --once`'s), `repro analyze` (a trace id
+#                              from the report resolves to its span
+#                              tree) and `repro diff` of the run against
+#                              itself (must report no regressions).
+# 6. end-to-end benchmark     — the benchmark's own tests (recorder,
 #                              speed probe, declaration vs. output) and
 #                              one --smoke pass of all four workloads
 #                              with every output check on
 #                              (benchmarks/e2e/README.md); timings are
 #                              not gated here.
-# 8. scripts/loc.sh           — lines per package, the size number
+# 7. scripts/loc.sh           — lines per package, the size number
 #                              ROADMAP.md tracks; informational.
 #
-# Benchmark gates (kernel regressions, instrumentation + contract
-# overhead) live in scripts/bench_smoke.sh.
+# Benchmark gates (kernel regressions, instrumentation overhead) live in
+# scripts/bench_smoke.sh.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -63,12 +60,6 @@ if elapsed >= 10.0:
     sys.stdout.write("lint timing budget exceeded (>= 10s)\n")
     sys.exit(1)
 EOF
-
-echo "== strict-mode smoke (REPRO_STRICT=1 micro train + queries)"
-REPRO_STRICT=1 python -m repro demo \
-  --dataset flights --scale 0.12 --k 100 --iterations 2 --light --seed 1 \
-  > /dev/null
-echo "strict smoke: OK"
 
 echo "== repro explain --analyze (3-table IMDB join)"
 python -m repro explain \
@@ -95,6 +86,10 @@ echo "== repro report --smoke -> Calibration / analyze / diff (one audited run)"
 report_dir="$(mktemp -d)"
 python -m repro report --smoke --dir "$report_dir"
 grep -q "Calibration" "$report_dir/report.md"
+verdict="$(sed -n 's/^- health verdict: .*(\([0-9]* CRIT, [0-9]* WARN\))$/\1/p' \
+  "$report_dir/report.md")"
+test -n "$verdict"
+python -m repro watch --dir "$report_dir" --once | grep -qx "  $verdict"
 trace_id="$(sed -n 's/^| `\([0-9a-f]\{16\}\)` .*/\1/p' \
   "$report_dir/report.md" | head -n 1)"
 test -n "$trace_id"

@@ -28,8 +28,7 @@ span attribution and memory.
 
 ``demo``/``train`` accept ``--telemetry DIR`` to record a full
 observability run (trace.json, trace_chrome.json, metrics.json,
-telemetry.jsonl) for those views, and ``--strict`` to enable the
-runtime shape/NaN contracts (same as ``REPRO_STRICT=1``).
+telemetry.jsonl) for those views.
 
 Unknown subcommands exit with status 2 and the available-command list
 (argparse's required-subparser behaviour, pinned by ``tests/test_cli.py``).
@@ -42,8 +41,9 @@ import json
 import os
 import sys
 
-from . import __version__, contracts, obs
+from . import __version__, obs
 from .core import ASQPConfig, ASQPSession, ASQPTrainer, load_model, save_model, score
+from .core.persistence import ModelError
 from .datasets import load_flights, load_imdb, load_mas
 from .db import explain as db_explain, split_explain, sql
 from .lint import cli as lint_cli
@@ -82,12 +82,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="record an observability run (trace + metrics + telemetry JSONL) "
              "into DIR; read it back with `repro report`/`stats`/`trace`",
     )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="enable runtime shape/dtype/NaN contracts (repro.contracts; "
-             "same as REPRO_STRICT=1)",
-    )
 
 
 def _make_config(args) -> ASQPConfig:
@@ -102,8 +96,6 @@ def _make_config(args) -> ASQPConfig:
 
 
 def cmd_demo(args) -> int:
-    if args.strict:
-        contracts.enable()
     if args.telemetry:
         obs.start_run(args.telemetry)
     bundle = _load_bundle(args.dataset, args.scale)
@@ -134,8 +126,6 @@ def cmd_demo(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.strict:
-        contracts.enable()
     if args.telemetry:
         obs.start_run(args.telemetry)
     bundle = _load_bundle(args.dataset, args.scale)
@@ -271,9 +261,14 @@ def cmd_audit(args) -> int:
 
 def cmd_trace(args) -> int:
     """Pretty-print the span tree of a recorded run."""
+    from .obs import analyze
+
     run = rundir.load(args.dir)
     roots = run.trace or []
     print(f"trace — {run.directory} ({len(roots)} root spans)")
+    note = analyze.dropped_roots_note(run)
+    if note:
+        print(note)
     print(obs_trace.format_tree(roots, max_depth=args.depth))
     chrome_path = run.path("chrome_trace")
     if chrome_path:
@@ -513,7 +508,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except rundir.RunError as error:  # a missing or damaged run directory
+    except (rundir.RunError, ModelError) as error:
+        # A missing or damaged run directory / saved model: one line, exit 1.
         print(error)
         return 1
 

@@ -30,7 +30,7 @@ from .metric import (
     score,
     workload_result_keys,
 )
-from .persistence import load_model, save_model
+from .persistence import ModelError, load_model, save_model
 from .preprocess import PreprocessResult, build_coverage, preprocess, provenance_rows
 from .reward import CoverageTracker, QueryCoverage
 from .session import ASQPSession, ASQPSystem, QueryOutcome
@@ -56,6 +56,7 @@ __all__ = [
     "GSLEnvironment",
     "HybridEnvironment",
     "IterationRecord",
+    "ModelError",
     "PreprocessResult",
     "QueryCoverage",
     "QueryOutcome",

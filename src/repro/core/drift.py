@@ -74,23 +74,6 @@ class DriftDetector:
             return event
         return None
 
-    def observe_external(self, kind: str, magnitude: float) -> None:
-        """Record an externally detected drift signal on the drift stream.
-
-        The quality pipeline's calibration-drift detector
-        (:mod:`repro.obs.quality`) reports here so every drift signal of
-        a run — interest drift and calibration drift alike — lands on
-        the one ``drift`` telemetry stream. External signals carry their
-        own alerts and never touch the interest-drift trigger state.
-        """
-        _telemetry.emit(
-            "drift",
-            kind=kind,
-            magnitude=float(magnitude),
-            external=True,
-        )
-        _metrics.add(f"drift.external.{kind}")
-
     @property
     def pending_count(self) -> int:
         return len(self._pending)

@@ -179,7 +179,7 @@ class AnswerabilityEstimator:
         Leave-one-out over the representatives: predict each one's
         answerability from the *other* representatives and compare with
         the Eq. 1 score the model actually achieved on it. Near 0 means
-        the confidence scale tracks realized quality; the health monitor
+        the confidence scale tracks realized quality; the default SLOs
         and ``repro report`` surface it as an estimator-quality gauge.
         """
         n = len(self.embeddings)

@@ -16,6 +16,10 @@ Coverage structures are *rebuilt* on load by re-executing the
 representatives against the database (exactly what preprocessing did), so
 the on-disk format stays small and the loaded model is guaranteed
 consistent with the database it is attached to. No pickle anywhere.
+
+A model directory is outside input: a file of it that is missing, cut
+short or of the wrong shape makes :func:`load_model` raise one
+:class:`ModelError` naming the file.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import zipfile
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 
 from ..db.database import Database
@@ -37,6 +45,33 @@ from .preprocess import PreprocessResult, build_coverage
 from .trainer import IterationRecord, TrainedModel
 
 FORMAT_VERSION = 1
+
+
+class ModelError(ValueError):
+    """A model directory that cannot be loaded; the message is user-facing."""
+
+
+@contextmanager
+def _reading(directory: str, name: str) -> Iterator[str]:
+    """Path of one model file; the block reads and interprets that file.
+
+    Whatever a missing, truncated or wrong-shaped file raises in the
+    block — from ``open``, the JSON / npz decoder, a key or field lookup,
+    a constructor fed the wrong fields — leaves as a :class:`ModelError`.
+    """
+    path = os.path.join(directory, name)
+    try:
+        yield path
+    except ModelError:
+        raise
+    except (
+        OSError, EOFError, zipfile.BadZipFile,
+        ValueError, LookupError, TypeError, AttributeError,
+    ) as error:
+        raise ModelError(
+            f"unreadable model file {path}: {type(error).__name__}: {error} "
+            "— save the model again with `repro train --out`"
+        ) from None
 
 
 def save_model(model: TrainedModel, directory: str) -> None:
@@ -95,45 +130,57 @@ def load_model(directory: str, db: Database) -> TrainedModel:
 
     ``db`` must be the database the model was trained on (same content);
     coverage structures are rebuilt by executing the stored representative
-    queries against it.
+    queries against it. Raises :class:`ModelError` for a damaged directory.
     """
-    with open(os.path.join(directory, "config.json")) as handle:
-        payload = json.load(handle)
-    if payload.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format version {payload.get('version')!r}"
-        )
-    config_dict = payload["config"]
-    config_dict["hidden_sizes"] = tuple(config_dict["hidden_sizes"])
-    config = ASQPConfig(**config_dict)
+    with _reading(directory, "config.json") as path:
+        with open(path) as handle:
+            payload = json.load(handle)
+        if payload.get("version") != FORMAT_VERSION:
+            raise ModelError(
+                f"unsupported model format version "
+                f"{payload.get('version')!r} in {path}"
+            )
+        config_dict = payload["config"]
+        config_dict["hidden_sizes"] = tuple(config_dict["hidden_sizes"])
+        config = ASQPConfig(**config_dict)
 
-    with open(os.path.join(directory, "queries.json")) as handle:
-        queries = json.load(handle)
-    representatives = [sql(text) for text in queries["representatives"]]
-    training_queries = [sql(text) for text in queries["training_queries"]]
-    weights = np.asarray(queries["representative_weights"], dtype=np.float64)
+    with _reading(directory, "queries.json") as path:
+        with open(path) as handle:
+            queries = json.load(handle)
+        representatives = [sql(text) for text in queries["representatives"]]
+        training_queries = [sql(text) for text in queries["training_queries"]]
+        weights = np.asarray(queries["representative_weights"], dtype=np.float64)
 
-    with open(os.path.join(directory, "actions.json")) as handle:
-        raw_actions = json.load(handle)
-    actions = [
-        Action(
-            keys=tuple((t, int(r)) for t, r in entry["keys"]),
-            source_query=int(entry["source"]),
-        )
-        for entry in raw_actions
-    ]
+    with _reading(directory, "actions.json") as path:
+        with open(path) as handle:
+            raw_actions = json.load(handle)
+        actions = [
+            Action(
+                keys=tuple((t, int(r)) for t, r in entry["keys"]),
+                source_query=int(entry["source"]),
+            )
+            for entry in raw_actions
+        ]
 
-    arrays = np.load(os.path.join(directory, "arrays.npz"))
-    action_space = ActionSpace(actions, arrays["action_embeddings"])
+    with _reading(directory, "arrays.npz") as path, np.load(path) as arrays:
+        action_space = ActionSpace(actions, arrays["action_embeddings"])
+        agent = ASQPAgent(len(action_space), config)
+        for i in range(len(agent.actor.net.weights)):
+            agent.actor.net.weights[i][...] = arrays[f"actor_w{i}"]
+            agent.actor.net.biases[i][...] = arrays[f"actor_b{i}"]
+        if agent.critic is not None and "critic_w0" in arrays:
+            for i in range(len(agent.critic.net.weights)):
+                agent.critic.net.weights[i][...] = arrays[f"critic_w{i}"]
+                agent.critic.net.biases[i][...] = arrays[f"critic_b{i}"]
+        representative_embeddings = arrays["representative_embeddings"]
+        training_embeddings = arrays["training_embeddings"]
 
-    agent = ASQPAgent(len(action_space), config)
-    for i in range(len(agent.actor.net.weights)):
-        agent.actor.net.weights[i][...] = arrays[f"actor_w{i}"]
-        agent.actor.net.biases[i][...] = arrays[f"actor_b{i}"]
-    if agent.critic is not None and "critic_w0" in arrays:
-        for i in range(len(agent.critic.net.weights)):
-            agent.critic.net.weights[i][...] = arrays[f"critic_w{i}"]
-            agent.critic.net.biases[i][...] = arrays[f"critic_b{i}"]
+    with _reading(directory, "history.json") as path:
+        with open(path) as handle:
+            history = json.load(handle)
+        records = [IterationRecord(**record) for record in history["records"]]
+        setup_seconds = history["setup_seconds"]
+        fine_tune_count = history["fine_tune_count"]
 
     # Rebuild the reward structures against the attached database.
     rng = np.random.default_rng(config.seed)
@@ -147,8 +194,8 @@ def load_model(directory: str, db: Database) -> TrainedModel:
         representatives=representatives,
         relaxed_representatives=[],
         representative_weights=weights,
-        representative_embeddings=arrays["representative_embeddings"],
-        training_embeddings=arrays["training_embeddings"],
+        representative_embeddings=representative_embeddings,
+        training_embeddings=training_embeddings,
         coverages=list(coverages),
         action_space=action_space,
         training_queries=training_queries,
@@ -156,19 +203,14 @@ def load_model(directory: str, db: Database) -> TrainedModel:
         tuple_embedder=TupleEmbedder(dim=config.embedding_dim, stats=stats),
         stats=stats,
     )
-
-    with open(os.path.join(directory, "history.json")) as handle:
-        history = json.load(handle)
-
-    model = TrainedModel(
+    return TrainedModel(
         db=db,
         config=config,
         agent=agent,
         preprocessed=prep,
         coverages=list(coverages),
         action_space=action_space,
-        history=[IterationRecord(**record) for record in history["records"]],
-        setup_seconds=history["setup_seconds"],
-        fine_tune_count=history["fine_tune_count"],
+        history=records,
+        setup_seconds=setup_seconds,
+        fine_tune_count=fine_tune_count,
     )
-    return model

@@ -20,7 +20,7 @@ import numpy as np
 from ..obs.clock import perf_counter
 from ..db.database import Database
 from ..db.executor import AggregateResult, ResultSet, execute, execute_aggregate
-from ..obs import health, memory, metrics, quality, telemetry, trace
+from ..obs import memory, metrics, quality, telemetry, trace
 from ..obs import context as obs_context
 from ..obs.runtime import STATE as _OBS
 from ..db.query import AggregateQuery, SPJQuery
@@ -229,10 +229,6 @@ class ASQPSession:
         metrics.observe("session.query.seconds", outcome.elapsed_seconds)
         metrics.observe("session.confidence", estimate.confidence)
         metrics.observe("session.realized_frame_score", realized)
-        # _log_outcome only runs inside a live span (obs enabled), so the
-        # health monitor sees every calibration pair of a recorded run.
-        monitor = health.active_monitor()
-        monitor.observe_calibration(estimate.confidence, realized)
         self.estimator.note_outcome(estimate.confidence, realized)
         metrics.set_gauge(
             "estimator.online_calibration_error",
@@ -241,13 +237,6 @@ class ASQPSession:
         # Epoch boundary for the leak check: repeated query answering
         # should not accumulate traced bytes between queries.
         memory.mark_epoch("session.query")
-        if outcome.drift_event is not None:
-            monitor.observe_drift({
-                "pending_count": len(outcome.drift_event.queries),
-                "mean_deviation": float(
-                    np.mean(outcome.drift_event.confidences)
-                ),
-            })
         return realized
 
     def _shadow_audit(
@@ -270,14 +259,12 @@ class ASQPSession:
         if auditor is None:
             return
         estimate = outcome.estimate
-        drift = auditor.observe_query(
+        auditor.observe_query(
             predicted=estimate.confidence,
             observed=realized,
             used_approximation=outcome.used_approximation,
             elapsed_seconds=outcome.elapsed_seconds,
         )
-        if drift is not None:
-            self.drift_detector.observe_external("calibration", drift.bias)
         if not outcome.used_approximation:
             return  # full-database answers are ground truth already
         trace_id = obs_context.current_trace_id()

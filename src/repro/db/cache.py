@@ -11,16 +11,12 @@ query stream.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from ..obs import metrics as _metrics
 from ..obs.runtime import STATE as _OBS
 
 TupleKey = Tuple[str, int]  # (table name, base row id)
-
-# (query SQL, ((table, encoding_version), ...)) — the physical identity of
-# everything a cached result depends on.
-ResultKey = Tuple[str, Tuple[Tuple[str, int], ...]]
 
 
 class LRUTupleCache:
@@ -112,91 +108,3 @@ class LRUTupleCache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-class ResultCache:
-    """LRU cache of executed query results, keyed on encoding versions.
-
-    A cached result is only valid for the exact physical state of the
-    tables it was computed from. The key therefore combines the query's
-    SQL text with the ``encoding_version`` of every table in its FROM
-    clause; rebuilding or re-encoding a table bumps its version (see
-    :class:`repro.db.table.Table`), so stale entries simply stop
-    matching instead of being served.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[ResultKey, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def key_for(self, db: Any, query: Any) -> ResultKey:
-        """The cache key binding *query* to the tables' current encodings."""
-        versions = tuple(
-            (name, db.table(name).encoding_version) for name in query.tables
-        )
-        return (query.to_sql(), versions)
-
-    def lookup(self, key: ResultKey) -> Optional[Any]:
-        """Fetch a cached result, refreshing its LRU position. None on miss."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-        else:
-            self.misses += 1
-        if _OBS.enabled:
-            registry = _metrics.registry()
-            registry.add("result_cache.hits" if entry is not None else "result_cache.misses", 1)
-            registry.set_gauge("result_cache.size", len(self._entries))
-        return entry
-
-    def store(self, key: ResultKey, result: Any) -> None:
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            if _OBS.enabled:
-                _metrics.registry().add("result_cache.evictions", 1)
-
-    def cache_stats(self) -> dict[str, float]:
-        total = self.hits + self.misses
-        return {
-            "capacity": float(self.capacity),
-            "size": float(len(self._entries)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
-
-def execute_cached(db: Any, query: Any, cache: ResultCache) -> Any:
-    """Execute *query* through *cache*, reusing results while valid.
-
-    Dispatches to :func:`repro.db.executor.execute` or
-    :func:`~repro.db.executor.execute_aggregate` by query type. A hit is
-    returned as-is (results are immutable once decoded); any change to a
-    referenced table's encoding version forces a fresh execution.
-    """
-    from . import executor
-    from .query import AggregateQuery
-
-    key = cache.key_for(db, query)
-    hit = cache.lookup(key)
-    if hit is not None:
-        return hit
-    if isinstance(query, AggregateQuery):
-        result: Any = executor.execute_aggregate(db, query)
-    else:
-        result = executor.execute(db, query)
-    cache.store(key, result)
-    return result

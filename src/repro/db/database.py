@@ -33,9 +33,8 @@ class Database:
     def replace_table(self, table: Table) -> None:
         """Swap in a rebuilt version of an existing table.
 
-        The replacement carries a fresh ``encoding_version``, so result
-        caches keyed on it (:class:`repro.db.cache.ResultCache`) stop
-        matching entries computed from the old physical layout.
+        The replacement carries a fresh ``encoding_version``, so anything
+        keyed on it stops matching the old physical layout.
         """
         if table.name not in self._tables:
             raise SchemaError(

@@ -40,7 +40,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..contracts import dtype_contract, shape_contract
 from ..obs.clock import perf_counter
 from ..obs import metrics as _metrics
 from ..obs.runtime import STATE as _OBS
@@ -165,8 +164,6 @@ def _redensify(codes: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 @_timed("kernel.factorize_keys", size=lambda out: len(out[0]))
-@shape_contract(arrays=[("n",)], returns=(("n",), None))
-@dtype_contract(returns=("i", None))
 def factorize_keys(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     """Encode a tuple of equal-length key columns into bounded codes.
 
@@ -284,10 +281,6 @@ def probe_factorized(
 
 
 @_timed("kernel.join_positions", size=lambda out: len(out[0]))
-@shape_contract(
-    build_keys=[("b",)], probe_keys=[("p",)], returns=(("m",), ("m",))
-)
-@dtype_contract(returns=("i", "i"))
 def join_positions(
     build_keys: Sequence[np.ndarray], probe_keys: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -339,8 +332,6 @@ def reference_join_positions(
 # distinct
 # ------------------------------------------------------------------ #
 @_timed("kernel.distinct_positions", size=len)
-@shape_contract(arrays=[("n",)], returns=("d",))
-@dtype_contract(returns="i")
 def distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Stable distinct: positions of first occurrences, in input order."""
     if _FORCE_REFERENCE:
@@ -373,8 +364,6 @@ def reference_distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
 # group-by
 # ------------------------------------------------------------------ #
 @_timed("kernel.group_by_positions", size=len)
-@shape_contract(arrays=[("n",)], returns=[(None,)])
-@dtype_contract(returns=["i"])
 def group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Group rows by key tuple; each group's positions are ascending.
 

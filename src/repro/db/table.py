@@ -27,8 +27,8 @@ directly (an ``int32`` gather instead of an object-array gather), which
 is what makes derived sub-databases cheap.
 
 Every table carries a process-unique :attr:`Table.encoding_version`; a
-rebuilt or re-encoded table gets a fresh version, which is what the
-query-result cache keys on to invalidate stale entries.
+rebuilt or re-encoded table gets a fresh version, the key a cache of
+derived results invalidates on.
 """
 
 from __future__ import annotations

@@ -471,19 +471,17 @@ class TelemetrySinkOnly(Rule):
 class QualityTelemetrySinkOnly(Rule):
     """Invariant: the ``quality`` telemetry stream has one producer.
 
-    Replay (:func:`repro.obs.health.replay`) and ``repro audit`` treat
-    every ``quality`` record as ground truth written by
-    :mod:`repro.obs.quality` — audits with measured recall, drift
-    escalations with deduped severities. A second producer anywhere
-    else could inject unaudited "audit" records or re-fire drift
-    alerts, silently corrupting the calibration tables and the
-    re-derived alert history.
+    ``repro report`` and ``repro audit`` treat every ``quality`` record
+    as ground truth written by :mod:`repro.obs.quality` — shadow audits
+    with measured recall. A second producer anywhere else could inject
+    unaudited "audit" records, silently corrupting the calibration
+    tables.
     """
 
     name = "quality-telemetry-sink-only"
     rationale = (
         "emitting on the 'quality' telemetry stream outside "
-        "obs/quality.py corrupts the replayed audit ground truth"
+        "obs/quality.py corrupts the recorded audit ground truth"
     )
 
     skip_profiles = frozenset({"tests", "benchmarks"})
@@ -507,8 +505,8 @@ class QualityTelemetrySinkOnly(Rule):
                     context, call,
                     "emit on the 'quality' telemetry stream outside "
                     "repro.obs.quality; report measurements through "
-                    "the QualityMonitor so replay and `repro audit` "
-                    "stay trustworthy",
+                    "the QualityMonitor so `repro report` and `repro "
+                    "audit` stay trustworthy",
                 ))
         return findings
 

@@ -22,11 +22,11 @@ Dependency-free instrumentation substrate for the whole system
 * :mod:`repro.obs.memory`    — tracemalloc snapshots, allocator tables,
   and per-phase leak checks surfaced as gauges;
 * :mod:`repro.obs.slo`       — declarative latency/answerability
-  objectives with multi-window burn-rate alerts into the health pipeline;
+  objectives with multi-window burn rates, recorded as ``slo`` rows;
 * :mod:`repro.obs.quality`   — answer-quality accounting: shadow-audit
-  bookkeeping, quality histograms, and calibration-drift alerts;
-* :mod:`repro.obs.health`    — rolling-window WARN/CRIT rules over the
-  diagnostic streams;
+  bookkeeping and quality histograms;
+* :mod:`repro.obs.health`    — which alerts a run has: rolling-window
+  WARN/CRIT rules folded over its recorded rows (``health.alerts(run)``);
 * :mod:`repro.obs.log`       — the sanctioned console/structured-log
   channels for library code;
 * :mod:`repro.obs.rundir`    — the run-directory format: artifact names,
@@ -119,7 +119,6 @@ def start_run(directory: str, audit_rate: Optional[float] = None) -> str:
     trace.reset()
     metrics.reset()
     telemetry.reset()
-    health.reset()
     # Tail-based trace retention: every finished root span is offered to
     # the sampler, which keeps the interesting tail (slow / errored /
     # low-quality traces) and head-samples the rest.
@@ -148,8 +147,8 @@ def _flush_continuous(directory: str) -> dict[str, str]:
 
     Wired as the profiler's ``on_flush`` callback so ``repro watch`` can
     follow a live run: refreshes the collapsed stacks / flamegraph, the
-    SLO, quality and memory summaries and the metrics snapshot, and lets
-    SLO escalations alert mid-run. :func:`finish_run` makes the same
+    SLO, quality and memory summaries and the metrics snapshot, and
+    records the SLO statuses mid-run. :func:`finish_run` makes the same
     pass one last time.
     """
     documents: dict[str, object] = {}
@@ -158,7 +157,7 @@ def _flush_continuous(directory: str) -> dict[str, str]:
         documents["profile"] = running.collapsed()
         documents["flamegraph"] = running.flamegraph_html()
     if slo.is_active():
-        slo.publish()  # escalations land in telemetry/health
+        slo.publish()  # status rows: health.alerts reads escalations off them
         documents["slo"] = slo.active().summary()
     if quality.is_active():
         documents["quality"] = quality.active().summary()
@@ -186,10 +185,6 @@ def finish_run(directory: str) -> dict[str, str]:
         running = profiler.active()
         if running is not None:
             running.stop()  # no more samples; the artifacts are final
-            for name, samples in running.span_samples().items():
-                metrics.registry().set_gauge(
-                    f"profile.span_samples.{name}", float(samples)
-                )
         # Memory is written while tracemalloc is still tracing: the
         # allocator tables and traced-bytes figures vanish once it stops.
         paths.update(_flush_continuous(directory))

@@ -170,6 +170,23 @@ def _walk(node: dict[str, Any]):
         yield from _walk(child)
 
 
+def dropped_roots_note(run: Run) -> Optional[str]:
+    """What ``trace.json`` lost to the root-span ring; None when nothing.
+
+    Every total over ``run.trace`` (hottest spans, self time by layer,
+    ``repro diff``) covers only the retained roots, so each view prints
+    this line next to them.
+    """
+    counters = (run.metrics or {}).get("counters", {})
+    dropped = int(counters.get("trace.roots_dropped", 0))
+    if not dropped:
+        return None
+    return (
+        f"{dropped} older root spans not retained (window "
+        f"{trace_mod.MAX_ROOTS}); totals cover the retained tail"
+    )
+
+
 def aggregate_spans(
     roots: list[dict[str, Any]]
 ) -> dict[str, dict[str, Any]]:
@@ -346,5 +363,9 @@ def render_diff(run_a: Run, run_b: Run) -> str:
             f"  {row['name']:<44} {row['count_a']:>5} {row['count_b']:>5} "
             f"{p50:>21} {p95:>21}  {row['verdict']}"
         )
+    for run in (run_a, run_b):
+        note = dropped_roots_note(run)
+        if note:
+            lines.append(f"  {run.directory}: {note}")
     lines.append(f"verdict: {diff['verdict']}")
     return "\n".join(lines)

@@ -1,18 +1,27 @@
-"""Training health monitor: threshold rules over the diagnostic streams.
+"""Run health: which alerts a run has, as a fold over its recorded facts.
 
-:class:`HealthMonitor` consumes the same flat dicts the telemetry
-streams carry — per-iteration ``train.update`` fields (KL, entropy, clip
-fraction, explained variance, grad norm, reward), per-query calibration
-pairs (estimator confidence vs realized frame score), and drift events —
-and applies rolling-window threshold rules. Each violation produces a
-structured :class:`Alert` (WARN or CRIT) that is kept in memory,
-emitted on the ``health`` telemetry stream, and counted in the metrics
-registry, so ``repro report`` and tests can interrogate a run's health
-without re-deriving the rules.
+:func:`alerts` is the one place that decides a run's WARN / CRIT
+verdicts. It walks the telemetry rows the run wrote, in record order,
+through the rolling-window threshold rules of :class:`HealthMonitor`:
 
-The monitor takes plain dicts, not trainer objects: ``repro.obs`` never
-imports ``repro.core``/``repro.rl`` (the dependency points the other
-way), which also lets reports re-run the rules over recorded JSONL.
+* ``train.update`` rows — KL, clip fraction, entropy, gradient norm,
+  explained variance, reward, non-finite values;
+* ``query`` rows — estimator calibration (confidence vs realized frame
+  score) and, over approximation-set answers, calibration drift: the
+  signed predicted-vs-observed bias of a rolling window, escalating
+  WARN → CRIT and re-arming after recovery;
+* ``drift`` rows — one ``interest_drift`` per fired trigger;
+* ``slo`` rows — the status rows the live SLO tracker records; an
+  objective alerts when its severity escalates (None → WARN → CRIT), so
+  periodic evaluation of a long run yields alerts proportional to state
+  changes, not to time.
+
+Nothing is computed while the run is live and nothing is written back:
+``repro report`` and ``repro watch`` call :func:`alerts` on the loaded
+:class:`~repro.obs.rundir.Run`, so they agree by construction, work on
+any recorded directory, and always reflect the current rule pack. The
+rules take plain dicts, not trainer objects: ``repro.obs`` never imports
+``repro.core``/``repro.rl`` (the dependency points the other way).
 
 Rule sizing: CRIT thresholds mark runs that are mathematically broken
 (non-finite losses, KL far beyond any trust region, gradient norms
@@ -26,18 +35,22 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
-from . import metrics as _metrics
-from . import telemetry as _telemetry
+from .rundir import Run
 
 WARN = "WARN"
 CRIT = "CRIT"
 
-#: Alert history retained per monitor (ring; severity *counts* keep
-#: accumulating past the cap, so week-long runs stay bounded without
-#: losing the totals).
-MAX_ALERTS = 512
+#: Escalation order of the deduplicated rules (calibration drift, SLOs).
+_RANK = {None: 0, WARN: 1, CRIT: 2}
+
+#: Calibration-drift window and bias thresholds (|mean(predicted) -
+#: mean(observed)| over the last `window` approximation-set answers).
+DRIFT_WINDOW = 32
+DRIFT_MIN_WINDOW = 8
+DRIFT_WARN_BIAS = 0.20
+DRIFT_CRIT_BIAS = 0.35
 
 
 @dataclass
@@ -50,20 +63,6 @@ class Alert:
     value: Optional[float] = None
     threshold: Optional[float] = None
     iteration: Optional[int] = None
-
-    def telemetry_fields(self) -> dict[str, Any]:
-        fields: dict[str, Any] = {
-            "severity": self.severity,
-            "rule": self.rule,
-            "message": self.message,
-        }
-        if self.value is not None:
-            fields["value"] = self.value
-        if self.threshold is not None:
-            fields["threshold"] = self.threshold
-        if self.iteration is not None:
-            fields["iteration"] = self.iteration
-        return fields
 
 
 @dataclass
@@ -95,7 +94,11 @@ _FINITE_KEYS = (
 
 
 class HealthMonitor:
-    """Applies rolling-window health rules and collects alerts."""
+    """The fold's state: rolling windows and the rules over them.
+
+    Every ``observe_*`` takes the fields of one recorded row and returns
+    the alerts that row raises.
+    """
 
     def __init__(
         self,
@@ -104,8 +107,6 @@ class HealthMonitor:
     ) -> None:
         self.thresholds = thresholds or HealthThresholds()
         self.window = window
-        self.alerts: deque[Alert] = deque(maxlen=MAX_ALERTS)
-        self._severity_counts: dict[str, int] = {}
         self._grad_norms: deque[float] = deque(maxlen=window)
         self._explained: deque[float] = deque(maxlen=window)
         self._calibration: deque[float] = deque(maxlen=window)
@@ -113,8 +114,13 @@ class HealthMonitor:
         self._initial_entropy: Optional[float] = None
         self._best_reward = -math.inf
         self._worst_reward = math.inf
+        #: (predicted, observed) of the last approximation-set answers.
+        self._answers: deque[tuple[float, float]] = deque(maxlen=DRIFT_WINDOW)
+        #: Highest severity already alerted (escalation dedup): of the
+        #: calibration drift, and per SLO objective.
+        self._drift_published: Optional[str] = None
+        self._slo_published: dict[str, Optional[str]] = {}
 
-    # -- inputs ------------------------------------------------------ #
     def observe_update(self, fields: dict[str, Any]) -> list[Alert]:
         """Check one ``train.update`` record (an IterationRecord dict)."""
         t = self.thresholds
@@ -248,7 +254,17 @@ class HealthMonitor:
                     iteration=iteration,
                 ))
 
-        return self._publish(new)
+        return new
+
+    def observe_query(self, fields: dict[str, Any]) -> list[Alert]:
+        """Check one ``query`` row: estimator calibration, then its drift."""
+        pair = _calibration_pair(fields)
+        if pair is None:
+            return []
+        new = self.observe_calibration(*pair)
+        if fields.get("used_approximation"):
+            new += self._observe_answer(*pair)
+        return new
 
     def observe_calibration(
         self, confidence: float, realized: float
@@ -269,17 +285,47 @@ class HealthMonitor:
                         "the answerability estimator is poorly calibrated",
                         value=mean_error, threshold=t.calibration_warn,
                     ))
-        return self._publish(new)
+        return new
 
-    def observe_drift(self, fields: Optional[dict[str, Any]] = None) -> list[Alert]:
-        """Record an interest-drift event (informational WARN)."""
-        fields = fields or {}
-        if fields.get("external"):
-            # Externally sourced drift signals (e.g. the quality
-            # pipeline's calibration drift relayed through
-            # core.drift.observe_external) publish their own alerts;
-            # re-deriving an interest-drift WARN here would double-count.
+    def _observe_answer(self, predicted: float, observed: float) -> list[Alert]:
+        """Calibration drift over the last approximation-set answers.
+
+        Alerts only on severity *escalation* (None → WARN → CRIT) and
+        re-arms once the window's bias recovers below the WARN level.
+        """
+        self._answers.append((predicted, observed))
+        n = len(self._answers)
+        if n < DRIFT_MIN_WINDOW:
             return []
+        mean_predicted = sum(p for p, _ in self._answers) / n
+        mean_observed = sum(o for _, o in self._answers) / n
+        bias = mean_predicted - mean_observed
+        if abs(bias) >= DRIFT_CRIT_BIAS:
+            severity: Optional[str] = CRIT
+        elif abs(bias) >= DRIFT_WARN_BIAS:
+            severity = WARN
+        else:
+            severity = None
+        if _RANK[severity] <= _RANK[self._drift_published]:
+            if severity is None:
+                self._drift_published = None  # re-arm after recovery
+            return []
+        self._drift_published = severity
+        direction = "over" if bias > 0 else "under"
+        return [Alert(
+            severity,
+            "quality_calibration_drift",
+            f"estimator confidence {direction}-predicts realized answer "
+            f"quality: predicted-vs-observed bias {bias:+.2f} over the "
+            f"last {n} approximation answers "
+            f"(mean predicted {mean_predicted:.2f}, "
+            f"mean observed {mean_observed:.2f})",
+            value=bias,
+            threshold=DRIFT_CRIT_BIAS if severity == CRIT else DRIFT_WARN_BIAS,
+        )]
+
+    def observe_drift(self, fields: dict[str, Any]) -> list[Alert]:
+        """One ``drift`` row: a fired interest-drift trigger (informational)."""
         message = "interest drift detected"
         deviation = fields.get("mean_deviation")
         if deviation is not None:
@@ -287,112 +333,89 @@ class HealthMonitor:
                 f" after {fields.get('pending_count', '?')} low-confidence "
                 f"queries (mean deviation {float(deviation):.2f})"
             )
-        alert = Alert(WARN, "interest_drift", message, value=deviation)
-        return self._publish([alert])
+        return [Alert(WARN, "interest_drift", message, value=deviation)]
 
-    def observe_quality(self, fields: dict[str, Any]) -> list[Alert]:
-        """Re-derive alerts from a recorded ``quality`` stream record.
-
-        The live run publishes calibration-drift alerts directly from
-        :mod:`repro.obs.quality`; replay reconstructs the same alert
-        from the recorded escalation so reports over JSONL agree with
-        what the live monitor saw.
-        """
-        if fields.get("kind") != "calibration_drift":
-            return []
+    def observe_slo(self, fields: dict[str, Any]) -> list[Alert]:
+        """Check one ``slo`` status row; alerts when its severity escalates."""
         severity = fields.get("severity")
-        if severity not in (WARN, CRIT):
-            severity = WARN
-        bias = fields.get("bias")
-        message = "recorded calibration drift"
-        if bias is not None:
-            message += (
-                f": predicted-vs-observed bias {float(bias):+.2f} over "
-                f"{fields.get('window', '?')} approximation answers"
+        name = fields.get("name")
+        if _RANK.get(severity, 0) <= _RANK[self._slo_published.get(name)]:
+            return []
+        self._slo_published[name] = severity
+        if "burn_rate" in fields:  # windowed objective
+            message = (
+                f"SLO '{fields['spec']}' burning error budget: "
+                f"{fields['bad_fraction']:.0%} of the last "
+                f"{fields['n_samples']} samples violate the threshold "
+                f"(burn rate {fields['burn_rate']:.1f}x slow / "
+                f"{fields['fast_burn_rate']:.1f}x fast, "
+                f"{name} = {fields['value']:.4g} "
+                f"vs {fields['threshold']:.4g})"
             )
-        alert = Alert(severity, "quality_calibration_drift", message, value=bias)
-        return self._publish([alert])
-
-    # -- outputs ----------------------------------------------------- #
-    def _publish(self, new: list[Alert]) -> list[Alert]:
-        for alert in new:
-            self.alerts.append(alert)
-            self._severity_counts[alert.severity] = (
-                self._severity_counts.get(alert.severity, 0) + 1
+            exemplars = fields.get("exemplar_trace_ids") or []
+            if exemplars:
+                message += (
+                    "; worst traces: " + ", ".join(exemplars)
+                    + " (repro analyze --trace <id>)"
+                )
+            rule = "slo_burn"
+        else:
+            message = (
+                f"SLO '{fields['spec']}' violated: "
+                f"{fields['value']:.4g} vs threshold "
+                f"{fields['threshold']:.4g}"
             )
-            _telemetry.emit("health", **alert.telemetry_fields())
-            _metrics.add(f"health.alerts.{alert.severity.lower()}")
-        return new
+            rule = "slo_violation"
+        return [Alert(
+            severity, rule, message,
+            value=fields["value"], threshold=fields["threshold"],
+        )]
 
-    def publish(self, alerts: list[Alert]) -> list[Alert]:
-        """Record externally derived alerts (the SLO tracker's entry point)."""
-        return self._publish(alerts)
 
-    def counts(self) -> dict[str, int]:
-        return {WARN: 0, CRIT: 0, **self._severity_counts}
-
-    def worst_severity(self) -> Optional[str]:
-        counts = self.counts()
-        if counts.get(CRIT):
-            return CRIT
-        if counts.get(WARN):
-            return WARN
+def _calibration_pair(fields: dict[str, Any]) -> Optional[tuple[float, float]]:
+    """(predicted, observed) of a ``query`` row; None when it has no pair."""
+    confidence = fields.get("confidence")
+    realized = fields.get("realized_frame_score")
+    if confidence is None or realized is None:
         return None
-
-    def summary(self) -> dict[str, Any]:
-        """JSON-ready view for reports."""
-        return {
-            "counts": self.counts(),
-            "worst": self.worst_severity(),
-            "alerts": [alert.telemetry_fields() for alert in self.alerts],
-        }
+    return float(confidence), float(realized)
 
 
-def replay(
-    records: list[dict[str, Any]],
-    thresholds: Optional[HealthThresholds] = None,
-    window: int = 10,
-) -> HealthMonitor:
-    """Re-run the health rules over recorded telemetry JSONL records.
+def alerts(run: Run) -> list[Alert]:
+    """Every alert of a recorded run, in record order (see module docstring)."""
+    monitor = HealthMonitor()
+    rules = {
+        "train.update": monitor.observe_update,
+        "query": monitor.observe_query,
+        "drift": monitor.observe_drift,
+        "slo": monitor.observe_slo,
+    }
+    found: list[Alert] = []
+    for record in run.records:
+        rule = rules.get(record.get("stream"))
+        if rule is not None:
+            found += rule(record)
+    return found
 
-    Used by ``repro report`` to evaluate runs recorded before the
-    monitor existed (or with it disabled); alerts are collected on the
-    returned monitor but not re-emitted (emission requires an enabled
-    observability run).
+
+def counts(found: Iterable[Alert]) -> dict[str, int]:
+    """Alerts per severity; both severities are always present."""
+    totals = {CRIT: 0, WARN: 0}
+    for alert in found:
+        totals[alert.severity] += 1
+    return totals
+
+
+def calibration_bias(run: Run) -> Optional[float]:
+    """Signed mean(predicted − observed) over the calibration-drift window.
+
+    The window is the last :data:`DRIFT_WINDOW` approximation-set
+    answers of the run; ``None`` before the first one.
     """
-    monitor = HealthMonitor(thresholds, window=window)
-    for record in records:
-        stream = record.get("stream")
-        if stream == "train.update":
-            monitor.observe_update(record)
-        elif stream == "query":
-            confidence = record.get("confidence")
-            realized = record.get("realized_frame_score")
-            if confidence is not None and realized is not None:
-                monitor.observe_calibration(confidence, realized)
-            if record.get("drift"):
-                monitor.observe_drift(record)
-        elif stream == "drift":
-            monitor.observe_drift(record)
-        elif stream == "quality":
-            monitor.observe_quality(record)
-    return monitor
-
-
-_ACTIVE: list[HealthMonitor] = []
-
-
-def active_monitor() -> HealthMonitor:
-    """The process-wide monitor (created on first use).
-
-    The trainer and the query session feed this shared instance so one
-    ``repro demo --telemetry`` run accumulates a single alert history.
-    """
-    if not _ACTIVE:
-        _ACTIVE.append(HealthMonitor())
-    return _ACTIVE[0]
-
-
-def reset() -> None:
-    """Drop the process-wide monitor (tests / run boundaries)."""
-    _ACTIVE.clear()
+    pairs = [
+        _calibration_pair(q)
+        for q in run.stream("query") if q.get("used_approximation")
+    ]
+    gaps = [predicted - observed for predicted, observed in filter(None, pairs)]
+    window = gaps[-DRIFT_WINDOW:]
+    return sum(window) / len(window) if window else None

@@ -1,4 +1,4 @@
-"""Answer-quality accounting: shadow audits and calibration drift.
+"""Answer-quality accounting: calibration samples and shadow audits.
 
 The paper's contract is not "fast queries" but *approximate answers
 whose quality is quantified* (Eq. 1 recall against the frame, Eq. 2
@@ -7,7 +7,8 @@ aggregate relative error). This module closes the loop at serving time:
 * **Per-query accounting** — every query served on a recorded run
   reports its predicted answerability (the estimator's confidence)
   against the realized frame score; the pair lands in the
-  ``quality.calibration`` histogram and feeds a rolling drift detector.
+  ``quality.calibration`` histogram (and, through the session's
+  ``query`` row, in :mod:`repro.obs.health`'s calibration-drift rule).
 * **Shadow auditing** — a deterministic fraction of approximation-set
   answers (chosen by trace-id hash, like tail-sampling's head coin) is
   re-executed against the full database by the session; the measured
@@ -15,11 +16,6 @@ aggregate relative error). This module closes the loop at serving time:
   ``quality.recall`` / ``quality.agg_rel_error`` histogram samples
   (with worst-quality trace-id exemplars), ``quality`` telemetry
   records, and rows of a bounded in-memory audit table.
-* **Calibration drift** — the signed bias between predicted and
-  observed answerability over a rolling window; sustained bias raises
-  WARN/CRIT health alerts (rule ``quality_calibration_drift``) and is
-  reported back to the session so :mod:`repro.core.drift` records the
-  event on the ``drift`` telemetry stream.
 
 Audit cost is bounded by construction: a budget governor skips audits
 once cumulative audit time exceeds ``max_overhead`` (default 1%) of
@@ -38,11 +34,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import context as _context
-from . import health as _health
 from . import metrics as _metrics
 from . import telemetry as _telemetry
 
@@ -56,13 +50,6 @@ DEFAULT_MAX_OVERHEAD = 0.01
 #: Audited recall below this marks the trace low-quality (tail-sampler
 #: keep reason, ``low_quality`` root-span attribute).
 LOW_QUALITY_RECALL = 0.8
-
-#: Calibration-drift window and bias thresholds (|mean(predicted) -
-#: mean(observed)| over the last `window` approximation-set answers).
-DRIFT_WINDOW = 32
-DRIFT_MIN_WINDOW = 8
-DRIFT_WARN_BIAS = 0.20
-DRIFT_CRIT_BIAS = 0.35
 
 #: Rows kept in the in-memory audit table (oldest evicted first).
 MAX_AUDIT_ROWS = 256
@@ -116,19 +103,8 @@ def _audit_keep(trace_id: str, rate: float) -> bool:
     return int(window, 16) % 10_000 < int(rate * 10_000)
 
 
-@dataclass
-class CalibrationDrift:
-    """A fired calibration-drift escalation."""
-
-    bias: float            # signed mean(predicted) - mean(observed)
-    mean_predicted: float
-    mean_observed: float
-    window: int
-    severity: str          # health.WARN or health.CRIT
-
-
 class QualityMonitor:
-    """Per-run quality accounting, shadow-audit bookkeeping, and drift.
+    """Per-run quality accounting and shadow-audit bookkeeping.
 
     The session is the only writer: it calls :meth:`observe_query` for
     every answered query, asks :meth:`should_audit` for the coin, runs
@@ -141,18 +117,11 @@ class QualityMonitor:
         sample_rate: float = DEFAULT_AUDIT_RATE,
         max_overhead: Optional[float] = DEFAULT_MAX_OVERHEAD,
         low_quality_recall: float = LOW_QUALITY_RECALL,
-        drift_window: int = DRIFT_WINDOW,
-        drift_min_window: int = DRIFT_MIN_WINDOW,
-        warn_bias: float = DRIFT_WARN_BIAS,
-        crit_bias: float = DRIFT_CRIT_BIAS,
         max_audit_rows: int = MAX_AUDIT_ROWS,
     ) -> None:
         self.sample_rate = validate_rate(sample_rate)
         self.max_overhead = max_overhead
         self.low_quality_recall = low_quality_recall
-        self.drift_min_window = drift_min_window
-        self.warn_bias = warn_bias
-        self.crit_bias = crit_bias
         self.counts: dict[str, int] = {
             "queries": 0,
             "approx_queries": 0,
@@ -160,7 +129,6 @@ class QualityMonitor:
             "low_quality": 0,
             "skipped_coin": 0,
             "skipped_budget": 0,
-            "drift_events": 0,
         }
         self.serving_seconds = 0.0
         self.audit_seconds = 0.0
@@ -168,16 +136,6 @@ class QualityMonitor:
         self._recall_sum = 0.0
         self._agg_error_sum = 0.0
         self._agg_error_count = 0
-        #: Rolling predicted/observed pairs for approximation answers.
-        #: Window sums are maintained incrementally: ``_check_drift``
-        #: runs on every approximation answer, and re-summing the
-        #: window there is what the ``--audit-check`` gate would pay.
-        self._predicted: deque[float] = deque(maxlen=drift_window)
-        self._observed: deque[float] = deque(maxlen=drift_window)
-        self._predicted_sum = 0.0
-        self._observed_sum = 0.0
-        #: Escalation dedup, same scheme as the SLO tracker.
-        self._drift_published: Optional[str] = None
         #: Bounded audit table: newest MAX_AUDIT_ROWS measurements.
         self.audit_log: deque[dict[str, Any]] = deque(maxlen=max_audit_rows)
 
@@ -188,75 +146,13 @@ class QualityMonitor:
         observed: float,
         used_approximation: bool,
         elapsed_seconds: float = 0.0,
-    ) -> Optional[CalibrationDrift]:
-        """Record one answered query; returns a drift event on escalation."""
+    ) -> None:
+        """Record one answered query."""
         self.counts["queries"] += 1
         self.serving_seconds += max(0.0, elapsed_seconds)
         _metrics.observe("quality.calibration", abs(predicted - observed))
-        if not used_approximation:
-            return None
-        self.counts["approx_queries"] += 1
-        if len(self._predicted) == self._predicted.maxlen:
-            self._predicted_sum -= self._predicted[0]
-            self._observed_sum -= self._observed[0]
-        self._predicted.append(float(predicted))
-        self._observed.append(float(observed))
-        self._predicted_sum += float(predicted)
-        self._observed_sum += float(observed)
-        return self._check_drift()
-
-    def _check_drift(self) -> Optional[CalibrationDrift]:
-        n = len(self._predicted)
-        if n < self.drift_min_window:
-            return None
-        mean_predicted = self._predicted_sum / n
-        mean_observed = self._observed_sum / n
-        bias = mean_predicted - mean_observed
-        _metrics.set_gauge("quality.calibration_bias", bias)
-        if abs(bias) >= self.crit_bias:
-            severity: Optional[str] = _health.CRIT
-        elif abs(bias) >= self.warn_bias:
-            severity = _health.WARN
-        else:
-            severity = None
-        order = {None: 0, _health.WARN: 1, _health.CRIT: 2}
-        if order[severity] <= order[self._drift_published]:
-            if severity is None:
-                self._drift_published = None  # re-arm after recovery
-            return None
-        self._drift_published = severity
-        drift = CalibrationDrift(
-            bias=bias,
-            mean_predicted=mean_predicted,
-            mean_observed=mean_observed,
-            window=n,
-            severity=severity,
-        )
-        self.counts["drift_events"] += 1
-        _metrics.add("quality.drift_events")
-        direction = "over" if bias > 0 else "under"
-        _health.active_monitor().publish([_health.Alert(
-            severity,
-            "quality_calibration_drift",
-            f"estimator confidence {direction}-predicts realized answer "
-            f"quality: predicted-vs-observed bias {bias:+.2f} over the "
-            f"last {n} approximation answers "
-            f"(mean predicted {mean_predicted:.2f}, "
-            f"mean observed {mean_observed:.2f})",
-            value=bias,
-            threshold=self.crit_bias if severity == _health.CRIT
-            else self.warn_bias,
-        )])
-        _telemetry.emit(
-            "quality",
-            kind="calibration_drift",
-            bias=bias,
-            mean_predicted=mean_predicted,
-            mean_observed=mean_observed,
-            window=n,
-            severity=severity,
-        )
-        return drift
+        if used_approximation:
+            self.counts["approx_queries"] += 1
 
     # -- shadow-audit decision ---------------------------------------- #
     def should_audit(self, trace_id: Optional[str]) -> bool:
@@ -341,12 +237,6 @@ class QualityMonitor:
             return 0.0
         return self.audit_seconds / self.serving_seconds
 
-    def calibration_bias(self) -> Optional[float]:
-        n = len(self._predicted)
-        if n == 0:
-            return None
-        return (self._predicted_sum - self._observed_sum) / n
-
     def summary(self) -> dict[str, Any]:
         audits = self.counts["audits"]
         return {
@@ -359,7 +249,6 @@ class QualityMonitor:
                 self._agg_error_sum / self._agg_error_count
                 if self._agg_error_count else None
             ),
-            "calibration_bias": self.calibration_bias(),
             "serving_seconds": self.serving_seconds,
             "audit_seconds": self.audit_seconds,
             "overhead_fraction": self.overhead_fraction(),
@@ -390,10 +279,9 @@ def configure(
 def install(monitor: QualityMonitor) -> QualityMonitor:
     """Install an existing monitor (vs ``configure``'s fresh one).
 
-    For callers that build the monitor first — tests installing one
-    with tight drift windows, or a harness re-arming the same monitor
-    so the budget governor's cumulative accounting persists across an
-    uninstalled phase.
+    For callers that build the monitor first — a harness re-arming the
+    same monitor so the budget governor's cumulative accounting persists
+    across an uninstalled phase.
     """
     clear()
     _ACTIVE.append(monitor)

@@ -10,9 +10,9 @@ self-contained markdown document, ``repro stats`` prints
 :data:`STATS_SECTIONS` and ``repro audit`` the answer-quality section.
 No network access, no dependencies beyond the stdlib.
 
-Health alerts are *re-derived* by replaying the recorded telemetry
-through :mod:`repro.obs.health`, so reports work on runs recorded
-before the monitor existed and always reflect the current rule pack.
+Health alerts are not recorded: :func:`repro.obs.health.alerts` folds
+the current rule pack over the run's recorded rows, so a report works on
+any recorded directory and agrees with ``repro watch`` by construction.
 """
 
 from __future__ import annotations
@@ -51,45 +51,18 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def _replayed_health(run: Run) -> health_mod.HealthMonitor:
-    """The run's alerts under the *current* rule pack.
-
-    :func:`health_mod.replay` re-derives the training / calibration /
-    quality-drift rules from the raw streams. Burn-rate alerts depend on
-    the rolling sample windows of the live run and cannot be re-derived,
-    so the recorded ``health`` stream is authoritative for them and they
-    are folded back in (folding the others in too would double-count).
-    """
-    monitor = health_mod.replay(run.records)
-    recorded = [
-        health_mod.Alert(
-            severity=str(record.get("severity", health_mod.WARN)),
-            rule=str(record.get("rule", "slo")),
-            message=str(record.get("message", "")),
-            value=record.get("value"),
-            threshold=record.get("threshold"),
-        )
-        for record in run.stream("health")
-        if str(record.get("rule", "")).startswith("slo")
-    ]
-    if recorded:
-        monitor.publish(recorded)
-    return monitor
-
-
 # ------------------------------------------------------------------ #
 # sections
 # ------------------------------------------------------------------ #
 def section_summary(run: Run) -> list[str]:
-    monitor = _replayed_health(run)
-    counts = monitor.counts()
-    verdict = monitor.worst_severity() or "HEALTHY"
+    counts = health_mod.counts(health_mod.alerts(run))
+    verdict = "CRIT" if counts["CRIT"] else "WARN" if counts["WARN"] else "HEALTHY"
     return [
         "## Run summary",
         "",
         f"- run directory: `{run.directory}`",
         f"- health verdict: **{verdict}** "
-        f"({counts.get('CRIT', 0)} CRIT, {counts.get('WARN', 0)} WARN)",
+        f"({counts['CRIT']} CRIT, {counts['WARN']} WARN)",
         f"- telemetry records: {len(run.records)} "
         f"({len(run.stream('train.update'))} training updates, "
         f"{len(run.stream('query'))} queries, "
@@ -99,9 +72,9 @@ def section_summary(run: Run) -> list[str]:
 
 
 def section_health(run: Run) -> list[str]:
-    monitor = _replayed_health(run)
+    found = health_mod.alerts(run)
     lines = ["## Health alerts", ""]
-    if not monitor.alerts:
+    if not found:
         lines.append("No alerts — every rule stayed inside its thresholds.")
         return lines
     rows = [
@@ -113,7 +86,7 @@ def section_health(run: Run) -> list[str]:
             "-" if alert.threshold is None else f"{alert.threshold:.4g}",
             alert.message,
         ]
-        for alert in monitor.alerts
+        for alert in found
     ]
     lines.append(_md_table(
         ["severity", "rule", "iter", "value", "threshold", "message"], rows
@@ -255,7 +228,8 @@ def section_quality(run: Run) -> list[str]:
 
     Per-audit rows come from the recorded ``quality`` telemetry stream
     (one record per shadow audit, trace-stamped); the run-level
-    accounting comes from ``quality.json``. When neither exists the
+    accounting comes from ``quality.json``; calibration bias and drift
+    escalations from :mod:`repro.obs.health`. When neither exists the
     section says so explicitly — a run without ground-truth audits
     should read as "unverified", not render as silently healthy.
     """
@@ -263,7 +237,8 @@ def section_quality(run: Run) -> list[str]:
     quality_records = run.stream("quality")
     audits = [r for r in quality_records if r.get("kind") == "audit"]
     drifts = [
-        r for r in quality_records if r.get("kind") == "calibration_drift"
+        alert for alert in health_mod.alerts(run)
+        if alert.rule == "quality_calibration_drift"
     ]
     lines = ["## Answer quality", ""]
     if not quality_records and not quality_doc:
@@ -305,18 +280,16 @@ def section_quality(run: Run) -> list[str]:
                 f"- audited recall: mean {float(recall):.3f}{agg_note}; "
                 f"{counts.get('low_quality', 0)} low-quality answers"
             )
-        bias = quality_doc.get("calibration_bias")
+        bias = health_mod.calibration_bias(run)
         if bias is not None:
             lines.append(
                 f"- calibration bias (predicted − observed): "
-                f"{float(bias):+.3f} over the rolling window; "
-                f"{counts.get('drift_events', 0)} drift escalations"
+                f"{bias:+.3f} over the rolling window; "
+                f"{len(drifts)} drift escalations"
             )
-    for record in drifts:
+    for alert in drifts:
         lines.append(
-            f"- **calibration drift ({record.get('severity', '?')})**: "
-            f"bias {float(record.get('bias', 0.0)):+.2f} over "
-            f"{record.get('window', '?')} approximation answers"
+            f"- **calibration drift ({alert.severity})**: {alert.message}"
         )
     pairs = [
         (float(r["predicted"]), float(r["observed"]), float(r["recall"]))
@@ -442,6 +415,9 @@ def section_trace(run: Run) -> list[str]:
     if not run.trace:
         lines.append("No `trace.json` in this run.")
         return lines
+    note = analyze_mod.dropped_roots_note(run)
+    if note:
+        lines += [f"{note}.", ""]
     rollup = analyze_mod.aggregate_spans(run.trace)
     ranked = sorted(rollup.items(), key=lambda kv: -kv[1]["total_s"])
     lines.append(_md_table(

@@ -64,7 +64,8 @@ class Run:
     records: list[dict[str, Any]] = field(default_factory=list)
     #: ``metrics.json``: counters / gauges / histograms snapshot.
     metrics: Optional[dict[str, Any]] = None
-    #: ``trace.json``: every finished root span, as a tree.
+    #: ``trace.json``: the last ``trace.MAX_ROOTS`` finished root spans,
+    #: as trees (``trace.roots_dropped`` in ``metrics`` counts the rest).
     trace: Optional[list[dict[str, Any]]] = None
     #: ``traces.json``: tail-sampled traces + the sampler's counts.
     traces: Optional[dict[str, Any]] = None

@@ -22,10 +22,11 @@ a threshold does an alert fire — a single slow query cannot page, a
 sustained regression cannot hide. Gauge objectives compare the current
 registry gauge against the threshold at evaluation time.
 
-Alerts feed the existing :mod:`repro.obs.health` WARN/CRIT pipeline
-(``health`` telemetry stream, ``health.alerts.*`` counters), and
-escalation is deduplicated per objective so periodic evaluation during
-a live run does not spam the alert history.
+The tracker records; it does not alert. :meth:`SLOTracker.publish`
+writes every objective's status to the ``slo`` telemetry stream, and
+:func:`repro.obs.health.alerts` turns the recorded rows into WARN/CRIT
+alerts, deduplicated per objective by severity escalation so periodic
+evaluation during a live run does not spam the alert table.
 """
 
 from __future__ import annotations
@@ -145,8 +146,6 @@ class SLOTracker:
         self.objectives: list[Objective] = []
         # samples per watched metric (rings: week-long runs stay flat)
         self._samples: dict[str, deque[float]] = {}
-        # highest severity already published per objective (escalation dedup)
-        self._published: dict[str, Optional[str]] = {}
 
     # -- configuration ----------------------------------------------- #
     def add(self, spec: Union[str, Objective]) -> Objective:
@@ -246,7 +245,7 @@ class SLOTracker:
         return status
 
     def evaluate(self) -> list[dict[str, Any]]:
-        """Current status of every objective (no alerts published)."""
+        """Current status of every objective."""
         return [
             self._evaluate_windowed(objective)
             if objective.windowed
@@ -254,62 +253,13 @@ class SLOTracker:
             for objective in self.objectives
         ]
 
-    # -- alerting ----------------------------------------------------- #
-    def publish(
-        self, monitor: Optional[_health.HealthMonitor] = None
-    ) -> list[_health.Alert]:
-        """Evaluate and feed escalations into the health pipeline.
-
-        Each objective publishes only on severity *escalation* (None →
-        WARN → CRIT), so periodic evaluation of a live run keeps the
-        alert history proportional to state changes, not to time.
-        """
-        monitor = monitor or _health.active_monitor()
-        order = {None: 0, _health.WARN: 1, _health.CRIT: 2}
-        alerts: list[_health.Alert] = []
-        for status in self.evaluate():
-            severity = status["severity"]
-            name = status["name"]
-            if order[severity] <= order.get(self._published.get(name), 0):
-                continue
-            self._published[name] = severity
-            if status["kind"] == "window":
-                message = (
-                    f"SLO '{status['spec']}' burning error budget: "
-                    f"{status['bad_fraction']:.0%} of the last "
-                    f"{status['n_samples']} samples violate the threshold "
-                    f"(burn rate {status['burn_rate']:.1f}x slow / "
-                    f"{status['fast_burn_rate']:.1f}x fast, "
-                    f"{name} = {status['value']:.4g} "
-                    f"vs {status['threshold']:.4g})"
-                )
-                exemplars = status.get("exemplar_trace_ids") or []
-                if exemplars:
-                    message += (
-                        "; worst traces: " + ", ".join(exemplars)
-                        + " (repro analyze --trace <id>)"
-                    )
-                rule = "slo_burn"
-            else:
-                message = (
-                    f"SLO '{status['spec']}' violated: "
-                    f"{status['value']:.4g} vs threshold "
-                    f"{status['threshold']:.4g}"
-                )
-                rule = "slo_violation"
-            alerts.append(_health.Alert(
-                severity, rule, message,
-                value=status["value"], threshold=status["threshold"],
-            ))
-            _metrics.set_gauge(
-                f"slo.{name}.burn_rate", status.get("burn_rate", 0.0)
-            )
-        published = monitor.publish(alerts)
+    # -- recording --------------------------------------------------- #
+    def publish(self) -> None:
+        """Evaluate and record every objective's status on the ``slo`` stream."""
         for status in self.evaluate():
             _telemetry.emit("slo", **{
                 k: v for k, v in status.items() if k != "kind"
             })
-        return published
 
     # -- export -------------------------------------------------------- #
     def summary(self) -> dict[str, Any]:
@@ -363,8 +313,7 @@ def clear() -> None:
     _metrics.set_sample_hook(None)
 
 
-def publish() -> list[_health.Alert]:
-    """Publish escalations from the active tracker (no-op when idle)."""
-    if not _ACTIVE:
-        return []
-    return _ACTIVE[0].publish()
+def publish() -> None:
+    """Record the active tracker's statuses (no-op when idle)."""
+    if _ACTIVE:
+        _ACTIVE[0].publish()

@@ -19,7 +19,7 @@ Retention is bounded on both axes so week-long runs stay flat:
   exceeds the cap (a record is never split or silently dropped).
 
 :func:`load_run` reads a rotated set back transparently (oldest file
-first), so ``health.replay()`` and ``repro report`` see every retained
+first), so ``health.alerts()`` and ``repro report`` see every retained
 record regardless of how many times the sink rolled.
 
 Sink appends are one ``os.write`` on an ``O_APPEND`` descriptor —

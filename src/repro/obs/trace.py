@@ -31,9 +31,11 @@ import time
 from typing import Any, Optional
 
 from . import context as _context
+from . import metrics as _metrics
 from .runtime import STATE
 
-#: Cap on retained finished root spans (oldest dropped first).
+#: Cap on retained finished root spans (oldest dropped first, counted in
+#: the ``trace.roots_dropped`` metric so readers can say what is missing).
 MAX_ROOTS = 256
 
 
@@ -213,8 +215,11 @@ def set_root_hook(hook) -> None:
 def _record_root(root: Span) -> None:
     with _ROOTS_LOCK:
         _ROOTS.append(root)
-        if len(_ROOTS) > MAX_ROOTS:
-            del _ROOTS[: len(_ROOTS) - MAX_ROOTS]
+        evicted = len(_ROOTS) - MAX_ROOTS
+        if evicted > 0:
+            del _ROOTS[:evicted]
+    if evicted > 0:
+        _metrics.add("trace.roots_dropped", evicted)
     # Outside the lock: the tail sampler computes rolling percentiles
     # and must never serialize against span recording.
     hook = _ROOT_HOOK

@@ -9,14 +9,15 @@ stacks and ``memory.json``):
 * rolling throughput — QPS plus p50/p95 latency over the trailing
   window of ``query`` telemetry records;
 * answer quality — shadow-audit accounting from ``quality.json``
-  (audited recall, calibration bias, audit overhead);
+  (audited recall, audit overhead) next to the calibration bias;
 * tail-sampler keep reasons from ``traces.json`` — why retained traces
   were kept (error / low_quality / slow / …) and how many were shed;
 * SLO burn — every objective's value and burn rate, alerting ones with
   their worst trace ids;
 * for a profiled run: hot functions (self time), samples by enclosing
   span, traced memory and leak suspects;
-* health counts and the last alerts.
+* health counts and the last alerts — :func:`repro.obs.health.alerts`
+  over the loaded run, the same fold ``repro report`` prints.
 
 The frame only *reads* what :func:`repro.obs.rundir.load` returns, so it
 can watch a run owned by another process; the CLI reloads and refreshes
@@ -46,6 +47,7 @@ def render_watch(run: Run, width: int = 78) -> str:
     def rule(title: str) -> str:
         return f"── {title} " + "─" * max(0, width - len(title) - 4)
 
+    found = health_mod.alerts(run)
     lines = [f"repro watch — {run.directory}"]
     lines.append(f"telemetry: {len(run.records)} records")
 
@@ -77,7 +79,7 @@ def render_watch(run: Run, width: int = 78) -> str:
     if quality_doc:
         qcounts = quality_doc.get("counts", {})
         recall = quality_doc.get("mean_recall")
-        bias = quality_doc.get("calibration_bias")
+        bias = health_mod.calibration_bias(run)
         overhead = quality_doc.get("overhead_fraction", 0.0)
         lines.append(
             f"  audits {qcounts.get('audits', 0)}/"
@@ -85,10 +87,11 @@ def render_watch(run: Run, width: int = 78) -> str:
             f"recall "
             + (f"{float(recall):.3f}" if recall is not None else "-")
             + f" | bias "
-            + (f"{float(bias):+.3f}" if bias is not None else "-")
+            + (f"{bias:+.3f}" if bias is not None else "-")
             + f" | overhead {float(overhead or 0.0):.2%} | "
             f"low-quality {qcounts.get('low_quality', 0)} | "
-            f"drift events {qcounts.get('drift_events', 0)}"
+            f"drift events "
+            f"{sum(a.rule == 'quality_calibration_drift' for a in found)}"
         )
     else:
         lines.append("  (no quality.json yet — shadow auditing disabled)")
@@ -152,20 +155,11 @@ def render_watch(run: Run, width: int = 78) -> str:
                 )
 
     # -- recent health ------------------------------------------------ #
-    health_records = run.stream("health")
-    crit = sum(
-        1 for r in health_records if r.get("severity") == health_mod.CRIT
-    )
-    warn = sum(
-        1 for r in health_records if r.get("severity") == health_mod.WARN
-    )
+    counts = health_mod.counts(found)
     lines.append(rule("health"))
-    lines.append(f"  {crit} CRIT, {warn} WARN")
-    for record in health_records[-3:]:
-        lines.append(
-            f"  {record.get('severity', '?'):>4} {record.get('rule', '?')}: "
-            f"{record.get('message', '')}"
-        )
+    lines.append(f"  {counts['CRIT']} CRIT, {counts['WARN']} WARN")
+    for alert in found[-3:]:
+        lines.append(f"  {alert.severity:>4} {alert.rule}: {alert.message}")
     if run.records:
         lines.append(rule("last events"))
         for record in run.records[-5:]:

@@ -7,7 +7,7 @@ deterministic given explicit ``numpy.random.Generator`` seeds.
 from .nn import MLP, Adam, masked_log_softmax, softmax
 from .parallel import ActorSpec, Environment, MultiActorCollector, make_actor_specs
 from .policy import ActorNetwork, CriticNetwork, PolicyDecision, entropy_of
-from .ppo import PPOConfig, PPOUpdater, UpdateStats
+from .ppo import NonFiniteUpdateError, PPOConfig, PPOUpdater, UpdateStats
 from .rollout import (
     RolloutBatch,
     RolloutBuffer,
@@ -24,6 +24,7 @@ __all__ = [
     "Environment",
     "MLP",
     "MultiActorCollector",
+    "NonFiniteUpdateError",
     "PPOConfig",
     "PPOUpdater",
     "PolicyDecision",

@@ -16,13 +16,12 @@ the inline notes — and applied with Adam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..contracts import STATE as _STRICT
-from ..contracts import assert_finite
 from ..obs import metrics as _metrics
 from .nn import Adam, masked_softmax
 from .policy import ActorNetwork, CriticNetwork
@@ -75,6 +74,10 @@ class UpdateStats:
     n_samples: int = 0
 
 
+class NonFiniteUpdateError(ValueError):
+    """A PPO update ended with a NaN or infinite loss, entropy or KL."""
+
+
 #: Floor of ``log p`` in the entropy and KL terms (``p`` clamped at 1e-12).
 _LOG_FLOOR = float(np.log(1e-12))
 
@@ -122,13 +125,6 @@ class PPOUpdater:
         stats = UpdateStats(n_samples=n)
         if n == 0:
             return stats
-        if _STRICT.enabled:
-            assert_finite(
-                "ppo.update",
-                advantages=batch.advantages,
-                returns=batch.returns,
-                old_log_probs=batch.old_log_probs,
-            )
 
         # π_old for ratios and the KL penalty, before any step moves π.
         old_log_dist = self.actor.log_probs(batch.states, batch.masks)
@@ -158,6 +154,15 @@ class PPOUpdater:
             stats.entropy /= n_updates
             stats.kl_divergence /= n_updates
             stats.clip_fraction /= n_updates
+        # A NaN/inf advantage, ratio or gradient reaches these four within
+        # the same update; a diverged fit must not train on silently.
+        for name in ("policy_loss", "value_loss", "entropy", "kl_divergence"):
+            value = getattr(stats, name)
+            if not math.isfinite(value):
+                raise NonFiniteUpdateError(
+                    f"PPO update diverged: {name} is {value!r} "
+                    f"(batch of {n} samples, {n_updates} minibatch steps)"
+                )
         stats.explained_variance = self._explained_variance(batch)
         _metrics.add("ppo.updates")
         _metrics.add("ppo.minibatch_updates", n_updates)
@@ -203,8 +208,6 @@ class PPOUpdater:
 
         if config.use_clip:
             ratio = np.exp(log_pi - batch.old_log_probs[idx])
-            if _STRICT.enabled:
-                assert_finite("ppo.minibatch", ratio=ratio)
             clipped = np.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
             surrogate_1 = ratio * advantages
             surrogate_2 = clipped * advantages
@@ -262,14 +265,6 @@ class PPOUpdater:
             assert self.critic_optimizer is not None
             self.critic_optimizer.step(v_gradients, scratch)
 
-        if _STRICT.enabled:
-            assert_finite(
-                "ppo.minibatch",
-                policy_loss=policy_loss,
-                value_loss=value_loss,
-                kl_divergence=kl,
-                grad_logits=grad_logits,
-            )
         return UpdateStats(
             policy_loss=policy_loss,
             value_loss=value_loss,

@@ -16,11 +16,9 @@ from repro.db import (
     Database,
     DictEncoded,
     IntPacked,
-    ResultCache,
     Table,
     TableSchema,
     execute,
-    execute_cached,
     sql,
 )
 from repro.db import expressions as E
@@ -282,33 +280,3 @@ def test_explain_analyze_reports_pruned_blocks():
     assert details, "scan node must report zone-map block counts"
     assert details[0]["blocks_total"] > 0
     assert "blocks=" in plan.format()
-
-
-# ------------------------------------------------------------------ #
-# result cache: encoding version keys invalidation
-# ------------------------------------------------------------------ #
-def test_result_cache_hits_and_invalidates_on_rebuild():
-    table = make_table(seed=11)
-    db = Database([table])
-    query = sql("SELECT city, score FROM t WHERE score > 0")
-    cache = ResultCache(capacity=8)
-    first = execute_cached(db, query, cache)
-    again = execute_cached(db, query, cache)
-    assert again is first
-    assert cache.hits == 1 and cache.misses == 1
-
-    db.replace_table(make_table(seed=11))
-    rebuilt = execute_cached(db, query, cache)
-    assert rebuilt is not first
-    assert cache.misses == 2
-    assert rebuilt.to_rows() == first.to_rows()
-
-
-def test_result_cache_evicts_lru():
-    table = make_table(seed=12)
-    db = Database([table])
-    cache = ResultCache(capacity=2)
-    for bound in (0, 1, 2):
-        execute_cached(db, sql(f"SELECT city FROM t WHERE score > {bound}"), cache)
-    assert len(cache) == 2
-    assert cache.evictions == 1

@@ -24,7 +24,7 @@ import pytest
 
 from repro import obs
 from repro.db import Database, execute, explain, sql
-from repro.obs import context, metrics, sampling, slo, telemetry, trace
+from repro.obs import context, health, metrics, sampling, slo, telemetry, trace
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     EXEMPLARS_PER_BUCKET,
@@ -349,7 +349,8 @@ class TestSLOExemplars:
         with context.activate(request):
             for _ in range(12):
                 metrics.observe("custom.lat", 0.5)  # 500ms, violating
-        alerts = slo.publish()
+        slo.publish()
+        alerts = health.alerts(obs.rundir.Run("mem", records=telemetry.records()))
         burn = [a for a in alerts if a.rule == "slo_burn"]
         assert burn and request.trace_id in burn[0].message
 

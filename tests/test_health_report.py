@@ -1,4 +1,4 @@
-"""Tests for the training health monitor and the fused diagnostic report."""
+"""Tests for the health rules (a fold over recorded rows) and the fused report."""
 
 import json
 import math
@@ -8,15 +8,8 @@ import pytest
 from repro import obs
 from repro.bench.reporting import config_hash, run_provenance, save_results
 from repro.core import ASQPConfig, ASQPSession, ASQPTrainer
-from repro.obs import metrics, telemetry, trace
-from repro.obs.health import (
-    CRIT,
-    WARN,
-    HealthMonitor,
-    HealthThresholds,
-    active_monitor,
-    replay,
-)
+from repro.obs import health, metrics, telemetry, trace
+from repro.obs.health import CRIT, WARN, HealthMonitor, HealthThresholds
 from repro.obs.report import build_report, render_markdown
 from repro.obs.rundir import Run, load
 
@@ -28,16 +21,12 @@ def clean_obs():
     metrics.reset()
     telemetry.reset()
     telemetry.configure(None)
-    from repro.obs import health
-
-    health.reset()
     yield
     obs.disable()
     trace.reset()
     metrics.reset()
     telemetry.reset()
     telemetry.configure(None)
-    health.reset()
 
 
 def _update(iteration=0, **overrides):
@@ -65,7 +54,6 @@ class TestHealthRules:
         monitor = HealthMonitor()
         for i in range(8):
             assert monitor.observe_update(_update(i)) == []
-        assert monitor.worst_severity() is None
 
     def test_non_finite_is_crit(self):
         monitor = HealthMonitor()
@@ -144,71 +132,156 @@ class TestHealthRules:
 
     def test_counts_and_summary(self):
         monitor = HealthMonitor()
-        monitor.observe_update(_update(kl_divergence=2.5))
-        monitor.observe_update(_update(kl_divergence=0.7))
-        assert monitor.counts() == {WARN: 1, CRIT: 1}
-        assert monitor.worst_severity() == CRIT
-        summary = monitor.summary()
-        assert summary["worst"] == CRIT
-        assert len(summary["alerts"]) == 2
-        json.dumps(summary)  # JSON-ready
-
-    def test_alerts_land_in_telemetry_and_metrics(self):
-        obs.enable()
-        monitor = HealthMonitor()
-        monitor.observe_update(_update(kl_divergence=2.5))
-        records = telemetry.records("health")
-        assert len(records) == 1
-        assert records[0]["severity"] == CRIT
-        assert records[0]["rule"] == "kl_spike"
-        assert metrics.snapshot()["counters"]["health.alerts.crit"] == 1
+        found = monitor.observe_update(_update(kl_divergence=2.5))
+        found += monitor.observe_update(_update(kl_divergence=0.7))
+        assert health.counts(found) == {WARN: 1, CRIT: 1}
+        assert health.counts([]) == {WARN: 0, CRIT: 0}
 
     def test_custom_thresholds(self):
         monitor = HealthMonitor(HealthThresholds(kl_warn=0.001, kl_crit=0.005))
         assert monitor.observe_update(_update())[0].severity == CRIT
 
-    def test_active_monitor_singleton_reset(self):
-        from repro.obs import health
-
-        first = active_monitor()
-        assert active_monitor() is first
-        health.reset()
-        assert active_monitor() is not first
-
 
 # ------------------------------------------------------------------ #
-# replay over recorded telemetry
+# the fold over a run's recorded rows
 # ------------------------------------------------------------------ #
+def _query(confidence, realized, approx=True, **fields):
+    return {
+        "stream": "query", "confidence": confidence,
+        "realized_frame_score": realized, "used_approximation": approx,
+        **fields,
+    }
+
+
+def _rules(records):
+    return [(a.severity, a.rule) for a in health.alerts(Run("mem", records=records))]
+
+
 class TestReplay:
     def test_replay_derives_same_alerts(self):
         records = [
             {"stream": "train.update", **_update(0, kl_divergence=2.5)},
             {"stream": "train.update", **_update(1)},
             {"stream": "log", "event": "noise"},
-            {
-                "stream": "query",
-                "confidence": 0.9,
-                "realized_frame_score": 0.85,
-            },
+            _query(0.9, 0.85),
             {"stream": "drift", "pending_count": 3, "mean_deviation": 0.9},
         ]
-        monitor = replay(records)
-        rules = [a.rule for a in monitor.alerts]
-        assert rules == ["kl_spike", "interest_drift"]
-        assert monitor.worst_severity() == CRIT
+        assert _rules(records) == [(CRIT, "kl_spike"), (WARN, "interest_drift")]
 
-    def test_replay_flags_drifted_query_rows(self):
-        records = [{
-            "stream": "query",
-            "confidence": 0.5,
-            "realized_frame_score": 0.5,
-            "drift": True,
-        }]
-        monitor = replay(records)
-        assert [a.rule for a in monitor.alerts] == ["interest_drift"]
+    def test_query_drift_flag_is_not_a_second_source(self):
+        """One drift event is one alert: the ``drift`` row, not ``query.drift``."""
+        records = [
+            {"stream": "drift", "pending_count": 2, "mean_deviation": 0.8},
+            _query(0.5, 0.5, drift=True),
+        ]
+        assert _rules(records) == [(WARN, "interest_drift")]
 
     def test_replay_empty(self):
-        assert replay([]).worst_severity() is None
+        assert health.alerts(Run("mem")) == []
+
+    def test_alerts_are_pure_and_emit_nothing(self):
+        obs.enable()
+        run = Run("mem", records=[
+            {"stream": "train.update", **_update(0, kl_divergence=2.5)},
+            {"stream": "drift", "pending_count": 2, "mean_deviation": 0.8},
+        ])
+        first = health.alerts(run)
+        assert first and health.alerts(run) == first
+        assert telemetry.records() == []
+        snapshot = metrics.snapshot()
+        assert not snapshot["counters"] and not snapshot["gauges"]
+
+
+class TestCalibrationDriftRule:
+    """The rule over ``query`` rows: window 32, min 8, WARN 0.20, CRIT 0.35
+    (escalation, dedup and re-arm: ``tests/test_quality.py``)."""
+
+    def _drifts(self, pairs):
+        records = [_query(predicted, observed) for predicted, observed in pairs]
+        return [
+            a for a in health.alerts(Run("mem", records=records))
+            if a.rule == "quality_calibration_drift"
+        ]
+
+    def test_quiet_below_the_minimum_window_and_when_calibrated(self):
+        assert self._drifts([(0.9, 0.4)] * (health.DRIFT_MIN_WINDOW - 1)) == []
+        assert len(self._drifts([(0.9, 0.4)] * health.DRIFT_MIN_WINDOW)) == 1
+        assert self._drifts([(0.9, 0.85)] * 40) == []
+
+    def test_full_database_answers_do_not_count(self):
+        records = [_query(0.9, 0.4, approx=False) for _ in range(40)]
+        assert "quality_calibration_drift" not in [
+            rule for _, rule in _rules(records)
+        ]
+
+    def test_window_is_the_last_32_answers(self):
+        run = Run("mem", records=(
+            [_query(0.9, 0.1)] * 10 + [_query(0.9, 0.8)] * health.DRIFT_WINDOW
+        ))
+        assert health.calibration_bias(run) == pytest.approx(0.1)
+        assert health.calibration_bias(Run("mem")) is None
+
+
+class TestSLORule:
+    """The rule over ``slo`` rows: alert on severity escalation per objective."""
+
+    @staticmethod
+    def _window(severity, name="query.p95", **fields):
+        return {
+            "stream": "slo", "name": name, "spec": f"{name} < 10ms",
+            "threshold": 0.01, "n_samples": 20, "value": 0.5,
+            "bad_fraction": 1.0, "fast_bad_fraction": 1.0,
+            "burn_rate": 100.0, "fast_burn_rate": 100.0,
+            "severity": severity, "exemplar_trace_ids": [], **fields,
+        }
+
+    @staticmethod
+    def _gauge(severity, value):
+        return {
+            "stream": "slo", "name": "estimator.calibration_error",
+            "spec": "estimator.calibration_error < 0.1", "threshold": 0.1,
+            "n_samples": 1, "value": value, "ok": severity is None,
+            "severity": severity,
+        }
+
+    @pytest.mark.parametrize("severities, expected", [
+        ([None, None], []),
+        ([CRIT, CRIT, CRIT], [CRIT]),              # periodic rows: one alert
+        ([None, WARN, WARN, CRIT, WARN], [WARN, CRIT]),
+        ([CRIT, None, WARN], [CRIT]),              # an SLO alert never re-arms
+    ])
+    def test_first_row_per_objective_above_the_last_published(
+        self, severities, expected
+    ):
+        rows = [self._window(severity) for severity in severities]
+        assert _rules(rows) == [(s, "slo_burn") for s in expected]
+
+    def test_objectives_escalate_independently(self):
+        rows = [
+            self._window(WARN, name="query.p95"),
+            self._window(WARN, name="executor.p95"),
+            self._window(WARN, name="query.p95"),
+        ]
+        assert _rules(rows) == [(WARN, "slo_burn")] * 2
+
+    def test_messages_are_built_from_the_row(self):
+        trace_id = "ab" * 16
+        burn, violation = health.alerts(Run("mem", records=[
+            self._window(CRIT, exemplar_trace_ids=[trace_id]),
+            self._gauge(CRIT, 0.401),
+        ]))
+        assert burn.message == (
+            "SLO 'query.p95 < 10ms' burning error budget: 100% of the last "
+            "20 samples violate the threshold (burn rate 100.0x slow / "
+            "100.0x fast, query.p95 = 0.5 vs 0.01); worst traces: "
+            f"{trace_id} (repro analyze --trace <id>)"
+        )
+        assert (burn.value, burn.threshold) == (0.5, 0.01)
+        assert violation.rule == "slo_violation"
+        assert violation.message == (
+            "SLO 'estimator.calibration_error < 0.1' violated: "
+            "0.401 vs threshold 0.1"
+        )
 
 
 # ------------------------------------------------------------------ #
@@ -226,28 +299,21 @@ class TestTrainingHealthEndToEnd:
                 learning_rate=learning_rate, seed=0,
             )
             model = ASQPTrainer(bundle.db, bundle.workload, config).train()
-            monitor = active_monitor()
             session = ASQPSession(model, auto_fine_tune=False)
             for query in list(bundle.workload)[:2]:
                 session.query(query)
-        return run_dir, monitor
+        return health.alerts(load(run_dir))
 
     def test_destabilized_run_emits_crit(self, tmp_path):
-        """lr x100 blows up the KL; the monitor must flag the run CRIT."""
-        run_dir, monitor = self._train(tmp_path, learning_rate=1e-3 * 100)
-        assert monitor.worst_severity() == CRIT
-        # The CRIT alerts are on the persisted telemetry stream too.
-        records = telemetry.load_jsonl(f"{run_dir}/telemetry.jsonl")
-        crits = [
-            r for r in records
-            if r["stream"] == "health" and r["severity"] == CRIT
-        ]
+        """lr x100 blows up the KL; the recorded run must read CRIT."""
+        found = self._train(tmp_path, learning_rate=1e-3 * 100)
+        crits = [a for a in found if a.severity == CRIT]
         assert len(crits) >= 1
-        assert any(r["rule"] == "kl_spike" for r in crits)
+        assert any(a.rule == "kl_spike" for a in crits)
 
     def test_stable_run_stays_crit_free(self, tmp_path):
-        _, monitor = self._train(tmp_path, learning_rate=1e-3)
-        assert monitor.counts()[CRIT] == 0
+        found = self._train(tmp_path, learning_rate=1e-3)
+        assert health.counts(found)[CRIT] == 0
 
 
 # ------------------------------------------------------------------ #
@@ -303,7 +369,7 @@ class TestReport:
             "## Bench trajectory",
         ):
             assert heading in markdown
-        # The replayed monitor found the KL spike in the recorded updates.
+        # The fold found the KL spike in the recorded updates.
         assert "CRIT" in markdown
         assert "kl_spike" in markdown
         assert "executor.join.q_error" in markdown

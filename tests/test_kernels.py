@@ -138,8 +138,6 @@ def _spread_keys(kind: str, ids: np.ndarray, rng: np.random.Generator) -> list[n
 @pytest.mark.parametrize("n", [0, 1, 50, 300, 5000])
 def test_join_positions_at_approximation_set_sizes(n, span, kind):
     """Few rows over a wide id span — the join index is sized by its input."""
-    from repro import contracts
-
     rng = np.random.default_rng(n + (span or 0))
     build_ids = rng.integers(0, span or max(n, 1), n)
     # Half the probe rows hit a build key, whatever the span.
@@ -150,12 +148,21 @@ def test_join_positions_at_approximation_set_sizes(n, span, kind):
     probe = _spread_keys(kind, probe_ids, rng)
     ref_probe, ref_build = kernels.reference_join_positions(build, probe)
     assert len(ref_probe) >= (n if kind == "int" else n // 4)
-    for strict in (False, True):
-        with contracts.strict(strict):
-            got_probe, got_build = kernels.join_positions(build, probe)
-        np.testing.assert_array_equal(got_probe, ref_probe)
-        np.testing.assert_array_equal(got_build, ref_build)
-        assert got_probe.dtype == got_build.dtype == np.int64
+    got_probe, got_build = kernels.join_positions(build, probe)
+    np.testing.assert_array_equal(got_probe, ref_probe)
+    np.testing.assert_array_equal(got_build, ref_build)
+    assert got_probe.dtype == got_build.dtype == np.int64
+
+
+@pytest.mark.parametrize("kernel", [
+    kernels.factorize_keys, kernels.distinct_positions,
+    kernels.group_by_positions,
+    lambda arrays: kernels.join_positions(arrays, [np.arange(5)] * 2),
+], ids=["factorize", "distinct", "group_by", "join"])
+def test_mismatched_key_lengths_raise(kernel):
+    """Unequal-length key columns fail in numpy's broadcast, in every mode."""
+    with pytest.raises(ValueError, match="broadcast"):
+        kernel([np.arange(5), np.arange(6)])
 
 
 def test_use_reference_kernels_toggles_and_restores():

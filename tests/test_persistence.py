@@ -1,12 +1,16 @@
 """Tests for trained-model save/load (repro.core.persistence)."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.core import (
     ASQPConfig,
     ASQPSession,
     ASQPTrainer,
+    ModelError,
     load_model,
     save_model,
 )
@@ -73,5 +77,58 @@ class TestRoundTrip:
         payload = json.loads(path.read_text())
         payload["version"] = 999
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ModelError, match="version 999 in .*config.json"):
             load_model(str(tmp_path / "model"), tiny_flights.db)
+
+
+ARTIFACTS = (
+    "config.json", "queries.json", "actions.json", "arrays.npz", "history.json"
+)
+
+
+def _damage(path, how):
+    if how == "missing":
+        os.remove(path)
+    elif how == "cut in half":
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+    else:  # valid JSON of the wrong shape
+        with open(path, "w") as handle:
+            handle.write('{"unexpected": 1}')
+
+
+class TestDamagedModel:
+    """One answer for a damaged model directory (like ``rundir.RunError``)."""
+
+    @pytest.mark.parametrize("how", ["missing", "cut in half", "wrong shape"])
+    @pytest.mark.parametrize("artifact", ARTIFACTS)
+    def test_load_raises_one_error_naming_the_file(
+        self, trained, tiny_flights, tmp_path, artifact, how
+    ):
+        directory = str(tmp_path / "model")
+        save_model(trained, directory)
+        path = os.path.join(directory, artifact)
+        _damage(path, how)
+        with pytest.raises(ModelError) as info:
+            load_model(directory, tiny_flights.db)
+        assert path in str(info.value)
+        assert isinstance(info.value, ValueError)
+
+    def test_query_cli_prints_one_line_and_exits_1(
+        self, trained, tmp_path, capsys
+    ):
+        directory = str(tmp_path / "model")
+        save_model(trained, directory)
+        path = os.path.join(directory, "arrays.npz")
+        _damage(path, "cut in half")
+        code = main([
+            "query", "--model", directory, "--dataset", "flights",
+            "--scale", "0.1", "--sql", "SELECT * FROM flights",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out.strip()
+        assert len(out.splitlines()) == 1
+        assert out.startswith(f"unreadable model file {path}")
+        assert "Traceback" not in out

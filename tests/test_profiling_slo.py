@@ -3,8 +3,8 @@
 Covers the sampling profiler (collapsed stacks, flamegraph HTML, span
 attribution, the unique-stack cap), the tracemalloc memory tracker
 (epoch gauges, leak verdicts, inactive no-ops), the declarative SLO
-layer (spec parsing, burn-rate alerting into the health pipeline,
-escalation dedup), telemetry rotation boundaries (byte cap, exact line
+layer (spec parsing, burn-rate status rows and the health alerts folded
+from them, escalation dedup), telemetry rotation boundaries (byte cap, exact line
 cap, replay across the rotated set), and the ``obs.run`` context
 manager's flush-on-exception guarantee.
 """
@@ -41,11 +41,15 @@ def clean_obs():
         metrics.reset()
         telemetry.reset()
         telemetry.configure(None)
-        health.reset()
 
     scrub()
     yield
     scrub()
+
+
+def _recorded_alerts() -> list[health.Alert]:
+    """The alerts of everything on the in-memory telemetry ring so far."""
+    return health.alerts(obs.rundir.Run("mem", records=telemetry.records()))
 
 
 def _busy_loop(seconds: float) -> int:
@@ -293,31 +297,29 @@ class TestObjectiveParsing:
 # ------------------------------------------------------------------ #
 class TestSLOTracker:
     def test_violated_latency_slo_raises_crit_health_alert(self):
-        """Pinned: a sustained gross violation must land CRIT in health."""
+        """Pinned: a sustained gross violation must read CRIT in health."""
         obs.enable()
         slo.configure(["query.p95 < 10ms"])
         for _ in range(20):
             metrics.observe("session.query.seconds", 0.5)
-        alerts = slo.publish()
-        assert any(a.severity == health.CRIT for a in alerts)
-        assert any(a.rule == "slo_burn" for a in alerts)
-        monitor = health.active_monitor()
-        assert monitor.counts()[health.CRIT] >= 1
-        assert monitor.worst_severity() == health.CRIT
-        # The alert reached the telemetry stream too.
-        health_records = telemetry.records("health")
-        assert any(
-            r.get("rule") == "slo_burn" and r.get("severity") == health.CRIT
-            for r in health_records
-        )
+        slo.publish()
+        alerts = _recorded_alerts()
+        assert [(a.severity, a.rule) for a in alerts] == [
+            (health.CRIT, "slo_burn")
+        ]
+        assert alerts[0].value == pytest.approx(0.5)
+        assert alerts[0].threshold == pytest.approx(0.01)
+        # The tracker records statuses, never verdicts.
+        assert {r["stream"] for r in telemetry.records()} == {"slo"}
+        assert not metrics.snapshot()["gauges"]
 
     def test_within_budget_run_stays_quiet(self):
         obs.enable()
         slo.configure(["query.p95 < 250ms"])
         for _ in range(50):
             metrics.observe("session.query.seconds", 0.01)
-        assert slo.publish() == []
-        assert health.active_monitor().counts()[health.CRIT] == 0
+        slo.publish()
+        assert _recorded_alerts() == []
         status = slo.active().evaluate()[0]
         assert status["ok"] and status["severity"] is None
         assert status["burn_rate"] == 0.0
@@ -327,30 +329,34 @@ class TestSLOTracker:
         slo.configure(["query.p95 < 10ms"])
         for _ in range(slo.MIN_SAMPLES - 1):
             metrics.observe("session.query.seconds", 0.5)
-        assert slo.publish() == []
+        slo.publish()
+        assert _recorded_alerts() == []
 
     def test_publish_dedup_and_escalation(self):
         obs.enable()
         tracker = slo.configure(["query.p95 < 10ms"])
         for _ in range(20):
             metrics.observe("session.query.seconds", 0.5)
-        first = tracker.publish()
-        assert len(first) == 1
-        # Re-evaluating the same state publishes nothing new.
-        assert tracker.publish() == []
-        assert health.active_monitor().counts()[health.CRIT] == 1
+        tracker.publish()
+        assert len(_recorded_alerts()) == 1
+        # Re-evaluating the same state records a row but no new alert.
+        tracker.publish()
+        assert len(telemetry.records("slo")) == 2
+        assert len(_recorded_alerts()) == 1
 
     def test_gauge_objective_warn_and_crit(self):
         obs.enable()
         tracker = slo.configure(["estimator.calibration_error < 0.1"])
         metrics.set_gauge("estimator.calibration_error", 0.15)
-        warned = tracker.publish()
-        assert [a.severity for a in warned] == [health.WARN]
+        tracker.publish()
+        assert [a.severity for a in _recorded_alerts()] == [health.WARN]
         # 2x past the threshold escalates to CRIT (dedup allows escalation).
         metrics.set_gauge("estimator.calibration_error", 0.25)
-        escalated = tracker.publish()
-        assert [a.severity for a in escalated] == [health.CRIT]
-        assert tracker.publish() == []
+        tracker.publish()
+        tracker.publish()
+        alerts = _recorded_alerts()
+        assert [a.severity for a in alerts] == [health.WARN, health.CRIT]
+        assert {a.rule for a in alerts} == {"slo_violation"}
 
     def test_sample_hook_detached_on_clear(self):
         obs.enable()
@@ -460,8 +466,8 @@ class TestTelemetryRotation:
             telemetry.emit("train.update", iteration=i, kl_divergence=0.01,
                            **base)
         telemetry.emit("train.update", iteration=6, kl_divergence=5.0, **base)
-        monitor = health.replay(telemetry.load_run(path))
-        crits = [a for a in monitor.alerts if a.severity == health.CRIT]
+        run = obs.rundir.Run("rotated", records=telemetry.load_run(path))
+        crits = [a for a in health.alerts(run) if a.severity == health.CRIT]
         assert any(a.rule == "kl_spike" and a.iteration == 6 for a in crits)
 
     def test_configure_clears_stale_rotations_only(self, tmp_path):
@@ -591,18 +597,3 @@ class TestRunContextManager:
             count for name, count in spans.items() if name.startswith("execute")
         )
         assert executor_samples > 0
-
-
-# ------------------------------------------------------------------ #
-# health monitor retention
-# ------------------------------------------------------------------ #
-class TestHealthRetention:
-    def test_alert_ring_is_bounded_but_counts_accumulate(self):
-        monitor = health.HealthMonitor()
-        for i in range(health.MAX_ALERTS + 50):
-            monitor.publish([
-                health.Alert(health.WARN, "unit_rule", f"alert {i}")
-            ])
-        assert len(monitor.alerts) == health.MAX_ALERTS
-        assert monitor.counts()[health.WARN] == health.MAX_ALERTS + 50
-        assert monitor.worst_severity() == health.WARN

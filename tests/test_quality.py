@@ -1,8 +1,9 @@
 """Answer-quality observability: shadow audits, quality SLOs, drift.
 
 Covers the :mod:`repro.obs.quality` pipeline — rate validation, the
-deterministic audit coin, the overhead budget governor, the rolling
-calibration-drift detector — plus its integration surfaces: the tail
+deterministic audit coin, the overhead budget governor — the rolling
+calibration-drift rule :mod:`repro.obs.health` folds over the session's
+``query`` rows, plus the integration surfaces: the tail
 sampler's ``low_quality`` keep reason, lower-bound ``quality.recall``
 SLO burn alerts with trace exemplars, the ``repro audit`` CLI, the
 "Answer quality" report section, and the end-to-end acceptance path (a
@@ -44,7 +45,6 @@ def clean_obs():
         metrics.reset()
         telemetry.reset()
         telemetry.configure(None)
-        health.reset()
 
     scrub()
     yield
@@ -236,58 +236,62 @@ class TestRecordAudit:
 # calibration drift
 # ------------------------------------------------------------------ #
 class TestCalibrationDrift:
-    def _monitor(self):
-        return quality.install(quality.QualityMonitor(
-            sample_rate=0.0, drift_window=8, drift_min_window=4,
-        ))
+    """The live monitor only counts; drift is the fold over ``query`` rows."""
 
-    def _feed(self, monitor, predicted, observed, n):
-        drift = None
-        for _ in range(n):
-            event = monitor.observe_query(predicted, observed, True)
-            drift = event or drift
-        return drift
+    def _drifts(self, *phases):
+        """Drift alerts after ``(predicted, observed, n)`` phases of answers."""
+        records = [
+            {
+                "stream": "query", "used_approximation": True,
+                "confidence": predicted, "realized_frame_score": observed,
+            }
+            for predicted, observed, n in phases for _ in range(n)
+        ]
+        return [
+            alert for alert in health.alerts(obs.rundir.Run("mem", records=records))
+            if alert.rule == "quality_calibration_drift"
+        ]
 
     def test_calibrated_answers_raise_nothing(self):
-        obs.enable()
-        monitor = self._monitor()
-        assert self._feed(monitor, 0.9, 0.85, 10) is None
-        assert monitor.counts["drift_events"] == 0
+        assert self._drifts((0.9, 0.85, 40)) == []
 
     def test_warn_then_crit_escalation_with_dedup(self):
-        obs.enable()
-        monitor = self._monitor()
-        warn = self._feed(monitor, 0.9, 0.65, 8)  # bias 0.25
-        assert warn is not None and warn.severity == health.WARN
-        assert warn.bias == pytest.approx(0.25)
-        # Same severity again: deduplicated, no second event.
-        assert self._feed(monitor, 0.9, 0.65, 4) is None
-        crit = self._feed(monitor, 0.9, 0.40, 8)  # bias 0.50
-        assert crit is not None and crit.severity == health.CRIT
-        assert monitor.counts["drift_events"] == 2
+        warn = self._drifts((0.9, 0.65, 8))  # bias 0.25
+        assert [a.severity for a in warn] == [health.WARN]
+        assert warn[0].value == pytest.approx(0.25)
+        # Same severity again: deduplicated, no second alert.
+        assert len(self._drifts((0.9, 0.65, 12))) == 1
+        both = self._drifts((0.9, 0.65, 12), (0.9, 0.40, 20))  # toward 0.50
+        assert [a.severity for a in both] == [health.WARN, health.CRIT]
 
     def test_recovery_rearms_the_detector(self):
-        obs.enable()
-        monitor = self._monitor()
-        assert self._feed(monitor, 0.9, 0.65, 8) is not None
-        # Window refills with calibrated pairs: published level resets.
-        assert self._feed(monitor, 0.9, 0.9, 8) is None
-        again = self._feed(monitor, 0.9, 0.65, 8)
-        assert again is not None and again.severity == health.WARN
+        # The window refills with calibrated pairs: the published level
+        # resets, and the same bias alerts a second time.
+        again = self._drifts((0.9, 0.65, 8), (0.9, 0.9, 32), (0.9, 0.65, 32))
+        assert [a.severity for a in again] == [health.WARN, health.WARN]
 
     def test_drift_publishes_health_alert(self):
-        obs.enable()
-        monitor = self._monitor()
-        self._feed(monitor, 0.9, 0.40, 8)
-        rules = [a.rule for a in health.active_monitor().alerts]
-        assert "quality_calibration_drift" in rules
+        (alert,) = self._drifts((0.9, 0.40, 8))
+        assert alert.severity == health.CRIT
+        assert alert.threshold == health.DRIFT_CRIT_BIAS
+        assert "over-predicts" in alert.message
+        assert "last 8 approximation answers" in alert.message
 
     def test_under_prediction_is_signed(self):
+        (alert,) = self._drifts((0.5, 0.8, 8))  # bias -0.30
+        assert alert.value == pytest.approx(-0.30)
+        assert "under-predicts" in alert.message
+
+    def test_live_monitor_counts_and_records_no_verdict(self):
         obs.enable()
-        monitor = self._monitor()
-        drift = self._feed(monitor, 0.5, 0.8, 8)  # bias -0.30
-        assert drift is not None
-        assert drift.bias == pytest.approx(-0.30)
+        monitor = quality.QualityMonitor(sample_rate=0.0)
+        for _ in range(40):
+            assert monitor.observe_query(0.9, 0.40, True) is None
+        assert monitor.counts["approx_queries"] == 40
+        assert "drift_events" not in monitor.counts
+        assert "calibration_bias" not in monitor.summary()
+        assert telemetry.records() == []
+        assert not metrics.snapshot()["gauges"]
 
 
 # ------------------------------------------------------------------ #
@@ -345,7 +349,8 @@ class TestQualitySLO:
             registry.observe("quality.recall", 0.3 + i * 0.01)
         for value in (0.05, 0.10) + tuple(0.3 + i * 0.01 for i in range(9)):
             tracker.record("quality.recall", value)
-        alerts = tracker.publish()
+        tracker.publish()
+        alerts = health.alerts(obs.rundir.Run("mem", records=telemetry.records()))
         burn = [a for a in alerts if a.rule == "slo_burn"]
         assert burn and burn[0].severity == health.CRIT
         assert "quality.recall.p10" in burn[0].message
@@ -390,11 +395,11 @@ class TestReportSection:
             "counts": {
                 "queries": 4, "approx_queries": 2, "audits": 2,
                 "skipped_coin": 0, "skipped_budget": 0,
-                "low_quality": 1, "drift_events": 0,
+                "low_quality": 1,
             },
             "sample_rate": 1.0, "max_overhead": 0.01,
             "overhead_fraction": 0.003,
-            "mean_recall": 0.625, "calibration_bias": 0.275,
+            "mean_recall": 0.625,
         }
         run = obs.rundir.Run("audited", records=records, quality=doc)
         text = "\n".join(section_quality(run))
@@ -479,34 +484,36 @@ class TestLowRecallAcceptance:
         assert doc["audit_log"]
         assert all(row["trace_id"] for row in doc["audit_log"])
 
-    def _health_records(self, run_dir):
-        return obs.rundir.load(run_dir).stream("health")
+    def _alerts(self, run_dir):
+        return health.alerts(obs.rundir.load(run_dir))
 
     def test_recall_slo_burns_crit_with_resolvable_exemplar(
         self, low_recall_run
     ):
         run_dir, _ = low_recall_run
         burns = [
-            r for r in self._health_records(run_dir)
-            if r.get("rule") == "slo_burn"
-            and "quality.recall" in r.get("message", "")
+            a for a in self._alerts(run_dir)
+            if a.rule == "slo_burn" and "quality.recall" in a.message
         ]
         assert burns, "expected a quality.recall SLO burn alert"
-        assert burns[0]["severity"] == health.CRIT
-        match = re.search(
-            r"worst traces: ([0-9a-f]{32})", burns[0]["message"]
-        )
-        assert match, burns[0]["message"]
+        assert burns[0].severity == health.CRIT
+        match = re.search(r"worst traces: ([0-9a-f]{32})", burns[0].message)
+        assert match, burns[0].message
         trace_id = match.group(1)
         assert main(["analyze", "--dir", run_dir, "--trace", trace_id]) == 0
 
     def test_calibration_drift_alert_fired(self, low_recall_run):
+        from repro.obs.report import section_quality
+
         run_dir, _ = low_recall_run
         drift = [
-            r for r in self._health_records(run_dir)
-            if r.get("rule") == "quality_calibration_drift"
+            a for a in self._alerts(run_dir)
+            if a.rule == "quality_calibration_drift"
         ]
         assert drift, "expected a calibration-drift health alert"
+        # The answer-quality views count the same escalations.
+        text = "\n".join(section_quality(obs.rundir.load(run_dir)))
+        assert f"{len(drift)} drift escalations" in text
 
     def test_traces_kept_for_low_quality(self, low_recall_run):
         run_dir, _ = low_recall_run

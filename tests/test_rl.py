@@ -10,8 +10,10 @@ from repro.rl import (
     CriticNetwork,
     Environment,
     MultiActorCollector,
+    NonFiniteUpdateError,
     PPOConfig,
     PPOUpdater,
+    RolloutBatch,
     RolloutBuffer,
     Trajectory,
     discounted_returns,
@@ -237,6 +239,49 @@ class TestPPOVariants:
         stats = updater.update(buffer.build())
         assert stats.n_samples == 4
         assert stats.entropy > 0
+
+
+class TestNonFiniteUpdateFailsLoudly:
+    """No strict mode: every update checks its own losses."""
+
+    @staticmethod
+    def _updater_and_batch(seed, n_actions, n):
+        rng = np.random.default_rng(seed)
+        actor = ActorNetwork(n_actions, rng, hidden=[8])
+        critic = CriticNetwork(n_actions, rng, hidden=[8])
+        updater = PPOUpdater(
+            actor, critic, PPOConfig(minibatch_size=4, update_epochs=1), rng
+        )
+        batch = RolloutBatch(
+            states=rng.normal(size=(n, n_actions)),
+            actions=rng.integers(0, n_actions, size=n),
+            old_log_probs=np.full(n, -1.0),
+            returns=rng.normal(size=n),
+            advantages=rng.normal(size=n),
+            masks=np.ones((n, n_actions), dtype=bool),
+        )
+        return updater, batch
+
+    def test_poisoned_ppo_batch_raises(self):
+        updater, batch = self._updater_and_batch(3, n_actions=4, n=12)
+        batch.advantages[5] = np.nan
+        with pytest.raises(NonFiniteUpdateError, match="policy_loss is nan"):
+            updater.update(batch)
+        assert issubclass(NonFiniteUpdateError, ValueError)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_poisoned_returns_name_the_value_loss(self):
+        updater, batch = self._updater_and_batch(3, n_actions=4, n=12)
+        batch.returns[2] = np.inf
+        with pytest.raises(NonFiniteUpdateError, match="value_loss is (inf|nan)"):
+            updater.update(batch)
+
+    def test_clean_ppo_batch_trains(self):
+        updater, batch = self._updater_and_batch(4, n_actions=3, n=8)
+        stats = updater.update(batch)
+        assert stats.n_samples == 8
+        for name in ("policy_loss", "value_loss", "entropy", "kl_divergence"):
+            assert np.isfinite(getattr(stats, name)), name
 
 
 class TestRolloutBuffer:

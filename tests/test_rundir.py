@@ -11,20 +11,25 @@ Pins what ``repro.obs.rundir`` promises (DESIGN.md §6, "Run directory"):
 * the views are the sections — ``stats`` / ``audit`` print report
   sections verbatim, ``watch`` carries the panes ``top`` had, no module
   but ``rundir`` knows a file name, and one ``percentile`` serves
-  ``watch``, ``diff``, the SLO windows and the tail sampler.
+  ``watch``, ``diff``, the SLO windows and the tail sampler;
+* one source for a run's verdicts — ``report`` and ``watch`` print the
+  alerts of ``health.alerts(run)``, nothing records a verdict beside the
+  facts it folds over, and ``trace.json`` says what its ring dropped.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
+from collections import Counter
 
 import pytest
 
 from repro import obs
 from repro.__main__ import main, run_smoke
-from repro.obs import analyze, metrics, rundir, slo
+from repro.obs import analyze, health, metrics, rundir, slo, trace
 from repro.obs.sampling import TailSampler
 from repro.obs.watch import render_watch
 
@@ -229,6 +234,143 @@ class TestViewsAreSections:
         assert "3 queries" in out                                # z.jsonl
         run = rundir.load(run_dir)
         assert run.slo["objectives"] and run.trace and run.records
+
+
+# ------------------------------------------------------------------ #
+# one source for a run's verdicts
+# ------------------------------------------------------------------ #
+@pytest.fixture(scope="module")
+def drift_run(tmp_path_factory):
+    """A recorded session in which every other query fires a drift event."""
+    from repro.core import ASQPConfig, ASQPSession, ASQPTrainer
+    from repro.datasets import load_flights
+
+    obs.disable()
+    run_dir = str(tmp_path_factory.mktemp("drift"))
+    with obs.run(run_dir, audit_rate=1.0):
+        bundle = load_flights(scale=0.12, n_queries=12, n_aggregate_queries=2)
+        config = ASQPConfig.light(
+            memory_budget=120, frame_size=20, n_iterations=2,
+            learning_rate=1e-3, seed=0, drift_confidence=0.0,
+            drift_trigger_count=2,
+        )
+        model = ASQPTrainer(bundle.db, bundle.workload, config).train()
+        session = ASQPSession(model, auto_fine_tune=False)
+        for query in bundle.workload:
+            session.query(query)
+    return run_dir
+
+
+def report_alerts(run_dir):
+    """(severity, rule) of every row of the report's alert table."""
+    text = report_sections(run_dir)["Health alerts"]
+    return re.findall(r"^\| (WARN|CRIT) \| (\w+) \|", text, flags=re.M)
+
+
+def watch_health(run_dir, capsys):
+    """The health pane of ``watch --once``: (counts, last alerts)."""
+    capsys.readouterr()
+    assert main(["watch", "--dir", run_dir, "--once"]) == 0
+    pane = capsys.readouterr().out.split("── health ")[1].split("── last")[0]
+    crit, warn = re.search(r"(\d+) CRIT, (\d+) WARN", pane).groups()
+    shown = re.findall(r"^\s+(WARN|CRIT) (\w+): ", pane, flags=re.M)
+    return {"CRIT": int(crit), "WARN": int(warn)}, shown
+
+
+#: What ``metrics.json`` of a smoke run keeps; the verdict copies (alert
+#: counters, escalation counters and gauges, span-sample gauges) are gone.
+SMOKE_METRIC_NAMES = {
+    "executor.explain_analyze", "executor.queries", "executor.rows_out",
+    "kernel.distinct_positions.calls", "kernel.distinct_positions.rows",
+    "kernel.factorize_keys.calls", "kernel.factorize_keys.rows",
+    "ppo.minibatch_updates", "ppo.updates", "quality.low_quality_audits",
+    "session.approx_answers", "session.full_db_answers", "session.queries",
+    "trace.sampler.kept", "train.iterations", "train.samples",
+    "estimator.calibration_error", "estimator.online_calibration_error",
+    "memory.epoch.executor.query.growth_kb",
+    "memory.epoch.session.query.growth_kb",
+    "memory.epoch.train.iteration.growth_kb", "memory.rss_kb",
+    "memory.tracemalloc.current_kb", "memory.tracemalloc.peak_kb",
+    "quality.audit_overhead_fraction", "train.mean_episode_reward",
+    "executor.query.seconds", "kernel.distinct_positions.seconds",
+    "kernel.factorize_keys.seconds", "ppo.clip_fraction", "ppo.entropy",
+    "ppo.explained_variance", "ppo.grad_norm", "ppo.kl_divergence",
+    "quality.calibration", "quality.recall", "session.confidence",
+    "session.query.seconds", "session.realized_frame_score",
+    "train.rollout.seconds", "train.update.seconds",
+}
+REMOVED_METRIC_NAMES = re.compile(
+    r"health\.alerts\.|quality\.drift_events|drift\.external\."
+    r"|quality\.calibration_bias|slo\..*\.burn_rate|profile\.span_samples\."
+)
+
+
+class TestOneSourceForVerdicts:
+    def test_one_interest_drift_alert_per_drift_event(self, drift_run):
+        run = rundir.load(drift_run)
+        events = len(run.stream("drift"))
+        assert events >= 3
+        assert sum(q["drift"] for q in run.stream("query")) == events
+        rules = Counter(alert.rule for alert in health.alerts(run))
+        assert rules["interest_drift"] == events
+
+    @pytest.mark.parametrize("fixture", ["drift_run", "smoke_run"])
+    def test_report_and_watch_print_the_same_alerts(
+        self, fixture, request, capsys
+    ):
+        run_dir = request.getfixturevalue(fixture)
+        found = [
+            (a.severity, a.rule) for a in health.alerts(rundir.load(run_dir))
+        ]
+        assert found
+        assert report_alerts(run_dir) == found
+        counts, shown = watch_health(run_dir, capsys)
+        assert counts == {"CRIT": 0, "WARN": 0, **Counter(s for s, _ in found)}
+        assert shown == found[-3:]
+        summary = report_sections(run_dir)["Run summary"]
+        assert f"({counts['CRIT']} CRIT, {counts['WARN']} WARN)" in summary
+
+    def test_smoke_run_records_facts_not_verdicts(self, smoke_run):
+        run = rundir.load(smoke_run)
+        assert run.stream("health") == []
+        assert {r["kind"] for r in run.stream("quality")} == {"audit"}
+        assert not any("external" in r for r in run.stream("drift"))
+        names = {
+            name for kind in ("counters", "gauges", "histograms")
+            for name in run.metrics[kind]
+        }
+        assert not [n for n in names if REMOVED_METRIC_NAMES.search(n)]
+        assert SMOKE_METRIC_NAMES <= names
+        assert "calibration_bias" not in run.quality
+        assert "drift_events" not in run.quality["counts"]
+
+    def test_trace_json_says_what_its_ring_dropped(self, tmp_path, capsys):
+        run_dir = str(tmp_path / "run")
+        extra = 44
+        with obs.run(run_dir):
+            with obs.span("train"):
+                pass
+            for _ in range(trace.MAX_ROOTS + extra - 1):
+                with obs.span("session.query"):
+                    pass
+        run = rundir.load(run_dir)
+        assert len(run.trace) == trace.MAX_ROOTS
+        assert run.metrics["counters"]["trace.roots_dropped"] == extra
+        note = (
+            f"{extra} older root spans not retained (window "
+            f"{trace.MAX_ROOTS}); totals cover the retained tail"
+        )
+        assert analyze.dropped_roots_note(run) == note
+        assert note in report_sections(run_dir)["Hottest spans"]
+        capsys.readouterr()
+        for argv in (["trace", "--dir", run_dir], ["diff", run_dir, run_dir]):
+            assert main(argv) == 0
+            assert note in capsys.readouterr().out
+
+    def test_nothing_dropped_prints_no_note(self, smoke_run, capsys):
+        assert analyze.dropped_roots_note(rundir.load(smoke_run)) is None
+        assert main(["trace", "--dir", smoke_run]) == 0
+        assert "not retained" not in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ #

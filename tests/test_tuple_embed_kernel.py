@@ -11,7 +11,6 @@ the same order, the same norm.
 import numpy as np
 import pytest
 
-from repro import contracts
 from repro.core import Action, ASQPConfig, ASQPTrainer, preprocess
 from repro.core.preprocess import embed_actions
 from repro.db import Column, ColumnType, Database, Table, TableSchema, sql
@@ -180,13 +179,12 @@ class TestKernelEqualsReference:
         kernel, reference = embedders(64, stats)
         actions = random_actions(np.random.default_rng(6), db, 40)
         expected = reference_embed_actions(db, actions, reference)
-        with contracts.strict():
-            assert np.array_equal(embed_actions(db, actions, kernel), expected)
-            table = db.table("right")
-            assert np.array_equal(
-                kernel.embed_table(table, [4, 4, 1]),
-                np.vstack([reference_embed_row(reference, table, p) for p in (4, 4, 1)]),
-            )
+        assert np.array_equal(embed_actions(db, actions, kernel), expected)
+        table = db.table("right")
+        assert np.array_equal(
+            kernel.embed_table(table, [4, 4, 1]),
+            np.vstack([reference_embed_row(reference, table, p) for p in (4, 4, 1)]),
+        )
 
     def test_token_stream_is_default_rng(self):
         """``Generator(PCG64(seed))`` must stay the stream of ``default_rng(seed)``."""

@@ -19,7 +19,7 @@ from repro.db import (
     explain,
     sql,
 )
-from repro.obs import health, metrics, telemetry, trace
+from repro.obs import metrics, telemetry, trace
 from repro.obs.watch import render_watch
 
 from tests.test_columnstore import make_table
@@ -37,7 +37,6 @@ def clean_obs():
         metrics.reset()
         telemetry.reset()
         telemetry.configure(None)
-        health.reset()
 
     scrub()
     yield
