@@ -61,7 +61,7 @@ class _BaseTabularEnv(Environment):
         return len(self.action_space)
 
     def _state(self) -> np.ndarray:
-        return self.selected.astype(np.float64)
+        return self.selected.copy()
 
     def _mask(self) -> np.ndarray:
         return ~self.selected

@@ -53,11 +53,10 @@ def generate_approximation_set(
         mask = ~selected
         if not mask.any():
             break
-        state = selected.astype(np.float64)
         if greedy:
-            action = actor.greedy(state, mask)
+            action = actor.greedy(selected, mask)
         else:
-            action = actor.sample(state, mask, rng).action
+            action = actor.sample(selected, mask, rng).action
         selected[action] = True
         keys = list(action_space.keys_of(action))
         remaining = budget - approx.total_size()

@@ -364,10 +364,15 @@ def run_training_loop(
                 mean_reward = collector.collect(config.episodes_per_actor, buffer)
                 batch = buffer.build(use_critic=config.use_actor_critic)
             rollout_seconds = perf_counter() - rollout_start
+            # Released as soon as read, not when the names are rebound: the
+            # update runs without the per-step trajectories resident, the
+            # next collection without this iteration's batch.
+            del buffer
             update_start = perf_counter()
             with trace.span("train.update"):
                 stats = model.agent.updater.update(batch)
             update_seconds = perf_counter() - update_start
+            del batch
             record = IterationRecord(
                 iteration=start_iteration + iteration,
                 mean_episode_reward=mean_reward,

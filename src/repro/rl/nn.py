@@ -64,9 +64,15 @@ class MLP:
         return activation, cache
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass without keeping the cache."""
-        output, _ = self.forward(x)
-        return output
+        """``forward``'s output alone: one live activation, the same ufuncs
+        in place (bit-identical), ``x`` itself never written."""
+        activation = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        for i in range(self.n_layers):
+            activation = activation @ self.weights[i]
+            activation += self.biases[i]
+            if i != self.n_layers - 1:
+                np.tanh(activation, out=activation)
+        return activation
 
     def backward(
         self, cache: ForwardCache, grad_output: np.ndarray
@@ -190,6 +196,26 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np
     return log_probs, probs
 
 
+#: Rows per step of :func:`masked_log_softmax_`; its ``exp`` temporary is
+#: this many rows wide, not the batch.
+_ROW_BLOCK = 128
+
+
+def masked_log_softmax_(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """:func:`masked_softmax`'s log half written over ``logits`` itself, a row
+    block at a time: the same ufuncs and per-row reductions, so the same bits,
+    for one block × |A| temporary instead of two batch × |A| arrays."""
+    mask = np.atleast_2d(np.asarray(mask, dtype=bool))
+    if not mask.any(axis=1).all():
+        raise ValueError("at least one row has no valid action")
+    for start in range(0, len(logits), _ROW_BLOCK):
+        block = logits[start : start + _ROW_BLOCK]
+        np.copyto(block, -np.inf, where=~mask[start : start + _ROW_BLOCK])
+        block -= np.max(block, axis=1, keepdims=True)
+        block -= np.log(np.sum(np.exp(block), axis=1, keepdims=True))
+    return logits
+
+
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Log-probabilities with invalid actions forced to ``-inf``."""
-    return masked_softmax(logits, mask)[0]
+    return masked_log_softmax_(np.array(logits, dtype=np.float64, ndmin=2), mask)

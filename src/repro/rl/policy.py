@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .nn import MLP, masked_softmax
+from .nn import MLP, masked_log_softmax_, masked_softmax
 
 DEFAULT_HIDDEN = (128, 64)
 
@@ -64,7 +64,12 @@ class ActorNetwork:
     def log_probs(
         self, states: np.ndarray, masks: np.ndarray, temperature: float = 1.0
     ) -> np.ndarray:
-        return self.distribution(states, masks, temperature)[0]
+        """``distribution(...)[0]`` bit for bit, written over its own logits:
+        the one batch × |A| array this allocates is the one it returns."""
+        logits = self.logits(states)
+        if temperature != 1.0:  # x / 1.0 is x
+            logits /= max(float(temperature), 1e-6)
+        return masked_log_softmax_(logits, masks)
 
     def sample(
         self,

@@ -126,8 +126,13 @@ class PPOUpdater:
         if n == 0:
             return stats
 
-        # π_old for ratios and the KL penalty, before any step moves π.
-        old_log_dist = self.actor.log_probs(batch.states, batch.masks)
+        # π_old for the KL penalty, before any step moves π: the one
+        # batch × |A| float array of this call, and only when the branch of
+        # ``_minibatch_update`` that reads it is on.
+        use_kl = config.use_clip and config.kl_coef > 0
+        old_log_dist = (
+            self.actor.log_probs(batch.states, batch.masks) if use_kl else None
+        )
         # One Adam work buffer for both optimizers, released with this call.
         optimizers = filter(None, (self.actor_optimizer, self.critic_optimizer))
         scratch = np.empty((2, max(p.size for o in optimizers for p in o.parameters)))
@@ -138,7 +143,7 @@ class PPOUpdater:
             for start in range(0, n, config.minibatch_size):
                 idx = order[start : start + config.minibatch_size]
                 mb_stats = self._minibatch_update(
-                    batch, idx, old_log_dist[idx], scratch
+                    batch, idx, old_log_dist[idx] if use_kl else None, scratch
                 )
                 stats.policy_loss += mb_stats.policy_loss
                 stats.value_loss += mb_stats.value_loss
@@ -163,6 +168,7 @@ class PPOUpdater:
                     f"PPO update diverged: {name} is {value!r} "
                     f"(batch of {n} samples, {n_updates} minibatch steps)"
                 )
+        del old_log_dist, scratch  # not alive next to the critic's whole-batch pass
         stats.explained_variance = self._explained_variance(batch)
         _metrics.add("ppo.updates")
         _metrics.add("ppo.minibatch_updates", n_updates)
@@ -177,7 +183,7 @@ class PPOUpdater:
         """Critic quality after the update: 1 − Var(R − V) / Var(R)."""
         if self.critic is None or len(batch) == 0:
             return 0.0
-        values = self.critic.net.forward(batch.states)[0][:, 0]
+        values = self.critic.value(batch.states)
         var_returns = float(np.var(batch.returns))
         if var_returns < 1e-12:
             return 0.0
@@ -188,13 +194,16 @@ class PPOUpdater:
         self,
         batch: RolloutBatch,
         idx: np.ndarray,
-        old_log_dist: np.ndarray,
+        old_log_dist: Optional[np.ndarray],
         scratch: np.ndarray,
     ) -> UpdateStats:
         """One gradient step; ``old_log_dist`` is this minibatch's own copy
-        of π_old's rows and is overwritten as work space."""
+        of π_old's rows, overwritten as work space (``None`` without the KL
+        term, its only reader)."""
         config = self.config
-        states = batch.states[idx]
+        # States travel in the dtype the environment gave them (bool for
+        # ours); this is the one cast, shared by the actor and the critic.
+        states = np.asarray(batch.states[idx], dtype=np.float64)
         actions = batch.actions[idx]
         advantages = batch.advantages[idx]
         m = len(idx)

@@ -85,7 +85,7 @@ def gae_advantages(
 class RolloutBatch:
     """Flattened, advantage-annotated batch ready for a PPO update."""
 
-    states: np.ndarray        # (n, state_dim)
+    states: np.ndarray        # (n, state_dim), the environment's dtype
     actions: np.ndarray       # (n,)
     old_log_probs: np.ndarray # (n,)
     returns: np.ndarray       # (n,)
@@ -156,7 +156,7 @@ class RolloutBuffer:
                 advantage_array = (advantage_array - advantage_array.mean()) / std
 
         return RolloutBatch(
-            states=np.asarray(states, dtype=np.float64),
+            states=np.asarray(states),
             actions=np.asarray(actions, dtype=np.int64),
             old_log_probs=np.asarray(log_probs, dtype=np.float64),
             returns=np.asarray(returns, dtype=np.float64),
