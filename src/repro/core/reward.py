@@ -41,6 +41,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from ..db.kernels import stable_argsort
 from .approximation import TupleKey
 
 #: Batches up to this size take the scalar per-key path; the numpy batch
@@ -121,7 +122,7 @@ class CoverageIndex:
         n_keys = len(self.key_index)
         inc_key_arr = np.asarray(inc_keys, dtype=np.int64)
         inc_row_arr = np.asarray(inc_rows, dtype=np.int64)
-        order = np.argsort(inc_key_arr, kind="stable")
+        order = stable_argsort(inc_key_arr, n_keys)
         self.inc_rows = inc_row_arr[order]
         self.inc_offsets = np.concatenate(
             [[0], np.cumsum(np.bincount(inc_key_arr, minlength=n_keys))]

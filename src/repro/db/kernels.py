@@ -241,6 +241,41 @@ def merge_dictionaries(
 
 
 # ------------------------------------------------------------------ #
+# stable argsort of bounded codes
+# ------------------------------------------------------------------ #
+#: Row counts below which numpy's int64 merge sort wins (measured, numpy
+#: 2.4): one digit 64 rows 1.8 vs 1.9 µs, 128 rows 2.5 vs 2.0; two digits
+#: 512 rows 8.5 vs 11.8 µs, 1000 rows 20.4 vs 16.5.
+_ONE_DIGIT_MIN_ROWS = 96
+_TWO_DIGIT_MIN_ROWS = 1024
+
+
+def stable_argsort(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """``np.argsort(codes, kind="stable")`` for codes in ``[0, n_codes)``.
+
+    numpy's stable sort is a radix sort on 16-bit keys and a merge sort on
+    int64, and a stable order is unique: sorting the codes as one uint16
+    digit — two, least significant first, up to ``2**32`` — gives the same
+    permutation several times sooner. Codes already in order (a key column
+    in storage order) stay with the merge sort, which sees one run; one
+    digit needs no such test, numpy's radix sort makes it itself.
+    """
+    n = len(codes)
+    if n_codes <= 1 << 16:
+        if n >= _ONE_DIGIT_MIN_ROWS:
+            return np.argsort(codes.astype(np.uint16), kind="stable")
+    elif (
+        n_codes <= 1 << 32
+        and n >= _TWO_DIGIT_MIN_ROWS
+        and bool((codes[1:] < codes[:-1]).any())
+    ):
+        order = np.argsort(codes.astype(np.uint16), kind="stable")  # low 16 bits
+        high = (codes[order] >> 16).astype(np.uint16)
+        return order[np.argsort(high, kind="stable")]
+    return np.argsort(codes, kind="stable")
+
+
+# ------------------------------------------------------------------ #
 # join
 # ------------------------------------------------------------------ #
 def build_join_index(
@@ -255,7 +290,7 @@ def build_join_index(
     """
     code_counts = np.bincount(build_codes, minlength=n_codes)
     code_starts = np.concatenate(([0], np.cumsum(code_counts[:-1])))
-    order = np.argsort(build_codes, kind="stable")
+    order = stable_argsort(build_codes, n_codes)
     return order, code_starts, code_counts
 
 
@@ -336,10 +371,10 @@ def distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Stable distinct: positions of first occurrences, in input order."""
     if _FORCE_REFERENCE:
         return reference_distinct_positions(arrays)
-    codes, _ = factorize_keys(arrays)
+    codes, n_codes = factorize_keys(arrays)
     if len(codes) == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(codes, kind="stable")
+    order = stable_argsort(codes, n_codes)
     sorted_codes = codes[order]
     is_first = np.empty(len(codes), dtype=bool)
     is_first[0] = True
@@ -377,8 +412,8 @@ def group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     n = len(arrays[0]) if arrays else 0
     if n == 0:
         return []
-    codes, _ = factorize_keys(arrays)
-    order = np.argsort(codes, kind="stable")
+    codes, n_codes = factorize_keys(arrays)
+    order = stable_argsort(codes, n_codes)
     sorted_codes = codes[order]
     boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
     return np.split(order, boundaries)

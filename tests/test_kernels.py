@@ -188,6 +188,62 @@ def test_factorize_keys_codes_are_bounded():
 
 
 # ------------------------------------------------------------------ #
+# stable_argsort vs numpy's own stable sort
+# ------------------------------------------------------------------ #
+@given(
+    n=st.one_of(st.integers(0, 200), st.integers(0, 5000)),
+    n_codes=st.sampled_from([1, 1 << 16, (1 << 16) + 1, 1 << 32, (1 << 32) + 1]),
+    shape=st.sampled_from(["random", "few", "top", "equal", "sorted", "reversed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_stable_argsort_is_numpys_stable_order(n, n_codes, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "few":       # ties everywhere: stability is what is tested
+        codes = rng.integers(0, min(n_codes, 7), size=n)
+    elif shape == "top":     # the largest codes the range allows
+        codes = n_codes - 1 - rng.integers(0, min(n_codes, 70_000), size=n)
+    elif shape == "equal":
+        codes = np.full(n, int(rng.integers(0, n_codes)))
+    else:
+        codes = rng.integers(0, n_codes, size=n)
+    if shape == "sorted":
+        codes = np.sort(codes)
+    if shape == "reversed":
+        codes = np.sort(codes)[::-1]
+    codes = codes.astype(np.int64)
+    kept = codes.copy()
+    order = kernels.stable_argsort(codes, n_codes)
+    want = np.argsort(codes, kind="stable")
+    assert order.dtype == want.dtype and np.array_equal(order, want)
+    assert np.array_equal(codes, kept)
+
+
+def test_stable_argsort_takes_every_path(monkeypatch):
+    """The thresholds route as documented — so the property above cannot
+    pass because a constant sends everything to plain ``np.argsort``."""
+    rng = np.random.default_rng(0)
+    few = rng.integers(0, 50, size=kernels._ONE_DIGIT_MIN_ROWS)
+    wide = rng.integers(0, 1 << 20, size=kernels._TWO_DIGIT_MIN_ROWS)
+    sorted_as: list[str] = []
+    argsort = np.argsort
+    monkeypatch.setattr(
+        np, "argsort", lambda a, **kw: sorted_as.append(str(a.dtype)) or argsort(a, **kw)
+    )
+    for codes, n_codes, passes in [
+        (few, 50, ["uint16"]),
+        (few[:-1], 50, ["int64"]),                  # too few rows for the cast
+        (wide, 1 << 20, ["uint16", "uint16"]),
+        (np.sort(wide), 1 << 20, ["int64"]),        # one run: the merge sort's case
+        (wide[:-1], 1 << 20, ["int64"]),            # too few rows for two passes
+        (wide, (1 << 32) + 1, ["int64"]),
+    ]:
+        sorted_as.clear()
+        kernels.stable_argsort(codes, n_codes)
+        assert sorted_as == passes
+
+
+# ------------------------------------------------------------------ #
 # CSR CoverageTracker vs dict reference
 # ------------------------------------------------------------------ #
 
