@@ -7,7 +7,7 @@ pre-vectorization reference implementations (``repro.db.kernels.reference_*`` an
 ``repro.core.reward.DictCoverageTracker``), plus the two halves of a
 training iteration at figure scale (|A| = 800): the lock-step rollout
 collector against one actor at a time, and the PPO minibatch update (no
-retained reference); and the two per-distinct-value kernels of a fit's
+retained reference) with the peak one whole-batch update holds; and the two per-distinct-value kernels of a fit's
 pre-processing, ``embed_actions`` and ``compute_table_stats``, against the
 per-row loops the tests retain. Writes ``BENCH_kernels.json``
 so the performance trajectory of these kernels is tracked in-repo.
@@ -352,6 +352,16 @@ def run_benchmarks(profile: str) -> dict:
             units=len(all_ids[0]), calls=200,
         )
 
+    # The sort under all three kernels and the CoverageIndex build, alone:
+    # 50 000 codes over 2000 values, against numpy's int64 stable sort.
+    sort_codes = sparse_rng.integers(0, 2000, size=50_000)
+    measure(
+        "stable_argsort_50k",
+        lambda: np.argsort(sort_codes, kind="stable"),
+        lambda: kernels.stable_argsort(sort_codes, 2000),
+        units=len(sort_codes),
+    )
+
     coverages, batches, candidates = _coverage_fixture(rng)
     # The incidence is built once per coverage list and shared: the first
     # row is that one build (against the legacy tracker's own), the second
@@ -413,6 +423,17 @@ def run_benchmarks(profile: str) -> dict:
         lambda: updater.update(batch),
         units=len(batch) * updater.config.update_epochs,
     )
+    # What one figure-scale update holds at its peak, not how long it
+    # takes: in batch × |A| float64 arrays, over a batch of bool states.
+    from tests.test_rl_memory import batch_arrays, multi_hot_batch, update_peak
+
+    figure_batch = multi_hot_batch()
+    record["ppo_update_peak"] = {
+        "unit": "batch x |A| float64 arrays",
+        "shape": list(figure_batch.masks.shape),
+        "batch": batch_arrays(figure_batch),
+        "peak": update_peak(updater.config, figure_batch),
+    }
 
     # Per-distinct-value pre-processing against the per-row loops the
     # tests keep as references. A fresh embedder per call: hashing each
@@ -858,6 +879,12 @@ def main(argv=None) -> int:
             f"  {entry['vectorized_s'] * 1e3:9.3f} ms"
             f"  {entry['speedup']:6.1f}x"
         )
+
+    peak = record["ppo_update_peak"]
+    print(
+        f"{'ppo_update_peak'.ljust(width)}  {'-':>12}  {peak['peak']:9.3f} {peak['unit']} "
+        f"at {peak['shape'][0]} x {peak['shape'][1]} (the batch itself: {peak['batch']:.3f})"
+    )
 
     status = 0
     for name, required in REQUIRED_SPEEDUPS.items():

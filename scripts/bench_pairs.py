@@ -12,11 +12,13 @@ ratio change/parent, wins/ties/losses of the change in the metric's own
 direction, and the no-regression verdict against the metric's ``bound`` in
 BENCHMARK.json — ``ok`` / ``regressed`` / ``unresolved``, the rule
 ``run.py --compare`` applies (choosing-metrics §6.5: runs spread wider than
-the bound resolve nothing unless they separate cleanly) — then the total
-``failed``. Exit status 1 on any ``regressed`` row or if the change fails
-more operations than the parent. The rule for claiming a gain
-(choosing-metrics §8): the change wins at least nine tenths of the pairs
-and the medians differ by more than the parent's IQR.
+the bound resolve nothing unless they separate cleanly) — then, for every
+row whose runs on a side spread wider than its bound (every ``unresolved``
+row is one), both sides' values sorted (two modes and plain noise read
+differently), then the total ``failed``. Exit status 1 on any ``regressed``
+row or if the change fails more operations than the parent. The rule for
+claiming a gain (choosing-metrics §8): the change wins at least nine tenths
+of the pairs and the medians differ by more than the parent's IQR.
 
 ``--layers`` then makes one ``--trace 1`` run per side with the same seed
 and prints every count metric that differs and every per-layer seconds
@@ -52,14 +54,14 @@ def run_once(
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def compare_verdict():
-    """``run.py --compare``'s verdict function, so both tools share one rule."""
+def compare_rules():
+    """``run.py --compare``'s ``(verdict, spread)``, so both tools share one rule."""
     spec = importlib.util.spec_from_file_location(
         "e2e_run", os.path.join(REPO, "benchmarks", "e2e", "run.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.verdict
+    return module.verdict, module.spread
 
 
 def summarize(
@@ -126,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload
     if "all" in workloads:
         workloads = [workload["name"] for workload in declared["workloads"]]
-    verdict = compare_verdict()
+    verdict, spread = compare_rules()
 
     print("wins/ties/losses are the change's; 'beyond' = medians differ by more "
           "than the parent's IQR; verdict = no worse than 'bound' (choosing-metrics §6.5)")
@@ -150,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{'metric':15s} {'parent':>10s} [{'q1':>9s} {'q3':>9s}] {'change':>10s} "
             f"{'ratio':>7s}  {'w/t/l':>8s}  {'beyond':6s}  {'bound':>5s}  verdict"
         )
+        wide = []  # rows whose medians decide nothing (every `unresolved` one is here)
         for metric in declared["end_to_end"]:
             values = {
                 side: [run["metrics"][metric["name"]]["value"] for run in side_runs]
@@ -158,6 +161,12 @@ def main(argv: list[str] | None = None) -> int:
             row, call = summarize(metric, values["parent"], values["change"], verdict)
             regressed += call == "regressed"
             print(row)
+            if max(map(spread, values.values())) > metric["bound"]:
+                wide.append((metric["name"], call, values))
+        for name, call, values in wide:
+            print(f"{name} ({call}): a side's runs spread wider than the bound; every run, sorted")
+            for side, side_values in values.items():
+                print(f"  {side:6s} " + " ".join(f"{v:.4f}" for v in sorted(side_values)))
         failed = {
             side: sum(run["failed"] for run in side_runs)
             for side, side_runs in runs[workload].items()

@@ -23,7 +23,13 @@ from .rollout import RolloutBuffer, Trajectory
 
 
 class Environment(abc.ABC):
-    """Minimal episodic environment contract (gym-like, with masks)."""
+    """Minimal episodic environment contract (gym-like, with masks).
+
+    A state may be of any dtype ``MLP.forward`` can cast to float64 (ours
+    is the bool selection vector); it travels in that dtype to the
+    minibatch. The collector keeps every state it is handed, so each must
+    be a snapshot, not a view the next ``step`` writes.
+    """
 
     @abc.abstractmethod
     def reset(self) -> tuple[np.ndarray, np.ndarray]:

@@ -49,17 +49,22 @@ def multi_hot_batch(n=1448, n_actions=828, seed=0) -> RolloutBatch:
     )
 
 
-def update_footprint(config: PPOConfig, batch: RolloutBatch) -> float:
-    """``batch`` bytes + the peak ``update()`` allocates over its entry, in
-    units of one batch × |A| float64 array."""
+def batch_arrays(batch: RolloutBatch) -> float:
+    """What ``batch`` itself holds, in batch × |A| float64 arrays."""
+    n, n_actions = batch.masks.shape
+    held = sum(getattr(batch, f.name).nbytes for f in dataclasses.fields(batch))
+    return held / (n * n_actions * 8)
+
+
+def update_peak(config: PPOConfig, batch: RolloutBatch) -> float:
+    """The most ``update()`` holds over what was allocated at its entry, in
+    batch × |A| float64 arrays (also ``bench_kernels.py``'s
+    ``ppo_update_peak`` row)."""
     n, n_actions = batch.masks.shape
     rng = np.random.default_rng(1)
     actor = ActorNetwork(n_actions, rng)
     critic = CriticNetwork(n_actions, rng) if config.use_critic else None
     updater = PPOUpdater(actor, critic, config, np.random.default_rng(2))
-    batch_bytes = sum(
-        getattr(batch, f.name).nbytes for f in dataclasses.fields(batch)
-    )
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -68,21 +73,22 @@ def update_footprint(config: PPOConfig, batch: RolloutBatch) -> float:
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    return (batch_bytes + peak) / (n * n_actions * 8)
+    return peak / (n * n_actions * 8)
 
 
 @pytest.mark.parametrize(
     "config, ceiling",
     [
-        # Measured 2.07 / 1.41 / 0.87; 4.14 for all three before states
-        # were bits and π_old was written over its own logits.
+        # Measured 2.07 / 1.41 / 0.87 (batch 0.26 of it); 4.14 for all three
+        # before states were bits and π_old was written over its own logits.
         pytest.param(PPOConfig(), 2.25, id="ppo"),
         pytest.param(PPOConfig(use_clip=False), 1.6, id="a2c"),
         pytest.param(PPOConfig(use_clip=False, use_critic=False), 1.0, id="reinforce"),
     ],
 )
 def test_update_footprint_ceiling(config, ceiling):
-    assert update_footprint(config, multi_hot_batch()) <= ceiling
+    batch = multi_hot_batch()
+    assert batch_arrays(batch) + update_peak(config, batch) <= ceiling
 
 
 @pytest.mark.parametrize("kl_coef", [0.2, 0.0])
