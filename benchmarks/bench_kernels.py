@@ -7,9 +7,10 @@ pre-vectorization reference implementations (``repro.db.kernels.reference_*`` an
 ``repro.core.reward.DictCoverageTracker``), plus the two halves of a
 training iteration at figure scale (|A| = 800): the lock-step rollout
 collector against one actor at a time, and the PPO minibatch update (no
-retained reference) with the peak one whole-batch update holds; and the two per-distinct-value kernels of a fit's
-pre-processing, ``embed_actions`` and ``compute_table_stats``, against the
-per-row loops the tests retain. Writes ``BENCH_kernels.json``
+retained reference) with the peak one whole-batch update holds; and the
+two per-distinct-value kernels of a fit's pre-processing,
+``embed_actions`` and ``compute_table_stats``, against the per-row loops
+the tests retain. Writes ``BENCH_kernels.json``
 so the performance trajectory of these kernels is tracked in-repo.
 
 Usage::

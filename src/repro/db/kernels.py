@@ -267,7 +267,7 @@ def stable_argsort(codes: np.ndarray, n_codes: int) -> np.ndarray:
     elif (
         n_codes <= 1 << 32
         and n >= _TWO_DIGIT_MIN_ROWS
-        and bool((codes[1:] < codes[:-1]).any())
+        and (codes[1:] < codes[:-1]).any()
     ):
         order = np.argsort(codes.astype(np.uint16), kind="stable")  # low 16 bits
         high = (codes[order] >> 16).astype(np.uint16)

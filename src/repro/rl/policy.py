@@ -67,8 +67,7 @@ class ActorNetwork:
         """``distribution(...)[0]`` bit for bit, written over its own logits:
         the one batch × |A| array this allocates is the one it returns."""
         logits = self.logits(states)
-        if temperature != 1.0:  # x / 1.0 is x
-            logits /= max(float(temperature), 1e-6)
+        logits /= max(float(temperature), 1e-6)
         return masked_log_softmax_(logits, masks)
 
     def sample(
