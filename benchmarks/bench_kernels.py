@@ -7,10 +7,11 @@ pre-vectorization reference implementations (``repro.db.kernels.reference_*`` an
 ``repro.core.reward.DictCoverageTracker``), plus the two halves of a
 training iteration at figure scale (|A| = 800): the lock-step rollout
 collector against one actor at a time, and the PPO minibatch update (no
-retained reference) with the peak one whole-batch update holds; and the
-two per-distinct-value kernels of a fit's pre-processing,
-``embed_actions`` and ``compute_table_stats``, against the per-row loops
-the tests retain. Writes ``BENCH_kernels.json``
+retained reference) with the peak one whole-batch update holds; the 13
+rollouts of Alg. 2 one ``approximation_set()`` makes; and the two
+per-distinct-value kernels of a fit's pre-processing, ``embed_actions``
+and ``compute_table_stats`` — those three against the loops the tests
+retain. Writes ``BENCH_kernels.json``
 so the performance trajectory of these kernels is tracked in-repo.
 
 Usage::
@@ -43,7 +44,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # for ``tests``
 
 from repro import obs
-from repro.core import Action, ActionSpace, ASQPConfig, GSLEnvironment
+from repro.core import (
+    Action,
+    ActionSpace,
+    ASQPConfig,
+    GSLEnvironment,
+    generate_approximation_set,
+)
 from repro.core.preprocess import embed_actions, preprocess
 from repro.core.reward import (
     CoverageIndex,
@@ -249,6 +256,32 @@ def _collect_one_actor_at_a_time(collector: MultiActorCollector) -> None:
             state, _, done, mask = env.step(decision.action)
 
 
+def _approx_set_fixture():
+    """An actor over |A| = 828 six-tuple groups (hidden 128/64) and k = 1000:
+    a rollout of Alg. 2 takes ~170 steps, the figure-scale fit's."""
+    rng = np.random.default_rng(29)
+    actions = [
+        Action(
+            keys=tuple(
+                (f"t{j % 3}", int(row))
+                for j, row in enumerate(rng.integers(0, 20_000, size=6))
+            ),
+            source_query=a % 35,
+        )
+        for a in range(828)
+    ]
+    space = ActionSpace(actions, embedding_dim=8)
+    return ActorNetwork(len(space), rng), space, ASQPConfig(memory_budget=1000, seed=0)
+
+
+def _candidate_rollouts(generate, actor, space, config) -> None:
+    """What one ``TrainedModel.approximation_set()`` rolls out: the greedy
+    trajectory, then 12 sampled ones off one generator."""
+    rng = np.random.default_rng(31)
+    for greedy in [True] + [False] * 12:
+        generate(actor, space, config, rng=rng, greedy=greedy)
+
+
 def _embed_fixture():
     """A seeded figure-scale IMDB action space (~800 actions) and what
     embeds it: the database, the actions, the statistics."""
@@ -435,6 +468,18 @@ def run_benchmarks(profile: str) -> dict:
         "batch": batch_arrays(figure_batch),
         "peak": update_peak(updater.config, figure_batch),
     }
+
+    # Alg. 2 with the first layer as a running sum against the loop that
+    # pushed the whole multi-hot state through the actor at every step.
+    from tests.test_inference_incremental import reference_generate
+
+    policy = _approx_set_fixture()
+    measure(
+        "approx_set_rollouts",
+        lambda: _candidate_rollouts(reference_generate, *policy),
+        lambda: _candidate_rollouts(generate_approximation_set, *policy),
+        units=13,
+    )
 
     # Per-distinct-value pre-processing against the per-row loops the
     # tests keep as references. A fresh embedder per call: hashing each

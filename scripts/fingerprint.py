@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""What a fit and its fine-tunes compute, as SHA-1s, in one or more checkouts.
+
+    python3 scripts/fingerprint.py TREE [TREE ...] --workload W [--input-seed N]
+
+For each checkout, in a child process with that checkout's
+``benchmarks/e2e/run.py::child_env()`` (hash seed and BLAS threads pinned,
+its own ``src`` first on the path): build the end-to-end benchmark's inputs
+of workload ``W``, fit, then fine-tune on each revealed interest in turn.
+After the fit and after every fine-tune it prints one SHA-1 per actor /
+critic parameter (the array's bytes), one of ``model.history`` at full
+precision (the wall-clock fields left out), one of the selected
+approximation set's keys and one of the greedy-only set's
+(``approximation_set(greedy=False)``).
+
+One row per fingerprint, one column per checkout; a row whose columns are
+not all equal ends in ``DIFFERS`` and the exit status is 1. A change that
+claims "same weights, same sets" (a kernel rewritten, an array carried in
+another dtype) is checked by running this on the parent's checkout and the
+change's, next to ``scripts/bench_pairs.py`` for the timings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+
+#: IterationRecord fields that are timings, not results.
+WALL_CLOCK = ("rollout_seconds", "update_seconds", "steps_per_second")
+
+
+def sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
+
+
+def fingerprints(model) -> list[tuple[str, str]]:
+    """``(name, SHA-1)`` of everything a fit or fine-tune left in ``model``."""
+    rows = []
+    for side, network in (("actor", model.agent.actor), ("critic", model.agent.critic)):
+        if network is None:
+            continue
+        for kind, arrays in (("w", network.net.weights), ("b", network.net.biases)):
+            for i, array in enumerate(arrays):
+                rows.append((f"{side}_{kind}{i}", sha1(array.tobytes())))
+    history = [
+        sorted(
+            (name, value.hex() if isinstance(value, float) else value)
+            for name, value in dataclasses.asdict(record).items()
+            if name not in WALL_CLOCK
+        )
+        for record in model.history
+    ]
+    rows.append(("history", sha1(repr(history).encode())))
+    rows.append(("selected_keys", sha1(repr(model.approximation_set().keys()).encode())))
+    rows.append(
+        ("greedy_keys", sha1(repr(model.approximation_set(greedy=False).keys()).encode()))
+    )
+    return rows
+
+
+def child(workload: str, input_seed: int | None) -> None:
+    """Runs inside one checkout: the imports below are that checkout's."""
+    from dataclasses import replace
+
+    from benchmarks.e2e.lifecycle import Lifecycle
+    from benchmarks.e2e.specs import BY_NAME, FRAME_SIZE, MEMORY_BUDGET
+    from repro.bench import bench_asqp_config
+    from repro.core import ASQPTrainer
+
+    spec = BY_NAME[workload]
+    if input_seed is not None:
+        spec = replace(spec, input_seed=input_seed)
+    inputs = Lifecycle(spec, 0, None, "")._build_inputs()
+    config = bench_asqp_config(
+        MEMORY_BUDGET, FRAME_SIZE, seed=spec.input_seed, **spec.config
+    )
+    model = ASQPTrainer(inputs.db, inputs.train, config).train()
+
+    def report(stage: str) -> None:
+        for name, digest in fingerprints(model):
+            print(f"{stage}.{name} {digest}", flush=True)
+
+    report("fit")
+    for i, (reveal_train, _) in enumerate(inputs.reveals, 1):
+        model.fine_tune(list(reveal_train.queries))
+        report(f"fine_tune_{i}")
+
+
+def run_in(tree: str, workload: str, input_seed: int | None) -> dict[str, str]:
+    """``{fingerprint name: SHA-1}`` of ``workload`` in checkout ``tree``."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_run", os.path.join(tree, "benchmarks", "e2e", "run.py")
+    )
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    command = [sys.executable, os.path.abspath(__file__), "--child", "--workload", workload]
+    if input_seed is not None:
+        command += ["--input-seed", str(input_seed)]
+    proc = subprocess.run(
+        command, cwd=tree, env=run.child_env(), stdout=subprocess.PIPE,
+        text=True, check=True,
+    )
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", metavar="TREE")
+    parser.add_argument("--workload", required=True, help="a BENCHMARK.json workload")
+    parser.add_argument("--input-seed", type=int, default=None,
+                        help="data and model seed (run.py's --input-seed)")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.workload, args.input_seed)
+        return 0
+    if not args.trees:
+        parser.error("at least one TREE")
+    trees = [os.path.abspath(tree) for tree in args.trees]
+    columns = [run_in(tree, args.workload, args.input_seed) for tree in trees]
+    seed = "" if args.input_seed is None else f" --input-seed {args.input_seed}"
+    print(f"{args.workload}{seed}: " + "  ".join(trees))
+    differing = 0
+    for name in dict.fromkeys(name for column in columns for name in column):
+        digests = [column.get(name, "-") for column in columns]
+        differs = len(set(digests)) > 1
+        differing += differs
+        print(f"{name:28s} " + "  ".join(digests) + ("  DIFFERS" if differs else ""))
+    print(f"differing rows: {differing}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,27 +42,57 @@ def generate_approximation_set(
             f"action space size {len(action_space)} does not match the "
             f"actor's {actor.n_actions} actions"
         )
+    if actor.state_dim != actor.n_actions:
+        raise ValueError(
+            f"the actor's state is {actor.state_dim} wide but it has "
+            f"{actor.n_actions} actions; Alg. 2 feeds it its own selections"
+        )
     budget = requested_size if requested_size is not None else config.memory_budget
     if budget < 1:
         raise ValueError(f"requested size must be >= 1, got {budget}")
     rng = rng or np.random.default_rng(config.seed)
 
+    # Between two steps the multi-hot input changes in one position, so the
+    # first layer is a running sum, pre = b0 + Σ W0[a] over the selected
+    # actions: one row of W0 a step instead of a gemv over all |A| rows.
+    net = actor.net
+    pre = net.biases[0].copy()
     selected = np.zeros(actor.n_actions, dtype=bool)
+    probs = np.empty(actor.n_actions)
     approx = ApproximationSet()
-    while approx.total_size() < budget:
-        mask = ~selected
-        if not mask.any():
+    size = 0
+    for _ in range(actor.n_actions):  # after |A| steps the mask is empty
+        if size >= budget:
             break
-        if greedy:
-            action = actor.greedy(selected, mask)
-        else:
-            action = actor.sample(selected, mask, rng).action
+        logits = net.predict_from_first(pre.copy())
+        action = choose(logits, selected, probs, None if greedy else rng.random())
         selected[action] = True
-        keys = list(action_space.keys_of(action))
-        remaining = budget - approx.total_size()
-        new_keys = [key for key in keys if key not in approx]
-        if len(new_keys) > remaining:
+        pre += net.weights[0][action]
+        new_keys = [key for key in action_space.keys_of(action) if key not in approx]
+        if len(new_keys) > budget - size:
             # Trim the final group so Σ|S_i| never exceeds the budget.
-            new_keys = new_keys[:remaining]
+            new_keys = new_keys[: budget - size]
         approx.add_keys(new_keys)
+        size += len(set(new_keys))  # an Action may repeat a key
     return approx
+
+
+def choose(
+    logits: np.ndarray, selected: np.ndarray, probs: np.ndarray, uniform: Optional[float]
+) -> int:
+    """One row's next action: the arg-max, or the draw at ``uniform``.
+
+    ``masked_log_softmax_`` / ``masked_softmax`` + ``draw_actions`` on 1-D
+    arrays, the same ufuncs in the same order; ``logits`` and ``probs``
+    (scratch, |A| long) are overwritten.
+    """
+    np.copyto(logits, -np.inf, where=selected)
+    logits -= logits.max()
+    np.exp(logits, out=probs)
+    if uniform is None:
+        logits -= np.log(probs.sum())
+        return int(logits.argmax())
+    probs /= probs.sum()
+    probs.cumsum(out=probs)
+    probs /= probs[-1]
+    return int(np.count_nonzero(probs <= uniform))

@@ -9,13 +9,16 @@ model directory contains:
   (round-tripped through :func:`repro.db.sql.sql`) plus weights;
 * ``actions.json`` — the action space's tuple keys and source codes;
 * ``arrays.npz`` — network weights, action/representative/training
-  embeddings;
+  embeddings, stored uncompressed;
 * ``history.json`` — training diagnostics and metadata.
 
 Coverage structures are *rebuilt* on load by re-executing the
 representatives against the database (exactly what preprocessing did), so
-the on-disk format stays small and the loaded model is guaranteed
-consistent with the database it is attached to. No pickle anywhere.
+they are not stored at all and the loaded model is guaranteed consistent
+with the database it is attached to. No pickle anywhere. Nothing is
+compressed: the bytes are float64 weights, which zlib shrinks by under 5%
+for most of the time a save takes (``np.load`` still reads an ``arrays.npz``
+that older code wrote with ``savez_compressed``).
 
 A model directory is outside input: a file of it that is missing, cut
 short or of the wrong shape makes :func:`load_model` raise one
@@ -114,7 +117,7 @@ def save_model(model: TrainedModel, directory: str) -> None:
             arrays[f"critic_w{i}"] = weight
         for i, bias in enumerate(model.agent.critic.net.biases):
             arrays[f"critic_b{i}"] = bias
-    np.savez_compressed(os.path.join(directory, "arrays.npz"), **arrays)
+    np.savez(os.path.join(directory, "arrays.npz"), **arrays)
 
     history = {
         "records": [dataclasses.asdict(record) for record in model.history],

@@ -78,9 +78,7 @@ class ASQPSession:
         self.config = model.config
         self.auto_fine_tune = auto_fine_tune
         self.workload_generator = workload_generator
-        self.approximation_set: ApproximationSet = model.approximation_set()
-        self.approx_db: Database = self.approximation_set.to_database(model.db)
-        self.estimator = self._build_estimator()
+        self._regenerate()
         self.drift_detector = DriftDetector(
             confidence_threshold=self.config.drift_confidence,
             trigger_count=self.config.drift_trigger_count,
@@ -109,11 +107,15 @@ class ASQPSession:
             )
         return estimator
 
+    def _regenerate(self) -> None:
+        """What opening and :meth:`refresh` share; one policy roll-out."""
+        self.approximation_set: ApproximationSet = self.model.approximation_set()
+        self.approx_db: Database = self.approximation_set.to_database(self.model.db)
+        self.estimator = self._build_estimator()
+
     def refresh(self) -> None:
         """Regenerate the approximation set and estimator from the model."""
-        self.approximation_set = self.model.approximation_set()
-        self.approx_db = self.approximation_set.to_database(self.model.db)
-        self.estimator = self._build_estimator()
+        self._regenerate()
         self._result_cache.clear()
 
     # -------------------------------------------------------------- #

@@ -128,6 +128,11 @@ class TrainedModel:
         the *training* coverage structures (no test information) — the
         sequential-selection analogue of taking the best of several policy
         samples.
+
+        ``greedy=False`` does *not* mean "sample" here, as it does for
+        :func:`generate_approximation_set`: it drops the sampled candidates
+        and returns the arg-max trajectory alone, the policy's own
+        deterministic set (no generator is consumed, no scoring).
         """
         rng = rng or np.random.default_rng(self.config.seed + 31)
         candidates = [

@@ -74,6 +74,18 @@ class MLP:
                 np.tanh(activation, out=activation)
         return activation
 
+    def predict_from_first(self, activation: np.ndarray) -> np.ndarray:
+        """The rest of :meth:`predict` given the first layer's pre-activation
+        ``x @ W0 + b0`` (overwritten): Alg. 2 keeps that sum running, one
+        ``W0`` row per selected action. A loop of its own, not one
+        ``predict`` calls: a caller's frame would keep the batch-wide first
+        layer alive across the |A|-wide last one."""
+        for weight, bias in zip(self.weights[1:], self.biases[1:]):
+            np.tanh(activation, out=activation)
+            activation = activation @ weight
+            activation += bias
+        return activation
+
     def backward(
         self, cache: ForwardCache, grad_output: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:

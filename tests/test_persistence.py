@@ -1,6 +1,7 @@
 """Tests for trained-model save/load (repro.core.persistence)."""
 
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -68,6 +69,29 @@ class TestRoundTrip:
         save_model(trained, str(tmp_path / "model"))
         loaded = load_model(str(tmp_path / "model"), tiny_flights.db)
         assert np.allclose(loaded.training_scores(), trained.training_scores())
+
+    def test_arrays_stored_uncompressed_and_compressed_ones_still_load(
+        self, trained, tiny_flights, tmp_path
+    ):
+        """Directories saved before ``arrays.npz`` stopped being zlib-ed."""
+        directory = str(tmp_path / "model")
+        save_model(trained, directory)
+        path = os.path.join(directory, "arrays.npz")
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path) as arrays:
+            stored = dict(arrays)
+        np.savez_compressed(path, **stored)
+        loaded = load_model(directory, tiny_flights.db)
+        for net, original in (
+            (loaded.agent.actor.net, trained.agent.actor.net),
+            (loaded.agent.critic.net, trained.agent.critic.net),
+        ):
+            for ours, theirs in zip(net.parameters(), original.parameters()):
+                np.testing.assert_array_equal(ours, theirs)
+        np.testing.assert_array_equal(
+            loaded.action_space.embeddings, trained.action_space.embeddings
+        )
 
     def test_version_check(self, trained, tiny_flights, tmp_path):
         import json, os
