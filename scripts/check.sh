@@ -9,11 +9,13 @@
 #                              step (DESIGN.md §12).
 # 3. repro explain --analyze  — the EXPLAIN ANALYZE path on a 3-table
 #                              IMDB join (per-operator est/act/q-error).
-# 4. repro profile -> watch    — profiles a micro demo run (sampling
-#                              profiler + memory tracker + SLOs) and
-#                              renders one frame of the ops console from
-#                              the recorded artifacts, hot-function and
-#                              memory panes included (DESIGN.md §6).
+# 4. repro profile -> watch    — profiles a micro demo run (CPU profiler
+#                              + memory tracker + SLOs), renders one
+#                              frame of the ops console from the recorded
+#                              artifacts, hot-function and memory panes
+#                              included (DESIGN.md §6), and resolves every
+#                              trace id the SLO statuses name with
+#                              `repro analyze --trace`.
 # 5. repro report --smoke      — records one tiny end-to-end run (profiled,
 #                              shadow-audited at rate 1.0) and fuses it
 #                              into the markdown report; the same run
@@ -22,9 +24,10 @@
 #                              the one-source check (the report's health
 #                              verdict counts equal `repro watch
 #                              --once`'s), `repro analyze` (a trace id
-#                              from the report resolves to its span
-#                              tree) and `repro diff` of the run against
-#                              itself (must report no regressions).
+#                              from the report and every SLO exemplar id
+#                              resolve to their span trees) and `repro
+#                              diff` of the run against itself (must
+#                              report no regressions).
 # 6. end-to-end benchmark     — the benchmark's own tests (recorder,
 #                              speed probe, declaration vs. output) and
 #                              one --smoke pass of all four workloads
@@ -41,6 +44,22 @@ cd "$(dirname "$0")/.."
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
+
+# Every trace id an SLO status of run directory $1 names must resolve to
+# its span tree (the alerts tell the operator to run exactly this).
+check_exemplars() {
+  ids="$(python -c 'import json, sys
+for status in json.load(open(sys.argv[1]))["objectives"]:
+    print(" ".join(status.get("exemplar_trace_ids") or []))' "$1/slo.json")"
+  n=0
+  for id in $ids; do
+    python -m repro analyze --dir "$1" --trace "$id" \
+      | grep "critical path" > /dev/null \
+      || { echo "SLO exemplar $id not found in $1"; exit 1; }
+    n=$((n + 1))
+  done
+  echo "$n SLO exemplar trace ids resolve"
+}
 
 echo "== tier-1 tests"
 python -m pytest -x -q
@@ -74,12 +93,12 @@ profile_dir="$(mktemp -d)"
 python -m repro profile --dir "$profile_dir" demo \
   --dataset flights --scale 0.12 --k 100 --frame-size 20 \
   --iterations 2 --light --seed 1 > /dev/null
-test -s "$profile_dir/flamegraph.html"
 test -s "$profile_dir/profile.collapsed.txt"
 python -m repro watch --dir "$profile_dir" --once > "$profile_dir/watch.out"
 cat "$profile_dir/watch.out"
 grep -q "hot functions (self time)" "$profile_dir/watch.out"
 grep -q "── memory" "$profile_dir/watch.out"
+check_exemplars "$profile_dir"
 rm -rf "$profile_dir"
 
 echo "== repro report --smoke -> Calibration / analyze / diff (one audited run)"
@@ -89,13 +108,14 @@ grep -q "Calibration" "$report_dir/report.md"
 verdict="$(sed -n 's/^- health verdict: .*(\([0-9]* CRIT, [0-9]* WARN\))$/\1/p' \
   "$report_dir/report.md")"
 test -n "$verdict"
-python -m repro watch --dir "$report_dir" --once | grep -qx "  $verdict"
+python -m repro watch --dir "$report_dir" --once | grep -x "  $verdict" > /dev/null
 trace_id="$(sed -n 's/^| `\([0-9a-f]\{16\}\)` .*/\1/p' \
   "$report_dir/report.md" | head -n 1)"
 test -n "$trace_id"
 python -m repro analyze --dir "$report_dir" --slowest 1 > /dev/null
 python -m repro analyze --dir "$report_dir" --trace "$trace_id" \
-  | grep -q "critical path"
+  | grep "critical path" > /dev/null
+check_exemplars "$report_dir"
 python -m repro diff "$report_dir" "$report_dir" \
   | grep -q "no regressions"
 rm -rf "$report_dir"

@@ -8,8 +8,8 @@ Commands
 ``explain`` — print the operator tree of a SQL query (``--analyze`` runs it).
 ``bench``  — print the location and contents of recorded benchmark tables.
 ``profile`` — run any other command under the continuous sampling
-profiler + memory tracker + default SLOs (flamegraph, collapsed stacks,
-memory.json, slo.json land in the run directory).
+profiler + memory tracker + default SLOs (collapsed stacks, memory.json,
+slo.json land in the run directory).
 ``lint``   — run the AST rule pack over source paths (see repro.lint).
 
 Seven verbs are views of one recorded run directory, all read through
@@ -20,11 +20,11 @@ artifact" message, exit 1):
 ``stats``  — its metrics, training and queries sections.
 ``audit``  — its answer-quality section (shadow audits, calibration).
 ``trace``  — the span tree.
-``analyze`` — retained traces: span trees, critical paths, self time.
+``analyze`` — traces by id or the slowest: span trees, critical paths.
 ``diff``   — span latencies of two runs, with a regression verdict.
-``watch``  — live ops console: rolling QPS/p50/p95, answer quality,
-trace keep reasons, SLO burn, and for a profiled run hot functions,
-span attribution and memory.
+``watch``  — live ops console: trace labels, rolling QPS/p50/p95, answer
+quality, SLO burn, and for a profiled run hot functions, span
+attribution and memory.
 
 ``demo``/``train`` accept ``--telemetry DIR`` to record a full
 observability run (trace.json, trace_chrome.json, metrics.json,
@@ -301,7 +301,7 @@ def cmd_profile(args) -> int:
 
     rest = [token for token in args.cmd if token != "--"]
     if not rest:
-        print("usage: repro profile [--dir DIR] [--hz N] <command> [args...]")
+        print("usage: repro profile [--dir DIR] <command> [args...]")
         print("example: repro profile --dir prof_run demo --light --scale 0.15")
         return 2
     if rest[0] in ("profile", "watch"):
@@ -312,7 +312,6 @@ def cmd_profile(args) -> int:
     with obs.run(
         args.dir,
         profile=True,
-        profile_hz=args.hz,
         memory_tracking=not args.no_memory,
         slo_objectives=objectives,
     ):
@@ -427,7 +426,7 @@ def main(argv=None) -> int:
 
     analyze = commands.add_parser(
         "analyze",
-        help="reconstruct retained traces: span trees + critical paths",
+        help="reconstruct traces: span trees + critical paths",
     )
     analyze.add_argument("--dir", default=DEFAULT_OBS_DIR,
                          help="run directory written by --telemetry")
@@ -448,15 +447,13 @@ def main(argv=None) -> int:
         "profile",
         help="run another repro command under the sampling profiler",
         description="Wrap any other repro command in an observability run "
-                    "with the continuous sampling profiler, the tracemalloc "
-                    "memory tracker, and the default latency SLOs enabled. "
-                    "Artifacts (flamegraph.html, profile.collapsed.txt, "
+                    "with the continuous sampling profiler (100 hz), the "
+                    "tracemalloc memory tracker, and the default latency "
+                    "SLOs enabled. Artifacts (profile.collapsed.txt, "
                     "slo.json, memory.json, ...) land in --dir.",
     )
     profile.add_argument("--dir", default=DEFAULT_OBS_DIR,
                          help="run directory for the recorded artifacts")
-    profile.add_argument("--hz", type=float, default=100.0,
-                         help="profiler sampling frequency (samples/s)")
     profile.add_argument("--no-memory", action="store_true",
                          help="skip the tracemalloc memory tracker "
                               "(it slows allocation-heavy code)")

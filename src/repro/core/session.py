@@ -255,7 +255,7 @@ class ASQPSession:
         audit coin are re-executed against the full database right here
         (the obs layer never touches a database — it only receives the
         measured numbers). Low-quality results are stamped onto the root
-        span so the tail sampler retains the trace as evidence.
+        span, so ``repro analyze`` labels the trace ``low_quality``.
         """
         auditor = quality.active()
         if auditor is None:

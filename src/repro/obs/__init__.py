@@ -7,8 +7,6 @@ Dependency-free instrumentation substrate for the whole system
   trace ids + baggage in a context-local;
 * :mod:`repro.obs.trace`     — nestable spans with a thread-local stack,
   exported as a JSON tree or a Chrome-trace file;
-* :mod:`repro.obs.sampling`  — tail-based trace retention: keep slow /
-  errored / low-quality traces, head-sample the rest;
 * :mod:`repro.obs.analyze`   — offline span-tree reconstruction,
   critical-path analysis, and run-vs-run latency diffs (import it
   directly — kept out of this package's eager imports);
@@ -18,7 +16,7 @@ Dependency-free instrumentation substrate for the whole system
 * :mod:`repro.obs.telemetry` — structured JSONL event streams with a
   bounded in-memory ring and size/line-capped file rotation;
 * :mod:`repro.obs.profiler`  — continuous sampling CPU profiler
-  (collapsed stacks + HTML flamegraph, span-attributed samples);
+  (collapsed stacks, span-attributed samples);
 * :mod:`repro.obs.memory`    — tracemalloc snapshots, allocator tables,
   and per-phase leak checks surfaced as gauges;
 * :mod:`repro.obs.slo`       — declarative latency/answerability
@@ -48,8 +46,7 @@ Typical use::
 
     with obs.run("obs_run", profile=True, memory_tracking=True,
                  slo_objectives=obs.slo.DEFAULT_OBJECTIVES):
-        ...  # adds flamegraph.html, profile.collapsed.txt,
-             # memory.json, slo.json
+        ...  # adds profile.collapsed.txt, memory.json, slo.json
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ from . import (
     profiler,
     quality,
     rundir,
-    sampling,
     slo,
     telemetry,
     trace,
@@ -88,7 +84,6 @@ __all__ = [
     "profiler",
     "quality",
     "rundir",
-    "sampling",
     "slo",
     "telemetry",
     "trace",
@@ -112,27 +107,14 @@ def start_run(directory: str, audit_rate: Optional[float] = None) -> str:
     long runs stay bounded on disk. ``audit_rate`` sets the shadow-audit
     sample rate (default: ``REPRO_AUDIT_RATE`` or
     :data:`repro.obs.quality.DEFAULT_AUDIT_RATE`; values outside
-    [0, 1] are rejected with a ValueError, as is a malformed
-    ``REPRO_TRACE_HEAD_RATE``). Returns the directory path.
+    [0, 1] are rejected with a ValueError). Returns the directory path.
     """
     os.makedirs(directory, exist_ok=True)
     trace.reset()
     metrics.reset()
     telemetry.reset()
-    # Tail-based trace retention: every finished root span is offered to
-    # the sampler, which keeps the interesting tail (slow / errored /
-    # low-quality traces) and head-samples the rest.
-    # REPRO_TRACE_HEAD_RATE overrides the baseline keep rate; like the
-    # audit rate below it is outside input, so a malformed value raises.
-    head_rate = sampling.DEFAULT_HEAD_RATE
-    raw_rate = os.environ.get("REPRO_TRACE_HEAD_RATE")
-    if raw_rate:
-        head_rate = quality.validate_rate(
-            raw_rate, source="REPRO_TRACE_HEAD_RATE"
-        )
-    sampling.configure(head_rate=head_rate)
     # Answer-quality accounting + shadow auditing (a bad audit rate
-    # raises too: quality.validate_rate).
+    # raises: quality.validate_rate).
     quality.configure(sample_rate=audit_rate)
     telemetry.configure(
         rundir.telemetry_sink(directory),
@@ -146,16 +128,15 @@ def _flush_continuous(directory: str) -> dict[str, str]:
     """Write the artifact of every active component; key → path.
 
     Wired as the profiler's ``on_flush`` callback so ``repro watch`` can
-    follow a live run: refreshes the collapsed stacks / flamegraph, the
-    SLO, quality and memory summaries and the metrics snapshot, and
-    records the SLO statuses mid-run. :func:`finish_run` makes the same
+    follow a live run: refreshes the collapsed stacks, the SLO, quality
+    and memory summaries and the metrics snapshot, and records the SLO
+    statuses mid-run. :func:`finish_run` makes the same
     pass one last time.
     """
     documents: dict[str, object] = {}
     running = profiler.active()
     if running is not None:
         documents["profile"] = running.collapsed()
-        documents["flamegraph"] = running.flamegraph_html()
     if slo.is_active():
         slo.publish()  # status rows: health.alerts reads escalations off them
         documents["slo"] = slo.active().summary()
@@ -192,15 +173,12 @@ def finish_run(directory: str) -> dict[str, str]:
             "trace": trace.tree(),
             "chrome_trace": trace.chrome_trace(),
         }
-        if sampling.is_active():
-            documents["traces"] = sampling.active().export()
         for artifact, document in documents.items():
             paths[artifact] = rundir.write(directory, artifact, document)
     finally:
         profiler.stop()
         memory.stop()
         slo.clear()
-        sampling.clear()
         quality.clear()
         disable()
         telemetry.configure(None)
@@ -211,7 +189,6 @@ def finish_run(directory: str) -> dict[str, str]:
 def run(
     directory: str,
     profile: bool = False,
-    profile_hz: float = 100.0,
     memory_tracking: bool = False,
     slo_objectives: Optional[Iterable[str]] = None,
     audit_rate: Optional[float] = None,
@@ -221,8 +198,8 @@ def run(
     Guarantees :func:`finish_run` — telemetry, metrics, trace, and any
     profiler/memory/SLO artifacts are flushed and instrumentation is
     torn down even when the wrapped block raises. ``profile`` starts the
-    continuous sampling profiler (collapsed stacks + flamegraph,
-    refreshed live for ``repro watch``), ``memory_tracking`` starts the
+    continuous sampling profiler at 100 hz (collapsed stacks, refreshed
+    live for ``repro watch``), ``memory_tracking`` starts the
     tracemalloc tracker, and ``slo_objectives`` installs declarative
     objectives (e.g. ``obs.slo.DEFAULT_OBJECTIVES``).
     """
@@ -232,9 +209,7 @@ def run(
     if memory_tracking:
         memory.start()
     if profile:
-        profiler.start(
-            hz=profile_hz, on_flush=lambda: _flush_continuous(directory)
-        )
+        profiler.start(on_flush=lambda: _flush_continuous(directory))
     try:
         yield directory
     finally:

@@ -1,12 +1,12 @@
 """Trace analysis: span-tree reconstruction, critical paths, run diffs.
 
-Works on a loaded :class:`~repro.obs.rundir.Run` — ``run.traces`` (the
-tail sampler's store of complete traces) and ``run.trace`` (every
-retained root span) — and answers the questions an operator asks after
-an SLO alert hands them a trace id:
+Works on a loaded :class:`~repro.obs.rundir.Run` — ``run.trace``, the
+run's one store of span trees — and answers the questions an operator
+asks after an SLO alert hands them a trace id:
 
 * :func:`retained_traces` / :func:`find_trace` — reconstruct the span
-  tree for a trace id or the slowest N;
+  tree for a trace id (a root's or one nested under an anonymous root)
+  or the slowest N, each labelled with why to look at it;
 * :func:`critical_path` — walk the longest-duration child chain from
   the root, attributing *self time* at each hop as the node's duration
   minus the union of its children's intervals. Using the interval
@@ -35,54 +35,63 @@ from .rundir import Run
 REGRESSION_FACTOR = 1.25
 REGRESSION_FLOOR_S = 0.5e-3
 
+#: The trace labels of :func:`retained_traces`, in precedence order.
+LABELS = ("error", "low_quality", "slow")
+
 
 # ------------------------------------------------------------------ #
 # trace loading
 # ------------------------------------------------------------------ #
 def retained_traces(run: Run) -> list[dict[str, Any]]:
-    """Retained traces of a run, oldest first.
+    """Every trace of a run, in walk order, each with its label.
 
-    Prefers ``traces.json`` (the tail-sampled store). Falls back to
-    grouping ``trace.json`` roots by their trace id for runs recorded
-    before the sampler existed.
+    One walk over ``run.trace`` yields one entry per trace id, rooted at
+    the id's topmost span (one whose parent does not carry the same
+    id), so an ``execute`` with its own id under the anonymous
+    ``train`` root is a trace too. The ``label`` — why look at it — is
+    computed here, from the recorded spans, like ``health.alerts(run)``:
+    ``error`` if any span of the tree failed, else ``low_quality`` if
+    the session stamped the audit verdict on it, else ``slow`` if it is
+    strictly above the p95 of the run's traces, else None.
     """
-    if run.traces and isinstance(run.traces.get("traces"), list):
-        return run.traces["traces"]
-    entries = []
-    for node in run.trace or []:
+    entries: dict[str, dict[str, Any]] = {}
+
+    def visit(node: dict[str, Any], parent_id: Optional[str]) -> None:
         trace_id = node.get("trace_id")
-        if trace_id:
-            entries.append(
-                {
-                    "trace_id": trace_id,
-                    "reason": "retained",
-                    "duration_s": float(node.get("seconds", 0.0)),
-                    "root": node,
-                }
-            )
-    return entries
+        if trace_id and trace_id != parent_id and trace_id not in entries:
+            entries[trace_id] = {
+                "trace_id": trace_id,
+                "duration_s": float(node.get("seconds", 0.0)),
+                "root": node,
+            }
+        for child in node.get("children", []):
+            visit(child, trace_id)
+
+    for root in run.trace or []:
+        visit(root, None)
+    p95 = _metrics.percentile(
+        sorted(entry["duration_s"] for entry in entries.values()), 0.95
+    )
+    for entry in entries.values():
+        root = entry["root"]
+        if any(node.get("error") for node in _walk(root)):
+            entry["label"] = "error"
+        elif int((root.get("attrs") or {}).get("low_quality") or 0) > 0:
+            entry["label"] = "low_quality"
+        elif entry["duration_s"] > p95:
+            entry["label"] = "slow"
+        else:
+            entry["label"] = None
+    return list(entries.values())
 
 
-def format_sampler_counts(run: Run) -> Optional[str]:
-    """The tail sampler's accounting as one line (None: not recorded)."""
-    counts = (run.traces or {}).get("counts") or {}
-    if not counts:
-        return None
-    kept = {
-        name[len("kept_"):]: count
-        for name, count in counts.items()
-        if name.startswith("kept_") and count
-    }
-    reasons = ", ".join(
-        f"{reason} ×{count}"
-        for reason, count in sorted(kept.items(), key=lambda kv: -kv[1])
+def format_label_counts(entries: list[dict[str, Any]]) -> str:
+    """``N traces (error ×a, low_quality ×b, slow ×c)``."""
+    counts = ", ".join(
+        f"{label} ×{sum(entry['label'] == label for entry in entries)}"
+        for label in LABELS
     )
-    return (
-        f"tail sampler: {counts.get('offered', 0)} offered, "
-        f"{sum(kept.values())} kept{f' ({reasons})' if reasons else ''}, "
-        f"{counts.get('dropped_head', 0)} head-dropped, "
-        f"{counts.get('evicted', 0)} evicted"
-    )
+    return f"{len(entries)} traces ({counts})"
 
 
 def find_trace(
@@ -293,7 +302,7 @@ def format_trace_entry(entry: dict[str, Any]) -> str:
     lines = [
         f"trace {entry.get('trace_id')}"
         f"  {float(entry.get('duration_s', 0.0)) * 1e3:.3f} ms"
-        f"  kept: {entry.get('reason', '?')}"
+        + (f"  label: {entry['label']}" if entry.get("label") else "")
     ]
     root = entry.get("root") or {}
     lines.append(trace_mod.format_tree([root]))
@@ -324,11 +333,8 @@ def render_analysis(
             )
         return 0, format_trace_entry(entry)
 
-    lines = []
-    sampler = format_sampler_counts(run)
-    if sampler:
-        lines += [sampler, ""]
     shown = slowest(entries, n_slowest)
+    lines = [format_label_counts(entries), ""]
     lines += [f"slowest {len(shown)} of {len(entries)} retained traces:", ""]
     for entry in shown:
         lines += [format_trace_entry(entry), ""]

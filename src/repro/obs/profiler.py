@@ -13,8 +13,6 @@ Exports:
 
 * :meth:`SamplingProfiler.collapsed` — collapsed-stack text
   (``speedscope``, ``flamegraph.pl``, and ``inferno`` all read it);
-* :meth:`SamplingProfiler.flamegraph_html` — a self-contained HTML
-  flamegraph (inline CSS/JS, click-to-zoom, no network access);
 * :meth:`SamplingProfiler.hot_functions` /
   :meth:`SamplingProfiler.span_samples` — the tables ``repro watch``
   and ``repro report`` render.
@@ -32,12 +30,11 @@ in :attr:`SamplingProfiler.dropped_stacks`.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import sys
 import threading
 import time
-from html import escape
 from typing import Any, Callable, Optional
 
 from . import trace as _trace
@@ -71,7 +68,10 @@ class SamplingProfiler:
         flush_every_s: float = 2.0,
         on_flush: Optional[Callable[[], None]] = None,
     ) -> None:
-        self.hz = float(min(max(hz, 1.0), 1000.0))
+        # A NaN rate would make the sampling wait return at once (a spin).
+        if not (math.isfinite(hz) and hz > 0):
+            raise ValueError(f"profiler rate must be finite and > 0, got {hz!r}")
+        self.hz = float(hz)
         self.max_depth = max_depth
         self.max_unique_stacks = max_unique_stacks
         self.flush_every_s = flush_every_s
@@ -177,10 +177,6 @@ class SamplingProfiler:
         """
         return hot_functions_of(self.stack_counts(), n=n, self_time=self_time)
 
-    def flame_tree(self) -> dict[str, Any]:
-        """Merge the collapsed stacks into one hierarchy for rendering."""
-        return flame_tree_of(self.stack_counts())
-
     def summary(self) -> dict[str, Any]:
         duration = (self.stopped_s or time.perf_counter()) - self.started_s
         return {
@@ -191,9 +187,6 @@ class SamplingProfiler:
             "duration_s": max(duration, 0.0),
             "span_samples": self.span_samples(),
         }
-
-    def flamegraph_html(self, title: str = "repro profile") -> str:
-        return render_flamegraph_html(self.flame_tree(), title)
 
 
 # ------------------------------------------------------------------ #
@@ -250,115 +243,6 @@ def hot_functions_of(
         (frame, count, count / grand if grand else 0.0)
         for frame, count in ranked
     ]
-
-
-def flame_tree_of(counts: dict[tuple[str, ...], int]) -> dict[str, Any]:
-    """Merge collapsed stacks into one hierarchy for flamegraph rendering."""
-    root: dict[str, Any] = {"name": "all", "value": 0, "children": {}}
-    for stack, count in counts.items():
-        root["value"] += count
-        node = root
-        for frame in stack:
-            child = node["children"].get(frame)
-            if child is None:
-                child = {"name": frame, "value": 0, "children": {}}
-                node["children"][frame] = child
-            child["value"] += count
-            node = child
-
-    def listify(node: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "name": node["name"],
-            "value": node["value"],
-            "children": [
-                listify(child)
-                for child in sorted(
-                    node["children"].values(), key=lambda c: -c["value"]
-                )
-            ],
-        }
-
-    return listify(root)
-
-
-# ------------------------------------------------------------------ #
-# self-contained HTML flamegraph
-# ------------------------------------------------------------------ #
-_FLAME_CSS = """
-body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 1.5rem; color: #1a1a2e; }
-#chart { position: relative; width: 100%; }
-.frame { position: absolute; height: 17px; box-sizing: border-box;
-         overflow: hidden; white-space: nowrap; font-size: 11px;
-         line-height: 17px; padding: 0 3px; border: 1px solid #fff;
-         border-radius: 2px; cursor: pointer; }
-.frame:hover { filter: brightness(0.85); }
-#status { margin: .6rem 0; font-size: .85rem; color: #4a4e69;
-          min-height: 1.2em; }
-#reset { font-size: .8rem; }
-"""
-
-_FLAME_JS = """
-const chart = document.getElementById('chart');
-const status = document.getElementById('status');
-const ROW = 18;
-function color(name) {
-  if (name.startsWith('span:')) return '#8d99ae';
-  let hash = 0;
-  for (let i = 0; i < name.length; i++)
-    hash = (hash * 31 + name.charCodeAt(i)) >>> 0;
-  const hue = name.includes('repro/') ? 18 + hash % 30 : 200 + hash % 40;
-  return `hsl(${hue}, 68%, ${60 + hash % 18}%)`;
-}
-function render(root) {
-  chart.innerHTML = '';
-  let maxDepth = 0;
-  function place(node, depth, left, width) {
-    maxDepth = Math.max(maxDepth, depth);
-    const div = document.createElement('div');
-    div.className = 'frame';
-    div.style.left = (100 * left) + '%';
-    div.style.width = Math.max(100 * width, 0.1) + '%';
-    div.style.top = (depth * ROW) + 'px';
-    div.style.background = color(node.name);
-    const pct = (100 * node.value / DATA.value).toFixed(1);
-    div.textContent = node.name;
-    div.title = `${node.name} — ${node.value} samples (${pct}% of total)`;
-    div.onclick = () => { render(node); status.textContent =
-      `zoomed: ${node.name} (${node.value} samples, ${pct}%)`; };
-    chart.appendChild(div);
-    let offset = left;
-    for (const child of node.children) {
-      const w = width * child.value / node.value;
-      place(child, depth + 1, offset, w);
-      offset += w;
-    }
-  }
-  place(root, 0, 0, 1);
-  chart.style.height = ((maxDepth + 1) * ROW) + 'px';
-}
-document.getElementById('reset').onclick = () => {
-  render(DATA); status.textContent = '';
-};
-render(DATA);
-"""
-
-
-def render_flamegraph_html(tree: dict[str, Any], title: str) -> str:
-    """One self-contained HTML document rendering ``tree`` as a flamegraph."""
-    return "\n".join([
-        "<!DOCTYPE html>",
-        "<html><head><meta charset='utf-8'>",
-        f"<title>{escape(title)}</title>",
-        f"<style>{_FLAME_CSS}</style></head><body>",
-        f"<h1>{escape(title)}</h1>",
-        f"<p>{tree.get('value', 0)} samples — click a frame to zoom "
-        "<button id='reset'>reset</button></p>",
-        "<div id='status'></div>",
-        "<div id='chart'></div>",
-        f"<script>const DATA = {json.dumps(tree)};{_FLAME_JS}</script>",
-        "</body></html>",
-    ])
 
 
 # ------------------------------------------------------------------ #

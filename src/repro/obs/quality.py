@@ -10,7 +10,7 @@ aggregate relative error). This module closes the loop at serving time:
   ``quality.calibration`` histogram (and, through the session's
   ``query`` row, in :mod:`repro.obs.health`'s calibration-drift rule).
 * **Shadow auditing** — a deterministic fraction of approximation-set
-  answers (chosen by trace-id hash, like tail-sampling's head coin) is
+  answers (chosen by a hash window of the trace id) is
   re-executed against the full database by the session; the measured
   recall and aggregate relative error arrive here and become
   ``quality.recall`` / ``quality.agg_rel_error`` histogram samples
@@ -47,8 +47,8 @@ DEFAULT_AUDIT_RATE = 0.1
 #: of cumulative serving time (the first audit is always allowed).
 DEFAULT_MAX_OVERHEAD = 0.01
 
-#: Audited recall below this marks the trace low-quality (tail-sampler
-#: keep reason, ``low_quality`` root-span attribute).
+#: Audited recall below this marks the trace low-quality (the
+#: ``low_quality`` root-span attribute ``repro analyze`` labels by).
 LOW_QUALITY_RECALL = 0.8
 
 #: Rows kept in the in-memory audit table (oldest evicted first).
@@ -66,8 +66,7 @@ def validate_rate(rate: Any, source: str = "audit sample rate") -> float:
     """Contract check for a sample rate: a number in [0, 1].
 
     A bad audit rate silently disabling ground truth would be a
-    correctness bug, so out-of-range values are rejected loudly;
-    ``REPRO_TRACE_HEAD_RATE`` is validated through here too.
+    correctness bug, so out-of-range values are rejected loudly.
     """
     try:
         value = float(rate)
@@ -91,9 +90,8 @@ def rate_from_env(default: float = DEFAULT_AUDIT_RATE) -> float:
 def _audit_keep(trace_id: str, rate: float) -> bool:
     """Deterministic audit coin: a hash window of the trace id.
 
-    Mirrors tail-sampling's head coin but reads a *different* 8-hex
-    window (chars 8..16), so whether a trace is audited is independent
-    of whether it is head-kept.
+    Reads the 8-hex window at chars 8..16: no RNG state, so the same
+    trace id gets the same verdict on every replay.
     """
     if rate <= 0.0:
         return False

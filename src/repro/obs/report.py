@@ -450,7 +450,7 @@ def section_trace(run: Run) -> list[str]:
 
 
 def section_slowest_traces(run: Run) -> list[str]:
-    """Top retained traces with their critical paths (tail sampler)."""
+    """The slowest traces of ``trace.json`` with their critical paths."""
     lines = ["## Slowest traces", ""]
     entries = analyze_mod.retained_traces(run)
     if not entries:
@@ -467,20 +467,19 @@ def section_slowest_traces(run: Run) -> list[str]:
         rows.append([
             f"`{str(entry.get('trace_id', '?'))[:16]}`",
             1e3 * float(entry.get("duration_s", 0.0)),
-            entry.get("reason", "?"),
+            entry["label"],
             hottest.get("name", "-"),
             1e3 * float(hottest.get("self_s", 0.0)),
         ])
     lines.append(_md_table(
-        ["trace", "total ms", "kept", "critical span", "self ms"],
+        ["trace", "total ms", "label", "critical span", "self ms"],
         rows,
     ))
-    sampler = analyze_mod.format_sampler_counts(run)
-    if sampler:
-        lines += [
-            "",
-            f"{sampler}. Inspect one with `repro analyze --trace <id>`.",
-        ]
+    lines += [
+        "",
+        f"{analyze_mod.format_label_counts(entries)}. "
+        "Inspect one with `repro analyze --trace <id>`.",
+    ]
     return lines
 
 
@@ -529,11 +528,7 @@ def section_profile(run: Run) -> list[str]:
         return lines
     if counts:
         total = sum(counts.values())
-        flamegraph = run.path("flamegraph")
-        lines.append(
-            f"{total} samples across {len(counts)} unique stacks"
-            + (f" — interactive view: `{flamegraph}`" if flamegraph else "")
-        )
+        lines.append(f"{total} samples across {len(counts)} unique stacks")
         lines.append("")
         hot = profiler_mod.hot_functions_of(counts, n=_TOP_SPANS)
         if hot:

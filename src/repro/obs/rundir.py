@@ -36,18 +36,20 @@ FILES = {
     "metrics": "metrics.json",
     "trace": "trace.json",
     "chrome_trace": "trace_chrome.json",
-    "traces": "traces.json",
     "slo": "slo.json",
     "memory": "memory.json",
     "quality": "quality.json",
     "profile": "profile.collapsed.txt",
-    "flamegraph": "flamegraph.html",
 }
 
-#: The JSON artifacts :func:`load` parses, with their document type.
-_JSON_SHAPES = {
-    "metrics": dict, "trace": list, "traces": dict,
-    "slo": dict, "memory": dict, "quality": dict,
+#: The artifacts :func:`load` parses, with their document type (``str``:
+#: collapsed-stack text). The Chrome trace is for Perfetto, not read back.
+_SHAPES = {
+    "metrics": dict, "trace": list, "slo": dict, "memory": dict,
+    "quality": dict, "profile": str,
+}
+_EXPECTED = {
+    dict: "a JSON object", list: "a span list", str: "`stack count` lines",
 }
 
 
@@ -65,10 +67,9 @@ class Run:
     #: ``metrics.json``: counters / gauges / histograms snapshot.
     metrics: Optional[dict[str, Any]] = None
     #: ``trace.json``: the last ``trace.MAX_ROOTS`` finished root spans,
-    #: as trees (``trace.roots_dropped`` in ``metrics`` counts the rest).
+    #: as trees (``trace.roots_dropped`` in ``metrics`` counts the rest) —
+    #: the run's only store of span trees.
     trace: Optional[list[dict[str, Any]]] = None
-    #: ``traces.json``: tail-sampled traces + the sampler's counts.
-    traces: Optional[dict[str, Any]] = None
     slo: Optional[dict[str, Any]] = None
     memory: Optional[dict[str, Any]] = None
     quality: Optional[dict[str, Any]] = None
@@ -97,8 +98,8 @@ def telemetry_sink(directory: str) -> str:
 def write(directory: str, artifact: str, document: Any) -> str:
     """Atomically write one artifact; returns its path.
 
-    A ``str`` document is written as is (collapsed stacks, the
-    flamegraph page); anything else as JSON.
+    A ``str`` document (the collapsed stacks) is written as is; anything
+    else as JSON.
     """
     path = os.path.join(directory, FILES[artifact])
     # One temp name per writer: the profiler thread's periodic flush and
@@ -133,24 +134,27 @@ def load(directory: str) -> Run:
         if artifact == "telemetry" or not os.path.exists(path):
             continue
         run.artifacts.append(name)
-        if artifact == "profile":
-            with open(path) as handle:
-                run.profile = _profiler.parse_collapsed(handle.read())
-        shape = _JSON_SHAPES.get(artifact)
+        shape = _SHAPES.get(artifact)
         if shape is None:
             continue
         try:
             with open(path) as handle:
-                document = json.load(handle)
+                text = handle.read()
+            document = text if shape is str else json.loads(text)
         except (OSError, ValueError) as error:
             raise RunError(
                 f"unreadable run artifact {path}: {error} — "
                 "re-record the run, or delete the directory and retry"
             ) from None
-        if not isinstance(document, shape):
-            expected = "a span list" if shape is list else "a JSON object"
+        if shape is str:
+            # An empty profile is a profiled run with no samples yet.
+            document = _profiler.parse_collapsed(text)
+            valid = bool(document) or not text.strip()
+        else:
+            valid = isinstance(document, shape)
+        if not valid:
             raise RunError(
-                f"unreadable run artifact {path}: expected {expected}"
+                f"unreadable run artifact {path}: expected {_EXPECTED[shape]}"
             )
         setattr(run, artifact, document)
     if not run.artifacts:

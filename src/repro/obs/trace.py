@@ -7,8 +7,8 @@ session query produces a tree (``session.query`` → ``execute`` →
 ``execute.hash_join`` …). Each thread keeps its own stack, so actors
 running on worker threads cannot corrupt each other's nesting.
 
-Finished *root* spans accumulate in a bounded process-global list and
-export two ways:
+Finished *root* spans accumulate in a bounded process-global list (a
+run's only store of span trees, ``trace.json``) and export two ways:
 
 * :func:`tree` — a plain-dict JSON tree (name, seconds, attrs, counters,
   children), the format ``repro trace`` pretty-prints;
@@ -200,18 +200,6 @@ def active_span_name(tid: int) -> Optional[str]:
         return None
 
 
-#: Optional observer of finished root spans (installed by
-#: repro.obs.sampling so the tail sampler sees every completed tree);
-#: at most one, None when no sampler is configured.
-_ROOT_HOOK = None
-
-
-def set_root_hook(hook) -> None:
-    """Install (or clear, with None) the finished-root-span observer."""
-    global _ROOT_HOOK
-    _ROOT_HOOK = hook
-
-
 def _record_root(root: Span) -> None:
     with _ROOTS_LOCK:
         _ROOTS.append(root)
@@ -220,11 +208,6 @@ def _record_root(root: Span) -> None:
             del _ROOTS[:evicted]
     if evicted > 0:
         _metrics.add("trace.roots_dropped", evicted)
-    # Outside the lock: the tail sampler computes rolling percentiles
-    # and must never serialize against span recording.
-    hook = _ROOT_HOOK
-    if hook is not None:
-        hook(root)
 
 
 def span(name: str, **attrs: Any):

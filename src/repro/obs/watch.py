@@ -3,15 +3,15 @@
 Renders one operator-facing text frame from a loaded
 :class:`~repro.obs.rundir.Run` — the artifacts a live run flushes
 periodically (the telemetry JSONL and its rotated set, ``quality.json``,
-``traces.json``, ``slo.json`` and, for a profiled run, the collapsed
-stacks and ``memory.json``):
+``slo.json`` and, for a profiled run, the collapsed stacks and
+``memory.json``) and ``trace.json``, written at finish:
 
+* how many traces the run holds, by label (error / low_quality /
+  slow — :func:`repro.obs.analyze.retained_traces`);
 * rolling throughput — QPS plus p50/p95 latency over the trailing
   window of ``query`` telemetry records;
 * answer quality — shadow-audit accounting from ``quality.json``
   (audited recall, audit overhead) next to the calibration bias;
-* tail-sampler keep reasons from ``traces.json`` — why retained traces
-  were kept (error / low_quality / slow / …) and how many were shed;
 * SLO burn — every objective's value and burn rate, alerting ones with
   their worst trace ids;
 * for a profiled run: hot functions (self time), samples by enclosing
@@ -50,6 +50,9 @@ def render_watch(run: Run, width: int = 78) -> str:
     found = health_mod.alerts(run)
     lines = [f"repro watch — {run.directory}"]
     lines.append(f"telemetry: {len(run.records)} records")
+    lines.append(analyze_mod.format_label_counts(
+        analyze_mod.retained_traces(run)
+    ))
 
     # -- rolling throughput ------------------------------------------ #
     lines.append(rule("throughput"))
@@ -95,11 +98,6 @@ def render_watch(run: Run, width: int = 78) -> str:
         )
     else:
         lines.append("  (no quality.json yet — shadow auditing disabled)")
-
-    # -- tail-sampler keep reasons ------------------------------------ #
-    lines.append(rule("trace keep reasons"))
-    sampler = analyze_mod.format_sampler_counts(run)
-    lines.append(f"  {sampler}" if sampler else "  (no traces.json yet)")
 
     # -- SLO burn ---------------------------------------------------- #
     lines.append(rule("SLO burn"))

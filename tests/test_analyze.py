@@ -3,8 +3,9 @@
 Exercises :mod:`repro.obs.analyze` on synthetic span trees where the
 right answers are computable by hand — in particular the interval-union
 self-time attribution that collapses overlapping children to their max
-instead of summing them — plus the ``traces.json``/``trace.json``
-paths of ``retained_traces`` and the ``diff_runs`` regression verdict.
+instead of summing them — plus ``retained_traces`` (one entry per trace
+id of ``trace.json``, each labelled when the run is read) and the
+``diff_runs`` regression verdict.
 """
 
 from __future__ import annotations
@@ -90,20 +91,6 @@ class TestAggregate:
 # loading + lookup
 # ------------------------------------------------------------------ #
 class TestLoading:
-    def test_load_prefers_traces_json(self, tmp_path):
-        document = {
-            "counts": {"offered": 2},
-            "traces": [{
-                "trace_id": "b" * 32, "reason": "slow",
-                "duration_s": 0.5, "root": node("execute", 0.0, 0.5),
-            }],
-        }
-        (tmp_path / "traces.json").write_text(json.dumps(document))
-        run = load(str(tmp_path))
-        entries = analyze.retained_traces(run)
-        assert len(entries) == 1 and entries[0]["reason"] == "slow"
-        assert "2 offered" in analyze.format_sampler_counts(run)
-
     def test_load_falls_back_to_trace_json(self, tmp_path):
         roots = [
             node("execute", 0.0, 0.2, trace_id="c" * 32),
@@ -113,12 +100,49 @@ class TestLoading:
         entries = analyze.retained_traces(load(str(tmp_path)))
         assert len(entries) == 1
         assert entries[0]["trace_id"] == "c" * 32
-        assert entries[0]["reason"] == "retained"
+        assert entries[0]["label"] is None  # alone, it is its own p95
+
+    def test_nested_trace_under_anonymous_root_is_found(self, tmp_path):
+        nested = "e" * 32
+        train = node("train", 0.0, 1.0, [
+            node("train.preprocess", 0.0, 0.5, [
+                node("execute", 0.1, 0.2, [
+                    node("execute.pushdown", 0.1, 0.1, trace_id=nested),
+                ], trace_id=nested),
+            ]),
+        ])
+        query = node("session.query", 1.0, 0.01, trace_id="f" * 32)
+        (tmp_path / "trace.json").write_text(json.dumps([train, query]))
+        entries = analyze.retained_traces(load(str(tmp_path)))
+        # One entry per id, rooted at its topmost span.
+        assert [(e["trace_id"], e["root"]["name"]) for e in entries] == [
+            (nested, "execute"), ("f" * 32, "session.query"),
+        ]
+        assert analyze.find_trace(entries, nested) is entries[0]
+        code, text = analyze.render_analysis(
+            load(str(tmp_path)), trace_id=nested[:8]
+        )
+        assert code == 0 and "critical path" in text
+
+    def test_traces_json_of_an_older_run_is_ignored(self, tmp_path):
+        roots = [node("execute", 0.0, 0.2, trace_id="c" * 32)]
+        (tmp_path / "trace.json").write_text(json.dumps(roots))
+        (tmp_path / "traces.json").write_text(json.dumps({"traces": [{
+            "trace_id": "b" * 32, "reason": "slow",
+            "duration_s": 0.5, "root": node("execute", 0.0, 0.5),
+        }]}))
+        run = load(str(tmp_path))
+        assert "traces.json" not in run.artifacts
+        assert [e["trace_id"] for e in analyze.retained_traces(run)] == [
+            "c" * 32
+        ]
 
     def test_empty_dir_loads_nothing(self, tmp_path):
         run = Run(str(tmp_path))  # nothing recorded
         assert analyze.retained_traces(run) == []
-        assert analyze.format_sampler_counts(run) is None
+        assert analyze.format_label_counts([]) == (
+            "0 traces (error ×0, low_quality ×0, slow ×0)"
+        )
 
     def test_find_trace_exact_prefix_and_ambiguous(self):
         entries = [
@@ -137,6 +161,47 @@ class TestLoading:
             {"trace_id": "3", "duration_s": 0.5},
         ]
         assert [e["trace_id"] for e in analyze.slowest(entries, 2)] == ["2", "3"]
+
+
+# ------------------------------------------------------------------ #
+# labels
+# ------------------------------------------------------------------ #
+def labels_of(*roots):
+    return [
+        entry["label"]
+        for entry in analyze.retained_traces(Run("mem", trace=list(roots)))
+    ]
+
+
+class TestLabels:
+    def test_error_three_levels_deep_labels_the_trace(self):
+        failed = node("session.query", 0.0, 0.01, [
+            node("execute", 0.0, 0.01, [
+                node("execute.hash_join", 0.0, 0.01, [
+                    node("execute.pushdown", 0.0, 0.01, error="KeyError: x"),
+                ]),
+            ]),
+        ], trace_id="a" * 32, attrs={"low_quality": 1})
+        assert labels_of(failed) == ["error"]  # error outranks low_quality
+
+    def test_slow_is_strictly_above_the_runs_p95(self):
+        roots = [
+            node("session.query", 0.0, seconds, trace_id=f"{i:032x}")
+            for i, seconds in enumerate([0.001 * v for v in range(1, 21)])
+        ]
+        # Nearest-rank p95 of 1..20 ms is 19 ms: only the 20 ms trace.
+        assert labels_of(*roots) == [None] * 19 + ["slow"]
+
+    def test_counts_line(self):
+        roots = [
+            node("q", 0.0, 0.01, trace_id="1" * 32, error="boom"),
+            node("q", 0.0, 0.01, trace_id="2" * 32, attrs={"low_quality": 1}),
+            node("q", 0.0, 0.01, trace_id="3" * 32),
+        ]
+        entries = analyze.retained_traces(Run("mem", trace=roots))
+        assert analyze.format_label_counts(entries) == (
+            "3 traces (error ×1, low_quality ×1, slow ×0)"
+        )
 
 
 # ------------------------------------------------------------------ #
@@ -197,11 +262,11 @@ class TestRendering:
     def test_format_trace_entry_mentions_reason_and_path(self):
         entry = {
             "trace_id": "d" * 32,
-            "reason": "slow",
+            "label": "slow",
             "duration_s": 0.25,
             "root": node("execute", 0.0, 0.25, trace_id="d" * 32),
         }
         text = analyze.format_trace_entry(entry)
         assert "d" * 32 in text
-        assert "kept: slow" in text
+        assert "label: slow" in text
         assert "critical path:" in text

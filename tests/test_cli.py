@@ -172,8 +172,9 @@ class TestCLI:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "flamegraph" in out
-        assert (run_dir / "flamegraph.html").stat().st_size > 0
+        assert "profile.collapsed.txt" in out
+        assert not (run_dir / "flamegraph.html").exists()
+        assert not (run_dir / "traces.json").exists()
         assert (run_dir / "profile.collapsed.txt").stat().st_size > 0
         assert (run_dir / "slo.json").stat().st_size > 0
         assert (run_dir / "memory.json").stat().st_size > 0
@@ -227,7 +228,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert trace_id in out
         assert "critical path:" in out
-        assert "tail sampler:" in out
+        assert "1 traces (error ×0, low_quality ×0, slow ×0)" in out
 
         # prefix lookup resolves the same trace; unknown ids exit 1
         assert main([

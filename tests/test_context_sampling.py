@@ -1,4 +1,4 @@
-"""Request-scoped causal tracing: context, exemplars, tail sampling.
+"""Request-scoped causal tracing: context, stamping, exemplars.
 
 Covers the identity pipeline end to end (DESIGN.md §13):
 
@@ -7,8 +7,6 @@ Covers the identity pipeline end to end (DESIGN.md §13):
   the EXPLAIN ANALYZE footer;
 * metric exemplars — capture under an active context, bounded per
   bucket;
-* the tail sampler — errored traces are never head-dropped and outlive
-  eviction pressure, accounting is exact;
 * deterministic ``telemetry.load_run`` ordering across rotated parts
   with colliding timestamps;
 * ``Histogram.percentile`` interpolating inside the winning bucket
@@ -18,19 +16,17 @@ Covers the identity pipeline end to end (DESIGN.md §13):
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 
 from repro import obs
 from repro.db import Database, execute, explain, sql
-from repro.obs import context, health, metrics, sampling, slo, telemetry, trace
+from repro.obs import context, health, metrics, slo, telemetry, trace
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     EXEMPLARS_PER_BUCKET,
     Histogram,
 )
-from repro.obs.sampling import TailSampler
 
 from tests.test_columnstore import _comparable, make_table
 
@@ -45,7 +41,6 @@ def clean_obs():
         metrics.reset()
         telemetry.reset()
         telemetry.configure(None)
-        sampling.clear()
         slo.clear()
 
     scrub()
@@ -236,93 +231,6 @@ class TestLoadRunOrdering:
                 handle.write(json.dumps({"ts": ts, "seq": seq}) + "\n")
         ordered = telemetry.load_run(path)
         assert [r["seq"] for r in ordered] == [1, 3, 0, 2]
-
-
-# ------------------------------------------------------------------ #
-# tail sampler
-# ------------------------------------------------------------------ #
-def _root(trace_id, duration=0.01, **attrs):
-    span = trace.Span("execute")
-    span.trace_id = trace_id
-    span.duration_s = duration
-    span.attrs.update(attrs)
-    return span
-
-
-class TestTailSampler:
-    def test_anonymous_roots_are_ignored(self):
-        sampler = TailSampler()
-        assert sampler.offer(trace.Span("anon")) is None
-        assert sampler.counts["offered"] == 0
-
-    def test_error_survives_eviction_pressure(self):
-        sampler = TailSampler(max_traces=4, head_rate=1.0, min_window=1)
-        failed = _root("f" * 32)
-        failed.error = "ValueError: boom"
-        sampler.offer(failed)
-        for i in range(40):
-            sampler.offer(_root(f"{i:032x}", duration=0.01 + i * 1e-4))
-        kept_ids = {entry["trace_id"] for entry in sampler.entries()}
-        assert failed.trace_id in kept_ids
-        assert len(kept_ids) == 4
-        assert sampler.counts["evicted"] == 37
-
-    def test_error_spans_kept(self):
-        sampler = TailSampler(head_rate=0.0, min_window=1)
-        sampler.offer(_root("0" * 32))  # consume warmup
-        failed = _root("1" * 32)
-        child = trace.Span("inner")
-        child.error = "ValueError: boom"
-        failed.children.append(child)
-        assert sampler.offer(failed) == "error"
-
-    def test_warmup_keeps_everything_then_slow_beats_p95(self):
-        sampler = TailSampler(head_rate=0.0, min_window=3)
-        for i in range(3):
-            assert sampler.offer(_root(f"{i:032x}", 0.010)) == "warmup"
-        assert sampler.offer(_root("a" * 32, 0.5)) == "slow"
-        assert sampler.offer(_root("b" * 32, 0.001)) is None
-
-    def test_accounting_is_exact(self):
-        sampler = TailSampler(head_rate=0.3, min_window=4)
-        rng = random.Random(5)
-        for i in range(200):
-            sampler.offer(_root(f"{rng.getrandbits(128):032x}",
-                                duration=rng.random() * 0.02,
-                                low_quality=1 if i % 31 == 0 else 0))
-        counts = sampler.counts
-        kept = sum(v for k, v in counts.items() if k.startswith("kept_"))
-        assert counts["offered"] == 200
-        assert kept + counts["dropped_head"] == counts["offered"]
-        assert len(sampler.entries()) == kept - counts["evicted"]
-
-    def test_head_decision_is_deterministic(self):
-        ids = [f"{i:032x}" for i in range(100)]
-        first = [sampling._head_keep(i, 0.3) for i in ids]
-        assert first == [sampling._head_keep(i, 0.3) for i in ids]
-        assert all(sampling._head_keep(i, 1.0) for i in ids)
-        assert not any(sampling._head_keep(i, 0.0) for i in ids)
-
-    def test_run_writes_traces_json_with_accounting(self, tmp_path):
-        run_dir = str(tmp_path / "run")
-        with obs.run(run_dir):
-            with context.ensure(fingerprint="t"):
-                with trace.span("execute"):
-                    pass
-        document = json.load(open(tmp_path / "run" / "traces.json"))
-        assert document["counts"]["offered"] == 1
-        assert document["counts"]["kept_warmup"] == 1
-        assert len(document["traces"]) == 1
-        assert document["traces"][0]["root"]["name"] == "execute"
-
-    def test_head_rate_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_HEAD_RATE", "0.25")
-        run_dir = str(tmp_path / "run")
-        obs.start_run(run_dir)
-        try:
-            assert sampling.active().head_rate == 0.25
-        finally:
-            obs.finish_run(run_dir)
 
 
 # ------------------------------------------------------------------ #

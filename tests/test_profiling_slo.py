@@ -1,7 +1,7 @@
 """Tests for continuous profiling, SLO tracking, and telemetry retention.
 
-Covers the sampling profiler (collapsed stacks, flamegraph HTML, span
-attribution, the unique-stack cap), the tracemalloc memory tracker
+Covers the sampling profiler (collapsed stacks, span attribution, the
+unique-stack cap, the rate check), the tracemalloc memory tracker
 (epoch gauges, leak verdicts, inactive no-ops), the declarative SLO
 layer (spec parsing, burn-rate status rows and the health alerts folded
 from them, escalation dedup), telemetry rotation boundaries (byte cap, exact line
@@ -100,9 +100,11 @@ class TestSamplingProfiler:
         # The busy loop's own frame shows up somewhere.
         assert "_busy_loop" in collapsed
 
-        html = prof.flamegraph_html()
-        assert html.startswith("<!DOCTYPE html>")
-        assert "const DATA" in html and "_busy_loop" in html
+    @pytest.mark.parametrize("hz", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_rate_must_be_finite_and_positive(self, hz):
+        # A NaN rate used to survive the clamp and spin the sampler thread.
+        with pytest.raises(ValueError, match="finite and > 0"):
+            profiler.SamplingProfiler(hz=hz)
 
     def test_parse_collapsed_round_trip(self):
         prof = profiler.SamplingProfiler(hz=400)

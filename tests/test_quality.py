@@ -3,8 +3,8 @@
 Covers the :mod:`repro.obs.quality` pipeline — rate validation, the
 deterministic audit coin, the overhead budget governor — the rolling
 calibration-drift rule :mod:`repro.obs.health` folds over the session's
-``query`` rows, plus the integration surfaces: the tail
-sampler's ``low_quality`` keep reason, lower-bound ``quality.recall``
+``query`` rows, plus the integration surfaces: the ``low_quality``
+trace label ``repro analyze`` reads, lower-bound ``quality.recall``
 SLO burn alerts with trace exemplars, the ``repro audit`` CLI, the
 "Answer quality" report section, and the end-to-end acceptance path (a
 seeded low-recall run whose CRIT burn alert names a trace id that
@@ -13,7 +13,6 @@ seeded low-recall run whose CRIT burn alert names a trace id that
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
@@ -21,15 +20,7 @@ import pytest
 
 from repro import obs
 from repro.__main__ import main
-from repro.obs import (
-    health,
-    metrics,
-    quality,
-    sampling,
-    slo,
-    telemetry,
-    trace,
-)
+from repro.obs import analyze, health, metrics, quality, slo, telemetry, trace
 
 
 @pytest.fixture(autouse=True)
@@ -39,7 +30,6 @@ def clean_obs():
     def scrub():
         quality.clear()
         slo.clear()
-        sampling.clear()
         obs.disable()
         trace.reset()
         metrics.reset()
@@ -84,15 +74,6 @@ class TestValidateRate:
         with pytest.raises(ValueError, match="REPRO_AUDIT_RATE"):
             quality.rate_from_env()
 
-    @pytest.mark.parametrize("raw", ["ten percent", "1.5", "-0.1", "nan"])
-    def test_malformed_trace_head_rate_env_raises(
-        self, tmp_path, monkeypatch, raw
-    ):
-        monkeypatch.setenv("REPRO_TRACE_HEAD_RATE", raw)
-        with pytest.raises(ValueError, match="REPRO_TRACE_HEAD_RATE") as info:
-            obs.start_run(str(tmp_path / "run"))
-        assert raw in str(info.value)
-
 
 # ------------------------------------------------------------------ #
 # the deterministic audit coin
@@ -108,8 +89,8 @@ class TestAuditCoin:
         )
 
     def test_reads_its_own_hash_window(self):
-        # The coin reads hex chars [8:16] — flipping the head window
-        # (what tail-sampling's head coin reads) must not change it.
+        # The coin reads hex chars [8:16] — flipping the first eight
+        # must not change it.
         base = "00000000" + "12345678" + "0" * 16
         flipped = "ffffffff" + "12345678" + "0" * 16
         for rate in (0.1, 0.5, 0.9):
@@ -295,27 +276,34 @@ class TestCalibrationDrift:
 
 
 # ------------------------------------------------------------------ #
-# tail-sampler keep reason
+# the low_quality trace label
 # ------------------------------------------------------------------ #
 class TestLowQualityKeepReason:
-    def _root(self, trace_id, **attrs):
+    def _entries(self, *roots):
+        run = obs.rundir.Run("mem", trace=[root.to_dict() for root in roots])
+        return analyze.retained_traces(run)
+
+    def _root(self, trace_id, duration=0.01, **attrs):
         span = trace.Span("session.query")
         span.trace_id = trace_id
-        span.duration_s = 0.01
+        span.duration_s = duration
         span.attrs.update(attrs)
         return span
 
     def test_low_quality_trace_is_kept(self):
-        sampler = sampling.TailSampler(head_rate=0.0, min_window=0)
-        reason = sampler.offer(self._root("ab" * 16, low_quality=1))
-        assert reason == "low_quality"
-        assert sampler.counts["kept_low_quality"] == 1
+        # A fast low-quality trace next to a slow one: the audit verdict,
+        # not its latency, is why it is worth a look.
+        (flagged, slow) = self._entries(
+            self._root("ab" * 16, low_quality=1), self._root("ef" * 16, 1.0)
+        )
+        assert flagged["label"] == "low_quality"
+        assert slow["label"] is None  # the p95 of two is the slower one
 
     def test_error_outranks_low_quality(self):
-        sampler = sampling.TailSampler(head_rate=0.0, min_window=0)
         root = self._root("cd" * 16, low_quality=1)
         root.error = "boom"
-        assert sampler.offer(root) == "error"
+        (entry,) = self._entries(root)
+        assert entry["label"] == "error"
 
 
 # ------------------------------------------------------------------ #
@@ -516,10 +504,10 @@ class TestLowRecallAcceptance:
         assert f"{len(drift)} drift escalations" in text
 
     def test_traces_kept_for_low_quality(self, low_recall_run):
-        run_dir, _ = low_recall_run
-        with open(os.path.join(run_dir, "traces.json")) as handle:
-            doc = json.load(handle)
-        assert doc["counts"]["kept_low_quality"] > 0
+        run_dir, outcomes = low_recall_run
+        entries = analyze.retained_traces(obs.rundir.load(run_dir))
+        labels = [entry["label"] for entry in entries]
+        assert labels.count("low_quality") == len(outcomes)
 
     def test_audit_cli_prints_calibration_table(
         self, low_recall_run, capsys

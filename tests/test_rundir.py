@@ -2,16 +2,17 @@
 
 Pins what ``repro.obs.rundir`` promises (DESIGN.md §6, "Run directory"):
 
-* one answer for a damaged run — every reading verb × every corrupt JSON
-  artifact exits 1 with one line naming the file; an empty or missing
-  directory gives the one "record a run with" message; a telemetry line
-  cut mid-record costs only that record;
+* one answer for a damaged run — every reading verb × every corrupt
+  artifact it parses (the JSON ones and the collapsed stacks) exits 1
+  with one line naming the file; an empty or missing directory gives
+  the one "record a run with" message; a telemetry line cut mid-record
+  costs only that record;
 * atomic artifacts — a failed write leaves the previous document whole
   and a finished run leaves no ``*.tmp`` behind;
 * the views are the sections — ``stats`` / ``audit`` print report
   sections verbatim, ``watch`` carries the panes ``top`` had, no module
   but ``rundir`` knows a file name, and one ``percentile`` serves
-  ``watch``, ``diff``, the SLO windows and the tail sampler;
+  ``watch``, ``diff``, the SLO windows and the ``slow`` trace label;
 * one source for a run's verdicts — ``report`` and ``watch`` print the
   alerts of ``health.alerts(run)``, nothing records a verdict beside the
   facts it folds over, and ``trace.json`` says what its ring dropped.
@@ -30,10 +31,9 @@ import pytest
 from repro import obs
 from repro.__main__ import main, run_smoke
 from repro.obs import analyze, health, metrics, rundir, slo, trace
-from repro.obs.sampling import TailSampler
 from repro.obs.watch import render_watch
 
-JSON_ARTIFACTS = ("metrics", "trace", "traces", "slo", "memory", "quality")
+PARSED_ARTIFACTS = ("metrics", "trace", "profile", "slo", "memory", "quality")
 
 
 def reading_verbs(run_dir):
@@ -70,7 +70,7 @@ def run_copy(smoke_run, tmp_path):
 # one answer for a damaged run
 # ------------------------------------------------------------------ #
 class TestDamagedRun:
-    @pytest.mark.parametrize("artifact", JSON_ARTIFACTS)
+    @pytest.mark.parametrize("artifact", PARSED_ARTIFACTS)
     @pytest.mark.parametrize("verb", VERBS)
     def test_corrupt_artifact_exits_1_naming_the_file(
         self, run_copy, capsys, verb, artifact
@@ -102,6 +102,17 @@ class TestDamagedRun:
         with open(rundir.telemetry_sink(run_copy), "a") as handle:
             handle.write('{"stream": "query", "seq": 99, "elapsed_sec')
         assert rundir.load(run_copy).records == whole
+
+    def test_undecodable_profile_raises_and_an_empty_one_loads(
+        self, run_copy
+    ):
+        path = os.path.join(run_copy, rundir.FILES["profile"])
+        with open(path, "wb") as handle:
+            handle.write(b"\xff\xfe\x00garbage")
+        with pytest.raises(rundir.RunError, match="unreadable run artifact"):
+            rundir.load(run_copy)
+        open(path, "w").close()  # a profiled run with no samples yet
+        assert rundir.load(run_copy).profile == {}
 
     def test_wrong_shape_names_the_expectation(self, run_copy):
         with open(os.path.join(run_copy, "slo.json"), "w") as handle:
@@ -285,7 +296,7 @@ SMOKE_METRIC_NAMES = {
     "kernel.factorize_keys.calls", "kernel.factorize_keys.rows",
     "ppo.minibatch_updates", "ppo.updates", "quality.low_quality_audits",
     "session.approx_answers", "session.full_db_answers", "session.queries",
-    "trace.sampler.kept", "train.iterations", "train.samples",
+    "train.iterations", "train.samples",
     "estimator.calibration_error", "estimator.online_calibration_error",
     "memory.epoch.executor.query.growth_kb",
     "memory.epoch.session.query.growth_kb",
@@ -396,6 +407,8 @@ class TestOnePercentile:
 
     @pytest.mark.parametrize("n", [1, 3, 4, 21])
     def test_watch_diff_slo_and_sampler_agree_with_the_table(self, n):
+        """The fourth reader is the ``slow`` label that replaced the
+        tail sampler's slow cut."""
         sample = [float(v) for v in range(1, n + 1)]
         p50, p95 = PERCENTILES[n, 0.5], PERCENTILES[n, 0.95]
 
@@ -416,13 +429,16 @@ class TestOnePercentile:
         assert slo._aggregate(sample, "p50") == p50
         assert slo._aggregate(sample, "p10") == PERCENTILES[n, 0.1]
 
-        # tail sampler: "slow" is strictly above the rolling p95
-        sampler = TailSampler(min_window=n, head_rate=0.0)
-        for value in sample:
-            sampler._durations.append(value)
-        root = obs.trace.Span("probe")
-        root.trace_id = "a" * 32
-        root.duration_s = p95
-        assert sampler.offer(root) is None
-        root.duration_s = p95 + 0.5
-        assert sampler.offer(root) == "slow"
+        # trace label: "slow" is strictly above the run's p95, so exactly
+        # p95 is not slow and p95 + ε is (the largest of 21 traces; under
+        # 20 traces the p95 is the largest one and nothing is slow)
+        durations = sample[:-1] + [sample[-1] if n < 20 else p95 + 1e-9]
+        labels = [
+            entry["label"]
+            for entry in analyze.retained_traces(rundir.Run("synthetic", trace=[
+                {"name": "probe", "start_s": 0.0, "seconds": seconds,
+                 "trace_id": f"{i:032x}"}
+                for i, seconds in enumerate(durations)
+            ]))
+        ]
+        assert labels == ["slow" if d > p95 else None for d in durations]

@@ -105,7 +105,7 @@ class TestWatchConsole:
         # Nothing recorded yet: every pane says so instead of failing.
         frame = render_watch(obs.rundir.Run(str(tmp_path)))
         assert "(no query records yet)" in frame
-        assert "(no traces.json yet)" in frame
+        assert "0 traces (error ×0, low_quality ×0, slow ×0)" in frame
 
     def test_cli_watch_once(self, tmp_path, capsys):
         run_dir = self._run_dir_with_traffic(tmp_path)
