@@ -149,29 +149,28 @@ def _group_workload(rng: np.random.Generator):
 def _coverage_fixture(rng: np.random.Generator):
     """Synthetic provenance requirements plus seeded add/remove batches.
 
-    The id space is deliberately much smaller than the requirement count:
-    exploratory workloads share hot provenance tuples across queries (that
-    overlap is why approximation sets work at all), so a realistic tracker
-    workload has each key appearing in several queries' requirement rows.
+    Columnar, as the executor produces them: each query spans one to three
+    of the tables and holds one row id per table for each of its rows (the
+    reference tracker reads the coverages' tuple view). The id space is
+    deliberately much smaller than the requirement count: exploratory
+    workloads share hot provenance tuples across queries (that overlap is
+    why approximation sets work at all), so a realistic tracker workload
+    has each key appearing in several queries' requirement rows.
     """
     tables = ["t0", "t1", "t2", "t3"]
     n_ids = 600
     coverages = []
     for q in range(200):
-        requirements = []
-        for _ in range(50):
-            width = int(rng.integers(1, 4))
-            requirement = tuple(
-                (tables[int(rng.integers(0, len(tables)))], int(rng.integers(0, n_ids)))
-                for _ in range(width)
-            )
-            requirements.append(requirement)
+        spans = sorted(
+            rng.choice(tables, size=int(rng.integers(1, 4)), replace=False).tolist()
+        )
         coverages.append(
             QueryCoverage(
                 name=f"q{q}",
                 weight=float(rng.uniform(0.5, 2.0)),
                 denominator=50,
-                requirements=requirements,
+                tables=spans,
+                ids=rng.integers(0, n_ids, size=(50, len(spans))),
             )
         )
     universe = [

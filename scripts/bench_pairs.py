@@ -61,7 +61,16 @@ def compare_rules():
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.verdict, module.spread
+
+    def spread(values: list[float]) -> float:
+        # run.py's spread divides by the median: runs that all agree (an
+        # all-zero score included) spread by nothing, any other zero median
+        # without bound.
+        if min(values) == max(values):
+            return 0.0
+        return module.spread(values) if statistics.median(values) else float("inf")
+
+    return module.verdict, spread
 
 
 def summarize(

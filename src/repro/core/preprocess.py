@@ -38,7 +38,7 @@ from ..embedding.tuple_embed import TupleEmbedder
 from .action_space import Action, ActionSpace, group_rows_into_actions
 from .approximation import TupleKey
 from .config import ASQPConfig
-from .reward import QueryCoverage
+from .reward import QueryCoverage, as_rows
 
 #: Safety cap on provenance rows kept per query for reward tracking.
 MAX_REQUIREMENT_ROWS = 5000
@@ -77,13 +77,9 @@ def provenance_ids(db: Database, query: SPJQuery) -> tuple[list[str], np.ndarray
     return tables, np.column_stack([array[keep] for array in arrays])
 
 
-def _as_rows(tables: list[str], ids: np.ndarray) -> list[tuple[TupleKey, ...]]:
-    return [tuple(zip(tables, row)) for row in ids.tolist()]
-
-
 def provenance_rows(db: Database, query: SPJQuery) -> list[tuple[TupleKey, ...]]:
     """Distinct provenance requirements of a query's result on ``db``."""
-    return _as_rows(*provenance_ids(db, query))
+    return as_rows(*provenance_ids(db, query))
 
 
 def build_coverage(
@@ -93,7 +89,8 @@ def build_coverage(
     frame_size: int,
     rng: Optional[np.random.Generator] = None,
 ) -> QueryCoverage:
-    """Execute ``query`` on the full data and record its Eq. 1 inputs."""
+    """Execute ``query`` on the full data and record its Eq. 1 inputs,
+    keeping the provenance columnar."""
     tables, ids = provenance_ids(db, query)
     denominator = min(frame_size, len(ids))
     if len(ids) > MAX_REQUIREMENT_ROWS:
@@ -105,7 +102,8 @@ def build_coverage(
         name=query.name or query.to_sql()[:60],
         weight=weight,
         denominator=denominator,
-        requirements=_as_rows(tables, ids),
+        tables=tables,
+        ids=ids,
     )
 
 
@@ -114,9 +112,9 @@ class RowPool:
     executed query, its :func:`provenance_ids` and its rows' source code."""
 
     def __init__(self) -> None:
-        self._blocks: list[tuple[list[str], np.ndarray, int]] = []
+        self._blocks: list[tuple[Sequence[str], np.ndarray, int]] = []
 
-    def add(self, tables: list[str], ids: np.ndarray, source: int) -> None:
+    def add(self, tables: Sequence[str], ids: np.ndarray, source: int) -> None:
         self._blocks.append((tables, ids, source))
 
     def sources(self) -> np.ndarray:
@@ -135,19 +133,28 @@ class RowPool:
         start = 0
         for tables, ids, source in self._blocks:
             lo, hi = np.searchsorted(positions, [start, start + len(ids)])
-            rows += _as_rows(tables, ids[positions[lo:hi] - start])
+            rows += as_rows(tables, ids[positions[lo:hi] - start])
             sources += [source] * int(hi - lo)
             start += len(ids)
         return rows, sources
 
 
-def _rows_among(ids: np.ndarray, rows: Sequence[tuple[TupleKey, ...]]) -> np.ndarray:
-    """Mask of the ``ids`` rows found among ``rows`` (tuples over the same tables)."""
-    known = np.asarray([[row_id for _, row_id in row] for row in rows], dtype=np.int64)
-    codes, known_codes, _ = factorize_key_pair(
-        list(ids.T), list(known.reshape(-1, ids.shape[1]).T)
-    )
+def _rows_among(ids: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Mask of the ``ids`` rows found among the ``known`` rows (row-id
+    matrices over the same tables)."""
+    codes, known_codes, _ = factorize_key_pair(list(ids.T), list(known.T))
     return np.isin(codes, known_codes)
+
+
+def _set_order(coverage: QueryCoverage) -> np.ndarray:
+    """Positions of the coverage's (distinct) rows in the iteration order of
+    a ``set`` of their tuples — the order that decides which exact rows
+    share an action."""
+    rows = as_rows(coverage.tables, coverage.ids)
+    position = dict(zip(rows, range(len(rows))))
+    return np.fromiter(
+        map(position.__getitem__, set(rows)), dtype=np.int64, count=len(rows)
+    )
 
 
 def _row_positions(table: Table, row_ids: np.ndarray) -> np.ndarray:
@@ -251,35 +258,28 @@ def preprocess(
     # generalization reserve for future, unseen queries — challenge C4).
     # Exact rows get the larger share of the subsample budget.
     t0 = perf_counter()
-    exact_rows: list[tuple[TupleKey, ...]] = []
-    exact_sources: list[int] = []
+    exact = RowPool()
     extension = RowPool()
     for q, relaxed in enumerate(relaxed_reps):
-        # Set order, as ever: it decides which rows share an action.
-        exact_set = set(coverages[q].requirements)
-        exact_rows.extend(exact_set)
-        exact_sources.extend([q] * len(exact_set))
+        coverage = coverages[q]
+        exact.add(coverage.tables, coverage.ids[_set_order(coverage)], q)
         # Relaxation only rewrites the predicate, so both results span the
         # same tables. Odd source codes keep extension rows grouped apart
         # from exact rows of the same query, so one action is either "known
         # result rows" or "generalization rows", never a dilution of both.
         tables, ids = provenance_ids(db, relaxed)
-        extension.add(
-            tables, ids[~_rows_among(ids, coverages[q].requirements)], 2 * q + 1
-        )
+        extension.add(tables, ids[~_rows_among(ids, coverage.ids)], 2 * q + 1)
     timings["execute_relaxed"] = perf_counter() - t0
 
     t0 = perf_counter()
     target_rows = config.action_space_target * config.group_size
     exact_target = int(round(target_rows * config.exact_row_share))
-    exact_sample = variational_subsample(
-        np.asarray(exact_sources, dtype=np.int64), exact_target, rng
-    )
+    exact_sample = variational_subsample(exact.sources(), exact_target, rng)
     extension_sample = variational_subsample(
         extension.sources(), max(0, target_rows - len(exact_sample)), rng
     )
-    kept_rows = [exact_rows[p] for p in exact_sample.positions]
-    kept_sources = [2 * exact_sources[p] for p in exact_sample.positions]
+    kept_rows, exact_sources = exact.take(exact_sample.positions)
+    kept_sources = [2 * q for q in exact_sources]
     extension_rows, extension_sources = extension.take(extension_sample.positions)
     kept_rows += extension_rows
     kept_sources += extension_sources

@@ -11,16 +11,23 @@ approximation set for that row to appear in ``q(S)``.
 leave the candidate set, how many result rows of each query are covered,
 and evaluates the Eq. 1 score over any batch of queries in O(1) per query.
 
+A :class:`QueryCoverage` keeps those requirements columnar — the sorted
+table names and an ``int64`` row-id matrix, one column per table — so a
+requirement row costs one ``int64`` per table rather than a tuple of
+tuples; tuples exist only while a caller iterates the rows.
+
 The key → result-row incidence is an immutable **CSR structure**
-(:class:`CoverageIndex`, shareable between trackers): all distinct keys are
-interned to dense ids and the incidence lists are flattened into one
-contiguous ``int64`` array indexed by per-key offsets. A tracker's per-row
-missing counts / per-query covered counts / per-key refcounts live in flat
-numpy arrays. Batch :meth:`add_keys` / :meth:`remove_keys` updates are
-vectorized (``np.unique`` over the batch, ``np.add.at`` scatter into the
-missing counts), an episode :meth:`reset` is an array copy, and
-:meth:`score_with_keys` restores the prior state from an array snapshot
-instead of replaying refcounts one key at a time. The pre-vectorization dict-of-lists implementation is retained
+(:class:`CoverageIndex`, shareable between trackers) built from those
+matrices with numpy: a key's dense id is the position of its integer code
+(row id and table slot) among the sorted distinct codes, and the incidence
+lists are flattened into one contiguous ``int64`` array indexed by per-key
+offsets. A tracker's per-row missing counts / per-query covered counts /
+per-key refcounts live in flat numpy arrays. Batch :meth:`add_keys` /
+:meth:`remove_keys` updates are vectorized (one ``searchsorted`` interns
+the batch, ``np.add.at`` scatters into the missing counts), an episode
+:meth:`reset` is an array copy, and :meth:`score_with_keys` restores the
+prior state from an array snapshot instead of replaying refcounts one key
+at a time. The pre-vectorization dict-of-lists implementation is retained
 below as :class:`DictCoverageTracker` for differential testing and
 benchmarking.
 
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +56,30 @@ from .approximation import TupleKey
 _SCALAR_BATCH_LIMIT = 4
 
 
-@dataclass
+def as_rows(tables: Sequence[str], ids: np.ndarray) -> list[tuple[TupleKey, ...]]:
+    """Rows of a row-id matrix as tuples of ``(table, row id)`` keys."""
+    return [tuple(zip(tables, row)) for row in ids.tolist()]
+
+
+class RequirementRows:
+    """The tuple view of a :class:`QueryCoverage`'s row-id matrix: ``len()``
+    reads the matrix's shape; tuples are built only as rows are iterated."""
+
+    __slots__ = ("tables", "ids")
+
+    def __init__(self, tables: tuple[str, ...], ids: np.ndarray) -> None:
+        self.tables = tables
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[tuple[TupleKey, ...]]:
+        tables = self.tables
+        return (tuple(zip(tables, row)) for row in self.ids.tolist())
+
+
+@dataclass(eq=False)
 class QueryCoverage:
     """Provenance requirements of one query representative.
 
@@ -61,15 +91,32 @@ class QueryCoverage:
         The workload weight ``w(q)``.
     denominator:
         ``min(F, |q(T)|)`` from Eq. 1 (``|q(T)|`` on the *full* database).
-    requirements:
-        One entry per distinct result row: the tuple keys that must all be
-        in the approximation set for the row to survive.
+    tables:
+        The sorted names of the tables the query's result spans.
+    ids:
+        ``int64`` matrix of base row ids, one row per distinct result row
+        and one column per table: the row survives only if every
+        ``(tables[j], ids[r, j])`` is in the approximation set.
     """
 
     name: str
     weight: float
     denominator: int
-    requirements: list[tuple[TupleKey, ...]] = field(default_factory=list)
+    tables: tuple[str, ...] = ()
+    ids: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
+
+    def __post_init__(self) -> None:
+        self.tables = tuple(self.tables)
+        self.ids = np.asarray(self.ids, dtype=np.int64)
+        if self.ids.ndim != 2 or self.ids.shape[1] != len(self.tables):
+            raise ValueError(
+                f"row-id matrix of shape {self.ids.shape} for tables {self.tables}"
+            )
+
+    @property
+    def requirements(self) -> RequirementRows:
+        """One ``(table, row id)`` tuple per table for each result row."""
+        return RequirementRows(self.tables, self.ids)
 
     @property
     def is_empty(self) -> bool:
@@ -86,71 +133,95 @@ class InternedKeys(NamedTuple):
 
 class CoverageIndex:
     """Immutable CSR key → result-row incidence of a coverage list, shared
-    by every tracker over the same ``requirements`` (weights and
+    by every tracker over the same requirement rows (weights and
     denominators are tracker state):
 
-    * ``key_index`` interns every distinct tuple key to a dense id;
+    * key ``(table, row_id)`` has code ``row_id * slots + slot``, where
+      ``slot`` is the table's position among the coverages' sorted table
+      names and ``slots - 1`` stands for every other table (so a key is
+      known iff its code is in ``codes``); its dense id is that code's
+      position in the sorted distinct ``codes`` of the requirement rows;
     * ``inc_rows[inc_offsets[k]:inc_offsets[k + 1]]`` lists the global
       result-row ids requiring key ``k`` (rows are numbered contiguously
       across queries; ``row_query`` maps a row back to its query);
-    * ``initial_missing[row]`` counts the row's distinct required keys and
-      ``initial_covered[q]`` the rows of query ``q`` requiring none.
+    * ``initial_missing[row]`` counts the row's required keys (one per
+      table its query spans) and ``initial_covered[q]`` the rows of query
+      ``q`` requiring none.
     """
 
     def __init__(self, coverages: Sequence[QueryCoverage]) -> None:
         n_queries = len(coverages)
-        self.row_counts = np.asarray(
-            [len(c.requirements) for c in coverages], dtype=np.int64
-        )
+        self.row_counts = np.asarray([len(c.ids) for c in coverages], dtype=np.int64)
         self.row_query = np.repeat(np.arange(n_queries, dtype=np.int64), self.row_counts)
         row_offsets = np.concatenate([[0], np.cumsum(self.row_counts)])
 
-        self.key_index: dict[TupleKey, int] = {}
-        inc_keys: list[int] = []
-        inc_rows: list[int] = []
-        initial_missing = np.zeros(int(row_offsets[-1]), dtype=np.int64)
+        tables = sorted({table for c in coverages for table in c.tables})
+        self._slot = {table: t for t, table in enumerate(tables)}
+        self.slots = len(tables) + 1
+        # One entry per (row, table): the key's code and the global row id.
+        entry_codes = [np.zeros(0, dtype=np.int64)]
+        entry_rows = [np.zeros(0, dtype=np.int64)]
         for q, coverage in enumerate(coverages):
-            base = int(row_offsets[q])
-            for r, requirement in enumerate(coverage.requirements):
-                distinct = set(requirement)
-                initial_missing[base + r] = len(distinct)
-                for key in distinct:
-                    kid = self.key_index.setdefault(key, len(self.key_index))
-                    inc_keys.append(kid)
-                    inc_rows.append(base + r)
-
-        n_keys = len(self.key_index)
-        inc_key_arr = np.asarray(inc_keys, dtype=np.int64)
-        inc_row_arr = np.asarray(inc_rows, dtype=np.int64)
-        order = stable_argsort(inc_key_arr, n_keys)
-        self.inc_rows = inc_row_arr[order]
+            rows = np.arange(row_offsets[q], row_offsets[q + 1], dtype=np.int64)
+            for j, table in enumerate(coverage.tables):
+                entry_codes.append(coverage.ids[:, j] * self.slots + self._slot[table])
+                entry_rows.append(rows)
+        self.codes, inc_keys = np.unique(
+            np.concatenate(entry_codes), return_inverse=True
+        )
+        self.n_keys = n_keys = len(self.codes)
+        order = stable_argsort(inc_keys, n_keys)
+        self.inc_rows = np.concatenate(entry_rows)[order]
         self.inc_offsets = np.concatenate(
-            [[0], np.cumsum(np.bincount(inc_key_arr, minlength=n_keys))]
+            [[0], np.cumsum(np.bincount(inc_keys, minlength=n_keys))]
         ).astype(np.int64)
 
-        self.initial_missing = initial_missing
+        self.initial_missing = np.repeat(
+            np.asarray([len(c.tables) for c in coverages], dtype=np.int64),
+            self.row_counts,
+        )
         # Rows with no requirements (shouldn't happen) start covered.
         self.initial_covered = np.bincount(
-            self.row_query[initial_missing == 0], minlength=n_queries
+            self.row_query[self.initial_missing == 0], minlength=n_queries
         ).astype(np.int64)
         self._interned: dict[tuple[TupleKey, ...], InternedKeys] = {}
+
+    def key_id(self, key: TupleKey) -> int:
+        """Dense id of one key, ``-1`` if no requirement row holds it."""
+        table, row_id = key
+        slot = self._slot.get(table)
+        if slot is None:
+            return -1
+        code = row_id * self.slots + slot
+        pos = int(self.codes.searchsorted(code))
+        return pos if pos < self.n_keys and self.codes[pos] == code else -1
 
     def intern(self, keys: Sequence[TupleKey]) -> InternedKeys:
         """Distinct interned key ids of a batch with their multiplicities.
 
-        Unknown keys are dropped. The C-level ``map(dict.get, keys,
-        repeat(-1))`` avoids a Python frame per key; everything after is
-        sized by the batch, not the key universe.
+        Unknown keys are dropped. The batch becomes codes in C-level passes
+        (no Python frame per key) and one ``searchsorted`` finds them all;
+        a batch without repeats (an action's keys, an approximation set)
+        skips ``np.unique``, whose fixed cost is most of a small batch's.
         """
-        ids = np.fromiter(
-            map(self.key_index.get, keys, repeat(-1)),
+        if not keys or not self.n_keys:
+            none = np.zeros(0, dtype=np.int64)
+            return InternedKeys(none, none)
+        names, row_ids = zip(*keys)
+        codes = np.fromiter(row_ids, dtype=np.int64, count=len(keys))
+        codes *= self.slots
+        codes += np.fromiter(
+            map(self._slot.get, names, repeat(self.slots - 1)),
             dtype=np.int64,
             count=len(keys),
         )
-        uniq, counts = np.unique(ids, return_counts=True)
-        if uniq.size and uniq[0] == -1:
-            uniq, counts = uniq[1:], counts[1:]
-        return InternedKeys(uniq, counts)
+        codes.sort()
+        pos = self.codes.searchsorted(codes)
+        np.minimum(pos, self.n_keys - 1, out=pos)
+        ids = pos[self.codes[pos] == codes]
+        if (ids[1:] != ids[:-1]).all():
+            return InternedKeys(ids, np.ones(len(ids), dtype=np.int64))
+        return InternedKeys(*np.unique(ids, return_counts=True))
 
     def interned(self, keys: tuple[TupleKey, ...]) -> InternedKeys:
         """:meth:`intern` of an action's key tuple, done once for all the
@@ -179,16 +250,15 @@ class CoverageTracker:
         self.coverages = list(coverages)
         if index is None:
             index = CoverageIndex(self.coverages)
-        elif [len(c.requirements) for c in self.coverages] != index.row_counts.tolist():
+        elif [len(c.ids) for c in self.coverages] != index.row_counts.tolist():
             raise ValueError("coverage index was built for other coverages")
         self.index = index
-        self._key_index = index.key_index
         self._inc_rows = index.inc_rows
         self._inc_offsets = index.inc_offsets
         self._row_query = index.row_query
         self._missing = index.initial_missing.copy()
         self._covered = index.initial_covered.copy()
-        self._present = np.zeros(len(index.key_index), dtype=np.int64)
+        self._present = np.zeros(index.n_keys, dtype=np.int64)
 
         self._weights = np.asarray([c.weight for c in self.coverages], dtype=np.float64)
         denoms = np.asarray([c.denominator for c in self.coverages], dtype=np.float64)
@@ -211,8 +281,8 @@ class CoverageTracker:
 
     # -------------------------------------------------------------- #
     def add_key(self, key: TupleKey) -> None:
-        kid = self._key_index.get(key)
-        if kid is None:
+        kid = self.index.key_id(key)
+        if kid < 0:
             return
         count = self._present[kid]
         self._present[kid] = count + 1
@@ -226,8 +296,8 @@ class CoverageTracker:
                 covered[row_query[row]] += 1
 
     def remove_key(self, key: TupleKey) -> None:
-        kid = self._key_index.get(key)
-        if kid is None:
+        kid = self.index.key_id(key)
+        if kid < 0:
             return
         count = self._present[kid]
         if count == 0:
@@ -385,10 +455,11 @@ class CoverageTracker:
 class DictCoverageTracker:
     """Pre-vectorization dict-of-lists tracker (reference implementation).
 
-    Retained verbatim for the differential/property tests in
-    ``tests/test_kernels.py`` and as the baseline side of
-    ``benchmarks/bench_kernels.py``. Semantics are identical to
-    :class:`CoverageTracker`; only the data layout differs.
+    Retained for the differential/property tests in ``tests/test_kernels.py``
+    and ``tests/test_properties.py`` and as the baseline side of
+    ``benchmarks/bench_kernels.py``; it reads each coverage's tuple view.
+    Semantics are identical to :class:`CoverageTracker`; only the data
+    layout differs.
     """
 
     def __init__(self, coverages: Sequence[QueryCoverage]) -> None:

@@ -11,7 +11,7 @@ biased toward the new queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -316,21 +316,11 @@ def run_training_loop(
     config = model.config
     coverages = model.coverages
     if bias_queries:
-        boosted = []
         bias_set = set(bias_queries)
-        for i, coverage in enumerate(coverages):
-            if i in bias_set:
-                boosted.append(
-                    QueryCoverage(
-                        name=coverage.name,
-                        weight=coverage.weight * 4.0,
-                        denominator=coverage.denominator,
-                        requirements=coverage.requirements,
-                    )
-                )
-            else:
-                boosted.append(coverage)
-        coverages = boosted
+        coverages = [
+            replace(c, weight=c.weight * 4.0) if i in bias_set else c
+            for i, c in enumerate(coverages)
+        ]
 
     # The x4 boost changes weights only, so boosted and plain coverages (and
     # all n_actors environments) share the model's one incidence index.

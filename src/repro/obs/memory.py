@@ -4,9 +4,10 @@ Complements the sampling CPU profiler: where :mod:`repro.obs.profiler`
 answers "where does the time go", this module answers "where does the
 memory go" over a long run. A started tracker
 
-* surfaces current/peak traced bytes and process RSS as gauges in the
-  metrics registry (``memory.tracemalloc.current_kb``, ``…peak_kb``,
-  ``memory.rss_kb``) on every epoch mark;
+* surfaces current/peak traced bytes as gauges in the metrics registry
+  (``memory.tracemalloc.current_kb``, ``…peak_kb``) on every epoch mark,
+  and the process RSS (``memory.rss_kb``) once per :meth:`summary` — a
+  ``/proc`` read per mark cost more than the marks themselves;
 * records an *epoch series* per call site (``train.iteration``,
   ``session.query``) so repeated executions of the same phase can be
   leak-checked: monotone growth across the trailing epochs of one phase
@@ -97,7 +98,6 @@ class MemoryTracker:
         history.append(current)
         _metrics.set_gauge("memory.tracemalloc.current_kb", current / 1024.0)
         _metrics.set_gauge("memory.tracemalloc.peak_kb", peak / 1024.0)
-        _metrics.set_gauge("memory.rss_kb", rss_kb())
         _metrics.set_gauge(f"memory.epoch.{name}.growth_kb", growth / 1024.0)
         return growth
 
@@ -153,11 +153,13 @@ class MemoryTracker:
         current, peak = (
             tracemalloc.get_traced_memory() if self._started else (0, 0)
         )
+        rss = rss_kb()
+        _metrics.set_gauge("memory.rss_kb", rss)
         return {
             "tracing": self._started,
             "current_kb": current / 1024.0,
             "peak_kb": peak / 1024.0,
-            "rss_kb": rss_kb(),
+            "rss_kb": rss,
             "top_allocators": self.top_allocators(),
             "growth_since_start": self.growth_since_baseline(),
             "epochs": {

@@ -10,11 +10,11 @@ from repro.core import (
     DropOneEnvironment,
     GSLEnvironment,
     HybridEnvironment,
-    QueryCoverage,
     group_rows_into_actions,
     make_environment,
 )
 from repro.core.reward import CoverageIndex, CoverageTracker
+from tests.test_reward import coverage_from_rows
 
 
 @pytest.fixture
@@ -35,14 +35,8 @@ def space(actions):
 @pytest.fixture
 def coverages():
     return [
-        QueryCoverage(
-            name="q0", weight=0.5, denominator=2,
-            requirements=[(("t", 0), ("u", 0)), (("t", 1), ("u", 1))],
-        ),
-        QueryCoverage(
-            name="q1", weight=0.5, denominator=3,
-            requirements=[(("t", 2),), (("t", 3),), (("t", 4),)],
-        ),
+        coverage_from_rows("q0", 0.5, 2, [(("t", 0), ("u", 0)), (("t", 1), ("u", 1))]),
+        coverage_from_rows("q1", 0.5, 3, [(("t", 2),), (("t", 3),), (("t", 4),)]),
     ]
 
 

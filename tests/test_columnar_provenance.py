@@ -9,6 +9,7 @@ draws — and a golden hash pins a whole seeded ``preprocess()`` run.
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,13 +102,27 @@ def test_provenance_rows_match_per_row_reference(bundle_name, request):
     queries = list(bundle.workload.spj_only().queries)
     queries += [sql(text) for text in EXTRA_SQL[bundle_name]]
     assert max(len(q.tables) for q in queries) >= 2
-    sizes = []
+    sizes, coverages = [], []
     for query in queries:
         rows = provenance_rows(bundle.db, query)
         assert rows == reference_provenance_rows(bundle.db, query), query.to_sql()
         assert all(type(row_id) is int for row in rows for _, row_id in row)
         sizes.append(len(rows))
+        # The columnar coverage iterates to exactly those tuples.
+        coverages.append(build_coverage(bundle.db, query, 1.0, frame_size=10))
+        assert list(coverages[-1].requirements) == rows, query.to_sql()
     assert 0 in sizes and max(sizes) > 20
+    # ... and its len() reads the matrix: no tuple is built.
+    largest = coverages[sizes.index(max(sizes))]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert len(largest.requirements) == max(sizes)
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256, grown  # the view object; 20+ row tuples are kilobytes
 
 
 def test_duplicate_provenance_keeps_first_occurrences(monkeypatch, mini_db):
@@ -139,7 +154,7 @@ def test_build_coverage_cap_draws_the_same_rows(monkeypatch, tiny_imdb, seed):
         expected = reference_capped_rows(
             tiny_imdb.db, query, 7, np.random.default_rng(seed)
         )
-        assert coverage.requirements == expected
+        assert list(coverage.requirements) == expected
         full = len(reference_provenance_rows(tiny_imdb.db, query))
         assert coverage.denominator == min(10, full)
         assert len(coverage.requirements) == min(7, full)

@@ -10,6 +10,8 @@ inputs, including NaN keys and mixed dtypes. The CSR
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,22 +254,24 @@ _KEYS = [(t, i) for t in ("a", "b") for i in range(6)]
 
 @st.composite
 def _coverages(draw):
+    """Columnar coverages as the executor produces them: every row of a
+    query holds one row id per table of that query."""
     n_queries = draw(st.integers(1, 4))
     out = []
     for q in range(n_queries):
+        tables = draw(st.sampled_from([("a",), ("b",), ("a", "b")]))
         n_rows = draw(st.integers(0, 5))
-        requirements = []
-        for _ in range(n_rows):
-            width = draw(st.integers(1, 3))
-            requirements.append(
-                tuple(draw(st.sampled_from(_KEYS)) for _ in range(width))
-            )
+        ids = draw(st.lists(
+            st.lists(st.integers(0, 5), min_size=len(tables), max_size=len(tables)),
+            min_size=n_rows, max_size=n_rows,
+        ))
         out.append(
             QueryCoverage(
                 name=f"q{q}",
                 weight=draw(st.floats(0.25, 2.0, allow_nan=False)),
                 denominator=max(n_rows, draw(st.integers(1, 6))),
-                requirements=requirements,
+                tables=tables,
+                ids=np.asarray(ids, dtype=np.int64).reshape(n_rows, len(tables)),
             )
         )
     return out
@@ -368,8 +372,7 @@ def test_boosted_weights_on_shared_index(coverages, keys, boosted):
     """The fine-tune weight boost is tracker state: sharing the plain
     coverages' index scores exactly like rebuilding from the boosted ones."""
     lifted = [
-        QueryCoverage(c.name, c.weight * 4.0, c.denominator, c.requirements)
-        if q in boosted else c
+        dataclasses.replace(c, weight=c.weight * 4.0) if q in boosted else c
         for q, c in enumerate(coverages)
     ]
     shared = CoverageTracker(lifted, CoverageIndex(coverages))
@@ -384,8 +387,8 @@ def test_boosted_weights_on_shared_index(coverages, keys, boosted):
 
 
 def test_index_for_other_coverages_is_refused():
-    one = [QueryCoverage("q", 1.0, 1, [(("t", 1),)])]
-    two = one + [QueryCoverage("r", 1.0, 1, [(("t", 2),)])]
+    one = [QueryCoverage("q", 1.0, 1, ("t",), [[1]])]
+    two = one + [QueryCoverage("r", 1.0, 1, ("t",), [[2]])]
     with pytest.raises(ValueError, match="other coverages"):
         CoverageTracker(two, CoverageIndex(one))
 

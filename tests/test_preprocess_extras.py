@@ -69,7 +69,7 @@ class TestCoverageCaps:
         query = sql("SELECT * FROM movies WHERE movies.year > 9999")
         coverage = build_coverage(mini_db, query, 1.0, frame_size=50, rng=rng)
         assert coverage.is_empty
-        assert coverage.requirements == []
+        assert list(coverage.requirements) == []
 
 
 class TestEmbedActions:

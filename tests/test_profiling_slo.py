@@ -195,12 +195,14 @@ class TestMemoryTracker:
         memory.mark_epoch("unit.phase")
         blocks.extend(bytes(4096) for _ in range(16))
         growth = memory.mark_epoch("unit.phase")
-        memory.stop()
         assert growth > 0
         registry = metrics.registry()
         assert registry.gauge("memory.tracemalloc.current_kb") > 0
-        assert registry.gauge("memory.rss_kb") > 0
         assert registry.gauge("memory.epoch.unit.phase.growth_kb") > 0
+        # RSS is read once per summary, not on every mark.
+        memory.active().summary()
+        memory.stop()
+        assert registry.gauge("memory.rss_kb") > 0
         assert blocks  # keep the allocations alive until here
 
     def test_leak_check_flags_monotone_growth(self):

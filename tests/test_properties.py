@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ApproximationSet, CoverageTracker, QueryCoverage, query_score
+from repro.core import ApproximationSet, CoverageTracker, query_score
+from repro.core.reward import DictCoverageTracker
+from tests.test_reward import coverage_from_rows
 from repro.db import Between, Comparison, InSet, conjoin, conjuncts
 from repro.db.cache import LRUTupleCache
 from repro.db.sampling import variational_subsample
@@ -38,46 +40,56 @@ def test_query_score_monotone_in_coverage(full, frame, a, b):
 
 
 # ------------------------------------------------------------------ #
-# coverage tracker: add/remove symmetry
+# coverage tracker: add/remove symmetry, on columnar coverages against
+# the dict-of-lists reference
 # ------------------------------------------------------------------ #
 _keys = st.tuples(st.sampled_from(["t", "u"]), st.integers(0, 8))
-_requirements = st.lists(
-    st.lists(_keys, min_size=1, max_size=3, unique=True).map(tuple),
-    min_size=1,
-    max_size=6,
+# Rows as the executor produces them: one key per table of the query.
+_requirements = st.sampled_from([("t",), ("u",), ("t", "u")]).flatmap(
+    lambda tables: st.lists(
+        st.tuples(*[st.integers(0, 8)] * len(tables)).map(
+            lambda ids: tuple(zip(tables, ids))
+        ),
+        min_size=1,
+        max_size=6,
+    )
 )
+
+
+def _coverage(requirements):
+    return coverage_from_rows("q", 1.0, len(requirements), requirements)
 
 
 @given(requirements=_requirements, operations=st.lists(_keys, min_size=0, max_size=20))
 @settings(max_examples=60)
 def test_tracker_matches_recomputation(requirements, operations):
-    """Incremental updates == rebuilding the tracker from scratch."""
-    coverage = QueryCoverage(
-        name="q", weight=1.0, denominator=len(requirements), requirements=list(requirements)
-    )
+    """Incremental updates == rebuilding the tracker from scratch == the
+    reference tracker over the coverage's tuple view."""
+    coverage = _coverage(requirements)
+    assert list(coverage.requirements) == requirements
     incremental = CoverageTracker([coverage])
+    reference = DictCoverageTracker([coverage])
     present: list = []
     for key in operations:
         incremental.add_key(key)
+        reference.add_key(key)
         present.append(key)
 
-    fresh = CoverageTracker([
-        QueryCoverage(name="q", weight=1.0, denominator=len(requirements),
-                      requirements=list(requirements))
-    ])
+    fresh = CoverageTracker([_coverage(requirements)])
     fresh.add_keys(present)
-    assert incremental.batch_score() == fresh.batch_score()
+    assert incremental.batch_score() == fresh.batch_score() == reference.batch_score()
 
 
 @given(requirements=_requirements, keys=st.lists(_keys, min_size=1, max_size=10))
 @settings(max_examples=60)
 def test_tracker_add_remove_roundtrip(requirements, keys):
-    coverage = QueryCoverage(
-        name="q", weight=1.0, denominator=len(requirements), requirements=list(requirements)
-    )
+    coverage = _coverage(requirements)
     tracker = CoverageTracker([coverage])
+    reference = DictCoverageTracker([coverage])
     baseline = tracker.batch_score()
     tracker.add_keys(keys)
+    reference.add_keys(keys)
+    assert tracker.batch_score() == reference.batch_score()
     tracker.remove_keys(keys)
     assert tracker.batch_score() == baseline
 

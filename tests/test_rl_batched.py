@@ -92,19 +92,13 @@ def _synthetic_problem(seed=5):
         )
         for a in range(N_ACTIONS)
     ]
-    coverages = [
-        QueryCoverage(
-            name=f"q{q}", weight=float(rng.uniform(0.5, 2.0)), denominator=6,
-            requirements=[
-                tuple(
-                    actions[int(rng.integers(N_ACTIONS))].keys[0]
-                    for _ in range(int(rng.integers(1, 3)))
-                )
-                for _ in range(8)
-            ],
-        )
-        for q in range(12)
-    ]
+    coverages = []
+    for q in range(12):
+        weight = float(rng.uniform(0.5, 2.0))
+        tables = sorted(rng.choice(["t0", "t1", "t2"], size=int(rng.integers(1, 3)),
+                                   replace=False).tolist())
+        ids = rng.integers(60, size=(8, len(tables)))
+        coverages.append(QueryCoverage(f"q{q}", weight, 6, tables, ids))
     return ActionSpace(actions, embedding_dim=8), coverages
 
 
