@@ -11,7 +11,10 @@ retained reference) with the peak one whole-batch update holds; the 13
 rollouts of Alg. 2 one ``approximation_set()`` makes; and the two
 per-distinct-value kernels of a fit's pre-processing, ``embed_actions``
 and ``compute_table_stats`` — those three against the loops the tests
-retain. Writes ``BENCH_kernels.json``
+retain. Two rows time a kernel against the form it replaced: a join-key
+NDV count by ``sorted_unique`` against numpy 2.x's hash-set ``np.unique``,
+and a primary-key probe against the probe's three-repeat form. Writes
+``BENCH_kernels.json``
 so the performance trajectory of these kernels is tracked in-repo.
 
 Usage::
@@ -384,6 +387,32 @@ def run_benchmarks(profile: str) -> dict:
             name, lambda: reference(*args), lambda: vectorized(*args),
             units=len(all_ids[0]), calls=200,
         )
+
+    # What `_join_order` counts per join key: a sampled int64 key column
+    # (8192 rows at most), by numpy 2.x's hash-set np.unique and by the
+    # sort. Their own generator again, so the rows below keep their inputs.
+    probe_rng = np.random.default_rng(19)
+    ndv_keys = probe_rng.integers(0, 3000, size=8000)
+    measure(
+        "ndv_8k_int64",
+        lambda: np.unique(ndv_keys),
+        lambda: kernels.sorted_unique(ndv_keys),
+        units=len(ndv_keys), calls=50,
+    )
+
+    # A primary-key probe: 50 000 unique build keys, 100 000 probe rows
+    # (about two thirds hit), against the probe's three-repeat form.
+    from tests.test_kernels import three_repeat_probe
+
+    pk_codes = probe_rng.permutation(50_000)
+    pk_probe = probe_rng.integers(0, 75_000, size=100_000)
+    pk_index = kernels.build_join_index(pk_codes, 75_000)
+    measure(
+        "join_pk_probe",
+        lambda: three_repeat_probe(pk_probe, *pk_index),
+        lambda: kernels.probe_factorized(pk_probe, *pk_index),
+        units=len(pk_probe),
+    )
 
     # The sort under all three kernels and the CoverageIndex build, alone:
     # 50 000 codes over 2000 values, against numpy's int64 stable sort.

@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..db.expressions import Between, Comparison, Expression, InSet, conjuncts
+from ..db.kernels import sorted_unique
 from ..db.query import AggFunc, AggregateQuery
 from ..db.table import Table
 
@@ -163,7 +164,7 @@ class _NumericLeaf(_Node):
             which, weights=values, minlength=N_HISTOGRAM_BINS
         ).astype(float)
         self.total = float(self.counts.sum())
-        distinct = np.unique(values)
+        distinct = sorted_unique(values)
         self.point_masses: Optional[dict[float, float]] = None
         if len(distinct) <= self.MAX_DISCRETE:
             self.point_masses = {}

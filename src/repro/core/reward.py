@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ..db.kernels import stable_argsort
+from ..db.kernels import sorted_unique, stable_argsort
 from .approximation import TupleKey
 
 #: Batches up to this size take the scalar per-key path; the numpy batch
@@ -355,7 +355,7 @@ class CoverageTracker:
             became_covered = np.flatnonzero((self._missing == 0) & (row_hits > 0))
         else:
             np.subtract.at(self._missing, rows, 1)
-            touched = np.unique(rows)
+            touched = sorted_unique(rows)
             became_covered = touched[self._missing[touched] == 0]
         if became_covered.size:
             self._covered += np.bincount(
@@ -386,7 +386,7 @@ class CoverageTracker:
             was_covered = np.flatnonzero((self._missing == 0) & (row_hits > 0))
             self._missing += row_hits
         else:
-            touched = np.unique(rows)
+            touched = sorted_unique(rows)
             was_covered = touched[self._missing[touched] == 0]
             np.add.at(self._missing, rows, 1)
         if was_covered.size:

@@ -182,14 +182,12 @@ class ResultSet:
     def tuple_keys(self) -> list[tuple]:
         """Hashable identity per output row (projected values)."""
         refs = sorted(self.columns)
-        arrays = [self.column(ref) for ref in refs]
-        return [tuple(arr[i] for arr in arrays) for i in range(self.n_rows)]
+        return _row_tuples([self.column(ref) for ref in refs], self.n_rows)
 
     def provenance_keys(self) -> list[tuple]:
         """Hashable identity per output row by base-row provenance."""
         tables = sorted(self.row_ids)
-        arrays = [self.row_ids[t] for t in tables]
-        return [tuple(int(arr[i]) for arr in arrays) for i in range(self.n_rows)]
+        return _row_tuples([self.row_ids[t] for t in tables], self.n_rows)
 
     def to_rows(self) -> list[dict[str, object]]:
         refs = list(self.columns)
@@ -213,6 +211,14 @@ class ResultSet:
         if self.n_rows > limit:
             caption += f" (showing {limit})"
         return render_html_table(refs, rows, caption=caption)
+
+
+def _row_tuples(arrays: list[np.ndarray], n_rows: int) -> list[tuple]:
+    """One tuple of Python scalars per row (they hash and compare equal to
+    the numpy scalars); ``n_rows`` empty tuples when there are no columns."""
+    if not arrays:
+        return [()] * n_rows
+    return list(zip(*(array.tolist() for array in arrays)))
 
 
 def _decode_codes(dictionary: np.ndarray, codes: np.ndarray) -> np.ndarray:

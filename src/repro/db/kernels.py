@@ -150,6 +150,31 @@ def _encode_column(values: np.ndarray) -> tuple[np.ndarray, int, np.ndarray | No
     return codes, int(codes.max()) + 1, nan_mask
 
 
+def sorted_unique(values) -> np.ndarray:
+    """``np.unique(values)``: the sorted distinct values, NaNs collapsed
+    to one, computed by numpy's own sort branch.
+
+    numpy 2.x sends a plain ``np.unique`` of an int or fixed-width string
+    array through a hash set that is 12-16x slower than this sort at
+    8000 rows (~50 vs 550-880 µs); floats, bool and object arrays already
+    take the sort, so the output is ``np.unique``'s for every real dtype.
+    """
+    aux = np.sort(np.asarray(values).ravel())
+    if len(aux) == 0:
+        return aux
+    mask = np.empty(len(aux), dtype=bool)
+    mask[0] = True
+    if aux.dtype.kind in "fmM" and np.isnan(aux[-1]):
+        # NaNs sort last: keep the first of them only.
+        first_nan = np.searchsorted(aux, aux[-1], side="left")
+        np.not_equal(aux[1:first_nan], aux[: first_nan - 1], out=mask[1:first_nan])
+        mask[first_nan] = True
+        mask[first_nan + 1 :] = False
+    else:
+        np.not_equal(aux[1:], aux[:-1], out=mask[1:])
+    return aux[mask]
+
+
 def _counter() -> Iterator[int]:
     i = 0
     while True:
@@ -234,7 +259,7 @@ def merge_dictionaries(
     if left_dict is right_dict:
         identity = np.arange(len(left_dict), dtype=np.int64)
         return left_dict, identity, identity
-    merged = np.unique(np.concatenate([left_dict, right_dict]))
+    merged = sorted_unique(np.concatenate([left_dict, right_dict]))
     left_map = np.searchsorted(merged, left_dict).astype(np.int64)
     right_map = np.searchsorted(merged, right_dict).astype(np.int64)
     return merged, left_map, right_map
@@ -302,16 +327,23 @@ def probe_factorized(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe a prebuilt join index with factorized codes.
 
-    Pure function of its inputs and independent across probe rows.
+    Pure function of its inputs and independent across probe rows. Unique
+    build keys (every probe of a primary key) match at most once, so the
+    matches are a gather; otherwise match ``j`` of the output sits at
+    ``starts[probe] + (j - first_match[probe])``, two output-sized repeats.
     """
     counts = code_counts[probe_codes]
+    if code_counts.max() <= 1:
+        probe_idx = np.flatnonzero(counts)
+        build_idx = order[code_starts[probe_codes[probe_idx]]]
+        return probe_idx, build_idx.astype(np.int64, copy=False)
     total = int(counts.sum())
     probe_idx = np.repeat(np.arange(len(probe_codes), dtype=np.int64), counts)
     if total == 0:
         return probe_idx, np.zeros(0, dtype=np.int64)
-    match_starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(match_starts, counts)
-    build_idx = order[np.repeat(code_starts[probe_codes], counts) + within]
+    first_match = np.cumsum(counts) - counts
+    offsets = np.repeat(code_starts[probe_codes] - first_match, counts)
+    build_idx = order[offsets + np.arange(total, dtype=np.int64)]
     return probe_idx, build_idx.astype(np.int64, copy=False)
 
 

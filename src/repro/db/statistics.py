@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .database import Database
+from .kernels import sorted_unique
 from .table import Table
 
 
@@ -130,7 +131,7 @@ _NDV_SAMPLE_CAP = 8192
 def estimate_ndv(array, sample_cap: int = _NDV_SAMPLE_CAP) -> int:
     """Cheap number-of-distinct-values estimate of one column.
 
-    Exact (one ``np.unique`` pass) up to ``sample_cap`` rows; above that,
+    Exact (one sort of the column) up to ``sample_cap`` rows; above that,
     a deterministic strided sample is scanned and the sample's distinct
     ratio is linearly extrapolated — a first-order estimate that is
     cheap, deterministic, and accurate enough to order equi-joins.
@@ -145,7 +146,7 @@ def estimate_ndv(array, sample_cap: int = _NDV_SAMPLE_CAP) -> int:
     else:
         sample = values
     try:
-        distinct = len(np.unique(sample))
+        distinct = len(sorted_unique(sample))
     except TypeError:  # unsortable object mix
         distinct = len(set(sample.tolist()))
     if len(sample) == n:

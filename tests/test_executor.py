@@ -9,6 +9,7 @@ from repro.db import (
     ExecutionError,
     JoinCondition,
     Or,
+    ResultSet,
     SPJQuery,
     execute,
     execute_aggregate,
@@ -197,6 +198,49 @@ class TestResultSet:
     def test_provenance_keys(self, mini_db):
         result = execute(mini_db, sql("SELECT * FROM movies WHERE year = 1999"))
         assert result.provenance_keys() == [(0,)]
+
+    @staticmethod
+    def _loop_keys(result):
+        """Row keys as the per-row loop built them, numpy scalars and all."""
+        arrays = [result.column(ref) for ref in sorted(result.columns)]
+        tables = sorted(result.row_ids)
+        return (
+            [tuple(arr[i] for arr in arrays) for i in range(result.n_rows)],
+            [
+                tuple(int(result.row_ids[t][i]) for t in tables)
+                for i in range(result.n_rows)
+            ],
+        )
+
+    def test_row_keys_match_the_per_row_loop(self, mini_db):
+        query = sql(
+            "SELECT movies.title, movies.rating, cast_info.actor "
+            "FROM movies, cast_info WHERE movies.id = cast_info.movie_id"
+        )
+        result = execute(mini_db, query)
+        tuple_keys, provenance_keys = self._loop_keys(result)
+        assert result.tuple_keys() == tuple_keys
+        assert result.provenance_keys() == provenance_keys
+        assert set(result.tuple_keys()) == set(tuple_keys)
+
+    def test_row_keys_with_nan_cells_and_no_columns(self):
+        nan_cells = ResultSet(
+            columns={"t.x": np.asarray([1.0, np.nan, np.nan, -0.0, 0.0])},
+            row_ids={"t": np.arange(5)},
+            n_rows=5,
+        )
+        loop, _ = self._loop_keys(nan_cells)
+        keys = nan_cells.tuple_keys()
+        assert len(keys) == 5
+        for got, want in zip(keys, loop):
+            np.testing.assert_array_equal(got, want)
+            assert got == want or np.isnan(want[0])
+            assert got != want or hash(got) == hash(want)
+        # NaN never equals NaN: every NaN row stays its own distinct key.
+        assert len(set(keys)) == len(set(loop)) == 4
+        empty = ResultSet(columns={}, row_ids={}, n_rows=3)
+        assert empty.tuple_keys() == empty.provenance_keys() == [(), (), ()]
+        assert self._loop_keys(empty) == ([(), (), ()], [(), (), ()])
 
     def test_to_rows(self, mini_db):
         rows = execute(mini_db, sql("SELECT movies.title FROM movies LIMIT 1")).to_rows()

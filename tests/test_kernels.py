@@ -246,6 +246,128 @@ def test_stable_argsort_takes_every_path(monkeypatch):
 
 
 # ------------------------------------------------------------------ #
+# sorted_unique vs np.unique, the probe vs its three-repeat form
+# ------------------------------------------------------------------ #
+_UNIQUE_ARRAYS = st.one_of(
+    st.lists(st.integers(-(2**62), 2**62)).map(lambda v: np.asarray(v, dtype=np.int64)),
+    st.lists(st.integers(-50, 50)).map(lambda v: np.asarray(v, dtype=np.int32)),
+    st.lists(st.text("abc", max_size=3)).map(lambda v: np.asarray(v, dtype=str)),
+    st.lists(st.text("abc", max_size=3)).map(lambda v: np.asarray(v, dtype=object)),
+    st.lists(st.booleans()).map(lambda v: np.asarray(v, dtype=bool)),
+    st.lists(st.sampled_from([np.nan, -0.0, 0.0, 1.5, -2.0, np.inf])).map(
+        lambda v: np.asarray(v, dtype=np.float64)
+    ),
+)
+
+
+@given(values=_UNIQUE_ARRAYS)
+@settings(max_examples=300, deadline=None)
+def test_sorted_unique_is_np_unique(values):
+    kept = values.copy()
+    got, want = kernels.sorted_unique(values), np.unique(values)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)  # NaN == NaN here
+    if values.dtype.kind == "f":
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    np.testing.assert_array_equal(values, kept)
+
+
+def three_repeat_probe(probe_codes, order, code_starts, code_counts):
+    """The probe before its unique-build-key gather and two-repeat form."""
+    counts = code_counts[probe_codes]
+    total = int(counts.sum())
+    probe_idx = np.repeat(np.arange(len(probe_codes), dtype=np.int64), counts)
+    if total == 0:
+        return probe_idx, np.zeros(0, dtype=np.int64)
+    match_starts = np.cumsum(counts) - counts
+    within = np.arange(total, dtype=np.int64) - np.repeat(match_starts, counts)
+    build_idx = order[np.repeat(code_starts[probe_codes], counts) + within]
+    return probe_idx, build_idx.astype(np.int64, copy=False)
+
+
+@given(
+    n_codes=st.integers(1, 40),
+    build=st.lists(st.integers(0, 39), max_size=60),
+    probe=st.lists(st.integers(0, 39), max_size=60),
+    unique_build=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_probe_matches_three_repeat_form(n_codes, build, probe, unique_build):
+    build_codes = np.asarray(build, dtype=np.int64) % n_codes
+    if unique_build:
+        build_codes = np.unique(build_codes)[::-1].copy()
+    probe_codes = np.asarray(probe, dtype=np.int64) % n_codes
+    index = kernels.build_join_index(build_codes, n_codes)
+    got = kernels.probe_factorized(probe_codes, *index)
+    want = three_repeat_probe(probe_codes, *index)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+_PK_CASES = {
+    "all_miss": ([np.asarray([3, 1, 2])], [np.asarray([7, 8, 9, 0])]),
+    "empty_build": ([np.asarray([], dtype=np.int64)], [np.asarray([1, 2])]),
+    "empty_probe": ([np.asarray([1, 2])], [np.asarray([], dtype=np.int64)]),
+    "nan_keys": (
+        [np.asarray([2.0, np.nan, 1.0, 0.5])],
+        [np.asarray([np.nan, 1.0, 2.0, np.nan, 1.0, 4.0])],
+    ),
+    "duplicate_probe": (
+        [np.asarray([5, 0, 9, 3])],
+        [np.asarray([9, 9, 3, 4, 5, 9, 0, 0, 3])],
+    ),
+    "two_columns": (
+        [np.asarray([1, 1, 2]), np.asarray(["a", "b", "a"], dtype=object)],
+        [np.asarray([2, 1, 1, 1]), np.asarray(["a", "b", "b", "c"], dtype=object)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PK_CASES))
+def test_primary_key_probe_matches_reference(case):
+    build, probe = _PK_CASES[case]
+    got = kernels.join_positions(build, probe)
+    want = kernels.reference_join_positions(build, probe)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+def reference_estimate_ndv(array, sample_cap: int = 8192) -> int:
+    """``estimate_ndv`` as it was, counting with ``np.unique``."""
+    values = np.asarray(array)
+    n = len(values)
+    if n == 0:
+        return 0
+    sample = values[:: -(-n // sample_cap)] if n > sample_cap else values
+    distinct = len(np.unique(sample))
+    if len(sample) == n:
+        return distinct
+    return max(distinct, int(distinct * n / len(sample)))
+
+
+def test_estimate_ndv_unchanged_on_generated_join_keys():
+    from repro.datasets import (
+        make_flights_database, make_imdb_database, make_mas_database,
+    )
+    from repro.datasets.synthetic import skewed_foreign_keys
+    from repro.db.statistics import estimate_ndv
+
+    columns = [skewed_foreign_keys(20_000, 3_000, np.random.default_rng(1))]
+    for make in (make_imdb_database, make_mas_database, make_flights_database):
+        db = make(scale=2.0)
+        for table in db:
+            for fk in table.schema.foreign_keys:
+                ref = db.table(fk.ref_table)
+                for t, name in ((table, fk.column), (ref, fk.ref_column)):
+                    columns += [t.column(name), t.raw_column(name)]
+    assert any(len(c) > 8192 for c in columns)
+    for column in columns:
+        assert estimate_ndv(column) == reference_estimate_ndv(column)
+
+
+# ------------------------------------------------------------------ #
 # CSR CoverageTracker vs dict reference
 # ------------------------------------------------------------------ #
 
