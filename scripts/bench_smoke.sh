@@ -1,23 +1,20 @@
 #!/bin/sh
-# CI smoke run: lint + vectorized-kernel micro-benchmark.
+# CI smoke run: vectorized-kernel micro-benchmark.
 #
-# 1. repro lint src — the full AST rule pack (its no-bare-print rule is
-#    the old check_no_print grep).
-# 2. benchmarks/bench_kernels.py (fast profile) — fails if any kernel's
-#    vectorized throughput regressed by more than 25% against the
-#    committed BENCH_kernels.json baseline (override the tolerance with
-#    BENCH_MAX_REGRESSION for noisy CI machines), if a required speedup
-#    over the reference implementations no longer holds, if the median
-#    observability-instrumentation overhead (enabled vs disabled)
-#    exceeds 2% (--obs-check), or if the running 100hz sampling
-#    profiler costs more than 5% on the kernels (--profile-check). --audit-check gates shadow auditing
-#    on end-to-end serving: directly-attributed per-query accounting
-#    plus audit re-execution time must stay under 2% at the default
-#    sample rate. --check also gates the column store: the serial
-#    encoded scan must stay within 1.25x of the plain scan.
+# benchmarks/bench_kernels.py (fast profile) fails if any kernel's
+# vectorized throughput regressed by more than 25% against the committed
+# BENCH_kernels.json baseline (override the tolerance with
+# BENCH_MAX_REGRESSION for noisy CI machines), if a required speedup over
+# the reference implementations no longer holds, if the median
+# observability-instrumentation overhead (enabled vs disabled) exceeds 2%
+# (--obs-check), or if the running 100hz sampling profiler costs more
+# than 5% on the kernels (--profile-check). --audit-check gates shadow
+# auditing on end-to-end serving: directly-attributed per-query
+# accounting plus audit re-execution time must stay under 2% at the
+# default sample rate. --check also gates the column store: the serial
+# encoded scan must stay within 1.25x of the plain scan.
 set -e
 cd "$(dirname "$0")/.."
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro lint src
 PYTHONPATH=src python benchmarks/bench_kernels.py \
   --profile fast \
   --check BENCH_kernels.json \

@@ -1,22 +1,19 @@
 #!/bin/sh
-# Full per-PR check: tests + static analysis + end-to-end smokes.
+# Full per-PR check: tests + end-to-end smokes.
 #
-# 1. tier-1 pytest           — the repo's own test suite (ROADMAP.md).
-# 2. repro lint              — the per-file rule pack over
-#                              src+tests+benchmarks, one cold pass (there
-#                              is no cache), which must finish under a
-#                              10 s budget so lint never becomes the slow
-#                              step (DESIGN.md §12).
-# 3. repro explain --analyze  — the EXPLAIN ANALYZE path on a 3-table
+# 1. tier-1 pytest           — the repo's own test suite (ROADMAP.md),
+#                              the source rules of tests/test_source_rules.py
+#                              included (DESIGN.md §12).
+# 2. repro explain --analyze  — the EXPLAIN ANALYZE path on a 3-table
 #                              IMDB join (per-operator est/act/q-error).
-# 4. repro profile -> watch    — profiles a micro demo run (CPU profiler
+# 3. repro profile -> watch    — profiles a micro demo run (CPU profiler
 #                              + memory tracker + SLOs), renders one
 #                              frame of the ops console from the recorded
 #                              artifacts, hot-function and memory panes
 #                              included (DESIGN.md §6), and resolves every
 #                              trace id the SLO statuses name with
 #                              `repro analyze --trace`.
-# 5. repro report --smoke      — records one tiny end-to-end run (profiled,
+# 4. repro report --smoke      — records one tiny end-to-end run (profiled,
 #                              shadow-audited at rate 1.0) and fuses it
 #                              into the markdown report; the same run
 #                              feeds the answer-quality check (the
@@ -28,13 +25,13 @@
 #                              resolve to their span trees) and `repro
 #                              diff` of the run against itself (must
 #                              report no regressions).
-# 6. end-to-end benchmark     — the benchmark's own tests (recorder,
+# 5. end-to-end benchmark     — the benchmark's own tests (recorder,
 #                              speed probe, declaration vs. output) and
 #                              one --smoke pass of all four workloads
 #                              with every output check on
 #                              (benchmarks/e2e/README.md); timings are
 #                              not gated here.
-# 7. scripts/loc.sh           — lines per package, the size number
+# 6. scripts/loc.sh           — lines per package, the size number
 #                              ROADMAP.md tracks; informational.
 #
 # Benchmark gates (kernel regressions, instrumentation overhead) live in
@@ -63,22 +60,6 @@ for status in json.load(open(sys.argv[1]))["objectives"]:
 
 echo "== tier-1 tests"
 python -m pytest -x -q
-
-echo "== repro lint (one cold full-tree pass, budget <10s)"
-python - <<'EOF'
-import sys, time
-from repro.lint import cli
-
-start = time.perf_counter()
-code, text = cli.run()
-elapsed = time.perf_counter() - start
-sys.stdout.write(f"{text}\nfull-tree lint: {elapsed:.2f}s\n")
-if code != 0:
-    sys.exit(code)
-if elapsed >= 10.0:
-    sys.stdout.write("lint timing budget exceeded (>= 10s)\n")
-    sys.exit(1)
-EOF
 
 echo "== repro explain --analyze (3-table IMDB join)"
 python -m repro explain \

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 count() { find "$@" -name '*.py' | xargs cat | wc -l | tr -d ' '; }
 
 listed=0
-for part in core rl embedding db obs lint __main__.py; do
+for part in core rl embedding db obs __main__.py; do
   lines=$(count "src/repro/$part")
   listed=$((listed + lines))
   printf '%-10s %6d\n' "${part%.py}" "$lines"

@@ -10,7 +10,6 @@ Commands
 ``profile`` — run any other command under the continuous sampling
 profiler + memory tracker + default SLOs (collapsed stacks, memory.json,
 slo.json land in the run directory).
-``lint``   — run the AST rule pack over source paths (see repro.lint).
 
 Seven verbs are views of one recorded run directory, all read through
 ``repro.obs.rundir.load`` (one "no run here" message, one "unreadable
@@ -46,7 +45,6 @@ from .core import ASQPConfig, ASQPSession, ASQPTrainer, load_model, save_model, 
 from .core.persistence import ModelError
 from .datasets import load_flights, load_imdb, load_mas
 from .db import explain as db_explain, split_explain, sql
-from .lint import cli as lint_cli
 from .obs import rundir
 from .obs import trace as obs_trace
 from .obs.clock import perf_counter
@@ -349,13 +347,6 @@ def cmd_watch(args) -> int:
             return 0
 
 
-def cmd_lint(args) -> int:
-    """Run the AST linter (repro.lint); prints the report it returns."""
-    code, text = lint_cli.run_args(args)
-    print(text)
-    return code
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="ASQP-RL reproduction CLI"
@@ -495,12 +486,6 @@ def main(argv=None) -> int:
     audit.add_argument("--dir", default=DEFAULT_OBS_DIR,
                        help="run directory written by --telemetry")
     audit.set_defaults(func=cmd_audit)
-
-    lint = commands.add_parser(
-        "lint", help="run the AST lint rule pack over source paths"
-    )
-    lint_cli.add_arguments(lint)
-    lint.set_defaults(func=cmd_lint)
 
     args = parser.parse_args(argv)
     try:

@@ -76,7 +76,8 @@ def skyline_layers(features: np.ndarray, max_rows: int) -> list[int]:
         if not layer:  # all ties; take what's left
             layer = list(remaining)
         selected.extend(layer)
-        remaining = [i for i in remaining if i not in set(layer)]
+        peeled = set(layer)
+        remaining = [i for i in remaining if i not in peeled]
     return selected[:max_rows]
 
 

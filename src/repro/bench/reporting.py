@@ -92,7 +92,8 @@ def run_provenance(duration_seconds: Optional[float] = None) -> dict:
     comparable across PRs; ``duration_seconds`` is a monotonic-clock
     measurement supplied by the caller (library code never reads the
     wall clock — the timestamp in :func:`save_results` is allowed here
-    because ``bench/`` is exempt from that lint rule).
+    because ``bench/`` is exempt from ``tests/test_source_rules.py``'s
+    ``no-wallclock-in-library`` rule).
     """
     provenance = {
         "git_sha": _git_sha(),

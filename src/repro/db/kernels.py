@@ -167,7 +167,8 @@ def sorted_unique(values) -> np.ndarray:
     if aux.dtype.kind in "fmM" and np.isnan(aux[-1]):
         # NaNs sort last: keep the first of them only.
         first_nan = np.searchsorted(aux, aux[-1], side="left")
-        np.not_equal(aux[1:first_nan], aux[: first_nan - 1], out=mask[1:first_nan])
+        before = max(first_nan - 1, 0)  # 0 when every value is NaN
+        np.not_equal(aux[1:first_nan], aux[:before], out=mask[1:first_nan])
         mask[first_nan] = True
         mask[first_nan + 1 :] = False
     else:

@@ -1,11 +1,12 @@
 """Sanctioned wall-clock access for library code.
 
-The ``no-wallclock-in-library`` lint rule bans raw ``time.time()`` /
-``time.perf_counter()`` outside ``obs/`` and the bench harnesses:
-scattered clock reads cannot be attributed in traces, faked in tests, or
-audited for benchmark hygiene. Library code that needs a duration it
-*returns as data* (``setup_seconds``, ``elapsed_seconds``, per-phase
-timing splits) imports the clock from here instead::
+The ``no-wallclock-in-library`` rule of ``tests/test_source_rules.py``
+bans raw ``time.time()`` / ``time.perf_counter()`` in ``src/`` outside
+``obs/`` and ``bench/``: scattered clock reads cannot be attributed in
+traces, faked in tests, or audited for benchmark hygiene. Library code
+that needs a duration it *returns as data* (``setup_seconds``,
+``elapsed_seconds``, per-phase timing splits) imports the clock from
+here instead::
 
     from ..obs.clock import perf_counter
 
@@ -21,7 +22,7 @@ This module is intentionally a thin re-export so the functions stay
 the interpreter's own (no wrapper overhead on hot paths); being inside
 ``obs/`` keeps every wall-clock read in the library greppable from one
 place. ``process_time`` rides along for wall-vs-cpu accounting
-(``QueryStats``): it is banned outside ``obs/`` by the same lint rule.
+(``QueryStats``): it is banned outside ``obs/`` by the same rule.
 """
 
 from __future__ import annotations

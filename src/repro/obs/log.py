@@ -1,7 +1,8 @@
 """Console output and structured logging for library code.
 
-Library modules must not call bare ``print`` (enforced by ``repro
-lint``'s ``no-bare-print`` rule); the two sanctioned channels are:
+Library modules must not call bare ``print`` (enforced by the
+``no-bare-print`` rule of ``tests/test_source_rules.py``); the two
+sanctioned channels are:
 
 * :func:`console` — human-facing console output (benchmark tables, CLI
   helpers). A thin ``sys.stdout`` wrapper, so ``capsys``/redirection

@@ -166,16 +166,9 @@ class SamplingProfiler:
         """Samples attributed to each enclosing trace span."""
         return span_samples_of(self.stack_counts())
 
-    def hot_functions(
-        self, n: int = 15, self_time: bool = True
-    ) -> list[tuple[str, int, float]]:
-        """Top frames by samples: ``(frame, samples, fraction)``.
-
-        ``self_time=True`` counts only leaf occurrences (time spent *in*
-        the frame); otherwise any occurrence on a sampled stack counts
-        (inclusive time).
-        """
-        return hot_functions_of(self.stack_counts(), n=n, self_time=self_time)
+    def hot_functions(self, n: int = 15) -> list[tuple[str, int, float]]:
+        """Top frames by self samples: ``(frame, samples, fraction)``."""
+        return hot_functions_of(self.stack_counts(), n=n)
 
     def summary(self) -> dict[str, Any]:
         duration = (self.stopped_s or time.perf_counter()) - self.started_s
@@ -223,21 +216,17 @@ def span_samples_of(counts: dict[tuple[str, ...], int]) -> dict[str, int]:
 
 
 def hot_functions_of(
-    counts: dict[tuple[str, ...], int], n: int = 15, self_time: bool = True
+    counts: dict[tuple[str, ...], int], n: int = 15
 ) -> list[tuple[str, int, float]]:
-    """Top frames by samples: ``(frame, samples, fraction)``."""
+    """Top frames by self samples (leaf occurrences, the time spent *in*
+    the frame): ``(frame, samples, fraction)``."""
     totals: dict[str, int] = {}
     grand = 0
     for stack, count in counts.items():
         grand += count
         frames = stack[1:] if stack[0].startswith("span:") else stack
-        if not frames:
-            continue
-        if self_time:
+        if frames:
             totals[frames[-1]] = totals.get(frames[-1], 0) + count
-        else:
-            for frame in set(frames):
-                totals[frame] = totals.get(frame, 0) + count
     ranked = sorted(totals.items(), key=lambda kv: -kv[1])[:n]
     return [
         (frame, count, count / grand if grand else 0.0)

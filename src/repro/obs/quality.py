@@ -26,8 +26,8 @@ The dependency rule of the obs package holds: this module never imports
 ``repro.core`` or ``repro.db`` — the session executes shadow queries
 and reports plain numbers here. The ``quality`` telemetry stream has a
 single producer (this module, through the :mod:`repro.obs.telemetry`
-O_APPEND chokepoint); the ``quality-telemetry-sink-only`` lint rule
-enforces that.
+O_APPEND chokepoint); the ``quality-telemetry-sink-only`` rule of
+``tests/test_source_rules.py`` enforces that.
 """
 
 from __future__ import annotations

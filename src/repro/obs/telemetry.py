@@ -27,9 +27,10 @@ atomic under POSIX — so two ``repro`` processes pointed at one run
 directory (e.g. a ``repro profile`` recorder and a ``repro watch
 --once`` recorder) can interleave whole records but never partial
 lines. This file is the *only* module allowed to perform raw
-append-mode writes: ``repro lint``'s ``telemetry-sink-only`` rule flags
-``os.write``/``open(..., "a")``/``O_APPEND`` anywhere else, so the
-atomicity argument above stays true for every stream in the repo.
+append-mode writes: the ``telemetry-sink-only`` rule of
+``tests/test_source_rules.py`` flags ``os.write``/``open(..., "a")``/
+``O_APPEND`` anywhere else, so the atomicity argument above stays true
+for every stream in the repo.
 
 Emission is a no-op while observability is disabled, matching the rest
 of ``repro.obs``.

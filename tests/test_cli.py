@@ -1,13 +1,9 @@
 """Tests for the command-line interface (python -m repro)."""
 
-from pathlib import Path
-
 import pytest
 
 from repro import obs
 from repro.__main__ import main
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCLI:
@@ -59,9 +55,8 @@ class TestCLI:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         for command in ("demo", "train", "query", "bench",
-                        "stats", "trace", "lint", "explain", "report"):
+                        "stats", "trace", "explain", "report"):
             assert command in out
-        assert "run the AST lint rule pack" in out
         assert "metrics + telemetry" in out
         assert "span tree" in out
         assert "operator tree" in out
@@ -73,29 +68,8 @@ class TestCLI:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         for command in ("demo", "train", "query", "bench",
-                        "stats", "trace", "lint", "explain", "report"):
+                        "stats", "trace", "explain", "report"):
             assert command in err
-
-    def test_lint_subcommand_clean_on_src(self, capsys):
-        code = main(["lint", str(REPO_ROOT / "src")])
-        assert code == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_lint_subcommand_flags_violation(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("print('x')\n")
-        assert main(["lint", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "no-bare-print" in out
-
-    def test_lint_subcommand_json(self, tmp_path, capsys):
-        import json
-
-        bad = tmp_path / "bad.py"
-        bad.write_text("import torch\n")
-        assert main(["lint", str(bad), "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"][0]["rule"] == "forbidden-import"
 
     def test_explain_estimate_only(self, capsys):
         code = main([
@@ -274,4 +248,4 @@ class TestCLI:
         assert "profile" in out
         assert "watch" in out
         assert "{demo,train,query,explain,report,bench,stats,trace," \
-            "analyze,diff,profile,watch,audit,lint}" in out  # 14 verbs
+            "analyze,diff,profile,watch,audit}" in out  # 13 verbs

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.reward import (
@@ -261,6 +261,7 @@ _UNIQUE_ARRAYS = st.one_of(
 
 
 @given(values=_UNIQUE_ARRAYS)
+@example(values=np.array([np.nan, np.nan, np.nan]))  # NaNs only
 @settings(max_examples=300, deadline=None)
 def test_sorted_unique_is_np_unique(values):
     kept = values.copy()
