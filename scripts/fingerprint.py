@@ -11,7 +11,13 @@ After the fit and after every fine-tune it prints one SHA-1 per actor /
 critic parameter (the array's bytes), one of ``model.history`` at full
 precision (the wall-clock fields left out), one of the selected
 approximation set's keys and one of the greedy-only set's
-(``approximation_set(greedy=False)``).
+(``approximation_set(greedy=False)``). Then it opens an ``ASQPSession`` on
+the model and serves the benchmark's serve pool twice, in pool order:
+``served_cold`` and ``served_warm`` are the SHA-1 of every answer of the
+first and the second pass (source, confidence as ``float.hex``, provenance
+keys and decoded columns in row order, or the aggregate mapping). The
+second pass runs on the prepared plans and estimates of the first, so the
+two must be equal; a checkout where they are not counts as a differing row.
 
 One row per fingerprint, one column per checkout; a row whose columns are
 not all equal ends in ``DIFFERS`` and the exit status is 1. A change that
@@ -63,6 +69,24 @@ def fingerprints(model) -> list[tuple[str, str]]:
     return rows
 
 
+def served(session, pool) -> str:
+    """SHA-1 of the session's answer to every query of ``pool``, in order."""
+    digest = hashlib.sha1()
+    for query in pool:
+        outcome = session.query(query)
+        result = outcome.result
+        if query.is_aggregate:
+            answer = list(result.as_mapping().items())
+        else:
+            answer = [
+                result.provenance_keys(),
+                {ref: result.column(ref).tolist() for ref in result.columns},
+            ]
+        record = (outcome.used_approximation, outcome.estimate.confidence.hex(), answer)
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
 def child(workload: str, input_seed: int | None) -> None:
     """Runs inside one checkout: the imports below are that checkout's."""
     from dataclasses import replace
@@ -70,7 +94,7 @@ def child(workload: str, input_seed: int | None) -> None:
     from benchmarks.e2e.lifecycle import Lifecycle
     from benchmarks.e2e.specs import BY_NAME, FRAME_SIZE, MEMORY_BUDGET
     from repro.bench import bench_asqp_config
-    from repro.core import ASQPTrainer
+    from repro.core import ASQPSession, ASQPTrainer
 
     spec = BY_NAME[workload]
     if input_seed is not None:
@@ -80,10 +104,18 @@ def child(workload: str, input_seed: int | None) -> None:
         MEMORY_BUDGET, FRAME_SIZE, seed=spec.input_seed, **spec.config
     )
     model = ASQPTrainer(inputs.db, inputs.train, config).train()
+    # The serve loop's pool (benchmarks/e2e/lifecycle.py, Lifecycle._serve).
+    pool = list(inputs.train.queries)
+    for reveal_train, reveal_test in inputs.reveals:
+        pool += [*reveal_train.queries, *reveal_test.queries]
+    pool += inputs.aggregates.queries
 
     def report(stage: str) -> None:
         for name, digest in fingerprints(model):
             print(f"{stage}.{name} {digest}", flush=True)
+        session = ASQPSession(model, auto_fine_tune=False)
+        for run in ("cold", "warm"):
+            print(f"{stage}.served_{run} {served(session, pool)}", flush=True)
 
     report("fit")
     for i, (reveal_train, _) in enumerate(inputs.reveals, 1):
@@ -131,6 +163,13 @@ def main(argv: list[str] | None = None) -> int:
         differs = len(set(digests)) > 1
         differing += differs
         print(f"{name:28s} " + "  ".join(digests) + ("  DIFFERS" if differs else ""))
+    for tree, column in zip(trees, columns):
+        for name, digest in column.items():
+            if name.endswith(".served_cold") and column.get(
+                name.replace("_cold", "_warm")
+            ) != digest:
+                differing += 1
+                print(f"{name[:-len('_cold')]}: cold != warm in {tree}  DIFFERS")
     print(f"differing rows: {differing}")
     return 1 if differing else 0
 

@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ..db.database import prepared
 from ..db.query import AggregateQuery, SPJQuery
 from ..embedding.query_embed import QueryEmbedder
 
@@ -35,9 +36,10 @@ _SIMILARITY_TEMPERATURE = 0.1
 _OUTCOME_WINDOW = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnswerabilityEstimate:
-    """Outcome of one estimation."""
+    """Outcome of one estimation (one instance per query, shared by every
+    answer to it until the estimator is updated)."""
 
     confidence: float       # in [0, 1]
     familiarity: float      # normalized closeness to the training workload
@@ -80,6 +82,8 @@ class AnswerabilityEstimator:
             else None
         )
         self._outcome_errors: deque[float] = deque(maxlen=_OUTCOME_WINDOW)
+        #: Estimates by query, bounded like the executor's prepared plans.
+        self._estimates: dict = {}
         self._calibrate()
 
     def _calibrate(self) -> None:
@@ -126,10 +130,16 @@ class AnswerabilityEstimator:
             raise ValueError("embeddings/scores length mismatch")
         self.embeddings = np.vstack([self.embeddings, new_embeddings])
         self.scores = np.concatenate([self.scores, new_scores])
+        self._estimates.clear()
         self._calibrate()
 
     # -------------------------------------------------------------- #
     def estimate(self, query: Union[SPJQuery, AggregateQuery]) -> AnswerabilityEstimate:
+        """The query's estimate: computed on first sight, then remembered
+        (:func:`repro.db.database.prepared`) until :meth:`update`."""
+        return prepared(self._estimates, query, lambda: self._estimate(query))
+
+    def _estimate(self, query: Union[SPJQuery, AggregateQuery]) -> AnswerabilityEstimate:
         vector = self.embedder.embed(query)
         similarities = self.embeddings @ vector  # embeddings are unit norm
         similarities = np.clip(similarities, -1.0, 1.0)

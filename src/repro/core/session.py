@@ -72,7 +72,6 @@ class ASQPSession:
         model: TrainedModel,
         auto_fine_tune: bool = True,
         workload_generator: Optional[WorkloadGenerator] = None,
-        result_cache_size: int = 0,
     ) -> None:
         self.model = model
         self.config = model.config
@@ -84,12 +83,6 @@ class ASQPSession:
             trigger_count=self.config.drift_trigger_count,
         )
         self.query_log: list[QueryLike] = []
-        # Optional session-level result cache: exploratory sessions repeat
-        # queries verbatim, so cache (sql text, source) -> result. Entries
-        # are invalidated wholesale on refresh()/fine_tune().
-        self._result_cache_size = max(0, result_cache_size)
-        self._result_cache: dict[tuple[str, bool], object] = {}
-        self.cache_hits = 0
 
     # -------------------------------------------------------------- #
     def _build_estimator(self) -> AnswerabilityEstimator:
@@ -116,7 +109,6 @@ class ASQPSession:
     def refresh(self) -> None:
         """Regenerate the approximation set and estimator from the model."""
         self._regenerate()
-        self._result_cache.clear()
 
     # -------------------------------------------------------------- #
     def query(
@@ -153,24 +145,11 @@ class ASQPSession:
 
             start = perf_counter()
             target = self.approx_db if use_approx else self.model.db
-            cached = None
-            if self._result_cache_size:
-                cache_key = (query.to_sql(), use_approx)
-                cached = self._result_cache.get(cache_key)
-            if cached is not None:
-                self.cache_hits += 1
-                metrics.add("session.result_cache.hits")
-                result: Union[ResultSet, AggregateResult] = cached  # type: ignore[assignment]
-            elif query.is_aggregate:
+            result: Union[ResultSet, AggregateResult]
+            if query.is_aggregate:
                 result = execute_aggregate(target, query)
             else:
                 result = execute(target, query)
-            if (
-                cached is None
-                and self._result_cache_size
-                and len(self._result_cache) < self._result_cache_size
-            ):
-                self._result_cache[cache_key] = result
             elapsed = perf_counter() - start
 
             drift_event = self.drift_detector.observe(query, estimate.deviation)
@@ -191,13 +170,11 @@ class ASQPSession:
             if sp:
                 sp.set(source="approx" if use_approx else "full")
                 sp.count("rows_out", len(result))
-                realized = self._log_outcome(query, outcome, cached is not None)
+                realized = self._log_outcome(query, outcome)
                 self._shadow_audit(query, outcome, realized, sp)
         return outcome
 
-    def _log_outcome(
-        self, query: QueryLike, outcome: QueryOutcome, cache_hit: bool
-    ) -> float:
+    def _log_outcome(self, query: QueryLike, outcome: QueryOutcome) -> float:
         """One ``query`` telemetry row: estimate vs. realized outcome.
 
         ``realized_frame_score`` is the frame term of Eq. 1 the answer
@@ -221,7 +198,6 @@ class ASQPSession:
             elapsed_seconds=outcome.elapsed_seconds,
             drift=outcome.drift_event is not None,
             fine_tuned=outcome.fine_tuned,
-            cache_hit=cache_hit,
         )
         metrics.add("session.queries")
         metrics.add(

@@ -8,12 +8,38 @@ objects, so queries run through one executor for both.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
 import numpy as np
 
 from .schema import SchemaError
 from .table import Table
+
+#: How many queries a database keeps a prepared plan for
+#: (:mod:`repro.db.executor`) and an answerability estimator keeps an
+#: estimate for; past it the oldest entry goes.
+PREPARED_QUERIES = 256
+
+_V = TypeVar("_V")
+
+
+def prepared(store: dict, key: Hashable, derive: Callable[[], _V]) -> _V:
+    """``store[key]``, derived and kept on first sight.
+
+    The store holds at most :data:`PREPARED_QUERIES` entries, evicting
+    in insertion order. A key that does not hash (a query built with
+    list fields) is derived afresh every time and never kept.
+    """
+    try:
+        value = store.get(key)
+    except TypeError:
+        return derive()
+    if value is None:
+        value = derive()
+        if len(store) >= PREPARED_QUERIES:
+            del store[next(iter(store))]
+        store[key] = value
+    return value
 
 
 class Database:
@@ -22,6 +48,9 @@ class Database:
     def __init__(self, tables: Iterable[Table] = (), name: str = "db") -> None:
         self.name = name
         self._tables: dict[str, Table] = {}
+        #: Prepared plans by query (see :func:`repro.db.executor.execute`);
+        #: dropped whenever a table is replaced.
+        self.plans: dict = {}
         for table in tables:
             self.add_table(table)
 
@@ -34,13 +63,15 @@ class Database:
         """Swap in a rebuilt version of an existing table.
 
         The replacement carries a fresh ``encoding_version``, so anything
-        keyed on it stops matching the old physical layout.
+        keyed on it stops matching the old physical layout; the prepared
+        plans, which hold the old table's arrays, are dropped.
         """
         if table.name not in self._tables:
             raise SchemaError(
                 f"database {self.name!r} has no table {table.name!r} to replace"
             )
         self._tables[table.name] = table
+        self.plans.clear()
 
     # -------------------------------------------------------------- #
     @property

@@ -25,7 +25,7 @@ from ..obs import metrics as _metrics
 from ..obs import telemetry as _telemetry
 from ..obs import trace as _trace
 from ..obs.runtime import STATE as _OBS
-from .database import Database
+from .database import Database, prepared
 from .expressions import (
     Expression,
     TrueExpr,
@@ -299,16 +299,29 @@ def _rewrite_predicate(predicate: Expression, result: ResultSet):
     return rewrite_for_codes(predicate, result.encodings, list(result.columns))
 
 
-def _filter_positions(result: ResultSet, predicate: Expression) -> np.ndarray:
+def _filter_positions(
+    result: ResultSet, predicate: Expression, rewritten: Optional[Expression]
+) -> np.ndarray:
     """Positions of rows satisfying the predicate (physical-space eval).
 
-    Evaluates in code space when the predicate rewrites, else on decoded
-    values.
+    Evaluates ``rewritten`` — :func:`_rewrite_predicate`'s answer for
+    this predicate and result — when there is one, else the predicate on
+    values decoded into a view, so a prepared scan context never keeps
+    them.
     """
-    rewritten = _rewrite_predicate(predicate, result)
     if rewritten is None:
-        return np.flatnonzero(predicate.evaluate(result.decoded_context()))
+        return np.flatnonzero(predicate.evaluate(_view(result).decoded_context()))
     return np.flatnonzero(rewritten.evaluate(result.columns))
+
+
+def _view(result: ResultSet) -> ResultSet:
+    """A new result over the same arrays, with its own stats and decodes."""
+    return ResultSet(
+        columns=dict(result.columns),
+        row_ids=dict(result.row_ids),
+        n_rows=result.n_rows,
+        encodings=dict(result.encodings),
+    )
 
 
 #: Pruning is only attempted above this many rows — below it the block
@@ -319,19 +332,17 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 def _zone_map_prune(
-    table, context: ResultSet, predicate: Expression
+    table, context: ResultSet, rewritten: Optional[Expression]
 ) -> tuple[dict, Optional[np.ndarray]]:
     """Consult the zone maps for a scan predicate, touching no row.
 
+    ``rewritten`` is the predicate's code-space form (None: it has none).
     Returns ``(detail, block_mask)``: the blocks total/pruned EXPLAIN
     shows (and the filter estimate is capped by) and the keep-mask
     :func:`_scan_filter` skips blocks with — ``({}, None)`` when the
     table is too small to bother or the predicate has no code-space form.
     """
-    if len(context) < _PRUNE_MIN_ROWS:
-        return {}, None
-    rewritten = _rewrite_predicate(predicate, context)
-    if rewritten is None:
+    if len(context) < _PRUNE_MIN_ROWS or rewritten is None:
         return {}, None
     zmaps = table.zone_maps()
     column_maps = {
@@ -350,6 +361,7 @@ def _scan_filter(
     context: ResultSet,
     carried: ResultSet,
     predicate: Expression,
+    rewritten: Optional[Expression],
     block_mask: Optional[np.ndarray],
 ) -> ResultSet:
     """Filter a base-table scan, skipping the blocks the zone maps pruned.
@@ -357,12 +369,13 @@ def _scan_filter(
     The predicate reads ``context`` — every column of the table, none of
     them copied — and the rows it keeps are gathered from ``carried``, the
     same scan narrowed to the columns the query goes on to read.
-    ``block_mask`` is :func:`_zone_map_prune`'s answer for this scan.
+    ``rewritten`` is the predicate's code-space form and ``block_mask``
+    :func:`_zone_map_prune`'s answer for this scan.
     Pruning is strictly conservative: a pruned block provably contains no
     matching row, so the result is identical to the unpruned scan.
     """
     if block_mask is None:
-        return carried.take(_filter_positions(context, predicate))
+        return carried.take(_filter_positions(context, predicate, rewritten))
     kept_blocks = int(block_mask.sum())
     if _OBS.enabled:
         registry = _metrics.registry()
@@ -371,7 +384,7 @@ def _scan_filter(
     if kept_blocks == 0:
         return carried.take(_NO_ROWS)
     if kept_blocks == len(block_mask):
-        return carried.take(_filter_positions(context, predicate))
+        return carried.take(_filter_positions(context, predicate, rewritten))
 
     # Evaluate only the candidate rows of the surviving blocks.
     zmaps = table.zone_maps()
@@ -382,7 +395,6 @@ def _scan_filter(
     )
     # A block mask exists only for a predicate with a code-space form,
     # whose every ref the rewrite already resolved.
-    rewritten = _rewrite_predicate(predicate, context)
     keys = [context.resolve(ref) for ref in rewritten.columns()]
     sliced = {key: context.columns[key][candidates] for key in keys}
     mask = rewritten.evaluate(sliced)
@@ -548,6 +560,23 @@ def _join_order(
     return order, estimates
 
 
+def _ordered_joins(
+    query: SPJQuery, leaves: dict[str, _Rel], observed: bool
+) -> tuple[list[str], dict[str, float], dict[str, list[JoinCondition]]]:
+    """:func:`_join_order` over the leaves, plus the conditions each table
+    joins the intermediate on (none: a cross product)."""
+    order, estimates = _join_order(
+        query.tables, query.joins,
+        {t: leaf.data for t, leaf in leaves.items()},
+        {t: leaf.rows for t, leaf in leaves.items()},
+        observed=observed,
+    )
+    conditions = {}
+    for i, table in enumerate(order[1:], 1):
+        conditions[table] = joins_between(query.joins, table, set(order[:i]))
+    return order, estimates, conditions
+
+
 def _aligned_key_pair(
     left: ResultSet, left_ref: str, right: ResultSet, right_ref: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -639,7 +668,8 @@ def _join(
 def _resolve_refs(result: ResultSet, predicate: Expression) -> None:
     """Raise what filtering ``result`` would for a ref it cannot resolve,
     touching no row (plain EXPLAIN never evaluates the predicate itself)."""
-    _filter_positions(result.take(_NO_ROWS), predicate)
+    empty = result.take(_NO_ROWS)
+    _filter_positions(empty, predicate, _rewrite_predicate(predicate, empty))
 
 
 def _order_ref(query: SPJQuery) -> str:
@@ -712,6 +742,35 @@ class _Rel(NamedTuple):
         return float(len(self.data)) if self.estimate is None else self.estimate
 
 
+class _Plan:
+    """What running one query derives from the query and the database alone.
+
+    The pass asks for each part where it needs it — the pushdown split,
+    the scan contexts and the columns read, each leaf's code-space
+    predicate and zone-map block mask, the join order with its
+    estimates, the resolved ORDER BY, projection, GROUP BY and aggregate
+    refs. The first ask derives the part there, from the same inputs as
+    an unprepared pass; every later ask returns it. A part references the
+    database's arrays and copies none; a filtered row, a join index or a
+    result is never a part, so every run still filters, joins, sorts and
+    aggregates.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self) -> None:
+        self.parts: dict = {}
+
+    def part(self, key, derive):
+        value = self.parts.get(key, _NO_PART)
+        if value is _NO_PART:
+            value = self.parts[key] = derive()
+        return value
+
+
+_NO_PART = object()
+
+
 class _Pass:
     """One walk over a query's operators, in one of three modes.
 
@@ -730,12 +789,25 @@ class _Pass:
       operator hands on its input — the unfiltered rows the estimates
       sample from — and a join the zero-row union of its inputs' columns,
       so later refs resolve exactly as they would at run time.
+
+    What the walk derives from the query and the database alone goes
+    through a :class:`_Plan`. *execute* keeps one per query on the
+    database (:attr:`Database.plans`, bounded by
+    :data:`~repro.db.database.PREPARED_QUERIES`) and reuses it on the next
+    run of an equal query; the explaining modes derive a fresh one per
+    walk, so EXPLAIN shows the plan as the data stands.
     """
 
     def __init__(self, db: Database, mode: str) -> None:
         self.db = db
         self.running = mode != _ESTIMATE
         self.explaining = mode != _EXECUTE
+
+    def plan(self, query) -> _Plan:
+        """The query's prepared plan (a fresh one when explaining)."""
+        if self.explaining:
+            return _Plan()
+        return prepared(self.db.plans, query, _Plan)
 
     def step(self, op: str, inputs: Sequence[_Rel], run, describe) -> _Rel:
         """Apply one operator to ``inputs``.
@@ -769,26 +841,37 @@ class _Pass:
         return _trace.span(name) if self.running else _trace.NULL_SPAN
 
     # -- SPJ --------------------------------------------------------- #
-    def spj(self, query: SPJQuery, outputs: Optional[Sequence[str]] = None) -> _Rel:
+    def spj(
+        self,
+        query: SPJQuery,
+        outputs: Optional[Sequence[str]] = None,
+        plan: Optional[_Plan] = None,
+    ) -> _Rel:
         """The SPJ operators; ``outputs`` are the refs an enclosing
-        aggregate reads of the result (default: the projection)."""
+        aggregate reads of the result (default: the projection) and
+        ``plan`` the plan it keeps for its core (default: the query's)."""
         db = self.db
         for table in query.tables:
             if not db.has_table(table):
                 raise ExecutionError(
                     f"query references unknown table {table!r}; database has {db.table_names}"
                 )
+        if plan is None:
+            plan = self.plan(query)
 
         with self.span("execute.pushdown") as sp:
-            per_table, residual = _pushdown(query.predicate, query.tables)
-            scans = {t: self._scan(t) for t in query.tables}
+            per_table, residual = plan.part(
+                "pushdown", lambda: _pushdown(query.predicate, query.tables)
+            )
+            scans = {t: self._scan(plan, t) for t in query.tables}
             # Refs resolve against every column of the scanned tables;
             # only then does each leaf drop the columns nothing reads.
-            read = _columns_read(
+            read = plan.part("read", lambda: _columns_read(
                 query, residual, outputs, [scan.data for scan in scans.values()]
-            )
+            ))
             leaves = {
-                t: self._leaf(t, scans[t], per_table[t], read) for t in query.tables
+                t: self._leaf(plan, t, scans[t], per_table[t], read)
+                for t in query.tables
             }
             if sp:
                 sp.count("rows_in", sum(len(db.table(t)) for t in query.tables))
@@ -797,28 +880,32 @@ class _Pass:
         # A running pass orders joins from materialized post-pushdown
         # cardinalities, plain EXPLAIN from the sampled estimates.
         with self.span("execute.join_order") as sp:
-            order, estimates = _join_order(
-                query.tables, query.joins,
-                {t: leaf.data for t, leaf in leaves.items()},
-                {t: leaf.rows for t, leaf in leaves.items()},
-                observed=self.explaining or _OBS.enabled,
+            observed = self.explaining or _OBS.enabled
+            order, estimates, conditions = plan.part(
+                ("join_order", observed), lambda: _ordered_joins(query, leaves, observed)
             )
             if sp:
                 sp.set(order=list(order))
         current = leaves[order[0]]
-        joined = {order[0]}
         for table in order[1:]:
             right = leaves[table]
-            conditions = joins_between(query.joins, table, joined)
+            on = conditions[table]
             estimate = estimates.get(table)  # None when nothing will read it
             current = self.step(
-                "hash_join" if conditions else "cross_join", [current, right],
-                lambda: _join(current.data, right.data, conditions, estimate),
-                lambda: (" AND ".join(j.to_sql() for j in conditions), estimate, {}),
+                "hash_join" if on else "cross_join", [current, right],
+                lambda: _join(current.data, right.data, on, estimate),
+                lambda: (" AND ".join(j.to_sql() for j in on), estimate, {}),
             )
-            joined.add(table)
 
         if not isinstance(residual, TrueExpr):
+
+            def run_residual():
+                rewritten = plan.part(
+                    "residual", lambda: _rewrite_predicate(residual, current.data)
+                )
+                return current.data.take(
+                    _filter_positions(current.data, residual, rewritten)
+                )
 
             def describe_residual():
                 if self.running:
@@ -832,11 +919,7 @@ class _Pass:
             with self.span("execute.residual_filter") as sp:
                 if sp:
                     sp.count("rows_in", len(current.data))
-                current = self.step(
-                    "filter", [current],
-                    lambda: current.data.take(_filter_positions(current.data, residual)),
-                    describe_residual,
-                )
+                current = self.step("filter", [current], run_residual, describe_residual)
                 if sp:
                     sp.count("rows_out", len(current.data))
 
@@ -844,16 +927,20 @@ class _Pass:
         # columns), then project, then dedupe (stable, keeps sort order).
         # Refs resolve outside `run`, so every mode raises alike.
         if query.order_by:
-            key_ref = current.data.resolve(_order_ref(query))
+            key_ref = plan.part(
+                "order_by", lambda: current.data.resolve(_order_ref(query))
+            )
             current = self.step(
                 "sort", [current],
                 lambda: _sort(current.data, key_ref, query.descending),
                 lambda: (query.order_by + (" DESC" if query.descending else ""), current.rows, {}),
             )
 
-        projection = query.qualified_projection()
+        projection = plan.part("projection", query.qualified_projection)
         if projection:
-            resolved = {ref: current.data.resolve(ref) for ref in projection}
+            resolved = plan.part(
+                "resolved", lambda: {ref: current.data.resolve(ref) for ref in projection}
+            )
             current = self.step(
                 "project", [current],
                 lambda: _project(current.data, resolved),
@@ -885,27 +972,45 @@ class _Pass:
             )
         return current
 
-    def _scan(self, table_name: str) -> _Rel:
+    def _scan(self, plan: _Plan, table_name: str) -> _Rel:
         table = self.db.table(table_name)
         return self.step(
             "scan", (),
-            lambda: _base_context(self.db, table_name),
+            lambda: plan.part(("scan", table_name), lambda: _base_context(self.db, table_name)),
             lambda: (table_name, float(len(table)), {}),
         )
 
     def _leaf(
-        self, table_name: str, scan: _Rel, predicate: Expression, read: Optional[set[str]]
+        self,
+        plan: _Plan,
+        table_name: str,
+        scan: _Rel,
+        predicate: Expression,
+        read: Optional[set[str]],
     ) -> _Rel:
         """Narrow one scan to the columns ``read`` (None: all of them) and
-        apply its pushed-down conjuncts, which see every column."""
+        apply its pushed-down conjuncts, which see every column.
+
+        The scan context may be the plan's, shared by every run: it is
+        only read here, and what a leaf hands on is always a new result.
+        """
         unfiltered = scan.data
-        if read is not None:
-            kept = {key: key for key in unfiltered.columns if key in read}
-            scan = scan._replace(data=_project(unfiltered, kept))
+
+        def narrow():
+            if read is None:
+                return unfiltered
+            return _project(unfiltered, {key: key for key in unfiltered.columns if key in read})
+
+        carried = plan.part(("carried", table_name), narrow)
         if isinstance(predicate, TrueExpr):
-            return scan
+            return scan._replace(data=_view(carried))
         table = self.db.table(table_name)
-        detail, block_mask = _zone_map_prune(table, unfiltered, predicate)
+        rewritten = plan.part(
+            ("rewritten", table_name), lambda: _rewrite_predicate(predicate, unfiltered)
+        )
+        detail, block_mask = plan.part(
+            ("zone_map", table_name), lambda: _zone_map_prune(table, unfiltered, rewritten)
+        )
 
         def describe():
             if not self.running:
@@ -914,12 +1019,17 @@ class _Pass:
             return predicate.to_sql(), selectivity * len(unfiltered), detail
 
         return self.step(
-            "filter", [scan],
-            lambda: _scan_filter(table, unfiltered, scan.data, predicate, block_mask),
+            "filter", [scan._replace(data=carried)],
+            lambda: _scan_filter(table, unfiltered, carried, predicate, rewritten, block_mask),
             describe,
         )
 
-    def observed(self, query: SPJQuery, outputs: Optional[Sequence[str]] = None) -> _Rel:
+    def observed(
+        self,
+        query: SPJQuery,
+        outputs: Optional[Sequence[str]] = None,
+        plan: Optional[_Plan] = None,
+    ) -> _Rel:
         """The SPJ pass plus observability, returning the encoded result.
 
         Opens (or joins) a request context for the query, so every span,
@@ -928,7 +1038,7 @@ class _Pass:
         EXPLAIN ANALYZE differs only in the root span's name.
         """
         if not (self.running and _OBS.enabled):
-            return self.spj(query, outputs)
+            return self.spj(query, outputs, plan)
         fingerprint = _query_fingerprint(query)
         root = "execute.explain_analyze" if self.explaining else "execute"
         with _context.ensure(fingerprint=fingerprint) as request, \
@@ -936,7 +1046,7 @@ class _Pass:
             sp.set(tables=list(query.tables), fingerprint=fingerprint)
             start = perf_counter()
             cpu_start = process_time()
-            rel = self.spj(query, outputs)
+            rel = self.spj(query, outputs, plan)
             wall = perf_counter() - start
             result = rel.data
             result.stats = QueryStats(
@@ -961,13 +1071,20 @@ class _Pass:
     # -- aggregation ------------------------------------------------- #
     def aggregate(self, query: AggregateQuery) -> _Rel:
         """Hash aggregation over the (observed) SPJ core."""
-        core = SPJQuery(tables=query.tables, predicate=query.predicate, joins=query.joins)
-        inputs = [spec.column for spec in query.aggregates if spec.column is not None]
+        plan = self.plan(query)
+        core, outputs = plan.part("core", lambda: (
+            SPJQuery(tables=query.tables, predicate=query.predicate, joins=query.joins),
+            [*query.group_by, *(s.column for s in query.aggregates if s.column is not None)],
+        ))
 
         with self.span("execute.aggregate") as sp:
-            flat = self.observed(core, [*query.group_by, *inputs])
-            group_keys = [flat.data.resolve(_qualify_ref(ref, query)) for ref in query.group_by]
-            value_keys = [_aggregate_input(flat.data, spec, query) for spec in query.aggregates]
+            flat = self.observed(core, outputs, plan.part("core_plan", _Plan))
+            group_keys = plan.part("group_keys", lambda: [
+                flat.data.resolve(_qualify_ref(ref, query)) for ref in query.group_by
+            ])
+            value_keys = plan.part("value_keys", lambda: [
+                _aggregate_input(flat.data, spec, query) for spec in query.aggregates
+            ])
 
             def describe():
                 label = ", ".join(spec.to_sql() for spec in query.aggregates)

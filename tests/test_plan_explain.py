@@ -447,11 +447,7 @@ def _tree_record(plan):
     return strip(plan.root.to_dict())
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN))
-def test_workload_plans_and_results_golden(name):
-    db, queries = _golden_queries(name)
-    n_queries, *expected = _GOLDEN[name]
-    assert len(queries) == n_queries
+def _golden_digests(db, queries):
     digests = [hashlib.sha1() for _ in range(3)]
     for query in queries:
         records = (
@@ -463,7 +459,29 @@ def test_workload_plans_and_results_golden(name):
             digest.update(
                 json.dumps(record, sort_keys=True, default=repr).encode()
             )
-    assert [d.hexdigest() for d in digests] == expected
+    return [d.hexdigest() for d in digests]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_workload_plans_and_results_golden(name):
+    db, queries = _golden_queries(name)
+    n_queries, *expected = _GOLDEN[name]
+    assert len(queries) == n_queries
+    assert _golden_digests(db, queries) == expected
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_workload_golden_on_prepared_plans(name):
+    """A second pass runs every query on the plan the first one prepared
+    and gives the same results, EXPLAIN and EXPLAIN ANALYZE."""
+    db, queries = _golden_queries(name)
+    expected = list(_GOLDEN[name][1:])
+    db.plans.clear()
+    assert _golden_digests(db, queries) == expected
+    prepared = dict(db.plans)
+    assert len(prepared) == len(set(queries))
+    assert _golden_digests(db, queries) == expected
+    assert all(db.plans[query] is plan for query, plan in prepared.items())
 
 
 # ------------------------------------------------------------------ #

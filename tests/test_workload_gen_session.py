@@ -242,35 +242,29 @@ class TestAdaptiveBudget:
             system.fit_within_budget(tiny_flights.db, tiny_flights.workload, 0.0)
 
 
-class TestResultCache:
-    def test_repeat_query_hits_cache(self, tiny_flights):
-        from repro.core import ASQPSession
-
-        model = ASQPSystem(_session_config(seed=23)).fit(
-            tiny_flights.db, tiny_flights.workload
-        ).model
-        session = ASQPSession(model, auto_fine_tune=False, result_cache_size=16)
+class TestRepeatedQueries:
+    def test_repeat_query_answers_alike(self, session, tiny_flights):
         q = tiny_flights.workload.queries[0]
         first = session.query(q)
         second = session.query(q)
-        assert session.cache_hits == 1
-        assert len(first) == len(second)
+        assert second.estimate is first.estimate
+        assert second.used_approximation == first.used_approximation
+        assert second.result is not first.result
+        assert sorted(second.result.provenance_keys()) == sorted(
+            first.result.provenance_keys()
+        )
+        target = session.approx_db if first.used_approximation else session.model.db
+        assert q in target.plans
 
-    def test_cache_cleared_on_refresh(self, tiny_flights):
-        from repro.core import ASQPSession
-
+    def test_refresh_starts_without_plans(self, tiny_flights):
         model = ASQPSystem(_session_config(seed=24)).fit(
             tiny_flights.db, tiny_flights.workload
         ).model
-        session = ASQPSession(model, auto_fine_tune=False, result_cache_size=4)
+        session = ASQPSession(model, auto_fine_tune=False)
         q = tiny_flights.workload.queries[0]
-        session.query(q)
+        before = session.query(q)
         session.refresh()
-        session.query(q)
-        assert session.cache_hits == 0
-
-    def test_cache_disabled_by_default(self, session, tiny_flights):
-        q = tiny_flights.workload.queries[0]
-        session.query(q)
-        session.query(q)
-        assert session.cache_hits == 0
+        assert not session.approx_db.plans
+        after = session.query(q)
+        assert after.estimate == before.estimate
+        assert after.estimate is not before.estimate
