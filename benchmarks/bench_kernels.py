@@ -101,8 +101,8 @@ N_ROWS = 10_000
 #: Action-space size of the rl rows: the figure-scale fit's (|A| = 828).
 N_ACTIONS = 800
 
-#: Row count for the column-store section — many zone-map blocks,
-#: identical between profiles for comparability.
+#: Row count for the column-store section, identical between profiles
+#: for comparability.
 COLUMNSTORE_ROWS = 120_000
 
 #: ``--check`` also fails when the serial encoded scan costs more than
@@ -804,11 +804,11 @@ def run_audit_overhead(repeats: int) -> dict:
 
 
 def _columnstore_fixture():
-    """A 120k-row table with a clustered int, a dict-string, and a float.
+    """A 120k-row table with a sorted int, a dict-string, and a float.
 
-    ``ts`` is sorted so zone maps prune range predicates hard; ``city``
-    has 200 distinct values so dictionary encoding wins; ``value`` is a
-    float column that rides along undecoded through the scan.
+    ``city`` has 200 distinct values, so its predicate runs on codes;
+    ``ts`` and ``value`` are plain columns the predicate reads as they
+    are stored.
     """
     from repro.db import Column, ColumnType, Database, Table, TableSchema, sql
 
@@ -832,7 +832,7 @@ def _columnstore_fixture():
         },
     )
     db = Database([table])
-    # ~10% of the ts range plus a string equality — prunable AND rewritable.
+    # ~10% of the ts range plus a string inequality the rewrite turns into codes.
     query = sql(
         "SELECT city, ts, value FROM bench "
         "WHERE ts BETWEEN 4000000 AND 5000000 AND city != 'city_000'"
@@ -841,7 +841,7 @@ def _columnstore_fixture():
 
 
 def run_columnstore(repeats: int) -> dict:
-    """Compression ratio, zone-map pruning rate, and the serial scan cost.
+    """The serial scan cost of a predicate on codes versus on values.
 
     The serial comparison is kernel-level and apples-to-apples: the same
     predicate evaluated over decoded arrays (plain) versus its
@@ -851,23 +851,10 @@ def run_columnstore(repeats: int) -> dict:
     factor of plain.
     """
     from repro.db import expressions as E
-    from repro.db import statistics as dbstats
 
     db, table, query = _columnstore_fixture()
     record: dict = {"rows": len(table)}
-
-    record["compression"] = table.compression_stats()
-
-    zmaps = table.zone_maps()
     refs = [f"bench.{c.name}" for c in table.schema.columns]
-    mask = dbstats.zone_map_block_mask(query.predicate, zmaps.columns, zmaps.n_blocks)
-    record["zone_maps"] = {
-        "block_rows": zmaps.block_rows,
-        "blocks_total": int(zmaps.n_blocks),
-        "blocks_pruned": int(zmaps.n_blocks - int(mask.sum())),
-        "pruning_rate": float(1.0 - mask.sum() / max(zmaps.n_blocks, 1)),
-    }
-
     plain_context = {f"bench.{name}": table.column(name) for name in ("city", "ts", "value")}
     encoding = table.encoding("city")
     encoded_context = dict(plain_context)
@@ -1051,20 +1038,10 @@ def main(argv=None) -> int:
     repeats = PROFILES[args.profile]["repeats"]
     columnstore = run_columnstore(repeats)
     record["columnstore"] = columnstore
-    compression = columnstore["compression"]
-    zone = columnstore["zone_maps"]
     scan = columnstore["serial_scan"]
     print(
-        f"\ncolumn store ({columnstore['rows']} rows): "
-        f"compression {compression['ratio']:.2f}x "
-        f"({compression['plain_bytes'] / 1e6:.1f} MB -> "
-        f"{compression['encoded_bytes'] / 1e6:.1f} MB), "
-        f"zone maps prune {zone['blocks_pruned']}/{zone['blocks_total']} "
-        f"blocks ({zone['pruning_rate']:.1%})"
-    )
-    print(
-        f"serial scan: plain {scan['plain_s'] * 1e3:.3f} ms, "
-        f"encoded {scan['encoded_s'] * 1e3:.3f} ms "
+        f"\ncolumn store ({columnstore['rows']} rows) serial scan: "
+        f"plain {scan['plain_s'] * 1e3:.3f} ms, encoded {scan['encoded_s'] * 1e3:.3f} ms "
         f"(ratio {scan['serial_ratio']:.2f}x)"
     )
 

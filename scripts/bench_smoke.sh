@@ -11,8 +11,9 @@
 # than 5% on the kernels (--profile-check). --audit-check gates shadow
 # auditing on end-to-end serving: directly-attributed per-query
 # accounting plus audit re-execution time must stay under 2% at the
-# default sample rate. --check also gates the column store: the serial
-# encoded scan must stay within 1.25x of the plain scan.
+# default sample rate. --check also gates the column store's one row, the
+# serial scan: a predicate on dictionary codes must stay within 1.25x of
+# the same predicate on decoded values.
 set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH=src python benchmarks/bench_kernels.py \

@@ -1,8 +1,10 @@
 """In-memory column-store relational engine.
 
-This package is the substrate the paper ran on PostgreSQL: typed tables,
-vectorized predicates, hash equi-joins, aggregation, a small SQL parser,
-statistics, sampling primitives, and an LRU cache model.
+This package is the substrate the paper ran on PostgreSQL: typed tables
+(string columns dictionary-encoded, numbers stored plain), vectorized
+predicates evaluated on dictionary codes where they can be, hash
+equi-joins, aggregation, a small SQL parser, statistics, sampling
+primitives, and an LRU cache model.
 """
 
 from .cache import LRUTupleCache
@@ -64,12 +66,7 @@ from .statistics import (
     estimate_predicate_selectivity,
     estimated_join_cardinality,
 )
-from .statistics import (
-    TableZoneMaps,
-    build_zone_maps,
-    zone_map_block_mask,
-)
-from .table import DictEncoded, IntPacked, Table, table_from_rows
+from .table import DictEncoded, Table, table_from_rows
 
 __all__ = [
     "AggFunc",
@@ -91,7 +88,6 @@ __all__ = [
     "ForeignKey",
     "INT_NULL",
     "InSet",
-    "IntPacked",
     "IsNotNull",
     "IsNull",
     "JoinCondition",
@@ -113,10 +109,8 @@ __all__ = [
     "Table",
     "TableSchema",
     "TableStats",
-    "TableZoneMaps",
     "TimedExecution",
     "TrueExpr",
-    "build_zone_maps",
     "compute_database_stats",
     "compute_table_stats",
     "conjoin",
@@ -136,5 +130,4 @@ __all__ = [
     "timed_execute",
     "uniform_sample",
     "variational_subsample",
-    "zone_map_block_mask",
 ]

@@ -48,7 +48,6 @@ from .statistics import (
     estimate_ndv,
     estimate_predicate_selectivity,
     estimated_join_cardinality,
-    zone_map_block_mask,
 )
 
 
@@ -262,22 +261,19 @@ class ExecutionError(RuntimeError):
 def _base_context(db: Database, table_name: str) -> ResultSet:
     """Encoded scan context: dictionary columns enter as code arrays.
 
-    Integer and float columns come in decoded (bit-unpacking is cached on
-    the table; the ``INT_NULL`` sentinel must keep its native ordering for
-    predicate semantics), string columns as ``int32`` codes plus their
-    sorted dictionaries — the executor's late-materialization contract.
+    Integer and float columns come in as the table stores them, string
+    columns as ``int32`` codes plus their sorted dictionaries — the
+    executor's late-materialization contract.
     """
     table = db.table(table_name)
     columns: dict[str, np.ndarray] = {}
     encodings: dict[str, np.ndarray] = {}
     for name in table.schema.column_names:
         ref = f"{table_name}.{name}"
+        columns[ref] = table.raw_column(name)
         dictionary = table.dictionary(name)
         if dictionary is not None:
-            columns[ref] = table.raw_column(name)
             encodings[ref] = dictionary
-        else:
-            columns[ref] = table.column(name)
     return ResultSet(
         columns=columns,
         row_ids={table_name: table.row_ids},
@@ -324,100 +320,15 @@ def _view(result: ResultSet) -> ResultSet:
     )
 
 
-#: Pruning is only attempted above this many rows — below it the block
-#: mask costs more than the scan it saves.
-_PRUNE_MIN_ROWS = 4096
-
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
-def _zone_map_prune(
-    table, context: ResultSet, rewritten: Optional[Expression]
-) -> tuple[dict, Optional[np.ndarray]]:
-    """Consult the zone maps for a scan predicate, touching no row.
-
-    ``rewritten`` is the predicate's code-space form (None: it has none).
-    Returns ``(detail, block_mask)``: the blocks total/pruned EXPLAIN
-    shows (and the filter estimate is capped by) and the keep-mask
-    :func:`_scan_filter` skips blocks with — ``({}, None)`` when the
-    table is too small to bother or the predicate has no code-space form.
-    """
-    if len(context) < _PRUNE_MIN_ROWS or rewritten is None:
-        return {}, None
-    zmaps = table.zone_maps()
-    column_maps = {
-        f"{table.name}.{name}": zone for name, zone in zmaps.columns.items()
-    }
-    block_mask = zone_map_block_mask(rewritten, column_maps, zmaps.n_blocks)
-    detail = {
-        "blocks_total": zmaps.n_blocks,
-        "blocks_pruned": zmaps.n_blocks - int(block_mask.sum()),
-    }
-    return detail, block_mask
-
-
-def _scan_filter(
-    table,
-    context: ResultSet,
-    carried: ResultSet,
-    predicate: Expression,
-    rewritten: Optional[Expression],
-    block_mask: Optional[np.ndarray],
-) -> ResultSet:
-    """Filter a base-table scan, skipping the blocks the zone maps pruned.
-
-    The predicate reads ``context`` — every column of the table, none of
-    them copied — and the rows it keeps are gathered from ``carried``, the
-    same scan narrowed to the columns the query goes on to read.
-    ``rewritten`` is the predicate's code-space form and ``block_mask``
-    :func:`_zone_map_prune`'s answer for this scan.
-    Pruning is strictly conservative: a pruned block provably contains no
-    matching row, so the result is identical to the unpruned scan.
-    """
-    if block_mask is None:
-        return carried.take(_filter_positions(context, predicate, rewritten))
-    kept_blocks = int(block_mask.sum())
-    if _OBS.enabled:
-        registry = _metrics.registry()
-        registry.add("scan.blocks_total", len(block_mask))
-        registry.add("scan.blocks_pruned", len(block_mask) - kept_blocks)
-    if kept_blocks == 0:
-        return carried.take(_NO_ROWS)
-    if kept_blocks == len(block_mask):
-        return carried.take(_filter_positions(context, predicate, rewritten))
-
-    # Evaluate only the candidate rows of the surviving blocks.
-    zmaps = table.zone_maps()
-    starts = np.flatnonzero(block_mask) * zmaps.block_rows
-    stops = np.minimum(starts + zmaps.block_rows, zmaps.n_rows)
-    candidates = np.concatenate(
-        [np.arange(a, b, dtype=np.int64) for a, b in zip(starts, stops)]
-    )
-    # A block mask exists only for a predicate with a code-space form,
-    # whose every ref the rewrite already resolved.
-    keys = [context.resolve(ref) for ref in rewritten.columns()]
-    sliced = {key: context.columns[key][candidates] for key in keys}
-    mask = rewritten.evaluate(sliced)
-    return carried.take(candidates[np.flatnonzero(mask)])
-
-
-def _scan_selectivity(
-    context: ResultSet, predicate: Expression, detail: dict
-) -> float:
-    """Planner selectivity estimate in whichever space evaluates cheaply,
-    capped by the zone-map bound when blocks were pruned."""
+def _scan_selectivity(context: ResultSet, predicate: Expression) -> float:
+    """Planner selectivity estimate in whichever space evaluates cheaply."""
     rewritten = _rewrite_predicate(predicate, context)
     if rewritten is None:
-        estimate = estimate_predicate_selectivity(
-            predicate, context.decoded_context()
-        )
-    else:
-        estimate = estimate_predicate_selectivity(rewritten, context.columns)
-    blocks_total = detail.get("blocks_total")
-    if blocks_total:
-        kept_fraction = (blocks_total - detail["blocks_pruned"]) / blocks_total
-        estimate = min(estimate, max(kept_fraction, 0.0))
-    return estimate
+        return estimate_predicate_selectivity(predicate, context.decoded_context())
+    return estimate_predicate_selectivity(rewritten, context.columns)
 
 
 def _tables_of(expression: Expression) -> set[str]:
@@ -438,7 +349,7 @@ def _pushdown(predicate: Expression, tables: Sequence[str]) -> tuple[dict[str, E
             per_table[next(iter(touched))].append(part)
         elif not touched and len(tables) == 1:
             # Bare (unqualified) refs in a single-table query can only
-            # mean that table — push down so the scan sees zone maps.
+            # mean that table — push down so the scan filters them.
             per_table[tables[0]].append(part)
         else:
             residual.append(part)
@@ -747,7 +658,7 @@ class _Plan:
 
     The pass asks for each part where it needs it — the pushdown split,
     the scan contexts and the columns read, each leaf's code-space
-    predicate and zone-map block mask, the join order with its
+    predicate, the join order with its
     estimates, the resolved ORDER BY, projection, GROUP BY and aggregate
     refs. The first ask derives the part there, from the same inputs as
     an unprepared pass; every later ask returns it. A part references the
@@ -813,7 +724,7 @@ class _Pass:
         """Apply one operator to ``inputs``.
 
         ``run()`` produces its output; ``describe()`` returns its
-        ``(label, estimated_rows, detail)`` from the inputs and is called
+        ``(label, estimated_rows)`` from the inputs and is called
         only when explaining.
         """
         if not self.explaining:
@@ -826,10 +737,9 @@ class _Pass:
         else:
             data = _merge(*(rel.data.take(_NO_ROWS) for rel in inputs))
         seconds = perf_counter() - start
-        label, estimate, detail = describe()
+        label, estimate = describe()
         node = PlanNode(
-            op, label, estimated_rows=estimate, detail=detail,
-            children=[rel.node for rel in inputs],
+            op, label, estimated_rows=estimate, children=[rel.node for rel in inputs]
         )
         if not self.running:
             return _Rel(data, node, max(estimate, 1.0))
@@ -894,7 +804,7 @@ class _Pass:
             current = self.step(
                 "hash_join" if on else "cross_join", [current, right],
                 lambda: _join(current.data, right.data, on, estimate),
-                lambda: (" AND ".join(j.to_sql() for j in on), estimate, {}),
+                lambda: (" AND ".join(j.to_sql() for j in on), estimate),
             )
 
         if not isinstance(residual, TrueExpr):
@@ -909,12 +819,12 @@ class _Pass:
 
             def describe_residual():
                 if self.running:
-                    selectivity = _scan_selectivity(current.data, residual, {})
-                    return residual.to_sql(), selectivity * current.rows, {}
+                    selectivity = _scan_selectivity(current.data, residual)
+                    return residual.to_sql(), selectivity * current.rows
                 # No joined rows to sample: a fixed guess per conjunct.
                 _resolve_refs(current.data, residual)
                 selectivity = DEFAULT_CONJUNCT_SELECTIVITY ** len(conjuncts(residual))
-                return residual.to_sql(), max(selectivity * current.rows, 1.0), {}
+                return residual.to_sql(), max(selectivity * current.rows, 1.0)
 
             with self.span("execute.residual_filter") as sp:
                 if sp:
@@ -933,7 +843,7 @@ class _Pass:
             current = self.step(
                 "sort", [current],
                 lambda: _sort(current.data, key_ref, query.descending),
-                lambda: (query.order_by + (" DESC" if query.descending else ""), current.rows, {}),
+                lambda: (query.order_by + (" DESC" if query.descending else ""), current.rows),
             )
 
         projection = plan.part("projection", query.qualified_projection)
@@ -944,16 +854,16 @@ class _Pass:
             current = self.step(
                 "project", [current],
                 lambda: _project(current.data, resolved),
-                lambda: (", ".join(projection), current.rows, {}),
+                lambda: (", ".join(projection), current.rows),
             )
 
         if query.distinct:
 
             def describe_distinct():
                 if not self.running:  # no projected rows to count NDVs on
-                    return "", current.rows, {}
+                    return "", current.rows
                 estimate = _ndv_product(current.data.columns.values(), current.rows)
-                return ", ".join(current.data.columns), estimate, {}
+                return ", ".join(current.data.columns), estimate
 
             with self.span("execute.distinct") as sp:
                 if sp:
@@ -968,7 +878,7 @@ class _Pass:
             current = self.step(
                 "limit", [current],
                 lambda: current.data.take(np.arange(min(query.limit, len(current.data)))),
-                lambda: (str(query.limit), min(float(query.limit), current.rows), {}),
+                lambda: (str(query.limit), min(float(query.limit), current.rows)),
             )
         return current
 
@@ -977,7 +887,7 @@ class _Pass:
         return self.step(
             "scan", (),
             lambda: plan.part(("scan", table_name), lambda: _base_context(self.db, table_name)),
-            lambda: (table_name, float(len(table)), {}),
+            lambda: (table_name, float(len(table))),
         )
 
     def _leaf(
@@ -1004,23 +914,19 @@ class _Pass:
         carried = plan.part(("carried", table_name), narrow)
         if isinstance(predicate, TrueExpr):
             return scan._replace(data=_view(carried))
-        table = self.db.table(table_name)
         rewritten = plan.part(
             ("rewritten", table_name), lambda: _rewrite_predicate(predicate, unfiltered)
-        )
-        detail, block_mask = plan.part(
-            ("zone_map", table_name), lambda: _zone_map_prune(table, unfiltered, rewritten)
         )
 
         def describe():
             if not self.running:
                 _resolve_refs(unfiltered, predicate)
-            selectivity = _scan_selectivity(unfiltered, predicate, detail)
-            return predicate.to_sql(), selectivity * len(unfiltered), detail
+            selectivity = _scan_selectivity(unfiltered, predicate)
+            return predicate.to_sql(), selectivity * len(unfiltered)
 
         return self.step(
             "filter", [scan._replace(data=carried)],
-            lambda: _scan_filter(table, unfiltered, carried, predicate, rewritten, block_mask),
+            lambda: carried.take(_filter_positions(unfiltered, predicate, rewritten)),
             describe,
         )
 
@@ -1095,7 +1001,7 @@ class _Pass:
                     self.db.table(table).raw_column(column)
                     for table, column in (key.split(".", 1) for key in group_keys)
                 )
-                return label, _ndv_product(arrays, flat.rows), {}
+                return label, _ndv_product(arrays, flat.rows)
 
             grouped = self.step(
                 "aggregate", [flat],

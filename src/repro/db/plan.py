@@ -44,7 +44,6 @@ class PlanNode:
     estimated_rows: Optional[float] = None
     actual_rows: Optional[int] = None
     seconds: Optional[float] = None
-    detail: dict[str, Any] = field(default_factory=dict)
     children: list["PlanNode"] = field(default_factory=list)
 
     @property
@@ -72,8 +71,6 @@ class PlanNode:
             record["q_error"] = round(self.q, 3)
         if self.seconds is not None:
             record["seconds"] = self.seconds
-        if self.detail:
-            record["detail"] = dict(self.detail)
         if children and self.children:
             record["children"] = [child.to_dict() for child in self.children]
         return record
@@ -133,15 +130,6 @@ class QueryPlan:
                 parts.append(f"q={node.q:.2f}")
             if node.seconds is not None:
                 parts.append(f"t={node.seconds * 1e3:.2f}ms")
-            if "blocks_total" in node.detail:
-                parts.append(
-                    f"blocks={node.detail['blocks_total'] - node.detail['blocks_pruned']}"
-                    f"/{node.detail['blocks_total']}"
-                    f" pruned={node.detail['blocks_pruned']}"
-                )
-            for key, value in node.detail.items():
-                if key not in ("blocks_total", "blocks_pruned"):
-                    parts.append(f"{key}={value}")
             return f"  ({' '.join(parts)})" if parts else ""
 
         def render(node: PlanNode, depth: int) -> None:

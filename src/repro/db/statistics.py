@@ -16,7 +16,6 @@ Used by four consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -194,212 +193,3 @@ def estimate_predicate_selectivity(
     kept = float(np.count_nonzero(mask))
     total = max(1, len(next(iter(sampled.values()))))
     return max(kept / total, 0.5 / n)
-
-
-# --------------------------------------------------------------------- #
-# zone maps (block-level min/max) for scan pruning
-# --------------------------------------------------------------------- #
-
-#: Rows per zone-map block. Small enough that selective predicates skip
-#: most of a large table, large enough that per-block overhead is noise.
-DEFAULT_BLOCK_ROWS = 4096
-
-
-@dataclass
-class ColumnZoneMap:
-    """Per-block min/max (and NaN presence) of one physical column.
-
-    For dictionary-encoded string columns the statistics are over the
-    *codes* — valid because the dictionary is sorted, so code order equals
-    value order and code-space predicates compare directly. For integer
-    columns they are over decoded ``int64`` values *including* the
-    ``INT_NULL`` sentinel, exactly matching the engine's comparison
-    semantics (the sentinel compares as a very small ordinary value).
-    """
-
-    mins: np.ndarray
-    maxs: np.ndarray
-    has_nan: Optional[np.ndarray] = None
-
-
-@dataclass
-class TableZoneMaps:
-    """Zone maps of every column of one table, at a fixed block size."""
-
-    block_rows: int
-    n_rows: int
-    n_blocks: int
-    columns: dict[str, ColumnZoneMap] = field(default_factory=dict)
-
-    def block_bounds(self, block: int) -> tuple[int, int]:
-        start = block * self.block_rows
-        return start, min(start + self.block_rows, self.n_rows)
-
-
-def _column_zone_map(values: np.ndarray, starts: np.ndarray) -> ColumnZoneMap:
-    if np.issubdtype(values.dtype, np.floating):
-        with np.errstate(invalid="ignore"):
-            mins = np.fmin.reduceat(values, starts)
-            maxs = np.fmax.reduceat(values, starts)
-            nan_counts = np.add.reduceat(np.isnan(values).astype(np.int64), starts)
-        return ColumnZoneMap(mins=mins, maxs=maxs, has_nan=nan_counts > 0)
-    mins = np.minimum.reduceat(values, starts)
-    maxs = np.maximum.reduceat(values, starts)
-    return ColumnZoneMap(mins=mins, maxs=maxs)
-
-
-def build_zone_maps(table: Table, block_rows: int = DEFAULT_BLOCK_ROWS) -> TableZoneMaps:
-    """Build per-block min/max statistics for every column of a table.
-
-    One ``reduceat`` pass per column; string columns are profiled in code
-    space (see :class:`ColumnZoneMap`), numeric columns in value space.
-    """
-    n_rows = len(table)
-    n_blocks = -(-n_rows // block_rows) if n_rows else 0
-    maps = TableZoneMaps(block_rows=block_rows, n_rows=n_rows, n_blocks=n_blocks)
-    if n_blocks == 0:
-        return maps
-    starts = np.arange(n_blocks, dtype=np.int64) * block_rows
-    for column in table.schema.columns:
-        if column.ctype.name == "STR":
-            encoding = table.encoding(column.name)
-            if encoding is None:
-                continue  # plain object column: no cheap block stats
-            values = encoding.codes
-        else:
-            values = table.column(column.name)
-        maps.columns[column.name] = _column_zone_map(values, starts)
-    return maps
-
-
-def _atom_block_mask(node, zone: ColumnZoneMap) -> Optional[np.ndarray]:
-    """Blocks that *may* contain a matching row for one atom, else None.
-
-    Strictly conservative: a True entry means "cannot rule out", a False
-    entry means "provably no row in this block satisfies the atom".
-    """
-    from . import expressions as E
-
-    mins, maxs = zone.mins, zone.maxs
-    with np.errstate(invalid="ignore"):
-        if isinstance(node, E.Comparison):
-            value = node.value
-            if isinstance(value, str):
-                return None  # string atom against a non-code zone map
-            if node.op == "=":
-                return (mins <= value) & (maxs >= value)
-            if node.op == "!=":
-                keep = ~((mins == value) & (maxs == value))
-                if zone.has_nan is not None:
-                    keep |= zone.has_nan  # NaN != v is True
-                return keep
-            if node.op == "<":
-                return mins < value
-            if node.op == "<=":
-                return mins <= value
-            if node.op == ">":
-                return maxs > value
-            if node.op == ">=":
-                return maxs >= value
-            return None
-        if isinstance(node, E.Between):
-            if isinstance(node.low, str) or isinstance(node.high, str):
-                return None
-            return (maxs >= node.low) & (mins <= node.high)
-        if isinstance(node, E.InSet):
-            if any(isinstance(v, str) for v in node.values):
-                return None
-            lo = min(node.values)
-            hi = max(node.values)
-            return (maxs >= lo) & (mins <= hi)
-        if isinstance(node, E.IsNull):
-            if zone.has_nan is not None:
-                return zone.has_nan.copy()
-            if np.issubdtype(mins.dtype, np.integer):
-                from .schema import INT_NULL
-
-                return mins == INT_NULL
-            return None
-        if isinstance(node, E.IsNotNull):
-            if zone.has_nan is not None:
-                return ~np.isnan(mins)  # all-NaN blocks have fmin == NaN
-            if np.issubdtype(mins.dtype, np.integer):
-                from .schema import INT_NULL
-
-                return maxs != INT_NULL
-            return None
-    return None
-
-
-def zone_map_block_mask(
-    predicate,
-    column_maps: dict,
-    n_blocks: int,
-) -> np.ndarray:
-    """Conservative keep-mask over scan blocks for a (rewritten) predicate.
-
-    ``column_maps`` maps *qualified* column refs to :class:`ColumnZoneMap`
-    objects in the same value space the predicate literals are in — i.e.
-    code space for dictionary columns after
-    :func:`repro.db.expressions.rewrite_for_codes`, raw value space
-    otherwise. Unknown atoms, NOT, and unresolvable refs keep all blocks.
-    """
-    from . import expressions as E
-
-    all_blocks = np.ones(n_blocks, dtype=bool)
-    if isinstance(predicate, E.TrueExpr):
-        return all_blocks
-    if isinstance(predicate, E.FalseExpr):
-        return np.zeros(n_blocks, dtype=bool)
-    if isinstance(predicate, E.And):
-        mask = all_blocks
-        for operand in predicate.operands:
-            mask = mask & zone_map_block_mask(operand, column_maps, n_blocks)
-        return mask
-    if isinstance(predicate, E.Or):
-        mask = np.zeros(n_blocks, dtype=bool)
-        for operand in predicate.operands:
-            mask = mask | zone_map_block_mask(operand, column_maps, n_blocks)
-        return mask
-    if isinstance(
-        predicate, (E.Comparison, E.Between, E.InSet, E.IsNull, E.IsNotNull)
-    ):
-        refs = list(column_maps)
-        resolved = E._resolve_ref(predicate.column, refs)
-        if resolved is None:
-            return all_blocks
-        zone = column_maps[resolved]
-        atom_mask = _atom_block_mask(predicate, zone)
-        return all_blocks if atom_mask is None else np.asarray(atom_mask, dtype=bool)
-    # NOT, LIKE (only reaches here un-rewritten), unknown nodes: no pruning.
-    return all_blocks
-
-
-def zone_map_selectivity_cap(
-    block_mask: np.ndarray, zmaps: TableZoneMaps
-) -> float:
-    """Upper bound on predicate selectivity implied by pruned blocks.
-
-    If only ``k`` of ``n`` blocks can contain matches, selectivity is at
-    most (rows in kept blocks) / n_rows — used to clamp the planner's
-    sampled estimate.
-    """
-    if zmaps.n_rows == 0 or zmaps.n_blocks == 0:
-        return 1.0
-    kept_rows = 0
-    for block in np.flatnonzero(block_mask):
-        start, stop = zmaps.block_bounds(int(block))
-        kept_rows += stop - start
-    return kept_rows / zmaps.n_rows
-
-
-def column_selectivity(table: Table, column_name: str, value) -> float:
-    """Fraction of rows of ``table`` where ``column = value``."""
-    array = table.column(column_name)
-    if len(array) == 0:
-        return 0.0
-    if array.dtype == object:
-        hits = sum(1 for v in array if str(v) == str(value))
-    else:
-        hits = int(np.sum(array == value))
-    return hits / len(array)

@@ -1,11 +1,11 @@
-"""Compressed column-store table.
+"""Dictionary-encoded column-store table.
 
-A :class:`Table` owns one *encoded* column per schema column plus a stable
+A :class:`Table` owns one stored column per schema column plus a stable
 integer *row id* per row. Row ids are positions in the base table and
 survive into subsets taken with :meth:`Table.take`, which is how
 approximation sets remember which base tuples they contain.
 
-Storage encodings (the compressed column store):
+Storage:
 
 * ``STR`` columns are **dictionary-encoded** (:class:`DictEncoded`): a
   lexicographically sorted dictionary of distinct strings plus one
@@ -13,18 +13,16 @@ Storage encodings (the compressed column store):
   equals string order, so equality *and* range predicates, joins, sorts,
   and DISTINCT can all run directly on the codes — strings materialize
   only at projection time (late materialization).
-* ``INT`` columns are **bit-width reduced** (:class:`IntPacked`): values
-  are stored as unsigned offsets from the column minimum in the narrowest
-  unsigned dtype that fits; NULL sentinels take a reserved code one past
-  the value span. Columns whose span does not fit ``uint32`` stay plain.
-* ``FLOAT`` columns are stored plain (``float64``).
+* ``INT`` (``int64``, NULL as :data:`~repro.db.schema.INT_NULL`) and
+  ``FLOAT`` (``float64``, NULL as NaN) columns are stored plain, as the
+  read-only array :meth:`Column.coerce` returns.
 
-:meth:`Table.column` decodes on demand and caches the decoded array, so
-every pre-column-store consumer keeps working unchanged; the executor
-reads codes through :meth:`Table.encoding` / :meth:`Table.raw_column` and
-never pays the decode on its hot paths. :meth:`Table.take` subsets codes
-directly (an ``int32`` gather instead of an object-array gather), which
-is what makes derived sub-databases cheap.
+:meth:`Table.column` decodes a dictionary column on demand and caches the
+decoded array, so every consumer of values keeps working unchanged; the
+executor reads codes through :meth:`Table.encoding` / :meth:`Table.raw_column`
+and never pays the decode on its hot paths. :meth:`Table.take` subsets
+codes directly (an ``int32`` gather instead of an object-array gather),
+which is what makes derived sub-databases cheap.
 
 Every table carries a process-unique :attr:`Table.encoding_version`; a
 rebuilt or re-encoded table gets a fresh version, the key a cache of
@@ -38,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .schema import INT_NULL, Column, ColumnType, SchemaError, TableSchema
+from .schema import Column, ColumnType, SchemaError, TableSchema
 
 #: Process-wide monotonically increasing encoding version source. Every
 #: constructed Table (including subsets) draws a fresh version, so any
@@ -90,110 +88,20 @@ class DictEncoded:
         codes.setflags(write=False)
         return DictEncoded(codes, self.dictionary)
 
-    def encoded_nbytes(self) -> int:
-        return int(self.codes.nbytes) + sum(
-            _STR_OBJECT_OVERHEAD + len(value) for value in self.dictionary
-        )
-
-    def plain_nbytes(self) -> int:
-        if len(self.dictionary) == 0:
-            return 8 * len(self.codes)
-        lengths = np.fromiter(
-            (len(value) for value in self.dictionary),
-            dtype=np.int64,
-            count=len(self.dictionary),
-        )
-        counts = np.bincount(self.codes, minlength=len(self.dictionary))
-        return int(8 * len(self.codes) + ((_STR_OBJECT_OVERHEAD + lengths) * counts).sum())
-
-
-#: Approximate per-object overhead of a CPython str, used only for the
-#: compression-ratio accounting (never for correctness).
-_STR_OBJECT_OVERHEAD = 49
-
-
-class IntPacked:
-    """A bit-width-reduced integer column.
-
-    Non-null values are stored as ``value - base`` in the narrowest
-    unsigned dtype whose range covers the span; NULL sentinels
-    (:data:`repro.db.schema.INT_NULL`) are stored as the reserved code
-    ``span`` (one past the largest offset).
-    """
-
-    __slots__ = ("codes", "base", "null_code")
-
-    def __init__(self, codes: np.ndarray, base: int, null_code: int) -> None:
-        self.codes = codes
-        self.base = base
-        self.null_code = null_code
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "Optional[IntPacked]":
-        """Pack an int64 array, or return None when packing cannot win."""
-        n = len(values)
-        nulls = values == INT_NULL
-        any_null = bool(nulls.any())
-        valid = values[~nulls] if any_null else values
-        if len(valid) == 0:
-            base, span = 0, 0
-        else:
-            base = int(valid.min())
-            span = int(valid.max()) - base
-        null_code = span + 1 if any_null else span
-        for dtype in (np.uint8, np.uint16, np.uint32):
-            if null_code <= np.iinfo(dtype).max:
-                codes = np.empty(n, dtype=dtype)
-                if any_null:
-                    np.subtract(values, base, out=codes, casting="unsafe",
-                                where=~nulls)
-                    codes[nulls] = null_code
-                else:
-                    np.subtract(values, base, out=codes, casting="unsafe")
-                codes.setflags(write=False)
-                return cls(codes, base, null_code if any_null else -1)
-        return None
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def decode(self) -> np.ndarray:
-        out = self.codes.astype(np.int64)
-        out += self.base
-        if self.null_code >= 0:
-            out[self.codes == self.null_code] = INT_NULL
-        out.setflags(write=False)
-        return out
-
-    def take(self, positions: np.ndarray) -> "IntPacked":
-        codes = self.codes[positions]
-        codes.setflags(write=False)
-        return IntPacked(codes, self.base, self.null_code)
-
-    def encoded_nbytes(self) -> int:
-        return int(self.codes.nbytes)
-
-    def plain_nbytes(self) -> int:
-        return 8 * len(self.codes)
-
 
 #: What a column slot may hold: a plain numpy array or an encoding.
-ColumnStorage = Union[np.ndarray, DictEncoded, IntPacked]
+ColumnStorage = Union[np.ndarray, DictEncoded]
 
 
 def _encode_column(column: Column, array: np.ndarray) -> ColumnStorage:
     if column.ctype is ColumnType.STR:
         return DictEncoded.from_values(array)
-    if column.ctype is ColumnType.INT:
-        packed = IntPacked.from_values(array)
-        if packed is not None:
-            return packed
     array.setflags(write=False)
     return array
 
 
 class Table:
-    """An immutable in-memory table over the compressed column store.
+    """An immutable in-memory table over the dictionary-encoded column store.
 
     Parameters
     ----------
@@ -201,8 +109,8 @@ class Table:
         The table schema.
     columns:
         Mapping from column name to a sequence of values (all the same
-        length). Values are coerced to the column's storage dtype and
-        encoded (dictionary / bit-width reduction) on construction.
+        length). Values are coerced to the column's storage dtype on
+        construction, and string columns dictionary-encoded.
     row_ids:
         Optional explicit row ids. Defaults to ``arange(n)``; subsets carry
         the ids of the base rows they came from.
@@ -239,7 +147,6 @@ class Table:
     def _finish_init(self, n_rows: int, row_ids: Optional[np.ndarray]) -> None:
         self._n_rows = n_rows
         self._decoded: dict[str, np.ndarray] = {}
-        self._zone_maps: dict[int, object] = {}
         self.encoding_version = next(_ENCODING_VERSIONS)
         if row_ids is None:
             row_ids = np.arange(self._n_rows, dtype=np.int64)
@@ -261,7 +168,7 @@ class Table:
         n_rows: int,
         row_ids: Optional[np.ndarray],
     ) -> "Table":
-        """Internal fast path: build a table from already-encoded columns."""
+        """Internal fast path: build a table from already-stored columns."""
         table = cls.__new__(cls)
         table.schema = schema
         table._store = store
@@ -279,22 +186,20 @@ class Table:
         return self._n_rows
 
     def column(self, name: str) -> np.ndarray:
-        """The decoded value array of a column (read-only, cached)."""
+        """The value array of a column (read-only; dictionary columns are
+        decoded once and cached)."""
         self.schema.column(name)  # validates the name
-        cached = self._decoded.get(name)
-        if cached is not None:
-            return cached
         storage = self._store[name]
         if isinstance(storage, np.ndarray):
-            array = storage
-        else:
-            array = storage.decode()
-            array.setflags(write=False)
-        self._decoded[name] = array
-        return array
+            return storage
+        cached = self._decoded.get(name)
+        if cached is None:
+            cached = self._decoded[name] = storage.decode()
+            cached.setflags(write=False)
+        return cached
 
-    def encoding(self, name: str) -> Optional[ColumnStorage]:
-        """The encoding object of a column (None when stored plain)."""
+    def encoding(self, name: str) -> Optional[DictEncoded]:
+        """The dictionary encoding of a column (None when stored plain)."""
         self.schema.column(name)
         storage = self._store[name]
         return None if isinstance(storage, np.ndarray) else storage
@@ -303,8 +208,8 @@ class Table:
         """The physical array of a column: codes when encoded, else values.
 
         For dictionary columns this is the ``int32`` code array (compare
-        with :attr:`DictEncoded.dictionary` order); for packed ints the
-        unsigned offsets. Use :meth:`column` for decoded values.
+        with :attr:`DictEncoded.dictionary` order); for every other column
+        it is :meth:`column` itself.
         """
         self.schema.column(name)
         storage = self._store[name]
@@ -338,55 +243,14 @@ class Table:
         return (self.raw_column(name) == 0) & (dictionary[:1] == "").any()
 
     # ------------------------------------------------------------------ #
-    # storage accounting / zone maps
-    # ------------------------------------------------------------------ #
-    def compression_stats(self) -> dict[str, float]:
-        """Approximate plain vs encoded byte sizes and the overall ratio.
-
-        String sizes are estimated from dictionary entry lengths plus a
-        fixed per-object overhead — an accounting aid for the benchmark
-        record, not an allocator-accurate measurement.
-        """
-        plain = 0
-        encoded = 0
-        for name in self.schema.column_names:
-            storage = self._store[name]
-            if isinstance(storage, np.ndarray):
-                plain += int(storage.nbytes)
-                encoded += int(storage.nbytes)
-            else:
-                plain += storage.plain_nbytes()
-                encoded += storage.encoded_nbytes()
-        return {
-            "plain_bytes": float(plain),
-            "encoded_bytes": float(encoded),
-            "ratio": float(plain) / float(encoded) if encoded else 1.0,
-        }
-
-    def zone_maps(self, block_rows: Optional[int] = None):
-        """Per-column min/max block statistics (built lazily, cached).
-
-        See :class:`repro.db.statistics.TableZoneMaps`; the executor
-        consults these to prune scan blocks, the planner to tighten
-        cardinality estimates.
-        """
-        from .statistics import DEFAULT_BLOCK_ROWS, build_zone_maps
-
-        rows = int(block_rows) if block_rows else DEFAULT_BLOCK_ROWS
-        cached = self._zone_maps.get(rows)
-        if cached is None:
-            cached = self._zone_maps[rows] = build_zone_maps(self, block_rows=rows)
-        return cached
-
-    # ------------------------------------------------------------------ #
     # derivation
     # ------------------------------------------------------------------ #
     def take(self, positions: np.ndarray) -> "Table":
         """A new table containing the rows at ``positions`` (in order).
 
         Row ids are carried through, so a subset of a subset still refers
-        to base-table rows. Subsetting operates directly on the encoded
-        codes (dictionaries are shared, not copied).
+        to base-table rows. Subsetting gathers dictionary codes directly
+        (dictionaries are shared, not copied).
         """
         positions = np.asarray(positions, dtype=np.int64)
         store: dict[str, ColumnStorage] = {}

@@ -358,25 +358,6 @@ def section_quality(run: Run) -> list[str]:
     return lines
 
 
-def section_storage(run: Run) -> list[str]:
-    """Zone-map pruning counters, interpreted."""
-    lines = ["## Column store", ""]
-    counters = (run.metrics or {}).get("counters", {})
-    blocks_total = counters.get("scan.blocks_total", 0)
-    blocks_pruned = counters.get("scan.blocks_pruned", 0)
-    if not blocks_total:
-        lines.append(
-            "No scan metrics in this run — they appear once queries "
-            "execute against zone-mapped tables."
-        )
-        return lines
-    lines.append(
-        f"- zone-map pruning: {blocks_pruned:.0f} of {blocks_total:.0f} "
-        f"scan blocks skipped ({blocks_pruned / blocks_total:.1%})"
-    )
-    return lines
-
-
 def section_metrics(run: Run) -> list[str]:
     lines = ["## Metrics", ""]
     snapshot = run.metrics
@@ -654,7 +635,6 @@ SECTIONS = (
     section_plans,
     section_queries,
     section_quality,
-    section_storage,
     section_metrics,
     section_trace,
     section_slowest_traces,

@@ -1,9 +1,9 @@
-"""Differential tests for the compressed column store.
+"""Differential tests for the dictionary-encoded column store.
 
-Every test here compares the encoded execution path — dictionary codes,
-packed ints, code-space predicate rewrites, zone-map pruned scans —
-against plain evaluation over fully decoded arrays. The two must agree
-exactly: same rows, same order, same values.
+Every test here compares the encoded execution path — dictionary codes
+and code-space predicate rewrites — against plain evaluation over fully
+decoded arrays. The two must agree exactly: same rows, same order, same
+values. INT and FLOAT columns are stored plain.
 """
 
 import numpy as np
@@ -15,14 +15,12 @@ from repro.db import (
     ColumnType,
     Database,
     DictEncoded,
-    IntPacked,
     Table,
     TableSchema,
     execute,
     sql,
 )
 from repro.db import expressions as E
-from repro.db import statistics as dbstats
 
 CITIES = np.asarray(["", "amber", "blue", "cyan", "drab", "ecru"], dtype=object)
 
@@ -111,19 +109,6 @@ def test_dict_encoding_round_trip():
     np.testing.assert_array_equal(taken.decode(), values[[4, 0, 1]])
 
 
-def test_int_packing_round_trip_with_nulls():
-    values = np.asarray([100, INT_NULL, 103, 101, INT_NULL], dtype=np.int64)
-    packed = IntPacked.from_values(values)
-    assert packed is not None
-    assert packed.codes.dtype == np.uint8
-    np.testing.assert_array_equal(packed.decode(), values)
-
-
-def test_int_packing_declines_wide_ranges():
-    values = np.asarray([0, 2**40], dtype=np.int64)
-    assert IntPacked.from_values(values) is None
-
-
 def test_table_columns_decode_to_original_values():
     table = make_table(seed=1)
     rng = np.random.default_rng(1)
@@ -133,11 +118,28 @@ def test_table_columns_decode_to_original_values():
     assert table.raw_column("city").dtype == np.int32
 
 
-def test_compression_stats_report_a_win():
-    table = make_table(n=2000)
-    stats = table.compression_stats()
-    assert stats["encoded_bytes"] < stats["plain_bytes"]
-    assert stats["ratio"] > 1.0
+def test_int_and_float_columns_are_stored_plain():
+    schema = TableSchema(
+        "t",
+        (
+            Column("score", ColumnType.INT, nullable=True),
+            Column("temp", ColumnType.FLOAT, nullable=True),
+        ),
+    )
+    score = np.asarray([100, INT_NULL, 103, -7, INT_NULL], dtype=np.int64)
+    temp = np.asarray([0.5, np.nan, -1.0, 2.0, np.nan])
+    table = Table(schema, {"score": score.copy(), "temp": temp.copy()})
+    taken = table.take(np.asarray([4, 1, 1, 0]))
+    subset = Database([table]).subset({"t": [4, 1, 2]}).table("t")
+    for derived, rows in ((table, [0, 1, 2, 3, 4]), (taken, [4, 1, 1, 0]), (subset, [1, 2, 4])):
+        np.testing.assert_array_equal(derived.column("score"), score[rows])
+        np.testing.assert_array_equal(derived.column("temp"), temp[rows])
+        for name, dtype in (("score", np.int64), ("temp", np.float64)):
+            assert derived.encoding(name) is None
+            assert derived.raw_column(name) is derived.column(name)
+            assert derived.column(name).dtype == dtype
+            assert not derived.column(name).flags.writeable
+    assert table.null_mask("score").tolist() == [False, True, False, False, True]
 
 
 def test_encoding_version_changes_per_table_build():
@@ -174,7 +176,8 @@ def test_filters_match_plain_evaluation(where):
 
 @pytest.mark.parametrize("where", PREDICATES)
 def test_filters_match_on_large_multiblock_tables(where):
-    # Spans many zone-map blocks so partial pruning paths are exercised.
+    # 20k rows, the size of the large datasets' scans: every predicate
+    # is evaluated over the whole column in one pass.
     table = make_table(seed=4, n=20_000)
     db = Database([table])
     query = sql(f"SELECT city, score, temp FROM t WHERE {where}")
@@ -240,43 +243,3 @@ def test_group_by_on_encoded_column_matches_plain_counts():
         for key, aggs in result.as_mapping().items()
     }
     assert actual == expected
-
-
-# ------------------------------------------------------------------ #
-# zone maps: pruning must never skip a matching block
-# ------------------------------------------------------------------ #
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("where", PREDICATES)
-def test_zone_maps_never_prune_matching_blocks(seed, where):
-    block_rows = 64
-    table = make_table(seed=seed, n=1500)
-    query = sql(f"SELECT city FROM t WHERE {where}")
-    zmaps = table.zone_maps(block_rows=block_rows)
-    refs = [f"t.{name}" for name in table.schema.column_names]
-    rewritten = E.rewrite_for_codes(
-        query.predicate, {"t.city": table.dictionary("city")}, refs
-    )
-    predicate = rewritten if rewritten is not None else query.predicate
-    mask = dbstats.zone_map_block_mask(predicate, zmaps.columns, zmaps.n_blocks)
-    matches = query.predicate.evaluate(plain_context(table))
-    for position in np.flatnonzero(matches):
-        assert mask[position // block_rows], (
-            f"block {position // block_rows} pruned but row {position} "
-            f"matches {where!r}"
-        )
-
-
-def test_explain_analyze_reports_pruned_blocks():
-    from repro.db import explain
-
-    table = make_table(seed=10, n=20_000)
-    db = Database([table])
-    plan = explain(
-        db, sql("SELECT city FROM t WHERE score BETWEEN 0 AND 5"), analyze=True
-    )
-    details = [
-        node.detail for node in plan.operators() if "blocks_total" in node.detail
-    ]
-    assert details, "scan node must report zone-map block counts"
-    assert details[0]["blocks_total"] > 0
-    assert "blocks=" in plan.format()

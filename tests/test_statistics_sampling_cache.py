@@ -22,7 +22,6 @@ from repro.db.statistics import (
     CategoricalStats,
     NumericStats,
     TableStats,
-    column_selectivity,
 )
 
 
@@ -104,10 +103,6 @@ class TestStatistics:
     def test_database_stats_covers_all_tables(self, mini_db):
         stats = compute_database_stats(mini_db)
         assert set(stats) == {"movies", "cast_info"}
-
-    def test_column_selectivity(self, movies):
-        assert column_selectivity(movies, "genre", "drama") == pytest.approx(0.5)
-        assert column_selectivity(movies, "year", 2005) == pytest.approx(2 / 6)
 
     def test_value_range(self, movies):
         stats = compute_table_stats(movies)
