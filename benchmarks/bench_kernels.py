@@ -557,9 +557,8 @@ def run_obs_overhead(repeats: int) -> dict:
     overheads = []
     rounds = max(5 * repeats, 10)
     batch = 3
-    # The enabled arm runs the *full* tracing stack: spans under an
-    # active request context, so every histogram observation captures an
-    # exemplar — the <2% budget covers spans and exemplar capture.
+    # The enabled arm runs under an active request context, as a served
+    # query does, so the <2% budget covers spans and metric histograms.
     request = obs.context.new_context(fingerprint="bench_obs_overhead")
     try:
         for name, fn in cases.items():

@@ -45,9 +45,10 @@ export PYTHONPATH
 # Every trace id an SLO status of run directory $1 names must resolve to
 # its span tree (the alerts tell the operator to run exactly this).
 check_exemplars() {
-  ids="$(python -c 'import json, sys
-for status in json.load(open(sys.argv[1]))["objectives"]:
-    print(" ".join(status.get("exemplar_trace_ids") or []))' "$1/slo.json")"
+  ids="$(python -c 'import sys
+from repro.obs import rundir, slo
+for status in slo.statuses(rundir.load(sys.argv[1])):
+    print(" ".join(status.get("exemplar_trace_ids") or []))' "$1")"
   n=0
   for id in $ids; do
     python -m repro analyze --dir "$1" --trace "$id" \

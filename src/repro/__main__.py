@@ -8,8 +8,9 @@ Commands
 ``explain`` — print the operator tree of a SQL query (``--analyze`` runs it).
 ``bench``  — print the location and contents of recorded benchmark tables.
 ``profile`` — run any other command under the continuous sampling
-profiler + memory tracker + default SLOs (collapsed stacks, memory.json,
-slo.json land in the run directory).
+profiler + memory tracker + default SLOs (collapsed stacks and
+memory.json land in the run directory; the objectives are recorded as
+``slo`` telemetry rows).
 
 Seven verbs are views of one recorded run directory, all read through
 ``repro.obs.rundir.load`` (one "no run here" message, one "unreadable
@@ -441,7 +442,8 @@ def main(argv=None) -> int:
                     "with the continuous sampling profiler (100 hz), the "
                     "tracemalloc memory tracker, and the default latency "
                     "SLOs enabled. Artifacts (profile.collapsed.txt, "
-                    "slo.json, memory.json, ...) land in --dir.",
+                    "memory.json, ...) land in --dir; the SLOs are judged "
+                    "over the recorded rows when the run is read back.",
     )
     profile.add_argument("--dir", default=DEFAULT_OBS_DIR,
                          help="run directory for the recorded artifacts")

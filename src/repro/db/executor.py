@@ -938,9 +938,9 @@ class _Pass:
     ) -> _Rel:
         """The SPJ pass plus observability, returning the encoded result.
 
-        Opens (or joins) a request context for the query, so every span,
-        telemetry record, and histogram exemplar recorded underneath shares
-        one trace id — the causal handle ``repro analyze`` resolves later.
+        Opens (or joins) a request context for the query, so every span
+        and telemetry record recorded underneath shares one trace id —
+        the causal handle ``repro analyze`` resolves later.
         EXPLAIN ANALYZE differs only in the root span's name.
         """
         if not (self.running and _OBS.enabled):
@@ -967,10 +967,7 @@ class _Pass:
             registry = _metrics.registry()
             registry.add("executor.queries")
             registry.add("executor.rows_out", result.n_rows)
-            # Module-level observe, not registry.observe: the SLO tracker's
-            # sample hook taps the former, and `executor.p95 < ...`
-            # objectives must see every execution.
-            _metrics.observe("executor.query.seconds", wall)
+            registry.observe("executor.query.seconds", wall)
             _memory.mark_epoch("executor.query")
         return rel
 

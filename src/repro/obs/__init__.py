@@ -20,7 +20,7 @@ Dependency-free instrumentation substrate for the whole system
 * :mod:`repro.obs.memory`    — tracemalloc snapshots, allocator tables,
   and per-phase leak checks surfaced as gauges;
 * :mod:`repro.obs.slo`       — declarative latency/answerability
-  objectives with multi-window burn rates, recorded as ``slo`` rows;
+  objectives with multi-window burn rates, folded over a run's rows;
 * :mod:`repro.obs.quality`   — answer-quality accounting: shadow-audit
   bookkeeping and quality histograms;
 * :mod:`repro.obs.health`    — which alerts a run has: rolling-window
@@ -46,7 +46,7 @@ Typical use::
 
     with obs.run("obs_run", profile=True, memory_tracking=True,
                  slo_objectives=obs.slo.DEFAULT_OBJECTIVES):
-        ...  # adds profile.collapsed.txt, memory.json, slo.json
+        ...  # adds profile.collapsed.txt, memory.json, slo rows
 """
 
 from __future__ import annotations
@@ -128,18 +128,14 @@ def _flush_continuous(directory: str) -> dict[str, str]:
     """Write the artifact of every active component; key → path.
 
     Wired as the profiler's ``on_flush`` callback so ``repro watch`` can
-    follow a live run: refreshes the collapsed stacks, the SLO, quality
-    and memory summaries and the metrics snapshot, and records the SLO
-    statuses mid-run. :func:`finish_run` makes the same
-    pass one last time.
+    follow a live run: refreshes the collapsed stacks, the quality and
+    memory summaries and the metrics snapshot. :func:`finish_run` makes
+    the same pass one last time.
     """
     documents: dict[str, object] = {}
     running = profiler.active()
     if running is not None:
         documents["profile"] = running.collapsed()
-    if slo.is_active():
-        slo.publish()  # status rows: health.alerts reads escalations off them
-        documents["slo"] = slo.active().summary()
     if quality.is_active():
         documents["quality"] = quality.active().summary()
     if memory.is_active():
@@ -156,8 +152,8 @@ def finish_run(directory: str) -> dict[str, str]:
 
     Returns an artifact key → path map of everything written (the
     telemetry JSONL has been streaming there since :func:`start_run`).
-    Teardown — disabling instrumentation, detaching the telemetry sink
-    and the SLO hook, stopping the profiler and memory tracker — is
+    Teardown — disabling instrumentation, detaching the telemetry sink,
+    stopping the profiler and memory tracker — is
     guaranteed even if an artifact write fails, so :func:`run` never
     leaks an enabled observability state out of a crashed block.
     """
@@ -178,7 +174,6 @@ def finish_run(directory: str) -> dict[str, str]:
     finally:
         profiler.stop()
         memory.stop()
-        slo.clear()
         quality.clear()
         disable()
         telemetry.configure(None)
@@ -196,21 +191,22 @@ def run(
     """One observability run as a context manager.
 
     Guarantees :func:`finish_run` — telemetry, metrics, trace, and any
-    profiler/memory/SLO artifacts are flushed and instrumentation is
-    torn down even when the wrapped block raises. ``profile`` starts the
+    profiler/memory artifacts are flushed and instrumentation is torn
+    down even when the wrapped block raises. ``profile`` starts the
     continuous sampling profiler at 100 hz (collapsed stacks, refreshed
     live for ``repro watch``), ``memory_tracking`` starts the
-    tracemalloc tracker, and ``slo_objectives`` installs declarative
-    objectives (e.g. ``obs.slo.DEFAULT_OBJECTIVES``).
+    tracemalloc tracker, and ``slo_objectives`` records the declarative
+    objectives that judge the run (e.g. ``obs.slo.DEFAULT_OBJECTIVES``).
+    A spec that does not parse raises before anything is enabled.
     """
+    objectives = [slo.parse_objective(spec) for spec in slo_objectives or ()]
     start_run(directory, audit_rate=audit_rate)
-    if slo_objectives:
-        slo.configure(slo_objectives)
-    if memory_tracking:
-        memory.start()
-    if profile:
-        profiler.start(on_flush=lambda: _flush_continuous(directory))
     try:
+        slo.configure(objectives)
+        if memory_tracking:
+            memory.start()
+        if profile:
+            profiler.start(on_flush=lambda: _flush_continuous(directory))
         yield directory
     finally:
         finish_run(directory)

@@ -1,7 +1,7 @@
 """Request-scoped causal context: trace ids, span ids, and baggage.
 
-Every stream the observability stack records — spans, histogram
-samples, telemetry records, SLO alerts — is useless for *triage* unless
+Every stream the observability stack records — spans, telemetry
+records, the SLO alerts folded from them — is useless for *triage* unless
 the records of one request share an identity. A :class:`RequestContext`
 is that identity: a 128-bit trace id, a per-trace span-id counter, and
 a small baggage dict (query fingerprint, tenant placeholder for the
@@ -16,8 +16,7 @@ Propagation rules (DESIGN.md §13):
   one trace across nested executes) or activates a fresh one;
 * :func:`repro.obs.telemetry.emit` and :class:`repro.obs.trace.Span`
   read the context-local on their enabled paths and stamp ``trace_id``
-  into everything they record; ``metrics.observe`` uses it to capture
-  per-bucket exemplars.
+  into everything they record; an SLO names the worst rows' trace ids.
 
 Id generation uses ``os.urandom`` (no global RNG, no wall clock), and
 span ids are a cheap per-trace counter — unique within a trace, which

@@ -11,10 +11,9 @@ through the rolling-window threshold rules of :class:`HealthMonitor`:
   signed predicted-vs-observed bias of a rolling window, escalating
   WARN → CRIT and re-arming after recovery;
 * ``drift`` rows — one ``interest_drift`` per fired trigger;
-* ``slo`` rows — the status rows the live SLO tracker records; an
-  objective alerts when its severity escalates (None → WARN → CRIT), so
-  periodic evaluation of a long run yields alerts proportional to state
-  changes, not to time.
+* SLOs — after the rows, one ``slo_burn`` / ``slo_violation`` per
+  recorded objective whose final status (:func:`repro.obs.slo.statuses`,
+  itself a fold over the same rows) has a severity.
 
 Nothing is computed while the run is live and nothing is written back:
 ``repro report`` and ``repro watch`` call :func:`alerts` on the loaded
@@ -37,13 +36,28 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
+from . import slo as _slo
 from .rundir import Run
 
 WARN = "WARN"
 CRIT = "CRIT"
 
-#: Escalation order of the deduplicated rules (calibration drift, SLOs).
+#: Escalation order of the deduplicated calibration-drift rule.
 _RANK = {None: 0, WARN: 1, CRIT: 2}
+
+#: Rule thresholds, sized for the paper's PPO.
+KL_WARN = 0.5                     # healthy PPO-clip KL is ~1e-3..1e-1
+KL_CRIT = 2.0                     # far beyond any trust region
+CLIP_FRACTION_WARN = 0.5
+CLIP_FRACTION_CRIT = 0.9
+ENTROPY_COLLAPSE_FRACTION = 0.05  # vs the run's initial entropy
+GRAD_NORM_WARN_RATIO = 10.0       # vs rolling median
+GRAD_NORM_CRIT_RATIO = 100.0
+EXPLAINED_VARIANCE_WARN = -0.5    # sustained (window mean)
+REWARD_DROP_WARN_FRACTION = 0.5   # drop vs best, of reward range
+CALIBRATION_WARN = 0.4            # mean |confidence − realized|
+MIN_WINDOW = 3                    # samples needed before relative rules fire
+WINDOW = 10                       # rolling window of the relative rules
 
 #: Calibration-drift window and bias thresholds (|mean(predicted) -
 #: mean(observed)| over the last `window` approximation-set answers).
@@ -65,23 +79,6 @@ class Alert:
     iteration: Optional[int] = None
 
 
-@dataclass
-class HealthThresholds:
-    """Tunable rule thresholds (defaults sized for the paper's PPO)."""
-
-    kl_warn: float = 0.5          # healthy PPO-clip KL is ~1e-3..1e-1
-    kl_crit: float = 2.0          # far beyond any trust region
-    clip_fraction_warn: float = 0.5
-    clip_fraction_crit: float = 0.9
-    entropy_collapse_fraction: float = 0.05   # vs the run's initial entropy
-    grad_norm_warn_ratio: float = 10.0        # vs rolling median
-    grad_norm_crit_ratio: float = 100.0
-    explained_variance_warn: float = -0.5     # sustained (window mean)
-    reward_drop_warn_fraction: float = 0.5    # drop vs best, of reward range
-    calibration_warn: float = 0.4             # mean |confidence − realized|
-    min_window: int = 3           # samples needed before relative rules fire
-
-
 #: Keys of ``train.update`` records that must stay finite.
 _FINITE_KEYS = (
     "mean_episode_reward",
@@ -100,30 +97,21 @@ class HealthMonitor:
     the alerts that row raises.
     """
 
-    def __init__(
-        self,
-        thresholds: Optional[HealthThresholds] = None,
-        window: int = 10,
-    ) -> None:
-        self.thresholds = thresholds or HealthThresholds()
-        self.window = window
-        self._grad_norms: deque[float] = deque(maxlen=window)
-        self._explained: deque[float] = deque(maxlen=window)
-        self._calibration: deque[float] = deque(maxlen=window)
-        self._rewards: deque[float] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._grad_norms: deque[float] = deque(maxlen=WINDOW)
+        self._explained: deque[float] = deque(maxlen=WINDOW)
+        self._calibration: deque[float] = deque(maxlen=WINDOW)
+        self._rewards: deque[float] = deque(maxlen=WINDOW)
         self._initial_entropy: Optional[float] = None
         self._best_reward = -math.inf
         self._worst_reward = math.inf
         #: (predicted, observed) of the last approximation-set answers.
         self._answers: deque[tuple[float, float]] = deque(maxlen=DRIFT_WINDOW)
-        #: Highest severity already alerted (escalation dedup): of the
-        #: calibration drift, and per SLO objective.
+        #: Highest calibration-drift severity already alerted.
         self._drift_published: Optional[str] = None
-        self._slo_published: dict[str, Optional[str]] = {}
 
     def observe_update(self, fields: dict[str, Any]) -> list[Alert]:
         """Check one ``train.update`` record (an IterationRecord dict)."""
-        t = self.thresholds
         iteration = fields.get("iteration")
         new: list[Alert] = []
 
@@ -137,34 +125,34 @@ class HealthMonitor:
                 ))
 
         kl = float(fields.get("kl_divergence", 0.0) or 0.0)
-        if math.isfinite(kl) and kl > t.kl_crit:
+        if math.isfinite(kl) and kl > KL_CRIT:
             new.append(Alert(
                 CRIT, "kl_spike",
-                f"KL divergence {kl:.3f} exceeds {t.kl_crit} — the policy "
+                f"KL divergence {kl:.3f} exceeds {KL_CRIT} — the policy "
                 "jumped far outside the trust region",
-                value=kl, threshold=t.kl_crit, iteration=iteration,
+                value=kl, threshold=KL_CRIT, iteration=iteration,
             ))
-        elif math.isfinite(kl) and kl > t.kl_warn:
+        elif math.isfinite(kl) and kl > KL_WARN:
             new.append(Alert(
                 WARN, "kl_spike",
-                f"KL divergence {kl:.3f} exceeds {t.kl_warn}",
-                value=kl, threshold=t.kl_warn, iteration=iteration,
+                f"KL divergence {kl:.3f} exceeds {KL_WARN}",
+                value=kl, threshold=KL_WARN, iteration=iteration,
             ))
 
         clip = float(fields.get("clip_fraction", 0.0) or 0.0)
-        if clip > t.clip_fraction_crit:
+        if clip > CLIP_FRACTION_CRIT:
             new.append(Alert(
                 CRIT, "clip_saturation",
                 f"clip fraction {clip:.2f} — nearly every sample is "
                 "clipped, the surrogate gradient is mostly zeroed",
-                value=clip, threshold=t.clip_fraction_crit,
+                value=clip, threshold=CLIP_FRACTION_CRIT,
                 iteration=iteration,
             ))
-        elif clip > t.clip_fraction_warn:
+        elif clip > CLIP_FRACTION_WARN:
             new.append(Alert(
                 WARN, "clip_saturation",
-                f"clip fraction {clip:.2f} exceeds {t.clip_fraction_warn}",
-                value=clip, threshold=t.clip_fraction_warn,
+                f"clip fraction {clip:.2f} exceeds {CLIP_FRACTION_WARN}",
+                value=clip, threshold=CLIP_FRACTION_WARN,
                 iteration=iteration,
             ))
 
@@ -175,43 +163,43 @@ class HealthMonitor:
                 self._initial_entropy = entropy
             elif (
                 self._initial_entropy
-                and entropy < t.entropy_collapse_fraction * self._initial_entropy
+                and entropy < ENTROPY_COLLAPSE_FRACTION * self._initial_entropy
             ):
                 new.append(Alert(
                     WARN, "entropy_collapse",
                     f"entropy {entropy:.4f} fell below "
-                    f"{t.entropy_collapse_fraction:.0%} of the initial "
+                    f"{ENTROPY_COLLAPSE_FRACTION:.0%} of the initial "
                     f"{self._initial_entropy:.4f} — the policy may have "
                     "collapsed prematurely",
                     value=entropy,
-                    threshold=t.entropy_collapse_fraction * self._initial_entropy,
+                    threshold=ENTROPY_COLLAPSE_FRACTION * self._initial_entropy,
                     iteration=iteration,
                 ))
 
         grad = fields.get("grad_norm")
         if grad is not None and math.isfinite(float(grad)):
             grad = float(grad)
-            if len(self._grad_norms) >= t.min_window:
+            if len(self._grad_norms) >= MIN_WINDOW:
                 ordered = sorted(self._grad_norms)
                 median = ordered[len(ordered) // 2]
-                if median > 0 and grad > t.grad_norm_crit_ratio * median:
+                if median > 0 and grad > GRAD_NORM_CRIT_RATIO * median:
                     new.append(Alert(
                         CRIT, "grad_norm_spike",
                         f"pre-clip gradient norm {grad:.3g} is more than "
-                        f"{t.grad_norm_crit_ratio:.0f}x the rolling median "
+                        f"{GRAD_NORM_CRIT_RATIO:.0f}x the rolling median "
                         f"{median:.3g}",
                         value=grad,
-                        threshold=t.grad_norm_crit_ratio * median,
+                        threshold=GRAD_NORM_CRIT_RATIO * median,
                         iteration=iteration,
                     ))
-                elif median > 0 and grad > t.grad_norm_warn_ratio * median:
+                elif median > 0 and grad > GRAD_NORM_WARN_RATIO * median:
                     new.append(Alert(
                         WARN, "grad_norm_spike",
                         f"pre-clip gradient norm {grad:.3g} is more than "
-                        f"{t.grad_norm_warn_ratio:.0f}x the rolling median "
+                        f"{GRAD_NORM_WARN_RATIO:.0f}x the rolling median "
                         f"{median:.3g}",
                         value=grad,
-                        threshold=t.grad_norm_warn_ratio * median,
+                        threshold=GRAD_NORM_WARN_RATIO * median,
                         iteration=iteration,
                     ))
             self._grad_norms.append(grad)
@@ -219,15 +207,15 @@ class HealthMonitor:
         ev = fields.get("explained_variance")
         if ev is not None and math.isfinite(float(ev)):
             self._explained.append(float(ev))
-            if len(self._explained) >= t.min_window:
+            if len(self._explained) >= MIN_WINDOW:
                 mean_ev = sum(self._explained) / len(self._explained)
-                if mean_ev < t.explained_variance_warn:
+                if mean_ev < EXPLAINED_VARIANCE_WARN:
                     new.append(Alert(
                         WARN, "critic_useless",
                         f"explained variance averaged {mean_ev:.2f} over the "
                         f"last {len(self._explained)} iterations — the "
                         "critic is worse than predicting the mean return",
-                        value=mean_ev, threshold=t.explained_variance_warn,
+                        value=mean_ev, threshold=EXPLAINED_VARIANCE_WARN,
                         iteration=iteration,
                     ))
 
@@ -239,18 +227,18 @@ class HealthMonitor:
             self._worst_reward = min(self._worst_reward, reward)
             span = self._best_reward - self._worst_reward
             if (
-                len(self._rewards) >= t.min_window
+                len(self._rewards) >= MIN_WINDOW
                 and span > 1e-9
-                and reward < self._best_reward - t.reward_drop_warn_fraction * span
+                and reward < self._best_reward - REWARD_DROP_WARN_FRACTION * span
             ):
                 new.append(Alert(
                     WARN, "reward_collapse",
                     f"mean episode reward {reward:.4f} dropped more than "
-                    f"{t.reward_drop_warn_fraction:.0%} of the observed range "
+                    f"{REWARD_DROP_WARN_FRACTION:.0%} of the observed range "
                     f"below the best {self._best_reward:.4f}",
                     value=reward,
                     threshold=self._best_reward
-                    - t.reward_drop_warn_fraction * span,
+                    - REWARD_DROP_WARN_FRACTION * span,
                     iteration=iteration,
                 ))
 
@@ -270,20 +258,19 @@ class HealthMonitor:
         self, confidence: float, realized: float
     ) -> list[Alert]:
         """Check one estimator calibration pair from a routed query."""
-        t = self.thresholds
         new: list[Alert] = []
         error = abs(float(confidence) - float(realized))
         if math.isfinite(error):
             self._calibration.append(error)
-            if len(self._calibration) >= t.min_window:
+            if len(self._calibration) >= MIN_WINDOW:
                 mean_error = sum(self._calibration) / len(self._calibration)
-                if mean_error > t.calibration_warn:
+                if mean_error > CALIBRATION_WARN:
                     new.append(Alert(
                         WARN, "estimator_miscalibrated",
                         f"mean |confidence − realized| is {mean_error:.2f} "
                         f"over the last {len(self._calibration)} queries — "
                         "the answerability estimator is poorly calibrated",
-                        value=mean_error, threshold=t.calibration_warn,
+                        value=mean_error, threshold=CALIBRATION_WARN,
                     ))
         return new
 
@@ -335,41 +322,38 @@ class HealthMonitor:
             )
         return [Alert(WARN, "interest_drift", message, value=deviation)]
 
-    def observe_slo(self, fields: dict[str, Any]) -> list[Alert]:
-        """Check one ``slo`` status row; alerts when its severity escalates."""
-        severity = fields.get("severity")
-        name = fields.get("name")
-        if _RANK.get(severity, 0) <= _RANK[self._slo_published.get(name)]:
-            return []
-        self._slo_published[name] = severity
-        if "burn_rate" in fields:  # windowed objective
-            message = (
-                f"SLO '{fields['spec']}' burning error budget: "
-                f"{fields['bad_fraction']:.0%} of the last "
-                f"{fields['n_samples']} samples violate the threshold "
-                f"(burn rate {fields['burn_rate']:.1f}x slow / "
-                f"{fields['fast_burn_rate']:.1f}x fast, "
-                f"{name} = {fields['value']:.4g} "
-                f"vs {fields['threshold']:.4g})"
+
+def _slo_alert(status: dict[str, Any]) -> Alert:
+    """The alert of an objective whose final status has a severity."""
+    name = status["name"]
+    if status["kind"] == "window":
+        message = (
+            f"SLO '{status['spec']}' burning error budget: "
+            f"{status['bad_fraction']:.0%} of the last "
+            f"{status['n_samples']} samples violate the threshold "
+            f"(burn rate {status['burn_rate']:.1f}x slow / "
+            f"{status['fast_burn_rate']:.1f}x fast, "
+            f"{name} = {status['value']:.4g} "
+            f"vs {status['threshold']:.4g})"
+        )
+        exemplars = status["exemplar_trace_ids"]
+        if exemplars:
+            message += (
+                "; worst traces: " + ", ".join(exemplars)
+                + " (repro analyze --trace <id>)"
             )
-            exemplars = fields.get("exemplar_trace_ids") or []
-            if exemplars:
-                message += (
-                    "; worst traces: " + ", ".join(exemplars)
-                    + " (repro analyze --trace <id>)"
-                )
-            rule = "slo_burn"
-        else:
-            message = (
-                f"SLO '{fields['spec']}' violated: "
-                f"{fields['value']:.4g} vs threshold "
-                f"{fields['threshold']:.4g}"
-            )
-            rule = "slo_violation"
-        return [Alert(
-            severity, rule, message,
-            value=fields["value"], threshold=fields["threshold"],
-        )]
+        rule = "slo_burn"
+    else:
+        message = (
+            f"SLO '{status['spec']}' violated: "
+            f"{status['value']:.4g} vs threshold "
+            f"{status['threshold']:.4g}"
+        )
+        rule = "slo_violation"
+    return Alert(
+        status["severity"], rule, message,
+        value=status["value"], threshold=status["threshold"],
+    )
 
 
 def _calibration_pair(fields: dict[str, Any]) -> Optional[tuple[float, float]]:
@@ -388,13 +372,15 @@ def alerts(run: Run) -> list[Alert]:
         "train.update": monitor.observe_update,
         "query": monitor.observe_query,
         "drift": monitor.observe_drift,
-        "slo": monitor.observe_slo,
     }
     found: list[Alert] = []
     for record in run.records:
         rule = rules.get(record.get("stream"))
         if rule is not None:
             found += rule(record)
+    found += [
+        _slo_alert(status) for status in _slo.statuses(run) if status["severity"]
+    ]
     return found
 
 

@@ -19,34 +19,17 @@ import threading
 from bisect import bisect_left
 from typing import Any, Optional, Sequence
 
-from . import context as _context
-from .clock import perf_counter
 from .runtime import STATE
 
 #: Default histogram bucket upper bounds: 1µs … ~100s, ×~3.16 per step.
 #: Suits both kernel timings (sub-ms) and whole-training spans (minutes).
 DEFAULT_BUCKETS = tuple(10.0 ** (e / 2.0) for e in range(-12, 5))
 
-#: Exemplars retained per bucket. Replacement keeps the largest values
-#: (deterministic "worst-value reservoir"): an SLO burn alert wants the
-#: trace ids of the *slowest* requests in the offending buckets.
-EXEMPLARS_PER_BUCKET = 2
-
 
 class Histogram:
-    """Fixed-bucket histogram with approximate percentiles.
+    """Fixed-bucket histogram with approximate percentiles."""
 
-    Samples observed while a :mod:`repro.obs.context` request context is
-    active may carry the request's trace id; those become per-bucket
-    *exemplars* — ``(value, trace_id, ts)`` triples linking the bucket
-    back to concrete requests. Exemplar storage is bounded
-    (``EXEMPLARS_PER_BUCKET`` per bucket, largest values win).
-    """
-
-    __slots__ = (
-        "bounds", "counts", "overflow", "total", "sum", "min", "max",
-        "exemplars",
-    )
+    __slots__ = ("bounds", "counts", "overflow", "total", "sum", "min", "max")
 
     def __init__(self, bounds: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         self.bounds = bounds
@@ -56,16 +39,8 @@ class Histogram:
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        #: bucket index -> [(value, trace_id, ts)], None until first use
-        #: (exemplar-free histograms stay one pointer bigger, nothing more).
-        self.exemplars: Optional[dict[int, list[tuple[float, str, float]]]] = None
 
-    def observe(
-        self,
-        value: float,
-        trace_id: Optional[str] = None,
-        ts: float = 0.0,
-    ) -> None:
+    def observe(self, value: float) -> None:
         index = bisect_left(self.bounds, value)
         if index < len(self.counts):
             self.counts[index] += 1
@@ -77,43 +52,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if trace_id is not None:
-            self._note_exemplar(index, float(value), trace_id, float(ts))
-
-    def _note_exemplar(
-        self, index: int, value: float, trace_id: str, ts: float
-    ) -> None:
-        if self.exemplars is None:
-            self.exemplars = {}
-        bucket = self.exemplars.setdefault(index, [])
-        bucket.append((value, trace_id, ts))
-        if len(bucket) > EXEMPLARS_PER_BUCKET:
-            # Keep the largest; ties break on (trace_id, ts) so the
-            # surviving set is a pure function of the observed multiset.
-            bucket.sort(reverse=True)
-            del bucket[EXEMPLARS_PER_BUCKET:]
-
-    def worst_exemplars(
-        self, n: int = 3, largest: bool = True
-    ) -> list[dict[str, Any]]:
-        """The ``n`` worst-value exemplars across all buckets.
-
-        "Worst" is directional: latency-style metrics (upper-bound SLOs)
-        want the largest values, quality-style metrics such as
-        ``quality.recall`` (lower-bound SLOs) want the smallest — pass
-        ``largest=False`` for those. Per-bucket retention always keeps the
-        largest values, but the bucket ladder is fine enough that the
-        survivors of the lowest occupied buckets are representative of
-        the minimum.
-        """
-        if not self.exemplars:
-            return []
-        flat = [triple for bucket in self.exemplars.values() for triple in bucket]
-        flat.sort(reverse=largest)
-        return [
-            {"value": value, "trace_id": trace_id, "ts": ts}
-            for value, trace_id, ts in flat[:n]
-        ]
 
     def percentile(self, q: float) -> float:
         """Approximate q-th percentile (q in [0, 100]) from the buckets.
@@ -168,18 +106,12 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = float(value)
 
-    def observe(
-        self,
-        name: str,
-        value: float,
-        trace_id: Optional[str] = None,
-        ts: float = 0.0,
-    ) -> None:
+    def observe(self, name: str, value: float) -> None:
         with self._lock:
             histogram = self._histograms.get(name)
             if histogram is None:
                 histogram = self._histograms[name] = Histogram()
-            histogram.observe(value, trace_id=trace_id, ts=ts)
+            histogram.observe(value)
 
     # -- read paths -------------------------------------------------- #
     def counter(self, name: str) -> float:
@@ -215,21 +147,10 @@ class MetricsRegistry:
 
 _REGISTRY = MetricsRegistry()
 
-#: Optional tap on histogram samples (installed by repro.obs.slo so
-#: latency objectives see every observation); at most one, None when no
-#: SLO tracker is configured.
-_SAMPLE_HOOK = None
-
 
 def registry() -> MetricsRegistry:
     """The process-global registry (always writable, even when disabled)."""
     return _REGISTRY
-
-
-def set_sample_hook(hook) -> None:
-    """Install (or clear, with None) the histogram-sample tap."""
-    global _SAMPLE_HOOK
-    _SAMPLE_HOOK = hook
 
 
 def add(name: str, value: float = 1.0) -> None:
@@ -245,21 +166,9 @@ def set_gauge(name: str, value: float) -> None:
 
 
 def observe(name: str, value: float) -> None:
-    """Record a histogram sample iff observability is enabled.
-
-    When a request context is active the sample carries its trace id as
-    a bucket exemplar (one ContextVar read on the enabled path; nothing
-    when observability is off or no request is in flight).
-    """
+    """Record a histogram sample iff observability is enabled."""
     if STATE.enabled:
-        trace_id = _context.current_trace_id()
-        if trace_id is not None:
-            _REGISTRY.observe(name, value, trace_id=trace_id, ts=perf_counter())
-        else:
-            _REGISTRY.observe(name, value)
-        hook = _SAMPLE_HOOK
-        if hook is not None:
-            hook(name, value)
+        _REGISTRY.observe(name, value)
 
 
 def snapshot() -> dict[str, Any]:

@@ -13,9 +13,9 @@ aggregate relative error). This module closes the loop at serving time:
   answers (chosen by a hash window of the trace id) is
   re-executed against the full database by the session; the measured
   recall and aggregate relative error arrive here and become
-  ``quality.recall`` / ``quality.agg_rel_error`` histogram samples
-  (with worst-quality trace-id exemplars), ``quality`` telemetry
-  records, and rows of a bounded in-memory audit table.
+  ``quality.recall`` / ``quality.agg_rel_error`` histogram samples,
+  ``quality`` telemetry records (the samples of the quality SLOs,
+  trace id included), and rows of a bounded in-memory audit table.
 
 Audit cost is bounded by construction: a budget governor skips audits
 once cumulative audit time exceeds ``max_overhead`` (default 1%) of

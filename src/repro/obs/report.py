@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from . import analyze as analyze_mod
 from . import health as health_mod
 from . import profiler as profiler_mod
+from . import slo as slo_mod
 from .rundir import Run, load
 
 #: How many trailing entries the tables show.
@@ -466,22 +467,22 @@ def section_slowest_traces(run: Run) -> list[str]:
 
 def section_slo(run: Run) -> list[str]:
     lines = ["## Service-level objectives", ""]
-    slo_doc = run.slo
-    if not slo_doc or not slo_doc.get("objectives"):
+    statuses = slo_mod.statuses(run)
+    if not statuses:
         lines.append(
-            "No `slo.json` in this run — record one with "
+            "No SLOs in this run — record them with "
             "`repro profile <command>` or `obs.run(slo_objectives=...)`."
         )
         return lines
     lines += [
-        f"Windows: {slo_doc.get('window')} samples slow / "
-        f"{slo_doc.get('fast_window')} fast; alert when both burn ≥ "
-        f"{slo_doc.get('warn_burn_rate')}x (WARN) / "
-        f"{slo_doc.get('crit_burn_rate')}x (CRIT).",
+        f"Windows: {slo_mod.WINDOW} samples slow / "
+        f"{slo_mod.FAST_WINDOW} fast; alert when both burn ≥ "
+        f"{slo_mod.WARN_BURN_RATE}x (WARN) / "
+        f"{slo_mod.CRIT_BURN_RATE}x (CRIT).",
         "",
     ]
     rows = []
-    for status in slo_doc["objectives"]:
+    for status in statuses:
         value = status.get("value")
         rows.append([
             status.get("spec"),

@@ -36,7 +36,6 @@ FILES = {
     "metrics": "metrics.json",
     "trace": "trace.json",
     "chrome_trace": "trace_chrome.json",
-    "slo": "slo.json",
     "memory": "memory.json",
     "quality": "quality.json",
     "profile": "profile.collapsed.txt",
@@ -45,7 +44,7 @@ FILES = {
 #: The artifacts :func:`load` parses, with their document type (``str``:
 #: collapsed-stack text). The Chrome trace is for Perfetto, not read back.
 _SHAPES = {
-    "metrics": dict, "trace": list, "slo": dict, "memory": dict,
+    "metrics": dict, "trace": list, "memory": dict,
     "quality": dict, "profile": str,
 }
 _EXPECTED = {
@@ -70,7 +69,6 @@ class Run:
     #: as trees (``trace.roots_dropped`` in ``metrics`` counts the rest) —
     #: the run's only store of span trees.
     trace: Optional[list[dict[str, Any]]] = None
-    slo: Optional[dict[str, Any]] = None
     memory: Optional[dict[str, Any]] = None
     quality: Optional[dict[str, Any]] = None
     #: ``profile.collapsed.txt`` parsed back into ``{stack: samples}``.

@@ -3,7 +3,7 @@
 Renders one operator-facing text frame from a loaded
 :class:`~repro.obs.rundir.Run` — the artifacts a live run flushes
 periodically (the telemetry JSONL and its rotated set, ``quality.json``,
-``slo.json`` and, for a profiled run, the collapsed stacks and
+``metrics.json`` and, for a profiled run, the collapsed stacks and
 ``memory.json``) and ``trace.json``, written at finish:
 
 * how many traces the run holds, by label (error / low_quality /
@@ -12,8 +12,9 @@ periodically (the telemetry JSONL and its rotated set, ``quality.json``,
   window of ``query`` telemetry records;
 * answer quality — shadow-audit accounting from ``quality.json``
   (audited recall, audit overhead) next to the calibration bias;
-* SLO burn — every objective's value and burn rate, alerting ones with
-  their worst trace ids;
+* SLO burn — every objective's value and burn rate
+  (:func:`repro.obs.slo.statuses`), alerting ones with their worst
+  trace ids;
 * for a profiled run: hot functions (self time), samples by enclosing
   span, traced memory and leak suspects;
 * health counts and the last alerts — :func:`repro.obs.health.alerts`
@@ -32,6 +33,7 @@ from . import analyze as analyze_mod
 from . import health as health_mod
 from . import metrics as metrics_mod
 from . import profiler as profiler_mod
+from . import slo as slo_mod
 from .rundir import Run
 
 #: Trailing window (seconds of record time) for the QPS rate.
@@ -101,8 +103,8 @@ def render_watch(run: Run, width: int = 78) -> str:
 
     # -- SLO burn ---------------------------------------------------- #
     lines.append(rule("SLO burn"))
-    objectives = (run.slo or {}).get("objectives") or []
-    for status in objectives:
+    statuses = slo_mod.statuses(run)
+    for status in statuses:
         value = status.get("value")
         shown = "-" if value is None else f"{value:.4g}"
         burn = (
@@ -120,8 +122,8 @@ def render_watch(run: Run, width: int = 78) -> str:
             lines.append(
                 f"    worst traces: {shown_ids}  (repro analyze --trace <id>)"
             )
-    if not objectives:
-        lines.append("  (no slo.json yet)")
+    if not statuses:
+        lines.append("  (no SLOs recorded)")
 
     # -- CPU profile + memory (profiled runs only) -------------------- #
     if run.profile:

@@ -150,13 +150,14 @@ class TestCLI:
         assert not (run_dir / "flamegraph.html").exists()
         assert not (run_dir / "traces.json").exists()
         assert (run_dir / "profile.collapsed.txt").stat().st_size > 0
-        assert (run_dir / "slo.json").stat().st_size > 0
+        assert not (run_dir / "slo.json").exists()
         assert (run_dir / "memory.json").stat().st_size > 0
 
         code = main(["watch", "--dir", str(run_dir), "--once"])
         assert code == 0
         frame = capsys.readouterr().out
         assert "SLO burn" in frame
+        assert "query.p95 < 250ms" in frame  # the recorded objective
         assert "hot functions (self time)" in frame
         assert "samples by span" in frame
         assert "traced" in frame and "RSS" in frame  # the memory pane

@@ -1,12 +1,11 @@
-"""Request-scoped causal tracing: context, stamping, exemplars.
+"""Request-scoped causal tracing: context, stamping, SLO exemplars.
 
 Covers the identity pipeline end to end (DESIGN.md §13):
 
 * :mod:`repro.obs.context` — trace ids, activation, reuse;
 * trace-id stamping into spans, telemetry records, ``QueryStats`` and
   the EXPLAIN ANALYZE footer;
-* metric exemplars — capture under an active context, bounded per
-  bucket;
+* SLO exemplars — the trace ids of the worst recorded rows;
 * deterministic ``telemetry.load_run`` ordering across rotated parts
   with colliding timestamps;
 * ``Histogram.percentile`` interpolating inside the winning bucket
@@ -22,11 +21,7 @@ import pytest
 from repro import obs
 from repro.db import Database, execute, explain, sql
 from repro.obs import context, health, metrics, slo, telemetry, trace
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    EXEMPLARS_PER_BUCKET,
-    Histogram,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 
 from tests.test_columnstore import _comparable, make_table
 
@@ -41,7 +36,6 @@ def clean_obs():
         metrics.reset()
         telemetry.reset()
         telemetry.configure(None)
-        slo.clear()
 
     scrub()
     yield
@@ -150,40 +144,6 @@ class TestStamping:
 
 
 # ------------------------------------------------------------------ #
-# metric exemplars
-# ------------------------------------------------------------------ #
-class TestExemplars:
-    def test_observe_captures_exemplar_only_under_context(self):
-        obs.enable()
-        metrics.observe("lat", 0.5)
-        hist = metrics.registry().histogram("lat")
-        assert hist.worst_exemplars() == []
-        request = context.new_context()
-        with context.activate(request):
-            metrics.observe("lat", 0.7)
-        worst = hist.worst_exemplars()
-        assert [e["trace_id"] for e in worst] == [request.trace_id]
-        assert worst[0]["value"] == 0.7
-
-    def test_bucket_reservoir_keeps_largest_values(self):
-        hist = Histogram(bounds=(1.0, 10.0))
-        for i in range(10):
-            # all land in the same bucket; ids encode the value
-            hist.observe(2.0 + i * 0.1, trace_id=f"{i:032x}", ts=float(i))
-        bucket = hist.exemplars[1]
-        assert len(bucket) == EXEMPLARS_PER_BUCKET
-        kept = sorted(value for value, _, _ in bucket)
-        assert kept == [pytest.approx(2.8), pytest.approx(2.9)]
-
-    def test_snapshot_shape_unchanged_by_exemplars(self):
-        hist = Histogram()
-        hist.observe(0.5, trace_id="ab" * 16, ts=1.0)
-        assert set(hist.snapshot()) == {
-            "count", "sum", "min", "max", "mean", "p50", "p95", "p99",
-        }
-
-
-# ------------------------------------------------------------------ #
 # satellite pins: percentile interpolation, load_run ordering
 # ------------------------------------------------------------------ #
 class TestPercentileInterpolation:
@@ -250,40 +210,37 @@ class TestPropagation:
 # SLO exemplar attachment
 # ------------------------------------------------------------------ #
 class TestSLOExemplars:
+    @staticmethod
+    def _run(rows):
+        return obs.rundir.Run("mem", records=[
+            {"stream": "slo", "spec": "query.p95 < 10ms"}, *rows,
+        ])
+
     def test_burn_alert_carries_worst_exemplar_trace_ids(self):
-        obs.enable()
-        slo.configure(["custom.lat.p95 < 10ms"])
-        request = context.new_context()
-        with context.activate(request):
-            for _ in range(12):
-                metrics.observe("custom.lat", 0.5)  # 500ms, violating
-        slo.publish()
-        alerts = health.alerts(obs.rundir.Run("mem", records=telemetry.records()))
-        burn = [a for a in alerts if a.rule == "slo_burn"]
-        assert burn and request.trace_id in burn[0].message
+        ids = [f"{i:032x}" for i in range(12)]
+        run = self._run([
+            {"stream": "query", "elapsed_seconds": 0.5 + i / 100, "trace_id": ids[i]}
+            for i in range(12)  # 500ms+, violating; ids[11] is the slowest
+        ])
+        (burn,) = [a for a in health.alerts(run) if a.rule == "slo_burn"]
+        assert ", ".join(ids[:-4:-1]) in burn.message
+        (status,) = slo.statuses(run)
+        assert status["exemplar_trace_ids"] == [ids[11], ids[10], ids[9]]
 
-        statuses = slo.active().evaluate()
-        status = next(s for s in statuses if s["kind"] == "window")
-        assert request.trace_id in status["exemplar_trace_ids"]
-
-    def test_watch_renders_exemplar_ids_under_burn_line(self, tmp_path):
+    def test_watch_renders_exemplar_ids_under_burn_line(self):
         from repro.obs.watch import render_watch
 
         trace_id = "e" * 32
-        (tmp_path / "slo.json").write_text(json.dumps({"objectives": [{
-            "kind": "window", "spec": "query.p95 < 1ms", "severity": "CRIT",
-            "value": 0.5, "burn_rate": 50.0,
-            "exemplar_trace_ids": [trace_id],
-        }]}))
-        frame = render_watch(obs.rundir.load(str(tmp_path)))
+        frame = render_watch(self._run(
+            [{"stream": "query", "elapsed_seconds": 0.5}] * 11
+            + [{"stream": "query", "elapsed_seconds": 0.5, "trace_id": trace_id}]
+        ))
         assert f"worst traces: {trace_id[:16]}" in frame
         assert "repro analyze --trace" in frame
 
     def test_no_exemplars_without_context(self):
-        obs.enable()
-        slo.configure(["custom.lat.p95 < 10ms"])
-        for _ in range(12):
-            metrics.observe("custom.lat", 0.5)
-        statuses = slo.active().evaluate()
-        status = next(s for s in statuses if s["kind"] == "window")
+        (status,) = slo.statuses(self._run(
+            [{"stream": "query", "elapsed_seconds": 0.5}] * 12
+        ))
+        assert status["severity"] == health.CRIT
         assert status["exemplar_trace_ids"] == []

@@ -329,7 +329,7 @@ class TestJoinOrderEstimatesOnDemand:
         assert list(estimates) == order[1:1 + len(estimates)]
         assert estimates == {table: eager[table] for table in estimates}
 
-    def test_observed_q_error_samples_are_the_plan_s(self, tiny_imdb):
+    def test_observed_q_error_samples_are_the_plan_s(self, tiny_imdb, monkeypatch):
         from repro import obs
         from repro.db import q_error
         from repro.obs import metrics
@@ -343,14 +343,14 @@ class TestJoinOrderEstimatesOnDemand:
         plan = explain(tiny_imdb.db, query, analyze=True)
         joins = [n for n in plan.operators() if n.op == "hash_join"]
         samples = []
-        obs.enable()
-        metrics.set_sample_hook(
-            lambda name, value: name == "executor.join.q_error" and samples.append(value)
+        monkeypatch.setattr(
+            metrics, "observe",
+            lambda name, value: name == "executor.join.q_error" and samples.append(value),
         )
+        obs.enable()
         try:
             execute(tiny_imdb.db, query)
         finally:
-            metrics.set_sample_hook(None)
             obs.disable()
             metrics.reset()
         assert len(joins) == 2

@@ -9,7 +9,7 @@ from repro import obs
 from repro.bench.reporting import config_hash, run_provenance, save_results
 from repro.core import ASQPConfig, ASQPSession, ASQPTrainer
 from repro.obs import health, metrics, telemetry, trace
-from repro.obs.health import CRIT, WARN, HealthMonitor, HealthThresholds
+from repro.obs.health import CRIT, WARN, HealthMonitor
 from repro.obs.report import build_report, render_markdown
 from repro.obs.rundir import Run, load
 
@@ -137,9 +137,14 @@ class TestHealthRules:
         assert health.counts(found) == {WARN: 1, CRIT: 1}
         assert health.counts([]) == {WARN: 0, CRIT: 0}
 
-    def test_custom_thresholds(self):
-        monitor = HealthMonitor(HealthThresholds(kl_warn=0.001, kl_crit=0.005))
-        assert monitor.observe_update(_update())[0].severity == CRIT
+    def test_kl_thresholds_are_the_module_constants(self):
+        monitor = HealthMonitor()
+        warn = monitor.observe_update(_update(kl_divergence=health.KL_WARN + 0.01))
+        crit = monitor.observe_update(_update(kl_divergence=health.KL_CRIT + 0.01))
+        assert [(a.severity, a.threshold) for a in warn + crit] == [
+            (WARN, health.KL_WARN), (CRIT, health.KL_CRIT),
+        ]
+        assert monitor.observe_update(_update(kl_divergence=health.KL_WARN)) == []
 
 
 # ------------------------------------------------------------------ #
@@ -223,53 +228,50 @@ class TestCalibrationDriftRule:
 
 
 class TestSLORule:
-    """The rule over ``slo`` rows: alert on severity escalation per objective."""
+    """One alert per recorded objective whose final status has a severity."""
 
     @staticmethod
-    def _window(severity, name="query.p95", **fields):
-        return {
-            "stream": "slo", "name": name, "spec": f"{name} < 10ms",
-            "threshold": 0.01, "n_samples": 20, "value": 0.5,
-            "bad_fraction": 1.0, "fast_bad_fraction": 1.0,
-            "burn_rate": 100.0, "fast_burn_rate": 100.0,
-            "severity": severity, "exemplar_trace_ids": [], **fields,
-        }
+    def _spec(spec):
+        return {"stream": "slo", "spec": spec}
 
     @staticmethod
-    def _gauge(severity, value):
-        return {
-            "stream": "slo", "name": "estimator.calibration_error",
-            "spec": "estimator.calibration_error < 0.1", "threshold": 0.1,
-            "n_samples": 1, "value": value, "ok": severity is None,
-            "severity": severity,
-        }
+    def _queries(seconds, n, **fields):
+        return [{"stream": "query", "elapsed_seconds": seconds, **fields}] * n
 
-    @pytest.mark.parametrize("severities, expected", [
-        ([None, None], []),
-        ([CRIT, CRIT, CRIT], [CRIT]),              # periodic rows: one alert
-        ([None, WARN, WARN, CRIT, WARN], [WARN, CRIT]),
-        ([CRIT, None, WARN], [CRIT]),              # an SLO alert never re-arms
-    ])
-    def test_first_row_per_objective_above_the_last_published(
-        self, severities, expected
-    ):
-        rows = [self._window(severity) for severity in severities]
-        assert _rules(rows) == [(s, "slo_burn") for s in expected]
-
-    def test_objectives_escalate_independently(self):
-        rows = [
-            self._window(WARN, name="query.p95"),
-            self._window(WARN, name="executor.p95"),
-            self._window(WARN, name="query.p95"),
+    def test_recorded_severities_are_ignored_the_final_status_decides(self):
+        """A status row an older run recorded is read for its spec only."""
+        recorded = [
+            {**self._spec("query.p95 < 10ms"), "name": "query.p95",
+             "severity": severity}
+            for severity in (None, WARN, CRIT)
         ]
-        assert _rules(rows) == [(WARN, "slo_burn")] * 2
+        assert _rules(recorded + self._queries(0.001, 20)) == []
+        assert _rules(recorded + self._queries(0.5, 20)) == [(CRIT, "slo_burn")]
+
+    def test_objectives_alert_independently(self):
+        rows = [
+            self._spec("query.p95 < 10ms"),
+            self._spec("train.update.p50 < 10ms @ 90%"),
+            *self._queries(0.5, 20),
+            *[{"stream": "train.update", "update_seconds": seconds}
+              for seconds in [0.001] * 7 + [0.5] * 3],
+        ]
+        # query: 100% bad = 100x burn; train.update: 30% bad of a 10%
+        # budget = 3x burn, between WARN (2x) and CRIT (10x).
+        assert _rules(rows) == [(CRIT, "slo_burn"), (WARN, "slo_burn")]
 
     def test_messages_are_built_from_the_row(self):
         trace_id = "ab" * 16
-        burn, violation = health.alerts(Run("mem", records=[
-            self._window(CRIT, exemplar_trace_ids=[trace_id]),
-            self._gauge(CRIT, 0.401),
-        ]))
+        burn, violation = health.alerts(Run(
+            "mem",
+            records=[
+                self._spec("query.p95 < 10ms"),
+                self._spec("estimator.calibration_error < 0.1"),
+                *self._queries(0.5, 19),
+                *self._queries(0.5, 1, trace_id=trace_id),
+            ],
+            metrics={"gauges": {"estimator.calibration_error": 0.401}},
+        ))
         assert burn.message == (
             "SLO 'query.p95 < 10ms' burning error budget: 100% of the last "
             "20 samples violate the threshold (burn rate 100.0x slow / "
@@ -278,10 +280,19 @@ class TestSLORule:
         )
         assert (burn.value, burn.threshold) == (0.5, 0.01)
         assert violation.rule == "slo_violation"
+        assert violation.severity == CRIT
         assert violation.message == (
             "SLO 'estimator.calibration_error < 0.1' violated: "
             "0.401 vs threshold 0.1"
         )
+
+    def test_slo_alerts_follow_the_rows_alerts(self):
+        rows = [
+            self._spec("query.p95 < 10ms"),
+            *self._queries(0.5, 20),
+            {"stream": "drift", "pending_count": 2, "mean_deviation": 0.8},
+        ]
+        assert _rules(rows) == [(WARN, "interest_drift"), (CRIT, "slo_burn")]
 
 
 # ------------------------------------------------------------------ #

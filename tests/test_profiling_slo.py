@@ -3,10 +3,10 @@
 Covers the sampling profiler (collapsed stacks, span attribution, the
 unique-stack cap, the rate check), the tracemalloc memory tracker
 (epoch gauges, leak verdicts, inactive no-ops), the declarative SLO
-layer (spec parsing, burn-rate status rows and the health alerts folded
-from them, escalation dedup), telemetry rotation boundaries (byte cap, exact line
-cap, replay across the rotated set), and the ``obs.run`` context
-manager's flush-on-exception guarantee.
+layer (spec parsing, the status fold over a run's recorded rows and the
+health alerts built from it), telemetry rotation boundaries (byte cap,
+exact line cap, replay across the rotated set), and the ``obs.run``
+context manager's flush-on-exception guarantee.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ def clean_obs():
     def scrub():
         profiler.stop()
         memory.stop()
-        slo.clear()
         obs.disable()
         trace.reset()
         metrics.reset()
@@ -47,9 +46,21 @@ def clean_obs():
     scrub()
 
 
-def _recorded_alerts() -> list[health.Alert]:
-    """The alerts of everything on the in-memory telemetry ring so far."""
-    return health.alerts(obs.rundir.Run("mem", records=telemetry.records()))
+def _slo_run(specs, rows=(), gauges=None) -> obs.rundir.Run:
+    """A hand-built run: one ``slo`` row per spec, then ``rows``."""
+    return obs.rundir.Run(
+        "mem",
+        records=[{"stream": "slo", "spec": spec} for spec in specs] + list(rows),
+        metrics={"gauges": gauges or {}},
+    )
+
+
+def _queries(*seconds) -> list[dict]:
+    return [{"stream": "query", "elapsed_seconds": s} for s in seconds]
+
+
+def _severities(run) -> list[tuple[str, str]]:
+    return [(a.severity, a.rule) for a in health.alerts(run)]
 
 
 def _busy_loop(seconds: float) -> int:
@@ -277,8 +288,8 @@ class TestObjectiveParsing:
         assert objective.metric == "estimator.calibration_error"
 
     def test_explicit_target_and_units(self):
-        objective = slo.parse_objective("executor.p99 <= 1500us @ 99.9%")
-        assert objective.metric == "executor.query.seconds"
+        objective = slo.parse_objective("query.p99 <= 1500us @ 99.9%")
+        assert objective.metric == "session.query.seconds"
         assert objective.agg == "p99"
         assert objective.threshold == pytest.approx(0.0015)
         assert objective.target == pytest.approx(0.999)
@@ -288,6 +299,17 @@ class TestObjectiveParsing:
             slo.parse_objective("not a spec")
         with pytest.raises(ValueError):
             slo.parse_objective("query.p95 < 250ms @ 150%")
+
+    @pytest.mark.parametrize("spec", [
+        "query.p95 < 1.2.3ms",      # not a number
+        "query.p95 < .",
+        "query.p95 < 250ms @ 9.9.9%",
+        "query < 250ms",            # recorded samples need an aggregate
+        "recall > 0.85",
+    ])
+    def test_outside_input_is_unparseable(self, spec):
+        with pytest.raises(ValueError, match="unparseable SLO spec"):
+            slo.parse_objective(spec)
 
     def test_compliance_operators(self):
         lt = slo.parse_objective("m.p50 < 1")
@@ -299,87 +321,121 @@ class TestObjectiveParsing:
 # ------------------------------------------------------------------ #
 # SLO burn-rate alerting
 # ------------------------------------------------------------------ #
-class TestSLOTracker:
+class TestSLOFold:
     def test_violated_latency_slo_raises_crit_health_alert(self):
         """Pinned: a sustained gross violation must read CRIT in health."""
-        obs.enable()
-        slo.configure(["query.p95 < 10ms"])
-        for _ in range(20):
-            metrics.observe("session.query.seconds", 0.5)
-        slo.publish()
-        alerts = _recorded_alerts()
+        run = _slo_run(["query.p95 < 10ms"], _queries(*[0.5] * 20))
+        alerts = health.alerts(run)
         assert [(a.severity, a.rule) for a in alerts] == [
             (health.CRIT, "slo_burn")
         ]
         assert alerts[0].value == pytest.approx(0.5)
         assert alerts[0].threshold == pytest.approx(0.01)
-        # The tracker records statuses, never verdicts.
-        assert {r["stream"] for r in telemetry.records()} == {"slo"}
-        assert not metrics.snapshot()["gauges"]
 
     def test_within_budget_run_stays_quiet(self):
-        obs.enable()
-        slo.configure(["query.p95 < 250ms"])
-        for _ in range(50):
-            metrics.observe("session.query.seconds", 0.01)
-        slo.publish()
-        assert _recorded_alerts() == []
-        status = slo.active().evaluate()[0]
+        run = _slo_run(["query.p95 < 250ms"], _queries(*[0.01] * 50))
+        assert _severities(run) == []
+        (status,) = slo.statuses(run)
         assert status["ok"] and status["severity"] is None
         assert status["burn_rate"] == 0.0
+        assert status["n_samples"] == 50
 
     def test_min_samples_gate_blocks_early_alerts(self):
-        obs.enable()
-        slo.configure(["query.p95 < 10ms"])
-        for _ in range(slo.MIN_SAMPLES - 1):
-            metrics.observe("session.query.seconds", 0.5)
-        slo.publish()
-        assert _recorded_alerts() == []
+        bad = [0.5] * slo.MIN_SAMPLES
+        assert _severities(_slo_run(["query.p95 < 10ms"], _queries(*bad[1:]))) == []
+        assert _severities(_slo_run(["query.p95 < 10ms"], _queries(*bad))) == [
+            (health.CRIT, "slo_burn")
+        ]
 
-    def test_publish_dedup_and_escalation(self):
-        obs.enable()
-        tracker = slo.configure(["query.p95 < 10ms"])
-        for _ in range(20):
-            metrics.observe("session.query.seconds", 0.5)
-        tracker.publish()
-        assert len(_recorded_alerts()) == 1
-        # Re-evaluating the same state records a row but no new alert.
-        tracker.publish()
-        assert len(telemetry.records("slo")) == 2
-        assert len(_recorded_alerts()) == 1
+    def test_burn_thresholds(self):
+        # target 90%: budget 0.1; 3 of 10 bad = 3x (WARN), 10 of 10 = 10x.
+        spec = ["query.p50 < 10ms @ 90%"]
+        assert _severities(_slo_run(spec, _queries(*[0.001] * 9, 0.5))) == []
+        assert _severities(_slo_run(spec, _queries(*[0.001] * 7, *[0.5] * 3))) == [
+            (health.WARN, "slo_burn")
+        ]
+        assert _severities(_slo_run(spec, _queries(*[0.5] * 10))) == [
+            (health.CRIT, "slo_burn")
+        ]
+
+    def test_windows_are_the_last_256_and_32_samples(self):
+        """300 rows: 44 bad ones drop out of the slow window, and the
+        fast window holds exactly the trailing 32 bad ones."""
+        assert (slo.WINDOW, slo.FAST_WINDOW) == (256, 32)
+        seconds = [0.5] * 44 + [0.001] * 224 + [0.5] * 32
+        (status,) = slo.statuses(_slo_run(["query.p95 < 10ms"], _queries(*seconds)))
+        assert status["n_samples"] == 256
+        assert status["bad_fraction"] == 32 / 256
+        assert status["fast_bad_fraction"] == 1.0
+        assert status["burn_rate"] == pytest.approx(12.5)
+        assert status["fast_burn_rate"] == pytest.approx(100.0)
+        assert status["severity"] == health.CRIT
+
+    def test_each_source_reads_its_rows(self):
+        rows = [
+            {"stream": "train.update", "rollout_seconds": 2.0, "update_seconds": 0.5},
+            {"stream": "quality", "kind": "audit", "recall": 0.25,
+             "agg_rel_error": None},
+            {"stream": "quality", "kind": "audit", "recall": 0.75,
+             "agg_rel_error": 0.125},
+            *_queries(0.003),
+        ]
+        run = _slo_run([
+            "train.rollout.max < 1s", "train.update.max < 1s",
+            "recall.mean > 0.9", "agg_rel_error.mean < 0.1",
+            "query.max < 1ms", "executor.p95 < 200ms",
+        ], rows)
+        assert [(s["value"], s["n_samples"]) for s in slo.statuses(run)] == [
+            (2.0, 1), (0.5, 1), (0.5, 2), (0.125, 1), (0.003, 1), (None, 0),
+        ]
 
     def test_gauge_objective_warn_and_crit(self):
-        obs.enable()
-        tracker = slo.configure(["estimator.calibration_error < 0.1"])
-        metrics.set_gauge("estimator.calibration_error", 0.15)
-        tracker.publish()
-        assert [a.severity for a in _recorded_alerts()] == [health.WARN]
-        # 2x past the threshold escalates to CRIT (dedup allows escalation).
-        metrics.set_gauge("estimator.calibration_error", 0.25)
-        tracker.publish()
-        tracker.publish()
-        alerts = _recorded_alerts()
-        assert [a.severity for a in alerts] == [health.WARN, health.CRIT]
-        assert {a.rule for a in alerts} == {"slo_violation"}
+        spec = ["estimator.calibration_error < 0.1"]
+        for value, severity in ((0.05, None), (0.15, health.WARN), (0.25, health.CRIT)):
+            run = _slo_run(spec, gauges={"estimator.calibration_error": value})
+            (status,) = slo.statuses(run)
+            assert (status["value"], status["severity"]) == (value, severity)
+            expected = [(severity, "slo_violation")] if severity else []
+            assert _severities(run) == expected
+        (unset,) = slo.statuses(_slo_run(spec))
+        assert (unset["value"], unset["n_samples"]) == (None, 0)
 
-    def test_sample_hook_detached_on_clear(self):
-        obs.enable()
-        tracker = slo.configure(["query.p95 < 250ms"])
-        metrics.observe("session.query.seconds", 0.01)
-        assert len(tracker._samples["session.query.seconds"]) == 1
-        slo.clear()
-        metrics.observe("session.query.seconds", 0.01)
-        assert len(tracker._samples["session.query.seconds"]) == 1
+    def test_reads_the_parent_status_rows(self):
+        """Older runs recorded a status row per objective at every flush;
+        each still names its objective once, and nothing else is read."""
+        status_row = {
+            "stream": "slo", "name": "executor.p95", "spec": "executor.p95 < 200ms",
+            "metric": "executor.query.seconds", "threshold": 0.2, "n_samples": 10,
+            "value": 0.002, "ok": True, "burn_rate": 0.0, "severity": "CRIT",
+            "exemplar_trace_ids": ["ab" * 16],
+        }
+        run = obs.rundir.Run("mem", records=[
+            status_row,
+            {**status_row, "name": "query.p95", "spec": "query.p95 < 250ms"},
+            *_queries(0.002, 0.004),
+            status_row,
+        ])
+        assert [o.spec for o in slo.objectives(run)] == [
+            "executor.p95 < 200ms", "query.p95 < 250ms",
+        ]
+        executor, query = slo.statuses(run)
+        assert (executor["n_samples"], executor["value"]) == (0, None)
+        assert executor["exemplar_trace_ids"] == []
+        assert (query["n_samples"], query["value"]) == (2, 0.004)
+        assert health.alerts(run) == []
 
-    def test_summary_written_as_json(self, tmp_path):
+    def test_configure_records_one_spec_row_per_objective(self):
         obs.enable()
-        slo.configure(["query.p95 < 250ms"])
-        metrics.observe("session.query.seconds", 0.01)
-        path = obs.rundir.write(str(tmp_path), "slo", slo.active().summary())
-        with open(path) as handle:
-            doc = json.load(handle)
-        assert doc["objectives"][0]["spec"] == "query.p95 < 250ms"
-        assert doc["objectives"][0]["n_samples"] == 1
+        specs = ["query.p95 < 250ms", " estimator.calibration_error < 0.1 "]
+        assert [o.spec for o in slo.configure(specs)] == [s.strip() for s in specs]
+        assert [
+            {k: r[k] for k in ("stream", "spec")} for r in telemetry.records()
+        ] == [{"stream": "slo", "spec": s.strip()} for s in specs]
+        assert all(set(r) == {"stream", "seq", "ts", "spec"} for r in telemetry.records())
+        telemetry.reset()
+        with pytest.raises(ValueError, match="unparseable SLO spec"):
+            slo.configure(["query.p95 < 250ms", "query < 250ms"])
+        assert telemetry.records() == []
 
 
 # ------------------------------------------------------------------ #
@@ -570,14 +626,24 @@ class TestRunContextManager:
             ):
                 assert profiler.is_active()
                 assert memory.is_active()
-                assert slo.is_active()
                 raise ValueError("abandon run")
         assert not profiler.is_active()
         assert not memory.is_active()
-        assert not slo.is_active()
         assert not obs.is_enabled()
-        for name in ("profile.collapsed.txt", "memory.json", "slo.json"):
+        for name in ("profile.collapsed.txt", "memory.json"):
             assert os.path.exists(os.path.join(run_dir, name))
+        assert not os.path.exists(os.path.join(run_dir, "slo.json"))
+        recorded = obs.rundir.load(run_dir)
+        assert [o.spec for o in slo.objectives(recorded)] == ["query.p95 < 250ms"]
+
+    def test_unparseable_objective_leaves_observability_off(self, tmp_path):
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="unparseable SLO spec"):
+            with obs.run(str(run_dir), slo_objectives=["query.p95 < bogus"]):
+                pass
+        assert not obs.is_enabled()
+        telemetry.emit("late", step=1)
+        assert not (run_dir / "telemetry.jsonl").exists()
 
     def test_profiled_session_run_attributes_executor_work(self, tiny_flights):
         """End to end: executor kernels appear in a profiled run's stacks."""

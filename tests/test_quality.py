@@ -29,7 +29,6 @@ def clean_obs():
 
     def scrub():
         quality.clear()
-        slo.clear()
         obs.disable()
         trace.reset()
         metrics.reset()
@@ -324,26 +323,27 @@ class TestQualitySLO:
         assert objective.metric == "quality.recall"
 
     def test_low_recall_burns_with_smallest_sample_exemplars(self):
-        obs.enable()
-        tracker = slo.configure(["quality.recall.p10 > 0.85 @ 90%"])
-        registry = metrics.registry()
         # 11 audited answers, all violating; the worst (smallest) two
         # carry distinct trace ids that must surface as exemplars.
         worst = "11" * 16
         second = "22" * 16
-        registry.observe("quality.recall", 0.05, trace_id=worst)
-        registry.observe("quality.recall", 0.10, trace_id=second)
-        for i in range(9):
-            registry.observe("quality.recall", 0.3 + i * 0.01)
-        for value in (0.05, 0.10) + tuple(0.3 + i * 0.01 for i in range(9)):
-            tracker.record("quality.recall", value)
-        tracker.publish()
-        alerts = health.alerts(obs.rundir.Run("mem", records=telemetry.records()))
+        audits = [(0.05, worst), (0.10, second)] + [
+            (0.3 + i * 0.01, None) for i in range(9)
+        ]
+        run = obs.rundir.Run("mem", records=[
+            {"stream": "slo", "spec": "quality.recall.p10 > 0.85 @ 90%"},
+            *[
+                {"stream": "quality", "kind": "audit", "recall": recall,
+                 "agg_rel_error": None,
+                 **({"trace_id": trace_id} if trace_id else {})}
+                for recall, trace_id in audits
+            ],
+        ])
+        alerts = health.alerts(run)
         burn = [a for a in alerts if a.rule == "slo_burn"]
         assert burn and burn[0].severity == health.CRIT
         assert "quality.recall.p10" in burn[0].message
-        assert worst in burn[0].message
-        assert second in burn[0].message
+        assert f"worst traces: {worst}, {second} (" in burn[0].message
         assert "repro analyze --trace" in burn[0].message
 
     def test_quality_objectives_constants_parse(self):

@@ -33,7 +33,7 @@ from repro.__main__ import main, run_smoke
 from repro.obs import analyze, health, metrics, rundir, slo, trace
 from repro.obs.watch import render_watch
 
-PARSED_ARTIFACTS = ("metrics", "trace", "profile", "slo", "memory", "quality")
+PARSED_ARTIFACTS = ("metrics", "trace", "profile", "memory", "quality")
 
 
 def reading_verbs(run_dir):
@@ -115,7 +115,7 @@ class TestDamagedRun:
         assert rundir.load(run_copy).profile == {}
 
     def test_wrong_shape_names_the_expectation(self, run_copy):
-        with open(os.path.join(run_copy, "slo.json"), "w") as handle:
+        with open(os.path.join(run_copy, "quality.json"), "w") as handle:
             handle.write("[1, 2]")
         with pytest.raises(rundir.RunError, match="expected a JSON object"):
             rundir.load(run_copy)
@@ -129,10 +129,9 @@ class TestAtomicArtifacts:
         self, tmp_path, monkeypatch
     ):
         run_dir = str(tmp_path / "run")
-        flushed = ("slo", "metrics", "quality", "memory")
+        flushed = ("metrics", "quality", "memory")
         obs.start_run(run_dir, audit_rate=1.0)
         try:
-            slo.configure(["query.p95 < 250ms"])
             obs.memory.start()
             obs._flush_continuous(run_dir)
             before = {
@@ -228,23 +227,24 @@ class TestViewsAreSections:
     def test_only_rundir_knows_a_file_name(
         self, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setitem(rundir.FILES, "slo", "x.json")
+        monkeypatch.setitem(rundir.FILES, "quality", "x.json")
         monkeypatch.setitem(rundir.FILES, "trace", "y.json")
         monkeypatch.setitem(rundir.FILES, "telemetry", "z.jsonl")
         run_dir = run_smoke(str(tmp_path / "renamed"))
         names = set(os.listdir(run_dir))
         assert {"x.json", "y.json", "z.jsonl"} <= names
-        assert not names & {"slo.json", "trace.json", "telemetry.jsonl"}
+        assert not names & {"quality.json", "trace.json", "telemetry.jsonl"}
 
         for verb, argv in reading_verbs(run_dir).items():
             assert main(argv) == 0, verb
         out = capsys.readouterr().out
         # Content that can only have come from the renamed artifacts.
-        assert "estimator.calibration_error < 0.1" in out      # x.json
+        assert "skipped by the sampling coin" in out           # x.json
         assert "train.update" in out and "no regressions" in out  # y.json
         assert "3 queries" in out                                # z.jsonl
+        assert "estimator.calibration_error < 0.1" in out       # z.jsonl
         run = rundir.load(run_dir)
-        assert run.slo["objectives"] and run.trace and run.records
+        assert run.quality["counts"] and run.trace and run.records
 
 
 # ------------------------------------------------------------------ #

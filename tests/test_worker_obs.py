@@ -93,7 +93,7 @@ class TestWatchConsole:
         run_dir = self._run_dir_with_traffic(tmp_path)
         frame = render_watch(obs.rundir.load(run_dir))
         assert "1 queries" in frame
-        assert "(no slo.json yet)" in frame
+        assert "(no SLOs recorded)" in frame
         assert "0 CRIT, 0 WARN" in frame
 
     def test_render_watch_is_deterministic_for_a_finished_run(self, tmp_path):
