@@ -671,39 +671,40 @@ def run_audit_overhead(repeats: int) -> dict:
     """Measure the cost of shadow auditing on end-to-end query serving.
 
     Builds one micro trained session (flights at scale 0.12, ASQP-Light)
-    and serves its workload with the quality monitor installed at the
-    default audit rate. Both overhead components are *directly
-    attributed* rather than inferred from paired A/B round ratios — on
-    a one-core container the per-round jitter of millisecond serving
-    batches is +/-30%, an order of magnitude above the signal, so a
-    paired median either hides a ~10ms audit spike or reports pure
-    scheduler noise as overhead:
+    and serves its workload under the audit governor at the default
+    audit rate. Both overhead components are *directly attributed*
+    rather than inferred from paired A/B round ratios — on a one-core
+    container the per-round jitter of millisecond serving batches is
+    +/-30%, an order of magnitude above the signal, so a paired median
+    either hides a ~10ms audit spike or reports pure scheduler noise as
+    overhead:
 
-    * **accounting** — the per-query cost of the always-on quality
-      bookkeeping. The exact calls the session makes per served query
-      (``observe_query`` on the approximation path plus the
-      ``should_audit`` coin-and-budget check) are micro-timed over
-      thousands of iterations on a probe monitor and divided by the
-      measured per-query serving time. Both numerator and denominator
-      are tight-loop averages, stable to a few percent where the
-      paired ratio swung by whole percentage points of overhead.
+    * **accounting** — the per-query cost of the always-on admission
+      decision. The exact call the session makes per served query
+      (``Governor.admit``: served seconds, coin, budget) is micro-timed
+      over thousands of iterations on a probe governor and divided by
+      the measured per-query serving time. Both numerator and
+      denominator are tight-loop averages, stable to a few percent
+      where the paired ratio swung by whole percentage points of
+      overhead.
     * **audit time** — the ground-truth re-executions themselves: the
       session wraps each audit in a ``perf_counter`` pair and the
-      monitor accumulates the spent seconds, so this component is
+      governor accumulates the spent seconds, so this component is
       exact wall-clock attribution (audit seconds over serving seconds
-      across the monitored phase, first always-allowed audit excluded
+      across the governed phase, first always-allowed audit excluded
       via snapshots).
 
-    The budget governor in :mod:`repro.obs.quality` keeps the audit
-    component under ``max_overhead`` (1%) of serving time by
-    construction — beyond the always-allowed first audit it only admits
-    an audit the remaining budget can cover — so the combined gate at
-    <2% fails only when the governor or the accounting hot path breaks,
-    not when the machine is noisy.
+    The governor in :mod:`repro.obs.quality` keeps the audit component
+    under ``MAX_OVERHEAD`` (1%) of serving time by construction —
+    beyond the always-allowed first audit it only admits an audit the
+    remaining budget can cover — so the combined gate at <2% fails only
+    when the governor or the accounting hot path breaks, not when the
+    machine is noisy. The audit counts are the read-time fold
+    (``quality.accounting``) over the governed phase's rows.
     """
     from repro.core import ASQPConfig, ASQPSession, ASQPTrainer
     from repro.datasets import load_flights
-    from repro.obs import quality
+    from repro.obs import quality, rundir, telemetry
 
     bundle = load_flights(scale=0.12, n_queries=6, n_aggregate_queries=2)
     config = ASQPConfig.light(
@@ -721,15 +722,16 @@ def run_audit_overhead(repeats: int) -> dict:
 
     serves = max(60 * repeats, 120)
     hook_loops = 20_000
+    governor = quality.GOVERNOR
     obs.enable()
-    quality.clear()
+    governor.reset(0.0)
     gc_was_enabled = gc.isenabled()
     try:
         serve()  # warm: result cache, metric histograms
-        # Baseline per-query serving time, monitor removed. The
-        # collector is paused during timed phases — session serving is
-        # allocation-heavy and a GC pause inside the loop would inflate
-        # the average the accounting fraction divides by.
+        # Baseline per-query serving time, rate 0 (no audit admitted).
+        # The collector is paused during timed phases — session serving
+        # is allocation-heavy and a GC pause inside the loop would
+        # inflate the average the accounting fraction divides by.
         gc.collect()
         gc.disable()
         start = time.perf_counter()
@@ -740,50 +742,46 @@ def run_audit_overhead(repeats: int) -> dict:
             gc.enable()
         per_query = baseline_t / (serves * len(queries))
 
-        # Monitored phase: same workload volume under the governor.
-        monitor = quality.configure(sample_rate=quality.DEFAULT_AUDIT_RATE)
-        serve()  # warm the monitor: first (always-allowed) audit lands
-        audit_s0 = monitor.audit_seconds
-        serving_s0 = monitor.serving_seconds
+        # Governed phase: same workload volume at the default rate.
+        governor.reset(quality.DEFAULT_AUDIT_RATE)
+        serve()  # warm the governor: first (always-allowed) audit lands
+        audit_s0 = governor.audit_seconds
+        serving_s0 = governor.serving_seconds
+        telemetry.reset()
         start = time.perf_counter()
         for _ in range(serves):
             serve()
         monitored_t = time.perf_counter() - start
-        counts = dict(monitor.counts)
-        served = monitor.serving_seconds - serving_s0
+        counts = quality.accounting(
+            rundir.Run("audit-check", records=telemetry.records())
+        )["counts"]
+        served = governor.serving_seconds - serving_s0
         audit_fraction = (
-            (monitor.audit_seconds - audit_s0) / served if served > 0 else 0.0
+            (governor.audit_seconds - audit_s0) / served if served > 0 else 0.0
         )
 
-        # Accounting micro-bench: the exact per-query instrumentation
-        # path on a probe monitor (so the counts reported above stay
-        # those of the monitored phase). The trace id's audit-coin hex
-        # window is all zeros, forcing the coin to *pass* so the probe
-        # times the longest path (coin plus budget governor).
-        probe = quality.QualityMonitor(
-            sample_rate=quality.DEFAULT_AUDIT_RATE
-        )
+        # Accounting micro-bench: the exact per-query admission call on
+        # a probe governor (so the governed phase's state stays its
+        # own). The trace id's audit-coin hex window is all zeros,
+        # forcing the coin to *pass* so the probe times the longest
+        # path (coin plus budget).
+        probe = quality.Governor(quality.DEFAULT_AUDIT_RATE)
         tid = "deadbeef00000000deadbeefdeadbeef"
         gc.collect()
         gc.disable()
         start = time.perf_counter()
         for _ in range(hook_loops):
-            probe.observe_query(
-                predicted=0.9,
-                observed=0.88,
-                used_approximation=True,
-                elapsed_seconds=0.0,
-            )
-            probe.should_audit(tid)
+            probe.admit(tid, 0.0, True)
         hook_t = time.perf_counter() - start
         if gc_was_enabled:
             gc.enable()
         accounting = (hook_t / hook_loops) / per_query
     finally:
-        quality.clear()
+        governor.reset(0.0)
         obs.disable()
         obs.metrics.reset()
         obs.trace.reset()
+        obs.telemetry.reset()
     disabled_best = baseline_t / serves
     enabled_best = monitored_t / serves
     overhead = accounting + audit_fraction
@@ -915,9 +913,9 @@ def main(argv=None) -> int:
                              "of the 100hz sampling profiler (default 5%%)")
     parser.add_argument("--audit-check", action="store_true",
                         help="also measure shadow-audit overhead on "
-                             "end-to-end query serving (quality monitor "
-                             "at the default rate vs removed) and gate "
-                             "the median")
+                             "end-to-end query serving (audit governor "
+                             "at the default rate vs rate 0) and gate "
+                             "the sum")
     parser.add_argument("--audit-tolerance", type=float, default=0.02,
                         help="maximum tolerated median serving overhead "
                              "fraction of shadow auditing (default 2%%)")

@@ -18,13 +18,17 @@
 #                              into the markdown report; the same run
 #                              feeds the answer-quality check (the
 #                              predicted-vs-observed Calibration table),
-#                              the one-source check (the report's health
+#                              the one-source checks (the report's health
 #                              verdict counts equal `repro watch
-#                              --once`'s), `repro analyze` (a trace id
-#                              from the report and every SLO exemplar id
-#                              resolve to their span trees) and `repro
+#                              --once`'s; its "N shadow-audited" equals
+#                              the `quality` audit rows of the run's
+#                              telemetry.jsonl), `repro analyze` (a trace
+#                              id from the report and every SLO exemplar
+#                              id resolve to their span trees) and `repro
 #                              diff` of the run against itself (must
-#                              report no regressions).
+#                              report no regressions). A micro demo run
+#                              at audit rate 0 must read as unverified:
+#                              `repro audit` exits 1 on it.
 # 5. end-to-end benchmark     — the benchmark's own tests (recorder,
 #                              speed probe, declaration vs. output) and
 #                              one --smoke pass of all four workloads
@@ -83,7 +87,7 @@ grep -q "── memory" "$profile_dir/watch.out"
 check_exemplars "$profile_dir"
 rm -rf "$profile_dir"
 
-echo "== repro report --smoke -> Calibration / analyze / diff (one audited run)"
+echo "== repro report --smoke -> Calibration / analyze / diff (one audited run; one at rate 0)"
 report_dir="$(mktemp -d)"
 python -m repro report --smoke --dir "$report_dir"
 grep -q "Calibration" "$report_dir/report.md"
@@ -91,6 +95,16 @@ verdict="$(sed -n 's/^- health verdict: .*(\([0-9]* CRIT, [0-9]* WARN\))$/\1/p' 
   "$report_dir/report.md")"
 test -n "$verdict"
 python -m repro watch --dir "$report_dir" --once | grep -x "  $verdict" > /dev/null
+audited="$(sed -n 's/^- [0-9]* queries observed (.*), \([0-9]*\) shadow-audited .*/\1/p' \
+  "$report_dir/report.md")"
+audit_rows="$(python -c 'import json, sys
+rows = [json.loads(line) for line in open(sys.argv[1])]
+print(sum(r["stream"] == "quality" and r.get("kind") == "audit" for r in rows))' \
+  "$report_dir/telemetry.jsonl")"
+test -n "$audited" && test "$audited" = "$audit_rows" || {
+  echo "report: ${audited:-no} shadow-audited, telemetry: $audit_rows audit rows"
+  exit 1
+}
 trace_id="$(sed -n 's/^| `\([0-9a-f]\{16\}\)` .*/\1/p' \
   "$report_dir/report.md" | head -n 1)"
 test -n "$trace_id"
@@ -101,6 +115,15 @@ check_exemplars "$report_dir"
 python -m repro diff "$report_dir" "$report_dir" \
   | grep -q "no regressions"
 rm -rf "$report_dir"
+rate0_dir="$(mktemp -d)"
+REPRO_AUDIT_RATE=0 python -m repro demo --dataset flights --scale 0.12 \
+  --k 100 --frame-size 20 --iterations 2 --light --seed 1 \
+  --telemetry "$rate0_dir" > /dev/null
+code=0
+python -m repro audit --dir "$rate0_dir" > "$rate0_dir/audit.out" || code=$?
+test "$code" = 1 || { echo "repro audit exited $code on a rate-0 run"; exit 1; }
+grep -q "unverified" "$rate0_dir/audit.out"
+rm -rf "$rate0_dir"
 echo "report smoke: OK"
 
 echo "== end-to-end benchmark (own tests + --smoke suite, output checks on)"

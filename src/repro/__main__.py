@@ -255,7 +255,7 @@ def cmd_audit(args) -> int:
 
     run = rundir.load(args.dir)
     print(report.render_sections(run, (report.section_quality,)))
-    return 0 if run.quality or run.stream("quality") else 1
+    return 0 if obs.quality.audits(run) else 1
 
 
 def cmd_trace(args) -> int:

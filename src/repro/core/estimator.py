@@ -18,7 +18,6 @@ drift detection.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -30,10 +29,6 @@ from ..embedding.query_embed import QueryEmbedder
 
 #: Softmax sharpness when weighting nearby representatives.
 _SIMILARITY_TEMPERATURE = 0.1
-
-#: Rolling window of live (confidence, realized) pairs kept for the
-#: online calibration error (one float per served query, bounded).
-_OUTCOME_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,6 @@ class AnswerabilityEstimator:
             if calibration_embeddings is not None and len(calibration_embeddings)
             else None
         )
-        self._outcome_errors: deque[float] = deque(maxlen=_OUTCOME_WINDOW)
         #: Estimates by query, bounded like the executor's prepared plans.
         self._estimates: dict = {}
         self._calibrate()
@@ -159,25 +153,6 @@ class AnswerabilityEstimator:
             competence=competence,
             answerable=confidence >= self.threshold,
         )
-
-    def note_outcome(self, confidence: float, realized: float) -> None:
-        """Record one live (predicted, realized) pair from a served query.
-
-        The session feeds every answered query here; unlike the static
-        leave-one-out :meth:`calibration_error`, the resulting
-        :meth:`online_calibration_error` tracks calibration against the
-        queries the user is *actually* asking, so it moves when the
-        workload drifts away from the training distribution.
-        """
-        error = abs(float(confidence) - float(realized))
-        if np.isfinite(error):
-            self._outcome_errors.append(error)
-
-    def online_calibration_error(self) -> float:
-        """Mean |confidence − realized| over the recent served queries."""
-        if not self._outcome_errors:
-            return 0.0
-        return float(sum(self._outcome_errors) / len(self._outcome_errors))
 
     def deviation_confidence(self, query: Union[SPJQuery, AggregateQuery]) -> float:
         """:attr:`AnswerabilityEstimate.deviation` of a query not yet estimated."""

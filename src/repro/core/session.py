@@ -56,8 +56,8 @@ class QueryOutcome:
     elapsed_seconds: float
     drift_event: Optional[DriftEvent] = None
     fine_tuned: bool = False
-    #: Set when the shadow auditor sampled this answer (recorded runs
-    #: with an active repro.obs.quality monitor only).
+    #: Set when the shadow audit governor (repro.obs.quality) admitted
+    #: this answer (recorded runs only).
     audit: Optional[AuditOutcome] = None
 
     def __len__(self) -> int:
@@ -170,18 +170,26 @@ class ASQPSession:
             if sp:
                 sp.set(source="approx" if use_approx else "full")
                 sp.count("rows_out", len(result))
-                realized = self._log_outcome(query, outcome)
-                self._shadow_audit(query, outcome, realized, sp)
+                audit = quality.GOVERNOR.admit(
+                    obs_context.current_trace_id(), elapsed, use_approx
+                )
+                realized = self._log_outcome(query, outcome, audit)
+                if audit == quality.AUDITED:
+                    self._shadow_audit(query, outcome, realized, sp)
         return outcome
 
-    def _log_outcome(self, query: QueryLike, outcome: QueryOutcome) -> float:
+    def _log_outcome(
+        self, query: QueryLike, outcome: QueryOutcome, audit: Optional[str]
+    ) -> float:
         """One ``query`` telemetry row: estimate vs. realized outcome.
 
         ``realized_frame_score`` is the frame term of Eq. 1 the answer
         actually delivered — ``min(1, rows / F)`` — the live counterpart
         of the estimator's predicted answerability, so the two columns of
         the JSONL line quantify estimator calibration over a session.
-        Returns the realized score for the quality pipeline.
+        ``audit`` is the shadow-audit decision of an approximation-set
+        answer (a full-database answer has none). Returns the realized
+        score for the shadow audit.
         """
         estimate = outcome.estimate
         realized = min(1.0, len(outcome.result) / max(1, self.config.frame_size))
@@ -198,6 +206,7 @@ class ASQPSession:
             elapsed_seconds=outcome.elapsed_seconds,
             drift=outcome.drift_event is not None,
             fine_tuned=outcome.fine_tuned,
+            **({"audit": audit} if audit is not None else {}),
         )
         metrics.add("session.queries")
         metrics.add(
@@ -207,11 +216,6 @@ class ASQPSession:
         metrics.observe("session.query.seconds", outcome.elapsed_seconds)
         metrics.observe("session.confidence", estimate.confidence)
         metrics.observe("session.realized_frame_score", realized)
-        self.estimator.note_outcome(estimate.confidence, realized)
-        metrics.set_gauge(
-            "estimator.online_calibration_error",
-            self.estimator.online_calibration_error(),
-        )
         # Epoch boundary for the leak check: repeated query answering
         # should not accumulate traced bytes between queries.
         memory.mark_epoch("session.query")
@@ -224,30 +228,13 @@ class ASQPSession:
         realized: float,
         sp: trace.Span,
     ) -> None:
-        """Quality accounting plus the sampled ground-truth audit.
+        """Re-execute one admitted answer against the full database.
 
-        Every answered query feeds the quality monitor's calibration
-        accounting; approximation-set answers whose trace id wins the
-        audit coin are re-executed against the full database right here
-        (the obs layer never touches a database — it only receives the
-        measured numbers). Low-quality results are stamped onto the root
+        The obs layer never touches a database — it only receives the
+        measured numbers. Low-quality results are stamped onto the root
         span, so ``repro analyze`` labels the trace ``low_quality``.
         """
-        auditor = quality.active()
-        if auditor is None:
-            return
         estimate = outcome.estimate
-        auditor.observe_query(
-            predicted=estimate.confidence,
-            observed=realized,
-            used_approximation=outcome.used_approximation,
-            elapsed_seconds=outcome.elapsed_seconds,
-        )
-        if not outcome.used_approximation:
-            return  # full-database answers are ground truth already
-        trace_id = obs_context.current_trace_id()
-        if not auditor.should_audit(trace_id):
-            return
         start = perf_counter()
         with trace.span("session.shadow_audit") as audit_sp:
             recall, agg_error, full_rows = metric.audit_query(
@@ -261,14 +248,13 @@ class ASQPSession:
             if audit_sp:
                 audit_sp.set(recall=round(recall, 4), full_rows=full_rows)
         cost = perf_counter() - start
-        low_quality = auditor.record_audit(
+        low_quality = quality.GOVERNOR.record_audit(
             recall=recall,
             predicted=estimate.confidence,
             observed=realized,
             agg_rel_error=agg_error,
             cost_seconds=cost,
             sql=query.to_sql(),
-            trace_id=trace_id,
         )
         outcome.audit = AuditOutcome(
             recall=recall,

@@ -21,8 +21,8 @@ Dependency-free instrumentation substrate for the whole system
   and per-phase leak checks surfaced as gauges;
 * :mod:`repro.obs.slo`       — declarative latency/answerability
   objectives with multi-window burn rates, folded over a run's rows;
-* :mod:`repro.obs.quality`   — answer-quality accounting: shadow-audit
-  bookkeeping and quality histograms;
+* :mod:`repro.obs.quality`   — answer quality: the live shadow-audit
+  governor, and its accounting folded over a run's rows;
 * :mod:`repro.obs.health`    — which alerts a run has: rolling-window
   WARN/CRIT rules folded over its recorded rows (``health.alerts(run)``);
 * :mod:`repro.obs.log`       — the sanctioned console/structured-log
@@ -107,20 +107,23 @@ def start_run(directory: str, audit_rate: Optional[float] = None) -> str:
     long runs stay bounded on disk. ``audit_rate`` sets the shadow-audit
     sample rate (default: ``REPRO_AUDIT_RATE`` or
     :data:`repro.obs.quality.DEFAULT_AUDIT_RATE`; values outside
-    [0, 1] are rejected with a ValueError). Returns the directory path.
+    [0, 1] raise a ValueError before anything is enabled); the run
+    records it as one ``quality`` row. Returns the directory path.
     """
+    rate = (
+        quality.rate_from_env() if audit_rate is None
+        else quality.validate_rate(audit_rate)
+    )
     os.makedirs(directory, exist_ok=True)
     trace.reset()
     metrics.reset()
     telemetry.reset()
-    # Answer-quality accounting + shadow auditing (a bad audit rate
-    # raises: quality.validate_rate).
-    quality.configure(sample_rate=audit_rate)
     telemetry.configure(
         rundir.telemetry_sink(directory),
         max_bytes=telemetry.DEFAULT_MAX_BYTES,
     )
     enable()
+    quality.start(rate)
     return directory
 
 
@@ -128,16 +131,14 @@ def _flush_continuous(directory: str) -> dict[str, str]:
     """Write the artifact of every active component; key → path.
 
     Wired as the profiler's ``on_flush`` callback so ``repro watch`` can
-    follow a live run: refreshes the collapsed stacks, the quality and
-    memory summaries and the metrics snapshot. :func:`finish_run` makes
+    follow a live run: refreshes the collapsed stacks, the memory
+    summary and the metrics snapshot. :func:`finish_run` makes
     the same pass one last time.
     """
     documents: dict[str, object] = {}
     running = profiler.active()
     if running is not None:
         documents["profile"] = running.collapsed()
-    if quality.is_active():
-        documents["quality"] = quality.active().summary()
     if memory.is_active():
         documents["memory"] = memory.active().summary()
     documents["metrics"] = metrics.snapshot()
@@ -174,7 +175,6 @@ def finish_run(directory: str) -> dict[str, str]:
     finally:
         profiler.stop()
         memory.stop()
-        quality.clear()
         disable()
         telemetry.configure(None)
     return paths

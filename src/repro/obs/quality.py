@@ -1,26 +1,27 @@
-"""Answer-quality accounting: calibration samples and shadow audits.
+"""Answer-quality accounting: the audit governor and the read-time fold.
 
 The paper's contract is not "fast queries" but *approximate answers
 whose quality is quantified* (Eq. 1 recall against the frame, Eq. 2
-aggregate relative error). This module closes the loop at serving time:
+aggregate relative error). This module closes the loop at serving time
+in two halves:
 
-* **Per-query accounting** — every query served on a recorded run
-  reports its predicted answerability (the estimator's confidence)
-  against the realized frame score; the pair lands in the
-  ``quality.calibration`` histogram (and, through the session's
-  ``query`` row, in :mod:`repro.obs.health`'s calibration-drift rule).
-* **Shadow auditing** — a deterministic fraction of approximation-set
-  answers (chosen by a hash window of the trace id) is
-  re-executed against the full database by the session; the measured
-  recall and aggregate relative error arrive here and become
-  ``quality.recall`` / ``quality.agg_rel_error`` histogram samples,
-  ``quality`` telemetry records (the samples of the quality SLOs,
-  trace id included), and rows of a bounded in-memory audit table.
-
-Audit cost is bounded by construction: a budget governor skips audits
-once cumulative audit time exceeds ``max_overhead`` (default 1%) of
-cumulative serving time, so the ``--audit-check`` bench gate holds at
-the default sample rate no matter how expensive ground truth is.
+* **Live: the admission governor.** Only what decides whether an
+  approximation-set answer is shadow-audited stays live — the sample
+  rate, a deterministic coin over a hash window of the trace id, and a
+  budget that admits an audit only while spent audit time plus one more
+  audit fits in :data:`MAX_OVERHEAD` of serving time. The session asks
+  :meth:`Governor.admit` before it emits the ``query`` row, stamps the
+  decision on the row (``audit``: ``"audited"``, ``"coin"`` or
+  ``"budget"``), re-executes the audited answers against the full
+  database itself and lands each measurement with
+  :meth:`Governor.record_audit` — one ``quality`` row of kind
+  ``audit``. :func:`start` re-arms the governor for a run and records
+  its rate as one ``quality`` row of kind ``config``.
+* **Read time: the fold.** :func:`accounting` derives every count,
+  mean and fraction from a loaded :class:`~repro.obs.rundir.Run`'s
+  ``query`` and ``quality`` rows, like :func:`repro.obs.slo.statuses`
+  and :func:`repro.obs.health.alerts`. Nothing else counts serving
+  quality, and nothing is written back.
 
 The dependency rule of the obs package holds: this module never imports
 ``repro.core`` or ``repro.db`` — the session executes shadow queries
@@ -32,34 +33,40 @@ O_APPEND chokepoint); the ``quality-telemetry-sink-only`` rule of
 
 from __future__ import annotations
 
+import math
 import os
-from collections import deque
+from collections import Counter
 from typing import Any, Optional
 
-from . import context as _context
-from . import metrics as _metrics
 from . import telemetry as _telemetry
+from .rundir import Run
 
 #: Fraction of approximation-set answers shadow-audited by default.
 DEFAULT_AUDIT_RATE = 0.1
 
-#: Budget governor: cumulative audit time may not exceed this fraction
-#: of cumulative serving time (the first audit is always allowed).
-DEFAULT_MAX_OVERHEAD = 0.01
+#: Budget: cumulative audit time may not exceed this fraction of
+#: cumulative serving time (the first audit is always allowed).
+MAX_OVERHEAD = 0.01
 
 #: Audited recall below this marks the trace low-quality (the
 #: ``low_quality`` root-span attribute ``repro analyze`` labels by).
 LOW_QUALITY_RECALL = 0.8
 
-#: Rows kept in the in-memory audit table (oldest evicted first).
+#: Newest audit rows :func:`accounting` returns as the audit table.
 MAX_AUDIT_ROWS = 256
 
+#: Trailing ``query`` rows the online calibration error averages.
+CALIBRATION_WINDOW = 256
+
 #: Lower-bound objectives installed when auditing is the point of the
-#: run (`repro audit --smoke`); they ride the standard burn pipeline.
+#: run (`repro report --smoke`); they ride the standard burn pipeline.
 QUALITY_OBJECTIVES = (
     "quality.recall.p10 > 0.85 @ 90%",
     "quality.agg_rel_error.p95 < 0.25 @ 90%",
 )
+
+#: The ``audit`` field of an approximation-set ``query`` row.
+AUDITED, SKIPPED_COIN, SKIPPED_BUDGET = "audited", "coin", "budget"
 
 
 def validate_rate(rate: Any, source: str = "audit sample rate") -> float:
@@ -91,93 +98,62 @@ def _audit_keep(trace_id: str, rate: float) -> bool:
     """Deterministic audit coin: a hash window of the trace id.
 
     Reads the 8-hex window at chars 8..16: no RNG state, so the same
-    trace id gets the same verdict on every replay.
+    trace id gets the same verdict on every replay. Admits
+    ``round(rate * 10_000)`` of the 10,000 residues.
     """
     if rate <= 0.0:
         return False
     if rate >= 1.0:
         return True
     window = trace_id[8:16] or trace_id[:8]
-    return int(window, 16) % 10_000 < int(rate * 10_000)
+    return int(window, 16) % 10_000 < round(rate * 10_000)
 
 
-class QualityMonitor:
-    """Per-run quality accounting and shadow-audit bookkeeping.
+class Governor:
+    """Per-run audit admission: the rate, the coin and the budget.
 
-    The session is the only writer: it calls :meth:`observe_query` for
-    every answered query, asks :meth:`should_audit` for the coin, runs
-    the shadow execution itself (this module never touches a database),
-    and lands the measurement via :meth:`record_audit`.
+    Holds only what the next decision needs — spent audit seconds,
+    served seconds and the last audit's cost; every count is folded from
+    the recorded rows by :func:`accounting`.
     """
 
-    def __init__(
-        self,
-        sample_rate: float = DEFAULT_AUDIT_RATE,
-        max_overhead: Optional[float] = DEFAULT_MAX_OVERHEAD,
-        low_quality_recall: float = LOW_QUALITY_RECALL,
-        max_audit_rows: int = MAX_AUDIT_ROWS,
-    ) -> None:
-        self.sample_rate = validate_rate(sample_rate)
-        self.max_overhead = max_overhead
-        self.low_quality_recall = low_quality_recall
-        self.counts: dict[str, int] = {
-            "queries": 0,
-            "approx_queries": 0,
-            "audits": 0,
-            "low_quality": 0,
-            "skipped_coin": 0,
-            "skipped_budget": 0,
-        }
-        self.serving_seconds = 0.0
+    def __init__(self, rate: float = 0.0) -> None:
+        self.reset(rate)
+
+    def reset(self, rate: float) -> None:
+        self.rate = validate_rate(rate)
         self.audit_seconds = 0.0
-        self._last_audit_cost = 0.0
-        self._recall_sum = 0.0
-        self._agg_error_sum = 0.0
-        self._agg_error_count = 0
-        #: Bounded audit table: newest MAX_AUDIT_ROWS measurements.
-        self.audit_log: deque[dict[str, Any]] = deque(maxlen=max_audit_rows)
+        self.serving_seconds = 0.0
+        self.last_audit_cost = 0.0
 
-    # -- per-query accounting ---------------------------------------- #
-    def observe_query(
+    def admit(
         self,
-        predicted: float,
-        observed: float,
-        used_approximation: bool,
-        elapsed_seconds: float = 0.0,
-    ) -> None:
-        """Record one answered query."""
-        self.counts["queries"] += 1
-        self.serving_seconds += max(0.0, elapsed_seconds)
-        _metrics.observe("quality.calibration", abs(predicted - observed))
-        if used_approximation:
-            self.counts["approx_queries"] += 1
+        trace_id: Optional[str],
+        elapsed_seconds: float,
+        approximate: bool,
+    ) -> Optional[str]:
+        """Account one served answer; its ``audit`` decision, if any.
 
-    # -- shadow-audit decision ---------------------------------------- #
-    def should_audit(self, trace_id: Optional[str]) -> bool:
-        """Deterministic coin plus the overhead budget governor.
-
-        The budget is conservative: beyond the always-allowed first
-        audit, an audit is admitted only if the budget covers the spent
-        audit time *plus* one more audit at the last observed cost —
+        A full-database answer is ground truth already (``None``). The
+        budget is conservative: beyond the always-allowed first audit,
+        an audit is admitted only if the budget covers the spent audit
+        time *plus* one more audit at the last observed cost —
         admitting on a just-recovered budget would overshoot it by a
         full audit every time, and the ``--audit-check`` bench gates
         the realized fraction, not the intent.
         """
-        if trace_id is None:
-            return False
-        if not _audit_keep(trace_id, self.sample_rate):
-            self.counts["skipped_coin"] += 1
-            return False
+        self.serving_seconds += max(0.0, elapsed_seconds)
+        if not approximate:
+            return None
+        if trace_id is None or not _audit_keep(trace_id, self.rate):
+            return SKIPPED_COIN
         if (
-            self.max_overhead is not None
-            and self.audit_seconds + self._last_audit_cost
-            > self.max_overhead * self.serving_seconds
+            self.audit_seconds + self.last_audit_cost
+            > MAX_OVERHEAD * self.serving_seconds
         ):
-            self.counts["skipped_budget"] += 1
-            return False
-        return True
+            return SKIPPED_BUDGET
+        return AUDITED
 
-    # -- audit measurement -------------------------------------------- #
     def record_audit(
         self,
         recall: float,
@@ -186,26 +162,12 @@ class QualityMonitor:
         agg_rel_error: Optional[float] = None,
         cost_seconds: float = 0.0,
         sql: str = "",
-        trace_id: Optional[str] = None,
     ) -> bool:
-        """Land one shadow-audit measurement; True if it was low quality."""
-        trace_id = trace_id or _context.current_trace_id()
-        self.counts["audits"] += 1
-        self.audit_seconds += max(0.0, cost_seconds)
-        self._last_audit_cost = max(0.0, cost_seconds)
-        self._recall_sum += recall
-        _metrics.observe("quality.recall", recall)
-        if agg_rel_error is not None:
-            self._agg_error_sum += agg_rel_error
-            self._agg_error_count += 1
-            _metrics.observe("quality.agg_rel_error", agg_rel_error)
-        low_quality = recall < self.low_quality_recall
-        if low_quality:
-            self.counts["low_quality"] += 1
-            _metrics.add("quality.low_quality_audits")
-        _metrics.set_gauge(
-            "quality.audit_overhead_fraction", self.overhead_fraction()
-        )
+        """Spend one audit and record it; True if it was low quality."""
+        cost_seconds = max(0.0, cost_seconds)
+        self.audit_seconds += cost_seconds
+        self.last_audit_cost = cost_seconds
+        low_quality = recall < LOW_QUALITY_RECALL
         _telemetry.emit(
             "quality",
             kind="audit",
@@ -217,82 +179,76 @@ class QualityMonitor:
             cost_seconds=cost_seconds,
             low_quality=low_quality,
         )
-        self.audit_log.append({
-            "trace_id": trace_id,
-            "sql": sql[:200],
-            "predicted": predicted,
-            "observed": observed,
-            "recall": recall,
-            "agg_rel_error": agg_rel_error,
-            "cost_seconds": cost_seconds,
-            "low_quality": low_quality,
-        })
         return low_quality
 
-    # -- read side ----------------------------------------------------- #
-    def overhead_fraction(self) -> float:
-        if self.serving_seconds <= 0.0:
-            return 0.0
-        return self.audit_seconds / self.serving_seconds
 
-    def summary(self) -> dict[str, Any]:
-        audits = self.counts["audits"]
-        return {
-            "sample_rate": self.sample_rate,
-            "max_overhead": self.max_overhead,
-            "low_quality_recall": self.low_quality_recall,
-            "counts": dict(self.counts),
-            "mean_recall": self._recall_sum / audits if audits else None,
-            "mean_agg_rel_error": (
-                self._agg_error_sum / self._agg_error_count
-                if self._agg_error_count else None
-            ),
-            "serving_seconds": self.serving_seconds,
-            "audit_seconds": self.audit_seconds,
-            "overhead_fraction": self.overhead_fraction(),
-            "audit_log": list(self.audit_log),
-        }
+#: The run's admission state; :func:`start` re-arms it for each run.
+GOVERNOR = Governor()
+
+
+def start(rate: float) -> Governor:
+    """Re-arm :data:`GOVERNOR` and record the rate: one ``config`` row."""
+    GOVERNOR.reset(rate)
+    _telemetry.emit("quality", kind="config", sample_rate=GOVERNOR.rate)
+    return GOVERNOR
 
 
 # ------------------------------------------------------------------ #
-# module-level singleton (one monitor per observability run)
+# the read-time fold
 # ------------------------------------------------------------------ #
-#: Bounded: holds at most the one configured monitor (see `clear`).
-_ACTIVE: list[QualityMonitor] = []
+def audits(run: Run) -> list[dict[str, Any]]:
+    """Every shadow-audit row of a run, oldest first."""
+    return [r for r in run.stream("quality") if r.get("kind") == "audit"]
 
 
-def configure(
-    sample_rate: Optional[float] = None,
-    **kwargs: Any,
-) -> QualityMonitor:
-    """Install a quality monitor; rate defaults to ``REPRO_AUDIT_RATE``."""
-    clear()
-    if sample_rate is None:
-        sample_rate = rate_from_env()
-    monitor = QualityMonitor(sample_rate=sample_rate, **kwargs)
-    _ACTIVE.append(monitor)
-    return monitor
+def _mean(values: list[float]) -> Optional[float]:
+    return sum(values) / len(values) if values else None
 
 
-def install(monitor: QualityMonitor) -> QualityMonitor:
-    """Install an existing monitor (vs ``configure``'s fresh one).
+def accounting(run: Run) -> dict[str, Any]:
+    """The answer-quality accounting of a recorded run.
 
-    For callers that build the monitor first — a harness re-arming the
-    same monitor so the budget governor's cumulative accounting persists
-    across an uninstalled phase.
+    Counts, means and the overhead fraction over the run's ``query``
+    rows (served seconds, the ``audit`` decisions) and ``quality`` rows
+    (the rate, the audits); ``calibration_error`` is the mean
+    |confidence − realized frame score| over the last
+    :data:`CALIBRATION_WINDOW` ``query`` rows. A run recorded before the
+    decisions were on the rows reads as 0 skips and an unknown rate.
     """
-    clear()
-    _ACTIVE.append(monitor)
-    return monitor
-
-
-def active() -> Optional[QualityMonitor]:
-    return _ACTIVE[0] if _ACTIVE else None
-
-
-def is_active() -> bool:
-    return bool(_ACTIVE)
-
-
-def clear() -> None:
-    _ACTIVE.clear()
+    queries = run.stream("query")
+    done = audits(run)
+    configs = [r for r in run.stream("quality") if r.get("kind") == "config"]
+    decisions = Counter(q.get("audit") for q in queries)
+    serving = sum(float(q.get("elapsed_seconds") or 0.0) for q in queries)
+    spent = sum(float(a.get("cost_seconds") or 0.0) for a in done)
+    errors = [
+        abs(float(q["confidence"]) - float(q["realized_frame_score"]))
+        for q in queries[-CALIBRATION_WINDOW:]
+        if q.get("confidence") is not None
+        and q.get("realized_frame_score") is not None
+    ]
+    return {
+        "sample_rate": configs[-1].get("sample_rate") if configs else None,
+        "counts": {
+            "queries": len(queries),
+            "approx_queries": sum(
+                bool(q.get("used_approximation")) for q in queries
+            ),
+            "audits": len(done),
+            "low_quality": sum(bool(a.get("low_quality")) for a in done),
+            "skipped_coin": decisions[SKIPPED_COIN],
+            "skipped_budget": decisions[SKIPPED_BUDGET],
+        },
+        "mean_recall": _mean([
+            float(a["recall"]) for a in done if a.get("recall") is not None
+        ]),
+        "mean_agg_rel_error": _mean([
+            float(a["agg_rel_error"])
+            for a in done if a.get("agg_rel_error") is not None
+        ]),
+        "serving_seconds": serving,
+        "audit_seconds": spent,
+        "overhead_fraction": spent / serving if serving > 0.0 else 0.0,
+        "calibration_error": _mean([e for e in errors if math.isfinite(e)]),
+        "audit_log": done[-MAX_AUDIT_ROWS:],
+    }

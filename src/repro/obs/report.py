@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from . import analyze as analyze_mod
 from . import health as health_mod
 from . import profiler as profiler_mod
+from . import quality as quality_mod
 from . import slo as slo_mod
 from .rundir import Run, load
 
@@ -186,18 +187,14 @@ def section_queries(run: Run) -> list[str]:
         lines.append("No routed queries in this run.")
         return lines
     approx = sum(1 for q in queries if q.get("used_approximation"))
-    errors = [
-        abs(float(q["confidence"]) - float(q["realized_frame_score"]))
-        for q in queries
-        if q.get("confidence") is not None
-        and q.get("realized_frame_score") is not None
-    ]
+    calibration = quality_mod.accounting(run)["calibration_error"]
+    window = min(len(queries), quality_mod.CALIBRATION_WINDOW)
     drifts = sum(1 for q in queries if q.get("drift"))
     lines += [
         f"- {len(queries)} queries: {approx} answered from the approximation "
         f"set, {len(queries) - approx} from the full database",
-        f"- mean |confidence − realized frame score|: "
-        f"{(sum(errors) / len(errors)):.3f}" if errors else
+        f"- mean |confidence − realized frame score| over the last {window} "
+        f"queries: {calibration:.3f}" if calibration is not None else
         "- no calibration pairs recorded",
         f"- drift events observed: {drifts}",
     ]
@@ -227,67 +224,60 @@ _CALIBRATION_BINS = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.01))
 def section_quality(run: Run) -> list[str]:
     """Answer quality: shadow audits, calibration, and drift.
 
-    Per-audit rows come from the recorded ``quality`` telemetry stream
-    (one record per shadow audit, trace-stamped); the run-level
-    accounting comes from ``quality.json``; calibration bias and drift
-    escalations from :mod:`repro.obs.health`. When neither exists the
-    section says so explicitly — a run without ground-truth audits
-    should read as "unverified", not render as silently healthy.
+    The accounting is :func:`repro.obs.quality.accounting` over the
+    run's ``query`` and ``quality`` rows; calibration bias and drift
+    escalations come from :mod:`repro.obs.health`. A run without
+    ground-truth audits reads as "unverified", not as silently healthy.
     """
-    quality_doc = run.quality
-    quality_records = run.stream("quality")
-    audits = [r for r in quality_records if r.get("kind") == "audit"]
+    summary = quality_mod.accounting(run)
+    counts = summary["counts"]
+    audits = quality_mod.audits(run)
     drifts = [
         alert for alert in health_mod.alerts(run)
         if alert.rule == "quality_calibration_drift"
     ]
     lines = ["## Answer quality", ""]
-    if not quality_records and not quality_doc:
+    if not audits:
         lines.append(
             "No audit data recorded in this run — answer quality is "
             "unverified. Enable shadow auditing with "
             "`obs.run(audit_rate=...)` or `REPRO_AUDIT_RATE` (`repro "
             "report --smoke` records a run audited at rate 1.0)."
         )
-        return lines
-    counts = (quality_doc or {}).get("counts", {})
-    if counts:
+        lines.append("")
+    if counts["queries"] or audits:
+        rate = summary["sample_rate"]
         lines.append(
-            f"- {counts.get('queries', 0)} queries observed "
-            f"({counts.get('approx_queries', 0)} served from the "
-            f"approximation set), {counts.get('audits', 0)} shadow-audited "
-            f"({counts.get('skipped_coin', 0)} skipped by the sampling "
-            f"coin, {counts.get('skipped_budget', 0)} by the overhead "
+            f"- {counts['queries']} queries observed "
+            f"({counts['approx_queries']} served from the "
+            f"approximation set), {counts['audits']} shadow-audited "
+            f"({counts['skipped_coin']} skipped by the sampling "
+            f"coin, {counts['skipped_budget']} by the overhead "
             "budget)"
         )
-        overhead = quality_doc.get("overhead_fraction")
-        if overhead is not None:
-            budget = quality_doc.get("max_overhead")
-            lines.append(
-                f"- audit overhead: {float(overhead):.2%} of serving time "
-                f"(sample rate {quality_doc.get('sample_rate', '?')}, "
-                f"budget "
-                f"{f'{float(budget):.0%}' if budget is not None else 'unbounded'})"
-            )
-        recall = quality_doc.get("mean_recall")
-        if recall is not None:
-            agg = quality_doc.get("mean_agg_rel_error")
-            agg_note = (
-                f", mean aggregate relative error {float(agg):.3f}"
-                if agg is not None
-                else ""
-            )
-            lines.append(
-                f"- audited recall: mean {float(recall):.3f}{agg_note}; "
-                f"{counts.get('low_quality', 0)} low-quality answers"
-            )
-        bias = health_mod.calibration_bias(run)
-        if bias is not None:
-            lines.append(
-                f"- calibration bias (predicted − observed): "
-                f"{bias:+.3f} over the rolling window; "
-                f"{len(drifts)} drift escalations"
-            )
+        lines.append(
+            f"- audit overhead: {summary['overhead_fraction']:.2%} of "
+            f"serving time (sample rate {'?' if rate is None else rate}, "
+            f"budget {quality_mod.MAX_OVERHEAD:.0%})"
+        )
+    recall = summary["mean_recall"]
+    if recall is not None:
+        agg = summary["mean_agg_rel_error"]
+        agg_note = (
+            f", mean aggregate relative error {agg:.3f}"
+            if agg is not None else ""
+        )
+        lines.append(
+            f"- audited recall: mean {recall:.3f}{agg_note}; "
+            f"{counts['low_quality']} low-quality answers"
+        )
+    bias = health_mod.calibration_bias(run)
+    if bias is not None:
+        lines.append(
+            f"- calibration bias (predicted − observed): "
+            f"{bias:+.3f} over the rolling window; "
+            f"{len(drifts)} drift escalations"
+        )
     for alert in drifts:
         lines.append(
             f"- **calibration drift ({alert.severity})**: {alert.message}"
@@ -324,11 +314,6 @@ def section_quality(run: Run) -> list[str]:
             ],
             rows,
         ))
-    elif not counts:
-        lines.append(
-            "Quality telemetry present but no completed audits — the "
-            "sampling coin or the overhead budget skipped every candidate."
-        )
     worst = sorted(
         audits,
         key=lambda r: float(r.get("recall", 1.0)),

@@ -37,16 +37,12 @@ FILES = {
     "trace": "trace.json",
     "chrome_trace": "trace_chrome.json",
     "memory": "memory.json",
-    "quality": "quality.json",
     "profile": "profile.collapsed.txt",
 }
 
 #: The artifacts :func:`load` parses, with their document type (``str``:
 #: collapsed-stack text). The Chrome trace is for Perfetto, not read back.
-_SHAPES = {
-    "metrics": dict, "trace": list, "memory": dict,
-    "quality": dict, "profile": str,
-}
+_SHAPES = {"metrics": dict, "trace": list, "memory": dict, "profile": str}
 _EXPECTED = {
     dict: "a JSON object", list: "a span list", str: "`stack count` lines",
 }
@@ -70,7 +66,6 @@ class Run:
     #: the run's only store of span trees.
     trace: Optional[list[dict[str, Any]]] = None
     memory: Optional[dict[str, Any]] = None
-    quality: Optional[dict[str, Any]] = None
     #: ``profile.collapsed.txt`` parsed back into ``{stack: samples}``.
     profile: Optional[dict[tuple[str, ...], int]] = None
     #: Names of the artifacts present (rotated telemetry files included).

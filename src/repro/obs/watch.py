@@ -2,16 +2,17 @@
 
 Renders one operator-facing text frame from a loaded
 :class:`~repro.obs.rundir.Run` — the artifacts a live run flushes
-periodically (the telemetry JSONL and its rotated set, ``quality.json``,
-``metrics.json`` and, for a profiled run, the collapsed stacks and
-``memory.json``) and ``trace.json``, written at finish:
+periodically (the telemetry JSONL and its rotated set, ``metrics.json``
+and, for a profiled run, the collapsed stacks and ``memory.json``) and
+``trace.json``, written at finish:
 
 * how many traces the run holds, by label (error / low_quality /
   slow — :func:`repro.obs.analyze.retained_traces`);
 * rolling throughput — QPS plus p50/p95 latency over the trailing
   window of ``query`` telemetry records;
-* answer quality — shadow-audit accounting from ``quality.json``
-  (audited recall, audit overhead) next to the calibration bias;
+* answer quality — :func:`repro.obs.quality.accounting` (audited
+  recall, audit overhead; "unverified" without audits) next to the
+  calibration bias;
 * SLO burn — every objective's value and burn rate
   (:func:`repro.obs.slo.statuses`), alerting ones with their worst
   trace ids;
@@ -33,6 +34,7 @@ from . import analyze as analyze_mod
 from . import health as health_mod
 from . import metrics as metrics_mod
 from . import profiler as profiler_mod
+from . import quality as quality_mod
 from . import slo as slo_mod
 from .rundir import Run
 
@@ -80,26 +82,22 @@ def render_watch(run: Run, width: int = 78) -> str:
 
     # -- answer quality ---------------------------------------------- #
     lines.append(rule("answer quality"))
-    quality_doc = run.quality
-    if quality_doc:
-        qcounts = quality_doc.get("counts", {})
-        recall = quality_doc.get("mean_recall")
-        bias = health_mod.calibration_bias(run)
-        overhead = quality_doc.get("overhead_fraction", 0.0)
-        lines.append(
-            f"  audits {qcounts.get('audits', 0)}/"
-            f"{qcounts.get('approx_queries', 0)} approx answers | "
-            f"recall "
-            + (f"{float(recall):.3f}" if recall is not None else "-")
-            + f" | bias "
-            + (f"{bias:+.3f}" if bias is not None else "-")
-            + f" | overhead {float(overhead or 0.0):.2%} | "
-            f"low-quality {qcounts.get('low_quality', 0)} | "
-            f"drift events "
-            f"{sum(a.rule == 'quality_calibration_drift' for a in found)}"
-        )
-    else:
-        lines.append("  (no quality.json yet — shadow auditing disabled)")
+    summary = quality_mod.accounting(run)
+    qcounts = summary["counts"]
+    recall = summary["mean_recall"]
+    bias = health_mod.calibration_bias(run)
+    lines.append(
+        f"  audits {qcounts['audits']}/{qcounts['approx_queries']} approx "
+        "answers | recall "
+        + (f"{recall:.3f}" if recall is not None else "-")
+        + " | bias "
+        + (f"{bias:+.3f}" if bias is not None else "-")
+        + f" | overhead {summary['overhead_fraction']:.2%} | "
+        f"low-quality {qcounts['low_quality']} | drift events "
+        f"{sum(a.rule == 'quality_calibration_drift' for a in found)}"
+    )
+    if not qcounts["audits"]:
+        lines.append("  unverified — no shadow audits recorded")
 
     # -- SLO burn ---------------------------------------------------- #
     lines.append(rule("SLO burn"))

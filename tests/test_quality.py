@@ -1,9 +1,10 @@
 """Answer-quality observability: shadow audits, quality SLOs, drift.
 
 Covers the :mod:`repro.obs.quality` pipeline — rate validation, the
-deterministic audit coin, the overhead budget governor — the rolling
-calibration-drift rule :mod:`repro.obs.health` folds over the session's
-``query`` rows, plus the integration surfaces: the ``low_quality``
+deterministic audit coin, the overhead budget governor, the read-time
+``accounting`` fold over the ``query`` and ``quality`` rows — the
+rolling calibration-drift rule :mod:`repro.obs.health` folds over the
+session's ``query`` rows, plus the integration surfaces: the ``low_quality``
 trace label ``repro analyze`` reads, lower-bound ``quality.recall``
 SLO burn alerts with trace exemplars, the ``repro audit`` CLI, the
 "Answer quality" report section, and the end-to-end acceptance path (a
@@ -13,6 +14,7 @@ seeded low-recall run whose CRIT burn alert names a trace id that
 
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -20,7 +22,9 @@ import pytest
 
 from repro import obs
 from repro.__main__ import main
-from repro.obs import analyze, health, metrics, quality, slo, telemetry, trace
+from repro.obs import (
+    analyze, context, health, metrics, quality, slo, telemetry, trace,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -28,7 +32,7 @@ def clean_obs():
     """Every test starts and ends disabled with empty state."""
 
     def scrub():
-        quality.clear()
+        quality.GOVERNOR.reset(0.0)
         obs.disable()
         trace.reset()
         metrics.reset()
@@ -74,6 +78,22 @@ class TestValidateRate:
             quality.rate_from_env()
 
 
+class TestRunRate:
+    def test_a_run_records_its_rate_once(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        with obs.run(run_dir, audit_rate=0.25):
+            assert quality.GOVERNOR.rate == 0.25
+        (row,) = obs.rundir.load(run_dir).stream("quality")
+        assert (row["kind"], row["sample_rate"]) == ("config", 0.25)
+
+    def test_a_bad_rate_raises_before_anything_is_enabled(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            obs.start_run(run_dir, audit_rate=1.5)
+        assert not obs.is_enabled()
+        assert not os.path.exists(run_dir)
+
+
 # ------------------------------------------------------------------ #
 # the deterministic audit coin
 # ------------------------------------------------------------------ #
@@ -97,6 +117,16 @@ class TestAuditCoin:
                 flipped, rate
             )
 
+    @pytest.mark.parametrize("rate", [0.1, 0.29, 0.57, 1.0])
+    def test_admits_round_rate_of_every_window(self, rate):
+        # Window i of the 10,000 residues: the coin admits exactly
+        # round(rate * 10_000) of them (int() would admit 5699 at 0.57).
+        admitted = sum(
+            quality._audit_keep("0" * 8 + f"{i:08x}" + "0" * 16, rate)
+            for i in range(10_000)
+        )
+        assert admitted == round(rate * 10_000)
+
     def test_realized_fraction_tracks_rate(self):
         import hashlib
 
@@ -108,108 +138,137 @@ class TestAuditCoin:
 
 
 # ------------------------------------------------------------------ #
-# budget governor
+# budget governor and the accounting fold
 # ------------------------------------------------------------------ #
+PASSING_TID = "deadbeef00000000deadbeefdeadbeef"  # coin window = 0
+
+
+class Recorder:
+    """Drives the governor the way the session does; folds the rows."""
+
+    def __init__(self, rate=1.0):
+        obs.enable()
+        self.governor = quality.start(rate)
+
+    def query(self, elapsed=0.0, approximate=True, trace_id=PASSING_TID,
+              predicted=0.9, observed=0.9):
+        """One served answer: the decision, then its ``query`` row."""
+        decision = self.governor.admit(trace_id, elapsed, approximate)
+        telemetry.emit(
+            "query", used_approximation=approximate, confidence=predicted,
+            realized_frame_score=observed, elapsed_seconds=elapsed,
+            **({"audit": decision} if decision else {}),
+        )
+        return decision
+
+    def audit(self, recall=0.9, trace_id=None, **fields):
+        fields.setdefault("predicted", 0.9)
+        fields.setdefault("observed", 0.9)
+        scope = context.RequestContext()
+        scope.trace_id = trace_id or scope.trace_id
+        with context.activate(scope):
+            return self.governor.record_audit(recall=recall, **fields)
+
+    def accounting(self):
+        return quality.accounting(
+            obs.rundir.Run("mem", records=telemetry.records())
+        )
+
+
 class TestBudgetGovernor:
-    PASSING_TID = "deadbeef00000000deadbeefdeadbeef"  # coin window = 0
-
-    def _monitor(self, **kwargs):
-        kwargs.setdefault("sample_rate", 1.0)
-        kwargs.setdefault("max_overhead", 0.01)
-        return quality.install(quality.QualityMonitor(**kwargs))
-
     def test_first_audit_always_allowed(self):
-        monitor = self._monitor()
-        assert monitor.should_audit(self.PASSING_TID) is True
+        recorder = Recorder()
+        assert recorder.query() == quality.AUDITED
+        counts = recorder.accounting()["counts"]
+        assert counts["skipped_coin"] == counts["skipped_budget"] == 0
 
     def test_none_trace_id_never_audits(self):
-        monitor = self._monitor()
-        assert monitor.should_audit(None) is False
+        recorder = Recorder()
+        assert recorder.query(trace_id=None) == quality.SKIPPED_COIN
 
     def test_budget_blocks_after_expensive_audit(self):
-        obs.enable()
-        monitor = self._monitor()
-        monitor.observe_query(0.9, 0.9, True, elapsed_seconds=1.0)
-        monitor.record_audit(
-            recall=0.9, predicted=0.9, observed=0.9, cost_seconds=0.5
-        )
+        recorder = Recorder()
+        assert recorder.query(elapsed=1.0) == quality.AUDITED
+        recorder.audit(cost_seconds=0.5)
         # 0.5s of audit over 1s of serving is 50x the 1% budget.
-        assert monitor.should_audit(self.PASSING_TID) is False
-        assert monitor.counts["skipped_budget"] == 1
+        assert recorder.query() == quality.SKIPPED_BUDGET
+        assert recorder.accounting()["counts"]["skipped_budget"] == 1
 
     def test_budget_reserves_the_last_audit_cost(self):
         # Conservative admission: even when spent audit time fits the
         # budget, the governor must also reserve one more audit at the
         # last observed cost — otherwise each admission overshoots the
         # budget by a full audit.
-        obs.enable()
-        monitor = self._monitor()
-        monitor.observe_query(0.9, 0.9, True, elapsed_seconds=100.0)
-        monitor.record_audit(
-            recall=0.9, predicted=0.9, observed=0.9, cost_seconds=0.9
-        )
+        recorder = Recorder()
+        assert recorder.query(elapsed=100.0) == quality.AUDITED
+        recorder.audit(cost_seconds=0.9)
         # spent 0.9 <= 1.0 budget, but 0.9 + 0.9 reserved > 1.0: skip.
-        assert monitor.should_audit(self.PASSING_TID) is False
+        assert recorder.query() == quality.SKIPPED_BUDGET
         # More serving grows the budget; 0.9 + 0.9 <= 2.0: admit.
-        monitor.observe_query(0.9, 0.9, True, elapsed_seconds=100.0)
-        assert monitor.should_audit(self.PASSING_TID) is True
+        assert recorder.query(elapsed=100.0) == quality.AUDITED
+        counts = recorder.accounting()["counts"]
+        assert (counts["audits"], counts["skipped_budget"]) == (1, 1)
 
-    def test_unlimited_budget_when_disabled(self):
-        obs.enable()
-        monitor = self._monitor(max_overhead=None)
-        monitor.record_audit(
-            recall=0.9, predicted=0.9, observed=0.9, cost_seconds=99.0
-        )
-        assert monitor.should_audit(self.PASSING_TID) is True
+    def test_unlimited_budget_when_disabled(self, monkeypatch):
+        monkeypatch.setattr(quality, "MAX_OVERHEAD", math.inf)
+        recorder = Recorder()
+        recorder.audit(cost_seconds=99.0)
+        assert recorder.query(elapsed=1.0) == quality.AUDITED
 
     def test_coin_skip_counted(self):
-        monitor = self._monitor(sample_rate=0.0001)
+        recorder = Recorder(rate=0.0001)
         losing = "00000000ffffffff0000000000000000"
-        assert monitor.should_audit(losing) is False
-        assert monitor.counts["skipped_coin"] == 1
+        assert recorder.query(trace_id=losing) == quality.SKIPPED_COIN
+        assert recorder.accounting()["counts"]["skipped_coin"] == 1
+
+    def test_full_database_answers_serve_but_carry_no_decision(self):
+        recorder = Recorder()
+        assert recorder.query(elapsed=2.0, approximate=False) is None
+        assert recorder.governor.serving_seconds == 2.0
+        (row,) = telemetry.records("query")
+        assert "audit" not in row
+        summary = recorder.accounting()
+        assert summary["sample_rate"] == 1.0
+        assert summary["counts"]["queries"] == 1
+        assert summary["counts"]["approx_queries"] == 0
 
 
-# ------------------------------------------------------------------ #
-# audit accounting
-# ------------------------------------------------------------------ #
 class TestRecordAudit:
     def test_low_quality_flag_and_counters(self):
-        obs.enable()
-        monitor = quality.install(quality.QualityMonitor(sample_rate=1.0))
-        assert monitor.record_audit(
+        recorder = Recorder()
+        assert recorder.audit(
             recall=0.2, predicted=0.9, observed=0.1, agg_rel_error=0.5,
             cost_seconds=0.01, sql="SELECT 1", trace_id="ab" * 16,
         ) is True
-        assert monitor.record_audit(
-            recall=0.95, predicted=0.9, observed=0.92,
-        ) is False
-        assert monitor.counts["audits"] == 2
-        assert monitor.counts["low_quality"] == 1
-        summary = monitor.summary()
+        assert recorder.audit(recall=0.95, predicted=0.9, observed=0.92) is False
+        summary = recorder.accounting()
+        assert summary["counts"]["audits"] == 2
+        assert summary["counts"]["low_quality"] == 1
         assert summary["mean_recall"] == pytest.approx((0.2 + 0.95) / 2)
         assert summary["mean_agg_rel_error"] == pytest.approx(0.5)
         assert summary["audit_log"][0]["trace_id"] == "ab" * 16
         assert summary["audit_log"][0]["low_quality"] is True
 
-    def test_audit_log_is_bounded(self):
-        monitor = quality.QualityMonitor(sample_rate=1.0, max_audit_rows=4)
+    def test_audit_log_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(quality, "MAX_AUDIT_ROWS", 4)
+        recorder = Recorder()
         for i in range(10):
-            monitor.record_audit(
-                recall=0.9, predicted=0.9, observed=0.9, sql=f"q{i}"
-            )
-        assert len(monitor.audit_log) == 4
-        assert [row["sql"] for row in monitor.audit_log] == [
+            recorder.audit(sql=f"q{i}")
+        summary = recorder.accounting()
+        assert summary["counts"]["audits"] == 10
+        assert [row["sql"] for row in summary["audit_log"]] == [
             "q6", "q7", "q8", "q9",
         ]
 
     def test_overhead_fraction(self):
-        monitor = quality.QualityMonitor(sample_rate=1.0, max_overhead=None)
-        assert monitor.overhead_fraction() == 0.0
-        monitor.observe_query(0.9, 0.9, True, elapsed_seconds=10.0)
-        monitor.record_audit(
-            recall=0.9, predicted=0.9, observed=0.9, cost_seconds=0.5
-        )
-        assert monitor.overhead_fraction() == pytest.approx(0.05)
+        recorder = Recorder()
+        assert recorder.accounting()["overhead_fraction"] == 0.0
+        recorder.query(elapsed=10.0, approximate=False)
+        recorder.audit(cost_seconds=0.5)
+        summary = recorder.accounting()
+        assert summary["overhead_fraction"] == pytest.approx(0.05)
+        assert summary["serving_seconds"] == pytest.approx(10.0)
+        assert summary["audit_seconds"] == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------------ #
@@ -263,15 +322,32 @@ class TestCalibrationDrift:
         assert "under-predicts" in alert.message
 
     def test_live_monitor_counts_and_records_no_verdict(self):
-        obs.enable()
-        monitor = quality.QualityMonitor(sample_rate=0.0)
+        recorder = Recorder(rate=0.0)
+        before = telemetry.records()
         for _ in range(40):
-            assert monitor.observe_query(0.9, 0.40, True) is None
-        assert monitor.counts["approx_queries"] == 40
-        assert "drift_events" not in monitor.counts
-        assert "calibration_bias" not in monitor.summary()
-        assert telemetry.records() == []
+            assert recorder.governor.admit(PASSING_TID, 0.0, True) == "coin"
+        assert telemetry.records() == before  # the governor records nothing
         assert not metrics.snapshot()["gauges"]
+        for _ in range(40):
+            recorder.query(predicted=0.9, observed=0.40)
+        summary = recorder.accounting()
+        assert summary["counts"]["approx_queries"] == 40
+        assert summary["counts"]["skipped_coin"] == 40
+        assert "drift_events" not in summary["counts"]
+        assert "calibration_bias" not in summary
+        assert summary["calibration_error"] == pytest.approx(0.5)
+
+    def test_calibration_error_reads_the_trailing_window(self):
+        records = [
+            {"stream": "query", "confidence": 0.9, "realized_frame_score": 0.1}
+        ] + [
+            {"stream": "query", "confidence": 0.5, "realized_frame_score": 0.25}
+        ] * quality.CALIBRATION_WINDOW
+        summary = quality.accounting(obs.rundir.Run("mem", records=records))
+        assert summary["calibration_error"] == pytest.approx(0.25)
+        empty = quality.accounting(obs.rundir.Run("mem"))
+        assert empty["calibration_error"] is None
+        assert empty["mean_recall"] is None and empty["sample_rate"] is None
 
 
 # ------------------------------------------------------------------ #
@@ -379,18 +455,22 @@ class TestReportSection:
                 "agg_rel_error": None, "low_quality": False, "sql": "SELECT 2",
             },
         ]
-        doc = {
-            "counts": {
-                "queries": 4, "approx_queries": 2, "audits": 2,
-                "skipped_coin": 0, "skipped_budget": 0,
-                "low_quality": 1,
-            },
-            "sample_rate": 1.0, "max_overhead": 0.01,
-            "overhead_fraction": 0.003,
-            "mean_recall": 0.625,
-        }
-        run = obs.rundir.Run("audited", records=records, quality=doc)
+        records += [
+            {"stream": "quality", "kind": "config", "sample_rate": 1.0},
+            *[
+                {"stream": "query", "used_approximation": approx,
+                 "elapsed_seconds": 0.5,
+                 **({"audit": "audited"} if approx else {})}
+                for approx in (True, True, False, False)
+            ],
+        ]
+        run = obs.rundir.Run("audited", records=records)
         text = "\n".join(section_quality(run))
+        assert "4 queries observed (2 served from the approximation set), " \
+            "2 shadow-audited (0 skipped by the sampling coin, 0 by the " \
+            "overhead budget)" in text
+        assert "sample rate 1.0, budget 1%" in text
+        assert "mean 0.625" in text and "1 low-quality answers" in text
         assert "Calibration (predicted vs audited)" in text
         assert "[0.75, 1.00)" in text and "[0.00, 0.25)" in text
         assert "Worst audited answers" in text
@@ -427,14 +507,14 @@ def low_recall_run(tmp_path_factory):
     )
     run_dir = str(tmp_path_factory.mktemp("low_recall"))
     outcomes = []
-    with obs.run(
+    # The budget governor would throttle a rate-1.0 audit storm; this
+    # scenario wants every answer audited.
+    with pytest.MonkeyPatch.context() as patch, obs.run(
         run_dir,
         slo_objectives=quality.QUALITY_OBJECTIVES,
         audit_rate=1.0,
     ):
-        # The budget governor would throttle a rate-1.0 audit storm;
-        # this scenario wants every answer audited.
-        quality.configure(sample_rate=1.0, max_overhead=None)
+        patch.setattr(quality, "MAX_OVERHEAD", math.inf)
         for query in bundle.workload:
             outcomes.append(session.query(query, confidence_threshold=0.0))
     return run_dir, outcomes
@@ -463,14 +543,21 @@ class TestLowRecallAcceptance:
                 outcome.audit.recall
             )
 
-    def test_quality_json_written(self, low_recall_run):
+    def test_accounting_folds_every_audit(self, low_recall_run):
         run_dir, outcomes = low_recall_run
-        doc = obs.rundir.load(run_dir).quality
-        assert doc["counts"]["audits"] == len(outcomes)
-        assert doc["counts"]["low_quality"] == len(outcomes)
-        assert doc["mean_recall"] < 0.5
-        assert doc["audit_log"]
-        assert all(row["trace_id"] for row in doc["audit_log"])
+        assert not os.path.exists(os.path.join(run_dir, "quality.json"))
+        summary = quality.accounting(obs.rundir.load(run_dir))
+        counts = summary["counts"]
+        assert counts["audits"] == len(outcomes)
+        assert counts["low_quality"] == len(outcomes)
+        assert summary["sample_rate"] == 1.0
+        assert summary["mean_recall"] < 0.5
+        assert summary["audit_log"]
+        assert all(row["trace_id"] for row in summary["audit_log"])
+        assert (
+            counts["audits"] + counts["skipped_coin"] + counts["skipped_budget"]
+            == counts["approx_queries"]
+        )
 
     def _alerts(self, run_dir):
         return health.alerts(obs.rundir.load(run_dir))
@@ -541,6 +628,41 @@ class TestLowRecallAcceptance:
 
 
 # ------------------------------------------------------------------ #
+# the audited recall is the Eq. 1 term of core/metric.py
+# ------------------------------------------------------------------ #
+def test_audit_recall_equals_the_metric_per_query_score(tmp_path):
+    """Every audit row's recall is ``metric.per_query_scores`` of its query.
+
+    Rate 1.0 with the budget unbounded, every answer forced onto the
+    approximation set: each served query has exactly one audit row, in
+    serving order, measured against the session's approximation DB.
+    """
+    from repro.core import ASQPConfig, ASQPSession, ASQPTrainer, metric
+    from repro.datasets import load_flights
+    from repro.datasets.workloads import Workload
+
+    bundle = load_flights(scale=0.1, n_queries=8, n_aggregate_queries=3)
+    config = ASQPConfig.light(
+        memory_budget=120, frame_size=20, n_iterations=2,
+        learning_rate=1e-3, seed=0,
+    )
+    model = ASQPTrainer(bundle.db, bundle.workload, config).train()
+    session = ASQPSession(model, auto_fine_tune=False)
+    queries = list(bundle.workload)
+    run_dir = str(tmp_path / "run")
+    with pytest.MonkeyPatch.context() as patch, obs.run(run_dir, audit_rate=1.0):
+        patch.setattr(quality, "MAX_OVERHEAD", math.inf)
+        for query in queries:
+            session.query(query, confidence_threshold=0.0)
+    rows = quality.audits(obs.rundir.load(run_dir))
+    expected = metric.per_query_scores(
+        bundle.db, session.approx_db, Workload(queries), config.frame_size
+    )
+    assert [row["sql"] for row in rows] == [q.to_sql()[:200] for q in queries]
+    assert [row["recall"] for row in rows] == list(expected)
+
+
+# ------------------------------------------------------------------ #
 # repro audit CLI on empty / missing runs
 # ------------------------------------------------------------------ #
 class TestAuditCLI:
@@ -552,12 +674,13 @@ class TestAuditCLI:
         run_dir = str(tmp_path / "run")
         with obs.run(run_dir, audit_rate=0.0):
             pass
-        os.remove(os.path.join(run_dir, "quality.json"))
         code = main(["audit", "--dir", run_dir])
         assert code == 1
         out = capsys.readouterr().out
         assert "No audit data recorded" in out
         assert "unverified" in out
+        assert main(["watch", "--dir", run_dir, "--once"]) == 0
+        assert "unverified" in capsys.readouterr().out
 
     def test_help_documents_default_rate(self, capsys):
         with pytest.raises(SystemExit):

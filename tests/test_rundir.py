@@ -33,7 +33,7 @@ from repro.__main__ import main, run_smoke
 from repro.obs import analyze, health, metrics, rundir, slo, trace
 from repro.obs.watch import render_watch
 
-PARSED_ARTIFACTS = ("metrics", "trace", "profile", "memory", "quality")
+PARSED_ARTIFACTS = ("metrics", "trace", "profile", "memory")
 
 
 def reading_verbs(run_dir):
@@ -115,10 +115,22 @@ class TestDamagedRun:
         assert rundir.load(run_copy).profile == {}
 
     def test_wrong_shape_names_the_expectation(self, run_copy):
-        with open(os.path.join(run_copy, "quality.json"), "w") as handle:
+        with open(os.path.join(run_copy, "memory.json"), "w") as handle:
             handle.write("[1, 2]")
         with pytest.raises(rundir.RunError, match="expected a JSON object"):
             rundir.load(run_copy)
+
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_an_older_runs_quality_json_is_not_read(
+        self, run_copy, capsys, verb
+    ):
+        # Runs recorded before the accounting fold also hold a
+        # quality.json; no view reads it, damaged or not.
+        with open(os.path.join(run_copy, "quality.json"), "w") as handle:
+            handle.write("{broken")
+        assert main(reading_verbs(run_copy)[verb]) == 0
+        assert "unreadable" not in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ #
@@ -129,7 +141,7 @@ class TestAtomicArtifacts:
         self, tmp_path, monkeypatch
     ):
         run_dir = str(tmp_path / "run")
-        flushed = ("metrics", "quality", "memory")
+        flushed = ("metrics", "memory")
         obs.start_run(run_dir, audit_rate=1.0)
         try:
             obs.memory.start()
@@ -227,24 +239,25 @@ class TestViewsAreSections:
     def test_only_rundir_knows_a_file_name(
         self, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setitem(rundir.FILES, "quality", "x.json")
+        monkeypatch.setitem(rundir.FILES, "memory", "x.json")
         monkeypatch.setitem(rundir.FILES, "trace", "y.json")
         monkeypatch.setitem(rundir.FILES, "telemetry", "z.jsonl")
         run_dir = run_smoke(str(tmp_path / "renamed"))
         names = set(os.listdir(run_dir))
         assert {"x.json", "y.json", "z.jsonl"} <= names
-        assert not names & {"quality.json", "trace.json", "telemetry.jsonl"}
+        assert not names & {"memory.json", "trace.json", "telemetry.jsonl"}
 
         for verb, argv in reading_verbs(run_dir).items():
             assert main(argv) == 0, verb
         out = capsys.readouterr().out
         # Content that can only have come from the renamed artifacts.
-        assert "skipped by the sampling coin" in out           # x.json
+        assert "KiB (peak" in out                                # x.json
         assert "train.update" in out and "no regressions" in out  # y.json
         assert "3 queries" in out                                # z.jsonl
         assert "estimator.calibration_error < 0.1" in out       # z.jsonl
+        assert "skipped by the sampling coin" in out            # z.jsonl
         run = rundir.load(run_dir)
-        assert run.quality["counts"] and run.trace and run.records
+        assert run.memory["peak_kb"] and run.trace and run.records
 
 
 # ------------------------------------------------------------------ #
@@ -294,25 +307,28 @@ SMOKE_METRIC_NAMES = {
     "executor.explain_analyze", "executor.queries", "executor.rows_out",
     "kernel.distinct_positions.calls", "kernel.distinct_positions.rows",
     "kernel.factorize_keys.calls", "kernel.factorize_keys.rows",
-    "ppo.minibatch_updates", "ppo.updates", "quality.low_quality_audits",
+    "ppo.minibatch_updates", "ppo.updates",
     "session.approx_answers", "session.full_db_answers", "session.queries",
     "train.iterations", "train.samples",
-    "estimator.calibration_error", "estimator.online_calibration_error",
+    "estimator.calibration_error",
     "memory.epoch.executor.query.growth_kb",
     "memory.epoch.session.query.growth_kb",
     "memory.epoch.train.iteration.growth_kb", "memory.rss_kb",
     "memory.tracemalloc.current_kb", "memory.tracemalloc.peak_kb",
-    "quality.audit_overhead_fraction", "train.mean_episode_reward",
+    "train.mean_episode_reward",
     "executor.query.seconds", "kernel.distinct_positions.seconds",
     "kernel.factorize_keys.seconds", "ppo.clip_fraction", "ppo.entropy",
     "ppo.explained_variance", "ppo.grad_norm", "ppo.kl_divergence",
-    "quality.calibration", "quality.recall", "session.confidence",
+    "session.confidence",
     "session.query.seconds", "session.realized_frame_score",
     "train.rollout.seconds", "train.update.seconds",
 }
+#: Answer quality is folded from the rows (``quality.accounting``), so
+#: no ``quality.*`` metric and no online calibration gauge is recorded.
 REMOVED_METRIC_NAMES = re.compile(
-    r"health\.alerts\.|quality\.drift_events|drift\.external\."
-    r"|quality\.calibration_bias|slo\..*\.burn_rate|profile\.span_samples\."
+    r"health\.alerts\.|quality\.|drift\.external\."
+    r"|estimator\.online_calibration_error"
+    r"|slo\..*\.burn_rate|profile\.span_samples\."
 )
 
 
@@ -344,7 +360,8 @@ class TestOneSourceForVerdicts:
     def test_smoke_run_records_facts_not_verdicts(self, smoke_run):
         run = rundir.load(smoke_run)
         assert run.stream("health") == []
-        assert {r["kind"] for r in run.stream("quality")} == {"audit"}
+        assert [r["kind"] for r in run.stream("quality")][0] == "config"
+        assert {r["kind"] for r in run.stream("quality")} == {"audit", "config"}
         assert not any("external" in r for r in run.stream("drift"))
         names = {
             name for kind in ("counters", "gauges", "histograms")
@@ -352,8 +369,28 @@ class TestOneSourceForVerdicts:
         }
         assert not [n for n in names if REMOVED_METRIC_NAMES.search(n)]
         assert SMOKE_METRIC_NAMES <= names
-        assert "calibration_bias" not in run.quality
-        assert "drift_events" not in run.quality["counts"]
+        assert not os.path.exists(os.path.join(smoke_run, "quality.json"))
+        summary = obs.quality.accounting(run)
+        assert "calibration_bias" not in summary
+        assert "drift_events" not in summary["counts"]
+
+    @pytest.mark.parametrize("fixture", ["drift_run", "smoke_run"])
+    def test_every_approximation_answer_has_one_audit_decision(
+        self, fixture, request
+    ):
+        run = rundir.load(request.getfixturevalue(fixture))
+        queries = run.stream("query")
+        assert {q["used_approximation"] for q in queries if "audit" in q} == {
+            True
+        }
+        counts = obs.quality.accounting(run)["counts"]
+        assert counts["audits"] > 0
+        assert (
+            counts["audits"] + counts["skipped_coin"] + counts["skipped_budget"]
+            == counts["approx_queries"]
+        )
+        audited = [q["trace_id"] for q in queries if q.get("audit") == "audited"]
+        assert audited == [r["trace_id"] for r in obs.quality.audits(run)]
 
     def test_trace_json_says_what_its_ring_dropped(self, tmp_path, capsys):
         run_dir = str(tmp_path / "run")
