@@ -5,9 +5,10 @@ CoverageIndex build and the CoverageTracker batch add/remove/probe
 operations — on seeded synthetic data, against the retained
 pre-vectorization reference implementations (``repro.db.kernels.reference_*`` and
 ``repro.core.reward.DictCoverageTracker``), plus the two halves of a
-training iteration at figure scale (|A| = 800): the lock-step rollout
-collector against one actor at a time, and the PPO minibatch update (no
-retained reference) with the peak one whole-batch update holds; the 13
+training iteration at figure scale: the lock-step rollout collector
+(|A| = 800) against one actor at a time, and the PPO update on a
+1448 × 828 batch against the interleaved actor-then-critic loop the
+tests retain, with the peak that update holds; the 13
 rollouts of Alg. 2 one ``approximation_set()`` makes; and the two
 per-distinct-value kernels of a fit's pre-processing, ``embed_actions``
 and ``compute_table_stats`` — those three against the loops the tests
@@ -304,22 +305,16 @@ def _str_table() -> Table:
     return Table(schema, {"word": words[picks]})
 
 
-def _update_fixture(rng: np.random.Generator) -> tuple[PPOUpdater, RolloutBatch]:
-    """Actor + critic (hidden 128/64) and one 64-row batch of mid-episode
-    states (~11% of the actions taken, those masked), so ``update`` is its
-    four epochs of exactly one minibatch each."""
-    actor, critic = ActorNetwork(N_ACTIONS, rng), CriticNetwork(N_ACTIONS, rng)
-    taken = rng.random((64, N_ACTIONS)) < 0.11
-    actions = np.asarray([int(rng.choice(np.flatnonzero(~row))) for row in taken])
-    states = taken.astype(np.float64)
-    batch = RolloutBatch(
-        states=states,
-        actions=actions,
-        old_log_probs=actor.log_probs(states, ~taken)[np.arange(64), actions],
-        returns=rng.standard_normal(64),
-        advantages=rng.standard_normal(64),
-        masks=~taken,
-    )
+def _update_fixture() -> tuple[PPOUpdater, RolloutBatch]:
+    """Actor + critic (hidden 128/64) and one ``fit_small_train`` iteration's
+    batch (1448 × 828 bool states), so ``update`` is four epochs of 23
+    minibatches."""
+    from tests.test_rl_memory import multi_hot_batch
+
+    batch = multi_hot_batch()
+    rng = np.random.default_rng(3)
+    n_actions = batch.masks.shape[1]
+    actor, critic = ActorNetwork(n_actions, rng), CriticNetwork(n_actions, rng)
     return PPOUpdater(actor, critic, rng=rng), batch
 
 
@@ -478,23 +473,26 @@ def run_benchmarks(profile: str) -> dict:
         lambda: collector.collect(1, RolloutBuffer()),
         units=len(buffer),
     )
-    updater, batch = _update_fixture(rng)
+    # The critic's epochs on their own lane against both networks stepped
+    # in turn on one thread.
+    from tests.test_rl_batched import reference_update
+
+    updater, batch = _update_fixture()
     measure(
-        "ppo_minibatch_update",
-        None,
+        "ppo_update",
+        lambda: reference_update(updater, batch),
         lambda: updater.update(batch),
         units=len(batch) * updater.config.update_epochs,
     )
-    # What one figure-scale update holds at its peak, not how long it
-    # takes: in batch × |A| float64 arrays, over a batch of bool states.
-    from tests.test_rl_memory import batch_arrays, multi_hot_batch, update_peak
+    # What the same update holds at its peak, not how long it takes: in
+    # batch × |A| float64 arrays, over a batch of bool states.
+    from tests.test_rl_memory import batch_arrays, update_peak
 
-    figure_batch = multi_hot_batch()
     record["ppo_update_peak"] = {
         "unit": "batch x |A| float64 arrays",
-        "shape": list(figure_batch.masks.shape),
-        "batch": batch_arrays(figure_batch),
-        "peak": update_peak(updater.config, figure_batch),
+        "shape": list(batch.masks.shape),
+        "batch": batch_arrays(batch),
+        "peak": update_peak(updater.config, batch),
     }
 
     # Alg. 2 with the first layer as a running sum against the loop that

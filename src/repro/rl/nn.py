@@ -127,6 +127,11 @@ class MLP:
         return clone
 
 
+#: Elements per block of :meth:`Adam.step`'s walk: the width of its
+#: default ``(2, ADAM_BLOCK)`` scratch, 128 KiB a row.
+ADAM_BLOCK = 16_384
+
+
 class Adam:
     """Adam optimizer over a fixed list of parameter arrays (updated in place)."""
 
@@ -139,6 +144,11 @@ class Adam:
         epsilon: float = 1e-8,
     ) -> None:
         self.parameters = list(parameters)
+        # The blocked walk steps 1-D views; on a non-contiguous array the
+        # reshape is a copy and the update would be silently lost.
+        for i, param in enumerate(self.parameters):
+            if not param.flags.c_contiguous:
+                raise ValueError(f"parameter {i} {param.shape} is not C-contiguous")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
@@ -152,33 +162,39 @@ class Adam:
     ) -> None:
         """One descent step given gradients aligned with ``parameters``.
 
-        In place through ``scratch`` (two rows of at least the largest
-        parameter's size), in the textbook expression's arithmetic order.
+        In place, in the textbook expression's arithmetic order, walking
+        each parameter in blocks of ``scratch``'s row length through its
+        two rows (default ``(2, ADAM_BLOCK)``): every element sees the same
+        ufuncs whatever the block, so any width gives the same bits.
         """
         if len(gradients) != len(self.parameters):
             raise ValueError(
                 f"{len(gradients)} gradients for {len(self.parameters)} parameters"
             )
         if scratch is None:
-            scratch = np.empty((2, max(p.size for p in self.parameters)))
+            scratch = np.empty((2, ADAM_BLOCK))
+        block = scratch.shape[1]
         self._t += 1
         correction1 = 1.0 - self.beta1 ** self._t
         correction2 = 1.0 - self.beta2 ** self._t
-        for param, grad, m, v in zip(self.parameters, gradients, self._m, self._v):
-            step, work = scratch[:, : param.size].reshape(2, *param.shape)
-            m *= self.beta1
-            m += np.multiply(grad, 1.0 - self.beta1, out=work)
-            v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=work)
-            work *= grad
-            v += work
-            np.divide(v, correction2, out=work)
-            np.sqrt(work, out=work)
-            work += self.epsilon
-            np.divide(m, correction1, out=step)
-            step *= self.learning_rate
-            step /= work
-            param -= step
+        for arrays in zip(self.parameters, gradients, self._m, self._v):
+            flat = [a.reshape(-1) for a in arrays]
+            for start in range(0, flat[0].size, block):
+                param, grad, m, v = (a[start : start + block] for a in flat)
+                step, work = scratch[:, : param.size]
+                m *= self.beta1
+                m += np.multiply(grad, 1.0 - self.beta1, out=work)
+                v *= self.beta2
+                np.multiply(grad, 1.0 - self.beta2, out=work)
+                work *= grad
+                v += work
+                np.divide(v, correction2, out=work)
+                np.sqrt(work, out=work)
+                work += self.epsilon
+                np.divide(m, correction1, out=step)
+                step *= self.learning_rate
+                step /= work
+                param -= step
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

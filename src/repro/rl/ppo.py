@@ -17,13 +17,15 @@ the inline notes — and applied with Adam.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..obs import metrics as _metrics
-from .nn import Adam, masked_softmax
+from ..obs import trace as _trace
+from .nn import ADAM_BLOCK, Adam, masked_softmax
 from .policy import ActorNetwork, CriticNetwork
 from .rollout import RolloutBatch
 
@@ -119,7 +121,8 @@ class PPOUpdater:
 
     # -------------------------------------------------------------- #
     def update(self, batch: RolloutBatch) -> UpdateStats:
-        """Run K epochs of minibatch updates on one rollout batch."""
+        """Run K epochs of minibatch updates on one rollout batch, the
+        critic's on a second thread beside the actor's."""
         config = self.config
         n = len(batch)
         stats = UpdateStats(n_samples=n)
@@ -133,25 +136,33 @@ class PPOUpdater:
         old_log_dist = (
             self.actor.log_probs(batch.states, batch.masks) if use_kl else None
         )
-        # One Adam work buffer for both optimizers, released with this call.
-        optimizers = filter(None, (self.actor_optimizer, self.critic_optimizer))
-        scratch = np.empty((2, max(p.size for o in optimizers for p in o.parameters)))
-
-        n_updates = 0
-        for _epoch in range(config.update_epochs):
-            order = self.rng.permutation(n)
-            for start in range(0, n, config.minibatch_size):
-                idx = order[start : start + config.minibatch_size]
+        # Every epoch's permutation, drawn as the epoch loop drew them.
+        slices = [
+            order[start : start + config.minibatch_size]
+            for order in [self.rng.permutation(n) for _ in range(config.update_epochs)]
+            for start in range(0, n, config.minibatch_size)
+        ]
+        n_updates = len(slices)
+        # The critic reads nothing the actor writes: its steps run as one
+        # task on a second thread, joined (even on an exception) by ``with``.
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppo-critic") as lane:
+            critic_task = (
+                lane.submit(self._critic_epochs, batch, slices)
+                if config.use_critic
+                else None
+            )
+            scratch = np.empty((2, ADAM_BLOCK))
+            for idx in slices:
                 mb_stats = self._minibatch_update(
                     batch, idx, old_log_dist[idx] if use_kl else None, scratch
                 )
                 stats.policy_loss += mb_stats.policy_loss
-                stats.value_loss += mb_stats.value_loss
                 stats.entropy += mb_stats.entropy
                 stats.kl_divergence += mb_stats.kl_divergence
                 stats.clip_fraction += mb_stats.clip_fraction
                 stats.grad_norm = max(stats.grad_norm, mb_stats.grad_norm)
-                n_updates += 1
+            if critic_task is not None:
+                stats.value_loss = critic_task.result()
 
         if n_updates:
             stats.policy_loss /= n_updates
@@ -168,7 +179,7 @@ class PPOUpdater:
                     f"PPO update diverged: {name} is {value!r} "
                     f"(batch of {n} samples, {n_updates} minibatch steps)"
                 )
-        del old_log_dist, scratch  # not alive next to the critic's whole-batch pass
+        del old_log_dist  # not alive next to the critic's whole-batch pass
         stats.explained_variance = self._explained_variance(batch)
         _metrics.add("ppo.updates")
         _metrics.add("ppo.minibatch_updates", n_updates)
@@ -190,6 +201,28 @@ class PPOUpdater:
         return float(1.0 - np.var(batch.returns - values) / var_returns)
 
     # -------------------------------------------------------------- #
+    def _critic_epochs(self, batch: RolloutBatch, slices: list[np.ndarray]) -> float:
+        """The critic's gradient steps over ``slices``, in order, through a
+        scratch of its own; returns the sum of their value losses."""
+        config = self.config
+        assert self.critic is not None and self.critic_optimizer is not None
+        scratch = np.empty((2, ADAM_BLOCK))
+        value_loss = 0.0
+        with _trace.span("train.update.critic"):
+            for idx in slices:
+                states = np.asarray(batch.states[idx], dtype=np.float64)
+                values_out, value_cache = self.critic.net.forward(states)
+                errors = values_out[:, 0] - batch.returns[idx]
+                value_loss += float(np.mean(errors ** 2))
+                grad_values = (2.0 * errors / len(idx))[:, None] * config.value_coef
+                v_weight_grads, v_bias_grads = self.critic.net.backward(
+                    value_cache, grad_values
+                )
+                v_gradients = v_weight_grads + v_bias_grads
+                _clip_gradients(v_gradients, config.max_grad_norm)
+                self.critic_optimizer.step(v_gradients, scratch)
+        return value_loss
+
     def _minibatch_update(
         self,
         batch: RolloutBatch,
@@ -197,12 +230,12 @@ class PPOUpdater:
         old_log_dist: Optional[np.ndarray],
         scratch: np.ndarray,
     ) -> UpdateStats:
-        """One gradient step; ``old_log_dist`` is this minibatch's own copy
-        of π_old's rows, overwritten as work space (``None`` without the KL
-        term, its only reader)."""
+        """One actor gradient step; ``old_log_dist`` is this minibatch's own
+        copy of π_old's rows, overwritten as work space (``None`` without
+        the KL term, its only reader)."""
         config = self.config
         # States travel in the dtype the environment gave them (bool for
-        # ours); this is the one cast, shared by the actor and the critic.
+        # ours); each lane makes its own cast.
         states = np.asarray(batch.states[idx], dtype=np.float64)
         actions = batch.actions[idx]
         advantages = batch.advantages[idx]
@@ -260,23 +293,8 @@ class PPOUpdater:
         grad_norm = _clip_gradients(gradients, config.max_grad_norm)
         self.actor_optimizer.step(gradients, scratch)
 
-        value_loss = 0.0
-        if config.use_critic and self.critic is not None:
-            values_out, value_cache = self.critic.net.forward(states)
-            errors = values_out[:, 0] - batch.returns[idx]
-            value_loss = float(np.mean(errors ** 2))
-            grad_values = (2.0 * errors / m)[:, None] * self.config.value_coef
-            v_weight_grads, v_bias_grads = self.critic.net.backward(
-                value_cache, grad_values
-            )
-            v_gradients = v_weight_grads + v_bias_grads
-            _clip_gradients(v_gradients, config.max_grad_norm)
-            assert self.critic_optimizer is not None
-            self.critic_optimizer.step(v_gradients, scratch)
-
         return UpdateStats(
             policy_loss=policy_loss,
-            value_loss=value_loss,
             entropy=float(np.mean(entropy)),
             kl_divergence=kl,
             clip_fraction=clip_fraction,

@@ -2,14 +2,22 @@
 
 The lock-step collector must take every decision the one-actor-at-a-time
 loop took (kept here as the reference), the stacked sampler must consume a
-generator exactly as ``Generator.choice`` does, the in-place Adam must be
-the textbook update bit for bit, and the hand-derived PPO / A2C /
-REINFORCE gradient must match a finite difference of the loss it claims to
-descend.
+generator exactly as ``Generator.choice`` does, the in-place blocked Adam
+must be the textbook update bit for bit, the two-lane update must leave
+the bytes the interleaved actor-then-critic loop left (also kept here) and
+never outlive its critic lane, and the hand-derived PPO / A2C / REINFORCE
+gradient must match a finite difference of the loss it claims to descend.
 """
+
+import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+
+from repro import obs
 
 from repro.core import (
     ASQPConfig,
@@ -25,15 +33,19 @@ from repro.rl import (
     CriticNetwork,
     Environment,
     MultiActorCollector,
+    NonFiniteUpdateError,
     PPOConfig,
     PPOUpdater,
     RolloutBatch,
     RolloutBuffer,
     Trajectory,
+    UpdateStats,
     make_actor_specs,
 )
-from repro.rl.nn import masked_softmax
+from repro.obs import trace
+from repro.rl.nn import ADAM_BLOCK, masked_softmax
 from repro.rl.policy import draw_actions
+from repro.rl.ppo import _clip_gradients
 
 N_ACTIONS = 40
 
@@ -75,6 +87,57 @@ def reference_collect(collector, episodes_per_actor, buffer):
                 buffer.add(trajectory)
                 rewards.append(trajectory.total_reward)
     return float(np.mean(rewards)) if rewards else 0.0
+
+
+# ------------------------------------------------------------------ #
+# reference: the update as it was before the critic got a lane of its own
+# ------------------------------------------------------------------ #
+def reference_update(updater, batch):
+    """Each minibatch runs the actor step, then the critic step, through one
+    scratch as wide as the largest parameter of either network."""
+    config, n = updater.config, len(batch)
+    stats = UpdateStats(n_samples=n)
+    if n == 0:
+        return stats
+    use_kl = config.use_clip and config.kl_coef > 0
+    old_log_dist = updater.actor.log_probs(batch.states, batch.masks) if use_kl else None
+    optimizers = [updater.actor_optimizer]
+    if updater.critic_optimizer is not None:
+        optimizers.append(updater.critic_optimizer)
+    scratch = np.empty((2, max(p.size for o in optimizers for p in o.parameters)))
+    n_updates = 0
+    for _epoch in range(config.update_epochs):
+        order = updater.rng.permutation(n)
+        for start in range(0, n, config.minibatch_size):
+            idx = order[start : start + config.minibatch_size]
+            step = updater._minibatch_update(
+                batch, idx, old_log_dist[idx] if use_kl else None, scratch
+            )
+            stats.policy_loss += step.policy_loss
+            stats.entropy += step.entropy
+            stats.kl_divergence += step.kl_divergence
+            stats.clip_fraction += step.clip_fraction
+            stats.grad_norm = max(stats.grad_norm, step.grad_norm)
+            if config.use_critic:
+                stats.value_loss += _reference_critic_step(updater, batch, idx, scratch)
+            n_updates += 1
+    for name in ("policy_loss", "value_loss", "entropy", "kl_divergence", "clip_fraction"):
+        setattr(stats, name, getattr(stats, name) / n_updates)
+    del old_log_dist, scratch
+    stats.explained_variance = updater._explained_variance(batch)
+    return stats
+
+
+def _reference_critic_step(updater, batch, idx, scratch):
+    states = np.asarray(batch.states[idx], dtype=np.float64)
+    values, cache = updater.critic.net.forward(states)
+    errors = values[:, 0] - batch.returns[idx]
+    grad_values = (2.0 * errors / len(idx))[:, None] * updater.config.value_coef
+    weight_grads, bias_grads = updater.critic.net.backward(cache, grad_values)
+    gradients = weight_grads + bias_grads
+    _clip_gradients(gradients, updater.config.max_grad_norm)
+    updater.critic_optimizer.step(gradients, scratch)
+    return float(np.mean(errors ** 2))
 
 
 # ------------------------------------------------------------------ #
@@ -237,37 +300,175 @@ def test_stacked_sampler_equals_generator_choice():
 
 
 # ------------------------------------------------------------------ #
+ADAM_CASES = {
+    # Two optimizers of different sizes sharing one scratch as wide as the
+    # largest parameter: every parameter is one block.
+    "shared-scratch": ([[(7, 5), (5,), (5, 11), (11,)], [(3, 4), (4,), (4, 1), (1,)]], 55),
+    # Larger than one block and not a multiple of it (8 blocks + 1024).
+    "multi-block": ([[(1032, 128), (128,), (128, 3), (3,)]], ADAM_BLOCK),
+    # The step's own (2, ADAM_BLOCK) scratch.
+    "default-scratch": ([[(1032, 128), (128,)], [(9, 2), (2,)]], None),
+}
+
+
 def test_in_place_adam_is_the_textbook_update_bit_for_bit():
-    rng = np.random.default_rng(2)
-    shapes = [(7, 5), (5,), (5, 11), (11,)], [(3, 4), (4,), (4, 1), (1,)]
-    parameter_sets = [[rng.standard_normal(s) for s in group] for group in shapes]
-    optimizers = [Adam(ps, learning_rate=1e-2 * (k + 1)) for k, ps in enumerate(parameter_sets)]
-    scratch = np.empty((2, 55))  # the largest parameter; shared by both
+    for case, (shapes, width) in ADAM_CASES.items():
+        rng = np.random.default_rng(2)
+        parameter_sets = [[rng.standard_normal(s) for s in group] for group in shapes]
+        optimizers = [
+            Adam(ps, learning_rate=1e-2 * (k + 1)) for k, ps in enumerate(parameter_sets)
+        ]
+        scratch = None if width is None else np.empty((2, width))
 
-    expected = [[p.copy() for p in ps] for ps in parameter_sets]
-    moments = [[(np.zeros_like(p), np.zeros_like(p)) for p in ps] for ps in parameter_sets]
-    for t in range(1, 51):
-        for k, optimizer in enumerate(optimizers):
-            gradients = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
-                         for p in parameter_sets[k]]
-            optimizer.step(gradients, scratch)
-            b1, b2, eps, lr = 0.9, 0.999, 1e-8, optimizer.learning_rate
-            for p, g, (m, v) in zip(expected[k], gradients, moments[k]):
-                m[...] = b1 * m + (1.0 - b1) * g
-                v[...] = b2 * v + (1.0 - b2) * g * g
-                m_hat = m / (1.0 - b1 ** t)
-                v_hat = v / (1.0 - b2 ** t)
-                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            for ours, theirs in zip(parameter_sets[k], expected[k]):
-                assert np.array_equal(ours, theirs), f"step {t}"
+        expected = [[p.copy() for p in ps] for ps in parameter_sets]
+        moments = [[(np.zeros_like(p), np.zeros_like(p)) for p in ps] for ps in parameter_sets]
+        for t in range(1, 51):
+            for k, optimizer in enumerate(optimizers):
+                gradients = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                             for p in parameter_sets[k]]
+                optimizer.step(gradients, scratch)
+                b1, b2, eps, lr = 0.9, 0.999, 1e-8, optimizer.learning_rate
+                for p, g, (m, v) in zip(expected[k], gradients, moments[k]):
+                    m[...] = b1 * m + (1.0 - b1) * g
+                    v[...] = b2 * v + (1.0 - b2) * g * g
+                    m_hat = m / (1.0 - b1 ** t)
+                    v_hat = v / (1.0 - b2 ** t)
+                    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+                for ours, theirs in zip(parameter_sets[k], expected[k]):
+                    assert np.array_equal(ours, theirs), f"{case}, step {t}"
 
-    # Without a caller's buffer the step allocates its own: same bits.
-    twin = [p.copy() for p in parameter_sets[0]]
-    gradients = [rng.standard_normal(p.shape) for p in twin]
-    a, b = Adam(parameter_sets[0]), Adam(twin)
-    a.step(gradients, scratch)
-    b.step(gradients)
-    assert all(np.array_equal(x, y) for x, y in zip(parameter_sets[0], twin))
+
+def test_adam_refuses_a_parameter_it_would_step_a_copy_of():
+    weight = np.zeros((6, 4))
+    with pytest.raises(ValueError, match="parameter 1 .* not C-contiguous"):
+        Adam([np.zeros(3), weight.T])
+    with pytest.raises(ValueError, match="not C-contiguous"):
+        Adam([weight[:, ::2]])
+    Adam([weight, weight[2:]])  # row slices of a C array are contiguous
+
+
+# ------------------------------------------------------------------ #
+UPDATE_VARIANTS = {
+    "ppo": PPOConfig(),
+    "ppo-kl0": PPOConfig(kl_coef=0.0),
+    "a2c": PPOConfig(use_clip=False),
+    "reinforce": PPOConfig(use_clip=False, use_critic=False),
+}
+
+
+def _twin_updaters(config, n_actions):
+    """Two updaters built from the same seeds."""
+    twins = []
+    for _ in range(2):
+        rng = np.random.default_rng(1)
+        actor = ActorNetwork(n_actions, rng)
+        critic = CriticNetwork(n_actions, rng) if config.use_critic else None
+        twins.append(PPOUpdater(actor, critic, config, np.random.default_rng(2)))
+    return twins
+
+
+def _network_bytes(updater):
+    networks = [updater.actor] + ([updater.critic] if updater.critic is not None else [])
+    return [p.tobytes() for network in networks for p in network.net.parameters()]
+
+
+def _assert_update_is_the_serial_loop(config, n, calls=3):
+    from tests.test_rl_memory import multi_hot_batch
+
+    # |A| = 200 puts the first layers (200 x 128) past one Adam block.
+    batch = multi_hot_batch(n=n, n_actions=200)
+    serial, two_lane = _twin_updaters(config, 200)
+    for call in range(calls):
+        want = reference_update(serial, batch)
+        got = two_lane.update(batch)
+        assert got == want, f"call {call}"
+        assert _network_bytes(two_lane) == _network_bytes(serial), f"call {call}"
+    assert two_lane.rng.random() == serial.rng.random()
+
+
+@pytest.mark.parametrize("n", [1, 63, 130, 1448])
+@pytest.mark.parametrize("variant", sorted(UPDATE_VARIANTS))
+def test_two_lane_update_equals_the_serial_loop(variant, n):
+    _assert_update_is_the_serial_loop(UPDATE_VARIANTS[variant], n)
+
+
+def test_two_lane_update_equals_the_serial_loop_under_mid_loop_gil_handoffs():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_update_is_the_serial_loop(UPDATE_VARIANTS["ppo"], 130)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _lane_fixture(n=130):
+    from tests.test_rl_memory import multi_hot_batch
+
+    rng = np.random.default_rng(1)
+    actor = ActorNetwork(20, rng, hidden=(16,))
+    critic = CriticNetwork(20, rng, hidden=(16,))
+    updater = PPOUpdater(actor, critic, PPOConfig(), np.random.default_rng(2))
+    return updater, multi_hot_batch(n=n, n_actions=20)
+
+
+def _broken(*_args):
+    raise RuntimeError("broken backward")
+
+
+def test_update_joins_its_lane_on_return_and_on_divergence():
+    updater, batch = _lane_fixture()
+    before = threading.active_count()
+    updater.update(batch)
+    assert threading.active_count() == before
+    diverging = dataclasses.replace(batch, advantages=np.full(len(batch), np.nan))
+    with pytest.raises(NonFiniteUpdateError):
+        updater.update(diverging)
+    assert threading.active_count() == before
+
+
+def test_an_exception_in_the_lane_comes_out_of_update(monkeypatch):
+    updater, batch = _lane_fixture()
+    before = threading.active_count()
+    monkeypatch.setattr(updater.critic.net, "backward", _broken)
+    with pytest.raises(RuntimeError, match="broken backward"):
+        updater.update(batch)
+    assert threading.active_count() == before
+
+
+def test_an_actor_exception_returns_only_after_the_lane_is_done(monkeypatch):
+    updater, batch = _lane_fixture()
+    before = threading.active_count()
+    critic_step, lane_steps = updater.critic_optimizer.step, []
+
+    def slow_step(gradients, scratch=None):
+        time.sleep(0.002)  # the lane is still stepping when the actor fails
+        critic_step(gradients, scratch)
+        lane_steps.append(threading.current_thread().name)
+
+    monkeypatch.setattr(updater.critic_optimizer, "step", slow_step)
+    monkeypatch.setattr(updater.actor.net, "backward", _broken)
+    with pytest.raises(RuntimeError, match="broken backward"):
+        updater.update(batch)
+    n_steps = updater.config.update_epochs * -(-len(batch) // updater.config.minibatch_size)
+    assert len(lane_steps) == n_steps
+    assert threading.current_thread().name not in lane_steps
+    assert threading.active_count() == before
+    critic_bytes = _network_bytes(updater)
+    time.sleep(0.05)
+    assert _network_bytes(updater) == critic_bytes
+
+
+def test_the_lane_runs_inside_its_own_span():
+    updater, batch = _lane_fixture()
+    trace.reset()
+    try:
+        with obs.observed():
+            updater.update(batch)
+        lanes = [root for root in trace.roots() if root.name == "train.update.critic"]
+    finally:
+        trace.reset()
+    assert len(lanes) == 1
+    assert lanes[0].thread_name != threading.current_thread().name
 
 
 VARIANTS = {

@@ -79,7 +79,8 @@ def update_peak(config: PPOConfig, batch: RolloutBatch) -> float:
 @pytest.mark.parametrize(
     "config, ceiling",
     [
-        # Measured 2.07 / 1.41 / 0.87 (batch 0.26 of it); 4.14 for all three
+        # Measured 2.10 / 1.44 / 0.72 (batch 0.26 of it) with the critic on
+        # its own lane and block-wide Adam scratch; 4.14 for all three
         # before states were bits and π_old was written over its own logits.
         pytest.param(PPOConfig(), 2.25, id="ppo"),
         pytest.param(PPOConfig(use_clip=False), 1.6, id="a2c"),
