@@ -12,23 +12,29 @@ tests retain, with the peak that update holds; the 13
 rollouts of Alg. 2 one ``approximation_set()`` makes; and the two
 per-distinct-value kernels of a fit's pre-processing, ``embed_actions``
 and ``compute_table_stats`` — those three against the loops the tests
-retain. Two rows time a kernel against the form it replaced: a join-key
+retain. Three rows time a kernel against the form it replaced: a join-key
 NDV count by ``sorted_unique`` against numpy 2.x's hash-set ``np.unique``,
-and a primary-key probe against the probe's three-repeat form. Writes
-``BENCH_kernels.json``
-so the performance trajectory of these kernels is tracked in-repo.
+a primary-key probe against the probe's three-repeat form, and the
+column store's serial scan on dictionary codes against the same
+predicate on decoded values.
+
+One timer measures everything: :func:`_paired` runs the two sides of a
+row in alternating same-round batches, so a row's ``speedup`` is the
+median per-round ratio of reference to fast code, timed in the same
+minute on the same host. The all-on arm times the same way what full
+observability costs — spans, metrics, telemetry to a sink, the 100 hz
+profiler and shadow auditing at the default rate — against all of it
+off, on the four 10k kernels and on one served batch of a micro session.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py                  # full profile
-    PYTHONPATH=src python benchmarks/bench_kernels.py --profile fast   # CI smoke
     PYTHONPATH=src python benchmarks/bench_kernels.py --profile fast \
-        --check BENCH_kernels.json --max-regression 2.0
+        --check BENCH_kernels.json --output -                          # CI smoke
 
-``--check`` compares the freshly measured vectorized timings against a
-committed baseline file and exits non-zero if any kernel regressed by
-more than ``--max-regression``, or if the serial encoded scan costs more
-than 1.25x the plain scan (see ``scripts/bench_smoke.sh``).
+``--check`` applies :func:`check` against a committed record and exits
+non-zero on a failure. BLAS runs on one thread, as in the end-to-end
+benchmark (``benchmarks/e2e/run.py::PINNED_ENV``).
 
 This file is not a pytest benchmark: it is a standalone script so CI can
 run it without the pytest-benchmark plugin.
@@ -36,16 +42,28 @@ run it without the pytest-benchmark plugin.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":  # before numpy loads its BLAS
+    os.environ.update(
+        OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1"
+    )
+
 import argparse
 import gc
 import json
+import math
+import subprocess
 import sys
+import tempfile
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # for ``tests``
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))  # for ``tests``
 
 from repro import obs
 from repro.core import (
@@ -76,48 +94,80 @@ from repro.rl import (
     make_actor_specs,
 )
 
-#: Speedups the tentpole must hold at the 10k-row profile (join and the
-#: coverage hot paths are the acceptance-gated kernels; distinct/group and
-#: the raw batch-update path ride along). ``coverage_probe`` is the BRT /
-#: greedy inner loop — reset, add a candidate set, score — where the
-#: legacy tracker rebuilds its missing-requirement dict per candidate.
-#: ``coverage_batch`` (raw add/remove) is reported but ungated: both
-#: implementations pay the same per-key tuple hash to intern keys, which
-#: caps that path's speedup near 3x regardless of the update structure.
-REQUIRED_SPEEDUPS = {
-    "join_10k": 5.0,
-    "coverage_probe": 5.0,
-    "coverage_score_with_keys": 5.0,
-}
-
 PROFILES = {
     # rows are identical between profiles so the JSON is comparable;
-    # "fast" only lowers the repeat count for CI smoke runs.
-    "full": {"repeats": 5},
-    "fast": {"repeats": 2},
+    # "fast" only times fewer rounds for CI smoke runs. The all-on arm is
+    # cheap and gated on an absolute bound, so it runs ten times the rounds.
+    "full": {"rounds": 15},
+    "fast": {"rounds": 7},
 }
+
+#: Each side of a round runs as many calls as fill about this long.
+BATCH_SECONDS = 0.005
+
+#: ``check`` fails a paired ratio that worsens by more than this factor
+#: against the baseline: a speedup that falls, an all-on ratio that rises.
+MAX_WORSENING = 1.5
+
+#: ``check`` fails a kernel all-on overhead above this (ROADMAP's
+#: combined bound for everything on).
+MAX_KERNEL_OVERHEAD = 0.05
+
+#: ``check`` fails an audit share of serving seconds above this; the
+#: governor admits audits within 1% (``quality.MAX_OVERHEAD``).
+MAX_AUDIT_SHARE = 0.02
 
 N_ROWS = 10_000
 
 #: Action-space size of the rl rows: the figure-scale fit's (|A| = 828).
 N_ACTIONS = 800
 
-#: Row count for the column-store section, identical between profiles
-#: for comparability.
+#: Row count of the ``table_stats_str`` and ``serial_scan_120k`` tables.
 COLUMNSTORE_ROWS = 120_000
 
-#: ``--check`` also fails when the serial encoded scan costs more than
-#: this multiple of the plain (decoded) scan.
-MAX_SERIAL_SCAN_RATIO = 1.25
 
+def _paired(a, b, rounds: int, switch=None) -> tuple[float, float, float]:
+    """Time ``a`` against ``b``: each side's median per-call seconds and
+    the median per-round ratio ``a / b``.
 
-def _best_of(fn, repeats: int) -> float:
-    best = np.inf
-    for _ in range(repeats):
+    Each round runs a batch of ``a`` and a batch of ``b`` back to back,
+    alternating which goes first, so the two sides of a ratio see the
+    same machine state and slow drift cancels. A warm-up call of each
+    side sizes its batch to fill :data:`BATCH_SECONDS`. The collector is
+    paused while the rounds run. ``switch(side)``, when given, runs
+    untimed before each batch of that side (0 for ``a``, 1 for ``b``).
+    """
+    sides = (a, b)
+    calls = []
+    for side, fn in enumerate(sides):
+        if switch is not None:
+            switch(side)
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        calls.append(max(1, math.ceil(BATCH_SECONDS / (time.perf_counter() - start))))
+    per_call: tuple[list[float], list[float]] = ([], [])
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for round_ in range(rounds):
+            for side in (0, 1) if round_ % 2 == 0 else (1, 0):
+                if switch is not None:
+                    switch(side)
+                fn, n = sides[side], calls[side]
+                start = time.perf_counter()
+                for _ in range(n):
+                    fn()
+                per_call[side].append((time.perf_counter() - start) / n)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    ratios = [x / y for x, y in zip(*per_call)]
+    return (
+        float(np.median(per_call[0])),
+        float(np.median(per_call[1])),
+        float(np.median(ratios)),
+    )
 
 
 # ------------------------------------------------------------------ #
@@ -318,25 +368,80 @@ def _update_fixture() -> tuple[PPOUpdater, RolloutBatch]:
     return PPOUpdater(actor, critic, rng=rng), batch
 
 
-# ------------------------------------------------------------------ #
-def run_benchmarks(profile: str) -> dict:
-    repeats = PROFILES[profile]["repeats"]
-    record: dict = {"profile": profile, "rows": N_ROWS, "kernels": {}}
+def _scan_fixture():
+    """The serial scan of a 120k-row table (a 200-value dict-string, a
+    sorted int, a float): its predicate on decoded values and its
+    code-space rewrite on the stored codes, each with its columns."""
+    from repro.db import expressions as E
+    from repro.db import sql
 
-    def measure(name: str, reference, vectorized, units: int, calls: int = 1) -> None:
-        """``reference`` is None for a row with no retained reference;
-        a sub-millisecond row times ``calls`` calls and reports one."""
+    rng = np.random.default_rng(13)
+    n = COLUMNSTORE_ROWS
+    cities = np.asarray([f"city_{i:03d}" for i in range(200)], dtype=object)
+    schema = TableSchema(
+        "bench",
+        (
+            Column("city", ColumnType.STR),
+            Column("ts", ColumnType.INT),
+            Column("value", ColumnType.FLOAT),
+        ),
+    )
+    table = Table(
+        schema,
+        {
+            "city": cities[rng.integers(0, len(cities), size=n)],
+            "ts": np.sort(rng.integers(0, 10_000_000, size=n)),
+            "value": rng.normal(size=n),
+        },
+    )
+    # ~10% of the ts range plus a string inequality the rewrite turns into codes.
+    predicate = sql(
+        "SELECT city, ts, value FROM bench "
+        "WHERE ts BETWEEN 4000000 AND 5000000 AND city != 'city_000'"
+    ).predicate
+    plain = {f"bench.{name}": table.column(name) for name in ("city", "ts", "value")}
+    encoding = table.encoding("city")
+    encoded = {**plain, "bench.city": encoding.codes}
+    rewritten = E.rewrite_for_codes(
+        predicate, {"bench.city": encoding.dictionary}, list(plain)
+    )
+    assert rewritten is not None, "bench predicate must be code-rewritable"
+    return (predicate, plain), (rewritten, encoded)
 
-        def per_call(fn) -> float:
-            return _best_of(lambda: [fn() for _ in range(calls)], repeats) / calls
 
-        ref_s = per_call(reference) if reference is not None else None
-        vec_s = per_call(vectorized)
+def _serving_fixture():
+    """A micro trained session (flights at scale 0.12, ASQP-Light) and one
+    served batch: its first four workload queries."""
+    from repro.core import ASQPSession, ASQPTrainer
+    from repro.datasets import load_flights
+
+    bundle = load_flights(scale=0.12, n_queries=6, n_aggregate_queries=2)
+    config = ASQPConfig.light(
+        memory_budget=120, frame_size=20, n_iterations=2,
+        learning_rate=1e-3, seed=0,
+    )
+    model = ASQPTrainer(bundle.db, bundle.workload, config).train()
+    session = ASQPSession(model, auto_fine_tune=False)
+    queries = list(bundle.workload)[:4]
+
+    def serve() -> None:
+        for query in queries:
+            session.query(query)
+
+    return serve
+
+
+def run_benchmarks(rounds: int) -> dict:
+    """Every kernel row, each paired against its retained reference."""
+    record: dict = {"rows": N_ROWS, "kernels": {}}
+
+    def measure(name: str, reference, vectorized, units: int) -> None:
+        ref_s, vec_s, speedup = _paired(reference, vectorized, rounds)
         record["kernels"][name] = {
             "reference_s": ref_s,
             "vectorized_s": vec_s,
-            "speedup": ref_s / vec_s if ref_s is not None and vec_s > 0 else None,
-            "units_per_s": units / vec_s if vec_s > 0 else float("inf"),
+            "speedup": speedup,
+            "units_per_s": units / vec_s,
         }
 
     rng = np.random.default_rng(7)
@@ -380,7 +485,7 @@ def run_benchmarks(profile: str) -> dict:
     ):
         measure(
             name, lambda: reference(*args), lambda: vectorized(*args),
-            units=len(all_ids[0]), calls=200,
+            units=len(all_ids[0]),
         )
 
     # What `_join_order` counts per join key: a sampled int64 key column
@@ -392,7 +497,7 @@ def run_benchmarks(profile: str) -> dict:
         "ndv_8k_int64",
         lambda: np.unique(ndv_keys),
         lambda: kernels.sorted_unique(ndv_keys),
-        units=len(ndv_keys), calls=50,
+        units=len(ndv_keys),
     )
 
     # A primary-key probe: 50 000 unique build keys, 100 000 probe rows
@@ -527,365 +632,127 @@ def run_benchmarks(profile: str) -> dict:
         lambda: compute_table_stats(words),
         units=len(words),
     )
+    (predicate, plain), (rewritten, encoded) = _scan_fixture()
+    measure(
+        "serial_scan_120k",
+        lambda: np.flatnonzero(predicate.evaluate(plain)),
+        lambda: np.flatnonzero(rewritten.evaluate(encoded)),
+        units=COLUMNSTORE_ROWS,
+    )
     return record
 
 
-def run_obs_overhead(repeats: int) -> dict:
-    """Measure the cost of *instrumentation* on the vectorized kernels.
+def run_all_on(rounds: int) -> dict:
+    """What everything on costs against everything off, as paired ratios.
 
-    Times each kernel with observability disabled (the default, where an
-    instrumentation site is one flag check) and enabled (spans + metric
-    histograms recording), and reports the per-kernel and median overhead
-    fractions. The disabled numbers are the contract: DESIGN.md promises
-    zero overhead when off, and ``--obs-check`` gates the *median*
-    enabled-vs-disabled overhead (medians absorb single-kernel timing
-    noise that best-of-N repeats cannot).
+    The on side runs inside ``obs.run(…, profile=True)`` with telemetry
+    going to a temporary sink and the audit governor at
+    ``quality.DEFAULT_AUDIT_RATE``: spans, metric histograms, telemetry
+    rows, the 100 hz sampling profiler and shadow auditing. The off side
+    has observability disabled, the profiler stopped and the governor at
+    rate 0. Two cases: the four 10k kernels, and one served batch of a
+    micro session. The serving case also reports the governor's own
+    audit seconds over its serving seconds, the first always-admitted
+    audit excluded.
     """
+    quality = obs.quality
     rng = np.random.default_rng(7)
     build, probe = _join_workload(rng)
     distinct_arrays = _distinct_workload(rng)
     group_arrays = _group_workload(rng)
-    cases = {
-        "join_10k": lambda: kernels.join_positions(build, probe),
-        "distinct_10k": lambda: kernels.distinct_positions(distinct_arrays),
-        "group_by_10k": lambda: kernels.group_by_positions(group_arrays),
-        "factorize_10k": lambda: kernels.factorize_keys(distinct_arrays),
-    }
-    entries: dict = {}
-    overheads = []
-    rounds = max(5 * repeats, 10)
-    batch = 3
-    # The enabled arm runs under an active request context, as a served
-    # query does, so the <2% budget covers spans and metric histograms.
-    request = obs.context.new_context(fingerprint="bench_obs_overhead")
-    try:
-        for name, fn in cases.items():
-            # Warm both paths first (the first enabled call allocates the
-            # metric histograms). Each round then times one disabled and
-            # one enabled batch back to back and keeps their ratio: the
-            # paired samples see the same machine state, so slow drift
-            # cancels, and the median over rounds absorbs the jitter that
-            # a best-of floor cannot.
-            obs.disable()
-            fn()
-            obs.enable()
-            with obs.context.activate(request):
-                fn()
-            ratios = []
-            disabled_best = enabled_best = np.inf
-            for _ in range(rounds):
-                obs.disable()
-                start = time.perf_counter()
-                for _ in range(batch):
-                    fn()
-                disabled_t = time.perf_counter() - start
-                obs.enable()
-                with obs.context.activate(request):
-                    start = time.perf_counter()
-                    for _ in range(batch):
-                        fn()
-                    enabled_t = time.perf_counter() - start
-                ratios.append(enabled_t / disabled_t)
-                disabled_best = min(disabled_best, disabled_t / batch)
-                enabled_best = min(enabled_best, enabled_t / batch)
-            overhead = float(np.median(ratios)) - 1.0
-            overheads.append(overhead)
-            entries[name] = {
-                "disabled_s": disabled_best,
-                "enabled_s": enabled_best,
-                "overhead_fraction": overhead,
-            }
-    finally:
-        obs.disable()
-        obs.metrics.reset()
-    return {
-        "kernels": entries,
-        "median_overhead_fraction": float(np.median(overheads)),
-    }
 
+    def kernels_10k() -> None:
+        kernels.join_positions(build, probe)
+        kernels.distinct_positions(distinct_arrays)
+        kernels.group_by_positions(group_arrays)
+        kernels.factorize_keys(distinct_arrays)
 
-def run_profile_overhead(repeats: int, hz: float = 100.0) -> dict:
-    """Measure the cost of the *running* sampling profiler on the kernels.
-
-    Same paired-interleaved-batch scheme as :func:`run_obs_overhead`,
-    but the varied condition is the background sampler: each round times
-    one batch with the profiler stopped and one with it running at
-    ``hz``, keeping the per-round ratio. ``--profile-check`` gates the
-    median — a statistical sampler reading ``sys._current_frames()``
-    from another thread should cost well under 5% at 100 hz.
-    """
-    from repro.obs import profiler as obs_profiler
-
-    rng = np.random.default_rng(11)
-    build, probe = _join_workload(rng)
-    distinct_arrays = _distinct_workload(rng)
-    group_arrays = _group_workload(rng)
-    cases = {
-        "join_10k": lambda: kernels.join_positions(build, probe),
-        "distinct_10k": lambda: kernels.distinct_positions(distinct_arrays),
-        "group_by_10k": lambda: kernels.group_by_positions(group_arrays),
-        "factorize_10k": lambda: kernels.factorize_keys(distinct_arrays),
-    }
-    entries: dict = {}
-    overheads = []
-    rounds = max(5 * repeats, 10)
-    batch = 3
-    try:
-        for name, fn in cases.items():
-            fn()  # warm caches once before any timing
-            ratios = []
-            stopped_best = running_best = np.inf
-            for _ in range(rounds):
-                obs_profiler.stop()
-                start = time.perf_counter()
-                for _ in range(batch):
-                    fn()
-                stopped_t = time.perf_counter() - start
-                obs_profiler.start(hz=hz)
-                start = time.perf_counter()
-                for _ in range(batch):
-                    fn()
-                running_t = time.perf_counter() - start
-                ratios.append(running_t / stopped_t)
-                stopped_best = min(stopped_best, stopped_t / batch)
-                running_best = min(running_best, running_t / batch)
-            overhead = float(np.median(ratios)) - 1.0
-            overheads.append(overhead)
-            entries[name] = {
-                "stopped_s": stopped_best,
-                "running_s": running_best,
-                "overhead_fraction": overhead,
-            }
-    finally:
-        obs_profiler.stop()
-    return {
-        "hz": hz,
-        "kernels": entries,
-        "median_overhead_fraction": float(np.median(overheads)),
-    }
-
-
-def run_audit_overhead(repeats: int) -> dict:
-    """Measure the cost of shadow auditing on end-to-end query serving.
-
-    Builds one micro trained session (flights at scale 0.12, ASQP-Light)
-    and serves its workload under the audit governor at the default
-    audit rate. Both overhead components are *directly attributed*
-    rather than inferred from paired A/B round ratios — on a one-core
-    container the per-round jitter of millisecond serving batches is
-    +/-30%, an order of magnitude above the signal, so a paired median
-    either hides a ~10ms audit spike or reports pure scheduler noise as
-    overhead:
-
-    * **accounting** — the per-query cost of the always-on admission
-      decision. The exact call the session makes per served query
-      (``Governor.admit``: served seconds, coin, budget) is micro-timed
-      over thousands of iterations on a probe governor and divided by
-      the measured per-query serving time. Both numerator and
-      denominator are tight-loop averages, stable to a few percent
-      where the paired ratio swung by whole percentage points of
-      overhead.
-    * **audit time** — the ground-truth re-executions themselves: the
-      session wraps each audit in a ``perf_counter`` pair and the
-      governor accumulates the spent seconds, so this component is
-      exact wall-clock attribution (audit seconds over serving seconds
-      across the governed phase, first always-allowed audit excluded
-      via snapshots).
-
-    The governor in :mod:`repro.obs.quality` keeps the audit component
-    under ``MAX_OVERHEAD`` (1%) of serving time by construction —
-    beyond the always-allowed first audit it only admits an audit the
-    remaining budget can cover — so the combined gate at <2% fails only
-    when the governor or the accounting hot path breaks, not when the
-    machine is noisy. The audit counts are the read-time fold
-    (``quality.accounting``) over the governed phase's rows.
-    """
-    from repro.core import ASQPConfig, ASQPSession, ASQPTrainer
-    from repro.datasets import load_flights
-    from repro.obs import quality, rundir, telemetry
-
-    bundle = load_flights(scale=0.12, n_queries=6, n_aggregate_queries=2)
-    config = ASQPConfig.light(
-        memory_budget=120, frame_size=20, n_iterations=2,
-        learning_rate=1e-3, seed=0,
-    )
-    obs.disable()
-    model = ASQPTrainer(bundle.db, bundle.workload, config).train()
-    session = ASQPSession(model, auto_fine_tune=False)
-    queries = list(bundle.workload)[:4]
-
-    def serve() -> None:
-        for query in queries:
-            session.query(query)
-
-    serves = max(60 * repeats, 120)
-    hook_loops = 20_000
+    serve = _serving_fixture()
     governor = quality.GOVERNOR
-    obs.enable()
-    governor.reset(0.0)
-    gc_was_enabled = gc.isenabled()
-    try:
-        serve()  # warm: result cache, metric histograms
-        # Baseline per-query serving time, rate 0 (no audit admitted).
-        # The collector is paused during timed phases — session serving
-        # is allocation-heavy and a GC pause inside the loop would
-        # inflate the average the accounting fraction divides by.
-        gc.collect()
-        gc.disable()
-        start = time.perf_counter()
-        for _ in range(serves):
-            serve()
-        baseline_t = time.perf_counter() - start
-        if gc_was_enabled:
-            gc.enable()
-        per_query = baseline_t / (serves * len(queries))
+    result: dict = {}
+    with tempfile.TemporaryDirectory() as directory, obs.run(
+        directory, profile=True, audit_rate=quality.DEFAULT_AUDIT_RATE
+    ):
+        running = obs.profiler.active()
 
-        # Governed phase: same workload volume at the default rate.
-        governor.reset(quality.DEFAULT_AUDIT_RATE)
-        serve()  # warm the governor: first (always-allowed) audit lands
-        audit_s0 = governor.audit_seconds
-        serving_s0 = governor.serving_seconds
-        telemetry.reset()
-        start = time.perf_counter()
-        for _ in range(serves):
-            serve()
-        monitored_t = time.perf_counter() - start
-        counts = quality.accounting(
-            rundir.Run("audit-check", records=telemetry.records())
-        )["counts"]
-        served = governor.serving_seconds - serving_s0
-        audit_fraction = (
-            (governor.audit_seconds - audit_s0) / served if served > 0 else 0.0
+        def switch(side: int) -> None:
+            if side == 0:
+                obs.enable()
+                governor.rate = quality.DEFAULT_AUDIT_RATE
+                running.start()
+            else:
+                running.stop()
+                governor.rate = 0.0
+                obs.disable()
+
+        while governor.audit_seconds == 0.0:  # the always-admitted first audit
+            serve()  # three of its four answers are approximate: the coin comes up
+        audit_s, serving_s = governor.audit_seconds, governor.serving_seconds
+        for case, fn in (("kernels_10k", kernels_10k), ("serving", serve)):
+            on_s, off_s, ratio = _paired(fn, fn, rounds, switch)
+            result[case] = {"off_s": off_s, "on_s": on_s, "ratio": ratio}
+        result["serving"]["audit_share"] = (
+            (governor.audit_seconds - audit_s)
+            / (governor.serving_seconds - serving_s)
         )
+    governor.reset(0.0)
+    return result
 
-        # Accounting micro-bench: the exact per-query admission call on
-        # a probe governor (so the governed phase's state stays its
-        # own). The trace id's audit-coin hex window is all zeros,
-        # forcing the coin to *pass* so the probe times the longest
-        # path (coin plus budget).
-        probe = quality.Governor(quality.DEFAULT_AUDIT_RATE)
-        tid = "deadbeef00000000deadbeefdeadbeef"
-        gc.collect()
-        gc.disable()
-        start = time.perf_counter()
-        for _ in range(hook_loops):
-            probe.admit(tid, 0.0, True)
-        hook_t = time.perf_counter() - start
-        if gc_was_enabled:
-            gc.enable()
-        accounting = (hook_t / hook_loops) / per_query
-    finally:
-        governor.reset(0.0)
-        obs.disable()
-        obs.metrics.reset()
-        obs.trace.reset()
-        obs.telemetry.reset()
-    disabled_best = baseline_t / serves
-    enabled_best = monitored_t / serves
-    overhead = accounting + audit_fraction
+
+def check(record: dict, baseline: dict) -> tuple[list[str], list[str]]:
+    """``(failures, notes)`` of ``record`` against ``baseline``.
+
+    Fails a paired ratio that worsened by more than
+    :data:`MAX_WORSENING` (a kernel speedup that fell, an all-on ratio
+    that rose), a kernel all-on overhead above
+    :data:`MAX_KERNEL_OVERHEAD` and an audit share above
+    :data:`MAX_AUDIT_SHARE`. A row the baseline lacks is a note.
+    """
+    failures: list[str] = []
+    notes: list[str] = []
+    sections = (
+        ("kernels", "speedup", -1),  # a speedup may not fall
+        ("all_on", "ratio", +1),  # an all-on ratio may not rise
+    )
+    for section, key, sign in sections:
+        for name, entry in record[section].items():
+            base = baseline.get(section, {}).get(name)
+            if base is None:
+                notes.append(f"{name}: not in the baseline, not checked")
+                continue
+            worsening = (entry[key] / base[key]) ** sign
+            if worsening > MAX_WORSENING:
+                failures.append(
+                    f"{name}: {key} {entry[key]:.3f} vs baseline {base[key]:.3f} "
+                    f"({worsening:.2f}x worse > {MAX_WORSENING}x)"
+                )
+    overhead = record["all_on"]["kernels_10k"]["ratio"] - 1.0
+    if overhead > MAX_KERNEL_OVERHEAD:
+        failures.append(
+            f"kernels_10k: all-on overhead {overhead:+.2%} "
+            f"> {MAX_KERNEL_OVERHEAD:.0%}"
+        )
+    share = record["all_on"]["serving"]["audit_share"]
+    if share > MAX_AUDIT_SHARE:
+        failures.append(
+            f"serving: audit share {share:.2%} > {MAX_AUDIT_SHARE:.0%}"
+        )
+    return failures, notes
+
+
+def _provenance(profile: str) -> dict:
+    described = subprocess.run(
+        ["git", "describe", "--always", "--dirty"],
+        cwd=ROOT, capture_output=True, text=True, check=False,
+    )
     return {
-        "kernels": {
-            "session_serving": {
-                "disabled_s": disabled_best,
-                "enabled_s": enabled_best,
-                "overhead_fraction": overhead,
-            }
-        },
-        "accounting_overhead_fraction": accounting,
-        "audit_time_fraction": audit_fraction,
-        "median_overhead_fraction": overhead,
-        "audit_counts": counts,
+        "git_sha": described.stdout.strip() or "unknown",
+        "nproc": os.cpu_count(),
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "profile": profile,
+        "rounds": PROFILES[profile]["rounds"],
+        "blas_threads": 1,
     }
-
-
-def _columnstore_fixture():
-    """A 120k-row table with a sorted int, a dict-string, and a float.
-
-    ``city`` has 200 distinct values, so its predicate runs on codes;
-    ``ts`` and ``value`` are plain columns the predicate reads as they
-    are stored.
-    """
-    from repro.db import Column, ColumnType, Database, Table, TableSchema, sql
-
-    rng = np.random.default_rng(13)
-    n = COLUMNSTORE_ROWS
-    cities = np.asarray([f"city_{i:03d}" for i in range(200)], dtype=object)
-    schema = TableSchema(
-        "bench",
-        (
-            Column("city", ColumnType.STR),
-            Column("ts", ColumnType.INT),
-            Column("value", ColumnType.FLOAT),
-        ),
-    )
-    table = Table(
-        schema,
-        {
-            "city": cities[rng.integers(0, len(cities), size=n)],
-            "ts": np.sort(rng.integers(0, 10_000_000, size=n)),
-            "value": rng.normal(size=n),
-        },
-    )
-    db = Database([table])
-    # ~10% of the ts range plus a string inequality the rewrite turns into codes.
-    query = sql(
-        "SELECT city, ts, value FROM bench "
-        "WHERE ts BETWEEN 4000000 AND 5000000 AND city != 'city_000'"
-    )
-    return db, table, query
-
-
-def run_columnstore(repeats: int) -> dict:
-    """The serial scan cost of a predicate on codes versus on values.
-
-    The serial comparison is kernel-level and apples-to-apples: the same
-    predicate evaluated over decoded arrays (plain) versus its
-    code-space rewrite over the stored int32 codes (encoded, the path
-    the executor runs with late materialization). ``serial_ratio`` is
-    the acceptance-gated number — encoded must stay within the allowed
-    factor of plain.
-    """
-    from repro.db import expressions as E
-
-    db, table, query = _columnstore_fixture()
-    record: dict = {"rows": len(table)}
-    refs = [f"bench.{c.name}" for c in table.schema.columns]
-    plain_context = {f"bench.{name}": table.column(name) for name in ("city", "ts", "value")}
-    encoding = table.encoding("city")
-    encoded_context = dict(plain_context)
-    encoded_context["bench.city"] = encoding.codes
-    rewritten = E.rewrite_for_codes(
-        query.predicate, {"bench.city": encoding.dictionary}, refs
-    )
-    assert rewritten is not None, "bench predicate must be code-rewritable"
-
-    plain_s = _best_of(
-        lambda: np.flatnonzero(query.predicate.evaluate(plain_context)), repeats
-    )
-    encoded_s = _best_of(
-        lambda: np.flatnonzero(rewritten.evaluate(encoded_context)), repeats
-    )
-    record["serial_scan"] = {
-        "plain_s": plain_s,
-        "encoded_s": encoded_s,
-        "serial_ratio": encoded_s / plain_s if plain_s > 0 else float("inf"),
-    }
-    return record
-
-
-def check_regressions(record: dict, baseline_path: Path, max_regression: float) -> list[str]:
-    baseline = json.loads(baseline_path.read_text())
-    failures = []
-    for name, entry in record["kernels"].items():
-        base = baseline.get("kernels", {}).get(name)
-        if base is None:
-            continue
-        if entry["vectorized_s"] > max_regression * base["vectorized_s"]:
-            failures.append(
-                f"{name}: {entry['vectorized_s'] * 1e3:.3f} ms vs baseline "
-                f"{base['vectorized_s'] * 1e3:.3f} ms (> {max_regression:.1f}x)"
-            )
-    return failures
 
 
 def main(argv=None) -> int:
@@ -896,157 +763,47 @@ def main(argv=None) -> int:
                              "BENCH_kernels.json; '-' to skip)")
     parser.add_argument("--check", type=Path, default=None,
                         help="baseline BENCH_kernels.json to compare against")
-    parser.add_argument("--max-regression", type=float, default=2.0)
-    parser.add_argument("--obs-check", action="store_true",
-                        help="also measure instrumentation overhead "
-                             "(enabled vs disabled) and gate the median")
-    parser.add_argument("--obs-tolerance", type=float, default=0.02,
-                        help="maximum tolerated median overhead fraction "
-                             "of enabled instrumentation (default 2%%)")
-    parser.add_argument("--profile-check", action="store_true",
-                        help="also measure the running sampling profiler's "
-                             "overhead on the kernels and gate the median")
-    parser.add_argument("--profile-tolerance", type=float, default=0.05,
-                        help="maximum tolerated median overhead fraction "
-                             "of the 100hz sampling profiler (default 5%%)")
-    parser.add_argument("--audit-check", action="store_true",
-                        help="also measure shadow-audit overhead on "
-                             "end-to-end query serving (audit governor "
-                             "at the default rate vs rate 0) and gate "
-                             "the sum")
-    parser.add_argument("--audit-tolerance", type=float, default=0.02,
-                        help="maximum tolerated median serving overhead "
-                             "fraction of shadow auditing (default 2%%)")
     args = parser.parse_args(argv)
 
-    record = run_benchmarks(args.profile)
+    rounds = PROFILES[args.profile]["rounds"]
+    record = {"provenance": _provenance(args.profile), **run_benchmarks(rounds)}
+    record["all_on"] = run_all_on(10 * rounds)
+    baseline = json.loads(args.check.read_text()) if args.check else {}
 
     width = max(len(name) for name in record["kernels"])
-    print(f"{'kernel'.ljust(width)}  reference    vectorized   speedup")
+    print(f"{'kernel'.ljust(width)}  reference    vectorized   speedup  committed")
     for name, entry in record["kernels"].items():
-        if entry["reference_s"] is None:
-            print(f"{name.ljust(width)}  {'-':>12}  {entry['vectorized_s'] * 1e3:9.3f} ms")
-            continue
+        committed = baseline.get("kernels", {}).get(name, {}).get("speedup")
         print(
             f"{name.ljust(width)}  {entry['reference_s'] * 1e3:9.3f} ms"
             f"  {entry['vectorized_s'] * 1e3:9.3f} ms"
-            f"  {entry['speedup']:6.1f}x"
+            f"  {entry['speedup']:6.2f}x"
+            + (f"  {committed:8.2f}x" if committed else "")
         )
-
     peak = record["ppo_update_peak"]
     print(
         f"{'ppo_update_peak'.ljust(width)}  {'-':>12}  {peak['peak']:9.3f} {peak['unit']} "
         f"at {peak['shape'][0]} x {peak['shape'][1]} (the batch itself: {peak['batch']:.3f})"
     )
+    print(f"\n{'all on'.ljust(width)}  off          on           ratio")
+    for name, entry in record["all_on"].items():
+        print(
+            f"{name.ljust(width)}  {entry['off_s'] * 1e3:9.3f} ms"
+            f"  {entry['on_s'] * 1e3:9.3f} ms  {entry['ratio']:6.3f}x"
+        )
+    print(f"serving audit share: {record['all_on']['serving']['audit_share']:.2%}")
 
     status = 0
-    for name, required in REQUIRED_SPEEDUPS.items():
-        speedup = record["kernels"][name]["speedup"]
-        if speedup < required:
-            print(f"FAIL: {name} speedup {speedup:.1f}x < required {required:.1f}x")
-            status = 1
-
     if args.check is not None:
-        failures = check_regressions(record, args.check, args.max_regression)
+        failures, notes = check(record, baseline)
+        for note in notes:
+            print(f"NOTE: {note}")
         for failure in failures:
-            print(f"REGRESSION: {failure}")
-        if failures:
-            status = 1
-
-    if args.obs_check:
-        overhead = run_obs_overhead(PROFILES[args.profile]["repeats"])
-        record["observability"] = {
-            **overhead,
-            "tolerance": args.obs_tolerance,
-            "ok": overhead["median_overhead_fraction"] <= args.obs_tolerance,
-        }
-        print(f"\n{'kernel'.ljust(width)}  disabled     enabled      overhead")
-        for name, entry in overhead["kernels"].items():
-            print(
-                f"{name.ljust(width)}  {entry['disabled_s'] * 1e3:9.3f} ms"
-                f"  {entry['enabled_s'] * 1e3:9.3f} ms"
-                f"  {entry['overhead_fraction'] * 100:+7.2f}%"
-            )
-        median = overhead["median_overhead_fraction"]
-        print(f"median instrumentation overhead: {median * 100:+.2f}% "
-              f"(tolerance {args.obs_tolerance * 100:.0f}%)")
-        if not record["observability"]["ok"]:
-            print(f"FAIL: median observability overhead {median * 100:.2f}% "
-                  f"exceeds {args.obs_tolerance * 100:.0f}%")
-            status = 1
-
-    if args.profile_check:
-        overhead = run_profile_overhead(PROFILES[args.profile]["repeats"])
-        record["profiler"] = {
-            **overhead,
-            "tolerance": args.profile_tolerance,
-            "ok": overhead["median_overhead_fraction"]
-            <= args.profile_tolerance,
-        }
-        print(f"\n{'kernel'.ljust(width)}  stopped      sampling     overhead")
-        for name, entry in overhead["kernels"].items():
-            print(
-                f"{name.ljust(width)}  {entry['stopped_s']:.6f}s   "
-                f"{entry['running_s']:.6f}s   "
-                f"{entry['overhead_fraction'] * 100:+.2f}%"
-            )
-        median = overhead["median_overhead_fraction"]
-        print(f"median sampling-profiler overhead at {overhead['hz']:.0f}hz: "
-              f"{median * 100:+.2f}% "
-              f"(tolerance {args.profile_tolerance * 100:.0f}%)")
-        if not record["profiler"]["ok"]:
-            print(f"FAIL: median sampling-profiler overhead "
-                  f"{median * 100:.2f}% exceeds "
-                  f"{args.profile_tolerance * 100:.0f}%")
-            status = 1
-
-    if args.audit_check:
-        overhead = run_audit_overhead(PROFILES[args.profile]["repeats"])
-        record["audit"] = {
-            **overhead,
-            "tolerance": args.audit_tolerance,
-            "ok": overhead["median_overhead_fraction"] <= args.audit_tolerance,
-        }
-        entry = overhead["kernels"]["session_serving"]
-        counts = overhead["audit_counts"]
-        print(f"\n{'session_serving'.ljust(width)}"
-              f"  {entry['disabled_s'] * 1e3:9.3f} ms"
-              f"  {entry['enabled_s'] * 1e3:9.3f} ms"
-              f"  {entry['overhead_fraction'] * 100:+7.2f}%")
-        print(f"  audits {counts.get('audits', 0)} "
-              f"(coin-skipped {counts.get('skipped_coin', 0)}, "
-              f"budget-skipped {counts.get('skipped_budget', 0)}) over "
-              f"{counts.get('queries', 0)} served queries")
-        median = overhead["median_overhead_fraction"]
-        print(f"shadow-audit overhead: "
-              f"{overhead['accounting_overhead_fraction'] * 100:.2f}% "
-              f"accounting (per-query hooks) + "
-              f"{overhead['audit_time_fraction'] * 100:.2f}% audit time "
-              f"= {median * 100:.2f}% "
-              f"(tolerance {args.audit_tolerance * 100:.0f}%)")
-        if not record["audit"]["ok"]:
-            print(f"FAIL: attributed shadow-audit overhead "
-                  f"{median * 100:.2f}% "
-                  f"exceeds {args.audit_tolerance * 100:.0f}%")
-            status = 1
-
-    repeats = PROFILES[args.profile]["repeats"]
-    columnstore = run_columnstore(repeats)
-    record["columnstore"] = columnstore
-    scan = columnstore["serial_scan"]
-    print(
-        f"\ncolumn store ({columnstore['rows']} rows) serial scan: "
-        f"plain {scan['plain_s'] * 1e3:.3f} ms, encoded {scan['encoded_s'] * 1e3:.3f} ms "
-        f"(ratio {scan['serial_ratio']:.2f}x)"
-    )
-
-    if args.check is not None and scan["serial_ratio"] > MAX_SERIAL_SCAN_RATIO:
-        print(f"FAIL: serial encoded scan is {scan['serial_ratio']:.2f}x plain "
-              f"(allowed {MAX_SERIAL_SCAN_RATIO:.2f}x)")
-        status = 1
+            print(f"FAIL: {failure}")
+        status = 1 if failures else 0
 
     if args.output is None:
-        args.output = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+        args.output = ROOT / "BENCH_kernels.json"
     if str(args.output) != "-":
         args.output.write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {args.output}")

@@ -35,11 +35,11 @@
 #                              with every output check on
 #                              (benchmarks/e2e/README.md); timings are
 #                              not gated here.
-# 6. scripts/loc.sh           — lines per package, the size number
+# 6. scripts/bench_smoke.sh   — the kernel gate: paired same-run ratios
+#                              against BENCH_kernels.json and the all-on
+#                              observability arm (~50 s).
+# 7. scripts/loc.sh           — lines per package, the size number
 #                              ROADMAP.md tracks; informational.
-#
-# Benchmark gates (kernel regressions, instrumentation overhead) live in
-# scripts/bench_smoke.sh.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -130,6 +130,9 @@ echo "== end-to-end benchmark (own tests + --smoke suite, output checks on)"
 python -m pytest benchmarks/e2e -q
 python3 benchmarks/e2e/run.py --smoke > /dev/null
 echo "e2e smoke: OK"
+
+echo "== kernel gate (paired ratios + all-on arm)"
+sh scripts/bench_smoke.sh
 
 echo "== lines per package (informational)"
 sh scripts/loc.sh

@@ -33,8 +33,8 @@ Dependency-free instrumentation substrate for the whole system
 
 Everything is off by default and *zero-overhead when disabled*: each
 instrumentation site checks one module-level flag before allocating
-anything (``benchmarks/bench_kernels.py --obs-check`` gates this; the
-sampling profiler's own overhead is gated by ``--profile-check``).
+anything. The all-on arm of ``benchmarks/bench_kernels.py`` gates the
+combined cost of everything on, the sampling profiler included.
 
 Typical use::
 

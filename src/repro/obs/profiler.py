@@ -20,7 +20,8 @@ Exports:
 The profiler is independent of the ``STATE.enabled`` observability
 flag: it costs nothing unless explicitly started (``repro profile``,
 ``obs.run(profile=True)``), and its sampling overhead at 100 hz is
-gated below 5% by ``benchmarks/bench_kernels.py --profile-check``.
+gated, with the rest of observability, by the all-on arm of
+``benchmarks/bench_kernels.py`` (≤ 5%).
 
 Memory is bounded everywhere: stacks deeper than ``max_depth`` are
 truncated, and at most ``max_unique_stacks`` distinct stacks are kept —

@@ -139,8 +139,9 @@ class Governor:
         an audit is admitted only if the budget covers the spent audit
         time *plus* one more audit at the last observed cost —
         admitting on a just-recovered budget would overshoot it by a
-        full audit every time, and the ``--audit-check`` bench gates
-        the realized fraction, not the intent.
+        full audit every time, and the all-on arm of
+        ``benchmarks/bench_kernels.py`` gates the realized share, not
+        the intent.
         """
         self.serving_seconds += max(0.0, elapsed_seconds)
         if not approximate:
