@@ -22,7 +22,7 @@ One timer measures everything: :func:`_paired` runs the two sides of a
 row in alternating same-round batches, so a row's ``speedup`` is the
 median per-round ratio of reference to fast code, timed in the same
 minute on the same host. The all-on arm times the same way what full
-observability costs — spans, metrics, telemetry to a sink, the 100 hz
+observability costs — spans, telemetry to a sink, the 100 hz
 profiler and shadow auditing at the default rate — against all of it
 off, on the four 10k kernels and on one served batch of a micro session.
 
@@ -647,8 +647,8 @@ def run_all_on(rounds: int) -> dict:
 
     The on side runs inside ``obs.run(…, profile=True)`` with telemetry
     going to a temporary sink and the audit governor at
-    ``quality.DEFAULT_AUDIT_RATE``: spans, metric histograms, telemetry
-    rows, the 100 hz sampling profiler and shadow auditing. The off side
+    ``quality.DEFAULT_AUDIT_RATE``: spans, telemetry rows, the 100 hz
+    sampling profiler and shadow auditing. The off side
     has observability disabled, the profiler stopped and the governor at
     rate 0. Two cases: the four 10k kernels, and one served batch of a
     micro session. The serving case also reports the governor's own

@@ -26,7 +26,9 @@
 #                              id from the report and every SLO exemplar
 #                              id resolve to their span trees) and `repro
 #                              diff` of the run against itself (must
-#                              report no regressions). A micro demo run
+#                              report no regressions); `repro stats`
+#                              prints its training trajectory and the
+#                              run holds no metrics.json. A micro demo run
 #                              at audit rate 0 must read as unverified:
 #                              `repro audit` exits 1 on it.
 # 5. end-to-end benchmark     — the benchmark's own tests (recorder,
@@ -114,6 +116,8 @@ python -m repro analyze --dir "$report_dir" --trace "$trace_id" \
 check_exemplars "$report_dir"
 python -m repro diff "$report_dir" "$report_dir" \
   | grep -q "no regressions"
+python -m repro stats --dir "$report_dir" | grep -q "Training trajectory"
+test ! -e "$report_dir/metrics.json"
 rm -rf "$report_dir"
 rate0_dir="$(mktemp -d)"
 REPRO_AUDIT_RATE=0 python -m repro demo --dataset flights --scale 0.12 \

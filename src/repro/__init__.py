@@ -25,7 +25,7 @@ Subpackages
 ``repro.baselines`` — the 12 comparison methods of the paper's §6
 ``repro.datasets``  — synthetic IMDB-JOB / MAS / FLIGHTS bundles
 ``repro.bench``     — experiment harness used by ``benchmarks/``
-``repro.obs``       — tracing spans, metrics registry, telemetry streams
+``repro.obs``       — tracing spans, telemetry streams, run views
 """
 
 from .core import (

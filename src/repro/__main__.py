@@ -17,7 +17,7 @@ Seven verbs are views of one recorded run directory, all read through
 artifact" message, exit 1):
 
 ``report`` — every section (repro.obs.report) as one markdown artifact.
-``stats``  — its metrics, training and queries sections.
+``stats``  — its training, queries and hottest-spans sections.
 ``audit``  — its answer-quality section (shadow audits, calibration).
 ``trace``  — the span tree.
 ``analyze`` — traces by id or the slowest: span trees, critical paths.
@@ -27,8 +27,8 @@ quality, SLO burn, and for a profiled run hot functions, span
 attribution and memory.
 
 ``demo``/``train`` accept ``--telemetry DIR`` to record a full
-observability run (trace.json, trace_chrome.json, metrics.json,
-telemetry.jsonl) for those views.
+observability run (trace.json, trace_chrome.json, telemetry.jsonl)
+for those views.
 
 Unknown subcommands exit with status 2 and the available-command list
 (argparse's required-subparser behaviour, pinned by ``tests/test_cli.py``).
@@ -78,7 +78,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--telemetry",
         metavar="DIR",
         default=None,
-        help="record an observability run (trace + metrics + telemetry JSONL) "
+        help="record an observability run (trace + telemetry JSONL) "
              "into DIR; read it back with `repro report`/`stats`/`trace`",
     )
 
@@ -242,7 +242,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """The report's metrics, training and queries sections of a run."""
+    """The report's training, queries and hottest-spans sections of a run."""
     from .obs import report
 
     print(report.render_sections(rundir.load(args.dir), report.STATS_SECTIONS))
@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     bench.set_defaults(func=cmd_bench)
 
     stats = commands.add_parser(
-        "stats", help="pretty-print a recorded run's metrics + telemetry"
+        "stats", help="print a run's training, queries and hottest spans"
     )
     stats.add_argument("--dir", default=DEFAULT_OBS_DIR,
                        help="run directory written by --telemetry")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from ..db.query import AggregateQuery, SPJQuery
-from ..obs import metrics as _metrics
 from ..obs import telemetry as _telemetry
 
 QueryLike = Union[SPJQuery, AggregateQuery]
@@ -70,7 +69,6 @@ class DriftDetector:
                 mean_deviation=mean_deviation,
                 events_fired=self.events_fired,
             )
-            _metrics.add("drift.events")
             return event
         return None
 

@@ -96,11 +96,12 @@ def score(
         re-running the workload on the full data across evaluations.
     """
     spj = workload.spj_only()
+    values = per_query_scores(db, subset, spj, frame_size, full_keys)
     total = 0.0
-    for i, query in enumerate(spj.queries):
-        cached = full_keys[i] if full_keys is not None else None
-        full_size, valid = _valid_result_count(db, subset, query, cached)
-        total += spj.weights[i] * query_score(full_size, valid, frame_size)
+    # A sequential sum in query order, not np.dot: the score stays
+    # bit-identical to the per-query loop it is defined by.
+    for weight, value in zip(spj.weights, values):
+        total += weight * value
     return float(total)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from ..obs.clock import perf_counter
 from ..db.database import Database
 from ..db.executor import AggregateResult, ResultSet, execute, execute_aggregate
-from ..obs import memory, metrics, quality, telemetry, trace
+from ..obs import memory, quality, telemetry, trace
 from ..obs import context as obs_context
 from ..obs.runtime import STATE as _OBS
 from ..db.query import AggregateQuery, SPJQuery
@@ -95,8 +95,8 @@ class ASQPSession:
             calibration_embeddings=prep.training_embeddings,
         )
         if _OBS.enabled:  # leave-one-out pass, so only on recorded runs
-            metrics.set_gauge(
-                "estimator.calibration_error", estimator.calibration_error()
+            telemetry.emit(
+                "estimator", calibration_error=estimator.calibration_error()
             )
         return estimator
 
@@ -208,14 +208,6 @@ class ASQPSession:
             fine_tuned=outcome.fine_tuned,
             **({"audit": audit} if audit is not None else {}),
         )
-        metrics.add("session.queries")
-        metrics.add(
-            "session.approx_answers" if outcome.used_approximation
-            else "session.full_db_answers"
-        )
-        metrics.observe("session.query.seconds", outcome.elapsed_seconds)
-        metrics.observe("session.confidence", estimate.confidence)
-        metrics.observe("session.realized_frame_score", realized)
         # Epoch boundary for the leak check: repeated query answering
         # should not accumulate traced bytes between queries.
         memory.mark_epoch("session.query")

@@ -11,7 +11,7 @@ biased toward the new queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from ..obs.clock import perf_counter
 from ..db.database import Database
 from ..db.query import AggregateQuery, SPJQuery
-from ..obs import memory, metrics, telemetry, trace
+from ..obs import memory, telemetry, trace
 from ..db.sampling import variational_subsample
 from ..datasets.workloads import Workload
 from ..rl.parallel import MultiActorCollector, make_actor_specs
@@ -47,10 +47,10 @@ class IterationRecord:
 
     Carries every :class:`~repro.rl.ppo.UpdateStats` field plus the
     iteration's timing split, so ``model.history`` is the single source
-    of truth for both the ``train.update`` telemetry stream and any
-    after-the-fact analysis (persistence round-trips it; the timing
-    fields default to zero when loading models saved before they
-    existed).
+    of truth for both the ``train.update`` telemetry stream (one row is
+    ``asdict(record)``) and any after-the-fact analysis (persistence
+    round-trips it; the timing fields default to zero when loading
+    models saved before they existed).
     """
 
     iteration: int
@@ -66,24 +66,6 @@ class IterationRecord:
     steps_per_second: float = 0.0
     explained_variance: float = 0.0
     grad_norm: float = 0.0
-
-    def telemetry_fields(self) -> dict:
-        """The flat dict emitted as one ``train.update`` telemetry row."""
-        return {
-            "iteration": self.iteration,
-            "mean_episode_reward": self.mean_episode_reward,
-            "policy_loss": self.policy_loss,
-            "value_loss": self.value_loss,
-            "entropy": self.entropy,
-            "kl_divergence": self.kl_divergence,
-            "clip_fraction": self.clip_fraction,
-            "explained_variance": self.explained_variance,
-            "grad_norm": self.grad_norm,
-            "n_samples": self.n_samples,
-            "rollout_seconds": self.rollout_seconds,
-            "update_seconds": self.update_seconds,
-            "steps_per_second": self.steps_per_second,
-        }
 
 
 @dataclass
@@ -387,12 +369,7 @@ def run_training_loop(
             )
             model.history.append(record)
             records.append(record)
-            telemetry.emit("train.update", **record.telemetry_fields())
-            metrics.set_gauge("train.mean_episode_reward", mean_reward)
-            metrics.add("train.iterations")
-            metrics.add("train.samples", stats.n_samples)
-            metrics.observe("train.rollout.seconds", rollout_seconds)
-            metrics.observe("train.update.seconds", update_seconds)
+            telemetry.emit("train.update", **asdict(record))
             # Epoch boundary for the leak check: steady-state training
             # should show ~zero traced-byte growth between iterations.
             memory.mark_epoch("train.iteration")

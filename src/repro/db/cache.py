@@ -13,9 +13,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Tuple
 
-from ..obs import metrics as _metrics
-from ..obs.runtime import STATE as _OBS
-
 TupleKey = Tuple[str, int]  # (table name, base row id)
 
 
@@ -30,8 +27,6 @@ class LRUTupleCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Counter totals already published to the metrics registry.
-        self._published = (0, 0, 0)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -39,7 +34,8 @@ class LRUTupleCache:
     def __contains__(self, key: TupleKey) -> bool:
         return key in self._entries
 
-    def _touch(self, key: TupleKey) -> bool:
+    def touch(self, key: TupleKey) -> bool:
+        """Access a tuple: insert or refresh it. Returns True on a hit."""
         hit = key in self._entries
         if hit:
             self._entries.move_to_end(key)
@@ -52,13 +48,6 @@ class LRUTupleCache:
                 self.evictions += 1
         return hit
 
-    def touch(self, key: TupleKey) -> bool:
-        """Access a tuple: insert or refresh it. Returns True on a hit."""
-        hit = self._touch(key)
-        if _OBS.enabled:
-            self._publish_delta()
-        return hit
-
     def touch_many(self, keys: Iterable[TupleKey]) -> int:
         """Access a batch of tuples (deduplicated); returns the hit count."""
         hits = 0
@@ -67,24 +56,9 @@ class LRUTupleCache:
             if key in seen:
                 continue
             seen.add(key)
-            if self._touch(key):
+            if self.touch(key):
                 hits += 1
-        if _OBS.enabled:
-            self._publish_delta()
         return hits
-
-    def _publish_delta(self) -> None:
-        """Sync the registry's cache counters to this cache's totals.
-
-        Counters accumulate deltas since the last publish, so several
-        caches in one process aggregate into one registry series.
-        """
-        registry = _metrics.registry()
-        registry.add("cache.hits", self.hits - self._published[0])
-        registry.add("cache.misses", self.misses - self._published[1])
-        registry.add("cache.evictions", self.evictions - self._published[2])
-        registry.set_gauge("cache.size", len(self._entries))
-        self._published = (self.hits, self.misses, self.evictions)
 
     def cache_stats(self) -> dict[str, float]:
         """Lifetime statistics of this cache (standalone accessor)."""

@@ -21,7 +21,6 @@ from ..obs.clock import perf_counter, process_time
 from . import kernels
 from ..obs import context as _context
 from ..obs import memory as _memory
-from ..obs import metrics as _metrics
 from ..obs import telemetry as _telemetry
 from ..obs import trace as _trace
 from ..obs.runtime import STATE as _OBS
@@ -34,7 +33,7 @@ from .expressions import (
     conjuncts,
     rewrite_for_codes,
 )
-from .plan import PlanNode, QueryPlan, q_error
+from .plan import PlanNode, QueryPlan
 from .query import (
     AggFunc,
     AggregateQuery,
@@ -566,13 +565,9 @@ def _join(
                 sp.set(conditions=[c.to_sql() for c in conditions])
                 sp.count("rows_in", len(left) + len(right))
                 sp.count("rows_out", len(out))
-                _metrics.registry().add("executor.join.rows_in", len(left) + len(right))
-                _metrics.registry().add("executor.join.rows_out", len(out))
-    if _OBS.enabled:
-        # Passive estimator-accuracy tracking: one q-error sample per
-        # executed join, independent of EXPLAIN mode (`repro stats`
-        # surfaces the histogram).
-        _metrics.observe("executor.join.q_error", q_error(estimate, len(out)))
+                # The planner's estimate beside the actual: a reader takes
+                # the join's q-error from the span, EXPLAIN or not.
+                sp.count("estimated_rows", estimate)
     return out
 
 
@@ -964,10 +959,6 @@ class _Pass:
                 trace_id=request.trace_id,
             )
             sp.count("rows_out", result.n_rows)
-            registry = _metrics.registry()
-            registry.add("executor.queries")
-            registry.add("executor.rows_out", result.n_rows)
-            registry.observe("executor.query.seconds", wall)
             _memory.mark_epoch("executor.query")
         return rel
 
@@ -1007,7 +998,6 @@ class _Pass:
             )
             if sp:
                 sp.count("groups_out", len(grouped.data))
-                _metrics.registry().add("executor.aggregate_queries")
         return grouped
 
 
@@ -1084,7 +1074,6 @@ def explain(
             max_q_error=plan.max_q_error(),
             operators=plan.operator_stats(),
         )
-        _metrics.add("executor.explain_analyze")
     return plan
 
 

@@ -34,44 +34,12 @@ results end to end.
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..obs.clock import perf_counter
-from ..obs import metrics as _metrics
-from ..obs.runtime import STATE as _OBS
-
 _FORCE_REFERENCE = False
-
-
-def _timed(metric: str, size: Optional[Callable] = None):
-    """Record a latency histogram (and optional output-size counter) per
-    call — one flag check and zero allocation when observability is off.
-
-    The timing wraps whichever implementation actually runs, so inside
-    :func:`use_reference_kernels` the reference path is what gets timed.
-    """
-
-    def wrap(fn):
-        @functools.wraps(fn)
-        def inner(*args):
-            if not _OBS.enabled:
-                return fn(*args)
-            start = perf_counter()
-            out = fn(*args)
-            registry = _metrics.registry()
-            registry.observe(metric + ".seconds", perf_counter() - start)
-            registry.add(metric + ".calls")
-            if size is not None:
-                registry.add(metric + ".rows", size(out))
-            return out
-
-        return inner
-
-    return wrap
 
 
 @contextmanager
@@ -189,7 +157,6 @@ def _redensify(codes: np.ndarray) -> tuple[np.ndarray, int]:
     return codes, (int(codes.max()) + 1 if len(codes) else 1)
 
 
-@_timed("kernel.factorize_keys", size=lambda out: len(out[0]))
 def factorize_keys(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     """Encode a tuple of equal-length key columns into bounded codes.
 
@@ -348,7 +315,6 @@ def probe_factorized(
     return probe_idx, build_idx.astype(np.int64, copy=False)
 
 
-@_timed("kernel.join_positions", size=lambda out: len(out[0]))
 def join_positions(
     build_keys: Sequence[np.ndarray], probe_keys: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -399,7 +365,6 @@ def reference_join_positions(
 # ------------------------------------------------------------------ #
 # distinct
 # ------------------------------------------------------------------ #
-@_timed("kernel.distinct_positions", size=len)
 def distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Stable distinct: positions of first occurrences, in input order."""
     if _FORCE_REFERENCE:
@@ -431,7 +396,6 @@ def reference_distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
 # ------------------------------------------------------------------ #
 # group-by
 # ------------------------------------------------------------------ #
-@_timed("kernel.group_by_positions", size=len)
 def group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Group rows by key tuple; each group's positions are ascending.
 

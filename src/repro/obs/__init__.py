@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, telemetry, profiling, and SLOs.
+"""Observability: tracing, telemetry, profiling, and SLOs.
 
 Dependency-free instrumentation substrate for the whole system
 (DESIGN.md §Observability):
@@ -10,15 +10,12 @@ Dependency-free instrumentation substrate for the whole system
 * :mod:`repro.obs.analyze`   — offline span-tree reconstruction,
   critical-path analysis, and run-vs-run latency diffs (import it
   directly — kept out of this package's eager imports);
-* :mod:`repro.obs.metrics`   — process-global counters / gauges /
-  fixed-bucket histograms (p50/p95/p99) with snapshot/reset and JSONL
-  export;
 * :mod:`repro.obs.telemetry` — structured JSONL event streams with a
   bounded in-memory ring and size/line-capped file rotation;
 * :mod:`repro.obs.profiler`  — continuous sampling CPU profiler
   (collapsed stacks, span-attributed samples);
 * :mod:`repro.obs.memory`    — tracemalloc snapshots, allocator tables,
-  and per-phase leak checks surfaced as gauges;
+  and per-phase leak checks;
 * :mod:`repro.obs.slo`       — declarative latency/answerability
   objectives with multi-window burn rates, folded over a run's rows;
 * :mod:`repro.obs.quality`   — answer quality: the live shadow-audit
@@ -30,6 +27,11 @@ Dependency-free instrumentation substrate for the whole system
 * :mod:`repro.obs.rundir`    — the run-directory format: artifact names,
   the one atomic writer, and ``load(directory) -> Run``, the one reader
   every ``repro`` view (report / stats / audit / watch / …) renders from.
+
+A run records each fact once — as a span or as a telemetry row — and
+every count, percentile and verdict a view shows is folded from those
+at read time (:func:`repro.obs.metrics.percentile` is the one
+percentile they share).
 
 Everything is off by default and *zero-overhead when disabled*: each
 instrumentation site checks one module-level flag before allocating
@@ -60,7 +62,6 @@ from . import (
     health,
     log,
     memory,
-    metrics,
     profiler,
     quality,
     rundir,
@@ -80,7 +81,6 @@ __all__ = [
     "health",
     "log",
     "memory",
-    "metrics",
     "profiler",
     "quality",
     "rundir",
@@ -116,7 +116,6 @@ def start_run(directory: str, audit_rate: Optional[float] = None) -> str:
     )
     os.makedirs(directory, exist_ok=True)
     trace.reset()
-    metrics.reset()
     telemetry.reset()
     telemetry.configure(
         rundir.telemetry_sink(directory),
@@ -131,9 +130,8 @@ def _flush_continuous(directory: str) -> dict[str, str]:
     """Write the artifact of every active component; key → path.
 
     Wired as the profiler's ``on_flush`` callback so ``repro watch`` can
-    follow a live run: refreshes the collapsed stacks, the memory
-    summary and the metrics snapshot. :func:`finish_run` makes
-    the same pass one last time.
+    follow a live run: refreshes the collapsed stacks and the memory
+    summary. :func:`finish_run` makes the same pass one last time.
     """
     documents: dict[str, object] = {}
     running = profiler.active()
@@ -141,7 +139,6 @@ def _flush_continuous(directory: str) -> dict[str, str]:
         documents["profile"] = running.collapsed()
     if memory.is_active():
         documents["memory"] = memory.active().summary()
-    documents["metrics"] = metrics.snapshot()
     return {
         artifact: rundir.write(directory, artifact, document)
         for artifact, document in documents.items()
@@ -152,7 +149,9 @@ def finish_run(directory: str) -> dict[str, str]:
     """Flush every artifact into ``directory`` and disable.
 
     Returns an artifact key → path map of everything written (the
-    telemetry JSONL has been streaming there since :func:`start_run`).
+    telemetry JSONL has been streaming there since :func:`start_run`;
+    its last row is the one ``trace`` row counting the root spans the
+    ring evicted).
     Teardown — disabling instrumentation, detaching the telemetry sink,
     stopping the profiler and memory tracker — is
     guaranteed even if an artifact write fails, so :func:`run` never
@@ -166,6 +165,7 @@ def finish_run(directory: str) -> dict[str, str]:
         # Memory is written while tracemalloc is still tracing: the
         # allocator tables and traced-bytes figures vanish once it stops.
         paths.update(_flush_continuous(directory))
+        telemetry.emit("trace", roots_dropped=trace.roots_dropped())
         documents = {
             "trace": trace.tree(),
             "chrome_trace": trace.chrome_trace(),
@@ -190,7 +190,7 @@ def run(
 ) -> Iterator[str]:
     """One observability run as a context manager.
 
-    Guarantees :func:`finish_run` — telemetry, metrics, trace, and any
+    Guarantees :func:`finish_run` — telemetry, trace, and any
     profiler/memory artifacts are flushed and instrumentation is torn
     down even when the wrapped block raises. ``profile`` starts the
     continuous sampling profiler at 100 hz (collapsed stacks, refreshed

@@ -184,10 +184,10 @@ def dropped_roots_note(run: Run) -> Optional[str]:
 
     Every total over ``run.trace`` (hottest spans, self time by layer,
     ``repro diff``) covers only the retained roots, so each view prints
-    this line next to them.
+    this line next to them. The count is the run's ``trace`` row.
     """
-    counters = (run.metrics or {}).get("counters", {})
-    dropped = int(counters.get("trace.roots_dropped", 0))
+    rows = run.stream("trace")
+    dropped = int(rows[-1].get("roots_dropped") or 0) if rows else 0
     if not dropped:
         return None
     return (

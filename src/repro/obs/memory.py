@@ -4,10 +4,9 @@ Complements the sampling CPU profiler: where :mod:`repro.obs.profiler`
 answers "where does the time go", this module answers "where does the
 memory go" over a long run. A started tracker
 
-* surfaces current/peak traced bytes as gauges in the metrics registry
-  (``memory.tracemalloc.current_kb``, ``…peak_kb``) on every epoch mark,
-  and the process RSS (``memory.rss_kb``) once per :meth:`summary` — a
-  ``/proc`` read per mark cost more than the marks themselves;
+* reports current/peak traced bytes and the process RSS once per
+  :meth:`summary` (``memory.json``) — a ``/proc`` read per epoch mark
+  would cost more than the marks themselves;
 * records an *epoch series* per call site (``train.iteration``,
   ``session.query``) so repeated executions of the same phase can be
   leak-checked: monotone growth across the trailing epochs of one phase
@@ -28,8 +27,6 @@ import os
 import tracemalloc
 from collections import deque
 from typing import Any, Optional
-
-from . import metrics as _metrics
 
 #: Epoch history retained per phase name (ring; week-long runs stay flat).
 EPOCH_HISTORY = 128
@@ -88,7 +85,7 @@ class MemoryTracker:
         """
         if not self._started:
             return 0
-        current, peak = tracemalloc.get_traced_memory()
+        current, _ = tracemalloc.get_traced_memory()
         history = self._epochs.get(name)
         if history is None:
             if len(self._epochs) >= MAX_PHASES:
@@ -96,9 +93,6 @@ class MemoryTracker:
             history = self._epochs[name] = deque(maxlen=EPOCH_HISTORY)
         growth = current - history[-1] if history else 0
         history.append(current)
-        _metrics.set_gauge("memory.tracemalloc.current_kb", current / 1024.0)
-        _metrics.set_gauge("memory.tracemalloc.peak_kb", peak / 1024.0)
-        _metrics.set_gauge(f"memory.epoch.{name}.growth_kb", growth / 1024.0)
         return growth
 
     def leak_check(self, name: str, min_epochs: int = 4) -> dict[str, Any]:
@@ -154,7 +148,6 @@ class MemoryTracker:
             tracemalloc.get_traced_memory() if self._started else (0, 0)
         )
         rss = rss_kb()
-        _metrics.set_gauge("memory.rss_kb", rss)
         return {
             "tracing": self._started,
             "current_kb": current / 1024.0,

@@ -4,7 +4,7 @@ Each ``section_*`` function takes a :class:`~repro.obs.rundir.Run` and
 returns markdown lines; the CLI verbs are views of them — ``repro
 report`` renders :data:`SECTIONS` (run summary, health verdict with
 every alert, SLOs, training trajectory, query plans, estimator
-calibration, answer quality, metrics, the hottest trace spans, the
+calibration, answer quality, the hottest trace spans, the
 slowest traces, the CPU/memory profile, the bench trajectory) into one
 self-contained markdown document, ``repro stats`` prints
 :data:`STATS_SECTIONS` and ``repro audit`` the answer-quality section.
@@ -344,38 +344,6 @@ def section_quality(run: Run) -> list[str]:
     return lines
 
 
-def section_metrics(run: Run) -> list[str]:
-    lines = ["## Metrics", ""]
-    snapshot = run.metrics
-    if not snapshot:
-        lines.append("No `metrics.json` in this run.")
-        return lines
-    scalars = sorted(
-        {**snapshot.get("counters", {}), **snapshot.get("gauges", {})}.items()
-    )
-    if scalars:
-        lines.append(_md_table(["counter / gauge", "value"], scalars))
-        lines.append("")
-    histograms = sorted(snapshot.get("histograms", {}).items())
-    if histograms:
-        lines.append(_md_table(
-            ["histogram", "count", "mean", "p50", "p95", "p99", "max"],
-            [
-                [
-                    name,
-                    h.get("count"),
-                    h.get("mean"),
-                    h.get("p50"),
-                    h.get("p95"),
-                    h.get("p99"),
-                    h.get("max"),
-                ]
-                for name, h in histograms
-            ],
-        ))
-    return lines
-
-
 def section_trace(run: Run) -> list[str]:
     """Where the wall time went: per span name, then per pipeline layer."""
     lines = ["## Hottest spans", ""]
@@ -621,7 +589,6 @@ SECTIONS = (
     section_plans,
     section_queries,
     section_quality,
-    section_metrics,
     section_trace,
     section_slowest_traces,
     section_profile,
@@ -629,7 +596,7 @@ SECTIONS = (
 )
 
 #: ``repro stats``.
-STATS_SECTIONS = (section_metrics, section_training, section_queries)
+STATS_SECTIONS = (section_training, section_queries, section_trace)
 
 
 def render_sections(run: Run, sections=SECTIONS) -> str:

@@ -33,7 +33,6 @@ from . import telemetry as _telemetry
 #: :class:`Run` field the artifact loads into.
 FILES = {
     "telemetry": "telemetry.jsonl",
-    "metrics": "metrics.json",
     "trace": "trace.json",
     "chrome_trace": "trace_chrome.json",
     "memory": "memory.json",
@@ -42,7 +41,7 @@ FILES = {
 
 #: The artifacts :func:`load` parses, with their document type (``str``:
 #: collapsed-stack text). The Chrome trace is for Perfetto, not read back.
-_SHAPES = {"metrics": dict, "trace": list, "memory": dict, "profile": str}
+_SHAPES = {"trace": list, "memory": dict, "profile": str}
 _EXPECTED = {
     dict: "a JSON object", list: "a span list", str: "`stack count` lines",
 }
@@ -59,11 +58,9 @@ class Run:
     directory: str
     #: Telemetry records across the rotated set, oldest first.
     records: list[dict[str, Any]] = field(default_factory=list)
-    #: ``metrics.json``: counters / gauges / histograms snapshot.
-    metrics: Optional[dict[str, Any]] = None
     #: ``trace.json``: the last ``trace.MAX_ROOTS`` finished root spans,
-    #: as trees (``trace.roots_dropped`` in ``metrics`` counts the rest) —
-    #: the run's only store of span trees.
+    #: as trees (the run's ``trace`` row counts the rest) — the run's
+    #: only store of span trees.
     trace: Optional[list[dict[str, Any]]] = None
     memory: Optional[dict[str, Any]] = None
     #: ``profile.collapsed.txt`` parsed back into ``{stack: samples}``.

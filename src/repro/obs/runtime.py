@@ -3,12 +3,12 @@
 Every instrumentation site in the library funnels through one flag:
 ``STATE.enabled``. The contract (DESIGN.md §Observability) is that when
 the flag is off, instrumented code performs *one attribute check and
-nothing else* — no span objects, no metric lookups, no string
+nothing else* — no span objects, no telemetry rows, no string
 formatting — so the hot kernels benchmarked in ``BENCH_kernels.json``
 pay effectively nothing for being observable.
 
 This module owns only the flag (plus enable/disable helpers) so that
-``obs.trace``, ``obs.metrics``, and ``obs.telemetry`` can share it
+``obs.trace`` and ``obs.telemetry`` can share it
 without import cycles through the package ``__init__``.
 """
 

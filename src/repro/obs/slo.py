@@ -19,7 +19,8 @@ error budget ``1 - target``, the fraction of violating samples in the
 slow (whole) and fast (last :data:`FAST_WINDOW`) windows is divided by
 the budget, and a status has a severity only when **both** burn past a
 threshold — a single slow query cannot page, a sustained regression
-cannot hide. A gauge objective reads the run's final gauge.
+cannot hide. A gauge objective reads the last row of its source
+(:data:`GAUGES`).
 
 :func:`configure` records one ``slo`` row ``{spec}`` per objective and
 :func:`objectives` reads them back (older runs' status rows carry
@@ -71,6 +72,10 @@ SOURCES = {
     "train.rollout.seconds": ("train.update", "rollout_seconds"),
     "train.update.seconds": ("train.update", "update_seconds"),
 }
+
+#: Gauge metric → (stream, field) whose last recorded row is its value.
+#: A gauge with no source, or no row, has no value.
+GAUGES = {"estimator.calibration_error": ("estimator", "calibration_error")}
 
 #: p10 exists for lower-bound objectives (quality metrics where *small*
 #: is bad); the upper-tail percentiles serve latency-style metrics.
@@ -153,22 +158,23 @@ def _aggregate(samples: list[float], agg: str) -> float:
     return _metrics.percentile(sorted(samples), q)
 
 
-def _window(run: Run, metric: str) -> list[tuple[float, Optional[str]]]:
-    """``(sample, trace_id)`` of the last :data:`WINDOW` source rows."""
-    if metric not in SOURCES:
+def _samples(
+    run: Run, source: Optional[tuple[str, str]]
+) -> list[tuple[float, Optional[str]]]:
+    """``(sample, trace_id)`` of every row of a (stream, field) source."""
+    if source is None:
         return []
-    stream, key = SOURCES[metric]
-    rows = [
+    stream, key = source
+    return [
         (float(row[key]), row.get("trace_id"))
         for row in run.stream(stream) if row.get(key) is not None
     ]
-    return rows[-WINDOW:]
 
 
 def _evaluate_windowed(
     objective: Objective, run: Run, status: dict[str, Any]
 ) -> dict[str, Any]:
-    window = _window(run, objective.metric)
+    window = _samples(run, SOURCES.get(objective.metric))[-WINDOW:]
     status.update(
         n_samples=len(window), bad_fraction=0.0, fast_bad_fraction=0.0,
         burn_rate=0.0, fast_burn_rate=0.0, exemplar_trace_ids=[],
@@ -208,7 +214,8 @@ def _evaluate_windowed(
 def _evaluate_gauge(
     objective: Objective, run: Run, status: dict[str, Any]
 ) -> dict[str, Any]:
-    value = ((run.metrics or {}).get("gauges") or {}).get(objective.metric)
+    last = _samples(run, GAUGES.get(objective.metric))[-1:]
+    value = last[0][0] if last else None
     status.update(n_samples=0 if value is None else 1, value=value)
     if value is not None and not objective.complies(value):
         status["ok"] = False

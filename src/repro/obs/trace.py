@@ -31,11 +31,10 @@ import time
 from typing import Any, Optional
 
 from . import context as _context
-from . import metrics as _metrics
 from .runtime import STATE
 
-#: Cap on retained finished root spans (oldest dropped first, counted in
-#: the ``trace.roots_dropped`` metric so readers can say what is missing).
+#: Cap on retained finished root spans (oldest dropped first, counted by
+#: :func:`roots_dropped` so readers can say what is missing).
 MAX_ROOTS = 256
 
 
@@ -156,6 +155,7 @@ class Span:
 _LOCAL = threading.local()
 _ROOTS: list[Span] = []
 _ROOTS_LOCK = threading.Lock()
+_DROPPED = 0
 
 #: Cross-thread view of every thread's active-span stack, so the
 #: sampling profiler can attribute a sample taken *of* thread T to T's
@@ -201,13 +201,13 @@ def active_span_name(tid: int) -> Optional[str]:
 
 
 def _record_root(root: Span) -> None:
+    global _DROPPED
     with _ROOTS_LOCK:
         _ROOTS.append(root)
         evicted = len(_ROOTS) - MAX_ROOTS
         if evicted > 0:
             del _ROOTS[:evicted]
-    if evicted > 0:
-        _metrics.add("trace.roots_dropped", evicted)
+            _DROPPED += evicted
 
 
 def span(name: str, **attrs: Any):
@@ -243,10 +243,17 @@ def roots() -> list[Span]:
         return list(_ROOTS)
 
 
+def roots_dropped() -> int:
+    """Finished root spans evicted from the ring since :func:`reset`."""
+    return _DROPPED
+
+
 def reset() -> None:
     """Drop all finished root spans (active stacks are untouched)."""
+    global _DROPPED
     with _ROOTS_LOCK:
         _ROOTS.clear()
+        _DROPPED = 0
 
 
 def tree() -> list[dict[str, Any]]:

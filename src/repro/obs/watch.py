@@ -2,8 +2,8 @@
 
 Renders one operator-facing text frame from a loaded
 :class:`~repro.obs.rundir.Run` — the artifacts a live run flushes
-periodically (the telemetry JSONL and its rotated set, ``metrics.json``
-and, for a profiled run, the collapsed stacks and ``memory.json``) and
+periodically (the telemetry JSONL and its rotated set and, for a
+profiled run, the collapsed stacks and ``memory.json``) and
 ``trace.json``, written at finish:
 
 * how many traces the run holds, by label (error / low_quality /

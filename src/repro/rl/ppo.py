@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .nn import ADAM_BLOCK, Adam, masked_softmax
 from .policy import ActorNetwork, CriticNetwork
@@ -181,13 +180,6 @@ class PPOUpdater:
                 )
         del old_log_dist  # not alive next to the critic's whole-batch pass
         stats.explained_variance = self._explained_variance(batch)
-        _metrics.add("ppo.updates")
-        _metrics.add("ppo.minibatch_updates", n_updates)
-        _metrics.observe("ppo.kl_divergence", stats.kl_divergence)
-        _metrics.observe("ppo.clip_fraction", stats.clip_fraction)
-        _metrics.observe("ppo.entropy", stats.entropy)
-        _metrics.observe("ppo.grad_norm", stats.grad_norm)
-        _metrics.observe("ppo.explained_variance", stats.explained_variance)
         return stats
 
     def _explained_variance(self, batch: RolloutBatch) -> float:

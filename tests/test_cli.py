@@ -57,7 +57,7 @@ class TestCLI:
         for command in ("demo", "train", "query", "bench",
                         "stats", "trace", "explain", "report"):
             assert command in out
-        assert "metrics + telemetry" in out
+        assert "training, queries and hottest spans" in out
         assert "span tree" in out
         assert "operator tree" in out
         assert "diagnostic artifact" in out

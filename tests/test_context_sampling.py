@@ -7,9 +7,7 @@ Covers the identity pipeline end to end (DESIGN.md §13):
   the EXPLAIN ANALYZE footer;
 * SLO exemplars — the trace ids of the worst recorded rows;
 * deterministic ``telemetry.load_run`` ordering across rotated parts
-  with colliding timestamps;
-* ``Histogram.percentile`` interpolating inside the winning bucket
-  rather than returning the bucket edge.
+  with colliding timestamps.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ import pytest
 
 from repro import obs
 from repro.db import Database, execute, explain, sql
-from repro.obs import context, health, metrics, slo, telemetry, trace
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
+from repro.obs import context, health, slo, telemetry, trace
 
 from tests.test_columnstore import _comparable, make_table
 
@@ -33,7 +30,6 @@ def clean_obs():
     def scrub():
         obs.disable()
         trace.reset()
-        metrics.reset()
         telemetry.reset()
         telemetry.configure(None)
 
@@ -144,32 +140,8 @@ class TestStamping:
 
 
 # ------------------------------------------------------------------ #
-# satellite pins: percentile interpolation, load_run ordering
+# satellite pin: load_run ordering
 # ------------------------------------------------------------------ #
-class TestPercentileInterpolation:
-    def test_single_sample_returns_the_sample_not_the_bucket_edge(self):
-        hist = Histogram()
-        hist.observe(0.012)  # 12ms; bucket upper bound is ~0.0316
-        for q in (50.0, 95.0, 99.0):
-            assert hist.percentile(q) == pytest.approx(0.012)
-            assert hist.percentile(q) not in DEFAULT_BUCKETS
-
-    def test_interpolates_inside_winning_bucket(self):
-        hist = Histogram(bounds=(1.0, 2.0, 4.0))
-        for value in (1.2, 1.4, 1.6, 1.8):  # all in the (1, 2] bucket
-            hist.observe(value)
-        p50 = hist.percentile(50.0)
-        assert 1.0 < p50 < 2.0
-        assert p50 == pytest.approx(1.5)
-        assert hist.percentile(100.0) == pytest.approx(1.8)
-
-    def test_clamped_into_observed_min_max(self):
-        hist = Histogram(bounds=(10.0,))
-        hist.observe(3.0)
-        hist.observe(4.0)
-        assert 3.0 <= hist.percentile(50.0) <= 4.0
-
-
 class TestLoadRunOrdering:
     def test_colliding_timestamps_across_rotation_stay_stable(self, tmp_path):
         path = str(tmp_path / "telemetry.jsonl")

@@ -329,10 +329,12 @@ class TestJoinOrderEstimatesOnDemand:
         assert list(estimates) == order[1:1 + len(estimates)]
         assert estimates == {table: eager[table] for table in estimates}
 
-    def test_observed_q_error_samples_are_the_plan_s(self, tiny_imdb, monkeypatch):
+    def test_observed_q_error_samples_are_the_plan_s(self, tiny_imdb):
+        """A recorded run's hash-join spans carry the planner's estimate
+        beside the actual rows: the q-error read from them is EXPLAIN's."""
         from repro import obs
         from repro.db import q_error
-        from repro.obs import metrics
+        from repro.obs import trace
 
         query = sql(
             "SELECT title.title FROM title, movie_companies, company "
@@ -342,21 +344,32 @@ class TestJoinOrderEstimatesOnDemand:
         )
         plan = explain(tiny_imdb.db, query, analyze=True)
         joins = [n for n in plan.operators() if n.op == "hash_join"]
-        samples = []
-        monkeypatch.setattr(
-            metrics, "observe",
-            lambda name, value: name == "executor.join.q_error" and samples.append(value),
-        )
+        trace.reset()
         obs.enable()
         try:
             execute(tiny_imdb.db, query)
         finally:
             obs.disable()
-            metrics.reset()
+
+        def walk(node):
+            yield node
+            for child in node.get("children", []):
+                yield from walk(child)
+
+        spans = [
+            node for root in trace.tree() for node in walk(root)
+            if node["name"] == "execute.hash_join"
+        ]
+        trace.reset()
+        samples = [
+            q_error(sp["counters"]["estimated_rows"], sp["counters"]["rows_out"])
+            for sp in spans
+        ]
         assert len(joins) == 2
         assert samples == [
             q_error(node.estimated_rows, node.actual_rows) for node in reversed(joins)
         ]
+        assert all(sample >= 1.0 for sample in samples)
 
 
 _AUTHOR_WRITES = dict(

@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.bench.reporting import config_hash, run_provenance, save_results
 from repro.core import ASQPConfig, ASQPSession, ASQPTrainer
-from repro.obs import health, metrics, telemetry, trace
+from repro.obs import health, telemetry, trace
 from repro.obs.health import CRIT, WARN, HealthMonitor
 from repro.obs.report import build_report, render_markdown
 from repro.obs.rundir import Run, load
@@ -18,13 +18,11 @@ from repro.obs.rundir import Run, load
 def clean_obs():
     obs.disable()
     trace.reset()
-    metrics.reset()
     telemetry.reset()
     telemetry.configure(None)
     yield
     obs.disable()
     trace.reset()
-    metrics.reset()
     telemetry.reset()
     telemetry.configure(None)
 
@@ -193,8 +191,6 @@ class TestReplay:
         first = health.alerts(run)
         assert first and health.alerts(run) == first
         assert telemetry.records() == []
-        snapshot = metrics.snapshot()
-        assert not snapshot["counters"] and not snapshot["gauges"]
 
 
 class TestCalibrationDriftRule:
@@ -269,8 +265,8 @@ class TestSLORule:
                 self._spec("estimator.calibration_error < 0.1"),
                 *self._queries(0.5, 19),
                 *self._queries(0.5, 1, trace_id=trace_id),
+                {"stream": "estimator", "calibration_error": 0.401},
             ],
-            metrics={"gauges": {"estimator.calibration_error": 0.401}},
         ))
         assert burn.message == (
             "SLO 'query.p95 < 10ms' burning error budget: 100% of the last "
@@ -359,8 +355,6 @@ def recorded_run(tmp_path):
                  "actual_rows": 8, "q_error": 1.25, "seconds": 0.001},
             ],
         )
-        metrics.add("session.queries")
-        metrics.observe("executor.join.q_error", 1.3)
     return run_dir
 
 
@@ -375,7 +369,6 @@ class TestReport:
             "## Training trajectory",
             "## Query plans",
             "## Queries & estimator calibration",
-            "## Metrics",
             "## Hottest spans",
             "## Bench trajectory",
         ):
@@ -383,7 +376,6 @@ class TestReport:
         # The fold found the KL spike in the recorded updates.
         assert "CRIT" in markdown
         assert "kl_spike" in markdown
-        assert "executor.join.q_error" in markdown
 
     def test_build_report_writes_markdown(self, recorded_run):
         path = build_report(recorded_run)

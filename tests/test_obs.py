@@ -1,11 +1,11 @@
 """Tests for the observability subsystem (repro.obs).
 
 Covers the tracing spans (nesting, exception safety, thread-locality),
-the metrics registry (counters, gauges, histogram percentiles, reset),
-the telemetry streams (JSONL round-trip), the cache statistics hooks,
+the telemetry streams (JSONL round-trip), the cache statistics,
 and one end-to-end run: ``ASQPSystem.fit`` + queries under an enabled
 observability run must produce a well-formed trace tree and a telemetry
-JSONL whose ``train.update`` rows match ``UpdateStats`` fields.
+JSONL whose ``train.update`` rows match ``UpdateStats`` fields, with
+each fact in its row and no ``metrics.json``.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 import threading
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.core import ASQPConfig, ASQPSystem
 from repro.db.cache import LRUTupleCache
-from repro.obs import metrics, telemetry, trace
+from repro.obs import telemetry, trace
 
 
 @pytest.fixture(autouse=True)
@@ -27,13 +26,11 @@ def clean_obs():
     """Every test starts and ends disabled with empty state."""
     obs.disable()
     trace.reset()
-    metrics.reset()
     telemetry.reset()
     telemetry.configure(None)
     yield
     obs.disable()
     trace.reset()
-    metrics.reset()
     telemetry.reset()
     telemetry.configure(None)
 
@@ -178,90 +175,6 @@ class TestSpans:
 
 
 # ------------------------------------------------------------------ #
-# metrics
-# ------------------------------------------------------------------ #
-class TestMetrics:
-    def test_disabled_helpers_are_noops(self):
-        metrics.add("x")
-        metrics.set_gauge("g", 5.0)
-        metrics.observe("h", 0.1)
-        snap = metrics.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_counters_gauges_accumulate(self):
-        obs.enable()
-        metrics.add("queries")
-        metrics.add("queries", 2)
-        metrics.set_gauge("reward", 0.25)
-        metrics.set_gauge("reward", 0.75)
-        snap = metrics.snapshot()
-        assert snap["counters"]["queries"] == 3.0
-        assert snap["gauges"]["reward"] == 0.75
-
-    def test_histogram_percentiles(self):
-        h = metrics.Histogram()
-        values = np.linspace(0.001, 0.1, 1000)  # 1ms..100ms uniform
-        for v in values:
-            h.observe(float(v))
-        assert h.total == 1000
-        assert h.min == pytest.approx(0.001)
-        assert h.max == pytest.approx(0.1)
-        # Bucket interpolation: percentiles are approximate but ordered
-        # and inside the right decade.
-        p50, p95, p99 = h.percentile(50), h.percentile(95), h.percentile(99)
-        assert 0.001 <= p50 <= p95 <= p99 <= 0.1
-        assert 0.02 <= p50 <= 0.08
-        assert p99 >= 0.07
-
-    def test_histogram_empty_and_overflow(self):
-        h = metrics.Histogram(bounds=(1.0, 10.0))
-        assert np.isnan(h.percentile(50))
-        h.observe(100.0)  # beyond the last bound
-        assert h.overflow == 1
-        assert h.percentile(50) == 100.0
-        assert h.snapshot()["count"] == 1
-
-    def test_histogram_single_sample_percentiles(self):
-        h = metrics.Histogram()
-        h.observe(0.042)
-        # One sample: every percentile is that sample (min==max clamps
-        # the in-bucket interpolation).
-        for q in (0.0, 50.0, 95.0, 99.0, 100.0):
-            assert h.percentile(q) == pytest.approx(0.042)
-        snap = h.snapshot()
-        assert snap["count"] == 1
-        assert snap["mean"] == pytest.approx(0.042)
-        assert snap["p50"] == snap["p99"] == pytest.approx(0.042)
-
-    def test_histogram_all_equal_samples(self):
-        h = metrics.Histogram()
-        for _ in range(100):
-            h.observe(0.25)
-        assert h.min == h.max == 0.25
-        for q in (1.0, 50.0, 99.0):
-            assert h.percentile(q) == pytest.approx(0.25)
-
-    def test_histogram_empty_snapshot_is_all_none(self):
-        snap = metrics.Histogram().snapshot()
-        assert snap["count"] == 0
-        for key in ("min", "max", "mean", "p50", "p95", "p99"):
-            assert snap[key] is None
-
-    def test_registry_reset_and_snapshot_shape(self):
-        obs.enable()
-        metrics.add("c")
-        metrics.observe("h", 0.5)
-        snap = metrics.snapshot()
-        assert set(snap["histograms"]["h"]) == {
-            "count", "sum", "min", "max", "mean", "p50", "p95", "p99",
-        }
-        metrics.reset()
-        assert metrics.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
-
-# ------------------------------------------------------------------ #
 # telemetry
 # ------------------------------------------------------------------ #
 class TestTelemetry:
@@ -310,20 +223,10 @@ class TestCacheStats:
         assert stats["size"] == 2.0
         assert stats["hit_rate"] == pytest.approx(0.25)
 
-    def test_cache_publishes_metrics_when_enabled(self):
-        obs.enable()
-        cache = LRUTupleCache(capacity=2)
-        cache.touch_many([("t", 1), ("t", 2), ("t", 1)])  # dedup: 2 misses
-        cache.touch(("t", 1))
-        snap = metrics.snapshot()
-        assert snap["counters"]["cache.hits"] == 1.0
-        assert snap["counters"]["cache.misses"] == 2.0
-        assert snap["gauges"]["cache.size"] == 2.0
-
     def test_cache_counters_not_published_when_disabled(self):
         cache = LRUTupleCache(capacity=2)
         cache.touch(("t", 1))
-        assert metrics.snapshot()["counters"] == {}
+        assert telemetry.records() == []
         # Native counters still work.
         assert cache.misses == 1
 
@@ -356,7 +259,7 @@ class TestEndToEnd:
                 assert outcome.elapsed_seconds >= 0
         paths = {
             key: str(run_dir / obs.rundir.FILES[key])
-            for key in ("telemetry", "trace", "chrome_trace", "metrics")
+            for key in ("telemetry", "trace", "chrome_trace")
         }
         assert run_path == str(run_dir)
 
@@ -420,12 +323,14 @@ class TestEndToEnd:
             assert row["rows"] >= 0
             assert isinstance(row["used_approximation"], bool)
 
-        # --- metrics snapshot landed on disk --------------------------- #
-        with open(paths["metrics"]) as handle:
-            snap = json.load(handle)
-        assert snap["counters"]["session.queries"] == 3.0
-        assert snap["counters"]["train.iterations"] == len(session.model.history)
-        assert "executor.query.seconds" in snap["histograms"]
+        # --- each fact in its row: no metrics.json -------------------- #
+        assert not (run_dir / "metrics.json").exists()
+        (estimator_row,) = [r for r in records if r["stream"] == "estimator"]
+        assert (
+            estimator_row["calibration_error"]
+            == session.estimator.calibration_error()
+        )
+        assert [r["roots_dropped"] for r in records if r["stream"] == "trace"] == [0]
 
         # finish_run disabled everything again.
         assert not obs.is_enabled()

@@ -22,20 +22,18 @@ from repro.db import (
     split_explain,
     sql,
 )
-from repro.obs import metrics, telemetry, trace
+from repro.obs import telemetry, trace
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
     obs.disable()
     trace.reset()
-    metrics.reset()
     telemetry.reset()
     telemetry.configure(None)
     yield
     obs.disable()
     trace.reset()
-    metrics.reset()
     telemetry.reset()
     telemetry.configure(None)
 
@@ -260,25 +258,26 @@ class TestPlanTelemetry:
         assert len(records) == 1
         assert records[0]["max_q_error"] >= 1.0
         assert records[0]["operators"]
-        assert metrics.snapshot()["counters"]["executor.explain_analyze"] == 1
 
     def test_no_telemetry_when_disabled(self, mini_db):
         explain(mini_db, sql(JOIN_SQL), analyze=True)
         assert telemetry.records("plan") == []
 
-    def test_passive_join_q_error_histogram(self, mini_db):
-        """Every instrumented execute() observes per-join q-error."""
+    def test_passive_join_q_error_from_spans(self, mini_db):
+        """Every instrumented execute() leaves each join's q-error on its
+        ``execute.hash_join`` span: the estimate beside the actual rows."""
         obs.enable()
         execute(mini_db, sql(JOIN_SQL))
-        hist = metrics.snapshot()["histograms"].get("executor.join.q_error")
-        assert hist is not None
-        assert hist["count"] >= 1
+        (root,) = trace.roots()
+        joins = [sp for sp in root.children if sp.name == "execute.hash_join"]
+        assert joins
+        for sp in joins:
+            counters = sp.counters
+            assert q_error(counters["estimated_rows"], counters["rows_out"]) >= 1.0
 
     def test_no_passive_q_error_when_disabled(self, mini_db):
         execute(mini_db, sql(JOIN_SQL))
-        assert metrics.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
+        assert trace.roots() == [] and telemetry.records() == []
 
 
 # ------------------------------------------------------------------ #
@@ -580,8 +579,6 @@ def test_analyze_and_execute_share_the_observed_path(mini_db):
     for key in ("rows_scanned", "rows_produced"):
         assert analyzed[key] == executed[key]
     assert analyzed["rows_scanned"] == 13 and analyzed["rows_produced"] > 0
-    counters = metrics.snapshot()["counters"]
-    assert counters["executor.queries"] == 2
     assert [root.name for root in trace.roots()] == [
         "execute", "execute.explain_analyze",
     ]

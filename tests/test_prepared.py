@@ -20,7 +20,7 @@ from repro.db import (
 )
 from repro.db.database import PREPARED_QUERIES
 from repro.embedding import QueryEmbedder
-from repro.obs import metrics
+from repro.obs import trace
 
 JOIN_SQL = (
     "SELECT movies.title, cast_info.actor FROM movies, cast_info "
@@ -80,7 +80,7 @@ class TestPreparedPlans:
             second = execute(db, query)
         finally:
             obs.disable()
-            metrics.reset()
+            trace.reset()
         assert second is not first
         assert first.stats is stats and stats.trace_id == trace_id
         assert second.stats is not stats and second.stats.trace_id != trace_id

@@ -2,7 +2,7 @@
 
 Covers the sampling profiler (collapsed stacks, span attribution, the
 unique-stack cap, the rate check), the tracemalloc memory tracker
-(epoch gauges, leak verdicts, inactive no-ops), the declarative SLO
+(epoch growth, leak verdicts, inactive no-ops), the declarative SLO
 layer (spec parsing, the status fold over a run's recorded rows and the
 health alerts built from it), telemetry rotation boundaries (byte cap,
 exact line cap, replay across the rotated set), and the ``obs.run``
@@ -20,7 +20,6 @@ from repro import obs
 from repro.obs import (
     health,
     memory,
-    metrics,
     profiler,
     slo,
     telemetry,
@@ -37,7 +36,6 @@ def clean_obs():
         memory.stop()
         obs.disable()
         trace.reset()
-        metrics.reset()
         telemetry.reset()
         telemetry.configure(None)
 
@@ -46,12 +44,11 @@ def clean_obs():
     scrub()
 
 
-def _slo_run(specs, rows=(), gauges=None) -> obs.rundir.Run:
+def _slo_run(specs, rows=()) -> obs.rundir.Run:
     """A hand-built run: one ``slo`` row per spec, then ``rows``."""
     return obs.rundir.Run(
         "mem",
         records=[{"stream": "slo", "spec": spec} for spec in specs] + list(rows),
-        metrics={"gauges": gauges or {}},
     )
 
 
@@ -199,7 +196,7 @@ class TestMemoryTracker:
         assert not memory.is_active()
         assert memory.mark_epoch("anything") == 0
 
-    def test_epoch_marks_set_gauges(self):
+    def test_epoch_growth_and_summary_figures(self):
         obs.enable()
         memory.start()
         blocks = [bytes(4096) for _ in range(16)]
@@ -207,13 +204,10 @@ class TestMemoryTracker:
         blocks.extend(bytes(4096) for _ in range(16))
         growth = memory.mark_epoch("unit.phase")
         assert growth > 0
-        registry = metrics.registry()
-        assert registry.gauge("memory.tracemalloc.current_kb") > 0
-        assert registry.gauge("memory.epoch.unit.phase.growth_kb") > 0
-        # RSS is read once per summary, not on every mark.
-        memory.active().summary()
+        # Traced bytes and RSS are read once per summary, not per mark.
+        summary = memory.active().summary()
         memory.stop()
-        assert registry.gauge("memory.rss_kb") > 0
+        assert summary["current_kb"] > 0 and summary["rss_kb"] > 0
         assert blocks  # keep the allocations alive until here
 
     def test_leak_check_flags_monotone_growth(self):
@@ -392,7 +386,11 @@ class TestSLOFold:
     def test_gauge_objective_warn_and_crit(self):
         spec = ["estimator.calibration_error < 0.1"]
         for value, severity in ((0.05, None), (0.15, health.WARN), (0.25, health.CRIT)):
-            run = _slo_run(spec, gauges={"estimator.calibration_error": value})
+            # The last ``estimator`` row is the gauge's value.
+            run = _slo_run(spec, [
+                {"stream": "estimator", "calibration_error": 0.9},
+                {"stream": "estimator", "calibration_error": value},
+            ])
             (status,) = slo.statuses(run)
             assert (status["value"], status["severity"]) == (value, severity)
             expected = [(severity, "slo_violation")] if severity else []
@@ -604,14 +602,12 @@ class TestRunContextManager:
         with pytest.raises(RuntimeError, match="boom"):
             with obs.run(run_dir):
                 with trace.span("doomed.work"):
-                    metrics.add("unit.counter")
                     telemetry.emit("unit", step=1)
                     raise RuntimeError("boom")
         # Everything the run recorded before the crash is on disk.
         assert not obs.is_enabled()
         recorded = obs.rundir.load(run_dir)
         assert recorded.stream("unit")
-        assert recorded.metrics["counters"]["unit.counter"] == 1.0
         doomed = next(n for n in recorded.trace if n["name"] == "doomed.work")
         assert "RuntimeError" in doomed.get("error", "")
 

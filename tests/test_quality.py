@@ -23,7 +23,7 @@ import pytest
 from repro import obs
 from repro.__main__ import main
 from repro.obs import (
-    analyze, context, health, metrics, quality, slo, telemetry, trace,
+    analyze, context, health, quality, slo, telemetry, trace,
 )
 
 
@@ -35,7 +35,6 @@ def clean_obs():
         quality.GOVERNOR.reset(0.0)
         obs.disable()
         trace.reset()
-        metrics.reset()
         telemetry.reset()
         telemetry.configure(None)
 
@@ -327,7 +326,6 @@ class TestCalibrationDrift:
         for _ in range(40):
             assert recorder.governor.admit(PASSING_TID, 0.0, True) == "coin"
         assert telemetry.records() == before  # the governor records nothing
-        assert not metrics.snapshot()["gauges"]
         for _ in range(40):
             recorder.query(predicted=0.9, observed=0.40)
         summary = recorder.accounting()

@@ -33,7 +33,7 @@ from repro.__main__ import main, run_smoke
 from repro.obs import analyze, health, metrics, rundir, slo, trace
 from repro.obs.watch import render_watch
 
-PARSED_ARTIFACTS = ("metrics", "trace", "profile", "memory")
+PARSED_ARTIFACTS = ("trace", "profile", "memory")
 
 
 def reading_verbs(run_dir):
@@ -125,10 +125,12 @@ class TestDamagedRun:
     def test_an_older_runs_quality_json_is_not_read(
         self, run_copy, capsys, verb
     ):
-        # Runs recorded before the accounting fold also hold a
-        # quality.json; no view reads it, damaged or not.
-        with open(os.path.join(run_copy, "quality.json"), "w") as handle:
-            handle.write("{broken")
+        # Runs recorded before the read-time folds also hold a
+        # quality.json and a metrics.json; no view reads them, damaged
+        # or not.
+        for name in ("quality.json", "metrics.json"):
+            with open(os.path.join(run_copy, name), "w") as handle:
+                handle.write("{broken")
         assert main(reading_verbs(run_copy)[verb]) == 0
         assert "unreadable" not in capsys.readouterr().out
 
@@ -141,7 +143,7 @@ class TestAtomicArtifacts:
         self, tmp_path, monkeypatch
     ):
         run_dir = str(tmp_path / "run")
-        flushed = ("metrics", "memory")
+        flushed = ("memory",)
         obs.start_run(run_dir, audit_rate=1.0)
         try:
             obs.memory.start()
@@ -155,7 +157,6 @@ class TestAtomicArtifacts:
                 raise OSError("disk full")
 
             monkeypatch.setattr(os, "replace", refuse)
-            metrics.add("unit.counter")  # the next snapshot would differ
             with pytest.raises(OSError, match="disk full"):
                 obs._flush_continuous(run_dir)
             monkeypatch.undo()
@@ -173,6 +174,7 @@ class TestAtomicArtifacts:
         names = os.listdir(smoke_run)
         assert not [name for name in names if name.endswith(".tmp")]
         assert set(rundir.FILES.values()) <= set(names)
+        assert len(rundir.FILES) == 5 and "metrics.json" not in names
 
 
 # ------------------------------------------------------------------ #
@@ -195,7 +197,7 @@ def report_sections(run_dir):
 
 
 class TestViewsAreSections:
-    def test_stats_is_the_metrics_training_and_queries_sections(
+    def test_stats_is_the_training_queries_and_hottest_spans_sections(
         self, smoke_run, capsys
     ):
         sections = report_sections(smoke_run)
@@ -204,9 +206,9 @@ class TestViewsAreSections:
         expected = "\n".join(
             sections[heading]
             for heading in (
-                "Metrics",
                 "Training trajectory",
                 "Queries & estimator calibration",
+                "Hottest spans",
             )
         )
         assert capsys.readouterr().out == expected + "\n"
@@ -301,35 +303,24 @@ def watch_health(run_dir, capsys):
     return {"CRIT": int(crit), "WARN": int(warn)}, shown
 
 
-#: What ``metrics.json`` of a smoke run keeps; the verdict copies (alert
-#: counters, escalation counters and gauges, span-sample gauges) are gone.
-SMOKE_METRIC_NAMES = {
-    "executor.explain_analyze", "executor.queries", "executor.rows_out",
-    "kernel.distinct_positions.calls", "kernel.distinct_positions.rows",
-    "kernel.factorize_keys.calls", "kernel.factorize_keys.rows",
-    "ppo.minibatch_updates", "ppo.updates",
-    "session.approx_answers", "session.full_db_answers", "session.queries",
-    "train.iterations", "train.samples",
-    "estimator.calibration_error",
-    "memory.epoch.executor.query.growth_kb",
-    "memory.epoch.session.query.growth_kb",
-    "memory.epoch.train.iteration.growth_kb", "memory.rss_kb",
-    "memory.tracemalloc.current_kb", "memory.tracemalloc.peak_kb",
-    "train.mean_episode_reward",
-    "executor.query.seconds", "kernel.distinct_positions.seconds",
-    "kernel.factorize_keys.seconds", "ppo.clip_fraction", "ppo.entropy",
-    "ppo.explained_variance", "ppo.grad_norm", "ppo.kl_divergence",
-    "session.confidence",
-    "session.query.seconds", "session.realized_frame_score",
-    "train.rollout.seconds", "train.update.seconds",
+#: Where each fact of a smoke run lives, now that no ``metrics.json``
+#: copies them: a field of a telemetry stream's rows ...
+SMOKE_ROW_FACTS = {
+    "query": {
+        "elapsed_seconds", "confidence", "realized_frame_score",
+        "used_approximation",
+    },
+    "train.update": {
+        "mean_episode_reward", "n_samples", "rollout_seconds",
+        "update_seconds", "kl_divergence", "clip_fraction", "entropy",
+        "grad_norm", "explained_variance",
+    },
+    "estimator": {"calibration_error"},
+    "plan": {"max_q_error"},
+    "trace": {"roots_dropped"},
 }
-#: Answer quality is folded from the rows (``quality.accounting``), so
-#: no ``quality.*`` metric and no online calibration gauge is recorded.
-REMOVED_METRIC_NAMES = re.compile(
-    r"health\.alerts\.|quality\.|drift\.external\."
-    r"|estimator\.online_calibration_error"
-    r"|slo\..*\.burn_rate|profile\.span_samples\."
-)
+#: ... or a counter of a span (the executor's output rows).
+SMOKE_SPAN_FACTS = {"execute": {"rows_out"}, "session.query": {"rows_out"}}
 
 
 class TestOneSourceForVerdicts:
@@ -363,16 +354,29 @@ class TestOneSourceForVerdicts:
         assert [r["kind"] for r in run.stream("quality")][0] == "config"
         assert {r["kind"] for r in run.stream("quality")} == {"audit", "config"}
         assert not any("external" in r for r in run.stream("drift"))
-        names = {
-            name for kind in ("counters", "gauges", "histograms")
-            for name in run.metrics[kind]
-        }
-        assert not [n for n in names if REMOVED_METRIC_NAMES.search(n)]
-        assert SMOKE_METRIC_NAMES <= names
-        assert not os.path.exists(os.path.join(smoke_run, "quality.json"))
+        for name in ("quality.json", "metrics.json"):
+            assert not os.path.exists(os.path.join(smoke_run, name))
+        for stream, fields in SMOKE_ROW_FACTS.items():
+            rows = run.stream(stream)
+            assert rows and all(fields <= set(row) for row in rows), stream
+        spans = list(analyze._walk({"children": run.trace}))
+        for name, counters in SMOKE_SPAN_FACTS.items():
+            found = [sp for sp in spans if sp.get("name") == name]
+            assert found and all(
+                counters <= set(sp.get("counters", {})) for sp in found
+            ), name
         summary = obs.quality.accounting(run)
         assert "calibration_bias" not in summary
         assert "drift_events" not in summary["counts"]
+
+    def test_calibration_objective_reads_the_estimator_row(self, smoke_run):
+        run = rundir.load(smoke_run)
+        (status,) = [
+            s for s in slo.statuses(run)
+            if s["spec"] == "estimator.calibration_error < 0.1"
+        ]
+        assert status["n_samples"] == 1
+        assert status["value"] == run.stream("estimator")[-1]["calibration_error"]
 
     @pytest.mark.parametrize("fixture", ["drift_run", "smoke_run"])
     def test_every_approximation_answer_has_one_audit_decision(
@@ -403,7 +407,7 @@ class TestOneSourceForVerdicts:
                     pass
         run = rundir.load(run_dir)
         assert len(run.trace) == trace.MAX_ROOTS
-        assert run.metrics["counters"]["trace.roots_dropped"] == extra
+        assert [r["roots_dropped"] for r in run.stream("trace")] == [extra]
         note = (
             f"{extra} older root spans not retained (window "
             f"{trace.MAX_ROOTS}); totals cover the retained tail"
@@ -429,7 +433,9 @@ PERCENTILES = {
     (1, 0.1): 1, (1, 0.5): 1, (1, 0.95): 1,
     (3, 0.1): 1, (3, 0.5): 2, (3, 0.95): 3,
     (4, 0.1): 1, (4, 0.5): 2, (4, 0.95): 4,
-    (21, 0.1): 2, (21, 0.5): 10, (21, 0.95): 20,
+    (21, 0.1): 3, (21, 0.5): 11, (21, 0.95): 20,
+    # ceil(q·n), not round(): 243.2 → 244; and 0.7 * 10 is 7.000…01.
+    (256, 0.95): 244, (10, 0.7): 7,
 }
 
 

@@ -19,7 +19,7 @@ from repro.db import (
     explain,
     sql,
 )
-from repro.obs import metrics, telemetry, trace
+from repro.obs import telemetry, trace
 from repro.obs.watch import render_watch
 
 from tests.test_columnstore import make_table
@@ -34,7 +34,6 @@ def clean_obs():
     def scrub():
         obs.disable()
         trace.reset()
-        metrics.reset()
         telemetry.reset()
         telemetry.configure(None)
 
