@@ -30,7 +30,6 @@ def main() -> None:
         memory_budget=500,
         n_iterations=20,
         learning_rate=1e-3,
-        drift_trigger_count=3,
         fine_tune_iterations=6,
         seed=5,
     )

@@ -84,6 +84,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_config(args) -> ASQPConfig:
+    """The run's configuration; a bad flag value exits with one line."""
     overrides = dict(
         memory_budget=args.k,
         frame_size=args.frame_size,
@@ -91,15 +92,18 @@ def _make_config(args) -> ASQPConfig:
         learning_rate=1e-3,
         seed=args.seed,
     )
-    return ASQPConfig.light(**overrides) if args.light else ASQPConfig(**overrides)
+    try:
+        return ASQPConfig.light(**overrides) if args.light else ASQPConfig(**overrides)
+    except ValueError as error:
+        raise SystemExit(f"invalid configuration: {error}")
 
 
 def cmd_demo(args) -> int:
+    config = _make_config(args)
     if args.telemetry:
         obs.start_run(args.telemetry)
     bundle = _load_bundle(args.dataset, args.scale)
     print(f"dataset: {bundle.db}")
-    config = _make_config(args)
     print(f"training {'ASQP-Light' if args.light else 'ASQP-RL'} "
           f"(k={config.memory_budget}, F={config.frame_size})...")
     start = perf_counter()
@@ -125,10 +129,10 @@ def cmd_demo(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _make_config(args)
     if args.telemetry:
         obs.start_run(args.telemetry)
     bundle = _load_bundle(args.dataset, args.scale)
-    config = _make_config(args)
     print(f"training on {bundle.db} ...")
     model = ASQPTrainer(bundle.db, bundle.workload, config).train()
     save_model(model, args.out)

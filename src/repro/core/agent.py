@@ -30,12 +30,8 @@ class ASQPAgent:
     ) -> None:
         self.config = config
         rng = rng or np.random.default_rng(config.seed)
-        self.actor = ActorNetwork(n_actions, rng, hidden=tuple(config.hidden_sizes))
-        self.critic = (
-            CriticNetwork(n_actions, rng, hidden=tuple(config.hidden_sizes))
-            if config.use_actor_critic
-            else None
-        )
+        self.actor = ActorNetwork(n_actions, rng)
+        self.critic = CriticNetwork(n_actions, rng) if config.use_actor_critic else None
         self._updater_rng = np.random.default_rng(config.seed + 101)
         self.updater = self._make_updater()
 
@@ -46,11 +42,9 @@ class ASQPAgent:
     def _make_updater(self) -> PPOUpdater:
         ppo_config = PPOConfig(
             learning_rate=self.config.learning_rate,
-            clip_epsilon=self.config.clip_epsilon,
             entropy_coef=self.config.entropy_coef,
             kl_coef=self.config.kl_coef,
             update_epochs=self.config.update_epochs,
-            minibatch_size=self.config.minibatch_size,
             use_clip=self.config.use_ppo_clip,
             use_critic=self.config.use_actor_critic,
         )
@@ -72,11 +66,9 @@ class ASQPAgent:
         if new_n_actions == old_n:
             return
         init_rng = np.random.default_rng(self.config.seed + 997)
-        self.actor = _expanded_actor(self.actor, new_n_actions, init_rng,
-                                     tuple(self.config.hidden_sizes))
+        self.actor = _expanded_actor(self.actor, new_n_actions, init_rng)
         if self.critic is not None:
-            self.critic = _expanded_critic(self.critic, new_n_actions, init_rng,
-                                           tuple(self.config.hidden_sizes))
+            self.critic = _expanded_critic(self.critic, new_n_actions, init_rng)
         # Fresh optimizer state for the new parameter shapes.
         self.updater = self._make_updater()
 
@@ -93,22 +85,16 @@ def _copy_overlap(target: MLP, source: MLP) -> None:
 
 
 def _expanded_actor(
-    actor: ActorNetwork,
-    new_n_actions: int,
-    rng: np.random.Generator,
-    hidden: tuple[int, ...],
+    actor: ActorNetwork, new_n_actions: int, rng: np.random.Generator
 ) -> ActorNetwork:
-    expanded = ActorNetwork(new_n_actions, rng, hidden=hidden)
+    expanded = ActorNetwork(new_n_actions, rng, hidden=actor.net.layer_sizes[1:-1])
     _copy_overlap(expanded.net, actor.net)
     return expanded
 
 
 def _expanded_critic(
-    critic: CriticNetwork,
-    new_state_dim: int,
-    rng: np.random.Generator,
-    hidden: tuple[int, ...],
+    critic: CriticNetwork, new_state_dim: int, rng: np.random.Generator
 ) -> CriticNetwork:
-    expanded = CriticNetwork(new_state_dim, rng, hidden=hidden)
+    expanded = CriticNetwork(new_state_dim, rng, hidden=critic.net.layer_sizes[1:-1])
     _copy_overlap(expanded.net, critic.net)
     return expanded

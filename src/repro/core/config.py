@@ -15,13 +15,31 @@ time budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
+
+#: Smallest valid value of each count-valued knob, and the name an error
+#: gives it besides the field's own.
+_AT_LEAST = {
+    "memory_budget": (1, "memory budget k"),
+    "frame_size": (1, "frame size F"),
+    "action_space_target": (1, "action-space size"),
+    "group_size": (1, "group size"),
+    "n_actors": (1, "actor count"),
+    "episodes_per_actor": (1, "episodes per actor"),
+    "n_iterations": (1, "iteration count"),
+    "query_batch_size": (1, "query batch size"),
+    "drp_horizon": (1, "DRP horizon"),
+    "n_candidate_rollouts": (0, "candidate rollout count"),
+}
 
 
 @dataclass
 class ASQPConfig:
-    """All knobs of the ASQP-RL system."""
+    """The knobs of the ASQP-RL system that a preset, benchmark or CLI flag
+    varies; every other hyper-parameter is the default of the layer that
+    reads it (embedding dimension, network widths, PPO clip and minibatch,
+    discounting, relaxation widths, estimator and drift thresholds)."""
 
     # Problem parameters (paper §3).
     memory_budget: int = 1000          # k: max tuples in the approximation set
@@ -33,63 +51,49 @@ class ASQPConfig:
     action_space_target: int = 600     # subsampled action-space size (groups)
     group_size: int = 4                # result rows bundled per action
     exact_row_share: float = 0.7       # subsample budget share for exact result rows
-    relax_range_fraction: float = 0.10
-    relax_equality_siblings: int = 3
-    embedding_dim: int = 64
 
     # RL (paper §5 / §6.1).
     learning_rate: float = 5e-5
     kl_coef: float = 0.2
     entropy_coef: float = 0.001
-    clip_epsilon: float = 0.2
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
     n_actors: int = 8                  # paper: 32 async actor-critics
     episodes_per_actor: int = 2
     n_iterations: int = 40             # outer PPO iterations
     update_epochs: int = 4
-    minibatch_size: int = 64
     query_batch_size: int = 8          # queries per reward batch (Alg. 1 line 6)
-    hidden_sizes: Sequence[int] = (128, 64)
     early_stopping_patience: int = 8
-    early_stopping_min_delta: float = 1e-3
 
     # Ablation switches (paper Fig. 3).
     environment: str = "gsl"           # "gsl" | "drp" | "drp+gsl"
     gsl_delta_rewards: bool = True     # telescoped GSL reward (same optimum)
-    diversity_coef: float = 0.0        # §5.1 diversity regularizer (paper: off)
-    use_ppo_clip: bool = True          # False => "-ppo" variant
+    use_ppo_clip: bool = True          # False => "-ppo" variant (no KL term either)
     use_actor_critic: bool = True      # False => "-ppo -ac" (REINFORCE)
     drp_horizon: int = 200             # scaled-down DRP horizon
 
     # Inference / estimator / drift (paper §4.4).
     n_candidate_rollouts: int = 8      # sampled rollouts competing with greedy
-    answerable_threshold: float = 0.5
-    drift_confidence: float = 0.8
-    drift_trigger_count: int = 3
     fine_tune_iterations: int = 10
 
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.memory_budget < 1:
-            raise ValueError(f"memory budget k must be >= 1, got {self.memory_budget}")
-        if self.frame_size < 1:
-            raise ValueError(f"frame size F must be >= 1, got {self.frame_size}")
+        for name, (low, label) in _AT_LEAST.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{label} ({name}) must be >= {low}, got {value}")
         if not 0 < self.training_fraction <= 1:
             raise ValueError(
                 f"training fraction must be in (0, 1], got {self.training_fraction}"
+            )
+        if not 0 <= self.exact_row_share <= 1:
+            raise ValueError(
+                f"exact-row share (exact_row_share) must be in [0, 1], "
+                f"got {self.exact_row_share}"
             )
         if self.environment not in ("gsl", "drp", "drp+gsl"):
             raise ValueError(
                 f"environment must be gsl, drp or drp+gsl, got {self.environment!r}"
             )
-        if not self.use_ppo_clip:
-            # The KL penalty is part of the proximal update; the -ppo
-            # ablation removes both (paper §5.1).
-            self.kl_coef = 0.0
-        if self.group_size < 1:
-            raise ValueError(f"group size must be >= 1, got {self.group_size}")
 
     # ---------------------------------------------------------------- #
     @classmethod
@@ -123,16 +127,3 @@ class ASQPConfig:
         )
         settings.update(overrides)
         return cls(**settings)
-
-    def with_overrides(self, **overrides) -> "ASQPConfig":
-        return replace(self, **overrides)
-
-    @property
-    def variant_label(self) -> str:
-        """Label used in the Fig. 3 ablation tables."""
-        label = "ASQP-RL"
-        if not self.use_ppo_clip:
-            label += " -ppo"
-        if not self.use_actor_critic:
-            label += " -ac"
-        return label

@@ -126,36 +126,16 @@ class GSLEnvironment(_BaseTabularEnv):
     def step(self, action: int) -> tuple[np.ndarray, float, bool, np.ndarray]:
         if self.selected[action]:
             raise ValueError(f"action {action} already selected (mask violation)")
-        diversity_bonus = self._diversity_bonus(action)
         self._apply_add(action)
         new_score = self.tracker.batch_score(self.batch)
         if self.config.gsl_delta_rewards:
             reward = new_score - self._last_score
         else:
             reward = new_score
-        reward += self.config.diversity_coef * diversity_bonus
         self._last_score = new_score
         mask = self._mask()
         done = self.budget_reached or not mask.any()
         return self._state(), reward, done, mask
-
-    def _diversity_bonus(self, action: int) -> float:
-        """§5.1's diversity regularizer: a [0, 1] term added to the objective.
-
-        1 − the maximum cosine similarity between the chosen action's
-        embedding and the already-selected ones — picking a group unlike
-        everything selected so far earns the full bonus. Inactive (and not
-        computed) when ``config.diversity_coef`` is 0, the paper's default
-        after their ablation found it hurt the main metric.
-        """
-        if self.config.diversity_coef == 0.0:
-            return 0.0
-        chosen_indices = np.flatnonzero(self.selected)
-        if len(chosen_indices) == 0:
-            return 1.0
-        embeddings = self.action_space.embeddings
-        similarities = embeddings[chosen_indices] @ embeddings[action]
-        return float(np.clip(1.0 - np.max(similarities), 0.0, 1.0))
 
 
 class DropOneEnvironment(_BaseTabularEnv):

@@ -47,7 +47,7 @@ from .config import ASQPConfig
 from .preprocess import PreprocessResult, build_coverage
 from .trainer import IterationRecord, TrainedModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelError(ValueError):
@@ -81,7 +81,6 @@ def save_model(model: TrainedModel, directory: str) -> None:
     """Persist a trained model to ``directory`` (created if needed)."""
     os.makedirs(directory, exist_ok=True)
     config_dict = dataclasses.asdict(model.config)
-    config_dict["hidden_sizes"] = list(config_dict["hidden_sizes"])
     with open(os.path.join(directory, "config.json"), "w") as handle:
         json.dump({"version": FORMAT_VERSION, "config": config_dict}, handle, indent=2)
 
@@ -143,9 +142,7 @@ def load_model(directory: str, db: Database) -> TrainedModel:
                 f"unsupported model format version "
                 f"{payload.get('version')!r} in {path}"
             )
-        config_dict = payload["config"]
-        config_dict["hidden_sizes"] = tuple(config_dict["hidden_sizes"])
-        config = ASQPConfig(**config_dict)
+        config = ASQPConfig(**payload["config"])
 
     with _reading(directory, "queries.json") as path:
         with open(path) as handle:
@@ -202,8 +199,8 @@ def load_model(directory: str, db: Database) -> TrainedModel:
         coverages=list(coverages),
         action_space=action_space,
         training_queries=training_queries,
-        query_embedder=QueryEmbedder(dim=config.embedding_dim, stats=stats),
-        tuple_embedder=TupleEmbedder(dim=config.embedding_dim, stats=stats),
+        query_embedder=QueryEmbedder(stats=stats),
+        tuple_embedder=TupleEmbedder(stats=stats),
         stats=stats,
     )
     return TrainedModel(

@@ -33,7 +33,7 @@ from ..db.table import Table
 from ..datasets.workloads import Workload
 from ..embedding.cluster import select_representatives
 from ..embedding.query_embed import QueryEmbedder
-from ..embedding.relaxation import QueryRelaxer, RelaxationConfig
+from ..embedding.relaxation import QueryRelaxer
 from ..embedding.tuple_embed import TupleEmbedder
 from .action_space import Action, ActionSpace, group_rows_into_actions
 from .approximation import TupleKey
@@ -214,15 +214,9 @@ def preprocess(
     training_queries = [spj.queries[i] for i in train_indices]
     training_weights = spj.weights[train_indices]
 
-    relaxer = QueryRelaxer(
-        stats,
-        RelaxationConfig(
-            range_widen_fraction=config.relax_range_fraction,
-            equality_siblings=config.relax_equality_siblings,
-        ),
-    )
+    relaxer = QueryRelaxer(stats)
     relaxed_all = [relaxer.relax(q) for q in training_queries]
-    embedder = QueryEmbedder(dim=config.embedding_dim, stats=stats)
+    embedder = QueryEmbedder(stats=stats)
     vectors = embedder.embed_workload(relaxed_all)
 
     n_representatives = (
@@ -291,7 +285,7 @@ def preprocess(
             "pre-processing produced no actions: the relaxed representatives "
             "returned no rows — check the workload against the database"
         )
-    tuple_embedder = TupleEmbedder(dim=config.embedding_dim, stats=stats)
+    tuple_embedder = TupleEmbedder(stats=stats)
     action_vectors = embed_actions(db, actions, tuple_embedder)
     action_space = ActionSpace(actions, action_vectors)
     timings["build_action_space"] = perf_counter() - t0

@@ -78,10 +78,7 @@ class ASQPSession:
         self.auto_fine_tune = auto_fine_tune
         self.workload_generator = workload_generator
         self._regenerate()
-        self.drift_detector = DriftDetector(
-            confidence_threshold=self.config.drift_confidence,
-            trigger_count=self.config.drift_trigger_count,
-        )
+        self.drift_detector = DriftDetector()
         self.query_log: list[QueryLike] = []
 
     # -------------------------------------------------------------- #
@@ -91,7 +88,6 @@ class ASQPSession:
             embedder=prep.query_embedder,
             representative_embeddings=prep.representative_embeddings,
             training_scores=self.model.training_scores(self.approximation_set),
-            threshold=self.config.answerable_threshold,
             calibration_embeddings=prep.training_embeddings,
         )
         if _OBS.enabled:  # leave-one-out pass, so only on recorded runs
@@ -139,7 +135,7 @@ class ASQPSession:
             threshold = (
                 confidence_threshold
                 if confidence_threshold is not None
-                else self.config.answerable_threshold
+                else self.estimator.threshold
             )
             use_approx = (not allow_full_database) or estimate.confidence >= threshold
 

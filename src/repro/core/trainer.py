@@ -22,6 +22,7 @@ from ..db.query import AggregateQuery, SPJQuery
 from ..obs import memory, telemetry, trace
 from ..db.sampling import variational_subsample
 from ..datasets.workloads import Workload
+from ..embedding.relaxation import QueryRelaxer
 from ..rl.parallel import MultiActorCollector, make_actor_specs
 from ..rl.rollout import RolloutBuffer
 from .action_space import ActionSpace, group_rows_into_actions
@@ -39,6 +40,10 @@ from .preprocess import (
     provenance_ids,
 )
 from .reward import CoverageIndex, CoverageTracker, QueryCoverage
+
+#: A mean episode reward must beat the best so far by more than this to
+#: reset the early-stopping patience (Alg. 1 line 9).
+EARLY_STOPPING_MIN_DELTA = 1e-3
 
 
 @dataclass
@@ -215,15 +220,7 @@ class TrainedModel:
         rng = rng or np.random.default_rng(self.config.seed + 500 + self.fine_tune_count)
         config = self.config
         prep = self.preprocessed
-        from ..embedding.relaxation import QueryRelaxer, RelaxationConfig
-
-        relaxer = QueryRelaxer(
-            prep.stats,
-            RelaxationConfig(
-                range_widen_fraction=config.relax_range_fraction,
-                equality_siblings=config.relax_equality_siblings,
-            ),
-        )
+        relaxer = QueryRelaxer(prep.stats)
         spj_queries = [
             q.strip_aggregates() if q.is_aggregate else q for q in new_queries
         ]
@@ -335,7 +332,7 @@ def run_training_loop(
                 n_iterations=n_iterations, fine_tuning=bool(bias_queries)
             )
         for iteration in range(n_iterations):
-            buffer = RolloutBuffer(gamma=config.gamma, lam=config.gae_lambda)
+            buffer = RolloutBuffer()
             rollout_start = perf_counter()
             with trace.span("train.rollout"):
                 mean_reward = collector.collect(config.episodes_per_actor, buffer)
@@ -374,7 +371,7 @@ def run_training_loop(
             # should show ~zero traced-byte growth between iterations.
             memory.mark_epoch("train.iteration")
             # Early stopping (Alg. 1 line 9) on reward plateau.
-            if mean_reward > best_reward + config.early_stopping_min_delta:
+            if mean_reward > best_reward + EARLY_STOPPING_MIN_DELTA:
                 best_reward = mean_reward
                 stale = 0
             else:

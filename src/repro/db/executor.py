@@ -141,10 +141,6 @@ class ResultSet:
             )
         return cached
 
-    def internal_column(self, ref: str) -> np.ndarray:
-        """Physical array of a column: codes when encoded, else values."""
-        return self.columns[self.resolve(ref)]
-
     def decode_all(self) -> "ResultSet":
         """A fully materialized copy (no-op when nothing is encoded)."""
         if not self.encodings:

@@ -62,12 +62,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {
-    "select", "distinct", "from", "where", "group", "by", "order",
-    "limit", "and", "or", "not", "between", "in", "like", "is", "null",
-    "as", "desc", "asc",
-}
-
 _AGG_FUNCS = {f.value.lower(): f for f in AggFunc}
 
 
@@ -92,10 +86,6 @@ class _Parser:
     # ---------------- token helpers ----------------
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def peek_kw(self) -> Optional[str]:
-        token = self.peek()
-        return token.lower() if token and token.lower() in _KEYWORDS else None
 
     def next(self) -> str:
         token = self.peek()

@@ -7,7 +7,7 @@ the same geometric contract — see DESIGN.md §2 for the substitution notes.
 
 from .cluster import ClusterResult, kmeans, kmedoids, select_representatives
 from .query_embed import QueryEmbedder
-from .relaxation import QueryRelaxer, RelaxationConfig
+from .relaxation import QueryRelaxer
 from .text import (
     DEFAULT_DIM,
     TokenHasher,
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_DIM",
     "QueryEmbedder",
     "QueryRelaxer",
-    "RelaxationConfig",
     "TokenHasher",
     "TupleEmbedder",
     "cosine_similarity",

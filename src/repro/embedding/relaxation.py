@@ -3,19 +3,17 @@
 Relaxation *generalizes* a query before it is embedded and executed: it
 loosens predicate conditions so the result set grows, pulling near-miss
 tuples into the action space and guarding against overfitting to the known
-workload (challenge C4). Three standard relaxation moves are applied:
+workload (challenge C4). Two standard relaxation moves are applied:
 
-1. **Range widening** — numeric comparisons and BETWEENs widen by a factor
-   of the column's observed range.
+1. **Range widening** — numeric comparisons and BETWEENs widen by
+   ``RANGE_WIDEN_FRACTION`` of the column's observed range.
 2. **Equality generalization** — ``col = v`` on a categorical column becomes
-   ``col IN (v, siblings...)`` with the most popular sibling values.
-3. **Predicate dropping** — optionally drop the single most selective
-   conjunct (the strongest condition) entirely.
+   ``col IN (v, siblings...)`` with the ``EQUALITY_SIBLINGS`` most popular
+   sibling values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from ..db.expressions import (
@@ -30,44 +28,23 @@ from ..db.query import AggregateQuery, SPJQuery
 from ..db.statistics import TableStats
 
 
-@dataclass
-class RelaxationConfig:
-    """Tuning knobs for query relaxation.
-
-    Parameters
-    ----------
-    range_widen_fraction:
-        Numeric bounds move outward by this fraction of the column range.
-    equality_siblings:
-        How many popular sibling values join a generalized equality.
-    drop_most_selective:
-        Whether to drop the conjunct estimated to be most selective.
-    """
-
-    range_widen_fraction: float = 0.10
-    equality_siblings: int = 3
-    drop_most_selective: bool = False
+#: Numeric bounds move outward by this fraction of the column range.
+RANGE_WIDEN_FRACTION = 0.10
+#: How many popular sibling values join a generalized equality.
+EQUALITY_SIBLINGS = 3
 
 
 class QueryRelaxer:
     """Applies relaxation moves using per-table statistics."""
 
-    def __init__(
-        self,
-        stats: Mapping[str, TableStats],
-        config: Optional[RelaxationConfig] = None,
-    ) -> None:
+    def __init__(self, stats: Mapping[str, TableStats]) -> None:
         self.stats = dict(stats)
-        self.config = config or RelaxationConfig()
 
     # -------------------------------------------------------------- #
     def relax(self, query: Union[SPJQuery, AggregateQuery]) -> SPJQuery:
         """Relaxed SPJ form of ``query`` (aggregates are stripped first)."""
         spj = query.strip_aggregates() if query.is_aggregate else query
         parts = [self._relax_conjunct(part, spj) for part in conjuncts(spj.predicate)]
-        if self.config.drop_most_selective and len(parts) > 1:
-            drop_index = self._most_selective_index(parts, spj)
-            parts = [part for i, part in enumerate(parts) if i != drop_index]
         relaxed = spj.with_predicate(conjoin(parts))
         # Relaxation is about enlarging result sets: lift LIMITs too.
         if relaxed.limit is not None:
@@ -88,8 +65,8 @@ class QueryRelaxer:
     def _relax_comparison(self, part: Comparison, query: SPJQuery) -> Expression:
         if part.op == "=" and isinstance(part.value, str):
             cat = self._categorical(part.column, query)
-            if cat is not None and self.config.equality_siblings > 0:
-                siblings = cat.top_values(self.config.equality_siblings + 1)
+            if cat is not None and EQUALITY_SIBLINGS > 0:
+                siblings = cat.top_values(EQUALITY_SIBLINGS + 1)
                 values = {part.value, *siblings}
                 if len(values) > 1:
                     return InSet(part.column, values)
@@ -105,23 +82,6 @@ class QueryRelaxer:
             if part.op == "=":
                 return Between(part.column, part.value - margin, part.value + margin)
         return part
-
-    def _most_selective_index(self, parts: list[Expression], query: SPJQuery) -> int:
-        """Heuristic: equality > IN > range > everything else."""
-
-        def selectivity_rank(part: Expression) -> int:
-            if isinstance(part, Comparison) and part.op == "=":
-                return 0
-            if isinstance(part, InSet):
-                return 1
-            if isinstance(part, Between):
-                return 2
-            if isinstance(part, Comparison):
-                return 3
-            return 4
-
-        ranked = sorted(range(len(parts)), key=lambda i: selectivity_rank(parts[i]))
-        return ranked[0]
 
     # -------------------------------------------------------------- #
     def _split_ref(self, ref: str, query: SPJQuery) -> Optional[tuple[str, str]]:
@@ -143,7 +103,7 @@ class QueryRelaxer:
         numeric = table_stats.numeric.get(column)
         if numeric is None or numeric.value_range <= 0:
             return None
-        return numeric.value_range * self.config.range_widen_fraction
+        return numeric.value_range * RANGE_WIDEN_FRACTION
 
     def _categorical(self, ref: str, query: SPJQuery):
         split = self._split_ref(ref, query)

@@ -244,36 +244,3 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown environment"):
             make_environment("bogus", space, coverages, _config(), rng)
 
-
-class TestDiversityRegularizer:
-    def test_off_by_default(self, space, coverages, rng):
-        env = GSLEnvironment(space, coverages, _config(), rng, query_batch=[0, 1])
-        env.reset()
-        assert env._diversity_bonus(0) == 0.0
-
-    def test_first_pick_full_bonus(self, space, coverages, rng):
-        config = _config(diversity_coef=0.5)
-        env = GSLEnvironment(space, coverages, config, rng, query_batch=[0, 1])
-        env.reset()
-        assert env._diversity_bonus(0) == 1.0
-
-    def test_bonus_bounded_and_rewards_shift(self, space, coverages, rng):
-        import numpy as np
-
-        base_cfg = _config(diversity_coef=0.0)
-        div_cfg = _config(diversity_coef=1.0)
-        rewards = {}
-        for name, config in (("base", base_cfg), ("div", div_cfg)):
-            env = GSLEnvironment(
-                space, coverages, config, np.random.default_rng(0),
-                query_batch=[0, 1],
-            )
-            env.reset()
-            _, r0, _, _ = env.step(0)
-            _, r1, _, _ = env.step(1)
-            rewards[name] = (r0, r1)
-        # First pick earns the full bonus under the regularizer.
-        assert rewards["div"][0] == rewards["base"][0] + 1.0
-        # Later picks earn a bounded, non-negative extra.
-        extra = rewards["div"][1] - rewards["base"][1]
-        assert 0.0 <= extra <= 1.0

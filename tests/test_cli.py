@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import __main__ as cli
 from repro import obs
 from repro.__main__ import main
 
@@ -36,6 +37,29 @@ class TestCLI:
     def test_unknown_dataset(self):
         with pytest.raises(SystemExit):
             main(["demo", "--dataset", "bogus"])
+
+    @pytest.mark.parametrize("verb", ["demo", "train"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--k", "0", "memory_budget"),
+        ("--iterations", "-1", "n_iterations"),
+    ])
+    def test_bad_config_exits_before_loading_data(
+        self, verb, flag, value, field, tmp_path, monkeypatch, capsys
+    ):
+        def no_data(name, scale):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr(cli, "_load_bundle", no_data)
+        argv = [verb, "--dataset", "flights", flag, value]
+        if verb == "train":
+            argv += ["--out", str(tmp_path / "model")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert field in message and value in message
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
 
     def test_bench_without_results(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "empty"))

@@ -1,8 +1,28 @@
 """Unit tests for repro.core.config."""
 
+from dataclasses import fields, replace
+
+import numpy as np
 import pytest
 
-from repro.core import ASQPConfig
+from repro.core import ASQPAgent, ASQPConfig
+from repro.rl.rollout import RolloutBatch
+
+
+def _update_stats(config, n_actions=5, n=12):
+    """Actor weights and stats after one update of ``config``'s agent."""
+    agent = ASQPAgent(n_actions, config)
+    rng = np.random.default_rng(3)
+    batch = RolloutBatch(
+        states=rng.random((n, n_actions)) < 0.5,
+        actions=rng.integers(0, n_actions, size=n),
+        old_log_probs=np.full(n, -1.5),
+        returns=rng.normal(size=n),
+        advantages=rng.normal(size=n),
+        masks=np.ones((n, n_actions), dtype=bool),
+    )
+    stats = agent.updater.update(batch)
+    return agent.actor.net.weights, stats
 
 
 class TestValidation:
@@ -11,6 +31,17 @@ class TestValidation:
         assert config.memory_budget == 1000
         assert config.frame_size == 50
         assert config.n_query_representatives is None  # all (paper §6.1)
+        # The settable surface: a new knob is an edit here, on purpose.
+        assert [field.name for field in fields(ASQPConfig)] == [
+            "memory_budget", "frame_size", "n_query_representatives",
+            "training_fraction", "action_space_target", "group_size",
+            "exact_row_share", "learning_rate", "kl_coef", "entropy_coef",
+            "n_actors", "episodes_per_actor", "n_iterations", "update_epochs",
+            "query_batch_size", "early_stopping_patience", "environment",
+            "gsl_delta_rewards", "use_ppo_clip", "use_actor_critic",
+            "drp_horizon", "n_candidate_rollouts", "fine_tune_iterations",
+            "seed",
+        ]
 
     def test_bad_budget(self):
         with pytest.raises(ValueError, match="memory budget"):
@@ -34,9 +65,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             ASQPConfig(group_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_iterations", 0),
+        ("n_iterations", -2),
+        ("n_actors", 0),
+        ("episodes_per_actor", 0),
+        ("query_batch_size", 0),
+        ("action_space_target", 0),
+        ("drp_horizon", 0),
+        ("n_candidate_rollouts", -1),
+        ("exact_row_share", -0.5),
+        ("exact_row_share", 1.5),
+    ])
+    def test_degenerate_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ASQPConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        ASQPConfig(n_candidate_rollouts=0, exact_row_share=0.0)
+        ASQPConfig(exact_row_share=1.0, n_iterations=1, n_actors=1)
+
     def test_no_ppo_zeroes_kl(self):
-        config = ASQPConfig(use_ppo_clip=False, kl_coef=0.5)
-        assert config.kl_coef == 0.0
+        weights, stats = _update_stats(ASQPConfig(use_ppo_clip=False, kl_coef=0.5))
+        zero_weights, _ = _update_stats(ASQPConfig(use_ppo_clip=False, kl_coef=0.0))
+        assert stats.kl_divergence == 0.0
+        for w, z in zip(weights, zero_weights):
+            np.testing.assert_array_equal(w, z)
+        # The clipped update does add it, so the comparison above can fail.
+        _, clip_stats = _update_stats(ASQPConfig(kl_coef=0.5))
+        assert clip_stats.kl_divergence != 0.0
+
+    def test_kl_coef_survives_a_round_trip_through_no_ppo(self):
+        config = replace(ASQPConfig(use_ppo_clip=False), use_ppo_clip=True)
+        assert config.kl_coef == 0.2
 
 
 class TestPresets:
@@ -66,17 +127,3 @@ class TestPresets:
     def test_adaptive_monotone_in_budget(self):
         fractions = [ASQPConfig.adaptive(f).training_fraction for f in (0.0, 0.5, 1.0)]
         assert fractions == sorted(fractions)
-
-
-class TestLabels:
-    def test_variant_labels(self):
-        assert ASQPConfig().variant_label == "ASQP-RL"
-        assert ASQPConfig(use_ppo_clip=False).variant_label == "ASQP-RL -ppo"
-        assert (
-            ASQPConfig(use_ppo_clip=False, use_actor_critic=False).variant_label
-            == "ASQP-RL -ppo -ac"
-        )
-
-    def test_with_overrides(self):
-        config = ASQPConfig().with_overrides(memory_budget=5)
-        assert config.memory_budget == 5

@@ -17,7 +17,9 @@ from repro.core import (
     preprocess,
     provenance_rows,
 )
+from repro.core import trainer as trainer_module
 from repro.db import execute, sql
+from repro.embedding import DEFAULT_DIM
 
 
 def _tiny_config(**overrides):
@@ -71,7 +73,7 @@ class TestPreprocess:
         assert len(prep.representative_embeddings) == prep.n_representatives
         assert len(prep.action_space) > 0
         assert prep.action_space.embeddings.shape == (
-            len(prep.action_space), config.embedding_dim,
+            len(prep.action_space), DEFAULT_DIM,
         )
         assert abs(prep.representative_weights.sum() - 1.0) < 1e-9
         assert set(prep.timings) >= {
@@ -127,11 +129,10 @@ class TestTrainer:
         assert len(scores) == len(trained.coverages)
         assert ((scores >= 0) & (scores <= 1)).all()
 
-    def test_early_stopping(self, tiny_imdb):
-        config = _tiny_config(
-            n_iterations=30, early_stopping_patience=1,
-            early_stopping_min_delta=100.0,  # impossible improvement
-        )
+    def test_early_stopping(self, tiny_imdb, monkeypatch):
+        # An impossible improvement: every iteration after the first is stale.
+        monkeypatch.setattr(trainer_module, "EARLY_STOPPING_MIN_DELTA", 100.0)
+        config = _tiny_config(n_iterations=30, early_stopping_patience=1)
         model = ASQPTrainer(tiny_imdb.db, tiny_imdb.workload, config).train()
         assert len(model.history) <= 3
 

@@ -99,7 +99,8 @@ def policy(request, trained):
     agent = ASQPAgent(len(trained.action_space), config, rng)
     agent.actor.net.copy_from(trained.agent.actor.net)
     added = synthetic_actions(14, rng)
-    space = trained.action_space.extend(added, np.zeros((len(added), config.embedding_dim)))
+    dim = trained.action_space.embeddings.shape[1]
+    space = trained.action_space.extend(added, np.zeros((len(added), dim)))
     agent.expand_action_space(len(space))
     return agent.actor, space, config
 

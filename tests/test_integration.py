@@ -109,10 +109,9 @@ def test_trained_beats_empty_and_is_bounded_by_full(tiny_imdb):
 
 
 def test_session_full_lifecycle(tiny_flights):
-    config = _config(
-        drift_trigger_count=2, fine_tune_iterations=1, seed=33,
-    )
+    config = _config(fine_tune_iterations=1, seed=33)
     session = ASQPSystem(config).fit(tiny_flights.db, tiny_flights.workload)
+    session.drift_detector.trigger_count = 2
 
     # Phase 1: known queries answered (either path), outcomes sane.
     for query in list(tiny_flights.workload)[:5]:

@@ -99,10 +99,14 @@ class TestRoundTrip:
         save_model(trained, str(tmp_path / "model"))
         path = tmp_path / "model" / "config.json"
         payload = json.loads(path.read_text())
-        payload["version"] = 999
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ModelError, match="version 999 in .*config.json"):
-            load_model(str(tmp_path / "model"), tiny_flights.db)
+        # 1: the format before the config lost its unvaried fields.
+        for version in (999, 1):
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(
+                ModelError, match=f"version {version} in .*config.json"
+            ):
+                load_model(str(tmp_path / "model"), tiny_flights.db)
 
 
 ARTIFACTS = (

@@ -6,7 +6,7 @@ import pytest
 from repro.core import ASQPConfig, build_coverage, preprocess
 from repro.core.preprocess import MAX_REQUIREMENT_ROWS, embed_actions
 from repro.db import Comparison, Database, SPJQuery, sql
-from repro.embedding import TupleEmbedder
+from repro.embedding import DEFAULT_DIM, TupleEmbedder
 
 
 def _config(**overrides):
@@ -77,7 +77,7 @@ class TestEmbedActions:
         prep = preprocess(tiny_imdb.db, tiny_imdb.workload, _config())
         vectors = prep.action_space.embeddings
         norms = np.linalg.norm(vectors, axis=1)
-        assert vectors.shape[1] == _config().embedding_dim
+        assert vectors.shape[1] == DEFAULT_DIM
         assert np.all((norms > 0.99) & (norms < 1.01))
 
     def test_embed_actions_standalone(self, tiny_imdb):
@@ -118,7 +118,7 @@ class TestEmbedActions:
         assert any((np.diff(table.row_ids) < 0).any() for table in shuffled)
         actions = list(prep.action_space)
         vectors = embed_actions(
-            shuffled, actions, TupleEmbedder(dim=_config().embedding_dim, stats=prep.stats)
+            shuffled, actions, TupleEmbedder(stats=prep.stats)
         )
         assert np.array_equal(vectors, prep.action_space.embeddings)
 

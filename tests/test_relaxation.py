@@ -14,7 +14,7 @@ from repro.db import (
     execute,
     sql,
 )
-from repro.embedding import QueryRelaxer, RelaxationConfig
+from repro.embedding import QueryRelaxer, relaxation
 
 
 @pytest.fixture
@@ -59,11 +59,9 @@ class TestEqualityGeneralization:
         relaxed = relaxer.relax(q)
         assert "drama" in relaxed.predicate.values  # the most popular genre
 
-    def test_disabled_siblings(self, mini_db):
-        relaxer = QueryRelaxer(
-            compute_database_stats(mini_db),
-            RelaxationConfig(equality_siblings=0),
-        )
+    def test_disabled_siblings(self, mini_db, monkeypatch):
+        monkeypatch.setattr(relaxation, "EQUALITY_SIBLINGS", 0)
+        relaxer = QueryRelaxer(compute_database_stats(mini_db))
         q = sql("SELECT * FROM movies WHERE movies.genre = 'scifi'")
         relaxed = relaxer.relax(q)
         assert isinstance(relaxed.predicate, Comparison)
@@ -88,28 +86,6 @@ class TestSupersetInvariant:
     def test_limit_lifted(self, mini_db, relaxer):
         q = sql("SELECT * FROM movies WHERE movies.year > 2000 LIMIT 1")
         assert relaxer.relax(q).limit is None
-
-
-class TestDropMostSelective:
-    def test_drops_equality_first(self, mini_db):
-        relaxer = QueryRelaxer(
-            compute_database_stats(mini_db),
-            RelaxationConfig(drop_most_selective=True, equality_siblings=0),
-        )
-        q = sql("SELECT * FROM movies WHERE movies.genre = 'scifi' AND movies.year > 2000")
-        relaxed = relaxer.relax(q)
-        text = relaxed.predicate.to_sql()
-        assert "genre" not in text
-        assert "year" in text
-
-    def test_single_conjunct_never_dropped(self, mini_db):
-        relaxer = QueryRelaxer(
-            compute_database_stats(mini_db),
-            RelaxationConfig(drop_most_selective=True),
-        )
-        q = sql("SELECT * FROM movies WHERE movies.year > 2000")
-        relaxed = relaxer.relax(q)
-        assert "year" in relaxed.predicate.to_sql()
 
 
 class TestAggregateInput:

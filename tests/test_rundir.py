@@ -277,11 +277,12 @@ def drift_run(tmp_path_factory):
         bundle = load_flights(scale=0.12, n_queries=12, n_aggregate_queries=2)
         config = ASQPConfig.light(
             memory_budget=120, frame_size=20, n_iterations=2,
-            learning_rate=1e-3, seed=0, drift_confidence=0.0,
-            drift_trigger_count=2,
+            learning_rate=1e-3, seed=0,
         )
         model = ASQPTrainer(bundle.db, bundle.workload, config).train()
         session = ASQPSession(model, auto_fine_tune=False)
+        session.drift_detector.confidence_threshold = 0.0
+        session.drift_detector.trigger_count = 2
         for query in bundle.workload:
             session.query(query)
     return run_dir

@@ -273,7 +273,7 @@ def _config(**overrides):
 def test_action_space_embeddings_equal_reference(bundle_name, request):
     bundle = request.getfixturevalue(bundle_name)
     prep = preprocess(bundle.db, bundle.workload, _config())
-    reference = TupleEmbedder(dim=_config().embedding_dim, stats=prep.stats)
+    reference = TupleEmbedder(stats=prep.stats)
     expected = reference_embed_actions(bundle.db, list(prep.action_space), reference)
     assert np.array_equal(prep.action_space.embeddings, expected)
 
@@ -288,9 +288,7 @@ def test_fine_tune_extension_embeddings_equal_reference(tiny_imdb):
     n_before = len(model.action_space)
     model.fine_tune([sql("SELECT * FROM person WHERE person.gender = 'f'")])
     assert len(model.action_space) > n_before
-    reference = TupleEmbedder(
-        dim=config.embedding_dim, stats=compute_database_stats(tiny_imdb.db)
-    )
+    reference = TupleEmbedder(stats=compute_database_stats(tiny_imdb.db))
     expected = reference_embed_actions(tiny_imdb.db, list(model.action_space), reference)
     assert np.array_equal(model.action_space.embeddings, expected)
 

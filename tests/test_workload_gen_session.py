@@ -180,8 +180,9 @@ class TestOneEstimatePerRequest:
 
 class TestSessionDrift:
     def test_drift_triggers_fine_tune(self, tiny_flights):
-        config = _session_config(drift_trigger_count=2, seed=13)
+        config = _session_config(seed=13)
         session = ASQPSystem(config).fit(tiny_flights.db, tiny_flights.workload)
+        session.drift_detector.trigger_count = 2
         foreign = [
             sql("SELECT * FROM carriers WHERE carriers.low_cost = 1"),
             sql("SELECT * FROM carriers WHERE carriers.low_cost = 0"),
@@ -195,10 +196,11 @@ class TestSessionDrift:
         assert session.model.fine_tune_count >= 1
 
     def test_auto_fine_tune_disabled(self, tiny_flights):
-        config = _session_config(drift_trigger_count=1, seed=14)
+        config = _session_config(seed=14)
         session = ASQPSystem(config).fit(
             tiny_flights.db, tiny_flights.workload, auto_fine_tune=False
         )
+        session.drift_detector.trigger_count = 1
         outcome = session.query(sql("SELECT * FROM carriers WHERE carriers.low_cost = 1"))
         assert not outcome.fine_tuned
         assert session.model.fine_tune_count == 0
