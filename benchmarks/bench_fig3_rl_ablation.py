@@ -16,12 +16,14 @@ policy would quietly convert DRP into GSL at inference time.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 
 from repro.bench import SWEEP_PROFILE, bench_asqp_config, emit
-from repro.core import ASQPTrainer, make_environment, score
+from repro.core import ASQPTrainer, GSLEnvironment, score
 
 ENVIRONMENTS = ["gsl", "drp", "drp+gsl"]
 AGENTS = [
@@ -35,8 +37,7 @@ def _environment_faithful_set(model, config):
     """The approximation set the *trained environment's* process produces."""
     if config.environment == "gsl":
         return model.approximation_set()
-    env = make_environment(
-        config.environment,
+    env = GSLEnvironment(
         model.action_space,
         model.coverages,
         config,
@@ -75,6 +76,7 @@ def _run_dataset(bundle, k: int) -> list[dict]:
                     "environment": environment.upper(),
                     "agent": agent_name,
                     "score": quality,
+                    "size": approx.total_size(),
                     "total_seconds": model.setup_seconds,
                     "iterations": len(model.history),
                 }
@@ -85,13 +87,13 @@ def _run_dataset(bundle, k: int) -> list[dict]:
 def _emit(name: str, rows: list[dict]) -> None:
     emit(
         f"fig3_{name}",
-        ["Environment", "Agent", "Score", "Total time (s)", "Iterations"],
+        ["Environment", "Agent", "Score", "|S|", "Total time (s)", "Iterations"],
         [
-            [r["environment"], r["agent"], f"{r['score']:.3f}",
+            [r["environment"], r["agent"], f"{r['score']:.3f}", r["size"],
              f"{r['total_seconds']:.1f}", r["iterations"]]
             for r in rows
         ],
-        {"rows": rows},
+        {"rows": rows, "pythonhashseed": os.environ.get("PYTHONHASHSEED")},
         title=f"Figure 3 — RL ablation ({name.upper()})",
     )
 

@@ -36,12 +36,25 @@ SECTIONS = [
     ("fig3_imdb", "Figure 3 — RL ablation (IMDB)",
      "Paper: GSL/full 0.64 > GSL−ppo 0.536 > GSL−ppo−ac 0.496; DRP ~0.36; "
      "hybrid in between.",
-     "Reproduced shape: with environment-faithful inference (the DRP "
-     "variants score the drop-one process's own episode outcome), GSL beats "
-     "DRP; agent ablations degrade the full agent or tie within noise at "
-     "this training budget."),
+     "Not reproduced at one seed (PYTHONHASHSEED=0): DRP/full 0.667 edges "
+     "GSL/full 0.665, so the bench's GSL > DRP assertion fails. The DRP "
+     "variants score the drop-one process's own episode outcome "
+     "(environment-faithful inference), now counted over one refcounted "
+     "selection: a swap no longer drops a tuple another selected group "
+     "holds, which had shrunk DRP's sets to 879-898 tuples and its scores "
+     "to 0.513 / 0.401 / 0.452. Counted correctly DRP holds 1009-1025 "
+     "tuples (|S|), over k = 1000, since DRP is not trimmed to k while "
+     "GSL's Alg. 2 sets hold exactly k. GSL rows are unchanged by the fix; "
+     "−ppo (0.691) sits above the full agent (0.665) and −ppo −ac (0.636) "
+     "below it."),
     ("fig3_mas", "Figure 3 — RL ablation (MAS)",
-     "Paper: GSL/full 0.754 > ablations; DRP worst.", ""),
+     "Paper: GSL/full 0.754 > ablations; DRP worst.",
+     "Not reproduced at one seed (PYTHONHASHSEED=0): DRP/full 0.727 beats "
+     "GSL/full 0.653 while holding 463 tuples against k = 500, so the "
+     "overshoot of k does not explain it; the bench's GSL > DRP assertion "
+     "fails. Before the refcount fix DRP reported 0.589 / 0.393 / 0.431 "
+     "over 397-466 tuples. GSL rows are unchanged by the fix; "
+     "DRP+GSL/full (0.389) is the worst row."),
     ("fig4_direct_query_cost", "Figure 4 — problem justification",
      "Paper: cumulative average direct-query latency passes 5 hours after "
      "seven queries at the 1 GB scale.",

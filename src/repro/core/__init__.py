@@ -1,8 +1,9 @@
 """ASQP-RL core: the paper's primary contribution.
 
 Pre-processing (relaxation, embedding, representative selection,
-variational subsampling), the GSL/DRP environments, the PPO actor-critic
-agent, training/inference, the answerability estimator, drift detection,
+variational subsampling), the one RL environment (GSL, DRP and DRP+GSL
+over one refcounted selection), the PPO actor-critic agent,
+training/inference, the answerability estimator, drift detection,
 workload generation, and the interactive session facade.
 """
 
@@ -11,12 +12,7 @@ from .agent import ASQPAgent
 from .approximation import ApproximationSet, TupleKey
 from .config import ASQPConfig
 from .drift import DriftDetector, DriftEvent
-from .environment import (
-    DropOneEnvironment,
-    GSLEnvironment,
-    HybridEnvironment,
-    make_environment,
-)
+from .environment import GSLEnvironment
 from .estimator import AnswerabilityEstimate, AnswerabilityEstimator
 from .inference import generate_approximation_set
 from .metric import (
@@ -52,9 +48,7 @@ __all__ = [
     "DEFAULT_FRAME_SIZE",
     "DriftDetector",
     "DriftEvent",
-    "DropOneEnvironment",
     "GSLEnvironment",
-    "HybridEnvironment",
     "IterationRecord",
     "ModelError",
     "PreprocessResult",
@@ -70,7 +64,6 @@ __all__ = [
     "load_model",
     "save_model",
     "group_rows_into_actions",
-    "make_environment",
     "pairwise_jaccard_diversity",
     "per_query_scores",
     "preprocess",

@@ -37,12 +37,6 @@ class ApproximationSet:
         for table, row_id in keys:
             self.rows.setdefault(table, set()).add(int(row_id))
 
-    def remove_keys(self, keys: Iterable[TupleKey]) -> None:
-        for table, row_id in keys:
-            bucket = self.rows.get(table)
-            if bucket is not None:
-                bucket.discard(int(row_id))
-
     def __contains__(self, key: TupleKey) -> bool:
         table, row_id = key
         return int(row_id) in self.rows.get(table, ())
@@ -56,9 +50,6 @@ class ApproximationSet:
         for table in sorted(self.rows):
             out.extend((table, row_id) for row_id in sorted(self.rows[table]))
         return out
-
-    def copy(self) -> "ApproximationSet":
-        return ApproximationSet(rows={t: set(ids) for t, ids in self.rows.items()})
 
     def sampling_fraction(self, db: Database) -> float:
         """``|S| / |T|`` over the tables this set covers, in (0, 1].

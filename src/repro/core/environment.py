@@ -1,37 +1,61 @@
-"""RL environments over the tabular action space (paper §5.2).
+"""The RL environment over the tabular action space (paper §5.2).
 
-Three environments, matching the Fig. 3 ablation:
+One class runs the three variants of the Fig. 3 ablation, chosen by
+``config.environment``:
 
-* **GSL** (gradual-set-learning) — the production choice. Episodes start
-  from the empty set; each action adds a group of joinable tuples; the
-  reward is the Eq. 1 score of the new state on the episode's query batch;
-  the episode ends when the memory budget ``k`` is reached.
-* **DRP** (drop-one) — starts from a full random set of ``k`` tuples; each
-  step swaps one selected group out (uniformly at random — the instability
-  the paper reports) and the policy-chosen group in; reward is the score
-  *delta*; the episode runs to a fixed horizon.
-* **DRP+GSL** — grows the set GSL-style to the budget, then refines with
-  DRP swaps for half the horizon.
+* **GSL** (gradual-set-learning, ``"gsl"``) — the production choice.
+  Episodes start from the empty set; each action adds a group of joinable
+  tuples; the reward is the Eq. 1 score of the new state on the episode's
+  query batch; the episode ends when the memory budget ``k`` is reached.
+* **DRP** (drop-one, ``"drp"``) — starts from a random set of ``k``
+  tuples; each step swaps one selected group out (uniformly at random —
+  the instability the paper reports) and the policy-chosen group in;
+  reward is the score *delta*; the episode runs to a fixed horizon.
+* **DRP+GSL** (``"drp+gsl"``) — grows the set GSL-style to the budget,
+  then refines with DRP swaps for half the horizon.
 
-All environments expose the same multi-hot state over the action space and
-use action masking to forbid re-selecting a group (paper §4.3).
+The selection is one state: the multi-hot ``selected`` vector over the
+action space (the policy's state, with action masking forbidding a
+re-selection, paper §4.3) plus a refcount per tuple key, because groups
+share tuples and a swap must keep a tuple another selected group still
+holds. The set's size and :meth:`approximation_set` read the refcount.
+
+Growth stops once the set holds ``k`` tuples, so the last group added may
+overshoot ``k`` by up to one group. Alg. 2 trims that overshoot at
+inference (:func:`repro.core.inference.generate_approximation_set`);
+training keeps it, because trimming inside an episode would change the
+last reward of every GSL episode and with it the trained policy and its
+score.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..rl.parallel import Environment
 from .action_space import ActionSpace
-from .approximation import ApproximationSet
+from .approximation import ApproximationSet, TupleKey
 from .config import ASQPConfig
 from .reward import CoverageIndex, CoverageTracker, QueryCoverage
 
 
-class _BaseTabularEnv(Environment):
-    """Shared machinery: selection state, masking, budgeted growth."""
+class GSLEnvironment(Environment):
+    """GSL, DRP or DRP+GSL (named for the default) over one selection.
+
+    With ``gsl_delta_rewards`` (the default) GSL emits the telescoped
+    reward ``Score(S_{t+1}) − Score(S_t)`` rather than the paper's
+    ``Score(S_{t+1})``: the episode return is identical, so the optimal
+    policy is unchanged, but each step's reward is the action's own
+    marginal contribution — better-conditioned credit assignment for the
+    small numpy networks this reproduction trains. DRP+GSL's growth phase
+    rewards the absolute score and its swap phase the delta.
+
+    ``coverage_index`` lets several environments over the same
+    requirement rows share one immutable incidence structure.
+    """
 
     def __init__(
         self,
@@ -52,13 +76,24 @@ class _BaseTabularEnv(Environment):
         )
         self._weights /= self._weights.sum()
         self.selected = np.zeros(len(action_space), dtype=bool)
-        self.approx = ApproximationSet()
+        self._refs: Counter[TupleKey] = Counter()
         self.batch: list[int] = []
 
-    # ------------------------------------------------------------ #
     @property
     def n_actions(self) -> int:
         return len(self.action_space)
+
+    @property
+    def size(self) -> int:
+        """Distinct tuples held by the selected groups."""
+        return len(self._refs)
+
+    @property
+    def budget_reached(self) -> bool:
+        return self.size >= self.config.memory_budget
+
+    def approximation_set(self) -> ApproximationSet:
+        return ApproximationSet.from_keys(self._refs)
 
     def _state(self) -> np.ndarray:
         return self.selected.copy()
@@ -74,168 +109,66 @@ class _BaseTabularEnv(Environment):
         picks = self.rng.choice(n, size=size, replace=False, p=self._weights)
         return [int(p) for p in picks]
 
-    def _apply_add(self, action: int) -> None:
+    def _add(self, action: int) -> None:
         # One batch tracker update per action group (CSR scatter), not one
         # incidence walk per key.
         self.selected[action] = True
         keys = self.action_space.keys_of(action)
-        self.approx.add_keys(keys)
+        self._refs.update(keys)
         self.tracker.add_keys(self.tracker.index.interned(keys))
 
-    def _apply_remove(self, action: int) -> None:
-        self.selected[action] = False
-        keys = self.action_space.keys_of(action)
-        self.approx.remove_keys(keys)
+    def _evict_random(self) -> None:
+        selected_indices = np.flatnonzero(self.selected)
+        if len(selected_indices) == 0:
+            return
+        victim = int(self.rng.choice(selected_indices))
+        self.selected[victim] = False
+        keys = self.action_space.keys_of(victim)
+        for key in keys:
+            if self._refs[key] > 1:
+                self._refs[key] -= 1
+            else:
+                del self._refs[key]
         self.tracker.remove_keys(self.tracker.index.interned(keys))
 
-    def _reset_selection(self) -> None:
+    def reset(self) -> tuple[np.ndarray, np.ndarray]:
         self.selected[:] = False
-        self.approx = ApproximationSet()
+        self._refs.clear()
         self.tracker.reset()
-
-    @property
-    def budget_reached(self) -> bool:
-        return self.approx.total_size() >= self.config.memory_budget
-
-    def approximation_set(self) -> ApproximationSet:
-        return self.approx.copy()
-
-    def current_score(self) -> float:
-        """Full-batch Eq. 1 score of the current state."""
-        return self.tracker.batch_score()
-
-
-class GSLEnvironment(_BaseTabularEnv):
-    """Gradual-set-learning: grow from empty to the budget.
-
-    The paper defines the GSL reward as ``Score(S_{t+1})`` on the episode's
-    query batch. With ``gsl_delta_rewards`` (the default) the environment
-    emits the telescoped form ``Score(S_{t+1}) − Score(S_t)`` instead: the
-    episode return is identical (the sum telescopes to the final score), so
-    the optimal policy is unchanged, but each step's reward is the action's
-    own marginal contribution — much better-conditioned credit assignment
-    for the small numpy networks this reproduction trains.
-    """
-
-    def reset(self) -> tuple[np.ndarray, np.ndarray]:
-        self._reset_selection()
         self.batch = self._sample_batch()
-        self._last_score = self.tracker.batch_score(self.batch)
-        return self._state(), self._mask()
-
-    def step(self, action: int) -> tuple[np.ndarray, float, bool, np.ndarray]:
-        if self.selected[action]:
-            raise ValueError(f"action {action} already selected (mask violation)")
-        self._apply_add(action)
-        new_score = self.tracker.batch_score(self.batch)
-        if self.config.gsl_delta_rewards:
-            reward = new_score - self._last_score
-        else:
-            reward = new_score
-        self._last_score = new_score
-        mask = self._mask()
-        done = self.budget_reached or not mask.any()
-        return self._state(), reward, done, mask
-
-
-class DropOneEnvironment(_BaseTabularEnv):
-    """Drop-one: fixed-size set, swap-based refinement, delta rewards."""
-
-    def reset(self) -> tuple[np.ndarray, np.ndarray]:
-        self._reset_selection()
-        self.batch = self._sample_batch()
-        self._steps = 0
-        # Random initialization to the budget (the paper notes this phase
-        # is "crucial and unstable" — we reproduce the plain variant).
-        order = self.rng.permutation(self.n_actions)
-        for action in order:
-            if self.budget_reached:
-                break
-            self._apply_add(int(action))
-        self._last_score = self.tracker.batch_score(self.batch)
-        return self._state(), self._mask()
-
-    def step(self, action: int) -> tuple[np.ndarray, float, bool, np.ndarray]:
-        if self.selected[action]:
-            raise ValueError(f"action {action} already selected (mask violation)")
-        selected_indices = np.flatnonzero(self.selected)
-        if len(selected_indices) > 0:
-            victim = int(self.rng.choice(selected_indices))
-            self._apply_remove(victim)
-        self._apply_add(action)
-        new_score = self.tracker.batch_score(self.batch)
-        reward = new_score - self._last_score
-        self._last_score = new_score
-        self._steps += 1
-        mask = self._mask()
-        done = self._steps >= self.config.drp_horizon or not mask.any()
-        return self._state(), reward, done, mask
-
-
-class HybridEnvironment(_BaseTabularEnv):
-    """DRP+GSL: GSL growth phase followed by DRP refinement."""
-
-    def reset(self) -> tuple[np.ndarray, np.ndarray]:
-        self._reset_selection()
-        self.batch = self._sample_batch()
-        self._swap_steps = 0
-        self._last_score = 0.0
-        return self._state(), self._mask()
-
-    def step(self, action: int) -> tuple[np.ndarray, float, bool, np.ndarray]:
-        if self.selected[action]:
-            raise ValueError(f"action {action} already selected (mask violation)")
-        growing = not self.budget_reached
-        if growing:
-            self._apply_add(action)
-            reward = self.tracker.batch_score(self.batch)
-            self._last_score = reward
-        else:
-            selected_indices = np.flatnonzero(self.selected)
-            if len(selected_indices) > 0:
-                victim = int(self.rng.choice(selected_indices))
-                self._apply_remove(victim)
-            self._apply_add(action)
-            new_score = self.tracker.batch_score(self.batch)
-            reward = new_score - self._last_score
-            self._last_score = new_score
-            self._swap_steps += 1
-        mask = self._mask()
-        done = (
-            self._swap_steps >= max(1, self.config.drp_horizon // 2)
-            or not mask.any()
+        self._swaps = 0
+        variant = self.config.environment
+        if variant == "drp":
+            # Random initialization to the budget (the paper notes this
+            # phase is "crucial and unstable" — we reproduce the plain one).
+            for action in self.rng.permutation(self.n_actions):
+                if self.budget_reached:
+                    break
+                self._add(int(action))
+        self._last_score = (
+            0.0 if variant == "drp+gsl" else self.tracker.batch_score(self.batch)
         )
-        return self._state(), reward, done, mask
+        return self._state(), self._mask()
 
-
-_ENVIRONMENTS = {
-    "gsl": GSLEnvironment,
-    "drp": DropOneEnvironment,
-    "drp+gsl": HybridEnvironment,
-}
-
-
-def make_environment(
-    name: str,
-    action_space: ActionSpace,
-    coverages: Sequence[QueryCoverage],
-    config: ASQPConfig,
-    rng: np.random.Generator,
-    query_batch: Optional[Sequence[int]] = None,
-    coverage_index: Optional[CoverageIndex] = None,
-):
-    """Factory by ablation name ("gsl", "drp", "drp+gsl").
-
-    ``coverage_index`` lets several environments over the same requirement
-    rows share one immutable incidence structure.
-    """
-    try:
-        cls = _ENVIRONMENTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown environment {name!r}; choose from {sorted(_ENVIRONMENTS)}"
-        ) from None
-    return cls(
-        action_space, coverages, config, rng,
-        query_batch=query_batch, coverage_index=coverage_index,
-    )
+    def step(self, action: int) -> tuple[np.ndarray, float, bool, np.ndarray]:
+        if self.selected[action]:
+            raise ValueError(f"action {action} already selected (mask violation)")
+        variant = self.config.environment
+        swap = variant == "drp" or (variant == "drp+gsl" and self.budget_reached)
+        if swap:
+            self._evict_random()
+            self._swaps += 1
+        self._add(action)
+        new_score = self.tracker.batch_score(self.batch)
+        delta = swap or (variant == "gsl" and self.config.gsl_delta_rewards)
+        reward = new_score - self._last_score if delta else new_score
+        self._last_score = new_score
+        mask = self._mask()
+        if variant == "gsl":
+            done = self.budget_reached
+        else:
+            horizon = self.config.drp_horizon
+            if variant == "drp+gsl":
+                horizon = max(1, horizon // 2)
+            done = self._swaps >= horizon
+        return self._state(), reward, done or not mask.any(), mask

@@ -29,7 +29,7 @@ from .action_space import ActionSpace, group_rows_into_actions
 from .agent import ASQPAgent
 from .approximation import ApproximationSet
 from .config import ASQPConfig
-from .environment import make_environment
+from .environment import GSLEnvironment
 from .inference import generate_approximation_set
 from .preprocess import (
     PreprocessResult,
@@ -305,11 +305,10 @@ def run_training_loop(
     # all n_actors environments) share the model's one incidence index.
     coverage_index = model.coverage_index()
     env_seed_sequence = np.random.SeedSequence(int(rng.integers(0, 2**31)))
-    env_seeds = iter(env_seed_sequence.spawn(1024))
+    env_seeds = iter(env_seed_sequence.spawn(config.n_actors))
 
     def env_factory():
-        return make_environment(
-            config.environment,
+        return GSLEnvironment(
             model.action_space,
             coverages,
             config,

@@ -11,7 +11,6 @@ sub-databases, which is what Eq. 1 of the paper compares.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -936,11 +935,9 @@ class _Pass:
         """
         if not (self.running and _OBS.enabled):
             return self.spj(query, outputs, plan)
-        fingerprint = _query_fingerprint(query)
         root = "execute.explain_analyze" if self.explaining else "execute"
-        with _context.ensure(fingerprint=fingerprint) as request, \
-                _trace.span(root) as sp:
-            sp.set(tables=list(query.tables), fingerprint=fingerprint)
+        with _context.ensure() as request, _trace.span(root) as sp:
+            sp.set(tables=list(query.tables))
             start = perf_counter()
             cpu_start = process_time()
             rel = self.spj(query, outputs, plan)
@@ -1009,12 +1006,6 @@ def execute(db: Database, query: SPJQuery) -> ResultSet:
 def execute_aggregate(db: Database, query: AggregateQuery) -> AggregateResult:
     """Execute an aggregate query (hash aggregation over the SPJ core)."""
     return _Pass(db, _EXECUTE).aggregate(query).data
-
-
-def _query_fingerprint(query) -> str:
-    """Short stable query id — names the request context and root span."""
-    digest = hashlib.sha1(query.to_sql().encode("utf-8"))
-    return digest.hexdigest()[:12]
 
 
 # ------------------------------------------------------------------ #

@@ -4,7 +4,7 @@ Dependency-free instrumentation substrate for the whole system
 (DESIGN.md §Observability):
 
 * :mod:`repro.obs.context`   — request-scoped causal context: 128-bit
-  trace ids + baggage in a context-local;
+  trace ids in a context-local;
 * :mod:`repro.obs.trace`     — nestable spans with a thread-local stack,
   exported as a JSON tree or a Chrome-trace file;
 * :mod:`repro.obs.analyze`   — offline span-tree reconstruction,

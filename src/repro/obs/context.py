@@ -1,11 +1,10 @@
-"""Request-scoped causal context: trace ids, span ids, and baggage.
+"""Request-scoped causal context: trace ids and span ids.
 
 Every stream the observability stack records — spans, telemetry
 records, the SLO alerts folded from them — is useless for *triage* unless
 the records of one request share an identity. A :class:`RequestContext`
-is that identity: a 128-bit trace id, a per-trace span-id counter, and
-a small baggage dict (query fingerprint, tenant placeholder for the
-serving arc). The active context lives in a :class:`contextvars.ContextVar`,
+is that identity: a 128-bit trace id and a per-trace span-id counter.
+The active context lives in a :class:`contextvars.ContextVar`,
 so it follows the request across threads spawned with a copied context
 and is invisible to unrelated work.
 
@@ -28,7 +27,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 #: The context-local holding the active RequestContext (or None).
 _ACTIVE: ContextVar[Optional["RequestContext"]] = ContextVar(
@@ -42,14 +41,13 @@ def new_trace_id() -> str:
 
 
 class RequestContext:
-    """Identity of one request: trace id, span-id counter, baggage."""
+    """Identity of one request: trace id and span-id counter."""
 
-    __slots__ = ("trace_id", "span_id", "baggage", "_span_counter")
+    __slots__ = ("trace_id", "span_id", "_span_counter")
 
-    def __init__(self, baggage: Optional[dict[str, Any]] = None) -> None:
+    def __init__(self) -> None:
         self.trace_id = new_trace_id()
         self.span_id = "0000000000000001"
-        self.baggage: dict[str, Any] = dict(baggage or {})
         self._span_counter = 1
 
     def next_span_id(self) -> str:
@@ -59,19 +57,6 @@ class RequestContext:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RequestContext(trace_id={self.trace_id!r})"
-
-
-def new_context(
-    fingerprint: Optional[str] = None,
-    tenant: Optional[str] = None,
-    **baggage: Any,
-) -> RequestContext:
-    """Build a fresh context; fingerprint/tenant land in the baggage."""
-    if fingerprint is not None:
-        baggage["fingerprint"] = fingerprint
-    if tenant is not None:
-        baggage["tenant"] = tenant
-    return RequestContext(baggage=baggage)
 
 
 def current() -> Optional[RequestContext]:
@@ -96,24 +81,17 @@ def activate(context: RequestContext) -> Iterator[RequestContext]:
 
 
 @contextmanager
-def ensure(
-    fingerprint: Optional[str] = None, **baggage: Any
-) -> Iterator[RequestContext]:
+def ensure() -> Iterator[RequestContext]:
     """Reuse the active context, or activate a fresh one for the block.
 
     The executor wraps every observed query in this: a caller that
     already opened a request context (one session query spanning
     several executes) keeps a single trace; a bare ``execute()`` gets
-    its own. Baggage merges into a reused context without overwriting
-    existing keys, so the outermost request wins.
+    its own.
     """
     existing = _ACTIVE.get()
     if existing is not None:
-        if fingerprint is not None:
-            existing.baggage.setdefault("fingerprint", fingerprint)
-        for key, value in baggage.items():
-            existing.baggage.setdefault(key, value)
         yield existing
         return
-    with activate(new_context(fingerprint=fingerprint, **baggage)) as context:
+    with activate(RequestContext()) as context:
         yield context

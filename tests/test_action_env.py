@@ -7,11 +7,8 @@ from repro.core import (
     ASQPConfig,
     Action,
     ActionSpace,
-    DropOneEnvironment,
     GSLEnvironment,
-    HybridEnvironment,
     group_rows_into_actions,
-    make_environment,
 )
 from repro.core.reward import CoverageIndex, CoverageTracker
 from tests.test_reward import coverage_from_rows
@@ -106,9 +103,13 @@ class TestInternedActions:
         self, space, coverages, rng
     ):
         index = CoverageIndex(coverages)
-        config = _config(memory_budget=3)
-        gsl = GSLEnvironment(space, coverages, config, rng, coverage_index=index)
-        drp = DropOneEnvironment(space, coverages, config, rng, coverage_index=index)
+        gsl = GSLEnvironment(
+            space, coverages, _config(memory_budget=3), rng, coverage_index=index
+        )
+        drp = GSLEnvironment(
+            space, coverages, _config(memory_budget=3, environment="drp"), rng,
+            coverage_index=index,
+        )
         gsl.reset()
         gsl.step(0)
         assert list(index._interned) == [space.keys_of(0)]
@@ -123,7 +124,34 @@ class TestInternedActions:
         for action in np.flatnonzero(drp.selected):
             plain.add_keys(list(space.keys_of(int(action))))
         assert drp.tracker.covered_counts().tolist() == plain.covered_counts().tolist()
-        assert drp.current_score() == plain.batch_score()
+        assert drp.tracker.batch_score() == plain.batch_score()
+
+
+@pytest.mark.parametrize("environment", ["gsl", "drp", "drp+gsl"])
+def test_one_selection_state_after_random_steps(actions, coverages, environment):
+    """The set, its size and the tracker all read the selected groups'
+    keys, including a tuple two groups share and one a group repeats."""
+    shared = actions + [
+        Action(keys=(("t", 0), ("t", 2)), source_query=0),
+        Action(keys=(("u", 1), ("u", 1), ("t", 3)), source_query=1),
+    ]
+    space = ActionSpace(shared, embedding_dim=8)
+    config = _config(memory_budget=4, drp_horizon=40, environment=environment)
+    rng = np.random.default_rng(7)
+    env = GSLEnvironment(space, coverages, config, rng)
+    for _ in range(12):
+        _, mask = env.reset()
+        done = False
+        while not done:
+            _, _, done, mask = env.step(int(rng.choice(np.flatnonzero(mask))))
+            union = {
+                key for a in np.flatnonzero(env.selected) for key in space.keys_of(a)
+            }
+            approx = env.approximation_set()
+            assert set(approx.keys()) == union
+            assert env.size == approx.total_size()
+            fresh = CoverageTracker(coverages).score_with_keys(sorted(union))
+            assert env.tracker.batch_score() == fresh
 
 
 class TestGSLEnvironment:
@@ -137,7 +165,7 @@ class TestGSLEnvironment:
             action = int(np.flatnonzero(mask)[0])
             state, reward, done, mask = env.step(action)
             steps += 1
-        assert env.approx.total_size() >= 5 or not mask.any()
+        assert env.size >= 5 or not mask.any()
 
     def test_mask_violation_raises(self, space, coverages, rng):
         env = GSLEnvironment(space, coverages, _config(), rng)
@@ -157,7 +185,7 @@ class TestGSLEnvironment:
             action = int(np.flatnonzero(mask)[0])
             _, reward, done, mask = env.step(action)
             total += reward
-        assert total == pytest.approx(env.current_score())
+        assert total == pytest.approx(env.tracker.batch_score())
 
     def test_absolute_rewards_mode(self, space, coverages, rng):
         config = _config(gsl_delta_rewards=False)
@@ -178,27 +206,27 @@ class TestGSLEnvironment:
         state, mask = env.reset()
         assert state.sum() == 0
         assert mask.all()
-        assert env.approx.total_size() == 0
+        assert env.size == 0
 
 
 class TestDropOneEnvironment:
     def test_initializes_full(self, space, coverages, rng):
-        env = DropOneEnvironment(space, coverages, _config(), rng)
+        env = GSLEnvironment(space, coverages, _config(environment="drp"), rng)
         state, mask = env.reset()
-        assert env.approx.total_size() >= 5 or state.sum() == len(space)
+        assert env.size >= 5 or state.sum() == len(space)
 
     def test_swap_keeps_size_roughly_constant(self, space, coverages, rng):
-        env = DropOneEnvironment(space, coverages, _config(), rng)
+        env = GSLEnvironment(space, coverages, _config(environment="drp"), rng)
         _, mask = env.reset()
-        before = state_size = env.approx.total_size()
+        before = env.size
         action = int(np.flatnonzero(mask)[0])
         env.step(action)
-        after = env.approx.total_size()
+        after = env.size
         assert abs(after - before) <= 2  # one group out, one in
 
     def test_horizon_terminates(self, space, coverages, rng):
-        config = _config(drp_horizon=2, memory_budget=2)
-        env = DropOneEnvironment(space, coverages, config, rng)
+        config = _config(drp_horizon=2, memory_budget=2, environment="drp")
+        env = GSLEnvironment(space, coverages, config, rng)
         _, mask = env.reset()
         done = False
         steps = 0
@@ -209,7 +237,7 @@ class TestDropOneEnvironment:
         assert steps <= 2
 
     def test_reward_is_delta(self, space, coverages, rng):
-        env = DropOneEnvironment(space, coverages, _config(), rng)
+        env = GSLEnvironment(space, coverages, _config(environment="drp"), rng)
         _, mask = env.reset()
         before = env.tracker.batch_score(env.batch)
         action = int(np.flatnonzero(mask)[0])
@@ -220,27 +248,11 @@ class TestDropOneEnvironment:
 
 class TestHybridEnvironment:
     def test_grows_then_swaps(self, space, coverages, rng):
-        config = _config(memory_budget=3, drp_horizon=4)
-        env = HybridEnvironment(space, coverages, config, rng)
+        config = _config(memory_budget=3, drp_horizon=4, environment="drp+gsl")
+        env = GSLEnvironment(space, coverages, config, rng)
         _, mask = env.reset()
         done = False
         while not done and mask.any():
             action = int(np.flatnonzero(mask)[0])
             _, _, done, mask = env.step(action)
-        assert env.approx.total_size() >= 3 or not mask.any()
-
-
-class TestFactory:
-    def test_known_names(self, space, coverages, rng):
-        for name, cls in (
-            ("gsl", GSLEnvironment),
-            ("drp", DropOneEnvironment),
-            ("drp+gsl", HybridEnvironment),
-        ):
-            env = make_environment(name, space, coverages, _config(), rng)
-            assert isinstance(env, cls)
-
-    def test_unknown_name(self, space, coverages, rng):
-        with pytest.raises(ValueError, match="unknown environment"):
-            make_environment("bogus", space, coverages, _config(), rng)
-
+        assert env.size >= 3 or not mask.any()

@@ -214,7 +214,7 @@ class TestCLI:
 
     def _record_traced_run(self, run_dir):
         with obs.run(str(run_dir)):
-            with obs.context.ensure(fingerprint="cli"):
+            with obs.context.ensure():
                 with obs.span("cli_analyze_probe"):
                     pass
                 trace_id = obs.context.current_trace_id()

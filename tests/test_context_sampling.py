@@ -62,7 +62,7 @@ class TestRequestContext:
 
     def test_activation_is_scoped(self):
         assert context.current() is None
-        request = context.new_context(fingerprint="abc", tenant="t0")
+        request = context.RequestContext()
         with context.activate(request):
             assert context.current() is request
             assert context.current_trace_id() == request.trace_id
@@ -70,18 +70,18 @@ class TestRequestContext:
         assert context.current_trace_id() is None
 
     def test_ensure_reuses_active_context_without_clobbering(self):
-        outer = context.new_context(fingerprint="outer")
+        outer = context.RequestContext()
+        trace_id = outer.trace_id
         with context.activate(outer):
-            with context.ensure(fingerprint="inner", hop=2) as inner:
-                assert inner is outer
-                assert inner.baggage["fingerprint"] == "outer"
-                assert inner.baggage["hop"] == 2
-        with context.ensure(fingerprint="fresh") as fresh:
+            with context.ensure() as inner:
+                assert inner is outer and inner.trace_id == trace_id
+        with context.ensure() as fresh:
             assert fresh is not outer
-            assert fresh.baggage["fingerprint"] == "fresh"
+            assert context.current() is fresh
+        assert context.current() is None
 
     def test_span_ids_increment_within_trace(self):
-        request = context.new_context()
+        request = context.RequestContext()
         first, second = request.next_span_id(), request.next_span_id()
         assert first != second
         assert int(second, 16) == int(first, 16) + 1
@@ -93,7 +93,7 @@ class TestRequestContext:
 class TestStamping:
     def test_spans_carry_trace_and_span_ids_under_context(self):
         obs.enable()
-        request = context.new_context()
+        request = context.RequestContext()
         with context.activate(request):
             with trace.span("outer"):
                 with trace.span("inner"):
@@ -114,7 +114,7 @@ class TestStamping:
         path = str(tmp_path / "telemetry.jsonl")
         telemetry.configure(path)
         obs.enable()
-        request = context.new_context()
+        request = context.RequestContext()
         with context.activate(request):
             telemetry.emit("probe", value=1)
         telemetry.emit("probe", value=2)
@@ -173,7 +173,7 @@ class TestPropagation:
         # An active request context does not perturb results.
         reference = run_scan(seed=52)
         obs.enable()
-        with context.ensure(fingerprint="serial"):
+        with context.ensure():
             traced = run_scan(seed=52)
         assert normalize(reference.to_rows()) == normalize(traced.to_rows())
 

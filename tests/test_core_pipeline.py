@@ -136,6 +136,12 @@ class TestTrainer:
         model = ASQPTrainer(tiny_imdb.db, tiny_imdb.workload, config).train()
         assert len(model.history) <= 3
 
+    def test_more_actors_than_a_thousand(self, tiny_imdb):
+        # One environment seed per actor, however many actors there are.
+        config = _tiny_config(n_actors=1025, n_iterations=1, memory_budget=5)
+        model = ASQPTrainer(tiny_imdb.db, tiny_imdb.workload, config).train()
+        assert len(model.history) == 1
+
 
 class TestInference:
     def test_greedy_deterministic(self, trained):

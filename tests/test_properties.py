@@ -105,14 +105,6 @@ def test_approximation_set_size_counts_distinct(keys):
         assert key in approx
 
 
-@given(keys=st.lists(_keys, min_size=0, max_size=30))
-def test_approximation_set_copy_independent(keys):
-    approx = ApproximationSet.from_keys(keys)
-    clone = approx.copy()
-    clone.add_keys([("t", 999)])
-    assert ("t", 999) not in approx
-
-
 # ------------------------------------------------------------------ #
 # predicates
 # ------------------------------------------------------------------ #

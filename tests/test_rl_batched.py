@@ -23,8 +23,8 @@ from repro.core import (
     ASQPConfig,
     Action,
     ActionSpace,
+    GSLEnvironment,
     QueryCoverage,
-    make_environment,
 )
 from repro.core.reward import CoverageIndex
 from repro.rl import (
@@ -197,8 +197,8 @@ def _collector(environment, with_critic, max_episode_steps, dead_start, n_actors
     env_seeds = iter(np.random.SeedSequence(11).spawn(n_actors))
 
     def env_factory():
-        env = make_environment(
-            environment, space, coverages, config,
+        env = GSLEnvironment(
+            space, coverages, config,
             np.random.default_rng(next(env_seeds)), coverage_index=index,
         )
         return _DeadStartEnv(env) if dead_start else env

@@ -14,8 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import ASQPConfig, make_environment
-from repro.core.environment import GSLEnvironment
+from repro.core import ASQPConfig, GSLEnvironment
 from repro.core.reward import CoverageIndex
 from repro.rl import (
     ActorNetwork,
@@ -215,9 +214,7 @@ def test_our_environments_hand_the_batch_bool_states(environment):
         memory_budget=30, query_batch_size=5, drp_horizon=7,
         environment=environment, seed=0,
     )
-    env = make_environment(
-        environment, space, coverages, config, np.random.default_rng(1)
-    )
+    env = GSLEnvironment(space, coverages, config, np.random.default_rng(1))
     state, _ = env.reset()
     assert state.dtype == bool and state is not env.selected
     rng = np.random.default_rng(3)
