@@ -339,7 +339,7 @@ def _embed_fixture():
     """A seeded figure-scale IMDB action space (~800 actions) and what
     embeds it: the database, the actions, the statistics."""
     bundle = load_imdb(scale=0.35, n_queries=50)
-    config = ASQPConfig(action_space_target=N_ACTIONS, seed=7)
+    config = ASQPConfig(action_space_target=N_ACTIONS, exact_row_share=0.7, seed=7)
     prep = preprocess(bundle.db, bundle.workload, config)
     return bundle.db, list(prep.action_space), prep.stats
 
@@ -410,15 +410,19 @@ def _scan_fixture():
 
 
 def _serving_fixture():
-    """A micro trained session (flights at scale 0.12, ASQP-Light) and one
-    served batch: its first four workload queries."""
+    """A micro trained session (flights at scale 0.12, a two-iteration run
+    on a quarter of the queries, its settings spelled out so the row keeps
+    timing the session it was recorded on) and one served batch: its first
+    four workload queries."""
     from repro.core import ASQPSession, ASQPTrainer
     from repro.datasets import load_flights
 
     bundle = load_flights(scale=0.12, n_queries=6, n_aggregate_queries=2)
-    config = ASQPConfig.light(
-        memory_budget=120, frame_size=20, n_iterations=2,
-        learning_rate=1e-3, seed=0,
+    config = ASQPConfig(
+        memory_budget=120, frame_size=20, n_query_representatives=12,
+        training_fraction=0.25, action_space_target=600, exact_row_share=0.7,
+        learning_rate=1e-3, n_iterations=2, query_batch_size=8,
+        early_stopping_patience=3, n_candidate_rollouts=8, seed=0,
     )
     model = ASQPTrainer(bundle.db, bundle.workload, config).train()
     session = ASQPSession(model, auto_fine_tune=False)

@@ -33,7 +33,7 @@ def main() -> None:
     memory = max(1, int(0.08 * bundle.db.total_rows()))
     config = ASQPConfig(
         memory_budget=memory, frame_size=200,
-        n_iterations=25, learning_rate=1e-3, seed=0,
+        n_iterations=25, seed=0,
     )
     print(f"training ASQP-RL (k={memory}, F=200) on the rewritten workload...")
     model = ASQPTrainer(bundle.db, train, config).train()

@@ -29,7 +29,6 @@ def main() -> None:
     config = ASQPConfig(
         memory_budget=500,
         n_iterations=20,
-        learning_rate=1e-3,
         fine_tune_iterations=6,
         seed=5,
     )

@@ -28,7 +28,6 @@ def main() -> None:
         memory_budget=800,
         frame_size=50,
         n_iterations=20,
-        learning_rate=1e-3,
         fine_tune_iterations=6,
         seed=2,
     )

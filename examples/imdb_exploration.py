@@ -56,7 +56,6 @@ def main() -> None:
         memory_budget=1000,
         frame_size=50,
         n_iterations=30,
-        learning_rate=1e-3,
         seed=1,
     )
     print("training the mediator on the historical workload...")

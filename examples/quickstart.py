@@ -29,7 +29,6 @@ def main() -> None:
         memory_budget=600,     # k — total tuples the approximation set may hold
         frame_size=50,         # F — result rows a person actually reads
         n_iterations=25,
-        learning_rate=1e-3,
         seed=0,
     )
     print(f"training ASQP-RL (k={config.memory_budget}, F={config.frame_size})...")

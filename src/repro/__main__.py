@@ -89,7 +89,6 @@ def _make_config(args) -> ASQPConfig:
         memory_budget=args.k,
         frame_size=args.frame_size,
         n_iterations=args.iterations,
-        learning_rate=1e-3,
         seed=args.seed,
     )
     try:
@@ -205,9 +204,7 @@ def run_smoke(directory: str) -> str:
     ):
         bundle = load_flights(scale=0.12, n_queries=6, n_aggregate_queries=2)
         config = ASQPConfig.light(
-            memory_budget=120, frame_size=20, n_iterations=2,
-            learning_rate=1e-3,  # the CLI's demo/train lr, not light's 0.1
-            seed=0,
+            memory_budget=120, frame_size=20, n_iterations=2, seed=0,
         )
         model = ASQPTrainer(bundle.db, bundle.workload, config).train()
         session = ASQPSession(model, auto_fine_tune=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from ..core.approximation import ApproximationSet
 from ..core.preprocess import build_coverage
 from ..core.reward import QueryCoverage
 from ..db.database import Database
+from ..db.table import Table
 from ..datasets.workloads import Workload
 
 
@@ -72,6 +73,26 @@ class SubsetSelector(abc.ABC):
             build_coverage(db, query, float(spj.weights[i]), frame_size, rng)
             for i, query in enumerate(spj.queries)
         ]
+
+    @staticmethod
+    def table_shares(
+        db: Database, k: int, approx: ApproximationSet
+    ) -> Iterator[tuple[Table, int]]:
+        """Each non-empty table with its share of the budget ``k``,
+        proportional to its size and capped by what ``approx`` has left;
+        read lazily, so the caller fills ``approx`` between tables. Stops
+        once ``approx`` holds ``k`` tuples."""
+        total_rows = max(1, db.total_rows())
+        for table in db:
+            if len(table) == 0:
+                continue
+            share = max(1, int(round(k * len(table) / total_rows)))
+            share = min(share, len(table), k - approx.total_size())
+            if share <= 0:
+                continue
+            yield table, share
+            if approx.total_size() >= k:
+                return
 
     @staticmethod
     def all_tuple_keys(db: Database) -> list[tuple[str, int]]:

@@ -48,16 +48,8 @@ class QueryResultDiversification(SubsetSelector):
         started = perf_counter()
         stats = compute_database_stats(db)
         embedder = TupleEmbedder(dim=self.embedding_dim, stats=stats)
-        total_rows = max(1, db.total_rows())
-
         approx = ApproximationSet()
-        for table in db:
-            if len(table) == 0:
-                continue
-            share = max(1, int(round(k * len(table) / total_rows)))
-            share = min(share, len(table), k - approx.total_size())
-            if share <= 0:
-                continue
+        for table, share in self.table_shares(db, k, approx):
             if len(table) > MAX_POOL_PER_TABLE:
                 pool = rng.choice(len(table), size=MAX_POOL_PER_TABLE, replace=False)
                 pool = np.sort(pool)
@@ -69,7 +61,4 @@ class QueryResultDiversification(SubsetSelector):
             approx.add_keys(
                 (table.name, int(table.row_ids[p])) for p in chosen_positions
             )
-            if approx.total_size() >= k:
-                break
-
         return self.finish(self.name, db, approx, started)

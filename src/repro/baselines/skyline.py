@@ -96,15 +96,8 @@ class SkylineBaseline(SubsetSelector):
         time_budget: Optional[float] = None,
     ) -> SelectionResult:
         started = perf_counter()
-        total_rows = max(1, db.total_rows())
         approx = ApproximationSet()
-        for table in db:
-            if len(table) == 0:
-                continue
-            share = max(1, int(round(k * len(table) / total_rows)))
-            share = min(share, len(table), k - approx.total_size())
-            if share <= 0:
-                continue
+        for table, share in self.table_shares(db, k, approx):
             if len(table) > MAX_POOL_PER_TABLE:
                 pool = np.sort(
                     rng.choice(len(table), size=MAX_POOL_PER_TABLE, replace=False)
@@ -115,6 +108,4 @@ class SkylineBaseline(SubsetSelector):
             features = _dominance_matrix_features(sub, rng)
             chosen = skyline_layers(features, share)
             approx.add_keys((table.name, int(sub.row_ids[i])) for i in chosen)
-            if approx.total_size() >= k:
-                break
         return self.finish(self.name, db, approx, started)

@@ -56,16 +56,9 @@ class VerdictBaseline(SubsetSelector):
         time_budget: Optional[float] = None,
     ) -> SelectionResult:
         started = perf_counter()
-        total_rows = max(1, db.total_rows())
         approx = ApproximationSet()
         fractions: dict[str, float] = {}
-        for table in db:
-            if len(table) == 0:
-                continue
-            share = max(1, int(round(k * len(table) / total_rows)))
-            share = min(share, len(table), k - approx.total_size())
-            if share <= 0:
-                continue
+        for table, share in self.table_shares(db, k, approx):
             column = _best_stratification_column(table)
             if column is None:
                 positions = rng.choice(len(table), size=share, replace=False)
@@ -77,8 +70,6 @@ class VerdictBaseline(SubsetSelector):
                 (table.name, int(table.row_ids[p])) for p in positions
             )
             fractions[table.name] = len(positions) / len(table)
-            if approx.total_size() >= k:
-                break
         return self.finish(
             self.name, db, approx, started, sampling_fractions=fractions
         )

@@ -94,39 +94,11 @@ def bench_asqp_config(
     seed: int = 0,
     **overrides,
 ) -> ASQPConfig:
-    """The ASQP-RL configuration the benchmarks run.
-
-    Scaled from the paper's server defaults to this simulator: the same
-    architecture and coefficients, a learning rate suited to the smaller
-    networks, and iteration counts that keep one training run in seconds
-    to low minutes.
-    """
-    settings = dict(
-        memory_budget=k,
-        frame_size=frame_size,
-        learning_rate=1e-3,
-        n_iterations=45,
-        early_stopping_patience=12,
-        n_actors=8,
-        episodes_per_actor=1,
-        action_space_target=800,
-        exact_row_share=0.8,
-        query_batch_size=16,
-        n_candidate_rollouts=12,
-        seed=seed,
+    """The ASQP-RL (or, with ``light``, ASQP-Light) preset at memory
+    budget ``k`` and frame size ``frame_size``."""
+    return (ASQPConfig.light if light else ASQPConfig)(
+        memory_budget=k, frame_size=frame_size, seed=seed, **overrides
     )
-    if light:
-        light_defaults = dict(
-            training_fraction=0.25,
-            learning_rate=2e-3,
-            n_iterations=16,
-            early_stopping_patience=5,
-            action_space_target=500,
-            n_candidate_rollouts=6,
-        )
-        settings.update(light_defaults)
-    settings.update(overrides)
-    return ASQPConfig(**settings)
 
 
 def measure_query_batch(

@@ -141,11 +141,11 @@ def load_results(pattern: str) -> list[tuple[str, dict]]:
     return found
 
 
-def bench_scale(default: float = 0.5) -> float:
-    """Dataset scale for benchmarks (override with REPRO_BENCH_SCALE)."""
+def bench_scale() -> float:
+    """Dataset scale of the figure benchmarks: 0.35, or REPRO_BENCH_SCALE."""
     raw: Optional[str] = os.environ.get("REPRO_BENCH_SCALE")
     if raw is None:
-        return default
+        return 0.35
     value = float(raw)
     if value <= 0:
         raise ValueError(f"REPRO_BENCH_SCALE must be positive, got {raw!r}")

@@ -1,21 +1,27 @@
 """ASQP-RL configuration.
 
-Defaults follow the paper's §6.1 hyper-parameter section: k=1000, F=50,
-learning rate 5e-5, KL coefficient 0.2, entropy coefficient 0.001, actor =
-input layer + 2 fully-connected layers + softmax. The paper's 32 parallel
-actor-learners scale down to 8 logical actors by default (configurable) —
-see DESIGN.md §2 on the Ray substitution.
+The defaults are the configuration this reproduction measures: every
+figure, every end-to-end benchmark workload and every CLI run starts from
+``ASQPConfig()`` or ``ASQPConfig.light()``. They keep the paper's problem
+size and coefficients and scale its run to this simulator's smaller
+networks: learning rate 1e-3, 45 iterations with patience 12, one episode
+per actor, batches of 16 queries, 800 actions with 80% exact rows, and 12
+candidate rollouts. The paper's own §6.1 values are k=1000, F=50, learning
+rate 5e-5, KL coefficient 0.2, entropy coefficient 0.001, an actor of an
+input layer + 2 fully-connected layers + softmax, and 32 parallel
+actor-learners (8 logical actors here; see DESIGN.md §2 on the Ray
+substitution).
 
-``light()`` is ASQP-Light (§4.5): 25% of the training queries, a much
-higher learning rate, and an earlier stopping threshold — about half the
-setup time for ~10% quality loss. ``adaptive()`` implements the Adaptive
-Configuration knob: interpolates between light and full settings given a
-time budget.
+``light()`` is ASQP-Light (§4.5): 25% of the training queries, a higher
+learning rate, fewer iterations, an earlier stop, a smaller action space
+and fewer candidate rollouts. Its cost is Fig. 2's measured Light row
+(EXPERIMENTS.md). ``adaptive()`` implements the Adaptive Configuration
+knob: it interpolates every field on which the two presets differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 #: Smallest valid value of each count-valued knob, and the name an error
@@ -48,20 +54,20 @@ class ASQPConfig:
     # Pre-processing (paper §4.2).
     n_query_representatives: Optional[int] = None  # |Q̂|; None = all (paper default)
     training_fraction: float = 1.0     # fraction of training queries executed
-    action_space_target: int = 600     # subsampled action-space size (groups)
+    action_space_target: int = 800     # subsampled action-space size (groups)
     group_size: int = 4                # result rows bundled per action
-    exact_row_share: float = 0.7       # subsample budget share for exact result rows
+    exact_row_share: float = 0.8       # subsample budget share for exact result rows
 
     # RL (paper §5 / §6.1).
-    learning_rate: float = 5e-5
+    learning_rate: float = 1e-3        # paper: 5e-5
     kl_coef: float = 0.2
     entropy_coef: float = 0.001
     n_actors: int = 8                  # paper: 32 async actor-critics
-    episodes_per_actor: int = 2
-    n_iterations: int = 40             # outer PPO iterations
+    episodes_per_actor: int = 1
+    n_iterations: int = 45             # outer PPO iterations
     update_epochs: int = 4
-    query_batch_size: int = 8          # queries per reward batch (Alg. 1 line 6)
-    early_stopping_patience: int = 8
+    query_batch_size: int = 16         # queries per reward batch (Alg. 1 line 6)
+    early_stopping_patience: int = 12
 
     # Ablation switches (paper Fig. 3).
     environment: str = "gsl"           # "gsl" | "drp" | "drp+gsl"
@@ -71,7 +77,7 @@ class ASQPConfig:
     drp_horizon: int = 200             # scaled-down DRP horizon
 
     # Inference / estimator / drift (paper §4.4).
-    n_candidate_rollouts: int = 8      # sampled rollouts competing with greedy
+    n_candidate_rollouts: int = 12     # sampled rollouts competing with greedy
     fine_tune_iterations: int = 10
 
     seed: int = 0
@@ -98,14 +104,15 @@ class ASQPConfig:
     # ---------------------------------------------------------------- #
     @classmethod
     def light(cls, **overrides) -> "ASQPConfig":
-        """ASQP-Light (§4.5): ~½ the setup time, ~10% quality loss."""
+        """ASQP-Light (§4.5): Fig. 2's Light row, trained on all
+        representatives of a quarter of the training queries."""
         settings = dict(
             training_fraction=0.25,
-            learning_rate=0.1,
-            n_iterations=15,
-            early_stopping_patience=3,
-            n_query_representatives=12,
-            episodes_per_actor=1,
+            learning_rate=2e-3,
+            n_iterations=16,
+            early_stopping_patience=5,
+            action_space_target=500,
+            n_candidate_rollouts=6,
         )
         settings.update(overrides)
         return cls(**settings)
@@ -114,16 +121,17 @@ class ASQPConfig:
     def adaptive(cls, time_budget_fraction: float, **overrides) -> "ASQPConfig":
         """Adaptive Configuration (§4.5): interpolate light ↔ full.
 
-        ``time_budget_fraction`` in [0, 1]: 0 = lightest, 1 = full quality.
+        ``time_budget_fraction`` in [0, 1]: 0 is ``light()``, 1 is
+        ``ASQPConfig()``; each field the two differ on moves linearly
+        between them, integer fields rounded.
         """
         f = float(min(1.0, max(0.0, time_budget_fraction)))
-        settings = dict(
-            training_fraction=0.25 + 0.75 * f,
-            learning_rate=10 ** (-1 - 3.3 * f),   # 1e-1 .. ~5e-5
-            n_iterations=int(round(15 + 25 * f)),
-            early_stopping_patience=int(round(3 + 5 * f)),
-            n_query_representatives=int(round(12 + 12 * f)),
-            episodes_per_actor=1 if f < 0.5 else 2,
-        )
+        light, full = asdict(cls.light()), asdict(cls())
+        settings = {}
+        for name, low in light.items():
+            high = full[name]
+            if low != high:
+                value = low * (1 - f) + high * f
+                settings[name] = int(round(value)) if isinstance(high, int) else value
         settings.update(overrides)
         return cls(**settings)

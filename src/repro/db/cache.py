@@ -60,17 +60,6 @@ class LRUTupleCache:
                 hits += 1
         return hits
 
-    def cache_stats(self) -> dict[str, float]:
-        """Lifetime statistics of this cache (standalone accessor)."""
-        return {
-            "capacity": float(self.capacity),
-            "size": float(len(self._entries)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "hit_rate": self.hit_rate,
-        }
-
     def contents(self) -> dict[str, list[int]]:
         """Current cache contents grouped by table (row ids sorted)."""
         grouped: dict[str, list[int]] = {}

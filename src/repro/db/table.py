@@ -303,27 +303,6 @@ class Table:
             caption += f" (showing {limit})"
         return render_html_table(names, rows, caption=caption)
 
-    def to_text(self, limit: int = 10) -> str:
-        """A small fixed-width rendering, for examples and debugging."""
-        names = self.schema.column_names
-        columns = {name: self.column(name) for name in names}
-        shown = [
-            [str(columns[name][i]) for name in names]
-            for i in range(min(limit, self._n_rows))
-        ]
-        widths = [
-            max(len(name), *(len(row[j]) for row in shown)) if shown else len(name)
-            for j, name in enumerate(names)
-        ]
-        header = " | ".join(name.ljust(widths[j]) for j, name in enumerate(names))
-        rule = "-+-".join("-" * width for width in widths)
-        lines = [header, rule]
-        for row in shown:
-            lines.append(" | ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)))
-        if self._n_rows > limit:
-            lines.append(f"... ({self._n_rows - limit} more rows)")
-        return "\n".join(lines)
-
 
 def table_from_rows(schema: TableSchema, rows: Sequence[Mapping[str, object]]) -> Table:
     """Build a :class:`Table` from a sequence of row dicts."""

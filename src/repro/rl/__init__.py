@@ -6,7 +6,7 @@ deterministic given explicit ``numpy.random.Generator`` seeds.
 
 from .nn import MLP, Adam, masked_log_softmax, softmax
 from .parallel import ActorSpec, Environment, MultiActorCollector, make_actor_specs
-from .policy import ActorNetwork, CriticNetwork, PolicyDecision, entropy_of
+from .policy import ActorNetwork, CriticNetwork, PolicyDecision
 from .ppo import NonFiniteUpdateError, PPOConfig, PPOUpdater, UpdateStats
 from .rollout import (
     RolloutBatch,
@@ -33,7 +33,6 @@ __all__ = [
     "Trajectory",
     "UpdateStats",
     "discounted_returns",
-    "entropy_of",
     "gae_advantages",
     "make_actor_specs",
     "masked_log_softmax",

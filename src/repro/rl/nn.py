@@ -112,20 +112,6 @@ class MLP:
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
 
-    def copy_from(self, other: "MLP") -> None:
-        """Copy parameters from another MLP of identical shape."""
-        if other.layer_sizes != self.layer_sizes:
-            raise ValueError(
-                f"shape mismatch: {other.layer_sizes} vs {self.layer_sizes}"
-            )
-        for target, source in zip(self.parameters(), other.parameters()):
-            target[...] = source
-
-    def clone(self, rng: Optional[np.random.Generator] = None) -> "MLP":
-        clone = MLP(self.layer_sizes, rng or np.random.default_rng(0))
-        clone.copy_from(self)
-        return clone
-
 
 #: Elements per block of :meth:`Adam.step`'s walk: the width of its
 #: default ``(2, ADAM_BLOCK)`` scratch, 128 KiB a row.

@@ -21,6 +21,10 @@ import numpy as np
 from .policy import ActorNetwork, CriticNetwork, draw_actions
 from .rollout import RolloutBuffer, Trajectory
 
+#: Exploration temperatures of the coolest and the hottest logical actor.
+TEMPERATURE_LOW = 0.8
+TEMPERATURE_HIGH = 1.6
+
 
 class Environment(abc.ABC):
     """Minimal episodic environment contract (gym-like, with masks).
@@ -53,21 +57,15 @@ class ActorSpec:
     rng: np.random.Generator
 
 
-def make_actor_specs(
-    n_actors: int,
-    seed: int,
-    temperature_low: float = 0.8,
-    temperature_high: float = 1.6,
-) -> list[ActorSpec]:
-    """Evenly spaced exploration temperatures, one RNG stream per actor."""
+def make_actor_specs(n_actors: int, seed: int) -> list[ActorSpec]:
+    """Exploration temperatures evenly spaced over [``TEMPERATURE_LOW``,
+    ``TEMPERATURE_HIGH``] (1.0 for a lone actor), one RNG stream per actor."""
     if n_actors < 1:
         raise ValueError(f"need at least one actor, got {n_actors}")
     if n_actors == 1:
         temperatures = [1.0]
     else:
-        temperatures = list(
-            np.linspace(temperature_low, temperature_high, n_actors)
-        )
+        temperatures = list(np.linspace(TEMPERATURE_LOW, TEMPERATURE_HIGH, n_actors))
     seeds = np.random.SeedSequence(seed).spawn(n_actors)
     return [
         ActorSpec(temperature=float(t), rng=np.random.default_rng(s))

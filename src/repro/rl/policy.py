@@ -92,17 +92,6 @@ class ActorNetwork:
         """The highest-probability valid action (used at inference)."""
         return int(np.argmax(self.log_probs(state[None, :], mask[None, :])[0]))
 
-    # -------------------------------------------------------------- #
-    def clone(self) -> "ActorNetwork":
-        copy = ActorNetwork(
-            self.n_actions,
-            np.random.default_rng(0),
-            hidden=self.net.layer_sizes[1:-1],
-            state_dim=self.state_dim,
-        )
-        copy.net.copy_from(self.net)
-        return copy
-
 
 class CriticNetwork:
     """Value network V(s) with a single linear output."""
@@ -120,13 +109,6 @@ class CriticNetwork:
         """V(s) for a batch of states, shape ``(batch,)``."""
         return self.net.predict(states)[:, 0]
 
-    def clone(self) -> "CriticNetwork":
-        copy = CriticNetwork(
-            self.state_dim, np.random.default_rng(0), hidden=self.net.layer_sizes[1:-1]
-        )
-        copy.net.copy_from(self.net)
-        return copy
-
 
 def draw_actions(
     probabilities: np.ndarray, rngs: Sequence[np.random.Generator]
@@ -141,9 +123,3 @@ def draw_actions(
     cdf /= cdf[:, -1:]
     uniforms = np.asarray([rng.random() for rng in rngs])
     return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
-
-
-def entropy_of(probabilities: np.ndarray) -> float:
-    """Shannon entropy of a distribution (natural log, zero-safe)."""
-    p = probabilities[probabilities > 0]
-    return float(-np.sum(p * np.log(p)))

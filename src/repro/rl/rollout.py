@@ -113,10 +113,6 @@ class RolloutBuffer:
         return sum(len(t) for t in self._trajectories)
 
     @property
-    def n_trajectories(self) -> int:
-        return len(self._trajectories)
-
-    @property
     def mean_episode_reward(self) -> float:
         if not self._trajectories:
             return 0.0
@@ -163,6 +159,3 @@ class RolloutBuffer:
             advantages=advantage_array,
             masks=np.asarray(masks, dtype=bool),
         )
-
-    def clear(self) -> None:
-        self._trajectories.clear()

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,6 +34,29 @@ class TestConfigFactory:
     def test_overrides_win(self):
         config = bench_asqp_config(500, 50, light=True, n_iterations=99)
         assert config.n_iterations == 99
+
+    def test_presets_pinned(self):
+        """Every figure and end-to-end workload starts from these two
+        dicts; a default edited in ``ASQPConfig`` must show up here."""
+        full = {
+            "memory_budget": 1000, "frame_size": 50,
+            "n_query_representatives": None, "training_fraction": 1.0,
+            "action_space_target": 800, "group_size": 4,
+            "exact_row_share": 0.8, "learning_rate": 1e-3, "kl_coef": 0.2,
+            "entropy_coef": 0.001, "n_actors": 8, "episodes_per_actor": 1,
+            "n_iterations": 45, "update_epochs": 4, "query_batch_size": 16,
+            "early_stopping_patience": 12, "environment": "gsl",
+            "gsl_delta_rewards": True, "use_ppo_clip": True,
+            "use_actor_critic": True, "drp_horizon": 200,
+            "n_candidate_rollouts": 12, "fine_tune_iterations": 10, "seed": 7,
+        }
+        light = {
+            **full, "training_fraction": 0.25, "learning_rate": 2e-3,
+            "n_iterations": 16, "early_stopping_patience": 5,
+            "action_space_target": 500, "n_candidate_rollouts": 6,
+        }
+        assert asdict(bench_asqp_config(1000, 50, seed=7)) == full
+        assert asdict(bench_asqp_config(1000, 50, light=True, seed=7)) == light
 
 
 class TestEvaluate:
@@ -108,9 +132,9 @@ class TestReporting:
 
     def test_bench_scale_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert bench_scale(0.5) == 0.5
+        assert bench_scale() == 0.35
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
-        assert bench_scale(0.5) == 0.25
+        assert bench_scale() == 0.25
         monkeypatch.setenv("REPRO_BENCH_SCALE", "-1")
         with pytest.raises(ValueError):
             bench_scale()

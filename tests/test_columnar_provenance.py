@@ -189,7 +189,7 @@ from repro.core import ASQPConfig, preprocess
 from repro.datasets import load_imdb
 bundle = load_imdb(scale=0.1, n_queries=20, n_aggregate_queries=8)
 config = ASQPConfig(memory_budget=60, action_space_target=40,
-                    n_query_representatives=5, seed=3)
+                    n_query_representatives=5, exact_row_share=0.7, seed=3)
 prep = preprocess(bundle.db, bundle.workload, config)
 keys = [(action.keys, action.source_query) for action in prep.action_space]
 print(hashlib.sha1(repr(keys).encode()).hexdigest())
@@ -223,7 +223,9 @@ bundle = load_imdb(scale=0.1, n_queries=20, n_aggregate_queries=8)
 config = ASQPConfig(memory_budget=80, n_iterations=3, n_actors=3,
                     episodes_per_actor=2, action_space_target=50,
                     n_query_representatives=6, n_candidate_rollouts=2,
-                    learning_rate=1e-3, fine_tune_iterations=2, seed=7)
+                    exact_row_share=0.7, query_batch_size=8,
+                    early_stopping_patience=8, learning_rate=1e-3,
+                    fine_tune_iterations=2, seed=7)
 model = ASQPTrainer(bundle.db, bundle.workload, config).train()
 model.fine_tune([sql("SELECT * FROM person WHERE person.gender = 'f'")])
 keys = sorted(model.approximation_set().keys())

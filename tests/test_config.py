@@ -1,6 +1,6 @@
 """Unit tests for repro.core.config."""
 
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -113,17 +113,18 @@ class TestPresets:
         assert light.memory_budget == 77
 
     def test_adaptive_endpoints(self):
-        lightest = ASQPConfig.adaptive(0.0)
-        fullest = ASQPConfig.adaptive(1.0)
-        assert lightest.training_fraction == pytest.approx(0.25)
-        assert fullest.training_fraction == pytest.approx(1.0)
-        assert lightest.n_iterations < fullest.n_iterations
-        assert lightest.learning_rate > fullest.learning_rate
+        assert asdict(ASQPConfig.adaptive(0.0)) == asdict(ASQPConfig.light())
+        assert asdict(ASQPConfig.adaptive(1.0)) == asdict(ASQPConfig())
 
     def test_adaptive_clamps(self):
         assert ASQPConfig.adaptive(-1.0).training_fraction == pytest.approx(0.25)
         assert ASQPConfig.adaptive(2.0).training_fraction == pytest.approx(1.0)
 
     def test_adaptive_monotone_in_budget(self):
-        fractions = [ASQPConfig.adaptive(f).training_fraction for f in (0.0, 0.5, 1.0)]
-        assert fractions == sorted(fractions)
+        light, full = asdict(ASQPConfig.light()), asdict(ASQPConfig())
+        varied = [name for name in full if light[name] != full[name]]
+        assert "learning_rate" in varied and "training_fraction" in varied
+        steps = [asdict(ASQPConfig.adaptive(f)) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        for name in varied:
+            values = [step[name] for step in steps]
+            assert values in (sorted(values), sorted(values, reverse=True)), name

@@ -97,7 +97,10 @@ def policy(request, trained):
         space = ActionSpace(synthetic_actions(48, rng))
         return ASQPAgent(len(space), config, rng).actor, space, config
     agent = ASQPAgent(len(trained.action_space), config, rng)
-    agent.actor.net.copy_from(trained.agent.actor.net)
+    for target, source in zip(
+        agent.actor.net.parameters(), trained.agent.actor.net.parameters()
+    ):
+        target[...] = source
     added = synthetic_actions(14, rng)
     dim = trained.action_space.embeddings.shape[1]
     space = trained.action_space.extend(added, np.zeros((len(added), dim)))

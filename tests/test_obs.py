@@ -216,12 +216,11 @@ class TestCacheStats:
         cache.touch(("t", 1))
         cache.touch(("t", 2))
         cache.touch(("t", 3))  # evicts ("t", 1)
-        stats = cache.cache_stats()
-        assert stats["hits"] == 1.0
-        assert stats["misses"] == 3.0
-        assert stats["evictions"] == 1.0
-        assert stats["size"] == 2.0
-        assert stats["hit_rate"] == pytest.approx(0.25)
+        assert cache.hits == 1
+        assert cache.misses == 3
+        assert cache.evictions == 1
+        assert len(cache) == 2
+        assert cache.hit_rate == pytest.approx(0.25)
 
     def test_cache_counters_not_published_when_disabled(self):
         cache = LRUTupleCache(capacity=2)

@@ -17,7 +17,6 @@ from repro.rl import (
     RolloutBuffer,
     Trajectory,
     discounted_returns,
-    entropy_of,
     gae_advantages,
     make_actor_specs,
     masked_log_softmax,
@@ -61,19 +60,6 @@ class TestMLP:
             param[flat_index] = original
             numeric = (up - down) / (2 * epsilon)
             assert abs(numeric - grad[flat_index]) < 1e-4, "gradient mismatch"
-
-    def test_copy_from_and_clone(self, rng):
-        a = MLP([3, 4, 2], rng)
-        b = a.clone()
-        assert all(np.allclose(x, y) for x, y in zip(a.parameters(), b.parameters()))
-        b.weights[0][0, 0] += 1.0
-        assert not np.allclose(a.weights[0], b.weights[0])
-
-    def test_copy_shape_mismatch(self, rng):
-        a = MLP([3, 4, 2], rng)
-        b = MLP([3, 5, 2], rng)
-        with pytest.raises(ValueError):
-            a.copy_from(b)
 
 
 class TestAdam:
@@ -157,18 +143,16 @@ class TestPolicyNetworks:
         state = rng.standard_normal(5)
         cold = np.exp(actor.log_probs(state[None], mask[None], temperature=0.1)[0])
         hot = np.exp(actor.log_probs(state[None], mask[None], temperature=10.0)[0])
-        assert entropy_of(hot) > entropy_of(cold)
+
+        def entropy(p):
+            return -np.sum(p * np.log(np.where(p > 0, p, 1.0)))
+
+        assert entropy(hot) > entropy(cold)
 
     def test_critic_scalar_output(self, rng):
         critic = CriticNetwork(5, rng, hidden=(8,))
         values = critic.value(np.zeros((3, 5)))
         assert values.shape == (3,)
-
-    def test_clone_independent(self, rng):
-        actor = ActorNetwork(4, rng, hidden=(8,))
-        clone = actor.clone()
-        clone.net.weights[0][0, 0] += 10.0
-        assert not np.allclose(actor.net.weights[0], clone.net.weights[0])
 
 
 class _BanditEnv(Environment):
@@ -308,7 +292,7 @@ class TestRolloutBuffer:
         buffer.add(self._trajectory(3))
         buffer.add(self._trajectory(2))
         assert len(buffer) == 5
-        assert buffer.n_trajectories == 2
+        assert len(buffer._trajectories) == 2
         batch = buffer.build()
         assert len(batch) == 5
 

@@ -119,14 +119,6 @@ class TestFromRows:
             table_from_rows(movie_schema, [{"id": 1}])
 
 
-class TestDisplay:
-    def test_to_text_contains_header_and_rows(self, movies):
-        text = movies.to_text(limit=2)
-        assert "title" in text
-        assert "Alpha" in text
-        assert "more rows" in text
-
-
 class TestHtmlRepr:
     def test_table_html(self, movies):
         html = movies._repr_html_()
