@@ -11,13 +11,17 @@ After the fit and after every fine-tune it prints one SHA-1 per actor /
 critic parameter (the array's bytes), one of ``model.history`` at full
 precision (the wall-clock fields left out), one of the selected
 approximation set's keys and one of the greedy-only set's
-(``approximation_set(greedy=False)``). Then it opens an ``ASQPSession`` on
-the model and serves the benchmark's serve pool twice, in pool order:
-``served_cold`` and ``served_warm`` are the SHA-1 of every answer of the
-first and the second pass (source, confidence as ``float.hex``, provenance
-keys and decoded columns in row order, or the aggregate mapping). The
-second pass runs on the prepared plans and estimates of the first, so the
-two must be equal; a checkout where they are not counts as a differing row.
+(``approximation_set(greedy=False)``), then ``loaded_selected_keys``: the
+SHA-1 of the selected set's keys after a ``save_model`` -> ``load_model``
+round trip, which must equal the stage's ``selected_keys`` (a checkout
+where it does not counts as a differing row). Then it opens an
+``ASQPSession`` on the model and serves the benchmark's serve pool twice,
+in pool order: ``served_cold`` and ``served_warm`` are the SHA-1 of every
+answer of the first and the second pass (source, confidence as
+``float.hex``, provenance keys and decoded columns in row order, or the
+aggregate mapping). The second pass runs on the prepared plans and
+estimates of the first, so the two must be equal; a checkout where they
+are not counts as a differing row.
 
 One row per fingerprint, one column per checkout; a row whose columns are
 not all equal ends in ``DIFFERS`` and the exit status is 1. A change that
@@ -35,6 +39,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tempfile
 
 #: IterationRecord fields that are timings, not results.
 WALL_CLOCK = ("rollout_seconds", "update_seconds", "steps_per_second")
@@ -94,7 +99,7 @@ def child(workload: str, input_seed: int | None) -> None:
     from benchmarks.e2e.lifecycle import Lifecycle
     from benchmarks.e2e.specs import BY_NAME, FRAME_SIZE, MEMORY_BUDGET
     from repro.bench import bench_asqp_config
-    from repro.core import ASQPSession, ASQPTrainer
+    from repro.core import ASQPSession, ASQPTrainer, load_model, save_model
 
     spec = BY_NAME[workload]
     if input_seed is not None:
@@ -113,6 +118,10 @@ def child(workload: str, input_seed: int | None) -> None:
     def report(stage: str) -> None:
         for name, digest in fingerprints(model):
             print(f"{stage}.{name} {digest}", flush=True)
+        with tempfile.TemporaryDirectory() as directory:
+            save_model(model, directory)
+            loaded = load_model(directory, inputs.db).approximation_set().keys()
+        print(f"{stage}.loaded_selected_keys {sha1(repr(loaded).encode())}", flush=True)
         session = ASQPSession(model, auto_fine_tune=False)
         for run in ("cold", "warm"):
             print(f"{stage}.served_{run} {served(session, pool)}", flush=True)
@@ -162,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         digests = [column.get(name, "-") for column in columns]
         differs = len(set(digests)) > 1
         differing += differs
-        print(f"{name:28s} " + "  ".join(digests) + ("  DIFFERS" if differs else ""))
+        print(f"{name:34s} " + "  ".join(digests) + ("  DIFFERS" if differs else ""))
     for tree, column in zip(trees, columns):
         for name, digest in column.items():
             if name.endswith(".served_cold") and column.get(
@@ -170,6 +179,11 @@ def main(argv: list[str] | None = None) -> int:
             ) != digest:
                 differing += 1
                 print(f"{name[:-len('_cold')]}: cold != warm in {tree}  DIFFERS")
+            if name.endswith(".loaded_selected_keys") and column.get(
+                name.replace("loaded_", "")
+            ) != digest:
+                differing += 1
+                print(f"{name}: != selected_keys in {tree}  DIFFERS")
     print(f"differing rows: {differing}")
     return 1 if differing else 0
 

@@ -10,19 +10,27 @@ model directory contains:
 * ``actions.json`` — the action space's tuple keys and source codes;
 * ``arrays.npz`` — network weights, action/representative/training
   embeddings, stored uncompressed;
-* ``history.json`` — training diagnostics and metadata.
+* ``history.json`` — training diagnostics and metadata;
+* ``selected.json`` — the approximation set the model selected (Alg. 2),
+  as sorted row ids per table.
 
 Coverage structures are *rebuilt* on load by re-executing the
 representatives against the database (exactly what preprocessing did), so
 they are not stored at all and the loaded model is guaranteed consistent
-with the database it is attached to. No pickle anywhere. Nothing is
+with the database it is attached to. The served set is *not* derived from
+the rebuilt coverages: a representative with more than
+``MAX_REQUIREMENT_ROWS`` result rows has its requirement rows re-sampled,
+which can change which candidate roll-out scores best, so the loaded model
+serves the stored ``selected.json`` (checked against the attached
+database) and Alg. 2 does not run again. No pickle anywhere. Nothing is
 compressed: the bytes are float64 weights, which zlib shrinks by under 5%
 for most of the time a save takes (``np.load`` still reads an ``arrays.npz``
 that older code wrote with ``savez_compressed``).
 
 A model directory is outside input: a file of it that is missing, cut
-short or of the wrong shape makes :func:`load_model` raise one
-:class:`ModelError` naming the file.
+short or of the wrong shape, a selected key the attached database does
+not hold, or a directory of an older format version makes
+:func:`load_model` raise one :class:`ModelError` naming the file.
 """
 
 from __future__ import annotations
@@ -43,11 +51,12 @@ from ..embedding.query_embed import QueryEmbedder
 from ..embedding.tuple_embed import TupleEmbedder
 from .action_space import Action, ActionSpace
 from .agent import ASQPAgent
+from .approximation import ApproximationSet
 from .config import ASQPConfig
 from .preprocess import PreprocessResult, build_coverage
 from .trainer import IterationRecord, TrainedModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class ModelError(ValueError):
@@ -78,7 +87,11 @@ def _reading(directory: str, name: str) -> Iterator[str]:
 
 
 def save_model(model: TrainedModel, directory: str) -> None:
-    """Persist a trained model to ``directory`` (created if needed)."""
+    """Persist a trained model to ``directory`` (created if needed).
+
+    Writes the model's selected approximation set too, selecting it first
+    if no default :meth:`TrainedModel.approximation_set` call has yet.
+    """
     os.makedirs(directory, exist_ok=True)
     config_dict = dataclasses.asdict(model.config)
     with open(os.path.join(directory, "config.json"), "w") as handle:
@@ -126,13 +139,18 @@ def save_model(model: TrainedModel, directory: str) -> None:
     with open(os.path.join(directory, "history.json"), "w") as handle:
         json.dump(history, handle, indent=2)
 
+    selected = model.approximation_set()
+    with open(os.path.join(directory, "selected.json"), "w") as handle:
+        json.dump({t: sorted(ids) for t, ids in sorted(selected.rows.items())}, handle)
+
 
 def load_model(directory: str, db: Database) -> TrainedModel:
     """Load a model saved by :func:`save_model`, attached to ``db``.
 
     ``db`` must be the database the model was trained on (same content);
     coverage structures are rebuilt by executing the stored representative
-    queries against it. Raises :class:`ModelError` for a damaged directory.
+    queries against it, and the stored selected set must name only its
+    rows. Raises :class:`ModelError` for a damaged directory.
     """
     with _reading(directory, "config.json") as path:
         with open(path) as handle:
@@ -182,6 +200,20 @@ def load_model(directory: str, db: Database) -> TrainedModel:
         setup_seconds = history["setup_seconds"]
         fine_tune_count = history["fine_tune_count"]
 
+    with _reading(directory, "selected.json") as path:
+        with open(path) as handle:
+            selected = ApproximationSet.from_mapping(json.load(handle))
+        for table, ids in selected.rows.items():
+            # Database.subset would silently drop an id the table lacks.
+            if not db.has_table(table) or not np.isin(
+                sorted(ids), db.table(table).row_ids
+            ).all():
+                raise ModelError(
+                    f"model file {path} selects rows of table {table!r} that "
+                    f"the attached database {db.name!r} does not hold — load "
+                    "the model with the database it was trained on"
+                )
+
     # Rebuild the reward structures against the attached database.
     rng = np.random.default_rng(config.seed)
     coverages = [
@@ -213,4 +245,5 @@ def load_model(directory: str, db: Database) -> TrainedModel:
         history=records,
         setup_seconds=setup_seconds,
         fine_tune_count=fine_tune_count,
+        selected=selected,
     )

@@ -97,13 +97,18 @@ class ASQPSession:
         return estimator
 
     def _regenerate(self) -> None:
-        """What opening and :meth:`refresh` share; one policy roll-out."""
+        """What opening and :meth:`refresh` share.
+
+        Reads the model's selected approximation set: a loaded model brings
+        it from disk, and Alg. 2 runs only when training changed the policy
+        since it was selected.
+        """
         self.approximation_set: ApproximationSet = self.model.approximation_set()
         self.approx_db: Database = self.approximation_set.to_database(self.model.db)
         self.estimator = self._build_estimator()
 
     def refresh(self) -> None:
-        """Regenerate the approximation set and estimator from the model."""
+        """Re-read the model's approximation set and rebuild the estimator."""
         self._regenerate()
 
     # -------------------------------------------------------------- #

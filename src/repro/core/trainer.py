@@ -86,6 +86,12 @@ class TrainedModel:
     history: list[IterationRecord] = field(default_factory=list)
     setup_seconds: float = 0.0
     fine_tune_count: int = 0
+    #: The set the default :meth:`approximation_set` call selected for the
+    #: current policy (Alg. 2 runs once per trained policy); ``None`` until
+    #: that call, and again once training changes the policy.
+    selected: Optional[ApproximationSet] = field(
+        default=None, repr=False, compare=False
+    )
     _coverage_index: Optional[CoverageIndex] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -120,7 +126,15 @@ class TrainedModel:
         :func:`generate_approximation_set`: it drops the sampled candidates
         and returns the arg-max trajectory alone, the policy's own
         deterministic set (no generator is consumed, no scoring).
+
+        The default call (no argument) selects once per trained policy: it
+        keeps its set in :attr:`selected` and returns that on every later
+        default call, until :func:`run_training_loop` clears it. A call with
+        any argument rolls out afresh and neither reads nor writes it.
         """
+        default = requested_size is None and greedy and rng is None
+        if default and self.selected is not None:
+            return self.selected
         rng = rng or np.random.default_rng(self.config.seed + 31)
         candidates = [
             generate_approximation_set(
@@ -144,16 +158,17 @@ class TrainedModel:
                         greedy=False,
                     )
                 )
-        if len(candidates) == 1:
-            return candidates[0]
-        tracker = CoverageTracker(self.coverages, self.coverage_index())
         best = candidates[0]
-        best_score = -1.0
-        for candidate in candidates:
-            value = tracker.score_with_keys(candidate.keys())
-            if value > best_score:
-                best_score = value
-                best = candidate
+        if len(candidates) > 1:
+            tracker = CoverageTracker(self.coverages, self.coverage_index())
+            best_score = -1.0
+            for candidate in candidates:
+                value = tracker.score_with_keys(candidate.keys())
+                if value > best_score:
+                    best_score = value
+                    best = candidate
+        if default:
+            self.selected = best
         return best
 
     def approximation_database(
@@ -167,9 +182,10 @@ class TrainedModel:
         """Eq. 1 term of each training representative under the final set.
 
         Feeds the answerability estimator: the model's observed quality on
-        the queries it was trained on. Callers that already generated
-        :meth:`approximation_set` pass it in; it reseeds on every call, so
-        regenerating it here would roll out the same set again.
+        the queries it was trained on. Without an argument it scores the
+        model's :attr:`selected` set (selected first if no default
+        :meth:`approximation_set` call has yet); a caller holding that set
+        passes it in.
         """
         if approximation_set is None:
             approximation_set = self.approximation_set()
@@ -217,6 +233,7 @@ class TrainedModel:
         """
         if not new_queries:
             return
+        self.selected = None  # the action space and coverages change here
         rng = rng or np.random.default_rng(self.config.seed + 500 + self.fine_tune_count)
         config = self.config
         prep = self.preprocessed
@@ -290,8 +307,10 @@ def run_training_loop(
     Every iteration's :class:`UpdateStats` lands in an
     :class:`IterationRecord` appended to ``model.history`` — and, when
     observability is enabled, on the ``train.update`` telemetry stream —
-    and the records of *this* call are returned.
+    and the records of *this* call are returned. The model's selected
+    approximation set is cleared: it belonged to the policy before.
     """
+    model.selected = None
     config = model.config
     coverages = model.coverages
     if bias_queries:

@@ -44,13 +44,6 @@ class PPOConfig:
     use_clip: bool = True
     use_critic: bool = True
 
-    def variant_name(self) -> str:
-        if not self.use_critic:
-            return "reinforce"
-        if not self.use_clip:
-            return "a2c"
-        return "ppo"
-
 
 @dataclass
 class UpdateStats:

@@ -112,12 +112,6 @@ class RolloutBuffer:
     def __len__(self) -> int:
         return sum(len(t) for t in self._trajectories)
 
-    @property
-    def mean_episode_reward(self) -> float:
-        if not self._trajectories:
-            return 0.0
-        return float(np.mean([t.total_reward for t in self._trajectories]))
-
     def build(
         self, use_critic: bool = True, normalize_advantages: bool = True
     ) -> RolloutBatch:

@@ -236,6 +236,53 @@ class TestFineTune:
         assert trained.fine_tune_count == count
 
 
+class TestSelectedSet:
+    """The default ``approximation_set()`` call selects once per policy."""
+
+    def test_training_clears_the_selected_set(self, tiny_imdb):
+        config = _tiny_config(fine_tune_iterations=1)
+        model = ASQPTrainer(tiny_imdb.db, tiny_imdb.workload, config).train()
+        first = model.approximation_set()
+        assert model.selected is first
+        assert model.approximation_set() is first
+        steps = (
+            lambda: trainer_module.run_training_loop(
+                model, 1, np.random.default_rng(3)
+            ),
+            lambda: model.fine_tune(
+                [sql("SELECT * FROM person WHERE person.gender = 'f'")]
+            ),
+        )
+        for step in steps:
+            step()
+            assert model.selected is None
+            kept = model.approximation_set()
+            model.selected = None
+            assert kept.keys() == model.approximation_set().keys()
+
+    def test_non_default_calls_leave_it_alone(self, trained):
+        calls = (
+            dict(greedy=False),
+            dict(requested_size=30),
+            dict(rng=np.random.default_rng(0)),
+        )
+        trained.selected = None
+        for kwargs in calls:
+            trained.approximation_set(**kwargs)
+            assert trained.selected is None
+        selected = trained.approximation_set()
+        for kwargs in calls:
+            assert trained.approximation_set(**kwargs) is not selected
+            assert trained.selected is selected
+
+    def test_single_rollout_is_kept_too(self, tiny_imdb):
+        config = _tiny_config(n_iterations=1, n_candidate_rollouts=0)
+        model = ASQPTrainer(tiny_imdb.db, tiny_imdb.workload, config).train()
+        approx = model.approximation_set()
+        assert model.selected is approx
+        assert model.approximation_set(greedy=False).keys() == approx.keys()
+
+
 class TestCalibratedScale:
     def test_scale_at_least_one(self, trained):
         scale = trained.calibrated_count_scale()

@@ -1,6 +1,8 @@
 """Tests for trained-model save/load (repro.core.persistence)."""
 
+import json
 import os
+import sys
 import zipfile
 
 import numpy as np
@@ -16,15 +18,21 @@ from repro.core import (
     save_model,
 )
 
+# ``repro.core.preprocess`` names the function; the module holds the cap.
+preprocess_module = sys.modules["repro.core.preprocess"]
 
-@pytest.fixture(scope="module")
-def trained(tiny_flights):
-    config = ASQPConfig(
+
+def _config():
+    return ASQPConfig(
         memory_budget=60, n_iterations=2, n_actors=2, episodes_per_actor=1,
         action_space_target=40, n_query_representatives=5,
         n_candidate_rollouts=1, learning_rate=1e-3, seed=8,
     )
-    return ASQPTrainer(tiny_flights.db, tiny_flights.workload, config).train()
+
+
+@pytest.fixture(scope="module")
+def trained(tiny_flights):
+    return ASQPTrainer(tiny_flights.db, tiny_flights.workload, _config()).train()
 
 
 class TestRoundTrip:
@@ -32,6 +40,26 @@ class TestRoundTrip:
         save_model(trained, str(tmp_path / "model"))
         loaded = load_model(str(tmp_path / "model"), tiny_flights.db)
         assert loaded.approximation_set().keys() == trained.approximation_set().keys()
+
+    def test_session_serves_the_fit_set_when_load_resamples(
+        self, tiny_flights, tmp_path, monkeypatch
+    ):
+        """Load re-samples large coverages; the served set is the stored one.
+
+        At this cap, running Alg. 2 again on the loaded model's re-sampled
+        coverages picks a different set than the fit did.
+        """
+        monkeypatch.setattr(preprocess_module, "MAX_REQUIREMENT_ROWS", 5)
+        model = ASQPTrainer(tiny_flights.db, tiny_flights.workload, _config()).train()
+        directory = str(tmp_path / "model")
+        save_model(model, directory)
+        loaded = load_model(directory, tiny_flights.db)
+        assert any(
+            list(a.requirements) != list(b.requirements)
+            for a, b in zip(loaded.coverages, model.coverages)
+        )
+        session = ASQPSession(loaded, auto_fine_tune=False)
+        assert session.approximation_set.keys() == model.approximation_set().keys()
 
     def test_config_and_history_preserved(self, trained, tiny_flights, tmp_path):
         save_model(trained, str(tmp_path / "model"))
@@ -99,8 +127,9 @@ class TestRoundTrip:
         save_model(trained, str(tmp_path / "model"))
         path = tmp_path / "model" / "config.json"
         payload = json.loads(path.read_text())
-        # 1: the format before the config lost its unvaried fields.
-        for version in (999, 1):
+        # 1: the format before the config lost its unvaried fields;
+        # 2: the format before the selected set was stored.
+        for version in (999, 1, 2):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(
@@ -110,7 +139,8 @@ class TestRoundTrip:
 
 
 ARTIFACTS = (
-    "config.json", "queries.json", "actions.json", "arrays.npz", "history.json"
+    "config.json", "queries.json", "actions.json", "arrays.npz", "history.json",
+    "selected.json",
 )
 
 
@@ -143,6 +173,23 @@ class TestDamagedModel:
             load_model(directory, tiny_flights.db)
         assert path in str(info.value)
         assert isinstance(info.value, ValueError)
+
+    def test_selected_row_the_database_lacks(self, trained, tiny_flights, tmp_path):
+        """``Database.subset`` would drop an unknown row id without a word."""
+        directory = str(tmp_path / "model")
+        save_model(trained, directory)
+        path = os.path.join(directory, "selected.json")
+        with open(path) as handle:
+            stored = json.load(handle)
+        table = next(iter(stored))
+        for selected in (
+            {**stored, table: stored[table] + [10**9]},
+            {**stored, "no_such_table": [0]},
+        ):
+            with open(path, "w") as handle:
+                json.dump(selected, handle)
+            with pytest.raises(ModelError, match="selected.json"):
+                load_model(directory, tiny_flights.db)
 
     def test_query_cli_prints_one_line_and_exits_1(
         self, trained, tmp_path, capsys

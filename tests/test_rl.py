@@ -205,11 +205,6 @@ class TestPPOVariants:
         with pytest.raises(ValueError):
             PPOUpdater(actor, None, PPOConfig(use_critic=True))
 
-    def test_variant_names(self):
-        assert PPOConfig().variant_name() == "ppo"
-        assert PPOConfig(use_clip=False).variant_name() == "a2c"
-        assert PPOConfig(use_clip=False, use_critic=False).variant_name() == "reinforce"
-
     def test_update_stats_populated(self, rng):
         config = PPOConfig(learning_rate=1e-3)
         actor = ActorNetwork(3, rng, hidden=(8,))
@@ -307,11 +302,6 @@ class TestRolloutBuffer:
         buffer.add(self._trajectory(3))
         batch = buffer.build(use_critic=False, normalize_advantages=False)
         assert np.allclose(batch.advantages, [3.0, 2.0, 1.0])
-
-    def test_mean_episode_reward(self):
-        buffer = RolloutBuffer()
-        buffer.add(self._trajectory(3))
-        assert buffer.mean_episode_reward == pytest.approx(3.0)
 
 
 class TestActorSpecs:

@@ -8,6 +8,7 @@ from repro.core import (
     ASQPConfig,
     ASQPSession,
     ASQPSystem,
+    ASQPTrainer,
     WorkloadGenerator,
     generate_workload,
 )
@@ -122,8 +123,12 @@ class TestSession:
 
 
 class TestSessionRollouts:
-    def test_open_and_refresh_roll_the_policy_out_once(self, session, monkeypatch):
-        """The estimator scores the set the session already generated."""
+    def test_open_and_refresh_reuse_the_selected_set(self, tiny_flights, monkeypatch):
+        """Alg. 2 runs once per trained policy, not once per open or refresh."""
+        model = ASQPTrainer(
+            tiny_flights.db, tiny_flights.workload, _session_config(seed=5)
+        ).train()
+        model.approximation_set()
         rollouts = []
         generate = trainer_module.generate_approximation_set
 
@@ -132,16 +137,18 @@ class TestSessionRollouts:
             return generate(*args, **kwargs)
 
         monkeypatch.setattr(trainer_module, "generate_approximation_set", counting)
-        model = session.model
-        per_set = model.config.n_candidate_rollouts + 1
         opened = ASQPSession(model, auto_fine_tune=False)
-        assert len(rollouts) == per_set
+        assert rollouts == []
         opened.refresh()
-        assert len(rollouts) == 2 * per_set
+        assert rollouts == []
+        model.fine_tune(list(tiny_flights.workload.queries[:3]))
+        opened.refresh()
+        assert len(rollouts) == model.config.n_candidate_rollouts + 1
         assert opened.approximation_set.keys() == model.approximation_set().keys()
         np.testing.assert_array_equal(
             opened.estimator.scores, model.training_scores()
         )
+        assert len(rollouts) == model.config.n_candidate_rollouts + 1  # read back
 
 
 class TestOneEstimatePerRequest:
