@@ -6,7 +6,13 @@
 For each checkout, in a child process with that checkout's
 ``benchmarks/e2e/run.py::child_env()`` (hash seed and BLAS threads pinned,
 its own ``src`` first on the path): build the end-to-end benchmark's inputs
-of workload ``W``, fit, then fine-tune on each revealed interest in turn.
+of workload ``W`` and print two rows for them, ``inputs.db`` (the SHA-1
+over every table's name and row ids, each ``STR`` column's codes and
+dictionary and each numeric column's bytes) and ``inputs.workload`` (the
+SHA-1 of the train, test, revealed and aggregate queries' SQL text), so a
+generator change that alters the data shows up by name and not only
+through the weights. Then fit, and fine-tune on each revealed interest in
+turn.
 After the fit and after every fine-tune it prints one SHA-1 per actor /
 critic parameter (the array's bytes), one of ``model.history`` at full
 precision (the wall-clock fields left out), one of the selected
@@ -74,6 +80,32 @@ def fingerprints(model) -> list[tuple[str, str]]:
     return rows
 
 
+def database_digest(db) -> str:
+    """SHA-1 of every table's name, row ids and stored columns."""
+    digest = hashlib.sha1()
+    for table in db:
+        digest.update(repr(table.name).encode())
+        digest.update(table.row_ids.tobytes())
+        for name in table.schema.column_names:
+            encoding = table.encoding(name)
+            if encoding is None:
+                digest.update(table.column(name).tobytes())
+            else:
+                digest.update(encoding.codes.tobytes())
+                digest.update(repr(encoding.dictionary.tolist()).encode())
+    return digest.hexdigest()
+
+
+def workload_digest(inputs) -> str:
+    """SHA-1 of the SQL text of every train / test / reveal / aggregate query."""
+    workloads = [inputs.train, inputs.test]
+    for reveal_train, reveal_test in inputs.reveals:
+        workloads += [reveal_train, reveal_test]
+    workloads.append(inputs.aggregates)
+    text = [[query.to_sql() for query in workload.queries] for workload in workloads]
+    return sha1(repr(text).encode())
+
+
 def served(session, pool) -> str:
     """SHA-1 of the session's answer to every query of ``pool``, in order."""
     digest = hashlib.sha1()
@@ -105,6 +137,8 @@ def child(workload: str, input_seed: int | None) -> None:
     if input_seed is not None:
         spec = replace(spec, input_seed=input_seed)
     inputs = Lifecycle(spec, 0, None, "")._build_inputs()
+    print(f"inputs.db {database_digest(inputs.db)}", flush=True)
+    print(f"inputs.workload {workload_digest(inputs)}", flush=True)
     config = bench_asqp_config(
         MEMORY_BUDGET, FRAME_SIZE, seed=spec.input_seed, **spec.config
     )

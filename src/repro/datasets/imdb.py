@@ -54,6 +54,25 @@ _INFO_VALUES = {
 }
 
 
+def _info_column(info_types: list[str], rng: np.random.Generator) -> np.ndarray:
+    """One ``movie_info.info`` value per row, drawn from its type's values.
+
+    A single ``rng.integers(0, lengths)`` call, ``lengths`` holding each
+    row's list length, consumes the stream exactly as one
+    ``rng.choice(_INFO_VALUES[info_type])`` per row would.
+    """
+    type_index = np.fromiter(
+        map(INFO_TYPES.index, info_types), np.int64, len(info_types)
+    )
+    lengths = np.array([len(_INFO_VALUES[t]) for t in INFO_TYPES])
+    offsets = np.cumsum(lengths) - lengths
+    values = np.array(
+        [value for t in INFO_TYPES for value in _INFO_VALUES[t]], dtype=object
+    )
+    picks = rng.integers(0, lengths[type_index])
+    return values[offsets[type_index] + picks]
+
+
 def imdb_schemas() -> list[TableSchema]:
     """The six JOB-subset table schemas."""
     return [
@@ -201,9 +220,7 @@ def make_imdb_database(scale: float = 1.0, seed: int = 1337) -> Database:
     )
 
     info_types = zipf_choice(INFO_TYPES, n_info, rng, exponent=0.5)
-    info_values = [
-        str(rng.choice(_INFO_VALUES[info_type])) for info_type in info_types
-    ]
+    info_values = _info_column(info_types, rng)
     movie_info = Table(
         schemas["movie_info"],
         {

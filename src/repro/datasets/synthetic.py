@@ -80,18 +80,27 @@ _SYLLABLES = [
     "gor", "han", "ix", "jo", "kel", "lum", "mar", "nor", "pol", "qua",
     "ras", "sol", "tan", "ul", "vor", "wex", "yor", "zan", "bel", "cor",
 ]
+_SYLLABLE_ARRAY = np.array(_SYLLABLES, dtype=object)
+_CAPITALISED = np.array([syllable.capitalize() for syllable in _SYLLABLES], dtype=object)
 
 
 def synthetic_names(
     n: int, rng: np.random.Generator, n_syllables: int = 3, prefix: str = ""
 ) -> list[str]:
-    """Pronounceable unique-ish names ("Kelrito", "Vensolmar", ...)."""
-    names = []
-    for i in range(n):
-        parts = rng.choice(len(_SYLLABLES), size=n_syllables)
-        word = "".join(_SYLLABLES[p] for p in parts)
-        names.append(f"{prefix}{word.capitalize()}_{i}")
-    return names
+    """Pronounceable unique-ish names ("Kelrito", "Vensolmar", ...).
+
+    One ``rng.integers`` call draws the whole ``(n, n_syllables)`` block of
+    syllable indices, which consumes the stream exactly as ``n`` per-name
+    ``rng.choice(len(_SYLLABLES), size=n_syllables)`` calls would; the
+    names are then joined column by column over object arrays.
+    """
+    if n_syllables < 1:
+        raise ValueError(f"n_syllables must be at least 1, got {n_syllables}")
+    picks = rng.integers(0, len(_SYLLABLES), size=(n, n_syllables))
+    words = prefix + _CAPITALISED[picks[:, 0]]
+    for column in range(1, n_syllables):
+        words = words + _SYLLABLE_ARRAY[picks[:, column]]
+    return (words + "_" + np.arange(n).astype(str).astype(object)).tolist()
 
 
 def year_column(

@@ -49,7 +49,7 @@ class Database:
         self.name = name
         self._tables: dict[str, Table] = {}
         #: Prepared plans by query (see :func:`repro.db.executor.execute`);
-        #: dropped whenever a table is replaced.
+        #: they die with the database, whose tables are never replaced.
         self.plans: dict = {}
         for table in tables:
             self.add_table(table)
@@ -58,20 +58,6 @@ class Database:
         if table.name in self._tables:
             raise SchemaError(f"database {self.name!r} already has table {table.name!r}")
         self._tables[table.name] = table
-
-    def replace_table(self, table: Table) -> None:
-        """Swap in a rebuilt version of an existing table.
-
-        The replacement carries a fresh ``encoding_version``, so anything
-        keyed on it stops matching the old physical layout; the prepared
-        plans, which hold the old table's arrays, are dropped.
-        """
-        if table.name not in self._tables:
-            raise SchemaError(
-                f"database {self.name!r} has no table {table.name!r} to replace"
-            )
-        self._tables[table.name] = table
-        self.plans.clear()
 
     # -------------------------------------------------------------- #
     @property

@@ -67,6 +67,13 @@ class Column:
     def coerce(self, values: Sequence) -> np.ndarray:
         """Coerce ``values`` into this column's storage array.
 
+        A ``STR`` column stores an object array. A sequence of ``str``
+        (subclasses such as ``np.str_`` included) is stored with one slice
+        assignment, the objects kept as they are; only when some entry is
+        not a ``str`` is each such entry converted (``None`` -> ``""``,
+        anything else -> ``str(value)``). A fixed-width ``U`` array's
+        entries are stored as Python ``str``.
+
         Raises
         ------
         TypeError
@@ -86,14 +93,13 @@ class Column:
                 raise TypeError(
                     f"column {self.name!r}: cannot coerce values to FLOAT: {exc}"
                 ) from exc
+        if not all(issubclass(kind, str) for kind in set(map(type, values))):
+            values = [
+                value if isinstance(value, str) else "" if value is None else str(value)
+                for value in values
+            ]
         arr = np.empty(len(values), dtype=object)
-        for i, value in enumerate(values):
-            if value is None:
-                arr[i] = ""
-            elif isinstance(value, str):
-                arr[i] = value
-            else:
-                arr[i] = str(value)
+        arr[:] = values
         return arr
 
     def null_mask(self, array: np.ndarray) -> np.ndarray:
@@ -174,9 +180,3 @@ class TableSchema:
 
     def has_column(self, name: str) -> bool:
         return name in self._by_name
-
-    def numeric_columns(self) -> list[Column]:
-        return [column for column in self.columns if column.ctype.is_numeric]
-
-    def categorical_columns(self) -> list[Column]:
-        return [column for column in self.columns if column.ctype is ColumnType.STR]

@@ -60,13 +60,21 @@ class DictEncoded:
         self.dictionary = dictionary
 
     @classmethod
-    def from_values(cls, values: np.ndarray) -> "DictEncoded":
-        if len(values) == 0:
-            dictionary = np.empty(0, dtype=object)
-            codes = np.zeros(0, dtype=np.int32)
-        else:
-            dictionary, inverse = np.unique(values, return_inverse=True)
-            codes = inverse.astype(np.int32, copy=False).reshape(-1)
+    def from_values(cls, values: Sequence[str]) -> "DictEncoded":
+        """Encode ``values``: ``np.unique(values, return_inverse=True)``'s
+        sorted object dictionary and its codes as ``int32``.
+
+        The values are hashed into a set, only the distinct ones are
+        sorted, and each row's code is a dict lookup, so the sort never
+        touches the (usually far more numerous) rows.
+        """
+        distinct = sorted(set(values))
+        code_of = {value: code for code, value in enumerate(distinct)}
+        codes = np.fromiter(
+            map(code_of.__getitem__, values), dtype=np.int32, count=len(values)
+        )
+        dictionary = np.empty(len(distinct), dtype=object)
+        dictionary[:] = distinct
         codes.setflags(write=False)
         dictionary.setflags(write=False)
         return cls(codes, dictionary)

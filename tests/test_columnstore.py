@@ -8,6 +8,8 @@ values. INT and FLOAT columns are stored plain.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.db import (
     INT_NULL,
@@ -107,6 +109,86 @@ def test_dict_encoding_round_trip():
     np.testing.assert_array_equal(enc.decode(), values)
     taken = enc.take(np.asarray([4, 0, 1]))
     np.testing.assert_array_equal(taken.decode(), values[[4, 0, 1]])
+
+
+# ------------------------------------------------------------------ #
+# encoding and coercion against the sort- and loop-based originals
+# ------------------------------------------------------------------ #
+def reference_from_values(values) -> DictEncoded:
+    """``DictEncoded.from_values`` as ``np.unique`` over the object array."""
+    values = np.asarray(values, dtype=object)
+    if len(values) == 0:
+        dictionary = np.empty(0, dtype=object)
+        codes = np.zeros(0, dtype=np.int32)
+    else:
+        dictionary, inverse = np.unique(values, return_inverse=True)
+        codes = inverse.astype(np.int32, copy=False).reshape(-1)
+    codes.setflags(write=False)
+    dictionary.setflags(write=False)
+    return DictEncoded(codes, dictionary)
+
+
+def reference_coerce(column: Column, values) -> np.ndarray:
+    """``Column.coerce`` of a ``STR`` column as the per-element loop."""
+    arr = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        if value is None:
+            arr[i] = ""
+        elif isinstance(value, str):
+            arr[i] = value
+        else:
+            arr[i] = str(value)
+    return arr
+
+
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "a", "A", "ab", "é", "\U0001d518", "x\U0001f600"]),
+)
+
+
+@given(values=st.one_of(
+    st.lists(_TEXT, max_size=60),
+    st.builds(lambda value, n: [value] * n, _TEXT, st.integers(1, 20)),
+))
+@example(values=[])
+@example(values=[""])
+@example(values=["b", "", "\U0001f600", "b", "a", "\uffff", "\U00010000"])
+@settings(max_examples=150, deadline=None)
+def test_from_values_equals_np_unique(values):
+    encoded = DictEncoded.from_values(np.asarray(values, dtype=object))
+    expected = reference_from_values(values)
+    assert encoded.dictionary.dtype == object
+    assert encoded.dictionary.tolist() == expected.dictionary.tolist()
+    assert [type(v) for v in encoded.dictionary] == [type(v) for v in expected.dictionary]
+    assert encoded.codes.dtype == np.int32
+    np.testing.assert_array_equal(encoded.codes, expected.codes)
+    assert not encoded.codes.flags.writeable
+    assert not encoded.dictionary.flags.writeable
+
+
+_MIXED = st.one_of(
+    st.none(),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _TEXT.map(np.str_),
+    _TEXT,
+)
+
+
+@given(values=st.lists(_MIXED, max_size=40), as_array=st.booleans())
+@example(values=[], as_array=False)
+@example(values=[None, 3, 2.5, np.str_("q"), "z"], as_array=True)
+@settings(max_examples=150, deadline=None)
+def test_str_coerce_equals_the_loop(values, as_array):
+    column = Column("c", ColumnType.STR, nullable=True)
+    if as_array:
+        values = np.array(values, dtype=object)
+    coerced = column.coerce(values)
+    expected = reference_coerce(column, values)
+    assert coerced.dtype == object and coerced.shape == expected.shape
+    assert coerced.tolist() == expected.tolist()
+    assert [type(v) for v in coerced] == [type(v) for v in expected]
 
 
 def test_table_columns_decode_to_original_values():

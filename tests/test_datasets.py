@@ -9,7 +9,9 @@ from repro.datasets import (
     load_imdb,
     load_mas,
 )
+from repro.datasets import flights, imdb, mas
 from repro.datasets.synthetic import (
+    _SYLLABLES,
     skewed_foreign_keys,
     synthetic_names,
     year_column,
@@ -17,7 +19,8 @@ from repro.datasets.synthetic import (
     zipf_weights,
 )
 from repro.datasets.workloads import PooledSampler
-from repro.db import execute, execute_aggregate, sql
+from repro.db import Column, ColumnType, DictEncoded, execute, execute_aggregate, sql
+from tests.test_columnstore import reference_coerce, reference_from_values
 
 
 class TestSyntheticPrimitives:
@@ -51,6 +54,93 @@ class TestSyntheticPrimitives:
     def test_zero_ranks_rejected(self):
         with pytest.raises(ValueError):
             zipf_weights(0)
+
+
+# ------------------------------------------------------------------ #
+# the column-at-a-time generators against their per-row originals
+# ------------------------------------------------------------------ #
+def reference_synthetic_names(n, rng, n_syllables=3, prefix=""):
+    """``synthetic_names`` as one ``rng.choice`` per name."""
+    names = []
+    for i in range(n):
+        parts = rng.choice(len(_SYLLABLES), size=n_syllables)
+        word = "".join(_SYLLABLES[p] for p in parts)
+        names.append(f"{prefix}{word.capitalize()}_{i}")
+    return names
+
+
+def reference_info_column(info_types, rng):
+    """IMDB's ``movie_info.info`` as one ``rng.choice`` per row."""
+    return [str(rng.choice(imdb._INFO_VALUES[info_type])) for info_type in info_types]
+
+
+class TestColumnGenerators:
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("n_syllables", [1, 3, 4])
+    @pytest.mark.parametrize("prefix", ["", "The "])
+    def test_names_equal_the_per_row_draws(self, n, n_syllables, prefix):
+        rng, expected_rng = np.random.default_rng(5), np.random.default_rng(5)
+        names = synthetic_names(n, rng, n_syllables=n_syllables, prefix=prefix)
+        expected = reference_synthetic_names(
+            n, expected_rng, n_syllables=n_syllables, prefix=prefix
+        )
+        assert names == expected
+        assert all(type(name) is str for name in names)
+        assert rng.random() == expected_rng.random()  # same stream position
+
+    def test_names_need_a_syllable(self):
+        with pytest.raises(ValueError, match="n_syllables"):
+            synthetic_names(3, np.random.default_rng(0), n_syllables=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    def test_info_column_equals_the_per_row_draws(self, n):
+        types_rng = np.random.default_rng(n)
+        info_types = zipf_choice(imdb.INFO_TYPES, n, types_rng, exponent=0.5)
+        rng, expected_rng = np.random.default_rng(9), np.random.default_rng(9)
+        info = imdb._info_column(info_types, rng)
+        expected = reference_info_column(info_types, expected_rng)
+        assert info.tolist() == expected
+        assert rng.random() == expected_rng.random()
+
+
+def _reference_build(monkeypatch, make_db, scale, seed):
+    """``make_db`` with every per-row original patched back in."""
+    coerce = Column.coerce
+
+    def loop_coerce(column, values):
+        if column.ctype is ColumnType.STR:
+            return reference_coerce(column, values)
+        return coerce(column, values)
+
+    with monkeypatch.context() as patch:
+        for module in (imdb, mas, flights):
+            patch.setattr(module, "synthetic_names", reference_synthetic_names)
+        patch.setattr(imdb, "_info_column", reference_info_column)
+        patch.setattr(Column, "coerce", loop_coerce)
+        patch.setattr(DictEncoded, "from_values", staticmethod(reference_from_values))
+        return make_db(scale=scale, seed=seed)
+
+
+@pytest.mark.parametrize("make_db", [
+    imdb.make_imdb_database, mas.make_mas_database, flights.make_flights_database,
+])
+@pytest.mark.parametrize("scale", [0.1, 1.0])
+@pytest.mark.parametrize("seed", [7, 1337])
+def test_database_equals_the_per_row_build(monkeypatch, make_db, scale, seed):
+    expected = _reference_build(monkeypatch, make_db, scale, seed)
+    db = make_db(scale=scale, seed=seed)
+    assert db.table_names == expected.table_names
+    for table in db:
+        other = expected.table(table.name)
+        assert table.row_ids.tobytes() == other.row_ids.tobytes()
+        for name in table.schema.column_names:
+            encoding, other_encoding = table.encoding(name), other.encoding(name)
+            assert (encoding is None) == (other_encoding is None)
+            raw, other_raw = table.raw_column(name), other.raw_column(name)
+            assert raw.dtype == other_raw.dtype
+            assert raw.tobytes() == other_raw.tobytes()
+            if encoding is not None:
+                assert encoding.dictionary.tolist() == other_encoding.dictionary.tolist()
 
 
 class TestPooledSampler:

@@ -55,17 +55,6 @@ class TestPreparedPlans:
         assert len(mini_db.plans) == 1
         assert [row["movies.genre"] for row in first] == ["action", "drama", "scifi"]
 
-    def test_replace_table_drops_plans(self, mini_db, movie_schema):
-        query = sql("SELECT movies.title FROM movies WHERE movies.year > 2006")
-        titles = execute(mini_db, query).column("movies.title").tolist()
-        assert titles == ["Gamma", "Delta", "Zeta"]
-        mini_db.replace_table(Table(movie_schema, {
-            "id": [1, 2], "title": ["Eta", "Theta"], "year": [2007, 1980],
-            "rating": [1.0, 2.0], "genre": ["drama", "drama"],
-        }))
-        assert not mini_db.plans
-        assert execute(mini_db, query).column("movies.title").tolist() == ["Eta"]
-
     def test_observed_results_are_not_shared(self):
         schema = TableSchema(
             "points", [Column("id", ColumnType.INT), Column("x", ColumnType.FLOAT)]

@@ -100,10 +100,3 @@ class TestTableSchema:
 
     def test_column_names_order(self, movie_schema):
         assert movie_schema.column_names == ["id", "title", "year", "rating", "genre"]
-
-    def test_numeric_and_categorical_partition(self, movie_schema):
-        numeric = {c.name for c in movie_schema.numeric_columns()}
-        categorical = {c.name for c in movie_schema.categorical_columns()}
-        assert numeric == {"id", "year", "rating"}
-        assert categorical == {"title", "genre"}
-        assert numeric | categorical == set(movie_schema.column_names)
