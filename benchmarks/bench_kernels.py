@@ -9,10 +9,9 @@ training iteration at figure scale: the lock-step rollout collector
 (|A| = 800) against one actor at a time, and the PPO update on a
 1448 × 828 batch against the interleaved actor-then-critic loop the
 tests retain, with the peak that update holds; the 13
-rollouts of Alg. 2 one ``approximation_set()`` makes; and the two
-per-distinct-value kernels of a fit's pre-processing, ``embed_actions``
-and ``compute_table_stats`` — those three against the loops the tests
-retain. Three rows time a kernel against the form it replaced: a join-key
+rollouts of Alg. 2 one ``approximation_set()`` makes; and the
+per-distinct-value ``compute_table_stats`` — those two against the loops
+the tests retain. Three rows time a kernel against the form it replaced: a join-key
 NDV count by ``sorted_unique`` against numpy 2.x's hash-set ``np.unique``,
 a primary-key probe against the probe's three-repeat form, and the
 column store's serial scan on dictionary codes against the same
@@ -73,17 +72,14 @@ from repro.core import (
     GSLEnvironment,
     generate_approximation_set,
 )
-from repro.core.preprocess import embed_actions, preprocess
 from repro.core.reward import (
     CoverageIndex,
     CoverageTracker,
     DictCoverageTracker,
     QueryCoverage,
 )
-from repro.datasets import load_imdb
 from repro.db import Column, ColumnType, Table, TableSchema, kernels
 from repro.db.statistics import compute_table_stats
-from repro.embedding import TupleEmbedder
 from repro.rl import (
     ActorNetwork,
     CriticNetwork,
@@ -282,7 +278,7 @@ def _rollout_fixture(coverages, rng: np.random.Generator) -> MultiActorCollector
         )
         for a in range(N_ACTIONS)
     ]
-    space = ActionSpace(actions, embedding_dim=8)
+    space = ActionSpace(actions)
     config = ASQPConfig(memory_budget=400, query_batch_size=16, seed=0)
     index = CoverageIndex(coverages)
     env_seeds = iter(np.random.SeedSequence(3).spawn(8))
@@ -323,7 +319,7 @@ def _approx_set_fixture():
         )
         for a in range(828)
     ]
-    space = ActionSpace(actions, embedding_dim=8)
+    space = ActionSpace(actions)
     return ActorNetwork(len(space), rng), space, ASQPConfig(memory_budget=1000, seed=0)
 
 
@@ -333,15 +329,6 @@ def _candidate_rollouts(generate, actor, space, config) -> None:
     rng = np.random.default_rng(31)
     for greedy in [True] + [False] * 12:
         generate(actor, space, config, rng=rng, greedy=greedy)
-
-
-def _embed_fixture():
-    """A seeded figure-scale IMDB action space (~800 actions) and what
-    embeds it: the database, the actions, the statistics."""
-    bundle = load_imdb(scale=0.35, n_queries=50)
-    config = ASQPConfig(action_space_target=N_ACTIONS, exact_row_share=0.7, seed=7)
-    prep = preprocess(bundle.db, bundle.workload, config)
-    return bundle.db, list(prep.action_space), prep.stats
 
 
 def _str_table() -> Table:
@@ -616,19 +603,10 @@ def run_benchmarks(rounds: int) -> dict:
         units=13,
     )
 
-    # Per-distinct-value pre-processing against the per-row loops the
-    # tests keep as references. A fresh embedder per call: hashing each
-    # distinct token once is part of what a fit pays.
+    # Per-distinct-value statistics against the per-row loop the tests
+    # keep as a reference.
     from tests.test_statistics_sampling_cache import reference_table_stats
-    from tests.test_tuple_embed_kernel import reference_embed_actions
 
-    db, actions, stats = _embed_fixture()
-    measure(
-        "embed_actions_imdb",
-        lambda: reference_embed_actions(db, actions, TupleEmbedder(stats=stats)),
-        lambda: embed_actions(db, actions, TupleEmbedder(stats=stats)),
-        units=len(actions),
-    )
     words = _str_table()
     measure(
         "table_stats_str",

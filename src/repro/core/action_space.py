@@ -5,14 +5,14 @@ different tables". Selecting tuples independently per table risks
 unjoinable picks, so actions are built from *result rows* of the executed
 (relaxed) query representatives — each action bundles the provenance
 tuples of a few result rows of one query, which are joinable by
-construction. The action space also stores a vector representation per
-action (the ``Emb_tab`` output), feeding the RL state/featurization.
+construction. An action is its keys: the policy's state is the selection
+bitmap over action indices, so no vector is stored per action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,29 +31,16 @@ class Action:
 
 
 class ActionSpace:
-    """An indexed list of actions with embeddings.
+    """An indexed list of actions, in the order they were built.
 
     Supports extension at fine-tuning time (paper §4.4: drift fine-tuning
     introduces tuples relevant to the new queries).
     """
 
-    def __init__(
-        self,
-        actions: Sequence[Action],
-        embeddings: Optional[np.ndarray] = None,
-        embedding_dim: int = 64,
-    ) -> None:
+    def __init__(self, actions: Sequence[Action]) -> None:
         if not actions:
             raise ValueError("action space must contain at least one action")
         self._actions = list(actions)
-        if embeddings is None:
-            embeddings = np.zeros((len(self._actions), embedding_dim))
-        embeddings = np.asarray(embeddings, dtype=np.float64)
-        if len(embeddings) != len(self._actions):
-            raise ValueError(
-                f"{len(embeddings)} embeddings for {len(self._actions)} actions"
-            )
-        self._embeddings = embeddings
 
     # -------------------------------------------------------------- #
     def __len__(self) -> int:
@@ -65,10 +52,6 @@ class ActionSpace:
     def __iter__(self):
         return iter(self._actions)
 
-    @property
-    def embeddings(self) -> np.ndarray:
-        return self._embeddings
-
     def keys_of(self, index: int) -> tuple[TupleKey, ...]:
         return self._actions[index].keys
 
@@ -76,21 +59,12 @@ class ActionSpace:
         return float(np.mean([len(a) for a in self._actions]))
 
     def total_distinct_tuples(self) -> int:
-        keys: set[TupleKey] = set()
-        for action in self._actions:
-            keys.update(action.keys)
-        return len(keys)
+        return len({key for action in self._actions for key in action.keys})
 
     # -------------------------------------------------------------- #
-    def extend(self, actions: Sequence[Action], embeddings: np.ndarray) -> "ActionSpace":
+    def extend(self, actions: Sequence[Action]) -> "ActionSpace":
         """A new, larger action space (used by drift fine-tuning)."""
-        if len(actions) != len(embeddings):
-            raise ValueError(
-                f"{len(embeddings)} embeddings for {len(actions)} new actions"
-            )
-        merged = list(self._actions) + list(actions)
-        stacked = np.vstack([self._embeddings, np.asarray(embeddings)])
-        return ActionSpace(merged, stacked)
+        return ActionSpace(self._actions + list(actions))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -109,7 +83,8 @@ def group_rows_into_actions(
 
     Rows are grouped within their source query (keeping each action
     joinable/coherent) after a shuffle, so groups are not biased by result
-    order. Duplicate tuple keys within a group collapse.
+    order. Duplicate tuple keys within a group collapse to their first
+    occurrence.
     """
     if group_size < 1:
         raise ValueError(f"group size must be >= 1, got {group_size}")
@@ -123,13 +98,7 @@ def group_rows_into_actions(
         order = rng.permutation(len(indices))
         for start in range(0, len(indices), group_size):
             chunk = [indices[j] for j in order[start : start + group_size]]
-            keys: list[TupleKey] = []
-            seen: set[TupleKey] = set()
-            for row_index in chunk:
-                for key in row_requirements[row_index]:
-                    if key not in seen:
-                        seen.add(key)
-                        keys.append(key)
+            keys = dict.fromkeys(key for i in chunk for key in row_requirements[i])
             if keys:
                 actions.append(Action(keys=tuple(keys), source_query=q))
     return actions

@@ -2,14 +2,15 @@
 
 The offline training phase is the expensive part of the system (the paper
 budgets an hour for it), so a trained model must outlive the process. A
-model directory contains:
+model directory of format 4 (:data:`FORMAT_VERSION`) contains:
 
-* ``config.json`` — the :class:`~repro.core.config.ASQPConfig` fields;
+* ``config.json`` — the format version and the
+  :class:`~repro.core.config.ASQPConfig` fields;
 * ``queries.json`` — representatives and training queries as SQL text
   (round-tripped through :func:`repro.db.sql.sql`) plus weights;
 * ``actions.json`` — the action space's tuple keys and source codes;
-* ``arrays.npz`` — network weights, action/representative/training
-  embeddings, stored uncompressed;
+* ``arrays.npz`` — network weights and the representative / training
+  query embeddings (the estimator's inputs), stored uncompressed;
 * ``history.json`` — training diagnostics and metadata;
 * ``selected.json`` — the approximation set the model selected (Alg. 2),
   as sorted row ids per table.
@@ -28,8 +29,8 @@ for most of the time a save takes (``np.load`` still reads an ``arrays.npz``
 that older code wrote with ``savez_compressed``).
 
 A model directory is outside input: a file of it that is missing, cut
-short or of the wrong shape, a selected key the attached database does
-not hold, or a directory of an older format version makes
+short or of the wrong shape, an action key or a selected key the attached
+database does not hold, or a directory of an older format version makes
 :func:`load_model` raise one :class:`ModelError` naming the file.
 """
 
@@ -48,7 +49,6 @@ from ..db.database import Database
 from ..db.sql import sql
 from ..db.statistics import compute_database_stats
 from ..embedding.query_embed import QueryEmbedder
-from ..embedding.tuple_embed import TupleEmbedder
 from .action_space import Action, ActionSpace
 from .agent import ASQPAgent
 from .approximation import ApproximationSet
@@ -56,7 +56,7 @@ from .config import ASQPConfig
 from .preprocess import PreprocessResult, build_coverage
 from .trainer import IterationRecord, TrainedModel
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class ModelError(ValueError):
@@ -84,6 +84,21 @@ def _reading(directory: str, name: str) -> Iterator[str]:
             f"unreadable model file {path}: {type(error).__name__}: {error} "
             "— save the model again with `repro train --out`"
         ) from None
+
+
+def _require_rows(db: Database, held: ApproximationSet, path: str, verb: str) -> None:
+    """Raise a :class:`ModelError` naming ``path`` unless ``db`` holds every
+    row of ``held``: ``Database.subset`` would silently drop an id a table
+    lacks."""
+    for table, ids in held.rows.items():
+        if not db.has_table(table) or not np.isin(
+            sorted(ids), db.table(table).row_ids
+        ).all():
+            raise ModelError(
+                f"model file {path} {verb} rows of table {table!r} that the "
+                f"attached database {db.name!r} does not hold — load the model "
+                "with the database it was trained on"
+            )
 
 
 def save_model(model: TrainedModel, directory: str) -> None:
@@ -116,7 +131,6 @@ def save_model(model: TrainedModel, directory: str) -> None:
         json.dump(actions, handle)
 
     arrays: dict[str, np.ndarray] = {
-        "action_embeddings": model.action_space.embeddings,
         "representative_embeddings": prep.representative_embeddings,
         "training_embeddings": prep.training_embeddings,
     }
@@ -149,8 +163,8 @@ def load_model(directory: str, db: Database) -> TrainedModel:
 
     ``db`` must be the database the model was trained on (same content);
     coverage structures are rebuilt by executing the stored representative
-    queries against it, and the stored selected set must name only its
-    rows. Raises :class:`ModelError` for a damaged directory.
+    queries against it, and the stored actions and selected set must name
+    only its rows. Raises :class:`ModelError` for a damaged directory.
     """
     with _reading(directory, "config.json") as path:
         with open(path) as handle:
@@ -179,9 +193,11 @@ def load_model(directory: str, db: Database) -> TrainedModel:
             )
             for entry in raw_actions
         ]
+        keys = (key for action in actions for key in action.keys)
+        _require_rows(db, ApproximationSet.from_keys(keys), path, "names")
 
     with _reading(directory, "arrays.npz") as path, np.load(path) as arrays:
-        action_space = ActionSpace(actions, arrays["action_embeddings"])
+        action_space = ActionSpace(actions)
         agent = ASQPAgent(len(action_space), config)
         for i in range(len(agent.actor.net.weights)):
             agent.actor.net.weights[i][...] = arrays[f"actor_w{i}"]
@@ -203,16 +219,7 @@ def load_model(directory: str, db: Database) -> TrainedModel:
     with _reading(directory, "selected.json") as path:
         with open(path) as handle:
             selected = ApproximationSet.from_mapping(json.load(handle))
-        for table, ids in selected.rows.items():
-            # Database.subset would silently drop an id the table lacks.
-            if not db.has_table(table) or not np.isin(
-                sorted(ids), db.table(table).row_ids
-            ).all():
-                raise ModelError(
-                    f"model file {path} selects rows of table {table!r} that "
-                    f"the attached database {db.name!r} does not hold — load "
-                    "the model with the database it was trained on"
-                )
+        _require_rows(db, selected, path, "selects")
 
     # Rebuild the reward structures against the attached database.
     rng = np.random.default_rng(config.seed)
@@ -232,7 +239,6 @@ def load_model(directory: str, db: Database) -> TrainedModel:
         action_space=action_space,
         training_queries=training_queries,
         query_embedder=QueryEmbedder(stats=stats),
-        tuple_embedder=TupleEmbedder(stats=stats),
         stats=stats,
     )
     return TrainedModel(

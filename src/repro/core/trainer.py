@@ -35,7 +35,6 @@ from .preprocess import (
     PreprocessResult,
     RowPool,
     build_coverage,
-    embed_actions,
     preprocess,
     provenance_ids,
 )
@@ -265,8 +264,7 @@ class TrainedModel:
                 kept_rows, kept_sources, config.group_size, rng
             )
             if new_actions:
-                vectors = embed_actions(self.db, new_actions, prep.tuple_embedder)
-                self.action_space = self.action_space.extend(new_actions, vectors)
+                self.action_space = self.action_space.extend(new_actions)
                 self.agent.expand_action_space(len(self.action_space))
 
         self.coverages.extend(new_coverages)

@@ -49,7 +49,6 @@ from .query import (
 )
 from .sampling import (
     SubsampleResult,
-    stratified_table_sample,
     uniform_sample,
     variational_subsample,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "rewrite_for_codes",
     "split_explain",
     "sql",
-    "stratified_table_sample",
     "table_from_rows",
     "timed_execute",
     "uniform_sample",

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
-
-from .table import Table
 
 
 def uniform_sample(n_rows: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -25,21 +23,6 @@ def uniform_sample(n_rows: int, size: int, rng: np.random.Generator) -> np.ndarr
         return np.empty(0, dtype=np.int64)
     size = min(size, n_rows)
     return np.sort(rng.choice(n_rows, size=size, replace=False)).astype(np.int64)
-
-
-def reservoir_sample(
-    stream: Sequence[int], size: int, rng: np.random.Generator
-) -> list[int]:
-    """Classic reservoir sampling over an arbitrary stream of items."""
-    reservoir: list[int] = []
-    for i, item in enumerate(stream):
-        if len(reservoir) < size:
-            reservoir.append(item)
-        else:
-            j = int(rng.integers(0, i + 1))
-            if j < size:
-                reservoir[j] = item
-    return reservoir
 
 
 @dataclass
@@ -130,16 +113,3 @@ def variational_subsample(
         inclusion_probability=np.concatenate(probabilities)[order],
     )
 
-
-def stratified_table_sample(
-    table: Table,
-    stratify_by: Optional[str],
-    target_size: int,
-    rng: np.random.Generator,
-) -> Table:
-    """Stratified (or uniform, if ``stratify_by`` is None) sample of a table."""
-    if stratify_by is None:
-        return table.take(uniform_sample(len(table), target_size, rng))
-    keys = [str(v) for v in table.column(stratify_by)]
-    result = variational_subsample(keys, target_size, rng)
-    return table.take(result.positions)

@@ -8,12 +8,7 @@ the same geometric contract — see DESIGN.md §2 for the substitution notes.
 from .cluster import ClusterResult, kmeans, kmedoids, select_representatives
 from .query_embed import QueryEmbedder
 from .relaxation import QueryRelaxer
-from .text import (
-    DEFAULT_DIM,
-    TokenHasher,
-    cosine_similarity,
-    cosine_similarity_matrix,
-)
+from .text import DEFAULT_DIM, TokenHasher
 from .tuple_embed import TupleEmbedder
 
 __all__ = [
@@ -23,8 +18,6 @@ __all__ = [
     "QueryRelaxer",
     "TokenHasher",
     "TupleEmbedder",
-    "cosine_similarity",
-    "cosine_similarity_matrix",
     "kmeans",
     "kmedoids",
     "select_representatives",

@@ -96,22 +96,3 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     matrix /= np.sqrt(np.where(squares > 0, squares, 1.0))[:, None]
     return matrix
 
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors (0 when either is zero)."""
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0 or norm_b == 0:
-        return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))
-
-
-def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities between rows of ``a`` and rows of ``b``."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    norms_a = np.linalg.norm(a, axis=1, keepdims=True)
-    norms_b = np.linalg.norm(b, axis=1, keepdims=True)
-    norms_a[norms_a == 0] = 1.0
-    norms_b[norms_b == 0] = 1.0
-    return (a / norms_a) @ (b / norms_b).T

@@ -88,30 +88,15 @@ class TupleEmbedder:
                 total[rows] += directions([f"bucket:{name}@{b}" for b in ids])[slots]
         return normalize_rows(total)
 
-    def embed_groups(self, vectors: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-        """Embeddings of *join groups*, the normalized mean of each one's rows:
-        group ``g`` owns the next ``sizes[g]`` rows of ``vectors`` and sums them
-        in that order, as ``np.mean`` does; a group of none embeds as zero."""
-        sizes = np.asarray(sizes, dtype=np.int64)
-        starts = np.cumsum(sizes) - sizes
-        total = np.zeros((len(sizes), self.dim))
-        for nth in range(int(sizes.max(initial=0))):
-            groups = np.flatnonzero(sizes > nth)
-            total[groups] += vectors[starts[groups] + nth]
-        total /= np.maximum(sizes, 1)[:, None]
-        return normalize_rows(total)
-
     def embed_group(self, rows: Sequence[tuple[Table, int]]) -> np.ndarray:
-        """Embedding of one join group (:meth:`embed_groups` of one).
-
-        Actions in ASQP-RL bundle one row per joined table; the group
-        embedding is what the action-space vector representation
-        (Alg. 1 line 4) stores per action.
-        """
-        vectors = np.zeros((len(rows), self.dim))
-        for i, (table, position) in enumerate(rows):
-            vectors[i] = self.embed_row(table, position)
-        return self.embed_groups(vectors, [len(rows)])[0]
+        """Embedding of one join group of ``(table, position)`` rows: the
+        normalized mean of the rows' vectors, summed in order as ``np.mean``
+        does; a group of none embeds as zero."""
+        total = np.zeros(self.dim)
+        for table, position in rows:
+            total += self.embed_row(table, position)
+        total /= max(len(rows), 1)
+        return normalize_rows(total[None, :])[0]
 
     # -------------------------------------------------------------- #
     def _bucket(self, table_name: str, column: str, value: float | np.ndarray):

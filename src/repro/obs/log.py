@@ -48,14 +48,6 @@ def set_level(level: str) -> None:
     _threshold = _rank(level)
 
 
-def get_level() -> str:
-    """The current threshold's name."""
-    for name, rank in _LEVELS.items():
-        if rank == _threshold:
-            return name
-    return _DEFAULT_LEVEL
-
-
 def reset() -> None:
     """Restore the default ``info`` threshold (tests / run boundaries)."""
     global _threshold

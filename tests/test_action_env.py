@@ -26,7 +26,7 @@ def actions():
 
 @pytest.fixture
 def space(actions):
-    return ActionSpace(actions, embedding_dim=8)
+    return ActionSpace(actions)
 
 
 @pytest.fixture
@@ -53,23 +53,16 @@ class TestActionSpace:
         with pytest.raises(ValueError):
             ActionSpace([])
 
-    def test_embedding_length_check(self, actions):
-        with pytest.raises(ValueError):
-            ActionSpace(actions, embeddings=np.zeros((2, 8)))
-
     def test_stats(self, space):
         assert space.mean_action_size() == pytest.approx((2 + 2 + 1 + 2) / 4)
         assert space.total_distinct_tuples() == 7
 
     def test_extend(self, space):
         extra = [Action(keys=(("t", 9),), source_query=5)]
-        bigger = space.extend(extra, np.zeros((1, 8)))
+        bigger = space.extend(extra)
         assert len(bigger) == 5
+        assert bigger[4] is extra[0]
         assert len(space) == 4  # original untouched
-
-    def test_extend_length_check(self, space):
-        with pytest.raises(ValueError):
-            space.extend([Action(keys=(("t", 9),))], np.zeros((2, 8)))
 
 
 class TestGroupRows:
@@ -135,7 +128,7 @@ def test_one_selection_state_after_random_steps(actions, coverages, environment)
         Action(keys=(("t", 0), ("t", 2)), source_query=0),
         Action(keys=(("u", 1), ("u", 1), ("t", 3)), source_query=1),
     ]
-    space = ActionSpace(shared, embedding_dim=8)
+    space = ActionSpace(shared)
     config = _config(memory_budget=4, drp_horizon=40, environment=environment)
     rng = np.random.default_rng(7)
     env = GSLEnvironment(space, coverages, config, rng)

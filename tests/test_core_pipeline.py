@@ -19,7 +19,6 @@ from repro.core import (
 )
 from repro.core import trainer as trainer_module
 from repro.db import execute, sql
-from repro.embedding import DEFAULT_DIM
 
 
 def _tiny_config(**overrides):
@@ -72,9 +71,6 @@ class TestPreprocess:
         assert len(prep.coverages) == prep.n_representatives
         assert len(prep.representative_embeddings) == prep.n_representatives
         assert len(prep.action_space) > 0
-        assert prep.action_space.embeddings.shape == (
-            len(prep.action_space), DEFAULT_DIM,
-        )
         assert abs(prep.representative_weights.sum() - 1.0) < 1e-9
         assert set(prep.timings) >= {
             "stats", "query_preprocessing", "execute_relaxed",
@@ -163,7 +159,7 @@ class TestInference:
     def test_mismatched_space_rejected(self, trained, tiny_imdb):
         from repro.core import Action, ActionSpace
 
-        bogus = ActionSpace([Action(keys=(("title", 0),))], embedding_dim=8)
+        bogus = ActionSpace([Action(keys=(("title", 0),))])
         with pytest.raises(ValueError, match="does not match"):
             generate_approximation_set(trained.agent.actor, bogus, trained.config)
 

@@ -102,8 +102,7 @@ def policy(request, trained):
     ):
         target[...] = source
     added = synthetic_actions(14, rng)
-    dim = trained.action_space.embeddings.shape[1]
-    space = trained.action_space.extend(added, np.zeros((len(added), dim)))
+    space = trained.action_space.extend(added)
     agent.expand_action_space(len(space))
     return agent.actor, space, config
 

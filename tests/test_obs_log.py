@@ -34,18 +34,13 @@ def _records():
 
 
 class TestLevels:
-    def test_default_threshold_is_info(self):
-        assert log.get_level() == "info"
-
-    def test_set_and_get_roundtrip(self):
-        for level in ("debug", "info", "warn", "error"):
-            log.set_level(level)
-            assert log.get_level() == level
-
     def test_reset_restores_default(self):
+        obs.enable()
         log.set_level("error")
         log.reset()
-        assert log.get_level() == "info"
+        log.log("a", level="debug")
+        log.log("b", level="info")
+        assert [r["event"] for r in _records()] == ["b"]
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown log level"):

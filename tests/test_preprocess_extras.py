@@ -1,12 +1,10 @@
-"""Deeper tests for preprocessing internals: pool split, caps, embeddings."""
+"""Deeper tests for preprocessing internals: pool split and caps."""
 
-import numpy as np
 import pytest
 
 from repro.core import ASQPConfig, build_coverage, preprocess
-from repro.core.preprocess import MAX_REQUIREMENT_ROWS, embed_actions
-from repro.db import Comparison, Database, SPJQuery, sql
-from repro.embedding import DEFAULT_DIM, TupleEmbedder
+from repro.core.preprocess import MAX_REQUIREMENT_ROWS
+from repro.db import sql
 
 
 def _config(**overrides):
@@ -70,73 +68,6 @@ class TestCoverageCaps:
         coverage = build_coverage(mini_db, query, 1.0, frame_size=50, rng=rng)
         assert coverage.is_empty
         assert list(coverage.requirements) == []
-
-
-class TestEmbedActions:
-    def test_shapes_and_norms(self, tiny_imdb):
-        prep = preprocess(tiny_imdb.db, tiny_imdb.workload, _config())
-        vectors = prep.action_space.embeddings
-        norms = np.linalg.norm(vectors, axis=1)
-        assert vectors.shape[1] == DEFAULT_DIM
-        assert np.all((norms > 0.99) & (norms < 1.01))
-
-    def test_embed_actions_standalone(self, tiny_imdb):
-        from repro.core import Action
-
-        table = tiny_imdb.db.table("title")
-        actions = [
-            Action(keys=(("title", int(table.row_ids[0])),)),
-            Action(keys=(("title", int(table.row_ids[1])),
-                         ("title", int(table.row_ids[2])))),
-        ]
-        embedder = TupleEmbedder(dim=16)
-        vectors = embed_actions(tiny_imdb.db, actions, embedder)
-        assert vectors.shape == (2, 16)
-
-    def test_empty_action_list(self, tiny_imdb):
-        vectors = embed_actions(tiny_imdb.db, [], TupleEmbedder(dim=16))
-        assert vectors.shape == (0, 16)
-
-    def test_missing_row_id_names_table_and_ids(self, tiny_imdb):
-        """A model attached to other data used to fail with ``KeyError: 123``."""
-        from repro.core import Action
-
-        n = len(tiny_imdb.db.table("title"))
-        actions = [Action(keys=(("title", 0), ("title", n + 7), ("person", 0)))]
-        with pytest.raises(KeyError, match=rf"table 'title' has no row with id \[{n + 7}\]"):
-            embed_actions(tiny_imdb.db, actions, TupleEmbedder(dim=16))
-        empty = Database([table.take([]) for table in tiny_imdb.db])
-        with pytest.raises(KeyError, match=rf"table 'title' has no row with id \[0, {n + 7}\]"):
-            embed_actions(empty, actions, TupleEmbedder(dim=16))
-
-    def test_sub_database_with_shuffled_rows(self, tiny_imdb, rng):
-        """``Table.take`` of shuffled positions leaves ``row_ids`` unsorted."""
-        prep = preprocess(tiny_imdb.db, tiny_imdb.workload, _config())
-        shuffled = Database(
-            [table.take(rng.permutation(len(table))) for table in tiny_imdb.db]
-        )
-        assert any((np.diff(table.row_ids) < 0).any() for table in shuffled)
-        actions = list(prep.action_space)
-        vectors = embed_actions(
-            shuffled, actions, TupleEmbedder(stats=prep.stats)
-        )
-        assert np.array_equal(vectors, prep.action_space.embeddings)
-
-    def test_repeated_key_counts_twice_in_the_mean(self, tiny_imdb):
-        from repro.core import Action
-
-        embedder = TupleEmbedder(dim=16)
-        a, b = ("title", 0), ("title", 1)
-        once, twice, alone = embed_actions(
-            tiny_imdb.db,
-            [Action(keys=(a, b)), Action(keys=(a, a, b)), Action(keys=(a,))],
-            embedder,
-        )
-        assert not np.allclose(once, twice)
-        table = tiny_imdb.db.table("title")
-        mean = (2 * embedder.embed_row(table, 0) + embedder.embed_row(table, 1)) / 3
-        assert np.allclose(twice, mean / np.linalg.norm(mean))
-        assert np.array_equal(alone, embedder.embed_row(table, 0))
 
 
 class TestWeightingAndLimits:

@@ -10,7 +10,7 @@ from tests.test_reward import coverage_from_rows
 from repro.db import Between, Comparison, InSet, conjoin, conjuncts
 from repro.db.cache import LRUTupleCache
 from repro.db.sampling import variational_subsample
-from repro.embedding import TokenHasher, cosine_similarity
+from repro.embedding import TokenHasher
 from repro.rl.nn import masked_log_softmax, softmax
 from repro.rl.rollout import discounted_returns
 
@@ -201,15 +201,6 @@ def test_embedding_normalized_and_deterministic(tokens):
 def test_embedding_order_invariant(tokens):
     hasher = TokenHasher(dim=16)
     assert np.allclose(hasher.embed(tokens), hasher.embed(list(reversed(tokens))))
-
-
-@given(
-    a=st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-    b=st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-)
-def test_cosine_bounded(a, b):
-    value = cosine_similarity(np.asarray(a), np.asarray(b))
-    assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
 
 
 # ------------------------------------------------------------------ #

@@ -163,7 +163,7 @@ def _synthetic_problem(seed=5):
                                    replace=False).tolist())
         ids = rng.integers(60, size=(8, len(tables)))
         coverages.append(QueryCoverage(f"q{q}", weight, 6, tables, ids))
-    return ActionSpace(actions, embedding_dim=8), coverages
+    return ActionSpace(actions), coverages
 
 
 class _DeadStartEnv(Environment):

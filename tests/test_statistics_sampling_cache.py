@@ -11,11 +11,9 @@ from repro.db import (
     TableSchema,
     compute_database_stats,
     compute_table_stats,
-    stratified_table_sample,
     uniform_sample,
     variational_subsample,
 )
-from repro.db.sampling import reservoir_sample
 from repro.db.schema import INT_NULL
 from repro.db.statistics import (
     _DEFAULT_QUANTILES,
@@ -200,21 +198,6 @@ class TestUniformSample:
         assert list(positions) == sorted(positions)
 
 
-class TestReservoirSample:
-    def test_size(self, rng):
-        assert len(reservoir_sample(range(100), 10, rng)) == 10
-
-    def test_short_stream(self, rng):
-        assert reservoir_sample(range(3), 10, rng) == [0, 1, 2]
-
-    def test_coverage_roughly_uniform(self):
-        rng = np.random.default_rng(7)
-        hits = np.zeros(20)
-        for _ in range(400):
-            for item in reservoir_sample(range(20), 5, rng):
-                hits[item] += 1
-        assert hits.min() > 50  # expected 100 each
-
 class TestVariationalSubsample:
     def test_full_keep_when_target_large(self, rng):
         result = variational_subsample(["a"] * 5, 10, rng)
@@ -247,16 +230,6 @@ class TestVariationalSubsample:
         keys = list("aabbccddee") * 10
         result = variational_subsample(keys, 30, rng)
         assert len(set(result.positions.tolist())) == len(result.positions)
-
-
-class TestStratifiedTableSample:
-    def test_uniform_mode(self, movies, rng):
-        sample = stratified_table_sample(movies, None, 3, rng)
-        assert len(sample) == 3
-
-    def test_stratified_keeps_all_strata(self, movies, rng):
-        sample = stratified_table_sample(movies, "genre", 3, rng)
-        assert set(sample.column("genre")) == {"drama", "action", "scifi"}
 
 
 class TestLRUCache:

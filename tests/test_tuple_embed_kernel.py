@@ -1,9 +1,9 @@
 """The tuple-embedding kernel against a retained scalar reference.
 
 ``TupleEmbedder.embed_table`` assembles every row's vector by gathers over
-distinct values and ``embed_actions`` embeds each distinct base row once;
-the reference here is what they replaced — one ``hasher.embed(row_tokens)``
-per row, ``np.mean`` and ``np.linalg.norm`` per group. The standard is bit
+distinct values; the reference here is what it replaced — one
+``hasher.embed(row_tokens)`` per row, ``np.mean`` and ``np.linalg.norm``
+per group. The standard is bit
 equality (``np.array_equal``), not closeness: the same float additions in
 the same order, the same norm.
 """
@@ -11,16 +11,15 @@ the same order, the same norm.
 import numpy as np
 import pytest
 
-from repro.core import Action, ASQPConfig, ASQPTrainer, preprocess
-from repro.core.preprocess import embed_actions
-from repro.db import Column, ColumnType, Database, Table, TableSchema, sql
+from repro.core import ASQPConfig, preprocess
+from repro.db import Column, ColumnType, Database, Table, TableSchema
 from repro.db.schema import INT_NULL
 from repro.db.statistics import compute_database_stats
 from repro.embedding import TokenHasher, TupleEmbedder
 
 
 # ------------------------------------------------------------------ #
-# the reference: one row, one group, one action at a time
+# the reference: one row, one group at a time
 # ------------------------------------------------------------------ #
 def reference_embed_row(embedder, table, position):
     return embedder.hasher.embed(embedder.row_tokens(table, position))
@@ -41,16 +40,6 @@ def positions_by_row_id(db):
         table.name: {int(rid): pos for pos, rid in enumerate(table.row_ids)}
         for table in db
     }
-
-
-def reference_embed_actions(db, actions, embedder):
-    """``embed_actions`` through a ``{row_id: position}`` dict per table."""
-    positions = positions_by_row_id(db)
-    vectors = np.zeros((len(actions), embedder.dim))
-    for i, action in enumerate(actions):
-        rows = [(db.table(name), positions[name][row_id]) for name, row_id in action.keys]
-        vectors[i] = reference_embed_group(embedder, rows)
-    return vectors
 
 
 # ------------------------------------------------------------------ #
@@ -107,16 +96,17 @@ def embedders(dim, stats):
     return TupleEmbedder(dim=dim, stats=stats), TupleEmbedder(dim=dim, stats=stats)
 
 
-def random_actions(rng, db, n_actions):
+def random_groups(rng, db, n_groups):
+    """Groups of 1-6 ``(table, position)`` rows of random tables."""
     tables = list(db)
-    actions = []
-    for _ in range(n_actions):
-        keys = []
+    groups = []
+    for _ in range(n_groups):
+        rows = []
         for _ in range(int(rng.integers(1, 7))):
             table = tables[int(rng.integers(len(tables)))]
-            keys.append((table.name, int(rng.choice(table.row_ids))))
-        actions.append(Action(keys=tuple(keys)))
-    return actions
+            rows.append((table, int(rng.integers(len(table)))))
+        groups.append(rows)
+    return groups
 
 
 class TestKernelEqualsReference:
@@ -165,21 +155,13 @@ class TestKernelEqualsReference:
                 kernel.embed_group(rows), reference_embed_group(reference, rows)
             )
 
-    def test_embed_actions(self, random_db_and_stats, dim):
-        db, stats = random_db_and_stats
-        kernel, reference = embedders(dim, stats)
-        actions = random_actions(np.random.default_rng(5), db, 120)
-        assert np.array_equal(
-            embed_actions(db, actions, kernel),
-            reference_embed_actions(db, actions, reference),
-        )
-
     def test_equal_under_strict_contracts(self, random_db_and_stats):
         db, stats = random_db_and_stats
         kernel, reference = embedders(64, stats)
-        actions = random_actions(np.random.default_rng(6), db, 40)
-        expected = reference_embed_actions(db, actions, reference)
-        assert np.array_equal(embed_actions(db, actions, kernel), expected)
+        for rows in random_groups(np.random.default_rng(6), db, 40):
+            assert np.array_equal(
+                kernel.embed_group(rows), reference_embed_group(reference, rows)
+            )
         table = db.table("right")
         assert np.array_equal(
             kernel.embed_table(table, [4, 4, 1]),
@@ -259,52 +241,26 @@ class TestRowTokens:
 
 
 # ------------------------------------------------------------------ #
-# seeded action spaces of the three datasets
+# the rows of a seeded action space
 # ------------------------------------------------------------------ #
-def _config(**overrides):
-    defaults = dict(
-        memory_budget=60, action_space_target=40, n_query_representatives=5, seed=3
-    )
-    defaults.update(overrides)
-    return ASQPConfig(**defaults)
-
-
-@pytest.mark.parametrize("bundle_name", ["tiny_imdb", "tiny_mas", "tiny_flights"])
-def test_action_space_embeddings_equal_reference(bundle_name, request):
-    bundle = request.getfixturevalue(bundle_name)
-    prep = preprocess(bundle.db, bundle.workload, _config())
-    reference = TupleEmbedder(stats=prep.stats)
-    expected = reference_embed_actions(bundle.db, list(prep.action_space), reference)
-    assert np.array_equal(prep.action_space.embeddings, expected)
-
-
-def test_fine_tune_extension_embeddings_equal_reference(tiny_imdb):
-    config = _config(
-        memory_budget=80, n_iterations=2, n_actors=2, episodes_per_actor=1,
-        action_space_target=50, n_query_representatives=6, n_candidate_rollouts=2,
-        learning_rate=1e-3, fine_tune_iterations=1, seed=7,
-    )
-    model = ASQPTrainer(tiny_imdb.db, tiny_imdb.workload, config).train()
-    n_before = len(model.action_space)
-    model.fine_tune([sql("SELECT * FROM person WHERE person.gender = 'f'")])
-    assert len(model.action_space) > n_before
-    reference = TupleEmbedder(stats=compute_database_stats(tiny_imdb.db))
-    expected = reference_embed_actions(tiny_imdb.db, list(model.action_space), reference)
-    assert np.array_equal(model.action_space.embeddings, expected)
-
-
 def test_each_distinct_token_is_hashed_once(tiny_imdb, monkeypatch):
     """Per-row hashing entered ``token_vector`` ~18 times per distinct token."""
-    prep = preprocess(tiny_imdb.db, tiny_imdb.workload, _config())
-    actions = list(prep.action_space)
+    config = ASQPConfig(
+        memory_budget=60, action_space_target=40, n_query_representatives=5, seed=3
+    )
+    prep = preprocess(tiny_imdb.db, tiny_imdb.workload, config)
+    keys = [key for action in prep.action_space for key in action.keys]
+    assert len(keys) > len(set(keys))  # rows are shared
     embedder = TupleEmbedder(dim=16, stats=prep.stats)
     positions = positions_by_row_id(tiny_imdb.db)
-    keys = {key for action in actions for key in action.keys}
-    assert sum(len(action.keys) for action in actions) > len(keys)  # rows are shared
+    rows = {}
+    for name, row_id in set(keys):
+        rows.setdefault(name, []).append(positions[name][row_id])
     tokens = {
         token
-        for name, row_id in keys
-        for token in embedder.row_tokens(tiny_imdb.db.table(name), positions[name][row_id])
+        for name, table_positions in rows.items()
+        for position in table_positions
+        for token in embedder.row_tokens(tiny_imdb.db.table(name), position)
     }
     n_columns = sum(len(table.schema.columns) for table in tiny_imdb.db)
 
@@ -314,6 +270,7 @@ def test_each_distinct_token_is_hashed_once(tiny_imdb, monkeypatch):
         TokenHasher, "token_vector",
         lambda self, token: calls.append(token) or original(self, token),
     )
-    embed_actions(tiny_imdb.db, actions, embedder)
+    for name, table_positions in rows.items():
+        embedder.embed_table(tiny_imdb.db.table(name), table_positions)
     assert set(calls) == tokens
     assert len(calls) <= len(tokens) + 2 * n_columns
