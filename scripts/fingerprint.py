@@ -4,8 +4,9 @@
     python3 scripts/fingerprint.py TREE [TREE ...] --workload W [--input-seed N]
 
 For each checkout, in a child process with that checkout's
-``benchmarks/e2e/run.py::child_env()`` (hash seed and BLAS threads pinned,
-its own ``src`` first on the path): build the end-to-end benchmark's inputs
+``benchmarks/e2e/run.py::child_env()`` (BLAS threads pinned, its own
+``src`` first on the path; it pins the hash seed too, but no fingerprint
+depends on it): build the end-to-end benchmark's inputs
 of workload ``W`` and print two rows for them, ``inputs.db`` (the SHA-1
 over every table's name and row ids, each ``STR`` column's codes and
 dictionary and each numeric column's bytes) and ``inputs.workload`` (the
