@@ -2,9 +2,10 @@
 
 Times each hot-path kernel — equi-join, stable distinct, group-by, the
 CoverageIndex build and the CoverageTracker batch add/remove/probe
-operations — on seeded synthetic data, against the retained
-pre-vectorization reference implementations (``repro.db.kernels.reference_*`` and
-``repro.core.reward.DictCoverageTracker``), plus the two halves of a
+operations — on seeded synthetic data, against the pre-vectorization
+reference implementations the tests keep
+(``tests/test_kernels.py``: ``reference_*_positions`` and
+``DictCoverageTracker``), plus the two halves of a
 training iteration at figure scale: the lock-step rollout collector
 (|A| = 800) against one actor at a time, and the PPO update on a
 1448 × 828 batch against the interleaved actor-then-critic loop the
@@ -72,12 +73,7 @@ from repro.core import (
     GSLEnvironment,
     generate_approximation_set,
 )
-from repro.core.reward import (
-    CoverageIndex,
-    CoverageTracker,
-    DictCoverageTracker,
-    QueryCoverage,
-)
+from repro.core.reward import CoverageIndex, CoverageTracker, QueryCoverage
 from repro.db import Column, ColumnType, Table, TableSchema, kernels
 from repro.db.statistics import compute_table_stats
 from repro.rl import (
@@ -424,6 +420,13 @@ def _serving_fixture():
 
 def run_benchmarks(rounds: int) -> dict:
     """Every kernel row, each paired against its retained reference."""
+    from tests.test_kernels import (
+        DictCoverageTracker,
+        reference_distinct_positions,
+        reference_group_by_positions,
+        reference_join_positions,
+    )
+
     record: dict = {"rows": N_ROWS, "kernels": {}}
 
     def measure(name: str, reference, vectorized, units: int) -> None:
@@ -439,7 +442,7 @@ def run_benchmarks(rounds: int) -> dict:
     build, probe = _join_workload(rng)
     measure(
         "join_10k",
-        lambda: kernels.reference_join_positions(build, probe),
+        lambda: reference_join_positions(build, probe),
         lambda: kernels.join_positions(build, probe),
         units=len(build[0]) + len(probe[0]),
     )
@@ -447,7 +450,7 @@ def run_benchmarks(rounds: int) -> dict:
     distinct_arrays = _distinct_workload(rng)
     measure(
         "distinct_10k",
-        lambda: kernels.reference_distinct_positions(distinct_arrays),
+        lambda: reference_distinct_positions(distinct_arrays),
         lambda: kernels.distinct_positions(distinct_arrays),
         units=len(distinct_arrays[0]),
     )
@@ -455,7 +458,7 @@ def run_benchmarks(rounds: int) -> dict:
     group_arrays = _group_workload(rng)
     measure(
         "group_by_10k",
-        lambda: kernels.reference_group_by_positions(group_arrays),
+        lambda: reference_group_by_positions(group_arrays),
         lambda: kernels.group_by_positions(group_arrays),
         units=len(group_arrays[0]),
     )
@@ -467,11 +470,11 @@ def run_benchmarks(rounds: int) -> dict:
     build_ids, probe_ids = (sparse_rng.integers(0, 60_000, size=n) for n in (100, 200))
     all_ids = [np.concatenate([build_ids, probe_ids])]
     for name, reference, vectorized, args in (
-        ("join_300_sparse", kernels.reference_join_positions,
+        ("join_300_sparse", reference_join_positions,
          kernels.join_positions, ([build_ids], [probe_ids])),
-        ("distinct_300_sparse", kernels.reference_distinct_positions,
+        ("distinct_300_sparse", reference_distinct_positions,
          kernels.distinct_positions, (all_ids,)),
-        ("group_by_300_sparse", kernels.reference_group_by_positions,
+        ("group_by_300_sparse", reference_group_by_positions,
          kernels.group_by_positions, (all_ids,)),
     ):
         measure(

@@ -8,8 +8,9 @@
 #                              IMDB join (per-operator est/act/q-error).
 # 3. repro profile -> watch    — profiles a micro demo run (CPU profiler
 #                              + memory tracker + SLOs), renders one
-#                              frame of the ops console from the recorded
-#                              artifacts, hot-function and memory panes
+#                              frame of `repro watch` (the report's ops
+#                              sections) from the recorded artifacts,
+#                              its hot-function and memory subsections
 #                              included (DESIGN.md §6), and resolves every
 #                              trace id the SLO statuses name with
 #                              `repro analyze --trace`.
@@ -18,9 +19,11 @@
 #                              into the markdown report; the same run
 #                              feeds the answer-quality check (the
 #                              predicted-vs-observed Calibration table),
-#                              the one-source checks (the report's health
-#                              verdict counts equal `repro watch
-#                              --once`'s; its "N shadow-audited" equals
+#                              the one-source checks (`repro watch --once`
+#                              prints the summary, SLO, queries, answer-
+#                              quality, profile and health sections, and
+#                              its health verdict counts equal the
+#                              report's; its "N shadow-audited" equals
 #                              the `quality` audit rows of the run's
 #                              telemetry.jsonl), `repro analyze` (a trace
 #                              id from the report and every SLO exemplar
@@ -76,7 +79,7 @@ python -m repro explain \
    AND title.production_year > 1990" \
   --dataset imdb --scale 0.3 --analyze
 
-echo "== repro profile -> watch --once (one profiled run, every pane)"
+echo "== repro profile -> watch --once (one profiled run, every section)"
 profile_dir="$(mktemp -d)"
 python -m repro profile --dir "$profile_dir" demo \
   --dataset flights --scale 0.12 --k 100 --frame-size 20 \
@@ -84,8 +87,8 @@ python -m repro profile --dir "$profile_dir" demo \
 test -s "$profile_dir/profile.collapsed.txt"
 python -m repro watch --dir "$profile_dir" --once > "$profile_dir/watch.out"
 cat "$profile_dir/watch.out"
-grep -q "hot functions (self time)" "$profile_dir/watch.out"
-grep -q "── memory" "$profile_dir/watch.out"
+grep -qx "### Hot functions (self time)" "$profile_dir/watch.out"
+grep -qx "### Memory (tracemalloc)" "$profile_dir/watch.out"
 check_exemplars "$profile_dir"
 rm -rf "$profile_dir"
 
@@ -96,7 +99,23 @@ grep -q "Calibration" "$report_dir/report.md"
 verdict="$(sed -n 's/^- health verdict: .*(\([0-9]* CRIT, [0-9]* WARN\))$/\1/p' \
   "$report_dir/report.md")"
 test -n "$verdict"
-python -m repro watch --dir "$report_dir" --once | grep -x "  $verdict" > /dev/null
+python -m repro watch --dir "$report_dir" --once > "$report_dir/watch.out"
+for heading in "Run summary" "Service-level objectives" \
+  "Queries & estimator calibration" "Answer quality" "CPU & memory profile" \
+  "Health alerts"; do
+  grep -qx "## $heading" "$report_dir/watch.out" \
+    || { echo "repro watch --once: no \"## $heading\" section"; exit 1; }
+done
+grep -q "^- rate: [0-9]* queries in the trailing .* s ([0-9.]* qps)$" \
+  "$report_dir/watch.out"
+grep -q "^- latency over the last [0-9]* queries: p50 .* ms, p95 .* ms$" \
+  "$report_dir/watch.out"
+watch_verdict="$(sed -n 's/^- health verdict: .*(\([0-9]* CRIT, [0-9]* WARN\))$/\1/p' \
+  "$report_dir/watch.out")"
+test "$watch_verdict" = "$verdict" || {
+  echo "report: $verdict, repro watch --once: ${watch_verdict:-no verdict}"
+  exit 1
+}
 audited="$(sed -n 's/^- [0-9]* queries observed (.*), \([0-9]*\) shadow-audited .*/\1/p' \
   "$report_dir/report.md")"
 audit_rows="$(python -c 'import json, sys

@@ -22,9 +22,8 @@ artifact" message, exit 1):
 ``trace``  — the span tree.
 ``analyze`` — traces by id or the slowest: span trees, critical paths.
 ``diff``   — span latencies of two runs, with a regression verdict.
-``watch``  — live ops console: trace labels, rolling QPS/p50/p95, answer
-quality, SLO burn, and for a profiled run hot functions, span
-attribution and memory.
+``watch``  — its summary, SLO, queries, answer-quality, slowest-traces,
+profile and health sections, refreshed in place, with the last events.
 
 ``demo``/``train`` accept ``--telemetry DIR`` to record a full
 observability run (trace.json, trace_chrome.json, telemetry.jsonl)
@@ -328,14 +327,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_watch(args) -> int:
-    """Live ops console over a run directory (QPS, quality, SLO burn)."""
+    """The report's watch sections of a run directory, refreshed."""
     import time
 
-    from .obs.watch import render_watch
+    from .obs import report
 
     remaining = 1 if args.once else args.iterations
     while True:
-        frame = render_watch(rundir.load(args.dir))
+        frame = report.render_watch(rundir.load(args.dir))
         if not args.once:
             print("\033[2J\033[H", end="")
         print(frame)
@@ -462,8 +461,8 @@ def main(argv=None) -> int:
 
     watch = commands.add_parser(
         "watch",
-        help="live ops console: QPS/p95, answer quality, SLO burn, "
-             "hot functions and memory of a profiled run",
+        help="the report's ops sections, refreshed: summary, SLOs, "
+             "queries, answer quality, slowest traces, profile, health",
     )
     watch.add_argument("--dir", default=DEFAULT_OBS_DIR,
                        help="run directory a live run is writing into")

@@ -34,7 +34,7 @@ _SIMILARITY_TEMPERATURE = 0.1
 @dataclass(frozen=True)
 class AnswerabilityEstimate:
     """Outcome of one estimation (one instance per query, shared by every
-    answer to it until the estimator is updated)."""
+    answer to it for the estimator's life)."""
 
     confidence: float       # in [0, 1]
     familiarity: float      # normalized closeness to the training workload
@@ -116,21 +116,9 @@ class AnswerabilityEstimator:
         return float(np.clip((max_similarity - self._sim_low) / span, 0.0, 1.0))
 
     # -------------------------------------------------------------- #
-    def update(self, new_embeddings: np.ndarray, new_scores: Sequence[float]) -> None:
-        """Extend with fine-tuned representatives (after drift)."""
-        new_embeddings = np.atleast_2d(np.asarray(new_embeddings))
-        new_scores = np.asarray(new_scores, dtype=np.float64)
-        if len(new_embeddings) != len(new_scores):
-            raise ValueError("embeddings/scores length mismatch")
-        self.embeddings = np.vstack([self.embeddings, new_embeddings])
-        self.scores = np.concatenate([self.scores, new_scores])
-        self._estimates.clear()
-        self._calibrate()
-
-    # -------------------------------------------------------------- #
     def estimate(self, query: Union[SPJQuery, AggregateQuery]) -> AnswerabilityEstimate:
         """The query's estimate: computed on first sight, then remembered
-        (:func:`repro.db.database.prepared`) until :meth:`update`."""
+        (:func:`repro.db.database.prepared`) for the estimator's life."""
         return prepared(self._estimates, query, lambda: self._estimate(query))
 
     def _estimate(self, query: Union[SPJQuery, AggregateQuery]) -> AnswerabilityEstimate:

@@ -27,9 +27,9 @@ per-key refcounts live in flat numpy arrays. Batch :meth:`add_keys` /
 the batch, ``np.add.at`` scatters into the missing counts), an episode
 :meth:`reset` is an array copy, and :meth:`score_with_keys` restores the
 prior state from an array snapshot instead of replaying refcounts one key
-at a time. The pre-vectorization dict-of-lists implementation is retained
-below as :class:`DictCoverageTracker` for differential testing and
-benchmarking.
+at a time. The dict-of-lists tracker it replaced lives in
+``tests/test_kernels.py``, the reference of the differential tests and
+the baseline of ``benchmarks/bench_kernels.py``.
 
 Granularity note: the tracker counts *distinct provenance rows* (one per
 combination of contributing base tuples). Executed scoring
@@ -451,109 +451,3 @@ class CoverageTracker:
         self._present, self._missing, self._covered = snapshot
         return value
 
-
-class DictCoverageTracker:
-    """Pre-vectorization dict-of-lists tracker (reference implementation).
-
-    Retained for the differential/property tests in ``tests/test_kernels.py``
-    and ``tests/test_properties.py`` and as the baseline side of
-    ``benchmarks/bench_kernels.py``; it reads each coverage's tuple view.
-    Semantics are identical to :class:`CoverageTracker`; only the data
-    layout differs.
-    """
-
-    def __init__(self, coverages: Sequence[QueryCoverage]) -> None:
-        self.coverages = list(coverages)
-        # missing[q][r]: how many distinct required keys of row r are absent.
-        self._missing: list[np.ndarray] = []
-        self._covered = np.zeros(len(coverages), dtype=np.int64)
-        # key -> list of (query index, row index) it participates in.
-        self._incidence: dict[TupleKey, list[tuple[int, int]]] = {}
-        # Multiset of present keys (DRP removes tuples, so we refcount).
-        self._present: dict[TupleKey, int] = {}
-
-        for q, coverage in enumerate(self.coverages):
-            missing = np.zeros(len(coverage.requirements), dtype=np.int64)
-            for r, requirement in enumerate(coverage.requirements):
-                distinct = set(requirement)
-                missing[r] = len(distinct)
-                for key in distinct:
-                    self._incidence.setdefault(key, []).append((q, r))
-            self._missing.append(missing)
-            self._covered[q] = int(np.sum(missing == 0))
-
-    @property
-    def n_queries(self) -> int:
-        return len(self.coverages)
-
-    def covered_counts(self) -> np.ndarray:
-        return self._covered.copy()
-
-    def reset(self) -> None:
-        self._present.clear()
-        for q, coverage in enumerate(self.coverages):
-            missing = self._missing[q]
-            for r, requirement in enumerate(coverage.requirements):
-                missing[r] = len(set(requirement))
-            self._covered[q] = int(np.sum(missing == 0))
-
-    def add_key(self, key: TupleKey) -> None:
-        count = self._present.get(key, 0)
-        self._present[key] = count + 1
-        if count > 0:
-            return
-        for q, r in self._incidence.get(key, ()):
-            missing = self._missing[q]
-            missing[r] -= 1
-            if missing[r] == 0:
-                self._covered[q] += 1
-
-    def remove_key(self, key: TupleKey) -> None:
-        count = self._present.get(key, 0)
-        if count == 0:
-            return
-        if count > 1:
-            self._present[key] = count - 1
-            return
-        del self._present[key]
-        for q, r in self._incidence.get(key, ()):
-            missing = self._missing[q]
-            if missing[r] == 0:
-                self._covered[q] -= 1
-            missing[r] += 1
-
-    def add_keys(self, keys: Iterable[TupleKey]) -> None:
-        for key in keys:
-            self.add_key(key)
-
-    def remove_keys(self, keys: Iterable[TupleKey]) -> None:
-        for key in keys:
-            self.remove_key(key)
-
-    def query_score(self, q: int) -> float:
-        coverage = self.coverages[q]
-        if coverage.is_empty:
-            return 1.0
-        return min(1.0, float(self._covered[q]) / coverage.denominator)
-
-    def batch_score(self, query_indices: Optional[Sequence[int]] = None) -> float:
-        if query_indices is None:
-            query_indices = range(self.n_queries)
-        total = 0.0
-        weight_sum = 0.0
-        for q in query_indices:
-            weight = self.coverages[q].weight
-            total += weight * self.query_score(q)
-            weight_sum += weight
-        return total / weight_sum if weight_sum > 0 else 0.0
-
-    def score_with_keys(self, keys: Iterable[TupleKey]) -> float:
-        snapshot_present = dict(self._present)
-        self.reset()
-        self.add_keys(keys)
-        value = self.batch_score()
-        self.reset()
-        for key, count in snapshot_present.items():
-            for _ in range(count):
-                self.add_key(key)
-        return value

@@ -47,11 +47,7 @@ from .query import (
     QueryError,
     SPJQuery,
 )
-from .sampling import (
-    SubsampleResult,
-    uniform_sample,
-    variational_subsample,
-)
+from .sampling import SubsampleResult, variational_subsample
 from .plan import PlanNode, QueryPlan, q_error
 from .schema import INT_NULL, Column, ColumnType, ForeignKey, SchemaError, TableSchema
 from .sql import SQLSyntaxError, split_explain, sql
@@ -126,6 +122,5 @@ __all__ = [
     "sql",
     "table_from_rows",
     "timed_execute",
-    "uniform_sample",
     "variational_subsample",
 ]

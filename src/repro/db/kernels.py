@@ -23,36 +23,17 @@ Float ``NaN`` keys follow Python hashing semantics of the old per-row
 code — ``NaN`` never equals anything, including itself — so ``NaN`` rows
 never join, are always distinct, and each form their own group.
 
-The pre-vectorization per-row implementations are retained below as
-``reference_*`` functions. They are the ground truth for the
-differential tests (``tests/test_kernels.py``,
-``tests/test_executor_reference.py``) and the baseline side of
-``benchmarks/bench_kernels.py``. :func:`use_reference_kernels` forces the
-executor through them, which lets the tests assert byte-identical
-results end to end.
+The per-row implementations these kernels replaced live in
+``tests/test_kernels.py`` (``reference_*_positions``): the ground truth
+of the differential tests and the baseline side of
+``benchmarks/bench_kernels.py``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-_FORCE_REFERENCE = False
-
-
-@contextmanager
-def use_reference_kernels() -> Iterator[None]:
-    """Route all kernel entry points through the per-row reference
-    implementations (for differential testing and benchmarking)."""
-    global _FORCE_REFERENCE
-    previous = _FORCE_REFERENCE
-    _FORCE_REFERENCE = True
-    try:
-        yield
-    finally:
-        _FORCE_REFERENCE = previous
 
 
 # ------------------------------------------------------------------ #
@@ -325,8 +306,6 @@ def join_positions(
     the order the per-row ``buckets.setdefault(...)`` implementation
     emits.
     """
-    if _FORCE_REFERENCE:
-        return reference_join_positions(build_keys, probe_keys)
     build_codes, probe_codes, n_codes = factorize_key_pair(build_keys, probe_keys)
     n_build = len(build_codes)
     if n_codes > _CODES_PER_ROW * (n_build + len(probe_codes)):
@@ -338,37 +317,11 @@ def join_positions(
     return probe_factorized(probe_codes, order, code_starts, code_counts)
 
 
-def reference_join_positions(
-    build_keys: Sequence[np.ndarray], probe_keys: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-vectorization per-row bucket join (ground truth / baseline)."""
-    n_build = len(build_keys[0]) if build_keys else 0
-    n_probe = len(probe_keys[0]) if probe_keys else 0
-    n_cols = len(build_keys)
-    buckets: dict[tuple, list[int]] = {}
-    for i in range(n_build):
-        key = tuple(build_keys[j][i] for j in range(n_cols))
-        buckets.setdefault(key, []).append(i)
-    probe_positions: list[int] = []
-    build_positions: list[int] = []
-    for i in range(n_probe):
-        key = tuple(probe_keys[j][i] for j in range(n_cols))
-        for b in buckets.get(key, ()):
-            probe_positions.append(i)
-            build_positions.append(b)
-    return (
-        np.asarray(probe_positions, dtype=np.int64),
-        np.asarray(build_positions, dtype=np.int64),
-    )
-
-
 # ------------------------------------------------------------------ #
 # distinct
 # ------------------------------------------------------------------ #
 def distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Stable distinct: positions of first occurrences, in input order."""
-    if _FORCE_REFERENCE:
-        return reference_distinct_positions(arrays)
     codes, n_codes = factorize_keys(arrays)
     if len(codes) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -378,19 +331,6 @@ def distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
     is_first[0] = True
     np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=is_first[1:])
     return np.sort(order[is_first])
-
-
-def reference_distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Pre-vectorization per-row distinct (ground truth / baseline)."""
-    n = len(arrays[0]) if arrays else 0
-    seen: set[tuple] = set()
-    keep: list[int] = []
-    for i in range(n):
-        key = tuple(arr[i] for arr in arrays)
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return np.asarray(keep, dtype=np.int64)
 
 
 # ------------------------------------------------------------------ #
@@ -404,8 +344,6 @@ def group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     their key's string form); positions within a group are ascending,
     so ``group[0]`` is the first occurrence.
     """
-    if _FORCE_REFERENCE:
-        return reference_group_by_positions(arrays)
     n = len(arrays[0]) if arrays else 0
     if n == 0:
         return []
@@ -414,13 +352,3 @@ def group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     sorted_codes = codes[order]
     boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
     return np.split(order, boundaries)
-
-
-def reference_group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Pre-vectorization per-row grouping (ground truth / baseline)."""
-    n = len(arrays[0]) if arrays else 0
-    groups: dict[tuple, list[int]] = {}
-    for i in range(n):
-        key = tuple(arr[i] for arr in arrays)
-        groups.setdefault(key, []).append(i)
-    return [np.asarray(positions, dtype=np.int64) for positions in groups.values()]

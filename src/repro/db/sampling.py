@@ -17,14 +17,6 @@ from typing import Hashable, Sequence
 import numpy as np
 
 
-def uniform_sample(n_rows: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Positions of a uniform sample without replacement (clipped to n_rows)."""
-    if n_rows <= 0 or size <= 0:
-        return np.empty(0, dtype=np.int64)
-    size = min(size, n_rows)
-    return np.sort(rng.choice(n_rows, size=size, replace=False)).astype(np.int64)
-
-
 @dataclass
 class SubsampleResult:
     """Outcome of a stratified subsample.

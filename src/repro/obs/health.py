@@ -16,9 +16,10 @@ through the rolling-window threshold rules of :class:`HealthMonitor`:
   itself a fold over the same rows) has a severity.
 
 Nothing is computed while the run is live and nothing is written back:
-``repro report`` and ``repro watch`` call :func:`alerts` on the loaded
-:class:`~repro.obs.rundir.Run`, so they agree by construction, work on
-any recorded directory, and always reflect the current rule pack. The
+the report's sections (``repro report``, ``repro watch``) call
+:func:`alerts` on the loaded :class:`~repro.obs.rundir.Run`, so every
+view agrees by construction, works on any recorded directory, and
+always reflects the current rule pack. The
 rules take plain dicts, not trainer objects: ``repro.obs`` never imports
 ``repro.core``/``repro.rl`` (the dependency points the other way).
 

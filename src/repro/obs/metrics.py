@@ -4,7 +4,7 @@ A run keeps every number it records in exactly one place — a span of
 ``trace.json`` or a row of ``telemetry.jsonl`` — and each view folds
 what it shows from those at read time. What the views share is how a
 percentile of a sorted sample is taken: SLO windows, the ``slow``
-trace label, ``repro diff`` and ``repro watch`` all use
+trace label, ``repro diff`` and the report's query latencies all use
 :func:`percentile`.
 """
 

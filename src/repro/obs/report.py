@@ -4,15 +4,15 @@ Each ``section_*`` function takes a :class:`~repro.obs.rundir.Run` and
 returns markdown lines; the CLI verbs are views of them — ``repro
 report`` renders :data:`SECTIONS` (run summary, health verdict with
 every alert, SLOs, training trajectory, query plans, estimator
-calibration, answer quality, the hottest trace spans, the
-slowest traces, the CPU/memory profile, the bench trajectory) into one
-self-contained markdown document, ``repro stats`` prints
-:data:`STATS_SECTIONS` and ``repro audit`` the answer-quality section.
-No network access, no dependencies beyond the stdlib.
+calibration, answer quality, the hottest trace spans, the slowest
+traces, the CPU/memory profile, the bench trajectory) into one markdown
+document, ``repro stats`` prints :data:`STATS_SECTIONS`, ``repro audit``
+the answer-quality section and ``repro watch`` refreshes
+:func:`render_watch`. No network access, no dependencies beyond the stdlib.
 
 Health alerts are not recorded: :func:`repro.obs.health.alerts` folds
 the current rule pack over the run's recorded rows, so a report works on
-any recorded directory and agrees with ``repro watch`` by construction.
+any recorded directory, and every view of a run prints the same alerts.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from . import analyze as analyze_mod
 from . import health as health_mod
+from . import metrics as metrics_mod
 from . import profiler as profiler_mod
 from . import quality as quality_mod
 from . import slo as slo_mod
@@ -31,6 +32,12 @@ from .rundir import Run, load
 _LAST_UPDATES = 10
 _LAST_PLANS = 3
 _TOP_SPANS = 12
+_LAST_EVENTS = 5
+
+#: Trailing windows of the query rate (seconds of record time: a finished
+#: run renders the same every time) and the latency percentiles (records).
+QPS_WINDOW_S = 60.0
+LATENCY_WINDOW = 100
 
 
 # ------------------------------------------------------------------ #
@@ -190,9 +197,21 @@ def section_queries(run: Run) -> list[str]:
     calibration = quality_mod.accounting(run)["calibration_error"]
     window = min(len(queries), quality_mod.CALIBRATION_WINDOW)
     drifts = sum(1 for q in queries if q.get("drift"))
+    stamps = [float(q.get("ts", 0.0)) for q in queries]
+    now = max(stamps)
+    recent = [ts for ts in stamps if now - ts <= QPS_WINDOW_S]
+    covered = now - min(recent)
+    rate = f"{len(recent) / covered:.2f}" if covered > 0 else "-"
+    latencies = sorted(
+        float(q.get("elapsed_seconds") or 0.0) for q in queries[-LATENCY_WINDOW:]
+    )
     lines += [
         f"- {len(queries)} queries: {approx} answered from the approximation "
         f"set, {len(queries) - approx} from the full database",
+        f"- rate: {len(recent)} queries in the trailing {covered:.3g} s ({rate} qps)",
+        f"- latency over the last {len(latencies)} queries: "
+        f"p50 {metrics_mod.percentile(latencies, 0.50) * 1e3:.1f} ms, "
+        f"p95 {metrics_mod.percentile(latencies, 0.95) * 1e3:.1f} ms",
         f"- mean |confidence − realized frame score| over the last {window} "
         f"queries: {calibration:.3f}" if calibration is not None else
         "- no calibration pairs recorded",
@@ -449,6 +468,14 @@ def section_slo(run: Run) -> list[str]:
     lines.append(_md_table(
         ["objective", "value", "samples", "status", "burn", "severity"], rows
     ))
+    worst = [  # an alerting objective's SLO exemplars
+        f"- worst traces of `{status.get('spec')}`: "
+        + ", ".join(f"`{tid[:16]}`" for tid in status["exemplar_trace_ids"][:3])
+        for status in statuses
+        if status.get("severity") and status.get("exemplar_trace_ids")
+    ]
+    if worst:
+        lines += ["", *worst, "", "Resolve a trace with `repro analyze --trace <id>`."]
     return lines
 
 
@@ -598,6 +625,12 @@ SECTIONS = (
 #: ``repro stats``.
 STATS_SECTIONS = (section_training, section_queries, section_trace)
 
+#: ``repro watch``: the operator's frame.
+WATCH_SECTIONS = (
+    section_summary, section_slo, section_queries, section_quality,
+    section_slowest_traces, section_profile, section_health,
+)
+
 
 def render_sections(run: Run, sections=SECTIONS) -> str:
     """The given sections of one run as markdown text."""
@@ -607,6 +640,19 @@ def render_sections(run: Run, sections=SECTIONS) -> str:
 def render_markdown(run: Run) -> str:
     """The full report as one markdown document."""
     return "# repro diagnostic report\n\n" + render_sections(run)
+
+
+def render_watch(run: Run) -> str:
+    """``repro watch``'s frame: a header, :data:`WATCH_SECTIONS`, the last events."""
+    events = [
+        f"- #{record.get('seq', '?')} {record.get('stream', '?')}"
+        for record in run.records[-_LAST_EVENTS:]
+    ]
+    return (
+        f"# repro watch — {run.directory}\n\n"
+        + render_sections(run, WATCH_SECTIONS)
+        + "\n".join(["", "## Last events", "", *(events or ["No records yet."])])
+    )
 
 
 def build_report(run_dir: str, out_path: Optional[str] = None) -> str:

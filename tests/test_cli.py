@@ -180,11 +180,11 @@ class TestCLI:
         code = main(["watch", "--dir", str(run_dir), "--once"])
         assert code == 0
         frame = capsys.readouterr().out
-        assert "SLO burn" in frame
+        assert "## Service-level objectives" in frame
         assert "query.p95 < 250ms" in frame  # the recorded objective
-        assert "hot functions (self time)" in frame
-        assert "samples by span" in frame
-        assert "traced" in frame and "RSS" in frame  # the memory pane
+        assert "### Hot functions (self time)" in frame
+        assert "### Samples by enclosing span" in frame
+        assert "- traced: " in frame and "RSS" in frame  # the memory pane
 
     def test_profile_without_command_exits_2(self, capsys):
         assert main(["profile"]) == 2

@@ -200,15 +200,16 @@ class TestSLOExemplars:
         assert status["exemplar_trace_ids"] == [ids[11], ids[10], ids[9]]
 
     def test_watch_renders_exemplar_ids_under_burn_line(self):
-        from repro.obs.watch import render_watch
+        from repro.obs.report import render_watch
 
         trace_id = "e" * 32
         frame = render_watch(self._run(
             [{"stream": "query", "elapsed_seconds": 0.5}] * 11
             + [{"stream": "query", "elapsed_seconds": 0.5, "trace_id": trace_id}]
         ))
-        assert f"worst traces: {trace_id[:16]}" in frame
-        assert "repro analyze --trace" in frame
+        slo_section = frame.split("## Service-level objectives")[1].split("\n## ")[0]
+        assert f"- worst traces of `query.p95 < 10ms`: `{trace_id[:16]}`" in slo_section
+        assert "repro analyze --trace" in slo_section
 
     def test_no_exemplars_without_context(self):
         (status,) = slo.statuses(self._run(

@@ -66,17 +66,6 @@ class TestEstimator:
         )
         assert not strict.estimate(training_queries[0]).answerable
 
-    def test_update_extends(self, estimator, embedder):
-        new_query = sql("SELECT * FROM cast_info WHERE cast_info.actor = 'ann'")
-        before = estimator.estimate(new_query).confidence
-        estimator.update(embedder.embed(new_query)[None, :], [0.95])
-        after = estimator.estimate(new_query).confidence
-        assert after > before
-
-    def test_update_length_mismatch(self, estimator):
-        with pytest.raises(ValueError):
-            estimator.update(np.zeros((2, 32)), [0.5])
-
     def test_mismatched_construction(self, embedder):
         with pytest.raises(ValueError):
             AnswerabilityEstimator(embedder, np.zeros((2, 32)), [0.5])

@@ -172,14 +172,32 @@ def test_subset_monotonicity_random(left, right, predicate):
 # byte-identical: vectorized kernels vs per-row reference kernels
 # ------------------------------------------------------------------ #
 
+from contextlib import contextmanager  # noqa: E402
+
 from repro.db import QueryError, execute_aggregate, sql  # noqa: E402
 from repro.db import kernels  # noqa: E402
+from tests.test_kernels import (  # noqa: E402
+    reference_distinct_positions,
+    reference_group_by_positions,
+    reference_join_positions,
+)
+
+
+@contextmanager
+def reference_kernels():
+    """Route the executor through the per-row kernels: the three
+    ``kernels`` attributes it resolves at call time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "join_positions", reference_join_positions)
+        patch.setattr(kernels, "distinct_positions", reference_distinct_positions)
+        patch.setattr(kernels, "group_by_positions", reference_group_by_positions)
+        yield
 
 
 def _assert_byte_identical(db, query):
     """The vectorized executor must equal the per-row one exactly:
     same columns, same row ids, same values, same row *order*."""
-    with kernels.use_reference_kernels():
+    with reference_kernels():
         expected = execute(db, query)
     got = execute(db, query)
     assert got.n_rows == expected.n_rows
@@ -226,7 +244,7 @@ def test_vectorized_aggregate_identical(left, right):
         "SELECT l.g, COUNT(*), SUM(r.y) FROM l, r "
         "WHERE l.id = r.l_id GROUP BY l.g"
     )
-    with kernels.use_reference_kernels():
+    with reference_kernels():
         expected = execute_aggregate(db, query)
     got = execute_aggregate(db, query)
     assert got.rows == expected.rows

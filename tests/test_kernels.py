@@ -1,29 +1,186 @@
 """Differential tests for the vectorized execution kernels and CSR tracker.
 
-Every kernel in ``repro.db.kernels`` must reproduce the retained per-row
-reference implementation exactly — values *and* ordering — on randomized
-inputs, including NaN keys and mixed dtypes. The CSR
-:class:`~repro.core.reward.CoverageTracker` must agree with the retained
-:class:`~repro.core.reward.DictCoverageTracker` on every observable
-(covered counts and scores) under random add/remove/reset/probe programs.
+Every kernel in ``repro.db.kernels`` must reproduce the per-row
+implementation it replaced (``reference_*_positions`` below) exactly —
+values *and* ordering — on randomized inputs, including NaN keys and
+mixed dtypes. The CSR :class:`~repro.core.reward.CoverageTracker` must
+agree with the dict-of-lists :class:`DictCoverageTracker` below on every
+observable (covered counts and scores) under random
+add/remove/reset/probe programs. ``benchmarks/bench_kernels.py`` times
+the same references as the baseline side of its rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.reward import (
-    CoverageIndex,
-    CoverageTracker,
-    DictCoverageTracker,
-    QueryCoverage,
-)
+from repro.core.approximation import TupleKey
+from repro.core.reward import CoverageIndex, CoverageTracker, QueryCoverage
 from repro.db import kernels
+
+
+# ------------------------------------------------------------------ #
+# the per-row implementations the kernels and the CSR tracker replaced
+# ------------------------------------------------------------------ #
+def reference_join_positions(
+    build_keys: Sequence[np.ndarray], probe_keys: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-vectorization per-row bucket join (ground truth / baseline)."""
+    n_build = len(build_keys[0]) if build_keys else 0
+    n_probe = len(probe_keys[0]) if probe_keys else 0
+    n_cols = len(build_keys)
+    buckets: dict[tuple, list[int]] = {}
+    for i in range(n_build):
+        key = tuple(build_keys[j][i] for j in range(n_cols))
+        buckets.setdefault(key, []).append(i)
+    probe_positions: list[int] = []
+    build_positions: list[int] = []
+    for i in range(n_probe):
+        key = tuple(probe_keys[j][i] for j in range(n_cols))
+        for b in buckets.get(key, ()):
+            probe_positions.append(i)
+            build_positions.append(b)
+    return (
+        np.asarray(probe_positions, dtype=np.int64),
+        np.asarray(build_positions, dtype=np.int64),
+    )
+
+
+def reference_distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Pre-vectorization per-row distinct (ground truth / baseline)."""
+    n = len(arrays[0]) if arrays else 0
+    seen: set[tuple] = set()
+    keep: list[int] = []
+    for i in range(n):
+        key = tuple(arr[i] for arr in arrays)
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return np.asarray(keep, dtype=np.int64)
+
+
+def reference_group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Pre-vectorization per-row grouping (ground truth / baseline)."""
+    n = len(arrays[0]) if arrays else 0
+    groups: dict[tuple, list[int]] = {}
+    for i in range(n):
+        key = tuple(arr[i] for arr in arrays)
+        groups.setdefault(key, []).append(i)
+    return [np.asarray(positions, dtype=np.int64) for positions in groups.values()]
+
+
+class DictCoverageTracker:
+    """Pre-vectorization dict-of-lists tracker (reference implementation).
+
+    The reference of the differential tests here and in
+    ``tests/test_properties.py`` and the baseline side of
+    ``benchmarks/bench_kernels.py``; it reads each coverage's tuple view.
+    Semantics are identical to :class:`CoverageTracker`; only the data
+    layout differs.
+    """
+
+    def __init__(self, coverages: Sequence[QueryCoverage]) -> None:
+        self.coverages = list(coverages)
+        # missing[q][r]: how many distinct required keys of row r are absent.
+        self._missing: list[np.ndarray] = []
+        self._covered = np.zeros(len(coverages), dtype=np.int64)
+        # key -> list of (query index, row index) it participates in.
+        self._incidence: dict[TupleKey, list[tuple[int, int]]] = {}
+        # Multiset of present keys (DRP removes tuples, so we refcount).
+        self._present: dict[TupleKey, int] = {}
+
+        for q, coverage in enumerate(self.coverages):
+            missing = np.zeros(len(coverage.requirements), dtype=np.int64)
+            for r, requirement in enumerate(coverage.requirements):
+                distinct = set(requirement)
+                missing[r] = len(distinct)
+                for key in distinct:
+                    self._incidence.setdefault(key, []).append((q, r))
+            self._missing.append(missing)
+            self._covered[q] = int(np.sum(missing == 0))
+
+    @property
+    def n_queries(self) -> int:
+        return len(self.coverages)
+
+    def covered_counts(self) -> np.ndarray:
+        return self._covered.copy()
+
+    def reset(self) -> None:
+        self._present.clear()
+        for q, coverage in enumerate(self.coverages):
+            missing = self._missing[q]
+            for r, requirement in enumerate(coverage.requirements):
+                missing[r] = len(set(requirement))
+            self._covered[q] = int(np.sum(missing == 0))
+
+    def add_key(self, key: TupleKey) -> None:
+        count = self._present.get(key, 0)
+        self._present[key] = count + 1
+        if count > 0:
+            return
+        for q, r in self._incidence.get(key, ()):
+            missing = self._missing[q]
+            missing[r] -= 1
+            if missing[r] == 0:
+                self._covered[q] += 1
+
+    def remove_key(self, key: TupleKey) -> None:
+        count = self._present.get(key, 0)
+        if count == 0:
+            return
+        if count > 1:
+            self._present[key] = count - 1
+            return
+        del self._present[key]
+        for q, r in self._incidence.get(key, ()):
+            missing = self._missing[q]
+            if missing[r] == 0:
+                self._covered[q] -= 1
+            missing[r] += 1
+
+    def add_keys(self, keys: Iterable[TupleKey]) -> None:
+        for key in keys:
+            self.add_key(key)
+
+    def remove_keys(self, keys: Iterable[TupleKey]) -> None:
+        for key in keys:
+            self.remove_key(key)
+
+    def query_score(self, q: int) -> float:
+        coverage = self.coverages[q]
+        if coverage.is_empty:
+            return 1.0
+        return min(1.0, float(self._covered[q]) / coverage.denominator)
+
+    def batch_score(self, query_indices: Optional[Sequence[int]] = None) -> float:
+        if query_indices is None:
+            query_indices = range(self.n_queries)
+        total = 0.0
+        weight_sum = 0.0
+        for q in query_indices:
+            weight = self.coverages[q].weight
+            total += weight * self.query_score(q)
+            weight_sum += weight
+        return total / weight_sum if weight_sum > 0 else 0.0
+
+    def score_with_keys(self, keys: Iterable[TupleKey]) -> float:
+        snapshot_present = dict(self._present)
+        self.reset()
+        self.add_keys(keys)
+        value = self.batch_score()
+        self.reset()
+        for key, count in snapshot_present.items():
+            for _ in range(count):
+                self.add_key(key)
+        return value
+
 
 # ------------------------------------------------------------------ #
 # key-column strategies: int / float (with NaN) / string-object / bool
@@ -83,7 +240,7 @@ def _key_array_pair(draw):
 @settings(max_examples=150, deadline=None)
 def test_join_positions_match_reference(pair):
     build, probe = pair
-    ref_probe, ref_build = kernels.reference_join_positions(build, probe)
+    ref_probe, ref_build = reference_join_positions(build, probe)
     got_probe, got_build = kernels.join_positions(build, probe)
     np.testing.assert_array_equal(got_probe, ref_probe)
     np.testing.assert_array_equal(got_build, ref_build)
@@ -94,7 +251,7 @@ def test_join_positions_match_reference(pair):
 def test_distinct_positions_match_reference(arrays):
     np.testing.assert_array_equal(
         kernels.distinct_positions(arrays),
-        kernels.reference_distinct_positions(arrays),
+        reference_distinct_positions(arrays),
     )
 
 
@@ -102,7 +259,7 @@ def test_distinct_positions_match_reference(arrays):
 @settings(max_examples=150, deadline=None)
 def test_group_by_positions_match_reference(arrays):
     got = kernels.group_by_positions(arrays)
-    ref = kernels.reference_group_by_positions(arrays)
+    ref = reference_group_by_positions(arrays)
     # Group enumeration order is unspecified; compare as sets of position
     # tuples (positions within each group are required to be ascending).
     got_set = {tuple(g.tolist()) for g in got}
@@ -148,7 +305,7 @@ def test_join_positions_at_approximation_set_sizes(n, span, kind):
     )
     build = _spread_keys(kind, build_ids, rng)
     probe = _spread_keys(kind, probe_ids, rng)
-    ref_probe, ref_build = kernels.reference_join_positions(build, probe)
+    ref_probe, ref_build = reference_join_positions(build, probe)
     assert len(ref_probe) >= (n if kind == "int" else n // 4)
     got_probe, got_build = kernels.join_positions(build, probe)
     np.testing.assert_array_equal(got_probe, ref_probe)
@@ -165,15 +322,6 @@ def test_mismatched_key_lengths_raise(kernel):
     """Unequal-length key columns fail in numpy's broadcast, in every mode."""
     with pytest.raises(ValueError, match="broadcast"):
         kernel([np.arange(5), np.arange(6)])
-
-
-def test_use_reference_kernels_toggles_and_restores():
-    keys = [np.asarray([1, 2, 1])]
-    assert not kernels._FORCE_REFERENCE
-    with kernels.use_reference_kernels():
-        assert kernels._FORCE_REFERENCE
-        np.testing.assert_array_equal(kernels.distinct_positions(keys), [0, 1])
-    assert not kernels._FORCE_REFERENCE
 
 
 def test_factorize_keys_codes_are_bounded():
@@ -329,7 +477,7 @@ _PK_CASES = {
 def test_primary_key_probe_matches_reference(case):
     build, probe = _PK_CASES[case]
     got = kernels.join_positions(build, probe)
-    want = kernels.reference_join_positions(build, probe)
+    want = reference_join_positions(build, probe)
     for g, w in zip(got, want):
         assert g.dtype == np.int64
         np.testing.assert_array_equal(g, w)

@@ -112,7 +112,6 @@ _TRAINING = [
     sql("SELECT * FROM movies WHERE movies.genre = 'drama'"),
     sql("SELECT * FROM movies WHERE movies.rating > 7.0"),
 ]
-_NEW = [sql("SELECT * FROM cast_info WHERE cast_info.actor = 'ann'")]
 _ASKED = sql("SELECT * FROM movies WHERE movies.year > 2004")
 
 
@@ -125,11 +124,3 @@ class TestRememberedEstimates:
         assert estimator.estimate(sql(_ASKED.to_sql())) is first
         assert estimator.deviation_confidence(_ASKED) == first.deviation
         assert calls == []
-
-    def test_update_forgets(self, embedder):
-        estimator = _estimator(embedder, _TRAINING, [0.9, 0.7, 0.8])
-        before = estimator.estimate(_ASKED)
-        estimator.update(embedder.embed_workload(_NEW), [0.1])
-        fresh = _estimator(embedder, _TRAINING + _NEW, [0.9, 0.7, 0.8, 0.1])
-        assert estimator.estimate(_ASKED) == fresh.estimate(_ASKED)
-        assert estimator.estimate(_ASKED) is not before

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ApproximationSet, CoverageTracker, query_score
-from repro.core.reward import DictCoverageTracker
+from tests.test_kernels import DictCoverageTracker
 from tests.test_reward import coverage_from_rows
 from repro.db import Between, Comparison, InSet, conjoin, conjuncts
 from repro.db.cache import LRUTupleCache

@@ -611,7 +611,7 @@ class TestLowRecallAcceptance:
         run_dir, _ = low_recall_run
         assert main(["watch", "--dir", run_dir, "--once"]) == 0
         out = capsys.readouterr().out
-        assert "answer quality" in out
+        assert "## Answer quality" in out
         assert "audits" in out
         assert "low_quality" in out
 

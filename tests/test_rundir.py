@@ -9,10 +9,10 @@ Pins what ``repro.obs.rundir`` promises (DESIGN.md §6, "Run directory"):
   costs only that record;
 * atomic artifacts — a failed write leaves the previous document whole
   and a finished run leaves no ``*.tmp`` behind;
-* the views are the sections — ``stats`` / ``audit`` print report
-  sections verbatim, ``watch`` carries the panes ``top`` had, no module
-  but ``rundir`` knows a file name, and one ``percentile`` serves
-  ``watch``, ``diff``, the SLO windows and the ``slow`` trace label;
+* the views are the sections — ``stats`` / ``audit`` / ``watch`` print
+  report sections verbatim, no module but ``rundir`` knows a file name,
+  and one ``percentile`` serves the queries section, ``diff``, the SLO
+  windows and the ``slow`` trace label;
 * one source for a run's verdicts — ``report`` and ``watch`` print the
   alerts of ``health.alerts(run)``, nothing records a verdict beside the
   facts it folds over, and ``trace.json`` says what its ring dropped.
@@ -31,7 +31,7 @@ import pytest
 from repro import obs
 from repro.__main__ import main, run_smoke
 from repro.obs import analyze, health, metrics, rundir, slo, trace
-from repro.obs.watch import render_watch
+from repro.obs.report import render_watch
 
 PARSED_ARTIFACTS = ("trace", "profile", "memory")
 
@@ -222,15 +222,27 @@ class TestViewsAreSections:
         assert "Calibration (predicted vs audited)" in out
 
     def test_watch_has_the_panes_top_printed(self, smoke_run, capsys):
+        """``watch`` is the report's ops sections, verbatim, in order."""
+        sections = report_sections(smoke_run)
+        capsys.readouterr()
         assert main(["watch", "--dir", smoke_run, "--once"]) == 0
         frame = capsys.readouterr().out
-        for pane in (
-            "SLO burn", "hot functions (self time)", "samples by span",
-            "memory", "last events", "throughput", "answer quality",
+        assert frame.startswith(f"# repro watch — {smoke_run}\n")
+        at = 0
+        for heading in (
+            "Run summary", "Service-level objectives",
+            "Queries & estimator calibration", "Answer quality",
+            "Slowest traces", "CPU & memory profile", "Health alerts",
         ):
-            assert f"── {pane} " in frame
+            at = frame.index(sections[heading], at)  # raises if absent
+        for pane in (
+            "Hot functions (self time)", "Samples by enclosing span",
+            "Memory (tracemalloc)",
+        ):
+            assert f"\n### {pane}\n" in frame
+        assert "\n## Last events\n\n- #" in frame
         memory_doc = rundir.load(smoke_run).memory
-        assert f"peak {memory_doc['peak_kb']:,.0f}" in frame
+        assert f"{memory_doc['peak_kb']:.0f} KiB peak" in frame
 
     def test_hottest_spans_show_self_time_and_layers(self, smoke_run):
         text = report_sections(smoke_run)["Hottest spans"]
@@ -253,7 +265,7 @@ class TestViewsAreSections:
             assert main(argv) == 0, verb
         out = capsys.readouterr().out
         # Content that can only have come from the renamed artifacts.
-        assert "KiB (peak" in out                                # x.json
+        assert "KiB peak" in out                                 # x.json
         assert "train.update" in out and "no regressions" in out  # y.json
         assert "3 queries" in out                                # z.jsonl
         assert "estimator.calibration_error < 0.1" in out       # z.jsonl
@@ -295,12 +307,15 @@ def report_alerts(run_dir):
 
 
 def watch_health(run_dir, capsys):
-    """The health pane of ``watch --once``: (counts, last alerts)."""
+    """The health of ``watch --once``: (verdict counts, alert rows)."""
     capsys.readouterr()
     assert main(["watch", "--dir", run_dir, "--once"]) == 0
-    pane = capsys.readouterr().out.split("── health ")[1].split("── last")[0]
-    crit, warn = re.search(r"(\d+) CRIT, (\d+) WARN", pane).groups()
-    shown = re.findall(r"^\s+(WARN|CRIT) (\w+): ", pane, flags=re.M)
+    frame = capsys.readouterr().out
+    crit, warn = re.search(
+        r"^- health verdict: .* \((\d+) CRIT, (\d+) WARN\)$", frame, flags=re.M
+    ).groups()
+    pane = frame.split("\n## Health alerts\n")[1].split("\n## Last events\n")[0]
+    shown = re.findall(r"^\| (WARN|CRIT) \| (\w+) \|", pane, flags=re.M)
     return {"CRIT": int(crit), "WARN": int(warn)}, shown
 
 
@@ -345,7 +360,7 @@ class TestOneSourceForVerdicts:
         assert report_alerts(run_dir) == found
         counts, shown = watch_health(run_dir, capsys)
         assert counts == {"CRIT": 0, "WARN": 0, **Counter(s for s, _ in found)}
-        assert shown == found[-3:]
+        assert shown == found
         summary = report_sections(run_dir)["Run summary"]
         assert f"({counts['CRIT']} CRIT, {counts['WARN']} WARN)" in summary
 
@@ -456,14 +471,15 @@ class TestOnePercentile:
         sample = [float(v) for v in range(1, n + 1)]
         p50, p95 = PERCENTILES[n, 0.5], PERCENTILES[n, 0.95]
 
-        # watch: latencies in seconds, printed in ms with one decimal
+        # watch (the queries section): latencies in seconds, printed in
+        # ms with one decimal
         run = rundir.Run("synthetic", records=[
             {"stream": "query", "ts": 1.0, "elapsed_seconds": v / 1e3}
             for v in sample
         ], trace=[
             {"name": "work", "start_s": 0.0, "seconds": v} for v in sample
         ])
-        assert f"p50 {p50:.1f} ms  p95 {p95:.1f} ms" in render_watch(run)
+        assert f"p50 {p50:.1f} ms, p95 {p95:.1f} ms" in render_watch(run)
 
         # diff: p50/p95 per span name
         (row,) = analyze.diff_runs(run, run)["spans"]

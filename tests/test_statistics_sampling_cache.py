@@ -11,7 +11,6 @@ from repro.db import (
     TableSchema,
     compute_database_stats,
     compute_table_stats,
-    uniform_sample,
     variational_subsample,
 )
 from repro.db.schema import INT_NULL
@@ -178,24 +177,6 @@ class TestStatisticsByCode:
         assert nullable.null_mask("s").tolist() == [True, False, True, False]
         # A subset shares its base's dictionary: "" stays code 0 though absent.
         assert nullable.take([1, 3]).null_mask("s").tolist() == [False, False]
-
-
-class TestUniformSample:
-    def test_size_clipped(self, rng):
-        positions = uniform_sample(5, 10, rng)
-        assert len(positions) == 5
-
-    def test_no_replacement(self, rng):
-        positions = uniform_sample(100, 50, rng)
-        assert len(set(positions.tolist())) == 50
-
-    def test_empty_inputs(self, rng):
-        assert len(uniform_sample(0, 5, rng)) == 0
-        assert len(uniform_sample(5, 0, rng)) == 0
-
-    def test_sorted_output(self, rng):
-        positions = uniform_sample(100, 20, rng)
-        assert list(positions) == sorted(positions)
 
 
 class TestVariationalSubsample:

@@ -20,7 +20,7 @@ from repro.db import (
     sql,
 )
 from repro.obs import telemetry, trace
-from repro.obs.watch import render_watch
+from repro.obs.report import render_watch
 
 from tests.test_columnstore import make_table
 
@@ -92,8 +92,8 @@ class TestWatchConsole:
         run_dir = self._run_dir_with_traffic(tmp_path)
         frame = render_watch(obs.rundir.load(run_dir))
         assert "1 queries" in frame
-        assert "(no SLOs recorded)" in frame
-        assert "0 CRIT, 0 WARN" in frame
+        assert "No SLOs in this run" in frame
+        assert "(0 CRIT, 0 WARN)" in frame
 
     def test_render_watch_is_deterministic_for_a_finished_run(self, tmp_path):
         run_dir = self._run_dir_with_traffic(tmp_path)
@@ -101,10 +101,11 @@ class TestWatchConsole:
         assert frames[0] == frames[1]
 
     def test_render_watch_empty_dir(self, tmp_path):
-        # Nothing recorded yet: every pane says so instead of failing.
+        # Nothing recorded yet: every section says so instead of failing.
         frame = render_watch(obs.rundir.Run(str(tmp_path)))
-        assert "(no query records yet)" in frame
-        assert "0 traces (error ×0, low_quality ×0, slow ×0)" in frame
+        assert "No routed queries in this run." in frame
+        assert "No retained traces in this run" in frame
+        assert frame.endswith("## Last events\n\nNo records yet.")
 
     def test_cli_watch_once(self, tmp_path, capsys):
         run_dir = self._run_dir_with_traffic(tmp_path)
@@ -114,7 +115,21 @@ class TestWatchConsole:
 
         assert main(["watch", "--dir", run_dir, "--once"]) == 0
         out = capsys.readouterr().out
-        assert "repro watch" in out and "throughput" in out
+        assert "repro watch" in out and "- rate: 1 queries" in out
+
+    @pytest.mark.parametrize("stamps,line", [
+        # A run shorter than the window: its own span, not 60 s.
+        ([100.0, 100.5, 102.0], "- rate: 3 queries in the trailing 2 s (1.50 qps)"),
+        # A longer one: the trailing 60 s of record time.
+        ([0.0, 100.0, 130.0, 160.0], "- rate: 3 queries in the trailing 60 s (0.05 qps)"),
+        # A window covering no time has no rate.
+        ([5.0, 5.0], "- rate: 2 queries in the trailing 0 s (- qps)"),
+    ])
+    def test_rate_divides_by_the_seconds_its_window_covers(self, stamps, line):
+        run = obs.rundir.Run("synthetic", records=[
+            {"stream": "query", "ts": ts, "elapsed_seconds": 0.001} for ts in stamps
+        ])
+        assert line in render_watch(run).splitlines()
 
     def test_cli_watch_missing_dir(self, tmp_path, capsys):
         assert main_watch_missing(str(tmp_path / "nope"), capsys) != 0
