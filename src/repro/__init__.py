@@ -36,7 +36,6 @@ from .core import (
     ApproximationSet,
     TrainedModel,
     aggregate_relative_error,
-    generate_workload,
     load_model,
     relative_error,
     save_model,
@@ -64,7 +63,6 @@ __all__ = [
     "aggregate_relative_error",
     "execute",
     "execute_aggregate",
-    "generate_workload",
     "load_flights",
     "load_model",
     "save_model",

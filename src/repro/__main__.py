@@ -25,9 +25,9 @@ artifact" message, exit 1):
 ``watch``  — its summary, SLO, queries, answer-quality, slowest-traces,
 profile and health sections, refreshed in place, with the last events.
 
-``demo``/``train`` accept ``--telemetry DIR`` to record a full
-observability run (trace.json, trace_chrome.json, telemetry.jsonl)
-for those views.
+``demo``/``train``/``explain`` accept ``--telemetry DIR`` to record a
+full observability run (trace.json, trace_chrome.json, telemetry.jsonl)
+for those views; the artifacts are written even when the command raises.
 
 Unknown subcommands exit with status 2 and the available-command list
 (argparse's required-subparser behaviour, pinned by ``tests/test_cli.py``).
@@ -98,8 +98,6 @@ def _make_config(args) -> ASQPConfig:
 
 def cmd_demo(args) -> int:
     config = _make_config(args)
-    if args.telemetry:
-        obs.start_run(args.telemetry)
     bundle = _load_bundle(args.dataset, args.scale)
     print(f"dataset: {bundle.db}")
     print(f"training {'ASQP-Light' if args.light else 'ASQP-RL'} "
@@ -117,19 +115,11 @@ def cmd_demo(args) -> int:
         print(f"  {query.to_sql()[:70]}...")
         print(f"    -> {len(outcome)} rows via {source} "
               f"({outcome.elapsed_seconds * 1000:.1f}ms)")
-    if args.telemetry:
-        paths = obs.finish_run(args.telemetry)
-        print(f"observability run recorded in {args.telemetry}/ "
-              f"({', '.join(sorted(os.path.basename(p) for p in paths.values()))})")
-        print(f"inspect with: repro stats --dir {args.telemetry}  |  "
-              f"repro trace --dir {args.telemetry}")
     return 0
 
 
 def cmd_train(args) -> int:
     config = _make_config(args)
-    if args.telemetry:
-        obs.start_run(args.telemetry)
     bundle = _load_bundle(args.dataset, args.scale)
     print(f"training on {bundle.db} ...")
     model = ASQPTrainer(bundle.db, bundle.workload, config).train()
@@ -137,9 +127,6 @@ def cmd_train(args) -> int:
     print(f"model saved to {args.out} "
           f"(setup {model.setup_seconds:.1f}s, "
           f"{len(model.action_space)} actions)")
-    if args.telemetry:
-        obs.finish_run(args.telemetry)
-        print(f"observability run recorded in {args.telemetry}/")
     return 0
 
 
@@ -168,16 +155,11 @@ def cmd_explain(args) -> int:
     analyze = args.analyze or prefix_analyze
     bundle = _load_bundle(args.dataset, args.scale)
     query = sql(text)
-    if args.telemetry:
-        obs.start_run(args.telemetry)
     plan = db_explain(bundle.db, query, analyze=analyze)
     if args.json:
         print(json.dumps(plan.to_dict(), indent=2, default=str))
     else:
         print(plan.format())
-    if args.telemetry:
-        obs.finish_run(args.telemetry)
-        print(f"observability run recorded in {args.telemetry}/")
     return 0
 
 
@@ -491,7 +473,20 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        directory = getattr(args, "telemetry", None)
+        if not directory:
+            return args.func(args)
+        if args.func in (cmd_demo, cmd_train):
+            _make_config(args)  # a rejected config records no run
+        # The run's artifacts flush and observability turns off even when
+        # the command raises.
+        with obs.run(directory):
+            code = args.func(args)
+        print(f"observability run recorded in {directory}/ "
+              f"({', '.join(rundir.load(directory).artifacts)})")
+        print(f"inspect with: repro stats --dir {directory}  |  "
+              f"repro trace --dir {directory}")
+        return code
     except (rundir.RunError, ModelError) as error:
         # A missing or damaged run directory / saved model: one line, exit 1.
         print(error)

@@ -33,7 +33,7 @@ def baseline_names() -> list[str]:
     return list(_REGISTRY)
 
 
-def make_baseline(name: str, **kwargs) -> SubsetSelector:
+def make_baseline(name: str) -> SubsetSelector:
     """Instantiate a baseline by its paper short-name (e.g. "RAN", "GRE")."""
     try:
         cls = _REGISTRY[name.upper()]
@@ -41,7 +41,7 @@ def make_baseline(name: str, **kwargs) -> SubsetSelector:
         raise ValueError(
             f"unknown baseline {name!r}; choose from {sorted(_REGISTRY)}"
         ) from None
-    return cls(**kwargs)
+    return cls()
 
 
 __all__ = [

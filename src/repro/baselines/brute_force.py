@@ -32,9 +32,6 @@ class BruteForce(SubsetSelector):
 
     name = "BRT"
 
-    def __init__(self, default_time_budget: float = DEFAULT_TIME_BUDGET) -> None:
-        self.default_time_budget = default_time_budget
-
     def select(
         self,
         db: Database,
@@ -45,7 +42,7 @@ class BruteForce(SubsetSelector):
         time_budget: Optional[float] = None,
     ) -> SelectionResult:
         started = perf_counter()
-        budget = time_budget if time_budget is not None else self.default_time_budget
+        budget = time_budget if time_budget is not None else DEFAULT_TIME_BUDGET
         coverages = self.workload_coverages(db, workload, frame_size, rng)
         tracker = CoverageTracker(coverages)
 

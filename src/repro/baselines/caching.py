@@ -4,8 +4,8 @@
 query ... evicting the least recently used (LRU) pages to accommodate new
 ones." Per the paper's footnote, the realistic case interleaves queries
 from users with different interests, so the training workload is replayed
-in a shuffled order (several passes) before the cache contents are frozen
-into the subset.
+once in a shuffled order before the cache contents are frozen into the
+subset.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ class CacheBaseline(SubsetSelector):
 
     name = "CACH"
 
-    def __init__(self, n_passes: int = 1) -> None:
-        if n_passes < 1:
-            raise ValueError(f"need at least one replay pass, got {n_passes}")
-        self.n_passes = n_passes
-
     def select(
         self,
         db: Database,
@@ -45,11 +40,9 @@ class CacheBaseline(SubsetSelector):
         coverages = self.workload_coverages(db, workload, frame_size, rng)
         cache = LRUTupleCache(capacity=k)
 
-        for _ in range(self.n_passes):
-            order = rng.permutation(len(coverages))
-            for q in order:
-                for requirement in coverages[q].requirements:
-                    cache.touch_many(requirement)
+        for q in rng.permutation(len(coverages)):
+            for requirement in coverages[q].requirements:
+                cache.touch_many(requirement)
 
         approx = ApproximationSet.from_mapping(cache.contents())
         return self.finish(

@@ -30,6 +30,8 @@ from ..db.table import Table
 MIN_ROWS_TO_SPLIT = 256
 INDEPENDENCE_THRESHOLD = 0.25
 N_HISTOGRAM_BINS = 32
+#: Rows an SPN is learned from at most (a uniform sample beyond it).
+MAX_ROWS = 20_000
 
 
 # ------------------------------------------------------------------ #
@@ -380,12 +382,12 @@ def _build_node(
 class SPNModel:
     """A DeepDB-style SPN over one table."""
 
-    def __init__(self, table: Table, seed: int = 0, max_rows: int = 20_000) -> None:
+    def __init__(self, table: Table, seed: int = 0) -> None:
         self.table = table
         rng = np.random.default_rng(seed)
         positions = np.arange(len(table))
-        if len(table) > max_rows:
-            positions = np.sort(rng.choice(len(table), size=max_rows, replace=False))
+        if len(table) > MAX_ROWS:
+            positions = np.sort(rng.choice(len(table), size=MAX_ROWS, replace=False))
         self.n_rows = len(table)
         self.columns = list(table.schema.column_names)
         self.root = _build_node(table, self.columns, positions, rng, depth=0)

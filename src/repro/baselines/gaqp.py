@@ -17,7 +17,7 @@ from ..core.metric import aggregate_relative_error
 from ..db.database import Database
 from ..db.query import AggregateQuery
 from ..db.table import Table
-from .vae import TabularCodec, TabularVAE
+from .vae import MAX_TRAINING_ROWS, TabularCodec, TabularVAE
 
 
 class GAQPEstimator:
@@ -28,8 +28,6 @@ class GAQPEstimator:
         db: Database,
         memory_fraction: float = 0.01,
         epochs: int = 25,
-        latent_dim: int = 8,
-        max_training_rows: int = 4000,
         seed: int = 0,
     ) -> None:
         if not 0 < memory_fraction <= 1:
@@ -47,15 +45,13 @@ class GAQPEstimator:
             if len(table) == 0:
                 continue
             training_table = table
-            if len(table) > max_training_rows:
+            if len(table) > MAX_TRAINING_ROWS:
                 picks = np.sort(
-                    self.rng.choice(len(table), size=max_training_rows, replace=False)
+                    self.rng.choice(len(table), size=MAX_TRAINING_ROWS, replace=False)
                 )
                 training_table = table.take(picks)
             codec = TabularCodec(training_table)
-            vae = TabularVAE(
-                codec, latent_dim=latent_dim, seed=int(self.rng.integers(0, 2**31))
-            )
+            vae = TabularVAE(codec, seed=int(self.rng.integers(0, 2**31)))
             vae.train(codec.encode(), epochs=epochs)
             self.models[table.name] = vae
         self.setup_seconds = perf_counter() - started

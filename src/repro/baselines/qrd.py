@@ -27,14 +27,14 @@ from .base import SelectionResult, SubsetSelector
 #: Cap on the per-table pool that gets embedded and clustered.
 MAX_POOL_PER_TABLE = 1500
 
+#: Dimensionality of the tuple embeddings the medoids are chosen in.
+EMBEDDING_DIM = 32
+
 
 class QueryResultDiversification(SubsetSelector):
     """Cluster-medoid representative selection per table."""
 
     name = "QRD"
-
-    def __init__(self, embedding_dim: int = 32) -> None:
-        self.embedding_dim = embedding_dim
 
     def select(
         self,
@@ -47,7 +47,7 @@ class QueryResultDiversification(SubsetSelector):
     ) -> SelectionResult:
         started = perf_counter()
         stats = compute_database_stats(db)
-        embedder = TupleEmbedder(dim=self.embedding_dim, stats=stats)
+        embedder = TupleEmbedder(dim=EMBEDDING_DIM, stats=stats)
         approx = ApproximationSet()
         for table, share in self.table_shares(db, k, approx):
             if len(table) > MAX_POOL_PER_TABLE:

@@ -32,6 +32,19 @@ from .base import SelectionResult, SubsetSelector
 MAX_VOCAB = 24
 OTHER_TOKEN = "<other>"
 
+#: Network and training settings of every :class:`TabularVAE`.
+LATENT_DIM = 8
+HIDDEN = 48
+LEARNING_RATE = 1e-3
+KL_WEIGHT = 0.5
+BATCH_SIZE = 128
+
+#: Rows a table's VAE trains on at most (a uniform sample beyond it).
+MAX_TRAINING_ROWS = 4000
+
+#: Training epochs of the VAE baseline's per-table models.
+EPOCHS = 25
+
 
 @dataclass
 class _ColumnCodec:
@@ -134,30 +147,20 @@ class TabularCodec:
 class TabularVAE:
     """Gaussian-latent VAE with mixed reconstruction heads."""
 
-    def __init__(
-        self,
-        codec: TabularCodec,
-        latent_dim: int = 8,
-        hidden: int = 48,
-        learning_rate: float = 1e-3,
-        kl_weight: float = 0.5,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, codec: TabularCodec, seed: int = 0) -> None:
         self.codec = codec
-        self.latent_dim = latent_dim
-        self.kl_weight = kl_weight
         rng = np.random.default_rng(seed)
         d = codec.width
-        self.encoder = MLP([d, hidden, 2 * latent_dim], rng)
-        self.decoder = MLP([latent_dim, hidden, d], rng)
+        self.encoder = MLP([d, HIDDEN, 2 * LATENT_DIM], rng)
+        self.decoder = MLP([LATENT_DIM, HIDDEN, d], rng)
         self.optimizer = Adam(
             self.encoder.parameters() + self.decoder.parameters(),
-            learning_rate=learning_rate,
+            learning_rate=LEARNING_RATE,
         )
         self._train_rng = rng
 
     # -------------------------------------------------------------- #
-    def train(self, data: np.ndarray, epochs: int = 30, batch_size: int = 128) -> list[float]:
+    def train(self, data: np.ndarray, epochs: int) -> list[float]:
         """Minibatch training; returns per-epoch mean losses."""
         n = len(data)
         losses = []
@@ -165,8 +168,8 @@ class TabularVAE:
             order = self._train_rng.permutation(n)
             epoch_loss = 0.0
             n_batches = 0
-            for start in range(0, n, batch_size):
-                batch = data[order[start : start + batch_size]]
+            for start in range(0, n, BATCH_SIZE):
+                batch = data[order[start : start + BATCH_SIZE]]
                 epoch_loss += self._step(batch)
                 n_batches += 1
             losses.append(epoch_loss / max(1, n_batches))
@@ -175,8 +178,8 @@ class TabularVAE:
     def _step(self, batch: np.ndarray) -> float:
         m = len(batch)
         encoded, enc_cache = self.encoder.forward(batch)
-        mu = encoded[:, : self.latent_dim]
-        logvar = np.clip(encoded[:, self.latent_dim :], -8.0, 8.0)
+        mu = encoded[:, : LATENT_DIM]
+        logvar = np.clip(encoded[:, LATENT_DIM :], -8.0, 8.0)
         eps = self._train_rng.standard_normal(mu.shape)
         sigma = np.exp(0.5 * logvar)
         z = mu + sigma * eps
@@ -203,15 +206,15 @@ class TabularVAE:
             offset += codec.width
 
         kl = -0.5 * float(np.sum(1.0 + logvar - mu ** 2 - np.exp(logvar)))
-        loss = (recon_loss + self.kl_weight * kl) / m
+        loss = (recon_loss + KL_WEIGHT * kl) / m
 
         dec_wgrads, dec_bgrads = self.decoder.backward(dec_cache, grad_output)
         # Gradient into z, then into (mu, logvar).
         grad_z = self._grad_wrt_input(self.decoder, dec_cache, grad_output)
-        grad_mu = grad_z + self.kl_weight * mu / m
+        grad_mu = grad_z + KL_WEIGHT * mu / m
         grad_logvar = (
             grad_z * eps * 0.5 * sigma
-            + self.kl_weight * (-0.5) * (1.0 - np.exp(logvar)) / m
+            + KL_WEIGHT * (-0.5) * (1.0 - np.exp(logvar)) / m
         )
         grad_encoded = np.concatenate([grad_mu, grad_logvar], axis=1)
         enc_wgrads, enc_bgrads = self.encoder.backward(enc_cache, grad_encoded)
@@ -234,7 +237,7 @@ class TabularVAE:
     # -------------------------------------------------------------- #
     def generate(self, n: int, rng: np.random.Generator) -> dict[str, list]:
         """Sample ``n`` synthetic tuples (column-value lists)."""
-        z = rng.standard_normal((n, self.latent_dim))
+        z = rng.standard_normal((n, LATENT_DIM))
         output = self.decoder.predict(z)
         return self.codec.decode(output, rng)
 
@@ -244,15 +247,7 @@ class VAEBaseline(SubsetSelector):
 
     name = "VAE"
 
-    def __init__(
-        self,
-        epochs: int = 25,
-        latent_dim: int = 8,
-        max_training_rows: int = 4000,
-    ) -> None:
-        self.epochs = epochs
-        self.latent_dim = latent_dim
-        self.max_training_rows = max_training_rows
+    def __init__(self) -> None:
         self.models: dict[str, TabularVAE] = {}
 
     def select(
@@ -273,18 +268,14 @@ class VAEBaseline(SubsetSelector):
                 synthetic_tables.append(table)
                 continue
             training_table = table
-            if len(table) > self.max_training_rows:
+            if len(table) > MAX_TRAINING_ROWS:
                 picks = np.sort(
-                    rng.choice(len(table), size=self.max_training_rows, replace=False)
+                    rng.choice(len(table), size=MAX_TRAINING_ROWS, replace=False)
                 )
                 training_table = table.take(picks)
             codec = TabularCodec(training_table)
-            vae = TabularVAE(
-                codec,
-                latent_dim=self.latent_dim,
-                seed=int(rng.integers(0, 2**31)),
-            )
-            vae.train(codec.encode(), epochs=self.epochs)
+            vae = TabularVAE(codec, seed=int(rng.integers(0, 2**31)))
+            vae.train(codec.encode(), epochs=EPOCHS)
             self.models[table.name] = vae
 
             share = max(1, int(round(k * len(table) / total_rows)))

@@ -17,7 +17,6 @@ from .reporting import (
     bench_splits,
     emit,
     format_table,
-    print_table,
     results_dir,
     save_results,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "evaluate_over_splits",
     "format_table",
     "measure_query_batch",
-    "print_table",
     "results_dir",
     "save_results",
 ]

@@ -101,19 +101,24 @@ def bench_asqp_config(
     )
 
 
+#: Test queries one QueryAvg measurement answers.
+QUERY_BATCH = 10
+
+#: Share of the workload each train/test partition holds out.
+TEST_FRACTION = 0.3
+
+
 def measure_query_batch(
-    database: Database,
-    workload: Workload,
-    n_queries: int = 10,
-    regenerator=None,
+    database: Database, workload: Workload, regenerator=None
 ) -> float:
-    """Seconds to answer ``n_queries`` test queries (the paper's QueryAvg).
+    """Seconds to answer :data:`QUERY_BATCH` test queries (the paper's
+    QueryAvg).
 
     ``regenerator`` (VAE) is charged per batch: generative engines sample
     their model at query time.
     """
     spj = workload.spj_only()
-    queries = spj.queries[:n_queries]
+    queries = spj.queries[:QUERY_BATCH]
     start = time.perf_counter()
     target = database
     if regenerator is not None:
@@ -182,7 +187,6 @@ def evaluate_over_splits(
     k: int,
     frame_size: int,
     n_splits: int = 2,
-    test_fraction: float = 0.3,
     base_seed: int = 0,
     time_budget: Optional[float] = None,
     asqp_overrides: Optional[dict] = None,
@@ -192,7 +196,7 @@ def evaluate_over_splits(
     completed = True
     for split in range(n_splits):
         rng = np.random.default_rng(base_seed + 1000 * split)
-        train, test = bundle.workload.split(test_fraction, rng)
+        train, test = bundle.workload.split(TEST_FRACTION, rng)
         result = evaluate_method(
             bundle, train, test, method, k, frame_size,
             seed=base_seed + split, time_budget=time_budget,

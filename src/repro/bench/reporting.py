@@ -43,14 +43,6 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def print_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = ""
-) -> None:
-    console()
-    console(format_table(headers, rows, title=title))
-    console()
-
-
 def results_dir() -> str:
     """Where benchmark JSON records land (override with REPRO_RESULTS_DIR)."""
     path = os.environ.get("REPRO_RESULTS_DIR", "bench_results")
@@ -85,39 +77,32 @@ def config_hash() -> str:
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
-def run_provenance(duration_seconds: Optional[float] = None) -> dict:
+def run_provenance() -> dict:
     """Provenance block stamped into every saved bench payload.
 
     Git SHA + bench scale + default-config hash make trajectory entries
-    comparable across PRs; ``duration_seconds`` is a monotonic-clock
-    measurement supplied by the caller (library code never reads the
-    wall clock — the timestamp in :func:`save_results` is allowed here
-    because ``bench/`` is exempt from ``tests/test_source_rules.py``'s
-    ``no-wallclock-in-library`` rule).
+    comparable across PRs (the timestamp in :func:`save_results` is
+    allowed because ``bench/`` is exempt from
+    ``tests/test_source_rules.py``'s ``no-wallclock-in-library`` rule).
     """
-    provenance = {
+    return {
         "git_sha": _git_sha(),
         "bench_scale": bench_scale(),
         "config_hash": config_hash(),
     }
-    if duration_seconds is not None:
-        provenance["duration_seconds"] = round(float(duration_seconds), 4)
-    return provenance
 
 
-def save_results(
-    experiment: str, payload: dict, duration_seconds: Optional[float] = None
-) -> str:
+def save_results(experiment: str, payload: dict) -> str:
     """Persist one experiment's results as JSON; returns the file path.
 
     Every record carries a ``provenance`` block (git SHA, bench scale,
-    config hash, optional monotonic duration) so ``repro report`` can
-    line up trajectory entries recorded under different commits.
+    config hash) so ``repro report`` can line up trajectory entries
+    recorded under different commits.
     """
     record = {
         "experiment": experiment,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "provenance": run_provenance(duration_seconds),
+        "provenance": run_provenance(),
         **payload,
     }
     path = os.path.join(results_dir(), f"{experiment}.json")
@@ -152,14 +137,14 @@ def bench_scale() -> float:
     return value
 
 
-def bench_splits(default: int = 1) -> int:
+def bench_splits() -> int:
     """Train/test repetitions for averaged benchmarks (REPRO_BENCH_SPLITS).
 
     Default 1 keeps a full `pytest benchmarks/` run under an hour; set 2+
     to reproduce the paper's mean ± std over repeated partitions.
     """
     raw = os.environ.get("REPRO_BENCH_SPLITS")
-    return int(raw) if raw else default
+    return int(raw) if raw else 1
 
 
 #: ASQP-RL overrides for sweep figures (many trainings; ~3x faster each).
@@ -182,13 +167,11 @@ def emit(experiment: str, headers, rows, payload: dict, title: str) -> None:
         handle.write(text + "\n")
 
 
-def ascii_chart(
-    series: dict,
-    x_labels,
-    width: int = 60,
-    height: int = 12,
-    title: str = "",
-) -> str:
+#: Plot area of :func:`ascii_chart`, in characters.
+CHART_WIDTH, CHART_HEIGHT = 60, 12
+
+
+def ascii_chart(series: dict, x_labels, title: str = "") -> str:
     """Render one or more numeric series as a plain-text line chart.
 
     ``series`` maps a name to a list of y-values (all the same length as
@@ -211,6 +194,7 @@ def ascii_chart(
     lo, hi = min(all_values), max(all_values)
     if hi - lo < 1e-12:
         hi = lo + 1.0
+    width, height = CHART_WIDTH, CHART_HEIGHT
 
     grid = [[" "] * width for _ in range(height)]
     for s, name in enumerate(names):

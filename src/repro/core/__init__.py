@@ -27,11 +27,11 @@ from .metric import (
     workload_result_keys,
 )
 from .persistence import ModelError, load_model, save_model
-from .preprocess import PreprocessResult, build_coverage, preprocess, provenance_rows
+from .preprocess import PreprocessResult, build_coverage, preprocess
 from .reward import CoverageTracker, QueryCoverage
 from .session import ASQPSession, ASQPSystem, QueryOutcome
 from .trainer import ASQPTrainer, IterationRecord, TrainedModel, run_training_loop
-from .workload_gen import WorkloadGenerator, generate_workload
+from .workload_gen import WorkloadGenerator
 
 __all__ = [
     "ASQPAgent",
@@ -60,14 +60,12 @@ __all__ = [
     "aggregate_relative_error",
     "build_coverage",
     "generate_approximation_set",
-    "generate_workload",
     "load_model",
     "save_model",
     "group_rows_into_actions",
     "pairwise_jaccard_diversity",
     "per_query_scores",
     "preprocess",
-    "provenance_rows",
     "query_score",
     "relative_error",
     "result_diversity",

@@ -87,7 +87,7 @@ def _copy_overlap(target: MLP, source: MLP) -> None:
 def _expanded_actor(
     actor: ActorNetwork, new_n_actions: int, rng: np.random.Generator
 ) -> ActorNetwork:
-    expanded = ActorNetwork(new_n_actions, rng, hidden=actor.net.layer_sizes[1:-1])
+    expanded = ActorNetwork(new_n_actions, rng)
     _copy_overlap(expanded.net, actor.net)
     return expanded
 
@@ -95,6 +95,6 @@ def _expanded_actor(
 def _expanded_critic(
     critic: CriticNetwork, new_state_dim: int, rng: np.random.Generator
 ) -> CriticNetwork:
-    expanded = CriticNetwork(new_state_dim, rng, hidden=critic.net.layer_sizes[1:-1])
+    expanded = CriticNetwork(new_state_dim, rng)
     _copy_overlap(expanded.net, critic.net)
     return expanded

@@ -11,8 +11,8 @@ contain relevant tuples. The estimate combines:
   workload"), similarity-weighted.
 
 The product, squashed to [0, 1], is the confidence that the query is
-answerable from the approximation set; ≥ threshold (default 0.5) predicts
-"answerable". ``deviation_confidence`` (1 − familiarity) drives interest-
+answerable from the approximation set; ≥ :data:`ANSWERABLE_AT` (0.5)
+predicts "answerable". ``deviation_confidence`` (1 − familiarity) drives interest-
 drift detection.
 """
 
@@ -26,6 +26,9 @@ import numpy as np
 from ..db.database import prepared
 from ..db.query import AggregateQuery, SPJQuery
 from ..embedding.query_embed import QueryEmbedder
+
+#: The confidence at and above which a query is predicted answerable.
+ANSWERABLE_AT = 0.5
 
 #: Softmax sharpness when weighting nearby representatives.
 _SIMILARITY_TEMPERATURE = 0.1
@@ -55,7 +58,6 @@ class AnswerabilityEstimator:
         embedder: QueryEmbedder,
         representative_embeddings: np.ndarray,
         training_scores: Sequence[float],
-        threshold: float = 0.5,
         calibration_embeddings: Optional[np.ndarray] = None,
     ) -> None:
         embeddings = np.atleast_2d(np.asarray(representative_embeddings))
@@ -70,7 +72,6 @@ class AnswerabilityEstimator:
         self.embedder = embedder
         self.embeddings = embeddings
         self.scores = scores
-        self.threshold = threshold
         self.calibration_embeddings = (
             np.atleast_2d(np.asarray(calibration_embeddings))
             if calibration_embeddings is not None and len(calibration_embeddings)
@@ -139,7 +140,7 @@ class AnswerabilityEstimator:
             confidence=confidence,
             familiarity=familiarity,
             competence=competence,
-            answerable=confidence >= self.threshold,
+            answerable=confidence >= ANSWERABLE_AT,
         )
 
     def deviation_confidence(self, query: Union[SPJQuery, AggregateQuery]) -> float:

@@ -1,6 +1,6 @@
 """Inference: generating the approximation set (paper Alg. 2).
 
-Tuple selection is sequential: while the set is below the requested size,
+Tuple selection is sequential: while the set is below the memory budget,
 sample the next action from the trained policy (with masking), append its
 tuples, and stop at the budget. A deterministic greedy mode takes the
 arg-max action instead, which is what the benchmarks use for
@@ -23,16 +23,15 @@ def generate_approximation_set(
     actor: ActorNetwork,
     action_space: ActionSpace,
     config: ASQPConfig,
-    requested_size: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     greedy: bool = True,
 ) -> ApproximationSet:
     """Roll the trained policy out into an approximation set (Alg. 2).
 
+    The ``req_size`` of Alg. 2 is the memory budget ``k``.
+
     Parameters
     ----------
-    requested_size:
-        The ``req_size`` of Alg. 2; defaults to the memory budget ``k``.
     greedy:
         Take the arg-max valid action (deterministic); otherwise sample
         from the policy distribution.
@@ -42,14 +41,7 @@ def generate_approximation_set(
             f"action space size {len(action_space)} does not match the "
             f"actor's {actor.n_actions} actions"
         )
-    if actor.state_dim != actor.n_actions:
-        raise ValueError(
-            f"the actor's state is {actor.state_dim} wide but it has "
-            f"{actor.n_actions} actions; Alg. 2 feeds it its own selections"
-        )
-    budget = requested_size if requested_size is not None else config.memory_budget
-    if budget < 1:
-        raise ValueError(f"requested size must be >= 1, got {budget}")
+    budget = config.memory_budget
     rng = rng or np.random.default_rng(config.seed)
 
     # Between two steps the multi-hot input changes in one position, so the

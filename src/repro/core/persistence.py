@@ -231,8 +231,6 @@ def load_model(directory: str, db: Database) -> TrainedModel:
     stats = compute_database_stats(db)
     prep = PreprocessResult(
         representatives=representatives,
-        relaxed_representatives=[],
-        representative_weights=weights,
         representative_embeddings=representative_embeddings,
         training_embeddings=training_embeddings,
         coverages=list(coverages),

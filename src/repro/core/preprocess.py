@@ -47,8 +47,6 @@ class PreprocessResult:
     """Everything the training phase consumes."""
 
     representatives: list[SPJQuery]
-    relaxed_representatives: list[SPJQuery]
-    representative_weights: np.ndarray
     representative_embeddings: np.ndarray
     training_embeddings: np.ndarray
     coverages: list[QueryCoverage]
@@ -72,11 +70,6 @@ def provenance_ids(db: Database, query: SPJQuery) -> tuple[list[str], np.ndarray
     arrays = [result.row_ids[t] for t in tables]
     keep = distinct_positions(arrays)
     return tables, np.column_stack([array[keep] for array in arrays])
-
-
-def provenance_rows(db: Database, query: SPJQuery) -> list[tuple[TupleKey, ...]]:
-    """Distinct provenance requirements of a query's result on ``db``."""
-    return as_rows(*provenance_ids(db, query))
 
 
 def build_coverage(
@@ -242,8 +235,6 @@ def preprocess(
 
     return PreprocessResult(
         representatives=representatives,
-        relaxed_representatives=relaxed_reps,
-        representative_weights=rep_weights,
         representative_embeddings=rep_embeddings,
         training_embeddings=training_embeddings,
         coverages=coverages,

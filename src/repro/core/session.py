@@ -29,7 +29,7 @@ from . import metric
 from .approximation import ApproximationSet
 from .config import ASQPConfig
 from .drift import DriftDetector, DriftEvent
-from .estimator import AnswerabilityEstimate, AnswerabilityEstimator
+from .estimator import ANSWERABLE_AT, AnswerabilityEstimate, AnswerabilityEstimator
 from .trainer import ASQPTrainer, TrainedModel
 from .workload_gen import WorkloadGenerator
 
@@ -126,8 +126,9 @@ class ASQPSession:
             When False, always answer from the approximation set (the user
             declined the slow path).
         confidence_threshold:
-            Override the session threshold — e.g. the paper's full-system
-            variants query the database below predicted score 0.6 / 0.8.
+            Override :data:`~repro.core.estimator.ANSWERABLE_AT` — e.g. the
+            paper's full-system variants query the database below predicted
+            score 0.6 / 0.8.
         """
         self.query_log.append(query)
         # On recorded runs the session opens the request context itself,
@@ -140,7 +141,7 @@ class ASQPSession:
             threshold = (
                 confidence_threshold
                 if confidence_threshold is not None
-                else self.estimator.threshold
+                else ANSWERABLE_AT
             )
             use_approx = (not allow_full_database) or estimate.confidence >= threshold
 
@@ -255,11 +256,6 @@ class ASQPSession:
             cost_seconds=cost,
             low_quality=low_quality,
         )
-        stats = getattr(outcome.result, "stats", None)
-        if stats is not None:
-            stats.audited = True
-            stats.audit_recall = recall
-            stats.audit_agg_rel_error = agg_error
         sp.set(audit_recall=round(recall, 4))
         if low_quality:
             sp.set(low_quality=1)

@@ -107,12 +107,7 @@ class TrainedModel:
         return self._coverage_index
 
     # -------------------------------------------------------------- #
-    def approximation_set(
-        self,
-        requested_size: Optional[int] = None,
-        greedy: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ApproximationSet:
+    def approximation_set(self, greedy: bool = True) -> ApproximationSet:
         """Generate an approximation set from the trained policy (Alg. 2).
 
         Rolls out one greedy trajectory plus ``config.n_candidate_rollouts``
@@ -126,37 +121,24 @@ class TrainedModel:
         and returns the arg-max trajectory alone, the policy's own
         deterministic set (no generator is consumed, no scoring).
 
-        The default call (no argument) selects once per trained policy: it
-        keeps its set in :attr:`selected` and returns that on every later
-        default call, until :func:`run_training_loop` clears it. A call with
-        any argument rolls out afresh and neither reads nor writes it.
+        The default call selects once per trained policy: it keeps its set
+        in :attr:`selected` and returns that on every later default call,
+        until :func:`run_training_loop` clears it. ``greedy=False`` rolls out
+        afresh and neither reads nor writes it.
         """
-        default = requested_size is None and greedy and rng is None
-        if default and self.selected is not None:
+        if greedy and self.selected is not None:
             return self.selected
-        rng = rng or np.random.default_rng(self.config.seed + 31)
+        rng = np.random.default_rng(self.config.seed + 31)
         candidates = [
             generate_approximation_set(
-                self.agent.actor,
-                self.action_space,
-                self.config,
-                requested_size=requested_size,
-                rng=rng,
-                greedy=True,
+                self.agent.actor, self.action_space, self.config, rng, greedy=True
             )
         ]
         if greedy:
             for _ in range(self.config.n_candidate_rollouts):
-                candidates.append(
-                    generate_approximation_set(
-                        self.agent.actor,
-                        self.action_space,
-                        self.config,
-                        requested_size=requested_size,
-                        rng=rng,
-                        greedy=False,
-                    )
-                )
+                candidates.append(generate_approximation_set(
+                    self.agent.actor, self.action_space, self.config, rng, greedy=False
+                ))
         best = candidates[0]
         if len(candidates) > 1:
             tracker = CoverageTracker(self.coverages, self.coverage_index())
@@ -166,14 +148,12 @@ class TrainedModel:
                 if value > best_score:
                     best_score = value
                     best = candidate
-        if default:
+        if greedy:
             self.selected = best
         return best
 
-    def approximation_database(
-        self, requested_size: Optional[int] = None
-    ) -> Database:
-        return self.approximation_set(requested_size).to_database(self.db)
+    def approximation_database(self) -> Database:
+        return self.approximation_set().to_database(self.db)
 
     def training_scores(
         self, approximation_set: Optional[ApproximationSet] = None
@@ -219,10 +199,7 @@ class TrainedModel:
 
     # -------------------------------------------------------------- #
     def fine_tune(
-        self,
-        new_queries: Sequence[Union[SPJQuery, AggregateQuery]],
-        iterations: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
+        self, new_queries: Sequence[Union[SPJQuery, AggregateQuery]]
     ) -> None:
         """Fine-tune on drifted queries (paper §4.4).
 
@@ -233,7 +210,7 @@ class TrainedModel:
         if not new_queries:
             return
         self.selected = None  # the action space and coverages change here
-        rng = rng or np.random.default_rng(self.config.seed + 500 + self.fine_tune_count)
+        rng = np.random.default_rng(self.config.seed + 500 + self.fine_tune_count)
         config = self.config
         prep = self.preprocessed
         relaxer = QueryRelaxer(prep.stats)
@@ -280,10 +257,9 @@ class TrainedModel:
             [prep.training_embeddings, new_embeddings]
         )
 
-        n_iterations = iterations or config.fine_tune_iterations
         run_training_loop(
             self,
-            n_iterations=n_iterations,
+            n_iterations=config.fine_tune_iterations,
             rng=rng,
             bias_queries=new_indices,
         )

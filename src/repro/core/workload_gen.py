@@ -199,13 +199,3 @@ class WorkloadGenerator:
             predicate=conjoin(predicates),
         )
 
-
-def generate_workload(
-    db: Database,
-    n_queries: int,
-    rng: Optional[np.random.Generator] = None,
-    name_prefix: str = "gen",
-) -> Workload:
-    """Convenience wrapper: one-shot workload generation from statistics."""
-    generator = WorkloadGenerator(db, rng or np.random.default_rng(0))
-    return generator.generate(n_queries, name_prefix=name_prefix)

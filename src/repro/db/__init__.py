@@ -61,7 +61,7 @@ from .statistics import (
     estimate_predicate_selectivity,
     estimated_join_cardinality,
 )
-from .table import DictEncoded, Table, table_from_rows
+from .table import DictEncoded, Table
 
 __all__ = [
     "AggFunc",
@@ -120,7 +120,6 @@ __all__ = [
     "rewrite_for_codes",
     "split_explain",
     "sql",
-    "table_from_rows",
     "timed_execute",
     "variational_subsample",
 ]

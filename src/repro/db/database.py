@@ -108,7 +108,7 @@ class Database:
             tables.append(table.subset_by_row_ids(keep))
         return Database(tables, name=name or f"{self.name}:subset")
 
-    def scale(self, factor: int, name: Optional[str] = None) -> "Database":
+    def scale(self, factor: int) -> "Database":
         """Blow up every table by duplicating it ``factor`` times.
 
         Used by the Figure-4 "problem justification" experiment, which
@@ -127,7 +127,7 @@ class Database:
                 row_ids=np.arange(len(blown)),
             )
             tables.append(blown)
-        return Database(tables, name=name or f"{self.name}:x{factor}")
+        return Database(tables, name=f"{self.name}:x{factor}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         summary = ", ".join(f"{t.name}({len(t)})" for t in self._tables.values())

@@ -30,6 +30,8 @@ from .expressions import (
     _resolve_ref,
     conjoin,
     conjuncts,
+    first_value_code,
+    null_mask,
     rewrite_for_codes,
 )
 from .plan import PlanNode, QueryPlan
@@ -65,18 +67,10 @@ class QueryStats:
     #: 128-bit request trace id (repro.obs.context) — the handle that
     #: resolves this query in `repro analyze --trace`.
     trace_id: Optional[str] = None
-    #: Shadow-audit outcome (repro.obs.quality): stamped by the session
-    #: when this answer was re-measured against the full database.
-    audited: bool = False
-    audit_recall: Optional[float] = None
-    audit_agg_rel_error: Optional[float] = None
 
     def to_dict(self) -> dict[str, object]:
         return {
             "trace_id": self.trace_id,
-            "audited": self.audited,
-            "audit_recall": self.audit_recall,
-            "audit_agg_rel_error": self.audit_agg_rel_error,
             "wall_seconds": self.wall_seconds,
             "cpu_seconds": self.cpu_seconds,
             "rows_scanned": self.rows_scanned,
@@ -508,17 +502,24 @@ def _aligned_key_pair(
 
 def _hash_join(left: ResultSet, right: ResultSet, conditions: Sequence[JoinCondition]) -> ResultSet:
     """Inner equi-join of two contexts on one or more conditions."""
-    left_keys = []
-    right_keys = []
+    refs = []
     for cond in conditions:
         if cond.left in left.columns and cond.right in right.columns:
-            l_key, r_key = _aligned_key_pair(left, cond.left, right, cond.right)
+            refs.append((cond.left, cond.right))
         elif cond.right in left.columns and cond.left in right.columns:
-            l_key, r_key = _aligned_key_pair(left, cond.right, right, cond.left)
+            refs.append((cond.right, cond.left))
         else:
             raise ExecutionError(
                 f"join condition {cond.to_sql()!r} does not span the two inputs"
             )
+    # A NULL key equals nothing: with none on the smaller side, none matches.
+    if len(right) < len(left):
+        right = _without_null_keys(right, [r_ref for _, r_ref in refs])
+    else:
+        left = _without_null_keys(left, [l_ref for l_ref, _ in refs])
+    left_keys, right_keys = [], []
+    for l_ref, r_ref in refs:
+        l_key, r_key = _aligned_key_pair(left, l_ref, right, r_ref)
         left_keys.append(l_key)
         right_keys.append(r_key)
 
@@ -529,6 +530,18 @@ def _hash_join(left: ResultSet, right: ResultSet, conditions: Sequence[JoinCondi
     probe_idx, build_idx = kernels.join_positions(build_keys, probe_keys)
     left_idx, right_idx = (probe_idx, build_idx) if swap else (build_idx, probe_idx)
     return _merge(right.take(right_idx), left.take(left_idx))
+
+
+def _without_null_keys(result: ResultSet, refs: Sequence[str]) -> ResultSet:
+    """``result`` less its rows with a NULL in any of the ``refs``."""
+    nulls = None
+    for ref in refs:
+        dictionary = result.encodings.get(ref)
+        if dictionary is not None and not first_value_code(dictionary):
+            continue  # no code is NULL
+        mask = null_mask(result.columns[ref]) if dictionary is None else result.columns[ref] == 0
+        nulls = mask if nulls is None else nulls | mask
+    return result if nulls is None or not nulls.any() else result.take(np.flatnonzero(~nulls))
 
 
 def _cross_join(left: ResultSet, right: ResultSet) -> ResultSet:
@@ -588,6 +601,10 @@ def _sort(result: ResultSet, key_ref: str, descending: bool) -> ResultSet:
     if key.dtype == object:
         key = np.asarray([str(v) for v in key], dtype="U")
     positions = np.argsort(key, kind="stable")
+    if key.dtype.kind == "f":  # NaN first, as INT_NULL and ""
+        nulls = np.isnan(key[positions])
+        if nulls.any():
+            positions = np.concatenate([positions[nulls], positions[~nulls]])
     if descending:
         positions = positions[::-1]
     return result.take(positions)
@@ -1115,22 +1132,28 @@ def _aggregate(
     else:
         groups = [((), np.arange(len(flat), dtype=np.int64))]
 
+    null_keys = {key for key in value_keys if key and null_mask(flat.column(key)).any()}
     for key, idx in sorted(groups, key=lambda kv: str(kv[0])):
         row: dict[str, object] = {
             col: key[j] for j, col in enumerate(query.group_by)
         }
         for spec, name, value_key in zip(query.aggregates, agg_names, value_keys):
-            row[name] = _compute_aggregate(flat, spec.func, value_key, idx)
+            row[name] = _compute_aggregate(
+                flat, spec.func, value_key, idx, value_key in null_keys
+            )
         result.rows.append(row)
     return result
 
 
 def _compute_aggregate(
-    flat: ResultSet, func: AggFunc, value_key: Optional[str], idx: np.ndarray
+    flat: ResultSet, func: AggFunc, value_key: Optional[str], idx: np.ndarray,
+    holds_null: bool,
 ) -> float:
     if value_key is None:
         return float(len(idx))
     values = flat.column(value_key)[idx]
+    if holds_null:  # an aggregate skips NULLs
+        values = values[~null_mask(values)]
     if func is AggFunc.COUNT:
         return float(len(values))
     if len(values) == 0:

@@ -17,7 +17,8 @@ Supported forms::
 
 Every node renders back to SQL text via ``to_sql()`` and exposes
 ``columns()`` (the column refs it touches) and ``tokens()`` (structural
-tokens used by the embedding substrate).
+tokens used by the embedding substrate). An atom over a NULL (``INT_NULL``,
+NaN, ``""``) is neither true nor false (``unknown``), as in SQL.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
+
+from .schema import INT_NULL
 
 Value = Union[int, float, str]
 
@@ -66,12 +69,24 @@ def _context_column(context: Mapping[str, np.ndarray], ref: str) -> np.ndarray:
     raise ExpressionError(f"unknown column reference {ref!r}; context has {sorted(context)}")
 
 
+def null_mask(array: np.ndarray) -> np.ndarray:
+    """The rows of a context column that hold NULL."""
+    kind = array.dtype.kind
+    if kind == "O":
+        return np.asarray(array == "", dtype=bool)
+    return np.isnan(array) if kind == "f" else array == INT_NULL
+
+
 class Expression:
     """Base class for all predicate nodes."""
 
     def evaluate(self, context: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Boolean mask over the context rows."""
+        """Boolean mask over the context rows: where the predicate is true."""
         raise NotImplementedError
+
+    def unknown(self, context: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Where the predicate is neither true nor false (a NULL operand)."""
+        return np.zeros(len(next(iter(context.values()))) if context else 0, dtype=bool)
 
     def to_sql(self) -> str:
         raise NotImplementedError
@@ -136,8 +151,15 @@ class FalseExpr(Expression):
         return ["false"]
 
 
+class _OneColumn(Expression):
+    """An atom over ``self.column``: unknown where the column is NULL."""
+
+    def unknown(self, context: Mapping[str, np.ndarray]) -> np.ndarray:
+        return null_mask(_context_column(context, self.column))
+
+
 @dataclass(frozen=True)
-class Comparison(Expression):
+class Comparison(_OneColumn):
     column: str
     op: str
     value: Value
@@ -151,10 +173,15 @@ class Comparison(Expression):
         compare = _COMPARATORS[self.op]
         if array.dtype == object:
             values = np.asarray([str(v) for v in array], dtype="U")
-            result = compare(values, str(self.value))
+            result = compare(values, str(self.value)) & (values != "")
         else:
             with np.errstate(invalid="ignore"):
                 result = compare(array, self.value)
+            kind, wide = array.dtype.kind, array.dtype.itemsize == 8
+            if kind == "i" and wide and self.op in ("<", "<=", "!="):
+                result &= array != INT_NULL  # the least int64 (codes are int32)
+            elif kind == "f" and self.op == "!=":
+                result &= ~np.isnan(array)  # NaN differs from everything
         return np.asarray(result, dtype=bool)
 
     def to_sql(self) -> str:
@@ -168,7 +195,7 @@ class Comparison(Expression):
 
 
 @dataclass(frozen=True)
-class Between(Expression):
+class Between(_OneColumn):
     column: str
     low: Value
     high: Value
@@ -177,7 +204,7 @@ class Between(Expression):
         array = _context_column(context, self.column)
         if array.dtype == object:
             values = np.asarray([str(v) for v in array], dtype="U")
-            return (values >= str(self.low)) & (values <= str(self.high))
+            return (values >= str(self.low)) & (values <= str(self.high)) & (values != "")
         with np.errstate(invalid="ignore"):
             return np.asarray((array >= self.low) & (array <= self.high), dtype=bool)
 
@@ -195,7 +222,7 @@ class Between(Expression):
         ]
 
 
-class InSet(Expression):
+class InSet(_OneColumn):
     """``column IN (v1, v2, ...)``."""
 
     def __init__(self, column: str, values: Iterable[Value]) -> None:
@@ -217,7 +244,7 @@ class InSet(Expression):
     def evaluate(self, context: Mapping[str, np.ndarray]) -> np.ndarray:
         array = _context_column(context, self.column)
         if array.dtype == object:
-            wanted = {str(v) for v in self.values}
+            wanted = {str(v) for v in self.values} - {""}
             return np.asarray([str(v) in wanted for v in array], dtype=bool)
         return np.isin(array, np.asarray(self.values))
 
@@ -236,7 +263,7 @@ class InSet(Expression):
 
 
 @dataclass(frozen=True)
-class Like(Expression):
+class Like(_OneColumn):
     """SQL LIKE: ``%`` matches any run, ``_`` any single character."""
 
     column: str
@@ -253,7 +280,7 @@ class Like(Expression):
         array = _context_column(context, self.column)
         regex = self._regex()
         return np.asarray(
-            [bool(regex.match(str(value))) for value in array], dtype=bool
+            [value != "" and bool(regex.match(str(value))) for value in array], dtype=bool
         )
 
     def to_sql(self) -> str:
@@ -271,14 +298,7 @@ class IsNull(Expression):
     column: str
 
     def evaluate(self, context: Mapping[str, np.ndarray]) -> np.ndarray:
-        array = _context_column(context, self.column)
-        if array.dtype == object:
-            return np.asarray([str(v) == "" for v in array], dtype=bool)
-        if np.issubdtype(array.dtype, np.floating):
-            return np.isnan(array)
-        from .schema import INT_NULL
-
-        return array == INT_NULL
+        return null_mask(_context_column(context, self.column))
 
     def to_sql(self) -> str:
         return f"{self.column} IS NULL"
@@ -319,6 +339,11 @@ class And(Expression):
             result = result & operand.evaluate(context)
         return result
 
+    def unknown(self, context: Mapping[str, np.ndarray]) -> np.ndarray:
+        unknown = [operand.unknown(context) for operand in self.operands]
+        false = [~o.evaluate(context) & ~u for o, u in zip(self.operands, unknown)]
+        return np.logical_or.reduce(unknown) & ~np.logical_or.reduce(false)
+
     def to_sql(self) -> str:
         return "(" + " AND ".join(op.to_sql() for op in self.operands) + ")"
 
@@ -358,6 +383,10 @@ class Or(Expression):
             result = result | operand.evaluate(context)
         return result
 
+    def unknown(self, context: Mapping[str, np.ndarray]) -> np.ndarray:
+        unknown = [operand.unknown(context) for operand in self.operands]
+        return np.logical_or.reduce(unknown) & ~self.evaluate(context)
+
     def to_sql(self) -> str:
         return "(" + " OR ".join(op.to_sql() for op in self.operands) + ")"
 
@@ -390,7 +419,10 @@ class Not(Expression):
     operand: Expression
 
     def evaluate(self, context: Mapping[str, np.ndarray]) -> np.ndarray:
-        return ~self.operand.evaluate(context)
+        return ~self.operand.evaluate(context) & ~self.operand.unknown(context)
+
+    def unknown(self, context: Mapping[str, np.ndarray]) -> np.ndarray:
+        return self.operand.unknown(context)
 
     def to_sql(self) -> str:
         return f"NOT ({self.operand.to_sql()})"
@@ -442,6 +474,11 @@ def _resolve_ref(ref: str, refs) -> Optional[str]:
         if len(matches) == 1:
             return matches[0]
     return None
+
+
+def first_value_code(dictionary: Optional[np.ndarray]) -> int:
+    """1 when a dictionary's first entry is NULL (``""`` sorts first), else 0."""
+    return int(dictionary is not None and len(dictionary) > 0 and dictionary[0] == "")
 
 
 def _dictionary_code(dictionary: np.ndarray, value: str) -> Optional[int]:
@@ -568,5 +605,7 @@ def rewrite_for_codes(
         dictionary = dictionaries.get(resolved)
         if dictionary is None:
             return expression
+        if first_value_code(dictionary) and not isinstance(expression, (IsNull, IsNotNull)):
+            return None  # code 0 is NULL, which only the decoded values say
         return _rewrite_atom(expression, dictionary)
     return None

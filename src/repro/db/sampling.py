@@ -38,7 +38,6 @@ def variational_subsample(
     keys: Sequence[Hashable],
     target_size: int,
     rng: np.random.Generator,
-    min_per_stratum: int = 1,
 ) -> SubsampleResult:
     """Stratified probabilistic subsampling.
 
@@ -48,9 +47,9 @@ def variational_subsample(
         One stratum key per input position (e.g. which query representative
         produced the tuple, or a group-by key).
     target_size:
-        Desired total sample size. Every stratum keeps at least
-        ``min_per_stratum`` members (so the result can exceed the target
-        when there are many tiny strata).
+        Desired total sample size. Every stratum keeps at least one member
+        (so the result can exceed the target when there are many tiny
+        strata).
     rng:
         Source of randomness.
     """
@@ -90,11 +89,7 @@ def variational_subsample(
     probabilities: list[np.ndarray] = []
     for members, weight in zip(strata, weights):
         size = len(members)
-        quota = max(
-            min(min_per_stratum, size),
-            int(round(target_size * weight / total_weight)),
-        )
-        quota = min(quota, size)
+        quota = min(max(1, int(round(target_size * weight / total_weight))), size)
         picked.append(rng.choice(members, size=quota, replace=False))
         probabilities.append(np.full(quota, quota / size))
 

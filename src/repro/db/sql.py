@@ -39,6 +39,7 @@ from .expressions import (
     _context_column,
     conjoin,
     conjuncts,
+    null_mask,
 )
 from .query import AggFunc, AggregateQuery, AggregateSpec, JoinCondition, QueryError, SPJQuery
 
@@ -333,7 +334,12 @@ class _JoinAtom(Expression):
     def evaluate(self, context):
         left = _context_column(context, self.column)
         right = _context_column(context, self.right_ref)
-        return np.asarray(left == right, dtype=bool)
+        return np.asarray(left == right, dtype=bool) & ~self.unknown(context)
+
+    def unknown(self, context):
+        return null_mask(_context_column(context, self.column)) | null_mask(
+            _context_column(context, self.right_ref)
+        )
 
     def to_sql(self) -> str:
         return f"{self.column} = {self.right_ref}"

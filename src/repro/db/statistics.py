@@ -75,8 +75,11 @@ class TableStats:
 
 _DEFAULT_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
+#: Distinct values a categorical column's frequency table counts at most.
+MAX_DISTINCT = 10_000
 
-def compute_table_stats(table: Table, max_distinct: int = 10_000) -> TableStats:
+
+def compute_table_stats(table: Table) -> TableStats:
     """Scan a table once and summarize every column."""
     stats = TableStats(table_name=table.name, n_rows=len(table))
     for column in table.schema.columns:
@@ -98,14 +101,14 @@ def compute_table_stats(table: Table, max_distinct: int = 10_000) -> TableStats:
             )
         else:
             # By dictionary code, in first-occurrence order; counting stops at
-            # the row where distinct value ``max_distinct + 1`` first appears.
+            # the row where distinct value ``MAX_DISTINCT + 1`` first appears.
             dictionary = table.dictionary(column.name)
             codes = table.raw_column(column.name)[~nulls]
             first = np.full(len(dictionary), len(codes))
             np.minimum.at(first, codes, np.arange(len(codes)))
             seen = np.flatnonzero(first < len(codes))
-            seen = seen[np.argsort(first[seen])][: max_distinct + 1]
-            if len(seen) > max_distinct:
+            seen = seen[np.argsort(first[seen])][: MAX_DISTINCT + 1]
+            if len(seen) > MAX_DISTINCT:
                 codes = codes[: first[seen[-1]] + 1]
             counts = np.bincount(codes)[seen]
             frequencies = dict(zip(dictionary[seen].tolist(), counts.tolist()))
@@ -127,10 +130,10 @@ def compute_database_stats(db: Database) -> dict[str, TableStats]:
 _NDV_SAMPLE_CAP = 8192
 
 
-def estimate_ndv(array, sample_cap: int = _NDV_SAMPLE_CAP) -> int:
+def estimate_ndv(array) -> int:
     """Cheap number-of-distinct-values estimate of one column.
 
-    Exact (one sort of the column) up to ``sample_cap`` rows; above that,
+    Exact (one sort of the column) up to ``_NDV_SAMPLE_CAP`` rows; above that,
     a deterministic strided sample is scanned and the sample's distinct
     ratio is linearly extrapolated — a first-order estimate that is
     cheap, deterministic, and accurate enough to order equi-joins.
@@ -139,8 +142,8 @@ def estimate_ndv(array, sample_cap: int = _NDV_SAMPLE_CAP) -> int:
     n = len(values)
     if n == 0:
         return 0
-    if n > sample_cap:
-        stride = -(-n // sample_cap)  # ceil
+    if n > _NDV_SAMPLE_CAP:
+        stride = -(-n // _NDV_SAMPLE_CAP)  # ceil
         sample = values[::stride]
     else:
         sample = values
@@ -168,17 +171,13 @@ _SELECTIVITY_SAMPLE_CAP = 1024
 DEFAULT_CONJUNCT_SELECTIVITY = 1.0 / 3.0
 
 
-def estimate_predicate_selectivity(
-    predicate,
-    columns: dict,
-    sample_cap: int = _SELECTIVITY_SAMPLE_CAP,
-) -> float:
+def estimate_predicate_selectivity(predicate, columns: dict) -> float:
     """Estimated fraction of rows a predicate keeps, from a strided sample.
 
-    Evaluates the predicate on up to ``sample_cap`` evenly strided rows of
-    the given column arrays — the planner's selectivity estimate for
-    EXPLAIN's filter nodes. Deterministic, cheap (one vectorized evaluate
-    on <= ``sample_cap`` rows), and clamped away from exactly zero so
+    Evaluates the predicate on up to ``_SELECTIVITY_SAMPLE_CAP`` evenly
+    strided rows of the given column arrays — the planner's selectivity
+    estimate for EXPLAIN's filter nodes. Deterministic, cheap (one
+    vectorized evaluate on that many rows at most), and clamped away from exactly zero so
     downstream cardinality estimates never collapse to nothing.
     """
     refs = [ref for ref in predicate.columns() if ref in columns]
@@ -187,7 +186,7 @@ def estimate_predicate_selectivity(
     n = len(columns[refs[0]])
     if n == 0:
         return 1.0
-    stride = max(1, -(-n // sample_cap))  # ceil(n / cap)
+    stride = max(1, -(-n // _SELECTIVITY_SAMPLE_CAP))  # ceil(n / cap)
     sampled = {ref: array[::stride] for ref, array in columns.items()}
     mask = predicate.evaluate(sampled)
     kept = float(np.count_nonzero(mask))

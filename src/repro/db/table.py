@@ -312,19 +312,6 @@ class Table:
         return render_html_table(names, rows, caption=caption)
 
 
-def table_from_rows(schema: TableSchema, rows: Sequence[Mapping[str, object]]) -> Table:
-    """Build a :class:`Table` from a sequence of row dicts."""
-    columns: dict[str, list] = {column.name: [] for column in schema.columns}
-    for row in rows:
-        for column in schema.columns:
-            if column.name not in row:
-                raise SchemaError(
-                    f"table {schema.name!r}: row missing column {column.name!r}"
-                )
-            columns[column.name].append(row[column.name])
-    return Table(schema, columns)
-
-
 def _html_escape(value: object) -> str:
     text = str(value)
     return (

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Swap rounds of :func:`kmedoids` before it stops unconverged.
+KMEDOIDS_ITERATIONS = 30
+
 
 @dataclass
 class ClusterResult:
@@ -120,9 +123,9 @@ def kmedoids(
     points: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    n_iter: int = 30,
 ) -> ClusterResult:
-    """PAM-style k-medoids (the QRD baseline of [24]: pick medoids, re-assign)."""
+    """PAM-style k-medoids (the QRD baseline of [24]: pick medoids, re-assign),
+    at most :data:`KMEDOIDS_ITERATIONS` rounds."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = len(points)
     if n == 0:
@@ -130,7 +133,7 @@ def kmedoids(
     k = max(1, min(k, n))
 
     medoid_idx = rng.choice(n, size=k, replace=False)
-    for _ in range(n_iter):
+    for _ in range(KMEDOIDS_ITERATIONS):
         distances = _sq_distances(points, points[medoid_idx])
         labels = np.argmin(distances, axis=1)
         new_medoids = medoid_idx.copy()

@@ -17,7 +17,7 @@ import numpy as np
 from ..db.expressions import Between, Comparison, InSet, conjuncts
 from ..db.query import AggregateQuery, SPJQuery
 from ..db.statistics import TableStats
-from .text import DEFAULT_DIM, TokenHasher
+from .text import TokenHasher
 
 #: Number of buckets numeric constants are quantized into per column.
 N_VALUE_BUCKETS = 16
@@ -28,20 +28,14 @@ class QueryEmbedder:
 
     Parameters
     ----------
-    dim:
-        Embedding dimensionality.
     stats:
         Optional per-table statistics; when provided, numeric predicate
         constants produce range-bucket tokens, making embeddings smooth in
         the constants (not just the query shape).
     """
 
-    def __init__(
-        self,
-        dim: int = DEFAULT_DIM,
-        stats: Optional[Mapping[str, TableStats]] = None,
-    ) -> None:
-        self.hasher = TokenHasher(dim=dim)
+    def __init__(self, stats: Optional[Mapping[str, TableStats]] = None) -> None:
+        self.hasher = TokenHasher()
         self.stats = dict(stats) if stats else {}
 
     @property

@@ -18,6 +18,10 @@ import numpy as np
 
 DEFAULT_DIM = 64
 
+#: Token directions memoized per hasher; the memo is cleared once it holds
+#: this many (workloads here are far below the limit).
+CACHE_SIZE = 200_000
+
 
 def _token_seed(token: str) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
@@ -31,16 +35,12 @@ class TokenHasher:
     ----------
     dim:
         Embedding dimensionality.
-    cache_size:
-        Token directions are memoized; the cache is cleared once it exceeds
-        this many entries (workloads here are far below the limit).
     """
 
-    def __init__(self, dim: int = DEFAULT_DIM, cache_size: int = 200_000) -> None:
+    def __init__(self, dim: int = DEFAULT_DIM) -> None:
         if dim < 2:
             raise ValueError(f"embedding dim must be >= 2, got {dim}")
         self.dim = dim
-        self._cache_size = cache_size
         self._cache: dict[str, np.ndarray] = {}
 
     def token_vector(self, token: str) -> np.ndarray:
@@ -52,7 +52,7 @@ class TokenHasher:
         rng = np.random.Generator(np.random.PCG64(_token_seed(token)))
         vector = rng.standard_normal(self.dim)
         vector /= np.linalg.norm(vector)
-        if len(self._cache) >= self._cache_size:
+        if len(self._cache) >= CACHE_SIZE:
             self._cache.clear()
         self._cache[token] = vector
         return vector
@@ -62,21 +62,16 @@ class TokenHasher:
         rows = [self.token_vector(token) for token in tokens]
         return np.array(rows).reshape(len(rows), self.dim)
 
-    def embed(self, tokens: Sequence[str], weights: Sequence[float] = ()) -> np.ndarray:
-        """L2-normalized weighted sum of token directions.
+    def embed(self, tokens: Sequence[str]) -> np.ndarray:
+        """L2-normalized sum of token directions.
 
         An empty token list embeds as the zero vector.
         """
         if not tokens:
             return np.zeros(self.dim)
-        if weights and len(weights) != len(tokens):
-            raise ValueError(
-                f"{len(weights)} weights for {len(tokens)} tokens"
-            )
         total = np.zeros(self.dim)
-        for i, token in enumerate(tokens):
-            weight = weights[i] if weights else 1.0
-            total += weight * self.token_vector(token)
+        for token in tokens:
+            total += self.token_vector(token)
         norm = np.linalg.norm(total)
         return total / norm if norm > 0 else total
 

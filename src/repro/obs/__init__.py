@@ -11,7 +11,7 @@ Dependency-free instrumentation substrate for the whole system
   critical-path analysis, and run-vs-run latency diffs (import it
   directly — kept out of this package's eager imports);
 * :mod:`repro.obs.telemetry` — structured JSONL event streams with a
-  bounded in-memory ring and size/line-capped file rotation;
+  bounded in-memory ring and size-capped file rotation;
 * :mod:`repro.obs.profiler`  — continuous sampling CPU profiler
   (collapsed stacks, span-attributed samples);
 * :mod:`repro.obs.memory`    — tracemalloc snapshots, allocator tables,
@@ -22,8 +22,8 @@ Dependency-free instrumentation substrate for the whole system
   governor, and its accounting folded over a run's rows;
 * :mod:`repro.obs.health`    — which alerts a run has: rolling-window
   WARN/CRIT rules folded over its recorded rows (``health.alerts(run)``);
-* :mod:`repro.obs.log`       — the sanctioned console/structured-log
-  channels for library code;
+* :mod:`repro.obs.log`       — the sanctioned console channel for
+  library code;
 * :mod:`repro.obs.rundir`    — the run-directory format: artifact names,
   the one atomic writer, and ``load(directory) -> Run``, the one reader
   every ``repro`` view (report / stats / audit / watch / …) renders from.
@@ -69,14 +69,12 @@ from . import (
     telemetry,
     trace,
 )
-from .runtime import STATE, disable, enable, is_enabled, observed
+from .runtime import STATE, disable, enable
 
 __all__ = [
     "STATE",
     "disable",
     "enable",
-    "is_enabled",
-    "observed",
     "context",
     "health",
     "log",
@@ -102,8 +100,8 @@ def start_run(directory: str, audit_rate: Optional[float] = None) -> str:
 
     Clears any state left from a previous run so the directory captures
     exactly one run. The telemetry sink rotates at
-    :data:`telemetry.DEFAULT_MAX_BYTES` per file keeping
-    :data:`telemetry.DEFAULT_MAX_FILES` rotated files, so unattended
+    :data:`telemetry.MAX_BYTES` per file keeping
+    :data:`telemetry.MAX_FILES` rotated files, so unattended
     long runs stay bounded on disk. ``audit_rate`` sets the shadow-audit
     sample rate (default: ``REPRO_AUDIT_RATE`` or
     :data:`repro.obs.quality.DEFAULT_AUDIT_RATE`; values outside
@@ -117,10 +115,7 @@ def start_run(directory: str, audit_rate: Optional[float] = None) -> str:
     os.makedirs(directory, exist_ok=True)
     trace.reset()
     telemetry.reset()
-    telemetry.configure(
-        rundir.telemetry_sink(directory),
-        max_bytes=telemetry.DEFAULT_MAX_BYTES,
-    )
+    telemetry.configure(rundir.telemetry_sink(directory))
     enable()
     quality.start(rate)
     return directory

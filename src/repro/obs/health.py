@@ -7,7 +7,8 @@ through the rolling-window threshold rules of :class:`HealthMonitor`:
 * ``train.update`` rows — KL, clip fraction, entropy, gradient norm,
   explained variance, reward, non-finite values;
 * ``query`` rows — estimator calibration (confidence vs realized frame
-  score) and, over approximation-set answers, calibration drift: the
+  score; one alert per crossing, re-armed after recovery) and, over
+  approximation-set answers, calibration drift: the
   signed predicted-vs-observed bias of a rolling window, escalating
   WARN → CRIT and re-arming after recovery;
 * ``drift`` rows — one ``interest_drift`` per fired trigger;
@@ -110,6 +111,8 @@ class HealthMonitor:
         self._answers: deque[tuple[float, float]] = deque(maxlen=DRIFT_WINDOW)
         #: Highest calibration-drift severity already alerted.
         self._drift_published: Optional[str] = None
+        #: Whether the calibration window is above CALIBRATION_WARN.
+        self._miscalibrated = False
 
     def observe_update(self, fields: dict[str, Any]) -> list[Alert]:
         """Check one ``train.update`` record (an IterationRecord dict)."""
@@ -258,22 +261,29 @@ class HealthMonitor:
     def observe_calibration(
         self, confidence: float, realized: float
     ) -> list[Alert]:
-        """Check one estimator calibration pair from a routed query."""
-        new: list[Alert] = []
+        """Check one estimator calibration pair from a routed query.
+
+        Alerts once when the window's mean error crosses above
+        :data:`CALIBRATION_WARN` and re-arms once it falls back.
+        """
         error = abs(float(confidence) - float(realized))
-        if math.isfinite(error):
-            self._calibration.append(error)
-            if len(self._calibration) >= MIN_WINDOW:
-                mean_error = sum(self._calibration) / len(self._calibration)
-                if mean_error > CALIBRATION_WARN:
-                    new.append(Alert(
-                        WARN, "estimator_miscalibrated",
-                        f"mean |confidence − realized| is {mean_error:.2f} "
-                        f"over the last {len(self._calibration)} queries — "
-                        "the answerability estimator is poorly calibrated",
-                        value=mean_error, threshold=CALIBRATION_WARN,
-                    ))
-        return new
+        if not math.isfinite(error):
+            return []
+        self._calibration.append(error)
+        if len(self._calibration) < MIN_WINDOW:
+            return []
+        mean_error = sum(self._calibration) / len(self._calibration)
+        crossed = mean_error > CALIBRATION_WARN and not self._miscalibrated
+        self._miscalibrated = mean_error > CALIBRATION_WARN
+        if not crossed:
+            return []
+        return [Alert(
+            WARN, "estimator_miscalibrated",
+            f"mean |confidence − realized| is {mean_error:.2f} "
+            f"over the last {len(self._calibration)} queries — "
+            "the answerability estimator is poorly calibrated",
+            value=mean_error, threshold=CALIBRATION_WARN,
+        )]
 
     def _observe_answer(self, predicted: float, observed: float) -> list[Alert]:
         """Calibration drift over the last approximation-set answers.

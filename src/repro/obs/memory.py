@@ -34,6 +34,12 @@ EPOCH_HISTORY = 128
 #: Epoch phases tracked at most (unexpected label explosions stay bounded).
 MAX_PHASES = 64
 
+#: Trailing epochs of one phase the leak check reads.
+LEAK_EPOCHS = 4
+
+#: Rows of each allocator table.
+TOP_ALLOCATORS = 15
+
 
 def rss_kb() -> float:
     """Resident set size of this process in KiB (0.0 if unreadable)."""
@@ -55,9 +61,7 @@ def rss_kb() -> float:
 class MemoryTracker:
     """One tracemalloc session with per-phase epoch accounting."""
 
-    def __init__(self, n_frames: int = 1, top_limit: int = 15) -> None:
-        self.n_frames = n_frames
-        self.top_limit = top_limit
+    def __init__(self) -> None:
         self._baseline: Optional[tracemalloc.Snapshot] = None
         self._epochs: dict[str, deque[int]] = {}
         self._started = False
@@ -65,7 +69,7 @@ class MemoryTracker:
     # -- lifecycle --------------------------------------------------- #
     def start(self) -> "MemoryTracker":
         if not self._started:
-            tracemalloc.start(self.n_frames)
+            tracemalloc.start(1)  # the allocating line is the site
             self._baseline = tracemalloc.take_snapshot()
             self._started = True
         return self
@@ -95,13 +99,14 @@ class MemoryTracker:
         history.append(current)
         return growth
 
-    def leak_check(self, name: str, min_epochs: int = 4) -> dict[str, Any]:
-        """Monotone-growth verdict over the trailing epochs of one phase."""
+    def leak_check(self, name: str) -> dict[str, Any]:
+        """Monotone-growth verdict over the last :data:`LEAK_EPOCHS` epochs
+        of one phase."""
         history = list(self._epochs.get(name, ()))
-        if len(history) < min_epochs:
+        if len(history) < LEAK_EPOCHS:
             return {"phase": name, "epochs": len(history), "suspect": False,
                     "growth_bytes": 0}
-        tail = history[-min_epochs:]
+        tail = history[-LEAK_EPOCHS:]
         deltas = [b - a for a, b in zip(tail, tail[1:])]
         return {
             "phase": name,
@@ -113,7 +118,7 @@ class MemoryTracker:
     # -- allocator tables -------------------------------------------- #
     def _stat_rows(self, stats, size_attr: str) -> list[dict[str, Any]]:
         rows = []
-        for stat in stats[: self.top_limit]:
+        for stat in stats[:TOP_ALLOCATORS]:
             frame = stat.traceback[0]
             filename = frame.filename.replace("\\", "/")
             marker = filename.rfind("/repro/")
@@ -168,11 +173,11 @@ class MemoryTracker:
 _ACTIVE: list[MemoryTracker] = []
 
 
-def start(n_frames: int = 1) -> MemoryTracker:
+def start() -> MemoryTracker:
     """Start (or return) the process-wide memory tracker."""
     if _ACTIVE:
         return _ACTIVE[0]
-    tracker = MemoryTracker(n_frames=n_frames)
+    tracker = MemoryTracker()
     _ACTIVE.append(tracker)
     tracker.start()
     return tracker

@@ -23,10 +23,10 @@ flag: it costs nothing unless explicitly started (``repro profile``,
 gated, with the rest of observability, by the all-on arm of
 ``benchmarks/bench_kernels.py`` (≤ 5%).
 
-Memory is bounded everywhere: stacks deeper than ``max_depth`` are
-truncated, and at most ``max_unique_stacks`` distinct stacks are kept —
-further new shapes aggregate under a single ``(overflow)`` key, counted
-in :attr:`SamplingProfiler.dropped_stacks`.
+Memory is bounded everywhere: stacks deeper than :data:`MAX_DEPTH` are
+truncated, and at most :data:`MAX_UNIQUE_STACKS` distinct stacks are
+kept — further new shapes aggregate under a single ``(overflow)`` key,
+counted in :attr:`SamplingProfiler.dropped_stacks`.
 """
 
 from __future__ import annotations
@@ -43,8 +43,20 @@ from . import trace as _trace
 #: Frame used when a sample lands outside any tracing span.
 NO_SPAN = "span:-"
 
-#: Aggregation key once ``max_unique_stacks`` distinct stacks exist.
+#: Aggregation key once ``MAX_UNIQUE_STACKS`` distinct stacks exist.
 OVERFLOW_FRAME = "(overflow)"
+
+#: Frames kept per sampled stack (the innermost are dropped beyond it).
+MAX_DEPTH = 64
+
+#: Distinct stacks kept before new shapes aggregate under OVERFLOW_FRAME.
+MAX_UNIQUE_STACKS = 20_000
+
+#: Seconds between two ``on_flush`` calls of a running profiler.
+FLUSH_EVERY_S = 2.0
+
+#: Sampling rate of the process-wide profiler (:func:`start`).
+HZ = 100.0
 
 
 def _frame_label(code) -> str:
@@ -63,19 +75,13 @@ class SamplingProfiler:
 
     def __init__(
         self,
-        hz: float = 100.0,
-        max_depth: int = 64,
-        max_unique_stacks: int = 20_000,
-        flush_every_s: float = 2.0,
+        hz: float = HZ,
         on_flush: Optional[Callable[[], None]] = None,
     ) -> None:
         # A NaN rate would make the sampling wait return at once (a spin).
         if not (math.isfinite(hz) and hz > 0):
             raise ValueError(f"profiler rate must be finite and > 0, got {hz!r}")
         self.hz = float(hz)
-        self.max_depth = max_depth
-        self.max_unique_stacks = max_unique_stacks
-        self.flush_every_s = flush_every_s
         self.on_flush = on_flush
         self.sample_count = 0
         self.dropped_stacks = 0
@@ -114,12 +120,12 @@ class SamplingProfiler:
     def _sample_loop(self) -> None:
         interval = 1.0 / self.hz
         own_ident = threading.get_ident()
-        next_flush = time.perf_counter() + self.flush_every_s
+        next_flush = time.perf_counter() + FLUSH_EVERY_S
         while not self._stop.wait(interval):
             self._take_sample(own_ident)
             if self.on_flush and time.perf_counter() >= next_flush:
                 self.on_flush()  # the run rewrites its live artifacts
-                next_flush = time.perf_counter() + self.flush_every_s
+                next_flush = time.perf_counter() + FLUSH_EVERY_S
 
     def _take_sample(self, own_ident: int) -> None:
         frames = sys._current_frames()
@@ -129,7 +135,7 @@ class SamplingProfiler:
                 continue
             stack: list[str] = []
             depth = 0
-            while frame is not None and depth < self.max_depth:
+            while frame is not None and depth < MAX_DEPTH:
                 stack.append(_frame_label(frame.f_code))
                 frame = frame.f_back
                 depth += 1
@@ -143,7 +149,7 @@ class SamplingProfiler:
             for key in sampled:
                 if (
                     key not in self._counts
-                    and len(self._counts) >= self.max_unique_stacks
+                    and len(self._counts) >= MAX_UNIQUE_STACKS
                 ):
                     self.dropped_stacks += 1
                     key = (OVERFLOW_FRAME,)
@@ -167,9 +173,9 @@ class SamplingProfiler:
         """Samples attributed to each enclosing trace span."""
         return span_samples_of(self.stack_counts())
 
-    def hot_functions(self, n: int = 15) -> list[tuple[str, int, float]]:
-        """Top frames by self samples: ``(frame, samples, fraction)``."""
-        return hot_functions_of(self.stack_counts(), n=n)
+    def hot_functions(self) -> list[tuple[str, int, float]]:
+        """Top 15 frames by self samples: ``(frame, samples, fraction)``."""
+        return hot_functions_of(self.stack_counts())
 
     def summary(self) -> dict[str, Any]:
         duration = (self.stopped_s or time.perf_counter()) - self.started_s
@@ -242,13 +248,11 @@ def hot_functions_of(
 _ACTIVE: list[SamplingProfiler] = []
 
 
-def start(
-    hz: float = 100.0, on_flush: Optional[Callable[[], None]] = None
-) -> SamplingProfiler:
-    """Start (or return) the process-wide continuous profiler."""
+def start(on_flush: Optional[Callable[[], None]] = None) -> SamplingProfiler:
+    """Start (or return) the process-wide continuous profiler at :data:`HZ`."""
     if _ACTIVE:
         return _ACTIVE[0]
-    profiler = SamplingProfiler(hz=hz, on_flush=on_flush)
+    profiler = SamplingProfiler(on_flush=on_flush)
     _ACTIVE.append(profiler)
     profiler.start()
     return profiler

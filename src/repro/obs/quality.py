@@ -86,11 +86,12 @@ def validate_rate(rate: Any, source: str = "audit sample rate") -> float:
     return value
 
 
-def rate_from_env(default: float = DEFAULT_AUDIT_RATE) -> float:
-    """Audit rate from ``REPRO_AUDIT_RATE`` (validated) or the default."""
+def rate_from_env() -> float:
+    """Audit rate from ``REPRO_AUDIT_RATE`` (validated) or
+    :data:`DEFAULT_AUDIT_RATE`."""
     raw = os.environ.get("REPRO_AUDIT_RATE")
     if raw is None or raw == "":
-        return default
+        return DEFAULT_AUDIT_RATE
     return validate_rate(raw, source="REPRO_AUDIT_RATE")
 
 
@@ -117,8 +118,8 @@ class Governor:
     the recorded rows by :func:`accounting`.
     """
 
-    def __init__(self, rate: float = 0.0) -> None:
-        self.reset(rate)
+    def __init__(self) -> None:
+        self.reset(0.0)
 
     def reset(self, rate: float) -> None:
         self.rate = validate_rate(rate)

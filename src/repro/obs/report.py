@@ -572,11 +572,10 @@ def section_bench(run: Run) -> list[str]:
             record.get("timestamp", "-"),
             provenance.get("git_sha", "-"),
             provenance.get("bench_scale", "-"),
-            provenance.get("duration_seconds", "-"),
         ])
     if rows:
         lines.append(_md_table(
-            ["experiment", "timestamp", "git sha", "scale", "duration s"], rows
+            ["experiment", "timestamp", "git sha", "scale"], rows
         ))
         lines.append("")
     else:

@@ -14,9 +14,6 @@ without import cycles through the package ``__init__``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 
 class ObservabilityState:
     """Mutable process-global switch (attribute reads stay live)."""
@@ -30,10 +27,6 @@ class ObservabilityState:
 STATE = ObservabilityState()
 
 
-def is_enabled() -> bool:
-    return STATE.enabled
-
-
 def enable() -> None:
     """Turn instrumentation on process-wide."""
     STATE.enabled = True
@@ -43,13 +36,3 @@ def disable() -> None:
     """Turn instrumentation off process-wide."""
     STATE.enabled = False
 
-
-@contextmanager
-def observed(on: bool = True) -> Iterator[None]:
-    """Temporarily enable (or disable) observability, restoring on exit."""
-    previous = STATE.enabled
-    STATE.enabled = on
-    try:
-        yield
-    finally:
-        STATE.enabled = previous

@@ -11,9 +11,9 @@ Retention is bounded on both axes so week-long runs stay flat:
 
 * in memory, the ring is a ``deque(maxlen=MAX_RECORDS)``;
 * on disk, the sink rotates — when the active file would exceed
-  ``max_bytes`` (or ``max_lines``), ``telemetry.jsonl`` becomes
-  ``telemetry.1.jsonl``, ``.1`` becomes ``.2``, … and files beyond
-  ``max_files`` are deleted. A record that lands the file *exactly at*
+  :data:`MAX_BYTES`, ``telemetry.jsonl`` becomes ``telemetry.1.jsonl``,
+  ``.1`` becomes ``.2``, … and files beyond :data:`MAX_FILES` are
+  deleted. A record that lands the file *exactly at*
   the cap stays put; the next record triggers the rotation, and the
   first record of a fresh file is always written even if it alone
   exceeds the cap (a record is never split or silently dropped).
@@ -52,21 +52,16 @@ from .runtime import STATE
 #: Cap on in-memory records (ring: oldest dropped first).
 MAX_RECORDS = 10_000
 
-#: Default on-disk rotation: 64 MiB per file, 8 rotated files kept —
-#: a run's telemetry footprint is bounded near 0.5 GiB however long it
-#: lives. ``configure(..., max_bytes=None)`` disables rotation.
-DEFAULT_MAX_BYTES = 64 * 1024 * 1024
-DEFAULT_MAX_FILES = 8
+#: On-disk rotation: 64 MiB per file, 8 rotated files kept — a run's
+#: telemetry footprint is bounded near 0.5 GiB however long it lives.
+MAX_BYTES = 64 * 1024 * 1024
+MAX_FILES = 8
 
 _LOCK = threading.Lock()
 _RECORDS: deque[dict[str, Any]] = deque(maxlen=MAX_RECORDS)
 _SINK_PATH: Optional[str] = None
 _SEQUENCE = 0
-_MAX_BYTES: Optional[int] = None
-_MAX_LINES: Optional[int] = None
-_MAX_FILES: int = DEFAULT_MAX_FILES
 _SINK_BYTES = 0
-_SINK_LINES = 0
 
 
 def _rotation_path(path: str, index: int) -> str:
@@ -74,26 +69,16 @@ def _rotation_path(path: str, index: int) -> str:
     return f"{root}.{index}{ext}"
 
 
-def configure(
-    path: Optional[str],
-    max_bytes: Optional[int] = None,
-    max_lines: Optional[int] = None,
-    max_files: int = DEFAULT_MAX_FILES,
-) -> None:
+def configure(path: Optional[str]) -> None:
     """Set (or clear, with None) the JSONL sink file; truncates the file.
 
     Any rotated siblings left by a previous run in the same directory
     are deleted, so the rotated set always describes exactly one run.
     """
-    global _SINK_PATH, _MAX_BYTES, _MAX_LINES, _MAX_FILES
-    global _SINK_BYTES, _SINK_LINES
+    global _SINK_PATH, _SINK_BYTES
     with _LOCK:
         _SINK_PATH = path
-        _MAX_BYTES = max_bytes
-        _MAX_LINES = max_lines
-        _MAX_FILES = max(1, max_files)
         _SINK_BYTES = 0
-        _SINK_LINES = 0
         if path is not None:
             with open(path, "w"):
                 pass
@@ -102,20 +87,19 @@ def configure(
 
 
 def _rotate_locked() -> None:
-    """Shift ``path`` → ``.1`` → ``.2`` …, dropping beyond ``_MAX_FILES``."""
-    global _SINK_BYTES, _SINK_LINES
+    """Shift ``path`` → ``.1`` → ``.2`` …, dropping beyond :data:`MAX_FILES`."""
+    global _SINK_BYTES
     assert _SINK_PATH is not None
-    oldest = _rotation_path(_SINK_PATH, _MAX_FILES)
+    oldest = _rotation_path(_SINK_PATH, MAX_FILES)
     if os.path.exists(oldest):
         os.remove(oldest)
-    for index in range(_MAX_FILES - 1, 0, -1):
+    for index in range(MAX_FILES - 1, 0, -1):
         source = _rotation_path(_SINK_PATH, index)
         if os.path.exists(source):
             os.replace(source, _rotation_path(_SINK_PATH, index + 1))
     if os.path.exists(_SINK_PATH):
         os.replace(_SINK_PATH, _rotation_path(_SINK_PATH, 1))
     _SINK_BYTES = 0
-    _SINK_LINES = 0
 
 
 def emit(stream: str, **fields: Any) -> None:
@@ -128,7 +112,7 @@ def emit(stream: str, **fields: Any) -> None:
     if not STATE.enabled:
         return
     trace_id = _context.current_trace_id()
-    global _SEQUENCE, _SINK_BYTES, _SINK_LINES
+    global _SEQUENCE, _SINK_BYTES
     with _LOCK:
         _SEQUENCE += 1
         record = {"stream": stream, "seq": _SEQUENCE, "ts": time.time(), **fields}
@@ -137,13 +121,7 @@ def emit(stream: str, **fields: Any) -> None:
         _RECORDS.append(record)
         if _SINK_PATH is not None:
             data = json.dumps(record, default=str) + "\n"
-            over_bytes = (
-                _MAX_BYTES is not None
-                and _SINK_BYTES > 0
-                and _SINK_BYTES + len(data) > _MAX_BYTES
-            )
-            over_lines = _MAX_LINES is not None and _SINK_LINES >= _MAX_LINES
-            if over_bytes or over_lines:
+            if _SINK_BYTES > 0 and _SINK_BYTES + len(data) > MAX_BYTES:
                 _rotate_locked()
             # One os.write on an O_APPEND fd: POSIX appends are atomic
             # per write call, so two processes sharing the sink (e.g. two
@@ -159,16 +137,12 @@ def emit(stream: str, **fields: Any) -> None:
             finally:
                 os.close(fd)
             _SINK_BYTES += len(encoded)
-            _SINK_LINES += 1
 
 
-def records(stream: Optional[str] = None) -> list[dict[str, Any]]:
-    """In-memory records, optionally filtered to one stream."""
+def records() -> list[dict[str, Any]]:
+    """The in-memory records, oldest first."""
     with _LOCK:
-        out = list(_RECORDS)
-    if stream is not None:
-        out = [record for record in out if record.get("stream") == stream]
-    return out
+        return list(_RECORDS)
 
 
 def reset() -> None:

@@ -4,7 +4,7 @@ Replaces the paper's PyTorch + Ray stack (see DESIGN.md §2). Everything is
 deterministic given explicit ``numpy.random.Generator`` seeds.
 """
 
-from .nn import MLP, Adam, masked_log_softmax, softmax
+from .nn import MLP, Adam, softmax
 from .parallel import ActorSpec, Environment, MultiActorCollector, make_actor_specs
 from .policy import ActorNetwork, CriticNetwork, PolicyDecision
 from .ppo import NonFiniteUpdateError, PPOConfig, PPOUpdater, UpdateStats
@@ -35,6 +35,5 @@ __all__ = [
     "discounted_returns",
     "gae_advantages",
     "make_actor_specs",
-    "masked_log_softmax",
     "softmax",
 ]

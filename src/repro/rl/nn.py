@@ -117,6 +117,9 @@ class MLP:
 #: default ``(2, ADAM_BLOCK)`` scratch, 128 KiB a row.
 ADAM_BLOCK = 16_384
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam optimizer over a fixed list of parameter arrays (updated in place)."""
@@ -125,9 +128,6 @@ class Adam:
         self,
         parameters: Sequence[np.ndarray],
         learning_rate: float = 5e-5,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
     ) -> None:
         self.parameters = list(parameters)
         # The blocked walk steps 1-D views; on a non-contiguous array the
@@ -136,9 +136,6 @@ class Adam:
             if not param.flags.c_contiguous:
                 raise ValueError(f"parameter {i} {param.shape} is not C-contiguous")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self._m = [np.zeros_like(p) for p in self.parameters]
         self._v = [np.zeros_like(p) for p in self.parameters]
         self._t = 0
@@ -161,22 +158,22 @@ class Adam:
             scratch = np.empty((2, ADAM_BLOCK))
         block = scratch.shape[1]
         self._t += 1
-        correction1 = 1.0 - self.beta1 ** self._t
-        correction2 = 1.0 - self.beta2 ** self._t
+        correction1 = 1.0 - BETA1 ** self._t
+        correction2 = 1.0 - BETA2 ** self._t
         for arrays in zip(self.parameters, gradients, self._m, self._v):
             flat = [a.reshape(-1) for a in arrays]
             for start in range(0, flat[0].size, block):
                 param, grad, m, v = (a[start : start + block] for a in flat)
                 step, work = scratch[:, : param.size]
-                m *= self.beta1
-                m += np.multiply(grad, 1.0 - self.beta1, out=work)
-                v *= self.beta2
-                np.multiply(grad, 1.0 - self.beta2, out=work)
+                m *= BETA1
+                m += np.multiply(grad, 1.0 - BETA1, out=work)
+                v *= BETA2
+                np.multiply(grad, 1.0 - BETA2, out=work)
                 work *= grad
                 v += work
                 np.divide(v, correction2, out=work)
                 np.sqrt(work, out=work)
-                work += self.epsilon
+                work += EPSILON
                 np.divide(m, correction1, out=step)
                 step *= self.learning_rate
                 step /= work
@@ -228,8 +225,3 @@ def masked_log_softmax_(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         block -= np.max(block, axis=1, keepdims=True)
         block -= np.log(np.sum(np.exp(block), axis=1, keepdims=True))
     return logits
-
-
-def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Log-probabilities with invalid actions forced to ``-inf``."""
-    return masked_log_softmax_(np.array(logits, dtype=np.float64, ndmin=2), mask)

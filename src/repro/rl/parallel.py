@@ -25,6 +25,10 @@ from .rollout import RolloutBuffer, Trajectory
 TEMPERATURE_LOW = 0.8
 TEMPERATURE_HIGH = 1.6
 
+#: Hard cap per episode (a safety net over the environment's own terminal
+#: condition).
+MAX_EPISODE_STEPS = 10_000
+
 
 class Environment(abc.ABC):
     """Minimal episodic environment contract (gym-like, with masks).
@@ -85,9 +89,6 @@ class MultiActorCollector:
         The shared networks. The critic is optional (REINFORCE ablation).
     specs:
         Per-actor exploration settings from :func:`make_actor_specs`.
-    max_episode_steps:
-        Hard cap per episode (safety net over the environment's own
-        terminal condition).
     """
 
     def __init__(
@@ -96,7 +97,6 @@ class MultiActorCollector:
         actor: ActorNetwork,
         critic: CriticNetwork | None,
         specs: Sequence[ActorSpec],
-        max_episode_steps: int = 10_000,
     ) -> None:
         if not specs:
             raise ValueError("need at least one actor spec")
@@ -104,7 +104,6 @@ class MultiActorCollector:
         self.actor = actor
         self.critic = critic
         self.specs = list(specs)
-        self.max_episode_steps = max_episode_steps
 
     def collect(self, episodes_per_actor: int, buffer: RolloutBuffer) -> float:
         """Run episodes for every actor; returns the mean episode reward.
@@ -115,7 +114,7 @@ class MultiActorCollector:
         when its episode ends. Trajectories enter ``buffer`` actor by
         actor, episodes in order.
         """
-        envs, specs, cap = self.environments, self.specs, self.max_episode_steps
+        envs, specs, cap = self.environments, self.specs, MAX_EPISODE_STEPS
         temperatures = np.asarray([spec.temperature for spec in specs])
         episodes: list[list[Trajectory]] = [[] for _ in specs]
         states: list = [None] * len(specs)

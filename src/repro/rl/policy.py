@@ -9,13 +9,14 @@ state over the action space; the actor ends in a softmax over actions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .nn import MLP, masked_log_softmax_, masked_softmax
 
-DEFAULT_HIDDEN = (128, 64)
+#: Hidden layer widths of the actor and the critic.
+HIDDEN = (128, 64)
 
 
 @dataclass
@@ -36,18 +37,12 @@ class ActorNetwork:
     actor-critic to maximize diversity".
     """
 
-    def __init__(
-        self,
-        n_actions: int,
-        rng: np.random.Generator,
-        hidden: Sequence[int] = DEFAULT_HIDDEN,
-        state_dim: Optional[int] = None,
-    ) -> None:
+    def __init__(self, n_actions: int, rng: np.random.Generator) -> None:
         if n_actions < 1:
             raise ValueError(f"need at least one action, got {n_actions}")
         self.n_actions = n_actions
-        self.state_dim = state_dim if state_dim is not None else n_actions
-        self.net = MLP([self.state_dim, *hidden, n_actions], rng)
+        # The state is the multi-hot selection over the actions.
+        self.net = MLP([n_actions, *HIDDEN, n_actions], rng)
 
     # -------------------------------------------------------------- #
     def logits(self, states: np.ndarray) -> np.ndarray:
@@ -61,14 +56,10 @@ class ActorNetwork:
         scale = np.maximum(np.asarray(temperature, dtype=np.float64), 1e-6)
         return masked_softmax(self.logits(states) / scale.reshape(-1, 1), masks)
 
-    def log_probs(
-        self, states: np.ndarray, masks: np.ndarray, temperature: float = 1.0
-    ) -> np.ndarray:
-        """``distribution(...)[0]`` bit for bit, written over its own logits:
-        the one batch × |A| array this allocates is the one it returns."""
-        logits = self.logits(states)
-        logits /= max(float(temperature), 1e-6)
-        return masked_log_softmax_(logits, masks)
+    def log_probs(self, states: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """``distribution(states, masks)[0]`` bit for bit, written over its own
+        logits: the one batch × |A| array this allocates is the one it returns."""
+        return masked_log_softmax_(self.logits(states), masks)
 
     def sample(
         self,
@@ -96,14 +87,9 @@ class ActorNetwork:
 class CriticNetwork:
     """Value network V(s) with a single linear output."""
 
-    def __init__(
-        self,
-        state_dim: int,
-        rng: np.random.Generator,
-        hidden: Sequence[int] = DEFAULT_HIDDEN,
-    ) -> None:
+    def __init__(self, state_dim: int, rng: np.random.Generator) -> None:
         self.state_dim = state_dim
-        self.net = MLP([state_dim, *hidden, 1], rng)
+        self.net = MLP([state_dim, *HIDDEN, 1], rng)
 
     def value(self, states: np.ndarray) -> np.ndarray:
         """V(s) for a batch of states, shape ``(batch,)``."""

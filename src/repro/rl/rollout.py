@@ -12,6 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
+#: Discount factor of the returns and advantages.
+GAMMA = 0.99
+
+#: GAE's bias-variance trade-off λ.
+LAM = 0.95
+
 
 @dataclass
 class Trajectory:
@@ -99,9 +105,7 @@ class RolloutBatch:
 class RolloutBuffer:
     """Accumulates trajectories and produces normalized batches."""
 
-    def __init__(self, gamma: float = 0.99, lam: float = 0.95) -> None:
-        self.gamma = gamma
-        self.lam = lam
+    def __init__(self) -> None:
         self._trajectories: list[Trajectory] = []
 
     def add(self, trajectory: Trajectory) -> None:
@@ -112,23 +116,21 @@ class RolloutBuffer:
     def __len__(self) -> int:
         return sum(len(t) for t in self._trajectories)
 
-    def build(
-        self, use_critic: bool = True, normalize_advantages: bool = True
-    ) -> RolloutBatch:
+    def build(self, use_critic: bool = True) -> RolloutBatch:
         """Flatten all stored trajectories into one batch.
 
         With ``use_critic=False`` (the REINFORCE ablation, paper Fig. 3
         "-ac") the advantage is the raw return; otherwise GAE against the
-        recorded critic values.
+        recorded critic values. Advantages are standardized over the batch.
         """
         if not self._trajectories:
             raise ValueError("rollout buffer is empty")
         states, actions, log_probs, returns, advantages, masks = [], [], [], [], [], []
         for trajectory in self._trajectories:
-            episode_returns = discounted_returns(trajectory.rewards, self.gamma)
+            episode_returns = discounted_returns(trajectory.rewards, GAMMA)
             if use_critic:
                 episode_adv = gae_advantages(
-                    trajectory.rewards, trajectory.values, self.gamma, self.lam
+                    trajectory.rewards, trajectory.values, GAMMA, LAM
                 )
             else:
                 episode_adv = episode_returns.copy()
@@ -140,7 +142,7 @@ class RolloutBuffer:
             masks.extend(trajectory.masks)
 
         advantage_array = np.asarray(advantages, dtype=np.float64)
-        if normalize_advantages and len(advantage_array) > 1:
+        if len(advantage_array) > 1:
             std = advantage_array.std()
             if std > 1e-8:
                 advantage_array = (advantage_array - advantage_array.mean()) / std

@@ -100,7 +100,7 @@ class TestEvaluate:
 
 class TestQueryBatchTiming:
     def test_positive(self, tiny_flights):
-        elapsed = measure_query_batch(tiny_flights.db, tiny_flights.workload, 5)
+        elapsed = measure_query_batch(tiny_flights.db, tiny_flights.workload)
         assert elapsed > 0
 
     def test_regenerator_called(self, tiny_flights):
@@ -110,7 +110,7 @@ class TestQueryBatchTiming:
             calls.append(1)
             return tiny_flights.db
 
-        measure_query_batch(tiny_flights.db, tiny_flights.workload, 3, regenerator)
+        measure_query_batch(tiny_flights.db, tiny_flights.workload, regenerator)
         assert calls == [1]
 
 

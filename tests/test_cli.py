@@ -50,7 +50,8 @@ class TestCLI:
             raise AssertionError("the dataset was loaded")
 
         monkeypatch.setattr(cli, "_load_bundle", no_data)
-        argv = [verb, "--dataset", "flights", flag, value]
+        argv = [verb, "--dataset", "flights", flag, value,
+                "--telemetry", str(tmp_path / "run")]
         if verb == "train":
             argv += ["--out", str(tmp_path / "model")]
         with pytest.raises(SystemExit) as excinfo:
@@ -58,6 +59,7 @@ class TestCLI:
         message = excinfo.value.code
         assert isinstance(message, str) and "\n" not in message
         assert field in message and value in message
+        assert not (tmp_path / "run").exists()  # nothing recorded
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
 
@@ -159,6 +161,29 @@ class TestCLI:
         report = (run_dir / "report.md").read_text()
         assert "# repro diagnostic report" in report
         assert "Slowest traces" in report
+
+    @pytest.mark.parametrize("verb", ["demo", "train", "explain"])
+    def test_telemetry_run_of_a_crashing_command_is_flushed(
+        self, verb, tmp_path, monkeypatch
+    ):
+        def crash(*_args, **_kwargs):
+            with obs.span("cli_test.crash"):
+                raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.ASQPTrainer, "train", crash)
+        monkeypatch.setattr(cli, "db_explain", crash)
+        run_dir = tmp_path / "run"
+        argv = {
+            "demo": ["demo"],
+            "train": ["train", "--out", str(tmp_path / "model")],
+            "explain": ["explain", "SELECT * FROM flights"],
+        }[verb] + ["--dataset", "flights", "--scale", "0.12",
+                   "--telemetry", str(run_dir)]
+        with pytest.raises(RuntimeError, match="boom"):
+            main(argv)
+        assert (run_dir / "trace.json").is_file()
+        assert "cli_test.crash" in (run_dir / "trace.json").read_text()
+        assert not obs.STATE.enabled
 
     def test_profile_then_watch(self, tmp_path, capsys):
         run_dir = tmp_path / "prof"

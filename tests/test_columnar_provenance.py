@@ -1,6 +1,6 @@
 """Columnar provenance must reproduce the per-row pipeline exactly.
 
-``provenance_rows`` / ``build_coverage`` / ``variational_subsample`` were
+``provenance_ids`` / ``build_coverage`` / ``variational_subsample`` were
 per-row Python loops; the loop versions live on here as the references the
 vectorized ones are compared against — same rows, same order, same rng
 draws — and a golden hash pins a whole seeded ``preprocess()`` run.
@@ -16,11 +16,17 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import ASQPConfig, build_coverage, preprocess, provenance_rows
+from repro.core import ASQPConfig, build_coverage, preprocess
+from repro.core.reward import as_rows
 from repro.db import execute, sql, variational_subsample
 
 # ``repro.core.preprocess`` the attribute is the function of that name.
 preprocess_module = sys.modules["repro.core.preprocess"]
+
+
+def provenance_rows(db, query):
+    """``provenance_ids`` as key tuples, one per distinct result row."""
+    return as_rows(*preprocess_module.provenance_ids(db, query))
 
 
 # ------------------------------------------------------------------ #

@@ -285,7 +285,7 @@ def test_encoded_key_join_matches_nested_loop():
         )
         for i in range(len(left))
         for j in range(len(right))
-        if lc[i] == rc[j]
+        if lc[i] == rc[j] and lc[i] != ""  # a NULL key equals nothing
     ]
     actual = row_tuples(result, ["l.city", "l.score", "r.temp"])
     assert sorted(actual, key=repr) == sorted(expected, key=repr)

@@ -143,10 +143,13 @@ class TestStamping:
 # satellite pin: load_run ordering
 # ------------------------------------------------------------------ #
 class TestLoadRunOrdering:
-    def test_colliding_timestamps_across_rotation_stay_stable(self, tmp_path):
+    def test_colliding_timestamps_across_rotation_stay_stable(
+        self, tmp_path, monkeypatch
+    ):
         path = str(tmp_path / "telemetry.jsonl")
         # Tiny byte cap: every record rotates into its own part file.
-        telemetry.configure(path, max_bytes=1, max_files=8)
+        monkeypatch.setattr(telemetry, "MAX_BYTES", 1)
+        telemetry.configure(path)
         obs.enable()
         for seq in range(4):
             telemetry.emit("probe", ts=100.0, seq=seq)  # colliding ts

@@ -5,6 +5,8 @@ settings — they verify wiring and invariants, not learning quality (the
 benchmarks cover that).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,16 @@ from repro.core import (
     CoverageTracker,
     generate_approximation_set,
     preprocess,
-    provenance_rows,
 )
 from repro.core import trainer as trainer_module
+from repro.core.preprocess import provenance_ids
+from repro.core.reward import as_rows
 from repro.db import execute, sql
+
+
+def provenance_rows(db, query):
+    """The distinct provenance of ``query`` on ``db`` as key tuples."""
+    return as_rows(*provenance_ids(db, query))
 
 
 def _tiny_config(**overrides):
@@ -71,7 +79,7 @@ class TestPreprocess:
         assert len(prep.coverages) == prep.n_representatives
         assert len(prep.representative_embeddings) == prep.n_representatives
         assert len(prep.action_space) > 0
-        assert abs(prep.representative_weights.sum() - 1.0) < 1e-9
+        assert abs(sum(c.weight for c in prep.coverages) - 1.0) < 1e-9
         assert set(prep.timings) >= {
             "stats", "query_preprocessing", "execute_relaxed",
             "build_action_space", "coverage",
@@ -111,10 +119,6 @@ class TestTrainer:
         approx = trained.approximation_set()
         assert 0 < approx.total_size() <= 80
 
-    def test_requested_size_override(self, trained):
-        approx = trained.approximation_set(requested_size=30)
-        assert approx.total_size() <= 30
-
     def test_approximation_database_queryable(self, trained, tiny_imdb):
         db = trained.approximation_database()
         result = execute(db, sql("SELECT * FROM title"))
@@ -150,9 +154,9 @@ class TestInference:
         assert a.keys() == b.keys()
 
     def test_sampled_respects_budget(self, trained, rng):
+        config = dataclasses.replace(trained.config, memory_budget=25)
         approx = generate_approximation_set(
-            trained.agent.actor, trained.action_space, trained.config,
-            requested_size=25, rng=rng, greedy=False,
+            trained.agent.actor, trained.action_space, config, rng=rng, greedy=False
         )
         assert approx.total_size() <= 25
 
@@ -162,13 +166,6 @@ class TestInference:
         bogus = ActionSpace([Action(keys=(("title", 0),))])
         with pytest.raises(ValueError, match="does not match"):
             generate_approximation_set(trained.agent.actor, bogus, trained.config)
-
-    def test_invalid_size_rejected(self, trained):
-        with pytest.raises(ValueError):
-            generate_approximation_set(
-                trained.agent.actor, trained.action_space, trained.config,
-                requested_size=0,
-            )
 
 
 class TestAgentExpansion:
@@ -257,19 +254,12 @@ class TestSelectedSet:
             assert kept.keys() == model.approximation_set().keys()
 
     def test_non_default_calls_leave_it_alone(self, trained):
-        calls = (
-            dict(greedy=False),
-            dict(requested_size=30),
-            dict(rng=np.random.default_rng(0)),
-        )
         trained.selected = None
-        for kwargs in calls:
-            trained.approximation_set(**kwargs)
-            assert trained.selected is None
+        trained.approximation_set(greedy=False)
+        assert trained.selected is None
         selected = trained.approximation_set()
-        for kwargs in calls:
-            assert trained.approximation_set(**kwargs) is not selected
-            assert trained.selected is selected
+        assert trained.approximation_set(greedy=False) is not selected
+        assert trained.selected is selected
 
     def test_single_rollout_is_kept_too(self, tiny_imdb):
         config = _tiny_config(n_iterations=1, n_candidate_rollouts=0)

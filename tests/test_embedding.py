@@ -42,17 +42,6 @@ class TestTokenHasher:
         far = hasher.embed(["y1", "y2", "y3", "y4"])
         assert base @ near > base @ far  # unit vectors: @ is the cosine
 
-    def test_weights_shift_embedding(self):
-        hasher = TokenHasher()
-        unweighted = hasher.embed(["a", "b"])
-        weighted = hasher.embed(["a", "b"], weights=[10.0, 1.0])
-        direction = hasher.token_vector("a")
-        assert weighted @ direction > unweighted @ direction
-
-    def test_weights_length_check(self):
-        with pytest.raises(ValueError):
-            TokenHasher().embed(["a"], weights=[1.0, 2.0])
-
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             TokenHasher(dim=1)
@@ -98,9 +87,9 @@ class TestQueryEmbedder:
         assert "table:movies" in tokens
 
     def test_workload_matrix(self, mini_db):
-        embedder = QueryEmbedder(dim=32)
+        embedder = QueryEmbedder()
         queries = [sql("SELECT * FROM movies"), sql("SELECT * FROM cast_info")]
-        assert embedder.embed_workload(queries).shape == (2, 32)
+        assert embedder.embed_workload(queries).shape == (2, embedder.dim)
 
 
 class TestTupleEmbedder:

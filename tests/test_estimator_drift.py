@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import AnswerabilityEstimator, DriftDetector
+from repro.core import estimator as estimator_module
 from repro.db import compute_database_stats, sql
 from repro.embedding import QueryEmbedder
 
 
 @pytest.fixture
 def embedder(mini_db):
-    return QueryEmbedder(dim=32, stats=compute_database_stats(mini_db))
+    return QueryEmbedder(stats=compute_database_stats(mini_db))
 
 
 @pytest.fixture
@@ -58,10 +59,13 @@ class TestEstimator:
         assert known < 0.2
         assert foreign > 0.6
 
-    def test_threshold_controls_answerable(self, embedder, training_queries):
+    def test_threshold_controls_answerable(
+        self, embedder, training_queries, monkeypatch
+    ):
+        monkeypatch.setattr(estimator_module, "ANSWERABLE_AT", 0.9)
         embeddings = embedder.embed_workload(training_queries)
         strict = AnswerabilityEstimator(
-            embedder, embeddings, [0.6] * 5, threshold=0.9,
+            embedder, embeddings, [0.6] * 5,
             calibration_embeddings=embeddings,
         )
         assert not strict.estimate(training_queries[0]).answerable

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import GAQPEstimator, SPNModel, TabularCodec, TabularVAE
+from repro.baselines import vae as vae_module
 from repro.baselines.deepdb import (
     Interval,
     UnsupportedQueryError,
@@ -49,16 +50,18 @@ class TestTabularCodec:
 
 
 class TestTabularVAE:
-    def test_training_reduces_loss(self, tiny_flights):
+    def test_training_reduces_loss(self, tiny_flights, monkeypatch):
+        monkeypatch.setattr(vae_module, "LATENT_DIM", 4)
         table = tiny_flights.db.table("flights")
         codec = TabularCodec(table)
-        vae = TabularVAE(codec, latent_dim=4, seed=0)
+        vae = TabularVAE(codec, seed=0)
         losses = vae.train(codec.encode(), epochs=15)
         assert losses[-1] < losses[0]
 
-    def test_generation_shapes(self, movies, rng):
+    def test_generation_shapes(self, movies, rng, monkeypatch):
+        monkeypatch.setattr(vae_module, "LATENT_DIM", 4)
         codec = TabularCodec(movies)
-        vae = TabularVAE(codec, latent_dim=4, seed=1)
+        vae = TabularVAE(codec, seed=1)
         vae.train(codec.encode(), epochs=5)
         generated = vae.generate(10, rng)
         assert len(generated["year"]) == 10

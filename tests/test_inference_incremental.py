@@ -9,6 +9,7 @@ generator at the same draw; the only float difference allowed is the
 summation order of the first layer.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.core import (
 )
 from repro.core import inference
 from repro.core.approximation import ApproximationSet
-from repro.rl import ActorNetwork
 from repro.rl.nn import MLP, masked_log_softmax_, masked_softmax
 from repro.rl.policy import draw_actions
 
@@ -34,10 +34,8 @@ SEEDS = range(20)
 # ------------------------------------------------------------------ #
 # reference: the loop as it was before the running sum
 # ------------------------------------------------------------------ #
-def reference_generate(
-    actor, action_space, config, requested_size=None, rng=None, greedy=True
-):
-    budget = requested_size if requested_size is not None else config.memory_budget
+def reference_generate(actor, action_space, config, rng=None, greedy=True):
+    budget = config.memory_budget
     rng = rng or np.random.default_rng(config.seed)
     selected = np.zeros(actor.n_actions, dtype=bool)
     approx = ApproximationSet()
@@ -135,12 +133,13 @@ class TestSameSetsSameStream:
     def test_keys_and_next_draw(self, policy, budget, greedy):
         actor, space, config = policy
         size = BUDGETS[budget](actor, space)
+        config = dataclasses.replace(config, memory_budget=size)
         reached = 0
         for seed in SEEDS:
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = reference_generate(actor, space, config, size, theirs, greedy)
+            want = reference_generate(actor, space, config, theirs, greedy)
             got = generate_approximation_set(
-                actor, space, config, requested_size=size, rng=ours, greedy=greedy
+                actor, space, config, rng=ours, greedy=greedy
             )
             assert got.rows == want.rows
             assert got.total_size() <= size
@@ -191,12 +190,13 @@ class TestEveryStep:
             return action
 
         monkeypatch.setattr(inference, "choose", checking)
-        size = space.total_distinct_tuples() + 5
+        config = dataclasses.replace(
+            config, memory_budget=space.total_distinct_tuples() + 5
+        )
         for seed in SEEDS if not greedy else [0]:
             del steps[:]
             generate_approximation_set(
-                actor, space, config, requested_size=size,
-                rng=np.random.default_rng(seed), greedy=greedy,
+                actor, space, config, rng=np.random.default_rng(seed), greedy=greedy
             )
             assert sorted(steps) == list(range(actor.n_actions))
 
@@ -225,10 +225,3 @@ class TestPredictFromFirst:
         net.predict_from_first(first)
         np.testing.assert_array_equal(first, np.tanh(np.ones((1, 4))))
 
-
-class TestRejected:
-    def test_state_dim_other_than_the_action_count(self, trained):
-        n = len(trained.action_space)
-        actor = ActorNetwork(n, np.random.default_rng(0), state_dim=n + 3)
-        with pytest.raises(ValueError, match=rf"{n + 3} wide .* {n} actions"):
-            generate_approximation_set(actor, trained.action_space, trained.config)

@@ -73,7 +73,7 @@ def test_tracker_score_agrees_with_executed_score(tiny_imdb):
 
     rep_workload = Workload(
         list(model.preprocessed.representatives),
-        model.preprocessed.representative_weights.copy(),
+        np.asarray([coverage.weight for coverage in model.coverages]),
     )
     executed = score(
         tiny_imdb.db, approx.to_database(tiny_imdb.db), rep_workload, frame_size=50

@@ -188,7 +188,7 @@ class TestTelemetry:
         telemetry.emit("train.update", iteration=0)
         telemetry.emit("query", rows=2)
         assert len(telemetry.records()) == 3
-        rows = [r["rows"] for r in telemetry.records("query")]
+        rows = [r["rows"] for r in telemetry.records() if r["stream"] == "query"]
         assert rows == [1, 2]
         seqs = [r["seq"] for r in telemetry.records()]
         assert seqs == sorted(seqs)
@@ -332,7 +332,7 @@ class TestEndToEnd:
         assert [r["roots_dropped"] for r in records if r["stream"] == "trace"] == [0]
 
         # finish_run disabled everything again.
-        assert not obs.is_enabled()
+        assert not obs.STATE.enabled
 
     def test_run_training_loop_returns_records(self, tiny_flights):
         from repro.core.trainer import ASQPTrainer

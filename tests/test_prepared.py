@@ -100,7 +100,7 @@ class TestPreparedPlans:
 
 @pytest.fixture
 def embedder(mini_db):
-    return QueryEmbedder(dim=32, stats=compute_database_stats(mini_db))
+    return QueryEmbedder(stats=compute_database_stats(mini_db))
 
 
 def _estimator(embedder, queries, scores):

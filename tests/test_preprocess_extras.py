@@ -5,6 +5,7 @@ import pytest
 from repro.core import ASQPConfig, build_coverage, preprocess
 from repro.core.preprocess import MAX_REQUIREMENT_ROWS
 from repro.db import sql
+from repro.embedding import QueryRelaxer
 
 
 def _config(**overrides):
@@ -73,8 +74,9 @@ class TestCoverageCaps:
 class TestWeightingAndLimits:
     def test_representative_weights_follow_workload(self, tiny_imdb):
         prep = preprocess(tiny_imdb.db, tiny_imdb.workload, _config())
-        assert (prep.representative_weights > 0).all()
-        assert prep.representative_weights.sum() == pytest.approx(1.0)
+        weights = [coverage.weight for coverage in prep.coverages]
+        assert all(weight > 0 for weight in weights)
+        assert sum(weights) == pytest.approx(1.0)
 
     def test_limit_queries_handled(self, tiny_imdb):
         """LIMITed workload queries go through relaxation (limit lifted)."""
@@ -85,5 +87,6 @@ class TestWeightingAndLimits:
         )
         prep = preprocess(tiny_imdb.db, limited, _config(n_query_representatives=3))
         assert len(prep.action_space) > 0
-        for relaxed in prep.relaxed_representatives:
-            assert relaxed.limit is None
+        relaxer = QueryRelaxer(prep.stats)
+        for representative in prep.representatives:
+            assert relaxer.relax(representative).limit is None

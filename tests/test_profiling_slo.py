@@ -147,7 +147,7 @@ class TestSamplingProfiler:
         prof.start()
         _busy_loop(0.3)
         prof.stop()
-        hot = prof.hot_functions(n=5)
+        hot = prof.hot_functions()
         assert hot
         frames = [frame for frame, _, _ in hot]
         assert any("_busy_loop" in frame or "sum" in frame for frame in frames)
@@ -155,22 +155,23 @@ class TestSamplingProfiler:
         assert all(0.0 <= fraction <= 1.0 for fraction in fractions)
         assert fractions == sorted(fractions, reverse=True)
 
-    def test_unique_stack_cap_aggregates_overflow(self):
-        prof = profiler.SamplingProfiler(hz=500, max_unique_stacks=1)
+    def test_unique_stack_cap_aggregates_overflow(self, monkeypatch):
+        monkeypatch.setattr(profiler, "MAX_UNIQUE_STACKS", 1)
+        prof = profiler.SamplingProfiler(hz=500)
         prof.start()
         # The two leaf shapes guarantee >1 distinct sampled stack, so
         # everything past the first shape must fold into (overflow).
         _busy_two_shapes(0.4)
         prof.stop()
         counts = prof.stack_counts()
-        assert len(counts) <= prof.max_unique_stacks + 1
+        assert len(counts) <= profiler.MAX_UNIQUE_STACKS + 1
         assert prof.dropped_stacks > 0
         assert counts.get((profiler.OVERFLOW_FRAME,), 0) == prof.dropped_stacks
 
     def test_module_singleton_start_stop(self):
-        first = profiler.start(hz=200)
+        first = profiler.start()
         assert profiler.is_active()
-        assert profiler.start(hz=999) is first  # idempotent
+        assert profiler.start() is first  # idempotent
         stopped = profiler.stop()
         assert stopped is first
         assert not profiler.is_active()
@@ -217,7 +218,7 @@ class TestMemoryTracker:
         for _ in range(5):
             hoard.append(bytes(64 * 1024))
             tracker.mark_epoch("leaky")
-        verdict = tracker.leak_check("leaky", min_epochs=4)
+        verdict = tracker.leak_check("leaky")
         assert verdict["suspect"] is True
         assert verdict["growth_bytes"] > 0
         tracker.stop()
@@ -230,13 +231,13 @@ class TestMemoryTracker:
         # Flat and shrinking histories are not suspects; too few epochs
         # never are, regardless of shape.
         tracker._epochs["flat"] = deque([1000, 1000, 1000, 1000, 1000])
-        assert tracker.leak_check("flat", min_epochs=4)["suspect"] is False
+        assert tracker.leak_check("flat")["suspect"] is False
         tracker._epochs["shrinking"] = deque([5000, 4000, 3000, 2000])
-        assert tracker.leak_check("shrinking", min_epochs=4)["suspect"] is False
+        assert tracker.leak_check("shrinking")["suspect"] is False
         tracker._epochs["young"] = deque([1000, 2000])
-        assert tracker.leak_check("young", min_epochs=4)["suspect"] is False
+        assert tracker.leak_check("young")["suspect"] is False
         tracker._epochs["growing"] = deque([1000, 2000, 3000, 4000])
-        verdict = tracker.leak_check("growing", min_epochs=4)
+        verdict = tracker.leak_check("growing")
         assert verdict["suspect"] is True
         assert verdict["growth_bytes"] == 3000
 
@@ -444,10 +445,14 @@ class TestTelemetryRotation:
         for i in range(n):
             telemetry.emit("unit", index=i, payload=payload)
 
-    def test_byte_cap_rotates_and_deletes_beyond_max_files(self, tmp_path):
+    def test_byte_cap_rotates_and_deletes_beyond_max_files(
+        self, tmp_path, monkeypatch
+    ):
         obs.enable()
+        monkeypatch.setattr(telemetry, "MAX_BYTES", 400)
+        monkeypatch.setattr(telemetry, "MAX_FILES", 3)
         path = str(tmp_path / "telemetry.jsonl")
-        telemetry.configure(path, max_bytes=400, max_files=3)
+        telemetry.configure(path)
         self._emit(60)
         names = sorted(os.listdir(tmp_path))
         assert "telemetry.jsonl" in names
@@ -469,7 +474,8 @@ class TestTelemetryRotation:
         telemetry.configure(path)
         telemetry.emit("unit", index=0, payload="y" * 10)
         record_size = os.path.getsize(path)
-        telemetry.configure(path, max_bytes=2 * record_size)
+        monkeypatch.setattr(telemetry, "MAX_BYTES", 2 * record_size)
+        telemetry.configure(path)
         telemetry.reset()
         self._emit(2, payload="y" * 10)
         # Two records == exactly the cap: no rotation yet.
@@ -480,28 +486,22 @@ class TestTelemetryRotation:
         assert os.path.exists(str(tmp_path / "telemetry.1.jsonl"))
         assert len(telemetry.load_jsonl(path)) == 1
 
-    def test_line_cap_boundary(self, tmp_path):
+    def test_oversized_first_record_is_never_dropped(self, tmp_path, monkeypatch):
         obs.enable()
+        monkeypatch.setattr(telemetry, "MAX_BYTES", 50)
         path = str(tmp_path / "telemetry.jsonl")
-        telemetry.configure(path, max_lines=5)
-        self._emit(5)
-        assert not os.path.exists(str(tmp_path / "telemetry.1.jsonl"))
-        self._emit(1)
-        assert len(telemetry.load_jsonl(str(tmp_path / "telemetry.1.jsonl"))) == 5
-        assert len(telemetry.load_jsonl(path)) == 1
-
-    def test_oversized_first_record_is_never_dropped(self, tmp_path):
-        obs.enable()
-        path = str(tmp_path / "telemetry.jsonl")
-        telemetry.configure(path, max_bytes=50)
+        telemetry.configure(path)
         telemetry.emit("unit", payload="z" * 500)  # alone exceeds the cap
         records = telemetry.load_jsonl(path)
         assert len(records) == 1 and records[0]["payload"] == "z" * 500
 
-    def test_load_run_reads_rotated_set_oldest_first(self, tmp_path):
+    def test_load_run_reads_rotated_set_oldest_first(self, tmp_path, monkeypatch):
         obs.enable()
+        # Every record opens a file of its own.
+        monkeypatch.setattr(telemetry, "MAX_BYTES", 1)
+        monkeypatch.setattr(telemetry, "MAX_FILES", 16)
         path = str(tmp_path / "telemetry.jsonl")
-        telemetry.configure(path, max_lines=4, max_files=8)
+        telemetry.configure(path)
         self._emit(11)
         combined = telemetry.load_run(path)
         assert [r["index"] for r in combined] == list(range(11))
@@ -509,12 +509,17 @@ class TestTelemetryRotation:
             r["seq"] for r in combined
         )
         parts = telemetry.rotated_paths(path)
-        assert parts[-1] == path and len(parts) == 3
+        assert parts[-1] == path and len(parts) == 11
 
-    def test_health_replay_sees_records_across_rotation(self, tmp_path):
+    def test_health_replay_sees_records_across_rotation(
+        self, tmp_path, monkeypatch
+    ):
         obs.enable()
+        # Every record opens a file of its own.
+        monkeypatch.setattr(telemetry, "MAX_BYTES", 1)
+        monkeypatch.setattr(telemetry, "MAX_FILES", 16)
         path = str(tmp_path / "telemetry.jsonl")
-        telemetry.configure(path, max_lines=2, max_files=16)
+        telemetry.configure(path)
         base = dict(
             mean_episode_reward=1.0, policy_loss=0.1, value_loss=0.1,
             entropy=1.0, clip_fraction=0.1, explained_variance=0.5,
@@ -528,19 +533,22 @@ class TestTelemetryRotation:
         crits = [a for a in health.alerts(run) if a.severity == health.CRIT]
         assert any(a.rule == "kl_spike" and a.iteration == 6 for a in crits)
 
-    def test_configure_clears_stale_rotations_only(self, tmp_path):
+    def test_configure_clears_stale_rotations_only(self, tmp_path, monkeypatch):
         obs.enable()
+        monkeypatch.setattr(telemetry, "MAX_BYTES", 1)
         path = str(tmp_path / "telemetry.jsonl")
-        telemetry.configure(path, max_lines=1)
+        telemetry.configure(path)
         self._emit(4)
         unrelated = tmp_path / "telemetry.backup.jsonl"
         unrelated.write_text("{}\n")
-        telemetry.configure(path, max_lines=1)
+        telemetry.configure(path)
         names = sorted(os.listdir(tmp_path))
         assert names == ["telemetry.backup.jsonl", "telemetry.jsonl"]
         assert os.path.getsize(tmp_path / "telemetry.jsonl") == 0
 
-    def test_concurrent_writers_never_interleave_partial_lines(self, tmp_path):
+    def test_concurrent_writers_never_interleave_partial_lines(
+        self, tmp_path, monkeypatch
+    ):
         # Two forked processes append to the same sink while it rotates.
         # The in-process lock cannot coordinate them — the O_APPEND
         # single-write discipline in ``emit`` must (a buffered text
@@ -550,7 +558,9 @@ class TestTelemetryRotation:
         # assertions are about line atomicity, not record counts.
         obs.enable()
         path = str(tmp_path / "telemetry.jsonl")
-        telemetry.configure(path, max_bytes=64_000, max_files=32)
+        monkeypatch.setattr(telemetry, "MAX_BYTES", 64_000)
+        monkeypatch.setattr(telemetry, "MAX_FILES", 32)
+        telemetry.configure(path)
 
         import multiprocessing as mp
 
@@ -605,7 +615,7 @@ class TestRunContextManager:
                     telemetry.emit("unit", step=1)
                     raise RuntimeError("boom")
         # Everything the run recorded before the crash is on disk.
-        assert not obs.is_enabled()
+        assert not obs.STATE.enabled
         recorded = obs.rundir.load(run_dir)
         assert recorded.stream("unit")
         doomed = next(n for n in recorded.trace if n["name"] == "doomed.work")
@@ -625,7 +635,7 @@ class TestRunContextManager:
                 raise ValueError("abandon run")
         assert not profiler.is_active()
         assert not memory.is_active()
-        assert not obs.is_enabled()
+        assert not obs.STATE.enabled
         for name in ("profile.collapsed.txt", "memory.json"):
             assert os.path.exists(os.path.join(run_dir, name))
         assert not os.path.exists(os.path.join(run_dir, "slo.json"))
@@ -637,7 +647,7 @@ class TestRunContextManager:
         with pytest.raises(ValueError, match="unparseable SLO spec"):
             with obs.run(str(run_dir), slo_objectives=["query.p95 < bogus"]):
                 pass
-        assert not obs.is_enabled()
+        assert not obs.STATE.enabled
         telemetry.emit("late", step=1)
         assert not (run_dir / "telemetry.jsonl").exists()
 

@@ -11,7 +11,7 @@ from repro.db import Between, Comparison, InSet, conjoin, conjuncts
 from repro.db.cache import LRUTupleCache
 from repro.db.sampling import variational_subsample
 from repro.embedding import TokenHasher
-from repro.rl.nn import masked_log_softmax, softmax
+from repro.rl.nn import masked_log_softmax_, softmax
 from repro.rl.rollout import discounted_returns
 
 
@@ -222,7 +222,7 @@ def test_masked_softmax_zero_outside_mask(logits, seed):
     mask = rng.random(len(logits)) < 0.5
     if not mask.any():
         mask[0] = True
-    lp = masked_log_softmax(np.asarray([logits]), mask[None, :])
+    lp = masked_log_softmax_(np.asarray([logits]), mask[None, :])
     probs = np.exp(lp[0])
     assert probs[~mask].sum() == 0.0
     assert abs(probs[mask].sum() - 1.0) < 1e-9

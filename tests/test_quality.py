@@ -89,7 +89,7 @@ class TestRunRate:
         run_dir = str(tmp_path / "run")
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             obs.start_run(run_dir, audit_rate=1.5)
-        assert not obs.is_enabled()
+        assert not obs.STATE.enabled
         assert not os.path.exists(run_dir)
 
 
@@ -224,7 +224,7 @@ class TestBudgetGovernor:
         recorder = Recorder()
         assert recorder.query(elapsed=2.0, approximate=False) is None
         assert recorder.governor.serving_seconds == 2.0
-        (row,) = telemetry.records("query")
+        (row,) = [r for r in telemetry.records() if r["stream"] == "query"]
         assert "audit" not in row
         summary = recorder.accounting()
         assert summary["sample_rate"] == 1.0
@@ -527,19 +527,6 @@ class TestLowRecallAcceptance:
         assert len(audited) == len(outcomes)
         assert all(o.audit.recall < 0.8 for o in audited)
         assert all(o.audit.low_quality for o in audited)
-
-    def test_query_stats_stamped(self, low_recall_run):
-        _, outcomes = low_recall_run
-        stamped = [
-            o for o in outcomes
-            if getattr(o.result, "stats", None) is not None
-        ]
-        assert stamped
-        for outcome in stamped:
-            assert outcome.result.stats.audited is True
-            assert outcome.result.stats.audit_recall == pytest.approx(
-                outcome.audit.recall
-            )
 
     def test_accounting_folds_every_audit(self, low_recall_run):
         run_dir, outcomes = low_recall_run

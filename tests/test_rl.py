@@ -19,9 +19,25 @@ from repro.rl import (
     discounted_returns,
     gae_advantages,
     make_actor_specs,
-    masked_log_softmax,
     softmax,
 )
+from repro.rl import policy, rollout
+from repro.rl.nn import masked_log_softmax_
+
+
+def small_actor(n_actions, rng, hidden):
+    """``ActorNetwork(n_actions, rng)`` with ``hidden`` layers in place of
+    :data:`repro.rl.policy.HIDDEN` (small networks keep tests fast)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(policy, "HIDDEN", tuple(hidden))
+        return ActorNetwork(n_actions, rng)
+
+
+def small_critic(state_dim, rng, hidden):
+    """``CriticNetwork(state_dim, rng)`` with ``hidden`` layers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(policy, "HIDDEN", tuple(hidden))
+        return CriticNetwork(state_dim, rng)
 
 
 class TestMLP:
@@ -85,16 +101,16 @@ class TestSoftmaxMasking:
     def test_masked_log_softmax_invalid_is_neg_inf(self):
         logits = np.asarray([[1.0, 2.0, 3.0]])
         mask = np.asarray([[True, False, True]])
-        lp = masked_log_softmax(logits, mask)
+        lp = masked_log_softmax_(logits.copy(), mask)
         assert lp[0, 1] == -np.inf
         assert abs(np.exp(lp[0, [0, 2]]).sum() - 1.0) < 1e-12
 
     def test_all_masked_rejected(self):
         with pytest.raises(ValueError):
-            masked_log_softmax(np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))
+            masked_log_softmax_(np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))
 
     def test_extreme_logits_stable(self):
-        lp = masked_log_softmax(np.asarray([[1e4, -1e4]]), np.ones((1, 2), dtype=bool))
+        lp = masked_log_softmax_(np.asarray([[1e4, -1e4]]), np.ones((1, 2), dtype=bool))
         assert np.isfinite(lp[0, 0])
 
 
@@ -120,29 +136,29 @@ class TestReturnsAdvantages:
 
 class TestPolicyNetworks:
     def test_sample_respects_mask(self, rng):
-        actor = ActorNetwork(6, rng, hidden=(8,))
+        actor = small_actor(6, rng, (8,))
         mask = np.asarray([True, False, True, False, False, False])
         for _ in range(30):
             decision = actor.sample(np.zeros(6), mask, rng)
             assert mask[decision.action]
 
     def test_greedy_respects_mask(self, rng):
-        actor = ActorNetwork(4, rng, hidden=(8,))
+        actor = small_actor(4, rng, (8,))
         mask = np.asarray([False, False, True, False])
         assert actor.greedy(np.zeros(4), mask) == 2
 
     def test_log_prob_consistency(self, rng):
-        actor = ActorNetwork(5, rng, hidden=(8,))
+        actor = small_actor(5, rng, (8,))
         mask = np.ones(5, dtype=bool)
         decision = actor.sample(np.zeros(5), mask, rng)
         assert abs(np.exp(decision.log_prob) - decision.probabilities[decision.action]) < 1e-9
 
     def test_temperature_flattens(self, rng):
-        actor = ActorNetwork(5, rng, hidden=(8,))
+        actor = small_actor(5, rng, (8,))
         mask = np.ones(5, dtype=bool)
         state = rng.standard_normal(5)
-        cold = np.exp(actor.log_probs(state[None], mask[None], temperature=0.1)[0])
-        hot = np.exp(actor.log_probs(state[None], mask[None], temperature=10.0)[0])
+        cold = actor.distribution(state[None], mask[None], temperature=0.1)[1][0]
+        hot = actor.distribution(state[None], mask[None], temperature=10.0)[1][0]
 
         def entropy(p):
             return -np.sum(p * np.log(np.where(p > 0, p, 1.0)))
@@ -150,7 +166,7 @@ class TestPolicyNetworks:
         assert entropy(hot) > entropy(cold)
 
     def test_critic_scalar_output(self, rng):
-        critic = CriticNetwork(5, rng, hidden=(8,))
+        critic = small_critic(5, rng, (8,))
         values = critic.value(np.zeros((3, 5)))
         assert values.shape == (3,)
 
@@ -173,8 +189,8 @@ class _BanditEnv(Environment):
 
 def _train_bandit(config: PPOConfig, n_iterations: int = 40, seed: int = 3) -> float:
     rng = np.random.default_rng(seed)
-    actor = ActorNetwork(3, rng, hidden=(16,))
-    critic = CriticNetwork(3, rng, hidden=(16,)) if config.use_critic else None
+    actor = small_actor(3, rng, (16,))
+    critic = small_critic(3, rng, (16,)) if config.use_critic else None
     updater = PPOUpdater(actor, critic, config, rng=np.random.default_rng(seed + 1))
     collector = MultiActorCollector(
         _BanditEnv, actor, critic, make_actor_specs(2, seed=seed + 2)
@@ -207,8 +223,8 @@ class TestPPOVariants:
 
     def test_update_stats_populated(self, rng):
         config = PPOConfig(learning_rate=1e-3)
-        actor = ActorNetwork(3, rng, hidden=(8,))
-        critic = CriticNetwork(3, rng, hidden=(8,))
+        actor = small_actor(3, rng, (8,))
+        critic = small_critic(3, rng, (8,))
         updater = PPOUpdater(actor, critic, config, rng=rng)
         collector = MultiActorCollector(
             _BanditEnv, actor, critic, make_actor_specs(1, seed=0)
@@ -226,8 +242,8 @@ class TestNonFiniteUpdateFailsLoudly:
     @staticmethod
     def _updater_and_batch(seed, n_actions, n):
         rng = np.random.default_rng(seed)
-        actor = ActorNetwork(n_actions, rng, hidden=[8])
-        critic = CriticNetwork(n_actions, rng, hidden=[8])
+        actor = small_actor(n_actions, rng, [8])
+        critic = small_critic(n_actions, rng, [8])
         updater = PPOUpdater(
             actor, critic, PPOConfig(minibatch_size=4, update_epochs=1), rng
         )
@@ -294,14 +310,18 @@ class TestRolloutBuffer:
     def test_advantage_normalization(self):
         buffer = RolloutBuffer()
         buffer.add(self._trajectory(10))
-        batch = buffer.build(normalize_advantages=True)
+        batch = buffer.build()
         assert abs(batch.advantages.mean()) < 1e-9
 
-    def test_reinforce_advantages_are_returns(self):
-        buffer = RolloutBuffer(gamma=1.0)
+    def test_reinforce_advantages_are_returns(self, monkeypatch):
+        monkeypatch.setattr(rollout, "GAMMA", 1.0)
+        buffer = RolloutBuffer()
         buffer.add(self._trajectory(3))
-        batch = buffer.build(use_critic=False, normalize_advantages=False)
-        assert np.allclose(batch.advantages, [3.0, 2.0, 1.0])
+        batch = buffer.build(use_critic=False)
+        assert np.allclose(batch.returns, [3.0, 2.0, 1.0])
+        # The advantage is the return, standardized over the batch.
+        returns = batch.returns
+        assert np.allclose(batch.advantages, (returns - returns.mean()) / returns.std())
 
 
 class TestActorSpecs:

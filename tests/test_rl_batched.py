@@ -44,8 +44,10 @@ from repro.rl import (
     make_actor_specs,
 )
 from repro.obs import trace
+from repro.rl import parallel
 from repro.rl.nn import ADAM_BLOCK, masked_softmax
 from repro.rl.policy import draw_actions
+from tests.test_rl import small_actor, small_critic
 from repro.rl.ppo import _clip_gradients
 
 N_ACTIONS = 40
@@ -54,13 +56,13 @@ N_ACTIONS = 40
 # ------------------------------------------------------------------ #
 # reference: the collector as it was before the lock-step rewrite
 # ------------------------------------------------------------------ #
-def reference_episode(env, spec, actor, critic, max_episode_steps):
+def reference_episode(env, spec, actor, critic):
     trajectory = Trajectory()
     state, mask = env.reset()
-    for _ in range(max_episode_steps):
+    for _ in range(parallel.MAX_EPISODE_STEPS):
         if not mask.any():
             break
-        log_probs = actor.log_probs(state[None, :], mask[None, :], spec.temperature)[0]
+        log_probs = actor.distribution(state[None, :], mask[None, :], spec.temperature)[0][0]
         probabilities = np.exp(log_probs)
         probabilities /= probabilities.sum()
         action = int(spec.rng.choice(actor.n_actions, p=probabilities))
@@ -81,8 +83,7 @@ def reference_collect(collector, episodes_per_actor, buffer):
     for env, spec in zip(collector.environments, collector.specs):
         for _ in range(episodes_per_actor):
             trajectory = reference_episode(
-                env, spec, collector.actor, collector.critic,
-                collector.max_episode_steps,
+                env, spec, collector.actor, collector.critic
             )
             if len(trajectory) > 0:
                 buffer.add(trajectory)
@@ -187,7 +188,7 @@ class _DeadStartEnv(Environment):
         return self.inner.step(action)
 
 
-def _collector(environment, with_critic, max_episode_steps, dead_start, n_actors=4):
+def _collector(environment, with_critic, dead_start, n_actors=4):
     """A freshly seeded collector; two calls build identical twins."""
     space, coverages = _synthetic_problem()
     config = ASQPConfig(
@@ -205,11 +206,10 @@ def _collector(environment, with_critic, max_episode_steps, dead_start, n_actors
         return _DeadStartEnv(env) if dead_start else env
 
     net_rng = np.random.default_rng(3)
-    actor = ActorNetwork(N_ACTIONS, net_rng, hidden=(16, 8))
-    critic = CriticNetwork(N_ACTIONS, net_rng, hidden=(16, 8)) if with_critic else None
+    actor = small_actor(N_ACTIONS, net_rng, (16, 8))
+    critic = small_critic(N_ACTIONS, net_rng, (16, 8)) if with_critic else None
     return MultiActorCollector(
-        env_factory, actor, critic, make_actor_specs(n_actors, seed=17),
-        max_episode_steps=max_episode_steps,
+        env_factory, actor, critic, make_actor_specs(n_actors, seed=17)
     )
 
 
@@ -224,11 +224,14 @@ SCENARIOS = {
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_lock_step_collect_takes_the_sequential_decisions(scenario):
+def test_lock_step_collect_takes_the_sequential_decisions(scenario, monkeypatch):
     settings = {
         "with_critic": True, "max_episode_steps": 10_000, "dead_start": False,
         **SCENARIOS[scenario],
     }
+    monkeypatch.setattr(
+        parallel, "MAX_EPISODE_STEPS", settings.pop("max_episode_steps")
+    )
     reference, lock_step = _collector(**settings), _collector(**settings)
     expected, actual = RolloutBuffer(), RolloutBuffer()
     expected_reward = reference_collect(reference, 2, expected)
@@ -263,7 +266,7 @@ def test_lock_step_collect_takes_the_sequential_decisions(scenario):
 
 def test_batch_rows_keep_actor_major_order():
     """``RolloutBatch`` rows: actor 0's episodes, then actor 1's, ..."""
-    collector = _collector("gsl", True, 10_000, False)
+    collector = _collector("gsl", True, False)
     buffer = RolloutBuffer()
     collector.collect(2, buffer)
     first_states = [t.states[0] for t in buffer._trajectories]
@@ -406,8 +409,8 @@ def _lane_fixture(n=130):
     from tests.test_rl_memory import multi_hot_batch
 
     rng = np.random.default_rng(1)
-    actor = ActorNetwork(20, rng, hidden=(16,))
-    critic = CriticNetwork(20, rng, hidden=(16,))
+    actor = small_actor(20, rng, (16,))
+    critic = small_critic(20, rng, (16,))
     updater = PPOUpdater(actor, critic, PPOConfig(), np.random.default_rng(2))
     return updater, multi_hot_batch(n=n, n_actions=20)
 
@@ -463,10 +466,11 @@ def test_the_lane_runs_inside_its_own_span():
     updater, batch = _lane_fixture()
     trace.reset()
     try:
-        with obs.observed():
-            updater.update(batch)
+        obs.enable()
+        updater.update(batch)
         lanes = [root for root in trace.roots() if root.name == "train.update.critic"]
     finally:
+        obs.disable()
         trace.reset()
     assert len(lanes) == 1
     assert lanes[0].thread_name != threading.current_thread().name
@@ -487,8 +491,8 @@ def test_policy_loss_gradient_matches_finite_differences(variant):
     config = VARIANTS[variant]
     rng = np.random.default_rng(9)
     n, n_actions = 12, 7
-    actor = ActorNetwork(n_actions, rng, hidden=(6,))
-    critic = CriticNetwork(n_actions, rng, hidden=(6,)) if config.use_critic else None
+    actor = small_actor(n_actions, rng, (6,))
+    critic = small_critic(n_actions, rng, (6,)) if config.use_critic else None
     behaviour = copy.deepcopy(actor)  # π_old: a perturbed copy, so ratios != 1 and KL > 0
     for parameter in behaviour.net.parameters():
         parameter += 0.3 * rng.standard_normal(parameter.shape)

@@ -27,6 +27,7 @@ from repro.rl import (
     make_actor_specs,
 )
 from repro.rl import nn
+from tests.test_rl import small_actor, small_critic
 from tests.test_rl_batched import N_ACTIONS, _synthetic_problem
 
 
@@ -115,29 +116,21 @@ def test_pi_old_is_computed_only_for_the_kl_term(kl_coef, monkeypatch):
 def test_in_place_log_probs_equal_the_masked_softmax(n):
     n_actions = 90
     rng = np.random.default_rng(n)
-    actor = ActorNetwork(n_actions, rng, hidden=(16,))
+    actor = small_actor(n_actions, rng, (16,))
     states = rng.random((n, n_actions)) < 0.3
     masks = rng.random((n, n_actions)) < 0.89         # ~11% masked
     masks[::3] = True                                 # nothing masked
     lone = np.arange(1, n, 3)                         # all but one masked
     masks[lone] = False
     masks[lone, rng.integers(n_actions, size=len(lone))] = True
-    for temperature in (1.0, 0.7):
-        want = actor.distribution(states, masks, temperature)[0]
-        got = actor.log_probs(states, masks, temperature)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.isneginf(got), ~masks)
-    # The module-level form leaves its argument alone.
-    logits = actor.logits(states)
-    kept = logits.copy()
-    assert np.array_equal(
-        nn.masked_log_softmax(logits, masks), nn.masked_softmax(logits, masks)[0]
-    )
-    assert np.array_equal(logits, kept)
+    want = actor.distribution(states, masks)[0]
+    got = actor.log_probs(states, masks)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.isneginf(got), ~masks)
 
 
 def test_in_place_log_probs_refuse_a_row_without_a_valid_action():
-    actor = ActorNetwork(5, np.random.default_rng(0), hidden=(4,))
+    actor = small_actor(5, np.random.default_rng(0), (4,))
     masks = np.ones((3, 5), dtype=bool)
     masks[1] = False
     with pytest.raises(ValueError, match="no valid action"):
@@ -171,8 +164,8 @@ def _train_two_iterations(env_class):
     index = CoverageIndex(coverages)
     env_seeds = iter(np.random.SeedSequence(11).spawn(4))
     net_rng = np.random.default_rng(3)
-    actor = ActorNetwork(N_ACTIONS, net_rng, hidden=(16, 8))
-    critic = CriticNetwork(N_ACTIONS, net_rng, hidden=(16, 8))
+    actor = small_actor(N_ACTIONS, net_rng, (16, 8))
+    critic = small_critic(N_ACTIONS, net_rng, (16, 8))
     collector = MultiActorCollector(
         lambda: env_class(
             space, coverages, config, np.random.default_rng(next(env_seeds)),
@@ -219,7 +212,7 @@ def test_our_environments_hand_the_batch_bool_states(environment):
     assert state.dtype == bool and state is not env.selected
     rng = np.random.default_rng(3)
     collector = MultiActorCollector(
-        lambda: env, ActorNetwork(N_ACTIONS, rng, hidden=(8,)), None,
+        lambda: env, small_actor(N_ACTIONS, rng, (8,)), None,
         make_actor_specs(1, seed=2),
     )
     buffer = RolloutBuffer()

@@ -11,10 +11,18 @@ Then, for every query of the workloads:
   floats compared with ``math.isclose`` and an aggregate over no rows
   (sqlite's NULL, the engine's NaN) read as "no value".
 
-The last test is a metamorphic check of Eq. 1: raising the frame size
-``F`` above every ``|q(T)|`` changes neither the executed score
+A metamorphic check of Eq. 1 follows: raising the frame size ``F``
+above every ``|q(T)|`` changes neither the executed score
 (``metric.query_score`` via ``metric.score``) nor a tracker's
 ``batch_score``.
+
+Last, ``hypothesis`` draws queries the workloads do not write over a tiny
+two-table database with NULLs in every nullable column: one table or the
+foreign-key join, conjunctions of comparisons, ``IN``, ``BETWEEN``,
+``LIKE``, ``IS [NOT] NULL`` and ``col = col``, some negated or OR-ed in
+pairs; SPJ queries (provenance as
+above, and ``ORDER BY … LIMIT`` up to the rows tied at the cut) and
+``GROUP BY`` with COUNT, SUM, AVG, MIN and MAX.
 """
 
 from __future__ import annotations
@@ -26,11 +34,23 @@ import sqlite3
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CoverageTracker, metric
 from repro.core.preprocess import build_coverage, provenance_ids
 from repro.datasets import load_flights, load_imdb, load_mas
-from repro.db import INT_NULL, ColumnType, execute_aggregate
+from repro.db import (
+    INT_NULL,
+    Column,
+    ColumnType,
+    Database,
+    Table,
+    TableSchema,
+    execute,
+    execute_aggregate,
+    sql,
+)
 
 SCALE = 0.35
 LOADERS = {"imdb": load_imdb, "mas": load_mas, "flights": load_flights}
@@ -46,14 +66,19 @@ def _stored(value):
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def _loaded(name):
-    """(bundle, sqlite connection) of one dataset at :data:`SCALE`."""
-    bundle = LOADERS[name](scale=SCALE)
+def _plain(value):
+    """A numpy scalar as its Python value; the empty string as NULL."""
+    value = value.item() if isinstance(value, np.generic) else value
+    return None if value == "" else value
+
+
+def _sqlite(db):
+    """An in-memory sqlite copy of ``db``: ``_rid`` + every column, NULLs
+    (``INT_NULL``, NaN, a nullable column's empty string) as NULL."""
     connection = sqlite3.connect(":memory:")
     connection.execute("PRAGMA case_sensitive_like = ON")
-    for table_name in bundle.db.table_names:
-        table = bundle.db.table(table_name)
+    for table_name in db.table_names:
+        table = db.table(table_name)
         columns = table.schema.columns
         definitions = ", ".join(
             f"{column.name} {_SQL_TYPES[column.ctype]}" for column in columns
@@ -61,15 +86,26 @@ def _loaded(name):
         connection.execute(
             f"CREATE TABLE {table_name} (_rid INTEGER PRIMARY KEY, {definitions})"
         )
-        values = [table.row_ids.tolist()] + [
-            table.column(column.name).tolist() for column in columns
-        ]
+        values = [table.row_ids.tolist()]
+        for column in columns:
+            array = table.column(column.name)
+            nulls = column.null_mask(array) if column.nullable else np.zeros(len(array), bool)
+            values.append([
+                None if null else _stored(value)
+                for value, null in zip(array.tolist(), nulls.tolist())
+            ])
         marks = ", ".join("?" * (len(columns) + 1))
         connection.executemany(
-            f"INSERT INTO {table_name} VALUES ({marks})",
-            ([_stored(v) for v in row] for row in zip(*values)),
+            f"INSERT INTO {table_name} VALUES ({marks})", zip(*values)
         )
-    return bundle, connection
+    return connection
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded(name):
+    """(bundle, sqlite connection) of one dataset at :data:`SCALE`."""
+    bundle = LOADERS[name](scale=SCALE)
+    return bundle, _sqlite(bundle.db)
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
@@ -142,3 +178,215 @@ def test_eq1_does_not_change_for_f_above_every_result_size(name):
     at_largest = scores(largest)
     for frame_size in (largest + 1, 10 * largest):
         assert scores(frame_size) == at_largest
+
+
+# ------------------------------------------------------------------ #
+# generated queries over a tiny database with NULLs
+# ------------------------------------------------------------------ #
+WORDS = ("apple", "apricot", "banana", "berry", "cherry", "Apple", "a_b")
+
+#: table -> ((column, type, nullable), ...); child.parent_id references parent.id.
+TINY_SCHEMA = {
+    "parent": (
+        ("id", ColumnType.INT, False),
+        ("name", ColumnType.STR, True),
+        ("year", ColumnType.INT, True),
+        ("score", ColumnType.FLOAT, True),
+    ),
+    "child": (
+        ("id", ColumnType.INT, False),
+        ("parent_id", ColumnType.INT, True),
+        ("tag", ColumnType.STR, True),
+        ("year", ColumnType.INT, True),
+        ("value", ColumnType.FLOAT, True),
+    ),
+}
+TINY_ROWS = {"parent": 14, "child": 40}
+
+
+def _tiny_column(name, ctype, nullable, n, rng):
+    if name == "id":
+        return list(range(n))
+    if name == "parent_id":
+        values = rng.integers(0, TINY_ROWS["parent"] + 2, n).tolist()
+    elif ctype is ColumnType.STR:
+        values = [WORDS[i] for i in rng.integers(0, len(WORDS), n)]
+    elif ctype is ColumnType.INT:
+        values = rng.integers(0, 6, n).tolist()
+    else:
+        values = np.round(rng.uniform(-2.0, 2.0, n), 1).tolist()
+    null = {ColumnType.INT: INT_NULL, ColumnType.FLOAT: float("nan"), ColumnType.STR: ""}
+    return [null[ctype] if nullable and rng.random() < 0.2 else v for v in values]
+
+
+@functools.lru_cache(maxsize=None)
+def _tiny():
+    """(database, sqlite connection) of the two tiny tables."""
+    rng = np.random.default_rng(0)
+    tables = []
+    for table_name, columns in TINY_SCHEMA.items():
+        schema = TableSchema(
+            table_name,
+            [Column(name, ctype, nullable=nullable) for name, ctype, nullable in columns],
+        )
+        tables.append(Table(schema, {
+            name: _tiny_column(name, ctype, nullable, TINY_ROWS[table_name], rng)
+            for name, ctype, nullable in columns
+        }))
+    db = Database(tables, name="tiny")
+    return db, _sqlite(db)
+
+
+def _literal(ctype, draw):
+    if ctype is ColumnType.STR:
+        return "'" + draw(st.sampled_from(WORDS)) + "'"
+    if ctype is ColumnType.INT:
+        return str(draw(st.integers(-1, 7)))
+    return str(draw(st.sampled_from([-2.5, -1.0, -0.3, 0.0, 0.4, 1.0, 2.5])))
+
+
+@st.composite
+def _atom(draw, tables):
+    table = draw(st.sampled_from(tables))
+    name, ctype, _ = draw(st.sampled_from(TINY_SCHEMA[table]))
+    ref = f"{table}.{name}"
+    kinds = ["cmp", "in", "between", "null"]
+    kinds += ["like"] if ctype is ColumnType.STR else []
+    kinds += ["col"] if ctype is ColumnType.INT else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "cmp":
+        ops = ["=", "!="] + (["<", "<=", ">", ">="] if ctype is not ColumnType.STR else [])
+        return f"{ref} {draw(st.sampled_from(ops))} {_literal(ctype, draw)}"
+    if kind == "in":
+        values = [_literal(ctype, draw) for _ in range(draw(st.integers(1, 3)))]
+        return f"{ref} IN ({', '.join(values)})"
+    if kind == "between":
+        order = (lambda text: text) if ctype is ColumnType.STR else float
+        low, high = sorted((_literal(ctype, draw) for _ in range(2)), key=order)
+        return f"{ref} BETWEEN {low} AND {high}"
+    if kind == "null":
+        return f"{ref} IS {draw(st.sampled_from(['NULL', 'NOT NULL']))}"
+    if kind == "like":
+        pattern = draw(st.sampled_from(["a%", "%y", "%an%", "_p%", "A%", "a\\_b", "%"]))
+        return f"{ref} LIKE '{pattern}'"
+    # col = col: another INT column of one of the query's tables.
+    other_table = draw(st.sampled_from(tables))
+    others = [n for n, t, _ in TINY_SCHEMA[other_table] if t is ColumnType.INT]
+    return f"{ref} = {other_table}.{draw(st.sampled_from(others))}"
+
+
+@st.composite
+def _conjunct(draw, tables):
+    """An atom, its negation, or two atoms OR-ed: NULL's three values."""
+    first = draw(_atom(tables))
+    form = draw(st.sampled_from(["atom", "atom", "not", "or"]))
+    if form == "not":
+        return f"NOT ({first})"
+    if form == "or":
+        return f"({first} OR {draw(_atom(tables))})"
+    return first
+
+
+@st.composite
+def _from_where(draw):
+    """``(tables, "FROM … [WHERE …]")``: one table or the foreign-key join."""
+    tables = draw(st.sampled_from([("parent",), ("child",), ("parent", "child")]))
+    atoms = draw(st.lists(_conjunct(tables), max_size=3))
+    if len(tables) == 2:
+        atoms.insert(0, "child.parent_id = parent.id")
+    where = f" WHERE {' AND '.join(atoms)}" if atoms else ""
+    return tables, f" FROM {', '.join(tables)}{where}"
+
+
+def _columns(tables, ctypes):
+    return [
+        f"{t}.{name}" for t in tables for name, ctype, _ in TINY_SCHEMA[t]
+        if ctype in ctypes
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generated_spj_queries_have_sqlites_provenance(data):
+    db, connection = _tiny()
+    tables, tail = data.draw(_from_where())
+    query = sql("SELECT *" + tail)
+    got_tables, ids = provenance_ids(db, query)
+    assert got_tables == sorted(tables)
+    rids = ", ".join(f"{t}._rid" for t in got_tables)
+    expected = sorted(connection.execute(f"SELECT DISTINCT {rids}{tail}").fetchall())
+    assert sorted(map(tuple, ids.tolist())) == expected, query.to_sql()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generated_order_by_limit_agrees_up_to_ties_at_the_cut(data):
+    db, connection = _tiny()
+    tables, tail = data.draw(_from_where())
+    key = data.draw(st.sampled_from(
+        _columns(tables, (ColumnType.INT, ColumnType.FLOAT, ColumnType.STR))
+    ))
+    direction = data.draw(st.sampled_from(["", " DESC"]))
+    limit = data.draw(st.integers(1, 12))
+    query = sql(f"SELECT *{tail} ORDER BY {key}{direction} LIMIT {limit}")
+    result = execute(db, query)
+    column = db.table(key.split(".")[0]).schema.column(key.split(".")[1])
+    got = [
+        (None if null else _stored(value), tuple(int(result.row_ids[t][i]) for t in tables))
+        for i, (value, null) in enumerate(zip(
+            result.column(key).tolist(), column.null_mask(result.column(key)).tolist()
+        ))
+    ]
+    rids = ", ".join(f"{t}._rid" for t in tables)
+    everything = [
+        (row[0], tuple(row[1:]))
+        for row in connection.execute(f"SELECT {key}, {rids}{tail}").fetchall()
+    ]
+    # sqlite's order: NULL below every value; DESC reverses it.
+    everything.sort(key=lambda row: (row[0] is not None, row[0] or 0), reverse=bool(direction))
+    want = everything[:limit]
+    assert [value for value, _ in got] == [value for value, _ in want], query.to_sql()
+    if want:
+        cut = want[-1][0]
+        assert {rows for value, rows in got if value != cut} == {
+            rows for value, rows in want if value != cut
+        }, query.to_sql()
+        tied = {rows for value, rows in everything if value == cut}
+        assert {rows for value, rows in got if value == cut} <= tied, query.to_sql()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generated_group_by_queries_have_sqlites_groups(data):
+    db, connection = _tiny()
+    tables, tail = data.draw(_from_where())
+    group = data.draw(st.lists(
+        st.sampled_from(_columns(tables, (ColumnType.INT, ColumnType.STR))),
+        min_size=1, max_size=2, unique=True,
+    ))
+    measured = data.draw(st.sampled_from(
+        _columns(tables, (ColumnType.INT, ColumnType.FLOAT))
+    ))
+    aggregates = ["COUNT(*)"] + [
+        f"{function}({measured})" for function in ("SUM", "AVG", "MIN", "MAX")
+    ]
+    keys = ", ".join(group)
+    text = f"SELECT {keys}, {', '.join(aggregates)}{tail} GROUP BY {keys}"
+    result = execute_aggregate(db, sql(text))
+    got = sorted((
+        (
+            tuple(_stored(_plain(row[c])) for c in result.group_columns),
+            tuple(row[a] for a in result.agg_names),
+        )
+        for row in result.rows
+    ), key=lambda group_row: repr(group_row[0]))
+    want = sorted(
+        (
+            (tuple(row[: len(group)]), tuple(row[len(group):]))
+            for row in connection.execute(text).fetchall()
+        ),
+        key=lambda group_row: repr(group_row[0]),
+    )
+    assert [k for k, _ in got] == [k for k, _ in want], text
+    for (_, got_values), (_, want_values) in zip(got, want):
+        assert all(map(_same_value, got_values, want_values)), text

@@ -13,6 +13,7 @@ from repro.db import (
     compute_table_stats,
     variational_subsample,
 )
+from repro.db import statistics
 from repro.db.schema import INT_NULL
 from repro.db.statistics import (
     _DEFAULT_QUANTILES,
@@ -59,8 +60,9 @@ def reference_table_stats(table, max_distinct=10_000):
     return stats
 
 
-def assert_stats_equal_reference(table, max_distinct):
-    got = compute_table_stats(table, max_distinct=max_distinct)
+def assert_stats_equal_reference(table, max_distinct, monkeypatch):
+    monkeypatch.setattr(statistics, "MAX_DISTINCT", max_distinct)
+    got = compute_table_stats(table)
     expected = reference_table_stats(table, max_distinct=max_distinct)
     assert list(got.categorical) == list(expected.categorical)
     for name, reference in expected.categorical.items():
@@ -110,7 +112,7 @@ class TestStatisticsByCode:
     """Counting by dictionary code equals the row walk, dict order included."""
 
     @pytest.mark.parametrize("bundle_name", ["tiny_imdb", "tiny_mas", "tiny_flights"])
-    def test_dataset_tables(self, bundle_name, request):
+    def test_dataset_tables(self, bundle_name, request, monkeypatch):
         for table in request.getfixturevalue(bundle_name).db:
             widest = max(
                 (len(table.dictionary(c.name)) for c in table.schema.columns
@@ -119,9 +121,9 @@ class TestStatisticsByCode:
             )
             # The cut-off row is where distinct value max_distinct + 1 appears.
             for max_distinct in (1, 5, widest - 1, widest, 10_000):
-                assert_stats_equal_reference(table, max_distinct)
+                assert_stats_equal_reference(table, max_distinct, monkeypatch)
 
-    def test_nulls_empty_and_degenerate_columns(self):
+    def test_nulls_empty_and_degenerate_columns(self, monkeypatch):
         schema = TableSchema(
             "t",
             [
@@ -146,7 +148,8 @@ class TestStatisticsByCode:
         )
         for subset in (table, table.take([6, 1, 3, 3, 0]), table.take([])):
             for max_distinct in (0, 1, 2, 3, 10_000):
-                assert_stats_equal_reference(subset, max_distinct)
+                assert_stats_equal_reference(subset, max_distinct, monkeypatch)
+        monkeypatch.undo()
         stats = compute_table_stats(table)
         assert list(stats.categorical["word"].frequencies.items()) == [
             ("b", 3), ("a", 2), ("c", 1)

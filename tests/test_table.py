@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.db import Column, ColumnType, SchemaError, Table, TableSchema, table_from_rows
+from repro.db import Column, ColumnType, SchemaError, Table, TableSchema
 
 
 class TestConstruction:
@@ -106,17 +106,6 @@ class TestDerivation:
         sub = movies.take(np.asarray([], dtype=np.int64))
         assert len(sub) == 0
         assert sub.schema is movies.schema
-
-
-class TestFromRows:
-    def test_round_trip(self, movie_schema, movies):
-        rebuilt = table_from_rows(movie_schema, list(movies.rows()))
-        assert len(rebuilt) == len(movies)
-        assert list(rebuilt.column("title")) == list(movies.column("title"))
-
-    def test_missing_key_rejected(self, movie_schema):
-        with pytest.raises(SchemaError, match="missing column"):
-            table_from_rows(movie_schema, [{"id": 1}])
 
 
 class TestHtmlRepr:

@@ -10,9 +10,12 @@ from repro.core import (
     ASQPSystem,
     ASQPTrainer,
     WorkloadGenerator,
-    generate_workload,
 )
 from repro.db import execute, sql
+
+
+def generate_workload(db, n_queries, rng, name_prefix="gen"):
+    return WorkloadGenerator(db, rng).generate(n_queries, name_prefix=name_prefix)
 
 
 class TestWorkloadGenerator:
