@@ -11,6 +11,7 @@ sub-databases, which is what Eq. 1 of the paper compares.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -86,12 +87,14 @@ class ResultSet:
     ``row_ids`` maps each base table to the base row id contributing to each
     output row. All arrays share the same length.
 
-    Late materialization: while a query runs, dictionary-encoded string
-    columns stay as ``int32`` code arrays in ``columns`` with their sorted
-    dictionaries in ``encodings`` — predicates, join keys, sorts, and
-    DISTINCT all compare codes. :meth:`column` decodes transparently (and
-    caches), and :meth:`decode_all` materializes everything at the public
-    execution boundary, so callers only ever see real values.
+    Late materialization: dictionary-encoded string columns stay as
+    ``int32`` code arrays in ``columns`` with their sorted dictionaries in
+    ``encodings`` — predicates, join keys, sorts, and DISTINCT all compare
+    codes, and :func:`execute` returns the result still encoded. A column's
+    values are decoded on first read through :meth:`column` (and cached per
+    column), which every reader — :meth:`to_rows`, :meth:`tuple_keys`,
+    :meth:`decoded_context` — goes through; a caller that reads only
+    ``row_ids`` or the length decodes nothing.
     """
 
     columns: dict[str, np.ndarray]
@@ -134,28 +137,10 @@ class ResultSet:
             )
         return cached
 
-    def decode_all(self) -> "ResultSet":
-        """A fully materialized copy (no-op when nothing is encoded)."""
-        if not self.encodings:
-            return self
-        columns = {
-            key: (
-                _decode_codes(self.encodings[key], array)
-                if key in self.encodings
-                else array
-            )
-            for key, array in self.columns.items()
-        }
-        return ResultSet(
-            columns=columns,
-            row_ids=self.row_ids,
-            n_rows=self.n_rows,
-            stats=self.stats,
-        )
-
-    def decoded_context(self) -> dict[str, np.ndarray]:
-        """A fully decoded {ref: values} view for predicate evaluation."""
-        return {key: self.column(key) for key in self.columns}
+    def decoded_context(self) -> Mapping[str, np.ndarray]:
+        """A {ref: values} view for predicate evaluation: every ref is
+        there, and a column decodes when the predicate reads it."""
+        return _DecodedView(self)
 
     def take(self, positions: np.ndarray) -> "ResultSet":
         positions = np.asarray(positions, dtype=np.int64)
@@ -198,6 +183,27 @@ class ResultSet:
         if self.n_rows > limit:
             caption += f" (showing {limit})"
         return render_html_table(refs, rows, caption=caption)
+
+
+class _DecodedView(Mapping):
+    """The refs of a result, each read through :meth:`ResultSet.column`."""
+
+    def __init__(self, result: ResultSet) -> None:
+        self._result = result
+
+    def __getitem__(self, ref: str) -> np.ndarray:
+        if ref not in self._result.columns:
+            raise KeyError(ref)
+        return self._result.column(ref)
+
+    def __contains__(self, ref: object) -> bool:
+        return ref in self._result.columns
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._result.columns)
+
+    def __len__(self) -> int:
+        return len(self._result.columns)
 
 
 def _row_tuples(arrays: list[np.ndarray], n_rows: int) -> list[tuple]:
@@ -1014,10 +1020,10 @@ class _Pass:
 def execute(db: Database, query: SPJQuery) -> ResultSet:
     """Execute an SPJ query against a database.
 
-    The returned result is fully materialized — encoded columns decode at
-    this boundary (the aggregate path keeps the encoded form internally).
+    The returned result keeps its string columns dictionary-encoded; their
+    values are decoded on first read through :meth:`ResultSet.column`.
     """
-    return _Pass(db, _EXECUTE).observed(query).data.decode_all()
+    return _Pass(db, _EXECUTE).observed(query).data
 
 
 def execute_aggregate(db: Database, query: AggregateQuery) -> AggregateResult:
@@ -1059,9 +1065,8 @@ def explain(
     if not analyze:
         return QueryPlan(query.to_sql(), root.node)
     total = perf_counter() - start
-    result, stats = root.data, None
-    if isinstance(result, ResultSet):
-        result, stats = result.decode_all(), result.stats
+    result = root.data
+    stats = result.stats if isinstance(result, ResultSet) else None
     plan = QueryPlan(
         query.to_sql(),
         root.node,
@@ -1132,30 +1137,44 @@ def _aggregate(
     else:
         groups = [((), np.arange(len(flat), dtype=np.int64))]
 
-    null_keys = {key for key in value_keys if key and null_mask(flat.column(key)).any()}
+    nulls = {key: _null_rows(flat, key) for key in value_keys if key}
     for key, idx in sorted(groups, key=lambda kv: str(kv[0])):
         row: dict[str, object] = {
             col: key[j] for j, col in enumerate(query.group_by)
         }
         for spec, name, value_key in zip(query.aggregates, agg_names, value_keys):
             row[name] = _compute_aggregate(
-                flat, spec.func, value_key, idx, value_key in null_keys
+                flat, spec.func, value_key, idx, nulls.get(value_key)
             )
         result.rows.append(row)
     return result
 
 
+def _null_rows(flat: ResultSet, key: str) -> Optional[np.ndarray]:
+    """Where column ``key`` of ``flat`` is NULL (None: no row is); a
+    dictionary column answers from its codes without decoding."""
+    dictionary = flat.encodings.get(key)
+    if dictionary is None:
+        mask = null_mask(flat.columns[key])
+    elif first_value_code(dictionary):
+        mask = flat.columns[key] == 0
+    else:
+        return None
+    return mask if mask.any() else None
+
+
 def _compute_aggregate(
     flat: ResultSet, func: AggFunc, value_key: Optional[str], idx: np.ndarray,
-    holds_null: bool,
+    nulls: Optional[np.ndarray],
 ) -> float:
     if value_key is None:
         return float(len(idx))
-    values = flat.column(value_key)[idx]
-    if holds_null:  # an aggregate skips NULLs
-        values = values[~null_mask(values)]
+    if nulls is not None:  # an aggregate skips NULLs
+        idx = idx[~nulls[idx]]
     if func is AggFunc.COUNT:
-        return float(len(values))
+        return float(len(idx))
+    # Only numeric columns reach here (``_aggregate_input``): no decode.
+    values = flat.columns[value_key][idx]
     if len(values) == 0:
         return float("nan")
     values = np.asarray(values, dtype=np.float64)

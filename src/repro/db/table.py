@@ -11,8 +11,9 @@ Storage:
   lexicographically sorted dictionary of distinct strings plus one
   ``int32`` code per row. Because the dictionary is sorted, code order
   equals string order, so equality *and* range predicates, joins, sorts,
-  and DISTINCT can all run directly on the codes — strings materialize
-  only at projection time (late materialization).
+  and DISTINCT can all run directly on the codes — a query result keeps
+  them too, and strings materialize only when a caller reads the column
+  (late materialization).
 * ``INT`` (``int64``, NULL as :data:`~repro.db.schema.INT_NULL`) and
   ``FLOAT`` (``float64``, NULL as NaN) columns are stored plain, as the
   read-only array :meth:`Column.coerce` returns.
@@ -287,9 +288,6 @@ class Table:
         keep = np.asarray(sorted(set(int(i) for i in keep_ids)), dtype=np.int64)
         mask = np.isin(self.row_ids, keep)
         return self.filter_mask(mask)
-
-    def head(self, n: int = 10) -> "Table":
-        return self.take(np.arange(min(n, self._n_rows)))
 
     # ------------------------------------------------------------------ #
     # display

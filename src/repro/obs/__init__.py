@@ -10,8 +10,8 @@ Dependency-free instrumentation substrate for the whole system
 * :mod:`repro.obs.analyze`   — offline span-tree reconstruction,
   critical-path analysis, and run-vs-run latency diffs (import it
   directly — kept out of this package's eager imports);
-* :mod:`repro.obs.telemetry` — structured JSONL event streams with a
-  bounded in-memory ring and size-capped file rotation;
+* :mod:`repro.obs.telemetry` — structured JSONL event streams with
+  size-capped file rotation;
 * :mod:`repro.obs.profiler`  — continuous sampling CPU profiler
   (collapsed stacks, span-attributed samples);
 * :mod:`repro.obs.memory`    — tracemalloc snapshots, allocator tables,

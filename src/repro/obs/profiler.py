@@ -13,9 +13,9 @@ Exports:
 
 * :meth:`SamplingProfiler.collapsed` — collapsed-stack text
   (``speedscope``, ``flamegraph.pl``, and ``inferno`` all read it);
-* :meth:`SamplingProfiler.hot_functions` /
-  :meth:`SamplingProfiler.span_samples` — the tables ``repro watch``
-  and ``repro report`` render.
+* :func:`hot_functions_of` / :func:`span_samples_of` — the tables
+  ``repro watch`` and ``repro report`` render, folded from a run's
+  parsed-back ``profile.collapsed.txt`` (:func:`parse_collapsed`).
 
 The profiler is independent of the ``STATE.enabled`` observability
 flag: it costs nothing unless explicitly started (``repro profile``,
@@ -36,7 +36,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from . import trace as _trace
 
@@ -85,8 +85,6 @@ class SamplingProfiler:
         self.on_flush = on_flush
         self.sample_count = 0
         self.dropped_stacks = 0
-        self.started_s = 0.0
-        self.stopped_s = 0.0
         self._counts: dict[tuple[str, ...], int] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -97,7 +95,6 @@ class SamplingProfiler:
         if self._thread is not None:
             return self
         self._stop.clear()
-        self.started_s = time.perf_counter()
         self._thread = threading.Thread(
             target=self._sample_loop, name="repro-profiler", daemon=True
         )
@@ -111,7 +108,6 @@ class SamplingProfiler:
         self._stop.set()
         thread.join(timeout=5.0)
         self._thread = None
-        self.stopped_s = time.perf_counter()
         if self.on_flush:
             self.on_flush()  # the artifacts now hold every sample taken
         return self
@@ -168,25 +164,6 @@ class SamplingProfiler:
             for stack, count in sorted(counts.items())
         ]
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def span_samples(self) -> dict[str, int]:
-        """Samples attributed to each enclosing trace span."""
-        return span_samples_of(self.stack_counts())
-
-    def hot_functions(self) -> list[tuple[str, int, float]]:
-        """Top 15 frames by self samples: ``(frame, samples, fraction)``."""
-        return hot_functions_of(self.stack_counts())
-
-    def summary(self) -> dict[str, Any]:
-        duration = (self.stopped_s or time.perf_counter()) - self.started_s
-        return {
-            "hz": self.hz,
-            "samples": self.sample_count,
-            "unique_stacks": len(self.stack_counts()),
-            "dropped_stacks": self.dropped_stacks,
-            "duration_s": max(duration, 0.0),
-            "span_samples": self.span_samples(),
-        }
 
 
 # ------------------------------------------------------------------ #

@@ -2,21 +2,18 @@
 
 A telemetry *record* is one flat JSON object tagged with its ``stream``
 (``"train.update"``, ``"query"``, ``"log"``, …) and a monotonically
-increasing sequence number. Records always land in a bounded in-memory
-ring (so tests and the CLI can inspect a run without touching disk) and,
-when a sink path is configured, are appended to a JSONL file as they
-happen — the format ``repro stats`` reads back.
+increasing sequence number. When a sink path is configured, records are
+appended to a JSONL file as they happen — the run directory's telemetry,
+which ``rundir.load`` (and so every ``repro`` view) reads back; nothing
+is kept in memory.
 
-Retention is bounded on both axes so week-long runs stay flat:
-
-* in memory, the ring is a ``deque(maxlen=MAX_RECORDS)``;
-* on disk, the sink rotates — when the active file would exceed
-  :data:`MAX_BYTES`, ``telemetry.jsonl`` becomes ``telemetry.1.jsonl``,
-  ``.1`` becomes ``.2``, … and files beyond :data:`MAX_FILES` are
-  deleted. A record that lands the file *exactly at*
-  the cap stays put; the next record triggers the rotation, and the
-  first record of a fresh file is always written even if it alone
-  exceeds the cap (a record is never split or silently dropped).
+Retention is bounded so week-long runs stay flat: the sink rotates —
+when the active file would exceed :data:`MAX_BYTES`, ``telemetry.jsonl``
+becomes ``telemetry.1.jsonl``, ``.1`` becomes ``.2``, … and files beyond
+:data:`MAX_FILES` are deleted. A record that lands the file *exactly at*
+the cap stays put; the next record triggers the rotation, and the first
+record of a fresh file is always written even if it alone exceeds the
+cap (a record is never split or silently dropped).
 
 :func:`load_run` reads a rotated set back transparently (oldest file
 first), so ``health.alerts()`` and ``repro report`` see every retained
@@ -43,14 +40,10 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from typing import Any, Optional
 
 from . import context as _context
 from .runtime import STATE
-
-#: Cap on in-memory records (ring: oldest dropped first).
-MAX_RECORDS = 10_000
 
 #: On-disk rotation: 64 MiB per file, 8 rotated files kept — a run's
 #: telemetry footprint is bounded near 0.5 GiB however long it lives.
@@ -58,7 +51,6 @@ MAX_BYTES = 64 * 1024 * 1024
 MAX_FILES = 8
 
 _LOCK = threading.Lock()
-_RECORDS: deque[dict[str, Any]] = deque(maxlen=MAX_RECORDS)
 _SINK_PATH: Optional[str] = None
 _SEQUENCE = 0
 _SINK_BYTES = 0
@@ -103,7 +95,8 @@ def _rotate_locked() -> None:
 
 
 def emit(stream: str, **fields: Any) -> None:
-    """Record one event iff observability is enabled.
+    """Append one event to the sink iff observability is enabled (the
+    sequence advances with or without a sink).
 
     Records written while a request context is active are stamped with
     its ``trace_id`` (explicit ``trace_id=...`` fields win), so every
@@ -115,41 +108,34 @@ def emit(stream: str, **fields: Any) -> None:
     global _SEQUENCE, _SINK_BYTES
     with _LOCK:
         _SEQUENCE += 1
+        if _SINK_PATH is None:
+            return
         record = {"stream": stream, "seq": _SEQUENCE, "ts": time.time(), **fields}
         if trace_id is not None and "trace_id" not in fields:
             record["trace_id"] = trace_id
-        _RECORDS.append(record)
-        if _SINK_PATH is not None:
-            data = json.dumps(record, default=str) + "\n"
-            if _SINK_BYTES > 0 and _SINK_BYTES + len(data) > MAX_BYTES:
-                _rotate_locked()
-            # One os.write on an O_APPEND fd: POSIX appends are atomic
-            # per write call, so two processes sharing the sink (e.g. two
-            # `repro` recorders pointed at one run directory) can never
-            # interleave partial lines — a buffered text-file append
-            # would split records larger than the IO buffer.
-            encoded = data.encode("utf-8")
-            fd = os.open(
-                _SINK_PATH, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                os.write(fd, encoded)
-            finally:
-                os.close(fd)
-            _SINK_BYTES += len(encoded)
-
-
-def records() -> list[dict[str, Any]]:
-    """The in-memory records, oldest first."""
-    with _LOCK:
-        return list(_RECORDS)
+        data = json.dumps(record, default=str) + "\n"
+        if _SINK_BYTES > 0 and _SINK_BYTES + len(data) > MAX_BYTES:
+            _rotate_locked()
+        # One os.write on an O_APPEND fd: POSIX appends are atomic
+        # per write call, so two processes sharing the sink (e.g. two
+        # `repro` recorders pointed at one run directory) can never
+        # interleave partial lines — a buffered text-file append
+        # would split records larger than the IO buffer.
+        encoded = data.encode("utf-8")
+        fd = os.open(
+            _SINK_PATH, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+        )
+        try:
+            os.write(fd, encoded)
+        finally:
+            os.close(fd)
+        _SINK_BYTES += len(encoded)
 
 
 def reset() -> None:
-    """Drop in-memory records and restart the sequence (sink unchanged)."""
+    """Restart the sequence (sink unchanged)."""
     global _SEQUENCE
     with _LOCK:
-        _RECORDS.clear()
         _SEQUENCE = 0
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: a small movie database and tiny dataset bundles."""
+"""Shared fixtures: a small movie database, tiny dataset bundles, and a
+recorded telemetry sink."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from repro.db import (
     Table,
     TableSchema,
 )
+from repro.obs import rundir, telemetry
 
 
 @pytest.fixture
@@ -95,3 +97,14 @@ def tiny_flights():
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def recorded(tmp_path):
+    """Point the telemetry sink at a fresh run directory; returns the reader
+    of its records, ``rundir.load`` — the one path every view reads."""
+    directory = tmp_path / "recorded"
+    directory.mkdir()
+    telemetry.configure(rundir.telemetry_sink(str(directory)))
+    yield lambda: rundir.load(str(directory)).records
+    telemetry.configure(None)

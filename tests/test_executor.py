@@ -13,6 +13,7 @@ from repro.db import (
     SPJQuery,
     execute,
     execute_aggregate,
+    explain,
     sql,
     timed_execute,
 )
@@ -249,6 +250,31 @@ class TestResultSet:
     def test_column_bare_name_lookup(self, mini_db):
         result = execute(mini_db, sql("SELECT movies.title FROM movies"))
         assert len(result.column("title")) == 6
+
+    def test_string_columns_stay_encoded_until_read(self, mini_db):
+        query = sql(
+            "SELECT movies.title, movies.year, cast_info.actor "
+            "FROM movies, cast_info "
+            "WHERE movies.id = cast_info.movie_id AND movies.genre = 'drama'"
+        )
+        for result in (execute(mini_db, query), explain(mini_db, query, analyze=True).result):
+            assert set(result.encodings) == {"movies.title", "cast_info.actor"}
+            for ref in result.encodings:
+                assert result.columns[ref].dtype.kind == "i"
+            assert sorted(result.provenance_keys()) == [(0, 0), (1, 0), (3, 2), (6, 5)]
+            assert result._decoded == {}
+            titles = result.column("title")
+            assert list(result._decoded) == ["movies.title"]
+            assert result.column("movies.title") is titles
+            context = result.decoded_context()
+            assert "cast_info.actor" in context and len(context) == 3
+            assert context["movies.title"] is titles
+            assert list(result._decoded) == ["movies.title"]
+            assert sorted(titles) == ["Alpha", "Alpha", "Gamma", "Zeta"]
+            assert result.columns["movies.title"].dtype.kind == "i"
+            assert sorted(row["cast_info.actor"] for row in result.to_rows()) == [
+                "ann", "ann", "bob", "cid",
+            ]
 
 
 class TestTimedExecute:

@@ -195,7 +195,7 @@ class TestReplay:
     def test_replay_empty(self):
         assert health.alerts(Run("mem")) == []
 
-    def test_alerts_are_pure_and_emit_nothing(self):
+    def test_alerts_are_pure_and_emit_nothing(self, recorded):
         obs.enable()
         run = Run("mem", records=[
             {"stream": "train.update", **_update(0, kl_divergence=2.5)},
@@ -203,7 +203,7 @@ class TestReplay:
         ])
         first = health.alerts(run)
         assert first and health.alerts(run) == first
-        assert telemetry.records() == []
+        assert recorded() == []
 
 
 class TestCalibrationDriftRule:

@@ -250,17 +250,17 @@ class TestPlanRendering:
 # telemetry integration
 # ------------------------------------------------------------------ #
 class TestPlanTelemetry:
-    def test_analyze_emits_plan_record_when_enabled(self, mini_db):
+    def test_analyze_emits_plan_record_when_enabled(self, mini_db, recorded):
         obs.enable()
         explain(mini_db, sql(JOIN_SQL), analyze=True)
-        records = [r for r in telemetry.records() if r["stream"] == "plan"]
+        records = [r for r in recorded() if r["stream"] == "plan"]
         assert len(records) == 1
         assert records[0]["max_q_error"] >= 1.0
         assert records[0]["operators"]
 
-    def test_no_telemetry_when_disabled(self, mini_db):
+    def test_no_telemetry_when_disabled(self, mini_db, recorded):
         explain(mini_db, sql(JOIN_SQL), analyze=True)
-        assert [r for r in telemetry.records() if r["stream"] == "plan"] == []
+        assert recorded() == []
 
     def test_passive_join_q_error_from_spans(self, mini_db):
         """Every instrumented execute() leaves each join's q-error on its
@@ -274,9 +274,9 @@ class TestPlanTelemetry:
             counters = sp.counters
             assert q_error(counters["estimated_rows"], counters["rows_out"]) >= 1.0
 
-    def test_no_passive_q_error_when_disabled(self, mini_db):
+    def test_no_passive_q_error_when_disabled(self, mini_db, recorded):
         execute(mini_db, sql(JOIN_SQL))
-        assert trace.roots() == [] and telemetry.records() == []
+        assert trace.roots() == [] and recorded() == []
 
 
 # ------------------------------------------------------------------ #

@@ -121,14 +121,6 @@ class TestSamplingProfiler:
         prof.stop()
         parsed = profiler.parse_collapsed(prof.collapsed())
         assert parsed == prof.stack_counts()
-        # Aggregations over the parsed dict match the live views.
-        assert profiler.span_samples_of(parsed) == prof.span_samples()
-        assert dict(
-            (frame, samples)
-            for frame, samples, _ in profiler.hot_functions_of(parsed)
-        ) == dict(
-            (frame, samples) for frame, samples, _ in prof.hot_functions()
-        )
 
     def test_samples_attributed_to_active_span(self):
         obs.enable()
@@ -137,7 +129,7 @@ class TestSamplingProfiler:
         with trace.span("unit.work"):
             _busy_loop(0.3)
         prof.stop()
-        spans = prof.span_samples()
+        spans = profiler.span_samples_of(prof.stack_counts())
         assert spans.get("unit.work", 0) > 0
         # And the collapsed text carries the span frame at stack root.
         assert "span:unit.work;" in prof.collapsed()
@@ -147,7 +139,7 @@ class TestSamplingProfiler:
         prof.start()
         _busy_loop(0.3)
         prof.stop()
-        hot = prof.hot_functions()
+        hot = profiler.hot_functions_of(prof.stack_counts())
         assert hot
         frames = [frame for frame, _, _ in hot]
         assert any("_busy_loop" in frame or "sum" in frame for frame in frames)
@@ -176,17 +168,6 @@ class TestSamplingProfiler:
         assert stopped is first
         assert not profiler.is_active()
         assert profiler.stop() is None
-
-    def test_summary_shape(self):
-        prof = profiler.SamplingProfiler(hz=300)
-        prof.start()
-        _busy_loop(0.1)
-        prof.stop()
-        summary = prof.summary()
-        assert summary["hz"] == 300
-        assert summary["samples"] == prof.sample_count
-        assert summary["duration_s"] > 0
-        assert isinstance(summary["span_samples"], dict)
 
 
 # ------------------------------------------------------------------ #
@@ -423,18 +404,18 @@ class TestSLOFold:
         assert (query["n_samples"], query["value"]) == (2, 0.004)
         assert health.alerts(run) == []
 
-    def test_configure_records_one_spec_row_per_objective(self):
+    def test_configure_records_one_spec_row_per_objective(self, recorded):
         obs.enable()
         specs = ["query.p95 < 250ms", " estimator.calibration_error < 0.1 "]
         assert [o.spec for o in slo.configure(specs)] == [s.strip() for s in specs]
+        records = recorded()
         assert [
-            {k: r[k] for k in ("stream", "spec")} for r in telemetry.records()
+            {k: r[k] for k in ("stream", "spec")} for r in records
         ] == [{"stream": "slo", "spec": s.strip()} for s in specs]
-        assert all(set(r) == {"stream", "seq", "ts", "spec"} for r in telemetry.records())
-        telemetry.reset()
+        assert all(set(r) == {"stream", "seq", "ts", "spec"} for r in records)
         with pytest.raises(ValueError, match="unparseable SLO spec"):
             slo.configure(["query.p95 < 250ms", "query < 250ms"])
-        assert telemetry.records() == []
+        assert recorded() == records
 
 
 # ------------------------------------------------------------------ #
@@ -668,7 +649,7 @@ class TestRunContextManager:
         prof.stop()
         collapsed = prof.collapsed()
         assert "repro/db/executor.py" in collapsed
-        spans = prof.span_samples()
+        spans = profiler.span_samples_of(prof.stack_counts())
         executor_samples = sum(
             count for name, count in spans.items() if name.startswith("execute")
         )

@@ -80,18 +80,64 @@ def test_tracker_matches_recomputation(requirements, operations):
     assert incremental.batch_score() == fresh.batch_score() == reference.batch_score()
 
 
-@given(requirements=_requirements, keys=st.lists(_keys, min_size=1, max_size=10))
-@settings(max_examples=60)
-def test_tracker_add_remove_roundtrip(requirements, keys):
-    coverage = _coverage(requirements)
-    tracker = CoverageTracker([coverage])
-    reference = DictCoverageTracker([coverage])
-    baseline = tracker.batch_score()
+# Several queries at once, each its own weight and Eq. 1 denominator;
+# batches past four keys take the interned (vectorized) update path.
+_coverages = st.lists(
+    st.tuples(_requirements, st.floats(0.1, 3.0), st.integers(1, 8)),
+    min_size=1,
+    max_size=4,
+).map(lambda drawn: [
+    coverage_from_rows(f"q{i}", weight, denominator, rows)
+    for i, (rows, weight, denominator) in enumerate(drawn)
+])
+
+
+def _state(tracker):
+    return tracker._missing.copy(), tracker._covered.copy(), tracker._present.copy()
+
+
+@given(
+    coverages=_coverages,
+    before=st.lists(_keys, max_size=12),
+    keys=st.lists(_keys, min_size=1, max_size=12),
+)
+@settings(max_examples=80)
+def test_tracker_add_remove_roundtrip(coverages, before, keys):
+    """Metamorphic: ``add_keys(K)`` then ``remove_keys(K)`` is the identity
+    on ``_missing``, ``_covered`` and ``_present``, from any prior state."""
+    tracker = CoverageTracker(coverages)
+    reference = DictCoverageTracker(coverages)
+    tracker.add_keys(before)
+    reference.add_keys(before)
+    expected = _state(tracker)
     tracker.add_keys(keys)
     reference.add_keys(keys)
-    assert tracker.batch_score() == reference.batch_score()
+    np.testing.assert_array_equal(tracker.covered_counts(), reference.covered_counts())
     tracker.remove_keys(keys)
-    assert tracker.batch_score() == baseline
+    for got, want in zip(_state(tracker), expected):
+        np.testing.assert_array_equal(got, want)
+
+
+@given(
+    coverages=_coverages,
+    batches=st.lists(st.lists(_keys, max_size=8), min_size=1, max_size=5),
+    data=st.data(),
+)
+@settings(max_examples=80)
+def test_tracker_batch_score_never_falls_as_keys_are_added(coverages, batches, data):
+    """Metamorphic: Eq. 1 is monotone in added tuples, over all queries
+    and over any batch of them."""
+    subset = data.draw(st.lists(
+        st.integers(0, len(coverages) - 1), min_size=1, unique=True,
+    ))
+    tracker = CoverageTracker(coverages)
+    scores = [(tracker.batch_score(), tracker.batch_score(subset))]
+    for batch in batches:
+        tracker.add_keys(batch)
+        scores.append((tracker.batch_score(), tracker.batch_score(subset)))
+    for (low_all, low_subset), (high_all, high_subset) in zip(scores, scores[1:]):
+        assert low_all <= high_all and low_subset <= high_subset
+    assert all(0.0 <= score <= 1.0 for pair in scores for score in pair)
 
 
 # ------------------------------------------------------------------ #

@@ -18,6 +18,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -145,8 +146,9 @@ PASSING_TID = "deadbeef00000000deadbeefdeadbeef"  # coin window = 0
 class Recorder:
     """Drives the governor the way the session does; folds the rows."""
 
-    def __init__(self, rate=1.0):
+    def __init__(self, recorded, rate=1.0):
         obs.enable()
+        self.recorded = recorded
         self.governor = quality.start(rate)
 
     def query(self, elapsed=0.0, approximate=True, trace_id=PASSING_TID,
@@ -170,35 +172,35 @@ class Recorder:
 
     def accounting(self):
         return quality.accounting(
-            obs.rundir.Run("mem", records=telemetry.records())
+            obs.rundir.Run("mem", records=self.recorded())
         )
 
 
 class TestBudgetGovernor:
-    def test_first_audit_always_allowed(self):
-        recorder = Recorder()
+    def test_first_audit_always_allowed(self, recorded):
+        recorder = Recorder(recorded)
         assert recorder.query() == quality.AUDITED
         counts = recorder.accounting()["counts"]
         assert counts["skipped_coin"] == counts["skipped_budget"] == 0
 
-    def test_none_trace_id_never_audits(self):
-        recorder = Recorder()
+    def test_none_trace_id_never_audits(self, recorded):
+        recorder = Recorder(recorded)
         assert recorder.query(trace_id=None) == quality.SKIPPED_COIN
 
-    def test_budget_blocks_after_expensive_audit(self):
-        recorder = Recorder()
+    def test_budget_blocks_after_expensive_audit(self, recorded):
+        recorder = Recorder(recorded)
         assert recorder.query(elapsed=1.0) == quality.AUDITED
         recorder.audit(cost_seconds=0.5)
         # 0.5s of audit over 1s of serving is 50x the 1% budget.
         assert recorder.query() == quality.SKIPPED_BUDGET
         assert recorder.accounting()["counts"]["skipped_budget"] == 1
 
-    def test_budget_reserves_the_last_audit_cost(self):
+    def test_budget_reserves_the_last_audit_cost(self, recorded):
         # Conservative admission: even when spent audit time fits the
         # budget, the governor must also reserve one more audit at the
         # last observed cost — otherwise each admission overshoots the
         # budget by a full audit.
-        recorder = Recorder()
+        recorder = Recorder(recorded)
         assert recorder.query(elapsed=100.0) == quality.AUDITED
         recorder.audit(cost_seconds=0.9)
         # spent 0.9 <= 1.0 budget, but 0.9 + 0.9 reserved > 1.0: skip.
@@ -208,23 +210,23 @@ class TestBudgetGovernor:
         counts = recorder.accounting()["counts"]
         assert (counts["audits"], counts["skipped_budget"]) == (1, 1)
 
-    def test_unlimited_budget_when_disabled(self, monkeypatch):
+    def test_unlimited_budget_when_disabled(self, monkeypatch, recorded):
         monkeypatch.setattr(quality, "MAX_OVERHEAD", math.inf)
-        recorder = Recorder()
+        recorder = Recorder(recorded)
         recorder.audit(cost_seconds=99.0)
         assert recorder.query(elapsed=1.0) == quality.AUDITED
 
-    def test_coin_skip_counted(self):
-        recorder = Recorder(rate=0.0001)
+    def test_coin_skip_counted(self, recorded):
+        recorder = Recorder(recorded, rate=0.0001)
         losing = "00000000ffffffff0000000000000000"
         assert recorder.query(trace_id=losing) == quality.SKIPPED_COIN
         assert recorder.accounting()["counts"]["skipped_coin"] == 1
 
-    def test_full_database_answers_serve_but_carry_no_decision(self):
-        recorder = Recorder()
+    def test_full_database_answers_serve_but_carry_no_decision(self, recorded):
+        recorder = Recorder(recorded)
         assert recorder.query(elapsed=2.0, approximate=False) is None
         assert recorder.governor.serving_seconds == 2.0
-        (row,) = [r for r in telemetry.records() if r["stream"] == "query"]
+        (row,) = [r for r in recorder.recorded() if r["stream"] == "query"]
         assert "audit" not in row
         summary = recorder.accounting()
         assert summary["sample_rate"] == 1.0
@@ -233,8 +235,8 @@ class TestBudgetGovernor:
 
 
 class TestRecordAudit:
-    def test_low_quality_flag_and_counters(self):
-        recorder = Recorder()
+    def test_low_quality_flag_and_counters(self, recorded):
+        recorder = Recorder(recorded)
         assert recorder.audit(
             recall=0.2, predicted=0.9, observed=0.1, agg_rel_error=0.5,
             cost_seconds=0.01, sql="SELECT 1", trace_id="ab" * 16,
@@ -248,9 +250,9 @@ class TestRecordAudit:
         assert summary["audit_log"][0]["trace_id"] == "ab" * 16
         assert summary["audit_log"][0]["low_quality"] is True
 
-    def test_audit_log_is_bounded(self, monkeypatch):
+    def test_audit_log_is_bounded(self, monkeypatch, recorded):
         monkeypatch.setattr(quality, "MAX_AUDIT_ROWS", 4)
-        recorder = Recorder()
+        recorder = Recorder(recorded)
         for i in range(10):
             recorder.audit(sql=f"q{i}")
         summary = recorder.accounting()
@@ -259,8 +261,8 @@ class TestRecordAudit:
             "q6", "q7", "q8", "q9",
         ]
 
-    def test_overhead_fraction(self):
-        recorder = Recorder()
+    def test_overhead_fraction(self, recorded):
+        recorder = Recorder(recorded)
         assert recorder.accounting()["overhead_fraction"] == 0.0
         recorder.query(elapsed=10.0, approximate=False)
         recorder.audit(cost_seconds=0.5)
@@ -320,12 +322,12 @@ class TestCalibrationDrift:
         assert alert.value == pytest.approx(-0.30)
         assert "under-predicts" in alert.message
 
-    def test_live_monitor_counts_and_records_no_verdict(self):
-        recorder = Recorder(rate=0.0)
-        before = telemetry.records()
+    def test_live_monitor_counts_and_records_no_verdict(self, recorded):
+        recorder = Recorder(recorded, rate=0.0)
+        before = recorder.recorded()
         for _ in range(40):
             assert recorder.governor.admit(PASSING_TID, 0.0, True) == "coin"
-        assert telemetry.records() == before  # the governor records nothing
+        assert recorder.recorded() == before  # the governor records nothing
         for _ in range(40):
             recorder.query(predicted=0.9, observed=0.40)
         summary = recorder.accounting()
@@ -501,7 +503,8 @@ def low_recall_run(tmp_path_factory):
     model = ASQPTrainer(bundle.db, bundle.workload, config).train()
     session = ASQPSession(model, auto_fine_tune=False)
     session.approx_db = Database(
-        [table.head(1) for table in session.approx_db], name="gutted"
+        [table.take(np.arange(min(1, len(table)))) for table in session.approx_db],
+        name="gutted",
     )
     run_dir = str(tmp_path_factory.mktemp("low_recall"))
     outcomes = []

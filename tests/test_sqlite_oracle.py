@@ -6,7 +6,10 @@ Each bundled dataset is loaded at scale 0.35 into an in-memory stdlib
 Then, for every query of the workloads:
 
 * SPJ — ``SELECT DISTINCT t1._rid, t2._rid, …`` under the query's own
-  WHERE clause is the set of provenance rows ``provenance_ids`` returns;
+  WHERE clause is the set of provenance rows ``provenance_ids`` returns,
+  and each output row's projected values, read through
+  ``ResultSet.to_rows()`` (the dictionary columns decode there), are
+  sqlite's for the same base rows;
 * aggregate — sqlite's ``GROUP BY`` rows are ``execute_aggregate``'s,
   floats compared with ``math.isclose`` and an aggregate over no rows
   (sqlite's NULL, the engine's NaN) read as "no value".
@@ -21,8 +24,9 @@ two-table database with NULLs in every nullable column: one table or the
 foreign-key join, conjunctions of comparisons, ``IN``, ``BETWEEN``,
 ``LIKE``, ``IS [NOT] NULL`` and ``col = col``, some negated or OR-ed in
 pairs; SPJ queries (provenance as
-above, and ``ORDER BY … LIMIT`` up to the rows tied at the cut) and
-``GROUP BY`` with COUNT, SUM, AVG, MIN and MAX.
+above, ``DISTINCT`` projections over string columns, and ``ORDER BY …
+LIMIT`` up to the rows tied at the cut) and ``GROUP BY`` with COUNT(*),
+COUNT, SUM, AVG, MIN and MAX.
 """
 
 from __future__ import annotations
@@ -119,6 +123,43 @@ def test_every_spj_query_has_sqlites_provenance(name):
         )
         expected = sorted(connection.execute(rid_query.to_sql()).fetchall())
         assert sorted(map(tuple, ids.tolist())) == expected, query.to_sql()
+
+
+def _as_stored(column, value):
+    """One engine value as :func:`_sqlite` stores it."""
+    value = value.item() if isinstance(value, np.generic) else value
+    null = column.nullable and column.null_mask(np.asarray([value]))[0]
+    return None if null else _stored(value)
+
+
+def _values(db, result, refs):
+    """One tuple per output row: the values of ``refs`` read through
+    ``to_rows()``, as sqlite stores them."""
+    columns = [db.table(ref.split(".")[0]).schema.column(ref.split(".")[1]) for ref in refs]
+    return [
+        tuple(_as_stored(column, row[ref]) for ref, column in zip(refs, columns))
+        for row in result.to_rows()
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_every_spj_query_has_sqlites_values(name):
+    bundle, connection = _loaded(name)
+    queries = bundle.workload.spj_only()
+    assert len(queries) > 0
+    for query in queries:
+        result = execute(bundle.db, query)
+        tables = sorted(result.row_ids)
+        refs = list(query.projection)
+        assert list(result.columns) == refs
+        got = sorted(zip(result.provenance_keys(), _values(bundle.db, result, refs)))
+        rids = ", ".join(f"{t}._rid" for t in tables)
+        text = query.to_sql().replace("SELECT ", f"SELECT {rids}, ", 1)
+        want = sorted(
+            (tuple(row[: len(tables)]), tuple(row[len(tables):]))
+            for row in connection.execute(text).fetchall()
+        )
+        assert got == want, query.to_sql()
 
 
 def _same_value(got, want) -> bool:
@@ -320,6 +361,24 @@ def test_generated_spj_queries_have_sqlites_provenance(data):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
+def test_generated_distinct_string_projections_have_sqlites_values(data):
+    """DISTINCT dedupes on dictionary codes; the values decode afterwards."""
+    db, connection = _tiny()
+    tables, tail = data.draw(_from_where())
+    refs = data.draw(st.lists(
+        st.sampled_from(_columns(tables, (ColumnType.STR,))),
+        min_size=1, max_size=2, unique=True,
+    ))
+    refs += data.draw(st.lists(st.sampled_from(_columns(tables, (ColumnType.INT,))), max_size=1))
+    text = f"SELECT DISTINCT {', '.join(refs)}{tail}"
+    got = _values(db, execute(db, sql(text)), refs)
+    assert len(got) == len(set(got)), text
+    want = connection.execute(text).fetchall()
+    assert sorted(got, key=repr) == sorted(want, key=repr), text
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
 def test_generated_order_by_limit_agrees_up_to_ties_at_the_cut(data):
     db, connection = _tiny()
     tables, tail = data.draw(_from_where())
@@ -367,7 +426,10 @@ def test_generated_group_by_queries_have_sqlites_groups(data):
     measured = data.draw(st.sampled_from(
         _columns(tables, (ColumnType.INT, ColumnType.FLOAT))
     ))
-    aggregates = ["COUNT(*)"] + [
+    counted = data.draw(st.sampled_from(
+        _columns(tables, (ColumnType.INT, ColumnType.FLOAT, ColumnType.STR))
+    ))
+    aggregates = ["COUNT(*)", f"COUNT({counted})"] + [
         f"{function}({measured})" for function in ("SUM", "AVG", "MIN", "MAX")
     ]
     keys = ", ".join(group)

@@ -98,10 +98,6 @@ class TestDerivation:
         sub = movies.subset_by_row_ids([99])
         assert len(sub) == 0
 
-    def test_head(self, movies):
-        assert len(movies.head(2)) == 2
-        assert len(movies.head(100)) == 6
-
     def test_take_empty(self, movies):
         sub = movies.take(np.asarray([], dtype=np.int64))
         assert len(sub) == 0
