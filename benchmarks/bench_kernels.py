@@ -12,11 +12,12 @@ training iteration at figure scale: the lock-step rollout collector
 tests retain, with the peak that update holds; the 13
 rollouts of Alg. 2 one ``approximation_set()`` makes; and the
 per-distinct-value ``compute_table_stats`` — those two against the loops
-the tests retain. Three rows time a kernel against the form it replaced: a join-key
+the tests retain. Four rows time a kernel against the form it replaced: a join-key
 NDV count by ``sorted_unique`` against numpy 2.x's hash-set ``np.unique``,
-a primary-key probe against the probe's three-repeat form, and the
-column store's serial scan on dictionary codes against the same
-predicate on decoded values.
+a primary-key probe of the direct-address index and a whole primary-key
+join at a serving-tail aggregate's shape, each against the bucket layout
+and its three-repeat probe, and the column store's serial scan on
+dictionary codes against the same predicate on decoded values.
 
 One timer measures everything: :func:`_paired` runs the two sides of a
 row in alternating same-round batches, so a row's ``speedup`` is the
@@ -495,17 +496,36 @@ def run_benchmarks(rounds: int) -> dict:
     )
 
     # A primary-key probe: 50 000 unique build keys, 100 000 probe rows
-    # (about two thirds hit), against the probe's three-repeat form.
-    from tests.test_kernels import three_repeat_probe
+    # (about two thirds hit), the direct-address index against the bucket
+    # layout's three-repeat probe, each index prebuilt.
+    from tests.test_kernels import (
+        bucket_join_index,
+        bucket_join_positions,
+        three_repeat_probe,
+    )
 
     pk_codes = probe_rng.permutation(50_000)
     pk_probe = probe_rng.integers(0, 75_000, size=100_000)
     pk_index = kernels.build_join_index(pk_codes, 75_000)
+    pk_buckets = bucket_join_index(pk_codes, 75_000)
     measure(
         "join_pk_probe",
-        lambda: three_repeat_probe(pk_probe, *pk_index),
-        lambda: kernels.probe_factorized(pk_probe, *pk_index),
+        lambda: three_repeat_probe(pk_probe, *pk_buckets),
+        lambda: kernels.probe_factorized(pk_probe, pk_index),
         units=len(pk_probe),
+    )
+
+    # The whole join of a serving-tail aggregate, 43 000 publications to
+    # their 1 920 venues by the venues' key (every probe row hits), against
+    # the bucket layout and its three-repeat probe. Its own generator.
+    tail_rng = np.random.default_rng(43)
+    venue_ids = tail_rng.permutation(1_920)
+    venue_refs = tail_rng.integers(0, 1_920, size=43_000)
+    measure(
+        "join_pk_1900x43k",
+        lambda: bucket_join_positions([venue_ids], [venue_refs]),
+        lambda: kernels.join_positions([venue_ids], [venue_refs]),
+        units=len(venue_ids) + len(venue_refs),
     )
 
     # The sort under all three kernels and the CoverageIndex build, alone:

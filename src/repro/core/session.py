@@ -20,7 +20,7 @@ import numpy as np
 from ..obs.clock import perf_counter
 from ..db.database import Database
 from ..db.executor import AggregateResult, ResultSet, execute, execute_aggregate
-from ..obs import memory, quality, telemetry, trace
+from ..obs import quality, telemetry, trace
 from ..obs import context as obs_context
 from ..obs.runtime import STATE as _OBS
 from ..db.query import AggregateQuery, SPJQuery
@@ -210,9 +210,6 @@ class ASQPSession:
             fine_tuned=outcome.fine_tuned,
             **({"audit": audit} if audit is not None else {}),
         )
-        # Epoch boundary for the leak check: repeated query answering
-        # should not accumulate traced bytes between queries.
-        memory.mark_epoch("session.query")
         return realized
 
     def _shadow_audit(

@@ -142,13 +142,25 @@ class ResultSet:
         there, and a column decodes when the predicate reads it."""
         return _DecodedView(self)
 
-    def take(self, positions: np.ndarray) -> "ResultSet":
+    def take(
+        self, positions: np.ndarray, live: Optional[set[str]] = None
+    ) -> "ResultSet":
+        """The rows at ``positions``: every row id, and the ``live``
+        columns (None: all of them)."""
         positions = np.asarray(positions, dtype=np.int64)
+        if live is None:
+            columns = {ref: arr[positions] for ref, arr in self.columns.items()}
+            encodings = self.encodings
+        else:
+            columns = {
+                ref: arr[positions] for ref, arr in self.columns.items() if ref in live
+            }
+            encodings = {ref: d for ref, d in self.encodings.items() if ref in live}
         return ResultSet(
-            columns={ref: arr[positions] for ref, arr in self.columns.items()},
+            columns=columns,
             row_ids={t: arr[positions] for t, arr in self.row_ids.items()},
             n_rows=len(positions),
-            encodings=self.encodings,
+            encodings=encodings,
         )
 
     def tuple_keys(self) -> list[tuple]:
@@ -359,14 +371,14 @@ def _columns_read(
     outputs: Optional[Sequence[str]],
     scanned: Sequence[ResultSet],
 ) -> Optional[set[str]]:
-    """The columns a query reads after its scans, or None for all of them.
+    """The columns a query reads past its joins, or None for all of them.
 
-    Join keys, the residual predicate's refs, the ORDER BY ref and
-    ``outputs`` — what an aggregate reads of its core query, by default
-    the projection — each resolved against every column of the
-    ``scanned`` tables. ``SELECT *`` reads them all. So does a query with a
-    ref that is not exactly one column: it runs unpruned and fails where
-    and how it always did (the messages list the columns available).
+    The residual predicate's refs, the ORDER BY ref and ``outputs`` — what
+    an aggregate reads of its core query, by default the projection —
+    each resolved against every column of the ``scanned`` tables.
+    ``SELECT *`` reads them all. So does a query with a ref that is not
+    exactly one column, join keys included: it runs unpruned and fails
+    where and how it always did (the messages list the columns available).
     """
     if outputs is None:
         outputs = query.projection
@@ -378,11 +390,15 @@ def _columns_read(
     refs = [*outputs, *filtered]
     if query.order_by:
         refs.append(query.order_by)
-    for join in query.joins:
-        refs += (join.left, join.right)
     keys = {key for context in scanned for key in context.columns}
     read = {_resolve_ref(ref, keys) for ref in refs}
-    return None if None in read else read
+    if None in read or not _join_keys(query.joins) <= keys:
+        return None
+    return read
+
+
+def _join_keys(joins: Sequence[JoinCondition]) -> set[str]:
+    return {ref for join in joins for ref in (join.left, join.right)}
 
 
 def _join_order(
@@ -466,10 +482,14 @@ def _join_order(
 
 
 def _ordered_joins(
-    query: SPJQuery, leaves: dict[str, _Rel], observed: bool
-) -> tuple[list[str], dict[str, float], dict[str, list[JoinCondition]]]:
+    query: SPJQuery, leaves: dict[str, _Rel], observed: bool, read: Optional[set[str]]
+) -> tuple[
+    list[str], dict[str, float], dict[str, list[JoinCondition]], list[Optional[set[str]]]
+]:
     """:func:`_join_order` over the leaves, plus the conditions each table
-    joins the intermediate on (none: a cross product)."""
+    joins the intermediate on (none: a cross product) and, per join in
+    order, the columns it keeps: those a later join reads or ``read``,
+    what is read past the joins (None: every column)."""
     order, estimates = _join_order(
         query.tables, query.joins,
         {t: leaf.data for t, leaf in leaves.items()},
@@ -479,7 +499,11 @@ def _ordered_joins(
     conditions = {}
     for i, table in enumerate(order[1:], 1):
         conditions[table] = joins_between(query.joins, table, set(order[:i]))
-    return order, estimates, conditions
+    live = [read]
+    for table in reversed(order[2:]):
+        later = live[0]
+        live.insert(0, None if later is None else later | _join_keys(conditions[table]))
+    return order, estimates, conditions, live
 
 
 def _aligned_key_pair(
@@ -506,8 +530,14 @@ def _aligned_key_pair(
     return left_array, right_array
 
 
-def _hash_join(left: ResultSet, right: ResultSet, conditions: Sequence[JoinCondition]) -> ResultSet:
-    """Inner equi-join of two contexts on one or more conditions."""
+def _hash_join(
+    left: ResultSet,
+    right: ResultSet,
+    conditions: Sequence[JoinCondition],
+    live: Optional[set[str]],
+) -> ResultSet:
+    """Inner equi-join of two contexts on one or more conditions, keeping
+    the ``live`` columns (None: all of them)."""
     refs = []
     for cond in conditions:
         if cond.left in left.columns and cond.right in right.columns:
@@ -535,7 +565,7 @@ def _hash_join(left: ResultSet, right: ResultSet, conditions: Sequence[JoinCondi
     build_keys, probe_keys = (right_keys, left_keys) if swap else (left_keys, right_keys)
     probe_idx, build_idx = kernels.join_positions(build_keys, probe_keys)
     left_idx, right_idx = (probe_idx, build_idx) if swap else (build_idx, probe_idx)
-    return _merge(right.take(right_idx), left.take(left_idx))
+    return _merge(right.take(right_idx, live), left.take(left_idx, live))
 
 
 def _without_null_keys(result: ResultSet, refs: Sequence[str]) -> ResultSet:
@@ -550,10 +580,10 @@ def _without_null_keys(result: ResultSet, refs: Sequence[str]) -> ResultSet:
     return result if nulls is None or not nulls.any() else result.take(np.flatnonzero(~nulls))
 
 
-def _cross_join(left: ResultSet, right: ResultSet) -> ResultSet:
+def _cross_join(left: ResultSet, right: ResultSet, live: Optional[set[str]]) -> ResultSet:
     left_idx = np.repeat(np.arange(len(left)), len(right))
     right_idx = np.tile(np.arange(len(right)), len(left))
-    return _merge(left.take(left_idx), right.take(right_idx))
+    return _merge(left.take(left_idx, live), right.take(right_idx, live))
 
 
 def _merge(left: ResultSet, right: ResultSet) -> ResultSet:
@@ -567,14 +597,19 @@ def _merge(left: ResultSet, right: ResultSet) -> ResultSet:
 
 
 def _join(
-    left: ResultSet, right: ResultSet, conditions: Sequence[JoinCondition], estimate: float
+    left: ResultSet,
+    right: ResultSet,
+    conditions: Sequence[JoinCondition],
+    estimate: float,
+    live: Optional[set[str]],
 ) -> ResultSet:
-    """Hash-join on the conditions linking the two inputs, else cross-join."""
+    """Hash-join on the conditions linking the two inputs, else cross-join;
+    the output carries the ``live`` columns (None: all of them)."""
     if not conditions:
-        out = _cross_join(left, right)
+        out = _cross_join(left, right, live)
     else:
         with _trace.span("execute.hash_join") as sp:
-            out = _hash_join(left, right, conditions)
+            out = _hash_join(left, right, conditions, live)
             if sp:
                 sp.set(conditions=[c.to_sql() for c in conditions])
                 sp.count("rows_in", len(left) + len(right))
@@ -787,13 +822,16 @@ class _Pass:
                 "pushdown", lambda: _pushdown(query.predicate, query.tables)
             )
             scans = {t: self._scan(plan, t) for t in query.tables}
+
             # Refs resolve against every column of the scanned tables;
             # only then does each leaf drop the columns nothing reads.
             read = plan.part("read", lambda: _columns_read(
                 query, residual, outputs, [scan.data for scan in scans.values()]
             ))
+            # An aggregate reads no provenance of its core.
+            provenance = outputs is None
             leaves = {
-                t: self._leaf(plan, t, scans[t], per_table[t], read)
+                t: self._leaf(plan, t, scans[t], per_table[t], read, query.joins, provenance)
                 for t in query.tables
             }
             if sp:
@@ -804,19 +842,19 @@ class _Pass:
         # cardinalities, plain EXPLAIN from the sampled estimates.
         with self.span("execute.join_order") as sp:
             observed = self.explaining or _OBS.enabled
-            order, estimates, conditions = plan.part(
-                ("join_order", observed), lambda: _ordered_joins(query, leaves, observed)
+            order, estimates, conditions, live = plan.part(
+                ("join_order", observed), lambda: _ordered_joins(query, leaves, observed, read)
             )
             if sp:
                 sp.set(order=list(order))
         current = leaves[order[0]]
-        for table in order[1:]:
+        for table, keep in zip(order[1:], live):
             right = leaves[table]
             on = conditions[table]
             estimate = estimates.get(table)  # None when nothing will read it
             current = self.step(
                 "hash_join" if on else "cross_join", [current, right],
-                lambda: _join(current.data, right.data, on, estimate),
+                lambda: _join(current.data, right.data, on, estimate, keep),
                 lambda: (" AND ".join(j.to_sql() for j in on), estimate),
             )
 
@@ -910,9 +948,13 @@ class _Pass:
         scan: _Rel,
         predicate: Expression,
         read: Optional[set[str]],
+        joins: Sequence[JoinCondition],
+        provenance: bool,
     ) -> _Rel:
-        """Narrow one scan to the columns ``read`` (None: all of them) and
-        apply its pushed-down conjuncts, which see every column.
+        """Narrow one scan to its join keys and the columns ``read`` past
+        the joins (None: all of them, row ids included) and apply its
+        pushed-down conjuncts, which see every column; its row ids go with
+        it only with ``provenance``.
 
         The scan context may be the plan's, shared by every run: it is
         only read here, and what a leaf hands on is always a new result.
@@ -922,7 +964,11 @@ class _Pass:
         def narrow():
             if read is None:
                 return unfiltered
-            return _project(unfiltered, {key: key for key in unfiltered.columns if key in read})
+            keep = read | _join_keys(joins)
+            kept = _project(unfiltered, {key: key for key in unfiltered.columns if key in keep})
+            if not provenance:
+                kept.row_ids = {}
+            return kept
 
         carried = plan.part(("carried", table_name), narrow)
         if isinstance(predicate, TrueExpr):
@@ -1119,7 +1165,14 @@ def _aggregate(
     agg_names = tuple(spec.output_name() for spec in query.aggregates)
     result = AggregateResult(group_columns=query.group_by, agg_names=agg_names)
 
-    if group_keys:
+    dictionary = flat.encodings.get(group_keys[0]) if len(group_keys) == 1 else None
+    if dictionary is not None:
+        # One dictionary key: its codes are the groups already.
+        codes, positions = kernels.code_group_positions(
+            flat.columns[group_keys[0]], len(dictionary)
+        )
+        groups = [((dictionary[code],), idx) for code, idx in zip(codes, positions)]
+    elif group_keys:
         # Group on the physical arrays (codes group exactly like their
         # values); only each group's representative key decodes.
         key_arrays = [flat.columns[key] for key in group_keys]

@@ -1,15 +1,18 @@
 """Vectorized execution kernels shared by the relational executor.
 
-The executor's three inner loops — hash-join bucket building/probing,
+The executor's three inner loops — hash-join index building/probing,
 stable ``DISTINCT``, and hash-aggregation grouping — all reduce to one
 primitive: *multi-column key factorization*. :func:`factorize_keys`
 encodes a tuple of key columns into bounded dense ``int64`` codes (equal
-row tuples ⇔ equal codes), after which joins become a stable argsort +
-``bincount``-indexed bucket lookup, distinct becomes a
-first-occurrence scan over sorted codes, and grouping becomes a stable
-argsort + split. Integer key columns take a sort-free min/max offset
-path; bounded code ranges let every downstream step use ``bincount``
-instead of hashing or ``searchsorted``.
+row tuples ⇔ equal codes), after which a join indexes its build side by
+code — a direct-address array when the build codes are unique (every
+primary-key join: the probe is one gather), else a stable argsort +
+``bincount``-indexed buckets —, distinct becomes a first-occurrence scan
+over sorted codes, and grouping becomes a stable argsort sliced at its
+runs (:func:`code_group_positions`; a dictionary column's codes group as
+they are, with no factorization). Integer key columns take a sort-free
+min/max offset path; bounded code ranges let every downstream step use
+``bincount`` instead of hashing or ``searchsorted``.
 
 Every kernel reproduces the row ordering of the original per-row
 implementations exactly:
@@ -31,7 +34,7 @@ of the differential tests and the baseline side of
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -252,47 +255,66 @@ def stable_argsort(codes: np.ndarray, n_codes: int) -> np.ndarray:
 # ------------------------------------------------------------------ #
 # join
 # ------------------------------------------------------------------ #
-def build_join_index(
-    build_codes: np.ndarray, n_codes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class JoinIndex(NamedTuple):
+    """A build side's join state, from its factorized codes.
+
+    Unique build codes (every primary-key build) keep ``position``: the
+    build row holding each code, ``-1`` where none does. Any other build
+    keeps the bucket layout: build rows stably sorted by code in
+    ``order``, each code's run at ``code_starts`` of ``code_counts``
+    rows. The fields of the other layout are ``None``.
+    """
+
+    position: Optional[np.ndarray] = None
+    order: Optional[np.ndarray] = None
+    code_starts: Optional[np.ndarray] = None
+    code_counts: Optional[np.ndarray] = None
+
+
+def build_join_index(build_codes: np.ndarray, n_codes: int) -> JoinIndex:
     """Build-side hash-join state from factorized codes.
 
-    Bucket layout: build rows stably sorted by code; per-code offsets
-    come from ``bincount``, so probing is direct indexing (no hashing,
-    no binary search). Stable argsort keeps build rows ascending within
-    a bucket. Returns ``(order, code_starts, code_counts)``.
+    Both layouts index by code directly, so probing is a gather (no
+    hashing, no binary search). Unique codes get a direct-address
+    ``position`` array; otherwise per-code offsets come from ``bincount``
+    and a stable argsort keeps build rows ascending within a bucket.
     """
     code_counts = np.bincount(build_codes, minlength=n_codes)
+    if code_counts.max(initial=0) <= 1:
+        position = np.full(n_codes, -1, dtype=np.int64)
+        position[build_codes] = np.arange(len(build_codes), dtype=np.int64)
+        return JoinIndex(position=position)
     code_starts = np.concatenate(([0], np.cumsum(code_counts[:-1])))
     order = stable_argsort(build_codes, n_codes)
-    return order, code_starts, code_counts
+    return JoinIndex(order=order, code_starts=code_starts, code_counts=code_counts)
 
 
 def probe_factorized(
-    probe_codes: np.ndarray,
-    order: np.ndarray,
-    code_starts: np.ndarray,
-    code_counts: np.ndarray,
+    probe_codes: np.ndarray, index: JoinIndex
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe a prebuilt join index with factorized codes.
 
     Pure function of its inputs and independent across probe rows. Unique
-    build keys (every probe of a primary key) match at most once, so the
-    matches are a gather; otherwise match ``j`` of the output sits at
+    build keys match at most once: one gather of ``position`` and a hit
+    test (every probe row of a foreign key that always resolves hits).
+    Otherwise match ``j`` of the output sits at
     ``starts[probe] + (j - first_match[probe])``, two output-sized repeats.
     """
-    counts = code_counts[probe_codes]
-    if code_counts.max() <= 1:
-        probe_idx = np.flatnonzero(counts)
-        build_idx = order[code_starts[probe_codes[probe_idx]]]
-        return probe_idx, build_idx.astype(np.int64, copy=False)
+    if index.position is not None:
+        build_idx = index.position[probe_codes]
+        hit = build_idx >= 0
+        if hit.all():
+            return np.arange(len(probe_codes), dtype=np.int64), build_idx
+        probe_idx = np.flatnonzero(hit)
+        return probe_idx, build_idx[probe_idx]
+    counts = index.code_counts[probe_codes]
     total = int(counts.sum())
     probe_idx = np.repeat(np.arange(len(probe_codes), dtype=np.int64), counts)
     if total == 0:
         return probe_idx, np.zeros(0, dtype=np.int64)
     first_match = np.cumsum(counts) - counts
-    offsets = np.repeat(code_starts[probe_codes] - first_match, counts)
-    build_idx = order[offsets + np.arange(total, dtype=np.int64)]
+    offsets = np.repeat(index.code_starts[probe_codes] - first_match, counts)
+    build_idx = index.order[offsets + np.arange(total, dtype=np.int64)]
     return probe_idx, build_idx.astype(np.int64, copy=False)
 
 
@@ -313,8 +335,7 @@ def join_positions(
         # span of a few sparse ids (the 64k floor of `_code_limit`).
         codes, n_codes = _redensify(np.concatenate([build_codes, probe_codes]))
         build_codes, probe_codes = codes[:n_build], codes[n_build:]
-    order, code_starts, code_counts = build_join_index(build_codes, n_codes)
-    return probe_factorized(probe_codes, order, code_starts, code_counts)
+    return probe_factorized(probe_codes, build_join_index(build_codes, n_codes))
 
 
 # ------------------------------------------------------------------ #
@@ -344,11 +365,27 @@ def group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     their key's string form); positions within a group are ascending,
     so ``group[0]`` is the first occurrence.
     """
-    n = len(arrays[0]) if arrays else 0
-    if n == 0:
+    if not arrays or len(arrays[0]) == 0:
         return []
-    codes, n_codes = factorize_keys(arrays)
+    return code_group_positions(*factorize_keys(arrays))[1]
+
+
+def code_group_positions(
+    codes: np.ndarray, n_codes: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Group rows by codes in ``[0, n_codes)`` — a dictionary column's, or
+    :func:`factorize_keys`' — with no factorization of their own.
+
+    Returns ``(present, groups)``: the codes that occur, ascending, and
+    each one's positions, ascending. One stable argsort of the codes;
+    each group is the slice of it between two runs' boundaries, so the
+    cost follows the rows, not ``n_codes`` (an approximation set's
+    dictionary is its base table's).
+    """
+    if len(codes) == 0:
+        return np.zeros(0, dtype=np.int64), []
     order = stable_argsort(codes, n_codes)
-    sorted_codes = codes[order]
-    boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-    return np.split(order, boundaries)
+    ordered = codes[order]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(codes)]
+    groups = [order[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
+    return ordered[bounds[:-1]], groups

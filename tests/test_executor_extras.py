@@ -146,57 +146,82 @@ FOUR_TABLE_SQL = (
     "WHERE author.id = writes.author_id AND writes.pub_id = publication.id "
     "AND publication.venue_id = venue.id AND publication.year > 2010"
 )
-FOUR_TABLE_KEYS = {
-    "author.id", "writes.author_id", "writes.pub_id",
-    "publication.id", "publication.venue_id", "venue.id",
-}
+#: The join keys its takes copy. The joins run venue, publication,
+#: writes, author: publication's filter copies its two keys, and the joins
+#: copy publication.id and writes.author_id, each read by a later join.
+FOUR_TABLE_GATHERED_KEYS = {"publication.id", "publication.venue_id", "writes.author_id"}
 
 
-@pytest.fixture
-def gathered(monkeypatch):
-    """Every column some ``ResultSet.take`` copied rows of."""
+def _recorded_takes(monkeypatch, of):
+    """Every name in ``of(rows)`` of the rows some ``ResultSet.take``
+    copied."""
     from repro.db.executor import ResultSet
 
     seen = set()
     take = ResultSet.take
 
-    def recording(self, positions):
-        seen.update(self.columns)
-        return take(self, positions)
+    def recording(self, *args):
+        rows = take(self, *args)
+        seen.update(of(rows))
+        return rows
 
     monkeypatch.setattr(ResultSet, "take", recording)
     return seen
 
 
+@pytest.fixture
+def gathered(monkeypatch):
+    """Every column some ``ResultSet.take`` copied rows of."""
+    return _recorded_takes(monkeypatch, lambda result: result.columns)
+
+
+@pytest.fixture
+def gathered_row_ids(monkeypatch):
+    """Every table whose row ids some ``ResultSet.take`` copied."""
+    return _recorded_takes(monkeypatch, lambda result: result.row_ids)
+
+
 class TestColumnPruning:
+    """A join copies the columns read after it: a later join's keys, the
+    residual's and ORDER BY's refs and the outputs, never a key past its
+    last join; an aggregate's core copies no row ids."""
+
     def test_projection_gathers_only_what_the_query_reads(self, tiny_mas, gathered):
         result = execute(tiny_mas.db, sql(FOUR_TABLE_SQL))
         assert len(result) > 0
         assert list(result.columns) == [
             "author.name", "publication.title", "venue.name",
         ]
-        # publication.year is read by the scan's predicate, never copied.
-        assert gathered == FOUR_TABLE_KEYS | set(result.columns)
+        # publication.year is read by the scan's predicate, never copied;
+        # the filter copies publication's two keys, each join the keys a
+        # later join reads.
+        assert gathered == FOUR_TABLE_GATHERED_KEYS | set(result.columns)
 
-    def test_count_star_gathers_join_keys_only(self, tiny_mas, gathered):
+    def test_count_star_gathers_join_keys_only(
+        self, tiny_mas, gathered, gathered_row_ids
+    ):
         text = FOUR_TABLE_SQL.replace(
             "author.name, publication.title, venue.name", "COUNT(*)"
         )
         (row,) = execute_aggregate(tiny_mas.db, sql(text)).rows
-        assert gathered == FOUR_TABLE_KEYS
+        assert gathered == FOUR_TABLE_GATHERED_KEYS
+        assert gathered_row_ids == set()
         gathered.clear()
         assert row["count(*)"] == len(execute(tiny_mas.db, sql(FOUR_TABLE_SQL)))
+        assert gathered_row_ids == {"author", "writes", "publication", "venue"}
 
-    def test_group_by_gathers_its_keys_and_inputs(self, tiny_mas, gathered):
+    def test_group_by_gathers_its_keys_and_inputs(
+        self, tiny_mas, gathered, gathered_row_ids
+    ):
         text = (
             "SELECT venue.area, AVG(publication.citations) FROM publication, venue "
             "WHERE publication.venue_id = venue.id AND venue.venue_type = 'journal' "
             "GROUP BY venue.area"
         )
         assert len(execute_aggregate(tiny_mas.db, sql(text))) > 1
-        assert gathered == {
-            "publication.venue_id", "venue.id", "venue.area", "publication.citations",
-        }
+        # venue's filter copies its key; the join copies neither key.
+        assert gathered == {"venue.id", "venue.area", "publication.citations"}
+        assert gathered_row_ids == set()
 
     def test_select_star_keeps_every_column(self, tiny_mas, gathered):
         text = FOUR_TABLE_SQL.replace(
@@ -219,7 +244,7 @@ class TestColumnPruning:
             "AND (a.x = 10 OR b.y = 'r') ORDER BY b.id DESC"
         )
         assert list(execute(chain_db, q).column("b.y")) == ["r", "q", "p"]
-        assert gathered == {"a.id", "a.x", "b.id", "b.a_id", "b.y"}
+        assert gathered == {"a.x", "b.id", "b.y"}  # no key past the one join
 
 
     def test_constant_predicate_still_counts_every_row(self, chain_db):

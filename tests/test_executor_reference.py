@@ -177,6 +177,7 @@ from contextlib import contextmanager  # noqa: E402
 from repro.db import QueryError, execute_aggregate, sql  # noqa: E402
 from repro.db import kernels  # noqa: E402
 from tests.test_kernels import (  # noqa: E402
+    reference_code_group_positions,
     reference_distinct_positions,
     reference_group_by_positions,
     reference_join_positions,
@@ -185,12 +186,13 @@ from tests.test_kernels import (  # noqa: E402
 
 @contextmanager
 def reference_kernels():
-    """Route the executor through the per-row kernels: the three
+    """Route the executor through the per-row kernels: the four
     ``kernels`` attributes it resolves at call time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "join_positions", reference_join_positions)
         patch.setattr(kernels, "distinct_positions", reference_distinct_positions)
         patch.setattr(kernels, "group_by_positions", reference_group_by_positions)
+        patch.setattr(kernels, "code_group_positions", reference_code_group_positions)
         yield
 
 

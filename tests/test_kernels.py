@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.approximation import TupleKey
 from repro.core.reward import CoverageIndex, CoverageTracker, QueryCoverage
-from repro.db import kernels
+from repro.db import INT_NULL, kernels
 
 
 # ------------------------------------------------------------------ #
@@ -73,6 +73,16 @@ def reference_group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarra
         key = tuple(arr[i] for arr in arrays)
         groups.setdefault(key, []).append(i)
     return [np.asarray(positions, dtype=np.int64) for positions in groups.values()]
+
+
+def reference_code_group_positions(
+    codes: np.ndarray, n_codes: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-row grouping of dictionary codes, in ``code_group_positions``'
+    shape: the codes that occur, ascending, and each one's positions."""
+    groups = {int(codes[g[0]]): g for g in reference_group_by_positions([codes])}
+    present = sorted(groups)
+    return np.asarray(present, dtype=np.int64), [groups[code] for code in present]
 
 
 class DictCoverageTracker:
@@ -421,8 +431,17 @@ def test_sorted_unique_is_np_unique(values):
     np.testing.assert_array_equal(values, kept)
 
 
+def bucket_join_index(build_codes, n_codes):
+    """The bucket layout every build had before unique codes got a
+    direct-address index: ``(order, code_starts, code_counts)``."""
+    code_counts = np.bincount(build_codes, minlength=n_codes)
+    code_starts = np.concatenate(([0], np.cumsum(code_counts[:-1])))
+    return np.argsort(build_codes, kind="stable"), code_starts, code_counts
+
+
 def three_repeat_probe(probe_codes, order, code_starts, code_counts):
-    """The probe before its unique-build-key gather and two-repeat form."""
+    """The probe of a bucket layout before its unique-build-key gather and
+    two-repeat form."""
     counts = code_counts[probe_codes]
     total = int(counts.sum())
     probe_idx = np.repeat(np.arange(len(probe_codes), dtype=np.int64), counts)
@@ -432,6 +451,13 @@ def three_repeat_probe(probe_codes, order, code_starts, code_counts):
     within = np.arange(total, dtype=np.int64) - np.repeat(match_starts, counts)
     build_idx = order[np.repeat(code_starts[probe_codes], counts) + within]
     return probe_idx, build_idx.astype(np.int64, copy=False)
+
+
+def bucket_join_positions(build_keys, probe_keys):
+    """``join_positions`` as it was on inputs that need no redensifying:
+    every build through the bucket layout and the three-repeat probe."""
+    build_codes, probe_codes, n_codes = kernels.factorize_key_pair(build_keys, probe_keys)
+    return three_repeat_probe(probe_codes, *bucket_join_index(build_codes, n_codes))
 
 
 @given(
@@ -447,8 +473,11 @@ def test_probe_matches_three_repeat_form(n_codes, build, probe, unique_build):
         build_codes = np.unique(build_codes)[::-1].copy()
     probe_codes = np.asarray(probe, dtype=np.int64) % n_codes
     index = kernels.build_join_index(build_codes, n_codes)
-    got = kernels.probe_factorized(probe_codes, *index)
-    want = three_repeat_probe(probe_codes, *index)
+    # Unique codes, and only they, take the direct-address index.
+    unique = len(np.unique(build_codes)) == len(build_codes)
+    assert (index.position is not None) == unique
+    got = kernels.probe_factorized(probe_codes, index)
+    want = three_repeat_probe(probe_codes, *bucket_join_index(build_codes, n_codes))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.int64
         np.testing.assert_array_equal(g, w)
@@ -481,6 +510,80 @@ def test_primary_key_probe_matches_reference(case):
     for g, w in zip(got, want):
         assert g.dtype == np.int64
         np.testing.assert_array_equal(g, w)
+
+
+# ------------------------------------------------------------------ #
+# the unique-key index and dictionary-code grouping vs the references
+# ------------------------------------------------------------------ #
+_UNIQUE_KEY_VALUES = {
+    "int": st.one_of(st.integers(-5, 40), st.just(INT_NULL)),
+    "sparse": st.integers(0, 60_000),  # few rows over a span: redensified
+    "float": st.sampled_from([-1.5, 0.0, 0.5, 2.25, 7.0]),
+    "str": st.text("abc", max_size=3),
+    "two": st.tuples(st.integers(0, 4), st.sampled_from(["x", "y", ""])),
+}
+
+
+def _key_columns(kind: str, values: list) -> list[np.ndarray]:
+    if kind == "two":
+        return [
+            np.asarray([v[0] for v in values], dtype=np.int64),
+            np.asarray([v[1] for v in values], dtype=object),
+        ]
+    dtype = {"float": np.float64, "str": object}.get(kind, np.int64)
+    return [np.asarray(values, dtype=dtype)]
+
+
+@st.composite
+def _unique_build_and_probe(draw):
+    """Unique build keys (NaN rows among float ones, which never equal
+    anything), and probe keys drawn from them and from misses."""
+    kind = draw(st.sampled_from(sorted(_UNIQUE_KEY_VALUES)))
+    values = _UNIQUE_KEY_VALUES[kind]
+    build = draw(st.lists(values, max_size=25, unique=True))
+    misses = st.lists(values, max_size=25)
+    hits = st.lists(st.sampled_from(build), max_size=40) if build else st.just([])
+    probe = draw(st.permutations(draw(hits) + draw(misses)))
+    build_keys, probe_keys = _key_columns(kind, build), _key_columns(kind, probe)
+    if kind == "float":
+        for keys in (build_keys, probe_keys):
+            nan = draw(st.lists(st.booleans(), min_size=len(keys[0]), max_size=len(keys[0])))
+            keys[0][np.asarray(nan, dtype=bool)] = np.nan
+    return build_keys, probe_keys
+
+
+@given(pair=_unique_build_and_probe())
+@example(pair=([np.asarray([], dtype=np.int64)], [np.asarray([1, 2])]))
+@example(pair=([np.asarray([3, 1])], [np.asarray([], dtype=np.int64)]))
+@example(pair=([np.asarray([INT_NULL, 0])], [np.asarray([0, INT_NULL, 5, INT_NULL])]))
+@settings(max_examples=300, deadline=None)
+def test_unique_key_join_matches_reference(pair):
+    build, probe = pair
+    build_codes, _, n_codes = kernels.factorize_key_pair(build, probe)
+    assert kernels.build_join_index(build_codes, n_codes).position is not None
+    got = kernels.join_positions(build, probe)
+    want = reference_join_positions(build, probe)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+@given(
+    n_codes=st.integers(1, 300),
+    drawn=st.lists(st.integers(0, 299), max_size=400),
+    used=st.integers(1, 300),
+)
+@settings(max_examples=200, deadline=None)
+def test_code_groups_match_reference(n_codes, drawn, used):
+    """Codes of a dictionary of ``n_codes`` entries of which the rows use
+    at most ``used``: unused codes form no group."""
+    codes = np.asarray(drawn, dtype=np.int32) % min(used, n_codes)
+    present, groups = kernels.code_group_positions(codes, n_codes)
+    want_present, want_groups = reference_code_group_positions(codes, n_codes)
+    np.testing.assert_array_equal(present, want_present)
+    assert len(groups) == len(want_groups)
+    for got, want in zip(groups, want_groups):
+        np.testing.assert_array_equal(got, want)
 
 
 def reference_estimate_ndv(array, sample_cap: int = 8192) -> int:

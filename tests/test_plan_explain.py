@@ -528,7 +528,10 @@ def test_hot_path_pays_nothing_for_explaining(tiny_imdb, monkeypatch):
 def test_plain_explain_executes_nothing(tiny_imdb, monkeypatch):
     from repro.db import kernels
 
-    for kernel in ("join_positions", "distinct_positions", "group_by_positions"):
+    for kernel in (
+        "join_positions", "distinct_positions", "group_by_positions",
+        "code_group_positions",
+    ):
         monkeypatch.setattr(kernels, kernel, _raiser(kernel))
     distinct_sql = THREE_TABLE_SQL.replace("SELECT", "SELECT DISTINCT")
     ops = [n.op for n in explain(tiny_imdb.db, sql(distinct_sql)).operators()]

@@ -20,13 +20,16 @@ above every ``|q(T)|`` changes neither the executed score
 ``batch_score``.
 
 Last, ``hypothesis`` draws queries the workloads do not write over a tiny
-two-table database with NULLs in every nullable column: one table or the
-foreign-key join, conjunctions of comparisons, ``IN``, ``BETWEEN``,
-``LIKE``, ``IS [NOT] NULL`` and ``col = col``, some negated or OR-ed in
-pairs; SPJ queries (provenance as
-above, ``DISTINCT`` projections over string columns, and ``ORDER BY …
-LIMIT`` up to the rows tied at the cut) and ``GROUP BY`` with COUNT(*),
-COUNT, SUM, AVG, MIN and MAX.
+three-table database with NULLs in every nullable column: one table, or a
+chain of two or three tables (parent's primary key to child's foreign key,
+then child to item by item's foreign key or on a column unique on neither
+side), conjunctions of comparisons, ``IN``, ``BETWEEN``, ``LIKE``, ``IS
+[NOT] NULL`` and ``col = col``, some negated or OR-ed in pairs; SPJ
+queries (provenance as above, ``DISTINCT`` projections over string
+columns, and ``ORDER BY … LIMIT`` up to the rows tied at the cut) and
+``GROUP BY`` with COUNT(*), COUNT, SUM, AVG, MIN and MAX, over one table
+or a join. The joins' unique-key index, the columns a join leaves behind
+and the grouping on dictionary codes are thus checked by sqlite.
 """
 
 from __future__ import annotations
@@ -226,7 +229,8 @@ def test_eq1_does_not_change_for_f_above_every_result_size(name):
 # ------------------------------------------------------------------ #
 WORDS = ("apple", "apricot", "banana", "berry", "cherry", "Apple", "a_b")
 
-#: table -> ((column, type, nullable), ...); child.parent_id references parent.id.
+#: table -> ((column, type, nullable), ...); child.parent_id references
+#: parent.id and item.child_id child.id (some ids past the last: misses).
 TINY_SCHEMA = {
     "parent": (
         ("id", ColumnType.INT, False),
@@ -241,15 +245,23 @@ TINY_SCHEMA = {
         ("year", ColumnType.INT, True),
         ("value", ColumnType.FLOAT, True),
     ),
+    "item": (
+        ("id", ColumnType.INT, False),
+        ("child_id", ColumnType.INT, True),
+        ("label", ColumnType.STR, True),
+        ("year", ColumnType.INT, True),
+        ("weight", ColumnType.FLOAT, True),
+    ),
 }
-TINY_ROWS = {"parent": 14, "child": 40}
+TINY_ROWS = {"parent": 14, "child": 40, "item": 60}
 
 
 def _tiny_column(name, ctype, nullable, n, rng):
     if name == "id":
         return list(range(n))
-    if name == "parent_id":
-        values = rng.integers(0, TINY_ROWS["parent"] + 2, n).tolist()
+    if name.endswith("_id"):
+        referenced = name[: -len("_id")]
+        values = rng.integers(0, TINY_ROWS[referenced] + 2, n).tolist()
     elif ctype is ColumnType.STR:
         values = [WORDS[i] for i in rng.integers(0, len(WORDS), n)]
     elif ctype is ColumnType.INT:
@@ -262,7 +274,7 @@ def _tiny_column(name, ctype, nullable, n, rng):
 
 @functools.lru_cache(maxsize=None)
 def _tiny():
-    """(database, sqlite connection) of the two tiny tables."""
+    """(database, sqlite connection) of the three tiny tables."""
     rng = np.random.default_rng(0)
     tables = []
     for table_name, columns in TINY_SCHEMA.items():
@@ -328,13 +340,26 @@ def _conjunct(draw, tables):
     return first
 
 
+#: How item joins child: by its foreign key, or on a column unique on
+#: neither side (many rows of each match many of the other).
+ITEM_JOINS = ("item.child_id = child.id", "item.year = child.year")
+
+
 @st.composite
 def _from_where(draw):
-    """``(tables, "FROM … [WHERE …]")``: one table or the foreign-key join."""
-    tables = draw(st.sampled_from([("parent",), ("child",), ("parent", "child")]))
+    """``(tables, "FROM … [WHERE …]")``: one table, or a chain of joins
+    from parent's primary key through child to item."""
+    tables = draw(st.sampled_from([
+        ("parent",), ("child",), ("item",),
+        ("parent", "child"), ("child", "item"), ("parent", "child", "item"),
+    ]))
     atoms = draw(st.lists(_conjunct(tables), max_size=3))
-    if len(tables) == 2:
-        atoms.insert(0, "child.parent_id = parent.id")
+    joins = []
+    if "parent" in tables and "child" in tables:
+        joins.append("child.parent_id = parent.id")
+    if "item" in tables and "child" in tables:
+        joins.append(draw(st.sampled_from(ITEM_JOINS)))
+    atoms = draw(st.permutations(joins)) + atoms
     where = f" WHERE {' AND '.join(atoms)}" if atoms else ""
     return tables, f" FROM {', '.join(tables)}{where}"
 
