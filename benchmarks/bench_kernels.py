@@ -186,6 +186,12 @@ def _distinct_workload(rng: np.random.Generator):
     ]
 
 
+def group_rows(arrays):
+    """The executor's grouping of key columns: a group number a row
+    (:func:`kernels.group_rows` over :func:`kernels.group_codes`)."""
+    return kernels.group_rows(*kernels.group_codes(arrays))
+
+
 def _group_workload(rng: np.random.Generator):
     return [
         rng.integers(0, 500, size=N_ROWS),
@@ -460,7 +466,7 @@ def run_benchmarks(rounds: int) -> dict:
     measure(
         "group_by_10k",
         lambda: reference_group_by_positions(group_arrays),
-        lambda: kernels.group_by_positions(group_arrays),
+        lambda: group_rows(group_arrays),
         units=len(group_arrays[0]),
     )
 
@@ -476,7 +482,7 @@ def run_benchmarks(rounds: int) -> dict:
         ("distinct_300_sparse", reference_distinct_positions,
          kernels.distinct_positions, (all_ids,)),
         ("group_by_300_sparse", reference_group_by_positions,
-         kernels.group_by_positions, (all_ids,)),
+         group_rows, (all_ids,)),
     ):
         measure(
             name, lambda: reference(*args), lambda: vectorized(*args),
@@ -669,7 +675,7 @@ def run_all_on(rounds: int) -> dict:
     def kernels_10k() -> None:
         kernels.join_positions(build, probe)
         kernels.distinct_positions(distinct_arrays)
-        kernels.group_by_positions(group_arrays)
+        group_rows(group_arrays)
         kernels.factorize_keys(distinct_arrays)
 
     serve = _serving_fixture()

@@ -560,12 +560,24 @@ def _hash_join(
         right_keys.append(r_key)
 
     # Build on the smaller side, probe with the larger (as the per-row
-    # hash join did); the kernel preserves its bucket emission order.
+    # hash join did); the kernel preserves its bucket emission order. A
+    # probe side every row of which matches once (None) is kept uncopied.
     swap = len(right) < len(left)
     build_keys, probe_keys = (right_keys, left_keys) if swap else (left_keys, right_keys)
     probe_idx, build_idx = kernels.join_positions(build_keys, probe_keys)
     left_idx, right_idx = (probe_idx, build_idx) if swap else (build_idx, probe_idx)
-    return _merge(right.take(right_idx, live), left.take(left_idx, live))
+    return _merge(_side(right, right_idx, live), _side(left, left_idx, live))
+
+
+def _side(
+    result: ResultSet, positions: Optional[np.ndarray], live: Optional[set[str]]
+) -> ResultSet:
+    """One join input's rows at ``positions``; None keeps every row, its
+    ``live`` columns uncopied."""
+    if positions is None:
+        kept = [key for key in result.columns if live is None or key in live]
+        return _project(result, dict(zip(kept, kept)))
+    return result.take(positions, live)
 
 
 def _without_null_keys(result: ResultSet, refs: Sequence[str]) -> ResultSet:
@@ -1162,45 +1174,55 @@ def _aggregate(
     group_keys: Sequence[str],
     value_keys: Sequence[Optional[str]],
 ) -> AggregateResult:
+    """Hash aggregation in a fixed number of passes over ``flat``, however
+    many groups: a group number a row, then each aggregate reduces its
+    column for all groups at once. Rows come out in ``str(key)`` order."""
     agg_names = tuple(spec.output_name() for spec in query.aggregates)
     result = AggregateResult(group_columns=query.group_by, agg_names=agg_names)
-
-    dictionary = flat.encodings.get(group_keys[0]) if len(group_keys) == 1 else None
-    if dictionary is not None:
-        # One dictionary key: its codes are the groups already.
-        codes, positions = kernels.code_group_positions(
-            flat.columns[group_keys[0]], len(dictionary)
-        )
-        groups = [((dictionary[code],), idx) for code, idx in zip(codes, positions)]
-    elif group_keys:
-        # Group on the physical arrays (codes group exactly like their
-        # values); only each group's representative key decodes.
-        key_arrays = [flat.columns[key] for key in group_keys]
-        dictionaries = [flat.encodings.get(key) for key in group_keys]
-        # Positions within each group are ascending, so group[0] is the
-        # first occurrence and yields the representative key values.
-        groups = []
-        for positions in kernels.group_by_positions(key_arrays):
-            first = positions[0]
-            rep = tuple(
-                dic[arr[first]] if dic is not None else arr[first]
-                for arr, dic in zip(key_arrays, dictionaries)
-            )
-            groups.append((rep, positions))
-    else:
-        groups = [((), np.arange(len(flat), dtype=np.int64))]
-
-    nulls = {key: _null_rows(flat, key) for key in value_keys if key}
-    for key, idx in sorted(groups, key=lambda kv: str(kv[0])):
-        row: dict[str, object] = {
-            col: key[j] for j, col in enumerate(query.group_by)
-        }
-        for spec, name, value_key in zip(query.aggregates, agg_names, value_keys):
-            row[name] = _compute_aggregate(
-                flat, spec.func, value_key, idx, nulls.get(value_key)
-            )
+    if group_keys and not len(flat):  # no row, no group
+        return result
+    groups, sizes, keys = _groups(flat, group_keys)
+    non_null = {
+        key: _non_null(flat, key, groups, sizes) for key in value_keys if key is not None
+    }
+    columns = [  # COUNT(*) is the group sizes
+        (sizes.astype(np.float64) if key is None else _reduce(spec.func, *non_null[key])).tolist()
+        for spec, key in zip(query.aggregates, value_keys)
+    ]
+    for g in sorted(range(len(keys)), key=lambda g: str(keys[g])):
+        row: dict[str, object] = dict(zip(query.group_by, keys[g]))
+        row.update((name, column[g]) for name, column in zip(agg_names, columns))
         result.rows.append(row)
     return result
+
+
+def _groups(
+    flat: ResultSet, group_keys: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """``(groups, sizes, keys)``: each row's group, each group's row count
+    and key tuple. No GROUP BY is one group, even of no row; one
+    dictionary key groups on its codes as they are, other keys on
+    :func:`kernels.group_codes`, and only each group's first row (one
+    reversed scatter) yields its key."""
+    n = len(flat)
+    if not group_keys:
+        return np.zeros(n, dtype=np.intp), np.asarray([n]), [()]
+    arrays = [flat.columns[key] for key in group_keys]
+    dictionaries = [flat.encodings.get(key) for key in group_keys]
+    if len(arrays) == 1 and dictionaries[0] is not None:
+        groups, sizes, present = kernels.group_rows(arrays[0], len(dictionaries[0]))
+        return groups, sizes, [(value,) for value in dictionaries[0][present]]
+    groups, sizes, _ = kernels.group_rows(*kernels.group_codes(arrays))
+    first = np.empty(len(sizes), dtype=np.int64)
+    first[groups[::-1]] = np.arange(n - 1, -1, -1)
+    keys = [
+        tuple(
+            array[row] if dictionary is None else dictionary[array[row]]
+            for array, dictionary in zip(arrays, dictionaries)
+        )
+        for row in first
+    ]
+    return groups, sizes, keys
 
 
 def _null_rows(flat: ResultSet, key: str) -> Optional[np.ndarray]:
@@ -1216,30 +1238,79 @@ def _null_rows(flat: ResultSet, key: str) -> Optional[np.ndarray]:
     return mask if mask.any() else None
 
 
-def _compute_aggregate(
-    flat: ResultSet, func: AggFunc, value_key: Optional[str], idx: np.ndarray,
-    nulls: Optional[np.ndarray],
-) -> float:
-    if value_key is None:
-        return float(len(idx))
-    if nulls is not None:  # an aggregate skips NULLs
-        idx = idx[~nulls[idx]]
+def _non_null(
+    flat: ResultSet, key: str, groups: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(groups, values, counts)`` of column ``key``'s non-NULL rows: an
+    aggregate skips NULLs."""
+    values = flat.columns[key]
+    nulls = _null_rows(flat, key)
+    if nulls is None:
+        return groups, values, sizes
+    kept = ~nulls
+    groups = groups[kept]
+    return groups, values[kept], np.bincount(groups, minlength=len(sizes))
+
+
+#: A float64 sum of integers is exact in any order while every partial
+#: sum stays below this.
+_EXACT_SUM = 2**53
+
+_PER_GROUP = {
+    AggFunc.SUM: np.sum, AggFunc.AVG: np.mean, AggFunc.MIN: np.min, AggFunc.MAX: np.max,
+}
+
+
+def _reduce(
+    func: AggFunc, groups: np.ndarray, values: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """One aggregate of every group's non-NULL ``values`` (NaN for a group
+    with none). Over two groups or more an INT or BOOL column reduces in
+    one scatter: MIN / MAX by ``ufunc.at``, SUM / AVG by a weighted
+    ``bincount``, exact while a group's Σ|v| < 2**53. A FLOAT column
+    (whose sum depends on numpy's pairwise order), a lone group or one
+    past that bound reduces alone, bit-equal to numpy on that group."""
     if func is AggFunc.COUNT:
-        return float(len(idx))
-    # Only numeric columns reach here (``_aggregate_input``): no decode.
-    values = flat.columns[value_key][idx]
-    if len(values) == 0:
-        return float("nan")
-    values = np.asarray(values, dtype=np.float64)
-    if func is AggFunc.SUM:
-        return float(np.sum(values))
-    if func is AggFunc.AVG:
-        return float(np.mean(values))
-    if func is AggFunc.MIN:
-        return float(np.min(values))
-    if func is AggFunc.MAX:
-        return float(np.max(values))
-    raise QueryError(f"unsupported aggregate {func}")
+        return counts.astype(np.float64)
+    n_groups = len(counts)
+    out = np.full(n_groups, np.nan)
+    filled = counts > 0
+    if n_groups < 2 or values.dtype.kind == "f":
+        return _per_group(func, groups, values, counts, np.flatnonzero(filled), out)
+    if func is AggFunc.MIN or func is AggFunc.MAX:
+        ufunc, start = (np.minimum, np.inf) if func is AggFunc.MIN else (np.maximum, -np.inf)
+        reached = np.full(n_groups, start)
+        ufunc.at(reached, groups, values.astype(np.float64))
+        out[filled] = reached[filled]
+        return out
+    sums = np.bincount(groups, weights=values, minlength=n_groups)[filled]
+    out[filled] = sums / counts[filled] if func is AggFunc.AVG else sums
+    peak = max(-int(values.min()), int(values.max())) if len(values) else 0
+    if peak * len(values) < _EXACT_SUM:  # no group can reach the bound
+        return out
+    magnitudes = np.bincount(groups, weights=np.abs(values.astype(np.float64)))
+    inexact = np.flatnonzero(magnitudes >= _EXACT_SUM)
+    return _per_group(func, groups, values, counts, inexact, out)
+
+
+def _per_group(
+    func: AggFunc,
+    groups: np.ndarray,
+    values: np.ndarray,
+    counts: np.ndarray,
+    which: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``out`` with each group in ``which`` reduced alone over its float64
+    values in row order: gathered once by a stable sort on the group
+    number, each group a slice."""
+    ordered = values if len(counts) == 1 else values[kernels.stable_argsort(groups, len(counts))]
+    ordered = np.asarray(ordered, dtype=np.float64)
+    ends = np.cumsum(counts)
+    reduce = _PER_GROUP[func]
+    for g in which.tolist():
+        out[g] = reduce(ordered[ends[g] - counts[g] : ends[g]])
+    return out
 
 
 # ------------------------------------------------------------------ #

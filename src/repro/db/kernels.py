@@ -8,9 +8,10 @@ row tuples ⇔ equal codes), after which a join indexes its build side by
 code — a direct-address array when the build codes are unique (every
 primary-key join: the probe is one gather), else a stable argsort +
 ``bincount``-indexed buckets —, distinct becomes a first-occurrence scan
-over sorted codes, and grouping becomes a stable argsort sliced at its
-runs (:func:`code_group_positions`; a dictionary column's codes group as
-they are, with no factorization). Integer key columns take a sort-free
+over sorted codes, and grouping numbers each row's group
+(:func:`group_rows`; a dictionary column's codes group as they are, with
+no factorization), so an aggregate reduces each column in one pass
+whatever the number of groups. Integer key columns take a sort-free
 min/max offset path; bounded code ranges let every downstream step use
 ``bincount`` instead of hashing or ``searchsorted``.
 
@@ -19,12 +20,12 @@ implementations exactly:
 
 * joins emit matches in probe-row order, ascending build position within
   a key group (the dict-of-buckets order);
-* distinct keeps the first occurrence of each key, in input order;
-* group positions are ascending within each group.
+* distinct keeps the first occurrence of each key, in input order.
 
-Float ``NaN`` keys follow Python hashing semantics of the old per-row
-code — ``NaN`` never equals anything, including itself — so ``NaN`` rows
-never join, are always distinct, and each form their own group.
+Float ``NaN`` keys follow SQL: a NULL key joins nothing — ``NaN`` never
+equals anything in :func:`factorize_keys`, the codes a join compares —
+while grouping and ``DISTINCT`` (:func:`group_codes`) treat every NULL as
+one value.
 
 The per-row implementations these kernels replaced live in
 ``tests/test_kernels.py`` (``reference_*_positions``): the ground truth
@@ -50,8 +51,9 @@ def _code_limit(n: int) -> int:
     """Largest code range we allow before re-densifying.
 
     8 codes per row (min 64k) is cheap in memory and avoids the sort that
-    densification costs. Distinct and group-by never scan the range;
-    :func:`join_positions`, whose index does, drops the floor.
+    densification costs. Distinct never scans the range;
+    :func:`join_positions` and :func:`group_rows`, which do, drop the
+    floor.
     """
     return max(1 << 16, _CODES_PER_ROW * n)
 
@@ -141,17 +143,12 @@ def _redensify(codes: np.ndarray) -> tuple[np.ndarray, int]:
     return codes, (int(codes.max()) + 1 if len(codes) else 1)
 
 
-def factorize_keys(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Encode a tuple of equal-length key columns into bounded codes.
-
-    Returns ``(codes, n_codes)`` with ``codes`` in ``[0, n_codes)`` and
-    ``n_codes <= max(2**16, 8 * n_rows) + n_nan_rows``. Rows with equal
-    key tuples get equal codes; rows containing a float ``NaN`` get
-    unique codes (NaN != NaN, matching per-row hashing).
-    """
+def _combine(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """``(codes, n_codes, nan_rows)``: equal key tuples get equal codes, a
+    column's NaNs one code, and ``nan_rows`` marks them (None: none)."""
     arrays = [np.asarray(a) for a in arrays]
     if not arrays:
-        return np.zeros(0, dtype=np.int64), 1
+        return np.zeros(0, dtype=np.int64), 1, None
     n = len(arrays[0])
     limit = _code_limit(n)
     codes = np.zeros(n, dtype=np.int64)
@@ -169,6 +166,19 @@ def factorize_keys(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
             radix *= col_n
         if nan_mask is not None:
             invalid = nan_mask if invalid is None else (invalid | nan_mask)
+    return codes, radix, invalid
+
+
+def factorize_keys(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Encode a tuple of equal-length key columns into the codes a join
+    compares.
+
+    Returns ``(codes, n_codes)`` with ``codes`` in ``[0, n_codes)`` and
+    ``n_codes <= max(2**16, 8 * n_rows) + n_nan_rows``. Rows with equal
+    key tuples get equal codes; rows containing a float ``NaN`` get
+    unique codes (NaN != NaN: a NULL key joins nothing).
+    """
+    codes, radix, invalid = _combine(arrays)
     if invalid is not None:
         n_invalid = int(invalid.sum())
         codes[invalid] = radix + np.arange(n_invalid, dtype=np.int64)
@@ -176,12 +186,32 @@ def factorize_keys(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return codes, radix
 
 
+def group_codes(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """:func:`factorize_keys` for grouping and ``DISTINCT``: every
+    ``NaN`` of a column is one value, as SQL groups its NULLs."""
+    codes, radix, _ = _combine(arrays)
+    return codes, radix
+
+
 def factorize_key_pair(
     left_arrays: Sequence[np.ndarray], right_arrays: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Jointly factorize two sides' key columns into comparable codes."""
+    """Jointly factorize two sides' key columns into comparable codes; one
+    integer key a side is offset into the span both share without
+    concatenating them (the codes the concatenation gets)."""
     if len(left_arrays) != len(right_arrays):
         raise ValueError("key column counts differ between sides")
+    if len(left_arrays) == 1:
+        left, right = np.asarray(left_arrays[0]), np.asarray(right_arrays[0])
+        if len(left) and len(right) and left.dtype.kind == right.dtype.kind == "i":
+            low = min(int(left.min()), int(right.min()))
+            span = max(int(left.max()), int(right.max())) - low + 1
+            if span <= _code_limit(len(left) + len(right)):
+                return (
+                    left.astype(np.int64, copy=False) - low,
+                    right.astype(np.int64, copy=False) - low,
+                    span,
+                )
     n_left = len(left_arrays[0]) if left_arrays else 0
     merged = [
         np.concatenate([np.asarray(l), np.asarray(r)])
@@ -291,20 +321,20 @@ def build_join_index(build_codes: np.ndarray, n_codes: int) -> JoinIndex:
 
 def probe_factorized(
     probe_codes: np.ndarray, index: JoinIndex
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Probe a prebuilt join index with factorized codes.
 
     Pure function of its inputs and independent across probe rows. Unique
     build keys match at most once: one gather of ``position`` and a hit
-    test (every probe row of a foreign key that always resolves hits).
-    Otherwise match ``j`` of the output sits at
+    test; the identity (every probe row hits, as a foreign key that
+    always resolves) comes back as ``None``. Otherwise match ``j`` sits at
     ``starts[probe] + (j - first_match[probe])``, two output-sized repeats.
     """
     if index.position is not None:
         build_idx = index.position[probe_codes]
         hit = build_idx >= 0
         if hit.all():
-            return np.arange(len(probe_codes), dtype=np.int64), build_idx
+            return None, build_idx
         probe_idx = np.flatnonzero(hit)
         return probe_idx, build_idx[probe_idx]
     counts = index.code_counts[probe_codes]
@@ -320,13 +350,14 @@ def probe_factorized(
 
 def join_positions(
     build_keys: Sequence[np.ndarray], probe_keys: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Inner equi-join match positions, in bucket-dict emission order.
 
     Returns ``(probe_idx, build_idx)``: one entry per match, ordered by
     probe row, then ascending build row within each key group — exactly
     the order the per-row ``buckets.setdefault(...)`` implementation
-    emits.
+    emits. ``probe_idx`` is ``None`` when it would be the identity (every
+    probe row hits one unique build key): the probe side is kept as is.
     """
     build_codes, probe_codes, n_codes = factorize_key_pair(build_keys, probe_keys)
     n_build = len(build_codes)
@@ -343,7 +374,7 @@ def join_positions(
 # ------------------------------------------------------------------ #
 def distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Stable distinct: positions of first occurrences, in input order."""
-    codes, n_codes = factorize_keys(arrays)
+    codes, n_codes = group_codes(arrays)
     if len(codes) == 0:
         return np.zeros(0, dtype=np.int64)
     order = stable_argsort(codes, n_codes)
@@ -357,35 +388,25 @@ def distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
 # ------------------------------------------------------------------ #
 # group-by
 # ------------------------------------------------------------------ #
-def group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Group rows by key tuple; each group's positions are ascending.
-
-    Returns one position array per distinct key. Group *enumeration*
-    order is unspecified (the aggregate executor re-sorts groups by
-    their key's string form); positions within a group are ascending,
-    so ``group[0]`` is the first occurrence.
-    """
-    if not arrays or len(arrays[0]) == 0:
-        return []
-    return code_group_positions(*factorize_keys(arrays))[1]
-
-
-def code_group_positions(
+def group_rows(
     codes: np.ndarray, n_codes: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Group rows by codes in ``[0, n_codes)`` — a dictionary column's, or
-    :func:`factorize_keys`' — with no factorization of their own.
-
-    Returns ``(present, groups)``: the codes that occur, ascending, and
-    each one's positions, ascending. One stable argsort of the codes;
-    each group is the slice of it between two runs' boundaries, so the
-    cost follows the rows, not ``n_codes`` (an approximation set's
-    dictionary is its base table's).
-    """
-    if len(codes) == 0:
-        return np.zeros(0, dtype=np.int64), []
-    order = stable_argsort(codes, n_codes)
-    ordered = codes[order]
-    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(codes)]
-    groups = [order[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
-    return ordered[bounds[:-1]], groups
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(groups, sizes, present)`` of rows coded in ``[0, n_codes)`` (a
+    dictionary column's codes, or :func:`group_codes`'): each row's group
+    in ``[0, G)``, each group's row count and code, in code order, so an
+    aggregate reduces a column for every group with one ``bincount``.
+    Codes sparser than :data:`_CODES_PER_ROW` a row (an approximation
+    set's rows over its base table's dictionary) are renumbered by one
+    sort, so the cost follows the rows, not ``n_codes``."""
+    if n_codes > _CODES_PER_ROW * len(codes):
+        present, groups = np.unique(codes, return_inverse=True)
+        groups = groups.reshape(-1)
+        return groups, np.bincount(groups, minlength=len(present)), present
+    groups = codes.astype(np.intp, copy=False)  # what bincount counts in
+    sizes = np.bincount(groups, minlength=n_codes)
+    present = np.flatnonzero(sizes)
+    if len(present) < n_codes:  # renumber around the codes no row holds
+        number = np.zeros(n_codes, dtype=np.intp)
+        number[present] = np.arange(len(present))
+        groups, sizes = number[groups], sizes[present]
+    return groups, sizes, present

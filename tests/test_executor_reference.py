@@ -175,24 +175,22 @@ def test_subset_monotonicity_random(left, right, predicate):
 from contextlib import contextmanager  # noqa: E402
 
 from repro.db import QueryError, execute_aggregate, sql  # noqa: E402
-from repro.db import kernels  # noqa: E402
+from repro.db import executor, kernels  # noqa: E402
+from tests.test_aggregate_reference import reference_aggregate  # noqa: E402
 from tests.test_kernels import (  # noqa: E402
-    reference_code_group_positions,
     reference_distinct_positions,
-    reference_group_by_positions,
     reference_join_positions,
 )
 
 
 @contextmanager
 def reference_kernels():
-    """Route the executor through the per-row kernels: the four
-    ``kernels`` attributes it resolves at call time."""
+    """Route the executor through the per-row kernels and the per-group
+    aggregation, which it resolves at call time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "join_positions", reference_join_positions)
         patch.setattr(kernels, "distinct_positions", reference_distinct_positions)
-        patch.setattr(kernels, "group_by_positions", reference_group_by_positions)
-        patch.setattr(kernels, "code_group_positions", reference_code_group_positions)
+        patch.setattr(executor, "_aggregate", reference_aggregate)
         yield
 
 
@@ -250,6 +248,33 @@ def test_vectorized_aggregate_identical(left, right):
         expected = execute_aggregate(db, query)
     got = execute_aggregate(db, query)
     assert got.rows == expected.rows
+
+
+def test_fully_hit_probe_side_is_not_copied():
+    """A unique-key join that every probe row hits keeps the probe side's
+    columns as they are (their arrays, not a gather by the identity); the
+    build side is gathered."""
+    db = _build_db(
+        [(i, 10 * i, "ab"[i % 2]) for i in range(5)],
+        [(100 + j, j % 5, j * j) for j in range(12)],
+    )
+    query = SPJQuery(
+        tables=("l", "r"), joins=(JoinCondition("l.id", "r.l_id"),),
+        projection=("r.y", "l.x"),
+    )
+    result = execute(db, query)
+    assert np.shares_memory(result.columns["r.y"], db.table("r").raw_column("y"))
+    assert not np.shares_memory(result.columns["l.x"], db.table("l").raw_column("x"))
+    np.testing.assert_array_equal(result.column("r.y"), [j * j for j in range(12)])
+    np.testing.assert_array_equal(result.column("l.x"), [10 * (j % 5) for j in range(12)])
+    # One probe row misses: the probe side is gathered like the build side.
+    db = _build_db(
+        [(i, 10 * i, "a") for i in range(5)],
+        [(100 + j, 9 if j == 3 else j % 5, j) for j in range(8)],
+    )
+    result = execute(db, query)
+    assert not np.shares_memory(result.columns["r.y"], db.table("r").raw_column("y"))
+    np.testing.assert_array_equal(result.column("r.y"), [0, 1, 2, 4, 5, 6, 7])
 
 
 def test_ambiguous_bare_column_raises():

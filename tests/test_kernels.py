@@ -3,7 +3,8 @@
 Every kernel in ``repro.db.kernels`` must reproduce the per-row
 implementation it replaced (``reference_*_positions`` below) exactly —
 values *and* ordering — on randomized inputs, including NaN keys and
-mixed dtypes. The CSR :class:`~repro.core.reward.CoverageTracker` must
+mixed dtypes. A NaN key joins nothing, while grouping and distinct treat
+every NaN as one value, as SQL treats NULL. The CSR :class:`~repro.core.reward.CoverageTracker` must
 agree with the dict-of-lists :class:`DictCoverageTracker` below on every
 observable (covered counts and scores) under random
 add/remove/reset/probe programs. ``benchmarks/bench_kernels.py`` times
@@ -52,13 +53,25 @@ def reference_join_positions(
     )
 
 
+#: Every float NaN of a grouping or distinct key, as one value.
+_NULL = object()
+
+
+def _grouping_key(arrays: Sequence[np.ndarray], i: int) -> tuple:
+    """Row ``i``'s key tuple with NaN as :data:`_NULL` (SQL's one NULL)."""
+    return tuple(
+        _NULL if isinstance(value, float) and value != value else value
+        for value in (arr[i] for arr in arrays)
+    )
+
+
 def reference_distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Pre-vectorization per-row distinct (ground truth / baseline)."""
     n = len(arrays[0]) if arrays else 0
     seen: set[tuple] = set()
     keep: list[int] = []
     for i in range(n):
-        key = tuple(arr[i] for arr in arrays)
+        key = _grouping_key(arrays, i)
         if key not in seen:
             seen.add(key)
             keep.append(i)
@@ -66,23 +79,41 @@ def reference_distinct_positions(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def reference_group_by_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Pre-vectorization per-row grouping (ground truth / baseline)."""
+    """Pre-vectorization per-row grouping (ground truth / baseline): each
+    group's positions, ascending, groups in first-occurrence order."""
     n = len(arrays[0]) if arrays else 0
     groups: dict[tuple, list[int]] = {}
     for i in range(n):
-        key = tuple(arr[i] for arr in arrays)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(_grouping_key(arrays, i), []).append(i)
     return [np.asarray(positions, dtype=np.int64) for positions in groups.values()]
 
 
 def reference_code_group_positions(
     codes: np.ndarray, n_codes: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-row grouping of dictionary codes, in ``code_group_positions``'
-    shape: the codes that occur, ascending, and each one's positions."""
+    """Per-row grouping of dictionary codes: the codes that occur,
+    ascending, and each one's positions."""
     groups = {int(codes[g[0]]): g for g in reference_group_by_positions([codes])}
     present = sorted(groups)
     return np.asarray(present, dtype=np.int64), [groups[code] for code in present]
+
+
+def join_positions(build_keys, probe_keys) -> tuple[np.ndarray, np.ndarray]:
+    """``kernels.join_positions`` with an identity probe (``None``: every
+    probe row matches once, in order) spelled out as ``arange``."""
+    probe_idx, build_idx = kernels.join_positions(build_keys, probe_keys)
+    if probe_idx is None:
+        assert len(build_idx) == (len(probe_keys[0]) if probe_keys else 0)
+        probe_idx = np.arange(len(build_idx), dtype=np.int64)
+    return probe_idx, build_idx
+
+
+def group_positions(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each group's positions, ascending, from the grouping kernels."""
+    groups, sizes, _ = kernels.group_rows(*kernels.group_codes(arrays))
+    assert sizes.tolist() == np.bincount(groups, minlength=len(sizes)).tolist()
+    order = np.argsort(groups, kind="stable")
+    return np.split(order, np.cumsum(sizes)[:-1]) if len(sizes) else []
 
 
 class DictCoverageTracker:
@@ -251,7 +282,7 @@ def _key_array_pair(draw):
 def test_join_positions_match_reference(pair):
     build, probe = pair
     ref_probe, ref_build = reference_join_positions(build, probe)
-    got_probe, got_build = kernels.join_positions(build, probe)
+    got_probe, got_build = join_positions(build, probe)
     np.testing.assert_array_equal(got_probe, ref_probe)
     np.testing.assert_array_equal(got_build, ref_build)
 
@@ -268,7 +299,7 @@ def test_distinct_positions_match_reference(arrays):
 @given(arrays=_key_arrays())
 @settings(max_examples=150, deadline=None)
 def test_group_by_positions_match_reference(arrays):
-    got = kernels.group_by_positions(arrays)
+    got = group_positions(arrays)
     ref = reference_group_by_positions(arrays)
     # Group enumeration order is unspecified; compare as sets of position
     # tuples (positions within each group are required to be ascending).
@@ -279,15 +310,18 @@ def test_group_by_positions_match_reference(arrays):
         assert np.all(np.diff(group) > 0) or len(group) == 1
 
 
-def test_nan_keys_never_join_and_stay_distinct():
+def test_nan_keys_never_join_but_group_as_one():
     keys = [np.asarray([1.0, float("nan"), float("nan"), 1.0])]
     probe_idx, build_idx = kernels.join_positions(keys, keys)
     # Only the two 1.0 rows match (each against both), NaN never matches.
     assert sorted(zip(probe_idx.tolist(), build_idx.tolist())) == [
         (0, 0), (0, 3), (3, 0), (3, 3)
     ]
-    np.testing.assert_array_equal(kernels.distinct_positions(keys), [0, 1, 2])
-    assert len(kernels.group_by_positions(keys)) == 3
+    # DISTINCT and GROUP BY: the NaNs (NULLs) are one value.
+    np.testing.assert_array_equal(kernels.distinct_positions(keys), [0, 1])
+    assert [g.tolist() for g in group_positions(keys)] == [[0, 3], [1, 2]]
+    two = [keys[0], np.asarray([5, 5, 6, 5])]
+    np.testing.assert_array_equal(kernels.distinct_positions(two), [0, 1, 2])
 
 
 def _spread_keys(kind: str, ids: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
@@ -317,7 +351,7 @@ def test_join_positions_at_approximation_set_sizes(n, span, kind):
     probe = _spread_keys(kind, probe_ids, rng)
     ref_probe, ref_build = reference_join_positions(build, probe)
     assert len(ref_probe) >= (n if kind == "int" else n // 4)
-    got_probe, got_build = kernels.join_positions(build, probe)
+    got_probe, got_build = join_positions(build, probe)
     np.testing.assert_array_equal(got_probe, ref_probe)
     np.testing.assert_array_equal(got_build, ref_build)
     assert got_probe.dtype == got_build.dtype == np.int64
@@ -325,13 +359,33 @@ def test_join_positions_at_approximation_set_sizes(n, span, kind):
 
 @pytest.mark.parametrize("kernel", [
     kernels.factorize_keys, kernels.distinct_positions,
-    kernels.group_by_positions,
+    kernels.group_codes,
     lambda arrays: kernels.join_positions(arrays, [np.arange(5)] * 2),
 ], ids=["factorize", "distinct", "group_by", "join"])
 def test_mismatched_key_lengths_raise(kernel):
     """Unequal-length key columns fail in numpy's broadcast, in every mode."""
     with pytest.raises(ValueError, match="broadcast"):
         kernel([np.arange(5), np.arange(6)])
+
+
+_IDS = st.one_of(st.integers(-50, 500), st.integers(-50, 10**6))
+
+
+@given(left=st.lists(_IDS, max_size=30), right=st.lists(_IDS, max_size=30))
+@example(left=[], right=[3])
+@example(left=[0, 10**6], right=[-50])
+@settings(max_examples=150, deadline=None)
+def test_one_int_key_pair_is_its_concatenation_factorized(left, right):
+    """One integer key a side is offset without concatenating: the same
+    codes and code count as factorizing the two sides concatenated."""
+    left_key = np.asarray(left, dtype=np.int64)
+    right_key = np.asarray(right, dtype=np.int32)
+    got_left, got_right, got_n = kernels.factorize_key_pair([left_key], [right_key])
+    codes, n_codes = kernels.factorize_keys([np.concatenate([left_key, right_key])])
+    assert got_n == n_codes
+    np.testing.assert_array_equal(got_left, codes[: len(left)])
+    np.testing.assert_array_equal(got_right, codes[len(left):])
+    assert got_left.dtype == got_right.dtype == np.int64
 
 
 def test_factorize_keys_codes_are_bounded():
@@ -476,9 +530,13 @@ def test_probe_matches_three_repeat_form(n_codes, build, probe, unique_build):
     # Unique codes, and only they, take the direct-address index.
     unique = len(np.unique(build_codes)) == len(build_codes)
     assert (index.position is not None) == unique
-    got = kernels.probe_factorized(probe_codes, index)
+    got_probe, got_build = kernels.probe_factorized(probe_codes, index)
     want = three_repeat_probe(probe_codes, *bucket_join_index(build_codes, n_codes))
-    for g, w in zip(got, want):
+    # The identity probe comes back as None, and only from a unique build.
+    assert (got_probe is None) == (unique and len(want[0]) == len(probe_codes))
+    if got_probe is None:
+        got_probe = np.arange(len(probe_codes), dtype=np.int64)
+    for g, w in zip((got_probe, got_build), want):
         assert g.dtype == w.dtype == np.int64
         np.testing.assert_array_equal(g, w)
 
@@ -505,7 +563,7 @@ _PK_CASES = {
 @pytest.mark.parametrize("case", sorted(_PK_CASES))
 def test_primary_key_probe_matches_reference(case):
     build, probe = _PK_CASES[case]
-    got = kernels.join_positions(build, probe)
+    got = join_positions(build, probe)
     want = reference_join_positions(build, probe)
     for g, w in zip(got, want):
         assert g.dtype == np.int64
@@ -561,8 +619,11 @@ def test_unique_key_join_matches_reference(pair):
     build, probe = pair
     build_codes, _, n_codes = kernels.factorize_key_pair(build, probe)
     assert kernels.build_join_index(build_codes, n_codes).position is not None
-    got = kernels.join_positions(build, probe)
+    # Unique build keys: the probe is the identity iff every probe row hits.
+    identity = kernels.join_positions(build, probe)[0] is None
+    got = join_positions(build, probe)
     want = reference_join_positions(build, probe)
+    assert identity == (len(want[0]) == len(probe[0]))
     for g, w in zip(got, want):
         assert g.dtype == np.int64
         np.testing.assert_array_equal(g, w)
@@ -576,14 +637,16 @@ def test_unique_key_join_matches_reference(pair):
 @settings(max_examples=200, deadline=None)
 def test_code_groups_match_reference(n_codes, drawn, used):
     """Codes of a dictionary of ``n_codes`` entries of which the rows use
-    at most ``used``: unused codes form no group."""
+    at most ``used``: unused codes form no group, and each group is
+    numbered by its code's rank (sparse codes renumbered by a sort)."""
     codes = np.asarray(drawn, dtype=np.int32) % min(used, n_codes)
-    present, groups = kernels.code_group_positions(codes, n_codes)
+    groups, sizes, present = kernels.group_rows(codes, n_codes)
     want_present, want_groups = reference_code_group_positions(codes, n_codes)
     np.testing.assert_array_equal(present, want_present)
-    assert len(groups) == len(want_groups)
-    for got, want in zip(groups, want_groups):
-        np.testing.assert_array_equal(got, want)
+    assert sizes.tolist() == [len(want) for want in want_groups]
+    assert len(groups) == len(codes)
+    for number, want in enumerate(want_groups):
+        np.testing.assert_array_equal(np.flatnonzero(groups == number), want)
 
 
 def reference_estimate_ndv(array, sample_cap: int = 8192) -> int:

@@ -26,10 +26,13 @@ then child to item by item's foreign key or on a column unique on neither
 side), conjunctions of comparisons, ``IN``, ``BETWEEN``, ``LIKE``, ``IS
 [NOT] NULL`` and ``col = col``, some negated or OR-ed in pairs; SPJ
 queries (provenance as above, ``DISTINCT`` projections over string
-columns, and ``ORDER BY … LIMIT`` up to the rows tied at the cut) and
-``GROUP BY`` with COUNT(*), COUNT, SUM, AVG, MIN and MAX, over one table
-or a join. The joins' unique-key index, the columns a join leaves behind
-and the grouping on dictionary codes are thus checked by sqlite.
+columns and over numeric ones, and ``ORDER BY … LIMIT`` up to the rows
+tied at the cut) and ``GROUP BY`` on INT, FLOAT and STR columns with
+COUNT(*), COUNT, SUM, AVG, MIN and MAX, over one table or a join. The
+joins' unique-key index, the columns a join leaves behind, the grouping
+on dictionary codes and a NULL key's one group are thus checked by
+sqlite, as are the plan golden's hand-written queries
+(``tests/test_plan_explain.py``) on its own databases.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import dataclasses
 import functools
 import math
 import sqlite3
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,6 +62,7 @@ from repro.db import (
     execute_aggregate,
     sql,
 )
+from tests.test_plan_explain import _HAND_QUERIES, _golden_queries
 
 SCALE = 0.35
 LOADERS = {"imdb": load_imdb, "mas": load_mas, "flights": load_flights}
@@ -173,28 +178,68 @@ def _same_value(got, want) -> bool:
     return got == want
 
 
+def _assert_sqlites_groups(db, connection, query, text):
+    """``execute_aggregate``'s groups are sqlite's answer to ``text``."""
+    result = execute_aggregate(db, query)
+    assert result.group_columns == tuple(query.group_by)
+    got = sorted(
+        (
+            tuple(row[c] for c in result.group_columns),
+            tuple(row[a] for a in result.agg_names),
+        )
+        for row in result.rows
+    )
+    n_groups = len(query.group_by)
+    want = sorted(
+        (tuple(row[:n_groups]), tuple(row[n_groups:]))
+        for row in connection.execute(text).fetchall()
+    )
+    assert [key for key, _ in got] == [key for key, _ in want], text
+    for (_, got_values), (_, want_values) in zip(got, want):
+        assert all(map(_same_value, got_values, want_values)), text
+
+
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_every_aggregate_query_has_sqlites_groups(name):
     bundle, connection = _loaded(name)
     assert len(bundle.aggregate_workload) > 0
     for query in bundle.aggregate_workload:
-        result = execute_aggregate(bundle.db, query)
-        assert result.group_columns == tuple(query.group_by)
-        got = sorted(
-            (
-                tuple(row[c] for c in result.group_columns),
-                tuple(row[a] for a in result.agg_names),
-            )
-            for row in result.rows
-        )
-        n_groups = len(query.group_by)
-        want = sorted(
-            (tuple(row[:n_groups]), tuple(row[n_groups:]))
-            for row in connection.execute(query.to_sql()).fetchall()
-        )
-        assert [key for key, _ in got] == [key for key, _ in want], query.to_sql()
-        for (_, got_values), (_, want_values) in zip(got, want):
-            assert all(map(_same_value, got_values, want_values)), query.to_sql()
+        _assert_sqlites_groups(bundle.db, connection, query, query.to_sql())
+
+
+def _limitless(text: str) -> str:
+    head, _, tail = text.rpartition(" LIMIT ")
+    return head if head and tail.strip().isdigit() else text
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_QUERIES))
+def test_plan_golden_hand_queries_have_sqlites_answers(name):
+    """The plan golden's hand-written queries, on its own databases: an
+    aggregate's groups are sqlite's; an SPJ answer is sqlite's multiset of
+    rows, in sqlite's order of the ORDER BY key where there is one, and
+    under a LIMIT the first rows of sqlite's order (a LIMIT without ORDER
+    BY: as many rows, each one of sqlite's unlimited answer)."""
+    db = _golden_queries(name)[0]
+    connection = _sqlite(db)
+    for text in _HAND_QUERIES[name]:
+        query = sql(text)
+        if query.is_aggregate:
+            _assert_sqlites_groups(db, connection, query, text)
+            continue
+        result = execute(db, query)
+        refs = list(result.columns)
+        text = text.replace("SELECT *", "SELECT " + ", ".join(refs), 1)
+        got = _values(db, result, refs)
+        want = connection.execute(text).fetchall()
+        assert len(got) == len(want), text
+        if query.limit is None:
+            assert sorted(got, key=repr) == sorted(want, key=repr), text
+        else:
+            unlimited = Counter(connection.execute(_limitless(text)).fetchall())
+            assert not Counter(got) - unlimited, text
+        if query.order_by:
+            key = refs.index(result.resolve(query.order_by))
+            assert [row[key] for row in got] == [row[key] for row in want], text
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
@@ -404,6 +449,29 @@ def test_generated_distinct_string_projections_have_sqlites_values(data):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
+def test_generated_distinct_numeric_projections_have_sqlites_values(data):
+    """DISTINCT over INT and FLOAT columns: every NULL is one value."""
+    db, connection = _tiny()
+    tables, tail = data.draw(_from_where())
+    refs = data.draw(st.lists(
+        st.sampled_from(_columns(tables, (ColumnType.INT, ColumnType.FLOAT))),
+        min_size=1, max_size=2, unique=True,
+    ))
+    text = f"SELECT DISTINCT {', '.join(refs)}{tail}"
+    got = _values(db, execute(db, sql(text)), refs)
+    assert len(got) == len(set(got)), text
+    want = connection.execute(text).fetchall()
+    assert sorted(got, key=_unsigned_repr) == sorted(want, key=_unsigned_repr), text
+
+
+def _unsigned_repr(row: tuple) -> str:
+    """A row's sort key: -0.0 and 0.0 are one value, and either may stand
+    for it in a DISTINCT answer."""
+    return repr(tuple(v + 0.0 if isinstance(v, float) else v for v in row))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
 def test_generated_order_by_limit_agrees_up_to_ties_at_the_cut(data):
     db, connection = _tiny()
     tables, tail = data.draw(_from_where())
@@ -445,7 +513,7 @@ def test_generated_group_by_queries_have_sqlites_groups(data):
     db, connection = _tiny()
     tables, tail = data.draw(_from_where())
     group = data.draw(st.lists(
-        st.sampled_from(_columns(tables, (ColumnType.INT, ColumnType.STR))),
+        st.sampled_from(_columns(tables, (ColumnType.INT, ColumnType.FLOAT, ColumnType.STR))),
         min_size=1, max_size=2, unique=True,
     ))
     measured = data.draw(st.sampled_from(
@@ -466,13 +534,13 @@ def test_generated_group_by_queries_have_sqlites_groups(data):
             tuple(row[a] for a in result.agg_names),
         )
         for row in result.rows
-    ), key=lambda group_row: repr(group_row[0]))
+    ), key=lambda group_row: _unsigned_repr(group_row[0]))
     want = sorted(
         (
             (tuple(row[: len(group)]), tuple(row[len(group):]))
             for row in connection.execute(text).fetchall()
         ),
-        key=lambda group_row: repr(group_row[0]),
+        key=lambda group_row: _unsigned_repr(group_row[0]),
     )
     assert [k for k, _ in got] == [k for k, _ in want], text
     for (_, got_values), (_, want_values) in zip(got, want):
