@@ -20,10 +20,13 @@ row or if the change fails more operations than the parent. The rule for
 claiming a gain (choosing-metrics §8): the change wins at least nine tenths
 of the pairs and the medians differ by more than the parent's IQR.
 
-``--layers`` then makes one ``--trace 1`` run per side with the same seed
-and prints every count metric that differs and every per-layer seconds
-metric more than 5% apart: whether the trace places the saving where the
-claim put it (choosing-metrics §6.6) is the same command as the pairs.
+``--layers`` then makes three alternating pairs of ``--trace 1`` runs
+(seeds ``--first-seed`` to ``+2``) and prints, with both sides' medians,
+every count metric that differs in any pair and every per-layer seconds
+metric that all three pairs move the same way by more than 5%: one traced
+run per side drifts by more than that on a shared host. Whether the trace
+places the saving where the claim put it (choosing-metrics §6.6) is the
+same command as the pairs.
 """
 
 from __future__ import annotations
@@ -52,6 +55,25 @@ def run_once(
         command, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def alternating_pairs(
+    sides: dict[str, str], workload: str, first_seed: int, pairs: int,
+    extra: list[str], trace: int = 0,
+) -> dict[str, list[dict]]:
+    """``pairs`` runs a side, pair ``i`` at seed ``first_seed + i`` on both,
+    alternating which side goes first; each run's result line per side."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], workload, first_seed + pair, extra, trace)
+            runs[side].append(result)
+            fit = result["metrics"].get("fit_s")  # a traced run has per-layer metrics
+            note = f" fit_s={fit['value']:.3f}" if fit else ""
+            print(f"{workload} pair {pair} {side:6s}{note} failed={result['failed']}",
+                  file=sys.stderr, flush=True)
+    return runs
 
 
 def compare_rules():
@@ -96,18 +118,28 @@ def summarize(
     return row, call
 
 
-def layer_differences(parent: dict, change: dict) -> list[str]:
-    """Rows for the per-layer metrics of two traced runs that moved: every
-    count that differs, every seconds metric more than 5% apart."""
+#: Traced pairs ``--layers`` makes; a layer moved only if every one agrees.
+LAYER_PAIRS = 3
+
+
+def layer_differences(parent: list[dict], change: list[dict]) -> list[str]:
+    """Rows for the per-layer metrics of paired traced runs that moved:
+    every count that differs in any pair, every seconds metric that each
+    pair moves the same way by more than 5%; both sides' medians."""
     rows = []
-    for name, entry in parent.items():
-        if name not in change or entry["unit"] not in ("count", "s"):
+    for name, entry in parent[0].items():
+        if entry["unit"] not in ("count", "s") or any(name not in run for run in change):
             continue
-        p, c = entry["value"], change[name]["value"]
-        moved = p != c if entry["unit"] == "count" else abs(c - p) > 0.05 * abs(p)
+        pairs = [(p[name]["value"], c[name]["value"]) for p, c in zip(parent, change)]
+        if entry["unit"] == "count":
+            moved = any(p != c for p, c in pairs)
+        else:
+            moved = all(c > 1.05 * p for p, c in pairs) or all(c < 0.95 * p for p, c in pairs)
         if moved:
-            ratio = f"{c / p:7.3f}" if p else "      -"
-            rows.append(f"{name:34s} {p:14.4f} {c:14.4f} {ratio}  {entry['unit']}")
+            p_med = statistics.median(p for p, _ in pairs)
+            c_med = statistics.median(c for _, c in pairs)
+            ratio = f"{c_med / p_med:7.3f}" if p_med else "      -"
+            rows.append(f"{name:34s} {p_med:14.4f} {c_med:14.4f} {ratio}  {entry['unit']}")
     return rows
 
 
@@ -122,9 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--input-seed", type=int, default=None,
                         help="passed through to run.py (moves data and model seeds)")
     parser.add_argument("--layers", action="store_true",
-                        help="after the pairs, one traced run per side with the "
-                             "first seed: the counts that differ and the per-layer "
-                             "seconds more than 5%% apart")
+                        help="after the pairs, three alternating traced pairs from "
+                             "the first seed: the counts that differ and the per-layer "
+                             "seconds every pair moves the same way by more than 5%%")
     parser.add_argument("--out", default="",
                         help="also write every run's result line here as JSON, "
                              "{workload: {parent: [...], change: [...]}}")
@@ -144,15 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     runs: dict[str, dict[str, list[dict]]] = {}
     regressed = 0
     for workload in workloads:
-        runs[workload] = {"parent": [], "change": []}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(sides[side], workload, args.first_seed + pair, extra)
-                runs[workload][side].append(result)
-                fit = result["metrics"]["fit_s"]["value"]
-                print(f"{workload} pair {pair} {side:6s} fit_s={fit:.3f} "
-                      f"failed={result['failed']}", file=sys.stderr, flush=True)
+        runs[workload] = alternating_pairs(sides, workload, args.first_seed, args.pairs, extra)
         if args.out:  # rewritten after every workload: a long matrix can be read early
             with open(args.out, "w") as handle:
                 json.dump(runs, handle)
@@ -183,14 +207,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"failed: parent {failed['parent']}, change {failed['change']}", flush=True)
         regressed += failed["change"] > failed["parent"]
         if args.layers:
-            traced = {
-                side: run_once(checkout, workload, args.first_seed, extra, trace=1)
-                for side, checkout in sides.items()
-            }
-            print(f"\n{workload}: one traced run per side (seed {args.first_seed}); "
-                  f"counts that differ, per-layer seconds more than 5% apart")
+            traced = alternating_pairs(
+                sides, workload, args.first_seed, LAYER_PAIRS, extra, trace=1
+            )
+            last = args.first_seed + LAYER_PAIRS - 1
+            print(f"\n{workload}: {LAYER_PAIRS} alternating traced pairs (seeds "
+                  f"{args.first_seed}-{last}), medians; counts that differ, per-layer "
+                  f"seconds every pair moves the same way by more than 5%")
             print(f"{'per-layer metric':34s} {'parent':>14s} {'change':>14s} {'ratio':>7s}  unit")
-            rows = layer_differences(traced["parent"]["metrics"], traced["change"]["metrics"])
+            rows = layer_differences(
+                *([run["metrics"] for run in traced[side]] for side in ("parent", "change"))
+            )
             print("\n".join(rows) if rows else "(none)", flush=True)
     print(f"\nregressed rows: {regressed}")
     return 1 if regressed else 0

@@ -4,16 +4,19 @@ The executor's three inner loops — hash-join index building/probing,
 stable ``DISTINCT``, and hash-aggregation grouping — all reduce to one
 primitive: *multi-column key factorization*. :func:`factorize_keys`
 encodes a tuple of key columns into bounded dense ``int64`` codes (equal
-row tuples ⇔ equal codes), after which a join indexes its build side by
-code — a direct-address array when the build codes are unique (every
+row tuples ⇔ equal codes). A join then indexes its build side by code —
+a direct-address array when the build codes are unique (every
 primary-key join: the probe is one gather), else a stable argsort +
-``bincount``-indexed buckets —, distinct becomes a first-occurrence scan
-over sorted codes, and grouping numbers each row's group
-(:func:`group_rows`; a dictionary column's codes group as they are, with
-no factorization), so an aggregate reduces each column in one pass
-whatever the number of groups. Integer key columns take a sort-free
-min/max offset path; bounded code ranges let every downstream step use
-``bincount`` instead of hashing or ``searchsorted``.
+``bincount``-indexed buckets — unless its keys are sparse, more than 8
+codes a row (an approximation set's few ids over its base table's
+range): those it joins by sorting the build keys and binary-searching
+the probe (:func:`search_join`), so its cost follows the rows, not the
+range. Distinct becomes a first-occurrence scan over sorted codes, and
+grouping numbers each row's group (:func:`group_rows`; a dictionary
+column's codes group as they are, with no factorization), so an
+aggregate reduces each column in one pass whatever the number of
+groups. Integer key columns take a sort-free min/max offset path, and
+one integer key a join side is never factorized at all.
 
 Every kernel reproduces the row ordering of the original per-row
 implementations exactly:
@@ -35,7 +38,7 @@ of the differential tests and the baseline side of
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -193,6 +196,22 @@ def group_codes(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return codes, radix
 
 
+def _one_int_key(
+    left_arrays: Sequence[np.ndarray], right_arrays: Sequence[np.ndarray]
+) -> Optional[tuple[np.ndarray, np.ndarray, int, int]]:
+    """``(left, right, low, span)`` when each side is one non-empty integer
+    key column: the smallest value of both and the width of their shared
+    value range (one min and one max a side). None for any other key."""
+    if len(left_arrays) != 1 or len(right_arrays) != 1:
+        return None
+    left, right = np.asarray(left_arrays[0]), np.asarray(right_arrays[0])
+    if not (len(left) and len(right) and left.dtype.kind == right.dtype.kind == "i"):
+        return None
+    low = min(int(left.min()), int(right.min()))
+    span = max(int(left.max()), int(right.max())) - low + 1
+    return left, right, low, span
+
+
 def factorize_key_pair(
     left_arrays: Sequence[np.ndarray], right_arrays: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -201,17 +220,15 @@ def factorize_key_pair(
     concatenating them (the codes the concatenation gets)."""
     if len(left_arrays) != len(right_arrays):
         raise ValueError("key column counts differ between sides")
-    if len(left_arrays) == 1:
-        left, right = np.asarray(left_arrays[0]), np.asarray(right_arrays[0])
-        if len(left) and len(right) and left.dtype.kind == right.dtype.kind == "i":
-            low = min(int(left.min()), int(right.min()))
-            span = max(int(left.max()), int(right.max())) - low + 1
-            if span <= _code_limit(len(left) + len(right)):
-                return (
-                    left.astype(np.int64, copy=False) - low,
-                    right.astype(np.int64, copy=False) - low,
-                    span,
-                )
+    one_int = _one_int_key(left_arrays, right_arrays)
+    if one_int is not None:
+        left, right, low, span = one_int
+        if span <= _code_limit(len(left) + len(right)):
+            return (
+                left.astype(np.int64, copy=False) - low,
+                right.astype(np.int64, copy=False) - low,
+                span,
+            )
     n_left = len(left_arrays[0]) if left_arrays else 0
     merged = [
         np.concatenate([np.asarray(l), np.asarray(r)])
@@ -348,6 +365,43 @@ def probe_factorized(
     return probe_idx, build_idx.astype(np.int64, copy=False)
 
 
+def search_join(
+    build_keys: np.ndarray, probe_keys: np.ndarray
+) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """:func:`probe_factorized`'s output from one comparable key a side, by
+    sorting the build keys and binary-searching the probe: its cost follows
+    the rows, however wide the range the keys spread over.
+
+    Build rows are stably sorted by key, so a key's run keeps them
+    ascending. Unique build keys take one search, a gather and a hit test
+    (``None`` for the probe side when every probe row hits); otherwise each
+    probe key's run ``[left, right)`` expands by the two-repeat form.
+    """
+    order = np.argsort(build_keys, kind="stable")
+    keys = build_keys[order]
+    if not (keys[1:] == keys[:-1]).any():
+        if len(keys) == 0:
+            empty = np.zeros(0, dtype=np.int64)
+            return (None if len(probe_keys) == 0 else empty), empty
+        # Searching all but the last key lands every probe key on a slot.
+        at = np.searchsorted(keys[:-1], probe_keys)
+        build_idx = order[at]
+        hit = keys[at] == probe_keys
+        if hit.all():
+            return None, build_idx
+        probe_idx = np.flatnonzero(hit)
+        return probe_idx, build_idx[probe_idx]
+    starts = np.searchsorted(keys, probe_keys, side="left")
+    counts = np.searchsorted(keys, probe_keys, side="right") - starts
+    total = int(counts.sum())
+    probe_idx = np.repeat(np.arange(len(probe_keys), dtype=np.int64), counts)
+    if total == 0:
+        return probe_idx, np.zeros(0, dtype=np.int64)
+    first_match = np.cumsum(counts) - counts
+    offsets = np.repeat(starts - first_match, counts)
+    return probe_idx, order[offsets + np.arange(total, dtype=np.int64)]
+
+
 def join_positions(
     build_keys: Sequence[np.ndarray], probe_keys: Sequence[np.ndarray]
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
@@ -358,15 +412,24 @@ def join_positions(
     the order the per-row ``buckets.setdefault(...)`` implementation
     emits. ``probe_idx`` is ``None`` when it would be the identity (every
     probe row hits one unique build key): the probe side is kept as is.
+
+    Keys spread over more than :data:`_CODES_PER_ROW` codes a row of both
+    sides (an approximation set's few ids over its base table's range)
+    join by :func:`search_join`; denser keys by the code-indexed
+    :func:`build_join_index`. One integer key a side is never factorized:
+    its values are searched as they are, or offset into the index.
     """
-    build_codes, probe_codes, n_codes = factorize_key_pair(build_keys, probe_keys)
-    n_build = len(build_codes)
-    if n_codes > _CODES_PER_ROW * (n_build + len(probe_codes)):
-        # The index is n_codes wide: size it by its input, not by the
-        # span of a few sparse ids (the 64k floor of `_code_limit`).
-        codes, n_codes = _redensify(np.concatenate([build_codes, probe_codes]))
-        build_codes, probe_codes = codes[:n_build], codes[n_build:]
-    return probe_factorized(probe_codes, build_join_index(build_codes, n_codes))
+    one_int = _one_int_key(build_keys, probe_keys)
+    if one_int is None:
+        build, probe, n_codes = factorize_key_pair(build_keys, probe_keys)
+    else:
+        build, probe, low, n_codes = one_int
+    if n_codes > _CODES_PER_ROW * (len(build) + len(probe)):
+        return search_join(build, probe)
+    if one_int is not None:  # the span is dense: offset the values into it
+        build = build.astype(np.int64, copy=False) - low
+        probe = probe.astype(np.int64, copy=False) - low
+    return probe_factorized(probe, build_join_index(build, n_codes))
 
 
 # ------------------------------------------------------------------ #

@@ -122,8 +122,17 @@ def compute_table_stats(table: Table) -> TableStats:
 
 
 def compute_database_stats(db: Database) -> dict[str, TableStats]:
-    """Statistics for every table in the database."""
-    return {table.name: compute_table_stats(table) for table in db}
+    """Statistics for every table in the database.
+
+    Each table is scanned once (:func:`compute_table_stats`) and keeps its
+    :class:`TableStats`, as it keeps its decoded columns: a table never
+    changes, so the generators, ``preprocess`` and ``load_model`` on one
+    database share the same objects. Treat them as read-only.
+    """
+    for table in db:
+        if table._stats is None:
+            table._stats = compute_table_stats(table)
+    return {table.name: table._stats for table in db}
 
 
 #: Above this many rows, NDV is estimated from a strided sample.

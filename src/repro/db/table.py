@@ -156,6 +156,8 @@ class Table:
     def _finish_init(self, n_rows: int, row_ids: Optional[np.ndarray]) -> None:
         self._n_rows = n_rows
         self._decoded: dict[str, np.ndarray] = {}
+        # Set by `statistics.compute_database_stats` on its first request.
+        self._stats = None
         self.encoding_version = next(_ENCODING_VERSIONS)
         if row_ids is None:
             row_ids = np.arange(self._n_rows, dtype=np.int64)

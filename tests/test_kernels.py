@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from typing import Iterable, Optional, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -571,11 +572,105 @@ def test_primary_key_probe_matches_reference(case):
 
 
 # ------------------------------------------------------------------ #
+# the sorted-search join of sparse keys vs the reference
+# ------------------------------------------------------------------ #
+#: The density switch of `kernels.join_positions`: codes a row of both sides.
+_CODES_PER_ROW = 8
+
+
+def _with_second_column(kind: str, ids: list, draw) -> list[np.ndarray]:
+    """The ids as one INT key, or beside a second column whose codes
+    multiply theirs (so the pair factorizes into sparse codes)."""
+    keys = [np.asarray(ids, dtype=np.int64)]
+    if kind in ("int", "int_null"):
+        return keys
+    values = {
+        "two": st.integers(0, 2),
+        "float_nan": st.sampled_from([0.5, 1.5, float("nan")]),
+        "object": st.sampled_from(["a", "b", ""]),
+    }[kind]
+    second = draw(st.lists(values, min_size=len(ids), max_size=len(ids)))
+    dtype = {"two": np.int64, "float_nan": np.float64, "object": object}[kind]
+    return keys + [np.asarray(second, dtype=dtype)]
+
+
+@st.composite
+def _spread_join(draw):
+    """Build and probe keys whose ids span just 8 codes a row of both
+    sides, one code more (the switch to the sorted search), or past the
+    64k floor; unique or duplicate build keys; probes that all hit, or
+    that miss too; INT_NULL on either side; empty sides."""
+    kind = draw(st.sampled_from(["int", "int_null", "two", "float_nan", "object"]))
+    n_build, n_probe = draw(st.integers(0, 25)), draw(st.integers(0, 25))
+    rows = n_build + n_probe
+    span = max(1, draw(st.sampled_from([
+        _CODES_PER_ROW * rows, _CODES_PER_ROW * rows + 1,
+        (1 << 16) + draw(st.integers(1, 10**6)),
+    ])))
+    if draw(st.booleans()):  # unique build ids, the extremes among them
+        inner = st.integers(1, max(span - 2, 1))
+        build = draw(st.lists(inner, min_size=n_build, max_size=n_build, unique=True))
+    else:  # a few ids, repeated
+        pool = draw(st.lists(st.integers(0, span - 1), min_size=1, max_size=4))
+        build = draw(st.lists(st.sampled_from(pool), min_size=n_build, max_size=n_build))
+    if n_build >= 2:
+        build[0], build[-1] = 0, span - 1
+    if build and draw(st.booleans()):
+        values = st.sampled_from(build)  # every probe id hits
+    else:
+        values = st.one_of(st.integers(0, span - 1), *([st.sampled_from(build)] if build else []))
+    probe = draw(st.lists(values, min_size=n_probe, max_size=n_probe))
+    if kind == "int_null":
+        for ids in draw(st.sampled_from([[build], [probe], [build, probe]])):
+            for i in draw(st.sets(st.integers(0, max(len(ids) - 1, 0)), max_size=3)):
+                if i < len(ids):
+                    ids[i] = INT_NULL
+    return _with_second_column(kind, build, draw), _with_second_column(kind, probe, draw)
+
+
+
+@given(pair=_spread_join())
+@example(pair=([np.asarray([0, 31])], [np.asarray([31, 0])]))  # 32 codes, 4 rows: index
+@example(pair=([np.asarray([0, 32])], [np.asarray([32, 0])]))  # 33 codes: search, None
+@example(pair=([np.asarray([5, 0, 5, 32])], [np.asarray([5, 32, 7])]))
+@example(pair=([np.asarray([], dtype=np.int64)], [np.asarray([0, 60_000])]))
+@example(pair=([np.asarray([0, 60_000])], [np.asarray([], dtype=np.int64)]))
+@example(pair=([np.asarray([], dtype=np.int64)], [np.asarray([], dtype=np.int64)]))
+@settings(max_examples=400, deadline=None)
+def test_sparse_keys_join_by_sorted_search(pair):
+    """Keys spread over more than 8 codes a row join by sorting the build
+    side and searching the probe, denser keys through the code index; both
+    give the reference's matches, in its order, and ``None`` for the probe
+    side exactly when a unique build side is hit by every probe row."""
+    build, probe = pair
+    n_build, n_probe = len(build[0]), len(probe[0])
+    if len(build) == 1 and n_build and n_probe:  # one INT key: its value span
+        both = np.concatenate([build[0], probe[0]])
+        n_codes = int(both.max()) - int(both.min()) + 1
+    else:
+        n_codes = kernels.factorize_key_pair(build, probe)[2]
+    sparse = n_codes > _CODES_PER_ROW * (n_build + n_probe)
+    with mock.patch.object(kernels, "search_join", wraps=kernels.search_join) as searched, \
+            mock.patch.object(kernels, "build_join_index", wraps=kernels.build_join_index) as indexed:
+        got_probe, got_build = kernels.join_positions(build, probe)
+    assert (searched.called, indexed.called) == (sparse, not sparse)
+    want_probe, want_build = reference_join_positions(build, probe)
+    build_codes, _ = kernels.factorize_keys(build)
+    unique = len(np.unique(build_codes)) == n_build
+    assert (got_probe is None) == (unique and len(want_probe) == n_probe)
+    if got_probe is None:
+        got_probe = np.arange(n_probe, dtype=np.int64)
+    for got, want in ((got_probe, want_probe), (got_build, want_build)):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+# ------------------------------------------------------------------ #
 # the unique-key index and dictionary-code grouping vs the references
 # ------------------------------------------------------------------ #
 _UNIQUE_KEY_VALUES = {
     "int": st.one_of(st.integers(-5, 40), st.just(INT_NULL)),
-    "sparse": st.integers(0, 60_000),  # few rows over a span: redensified
+    "sparse": st.integers(0, 60_000),  # few rows over a span: searched
     "float": st.sampled_from([-1.5, 0.0, 0.5, 2.25, 7.0]),
     "str": st.text("abc", max_size=3),
     "two": st.tuples(st.integers(0, 4), st.sampled_from(["x", "y", ""])),

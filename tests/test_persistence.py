@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from repro.core import (
     load_model,
     save_model,
 )
+from repro.datasets import load_imdb
+from repro.db import statistics
 
 # ``repro.core.preprocess`` names the function; the module holds the cap.
 preprocess_module = sys.modules["repro.core.preprocess"]
@@ -131,6 +134,26 @@ class TestRoundTrip:
                 ModelError, match=f"version {version} in .*config.json"
             ):
                 load_model(str(tmp_path / "model"), tiny_flights.db)
+
+
+def test_each_table_is_scanned_once_from_generation_to_session(tmp_path, monkeypatch):
+    """generate -> fit -> save -> load -> open on one database computes
+    each table's statistics once: the workload generators, ``preprocess``
+    and ``load_model`` share them."""
+    scanned = Counter()
+    scan = statistics.compute_table_stats
+
+    def counting_scan(table):
+        scanned[id(table)] += 1
+        return scan(table)
+
+    monkeypatch.setattr(statistics, "compute_table_stats", counting_scan)
+    bundle = load_imdb(scale=0.1, n_queries=20, n_aggregate_queries=8)
+    model = ASQPTrainer(bundle.db, bundle.workload, _config()).train()
+    directory = str(tmp_path / "model")
+    save_model(model, directory)
+    ASQPSession(load_model(directory, bundle.db), auto_fine_tune=False)
+    assert [scanned[id(table)] for table in bundle.db] == [1] * len(list(bundle.db))
 
 
 ARTIFACTS = (
