@@ -12,8 +12,12 @@ over every table's name and row ids, each ``STR`` column's codes and
 dictionary and each numeric column's bytes) and ``inputs.workload`` (the
 SHA-1 of the train, test, revealed and aggregate queries' SQL text), so a
 generator change that alters the data shows up by name and not only
-through the weights. Then fit, and fine-tune on each revealed interest in
-turn.
+through the weights. Then ``inputs.baseline.RAN`` / ``TOP`` / ``QUIK`` /
+``CACH``: the SHA-1 of the keys each of those baselines selects on the
+training workload at the benchmark's ``k`` and ``F``, seeded with the
+workload's input seed (the e2e benchmark runs no baseline, so these rows
+are the only check of their picks). Then fit, and fine-tune on each
+revealed interest in turn.
 After the fit and after every fine-tune it prints one SHA-1 per actor /
 critic parameter (the array's bytes), one of ``model.history`` at full
 precision (the wall-clock fields left out), one of the selected
@@ -129,8 +133,11 @@ def child(workload: str, input_seed: int | None) -> None:
     """Runs inside one checkout: the imports below are that checkout's."""
     from dataclasses import replace
 
+    import numpy as np
+
     from benchmarks.e2e.lifecycle import Lifecycle
     from benchmarks.e2e.specs import BY_NAME, FRAME_SIZE, MEMORY_BUDGET
+    from repro.baselines import make_baseline
     from repro.bench import bench_asqp_config
     from repro.core import ASQPSession, ASQPTrainer, load_model, save_model
 
@@ -140,6 +147,13 @@ def child(workload: str, input_seed: int | None) -> None:
     inputs = Lifecycle(spec, 0, None, "")._build_inputs()
     print(f"inputs.db {database_digest(inputs.db)}", flush=True)
     print(f"inputs.workload {workload_digest(inputs)}", flush=True)
+    for name in ("RAN", "TOP", "QUIK", "CACH"):
+        result = make_baseline(name).select(
+            inputs.db, inputs.train, MEMORY_BUDGET, FRAME_SIZE,
+            np.random.default_rng(spec.input_seed),
+        )
+        keys = result.approximation.keys()
+        print(f"inputs.baseline.{name} {sha1(repr(keys).encode())}", flush=True)
     config = bench_asqp_config(
         MEMORY_BUDGET, FRAME_SIZE, seed=spec.input_seed, **spec.config
     )

@@ -6,20 +6,39 @@ ones." Per the paper's footnote, the realistic case interleaves queries
 from users with different interests, so the training workload is replayed
 once in a shuffled order before the cache contents are frozen into the
 subset.
+
+Nothing needs simulating: an LRU cache of ``k`` tuples always holds the
+``k`` distinct tuples touched most recently. So the frozen cache is the
+first ``k`` distinct keys of the replay read backwards.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..obs.clock import perf_counter
 from ..core.approximation import ApproximationSet
-from ..db.cache import LRUTupleCache
+from ..core.reward import CoverageIndex, QueryCoverage
 from ..db.database import Database
+from ..db.kernels import distinct_positions
 from ..datasets.workloads import Workload
 from .base import SelectionResult, SubsetSelector
+
+
+def cached_set(
+    coverages: Sequence[QueryCoverage], k: int, rng: np.random.Generator
+) -> ApproximationSet:
+    """What an LRU cache of ``k`` tuples holds after the coverages' rows are
+    touched query by query in a shuffled order, each row's keys in its
+    tables' order."""
+    index = CoverageIndex(coverages)
+    replay = [
+        index.row_codes(coverages[q]).ravel() for q in rng.permutation(len(coverages))
+    ]
+    latest_first = np.concatenate([np.zeros(0, dtype=np.int64), *replay])[::-1]
+    return index.approximation(latest_first[distinct_positions([latest_first])[:k]])
 
 
 class CacheBaseline(SubsetSelector):
@@ -38,18 +57,4 @@ class CacheBaseline(SubsetSelector):
     ) -> SelectionResult:
         started = perf_counter()
         coverages = self.workload_coverages(db, workload, frame_size, rng)
-        cache = LRUTupleCache(capacity=k)
-
-        for q in rng.permutation(len(coverages)):
-            for requirement in coverages[q].requirements:
-                cache.touch_many(requirement)
-
-        approx = ApproximationSet.from_mapping(cache.contents())
-        return self.finish(
-            self.name,
-            db,
-            approx,
-            started,
-            hit_rate=cache.hit_rate,
-            evictions=cache.evictions,
-        )
+        return self.finish(self.name, db, cached_set(coverages, k, rng), started)

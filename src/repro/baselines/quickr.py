@@ -11,15 +11,16 @@ uniform sample of its queries' provenance rows.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..obs.clock import perf_counter
 from ..core.approximation import ApproximationSet
-from ..core.reward import QueryCoverage
+from ..core.reward import CoverageIndex, QueryCoverage
 from ..db.database import Database
 from ..db.expressions import conjuncts
+from ..db.kernels import distinct_positions
 from ..db.query import SPJQuery
 from ..datasets.workloads import Workload
 from .base import SelectionResult, SubsetSelector
@@ -31,6 +32,37 @@ def plan_signature(query: SPJQuery) -> tuple:
         sorted({ref for part in conjuncts(query.predicate) for ref in part.columns()})
     )
     return (tuple(sorted(query.tables)), predicate_columns)
+
+
+def sample_catalog(
+    groups: Sequence[Sequence[QueryCoverage]], k: int, rng: np.random.Generator
+) -> ApproximationSet:
+    """Fill ``k`` group by group (one group per plan signature, in catalog
+    order): each group gets an equal slice of the budget, filled from its
+    distinct rows in a random order. A row enters whole or not at all, and
+    a row that would overrun ``k`` ends the group."""
+    index = CoverageIndex([coverage for group in groups for coverage in group])
+    slice_budget = max(1, k // max(1, len(groups)))
+    chosen: set[int] = set()
+    for group in groups:
+        codes = np.concatenate([index.row_codes(coverage) for coverage in group])
+        rows = codes[distinct_positions(codes.T)]
+        if not len(rows):
+            continue
+        slice_used = 0
+        for row in rows[rng.permutation(len(rows))].tolist():
+            new_codes = [code for code in row if code not in chosen]
+            if not new_codes:
+                continue
+            if len(chosen) + len(new_codes) > k:
+                break
+            chosen.update(new_codes)
+            slice_used += len(new_codes)
+            if slice_used >= slice_budget:
+                break
+        if len(chosen) >= k:
+            break
+    return index.approximation(np.fromiter(chosen, dtype=np.int64, count=len(chosen)))
 
 
 class QuickRBaseline(SubsetSelector):
@@ -55,36 +87,8 @@ class QuickRBaseline(SubsetSelector):
         catalog: dict[tuple, list[QueryCoverage]] = {}
         for query, coverage in zip(spj.queries, coverages):
             catalog.setdefault(plan_signature(query), []).append(coverage)
-
-        approx = ApproximationSet()
-        n_signatures = max(1, len(catalog))
-        slice_budget = max(1, k // n_signatures)
-        for signature in sorted(catalog, key=str):
-            rows: list[tuple] = []
-            seen = set()
-            for coverage in catalog[signature]:
-                for requirement in coverage.requirements:
-                    if requirement not in seen:
-                        seen.add(requirement)
-                        rows.append(requirement)
-            if not rows:
-                continue
-            order = rng.permutation(len(rows))
-            slice_used = 0
-            for row_index in order:
-                requirement = rows[row_index]
-                new_keys = [key for key in requirement if key not in approx]
-                if not new_keys:
-                    continue
-                if approx.total_size() + len(new_keys) > k:
-                    break
-                approx.add_keys(new_keys)
-                slice_used += len(new_keys)
-                if slice_used >= slice_budget:
-                    break
-            if approx.total_size() >= k:
-                break
-
+        groups = [catalog[signature] for signature in sorted(catalog, key=str)]
+        approx = sample_catalog(groups, k, rng)
         return self.finish(
             self.name, db, approx, started, n_signatures=len(catalog)
         )

@@ -6,20 +6,41 @@ in the most queries first, until reaching k tuples."
 Tuples are ranked by how many workload queries their provenance
 participates in; ties break by a random per-tuple draw (the "random subset
 from each query answer" part), then tuples are taken in rank order until
-the budget fills.
+the budget fills. The draws are made in key-code order (the
+:class:`~repro.core.reward.CoverageIndex` order of the keys), so the
+ranking is a function of the seed alone, not of the hash seed.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..obs.clock import perf_counter
 from ..core.approximation import ApproximationSet
+from ..core.reward import CoverageIndex, QueryCoverage
 from ..db.database import Database
+from ..db.kernels import sorted_unique
 from ..datasets.workloads import Workload
 from .base import SelectionResult, SubsetSelector
+
+
+def most_queried(
+    coverages: Sequence[QueryCoverage], k: int, rng: np.random.Generator
+) -> ApproximationSet:
+    """The ``k`` keys required by the most queries, ties broken by one
+    uniform draw per key in code order."""
+    index = CoverageIndex(coverages)
+    # One (key, query) pair per incidence entry; a key's count is its
+    # number of distinct pairs.
+    n_queries = max(1, len(coverages))
+    keys = np.repeat(np.arange(index.n_keys), np.diff(index.inc_offsets))
+    pairs = sorted_unique(keys * n_queries + index.row_query[index.inc_rows])
+    query_count = np.bincount(pairs // n_queries, minlength=index.n_keys)
+    tie_break = rng.random(index.n_keys)
+    ranked = np.lexsort((tie_break, -query_count))[:k]
+    return index.approximation(index.codes[ranked])
 
 
 class TopQueriedTuples(SubsetSelector):
@@ -38,20 +59,4 @@ class TopQueriedTuples(SubsetSelector):
     ) -> SelectionResult:
         started = perf_counter()
         coverages = self.workload_coverages(db, workload, frame_size, rng)
-
-        query_count: dict[tuple[str, int], int] = {}
-        for coverage in coverages:
-            touched: set[tuple[str, int]] = set()
-            for requirement in coverage.requirements:
-                touched.update(requirement)
-            for key in touched:
-                query_count[key] = query_count.get(key, 0) + 1
-
-        keys = list(query_count)
-        tie_break = rng.random(len(keys))
-        ranked = sorted(
-            range(len(keys)),
-            key=lambda i: (-query_count[keys[i]], tie_break[i]),
-        )
-        approx = ApproximationSet.from_keys(keys[i] for i in ranked[:k])
-        return self.finish(self.name, db, approx, started)
+        return self.finish(self.name, db, most_queried(coverages, k, rng), started)

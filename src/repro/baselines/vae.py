@@ -242,6 +242,21 @@ class TabularVAE:
         return self.codec.decode(output, rng)
 
 
+def _synthetic_shares(db: Database, k: int) -> dict[str, int]:
+    """Rows to generate per non-empty table: its share of ``k``,
+    proportional to its size and at least one, capped by what the tables
+    before it left of ``k``."""
+    total_rows = max(1, db.total_rows())
+    shares: dict[str, int] = {}
+    left = k
+    for table in db:
+        if len(table):
+            share = max(1, int(round(k * len(table) / total_rows)))
+            shares[table.name] = min(share, left)
+            left -= shares[table.name]
+    return shares
+
+
 class VAEBaseline(SubsetSelector):
     """Per-table VAEs; the "subset" is a synthetic database of size ``k``."""
 
@@ -260,7 +275,7 @@ class VAEBaseline(SubsetSelector):
         time_budget: Optional[float] = None,
     ) -> SelectionResult:
         started = perf_counter()
-        total_rows = max(1, db.total_rows())
+        shares = _synthetic_shares(db, k)
         synthetic_tables = []
         self.models.clear()
         for table in db:
@@ -278,8 +293,7 @@ class VAEBaseline(SubsetSelector):
             vae.train(codec.encode(), epochs=EPOCHS)
             self.models[table.name] = vae
 
-            share = max(1, int(round(k * len(table) / total_rows)))
-            columns = vae.generate(share, rng)
+            columns = vae.generate(shares[table.name], rng)
             synthetic_tables.append(Table(table.schema, columns))
 
         database = Database(synthetic_tables, name=f"{db.name}:vae")
@@ -302,13 +316,12 @@ class VAEBaseline(SubsetSelector):
         """
         if not self.models:
             raise RuntimeError("select() must run before regenerate()")
-        total_rows = max(1, db.total_rows())
+        shares = _synthetic_shares(db, k)
         tables = []
         for table in db:
             model = self.models.get(table.name)
             if model is None or len(table) == 0:
                 tables.append(table)
                 continue
-            share = max(1, int(round(k * len(table) / total_rows)))
-            tables.append(Table(table.schema, model.generate(share, rng)))
+            tables.append(Table(table.schema, model.generate(shares[table.name], rng)))
         return Database(tables, name=f"{db.name}:vae-regen")

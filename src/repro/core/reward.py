@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ..db.kernels import sorted_unique, stable_argsort
-from .approximation import TupleKey
+from .approximation import ApproximationSet, TupleKey
 
 #: Batches up to this size take the scalar per-key path; the numpy batch
 #: machinery only pays off once a few keys amortize its fixed cost.
@@ -140,7 +140,10 @@ class CoverageIndex:
       ``slot`` is the table's position among the coverages' sorted table
       names and ``slots - 1`` stands for every other table (so a key is
       known iff its code is in ``codes``); its dense id is that code's
-      position in the sorted distinct ``codes`` of the requirement rows;
+      position in the sorted distinct ``codes`` of the requirement rows.
+      Only this class reads the format: :meth:`row_codes` gives a
+      coverage's rows as codes and :meth:`approximation` turns codes back
+      into keys;
     * ``inc_rows[inc_offsets[k]:inc_offsets[k + 1]]`` lists the global
       result-row ids requiring key ``k`` (rows are numbered contiguously
       across queries; ``row_query`` maps a row back to its query);
@@ -155,9 +158,9 @@ class CoverageIndex:
         self.row_query = np.repeat(np.arange(n_queries, dtype=np.int64), self.row_counts)
         row_offsets = np.concatenate([[0], np.cumsum(self.row_counts)])
 
-        tables = sorted({table for c in coverages for table in c.tables})
-        self._slot = {table: t for t, table in enumerate(tables)}
-        self.slots = len(tables) + 1
+        self._tables = sorted({table for c in coverages for table in c.tables})
+        self._slot = {table: t for t, table in enumerate(self._tables)}
+        self.slots = len(self._tables) + 1
         # One entry per (row, table): the key's code and the global row id.
         entry_codes = [np.zeros(0, dtype=np.int64)]
         entry_rows = [np.zeros(0, dtype=np.int64)]
@@ -185,6 +188,22 @@ class CoverageIndex:
             self.row_query[self.initial_missing == 0], minlength=n_queries
         ).astype(np.int64)
         self._interned: dict[tuple[TupleKey, ...], InternedKeys] = {}
+
+    def row_codes(self, coverage: QueryCoverage) -> np.ndarray:
+        """A coverage's row-id matrix with every key as its code: one row
+        per requirement row, one column per table (the coverage's order)."""
+        slot = np.asarray([self._slot[t] for t in coverage.tables], dtype=np.int64)
+        return coverage.ids * self.slots + slot
+
+    def approximation(self, codes: np.ndarray) -> ApproximationSet:
+        """The approximation set of the keys with these codes."""
+        slot, row_ids = codes % self.slots, codes // self.slots
+        approx = ApproximationSet()
+        for s, table in enumerate(self._tables):
+            ids = row_ids[slot == s]
+            if len(ids):
+                approx.rows[table] = set(ids.tolist())
+        return approx
 
     def key_id(self, key: TupleKey) -> int:
         """Dense id of one key, ``-1`` if no requirement row holds it."""

@@ -3,11 +3,10 @@
 This package is the substrate the paper ran on PostgreSQL: typed tables
 (string columns dictionary-encoded, numbers stored plain), vectorized
 predicates evaluated on dictionary codes where they can be, hash
-equi-joins, aggregation, a small SQL parser, statistics, sampling
-primitives, and an LRU cache model.
+equi-joins, aggregation, a small SQL parser, statistics and sampling
+primitives.
 """
 
-from .cache import LRUTupleCache
 from .database import Database
 from .executor import (
     AggregateResult,
@@ -86,7 +85,6 @@ __all__ = [
     "IsNotNull",
     "IsNull",
     "JoinCondition",
-    "LRUTupleCache",
     "Like",
     "Not",
     "NumericStats",

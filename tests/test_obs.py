@@ -17,7 +17,6 @@ import pytest
 
 from repro import obs
 from repro.core import ASQPConfig, ASQPSystem
-from repro.db.cache import LRUTupleCache
 from repro.obs import telemetry, trace
 
 
@@ -205,30 +204,6 @@ class TestTelemetry:
         assert [set(r) for r in loaded] == [
             {"stream", "seq", "ts", "rows", "sql"}, {"stream", "seq", "ts", "event"},
         ]
-
-
-# ------------------------------------------------------------------ #
-# cache statistics
-# ------------------------------------------------------------------ #
-class TestCacheStats:
-    def test_cache_stats_accessor(self):
-        cache = LRUTupleCache(capacity=2)
-        cache.touch(("t", 1))
-        cache.touch(("t", 1))
-        cache.touch(("t", 2))
-        cache.touch(("t", 3))  # evicts ("t", 1)
-        assert cache.hits == 1
-        assert cache.misses == 3
-        assert cache.evictions == 1
-        assert len(cache) == 2
-        assert cache.hit_rate == pytest.approx(0.25)
-
-    def test_cache_counters_not_published_when_disabled(self, recorded):
-        cache = LRUTupleCache(capacity=2)
-        cache.touch(("t", 1))
-        assert recorded() == []
-        # Native counters still work.
-        assert cache.misses == 1
 
 
 # ------------------------------------------------------------------ #

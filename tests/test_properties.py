@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ApproximationSet, CoverageTracker, query_score
+from tests.test_baselines import LRUTupleCache
 from tests.test_kernels import DictCoverageTracker
 from tests.test_reward import coverage_from_rows
 from repro.db import Between, Comparison, InSet, conjoin, conjuncts
-from repro.db.cache import LRUTupleCache
 from repro.db.sampling import variational_subsample
 from repro.embedding import TokenHasher
 from repro.rl.nn import masked_log_softmax_, softmax
@@ -214,7 +214,7 @@ def test_variational_subsample_invariants(sizes, target, seed):
 
 
 # ------------------------------------------------------------------ #
-# LRU cache
+# LRU cache (the reference CACH is checked against)
 # ------------------------------------------------------------------ #
 @given(
     capacity=st.integers(1, 10),

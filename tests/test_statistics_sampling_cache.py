@@ -1,4 +1,5 @@
-"""Unit tests for repro.db.statistics, repro.db.sampling and repro.db.cache."""
+"""Unit tests for repro.db.statistics, repro.db.sampling and the LRU cache
+reference of ``tests/test_baselines.py``."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from repro.db import (
     Column,
     ColumnType,
-    LRUTupleCache,
     Table,
     TableSchema,
     compute_database_stats,
@@ -21,6 +21,7 @@ from repro.db.statistics import (
     NumericStats,
     TableStats,
 )
+from tests.test_baselines import LRUTupleCache
 
 
 def reference_table_stats(table, max_distinct=10_000):
