@@ -25,7 +25,9 @@ approximation set's keys and one of the greedy-only set's
 (``approximation_set(greedy=False)``), then ``loaded_selected_keys``: the
 SHA-1 of the selected set's keys after a ``save_model`` -> ``load_model``
 round trip, which must equal the stage's ``selected_keys`` (a checkout
-where it does not counts as a differing row). Then it opens an
+where it does not counts as a differing row), and ``reloaded.coverages``:
+the SHA-1 of every loaded coverage's tables, row ids, denominator and
+weight (what ``load_model`` reads back or re-executes). Then it opens an
 ``ASQPSession`` on the model and serves the benchmark's serve pool twice,
 in pool order: ``served_cold`` and ``served_warm`` are the SHA-1 of every
 answer of the first and the second pass (source, confidence as
@@ -83,6 +85,18 @@ def fingerprints(model) -> list[tuple[str, str]]:
         ("greedy_keys", sha1(repr(model.approximation_set(greedy=False).keys()).encode()))
     )
     return rows
+
+
+def coverage_digest(coverages) -> str:
+    """SHA-1 of every coverage's tables, row-id matrix, denominator and weight."""
+    digest = hashlib.sha1()
+    for coverage in coverages:
+        digest.update(repr((
+            coverage.tables, coverage.ids.shape, coverage.denominator,
+            float(coverage.weight).hex(),
+        )).encode())
+        digest.update(coverage.ids.tobytes())
+    return digest.hexdigest()
 
 
 def database_digest(db) -> str:
@@ -169,8 +183,11 @@ def child(workload: str, input_seed: int | None) -> None:
             print(f"{stage}.{name} {digest}", flush=True)
         with tempfile.TemporaryDirectory() as directory:
             save_model(model, directory)
-            loaded = load_model(directory, inputs.db).approximation_set().keys()
-        print(f"{stage}.loaded_selected_keys {sha1(repr(loaded).encode())}", flush=True)
+            loaded = load_model(directory, inputs.db)
+        keys = loaded.approximation_set().keys()
+        print(f"{stage}.loaded_selected_keys {sha1(repr(keys).encode())}", flush=True)
+        coverages = coverage_digest(loaded.coverages)
+        print(f"{stage}.reloaded.coverages {coverages}", flush=True)
         session = ASQPSession(model, auto_fine_tune=False)
         for run in ("cold", "warm"):
             print(f"{stage}.served_{run} {served(session, pool)}", flush=True)

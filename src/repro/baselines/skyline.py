@@ -51,33 +51,37 @@ def _dominance_matrix_features(table: Table, rng: np.random.Generator) -> np.nda
     return np.column_stack(features)
 
 
+#: Rows whose dominators one numpy pass looks for (bounds its memory to
+#: ``DOMINANCE_BLOCK`` x pool x columns booleans).
+DOMINANCE_BLOCK = 128
+
+
+def _dominated(features: np.ndarray) -> np.ndarray:
+    """Mask of the rows some other row dominates: ``>=`` on every column
+    and ``>`` on one."""
+    dominated = np.zeros(len(features), dtype=bool)
+    for start in range(0, len(features), DOMINANCE_BLOCK):
+        block = features[start:start + DOMINANCE_BLOCK, None, :]
+        no_worse = (features[None, :, :] >= block).all(axis=2)
+        better = (features[None, :, :] > block).any(axis=2)
+        dominated[start:start + DOMINANCE_BLOCK] = (no_worse & better).any(axis=1)
+    return dominated
+
+
 def skyline_layers(features: np.ndarray, max_rows: int) -> list[int]:
-    """Onion-peeling skyline: indices of successive skyline layers.
+    """Onion-peeling skyline: indices of successive skyline layers, each
+    in index order.
 
     Returns at most ``max_rows`` indices, whole layers first.
     """
-    n = len(features)
-    remaining = list(range(n))
+    remaining = np.arange(len(features))
     selected: list[int] = []
-    while remaining and len(selected) < max_rows:
-        layer: list[int] = []
-        for i in remaining:
-            dominated = False
-            for j in remaining:
-                if i == j:
-                    continue
-                if np.all(features[j] >= features[i]) and np.any(
-                    features[j] > features[i]
-                ):
-                    dominated = True
-                    break
-            if not dominated:
-                layer.append(i)
-        if not layer:  # all ties; take what's left
-            layer = list(remaining)
-        selected.extend(layer)
-        peeled = set(layer)
-        remaining = [i for i in remaining if i not in peeled]
+    # Dominance is transitive and irreflexive (a row with a NaN dominates
+    # and is dominated by none), so every layer holds at least one row.
+    while len(remaining) and len(selected) < max_rows:
+        dominated = _dominated(features[remaining])
+        selected += remaining[~dominated].tolist()
+        remaining = remaining[dominated]
     return selected[:max_rows]
 
 

@@ -1,37 +1,50 @@
 """Save / load trained ASQP-RL models.
 
 The offline training phase is the expensive part of the system (the paper
-budgets an hour for it), so a trained model must outlive the process. A
-model directory of format 4 (:data:`FORMAT_VERSION`) contains:
+budgets an hour for it), so a trained model must outlive the process, and
+every session pays for opening it again. A model directory of format 5
+(:data:`FORMAT_VERSION`) contains:
 
 * ``config.json`` — the format version and the
   :class:`~repro.core.config.ASQPConfig` fields;
 * ``queries.json`` — representatives and training queries as SQL text
-  (round-tripped through :func:`repro.db.sql.sql`) plus weights;
-* ``actions.json`` — the action space's tuple keys and source codes;
-* ``arrays.npz`` — network weights and the representative / training
-  query embeddings (the estimator's inputs), stored uncompressed;
+  (round-tripped through :func:`repro.db.sql.sql`, each distinct text
+  parsed once on load) plus weights;
+* ``arrays.npz`` — network weights; the representative / training query
+  embeddings (the estimator's inputs); the action space as table codes
+  into ``table_names``, row ids, per-action key offsets and source codes;
+  and the requirement rows of every coverage that was not sampled, as one
+  concatenated row-id array with each coverage's table codes and shape.
+  Stored uncompressed;
 * ``history.json`` — training diagnostics and metadata;
 * ``selected.json`` — the approximation set the model selected (Alg. 2),
   as sorted row ids per table.
 
-Coverage structures are *rebuilt* on load by re-executing the
-representatives against the database (exactly what preprocessing did), so
-they are not stored at all and the loaded model is guaranteed consistent
-with the database it is attached to. The served set is *not* derived from
-the rebuilt coverages: a representative with more than
-``MAX_REQUIREMENT_ROWS`` result rows has its requirement rows re-sampled,
-which can change which candidate roll-out scores best, so the loaded model
-serves the stored ``selected.json`` (checked against the attached
-database) and Alg. 2 does not run again. No pickle anywhere. Nothing is
-compressed: the bytes are float64 weights, which zlib shrinks by under 5%
-for most of the time a save takes (``np.load`` still reads an ``arrays.npz``
-that older code wrote with ``savez_compressed``).
+Each JSON file is one ``json.dumps``: CPython encodes with its C encoder
+only there, not in an indented dump or one streamed to a file.
 
-A model directory is outside input: a file of it that is missing, cut
-short or of the wrong shape, an action key or a selected key the attached
-database does not hold, or a directory of an older format version makes
-:func:`load_model` raise one :class:`ModelError` naming the file.
+A coverage is stored exactly when it holds all of its query's distinct
+result rows, and is then rebuilt from the stored ids as preprocessing
+built it. A representative with more than ``MAX_REQUIREMENT_ROWS`` result
+rows kept only a sample (:attr:`QueryCoverage.sampled`); those alone are
+executed against the attached database again and re-sampled from
+``default_rng(config.seed)`` in representative order, as every format
+before this one did for all of them. The re-drawn sample differs from the
+fit's, which can change which candidate roll-out scores best, so the
+loaded model serves the stored ``selected.json`` (checked against the
+attached database) and Alg. 2 does not run again. The database
+statistics and the query embedder are rebuilt from the attached database.
+No pickle anywhere. Nothing is compressed: most of the bytes are float64
+weights, which zlib shrinks by under 5% for most of the time a save takes
+(``np.load`` still reads an ``arrays.npz`` written with
+``savez_compressed``).
+
+A model directory is outside input: a file of it (or an ``arrays.npz``
+member) that is missing, cut short or of the wrong shape, a row id of an
+action, a stored coverage or the selected set that the attached database
+does not hold, or a directory of an older format version makes
+:func:`load_model` raise one :class:`ModelError` naming the file. The row
+ids are checked with one ``np.isin`` per table.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ import json
 import os
 import zipfile
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,10 +66,13 @@ from .action_space import Action, ActionSpace
 from .agent import ASQPAgent
 from .approximation import ApproximationSet
 from .config import ASQPConfig
-from .preprocess import PreprocessResult, build_coverage
+from .preprocess import PreprocessResult, build_coverage, coverage_from_ids
 from .trainer import IterationRecord, TrainedModel
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+
+#: A stored coverage's provenance: its tables and its row-id matrix.
+_Provenance = tuple[tuple[str, ...], np.ndarray]
 
 
 class ModelError(ValueError):
@@ -86,19 +102,92 @@ def _reading(directory: str, name: str) -> Iterator[str]:
         ) from None
 
 
-def _require_rows(db: Database, held: ApproximationSet, path: str, verb: str) -> None:
-    """Raise a :class:`ModelError` naming ``path`` unless ``db`` holds every
-    row of ``held``: ``Database.subset`` would silently drop an id a table
-    lacks."""
-    for table, ids in held.rows.items():
-        if not db.has_table(table) or not np.isin(
-            sorted(ids), db.table(table).row_ids
-        ).all():
-            raise ModelError(
-                f"model file {path} {verb} rows of table {table!r} that the "
-                f"attached database {db.name!r} does not hold — load the model "
-                "with the database it was trained on"
-            )
+def _require_rows(
+    db: Database, named: Sequence[tuple[str, str, Iterable[tuple[str, np.ndarray]]]]
+) -> None:
+    """Raise a :class:`ModelError` unless ``db`` holds every row id that the
+    ``(path, verb, [(table, ids), ...])`` entries name, naming the first
+    entry's file that names one it lacks: ``Database.subset`` would silently
+    drop an id a table lacks. One ``np.isin`` per table checks all entries."""
+    by_table: dict[str, list[tuple[int, np.ndarray]]] = {}
+    for position, (_, _, rows) in enumerate(named):
+        for table, ids in rows:
+            by_table.setdefault(table, []).append((position, ids))
+    failures = []
+    for table, parts in by_table.items():
+        owners = [position for position, _ in parts]
+        if db.has_table(table):
+            ids = [ids for _, ids in parts]
+            held = np.isin(np.concatenate(ids), db.table(table).row_ids)
+            owners = np.repeat(owners, [len(part) for part in ids])[~held].tolist()
+        if owners:
+            failures.append((min(owners), table))
+    if failures:
+        position, table = min(failures)
+        path, verb, _ = named[position]
+        raise ModelError(
+            f"model file {path} {verb} rows of table {table!r} that the "
+            f"attached database {db.name!r} does not hold — load the model "
+            "with the database it was trained on"
+        )
+
+
+def _write_json(directory: str, name: str, payload: object) -> None:
+    """One C-encoded ``json.dumps`` (an ``indent`` or a ``json.dump`` to the
+    handle would run the pure-Python encoder, one write per token)."""
+    with open(os.path.join(directory, name), "w") as handle:
+        handle.write(json.dumps(payload))
+
+
+def _member(
+    arrays: Mapping[str, np.ndarray], name: str, kinds: str, ndim: int = 1
+) -> np.ndarray:
+    """Member ``name`` of ``arrays``, which must have ``ndim`` dimensions
+    and a dtype of one of the numpy ``kinds``."""
+    array = arrays[name]
+    if array.ndim != ndim or array.dtype.kind not in kinds:
+        raise ValueError(f"{name!r} of shape {array.shape} and dtype {array.dtype}")
+    return array
+
+
+def _named(names: Sequence[str], codes: np.ndarray) -> list[str]:
+    """The table name of each of ``codes``."""
+    if len(codes) and not 0 <= codes.min() <= codes.max() < len(names):
+        raise ValueError(f"table codes outside [0, {len(names)})")
+    return np.asarray(names, dtype=object)[codes].tolist()
+
+
+def _key_arrays(model: TrainedModel) -> dict[str, np.ndarray]:
+    """The action space and every coverage that was not sampled, as a few
+    concatenated arrays: table codes into ``table_names``, row ids, and
+    each action's key offsets / each coverage's ``ids`` shape."""
+    actions = list(model.action_space)
+    keys = [key for action in actions for key in action.keys]
+    stored = [c for c in model.coverages if not c.sampled]
+    names = sorted({table for table, _ in keys}.union(*(c.tables for c in stored)))
+    code = {name: i for i, name in enumerate(names)}.__getitem__
+    key_tables, key_rows = zip(*keys)
+    return {
+        "table_names": np.asarray(names, dtype=str),
+        "action_tables": np.fromiter(map(code, key_tables), np.int64, len(keys)),
+        "action_rows": np.asarray(key_rows, dtype=np.int64),
+        "action_offsets": np.cumsum([0] + [len(a.keys) for a in actions]),
+        "action_sources": np.asarray(
+            [a.source_query for a in actions], dtype=np.int64
+        ),
+        "coverage_sampled": np.asarray(
+            [c.sampled for c in model.coverages], dtype=bool
+        ),
+        "coverage_tables": np.asarray(
+            [code(t) for c in stored for t in c.tables], dtype=np.int64
+        ),
+        "coverage_shapes": np.asarray(
+            [c.ids.shape for c in stored], dtype=np.int64
+        ).reshape(-1, 2),
+        "coverage_ids": np.concatenate(
+            [c.ids.ravel() for c in stored] + [np.zeros(0, dtype=np.int64)]
+        ),
+    }
 
 
 def save_model(model: TrainedModel, directory: str) -> None:
@@ -109,31 +198,22 @@ def save_model(model: TrainedModel, directory: str) -> None:
     """
     os.makedirs(directory, exist_ok=True)
     config_dict = dataclasses.asdict(model.config)
-    with open(os.path.join(directory, "config.json"), "w") as handle:
-        json.dump({"version": FORMAT_VERSION, "config": config_dict}, handle, indent=2)
+    _write_json(
+        directory, "config.json", {"version": FORMAT_VERSION, "config": config_dict}
+    )
 
     prep = model.preprocessed
-    queries = {
+    _write_json(directory, "queries.json", {
         "representatives": [q.to_sql() for q in prep.representatives],
-        "representative_weights": [
-            float(c.weight) for c in model.coverages
-        ],
+        "representative_weights": [float(c.weight) for c in model.coverages],
         "training_queries": [q.to_sql() for q in prep.training_queries],
-    }
-    with open(os.path.join(directory, "queries.json"), "w") as handle:
-        json.dump(queries, handle, indent=2)
+    })
 
-    actions = [
-        {"keys": [[t, int(r)] for t, r in action.keys], "source": action.source_query}
-        for action in model.action_space
-    ]
-    with open(os.path.join(directory, "actions.json"), "w") as handle:
-        json.dump(actions, handle)
-
-    arrays: dict[str, np.ndarray] = {
+    arrays = _key_arrays(model)
+    arrays.update({
         "representative_embeddings": prep.representative_embeddings,
         "training_embeddings": prep.training_embeddings,
-    }
+    })
     for i, weight in enumerate(model.agent.actor.net.weights):
         arrays[f"actor_w{i}"] = weight
     for i, bias in enumerate(model.agent.actor.net.biases):
@@ -145,26 +225,82 @@ def save_model(model: TrainedModel, directory: str) -> None:
             arrays[f"critic_b{i}"] = bias
     np.savez(os.path.join(directory, "arrays.npz"), **arrays)
 
-    history = {
+    _write_json(directory, "history.json", {
         "records": [dataclasses.asdict(record) for record in model.history],
         "setup_seconds": model.setup_seconds,
         "fine_tune_count": model.fine_tune_count,
-    }
-    with open(os.path.join(directory, "history.json"), "w") as handle:
-        json.dump(history, handle, indent=2)
+    })
 
     selected = model.approximation_set()
-    with open(os.path.join(directory, "selected.json"), "w") as handle:
-        json.dump({t: sorted(ids) for t, ids in sorted(selected.rows.items())}, handle)
+    _write_json(
+        directory, "selected.json",
+        {t: sorted(ids) for t, ids in sorted(selected.rows.items())},
+    )
+
+
+def _read_actions(
+    arrays: Mapping[str, np.ndarray], names: Sequence[str]
+) -> tuple[ActionSpace, list[tuple[str, np.ndarray]]]:
+    """The stored action space, and its row ids per table."""
+    key_tables = _member(arrays, "action_tables", "i")
+    key_rows = _member(arrays, "action_rows", "i")
+    offsets = _member(arrays, "action_offsets", "i").tolist()
+    sources = _member(arrays, "action_sources", "i").tolist()
+    if (
+        len(key_tables) != len(key_rows) or len(offsets) != len(sources) + 1
+        or offsets[0] != 0 or offsets[-1] != len(key_rows)
+        or np.any(np.diff(offsets) <= 0)
+    ):
+        raise ValueError("action arrays of inconsistent lengths")
+    keys = list(zip(_named(names, key_tables), key_rows.tolist()))
+    action_space = ActionSpace([
+        Action(keys=tuple(keys[lo:hi]), source_query=source)
+        for lo, hi, source in zip(offsets, offsets[1:], sources)
+    ])
+    rows = [
+        (names[code], key_rows[key_tables == code])
+        for code in np.flatnonzero(np.bincount(key_tables, minlength=len(names)))
+    ]
+    return action_space, rows
+
+
+def _read_coverages(
+    arrays: Mapping[str, np.ndarray], names: Sequence[str], n_representatives: int
+) -> tuple[list[bool], list[_Provenance], list[tuple[str, np.ndarray]]]:
+    """Whether each representative's coverage was sampled, the ``(tables,
+    ids)`` of every one that was not, and their row ids per table."""
+    sampled = _member(arrays, "coverage_sampled", "b").tolist()
+    shapes = _member(arrays, "coverage_shapes", "i", ndim=2).tolist()
+    tables = _named(names, _member(arrays, "coverage_tables", "i"))
+    ids = _member(arrays, "coverage_ids", "i")
+    if (
+        len(sampled) != n_representatives
+        or len(shapes) != sampled.count(False)
+        or any(len(shape) != 2 or min(shape) < 0 for shape in shapes)
+        or len(tables) != sum(cols for _, cols in shapes)
+        or len(ids) != sum(rows * cols for rows, cols in shapes)
+    ):
+        raise ValueError("coverage arrays of inconsistent lengths")
+    stored: list[_Provenance] = []
+    rows_by_table: list[tuple[str, np.ndarray]] = []
+    table_start = id_start = 0
+    for rows, cols in shapes:
+        coverage_tables = tuple(tables[table_start:table_start + cols])
+        coverage_ids = ids[id_start:id_start + rows * cols].reshape(rows, cols)
+        stored.append((coverage_tables, coverage_ids))
+        rows_by_table += zip(coverage_tables, coverage_ids.T)
+        table_start += cols
+        id_start += rows * cols
+    return sampled, stored, rows_by_table
 
 
 def load_model(directory: str, db: Database) -> TrainedModel:
     """Load a model saved by :func:`save_model`, attached to ``db``.
 
-    ``db`` must be the database the model was trained on (same content);
-    coverage structures are rebuilt by executing the stored representative
-    queries against it, and the stored actions and selected set must name
-    only its rows. Raises :class:`ModelError` for a damaged directory.
+    ``db`` must be the database the model was trained on (same content):
+    the stored actions, coverages and selected set must name only its rows,
+    and the representatives whose coverage was sampled are executed against
+    it again. Raises :class:`ModelError` for a damaged directory.
     """
     with _reading(directory, "config.json") as path:
         with open(path) as handle:
@@ -179,25 +315,23 @@ def load_model(directory: str, db: Database) -> TrainedModel:
     with _reading(directory, "queries.json") as path:
         with open(path) as handle:
             queries = json.load(handle)
-        representatives = [sql(text) for text in queries["representatives"]]
-        training_queries = [sql(text) for text in queries["training_queries"]]
+        texts = queries["representatives"], queries["training_queries"]
+        parsed = {text: sql(text) for text in dict.fromkeys(texts[0] + texts[1])}
+        representatives, training_queries = ([parsed[t] for t in ts] for ts in texts)
         weights = np.asarray(queries["representative_weights"], dtype=np.float64)
-
-    with _reading(directory, "actions.json") as path:
-        with open(path) as handle:
-            raw_actions = json.load(handle)
-        actions = [
-            Action(
-                keys=tuple((t, int(r)) for t, r in entry["keys"]),
-                source_query=int(entry["source"]),
+        if weights.shape != (len(representatives),):
+            raise ValueError(
+                f"{len(weights)} weights for {len(representatives)} queries"
             )
-            for entry in raw_actions
-        ]
-        keys = (key for action in actions for key in action.keys)
-        _require_rows(db, ApproximationSet.from_keys(keys), path, "names")
 
-    with _reading(directory, "arrays.npz") as path, np.load(path) as arrays:
-        action_space = ActionSpace(actions)
+    with _reading(directory, "arrays.npz") as arrays_path, np.load(
+        arrays_path
+    ) as arrays:
+        names = _member(arrays, "table_names", "U").tolist()
+        action_space, action_rows = _read_actions(arrays, names)
+        sampled, stored, coverage_rows = _read_coverages(
+            arrays, names, len(representatives)
+        )
         agent = ASQPAgent(len(action_space), config)
         for i in range(len(agent.actor.net.weights)):
             agent.actor.net.weights[i][...] = arrays[f"actor_w{i}"]
@@ -216,16 +350,30 @@ def load_model(directory: str, db: Database) -> TrainedModel:
         setup_seconds = history["setup_seconds"]
         fine_tune_count = history["fine_tune_count"]
 
-    with _reading(directory, "selected.json") as path:
-        with open(path) as handle:
-            selected = ApproximationSet.from_mapping(json.load(handle))
-        _require_rows(db, selected, path, "selects")
+    with _reading(directory, "selected.json") as selected_path:
+        with open(selected_path) as handle:
+            mapping = json.load(handle)
+        selected = ApproximationSet.from_mapping(mapping)
+        selected_rows = [
+            (table, np.asarray(ids, dtype=np.int64)) for table, ids in mapping.items()
+        ]
 
-    # Rebuild the reward structures against the attached database.
+    _require_rows(db, [
+        (arrays_path, "names", action_rows + coverage_rows),
+        (selected_path, "selects", selected_rows),
+    ])
+
+    # Only a sampled coverage is not stored: its representative is executed
+    # again and re-sampled, from one generator in representative order.
     rng = np.random.default_rng(config.seed)
+    stored_coverages = iter(stored)
     coverages = [
-        build_coverage(db, query, float(weights[i]), config.frame_size, rng)
-        for i, query in enumerate(representatives)
+        build_coverage(db, query, float(weight), config.frame_size, rng)
+        if was_sampled
+        else coverage_from_ids(
+            query, float(weight), config.frame_size, *next(stored_coverages), rng
+        )
+        for query, weight, was_sampled in zip(representatives, weights, sampled)
     ]
 
     stats = compute_database_stats(db)

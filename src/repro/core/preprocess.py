@@ -72,18 +72,20 @@ def provenance_ids(db: Database, query: SPJQuery) -> tuple[list[str], np.ndarray
     return tables, np.column_stack([array[keep] for array in arrays])
 
 
-def build_coverage(
-    db: Database,
+def coverage_from_ids(
     query: SPJQuery,
     weight: float,
     frame_size: int,
+    tables: Sequence[str],
+    ids: np.ndarray,
     rng: Optional[np.random.Generator] = None,
 ) -> QueryCoverage:
-    """Execute ``query`` on the full data and record its Eq. 1 inputs,
-    keeping the provenance columnar."""
-    tables, ids = provenance_ids(db, query)
+    """The Eq. 1 inputs of ``query`` whose distinct provenance is
+    ``(tables, ids)``: all of its rows, or a uniform sample of
+    ``MAX_REQUIREMENT_ROWS`` of them drawn from ``rng`` when it has more."""
     denominator = min(frame_size, len(ids))
-    if len(ids) > MAX_REQUIREMENT_ROWS:
+    sampled = len(ids) > MAX_REQUIREMENT_ROWS
+    if sampled:
         if rng is None:
             rng = np.random.default_rng(0)
         picks = rng.choice(len(ids), size=MAX_REQUIREMENT_ROWS, replace=False)
@@ -94,7 +96,21 @@ def build_coverage(
         denominator=denominator,
         tables=tables,
         ids=ids,
+        sampled=sampled,
     )
+
+
+def build_coverage(
+    db: Database,
+    query: SPJQuery,
+    weight: float,
+    frame_size: int,
+    rng: Optional[np.random.Generator] = None,
+) -> QueryCoverage:
+    """Execute ``query`` on the full data and record its Eq. 1 inputs,
+    keeping the provenance columnar."""
+    tables, ids = provenance_ids(db, query)
+    return coverage_from_ids(query, weight, frame_size, tables, ids, rng)
 
 
 class RowPool:

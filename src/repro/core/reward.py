@@ -97,6 +97,9 @@ class QueryCoverage:
         ``int64`` matrix of base row ids, one row per distinct result row
         and one column per table: the row survives only if every
         ``(tables[j], ids[r, j])`` is in the approximation set.
+    sampled:
+        Whether ``ids`` is a sample of the query's distinct result rows
+        rather than all of them.
     """
 
     name: str
@@ -104,6 +107,7 @@ class QueryCoverage:
     denominator: int
     tables: tuple[str, ...] = ()
     ids: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
+    sampled: bool = False
 
     def __post_init__(self) -> None:
         self.tables = tuple(self.tables)

@@ -1,6 +1,6 @@
 """Tests for the subset-selector baselines (RAN..VAE), with the references
-CACH and QUIK are checked against: an LRU cache simulation and the
-per-tuple QUIK walk."""
+CACH, QUIK and SKY are checked against: an LRU cache simulation, the
+per-tuple QUIK walk and the pairwise skyline loop."""
 
 import os
 import subprocess
@@ -22,6 +22,8 @@ from repro.baselines import (
 )
 from repro.baselines.caching import cached_set
 from repro.baselines.quickr import sample_catalog
+from repro.baselines import skyline as skyline_module
+from repro.baselines.skyline import _dominance_matrix_features
 from repro.baselines.top_queried import most_queried
 from repro.core import ApproximationSet, QueryCoverage, TupleKey, score
 from repro.db import execute, sql
@@ -361,7 +363,68 @@ class TestQuickR:
         assert result.extra["n_signatures"] >= 1
 
 
+def reference_skyline_layers(features: np.ndarray, max_rows: int) -> list[int]:
+    """Onion peeling by comparing every pair of remaining rows: the loop
+    ``skyline_layers`` replaced."""
+    remaining = list(range(len(features)))
+    selected: list[int] = []
+    while remaining and len(selected) < max_rows:
+        layer: list[int] = []
+        for i in remaining:
+            dominated = False
+            for j in remaining:
+                if i == j:
+                    continue
+                if np.all(features[j] >= features[i]) and np.any(
+                    features[j] > features[i]
+                ):
+                    dominated = True
+                    break
+            if not dominated:
+                layer.append(i)
+        if not layer:  # all ties; take what's left
+            layer = list(remaining)
+        selected.extend(layer)
+        peeled = set(layer)
+        remaining = [i for i in remaining if i not in peeled]
+    return selected[:max_rows]
+
+
+#: Rows per table pool of the differential test (the pairwise reference is
+#: quadratic per layer in Python).
+REFERENCE_POOL = 120
+
+
 class TestSkyline:
+    @pytest.mark.parametrize("dataset", ["imdb", "mas", "flights"])
+    def test_layers_equal_the_pairwise_reference(self, dataset, request):
+        bundle = request.getfixturevalue(f"tiny_{dataset}")
+        rng = np.random.default_rng(5)
+        for table in bundle.db:
+            if len(table) > REFERENCE_POOL:
+                table = table.take(
+                    np.sort(rng.choice(len(table), size=REFERENCE_POOL, replace=False))
+                )
+            features = _dominance_matrix_features(table, rng)
+            # The loop stops after the layer that reaches max_rows, so a
+            # smaller budget's order is a prefix of the whole peel's.
+            whole = reference_skyline_layers(features, len(features))
+            for k in (1, 10, 80, 1000):
+                assert skyline_layers(features, k) == whole[:k], (table.name, k)
+
+    @pytest.mark.parametrize("block", [7, skyline_module.DOMINANCE_BLOCK])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_layers_with_ties_and_nans_equal_the_pairwise_reference(
+        self, seed, block, monkeypatch
+    ):
+        monkeypatch.setattr(skyline_module, "DOMINANCE_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        features = rng.integers(0, 4, size=(150, 3)).astype(np.float64)
+        features[rng.random(features.shape) < 0.05] = np.nan
+        whole = reference_skyline_layers(features, len(features))
+        for k in (1, 10, 80, 1000):
+            assert skyline_layers(features, k) == whole[:k]
+
     def test_layers_maximal_first(self):
         features = np.asarray([
             [1.0, 1.0],

@@ -15,6 +15,7 @@ from repro.core import (
     ASQPSession,
     ASQPTrainer,
     ModelError,
+    build_coverage,
     load_model,
     save_model,
 )
@@ -126,14 +127,80 @@ class TestRoundTrip:
         payload = json.loads(path.read_text())
         # 1: the format before the config lost its unvaried fields;
         # 2: the format before the selected set was stored;
-        # 3: the format that still stored a vector per action.
-        for version in (999, 1, 2, 3):
+        # 3: the format that still stored a vector per action;
+        # 4: the format that stored no coverage and kept actions in JSON.
+        for version in (999, 1, 2, 3, 4):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(
                 ModelError, match=f"version {version} in .*config.json"
             ):
                 load_model(str(tmp_path / "model"), tiny_flights.db)
+
+
+class TestStoredCoverages:
+    """``load_model`` executes only the representatives whose coverage was
+    sampled; every other coverage is read back from ``arrays.npz``."""
+
+    @staticmethod
+    def _load_spying(model, db, tmp_path, monkeypatch):
+        """The loaded model and the SQL of every query its load executed."""
+        directory = str(tmp_path / "model")
+        save_model(model, directory)
+        executed = []
+        execute = preprocess_module.execute
+
+        def spy(database, query):
+            executed.append(query.to_sql())
+            return execute(database, query)
+
+        monkeypatch.setattr(preprocess_module, "execute", spy)
+        return load_model(directory, db), executed
+
+    def test_nothing_is_executed_when_no_coverage_was_sampled(
+        self, trained, tiny_flights, tmp_path, monkeypatch
+    ):
+        assert not any(c.sampled for c in trained.coverages)
+        loaded, executed = self._load_spying(
+            trained, tiny_flights.db, tmp_path, monkeypatch
+        )
+        assert executed == []
+        for ours, theirs in zip(loaded.coverages, trained.coverages):
+            assert ours.tables == theirs.tables
+            np.testing.assert_array_equal(ours.ids, theirs.ids)
+
+    def test_exactly_the_sampled_representatives_are_executed(
+        self, trained, tiny_flights, tmp_path, monkeypatch
+    ):
+        rows = sorted(len(c.ids) for c in trained.coverages)
+        cap = rows[len(rows) // 2]
+        monkeypatch.setattr(preprocess_module, "MAX_REQUIREMENT_ROWS", cap)
+        model = ASQPTrainer(tiny_flights.db, tiny_flights.workload, _config()).train()
+        sampled = [c.sampled for c in model.coverages]
+        assert 0 < sum(sampled) < len(sampled)
+        loaded, executed = self._load_spying(
+            model, tiny_flights.db, tmp_path, monkeypatch
+        )
+        assert executed == [
+            query.to_sql()
+            for query, was_sampled in zip(model.preprocessed.representatives, sampled)
+            if was_sampled
+        ]
+        assert [c.sampled for c in loaded.coverages] == sampled
+        for ours, theirs in zip(loaded.coverages, model.coverages):
+            if not theirs.sampled:
+                np.testing.assert_array_equal(ours.ids, theirs.ids)
+        # Each loaded coverage is what executing every representative again,
+        # in order on one generator, gives (what format 4 loaded).
+        rng = np.random.default_rng(model.config.seed)
+        for query, ours in zip(loaded.preprocessed.representatives, loaded.coverages):
+            again = build_coverage(
+                tiny_flights.db, query, ours.weight, model.config.frame_size, rng
+            )
+            assert (ours.name, ours.denominator, ours.tables, ours.sampled) == (
+                again.name, again.denominator, again.tables, again.sampled
+            )
+            np.testing.assert_array_equal(ours.ids, again.ids)
 
 
 def test_each_table_is_scanned_once_from_generation_to_session(tmp_path, monkeypatch):
@@ -157,9 +224,27 @@ def test_each_table_is_scanned_once_from_generation_to_session(tmp_path, monkeyp
 
 
 ARTIFACTS = (
-    "config.json", "queries.json", "actions.json", "arrays.npz", "history.json",
-    "selected.json",
+    "config.json", "queries.json", "arrays.npz", "history.json", "selected.json",
 )
+
+#: The ``arrays.npz`` members that hold the action space and the stored
+#: coverages.
+KEY_MEMBERS = (
+    "table_names", "action_tables", "action_rows", "action_offsets",
+    "action_sources", "coverage_sampled", "coverage_shapes", "coverage_tables",
+    "coverage_ids",
+)
+
+
+def _rewrite_member(path, name, change):
+    """Replace member ``name`` of the npz at ``path`` by ``change(member)``,
+    or drop it if that is None."""
+    with np.load(path) as arrays:
+        stored = dict(arrays)
+    value = change(stored.pop(name))
+    if value is not None:
+        stored[name] = value
+    np.savez(path, **stored)
 
 
 def _damage(path, how):
@@ -209,26 +294,51 @@ class TestDamagedModel:
             with pytest.raises(ModelError, match="selected.json"):
                 load_model(directory, tiny_flights.db)
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            pytest.param(lambda key: [key[0], 10**9], id="bad_row_id"),
-            pytest.param(lambda key: ["no_such_table", key[1]], id="bad_table"),
-        ],
-    )
+    @pytest.mark.parametrize("damage", ["bad_row_id", "bad_table"])
     def test_action_key_the_database_lacks(
         self, trained, tiny_flights, tmp_path, damage
     ):
         """A bad key used to load, and a fine-tune then served it."""
         directory = str(tmp_path / "model")
         save_model(trained, directory)
-        path = os.path.join(directory, "actions.json")
-        with open(path) as handle:
-            stored = json.load(handle)
-        stored[0]["keys"][0] = damage(stored[0]["keys"][0])
-        with open(path, "w") as handle:
-            json.dump(stored, handle)
-        with pytest.raises(ModelError, match="actions.json") as info:
+        path = os.path.join(directory, "arrays.npz")
+        if damage == "bad_row_id":
+            _rewrite_member(path, "action_rows", lambda rows: np.r_[10**9, rows[1:]])
+        else:
+            with np.load(path) as arrays:
+                code = len(arrays["table_names"])
+            _rewrite_member(
+                path, "table_names", lambda names: np.append(names, "no_such_table")
+            )
+            _rewrite_member(path, "action_tables", lambda codes: np.r_[code, codes[1:]])
+        with pytest.raises(ModelError, match="arrays.npz") as info:
+            load_model(directory, tiny_flights.db)
+        assert "does not hold" in str(info.value)
+
+    @pytest.mark.parametrize("how", ["missing", "truncated", "wrong shape"])
+    @pytest.mark.parametrize("member", KEY_MEMBERS)
+    def test_damaged_key_array_raises_one_error_naming_the_file(
+        self, trained, tiny_flights, tmp_path, member, how
+    ):
+        directory = str(tmp_path / "model")
+        save_model(trained, directory)
+        path = os.path.join(directory, "arrays.npz")
+        change = {
+            "missing": lambda array: None,
+            "truncated": lambda array: array[: len(array) // 2],
+            "wrong shape": lambda array: array.reshape(len(array), -1)[:, :1].T,
+        }[how]
+        _rewrite_member(path, member, change)
+        with pytest.raises(ModelError) as info:
+            load_model(directory, tiny_flights.db)
+        assert path in str(info.value)
+
+    def test_coverage_row_the_database_lacks(self, trained, tiny_flights, tmp_path):
+        directory = str(tmp_path / "model")
+        save_model(trained, directory)
+        path = os.path.join(directory, "arrays.npz")
+        _rewrite_member(path, "coverage_ids", lambda ids: np.r_[10**9, ids[1:]])
+        with pytest.raises(ModelError, match="arrays.npz names rows of table") as info:
             load_model(directory, tiny_flights.db)
         assert "does not hold" in str(info.value)
 
