@@ -51,10 +51,6 @@ import numpy as np
 from ..db.kernels import sorted_unique, stable_argsort
 from .approximation import ApproximationSet, TupleKey
 
-#: Batches up to this size take the scalar per-key path; the numpy batch
-#: machinery only pays off once a few keys amortize its fixed cost.
-_SCALAR_BATCH_LIMIT = 4
-
 
 def as_rows(tables: Sequence[str], ids: np.ndarray) -> list[tuple[TupleKey, ...]]:
     """Rows of a row-id matrix as tuples of ``(table, row id)`` keys."""
@@ -209,15 +205,10 @@ class CoverageIndex:
                 approx.rows[table] = set(ids.tolist())
         return approx
 
-    def key_id(self, key: TupleKey) -> int:
-        """Dense id of one key, ``-1`` if no requirement row holds it."""
-        table, row_id = key
-        slot = self._slot.get(table)
-        if slot is None:
-            return -1
-        code = row_id * self.slots + slot
-        pos = int(self.codes.searchsorted(code))
-        return pos if pos < self.n_keys and self.codes[pos] == code else -1
+    def row_key_ids(self, coverage: QueryCoverage) -> np.ndarray:
+        """:meth:`row_codes` as dense key ids (the coverage is one this
+        index was built from, so every code is known)."""
+        return self.codes.searchsorted(self.row_codes(coverage))
 
     def intern(self, keys: Sequence[TupleKey]) -> InternedKeys:
         """Distinct interned key ids of a batch with their multiplicities.
@@ -303,39 +294,6 @@ class CoverageTracker:
         self._covered[:] = self.index.initial_covered
 
     # -------------------------------------------------------------- #
-    def add_key(self, key: TupleKey) -> None:
-        kid = self.index.key_id(key)
-        if kid < 0:
-            return
-        count = self._present[kid]
-        self._present[kid] = count + 1
-        if count > 0:
-            return  # already present; no coverage change
-        missing, covered, row_query = self._missing, self._covered, self._row_query
-        for pos in range(self._inc_offsets[kid], self._inc_offsets[kid + 1]):
-            row = self._inc_rows[pos]
-            missing[row] -= 1
-            if missing[row] == 0:
-                covered[row_query[row]] += 1
-
-    def remove_key(self, key: TupleKey) -> None:
-        kid = self.index.key_id(key)
-        if kid < 0:
-            return
-        count = self._present[kid]
-        if count == 0:
-            return
-        self._present[kid] = count - 1
-        if count > 1:
-            return
-        missing, covered, row_query = self._missing, self._covered, self._row_query
-        for pos in range(self._inc_offsets[kid], self._inc_offsets[kid + 1]):
-            row = self._inc_rows[pos]
-            if missing[row] == 0:
-                covered[row_query[row]] -= 1
-            missing[row] += 1
-
-    # -------------------------------------------------------------- #
     def _incidence_rows(self, key_ids: np.ndarray) -> np.ndarray:
         """Concatenated incidence rows of a batch of key ids (CSR gather)."""
         starts = self._inc_offsets[key_ids]
@@ -350,12 +308,7 @@ class CoverageTracker:
     def add_keys(self, keys: Union[Iterable[TupleKey], InternedKeys]) -> None:
         """Add a batch of keys — or one the index has already interned."""
         if not isinstance(keys, InternedKeys):
-            keys = keys if isinstance(keys, list) else list(keys)
-            if len(keys) <= _SCALAR_BATCH_LIMIT:
-                for key in keys:
-                    self.add_key(key)
-                return
-            keys = self.index.intern(keys)
+            keys = self.index.intern(keys if isinstance(keys, list) else list(keys))
         uniq, counts = keys
         if uniq.size == 0:
             return
@@ -387,12 +340,7 @@ class CoverageTracker:
 
     def remove_keys(self, keys: Union[Iterable[TupleKey], InternedKeys]) -> None:
         if not isinstance(keys, InternedKeys):
-            keys = keys if isinstance(keys, list) else list(keys)
-            if len(keys) <= _SCALAR_BATCH_LIMIT:
-                for key in keys:
-                    self.remove_key(key)
-                return
-            keys = self.index.intern(keys)
+            keys = self.index.intern(keys if isinstance(keys, list) else list(keys))
         uniq, counts = keys
         if uniq.size == 0:
             return
@@ -431,29 +379,27 @@ class CoverageTracker:
         Weights are renormalized within the batch so a batch reward is on
         the same [0, 1] scale as the full score.
         """
-        if query_indices is None:
-            scores = np.where(
-                self._empty, 1.0, np.minimum(1.0, self._covered / self._safe_denoms)
-            )
-            weight_sum = float(self._weights.sum())
-            total = float(self._weights @ scores)
-        else:
+        idx = slice(None)
+        if query_indices is not None:
             idx = np.asarray(query_indices, dtype=np.int64)
-            scores = np.where(
-                self._empty[idx],
-                1.0,
-                np.minimum(1.0, self._covered[idx] / self._safe_denoms[idx]),
-            )
-            weight_sum = float(self._weights[idx].sum())
-            total = float(self._weights[idx] @ scores)
-        return total / weight_sum if weight_sum > 0 else 0.0
+        covered = np.minimum(1.0, self._covered[idx] / self._safe_denoms[idx])
+        scores = np.where(self._empty[idx], 1.0, covered)
+        weights = self._weights[idx]
+        weight_sum = float(weights.sum())
+        return float(weights @ scores) / weight_sum if weight_sum > 0 else 0.0
+
+    def covered_gains(self, increments: np.ndarray) -> np.ndarray:
+        """What each row of per-query covered-count increments (one column
+        per query) would add to :meth:`batch_score`; equal rows gain equally."""
+        capped = np.minimum(self._covered + increments, self._safe_denoms)
+        capped -= np.minimum(self._covered, self._safe_denoms)
+        per_row = np.where(self._empty, 0.0, self._weights / self._safe_denoms)
+        weight_sum = float(self._weights.sum())
+        return (capped * per_row).sum(axis=1) / (weight_sum if weight_sum > 0 else np.inf)
 
     def probe_add_score(self, keys: Iterable[TupleKey]) -> float:
-        """Score after hypothetically adding ``keys``; state is unchanged.
-
-        Used by the greedy baseline's marginal-gain scan: add, score, and
-        roll back in one incidence-bounded round trip (no snapshot copy).
-        """
+        """Score after hypothetically adding ``keys``; state is unchanged
+        (add, score and roll back: no snapshot copy)."""
         keys = list(keys)
         self.add_keys(keys)
         value = self.batch_score()
@@ -463,8 +409,8 @@ class CoverageTracker:
     def score_with_keys(self, keys: Iterable[TupleKey]) -> float:
         """Score of an arbitrary key set without disturbing current state.
 
-        Used by the greedy / brute-force baselines, which probe many
-        candidate sets. The prior state is restored from an O(1)-ops
+        Used to score whole candidate sets (the trainer's candidate
+        rollouts). The prior state is restored from an O(1)-ops
         array snapshot rather than replaying every refcount.
         """
         snapshot = (self._present.copy(), self._missing.copy(), self._covered.copy())

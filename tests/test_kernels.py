@@ -832,11 +832,11 @@ def _run_program(csr: CoverageTracker, ref: DictCoverageTracker, program):
     for op, keys in program:
         if op == "add":
             for key in keys:
-                csr.add_key(key)
+                csr.add_keys([key])
                 ref.add_key(key)
         elif op == "remove":
             for key in keys:
-                csr.remove_key(key)
+                csr.remove_keys([key])
                 ref.remove_key(key)
         elif op == "add_batch":
             csr.add_keys(keys)
@@ -927,17 +927,17 @@ def test_index_for_other_coverages_is_refused():
 
 @given(coverages=_coverages(), batch=st.lists(st.sampled_from(_KEYS), max_size=15))
 @settings(max_examples=80, deadline=None)
-def test_batch_equals_scalar_loop(coverages, batch):
-    """add_keys/remove_keys must equal the per-key scalar loop exactly."""
+def test_batch_equals_one_key_batches(coverages, batch):
+    """One add_keys/remove_keys batch must equal one-key batches in a loop."""
     batched = CoverageTracker(coverages)
-    scalar = CoverageTracker(coverages)
+    one_by_one = CoverageTracker(coverages)
     batched.add_keys(batch)
     for key in batch:
-        scalar.add_key(key)
-    np.testing.assert_array_equal(batched.covered_counts(), scalar.covered_counts())
+        one_by_one.add_keys([key])
+    np.testing.assert_array_equal(batched.covered_counts(), one_by_one.covered_counts())
     half = batch[: len(batch) // 2]
     batched.remove_keys(half)
     for key in half:
-        scalar.remove_key(key)
-    np.testing.assert_array_equal(batched.covered_counts(), scalar.covered_counts())
-    assert batched.batch_score() == pytest.approx(scalar.batch_score())
+        one_by_one.remove_keys([key])
+    np.testing.assert_array_equal(batched.covered_counts(), one_by_one.covered_counts())
+    assert batched.batch_score() == pytest.approx(one_by_one.batch_score())

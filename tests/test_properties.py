@@ -71,7 +71,7 @@ def test_tracker_matches_recomputation(requirements, operations):
     reference = DictCoverageTracker([coverage])
     present: list = []
     for key in operations:
-        incremental.add_key(key)
+        incremental.add_keys([key])
         reference.add_key(key)
         present.append(key)
 
@@ -80,8 +80,7 @@ def test_tracker_matches_recomputation(requirements, operations):
     assert incremental.batch_score() == fresh.batch_score() == reference.batch_score()
 
 
-# Several queries at once, each its own weight and Eq. 1 denominator;
-# batches past four keys take the interned (vectorized) update path.
+# Several queries at once, each its own weight and Eq. 1 denominator.
 _coverages = st.lists(
     st.tuples(_requirements, st.floats(0.1, 3.0), st.integers(1, 8)),
     min_size=1,

@@ -49,14 +49,14 @@ class TestCoverageTracker:
 
     def test_single_tuple_partial(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_key(("t", 0))
+        tracker.add_keys([("t", 0)])
         assert tracker.query_score(0) == 0.5
         assert tracker.query_score(1) == 0.0  # join partner missing
 
     def test_join_requirement_needs_all_keys(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_key(("t", 0))
-        tracker.add_key(("u", 7))
+        tracker.add_keys([("t", 0)])
+        tracker.add_keys([("u", 7)])
         assert tracker.query_score(1) == 0.5
 
     def test_full_coverage(self, coverages):
@@ -68,27 +68,27 @@ class TestCoverageTracker:
         tracker = CoverageTracker(coverages)
         tracker.add_keys([("t", 0), ("u", 7)])
         before = tracker.batch_score()
-        tracker.add_key(("t", 1))
-        tracker.remove_key(("t", 1))
+        tracker.add_keys([("t", 1)])
+        tracker.remove_keys([("t", 1)])
         assert tracker.batch_score() == pytest.approx(before)
 
     def test_refcounted_duplicates(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_key(("t", 0))
-        tracker.add_key(("t", 0))
-        tracker.remove_key(("t", 0))
+        tracker.add_keys([("t", 0)])
+        tracker.add_keys([("t", 0)])
+        tracker.remove_keys([("t", 0)])
         assert tracker.query_score(0) == 0.5  # still present once
-        tracker.remove_key(("t", 0))
+        tracker.remove_keys([("t", 0)])
         assert tracker.query_score(0) == 0.0
 
     def test_remove_absent_is_noop(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.remove_key(("t", 99))
+        tracker.remove_keys([("t", 99)])
         assert tracker.batch_score() == 0.0
 
     def test_irrelevant_key_no_effect(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_key(("zzz", 1))
+        tracker.add_keys([("zzz", 1)])
         assert tracker.batch_score() == 0.0
 
     def test_reset(self, coverages):
@@ -96,7 +96,7 @@ class TestCoverageTracker:
         tracker.add_keys([("t", 0), ("t", 1)])
         tracker.reset()
         assert tracker.batch_score() == 0.0
-        tracker.add_key(("t", 0))
+        tracker.add_keys([("t", 0)])
         assert tracker.query_score(0) == 0.5
 
     def test_batch_score_subset_renormalizes(self, coverages):
