@@ -27,7 +27,10 @@ SHA-1 of the selected set's keys after a ``save_model`` -> ``load_model``
 round trip, which must equal the stage's ``selected_keys`` (a checkout
 where it does not counts as a differing row), and ``reloaded.coverages``:
 the SHA-1 of every loaded coverage's tables, row ids, denominator and
-weight (what ``load_model`` reads back or re-executes). Then it opens an
+weight (what ``load_model`` reads back or re-executes), and
+``loaded.training_scores``: the SHA-1 of the loaded model's training
+scores as ``float.hex`` (what a session's estimator opens on). Then it
+opens an
 ``ASQPSession`` on the model and serves the benchmark's serve pool twice,
 in pool order: ``served_cold`` and ``served_warm`` are the SHA-1 of every
 answer of the first and the second pass (source, confidence as
@@ -188,6 +191,8 @@ def child(workload: str, input_seed: int | None) -> None:
         print(f"{stage}.loaded_selected_keys {sha1(repr(keys).encode())}", flush=True)
         coverages = coverage_digest(loaded.coverages)
         print(f"{stage}.reloaded.coverages {coverages}", flush=True)
+        scores = [float(value).hex() for value in loaded.training_scores()]
+        print(f"{stage}.loaded.training_scores {sha1(repr(scores).encode())}", flush=True)
         session = ASQPSession(model, auto_fine_tune=False)
         for run in ("cold", "warm"):
             print(f"{stage}.served_{run} {served(session, pool)}", flush=True)

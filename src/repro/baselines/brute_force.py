@@ -4,11 +4,12 @@
 to find the optimal solution ... a time constraint of 48 hours is imposed
 ... We then return the best subset found during this process."
 
-The candidate pool is the union of the workload's provenance rows (any
-tuple outside it contributes nothing to Eq. 1, so restricting the pool
-only helps BRT). Combinations are enumerated in a randomized order and the
-best-scoring one within the budget is kept — exactly the paper's protocol,
-scaled from 48 hours to a configurable number of seconds.
+The candidate pool is every tuple of the database
+(:meth:`~repro.baselines.base.SubsetSelector.all_tuple_keys`), with no
+knowledge of the workload's provenance rows or join structure. Each
+combination is ``min(k, |pool|)`` distinct tuples drawn uniformly from it,
+and the best-scoring one within the budget is kept — exactly the paper's
+protocol, scaled from 48 hours to a configurable number of seconds.
 """
 
 from __future__ import annotations

@@ -27,11 +27,19 @@ class ASQPAgent:
         n_actions: int,
         config: ASQPConfig,
         rng: Optional[np.random.Generator] = None,
+        networks: Optional[tuple[ActorNetwork, Optional[CriticNetwork]]] = None,
     ) -> None:
+        """``rng`` (default ``default_rng(config.seed)``) draws the actor's
+        and then the critic's Glorot weights and nothing else; a loaded
+        model passes its stored ``networks`` instead, and nothing is drawn."""
         self.config = config
-        rng = rng or np.random.default_rng(config.seed)
-        self.actor = ActorNetwork(n_actions, rng)
-        self.critic = CriticNetwork(n_actions, rng) if config.use_actor_critic else None
+        if networks is None:
+            rng = rng or np.random.default_rng(config.seed)
+            networks = (
+                ActorNetwork(n_actions, rng),
+                CriticNetwork(n_actions, rng) if config.use_actor_critic else None,
+            )
+        self.actor, self.critic = networks
         self._updater_rng = np.random.default_rng(config.seed + 101)
         self.updater = self._make_updater()
 

@@ -43,6 +43,27 @@ def query_score(
     return min(1.0, subset_result_size / denominator)
 
 
+#: The one object every NULL float of a result key is: NaN equals only
+#: itself, so keys holding fresh NaNs never match across two executions.
+_NULL_FLOAT = float("nan")
+
+
+def _result_keys(db: Database, query: SPJQuery) -> list[tuple]:
+    """``execute(db, query).tuple_keys()`` with every NULL float
+    :data:`_NULL_FLOAT`, so equal rows give equal keys, NULLs included (as
+    ``DISTINCT`` treats them): a row holding a NULL float matches itself."""
+    result = execute(db, query)
+    columns = []
+    for ref in sorted(result.columns):
+        array = result.column(ref)
+        values = array.tolist()
+        if array.dtype.kind == "f":
+            for i in np.flatnonzero(np.isnan(array)).tolist():
+                values[i] = _NULL_FLOAT
+        columns.append(values)
+    return list(zip(*columns)) if columns else [()] * result.n_rows
+
+
 def _valid_result_count(
     db: Database,
     subset: Database,
@@ -58,8 +79,8 @@ def _valid_result_count(
     the intersection is a no-op (SPJ queries are monotone).
     """
     if full_keys is None:
-        full_keys = frozenset(execute(db, query).tuple_keys())
-    subset_keys = set(execute(subset, query).tuple_keys())
+        full_keys = frozenset(_result_keys(db, query))
+    subset_keys = set(_result_keys(subset, query))
     return len(full_keys), len(subset_keys & full_keys)
 
 
@@ -70,7 +91,7 @@ def workload_result_keys(db: Database, workload: Workload) -> list[frozenset]:
     workload (the k/F sweeps do this).
     """
     spj = workload.spj_only()
-    return [frozenset(execute(db, query).tuple_keys()) for query in spj.queries]
+    return [frozenset(_result_keys(db, query)) for query in spj.queries]
 
 
 def score(
@@ -99,10 +120,12 @@ def score(
     values = per_query_scores(db, subset, spj, frame_size, full_keys)
     total = 0.0
     # A sequential sum in query order, not np.dot: the score stays
-    # bit-identical to the per-query loop it is defined by.
+    # bit-identical to the per-query loop it is defined by. It is a
+    # weighted mean of terms <= 1, so a sum that rounding carried past 1
+    # (six weights of 1/6, every term 1) is 1.
     for weight, value in zip(spj.weights, values):
         total += weight * value
-    return float(total)
+    return min(1.0, float(total))
 
 
 def per_query_scores(
@@ -236,6 +259,5 @@ def result_diversity(
     spj = workload.spj_only()
     answer_sets: list[set] = []
     for query in spj.queries:
-        result = execute(db, query.with_limit(limit))
-        answer_sets.append(set(result.tuple_keys()))
+        answer_sets.append(set(_result_keys(db, query.with_limit(limit))))
     return pairwise_jaccard_diversity(answer_sets)

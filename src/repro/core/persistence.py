@@ -34,6 +34,13 @@ fit's, which can change which candidate roll-out scores best, so the
 loaded model serves the stored ``selected.json`` (checked against the
 attached database) and Alg. 2 does not run again. The database
 statistics and the query embedder are rebuilt from the attached database.
+The actor and the critic are built from their stored arrays, of the layer
+sizes the action space and :data:`~repro.rl.policy.HIDDEN` give; no
+initial weights are drawn for them to overwrite. A session opened on the
+loaded model reads the selected set and scores it with
+:meth:`~repro.core.trainer.TrainedModel.training_scores`, which builds no
+:class:`~repro.core.reward.CoverageIndex`: the first fine-tune builds
+the one it trains on.
 No pickle anywhere. Nothing is compressed: most of the bytes are float64
 weights, which zlib shrinks by under 5% for most of the time a save takes
 (``np.load`` still reads an ``arrays.npz`` written with
@@ -42,9 +49,10 @@ weights, which zlib shrinks by under 5% for most of the time a save takes
 A model directory is outside input: a file of it (or an ``arrays.npz``
 member) that is missing, cut short or of the wrong shape, a row id of an
 action, a stored coverage or the selected set that the attached database
-does not hold, or a directory of an older format version makes
-:func:`load_model` raise one :class:`ModelError` naming the file. The row
-ids are checked with one ``np.isin`` per table.
+does not hold, a network layer missing or of other sizes (the critic's
+too, when the config uses one), or a directory of an older format
+version makes :func:`load_model` raise one :class:`ModelError` naming the
+file. The row ids are checked with one ``np.isin`` per table.
 """
 
 from __future__ import annotations
@@ -62,6 +70,8 @@ from ..db.database import Database
 from ..db.sql import sql
 from ..db.statistics import compute_database_stats
 from ..embedding.query_embed import QueryEmbedder
+from ..rl.nn import MLP
+from ..rl.policy import HIDDEN, ActorNetwork, CriticNetwork
 from .action_space import Action, ActionSpace
 from .agent import ASQPAgent
 from .approximation import ApproximationSet
@@ -148,6 +158,23 @@ def _member(
     if array.ndim != ndim or array.dtype.kind not in kinds:
         raise ValueError(f"{name!r} of shape {array.shape} and dtype {array.dtype}")
     return array
+
+
+def _network(
+    arrays: Mapping[str, np.ndarray], side: str, sizes: Sequence[int]
+) -> MLP:
+    """The stored ``side`` network (``actor`` / ``critic``), whose layers
+    must have these ``sizes``, built from its arrays: no weights are drawn."""
+    weights, biases = [], []
+    for i, shape in enumerate(zip(sizes, sizes[1:])):
+        weights.append(_member(arrays, f"{side}_w{i}", "f", ndim=2))
+        biases.append(_member(arrays, f"{side}_b{i}", "f"))
+        if weights[-1].shape != shape or biases[-1].shape != shape[1:]:
+            raise ValueError(
+                f"{side} layer {i} of shapes {weights[-1].shape} and "
+                f"{biases[-1].shape}, expected {shape}"
+            )
+    return MLP.from_arrays(weights, biases)
 
 
 def _named(names: Sequence[str], codes: np.ndarray) -> list[str]:
@@ -332,14 +359,18 @@ def load_model(directory: str, db: Database) -> TrainedModel:
         sampled, stored, coverage_rows = _read_coverages(
             arrays, names, len(representatives)
         )
-        agent = ASQPAgent(len(action_space), config)
-        for i in range(len(agent.actor.net.weights)):
-            agent.actor.net.weights[i][...] = arrays[f"actor_w{i}"]
-            agent.actor.net.biases[i][...] = arrays[f"actor_b{i}"]
-        if agent.critic is not None and "critic_w0" in arrays:
-            for i in range(len(agent.critic.net.weights)):
-                agent.critic.net.weights[i][...] = arrays[f"critic_w{i}"]
-                agent.critic.net.biases[i][...] = arrays[f"critic_b{i}"]
+        n_actions = len(action_space)
+        actor = ActorNetwork(
+            n_actions, net=_network(arrays, "actor", [n_actions, *HIDDEN, n_actions])
+        )
+        critic = (
+            CriticNetwork(
+                n_actions, net=_network(arrays, "critic", [n_actions, *HIDDEN, 1])
+            )
+            if config.use_actor_critic
+            else None
+        )
+        agent = ASQPAgent(n_actions, config, networks=(actor, critic))
         representative_embeddings = arrays["representative_embeddings"]
         training_embeddings = arrays["training_embeddings"]
 

@@ -246,6 +246,14 @@ class CoverageIndex:
         return found
 
 
+def _eq1_terms(
+    covered: np.ndarray, safe_denoms: np.ndarray, empty: np.ndarray
+) -> np.ndarray:
+    """Eq. 1 term per query: ``min(1, covered / denominator)``, and 1 for
+    a query with an empty answer (``empty``; its ``safe_denoms`` entry is 1)."""
+    return np.where(empty, 1.0, np.minimum(1.0, covered / safe_denoms))
+
+
 class CoverageTracker:
     """Incremental covered-row counts for a set of query representatives.
 
@@ -382,8 +390,9 @@ class CoverageTracker:
         idx = slice(None)
         if query_indices is not None:
             idx = np.asarray(query_indices, dtype=np.int64)
-        covered = np.minimum(1.0, self._covered[idx] / self._safe_denoms[idx])
-        scores = np.where(self._empty[idx], 1.0, covered)
+        scores = _eq1_terms(
+            self._covered[idx], self._safe_denoms[idx], self._empty[idx]
+        )
         weights = self._weights[idx]
         weight_sum = float(weights.sum())
         return float(weights @ scores) / weight_sum if weight_sum > 0 else 0.0
@@ -420,3 +429,31 @@ class CoverageTracker:
         self._present, self._missing, self._covered = snapshot
         return value
 
+
+def held_query_scores(
+    coverages: Sequence[QueryCoverage], approximation_set: ApproximationSet
+) -> np.ndarray:
+    """:meth:`CoverageTracker.query_score` of every query, for a tracker
+    holding ``approximation_set``, without building a :class:`CoverageIndex`.
+
+    Each coverage counts its requirement rows whose keys the set all holds:
+    one boolean presence array per table, gathered by the ``ids`` columns.
+    """
+    sizes: dict[str, int] = {}
+    for coverage in coverages:
+        for table, column in zip(coverage.tables, coverage.ids.T):
+            sizes[table] = max(sizes.get(table, 0), int(column.max(initial=-1)) + 1)
+    held = {table: np.zeros(size, dtype=bool) for table, size in sizes.items()}
+    for table, ids in approximation_set.rows.items():
+        if table in held:
+            ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+            held[table][ids[ids < len(held[table])]] = True
+    covered = np.zeros(len(coverages), dtype=np.int64)
+    for q, coverage in enumerate(coverages):
+        if len(coverage.ids):
+            rows = np.ones(len(coverage.ids), dtype=bool)
+            for table, column in zip(coverage.tables, coverage.ids.T):
+                rows &= held[table][column]
+            covered[q] = np.count_nonzero(rows)
+    denoms = np.asarray([c.denominator for c in coverages], dtype=np.float64)
+    return _eq1_terms(covered, np.where(denoms <= 0, 1.0, denoms), denoms <= 0)

@@ -101,7 +101,10 @@ class ASQPSession:
 
         Reads the model's selected approximation set: a loaded model brings
         it from disk, and Alg. 2 runs only when training changed the policy
-        since it was selected.
+        since it was selected. The estimator's training scores count each
+        coverage's rows the set holds (:meth:`TrainedModel.training_scores`),
+        so opening builds no coverage index; only training and Alg. 2's
+        candidate scoring do.
         """
         self.approximation_set: ApproximationSet = self.model.approximation_set()
         self.approx_db: Database = self.approximation_set.to_database(self.model.db)

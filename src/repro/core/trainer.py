@@ -38,7 +38,12 @@ from .preprocess import (
     preprocess,
     provenance_ids,
 )
-from .reward import CoverageIndex, CoverageTracker, QueryCoverage
+from .reward import (
+    CoverageIndex,
+    CoverageTracker,
+    QueryCoverage,
+    held_query_scores,
+)
 
 #: A mean episode reward must beat the best so far by more than this to
 #: reset the early-stopping patience (Alg. 1 line 9).
@@ -98,9 +103,10 @@ class TrainedModel:
     def coverage_index(self) -> CoverageIndex:
         """The CSR incidence of ``coverages``, built once and shared.
 
-        Training environments, :meth:`approximation_set` and
-        :meth:`training_scores` all track the same requirement rows;
-        :meth:`fine_tune` drops the index when it extends ``coverages``.
+        Training environments and :meth:`approximation_set`'s candidate
+        scoring track the same requirement rows; :meth:`fine_tune` drops
+        the index when it extends ``coverages``. A loaded model serving its
+        stored set builds none until it trains.
         """
         if self._coverage_index is None:
             self._coverage_index = CoverageIndex(self.coverages)
@@ -165,14 +171,14 @@ class TrainedModel:
         model's :attr:`selected` set (selected first if no default
         :meth:`approximation_set` call has yet); a caller holding that set
         passes it in.
+
+        Scored by :func:`~repro.core.reward.held_query_scores`, which
+        builds no :class:`CoverageIndex`, so opening a session on a loaded
+        model builds none.
         """
         if approximation_set is None:
             approximation_set = self.approximation_set()
-        tracker = CoverageTracker(self.coverages, self.coverage_index())
-        tracker.add_keys(approximation_set.keys())
-        return np.asarray(
-            [tracker.query_score(q) for q in range(tracker.n_queries)]
-        )
+        return held_query_scores(self.coverages, approximation_set)
 
     def calibrated_count_scale(self, default: float = 1.0) -> float:
         """Self-calibrated COUNT/SUM rescaling factor for aggregate mode.

@@ -16,7 +16,7 @@ from ..db.database import Database
 from ..db.query import AggFunc, JoinCondition
 from ..db.schema import Column, ColumnType, ForeignKey, TableSchema
 from ..db.statistics import compute_database_stats
-from ..db.table import Table
+from ..db.table import DictEncoded, Table
 from .synthetic import correlated_numeric, synthetic_names, zipf_choice, zipf_weights
 from .workloads import (
     DatasetBundle,
@@ -109,8 +109,8 @@ def make_flights_database(scale: float = 1.0, seed: int = 5150) -> Database:
             "month": months.astype(np.int64),
             "day_of_week": rng.integers(1, 8, size=n_flights),
             "carrier": carrier,
-            "origin": [AIRPORTS[i] for i in origin_idx],
-            "dest": [AIRPORTS[i] for i in dest_idx],
+            "origin": DictEncoded.from_picks(AIRPORTS, origin_idx),
+            "dest": DictEncoded.from_picks(AIRPORTS, dest_idx),
             "distance": distance.astype(np.int64),
             "dep_delay": dep_delay,
             "arr_delay": arr_delay,

@@ -17,7 +17,7 @@ from ..db.database import Database
 from ..db.query import AggFunc, JoinCondition
 from ..db.schema import Column, ColumnType, ForeignKey, TableSchema
 from ..db.statistics import compute_database_stats
-from ..db.table import Table
+from ..db.table import DictEncoded, Table
 from .synthetic import (
     correlated_numeric,
     skewed_foreign_keys,
@@ -54,23 +54,23 @@ _INFO_VALUES = {
 }
 
 
-def _info_column(info_types: list[str], rng: np.random.Generator) -> np.ndarray:
+def _info_column(info_types: DictEncoded, rng: np.random.Generator) -> DictEncoded:
     """One ``movie_info.info`` value per row, drawn from its type's values.
 
     A single ``rng.integers(0, lengths)`` call, ``lengths`` holding each
     row's list length, consumes the stream exactly as one
-    ``rng.choice(_INFO_VALUES[info_type])`` per row would.
+    ``rng.choice(_INFO_VALUES[info_type])`` per row would. The draws index
+    the concatenated value lists, and are encoded from there
+    (:meth:`DictEncoded.from_picks`).
     """
-    type_index = np.fromiter(
-        map(INFO_TYPES.index, info_types), np.int64, len(info_types)
-    )
+    type_index = np.asarray(
+        [INFO_TYPES.index(t) for t in info_types.dictionary], dtype=np.int64
+    )[info_types.codes]
     lengths = np.array([len(_INFO_VALUES[t]) for t in INFO_TYPES])
     offsets = np.cumsum(lengths) - lengths
-    values = np.array(
-        [value for t in INFO_TYPES for value in _INFO_VALUES[t]], dtype=object
-    )
+    values = [value for t in INFO_TYPES for value in _INFO_VALUES[t]]
     picks = rng.integers(0, lengths[type_index])
-    return values[offsets[type_index] + picks]
+    return DictEncoded.from_picks(values, offsets[type_index] + picks)
 
 
 def imdb_schemas() -> list[TableSchema]:

@@ -19,6 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..db.table import DictEncoded
+
 
 def zipf_weights(n: int, exponent: float = 1.1) -> np.ndarray:
     """Normalized Zipf weights over ``n`` ranks."""
@@ -30,15 +32,16 @@ def zipf_weights(n: int, exponent: float = 1.1) -> np.ndarray:
 
 
 def zipf_choice(
-    values: Sequence,
+    values: Sequence[str],
     size: int,
     rng: np.random.Generator,
     exponent: float = 1.1,
-) -> list:
-    """Sample ``size`` values with Zipfian popularity by list order."""
+) -> DictEncoded:
+    """Sample ``size`` values with Zipfian popularity by list order, as
+    the encoding of the drawn column (:meth:`DictEncoded.from_picks`)."""
     weights = zipf_weights(len(values), exponent)
     picks = rng.choice(len(values), size=size, p=weights)
-    return [values[i] for i in picks]
+    return DictEncoded.from_picks(values, picks)
 
 
 def correlated_numeric(
@@ -80,27 +83,33 @@ _SYLLABLES = [
     "gor", "han", "ix", "jo", "kel", "lum", "mar", "nor", "pol", "qua",
     "ras", "sol", "tan", "ul", "vor", "wex", "yor", "zan", "bel", "cor",
 ]
-_SYLLABLE_ARRAY = np.array(_SYLLABLES, dtype=object)
-_CAPITALISED = np.array([syllable.capitalize() for syllable in _SYLLABLES], dtype=object)
+_SYLLABLE_ARRAY = np.array(_SYLLABLES)
+_CAPITALISED = np.array([syllable.capitalize() for syllable in _SYLLABLES])
 
 
 def synthetic_names(
     n: int, rng: np.random.Generator, n_syllables: int = 3, prefix: str = ""
-) -> list[str]:
-    """Pronounceable unique-ish names ("Kelrito", "Vensolmar", ...).
+) -> DictEncoded:
+    """Pronounceable unique names ("Kelrito_0", "Vensolmar_1", ...), as the
+    encoding of the column.
 
     One ``rng.integers`` call draws the whole ``(n, n_syllables)`` block of
     syllable indices, which consumes the stream exactly as ``n`` per-name
-    ``rng.choice(len(_SYLLABLES), size=n_syllables)`` calls would; the
-    names are then joined column by column over object arrays.
+    ``rng.choice(len(_SYLLABLES), size=n_syllables)`` calls would. The
+    names are joined column by column over fixed-width ``U`` arrays. Name
+    ``i`` ends in ``_i``, so the names are distinct and encode with
+    :meth:`DictEncoded.from_distinct`.
     """
     if n_syllables < 1:
         raise ValueError(f"n_syllables must be at least 1, got {n_syllables}")
     picks = rng.integers(0, len(_SYLLABLES), size=(n, n_syllables))
-    words = prefix + _CAPITALISED[picks[:, 0]]
+    words = _CAPITALISED[picks[:, 0]]
+    if prefix:
+        words = np.char.add(prefix, words)
     for column in range(1, n_syllables):
-        words = words + _SYLLABLE_ARRAY[picks[:, column]]
-    return (words + "_" + np.arange(n).astype(str).astype(object)).tolist()
+        words = np.char.add(words, _SYLLABLE_ARRAY[picks[:, column]])
+    words = np.char.add(np.char.add(words, "_"), np.arange(n).astype(str))
+    return DictEncoded.from_distinct(words)
 
 
 def year_column(

@@ -52,6 +52,13 @@ class DictEncoded:
     ascending by Python string order — identical to numpy ``U`` order for
     well-formed text), ``codes`` is one ``int32`` per row indexing into
     it. Equal values have equal codes and code order equals value order.
+
+    :meth:`from_values` encodes a sequence of strings. A generator that
+    draws each row as an index into a short list of values encodes the
+    draws with :meth:`from_picks` instead, and never builds the per-row
+    list; one whose rows are all distinct (synthetic names) encodes a ``U``
+    array with :meth:`from_distinct`. A :class:`Table` stores an encoding
+    handed to a ``STR`` column as it is.
     """
 
     __slots__ = ("codes", "dictionary")
@@ -74,8 +81,42 @@ class DictEncoded:
         codes = np.fromiter(
             map(code_of.__getitem__, values), dtype=np.int32, count=len(values)
         )
-        dictionary = np.empty(len(distinct), dtype=object)
-        dictionary[:] = distinct
+        return cls._frozen(codes, distinct)
+
+    @classmethod
+    def from_picks(cls, values: Sequence[str], picks: np.ndarray) -> "DictEncoded":
+        """:meth:`from_values` of ``[values[i] for i in picks]``, without
+        that list: the dictionary is the sorted set of the drawn values,
+        and each row's code is its pick's rank in it, one gather by
+        ``picks``. Only the (few) ``values`` are hashed and sorted; a value
+        listed twice gets one code, and an undrawn one none.
+        """
+        values = list(values)
+        picks = np.asarray(picks, dtype=np.int64)
+        drawn = np.zeros(len(values), dtype=bool)
+        drawn[picks] = True
+        drawn = np.flatnonzero(drawn).tolist()
+        distinct = sorted({values[i] for i in drawn})
+        code_of = {value: code for code, value in enumerate(distinct)}
+        rank = np.zeros(len(values), dtype=np.int32)
+        rank[drawn] = [code_of[values[i]] for i in drawn]
+        codes = rank[picks]
+        return cls._frozen(codes, distinct)
+
+    @classmethod
+    def from_distinct(cls, values: np.ndarray) -> "DictEncoded":
+        """:meth:`from_values` of a ``U`` array of distinct strings, sorted
+        in C: the dictionary is the values in ``argsort`` order and the
+        codes its inverse permutation."""
+        order = np.argsort(values)
+        codes = np.empty(len(values), dtype=np.int32)
+        codes[order] = np.arange(len(values), dtype=np.int32)
+        return cls._frozen(codes, values[order].astype(object))
+
+    @classmethod
+    def _frozen(cls, codes: np.ndarray, distinct: Sequence[str]) -> "DictEncoded":
+        """The read-only encoding of ``codes`` over the sorted ``distinct``."""
+        dictionary = np.asarray(distinct, dtype=object)
         codes.setflags(write=False)
         dictionary.setflags(write=False)
         return cls(codes, dictionary)
@@ -119,7 +160,8 @@ class Table:
     columns:
         Mapping from column name to a sequence of values (all the same
         length). Values are coerced to the column's storage dtype on
-        construction, and string columns dictionary-encoded.
+        construction, and string columns dictionary-encoded; a
+        :class:`DictEncoded` given for a ``STR`` column is stored as it is.
     row_ids:
         Optional explicit row ids. Defaults to ``arange(n)``; subsets carry
         the ids of the base rows they came from.
@@ -142,15 +184,24 @@ class Table:
         self._store: dict[str, ColumnStorage] = {}
         n_rows: Optional[int] = None
         for column in schema.columns:
-            array = column.coerce(columns[column.name])
+            values = columns[column.name]
+            if not isinstance(values, DictEncoded):
+                storage = _encode_column(column, column.coerce(values))
+            elif column.ctype is ColumnType.STR:
+                storage = values
+            else:
+                raise SchemaError(
+                    f"table {schema.name!r}: column {column.name!r} of type "
+                    f"{column.ctype.name} given a dictionary encoding"
+                )
             if n_rows is None:
-                n_rows = len(array)
-            elif len(array) != n_rows:
+                n_rows = len(storage)
+            elif len(storage) != n_rows:
                 raise SchemaError(
                     f"table {schema.name!r}: column {column.name!r} has "
-                    f"{len(array)} values, expected {n_rows}"
+                    f"{len(storage)} values, expected {n_rows}"
                 )
-            self._store[column.name] = _encode_column(column, array)
+            self._store[column.name] = storage
         self._finish_init(int(n_rows or 0), row_ids)
 
     def _finish_init(self, n_rows: int, row_ids: Optional[np.ndarray]) -> None:

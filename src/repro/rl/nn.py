@@ -46,6 +46,18 @@ class MLP:
             self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
+    @classmethod
+    def from_arrays(
+        cls, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]
+    ) -> "MLP":
+        """The network with these parameters (as C-contiguous ``float64``,
+        copied only when they are not): nothing is drawn."""
+        net = cls.__new__(cls)
+        net.weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
+        net.biases = [np.ascontiguousarray(b, dtype=np.float64) for b in biases]
+        net.layer_sizes = [net.weights[0].shape[0]] + [w.shape[1] for w in net.weights]
+        return net
+
     @property
     def n_layers(self) -> int:
         return len(self.weights)

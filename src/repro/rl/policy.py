@@ -9,7 +9,7 @@ state over the action space; the actor ends in a softmax over actions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,12 +37,19 @@ class ActorNetwork:
     actor-critic to maximize diversity".
     """
 
-    def __init__(self, n_actions: int, rng: np.random.Generator) -> None:
+    def __init__(
+        self,
+        n_actions: int,
+        rng: Optional[np.random.Generator] = None,
+        net: Optional[MLP] = None,
+    ) -> None:
+        """Glorot weights drawn from ``rng``, or ``net`` as it is (a loaded
+        model's stored weights, of the same layer sizes)."""
         if n_actions < 1:
             raise ValueError(f"need at least one action, got {n_actions}")
         self.n_actions = n_actions
         # The state is the multi-hot selection over the actions.
-        self.net = MLP([n_actions, *HIDDEN, n_actions], rng)
+        self.net = net if net is not None else MLP([n_actions, *HIDDEN, n_actions], rng)
 
     # -------------------------------------------------------------- #
     def logits(self, states: np.ndarray) -> np.ndarray:
@@ -87,9 +94,15 @@ class ActorNetwork:
 class CriticNetwork:
     """Value network V(s) with a single linear output."""
 
-    def __init__(self, state_dim: int, rng: np.random.Generator) -> None:
+    def __init__(
+        self,
+        state_dim: int,
+        rng: Optional[np.random.Generator] = None,
+        net: Optional[MLP] = None,
+    ) -> None:
+        """Glorot weights drawn from ``rng``, or ``net`` as it is."""
         self.state_dim = state_dim
-        self.net = MLP([state_dim, *HIDDEN, 1], rng)
+        self.net = net if net is not None else MLP([state_dim, *HIDDEN, 1], rng)
 
     def value(self, states: np.ndarray) -> np.ndarray:
         """V(s) for a batch of states, shape ``(batch,)``."""

@@ -17,6 +17,7 @@ from repro.db import (
     ColumnType,
     Database,
     DictEncoded,
+    SchemaError,
     Table,
     TableSchema,
     execute,
@@ -165,6 +166,62 @@ def test_from_values_equals_np_unique(values):
     np.testing.assert_array_equal(encoded.codes, expected.codes)
     assert not encoded.codes.flags.writeable
     assert not encoded.dictionary.flags.writeable
+
+
+@given(data=st.data(), values=st.lists(_TEXT, min_size=1, max_size=12))
+@example(data=None, values=["a"])
+@settings(max_examples=150, deadline=None)
+def test_from_picks_equals_the_gathered_list(data, values):
+    """Duplicate and undrawn values, no picks at all, one value."""
+    if data is None:
+        picks = []
+    else:
+        picks = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=60))
+    encoded = DictEncoded.from_picks(values, np.asarray(picks, dtype=np.int64))
+    assert_encodes(encoded, [values[i] for i in picks])
+
+
+@given(values=st.lists(
+    _TEXT.filter(lambda text: not text.endswith("\x00")), unique=True, max_size=12
+))
+@example(values=[])
+@example(values=["b", "a", "\U0001d518", "é"])
+@settings(max_examples=150, deadline=None)
+def test_from_distinct_equals_the_per_row_encoding(values):
+    """Empty, one value, non-BMP text; a ``U`` array drops trailing NULs,
+    so values ending in one are not drawn."""
+    encoded = DictEncoded.from_distinct(np.asarray(values, dtype=str))
+    assert_encodes(encoded, values)
+
+
+def assert_encodes(encoding, values):
+    """``encoding`` is ``reference_from_values(values)`` (``np.unique``'s),
+    to the dtypes, the dictionary's object types and the read-only flags."""
+    expected = reference_from_values(values)
+    assert encoding.dictionary.dtype == object
+    assert encoding.dictionary.tolist() == expected.dictionary.tolist()
+    assert [type(v) for v in encoding.dictionary] == [
+        type(v) for v in expected.dictionary
+    ]
+    assert encoding.codes.dtype == np.int32
+    assert encoding.codes.tobytes() == expected.codes.tobytes()
+    assert not encoding.codes.flags.writeable
+    assert not encoding.dictionary.flags.writeable
+
+
+def test_table_stores_a_given_encoding_as_it_is():
+    schema = TableSchema("t", [Column("s", ColumnType.STR), Column("n", ColumnType.INT)])
+    encoded = DictEncoded.from_picks(["b", "a"], np.asarray([0, 1, 0]))
+    table = Table(schema, {"s": encoded, "n": [1, 2, 3]})
+    assert table.encoding("s") is encoded
+    assert table.column("s").tolist() == ["b", "a", "b"]
+    with pytest.raises(SchemaError, match="'s' has 3 values, expected 2"):
+        Table(
+            TableSchema("u", [Column("n", ColumnType.INT), Column("s", ColumnType.STR)]),
+            {"n": [1, 2], "s": encoded},
+        )
+    with pytest.raises(SchemaError, match="dictionary encoding"):
+        Table(schema, {"s": encoded, "n": encoded})
 
 
 _MIXED = st.one_of(

@@ -20,7 +20,11 @@ from repro.datasets.synthetic import (
 )
 from repro.datasets.workloads import PooledSampler
 from repro.db import Column, ColumnType, DictEncoded, execute, execute_aggregate, sql
-from tests.test_columnstore import reference_coerce, reference_from_values
+from tests.test_columnstore import (
+    assert_encodes,
+    reference_coerce,
+    reference_from_values,
+)
 
 
 class TestSyntheticPrimitives:
@@ -30,7 +34,7 @@ class TestSyntheticPrimitives:
         assert all(weights[i] >= weights[i + 1] for i in range(9))
 
     def test_zipf_choice_skew(self, rng):
-        picks = zipf_choice(list("abcdefghij"), 2000, rng, exponent=1.2)
+        picks = zipf_choice(list("abcdefghij"), 2000, rng, exponent=1.2).decode().tolist()
         counts = {v: picks.count(v) for v in set(picks)}
         assert counts["a"] > counts.get("j", 0)
 
@@ -44,7 +48,7 @@ class TestSyntheticPrimitives:
         assert counts.max() > 3 * np.median(counts[counts > 0])
 
     def test_names_unique(self, rng):
-        names = synthetic_names(200, rng)
+        names = synthetic_names(200, rng).decode().tolist()
         assert len(set(names)) == 200
 
     def test_year_column_bounds(self, rng):
@@ -69,6 +73,11 @@ def reference_synthetic_names(n, rng, n_syllables=3, prefix=""):
     return names
 
 
+def reference_from_picks(values, picks):
+    """``DictEncoded.from_picks`` as the per-row list of drawn values."""
+    return [values[i] for i in picks]
+
+
 def reference_info_column(info_types, rng):
     """IMDB's ``movie_info.info`` as one ``rng.choice`` per row."""
     return [str(rng.choice(imdb._INFO_VALUES[info_type])) for info_type in info_types]
@@ -84,8 +93,9 @@ class TestColumnGenerators:
         expected = reference_synthetic_names(
             n, expected_rng, n_syllables=n_syllables, prefix=prefix
         )
-        assert names == expected
-        assert all(type(name) is str for name in names)
+        assert names.decode().tolist() == expected
+        assert_encodes(names, expected)
+        assert all(type(name) is str for name in names.dictionary)
         assert rng.random() == expected_rng.random()  # same stream position
 
     def test_names_need_a_syllable(self):
@@ -98,17 +108,31 @@ class TestColumnGenerators:
         info_types = zipf_choice(imdb.INFO_TYPES, n, types_rng, exponent=0.5)
         rng, expected_rng = np.random.default_rng(9), np.random.default_rng(9)
         info = imdb._info_column(info_types, rng)
-        expected = reference_info_column(info_types, expected_rng)
-        assert info.tolist() == expected
+        expected = reference_info_column(info_types.decode().tolist(), expected_rng)
+        assert info.decode().tolist() == expected
+        assert_encodes(info, expected)
+        assert rng.random() == expected_rng.random()
+
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    def test_zipf_choice_equals_the_per_row_draws(self, n):
+        rng, expected_rng = np.random.default_rng(n), np.random.default_rng(n)
+        drawn = zipf_choice(imdb.KINDS, n, rng, exponent=1.0)
+        picks = expected_rng.choice(
+            len(imdb.KINDS), size=n, p=zipf_weights(len(imdb.KINDS), 1.0)
+        )
+        assert_encodes(drawn, reference_from_picks(imdb.KINDS, picks))
         assert rng.random() == expected_rng.random()
 
 
 def _reference_build(monkeypatch, make_db, scale, seed):
-    """``make_db`` with every per-row original patched back in."""
+    """``make_db`` with every per-row original patched back in: each
+    ``STR`` column reaches its table as the list of its values."""
     coerce = Column.coerce
+    coerced = []
 
     def loop_coerce(column, values):
         if column.ctype is ColumnType.STR:
+            coerced.append(column.name)
             return reference_coerce(column, values)
         return coerce(column, values)
 
@@ -116,9 +140,15 @@ def _reference_build(monkeypatch, make_db, scale, seed):
         for module in (imdb, mas, flights):
             patch.setattr(module, "synthetic_names", reference_synthetic_names)
         patch.setattr(imdb, "_info_column", reference_info_column)
+        patch.setattr(DictEncoded, "from_picks", staticmethod(reference_from_picks))
         patch.setattr(Column, "coerce", loop_coerce)
         patch.setattr(DictEncoded, "from_values", staticmethod(reference_from_values))
-        return make_db(scale=scale, seed=seed)
+        db = make_db(scale=scale, seed=seed)
+    assert coerced == [
+        column.name for table in db for column in table.schema.columns
+        if column.ctype is ColumnType.STR
+    ]
+    return db
 
 
 @pytest.mark.parametrize("make_db", [

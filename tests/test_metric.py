@@ -96,6 +96,27 @@ class TestScore:
         workload = Workload([sql("SELECT * FROM movies WHERE movies.genre = 'drama'")])
         assert score(mini_db, fake, workload) == pytest.approx(0.0)
 
+    def test_rows_with_null_floats_count(self):
+        """A row holding a NULL float is in q(S) ∩ q(T): the two executions'
+        NaN cells are one value to the keys, not two unequal ones."""
+        from repro.db import Column, ColumnType, Database, Table, TableSchema
+
+        schema = TableSchema("p", [
+            Column("id", ColumnType.INT),
+            Column("x", ColumnType.FLOAT, nullable=True),
+        ])
+        db = Database([Table(schema, {"id": [0, 1, 2], "x": [np.nan, 1.5, np.nan]})])
+        workload = Workload([sql("SELECT * FROM p"), sql("SELECT p.x FROM p")])
+        assert per_query_scores(db, db, workload).tolist() == [1.0, 1.0]
+        half = db.subset({"p": [0]})
+        assert per_query_scores(db, half, workload).tolist() == [1 / 3, 1 / 2]
+
+    def test_sum_past_one_by_rounding_is_one(self, mini_db):
+        query = sql("SELECT * FROM movies WHERE movies.genre = 'drama'")
+        workload = Workload([query] * 6)
+        assert sum(workload.spj_only().weights) > 1.0  # renormalised sixths
+        assert score(mini_db, mini_db, workload) == 1.0
+
     def test_per_query_scores_shape(self, mini_db):
         workload = self._workload()
         values = per_query_scores(mini_db, mini_db, workload)

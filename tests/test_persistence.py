@@ -234,6 +234,9 @@ KEY_MEMBERS = (
     "action_sources", "coverage_sampled", "coverage_shapes", "coverage_tables",
     "coverage_ids",
 )
+#: Network members: a layer is built from its stored arrays, and one
+#: missing or of other sizes (not broadcast into a drawn one) is damage.
+NETWORK_MEMBERS = ("actor_w0", "actor_b2", "critic_w1", "critic_b0")
 
 
 def _rewrite_member(path, name, change):
@@ -316,7 +319,7 @@ class TestDamagedModel:
         assert "does not hold" in str(info.value)
 
     @pytest.mark.parametrize("how", ["missing", "truncated", "wrong shape"])
-    @pytest.mark.parametrize("member", KEY_MEMBERS)
+    @pytest.mark.parametrize("member", KEY_MEMBERS + NETWORK_MEMBERS)
     def test_damaged_key_array_raises_one_error_naming_the_file(
         self, trained, tiny_flights, tmp_path, member, how
     ):
