@@ -68,7 +68,6 @@ sys.path.insert(0, str(ROOT))  # for ``tests``
 
 from repro import obs
 from repro.core import (
-    Action,
     ActionSpace,
     ASQPConfig,
     GSLEnvironment,
@@ -273,15 +272,23 @@ def _rollout_fixture(coverages, rng: np.random.Generator) -> MultiActorCollector
     """8 logical actors on a GSL environment of ``N_ACTIONS`` 8-tuple groups
     sharing one coverage index, the way ``run_training_loop`` builds them;
     the budget ends an episode after ~50 steps."""
-    universe = sorted({key for c in coverages for row in c.requirements for key in row})
-    actions = [
-        Action(
-            keys=tuple(universe[int(p)] for p in rng.integers(0, len(universe), size=8)),
-            source_query=a % len(coverages),
-        )
-        for a in range(N_ACTIONS)
+    tables = sorted({table for c in coverages for table in c.tables})
+    # The distinct requirement keys in (table, row id) order.
+    universe = [
+        (t, row)
+        for t, table in enumerate(tables)
+        for row in kernels.sorted_unique(np.concatenate(
+            [c.ids[:, c.tables.index(table)] for c in coverages if table in c.tables]
+        )).tolist()
     ]
-    space = ActionSpace(actions)
+    picks = np.concatenate(
+        [rng.integers(0, len(universe), size=8) for _ in range(N_ACTIONS)]
+    )
+    key_tables, key_rows = np.asarray(universe, dtype=np.int64)[picks].T
+    space = ActionSpace(
+        tables, key_tables, key_rows, np.arange(0, 8 * N_ACTIONS + 1, 8),
+        np.arange(N_ACTIONS) % len(coverages),
+    )
     config = ASQPConfig(memory_budget=400, query_batch_size=16, seed=0)
     index = CoverageIndex(coverages)
     env_seeds = iter(np.random.SeedSequence(3).spawn(8))
@@ -312,17 +319,13 @@ def _approx_set_fixture():
     """An actor over |A| = 828 six-tuple groups (hidden 128/64) and k = 1000:
     a rollout of Alg. 2 takes ~170 steps, the figure-scale fit's."""
     rng = np.random.default_rng(29)
-    actions = [
-        Action(
-            keys=tuple(
-                (f"t{j % 3}", int(row))
-                for j, row in enumerate(rng.integers(0, 20_000, size=6))
-            ),
-            source_query=a % 35,
-        )
-        for a in range(828)
-    ]
-    space = ActionSpace(actions)
+    space = ActionSpace(
+        ["t0", "t1", "t2"],
+        np.tile(np.arange(6) % 3, 828),
+        np.concatenate([rng.integers(0, 20_000, size=6) for _ in range(828)]),
+        np.arange(0, 6 * 828 + 1, 6),
+        np.arange(828) % 35,
+    )
     return ActorNetwork(len(space), rng), space, ASQPConfig(memory_budget=1000, seed=0)
 
 
@@ -591,7 +594,7 @@ def run_benchmarks(rounds: int) -> dict:
 
     collector = _rollout_fixture(coverages, rng)
     buffer = RolloutBuffer()
-    collector.collect(1, buffer)  # also warms the shared interned-action memo
+    collector.collect(1, buffer)
     measure(
         "rollout_collect",
         lambda: _collect_one_actor_at_a_time(collector),

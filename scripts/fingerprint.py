@@ -22,7 +22,10 @@ After the fit and after every fine-tune it prints one SHA-1 per actor /
 critic parameter (the array's bytes), one of ``model.history`` at full
 precision (the wall-clock fields left out), one of the selected
 approximation set's keys and one of the greedy-only set's
-(``approximation_set(greedy=False)``), then ``loaded_selected_keys``: the
+(``approximation_set(greedy=False)``), then ``saved.action_space``: the
+SHA-1 of the action space as the saved ``arrays.npz`` stores it (each key
+decoded to its table name and row id, the per-action key offsets and the
+source codes), then ``loaded_selected_keys``: the
 SHA-1 of the selected set's keys after a ``save_model`` -> ``load_model``
 round trip, which must equal the stage's ``selected_keys`` (a checkout
 where it does not counts as a differing row), and ``reloaded.coverages``:
@@ -100,6 +103,22 @@ def coverage_digest(coverages) -> str:
         )).encode())
         digest.update(coverage.ids.tobytes())
     return digest.hexdigest()
+
+
+def saved_action_space(directory: str) -> str:
+    """SHA-1 of the action space in a saved model's ``arrays.npz``: each key
+    as ``(table name, row id)``, then the key offsets and source codes."""
+    import numpy as np
+
+    with np.load(os.path.join(directory, "arrays.npz")) as arrays:
+        names = arrays["table_names"].tolist()
+        tables = [names[code] for code in arrays["action_tables"].tolist()]
+        record = (
+            list(zip(tables, arrays["action_rows"].tolist())),
+            arrays["action_offsets"].tolist(),
+            arrays["action_sources"].tolist(),
+        )
+    return sha1(repr(record).encode())
 
 
 def database_digest(db) -> str:
@@ -186,6 +205,7 @@ def child(workload: str, input_seed: int | None) -> None:
             print(f"{stage}.{name} {digest}", flush=True)
         with tempfile.TemporaryDirectory() as directory:
             save_model(model, directory)
+            print(f"{stage}.saved.action_space {saved_action_space(directory)}", flush=True)
             loaded = load_model(directory, inputs.db)
         keys = loaded.approximation_set().keys()
         print(f"{stage}.loaded_selected_keys {sha1(repr(keys).encode())}", flush=True)

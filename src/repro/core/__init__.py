@@ -7,7 +7,7 @@ training/inference, the answerability estimator, drift detection,
 workload generation, and the interactive session facade.
 """
 
-from .action_space import Action, ActionSpace, group_rows_into_actions
+from .action_space import ActionSpace, group_rows_into_actions
 from .agent import ASQPAgent
 from .approximation import ApproximationSet, TupleKey
 from .config import ASQPConfig
@@ -39,7 +39,6 @@ __all__ = [
     "ASQPSession",
     "ASQPSystem",
     "ASQPTrainer",
-    "Action",
     "ActionSpace",
     "AnswerabilityEstimate",
     "AnswerabilityEstimator",

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from ..db.database import Database
 
@@ -26,6 +28,19 @@ class ApproximationSet:
     def from_keys(cls, keys: Iterable[TupleKey]) -> "ApproximationSet":
         approx = cls()
         approx.add_keys(keys)
+        return approx
+
+    @classmethod
+    def from_codes(
+        cls, tables: Sequence[str], codes: np.ndarray, slots: int
+    ) -> "ApproximationSet":
+        """The set of the keys ``(tables[code % slots], code // slots)``."""
+        slot, row_ids = codes % slots, codes // slots
+        approx = cls()
+        for s, table in enumerate(tables):
+            ids = row_ids[slot == s]
+            if len(ids):
+                approx.rows[table] = set(ids.tolist())
         return approx
 
     @classmethod

@@ -16,9 +16,9 @@ One class runs the three variants of the Fig. 3 ablation, chosen by
 
 The selection is one state: the multi-hot ``selected`` vector over the
 action space (the policy's state, with action masking forbidding a
-re-selection, paper §4.3) plus a refcount per tuple key, because groups
-share tuples and a swap must keep a tuple another selected group still
-holds. The set's size and :meth:`approximation_set` read the refcount.
+re-selection, paper §4.3) plus a refcount per key id of the space, because
+groups share tuples and a swap must keep a tuple another selected group
+still holds. The set's size and :meth:`approximation_set` read the refcount.
 
 Growth stops once the set holds ``k`` tuples, so the last group added may
 overshoot ``k`` by up to one group. Alg. 2 trims that overshoot at
@@ -37,9 +37,9 @@ import numpy as np
 
 from ..rl.parallel import Environment
 from .action_space import ActionSpace
-from .approximation import ApproximationSet, TupleKey
+from .approximation import ApproximationSet
 from .config import ASQPConfig
-from .reward import CoverageIndex, CoverageTracker, QueryCoverage
+from .reward import CoverageIndex, CoverageTracker, InternedKeys, QueryCoverage
 
 
 class GSLEnvironment(Environment):
@@ -76,7 +76,15 @@ class GSLEnvironment(Environment):
         )
         self._weights /= self._weights.sum()
         self.selected = np.zeros(len(action_space), dtype=bool)
-        self._refs: Counter[TupleKey] = Counter()
+        # The whole space in the tracker's index, looked up once; an action's
+        # slices are cut the first time this environment takes it.
+        self._index_keys, self._index_offsets = self.tracker.index.intern_actions(
+            action_space
+        )
+        self._offsets = action_space.offsets.tolist()
+        self._taken: list[Optional[tuple[list[int], InternedKeys]]]
+        self._taken = [None] * len(action_space)
+        self._refs: Counter[int] = Counter()
         self.batch: list[int] = []
 
     @property
@@ -93,7 +101,9 @@ class GSLEnvironment(Environment):
         return self.size >= self.config.memory_budget
 
     def approximation_set(self) -> ApproximationSet:
-        return ApproximationSet.from_keys(self._refs)
+        return self.action_space.approximation(
+            np.fromiter(self._refs, dtype=np.int64, count=len(self._refs))
+        )
 
     def _state(self) -> np.ndarray:
         return self.selected.copy()
@@ -109,13 +119,26 @@ class GSLEnvironment(Environment):
         picks = self.rng.choice(n, size=size, replace=False, p=self._weights)
         return [int(p) for p in picks]
 
+    def _keys(self, action: int) -> tuple[list[int], InternedKeys]:
+        """An action's key ids in the space, and as the tracker's index has them."""
+        keys = self._taken[action]
+        if keys is None:
+            first, last = self._offsets[action], self._offsets[action + 1]
+            lo, hi = self._index_offsets[action], self._index_offsets[action + 1]
+            ids, counts = self._index_keys
+            keys = self._taken[action] = (
+                self.action_space.key_ids[first:last].tolist(),
+                InternedKeys(ids[lo:hi], counts[lo:hi]),
+            )
+        return keys
+
     def _add(self, action: int) -> None:
         # One batch tracker update per action group (CSR scatter), not one
         # incidence walk per key.
         self.selected[action] = True
-        keys = self.action_space.keys_of(action)
-        self._refs.update(keys)
-        self.tracker.add_keys(self.tracker.index.interned(keys))
+        key_ids, index_keys = self._keys(action)
+        self._refs.update(key_ids)
+        self.tracker.add_keys(index_keys)
 
     def _evict_random(self) -> None:
         selected_indices = np.flatnonzero(self.selected)
@@ -123,13 +146,13 @@ class GSLEnvironment(Environment):
             return
         victim = int(self.rng.choice(selected_indices))
         self.selected[victim] = False
-        keys = self.action_space.keys_of(victim)
-        for key in keys:
+        key_ids, index_keys = self._keys(victim)
+        for key in key_ids:
             if self._refs[key] > 1:
                 self._refs[key] -= 1
             else:
                 del self._refs[key]
-        self.tracker.remove_keys(self.tracker.index.interned(keys))
+        self.tracker.remove_keys(index_keys)
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
         self.selected[:] = False

@@ -51,7 +51,8 @@ def generate_approximation_set(
     pre = net.biases[0].copy()
     selected = np.zeros(actor.n_actions, dtype=bool)
     probs = np.empty(actor.n_actions)
-    approx = ApproximationSet()
+    key_ids, offsets = action_space.key_ids, action_space.offsets
+    held = np.zeros(action_space.total_distinct_tuples(), dtype=bool)
     size = 0
     for _ in range(actor.n_actions):  # after |A| steps the mask is empty
         if size >= budget:
@@ -60,13 +61,15 @@ def generate_approximation_set(
         action = choose(logits, selected, probs, None if greedy else rng.random())
         selected[action] = True
         pre += net.weights[0][action]
-        new_keys = [key for key in action_space.keys_of(action) if key not in approx]
-        if len(new_keys) > budget - size:
-            # Trim the final group so Σ|S_i| never exceeds the budget.
-            new_keys = new_keys[: budget - size]
-        approx.add_keys(new_keys)
-        size += len(set(new_keys))  # an Action may repeat a key
-    return approx
+        ids = key_ids[offsets[action]:offsets[action + 1]]
+        new = ids[~held[ids]]
+        if len(new) > budget - size:
+            # Trim the final group, in key order, so Σ|S_i| never exceeds
+            # the budget.
+            new = new[: budget - size]
+        held[new] = True
+        size = int(np.count_nonzero(held))  # an action may repeat a key
+    return action_space.approximation(np.flatnonzero(held))
 
 
 def choose(

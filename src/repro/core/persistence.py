@@ -11,9 +11,10 @@ every session pays for opening it again. A model directory of format 5
   (round-tripped through :func:`repro.db.sql.sql`, each distinct text
   parsed once on load) plus weights;
 * ``arrays.npz`` — network weights; the representative / training query
-  embeddings (the estimator's inputs); the action space as table codes
-  into ``table_names``, row ids, per-action key offsets and source codes;
-  and the requirement rows of every coverage that was not sampled, as one
+  embeddings (the estimator's inputs); the action space as it is held
+  (:class:`~repro.core.action_space.ActionSpace`): table codes into
+  ``table_names``, row ids, per-action key offsets and source codes; and
+  the requirement rows of every coverage that was not sampled, as one
   concatenated row-id array with each coverage's table codes and shape.
   Stored uncompressed;
 * ``history.json`` — training diagnostics and metadata;
@@ -72,7 +73,7 @@ from ..db.statistics import compute_database_stats
 from ..embedding.query_embed import QueryEmbedder
 from ..rl.nn import MLP
 from ..rl.policy import HIDDEN, ActorNetwork, CriticNetwork
-from .action_space import Action, ActionSpace
+from .action_space import ActionSpace
 from .agent import ASQPAgent
 from .approximation import ApproximationSet
 from .config import ASQPConfig
@@ -188,20 +189,16 @@ def _key_arrays(model: TrainedModel) -> dict[str, np.ndarray]:
     """The action space and every coverage that was not sampled, as a few
     concatenated arrays: table codes into ``table_names``, row ids, and
     each action's key offsets / each coverage's ``ids`` shape."""
-    actions = list(model.action_space)
-    keys = [key for action in actions for key in action.keys]
+    space = model.action_space
     stored = [c for c in model.coverages if not c.sampled]
-    names = sorted({table for table, _ in keys}.union(*(c.tables for c in stored)))
+    names = sorted(set(space.tables).union(*(c.tables for c in stored)))
     code = {name: i for i, name in enumerate(names)}.__getitem__
-    key_tables, key_rows = zip(*keys)
     return {
         "table_names": np.asarray(names, dtype=str),
-        "action_tables": np.fromiter(map(code, key_tables), np.int64, len(keys)),
-        "action_rows": np.asarray(key_rows, dtype=np.int64),
-        "action_offsets": np.cumsum([0] + [len(a.keys) for a in actions]),
-        "action_sources": np.asarray(
-            [a.source_query for a in actions], dtype=np.int64
-        ),
+        "action_tables": space.table_codes(names),
+        "action_rows": space.key_rows,
+        "action_offsets": space.offsets,
+        "action_sources": space.sources,
         "coverage_sampled": np.asarray(
             [c.sampled for c in model.coverages], dtype=bool
         ),
@@ -263,32 +260,6 @@ def save_model(model: TrainedModel, directory: str) -> None:
         directory, "selected.json",
         {t: sorted(ids) for t, ids in sorted(selected.rows.items())},
     )
-
-
-def _read_actions(
-    arrays: Mapping[str, np.ndarray], names: Sequence[str]
-) -> tuple[ActionSpace, list[tuple[str, np.ndarray]]]:
-    """The stored action space, and its row ids per table."""
-    key_tables = _member(arrays, "action_tables", "i")
-    key_rows = _member(arrays, "action_rows", "i")
-    offsets = _member(arrays, "action_offsets", "i").tolist()
-    sources = _member(arrays, "action_sources", "i").tolist()
-    if (
-        len(key_tables) != len(key_rows) or len(offsets) != len(sources) + 1
-        or offsets[0] != 0 or offsets[-1] != len(key_rows)
-        or np.any(np.diff(offsets) <= 0)
-    ):
-        raise ValueError("action arrays of inconsistent lengths")
-    keys = list(zip(_named(names, key_tables), key_rows.tolist()))
-    action_space = ActionSpace([
-        Action(keys=tuple(keys[lo:hi]), source_query=source)
-        for lo, hi, source in zip(offsets, offsets[1:], sources)
-    ])
-    rows = [
-        (names[code], key_rows[key_tables == code])
-        for code in np.flatnonzero(np.bincount(key_tables, minlength=len(names)))
-    ]
-    return action_space, rows
 
 
 def _read_coverages(
@@ -355,7 +326,14 @@ def load_model(directory: str, db: Database) -> TrainedModel:
         arrays_path
     ) as arrays:
         names = _member(arrays, "table_names", "U").tolist()
-        action_space, action_rows = _read_actions(arrays, names)
+        action_space = ActionSpace(names, *(
+            _member(arrays, f"action_{part}", "i")
+            for part in ("tables", "rows", "offsets", "sources")
+        ))
+        action_rows = [
+            (names[code], action_space.key_rows[action_space.key_tables == code])
+            for code in np.flatnonzero(np.bincount(action_space.key_tables))
+        ]
         sampled, stored, coverage_rows = _read_coverages(
             arrays, names, len(representatives)
         )

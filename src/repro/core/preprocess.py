@@ -33,10 +33,9 @@ from ..datasets.workloads import Workload
 from ..embedding.cluster import select_representatives
 from ..embedding.query_embed import QueryEmbedder
 from ..embedding.relaxation import QueryRelaxer
-from .action_space import ActionSpace, group_rows_into_actions
-from .approximation import TupleKey
+from .action_space import ActionSpace, RowBlock, group_rows_into_actions
 from .config import ASQPConfig
-from .reward import QueryCoverage, as_rows
+from .reward import QueryCoverage
 
 #: Safety cap on provenance rows kept per query for reward tracking.
 MAX_REQUIREMENT_ROWS = 5000
@@ -114,11 +113,11 @@ def build_coverage(
 
 
 class RowPool:
-    """Candidate action rows, columnar until :meth:`take` picks some: per
-    executed query, its :func:`provenance_ids` and its rows' source code."""
+    """Candidate action rows: per executed query, its
+    :func:`provenance_ids` and its rows' source code."""
 
     def __init__(self) -> None:
-        self._blocks: list[tuple[Sequence[str], np.ndarray, int]] = []
+        self._blocks: list[RowBlock] = []
 
     def add(self, tables: Sequence[str], ids: np.ndarray, source: int) -> None:
         self._blocks.append((tables, ids, source))
@@ -130,19 +129,15 @@ class RowPool:
             [len(ids) for _, ids, _ in self._blocks],
         )
 
-    def take(
-        self, positions: np.ndarray
-    ) -> tuple[list[tuple[TupleKey, ...]], list[int]]:
-        """Rows and sources at ascending pool ``positions``, as tuples."""
-        rows: list[tuple[TupleKey, ...]] = []
-        sources: list[int] = []
+    def take(self, positions: np.ndarray) -> list[RowBlock]:
+        """The rows at ascending pool ``positions``, block by block."""
+        blocks: list[RowBlock] = []
         start = 0
         for tables, ids, source in self._blocks:
             lo, hi = np.searchsorted(positions, [start, start + len(ids)])
-            rows += as_rows(tables, ids[positions[lo:hi] - start])
-            sources += [source] * int(hi - lo)
+            blocks.append((tables, ids[positions[lo:hi] - start], source))
             start += len(ids)
-        return rows, sources
+        return blocks
 
 
 def _rows_among(ids: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -217,11 +212,11 @@ def preprocess(
     extension = RowPool()
     for q, relaxed in enumerate(relaxed_reps):
         coverage = coverages[q]
-        exact.add(coverage.tables, coverage.ids, q)
         # Relaxation only rewrites the predicate, so both results span the
-        # same tables. Odd source codes keep extension rows grouped apart
-        # from exact rows of the same query, so one action is either "known
-        # result rows" or "generalization rows", never a dilution of both.
+        # same tables. Even / odd source codes keep exact and extension rows
+        # grouped apart, so one action is either "known result rows" or
+        # "generalization rows", never a dilution of both.
+        exact.add(coverage.tables, coverage.ids, 2 * q)
         tables, ids = provenance_ids(db, relaxed)
         extension.add(tables, ids[~_rows_among(ids, coverage.ids)], 2 * q + 1)
     timings["execute_relaxed"] = perf_counter() - t0
@@ -233,20 +228,17 @@ def preprocess(
     extension_sample = variational_subsample(
         extension.sources(), max(0, target_rows - len(exact_sample)), rng
     )
-    kept_rows, exact_sources = exact.take(exact_sample.positions)
-    kept_sources = [2 * q for q in exact_sources]
-    extension_rows, extension_sources = extension.take(extension_sample.positions)
-    kept_rows += extension_rows
-    kept_sources += extension_sources
-    actions = group_rows_into_actions(
-        kept_rows, kept_sources, config.group_size, rng
+    action_space = group_rows_into_actions(
+        exact.take(exact_sample.positions)
+        + extension.take(extension_sample.positions),
+        config.group_size,
+        rng,
     )
-    if not actions:
+    if action_space is None:
         raise ValueError(
             "pre-processing produced no actions: the relaxed representatives "
             "returned no rows — check the workload against the database"
         )
-    action_space = ActionSpace(actions)
     timings["build_action_space"] = perf_counter() - t0
 
     return PreprocessResult(

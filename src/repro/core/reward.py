@@ -14,7 +14,7 @@ and evaluates the Eq. 1 score over any batch of queries in O(1) per query.
 A :class:`QueryCoverage` keeps those requirements columnar — the sorted
 table names and an ``int64`` row-id matrix, one column per table — so a
 requirement row costs one ``int64`` per table rather than a tuple of
-tuples; tuples exist only while a caller iterates the rows.
+tuples.
 
 The key → result-row incidence is an immutable **CSR structure**
 (:class:`CoverageIndex`, shareable between trackers) built from those
@@ -44,35 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from ..db.kernels import sorted_unique, stable_argsort
+from .action_space import ActionSpace
 from .approximation import ApproximationSet, TupleKey
-
-
-def as_rows(tables: Sequence[str], ids: np.ndarray) -> list[tuple[TupleKey, ...]]:
-    """Rows of a row-id matrix as tuples of ``(table, row id)`` keys."""
-    return [tuple(zip(tables, row)) for row in ids.tolist()]
-
-
-class RequirementRows:
-    """The tuple view of a :class:`QueryCoverage`'s row-id matrix: ``len()``
-    reads the matrix's shape; tuples are built only as rows are iterated."""
-
-    __slots__ = ("tables", "ids")
-
-    def __init__(self, tables: tuple[str, ...], ids: np.ndarray) -> None:
-        self.tables = tables
-        self.ids = ids
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self) -> Iterator[tuple[TupleKey, ...]]:
-        tables = self.tables
-        return (tuple(zip(tables, row)) for row in self.ids.tolist())
 
 
 @dataclass(eq=False)
@@ -114,9 +92,9 @@ class QueryCoverage:
             )
 
     @property
-    def requirements(self) -> RequirementRows:
-        """One ``(table, row id)`` tuple per table for each result row."""
-        return RequirementRows(self.tables, self.ids)
+    def requirements(self) -> np.ndarray:
+        """The requirement rows: ``ids``, one row per distinct result row."""
+        return self.ids
 
     @property
     def is_empty(self) -> bool:
@@ -187,7 +165,6 @@ class CoverageIndex:
         self.initial_covered = np.bincount(
             self.row_query[self.initial_missing == 0], minlength=n_queries
         ).astype(np.int64)
-        self._interned: dict[tuple[TupleKey, ...], InternedKeys] = {}
 
     def row_codes(self, coverage: QueryCoverage) -> np.ndarray:
         """A coverage's row-id matrix with every key as its code: one row
@@ -197,13 +174,7 @@ class CoverageIndex:
 
     def approximation(self, codes: np.ndarray) -> ApproximationSet:
         """The approximation set of the keys with these codes."""
-        slot, row_ids = codes % self.slots, codes // self.slots
-        approx = ApproximationSet()
-        for s, table in enumerate(self._tables):
-            ids = row_ids[slot == s]
-            if len(ids):
-                approx.rows[table] = set(ids.tolist())
-        return approx
+        return ApproximationSet.from_codes(self._tables, codes, self.slots)
 
     def row_key_ids(self, coverage: QueryCoverage) -> np.ndarray:
         """:meth:`row_codes` as dense key ids (the coverage is one this
@@ -237,13 +208,25 @@ class CoverageIndex:
             return InternedKeys(ids, np.ones(len(ids), dtype=np.int64))
         return InternedKeys(*np.unique(ids, return_counts=True))
 
-    def interned(self, keys: tuple[TupleKey, ...]) -> InternedKeys:
-        """:meth:`intern` of an action's key tuple, done once for all the
-        environments over this index (the memo is dropped with it)."""
-        found = self._interned.get(keys)
-        if found is None:
-            found = self._interned[keys] = self.intern(keys)
-        return found
+    def intern_actions(self, space: ActionSpace) -> tuple[InternedKeys, list[int]]:
+        """:meth:`intern` of every action of ``space`` in one pass: action
+        ``a``'s ids and counts are entries ``offsets[a]:offsets[a + 1]`` of
+        the returned arrays."""
+        # The space's distinct keys as this index's codes, in row order: the
+        # searchsorted's needles come (nearly) sorted, which makes it cheap.
+        tables = len(space.tables)
+        slots = [self._slot.get(t, self.slots - 1) for t in space.tables]
+        codes = space.distinct_codes // tables * self.slots + np.asarray(slots)[
+            space.distinct_codes % tables
+        ]
+        pos = self.codes.searchsorted(codes)
+        known = (np.append(self.codes, -1)[pos] == codes)[space.key_ids]  # codes >= 0
+        pos = pos[space.key_ids]
+        actions = np.repeat(np.arange(len(space)), np.diff(space.offsets))
+        n = max(self.n_keys, 1)
+        pairs, counts = np.unique(actions[known] * n + pos[known], return_counts=True)
+        offsets = np.cumsum(np.bincount(pairs // n, minlength=len(space)))
+        return InternedKeys(pairs % n, counts), [0] + offsets.tolist()
 
 
 def _eq1_terms(

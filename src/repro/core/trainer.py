@@ -235,20 +235,17 @@ class TrainedModel:
                 build_coverage(self.db, query, weight, config.frame_size, rng)
             )
 
-        pool_sources = pool.sources()
-        if pool_sources.size:
-            target = max(
-                config.group_size,
-                int(config.action_space_target * config.group_size * 0.25),
-            )
-            sample = variational_subsample(pool_sources, target, rng)
-            kept_rows, kept_sources = pool.take(sample.positions)
-            new_actions = group_rows_into_actions(
-                kept_rows, kept_sources, config.group_size, rng
-            )
-            if new_actions:
-                self.action_space = self.action_space.extend(new_actions)
-                self.agent.expand_action_space(len(self.action_space))
+        target = max(
+            config.group_size,
+            int(config.action_space_target * config.group_size * 0.25),
+        )
+        sample = variational_subsample(pool.sources(), target, rng)
+        new_actions = group_rows_into_actions(
+            pool.take(sample.positions), config.group_size, rng
+        )
+        if new_actions is not None:
+            self.action_space = self.action_space.extend(new_actions)
+            self.agent.expand_action_space(len(self.action_space))
 
         self.coverages.extend(new_coverages)
         self._coverage_index = None  # built for the shorter list

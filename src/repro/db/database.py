@@ -12,7 +12,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
 import numpy as np
 
-from .schema import SchemaError
+from .schema import INT_NULL, ColumnType, SchemaError
 from .table import Table
 
 #: How many queries a database keeps a prepared plan for
@@ -109,24 +109,38 @@ class Database:
         return Database(tables, name=name or f"{self.name}:subset")
 
     def scale(self, factor: int) -> "Database":
-        """Blow up every table by duplicating it ``factor`` times.
+        """A database ``factor`` times larger: every table tiled ``factor``
+        times, as ``factor`` disjoint copies of the data.
 
         Used by the Figure-4 "problem justification" experiment, which
         measures direct-query latency on progressively larger copies of the
-        data. Duplicated rows get fresh row ids.
+        data. Copy ``i`` of every integer primary-key and foreign-key column
+        (``TableSchema.primary_key`` / ``foreign_keys``) is offset by ``i *
+        span``, ``span`` exceeding the spread of their values, so copy ``i``
+        joins only copy ``i``: every query returns ``factor`` times its rows.
+        Other key columns are tiled unchanged. Rows get fresh row ids.
         """
         if factor < 1:
             raise ValueError(f"scale factor must be >= 1, got {factor}")
+        keys = {
+            t.name: [name for name in dict.fromkeys(
+                [t.schema.primary_key, *(fk.column for fk in t.schema.foreign_keys)]
+            ) if name and t.schema.column(name).ctype is ColumnType.INT]
+            for t in self
+        }
+        span = 1 + 2 * max([
+            int(np.abs(v[v != INT_NULL]).max(initial=0))
+            for t in self for v in map(t.column, keys[t.name])
+        ], default=0)
         tables = []
         for table in self._tables.values():
-            positions = np.tile(np.arange(len(table)), factor)
-            blown = table.take(positions)
-            blown = Table(
-                blown.schema,
-                {c: blown.column(c) for c in blown.schema.column_names},
-                row_ids=np.arange(len(blown)),
-            )
-            tables.append(blown)
+            blown = table.take(np.tile(np.arange(len(table)), factor))
+            columns = {c: blown.column(c) for c in blown.schema.column_names}
+            offsets = np.repeat(np.arange(factor, dtype=np.int64) * span, len(table))
+            for name in keys[table.name]:
+                values = columns[name]
+                columns[name] = np.where(values == INT_NULL, values, values + offsets)
+            tables.append(Table(blown.schema, columns, row_ids=np.arange(len(blown))))
         return Database(tables, name=f"{self.name}:x{factor}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

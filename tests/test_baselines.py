@@ -31,6 +31,7 @@ from repro.baselines.top_queried import most_queried
 from repro.core import ApproximationSet, CoverageTracker, QueryCoverage, TupleKey, score
 from repro.datasets import Workload, load_imdb, load_mas
 from repro.db import execute, sql
+from tests.test_action_env import as_rows
 
 
 class LRUTupleCache:
@@ -99,7 +100,7 @@ def reference_sample_catalog(groups, k, rng):
         rows: list[tuple] = []
         seen = set()
         for coverage in group:
-            for requirement in coverage.requirements:
+            for requirement in as_rows(coverage.tables, coverage.ids):
                 if requirement not in seen:
                     seen.add(requirement)
                     rows.append(requirement)
@@ -155,7 +156,7 @@ def reference_greedy(coverages, k):
 def _distinct_requirements(coverages):
     units, seen = [], set()
     for coverage in coverages:
-        for requirement in coverage.requirements:
+        for requirement in as_rows(coverage.tables, coverage.ids):
             if requirement not in seen:
                 seen.add(requirement)
                 units.append(requirement)
@@ -166,7 +167,7 @@ def assert_picks_within_rounding(coverages, k, picks):
     """Each pick's reference gain per new key is within 1e-12 of the
     largest at that step, and after the last pick no row's new keys fit:
     GRE and the rescan differ only on ties within float rounding."""
-    rows = [row for coverage in coverages for row in coverage.requirements]
+    rows = [row for coverage in coverages for row in as_rows(coverage.tables, coverage.ids)]
     units = _distinct_requirements(coverages)
     tracker = CoverageTracker(coverages)
     approx = ApproximationSet()
@@ -337,7 +338,7 @@ _catalogs = st.lists(
 
 
 def _n_keys(coverages):
-    return len({key for c in coverages for row in c.requirements for key in row})
+    return len({key for c in coverages for row in as_rows(c.tables, c.ids) for key in row})
 
 
 @given(coverages=_replays, seed=st.integers(0, 2**16))
@@ -347,7 +348,7 @@ def test_cached_set_is_the_lru_cache_after_the_replay(coverages, seed):
     for capacity in range(1, _n_keys(coverages) + 2):
         cache = LRUTupleCache(capacity)
         for q in np.random.default_rng(seed).permutation(len(coverages)):
-            for requirement in coverages[q].requirements:
+            for requirement in as_rows(coverages[q].tables, coverages[q].ids):
                 cache.touch_many(requirement)
         picked = cached_set(coverages, capacity, np.random.default_rng(seed))
         assert picked.rows == {t: set(ids) for t, ids in cache.contents().items()}
@@ -358,7 +359,7 @@ def test_cached_set_is_the_lru_cache_after_the_replay(coverages, seed):
 def test_most_queried_takes_the_keys_of_the_most_queries(coverages, seed, data):
     queries_of: dict = {}
     for q, coverage in enumerate(coverages):
-        for requirement in coverage.requirements:
+        for requirement in as_rows(coverage.tables, coverage.ids):
             for key in requirement:
                 queries_of.setdefault(key, set()).add(q)
     k = data.draw(st.integers(0, len(queries_of) + 1))

@@ -17,8 +17,8 @@ import pytest
 
 import repro
 from repro.core import ASQPConfig, build_coverage, preprocess
-from repro.core.reward import as_rows
 from repro.db import execute, sql, variational_subsample
+from tests.test_action_env import as_rows
 
 # ``repro.core.preprocess`` the attribute is the function of that name.
 preprocess_module = sys.modules["repro.core.preprocess"]
@@ -116,7 +116,7 @@ def test_provenance_rows_match_per_row_reference(bundle_name, request):
         sizes.append(len(rows))
         # The columnar coverage iterates to exactly those tuples.
         coverages.append(build_coverage(bundle.db, query, 1.0, frame_size=10))
-        assert list(coverages[-1].requirements) == rows, query.to_sql()
+        assert as_rows(coverages[-1].tables, coverages[-1].ids) == rows, query.to_sql()
     assert 0 in sizes and max(sizes) > 20
     # ... and its len() reads the matrix: no tuple is built.
     largest = coverages[sizes.index(max(sizes))]
@@ -160,7 +160,7 @@ def test_build_coverage_cap_draws_the_same_rows(monkeypatch, tiny_imdb, seed):
         expected = reference_capped_rows(
             tiny_imdb.db, query, 7, np.random.default_rng(seed)
         )
-        assert list(coverage.requirements) == expected
+        assert as_rows(coverage.tables, coverage.ids) == expected
         full = len(reference_provenance_rows(tiny_imdb.db, query))
         assert coverage.denominator == min(10, full)
         assert len(coverage.requirements) == min(7, full)
@@ -197,7 +197,10 @@ bundle = load_imdb(scale=0.1, n_queries=20, n_aggregate_queries=8)
 config = ASQPConfig(memory_budget=60, action_space_target=40,
                     n_query_representatives=5, exact_row_share=0.7, seed=3)
 prep = preprocess(bundle.db, bundle.workload, config)
-keys = [(action.keys, action.source_query) for action in prep.action_space]
+s = prep.action_space
+keys = list(zip([s.tables[c] for c in s.key_tables], s.key_rows.tolist()))
+o = s.offsets.tolist()
+keys = [(tuple(keys[lo:hi]), q) for lo, hi, q in zip(o, o[1:], s.sources.tolist())]
 print(hashlib.sha1(repr(keys).encode()).hexdigest())
 """
 

@@ -20,8 +20,8 @@ from repro.core import (
 )
 from repro.core import trainer as trainer_module
 from repro.core.preprocess import provenance_ids
-from repro.core.reward import as_rows
 from repro.db import execute, sql
+from tests.test_action_env import actions_of, as_rows, space_of
 
 
 def provenance_rows(db, query):
@@ -87,8 +87,8 @@ class TestPreprocess:
 
     def test_action_tuples_exist_in_database(self, tiny_imdb):
         prep = preprocess(tiny_imdb.db, tiny_imdb.workload, _tiny_config())
-        for action in list(prep.action_space)[:20]:
-            for table_name, row_id in action.keys:
+        for keys, _ in actions_of(prep.action_space)[:20]:
+            for table_name, row_id in keys:
                 table = tiny_imdb.db.table(table_name)
                 assert row_id in set(table.row_ids.tolist())
 
@@ -161,9 +161,7 @@ class TestInference:
         assert approx.total_size() <= 25
 
     def test_mismatched_space_rejected(self, trained, tiny_imdb):
-        from repro.core import Action, ActionSpace
-
-        bogus = ActionSpace([Action(keys=(("title", 0),))])
+        bogus = space_of([((("title", 0),), -1)])
         with pytest.raises(ValueError, match="does not match"):
             generate_approximation_set(trained.agent.actor, bogus, trained.config)
 

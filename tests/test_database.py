@@ -76,3 +76,10 @@ class TestScale:
         n1 = len(execute(mini_db, q))
         n2 = len(execute(mini_db.scale(2), q))
         assert n2 == 2 * n1
+
+    def test_scaled_join_results_scale_linearly(self, mini_db):
+        """Copy i of a table joins only copy i of another."""
+        q = sql("SELECT * FROM movies, cast_info WHERE movies.id = cast_info.movie_id")
+        n1 = len(execute(mini_db, q))
+        assert n1 == 7
+        assert len(execute(mini_db.scale(3), q)) == 3 * n1

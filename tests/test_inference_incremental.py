@@ -1,4 +1,4 @@
-"""Alg. 2 with the first layer as a running sum against the loop it replaced.
+"""Alg. 2 with the first layer as a running sum against the loops it replaced.
 
 ``generate_approximation_set`` adds one row of ``W0`` per step and finishes
 the pass with ``MLP.predict_from_first``; the loop that pushed the whole
@@ -6,7 +6,9 @@ multi-hot state through ``actor.greedy`` / ``actor.sample`` at every step is
 kept here as the reference (``benchmarks/bench_kernels.py`` times against it).
 The two must pick the same actions, build the same sets and leave the
 generator at the same draw; the only float difference allowed is the
-summation order of the first layer.
+summation order of the first layer. ``reference_generate_tuples`` is the
+running-sum loop as it held the set in ``(table, row id)`` tuples, before
+it tracked the held keys by id: the two must agree exactly.
 """
 
 import dataclasses
@@ -19,14 +21,13 @@ from repro.core import (
     ASQPAgent,
     ASQPConfig,
     ASQPTrainer,
-    Action,
-    ActionSpace,
     generate_approximation_set,
 )
 from repro.core import inference
 from repro.core.approximation import ApproximationSet
 from repro.rl.nn import MLP, masked_log_softmax_, masked_softmax
-from repro.rl.policy import draw_actions
+from repro.rl.policy import ActorNetwork, draw_actions
+from tests.test_action_env import actions_of, space_of
 
 SEEDS = range(20)
 
@@ -37,6 +38,7 @@ SEEDS = range(20)
 def reference_generate(actor, action_space, config, rng=None, greedy=True):
     budget = config.memory_budget
     rng = rng or np.random.default_rng(config.seed)
+    action_keys = [keys for keys, _ in actions_of(action_space)]
     selected = np.zeros(actor.n_actions, dtype=bool)
     approx = ApproximationSet()
     while approx.total_size() < budget:
@@ -48,12 +50,37 @@ def reference_generate(actor, action_space, config, rng=None, greedy=True):
         else:
             action = actor.sample(selected, mask, rng).action
         selected[action] = True
-        keys = list(action_space.keys_of(action))
+        keys = list(action_keys[action])
         remaining = budget - approx.total_size()
         new_keys = [key for key in keys if key not in approx]
         if len(new_keys) > remaining:
             new_keys = new_keys[:remaining]
         approx.add_keys(new_keys)
+    return approx
+
+
+def reference_generate_tuples(actor, action_space, config, rng=None, greedy=True):
+    budget = config.memory_budget
+    rng = rng or np.random.default_rng(config.seed)
+    action_keys = [keys for keys, _ in actions_of(action_space)]
+    net = actor.net
+    pre = net.biases[0].copy()
+    selected = np.zeros(actor.n_actions, dtype=bool)
+    probs = np.empty(actor.n_actions)
+    approx = ApproximationSet()
+    size = 0
+    for _ in range(actor.n_actions):
+        if size >= budget:
+            break
+        logits = net.predict_from_first(pre.copy())
+        action = inference.choose(logits, selected, probs, None if greedy else rng.random())
+        selected[action] = True
+        pre += net.weights[0][action]
+        new_keys = [key for key in action_keys[action] if key not in approx]
+        if len(new_keys) > budget - size:
+            new_keys = new_keys[: budget - size]
+        approx.add_keys(new_keys)
+        size += len(set(new_keys))
     return approx
 
 
@@ -70,7 +97,7 @@ def synthetic_actions(n, rng, tables=("title", "cast_info", "name"), rows=60):
         ]
         if i % 3 == 0:
             keys.append(keys[0])
-        actions.append(Action(keys=tuple(keys), source_query=i % 4))
+        actions.append((tuple(keys), i % 4))
     return actions
 
 
@@ -92,7 +119,7 @@ def policy(request, trained):
     if request.param == "trained":
         return trained.agent.actor, trained.action_space, config
     if request.param == "fresh":
-        space = ActionSpace(synthetic_actions(48, rng))
+        space = space_of(synthetic_actions(48, rng))
         return ASQPAgent(len(space), config, rng).actor, space, config
     agent = ASQPAgent(len(trained.action_space), config, rng)
     for target, source in zip(
@@ -100,19 +127,20 @@ def policy(request, trained):
     ):
         target[...] = source
     added = synthetic_actions(14, rng)
-    space = trained.action_space.extend(added)
+    space = trained.action_space.extend(space_of(added))
     agent.expand_action_space(len(space))
     return agent.actor, space, config
 
 
 def trimming_budget(actor, space, after_steps=3):
     """A budget the greedy rollout reaches in the middle of a group."""
+    action_keys = [keys for keys, _ in actions_of(space)]
     selected = np.zeros(actor.n_actions, dtype=bool)
     seen = set()
     for step in range(actor.n_actions):
         action = actor.greedy(selected, ~selected)
         selected[action] = True
-        new = set(space.keys_of(action)) - seen
+        new = set(action_keys[action]) - seen
         if step >= after_steps and len(new) >= 2:
             return len(seen) + len(new) - 1
         seen |= new
@@ -127,6 +155,39 @@ BUDGETS = {
 
 
 # ------------------------------------------------------------------ #
+class TestKeyIdsAgainstTheTupleLoop:
+    @pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_policies(self, policy, budget, greedy):
+        actor, space, config = policy
+        config = dataclasses.replace(config, memory_budget=BUDGETS[budget](actor, space))
+        for seed in range(5):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = reference_generate_tuples(actor, space, config, theirs, greedy)
+            got = generate_approximation_set(actor, space, config, ours, greedy)
+            assert got.rows == want.rows
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
+    def test_eight_key_groups_drawn_with_repeats(self, greedy):
+        """Groups as ``benchmarks/bench_kernels.py``'s rollout fixture draws
+        them: 8 keys each from a small universe, so keys repeat within and
+        across groups; every budget from 1 past the distinct count."""
+        rng = np.random.default_rng(11)
+        universe = [(table, row) for table in "abc" for row in range(20)]
+        space = space_of([
+            (tuple(universe[p] for p in rng.integers(0, len(universe), size=8)), a % 5)
+            for a in range(40)
+        ])
+        actor = ActorNetwork(len(space), rng)
+        for budget in range(1, space.total_distinct_tuples() + 2):
+            config = ASQPConfig(memory_budget=budget, seed=budget)
+            want = reference_generate_tuples(actor, space, config, greedy=greedy)
+            got = generate_approximation_set(actor, space, config, greedy=greedy)
+            assert got.rows == want.rows
+            assert got.total_size() == min(budget, space.total_distinct_tuples())
+
+
 class TestSameSetsSameStream:
     @pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
     @pytest.mark.parametrize("budget", BUDGETS)

@@ -23,8 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.approximation import TupleKey
-from repro.core.reward import CoverageIndex, CoverageTracker, QueryCoverage
+from repro.core.reward import CoverageIndex, CoverageTracker, InternedKeys, QueryCoverage
 from repro.db import INT_NULL, kernels
+from tests.test_action_env import as_rows, space_of
 
 
 # ------------------------------------------------------------------ #
@@ -139,7 +140,7 @@ class DictCoverageTracker:
 
         for q, coverage in enumerate(self.coverages):
             missing = np.zeros(len(coverage.requirements), dtype=np.int64)
-            for r, requirement in enumerate(coverage.requirements):
+            for r, requirement in enumerate(as_rows(coverage.tables, coverage.ids)):
                 distinct = set(requirement)
                 missing[r] = len(distinct)
                 for key in distinct:
@@ -158,7 +159,7 @@ class DictCoverageTracker:
         self._present.clear()
         for q, coverage in enumerate(self.coverages):
             missing = self._missing[q]
-            for r, requirement in enumerate(coverage.requirements):
+            for r, requirement in enumerate(as_rows(coverage.tables, coverage.ids)):
                 missing[r] = len(set(requirement))
             self._covered[q] = int(np.sum(missing == 0))
 
@@ -844,14 +845,18 @@ def _run_program(csr: CoverageTracker, ref: DictCoverageTracker, program):
         elif op == "remove_batch":
             csr.remove_keys(keys)
             ref.remove_keys(keys)
-        elif op == "add_interned":
-            # What an environment does: the action's key tuple, interned
-            # once per index (unknown keys dropped, duplicates counted).
-            csr.add_keys(csr.index.interned(tuple(keys)))
-            ref.add_keys(keys)
-        elif op == "remove_interned":
-            csr.remove_keys(csr.index.interned(tuple(keys)))
-            ref.remove_keys(keys)
+        elif op in ("add_interned", "remove_interned") and keys:
+            # What an environment does: the action's keys as the index's
+            # one pass over a space gives them (unknown keys dropped,
+            # duplicates counted).
+            flat, offsets = csr.index.intern_actions(space_of([(tuple(keys), 0)]))
+            interned = InternedKeys(flat.ids[: offsets[1]], flat.counts[: offsets[1]])
+            if op == "add_interned":
+                csr.add_keys(interned)
+                ref.add_keys(keys)
+            else:
+                csr.remove_keys(interned)
+                ref.remove_keys(keys)
         elif op == "reset":
             csr.reset()
             ref.reset()

@@ -27,6 +27,7 @@ from repro.core import (
 from repro.core.reward import CoverageTracker
 from repro.datasets.workloads import Workload
 from repro.db import Column, Database, Table, TableSchema, sql
+from tests.test_action_env import actions_of
 from tests.test_sqlite_oracle import TINY_SCHEMA, _from_where, _tiny_column
 
 
@@ -103,13 +104,13 @@ def test_save_load_keeps_the_model_and_the_budget(
         np.testing.assert_array_equal(ours.ids, theirs.ids)
         for column, table in zip(ours.ids.T, ours.tables):
             assert np.isin(column, db.table(table).row_ids).all()
-    assert list(loaded.action_space) == list(model.action_space)
+    assert actions_of(loaded.action_space) == actions_of(model.action_space)
     assert loaded.approximation_set().keys() == model.approximation_set().keys()
     assert (
         loaded.approximation_set(greedy=False).keys()
         == model.approximation_set(greedy=False).keys()
     )
-    assert _keys_held(db, [key for action in loaded.action_space for key in action.keys])
+    assert _keys_held(db, [key for keys, _ in actions_of(loaded.action_space) for key in keys])
     assert _keys_held(db, loaded.approximation_set().keys())
 
     loaded.fine_tune(drift.queries)

@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.datasets import load_imdb
 from repro.db import statistics
+from tests.test_action_env import actions_of, as_rows
 
 # ``repro.core.preprocess`` names the function; the module holds the cap.
 preprocess_module = sys.modules["repro.core.preprocess"]
@@ -59,7 +60,7 @@ class TestRoundTrip:
         save_model(model, directory)
         loaded = load_model(directory, tiny_flights.db)
         assert any(
-            list(a.requirements) != list(b.requirements)
+            as_rows(a.tables, a.ids) != as_rows(b.tables, b.ids)
             for a, b in zip(loaded.coverages, model.coverages)
         )
         session = ASQPSession(loaded, auto_fine_tune=False)
@@ -77,7 +78,7 @@ class TestRoundTrip:
         save_model(trained, str(tmp_path / "model"))
         loaded = load_model(str(tmp_path / "model"), tiny_flights.db)
         assert len(loaded.action_space) == len(trained.action_space)
-        assert list(loaded.action_space) == list(trained.action_space)
+        assert actions_of(loaded.action_space) == actions_of(trained.action_space)
 
     def test_coverages_rebuilt_equivalent(self, trained, tiny_flights, tmp_path):
         save_model(trained, str(tmp_path / "model"))
@@ -85,7 +86,7 @@ class TestRoundTrip:
         assert len(loaded.coverages) == len(trained.coverages)
         for a, b in zip(loaded.coverages, trained.coverages):
             assert a.denominator == b.denominator
-            assert sorted(a.requirements) == sorted(b.requirements)
+            assert sorted(as_rows(a.tables, a.ids)) == sorted(as_rows(b.tables, b.ids))
 
     def test_loaded_model_opens_session(self, trained, tiny_flights, tmp_path):
         save_model(trained, str(tmp_path / "model"))

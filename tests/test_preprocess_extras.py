@@ -6,6 +6,7 @@ from repro.core import ASQPConfig, build_coverage, preprocess
 from repro.core.preprocess import MAX_REQUIREMENT_ROWS
 from repro.db import sql
 from repro.embedding import QueryRelaxer
+from tests.test_action_env import actions_of, as_rows
 
 
 def _config(**overrides):
@@ -23,7 +24,7 @@ class TestExactExtensionSplit:
     def test_actions_partition_by_parity(self, tiny_imdb):
         """Even source codes = exact rows, odd = relaxation extensions."""
         prep = preprocess(tiny_imdb.db, tiny_imdb.workload, _config())
-        sources = {action.source_query for action in prep.action_space}
+        sources = set(prep.action_space.sources.tolist())
         assert any(code % 2 == 0 for code in sources), "no exact actions"
         # Relaxation should add at least some extension rows on this data.
         assert any(code % 2 == 1 for code in sources), "no extension actions"
@@ -36,7 +37,7 @@ class TestExactExtensionSplit:
             tiny_imdb.db, tiny_imdb.workload, _config(exact_row_share=0.95)
         )
         def exact_fraction(prep):
-            codes = [a.source_query for a in prep.action_space]
+            codes = prep.action_space.sources.tolist()
             return sum(1 for c in codes if c % 2 == 0) / len(codes)
         assert exact_fraction(balanced) > exact_fraction(lopsided)
 
@@ -46,12 +47,12 @@ class TestExactExtensionSplit:
         required = {
             key
             for coverage in prep.coverages
-            for requirement in coverage.requirements
+            for requirement in as_rows(coverage.tables, coverage.ids)
             for key in requirement
         }
-        for action in prep.action_space:
-            if action.source_query % 2 == 0:
-                assert set(action.keys) <= required
+        for keys, source in actions_of(prep.action_space):
+            if source % 2 == 0:
+                assert set(keys) <= required
 
 
 class TestCoverageCaps:
@@ -68,7 +69,7 @@ class TestCoverageCaps:
         query = sql("SELECT * FROM movies WHERE movies.year > 9999")
         coverage = build_coverage(mini_db, query, 1.0, frame_size=50, rng=rng)
         assert coverage.is_empty
-        assert list(coverage.requirements) == []
+        assert as_rows(coverage.tables, coverage.ids) == []
 
 
 class TestWeightingAndLimits:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ApproximationSet, CoverageTracker, query_score
+from tests.test_action_env import as_rows
 from tests.test_baselines import LRUTupleCache
 from tests.test_kernels import DictCoverageTracker
 from tests.test_reward import coverage_from_rows
@@ -66,7 +67,7 @@ def test_tracker_matches_recomputation(requirements, operations):
     """Incremental updates == rebuilding the tracker from scratch == the
     reference tracker over the coverage's tuple view."""
     coverage = _coverage(requirements)
-    assert list(coverage.requirements) == requirements
+    assert as_rows(coverage.tables, coverage.ids) == requirements
     incremental = CoverageTracker([coverage])
     reference = DictCoverageTracker([coverage])
     present: list = []

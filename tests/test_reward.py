@@ -23,7 +23,7 @@ from repro.db import sql
 
 def coverage_from_rows(name, weight, denominator, rows):
     """A ``QueryCoverage`` from ``((table, row_id), ...)`` rows over the same
-    tables — the inverse of iterating its ``requirements``."""
+    tables — the inverse of ``as_rows(coverage.tables, coverage.ids)``."""
     tables = tuple(table for table, _ in sorted(rows[0])) if rows else ()
     assert all(tuple(table for table, _ in sorted(row)) == tables for row in rows)
     ids = [[row_id for _, row_id in sorted(row)] for row in rows]

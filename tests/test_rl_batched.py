@@ -22,8 +22,6 @@ from repro import obs
 
 from repro.core import (
     ASQPConfig,
-    Action,
-    ActionSpace,
     GSLEnvironment,
     QueryCoverage,
 )
@@ -43,6 +41,7 @@ from repro.rl import (
     UpdateStats,
     make_actor_specs,
 )
+from tests.test_action_env import space_of
 from repro.obs import trace
 from repro.rl import parallel
 from repro.rl.nn import ADAM_BLOCK, masked_softmax
@@ -148,12 +147,12 @@ def _synthetic_problem(seed=5):
     number of steps depending on what each actor happens to pick."""
     rng = np.random.default_rng(seed)
     actions = [
-        Action(
-            keys=tuple(
+        (
+            tuple(
                 (f"t{int(rng.integers(3))}", int(rng.integers(60)))
                 for _ in range(int(rng.integers(1, 7)))
             ),
-            source_query=a % 12,
+            a % 12,
         )
         for a in range(N_ACTIONS)
     ]
@@ -164,7 +163,7 @@ def _synthetic_problem(seed=5):
                                    replace=False).tolist())
         ids = rng.integers(60, size=(8, len(tables)))
         coverages.append(QueryCoverage(f"q{q}", weight, 6, tables, ids))
-    return ActionSpace(actions), coverages
+    return space_of(actions), coverages
 
 
 class _DeadStartEnv(Environment):

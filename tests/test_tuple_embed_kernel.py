@@ -16,6 +16,7 @@ from repro.db import Column, ColumnType, Database, Table, TableSchema
 from repro.db.schema import INT_NULL
 from repro.db.statistics import compute_database_stats
 from repro.embedding import TokenHasher, TupleEmbedder
+from tests.test_action_env import actions_of
 
 
 # ------------------------------------------------------------------ #
@@ -249,7 +250,7 @@ def test_each_distinct_token_is_hashed_once(tiny_imdb, monkeypatch):
         memory_budget=60, action_space_target=40, n_query_representatives=5, seed=3
     )
     prep = preprocess(tiny_imdb.db, tiny_imdb.workload, config)
-    keys = [key for action in prep.action_space for key in action.keys]
+    keys = [key for action_keys, _ in actions_of(prep.action_space) for key in action_keys]
     assert len(keys) > len(set(keys))  # rows are shared
     embedder = TupleEmbedder(dim=16, stats=prep.stats)
     positions = positions_by_row_id(tiny_imdb.db)
