@@ -12,12 +12,14 @@ training iteration at figure scale: the lock-step rollout collector
 tests retain, with the peak that update holds; the 13
 rollouts of Alg. 2 one ``approximation_set()`` makes; and the
 per-distinct-value ``compute_table_stats`` — those two against the loops
-the tests retain. Four rows time a kernel against the form it replaced: a join-key
-NDV count by ``sorted_unique`` against numpy 2.x's hash-set ``np.unique``,
-a primary-key probe of the direct-address index and a whole primary-key
-join at a serving-tail aggregate's shape, each against the bucket layout
-and its three-repeat probe, and the column store's serial scan on
-dictionary codes against the same predicate on decoded values.
+the tests retain. Six rows time a kernel against the form it replaced: a join-key
+NDV count by ``sorted_unique`` against numpy 2.x's hash-set ``np.unique``;
+a primary-key probe of the direct-address index, a whole primary-key
+join at a serving-tail aggregate's shape, a foreign-key build against a
+primary-key probe (the probe side indexed) and a many-to-many join (where
+that switch is tried and rejected), each against the bucket layout and its
+three-repeat probe; and the column store's serial scan on dictionary codes
+against the same predicate on decoded values.
 
 One timer measures everything: :func:`_paired` runs the two sides of a
 row in alternating same-round batches, so a row's ``speedup`` is the
@@ -536,6 +538,27 @@ def run_benchmarks(rounds: int) -> dict:
         lambda: kernels.join_positions([venue_ids], [venue_refs]),
         units=len(venue_ids) + len(venue_refs),
     )
+
+    # A full-database join of the IMDB fit's preprocess (title ⋈ cast_info
+    # ⋈ person): 16 721 cast rows whose person keys repeat against 30 734
+    # unique person keys, and a many-to-many join of one int key, 4 000 ×
+    # 9 000 rows over 2 000 values. Both against the bucket layout and its
+    # three-repeat probe. Their own generator.
+    fk_rng = np.random.default_rng(20)
+    person_ids = np.sort(fk_rng.choice(60_000, size=30_734, replace=False))
+    cast_refs = fk_rng.choice(person_ids, size=16_721)
+    many_build = fk_rng.integers(0, 2_000, size=4_000)
+    many_probe = fk_rng.integers(0, 2_000, size=9_000)
+    for name, build_keys, probe_keys in (
+        ("join_fk_build_pk_probe", [cast_refs], [person_ids]),
+        ("join_many_to_many_int", [many_build], [many_probe]),
+    ):
+        measure(
+            name,
+            lambda: bucket_join_positions(build_keys, probe_keys),
+            lambda: kernels.join_positions(build_keys, probe_keys),
+            units=len(build_keys[0]) + len(probe_keys[0]),
+        )
 
     # The sort under all three kernels and the CoverageIndex build, alone:
     # 50 000 codes over 2000 values, against numpy's int64 stable sort.

@@ -17,6 +17,7 @@ near-miss tuples beyond the known workload).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 from ..obs.clock import perf_counter
 from ..db.database import Database
 from ..db.executor import execute
-from ..db.kernels import distinct_positions, factorize_key_pair
+from ..db.kernels import factorize_key_pair
 from ..db.query import SPJQuery
 from ..db.sampling import variational_subsample
 from ..db.statistics import TableStats, compute_database_stats
@@ -63,12 +64,15 @@ class PreprocessResult:
 def provenance_ids(db: Database, query: SPJQuery) -> tuple[list[str], np.ndarray]:
     """Distinct provenance of a query's result, columnar: the sorted table
     names and an ``int64`` matrix of base row ids, one column per table and
-    one row per distinct result row (first occurrences, in result order)."""
+    one row per result row, in result order.
+
+    The rows are distinct by construction: a query names each table once
+    and a table's row ids are unique, so every row a join emits is its own
+    combination of base rows, and filter, sort, projection, ``DISTINCT``
+    and ``LIMIT`` only drop or reorder rows."""
     result = execute(db, query)
     tables = sorted(result.row_ids)
-    arrays = [result.row_ids[t] for t in tables]
-    keep = distinct_positions(arrays)
-    return tables, np.column_stack([array[keep] for array in arrays])
+    return tables, np.column_stack([result.row_ids[t] for t in tables])
 
 
 def coverage_from_ids(
@@ -142,9 +146,26 @@ class RowPool:
 
 def _rows_among(ids: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Mask of the ``ids`` rows found among the ``known`` rows (row-id
-    matrices over the same tables)."""
-    codes, known_codes, _ = factorize_key_pair(list(ids.T), list(known.T))
-    return np.isin(codes, known_codes)
+    matrices over the same tables).
+
+    While the columns' spans multiply to less than ``2**62``, each row is
+    one mixed-radix ``int64`` code: the known codes are sorted once and
+    the others binary-searched in them. Wider spans are factorized."""
+    if len(ids) == 0 or len(known) == 0:
+        return np.zeros(len(ids), dtype=bool)
+    low = np.minimum(ids.min(axis=0), known.min(axis=0))
+    high = np.maximum(ids.max(axis=0), known.max(axis=0))
+    spans = [h - l + 1 for l, h in zip(low.tolist(), high.tolist())]
+    if math.prod(spans) >= 1 << 62:
+        codes, known_codes, _ = factorize_key_pair(list(ids.T), list(known.T))
+        return np.isin(codes, known_codes)
+    codes, known_codes = ids[:, 0] - low[0], known[:, 0] - low[0]
+    for column in range(1, ids.shape[1]):
+        codes = codes * spans[column] + (ids[:, column] - low[column])
+        known_codes = known_codes * spans[column] + (known[:, column] - low[column])
+    known_codes = np.sort(known_codes)
+    at = np.searchsorted(known_codes[:-1], codes)
+    return known_codes[at] == codes
 
 
 def preprocess(

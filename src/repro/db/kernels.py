@@ -7,7 +7,9 @@ encodes a tuple of key columns into bounded dense ``int64`` codes (equal
 row tuples ⇔ equal codes). A join then indexes its build side by code —
 a direct-address array when the build codes are unique (every
 primary-key join: the probe is one gather), else a stable argsort +
-``bincount``-indexed buckets — unless its keys are sparse, more than 8
+``bincount``-indexed buckets; build codes that repeat against unique
+probe codes put the direct-address array on the probe side instead —
+unless its keys are sparse, more than 8
 codes a row (an approximation set's few ids over its base table's
 range): those it joins by sorting the build keys and binary-searching
 the probe (:func:`search_join`), so its cost follows the rows, not the
@@ -318,15 +320,19 @@ class JoinIndex(NamedTuple):
     code_counts: Optional[np.ndarray] = None
 
 
-def build_join_index(build_codes: np.ndarray, n_codes: int) -> JoinIndex:
+def build_join_index(
+    build_codes: np.ndarray, n_codes: int, code_counts: Optional[np.ndarray] = None
+) -> JoinIndex:
     """Build-side hash-join state from factorized codes.
 
     Both layouts index by code directly, so probing is a gather (no
     hashing, no binary search). Unique codes get a direct-address
     ``position`` array; otherwise per-code offsets come from ``bincount``
-    and a stable argsort keeps build rows ascending within a bucket.
+    (``code_counts`` when the caller has it) and a stable argsort keeps
+    build rows ascending within a bucket.
     """
-    code_counts = np.bincount(build_codes, minlength=n_codes)
+    if code_counts is None:
+        code_counts = np.bincount(build_codes, minlength=n_codes)
     if code_counts.max(initial=0) <= 1:
         position = np.full(n_codes, -1, dtype=np.int64)
         position[build_codes] = np.arange(len(build_codes), dtype=np.int64)
@@ -416,8 +422,10 @@ def join_positions(
     Keys spread over more than :data:`_CODES_PER_ROW` codes a row of both
     sides (an approximation set's few ids over its base table's range)
     join by :func:`search_join`; denser keys by the code-indexed
-    :func:`build_join_index`. One integer key a side is never factorized:
-    its values are searched as they are, or offset into the index.
+    :func:`build_join_index`, or, when the build codes repeat and the
+    probe codes do not, by :func:`_join_on_unique_probe`. One integer key
+    a side is never factorized: its values are searched as they are, or
+    offset into the index.
     """
     one_int = _one_int_key(build_keys, probe_keys)
     if one_int is None:
@@ -429,7 +437,43 @@ def join_positions(
     if one_int is not None:  # the span is dense: offset the values into it
         build = build.astype(np.int64, copy=False) - low
         probe = probe.astype(np.int64, copy=False) - low
-    return probe_factorized(probe, build_join_index(build, n_codes))
+    code_counts = np.bincount(build, minlength=n_codes)
+    if code_counts.max(initial=0) > 1:
+        matches = _join_on_unique_probe(build, probe, n_codes)
+        if matches is not None:
+            return matches
+    return probe_factorized(probe, build_join_index(build, n_codes, code_counts))
+
+
+#: Probe codes :func:`_join_on_unique_probe` tests for a repeat before it
+#: indexes the whole probe side: a many-to-many join shows one early.
+_UNIQUE_TEST_ROWS = 256
+
+
+def _join_on_unique_probe(
+    build: np.ndarray, probe: np.ndarray, n_codes: int
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """:func:`join_positions`' matches of build codes that repeat against
+    unique probe codes (a foreign key after a filter against a primary
+    key), or None when the probe codes repeat too.
+
+    The direct-address index goes on the probe side and the build codes
+    gather it: the build rows that hit come out ascending, so one stable
+    sort by probe row restores the bucket order.
+    """
+    head = np.sort(probe[:_UNIQUE_TEST_ROWS])
+    if (head[1:] == head[:-1]).any():
+        return None
+    rows = np.arange(len(probe), dtype=np.int64)
+    position = np.full(n_codes, -1, dtype=np.int64)
+    position[probe] = rows
+    if not np.array_equal(position[probe], rows):
+        return None
+    probe_of_build = position[build]
+    build_idx = np.flatnonzero(probe_of_build >= 0)
+    probe_idx = probe_of_build[build_idx]
+    order = stable_argsort(probe_idx, len(probe))
+    return probe_idx[order], build_idx[order]
 
 
 # ------------------------------------------------------------------ #

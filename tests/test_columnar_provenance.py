@@ -6,18 +6,20 @@ vectorized ones are compared against — same rows, same order, same rng
 draws — and a golden hash pins a whole seeded ``preprocess()`` run.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core import ASQPConfig, build_coverage, preprocess
-from repro.db import execute, sql, variational_subsample
+from repro.db import execute, kernels, sql, variational_subsample
 from tests.test_action_env import as_rows
 
 # ``repro.core.preprocess`` the attribute is the function of that name.
@@ -131,23 +133,98 @@ def test_provenance_rows_match_per_row_reference(bundle_name, request):
     assert grown < 256, grown  # the view object; 20+ row tuples are kilobytes
 
 
-def test_duplicate_provenance_keeps_first_occurrences(monkeypatch, mini_db):
-    """Repeated (table, row id) combinations collapse, first one wins."""
-    rng = np.random.default_rng(5)
-    row_ids = {
-        "movies": rng.integers(0, 4, size=200),
-        "cast_info": rng.integers(0, 3, size=200),
-    }
-    monkeypatch.setattr(
-        preprocess_module, "execute", lambda db, query: SimpleNamespace(row_ids=row_ids)
+#: Single-table, join, cross-join and three-way queries of ``mini_db``.
+MINI_SQL = [
+    "SELECT * FROM movies",
+    "SELECT * FROM movies, cast_info WHERE movies.id = cast_info.movie_id",
+    "SELECT * FROM movies, cast_info WHERE movies.year > 2000",
+    "SELECT * FROM cast_info WHERE cast_info.actor = 'ann'",
+]
+
+
+@st.composite
+def _spj_variant(draw, db, queries):
+    """One of ``queries`` under a drawn projection, ``DISTINCT``,
+    ``ORDER BY`` and ``LIMIT``."""
+    query = draw(st.sampled_from(queries))
+    refs = [f"{t}.{c}" for t in query.tables for c in db.table(t).schema.column_names]
+    projection = tuple(draw(st.lists(st.sampled_from(refs), max_size=2, unique=True)))
+    return dataclasses.replace(
+        query,
+        projection=projection,
+        distinct=draw(st.booleans()),
+        order_by=draw(st.one_of(st.none(), st.sampled_from(refs))),
+        descending=draw(st.booleans()),
+        limit=draw(st.one_of(st.none(), st.integers(0, 40))),
     )
-    seen, expected = set(), []
-    for cast, movie in zip(row_ids["cast_info"].tolist(), row_ids["movies"].tolist()):
-        if (cast, movie) not in seen:
-            seen.add((cast, movie))
-            expected.append((("cast_info", cast), ("movies", movie)))
-    assert len(expected) == 12
-    assert provenance_rows(mini_db, sql("SELECT * FROM movies")) == expected
+
+
+def _assert_distinct_provenance(db, query):
+    """The executor's row-id tuples are duplicate-free, and
+    ``provenance_ids`` is every one of them, in result order."""
+    result = execute(db, query)
+    tables, ids = preprocess_module.provenance_ids(db, query)
+    assert tables == sorted(result.row_ids)
+    np.testing.assert_array_equal(ids, np.column_stack([result.row_ids[t] for t in tables]))
+    assert len(np.unique(ids, axis=0)) == len(ids) == len(result), query.to_sql()
+
+
+@given(data=st.data())
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # read-only
+)
+def test_executed_provenance_is_duplicate_free(data, mini_db, tiny_imdb):
+    """An SPJ result names each table once and each of a table's row ids
+    once, so no two result rows share their base rows — over the full
+    database, and over an approximation set's sub-database."""
+    mini = [sql(text) for text in MINI_SQL]
+    _assert_distinct_provenance(mini_db, data.draw(_spj_variant(mini_db, mini)))
+    imdb = tiny_imdb.db
+    base = data.draw(st.sampled_from(list(tiny_imdb.workload.spj_only().queries)))
+    _assert_distinct_provenance(imdb, data.draw(_spj_variant(imdb, [base])))
+    # The approximation set: some of the base query's joinable tuples.
+    tables, ids = preprocess_module.provenance_ids(imdb, base)
+    rows = st.sets(st.integers(0, len(ids) - 1), max_size=40) if len(ids) else st.just(set())
+    picked = sorted(data.draw(rows))
+    approx = imdb.subset({t: ids[picked, j] for j, t in enumerate(tables)})
+    _assert_distinct_provenance(approx, data.draw(_spj_variant(approx, [base])))
+
+
+def reference_rows_among(ids, known):
+    """``_rows_among`` as it was: both sides' columns factorized together,
+    then ``np.isin`` of the codes."""
+    codes, known_codes, _ = kernels.factorize_key_pair(list(ids.T), list(known.T))
+    return np.isin(codes, known_codes)
+
+
+#: Row ids of one column: a table's dense ids, or spread so far that two
+#: or more columns' spans multiply past ``2**62`` (the factorized path).
+_ROW_IDS = [st.integers(0, 50), st.integers(0, 2**40), st.integers(-(2**62), 2**62)]
+
+
+@st.composite
+def _id_matrices(draw):
+    """``(ids, known)`` over the same tables; some known rows are ids rows."""
+    n_tables = draw(st.integers(1, 4))
+    row = st.tuples(*(draw(st.sampled_from(_ROW_IDS)) for _ in range(n_tables)))
+    ids = draw(st.lists(row, max_size=30))
+    known = draw(st.lists(row, max_size=30))
+    if ids:
+        known += draw(st.lists(st.sampled_from(ids), max_size=10))
+    matrix = lambda rows: np.asarray(rows, dtype=np.int64).reshape(-1, n_tables)
+    return matrix(ids), matrix(draw(st.permutations(known)))
+
+
+@given(pair=_id_matrices())
+@example(pair=(np.asarray([[0, 2**40], [5, 0]]), np.asarray([[5, 0], [2**40, 2**40]])))
+@example(pair=(np.asarray([[-(2**62)], [2**62]]), np.asarray([[2**62]])))
+@settings(max_examples=300, deadline=None)
+def test_rows_among_matches_factorized_reference(pair):
+    ids, known = pair
+    got = preprocess_module._rows_among(ids, known)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, reference_rows_among(ids, known))
 
 
 @pytest.mark.parametrize("seed", range(5))

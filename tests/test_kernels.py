@@ -255,8 +255,49 @@ def _key_arrays(draw, min_rows: int = 0, max_rows: int = 30):
     return [_column(draw, kind, n) for kind in kinds]
 
 
+#: Key tuples of the repeats-against-unique join shape and their columns'
+#: dtypes, by key kind: NULLs (``INT_NULL``, NaN), several columns,
+#: dictionary strings (aligned codes, as the executor joins them) and
+#: plain ones.
+_JOIN_KEY_TUPLES = {
+    "int": (st.tuples(st.integers(-5, 60)), [np.int64]),
+    "int_null": (st.tuples(st.one_of(st.integers(0, 40), st.just(INT_NULL))), [np.int64]),
+    "float_nan": (
+        st.tuples(st.sampled_from([-1.5, 0.0, 2.25, 7.0, float("nan")])), [np.float64]
+    ),
+    "dict_str": (st.tuples(st.sampled_from(["", "a", "ab", "b", "ba", "c"])), [str]),
+    "str": (st.tuples(st.text("abc", max_size=2)), [object]),
+    "two": (st.tuples(st.integers(0, 6), st.sampled_from(["x", "y", ""])), [np.int64, object]),
+}
+
+
+@st.composite
+def _repeats_against_unique(draw):
+    """A smaller side whose keys repeat against a larger side whose keys
+    are unique — a foreign key after a filter against a primary key — as
+    ``(build, probe)``: the repeating side is the one built on."""
+    kind = draw(st.sampled_from(sorted(_JOIN_KEY_TUPLES)))
+    values, dtypes = _JOIN_KEY_TUPLES[kind]
+    unique = draw(st.lists(values, max_size=25, unique=True))
+    pool = st.one_of(values, st.sampled_from(unique)) if unique else values
+    repeats = draw(st.lists(pool, min_size=1, max_size=max(len(unique), 1)))
+    repeats.append(draw(st.sampled_from(repeats)))  # at least one repeat
+    build, probe = (
+        [np.asarray([key[i] for key in keys], dtype=dtype) for i, dtype in enumerate(dtypes)]
+        for keys in (repeats, unique)
+    )
+    if kind == "dict_str":  # each side's codes into its own sorted dictionary
+        build_dict, build_codes = np.unique(build[0], return_inverse=True)
+        probe_dict, probe_codes = np.unique(probe[0], return_inverse=True)
+        _, build_map, probe_map = kernels.merge_dictionaries(build_dict, probe_dict)
+        build, probe = [build_map[build_codes]], [probe_map[probe_codes]]
+    return build, probe
+
+
 @st.composite
 def _key_array_pair(draw):
+    if draw(st.booleans()):
+        return draw(_repeats_against_unique())
     left = draw(_key_arrays(min_rows=0, max_rows=25))
     n = draw(st.integers(0, 25))
     kinds = [str(a.dtype) for a in left]
@@ -651,10 +692,10 @@ def test_sparse_keys_join_by_sorted_search(pair):
     else:
         n_codes = kernels.factorize_key_pair(build, probe)[2]
     sparse = n_codes > _CODES_PER_ROW * (n_build + n_probe)
-    with mock.patch.object(kernels, "search_join", wraps=kernels.search_join) as searched, \
-            mock.patch.object(kernels, "build_join_index", wraps=kernels.build_join_index) as indexed:
+    with mock.patch.object(kernels, "search_join", wraps=kernels.search_join) as searched:
         got_probe, got_build = kernels.join_positions(build, probe)
-    assert (searched.called, indexed.called) == (sparse, not sparse)
+    # The dense path never searches: it indexes one side by code.
+    assert searched.called == sparse
     want_probe, want_build = reference_join_positions(build, probe)
     build_codes, _ = kernels.factorize_keys(build)
     unique = len(np.unique(build_codes)) == n_build
