@@ -2,8 +2,9 @@
 
 Times each hot-path kernel — equi-join, stable distinct, group-by, the
 CoverageIndex build and the CoverageTracker batch add/remove/probe
-operations — on seeded synthetic data, against the pre-vectorization
-reference implementations the tests keep
+operations (on key id batches the fixture looks up once; the reference
+takes the same batches as tuples) — on seeded synthetic data, against
+the pre-vectorization reference implementations the tests keep
 (``tests/test_kernels.py``: ``reference_*_positions`` and
 ``DictCoverageTracker``), plus the two halves of a
 training iteration at figure scale: the lock-step rollout collector
@@ -230,11 +231,12 @@ def _coverage_fixture(rng: np.random.Generator):
     universe = [
         (table, int(i)) for table in tables for i in rng.integers(0, n_ids, size=400)
     ]
-    # Environment-step-sized add/remove batches (one action group each).
+    # Environment-step-sized add/remove batches (one action group each), of
+    # distinct keys: a batch is one holder of each of its keys.
     batches = []
     for _ in range(16):
         picks = rng.integers(0, len(universe), size=500)
-        added = [universe[int(p)] for p in picks]
+        added = list(dict.fromkeys(universe[int(p)] for p in picks))
         removed = added[: len(added) // 2]
         batches.append((added, removed))
     # BRT-sized candidate sets: whole approximation sets of ~k tuples,
@@ -242,7 +244,7 @@ def _coverage_fixture(rng: np.random.Generator):
     candidates = []
     for _ in range(8):
         picks = rng.integers(0, len(universe), size=2_000)
-        candidates.append([universe[int(p)] for p in picks])
+        candidates.append(list(dict.fromkeys(universe[int(p)] for p in picks)))
     return coverages, batches, candidates
 
 
@@ -438,6 +440,7 @@ def run_benchmarks(rounds: int) -> dict:
         reference_group_by_positions,
         reference_join_positions,
     )
+    from tests.test_reward import intern
 
     record: dict = {"rows": N_ROWS, "kernels": {}}
 
@@ -590,28 +593,32 @@ def run_benchmarks(rounds: int) -> dict:
     )
     csr = CoverageTracker(coverages, index)
     legacy = DictCoverageTracker(coverages)
+    # The CSR tracker takes key ids, looked up here once, as an environment
+    # looks its action space up when it is built and BRT its pool.
+    id_batches = [(intern(index, a), intern(index, r)) for a, r in batches]
+    id_candidates = [intern(index, c) for c in candidates]
     n_batch_keys = sum(len(a) + len(r) for a, r in batches)
     measure(
         "coverage_batch",
         lambda: _run_coverage_batches(legacy, batches),
-        lambda: _run_coverage_batches(csr, batches),
+        lambda: _run_coverage_batches(csr, id_batches),
         units=n_batch_keys,
     )
     measure(
         "coverage_probe",
         lambda: _run_coverage_candidate_probes(legacy, candidates),
-        lambda: _run_coverage_candidate_probes(csr, candidates),
+        lambda: _run_coverage_candidate_probes(csr, id_candidates),
         units=sum(len(c) for c in candidates),
     )
     csr.reset()
     legacy.reset()
-    warm = [key for added, _ in batches[:4] for key in added]
-    csr.add_keys(warm)
-    legacy.add_keys(warm)
+    for (added, _), (added_ids, _) in zip(batches[:4], id_batches):
+        legacy.add_keys(added)
+        csr.add_keys(added_ids)
     measure(
         "coverage_score_with_keys",
         lambda: _run_coverage_probes(legacy, batches),
-        lambda: _run_coverage_probes(csr, batches),
+        lambda: _run_coverage_probes(csr, id_batches),
         units=sum(len(a) for a, _ in batches),
     )
 

@@ -50,27 +50,32 @@ class BruteForce(SubsetSelector):
         # The paper's BRT "exhaustively checks different combinations of k
         # tuples": candidates are individual tuples of the database, with no
         # knowledge of join structure. (Giving it joinable provenance rows
-        # would make it a different — and far stronger — algorithm.)
+        # would make it a different — and far stronger — algorithm.) Each
+        # tuple is looked up in the tracker's index once; one no requirement
+        # row holds (id -1) only fills budget.
         all_keys = self.all_tuple_keys(db)
+        pool = np.concatenate(
+            [tracker.index.lookup(table.name, table.row_ids) for table in db]
+        )
         size = min(k, len(all_keys))
 
-        best_keys: list = []
+        best_picks = np.zeros(0, dtype=np.int64)
         best_score = -1.0
         n_combinations = 0
         while perf_counter() - started < budget:
             picks = rng.choice(len(all_keys), size=size, replace=False)
-            candidate = [all_keys[p] for p in picks]
+            ids = pool[picks]
             # reset() is an array copy and add_keys() one vectorized batch
             # update, so each probed combination costs O(incidence) work.
             tracker.reset()
-            tracker.add_keys(candidate)
+            tracker.add_keys(ids[ids >= 0])
             value = tracker.batch_score()
             n_combinations += 1
             if value > best_score:
                 best_score = value
-                best_keys = list(candidate)
+                best_picks = picks
 
-        approx = ApproximationSet.from_keys(best_keys)
+        approx = ApproximationSet.from_keys(all_keys[p] for p in best_picks)
         completed = False  # by construction the budget expired, as in the paper
         return self.finish(
             self.name,

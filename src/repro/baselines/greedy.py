@@ -23,7 +23,7 @@ import numpy as np
 
 from ..obs.clock import perf_counter
 from ..core.approximation import ApproximationSet
-from ..core.reward import CoverageIndex, CoverageTracker, InternedKeys, QueryCoverage
+from ..core.reward import CoverageIndex, CoverageTracker, QueryCoverage
 from ..db.database import Database
 from ..datasets.workloads import Workload
 from .base import SelectionResult, SubsetSelector
@@ -115,7 +115,7 @@ def greedy_set(
         best = fits[np.argmax(gains / n_new[fits])]
         new = keys[best, absent[best]]
         present[new] = True
-        tracker.add_keys(InternedKeys(new, np.ones(len(new), dtype=np.int64)))
+        tracker.add_keys(new)
         size += len(new)
         picks.append(best)
     return GreedyRun(

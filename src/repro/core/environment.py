@@ -21,11 +21,13 @@ groups share tuples and a swap must keep a tuple another selected group
 still holds. The set's size and :meth:`approximation_set` read the refcount.
 
 Growth stops once the set holds ``k`` tuples, so the last group added may
-overshoot ``k`` by up to one group. Alg. 2 trims that overshoot at
-inference (:func:`repro.core.inference.generate_approximation_set`);
-training keeps it, because trimming inside an episode would change the
-last reward of every GSL episode and with it the trained policy and its
-score.
+overshoot ``k`` by up to one group, and a DRP swap may too. Training keeps
+that overshoot, because trimming inside an episode would change the last
+reward of every GSL episode and with it the trained policy and its score;
+:meth:`GSLEnvironment.approximation_set` cuts it, dropping the most
+recently added keys as Alg. 2
+(:func:`repro.core.inference.generate_approximation_set`) cuts its last
+group.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..rl.parallel import Environment
 from .action_space import ActionSpace
 from .approximation import ApproximationSet
 from .config import ASQPConfig
-from .reward import CoverageIndex, CoverageTracker, InternedKeys, QueryCoverage
+from .reward import CoverageIndex, CoverageTracker, QueryCoverage
 
 
 class GSLEnvironment(Environment):
@@ -78,11 +80,11 @@ class GSLEnvironment(Environment):
         self.selected = np.zeros(len(action_space), dtype=bool)
         # The whole space in the tracker's index, looked up once; an action's
         # slices are cut the first time this environment takes it.
-        self._index_keys, self._index_offsets = self.tracker.index.intern_actions(
+        self._index_ids, self._index_offsets = self.tracker.index.intern_actions(
             action_space
         )
         self._offsets = action_space.offsets.tolist()
-        self._taken: list[Optional[tuple[list[int], InternedKeys]]]
+        self._taken: list[Optional[tuple[list[int], np.ndarray]]]
         self._taken = [None] * len(action_space)
         self._refs: Counter[int] = Counter()
         self.batch: list[int] = []
@@ -101,9 +103,10 @@ class GSLEnvironment(Environment):
         return self.size >= self.config.memory_budget
 
     def approximation_set(self) -> ApproximationSet:
-        return self.action_space.approximation(
-            np.fromiter(self._refs, dtype=np.int64, count=len(self._refs))
-        )
+        """The held keys, cut to the memory budget: ``_refs`` keeps its keys
+        in the order they became held, so the cut drops the latest."""
+        held = np.fromiter(self._refs, dtype=np.int64, count=len(self._refs))
+        return self.action_space.approximation(held[: self.config.memory_budget])
 
     def _state(self) -> np.ndarray:
         return self.selected.copy()
@@ -119,16 +122,16 @@ class GSLEnvironment(Environment):
         picks = self.rng.choice(n, size=size, replace=False, p=self._weights)
         return [int(p) for p in picks]
 
-    def _keys(self, action: int) -> tuple[list[int], InternedKeys]:
-        """An action's key ids in the space, and as the tracker's index has them."""
+    def _keys(self, action: int) -> tuple[list[int], np.ndarray]:
+        """An action's key ids in the space, and its distinct ids in the
+        tracker's index."""
         keys = self._taken[action]
         if keys is None:
             first, last = self._offsets[action], self._offsets[action + 1]
             lo, hi = self._index_offsets[action], self._index_offsets[action + 1]
-            ids, counts = self._index_keys
             keys = self._taken[action] = (
                 self.action_space.key_ids[first:last].tolist(),
-                InternedKeys(ids[lo:hi], counts[lo:hi]),
+                self._index_ids[lo:hi],
             )
         return keys
 

@@ -4,7 +4,9 @@ Tuple selection is sequential: while the set is below the memory budget,
 sample the next action from the trained policy (with masking), append its
 tuples, and stop at the budget. A deterministic greedy mode takes the
 arg-max action instead, which is what the benchmarks use for
-reproducibility.
+reproducibility. The set comes back as the action space's key ids;
+:meth:`~repro.core.action_space.ActionSpace.approximation` turns them into
+tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from ..rl.policy import ActorNetwork
 from .action_space import ActionSpace
-from .approximation import ApproximationSet
 from .config import ASQPConfig
 
 
@@ -25,8 +26,9 @@ def generate_approximation_set(
     config: ASQPConfig,
     rng: Optional[np.random.Generator] = None,
     greedy: bool = True,
-) -> ApproximationSet:
-    """Roll the trained policy out into an approximation set (Alg. 2).
+) -> np.ndarray:
+    """Roll the trained policy out into an approximation set (Alg. 2): the
+    ascending key ids of ``action_space`` it holds.
 
     The ``req_size`` of Alg. 2 is the memory budget ``k``.
 
@@ -69,7 +71,7 @@ def generate_approximation_set(
             new = new[: budget - size]
         held[new] = True
         size = int(np.count_nonzero(held))  # an action may repeat a key
-    return action_space.approximation(np.flatnonzero(held))
+    return np.flatnonzero(held)
 
 
 def choose(

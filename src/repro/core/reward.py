@@ -10,6 +10,10 @@ approximation set for that row to appear in ``q(S)``.
 :class:`CoverageTracker` then maintains, incrementally as tuples enter and
 leave the candidate set, how many result rows of each query are covered,
 and evaluates the Eq. 1 score over any batch of queries in O(1) per query.
+It speaks the key ids of its :class:`CoverageIndex` only: a caller maps its
+tuples to ids once (:meth:`CoverageIndex.lookup`, or
+:meth:`CoverageIndex.intern_actions` for a whole action space) and hands
+the tracker distinct id arrays.
 
 A :class:`QueryCoverage` keeps those requirements columnar — the sorted
 table names and an ``int64`` row-id matrix, one column per table — so a
@@ -23,13 +27,14 @@ matrices with numpy: a key's dense id is the position of its integer code
 lists are flattened into one contiguous ``int64`` array indexed by per-key
 offsets. A tracker's per-row missing counts / per-query covered counts /
 per-key refcounts live in flat numpy arrays. Batch :meth:`add_keys` /
-:meth:`remove_keys` updates are vectorized (one ``searchsorted`` interns
-the batch, ``np.add.at`` scatters into the missing counts), an episode
-:meth:`reset` is an array copy, and :meth:`score_with_keys` restores the
-prior state from an array snapshot instead of replaying refcounts one key
-at a time. The dict-of-lists tracker it replaced lives in
-``tests/test_kernels.py``, the reference of the differential tests and
-the baseline of ``benchmarks/bench_kernels.py``.
+:meth:`remove_keys` updates are vectorized (a CSR gather of the batch's
+incidence rows, ``np.add.at`` scatters into the missing counts), an
+episode :meth:`reset` is an array copy, and :meth:`score_with_keys`
+restores the prior state from an array snapshot instead of replaying
+refcounts one key at a time. The dict-of-lists tracker it replaced lives
+in ``tests/test_kernels.py``, the reference of the differential tests and
+the baseline of ``benchmarks/bench_kernels.py``; ``tests/test_reward.py``
+keeps the tuple ``intern`` the tests feed it through.
 
 Granularity note: the tracker counts *distinct provenance rows* (one per
 combination of contributing base tuples). Executed scoring
@@ -43,14 +48,13 @@ remain a close, monotone training proxy otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..db.kernels import sorted_unique, stable_argsort
 from .action_space import ActionSpace
-from .approximation import ApproximationSet, TupleKey
+from .approximation import ApproximationSet
 
 
 @dataclass(eq=False)
@@ -101,14 +105,6 @@ class QueryCoverage:
         return self.denominator <= 0
 
 
-class InternedKeys(NamedTuple):
-    """A key batch as a :class:`CoverageIndex` sees it: the distinct dense
-    ids of its known keys and each one's multiplicity."""
-
-    ids: np.ndarray
-    counts: np.ndarray
-
-
 class CoverageIndex:
     """Immutable CSR key → result-row incidence of a coverage list, shared
     by every tracker over the same requirement rows (weights and
@@ -116,12 +112,10 @@ class CoverageIndex:
 
     * key ``(table, row_id)`` has code ``row_id * slots + slot``, where
       ``slot`` is the table's position among the coverages' sorted table
-      names and ``slots - 1`` stands for every other table (so a key is
-      known iff its code is in ``codes``); its dense id is that code's
-      position in the sorted distinct ``codes`` of the requirement rows.
-      Only this class reads the format: :meth:`row_codes` gives a
-      coverage's rows as codes and :meth:`approximation` turns codes back
-      into keys;
+      names; its dense id is that code's position in the sorted distinct
+      ``codes`` of the requirement rows. Only this class reads the format:
+      :meth:`lookup` gives keys' ids, :meth:`row_codes` a coverage's rows
+      as codes and :meth:`approximation` turns codes back into keys;
     * ``inc_rows[inc_offsets[k]:inc_offsets[k + 1]]`` lists the global
       result-row ids requiring key ``k`` (rows are numbered contiguously
       across queries; ``row_query`` maps a row back to its query);
@@ -138,7 +132,7 @@ class CoverageIndex:
 
         self._tables = sorted({table for c in coverages for table in c.tables})
         self._slot = {table: t for t, table in enumerate(self._tables)}
-        self.slots = len(self._tables) + 1
+        self.slots = max(len(self._tables), 1)
         # One entry per (row, table): the key's code and the global row id.
         entry_codes = [np.zeros(0, dtype=np.int64)]
         entry_rows = [np.zeros(0, dtype=np.int64)]
@@ -181,52 +175,38 @@ class CoverageIndex:
         index was built from, so every code is known)."""
         return self.codes.searchsorted(self.row_codes(coverage))
 
-    def intern(self, keys: Sequence[TupleKey]) -> InternedKeys:
-        """Distinct interned key ids of a batch with their multiplicities.
+    def lookup(self, table: str, row_ids: np.ndarray) -> np.ndarray:
+        """The key id of ``(table, row id)`` for each of ``row_ids``, and -1
+        for a key no requirement row holds."""
+        row_ids = np.asarray(row_ids, dtype=np.int64)
+        if table not in self._slot or not self.n_keys:
+            return np.full(len(row_ids), -1, dtype=np.int64)
+        codes = row_ids * self.slots + self._slot[table]
+        pos = np.minimum(self.codes.searchsorted(codes), self.n_keys - 1)
+        return np.where(self.codes[pos] == codes, pos, -1)
 
-        Unknown keys are dropped. The batch becomes codes in C-level passes
-        (no Python frame per key) and one ``searchsorted`` finds them all;
-        a batch without repeats (an action's keys, an approximation set)
-        skips ``np.unique``, whose fixed cost is most of a small batch's.
-        """
-        if not keys or not self.n_keys:
-            none = np.zeros(0, dtype=np.int64)
-            return InternedKeys(none, none)
-        names, row_ids = zip(*keys)
-        codes = np.fromiter(row_ids, dtype=np.int64, count=len(keys))
-        codes *= self.slots
-        codes += np.fromiter(
-            map(self._slot.get, names, repeat(self.slots - 1)),
-            dtype=np.int64,
-            count=len(keys),
-        )
-        codes.sort()
-        pos = self.codes.searchsorted(codes)
-        np.minimum(pos, self.n_keys - 1, out=pos)
-        ids = pos[self.codes[pos] == codes]
-        if (ids[1:] != ids[:-1]).all():
-            return InternedKeys(ids, np.ones(len(ids), dtype=np.int64))
-        return InternedKeys(*np.unique(ids, return_counts=True))
-
-    def intern_actions(self, space: ActionSpace) -> tuple[InternedKeys, list[int]]:
-        """:meth:`intern` of every action of ``space`` in one pass: action
-        ``a``'s ids and counts are entries ``offsets[a]:offsets[a + 1]`` of
-        the returned arrays."""
-        # The space's distinct keys as this index's codes, in row order: the
-        # searchsorted's needles come (nearly) sorted, which makes it cheap.
+    def space_ids(self, space: ActionSpace) -> np.ndarray:
+        """:meth:`lookup` of each of ``space``'s distinct keys, in its key id
+        order (distinct keys it knows get distinct ids)."""
         tables = len(space.tables)
-        slots = [self._slot.get(t, self.slots - 1) for t in space.tables]
-        codes = space.distinct_codes // tables * self.slots + np.asarray(slots)[
-            space.distinct_codes % tables
-        ]
-        pos = self.codes.searchsorted(codes)
-        known = (np.append(self.codes, -1)[pos] == codes)[space.key_ids]  # codes >= 0
-        pos = pos[space.key_ids]
+        ids = np.empty(len(space.distinct_codes), dtype=np.int64)
+        for t, table in enumerate(space.tables):
+            # In row order, so the searchsorted's needles come sorted.
+            own = space.distinct_codes % tables == t
+            ids[own] = self.lookup(table, space.distinct_codes[own] // tables)
+        return ids
+
+    def intern_actions(self, space: ActionSpace) -> tuple[np.ndarray, list[int]]:
+        """Each action's distinct key ids, ascending, its unknown keys
+        dropped: action ``a``'s are entries ``offsets[a]:offsets[a + 1]``
+        of the returned array."""
+        ids = self.space_ids(space)[space.key_ids]
+        known = ids >= 0
         actions = np.repeat(np.arange(len(space)), np.diff(space.offsets))
         n = max(self.n_keys, 1)
-        pairs, counts = np.unique(actions[known] * n + pos[known], return_counts=True)
+        pairs = sorted_unique(actions[known] * n + ids[known])
         offsets = np.cumsum(np.bincount(pairs // n, minlength=len(space)))
-        return InternedKeys(pairs % n, counts), [0] + offsets.tolist()
+        return pairs % n, [0] + offsets.tolist()
 
 
 def _eq1_terms(
@@ -243,8 +223,11 @@ class CoverageTracker:
     Owns only the mutable state over a :class:`CoverageIndex` (built here
     unless the caller shares one): ``_missing[row]`` counts the row's absent
     required keys, ``_covered[q]`` the rows of query ``q`` with nothing
-    missing, ``_present[k]`` the refcount of key ``k`` (DRP removes tuples);
-    plus the Eq. 1 weights and denominators of *its* ``coverages``.
+    missing, ``_present[k]`` how many added batches hold key ``k`` (an
+    environment adds one per selected action, and DRP removes an action's
+    keys while another selected action may hold them); plus the Eq. 1
+    weights and denominators of *its* ``coverages``. A batch is a distinct
+    key id array of :attr:`index`.
     """
 
     def __init__(
@@ -275,9 +258,6 @@ class CoverageTracker:
     def n_queries(self) -> int:
         return len(self.coverages)
 
-    def covered_counts(self) -> np.ndarray:
-        return self._covered.copy()
-
     def reset(self) -> None:
         """Remove all present tuples (start of an episode)."""
         self._present[:] = 0
@@ -296,15 +276,11 @@ class CoverageTracker:
         within = np.arange(total, dtype=np.int64) - np.repeat(group_starts, counts)
         return self._inc_rows[np.repeat(starts, counts) + within]
 
-    def add_keys(self, keys: Union[Iterable[TupleKey], InternedKeys]) -> None:
-        """Add a batch of keys — or one the index has already interned."""
-        if not isinstance(keys, InternedKeys):
-            keys = self.index.intern(keys if isinstance(keys, list) else list(keys))
-        uniq, counts = keys
-        if uniq.size == 0:
-            return
-        newly = uniq[self._present[uniq] == 0]
-        self._present[uniq] += counts
+    def add_keys(self, ids: np.ndarray) -> None:
+        """Add a batch of distinct key ids (one more holder of each)."""
+        present = self._present[ids]
+        self._present[ids] = present + 1
+        newly = ids[present == 0]
         if newly.size == 0:
             return
         rows = self._incidence_rows(newly)
@@ -329,15 +305,12 @@ class CoverageTracker:
                 self._row_query[became_covered], minlength=self.n_queries
             )
 
-    def remove_keys(self, keys: Union[Iterable[TupleKey], InternedKeys]) -> None:
-        if not isinstance(keys, InternedKeys):
-            keys = self.index.intern(keys if isinstance(keys, list) else list(keys))
-        uniq, counts = keys
-        if uniq.size == 0:
-            return
-        present = self._present[uniq]
-        vanishing = uniq[(present > 0) & (counts >= present)]
-        self._present[uniq] = np.maximum(present - counts, 0)
+    def remove_keys(self, ids: np.ndarray) -> None:
+        """Remove a batch of distinct key ids (one holder fewer of each; a
+        key held by none stays absent)."""
+        present = self._present[ids]
+        self._present[ids] = np.maximum(present - 1, 0)
+        vanishing = ids[present == 1]
         if vanishing.size == 0:
             return
         rows = self._incidence_rows(vanishing)
@@ -357,13 +330,6 @@ class CoverageTracker:
             )
 
     # -------------------------------------------------------------- #
-    def query_score(self, q: int) -> float:
-        """Eq. 1 term of one query under the current set."""
-        coverage = self.coverages[q]
-        if coverage.is_empty:
-            return 1.0
-        return min(1.0, float(self._covered[q]) / coverage.denominator)
-
     def batch_score(self, query_indices: Optional[Sequence[int]] = None) -> float:
         """Weighted Eq. 1 score over a batch (default: all queries).
 
@@ -389,17 +355,17 @@ class CoverageTracker:
         weight_sum = float(self._weights.sum())
         return (capped * per_row).sum(axis=1) / (weight_sum if weight_sum > 0 else np.inf)
 
-    def probe_add_score(self, keys: Iterable[TupleKey]) -> float:
-        """Score after hypothetically adding ``keys``; state is unchanged
-        (add, score and roll back: no snapshot copy)."""
-        keys = list(keys)
-        self.add_keys(keys)
+    def probe_add_score(self, ids: np.ndarray) -> float:
+        """Score after hypothetically adding the distinct key ids ``ids``;
+        state is unchanged (add, score and roll back: no snapshot copy)."""
+        self.add_keys(ids)
         value = self.batch_score()
-        self.remove_keys(keys)
+        self.remove_keys(ids)
         return value
 
-    def score_with_keys(self, keys: Iterable[TupleKey]) -> float:
-        """Score of an arbitrary key set without disturbing current state.
+    def score_with_keys(self, ids: np.ndarray) -> float:
+        """Score of the set of distinct key ids ``ids`` alone, without
+        disturbing current state.
 
         Used to score whole candidate sets (the trainer's candidate
         rollouts). The prior state is restored from an O(1)-ops
@@ -407,7 +373,7 @@ class CoverageTracker:
         """
         snapshot = (self._present.copy(), self._missing.copy(), self._covered.copy())
         self.reset()
-        self.add_keys(keys)
+        self.add_keys(ids)
         value = self.batch_score()
         self._present, self._missing, self._covered = snapshot
         return value
@@ -416,8 +382,9 @@ class CoverageTracker:
 def held_query_scores(
     coverages: Sequence[QueryCoverage], approximation_set: ApproximationSet
 ) -> np.ndarray:
-    """:meth:`CoverageTracker.query_score` of every query, for a tracker
-    holding ``approximation_set``, without building a :class:`CoverageIndex`.
+    """The Eq. 1 term of every query under ``approximation_set`` (the
+    per-query terms :meth:`CoverageTracker.batch_score` weighs), without
+    building a :class:`CoverageIndex`.
 
     Each coverage counts its requirement rows whose keys the set all holds:
     one boolean presence array per table, gathered by the ``ids`` columns.

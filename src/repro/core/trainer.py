@@ -148,15 +148,16 @@ class TrainedModel:
         best = candidates[0]
         if len(candidates) > 1:
             tracker = CoverageTracker(self.coverages, self.coverage_index())
-            best_score = -1.0
+            index_ids = tracker.index.space_ids(self.action_space)
+            scores = []
             for candidate in candidates:
-                value = tracker.score_with_keys(candidate.keys())
-                if value > best_score:
-                    best_score = value
-                    best = candidate
+                ids = index_ids[candidate]
+                scores.append(tracker.score_with_keys(ids[ids >= 0]))
+            best = candidates[int(np.argmax(scores))]  # the first best
+        approximation = self.action_space.approximation(best)
         if greedy:
-            self.selected = best
-        return best
+            self.selected = approximation
+        return approximation
 
     def approximation_database(self) -> Database:
         return self.approximation_set().to_database(self.db)

@@ -20,7 +20,7 @@ from repro.core import (
     group_rows_into_actions,
 )
 from repro.core.reward import CoverageIndex, CoverageTracker
-from tests.test_reward import coverage_from_rows
+from tests.test_reward import coverage_from_rows, covered_counts, intern
 
 
 # ------------------------------------------------------------------ #
@@ -206,7 +206,7 @@ class TestInternedActions:
     def test_environments_over_one_index_intern_an_action_once(
         self, space, coverages, rng, monkeypatch
     ):
-        """Each environment interns its whole space in one pass when it is
+        """Each environment looks its whole space up in one pass when it is
         built, and no key while it steps."""
         index = CoverageIndex(coverages)
         calls = Counter()
@@ -217,7 +217,6 @@ class TestInternedActions:
             return intern_actions(self, action_space)
 
         monkeypatch.setattr(CoverageIndex, "intern_actions", counting)
-        monkeypatch.setattr(CoverageIndex, "intern", None)
         gsl = GSLEnvironment(
             space, coverages, _config(memory_budget=3), rng, coverage_index=index
         )
@@ -226,6 +225,7 @@ class TestInternedActions:
             coverage_index=index,
         )
         assert calls["intern_actions"] == 2
+        monkeypatch.setattr(CoverageIndex, "lookup", None)
         gsl.reset()
         gsl.step(0)
         drp.reset()  # fills to the budget, then every step swaps a group
@@ -236,8 +236,8 @@ class TestInternedActions:
         # The space's adds and removes leave the tracker where plain keys would.
         plain = CoverageTracker(coverages)
         for action in np.flatnonzero(drp.selected):
-            plain.add_keys(list(keys_of(space, int(action))))
-        assert drp.tracker.covered_counts().tolist() == plain.covered_counts().tolist()
+            plain.add_keys(intern(plain.index, keys_of(space, int(action))))
+        assert covered_counts(drp.tracker).tolist() == covered_counts(plain).tolist()
         assert drp.tracker.batch_score() == plain.batch_score()
 
     @given(keys=st.lists(st.lists(st.tuples(st.sampled_from("tuz"), st.integers(0, 5)),
@@ -252,16 +252,14 @@ class TestInternedActions:
         space = space_of([(tuple(action), 0) for action in keys])
         flat, offsets = index.intern_actions(space)
         for a, action in enumerate(keys):
-            want = index.intern(action)
-            lo, hi = offsets[a], offsets[a + 1]
-            assert flat.ids[lo:hi].tolist() == want.ids.tolist()
-            assert flat.counts[lo:hi].tolist() == want.counts.tolist()
+            assert flat[offsets[a]:offsets[a + 1]].tolist() == intern(index, action).tolist()
 
 
 @pytest.mark.parametrize("environment", ["gsl", "drp", "drp+gsl"])
 def test_one_selection_state_after_random_steps(actions, coverages, environment):
-    """The set, its size and the tracker all read the selected groups'
-    keys, including a tuple two groups share and one a group repeats."""
+    """The size and the tracker read the selected groups' keys, including a
+    tuple two groups share and one a group repeats; the set is those keys
+    cut to the budget ``k``."""
     shared = actions + [
         ((("t", 0), ("t", 2)), 0),
         ((("u", 1), ("u", 1), ("t", 3)), 1),
@@ -279,10 +277,13 @@ def test_one_selection_state_after_random_steps(actions, coverages, environment)
                 key for a in np.flatnonzero(env.selected) for key in keys_of(space, a)
             }
             approx = env.approximation_set()
-            assert set(approx.keys()) == union
-            assert env.size == approx.total_size()
-            fresh = CoverageTracker(coverages).score_with_keys(sorted(union))
-            assert env.tracker.batch_score() == fresh
+            assert set(approx.keys()) <= union
+            assert env.size == len(union)
+            assert approx.total_size() == min(env.size, config.memory_budget)
+            fresh = CoverageTracker(coverages)
+            assert env.tracker.batch_score() == fresh.score_with_keys(
+                intern(fresh.index, union)
+            )
 
 
 class TestGSLEnvironment:

@@ -32,6 +32,7 @@ from repro.core import ApproximationSet, CoverageTracker, QueryCoverage, TupleKe
 from repro.datasets import Workload, load_imdb, load_mas
 from repro.db import execute, sql
 from tests.test_action_env import as_rows
+from tests.test_reward import intern
 
 
 class LRUTupleCache:
@@ -139,7 +140,8 @@ def reference_greedy(coverages, k):
             new_keys = [key for key in units[unit_index] if key not in approx]
             if approx.total_size() + len(new_keys) > k:
                 continue
-            gain = tracker.probe_add_score(units[unit_index]) - current_score
+            gain = tracker.probe_add_score(intern(tracker.index, units[unit_index]))
+            gain -= current_score
             normalized = gain / max(1, len(new_keys))
             if normalized > best_gain:
                 best_gain = normalized
@@ -147,7 +149,7 @@ def reference_greedy(coverages, k):
         if best_unit < 0:
             break
         approx.add_keys(units[best_unit])
-        tracker.add_keys(units[best_unit])
+        tracker.add_keys(intern(tracker.index, units[best_unit]))
         current_score = tracker.batch_score()
         remaining.remove(best_unit)
     return approx
@@ -177,13 +179,14 @@ def assert_picks_within_rounding(coverages, k, picks):
         for unit in units:
             new_keys = [key for key in unit if key not in approx]
             if new_keys and approx.total_size() + len(new_keys) <= k:
-                gains[unit] = (tracker.probe_add_score(unit) - current_score) / len(new_keys)
+                gain = tracker.probe_add_score(intern(tracker.index, unit)) - current_score
+                gains[unit] = gain / len(new_keys)
         if pick is None:
             assert not gains
             return
         assert gains[rows[pick]] >= max(gains.values()) - 1e-12
         approx.add_keys(rows[pick])
-        tracker.add_keys(rows[pick])
+        tracker.add_keys(intern(tracker.index, rows[pick]))
 
 
 def assert_greedy_matches_the_rescan(coverages, k):

@@ -22,6 +22,7 @@ from repro.core import trainer as trainer_module
 from repro.core.preprocess import provenance_ids
 from repro.db import execute, sql
 from tests.test_action_env import actions_of, as_rows, space_of
+from tests.test_reward import intern, query_score
 
 
 def provenance_rows(db, query):
@@ -151,14 +152,14 @@ class TestInference:
         b = generate_approximation_set(
             trained.agent.actor, trained.action_space, trained.config, greedy=True
         )
-        assert a.keys() == b.keys()
+        assert a.tolist() == b.tolist()
 
     def test_sampled_respects_budget(self, trained, rng):
         config = dataclasses.replace(trained.config, memory_budget=25)
         approx = generate_approximation_set(
             trained.agent.actor, trained.action_space, config, rng=rng, greedy=False
         )
-        assert approx.total_size() <= 25
+        assert len(approx) <= 25
 
     def test_mismatched_space_rejected(self, trained, tiny_imdb):
         bogus = space_of([((("title", 0),), -1)])
@@ -216,8 +217,8 @@ class TestFineTune:
         # Scores over the shared index equal a from-scratch tracker's.
         approx = model.approximation_set()
         fresh = CoverageTracker(model.coverages)
-        fresh.add_keys(approx.keys())
-        expected = [fresh.query_score(q) for q in range(fresh.n_queries)]
+        fresh.add_keys(intern(fresh.index, approx.keys()))
+        expected = [query_score(fresh, q) for q in range(fresh.n_queries)]
         assert model.training_scores(approx).tolist() == expected
         assert model.training_scores().tolist() == expected
 

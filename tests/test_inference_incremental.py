@@ -8,7 +8,9 @@ The two must pick the same actions, build the same sets and leave the
 generator at the same draw; the only float difference allowed is the
 summation order of the first layer. ``reference_generate_tuples`` is the
 running-sum loop as it held the set in ``(table, row id)`` tuples, before
-it tracked the held keys by id: the two must agree exactly.
+it tracked the held keys by id: the two must agree exactly, and
+:meth:`TrainedModel.approximation_set` must keep the candidate that the
+tuple sets scored over their interned keys pick.
 """
 
 import dataclasses
@@ -25,9 +27,11 @@ from repro.core import (
 )
 from repro.core import inference
 from repro.core.approximation import ApproximationSet
+from repro.core.reward import CoverageTracker
 from repro.rl.nn import MLP, masked_log_softmax_, masked_softmax
 from repro.rl.policy import ActorNetwork, draw_actions
 from tests.test_action_env import actions_of, space_of
+from tests.test_reward import intern
 
 SEEDS = range(20)
 
@@ -164,7 +168,9 @@ class TestKeyIdsAgainstTheTupleLoop:
         for seed in range(5):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             want = reference_generate_tuples(actor, space, config, theirs, greedy)
-            got = generate_approximation_set(actor, space, config, ours, greedy)
+            got = space.approximation(
+                generate_approximation_set(actor, space, config, ours, greedy)
+            )
             assert got.rows == want.rows
             assert ours.random() == theirs.random()
 
@@ -183,9 +189,35 @@ class TestKeyIdsAgainstTheTupleLoop:
         for budget in range(1, space.total_distinct_tuples() + 2):
             config = ASQPConfig(memory_budget=budget, seed=budget)
             want = reference_generate_tuples(actor, space, config, greedy=greedy)
-            got = generate_approximation_set(actor, space, config, greedy=greedy)
+            got = space.approximation(
+                generate_approximation_set(actor, space, config, greedy=greedy)
+            )
             assert got.rows == want.rows
             assert got.total_size() == min(budget, space.total_distinct_tuples())
+
+
+class TestCandidatePick:
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_the_pick_scored_over_tuples(self, trained, policy, budget):
+        """The greedy candidate and ten sampled ones off one generator, each
+        a tuple set scored by the tracker through ``intern``: the model
+        keeps the first with the best score."""
+        actor, space, config = policy
+        config = dataclasses.replace(
+            config, memory_budget=BUDGETS[budget](actor, space), n_candidate_rollouts=10
+        )
+        model = dataclasses.replace(
+            trained, config=config, action_space=space, agent=SimpleNamespace(actor=actor)
+        )
+        rng = np.random.default_rng(config.seed + 31)
+        candidates = [
+            reference_generate_tuples(actor, space, config, rng, greedy=greedy)
+            for greedy in [True] + [False] * config.n_candidate_rollouts
+        ]
+        tracker = CoverageTracker(trained.coverages)
+        scores = [tracker.score_with_keys(intern(tracker.index, c.keys())) for c in candidates]
+        assert model.approximation_set().rows == candidates[scores.index(max(scores))].rows
+        assert model.approximation_set(greedy=False).rows == candidates[0].rows
 
 
 class TestSameSetsSameStream:
@@ -199,9 +231,9 @@ class TestSameSetsSameStream:
         for seed in SEEDS:
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             want = reference_generate(actor, space, config, theirs, greedy)
-            got = generate_approximation_set(
+            got = space.approximation(generate_approximation_set(
                 actor, space, config, rng=ours, greedy=greedy
-            )
+            ))
             assert got.rows == want.rows
             assert got.total_size() <= size
             assert ours.random() == theirs.random()
@@ -215,7 +247,9 @@ class TestSameSetsSameStream:
     def test_default_generator_is_seeded_by_the_config(self, policy):
         actor, space, config = policy
         want = reference_generate(actor, space, config, greedy=False)
-        got = generate_approximation_set(actor, space, config, greedy=False)
+        got = space.approximation(
+            generate_approximation_set(actor, space, config, greedy=False)
+        )
         assert got.rows == want.rows
 
 

@@ -18,6 +18,7 @@ from repro.core import (
     score,
 )
 from repro.db import execute, sql
+from tests.test_reward import intern
 
 
 def _config(**overrides):
@@ -66,7 +67,7 @@ def test_tracker_score_agrees_with_executed_score(tiny_imdb):
     approx = model.approximation_set()
 
     tracker = CoverageTracker(model.coverages)
-    tracker.add_keys(approx.keys())
+    tracker.add_keys(intern(tracker.index, approx.keys()))
     incremental = tracker.batch_score()
 
     from repro.datasets import Workload

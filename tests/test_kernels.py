@@ -7,7 +7,9 @@ mixed dtypes. A NaN key joins nothing, while grouping and distinct treat
 every NaN as one value, as SQL treats NULL. The CSR :class:`~repro.core.reward.CoverageTracker` must
 agree with the dict-of-lists :class:`DictCoverageTracker` below on every
 observable (covered counts and scores) under random
-add/remove/reset/probe programs. ``benchmarks/bench_kernels.py`` times
+add/remove/reset/probe programs, its key id batches looked up from the
+programs' tuples by ``tests/test_reward.py::intern``, which
+:meth:`~repro.core.reward.CoverageIndex.lookup` must equal. ``benchmarks/bench_kernels.py`` times
 the same references as the baseline side of its rows.
 """
 
@@ -23,9 +25,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.approximation import TupleKey
-from repro.core.reward import CoverageIndex, CoverageTracker, InternedKeys, QueryCoverage
+from repro.core.reward import CoverageIndex, CoverageTracker, QueryCoverage
 from repro.db import INT_NULL, kernels
 from tests.test_action_env import as_rows, space_of
+from tests.test_reward import covered_counts, intern, query_score
 
 
 # ------------------------------------------------------------------ #
@@ -854,7 +857,7 @@ def _coverages(draw):
 _PROGRAM_OPS = st.lists(
     st.tuples(
         st.sampled_from(["add", "remove", "add_batch", "remove_batch",
-                         "add_interned", "remove_interned",
+                         "add_action", "remove_action",
                          "reset", "score_with", "probe"]),
         st.lists(st.sampled_from(_KEYS + [("zz", 99)]), min_size=0, max_size=12),
     ),
@@ -864,50 +867,51 @@ _PROGRAM_OPS = st.lists(
 
 
 def _assert_trackers_agree(csr: CoverageTracker, ref: DictCoverageTracker):
-    np.testing.assert_array_equal(csr.covered_counts(), ref.covered_counts())
+    np.testing.assert_array_equal(covered_counts(csr), ref.covered_counts())
     assert csr.batch_score() == pytest.approx(ref.batch_score())
     for q in range(csr.n_queries):
-        assert csr.query_score(q) == pytest.approx(ref.query_score(q))
+        assert query_score(csr, q) == pytest.approx(ref.query_score(q))
 
 
 def _run_program(csr: CoverageTracker, ref: DictCoverageTracker, program):
+    """A batch is one holder of each of its distinct keys: the tracker gets
+    their ids, the reference the distinct keys."""
     for op, keys in program:
+        ids, distinct = intern(csr.index, keys), list(dict.fromkeys(keys))
         if op == "add":
             for key in keys:
-                csr.add_keys([key])
+                csr.add_keys(intern(csr.index, [key]))
                 ref.add_key(key)
         elif op == "remove":
             for key in keys:
-                csr.remove_keys([key])
+                csr.remove_keys(intern(csr.index, [key]))
                 ref.remove_key(key)
         elif op == "add_batch":
-            csr.add_keys(keys)
-            ref.add_keys(keys)
+            csr.add_keys(ids)
+            ref.add_keys(distinct)
         elif op == "remove_batch":
-            csr.remove_keys(keys)
-            ref.remove_keys(keys)
-        elif op in ("add_interned", "remove_interned") and keys:
-            # What an environment does: the action's keys as the index's
-            # one pass over a space gives them (unknown keys dropped,
-            # duplicates counted).
+            csr.remove_keys(ids)
+            ref.remove_keys(distinct)
+        elif op in ("add_action", "remove_action") and keys:
+            # What an environment does: the action's ids as the index's one
+            # pass over a space gives them (unknown keys dropped).
             flat, offsets = csr.index.intern_actions(space_of([(tuple(keys), 0)]))
-            interned = InternedKeys(flat.ids[: offsets[1]], flat.counts[: offsets[1]])
-            if op == "add_interned":
-                csr.add_keys(interned)
-                ref.add_keys(keys)
+            if op == "add_action":
+                csr.add_keys(flat[: offsets[1]])
+                ref.add_keys(distinct)
             else:
-                csr.remove_keys(interned)
-                ref.remove_keys(keys)
+                csr.remove_keys(flat[: offsets[1]])
+                ref.remove_keys(distinct)
         elif op == "reset":
             csr.reset()
             ref.reset()
         elif op == "score_with":
-            assert csr.score_with_keys(keys) == pytest.approx(
+            assert csr.score_with_keys(ids) == pytest.approx(
                 ref.score_with_keys(keys)
             )
         elif op == "probe":
             before = csr.batch_score()
-            probe = csr.probe_add_score(keys)
+            probe = csr.probe_add_score(ids)
             # probe must not mutate observable state...
             assert csr.batch_score() == pytest.approx(before)
             # ...and must equal the add-then-score value of the reference.
@@ -916,6 +920,27 @@ def _run_program(csr: CoverageTracker, ref: DictCoverageTracker, program):
             )
             assert probe == pytest.approx(ref_probe)
         _assert_trackers_agree(csr, ref)
+
+
+@given(coverages=_coverages(), keys=st.lists(
+    st.tuples(st.sampled_from(["a", "b", "zz"]), st.integers(0, 9)), max_size=30,
+))
+@settings(max_examples=120, deadline=None)
+def test_lookup_equals_the_tuple_intern(coverages, keys):
+    """Key by key, ``lookup`` gives ``intern``'s id, and -1 for a key of a
+    table no coverage spans ("zz", and "a" or "b" when no coverage draws
+    it) or a row id no requirement row holds (6-9, as in BRT's pool); the
+    space of the keys as one action gets the same distinct ids."""
+    index = CoverageIndex(coverages)
+    for table in ("a", "b", "zz"):
+        rows = np.asarray([row for t, row in keys if t == table], dtype=np.int64)
+        want = [intern(index, [(table, row)]).tolist() or [-1] for row in rows]
+        assert index.lookup(table, rows).tolist() == [w[0] for w in want]
+    if keys:
+        space = space_of([(tuple(keys), 0)])
+        ids = index.space_ids(space)[space.key_ids]
+        assert kernels.sorted_unique(ids[ids >= 0]).tolist() == intern(index, keys).tolist()
+        assert index.intern_actions(space)[0].tolist() == intern(index, keys).tolist()
 
 
 @given(coverages=_coverages(), program=_PROGRAM_OPS)
@@ -940,7 +965,7 @@ def test_shared_index_trackers_are_independent(coverages, program, other):
     second.reset()
     first.reset()
     np.testing.assert_array_equal(index.initial_missing, first._missing)
-    np.testing.assert_array_equal(first.covered_counts(), index.initial_covered)
+    np.testing.assert_array_equal(covered_counts(first), index.initial_covered)
 
 
 @given(coverages=_coverages(), keys=st.lists(st.sampled_from(_KEYS), max_size=15),
@@ -956,12 +981,13 @@ def test_boosted_weights_on_shared_index(coverages, keys, boosted):
     shared = CoverageTracker(lifted, CoverageIndex(coverages))
     rebuilt = CoverageTracker(lifted)
     plain = CoverageTracker(coverages, shared.index)
+    ids = intern(shared.index, keys)
     for tracker in (shared, rebuilt, plain):
-        tracker.add_keys(keys)
+        tracker.add_keys(ids)
     assert shared.batch_score() == rebuilt.batch_score()
     assert shared.batch_score([0]) == rebuilt.batch_score([0])
-    np.testing.assert_array_equal(shared.covered_counts(), plain.covered_counts())
-    assert plain.batch_score() == CoverageTracker(coverages).score_with_keys(keys)
+    np.testing.assert_array_equal(covered_counts(shared), covered_counts(plain))
+    assert plain.batch_score() == CoverageTracker(coverages).score_with_keys(ids)
 
 
 def test_index_for_other_coverages_is_refused():
@@ -974,16 +1000,17 @@ def test_index_for_other_coverages_is_refused():
 @given(coverages=_coverages(), batch=st.lists(st.sampled_from(_KEYS), max_size=15))
 @settings(max_examples=80, deadline=None)
 def test_batch_equals_one_key_batches(coverages, batch):
-    """One add_keys/remove_keys batch must equal one-key batches in a loop."""
+    """One add_keys/remove_keys batch must equal one-key batches of its
+    distinct keys in a loop."""
     batched = CoverageTracker(coverages)
     one_by_one = CoverageTracker(coverages)
-    batched.add_keys(batch)
-    for key in batch:
-        one_by_one.add_keys([key])
-    np.testing.assert_array_equal(batched.covered_counts(), one_by_one.covered_counts())
+    batched.add_keys(intern(batched.index, batch))
+    for key in dict.fromkeys(batch):
+        one_by_one.add_keys(intern(one_by_one.index, [key]))
+    np.testing.assert_array_equal(covered_counts(batched), covered_counts(one_by_one))
     half = batch[: len(batch) // 2]
-    batched.remove_keys(half)
-    for key in half:
-        one_by_one.remove_keys([key])
-    np.testing.assert_array_equal(batched.covered_counts(), one_by_one.covered_counts())
+    batched.remove_keys(intern(batched.index, half))
+    for key in dict.fromkeys(half):
+        one_by_one.remove_keys(intern(one_by_one.index, [key]))
+    np.testing.assert_array_equal(covered_counts(batched), covered_counts(one_by_one))
     assert batched.batch_score() == pytest.approx(one_by_one.batch_score())

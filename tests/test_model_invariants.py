@@ -3,7 +3,8 @@
 ``hypothesis`` draws the three tiny tables of the sqlite oracle at drawn
 sizes and contents, and a workload of its one-, two- and three-table
 queries. Each draw is fitted for one or two iterations, saved, loaded and
-fine-tuned. The approximation set stays within ``k`` at every stage, and
+fine-tuned. The approximation set stays within ``k`` at every stage (as
+does every set a baseline selector or a training environment returns), and
 the loaded model is the in-memory one: the same coverages, action space,
 selected set and greedy roll-out, every key of which the database holds.
 
@@ -15,19 +16,24 @@ coverage sampled, the tracker's training score is ``metric.score`` of the
 representatives on the approximation database.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from repro.baselines import make_baseline
 from repro.core import (
-    ASQPConfig, ASQPSession, ASQPTrainer, load_model, metric, save_model,
+    ASQPConfig, ASQPSession, ASQPTrainer, GSLEnvironment, load_model, metric,
+    save_model,
 )
 from repro.core.reward import CoverageTracker
 from repro.datasets.workloads import Workload
 from repro.db import Column, Database, Table, TableSchema, sql
 from tests.test_action_env import actions_of
+from tests.test_reward import intern, query_score
 from tests.test_sqlite_oracle import TINY_SCHEMA, _from_where, _tiny_column
 
 
@@ -118,17 +124,55 @@ def test_save_load_keeps_the_model_and_the_budget(
     assert _keys_held(db, loaded.approximation_set().keys())
 
 
+@settings(
+    max_examples=15, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    db=_database(), workload=_workload(min_size=1), k=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_every_selector_and_environment_keeps_the_budget(db, workload, k, seed):
+    """``|S| <= k`` for Alg. 2 (the selected set and the arg-max roll-out
+    alone), GRE, BRT (on a tiny time budget), RAN, TOP, QUIK and CACH, and
+    for the set each environment variant holds after a random episode."""
+    config = ASQPConfig(
+        memory_budget=k, n_iterations=1, n_actors=2, episodes_per_actor=1,
+        action_space_target=12, group_size=2, n_candidate_rollouts=1,
+        query_batch_size=4, drp_horizon=6, seed=seed,
+    )
+    model = ASQPTrainer(db, workload, config).train()
+    assert model.approximation_set().total_size() <= k
+    assert model.approximation_set(greedy=False).total_size() <= k
+    rng = np.random.default_rng(seed)
+    for name in ("GRE", "BRT", "RAN", "TOP", "QUIK", "CACH"):
+        result = make_baseline(name).select(
+            db, workload, k, config.frame_size, rng, time_budget=0.02
+        )
+        assert result.approximation.total_size() <= k, name
+    for variant in ("gsl", "drp", "drp+gsl"):
+        env = GSLEnvironment(
+            model.action_space, model.coverages,
+            dataclasses.replace(config, environment=variant), rng,
+        )
+        _, mask = env.reset()
+        done = False
+        while not done and mask.any():
+            _, _, done, mask = env.step(int(rng.choice(np.flatnonzero(mask))))
+        assert env.approximation_set().total_size() <= k, variant
+
+
 def _tracker(model):
     """A fresh tracker over the model's coverages, holding its selected set."""
     tracker = CoverageTracker(model.coverages)
-    tracker.add_keys(model.approximation_set().keys())
+    tracker.add_keys(intern(tracker.index, model.approximation_set().keys()))
     return tracker
 
 
 def _assert_training_scores(model):
     """``training_scores`` is the tracker's per-query scores, bit for bit."""
     tracker = _tracker(model)
-    expected = np.asarray([tracker.query_score(q) for q in range(tracker.n_queries)])
+    expected = np.asarray([query_score(tracker, q) for q in range(tracker.n_queries)])
     scores = model.training_scores()
     assert scores.dtype == np.float64
     assert scores.tobytes() == expected.tobytes()

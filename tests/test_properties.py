@@ -8,7 +8,7 @@ from repro.core import ApproximationSet, CoverageTracker, query_score
 from tests.test_action_env import as_rows
 from tests.test_baselines import LRUTupleCache
 from tests.test_kernels import DictCoverageTracker
-from tests.test_reward import coverage_from_rows
+from tests.test_reward import coverage_from_rows, covered_counts, intern
 from repro.db import Between, Comparison, InSet, conjoin, conjuncts
 from repro.db.sampling import variational_subsample
 from repro.embedding import TokenHasher
@@ -72,12 +72,12 @@ def test_tracker_matches_recomputation(requirements, operations):
     reference = DictCoverageTracker([coverage])
     present: list = []
     for key in operations:
-        incremental.add_keys([key])
+        incremental.add_keys(intern(incremental.index, [key]))
         reference.add_key(key)
         present.append(key)
 
     fresh = CoverageTracker([_coverage(requirements)])
-    fresh.add_keys(present)
+    fresh.add_keys(intern(fresh.index, present))
     assert incremental.batch_score() == fresh.batch_score() == reference.batch_score()
 
 
@@ -104,16 +104,17 @@ def _state(tracker):
 @settings(max_examples=80)
 def test_tracker_add_remove_roundtrip(coverages, before, keys):
     """Metamorphic: ``add_keys(K)`` then ``remove_keys(K)`` is the identity
-    on ``_missing``, ``_covered`` and ``_present``, from any prior state."""
+    on ``_missing``, ``_covered`` and ``_present``, from any prior state
+    (a batch is its distinct keys, one holder of each)."""
     tracker = CoverageTracker(coverages)
     reference = DictCoverageTracker(coverages)
-    tracker.add_keys(before)
-    reference.add_keys(before)
+    tracker.add_keys(intern(tracker.index, before))
+    reference.add_keys(dict.fromkeys(before))
     expected = _state(tracker)
-    tracker.add_keys(keys)
-    reference.add_keys(keys)
-    np.testing.assert_array_equal(tracker.covered_counts(), reference.covered_counts())
-    tracker.remove_keys(keys)
+    tracker.add_keys(intern(tracker.index, keys))
+    reference.add_keys(dict.fromkeys(keys))
+    np.testing.assert_array_equal(covered_counts(tracker), reference.covered_counts())
+    tracker.remove_keys(intern(tracker.index, keys))
     for got, want in zip(_state(tracker), expected):
         np.testing.assert_array_equal(got, want)
 
@@ -133,7 +134,7 @@ def test_tracker_batch_score_never_falls_as_keys_are_added(coverages, batches, d
     tracker = CoverageTracker(coverages)
     scores = [(tracker.batch_score(), tracker.batch_score(subset))]
     for batch in batches:
-        tracker.add_keys(batch)
+        tracker.add_keys(intern(tracker.index, batch))
         scores.append((tracker.batch_score(), tracker.batch_score(subset)))
     for (low_all, low_subset), (high_all, high_subset) in zip(scores, scores[1:]):
         assert low_all <= high_all and low_subset <= high_subset

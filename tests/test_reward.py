@@ -2,6 +2,12 @@
 
 The central invariant: the tracker's incremental score must equal the
 score computed by executing queries on the materialized sub-database.
+
+The tracker takes key ids only. :func:`intern` is the per-key tuple path
+it took before, kept as the reference of :meth:`CoverageIndex.lookup` and
+as the helper of every test that feeds it ``(table, row id)`` keys;
+:func:`covered_counts` and :func:`query_score` read a tracker's per-query
+state, which no caller in ``src/`` needs.
 """
 
 import tracemalloc
@@ -33,6 +39,36 @@ def coverage_from_rows(name, weight, denominator, rows):
     )
 
 
+def intern(index, keys):
+    """The distinct key ids of ``(table, row id)`` keys, ascending, the keys
+    ``index`` does not know dropped: one dict lookup per key, over every
+    key of the index decoded from its code."""
+    known = {
+        (index._tables[code % index.slots], code // index.slots): key_id
+        for key_id, code in enumerate(index.codes.tolist())
+    }
+    ids = {known[table, int(row)] for table, row in keys if (table, int(row)) in known}
+    return np.asarray(sorted(ids), dtype=np.int64)
+
+
+def covered_counts(tracker):
+    """Each query's covered requirement rows, recounted from the tracker's
+    per-row missing counts and checked against its running counts."""
+    recount = np.bincount(
+        tracker.index.row_query[tracker._missing == 0], minlength=tracker.n_queries
+    )
+    np.testing.assert_array_equal(tracker._covered, recount)
+    return recount
+
+
+def query_score(tracker, q):
+    """Eq. 1 term of query ``q`` under the tracker's current set."""
+    coverage = tracker.coverages[q]
+    if coverage.is_empty:
+        return 1.0
+    return min(1.0, float(covered_counts(tracker)[q]) / coverage.denominator)
+
+
 @pytest.fixture
 def coverages():
     # Query A needs rows (t,0),(t,1); query B needs joined pairs.
@@ -49,59 +85,60 @@ class TestCoverageTracker:
 
     def test_single_tuple_partial(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_keys([("t", 0)])
-        assert tracker.query_score(0) == 0.5
-        assert tracker.query_score(1) == 0.0  # join partner missing
+        tracker.add_keys(intern(tracker.index, [("t", 0)]))
+        assert query_score(tracker, 0) == 0.5
+        assert query_score(tracker, 1) == 0.0  # join partner missing
 
     def test_join_requirement_needs_all_keys(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_keys([("t", 0)])
-        tracker.add_keys([("u", 7)])
-        assert tracker.query_score(1) == 0.5
+        tracker.add_keys(intern(tracker.index, [("t", 0)]))
+        tracker.add_keys(intern(tracker.index, [("u", 7)]))
+        assert query_score(tracker, 1) == 0.5
 
     def test_full_coverage(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_keys([("t", 0), ("t", 1), ("t", 2), ("u", 7), ("u", 8)])
+        every = [("t", 0), ("t", 1), ("t", 2), ("u", 7), ("u", 8)]
+        tracker.add_keys(intern(tracker.index, every))
         assert tracker.batch_score() == pytest.approx(1.0)
 
     def test_remove_reverses_add(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_keys([("t", 0), ("u", 7)])
+        tracker.add_keys(intern(tracker.index, [("t", 0), ("u", 7)]))
         before = tracker.batch_score()
-        tracker.add_keys([("t", 1)])
-        tracker.remove_keys([("t", 1)])
+        tracker.add_keys(intern(tracker.index, [("t", 1)]))
+        tracker.remove_keys(intern(tracker.index, [("t", 1)]))
         assert tracker.batch_score() == pytest.approx(before)
 
     def test_refcounted_duplicates(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_keys([("t", 0)])
-        tracker.add_keys([("t", 0)])
-        tracker.remove_keys([("t", 0)])
-        assert tracker.query_score(0) == 0.5  # still present once
-        tracker.remove_keys([("t", 0)])
-        assert tracker.query_score(0) == 0.0
+        tracker.add_keys(intern(tracker.index, [("t", 0)]))
+        tracker.add_keys(intern(tracker.index, [("t", 0)]))
+        tracker.remove_keys(intern(tracker.index, [("t", 0)]))
+        assert query_score(tracker, 0) == 0.5  # still present once
+        tracker.remove_keys(intern(tracker.index, [("t", 0)]))
+        assert query_score(tracker, 0) == 0.0
 
     def test_remove_absent_is_noop(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.remove_keys([("t", 99)])
+        tracker.remove_keys(intern(tracker.index, [("t", 99)]))
         assert tracker.batch_score() == 0.0
 
     def test_irrelevant_key_no_effect(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_keys([("zzz", 1)])
+        tracker.add_keys(intern(tracker.index, [("zzz", 1)]))
         assert tracker.batch_score() == 0.0
 
     def test_reset(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_keys([("t", 0), ("t", 1)])
+        tracker.add_keys(intern(tracker.index, [("t", 0), ("t", 1)]))
         tracker.reset()
         assert tracker.batch_score() == 0.0
-        tracker.add_keys([("t", 0)])
-        assert tracker.query_score(0) == 0.5
+        tracker.add_keys(intern(tracker.index, [("t", 0)]))
+        assert query_score(tracker, 0) == 0.5
 
     def test_batch_score_subset_renormalizes(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_keys([("t", 0), ("t", 1)])
+        tracker.add_keys(intern(tracker.index, [("t", 0), ("t", 1)]))
         assert tracker.batch_score([0]) == pytest.approx(1.0)
         assert tracker.batch_score([1]) == pytest.approx(0.0)
 
@@ -113,16 +150,17 @@ class TestCoverageTracker:
 
     def test_score_with_keys_preserves_state(self, coverages):
         tracker = CoverageTracker(coverages)
-        tracker.add_keys([("t", 0)])
+        tracker.add_keys(intern(tracker.index, [("t", 0)]))
         before = tracker.batch_score()
-        probe = tracker.score_with_keys([("t", 0), ("t", 1), ("t", 2), ("u", 7), ("u", 8)])
+        every = [("t", 0), ("t", 1), ("t", 2), ("u", 7), ("u", 8)]
+        probe = tracker.score_with_keys(intern(tracker.index, every))
         assert probe == pytest.approx(1.0)
         assert tracker.batch_score() == pytest.approx(before)
 
     def test_denominator_caps_coverage(self):
         coverage = QueryCoverage("big", 1.0, 2, ("t",), np.arange(10).reshape(-1, 1))
         tracker = CoverageTracker([coverage])
-        tracker.add_keys([("t", 0), ("t", 1)])
+        tracker.add_keys(intern(tracker.index, [("t", 0), ("t", 1)]))
         assert tracker.batch_score() == pytest.approx(1.0)
 
 
@@ -151,7 +189,7 @@ class TestTrackerMatchesExecution:
         ]
         tracker = CoverageTracker(coverages)
         approx = ApproximationSet.from_mapping(selection)
-        tracker.add_keys(approx.keys())
+        tracker.add_keys(intern(tracker.index, approx.keys()))
         executed = score(mini_db, approx.to_database(mini_db), workload, frame_size=50)
         assert tracker.batch_score() == pytest.approx(executed, abs=1e-9)
 

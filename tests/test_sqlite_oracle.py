@@ -63,6 +63,7 @@ from repro.db import (
     sql,
 )
 from tests.test_plan_explain import _HAND_QUERIES, _golden_queries
+from tests.test_reward import intern
 
 SCALE = 0.35
 LOADERS = {"imdb": load_imdb, "mas": load_mas, "flights": load_flights}
@@ -261,7 +262,7 @@ def test_eq1_does_not_change_for_f_above_every_result_size(name):
             for q, w in zip(workload, workload.weights)
         ]
         tracker = CoverageTracker(coverages)
-        tracker.add_keys(keys)
+        tracker.add_keys(intern(tracker.index, keys))
         return metric.score(db, subset, workload, frame_size), tracker.batch_score()
 
     at_largest = scores(largest)
