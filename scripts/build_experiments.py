@@ -48,25 +48,27 @@ SECTIONS = [
     ("fig3_imdb", "Figure 3 — RL ablation (IMDB)",
      "Paper: GSL/full 0.64 > GSL−ppo 0.536 > GSL−ppo−ac 0.496; DRP ~0.36; "
      "hybrid in between.",
-     "Not reproduced at one seed (PYTHONHASHSEED=0): DRP/full 0.667 edges "
-     "GSL/full 0.665, so the bench's GSL > DRP assertion fails. The DRP "
+     "Not reproduced: at one seed (PYTHONHASHSEED=0, scale 0.35) GSL/full "
+     "0.673 edges DRP/full 0.668, so the bench's GSL > DRP assertion passes "
+     "on a 0.005 margin, and −ppo (0.683) sits above the full agent. The DRP "
      "variants score the drop-one process's own episode outcome "
-     "(environment-faithful inference), now counted over one refcounted "
-     "selection: a swap no longer drops a tuple another selected group "
-     "holds, which had shrunk DRP's sets to 879-898 tuples and its scores "
-     "to 0.513 / 0.401 / 0.452. Counted correctly DRP holds 1009-1025 "
-     "tuples (|S|), over k = 1000, since DRP is not trimmed to k while "
-     "GSL's Alg. 2 sets hold exactly k. GSL rows are unchanged by the fix; "
-     "−ppo (0.691) sits above the full agent (0.665) and −ppo −ac (0.636) "
-     "below it."),
+     "(environment-faithful inference) over one refcounted selection, now "
+     "cut to k as Alg. 2 cuts its last group (the environment's set drops "
+     "its latest keys past k). Before the cut (commit 958211d, same scale "
+     "and seed) four rows held more than k: DRP −ppo −ac 0.636 over 1029 "
+     "tuples, DRP+GSL/full 0.607 over 1005, DRP+GSL −ppo 0.615 over 1029 "
+     "and DRP+GSL −ppo −ac 0.632 over 1004; at k they read 0.632, 0.607, "
+     "0.604 and 0.632. Training never reads that set, so GSL rows and "
+     "every iteration count are unchanged."),
     ("fig3_mas", "Figure 3 — RL ablation (MAS)",
      "Paper: GSL/full 0.754 > ablations; DRP worst.",
-     "Not reproduced at one seed (PYTHONHASHSEED=0): DRP/full 0.727 beats "
-     "GSL/full 0.653 while holding 463 tuples against k = 500, so the "
-     "overshoot of k does not explain it; the bench's GSL > DRP assertion "
-     "fails. Before the refcount fix DRP reported 0.589 / 0.393 / 0.431 "
-     "over 397-466 tuples. GSL rows are unchanged by the fix; "
-     "DRP+GSL/full (0.389) is the worst row."),
+     "Not reproduced: at one seed GSL/full 0.659 beats DRP/full 0.637 (the "
+     "assertion passes), but DRP −ppo (0.711) is the best row and −ppo "
+     "(0.680) sits above the full agent. The DRP+GSL rows held 506-511 "
+     "tuples before the cut to k = 500 (commit 958211d, same scale); their "
+     "scores move by at most 0.001 (−ppo 0.609 → 0.608). DRP rows hold "
+     "462-484 tuples, under k: a swap may shrink the set. DRP+GSL/full "
+     "(0.545) is the worst row."),
     ("fig4_direct_query_cost", "Figure 4 — problem justification",
      "Paper: cumulative average direct-query latency passes 5 hours after "
      "seven queries at the 1 GB scale.",

@@ -51,8 +51,8 @@ class BruteForce(SubsetSelector):
         # tuples": candidates are individual tuples of the database, with no
         # knowledge of join structure. (Giving it joinable provenance rows
         # would make it a different — and far stronger — algorithm.) Each
-        # tuple is looked up in the tracker's index once; one no requirement
-        # row holds (id -1) only fills budget.
+        # tuple is looked up in the tracker's index once; a tuple that no
+        # requirement row holds gets id -1 and only fills budget.
         all_keys = self.all_tuple_keys(db)
         pool = np.concatenate(
             [tracker.index.lookup(table.name, table.row_ids) for table in db]
