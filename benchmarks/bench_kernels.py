@@ -13,14 +13,16 @@ training iteration at figure scale: the lock-step rollout collector
 tests retain, with the peak that update holds; the 13
 rollouts of Alg. 2 one ``approximation_set()`` makes; and the
 per-distinct-value ``compute_table_stats`` — those two against the loops
-the tests retain. Six rows time a kernel against the form it replaced: a join-key
+the tests retain. Seven rows time a kernel against the form it replaced: a join-key
 NDV count by ``sorted_unique`` against numpy 2.x's hash-set ``np.unique``;
 a primary-key probe of the direct-address index, a whole primary-key
 join at a serving-tail aggregate's shape, a foreign-key build against a
 primary-key probe (the probe side indexed) and a many-to-many join (where
 that switch is tried and rejected), each against the bucket layout and its
-three-repeat probe; and the column store's serial scan on dictionary codes
-against the same predicate on decoded values.
+three-repeat probe; a served join through the executor's ``_hash_join``
+with its keys' facts read from the tables, against derived from the rows;
+and the column store's serial scan on dictionary codes against the same
+predicate on decoded values.
 
 One timer measures everything: :func:`_paired` runs the two sides of a
 row in alternating same-round batches, so a row's ``speedup`` is the
@@ -61,6 +63,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -77,7 +80,16 @@ from repro.core import (
     generate_approximation_set,
 )
 from repro.core.reward import CoverageIndex, CoverageTracker, QueryCoverage
-from repro.db import Column, ColumnType, Table, TableSchema, kernels
+from repro.db import (
+    Column,
+    ColumnType,
+    Database,
+    JoinCondition,
+    Table,
+    TableSchema,
+    executor,
+    kernels,
+)
 from repro.db.statistics import compute_table_stats
 from repro.rl import (
     ActorNetwork,
@@ -432,6 +444,31 @@ def _serving_fixture():
     return serve
 
 
+def _served_join_fixture(rng: np.random.Generator):
+    """``(conditions, (leaf, table), (leaf, table))`` of one served join:
+    the two inputs with their join keys' facts, then the same inputs
+    without them."""
+    span, n_keys, n_refs, n_leaf = 3_000, 300, 300, 20
+    ids = np.sort(rng.choice(span, size=n_keys, replace=False))
+    keys = Table(
+        TableSchema("p", [Column("id", ColumnType.INT), Column("v", ColumnType.INT)]),
+        {"id": ids, "v": rng.integers(0, 100, size=n_keys)},
+    )
+    refs = Table(
+        TableSchema("f", [Column("p_id", ColumnType.INT), Column("w", ColumnType.INT)]),
+        {"p_id": rng.choice(ids, size=n_refs), "w": rng.integers(0, 100, size=n_refs)},
+    )
+    db = Database([keys, refs])
+    leaf = executor._base_context(db, "p").take(
+        np.sort(rng.choice(n_keys, size=n_leaf, replace=False))
+    )
+    table = executor._base_context(db, "f")
+    leaf.facts = {"p.id": keys.key_facts("id")}
+    table.facts = {"f.p_id": refs.key_facts("p_id")}
+    bare = tuple(replace(side, facts={}) for side in (leaf, table))
+    return (JoinCondition("p.id", "f.p_id"),), (leaf, table), bare
+
+
 def run_benchmarks(rounds: int) -> dict:
     """Every kernel row, each paired against its retained reference."""
     from tests.test_kernels import (
@@ -562,6 +599,18 @@ def run_benchmarks(rounds: int) -> dict:
             lambda: kernels.join_positions(build_keys, probe_keys),
             units=len(build_keys[0]) + len(probe_keys[0]),
         )
+
+    # A served join through `_hash_join`, at an approximation set's shape:
+    # a 20-row filtered leaf of a unique key against a 300-row table's
+    # foreign key over a 3 000-id span, the keys' facts read from the
+    # tables against derived from the rows. Its own generator.
+    served_on, with_facts, without_facts = _served_join_fixture(np.random.default_rng(29))
+    measure(
+        "join_facts_20x300",
+        lambda: executor._hash_join(*without_facts, served_on, None),
+        lambda: executor._hash_join(*with_facts, served_on, None),
+        units=sum(len(side) for side in with_facts),
+    )
 
     # The sort under all three kernels and the CoverageIndex build, alone:
     # 50 000 codes over 2000 values, against numpy's int64 stable sort.

@@ -79,7 +79,6 @@ class ASQPSession:
         self.workload_generator = workload_generator
         self._regenerate()
         self.drift_detector = DriftDetector()
-        self.query_log: list[QueryLike] = []
 
     # -------------------------------------------------------------- #
     def _build_estimator(self) -> AnswerabilityEstimator:
@@ -133,7 +132,6 @@ class ASQPSession:
             paper's full-system variants query the database below predicted
             score 0.6 / 0.8.
         """
-        self.query_log.append(query)
         # On recorded runs the session opens the request context itself,
         # so the root span, every telemetry record, and the quality
         # pipeline share one trace id (nested executes reuse it via

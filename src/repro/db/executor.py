@@ -19,6 +19,7 @@ import numpy as np
 
 from ..obs.clock import perf_counter, process_time
 from . import kernels
+from .kernels import KeyFacts
 from ..obs import context as _context
 from ..obs import memory as _memory
 from ..obs import telemetry as _telemetry
@@ -95,12 +96,20 @@ class ResultSet:
     column), which every reader — :meth:`to_rows`, :meth:`tuple_keys`,
     :meth:`decoded_context` — goes through; a caller that reads only
     ``row_ids`` or the length decodes nothing.
+
+    ``facts`` holds the :class:`~repro.db.kernels.KeyFacts` of the integer
+    join keys of a leaf's table (:meth:`Table.key_facts`), by ref. Bounds
+    and NULL-freedom hold for any rows of a column, so a filter, a
+    projection and a join keep them; uniqueness holds while no row
+    repeats, so only the operators that never repeat one carry them (a
+    join sets its output's itself).
     """
 
     columns: dict[str, np.ndarray]
     row_ids: dict[str, np.ndarray]
     n_rows: int
     encodings: dict[str, np.ndarray] = field(default_factory=dict)
+    facts: dict[str, KeyFacts] = field(default_factory=dict, repr=False, compare=False)
     #: Per-query resource accounting, attached by the observed execution
     #: path (None on internal intermediates and unobserved runs).
     stats: Optional[QueryStats] = field(default=None, repr=False, compare=False)
@@ -146,21 +155,24 @@ class ResultSet:
         self, positions: np.ndarray, live: Optional[set[str]] = None
     ) -> "ResultSet":
         """The rows at ``positions``: every row id, and the ``live``
-        columns (None: all of them)."""
+        columns (None: all of them) with their facts (a caller whose
+        positions repeat a row resets uniqueness)."""
         positions = np.asarray(positions, dtype=np.int64)
         if live is None:
             columns = {ref: arr[positions] for ref, arr in self.columns.items()}
-            encodings = self.encodings
+            encodings, facts = self.encodings, self.facts
         else:
             columns = {
                 ref: arr[positions] for ref, arr in self.columns.items() if ref in live
             }
             encodings = {ref: d for ref, d in self.encodings.items() if ref in live}
+            facts = {ref: f for ref, f in self.facts.items() if ref in live}
         return ResultSet(
             columns=columns,
             row_ids={t: arr[positions] for t, arr in self.row_ids.items()},
             n_rows=len(positions),
             encodings=encodings,
+            facts=facts,
         )
 
     def tuple_keys(self) -> list[tuple]:
@@ -323,6 +335,7 @@ def _view(result: ResultSet) -> ResultSet:
         row_ids=dict(result.row_ids),
         n_rows=result.n_rows,
         encodings=dict(result.encodings),
+        facts=result.facts,
     )
 
 
@@ -548,8 +561,11 @@ def _hash_join(
             raise ExecutionError(
                 f"join condition {cond.to_sql()!r} does not span the two inputs"
             )
+    if not (len(left) and len(right)):  # an empty input matches nothing
+        return _merge(right.take(_NO_ROWS, live), left.take(_NO_ROWS, live))
     # A NULL key equals nothing: with none on the smaller side, none matches.
-    if len(right) < len(left):
+    swap = len(right) < len(left)
+    if swap:
         right = _without_null_keys(right, [r_ref for _, r_ref in refs])
     else:
         left = _without_null_keys(left, [l_ref for l_ref, _ in refs])
@@ -559,14 +575,43 @@ def _hash_join(
         left_keys.append(l_key)
         right_keys.append(r_key)
 
+    # One key a side: its facts, where they bound every value it holds
+    # (the smaller side has lost its NULL rows above).
+    left_facts = right_facts = None
+    if len(refs) == 1:
+        ((l_ref, r_ref),) = refs
+        left_facts, right_facts = left.facts.get(l_ref), right.facts.get(r_ref)
+    build_facts, probe_facts = (right_facts, left_facts) if swap else (left_facts, right_facts)
+    if probe_facts is not None and not probe_facts.null_free:
+        probe_facts = None
+
     # Build on the smaller side, probe with the larger (as the per-row
     # hash join did); the kernel preserves its bucket emission order. A
     # probe side every row of which matches once (None) is kept uncopied.
-    swap = len(right) < len(left)
     build_keys, probe_keys = (right_keys, left_keys) if swap else (left_keys, right_keys)
-    probe_idx, build_idx = kernels.join_positions(build_keys, probe_keys)
+    probe_idx, build_idx = kernels.join_positions(
+        build_keys, probe_keys, build_facts, probe_facts
+    )
     left_idx, right_idx = (probe_idx, build_idx) if swap else (build_idx, probe_idx)
-    return _merge(_side(right, right_idx, live), _side(left, left_idx, live))
+    right_out, left_out = _side(right, right_idx, live), _side(left, left_idx, live)
+    out = _merge(right_out, left_out)
+    # A side's rows repeat unless the other side's key is unique.
+    out.facts = {
+        **_repeated(right_out, left_facts is not None and left_facts.unique),
+        **_repeated(left_out, right_facts is not None and right_facts.unique),
+    }
+    return out
+
+
+def _repeated(result: ResultSet, unique: bool) -> dict[str, KeyFacts]:
+    """A join input's facts as its output rows hold them: uniqueness is
+    lost unless no row of it repeats (``unique``)."""
+    if unique:
+        return result.facts
+    return {
+        ref: KeyFacts(f.low, f.high, f.null_free, False) if f.unique else f
+        for ref, f in result.facts.items()
+    }
 
 
 def _side(
@@ -584,6 +629,9 @@ def _without_null_keys(result: ResultSet, refs: Sequence[str]) -> ResultSet:
     """``result`` less its rows with a NULL in any of the ``refs``."""
     nulls = None
     for ref in refs:
+        facts = result.facts.get(ref)
+        if facts is not None and facts.null_free:
+            continue
         dictionary = result.encodings.get(ref)
         if dictionary is not None and not first_value_code(dictionary):
             continue  # no code is NULL
@@ -673,6 +721,9 @@ def _project(result: ResultSet, resolved: dict[str, str]) -> ResultSet:
             ref: result.encodings[key]
             for ref, key in resolved.items()
             if key in result.encodings
+        },
+        facts={
+            ref: result.facts[key] for ref, key in resolved.items() if key in result.facts
         },
     )
 
@@ -966,7 +1017,8 @@ class _Pass:
         """Narrow one scan to its join keys and the columns ``read`` past
         the joins (None: all of them, row ids included) and apply its
         pushed-down conjuncts, which see every column; its row ids go with
-        it only with ``provenance``.
+        it only with ``provenance``, and its integer join keys' facts
+        (:meth:`Table.key_facts`) always.
 
         The scan context may be the plan's, shared by every run: it is
         only read here, and what a leaf hands on is always a new result.
@@ -974,12 +1026,16 @@ class _Pass:
         unfiltered = scan.data
 
         def narrow():
-            if read is None:
-                return unfiltered
-            keep = read | _join_keys(joins)
+            keys = _join_keys(joins)
+            keep = unfiltered.columns if read is None else read | keys
             kept = _project(unfiltered, {key: key for key in unfiltered.columns if key in keep})
-            if not provenance:
+            if read is not None and not provenance:
                 kept.row_ids = {}
+            table = self.db.table(table_name)
+            for ref in keys & kept.columns.keys():
+                facts = table.key_facts(ref.split(".", 1)[1])
+                if facts is not None:
+                    kept.facts[ref] = facts
             return kept
 
         carried = plan.part(("carried", table_name), narrow)

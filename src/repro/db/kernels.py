@@ -18,7 +18,10 @@ grouping numbers each row's group (:func:`group_rows`; a dictionary
 column's codes group as they are, with no factorization), so an
 aggregate reduces each column in one pass whatever the number of
 groups. Integer key columns take a sort-free min/max offset path, and
-one integer key a join side is never factorized at all.
+one integer key a join side is never factorized at all. A join side may
+bring its key's :class:`KeyFacts` (bounds and uniqueness its table
+computed once): the join then reads them instead of reducing, counting
+or sorting the key.
 
 Every kernel reproduces the row ordering of the original per-row
 implementations exactly:
@@ -198,20 +201,49 @@ def group_codes(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return codes, radix
 
 
+class KeyFacts(NamedTuple):
+    """What is known of an integer key column without reading it.
+
+    ``low`` and ``high`` bound its non-NULL values (``0`` and ``-1`` when
+    it has none), ``null_free`` says no value is NULL, and ``unique`` that
+    no value occurs twice (a NULL counting as a value). A table computes
+    them for its columns (:meth:`repro.db.table.Table.key_facts`); a join
+    reads ``low``, ``high`` and ``unique`` of a side's key instead of
+    reducing, counting or sorting it, so a side passes facts only when
+    ``low <= value <= high`` holds for every value it holds.
+    """
+
+    low: int
+    high: int
+    null_free: bool
+    unique: bool
+
+
+def _bounds(values: np.ndarray, facts: Optional[KeyFacts]) -> tuple[int, int]:
+    if facts is None:
+        return int(values.min()), int(values.max())
+    return facts.low, facts.high
+
+
 def _one_int_key(
-    left_arrays: Sequence[np.ndarray], right_arrays: Sequence[np.ndarray]
+    left_arrays: Sequence[np.ndarray],
+    right_arrays: Sequence[np.ndarray],
+    left_facts: Optional[KeyFacts] = None,
+    right_facts: Optional[KeyFacts] = None,
 ) -> Optional[tuple[np.ndarray, np.ndarray, int, int]]:
     """``(left, right, low, span)`` when each side is one non-empty integer
     key column: the smallest value of both and the width of their shared
-    value range (one min and one max a side). None for any other key."""
+    value range (one min and one max a side, or the side's facts). None
+    for any other key."""
     if len(left_arrays) != 1 or len(right_arrays) != 1:
         return None
     left, right = np.asarray(left_arrays[0]), np.asarray(right_arrays[0])
     if not (len(left) and len(right) and left.dtype.kind == right.dtype.kind == "i"):
         return None
-    low = min(int(left.min()), int(right.min()))
-    span = max(int(left.max()), int(right.max())) - low + 1
-    return left, right, low, span
+    left_low, left_high = _bounds(left, left_facts)
+    right_low, right_high = _bounds(right, right_facts)
+    low = min(left_low, right_low)
+    return left, right, low, max(left_high, right_high) - low + 1
 
 
 def factorize_key_pair(
@@ -321,19 +353,23 @@ class JoinIndex(NamedTuple):
 
 
 def build_join_index(
-    build_codes: np.ndarray, n_codes: int, code_counts: Optional[np.ndarray] = None
+    build_codes: np.ndarray,
+    n_codes: int,
+    code_counts: Optional[np.ndarray] = None,
+    unique: bool = False,
 ) -> JoinIndex:
     """Build-side hash-join state from factorized codes.
 
     Both layouts index by code directly, so probing is a gather (no
-    hashing, no binary search). Unique codes get a direct-address
-    ``position`` array; otherwise per-code offsets come from ``bincount``
-    (``code_counts`` when the caller has it) and a stable argsort keeps
-    build rows ascending within a bucket.
+    hashing, no binary search). Unique codes (``unique``: known so, no
+    count taken) get a direct-address ``position`` array; otherwise
+    per-code offsets come from ``bincount`` (``code_counts`` when the
+    caller has it) and a stable argsort keeps build rows ascending within
+    a bucket.
     """
-    if code_counts is None:
+    if not unique and code_counts is None:
         code_counts = np.bincount(build_codes, minlength=n_codes)
-    if code_counts.max(initial=0) <= 1:
+    if unique or code_counts.max(initial=0) <= 1:
         position = np.full(n_codes, -1, dtype=np.int64)
         position[build_codes] = np.arange(len(build_codes), dtype=np.int64)
         return JoinIndex(position=position)
@@ -372,20 +408,21 @@ def probe_factorized(
 
 
 def search_join(
-    build_keys: np.ndarray, probe_keys: np.ndarray
+    build_keys: np.ndarray, probe_keys: np.ndarray, unique: bool = False
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """:func:`probe_factorized`'s output from one comparable key a side, by
     sorting the build keys and binary-searching the probe: its cost follows
     the rows, however wide the range the keys spread over.
 
     Build rows are stably sorted by key, so a key's run keeps them
-    ascending. Unique build keys take one search, a gather and a hit test
-    (``None`` for the probe side when every probe row hits); otherwise each
-    probe key's run ``[left, right)`` expands by the two-repeat form.
+    ascending. Unique build keys (``unique``: known so, not tested) take
+    one search, a gather and a hit test (``None`` for the probe side when
+    every probe row hits); otherwise each probe key's run ``[left,
+    right)`` expands by the two-repeat form.
     """
     order = np.argsort(build_keys, kind="stable")
     keys = build_keys[order]
-    if not (keys[1:] == keys[:-1]).any():
+    if unique or not (keys[1:] == keys[:-1]).any():
         if len(keys) == 0:
             empty = np.zeros(0, dtype=np.int64)
             return (None if len(probe_keys) == 0 else empty), empty
@@ -409,7 +446,10 @@ def search_join(
 
 
 def join_positions(
-    build_keys: Sequence[np.ndarray], probe_keys: Sequence[np.ndarray]
+    build_keys: Sequence[np.ndarray],
+    probe_keys: Sequence[np.ndarray],
+    build_facts: Optional[KeyFacts] = None,
+    probe_facts: Optional[KeyFacts] = None,
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Inner equi-join match positions, in bucket-dict emission order.
 
@@ -426,20 +466,30 @@ def join_positions(
     probe codes do not, by :func:`_join_on_unique_probe`. One integer key
     a side is never factorized: its values are searched as they are, or
     offset into the index.
+
+    ``build_facts`` / ``probe_facts`` are a side's :class:`KeyFacts` when
+    it joins on one key they hold for: the key's bounds are then read, not
+    reduced, and a key known unique is not counted, sorted or checked for
+    a repeat. Every path emits the same matches in the same order.
     """
-    one_int = _one_int_key(build_keys, probe_keys)
+    one_int = _one_int_key(build_keys, probe_keys, build_facts, probe_facts)
     if one_int is None:
         build, probe, n_codes = factorize_key_pair(build_keys, probe_keys)
     else:
         build, probe, low, n_codes = one_int
+    build_unique = build_facts is not None and build_facts.unique
     if n_codes > _CODES_PER_ROW * (len(build) + len(probe)):
-        return search_join(build, probe)
+        return search_join(build, probe, build_unique)
     if one_int is not None:  # the span is dense: offset the values into it
         build = build.astype(np.int64, copy=False) - low
         probe = probe.astype(np.int64, copy=False) - low
+    if build_unique:
+        return probe_factorized(probe, build_join_index(build, n_codes, unique=True))
     code_counts = np.bincount(build, minlength=n_codes)
     if code_counts.max(initial=0) > 1:
-        matches = _join_on_unique_probe(build, probe, n_codes)
+        matches = _join_on_unique_probe(
+            build, probe, n_codes, probe_facts is not None and probe_facts.unique
+        )
         if matches is not None:
             return matches
     return probe_factorized(probe, build_join_index(build, n_codes, code_counts))
@@ -451,23 +501,25 @@ _UNIQUE_TEST_ROWS = 256
 
 
 def _join_on_unique_probe(
-    build: np.ndarray, probe: np.ndarray, n_codes: int
+    build: np.ndarray, probe: np.ndarray, n_codes: int, unique: bool = False
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """:func:`join_positions`' matches of build codes that repeat against
     unique probe codes (a foreign key after a filter against a primary
-    key), or None when the probe codes repeat too.
+    key), or None when the probe codes repeat too (``unique``: known not
+    to, and not tested).
 
     The direct-address index goes on the probe side and the build codes
     gather it: the build rows that hit come out ascending, so one stable
     sort by probe row restores the bucket order.
     """
-    head = np.sort(probe[:_UNIQUE_TEST_ROWS])
-    if (head[1:] == head[:-1]).any():
-        return None
+    if not unique:
+        head = np.sort(probe[:_UNIQUE_TEST_ROWS])
+        if (head[1:] == head[:-1]).any():
+            return None
     rows = np.arange(len(probe), dtype=np.int64)
     position = np.full(n_codes, -1, dtype=np.int64)
     position[probe] = rows
-    if not np.array_equal(position[probe], rows):
+    if not unique and not np.array_equal(position[probe], rows):
         return None
     probe_of_build = position[build]
     build_idx = np.flatnonzero(probe_of_build >= 0)

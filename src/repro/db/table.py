@@ -28,6 +28,10 @@ which is what makes derived sub-databases cheap.
 Every table carries a process-unique :attr:`Table.encoding_version`; a
 rebuilt or re-encoded table gets a fresh version, the key a cache of
 derived results invalidates on.
+
+:meth:`Table.key_facts` gives an ``INT`` column's bounds, NULL-freedom and
+uniqueness, computed on first request and kept: a join reads them for its
+keys instead of deriving them from the rows on every run.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .schema import Column, ColumnType, SchemaError, TableSchema
+from .kernels import KeyFacts
+from .schema import INT_NULL, Column, ColumnType, SchemaError, TableSchema
 
 #: Process-wide monotonically increasing encoding version source. Every
 #: constructed Table (including subsets) draws a fresh version, so any
@@ -207,6 +212,7 @@ class Table:
     def _finish_init(self, n_rows: int, row_ids: Optional[np.ndarray]) -> None:
         self._n_rows = n_rows
         self._decoded: dict[str, np.ndarray] = {}
+        self._facts: dict[str, Optional[KeyFacts]] = {}
         # Set by `statistics.compute_database_stats` on its first request.
         self._stats = None
         self.encoding_version = next(_ENCODING_VERSIONS)
@@ -283,6 +289,16 @@ class Table:
         if isinstance(storage, DictEncoded):
             return storage.dictionary
         return None
+
+    def key_facts(self, name: str) -> Optional[KeyFacts]:
+        """The :class:`~repro.db.kernels.KeyFacts` of an ``INT`` column
+        (None for any other type), computed on first request and kept."""
+        if name not in self._facts:
+            column = self.schema.column(name)
+            self._facts[name] = (
+                _int_facts(self._store[name]) if column.ctype is ColumnType.INT else None
+            )
+        return self._facts[name]
 
     def row(self, index: int) -> dict[str, object]:
         """Materialize one row (by position, not row id) as a dict."""
@@ -361,6 +377,21 @@ class Table:
         if self._n_rows > limit:
             caption += f" (showing {limit})"
         return render_html_table(names, rows, caption=caption)
+
+
+def _int_facts(values: np.ndarray) -> KeyFacts:
+    """Bounds of the non-NULL values, NULL-freedom and uniqueness (one
+    stable sort, a single run for a column stored in key order)."""
+    ordered = np.sort(values, kind="stable")
+    # NULL is the least int64, so the NULLs are the sorted head.
+    n_nulls = int(np.searchsorted(ordered, INT_NULL, side="right"))
+    low, high = (int(ordered[n_nulls]), int(ordered[-1])) if n_nulls < len(ordered) else (0, -1)
+    return KeyFacts(
+        low=low,
+        high=high,
+        null_free=n_nulls == 0,
+        unique=not (ordered[1:] == ordered[:-1]).any(),
+    )
 
 
 def _html_escape(value: object) -> str:

@@ -35,9 +35,14 @@ from tests.test_reward import covered_counts, intern, query_score
 # the per-row implementations the kernels and the CSR tracker replaced
 # ------------------------------------------------------------------ #
 def reference_join_positions(
-    build_keys: Sequence[np.ndarray], probe_keys: Sequence[np.ndarray]
+    build_keys: Sequence[np.ndarray],
+    probe_keys: Sequence[np.ndarray],
+    build_facts=None,
+    probe_facts=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-vectorization per-row bucket join (ground truth / baseline)."""
+    """Pre-vectorization per-row bucket join (ground truth / baseline); it
+    reads every key, so it takes the key facts the kernel takes and
+    ignores them."""
     n_build = len(build_keys[0]) if build_keys else 0
     n_probe = len(probe_keys[0]) if probe_keys else 0
     n_cols = len(build_keys)
